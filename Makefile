@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke fuzz-smoke fault-smoke bench-record bench-check ci-check fmt-check tidy-check ci check-docs
+.PHONY: all build vet test race bench bench-smoke bench-module fuzz-smoke fault-smoke bench-record bench-check ci-check fmt-check tidy-check ci check-docs
 
 all: build
 
@@ -62,6 +62,15 @@ bench:
 bench-smoke:
 	$(GO) test -bench='BenchmarkPut($$|Batch|Sharded|Pipelined)' -benchtime=1000x -run '^$$' .
 
+# bench-module vets and tests benchmark/, the repo benchmark: it is its
+# own module (`replace repro => ../`), so `go build ./... && go test
+# ./...` here never compiles it, yet it imports the root package, core,
+# server, respclient and the layer packages — without this target a
+# refactor can break the benchmark silently.
+bench-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # bench-record regenerates the committed benchmark trajectory: each
 # BENCH_<experiment>.json is the experiment's per-engine metric deltas
 # (obs Snapshot.Delta around the measured phase) plus the phase's
@@ -115,6 +124,6 @@ ci-check:
 # ci is the full gate, mirrored target-for-target by
 # .github/workflows/ci.yml (ci-check enforces the mirror): build, vet,
 # formatting/tidy hygiene, plain and race-enabled tests, the METRICS.md
-# doc-link checker, the benchmark/fuzz/fault smokes, and the
-# bench-trajectory regression check.
-ci: build vet fmt-check tidy-check test race check-docs bench-smoke fuzz-smoke fault-smoke bench-check ci-check
+# doc-link checker, the benchmark/fuzz/fault smokes, the benchmark
+# module's own vet + tests, and the bench-trajectory regression check.
+ci: build vet fmt-check tidy-check test race check-docs bench-smoke bench-module fuzz-smoke fault-smoke bench-check ci-check

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -188,18 +185,23 @@ type asyncThread struct {
 // copied before return. Submissions on one Thread apply in submission
 // order. If more than Options.AsyncMaxPending submissions are in flight
 // the call blocks until the loop catches up (backpressure, not error).
-func (t *Thread) PutAsync(key, value []byte) *Handle {
+func (t *Thread) PutAsync(key, value []byte) *Handle { return t.PutTSAsync(key, value, 0) }
+
+// PutTSAsync is PutAsync carrying a logical timestamp; the admission
+// loop applies it through putStep's last-writer-wins gate (stamp 0 is
+// the plain PutAsync).
+func (t *Thread) PutTSAsync(key, value []byte, ts uint64) *Handle {
 	s := t.s
 	if s.closed.Load() {
 		return completedHandle(ErrClosed)
 	}
 	if len(value) > hsit.MaxValueLen {
-		return completedHandle(fmt.Errorf("prism: value of %d bytes exceeds max %d", len(value), hsit.MaxValueLen))
+		return completedHandle(errValueTooLarge(len(value)))
 	}
 	s.stats.puts.Add(1)
 	s.stats.asyncPuts.Add(1)
 	s.stats.userBytesWritten.Add(int64(len(value)))
-	return t.async.submit(&Handle{op: opPut, key: cloneBytes(key), val: cloneBytes(value), done: make(chan struct{})})
+	return t.async.submit(&Handle{op: opPut, key: cloneBytes(key), val: cloneBytes(value), ts: ts, done: make(chan struct{})})
 }
 
 // GetAsync submits a read and returns its completion Handle; the value
@@ -219,14 +221,19 @@ func (t *Thread) GetAsync(key []byte) *Handle {
 // DeleteAsync submits a delete and returns its completion Handle
 // (ErrNotFound if the key was missing). See PutAsync for the
 // concurrency contract.
-func (t *Thread) DeleteAsync(key []byte) *Handle {
+func (t *Thread) DeleteAsync(key []byte) *Handle { return t.DeleteTSAsync(key, 0) }
+
+// DeleteTSAsync is DeleteAsync carrying a logical timestamp. The handle
+// completes with nil if a live value was removed here and ErrNotFound if
+// only the tombstone was recorded (superseded or already absent).
+func (t *Thread) DeleteTSAsync(key []byte, ts uint64) *Handle {
 	s := t.s
 	if s.closed.Load() {
 		return completedHandle(ErrClosed)
 	}
 	s.stats.deletes.Add(1)
 	s.stats.asyncDeletes.Add(1)
-	return t.async.submit(&Handle{op: opDelete, key: cloneBytes(key), done: make(chan struct{})})
+	return t.async.submit(&Handle{op: opDelete, key: cloneBytes(key), ts: ts, done: make(chan struct{})})
 }
 
 // Flush blocks until every async submission on this Thread has
@@ -384,26 +391,18 @@ func (a *asyncThread) complete(h *Handle, val []byte, err error, at, t0 int64) {
 }
 
 // runPuts applies one run of puts, retrying stalled passes under the
-// same reclamation protocol as the synchronous path.
+// same reclamation protocol as the synchronous path (a stalled pass
+// closed its publish window on the way out, so reclamation can progress).
 func (a *asyncThread) runPuts(hs []*Handle) {
-	s := a.t.s
 	lt := a.lt
-	for attempt := 0; attempt < 1_000_000; attempt++ {
-		done := a.putPass(hs)
-		hs = hs[done:]
-		if len(hs) == 0 {
-			lt.maybeKickReclaim()
-			return
+	err := lt.untilApplied(func() error {
+		if hs = hs[a.putPass(hs):]; len(hs) > 0 {
+			return errRetryPut
 		}
-		// Stalled on a full PWB: the pass closed its publish window on the
-		// way out, so reclamation can progress. Help epochs along and wait,
-		// in virtual time, for the latest reclamation pass to finish.
-		s.em.Collect()
-		runtime.Gosched()
-		lt.Clk.AdvanceTo(s.reclaimStall[lt.id].Load())
-	}
+		return nil
+	})
 	for _, h := range hs {
-		a.complete(h, nil, errors.New("prism: PWB reclamation stalled"), lt.Clk.Now(), lt.Clk.Now())
+		a.complete(h, nil, err, lt.Clk.Now(), lt.Clk.Now())
 	}
 }
 
@@ -441,9 +440,7 @@ func (a *asyncThread) putPass(hs []*Handle) int {
 		base.Advance(asyncIssueNS)
 		stage := sim.NewClock(base.Now())
 		lt.Clk = stage
-		// putStepTS falls straight through to putStep when the handle
-		// carries no stamp (the non-replicated path).
-		err := lt.putStepTS(h.key, h.val, h.ts, false)
+		err := lt.putStep(h.key, h.val, h.ts, false)
 		lt.Clk = base
 		if err == errRetryPut {
 			return i
@@ -481,33 +478,14 @@ func (a *asyncThread) getPass(hs []*Handle) {
 		stage := sim.NewClock(base.Now())
 		lt.Clk = stage
 		items[i] = scanItem{key: h.key}
-		resolved := true
+		nvs := len(lt.mgPending)
 		if idx, ok := s.index.Lookup(stage, h.key); ok {
 			items[i].idx = idx
-			if v, ok := lt.svcRead(idx); ok {
-				items[i].val = cloneBytes(v)
-			} else {
-				ver := s.table.Version(idx)
-				p := s.table.Load(stage, idx)
-				switch p.Media {
-				case hsit.PWB:
-					v := s.pwbOf(p.Off).ReadValue(stage, p.Off, p.Len)
-					if s.table.Load(nil, idx) == p {
-						s.stats.pwbHits.Add(1)
-						items[i].val = v
-					} else {
-						items[i].val, _, _ = lt.getOnce(idx, h.key)
-					}
-				case hsit.VS:
-					items[i].p = p
-					items[i].ver = ver
-					lt.mgPending = append(lt.mgPending, &items[i])
-					a.pendIdx = append(a.pendIdx, i)
-					resolved = false
-				default:
-					// Deleted between lookup and load: stays missing.
-				}
-			}
+			lt.mgPending = lt.stageRead(&items[i], lt.mgPending)
+		}
+		resolved := len(lt.mgPending) == nvs
+		if !resolved {
+			a.pendIdx = append(a.pendIdx, i)
 		}
 		lt.Clk = base
 		if end := stage.Now(); end > endMax {
@@ -553,16 +531,7 @@ func (a *asyncThread) deletePass(hs []*Handle) {
 		base.Advance(asyncIssueNS)
 		stage := sim.NewClock(base.Now())
 		lt.Clk = stage
-		var err error
-		if h.ts != 0 && lt.s.repl != nil {
-			found, derr := lt.deleteStepTS(h.key, h.ts)
-			err = derr
-			if derr == nil && !found {
-				err = ErrNotFound
-			}
-		} else {
-			err = lt.deleteStep(h.key)
-		}
+		err := lt.deleteStep(h.key, h.ts)
 		lt.Clk = base
 		if end := stage.Now(); end > endMax {
 			endMax = end

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/hsit"
 )
@@ -25,13 +24,22 @@ import (
 // a nil return means every entry is durable. Duplicate keys are applied
 // in order (the later entry wins), never coalesced — skipping an earlier
 // duplicate would break the prefix guarantee.
-func (t *Thread) PutBatch(kvs []KV) error {
+func (t *Thread) PutBatch(kvs []KV) error { return t.PutBatchTS(kvs, nil) }
+
+// PutBatchTS is PutBatch with one stamp per entry (nil tss: all
+// unstamped): the routed replica fan-out's write path, keeping the
+// one-epoch-enter/one-publish-window amortization while each entry
+// individually obeys last-writer-wins (see putStep for the stamp rule).
+func (t *Thread) PutBatchTS(kvs []KV, tss []uint64) error {
 	s := t.s
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	if len(kvs) == 0 {
 		return nil
+	}
+	if tss != nil && len(tss) != len(kvs) {
+		return errors.New("prism: PutBatchTS stamp count mismatch")
 	}
 	var total int64
 	for i := range kvs {
@@ -48,30 +56,21 @@ func (t *Thread) PutBatch(kvs []KV) error {
 	t0 := t.Clk.Now()
 	defer func() { s.latPutBatch.Record(t.Clk.Now() - t0) }()
 
-	done := 0
-	for attempt := 0; attempt < 1_000_000; attempt++ {
+	// A pass that stalls on a full PWB mid-batch has closed its publish
+	// window (deferred Published), so reclamation can make progress before
+	// the next pass resumes with the unapplied tail.
+	return t.untilApplied(func() error {
 		// execMu: the PWB ring and its publish-pending window are shared
 		// with the async admission loop (see Thread.async).
 		t.async.execMu.Lock()
-		n, err := t.putBatchEpoch(kvs[done:])
-		t.async.execMu.Unlock()
-		done += n
-		if err != errRetryPut {
-			if done == len(kvs) && err == nil {
-				t.maybeKickReclaim()
-				return nil
-			}
-			return err
+		defer t.async.execMu.Unlock()
+		n, err := t.putBatchEpoch(kvs, tss)
+		kvs = kvs[n:]
+		if tss != nil {
+			tss = tss[n:]
 		}
-		// Stalled on a full PWB mid-batch: the pass's publish window is
-		// closed (deferred Published), so reclamation can make progress.
-		// Help epochs along and wait, in virtual time, for the latest
-		// reclamation pass — exactly the single-op Put stall protocol.
-		s.em.Collect()
-		runtime.Gosched()
-		t.Clk.AdvanceTo(s.reclaimStall[t.id].Load())
-	}
-	return errors.New("prism: PWB reclamation stalled")
+		return err
+	})
 }
 
 // putBatchEpoch applies as many entries as one epoch-scoped pass can,
@@ -79,7 +78,7 @@ func (t *Thread) PutBatch(kvs []KV) error {
 // by the pass's first append and lifted once on the way out (every HSIT
 // publish in between has already persisted, so the single clear is safe
 // for the whole window).
-func (t *Thread) putBatchEpoch(kvs []KV) (applied int, err error) {
+func (t *Thread) putBatchEpoch(kvs []KV, tss []uint64) (applied int, err error) {
 	s := t.s
 	t.part.Enter()
 	defer t.part.Exit()
@@ -90,7 +89,11 @@ func (t *Thread) putBatchEpoch(kvs []KV) (applied int, err error) {
 		if s.closed.Load() {
 			return i, ErrClosed
 		}
-		if err := t.putStep(kvs[i].Key, kvs[i].Value, false); err != nil {
+		var ts uint64
+		if tss != nil {
+			ts = tss[i]
+		}
+		if err := t.putStep(kvs[i].Key, kvs[i].Value, ts, false); err != nil {
 			return i, err
 		}
 		if h := s.batchStepHook; h != nil {
@@ -140,34 +143,13 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 
 	// Fast paths per key (SVC, then PWB), collecting Value Storage
 	// residents for the merged batch read — the Scan resolution order.
+	// A key missing from the index, or deleted between lookup and load,
+	// keeps a nil val.
 	for i, k := range keys {
 		items[i] = scanItem{key: k}
-		idx, ok := s.index.Lookup(t.Clk, k)
-		if !ok {
-			continue
-		}
-		items[i].idx = idx
-		if v, ok := t.svcRead(idx); ok {
-			items[i].val = cloneBytes(v)
-			continue
-		}
-		ver := s.table.Version(idx)
-		p := s.table.Load(t.Clk, idx)
-		switch p.Media {
-		case hsit.PWB:
-			v := s.pwbOf(p.Off).ReadValue(t.Clk, p.Off, p.Len)
-			if s.table.Load(nil, idx) == p {
-				s.stats.pwbHits.Add(1)
-				items[i].val = v
-				continue
-			}
-			items[i].val, _, _ = t.getOnce(idx, k)
-		case hsit.VS:
-			items[i].p = p
-			items[i].ver = ver
-			t.mgPending = append(t.mgPending, &items[i])
-		default:
-			// Deleted between lookup and load: stays missing.
+		if idx, ok := s.index.Lookup(t.Clk, k); ok {
+			items[i].idx = idx
+			t.mgPending = t.stageRead(&items[i], t.mgPending)
 		}
 	}
 	t.readVSBatch(t.mgPending, false)

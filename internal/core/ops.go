@@ -28,37 +28,64 @@ func cloneBytes(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) 
 // (the PWB was full; space can only be released once the thread unpins).
 var errRetryPut = errors.New("prism: retry put")
 
+// errNoTimestamps rejects a stamped mutation on a store opened without
+// Options.TrackTimestamps (see putStep for the stamp rule).
+var errNoTimestamps = errors.New("prism: timestamped writes require Options.TrackTimestamps")
+
+func errValueTooLarge(n int) error {
+	return fmt.Errorf("prism: value of %d bytes exceeds max %d", n, hsit.MaxValueLen)
+}
+
 // Put inserts or updates key with value. The write is durable when Put
 // returns (§5.4 durable linearizability): the value is persisted in the
 // thread's PWB before its HSIT forward pointer is published.
-func (t *Thread) Put(key, value []byte) error {
+func (t *Thread) Put(key, value []byte) error { return t.PutTS(key, value, 0) }
+
+// PutTS is Put carrying a logical timestamp: the write applies only if
+// ts is newer than every stamp already recorded for key (last writer
+// wins; a superseded write returns nil — it is not an error for a
+// replica to already hold something newer). Stamp 0 is the plain Put.
+func (t *Thread) PutTS(key, value []byte, ts uint64) error {
 	s := t.s
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	if len(value) > hsit.MaxValueLen {
-		return fmt.Errorf("prism: value of %d bytes exceeds max %d", len(value), hsit.MaxValueLen)
+		return errValueTooLarge(len(value))
 	}
 	s.stats.puts.Add(1)
 	s.stats.userBytesWritten.Add(int64(len(value)))
 	t0 := t.Clk.Now()
 	defer func() { s.latPut.Record(t.Clk.Now() - t0) }()
-	for attempt := 0; attempt < 1_000_000; attempt++ {
+	return t.untilApplied(func() error {
 		// The thread's PWB ring (and its publish-pending window) is shared
 		// with the async admission loop; execMu keeps whole append windows
 		// mutually exclusive with this attempt.
 		t.async.execMu.Lock()
-		err := t.putOnce(key, value)
-		t.async.execMu.Unlock()
+		defer t.async.execMu.Unlock()
+		t.part.Enter()
+		defer t.part.Exit()
+		return t.putStep(key, value, ts, true)
+	})
+}
+
+// untilApplied runs pass — one epoch-scoped write attempt on t's PWB ring
+// — until it stops reporting errRetryPut. A stalled pass has left its
+// epoch and closed its publish window, so between attempts the thread
+// helps epochs along (retired ring space and chunks land) and waits, in
+// virtual time, until the latest reclamation pass has finished. It is
+// the one stall protocol of the sync single op, the sync batch and the
+// async admission loop.
+func (t *Thread) untilApplied(pass func() error) error {
+	s := t.s
+	for attempt := 0; attempt < 1_000_000; attempt++ {
+		err := pass()
 		if err != errRetryPut {
 			if err == nil {
 				t.maybeKickReclaim()
 			}
 			return err
 		}
-		// Stalled on a full PWB: help epochs along (so retired ring space
-		// and chunks land) and wait, in virtual time, until the latest
-		// reclamation pass has finished.
 		s.em.Collect()
 		runtime.Gosched()
 		t.Clk.AdvanceTo(s.reclaimStall[t.id].Load())
@@ -66,37 +93,45 @@ func (t *Thread) Put(key, value []byte) error {
 	return errors.New("prism: PWB reclamation stalled")
 }
 
-// putOnce performs one epoch-scoped write attempt.
-func (t *Thread) putOnce(key, value []byte) error {
-	t.part.Enter()
-	defer t.part.Exit()
-	return t.putStep(key, value, true)
-}
-
-// putStep is one index-traversal-plus-write for key, shared by Put and
-// PutBatch. The caller holds the epoch guard. clearPending selects
-// whether each publish immediately lifts the PWB publish-pending mark
-// (single-op Put) or the caller lifts it once for a whole append window
-// (PutBatch, via a deferred Buffer.Published).
-func (t *Thread) putStep(key, value []byte, clearPending bool) error {
+// putStep is the one index-traversal-plus-write for key that every put
+// path runs (sync, batch and async). The caller holds the epoch guard
+// and the ring's execMu. clearPending selects whether each publish
+// immediately lifts the PWB publish-pending mark (single-op Put) or the
+// caller lifts it once for a whole append window (a deferred
+// Buffer.Published).
+//
+// The stamp rule, shared with deleteStep: stamp 0 is the plain,
+// unstamped operation on any store; a nonzero stamp requires
+// Options.TrackTimestamps (errNoTimestamps otherwise) and is gated by
+// the newest-stamp map under the key's stripe lock, held across the
+// check, the write and the map update so concurrent writers to one key
+// apply in stamp order. A write no newer than the recorded stamp is
+// superseded and returns nil.
+func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error {
 	s := t.s
+	if ts != 0 {
+		if s.repl == nil {
+			return errNoTimestamps
+		}
+		st := s.repl.stripe(key)
+		st.Lock()
+		defer st.Unlock()
+		if cur, _ := s.repl.newest(string(key)); cur >= ts {
+			return nil
+		}
+	}
 	idx, found := s.index.Lookup(t.Clk, key)
 	if !found {
 		var err error
-		idx, err = s.table.Alloc(t.Clk)
-		if err != nil {
+		if idx, err = s.table.Alloc(t.Clk); err != nil {
 			return err
 		}
 	}
-	if err := t.writeAndPublish(idx, value, clearPending); err != nil {
-		if !found {
-			s.table.Free(idx) // never published, never inserted
-		}
-		return err
-	}
+	err := t.writeAndPublish(idx, value, clearPending)
 	if !found {
-		winner, inserted := s.index.Insert(t.Clk, key, idx)
-		if !inserted {
+		if err != nil {
+			s.table.Free(idx) // never published, never inserted
+		} else if winner, inserted := s.index.Insert(t.Clk, key, idx); !inserted {
 			// Another thread inserted the key first. Our entry is
 			// orphaned: clear it and redo the write against the winner's
 			// entry (the record must carry the winner's backward pointer
@@ -104,10 +139,13 @@ func (t *Thread) putStep(key, value []byte, clearPending bool) error {
 			old := s.table.Clear(t.Clk, idx)
 			t.invalidateOld(idx, old)
 			s.table.Free(idx)
-			return t.writeAndPublish(winner, value, clearPending)
+			err = t.writeAndPublish(winner, value, clearPending)
 		}
 	}
-	return nil
+	if err == nil && ts != 0 {
+		s.repl.setLive(string(key), ts)
+	}
+	return err
 }
 
 // writeAndPublish appends the value to the thread's PWB with idx as its
@@ -263,45 +301,85 @@ func (t *Thread) svcRead(idx uint64) ([]byte, bool) {
 	return v, true
 }
 
+// fastResult is the outcome of one resolveFast attempt.
+type fastResult uint8
+
+const (
+	fastDone  fastResult = iota // it.val set, or left nil: deleted under us
+	fastVS                      // Value Storage resident: it.p/it.ver set for the SSD read
+	fastMoved                   // superseded while reading the PWB: re-resolve
+)
+
+// resolveFast is the read path's one fast-path attempt for an item whose
+// idx is known (§4.4 resolution order): SVC hit, else — snapshotting the
+// publish version before the pointer load, because SVC admission keeps
+// bytes only if the version is unchanged (and even) at publish time,
+// which certifies no write overlapped the read — a PWB read re-checked
+// against the pointer, or a Value Storage location left for the caller
+// to read (alone in resolve, merged in readVSBatch).
+func (t *Thread) resolveFast(it *scanItem) fastResult {
+	s := t.s
+	if v, ok := t.svcRead(it.idx); ok {
+		it.val = cloneBytes(v)
+		return fastDone
+	}
+	it.ver = s.table.Version(it.idx)
+	p := s.table.Load(t.Clk, it.idx)
+	switch p.Media {
+	case hsit.PWB:
+		v := s.pwbOf(p.Off).ReadValue(t.Clk, p.Off, p.Len)
+		if s.table.Load(nil, it.idx) != p {
+			return fastMoved
+		}
+		s.stats.pwbHits.Add(1)
+		it.val = v
+	case hsit.VS:
+		it.p = p
+		return fastVS
+	}
+	return fastDone
+}
+
+// stageRead resolves it on the fast paths or appends it to pending, the
+// caller's merged Value Storage read (Scan, MultiGet and the async get
+// pass share it). A value that moved mid-read takes the slow path.
+func (t *Thread) stageRead(it *scanItem, pending []*scanItem) []*scanItem {
+	switch t.resolveFast(it) {
+	case fastVS:
+		return append(pending, it)
+	case fastMoved:
+		it.val, _, _ = t.getOnce(it.idx, it.key)
+	}
+	return pending
+}
+
 // resolve reads the value behind HSIT entry idx once. retry reports that
 // the location changed mid-read (reclamation/GC migration) and the caller
 // should re-resolve.
 func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err error, retry bool) {
 	s := t.s
-	if v, ok := t.svcRead(idx); ok {
-		return cloneBytes(v), nil, false
+	it := scanItem{key: key, idx: idx}
+	switch t.resolveFast(&it) {
+	case fastMoved:
+		return nil, nil, true
+	case fastDone:
+		if it.val == nil {
+			return nil, ErrNotFound, false
+		}
+		return it.val, nil, false
 	}
-	// The version snapshot must precede the pointer load: SVC admission
-	// keeps the bytes only if the version is unchanged (and even) at
-	// publish time, which certifies no write overlapped the read.
-	ver := s.table.Version(idx)
-	p := s.table.Load(t.Clk, idx)
-	switch p.Media {
-	case hsit.None:
-		return nil, ErrNotFound, false
-	case hsit.PWB:
-		v := s.pwbOf(p.Off).ReadValue(t.Clk, p.Off, p.Len)
-		if s.table.Load(nil, idx) != p {
-			return nil, nil, true // superseded while reading
-		}
-		s.stats.pwbHits.Add(1)
-		return v, nil, false
-	case hsit.VS:
-		devIdx, local := valuestore.SplitOff(p.Off)
-		if !s.vsm.Stores[devIdx].IsValid(local) {
-			return nil, nil, true // migrated before we read
-		}
-		data := s.readVS(t.Clk, p)
-		backptr, v, ok := valuestore.DecodeRecord(data)
-		if !ok || backptr != idx || len(v) != p.Len {
-			return nil, nil, true // chunk recycled under us
-		}
-		if admit {
-			t.admitToSVC(idx, ver, key, v)
-		}
-		return cloneBytes(v), nil, false
+	devIdx, local := valuestore.SplitOff(it.p.Off)
+	if !s.vsm.Stores[devIdx].IsValid(local) {
+		return nil, nil, true // migrated before we read
 	}
-	return nil, nil, true
+	backptr, v, ok := valuestore.DecodeRecord(s.readVS(t.Clk, it.p))
+	if !ok || backptr != idx || len(v) != it.p.Len {
+		return nil, nil, true // chunk recycled under us
+	}
+	if admit {
+		t.admitToSVC(idx, it.ver, key, v)
+	}
+	return cloneBytes(v), nil, false
 }
 
 // admitToSVC publishes a freshly read value in the cache (§4.4: admission
@@ -344,7 +422,21 @@ func (t *Thread) admitToSVC(idx uint64, ver uint64, key, value []byte) (handle u
 
 // Delete removes key. The HSIT entry is reclaimed after two epochs
 // (§5.4: safe reclamation of deleted values and entries).
-func (t *Thread) Delete(key []byte) error {
+func (t *Thread) Delete(key []byte) error { return t.deleteSync(key, 0) }
+
+// DeleteTS is Delete carrying a logical timestamp. It always records the
+// tombstone when ts is newest — even for a key this replica never held —
+// so a divergent peer's stale value cannot resurrect through it. found
+// reports whether a live value was actually removed here; a superseded
+// delete returns (false, nil). Stamp 0 is the plain Delete.
+func (t *Thread) DeleteTS(key []byte, ts uint64) (found bool, err error) {
+	if err = t.deleteSync(key, ts); err == ErrNotFound {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+func (t *Thread) deleteSync(key []byte, ts uint64) error {
 	s := t.s
 	if s.closed.Load() {
 		return ErrClosed
@@ -352,21 +444,38 @@ func (t *Thread) Delete(key []byte) error {
 	t.part.Enter()
 	defer t.part.Exit()
 	s.stats.deletes.Add(1)
-	return t.deleteStep(key)
+	return t.deleteStep(key, ts)
 }
 
-// deleteStep is one delete under the caller's epoch guard, shared by
-// Delete and the async admission loop.
-func (t *Thread) deleteStep(key []byte) error {
+// deleteStep is one delete under the caller's epoch guard, shared by the
+// sync path and the async admission loop; ts follows putStep's stamp
+// rule. A stamped delete records its tombstone whether or not a live
+// value was removed. ErrNotFound reports that none was (the key was
+// absent, or the delete was superseded).
+func (t *Thread) deleteStep(key []byte, ts uint64) error {
 	s := t.s
-	idx, ok := s.index.Delete(t.Clk, key)
-	if !ok {
-		return ErrNotFound
+	if ts != 0 {
+		if s.repl == nil {
+			return errNoTimestamps
+		}
+		st := s.repl.stripe(key)
+		st.Lock()
+		defer st.Unlock()
+		if cur, _ := s.repl.newest(string(key)); cur >= ts {
+			return ErrNotFound
+		}
 	}
-	old := s.table.Clear(t.Clk, idx)
-	t.invalidateOld(idx, old)
-	s.table.Free(idx)
-	return nil
+	err := ErrNotFound
+	if idx, ok := s.index.Delete(t.Clk, key); ok {
+		old := s.table.Clear(t.Clk, idx)
+		t.invalidateOld(idx, old)
+		s.table.Free(idx)
+		err = nil
+	}
+	if ts != 0 {
+		s.repl.setTomb(string(key), ts)
+	}
+	return err
 }
 
 // KV is one key-value pair yielded by Scan.
@@ -398,30 +507,11 @@ func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 	})
 
 	// Resolve fast paths; collect Value Storage residents for batching.
+	// An item deleted between index scan and resolution keeps a nil val
+	// and is skipped below.
 	var pending []*scanItem
 	for _, it := range items {
-		if v, ok := t.svcRead(it.idx); ok {
-			it.val = cloneBytes(v)
-			continue
-		}
-		ver := s.table.Version(it.idx)
-		p := s.table.Load(t.Clk, it.idx)
-		switch p.Media {
-		case hsit.PWB:
-			v := s.pwbOf(p.Off).ReadValue(t.Clk, p.Off, p.Len)
-			if s.table.Load(nil, it.idx) == p {
-				s.stats.pwbHits.Add(1)
-				it.val = v
-				continue
-			}
-			it.val, _, _ = t.getOnce(it.idx, it.key)
-		case hsit.VS:
-			it.p = p
-			it.ver = ver
-			pending = append(pending, it)
-		default:
-			// Deleted between index scan and resolution: skip.
-		}
+		pending = t.stageRead(it, pending)
 	}
 	t.readVSBatch(pending, true)
 

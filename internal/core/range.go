@@ -99,7 +99,7 @@ func (s *Store) DropRange(lo, hi []byte) int {
 			break
 		}
 		t.part.Enter()
-		err := t.deleteStep(k)
+		err := t.deleteStep(k, 0)
 		t.part.Exit()
 		if err == nil {
 			n++

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"runtime"
-	"sync"
-
-	"repro/internal/hsit"
-)
+import "sync"
 
 // Replication groundwork: per-key logical timestamps (the
 // creiht/valuestore idiom — every write carries a monotonically
@@ -21,12 +14,8 @@ import (
 // exposes the TS write variants plus the enumeration hooks an
 // anti-entropy pass needs (ReplicaEntries, ReplicaNewest,
 // DiscardTombstones). With TrackTimestamps unset nothing below is
-// allocated and every TS variant with stamp 0 degrades to its plain
-// counterpart, so the single-replica path is untouched.
-
-// errNoTimestamps rejects TS mutations on a store opened without
-// Options.TrackTimestamps.
-var errNoTimestamps = errors.New("prism: timestamped writes require Options.TrackTimestamps")
+// allocated; the plain operations are the TS variants with stamp 0 (see
+// putStep for the stamp rule), so the single-replica path is untouched.
 
 // replState is the newest-stamp map: for each key, at most one of live
 // (a stored value) or tomb (a deletion) holds the newest stamp observed.
@@ -36,8 +25,8 @@ var errNoTimestamps = errors.New("prism: timestamped writes require Options.Trac
 // value is ts1's).
 //
 // Lock order: PWB execMu → epoch section → stripe → mu. The stripe is
-// only ever taken inside an epoch section (putStepTS/deleteStepTS run
-// under the caller's Enter), and mu is a leaf.
+// only ever taken inside an epoch section (putStep/deleteStep run under
+// the caller's Enter), and mu is a leaf.
 type replState struct {
 	stripes [64]sync.Mutex
 	mu      sync.RWMutex
@@ -97,213 +86,6 @@ func (r *replState) dropLive(key string) {
 	r.mu.Lock()
 	delete(r.live, key)
 	r.mu.Unlock()
-}
-
-// PutTS is Put carrying a logical timestamp: the write applies only if
-// ts is newer than every stamp already recorded for key (last writer
-// wins; a superseded write returns nil — it is not an error for a
-// replica to already hold something newer). ts must be nonzero on a
-// TrackTimestamps store; ts 0 degrades to plain Put. Same durability and
-// concurrency contract as Put.
-func (t *Thread) PutTS(key, value []byte, ts uint64) error {
-	s := t.s
-	if s.repl == nil || ts == 0 {
-		return t.Put(key, value)
-	}
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if len(value) > hsit.MaxValueLen {
-		return fmt.Errorf("prism: value of %d bytes exceeds max %d", len(value), hsit.MaxValueLen)
-	}
-	s.stats.puts.Add(1)
-	s.stats.userBytesWritten.Add(int64(len(value)))
-	t0 := t.Clk.Now()
-	defer func() { s.latPut.Record(t.Clk.Now() - t0) }()
-	for attempt := 0; attempt < 1_000_000; attempt++ {
-		t.async.execMu.Lock()
-		err := t.putOnceTS(key, value, ts)
-		t.async.execMu.Unlock()
-		if err != errRetryPut {
-			if err == nil {
-				t.maybeKickReclaim()
-			}
-			return err
-		}
-		s.em.Collect()
-		runtime.Gosched()
-		t.Clk.AdvanceTo(s.reclaimStall[t.id].Load())
-	}
-	return errors.New("prism: PWB reclamation stalled")
-}
-
-func (t *Thread) putOnceTS(key, value []byte, ts uint64) error {
-	t.part.Enter()
-	defer t.part.Exit()
-	return t.putStepTS(key, value, ts, true)
-}
-
-// putStepTS is putStep gated by the newest-stamp map. Caller holds the
-// epoch section (and, on the sync path, execMu). The stripe is held
-// across the stamp check, the write, and the map update, so concurrent
-// writers to one key apply in stamp order.
-func (t *Thread) putStepTS(key, value []byte, ts uint64, clearPending bool) error {
-	r := t.s.repl
-	if r == nil || ts == 0 {
-		return t.putStep(key, value, clearPending)
-	}
-	st := r.stripe(key)
-	st.Lock()
-	defer st.Unlock()
-	if cur, _ := r.newest(string(key)); cur >= ts {
-		return nil // superseded: a write or tombstone at least as new already applied
-	}
-	if err := t.putStep(key, value, clearPending); err != nil {
-		return err
-	}
-	r.setLive(string(key), ts)
-	return nil
-}
-
-// DeleteTS is Delete carrying a logical timestamp. It always records the
-// tombstone when ts is newest — even for a key this replica never held —
-// so a divergent peer's stale value cannot resurrect through it. found
-// reports whether a live value was actually removed here; a superseded
-// delete returns (false, nil).
-func (t *Thread) DeleteTS(key []byte, ts uint64) (found bool, err error) {
-	s := t.s
-	if s.repl == nil {
-		return false, errNoTimestamps
-	}
-	if ts == 0 {
-		err := t.Delete(key)
-		if err == ErrNotFound {
-			return false, nil
-		}
-		return err == nil, err
-	}
-	if s.closed.Load() {
-		return false, ErrClosed
-	}
-	s.stats.deletes.Add(1)
-	t.part.Enter()
-	defer t.part.Exit()
-	return t.deleteStepTS(key, ts)
-}
-
-// deleteStepTS applies one timestamped tombstone under the caller's
-// epoch section.
-func (t *Thread) deleteStepTS(key []byte, ts uint64) (found bool, err error) {
-	r := t.s.repl
-	st := r.stripe(key)
-	st.Lock()
-	defer st.Unlock()
-	if cur, _ := r.newest(string(key)); cur >= ts {
-		return false, nil
-	}
-	derr := t.deleteStep(key) // ErrNotFound is fine: tombstone still recorded
-	if derr != nil && derr != ErrNotFound {
-		return false, derr
-	}
-	r.setTomb(string(key), ts)
-	return derr == nil, nil
-}
-
-// PutBatchTS is PutBatch with one stamp per entry: the routed replica
-// fan-out's write path, keeping the one-epoch-enter/one-publish-window
-// amortization while each entry individually obeys last-writer-wins.
-func (t *Thread) PutBatchTS(kvs []KV, tss []uint64) error {
-	s := t.s
-	if s.repl == nil {
-		return errNoTimestamps
-	}
-	if len(kvs) == 0 {
-		return nil
-	}
-	if len(tss) != len(kvs) {
-		return errors.New("prism: PutBatchTS stamp count mismatch")
-	}
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	for i, kv := range kvs {
-		if len(kv.Value) > hsit.MaxValueLen {
-			return fmt.Errorf("prism: batch entry %d: value of %d bytes exceeds max %d",
-				i, len(kv.Value), hsit.MaxValueLen)
-		}
-		s.stats.userBytesWritten.Add(int64(len(kv.Value)))
-	}
-	s.stats.puts.Add(int64(len(kvs)))
-	s.stats.batchPuts.Add(1)
-	s.batchSizePut.Record(int64(len(kvs)))
-	done := 0
-	for attempt := 0; attempt < 1_000_000; attempt++ {
-		t.async.execMu.Lock()
-		n, err := t.putBatchEpochTS(kvs[done:], tss[done:])
-		t.async.execMu.Unlock()
-		done += n
-		if err != errRetryPut {
-			if err == nil {
-				t.maybeKickReclaim()
-			}
-			return err
-		}
-		s.em.Collect()
-		runtime.Gosched()
-		t.Clk.AdvanceTo(s.reclaimStall[t.id].Load())
-	}
-	return errors.New("prism: PWB reclamation stalled")
-}
-
-// putBatchEpochTS mirrors putBatchEpoch with per-entry stamp gating.
-func (t *Thread) putBatchEpochTS(kvs []KV, tss []uint64) (int, error) {
-	s := t.s
-	t.part.Enter()
-	defer func() {
-		t.buf.Published()
-		t.part.Exit()
-	}()
-	for i := range kvs {
-		if s.closed.Load() {
-			return i, ErrClosed
-		}
-		if err := t.putStepTS(kvs[i].Key, kvs[i].Value, tss[i], false); err != nil {
-			return i, err
-		}
-		if s.batchStepHook != nil {
-			s.batchStepHook(i)
-		}
-	}
-	return len(kvs), nil
-}
-
-// PutTSAsync is PutAsync carrying a logical timestamp; the admission
-// loop applies it through the same last-writer-wins gate as PutTS.
-func (t *Thread) PutTSAsync(key, value []byte, ts uint64) *Handle {
-	s := t.s
-	if s.closed.Load() {
-		return completedHandle(ErrClosed)
-	}
-	if len(value) > hsit.MaxValueLen {
-		return completedHandle(fmt.Errorf("prism: value of %d bytes exceeds max %d", len(value), hsit.MaxValueLen))
-	}
-	s.stats.puts.Add(1)
-	s.stats.asyncPuts.Add(1)
-	s.stats.userBytesWritten.Add(int64(len(value)))
-	return t.async.submit(&Handle{op: opPut, key: cloneBytes(key), val: cloneBytes(value), ts: ts, done: make(chan struct{})})
-}
-
-// DeleteTSAsync is DeleteAsync carrying a logical timestamp. The handle
-// completes with nil if a live value was removed here and ErrNotFound if
-// only the tombstone was recorded (superseded or already absent).
-func (t *Thread) DeleteTSAsync(key []byte, ts uint64) *Handle {
-	s := t.s
-	if s.closed.Load() {
-		return completedHandle(ErrClosed)
-	}
-	s.stats.deletes.Add(1)
-	s.stats.asyncDeletes.Add(1)
-	return t.async.submit(&Handle{op: opDelete, key: cloneBytes(key), ts: ts, done: make(chan struct{})})
 }
 
 // ReplicaEntries calls fn for every key with a recorded stamp — live

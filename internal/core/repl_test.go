@@ -220,3 +220,47 @@ func TestHandleOnDoneAndProxy(t *testing.T) {
 		t.Fatalf("proxy CompletedAt = %d, want 42", at)
 	}
 }
+
+// The stamp rule every write path shares (documented on putStep): stamp
+// 0 is the plain operation on any store, and a nonzero stamp without
+// Options.TrackTimestamps is errNoTimestamps — through the sync, batch
+// and async entry points alike.
+func TestStampRule(t *testing.T) {
+	k, v := key(1), value(1)
+	ops := []struct {
+		name string
+		do   func(th *Thread, ts uint64) error
+	}{
+		{"PutTS", func(th *Thread, ts uint64) error { return th.PutTS(k, v, ts) }},
+		{"PutBatchTS", func(th *Thread, ts uint64) error { return th.PutBatchTS([]KV{{Key: k, Value: v}}, []uint64{ts}) }},
+		{"PutTSAsync", func(th *Thread, ts uint64) error { return th.PutTSAsync(k, v, ts).Wait() }},
+		{"DeleteTS", func(th *Thread, ts uint64) error {
+			found, err := th.DeleteTS(k, ts)
+			if err == nil && !found {
+				t.Errorf("DeleteTS(ts=%d) did not find the key just written", ts)
+			}
+			return err
+		}},
+		{"DeleteTSAsync", func(th *Thread, ts uint64) error { return th.DeleteTSAsync(k, ts).Wait() }},
+	}
+	for _, tracked := range []bool{false, true} {
+		s := small(t, func(o *Options) { o.TrackTimestamps = tracked })
+		th := s.Thread(0)
+		for _, op := range ops {
+			for ts := uint64(0); ts < 2; ts++ {
+				// Every op finds the key present: the deletes remove it.
+				if err := th.Put(k, v); err != nil {
+					t.Fatal(err)
+				}
+				var want error
+				if ts != 0 && !tracked {
+					want = errNoTimestamps
+				}
+				// Nonzero stamps grow with every put so each is the newest.
+				if err := op.do(th, ts*uint64(1000+s.Stats().Puts)); !errors.Is(err, want) {
+					t.Errorf("TrackTimestamps=%v %s(ts=%d) = %v, want %v", tracked, op.name, ts, err, want)
+				}
+			}
+		}
+	}
+}

@@ -3,38 +3,9 @@ package server
 import (
 	"io"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
-
-// Command verbs with a dedicated server.commands series; anything else
-// lands in {verb=other} so hostile garbage cannot grow the registry.
-var knownVerbs = []string{
-	"PING", "ECHO", "GET", "SET", "DEL", "EXISTS",
-	"MGET", "MSET", "SCAN", "DBSIZE", "INFO", "COMMAND", "QUIT",
-	"MULTI", "EXEC", "DISCARD",
-}
-
-// verbClasses label server.cmd_latency: latency profiles differ by what
-// a command does (point read vs write vs range scan vs transaction), not
-// by individual verb, so the histogram is bucketed per class.
-var verbClasses = []string{"read", "write", "scan", "tx", "admin"}
-
-// verbClass maps a canonical verb to its cmd_latency class.
-func verbClass(verb string) string {
-	switch verb {
-	case "GET", "MGET", "EXISTS":
-		return "read"
-	case "SET", "DEL", "MSET":
-		return "write"
-	case "SCAN":
-		return "scan"
-	case "MULTI", "EXEC", "DISCARD":
-		return "tx"
-	}
-	return "admin"
-}
 
 // serverMetrics holds the server.* instrumentation (see METRICS.md).
 // Every handle is nil-safe, so a store opened with DisableMetrics costs
@@ -46,27 +17,23 @@ type serverMetrics struct {
 	parseErrs  *obs.Counter
 	bytesIn    *obs.Counter
 	bytesOut   *obs.Counter
-	commands   map[string]*obs.Counter
-	otherCmds  *obs.Counter
-	multiExec  *obs.Counter
-	virtLat    *obs.Histogram
-	wallLat    *obs.Histogram
+	// commands holds server.commands{verb}, indexed by command.slot: one
+	// counter per table row, then unknownCommand's {verb=other}.
+	commands  []*obs.Counter
+	multiExec *obs.Counter
+	virtLat   *obs.Histogram
+	wallLat   *obs.Histogram
 
 	// cmdLat is the per-class end-to-end command latency (submit or
 	// dispatch through reply written); dispatchWait is the wall time
 	// dispatch spends blocked on the store — slot-mutex acquisition for
 	// locked verbs, completion-handle waits for async bursts.
-	cmdLat       map[string]*obs.Histogram
+	cmdLat       [numClasses]*obs.Histogram
 	dispatchWait *obs.Histogram
 
 	pipelineOps    *obs.Counter
 	pipelineBursts *obs.Counter
 	pipelineDepth  *obs.Histogram
-}
-
-// recordCmdLatency feeds server.cmd_latency{class=...} for one command.
-func (m *serverMetrics) recordCmdLatency(verb string, d time.Duration) {
-	m.cmdLat[verbClass(verb)].Record(d.Nanoseconds())
 }
 
 // registerMetrics wires the server.* family into the store's registry.
@@ -81,33 +48,21 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 	m.parseErrs = r.Counter(obs.Desc{Name: "server.parse_errors", Help: "malformed RESP frames (each closes its connection)", Unit: "errors"})
 	m.bytesIn = r.Counter(obs.Desc{Name: "server.bytes_in", Help: "bytes read from clients", Unit: "bytes"})
 	m.bytesOut = r.Counter(obs.Desc{Name: "server.bytes_out", Help: "bytes written to clients", Unit: "bytes"})
-	m.commands = make(map[string]*obs.Counter, len(knownVerbs)+1)
-	for _, v := range knownVerbs {
-		m.commands[v] = r.Counter(obs.Desc{Name: "server.commands", Help: "commands dispatched", Unit: "ops",
-			Labels: map[string]string{"verb": v}})
+	for _, c := range append(append([]*command(nil), commandList...), unknownCommand) {
+		m.commands = append(m.commands, r.Counter(obs.Desc{Name: "server.commands", Help: "commands dispatched", Unit: "ops",
+			Labels: map[string]string{"verb": c.name}}))
 	}
-	m.otherCmds = r.Counter(obs.Desc{Name: "server.commands", Help: "commands dispatched", Unit: "ops",
-		Labels: map[string]string{"verb": "other"}})
 	m.multiExec = r.Counter(obs.Desc{Name: "server.multi_exec", Help: "MULTI/EXEC blocks executed (queued commands batched on the pinned thread)", Unit: "txns"})
 	m.virtLat = r.Histogram(obs.Desc{Name: "server.cmd_virtual_ns", Help: "store-command latency in virtual time (engine cost)", Unit: "ns"})
 	m.wallLat = r.Histogram(obs.Desc{Name: "server.cmd_wall_ns", Help: "command latency in wall-clock time (host cost)", Unit: "ns"})
-	m.cmdLat = make(map[string]*obs.Histogram, len(verbClasses))
-	for _, c := range verbClasses {
+	for c, name := range classNames {
 		m.cmdLat[c] = r.Histogram(obs.Desc{Name: "server.cmd_latency", Help: "end-to-end command latency by verb class (submit/dispatch to reply written), wall ns", Unit: "ns",
-			Labels: map[string]string{"class": c}})
+			Labels: map[string]string{"class": name}})
 	}
 	m.dispatchWait = r.Histogram(obs.Desc{Name: "server.dispatch_wait", Help: "wall time dispatch blocked on the store: slot-lock acquisition (locked verbs) or async-burst completion waits", Unit: "ns"})
 	m.pipelineOps = r.Counter(obs.Desc{Name: "server.pipeline_ops", Help: "commands submitted through the async pipelined fast path", Unit: "ops"})
 	m.pipelineBursts = r.Counter(obs.Desc{Name: "server.pipeline_bursts", Help: "pipelined bursts drained (replies written in protocol order)", Unit: "bursts"})
 	m.pipelineDepth = r.Histogram(obs.Desc{Name: "server.pipeline_depth", Help: "pending completions per burst at drain", Unit: "ops"})
-}
-
-func (s *Server) countCommand(verb string) {
-	if c, ok := s.m.commands[verb]; ok {
-		c.Inc()
-		return
-	}
-	s.m.otherCmds.Inc()
 }
 
 // countingReader / countingWriter meter the raw socket, beneath the

@@ -126,19 +126,19 @@ type lockedThread struct {
 	th *shard.Thread
 }
 
-// queuedCmd is one command held in a MULTI block, with its verb already
-// uppercased so EXEC's run-coalescing compares cheaply.
+// queuedCmd is one command held in a MULTI block, already resolved to
+// its table row so EXEC's run-coalescing compares pointers.
 type queuedCmd struct {
-	verb string
+	cmd  *command
 	args [][]byte
 }
 
 // pendingReply is one pipelined command in flight on the store's async
-// pipeline: the completion handle plus the verb that decides how to
-// render its result when the burst drains, and the submit time that
-// feeds server.cmd_latency when the reply is finally written.
+// pipeline: the completion handle plus the table row that renders its
+// result when the burst drains, and the submit time that feeds
+// server.cmd_latency when the reply is finally written.
 type pendingReply struct {
-	verb  string
+	cmd   *command
 	h     *core.Handle
 	start time.Time
 }
@@ -375,13 +375,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		if len(args) == 0 {
 			continue
 		}
+		cmd := lookup(args[0])
 		// Contention-free fast path: single-key verbs are always
 		// submitted asynchronously — no thread-slot mutex — and their
 		// replies deferred, so the admission loop coalesces pipelined
 		// bursts into a few windows and concurrent connections on one
 		// store thread queue instead of convoying. A lone command drains
 		// immediately below (submit+wait).
-		if s.tryAsync(sess, args) {
+		if s.tryAsync(sess, cmd, args) {
 			if len(sess.pending) >= maxPendingReplies {
 				s.drainPipeline(sess, w)
 			}
@@ -396,7 +397,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// Any other verb waits for the burst: replies stay in protocol
 		// order and the command observes every prior write.
 		s.drainPipeline(sess, w)
-		quit := s.dispatch(sess, w, args)
+		quit := s.dispatch(sess, w, cmd, args)
 		// Flush only once the pipeline drains: replies to back-to-back
 		// commands share one write.
 		if !r.buffered() {
@@ -410,45 +411,189 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// command is one row of the verb table: everything the server knows
+// about a RESP verb. Parsing, the async fast path, MULTI queueing, EXEC,
+// the reply encoders and the per-verb metrics all read this one table,
+// so a verb is added — or its arity, class or handler changed — in
+// exactly one place. Rows hold plain funcs, not method values (a method
+// value allocates per call).
+type command struct {
+	name string // canonical uppercase verb: the lookup key and the server.commands{verb} label
+	slot int    // index of the verb's counter in serverMetrics.commands
+
+	// arity counts the verb itself, Redis-style: n > 0 means exactly n
+	// arguments, n < 0 at least -n, 0 unchecked. pairs additionally
+	// requires whole key/value pairs after the verb (MSET). usage
+	// replaces the stock arity error text.
+	arity int
+	pairs bool
+	usage string
+
+	class cmdClass // server.cmd_latency{class}
+
+	// control verbs (MULTI/EXEC/DISCARD/QUIT) run immediately even inside
+	// a MULTI block; quit closes the connection after the reply.
+	control, quit bool
+
+	// submit, when set, is the contention-free path of the single-key
+	// form (exactly |arity| arguments): outside MULTI the command is
+	// submitted to the store's async pipeline — no thread-slot lock — and
+	// reply renders its completion when the burst drains.
+	submit func(th *shard.Thread, args [][]byte) *core.Handle
+	reply  func(w *respWriter, val []byte, err error)
+
+	// run executes the command synchronously; locked says it needs the
+	// store thread's single-owner surface (the slot mutex is held and
+	// server.cmd_virtual_ns recorded around it). GET and SET have no run:
+	// outside MULTI a well-formed one always takes submit, and EXEC hands
+	// a whole run of adjacent ones to batch (one PutBatch / MultiGet).
+	locked bool
+	run    func(s *Server, sess *session, w *respWriter, args [][]byte)
+	batch  func(sess *session, w *respWriter, run []queuedCmd)
+}
+
+// cmdClass labels server.cmd_latency: latency profiles differ by what a
+// command does (point read vs write vs range scan vs transaction), not
+// by individual verb, so the histogram is bucketed per class.
+type cmdClass uint8
+
+const (
+	classRead cmdClass = iota
+	classWrite
+	classScan
+	classTx
+	classAdmin // also every unknown verb
+	numClasses
+)
+
+var classNames = [numClasses]string{"read", "write", "scan", "tx", "admin"}
+
+// commandList is the verb table, in server.commands registration order.
+var commandList = []*command{
+	{name: "PING", class: classAdmin, run: runPing},
+	{name: "ECHO", arity: 2, class: classAdmin, run: runEcho},
+	{name: "GET", arity: 2, class: classRead, submit: submitGet, reply: replyValue, batch: batchGets},
+	{name: "SET", arity: 3, class: classWrite, submit: submitSet, reply: replyOK, batch: batchSets},
+	{name: "DEL", arity: -2, class: classWrite, submit: submitDel, reply: replyFound, locked: true, run: runDel},
+	{name: "EXISTS", arity: -2, class: classRead, submit: submitGet, reply: replyFound, locked: true, run: runExists},
+	{name: "MGET", arity: -2, class: classRead, locked: true, run: runMGet},
+	{name: "MSET", arity: -3, pairs: true, class: classWrite, locked: true, run: runMSet},
+	{name: "SCAN", arity: 3, usage: "ERR usage: SCAN <start-key> <count>", class: classScan, locked: true, run: runScan},
+	{name: "DBSIZE", class: classAdmin, run: runDBSize},
+	{name: "INFO", class: classAdmin, run: runInfo},
+	// Stock clients probe COMMAND on connect; an empty array keeps them
+	// happy without exporting the table.
+	{name: "COMMAND", class: classAdmin, run: func(_ *Server, _ *session, w *respWriter, _ [][]byte) { w.writeArrayHeader(0) }},
+	{name: "QUIT", class: classAdmin, control: true, quit: true, run: func(_ *Server, _ *session, w *respWriter, _ [][]byte) { w.writeSimple("OK") }},
+	{name: "MULTI", class: classTx, control: true, run: runMulti},
+	{name: "EXEC", class: classTx, control: true, run: runExec},
+	{name: "DISCARD", class: classTx, control: true, run: runDiscard},
+}
+
+// unknownCommand is the row every verb outside the table resolves to:
+// counted under server.commands{verb=other} (so hostile garbage cannot
+// grow the registry), timed as admin, and refused by dispatch.
+var unknownCommand = &command{name: "other", slot: len(commandList), class: classAdmin}
+
+// commands indexes commandList by name and assigns the metric slots.
+var commands = func() map[string]*command {
+	m := make(map[string]*command, len(commandList))
+	for i, c := range commandList {
+		c.slot = i
+		m[c.name] = c
+	}
+	return m
+}()
+
+// lookup returns the table row for a command name, case-insensitively
+// (unknownCommand when there is none). It never allocates (the dispatch
+// hot path): the name is upper-cased into a stack buffer and the map is
+// indexed with the string(buf[:n]) idiom.
+func lookup(name []byte) *command {
+	var buf [8]byte // longer than every verb in the table
+	if len(name) <= len(buf) {
+		for i, c := range name {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf[i] = c
+		}
+		if cmd := commands[string(buf[:len(name)])]; cmd != nil {
+			return cmd
+		}
+	}
+	return unknownCommand
+}
+
+// arityError returns the error reply for n arguments (verb included)
+// violating c's arity rule, or "" when n is acceptable. The same text
+// answers a malformed command outside MULTI and at MULTI queue time.
+func (c *command) arityError(n int) string {
+	switch {
+	case c.arity > 0 && n != c.arity, c.arity < 0 && n < -c.arity, c.pairs && n%2 != 1:
+		if c.usage != "" {
+			return c.usage
+		}
+		return "ERR wrong number of arguments for '" + strings.ToLower(c.name) + "' command"
+	}
+	return ""
+}
+
+func submitGet(th *shard.Thread, args [][]byte) *core.Handle { return th.GetAsync(args[1]) }
+func submitSet(th *shard.Thread, args [][]byte) *core.Handle { return th.PutAsync(args[1], args[2]) }
+func submitDel(th *shard.Thread, args [][]byte) *core.Handle { return th.DeleteAsync(args[1]) }
+
+// The three reply shapes of a store result. Each takes the (value,
+// error) pair an async completion or a synchronous call produced.
+
+// replyValue renders value-or-nil: a missing key (ErrNotFound, or a nil
+// value in a batch read — a present empty value is non-nil) is a nil
+// bulk.
+func replyValue(w *respWriter, val []byte, err error) {
+	switch {
+	case err == nil && val != nil:
+		w.writeBulk(val)
+	case err == nil || errors.Is(err, core.ErrNotFound):
+		w.writeNil()
+	default:
+		w.writeError("ERR " + err.Error())
+	}
+}
+
+// replyOK renders OK-or-error.
+func replyOK(w *respWriter, _ []byte, err error) {
+	if err != nil {
+		w.writeError("ERR " + err.Error())
+		return
+	}
+	w.writeSimple("OK")
+}
+
+// replyFound renders 1/0-or-error: whether the key existed.
+func replyFound(w *respWriter, _ []byte, err error) {
+	switch {
+	case err == nil:
+		w.writeInt(1)
+	case errors.Is(err, core.ErrNotFound):
+		w.writeInt(0)
+	default:
+		w.writeError("ERR " + err.Error())
+	}
+}
+
 // tryAsync submits one command to the store's asynchronous pipeline and
 // queues its completion for the next drain. It reports false for verbs
 // (or arities) that must take the synchronous dispatch path. Submission
 // needs no thread-slot lock: the async entry points are concurrency-safe
 // and never touch the router thread's scratch state.
-func (s *Server) tryAsync(sess *session, args [][]byte) bool {
-	if sess.inMulti {
+func (s *Server) tryAsync(sess *session, cmd *command, args [][]byte) bool {
+	if sess.inMulti || cmd.submit == nil || len(args) != cmd.arity && len(args) != -cmd.arity {
 		return false
 	}
-	verb := verbOf(args[0])
-	th := sess.slot.th
-	var h *core.Handle
-	switch verb {
-	case "GET":
-		if len(args) != 2 {
-			return false
-		}
-		h = th.GetAsync(args[1])
-	case "SET":
-		if len(args) != 3 {
-			return false
-		}
-		h = th.PutAsync(args[1], args[2])
-	case "DEL":
-		if len(args) != 2 {
-			return false
-		}
-		h = th.DeleteAsync(args[1])
-	case "EXISTS":
-		if len(args) != 2 {
-			return false
-		}
-		h = th.GetAsync(args[1])
-	default:
-		return false
-	}
-	s.countCommand(verb)
+	h := cmd.submit(sess.slot.th, args)
+	s.m.commands[cmd.slot].Inc()
 	s.m.pipelineOps.Inc()
-	sess.pending = append(sess.pending, pendingReply{verb: verb, h: h, start: time.Now()})
+	sess.pending = append(sess.pending, pendingReply{cmd: cmd, h: h, start: time.Now()})
 	return true
 }
 
@@ -465,98 +610,13 @@ func (s *Server) drainPipeline(sess *session, w *respWriter) {
 	wait0 := time.Now()
 	for i := range sess.pending {
 		p := &sess.pending[i]
-		switch p.verb {
-		case "GET":
-			v, err := p.h.Value()
-			switch {
-			case err == nil:
-				w.writeBulk(v)
-			case errors.Is(err, core.ErrNotFound):
-				w.writeNil()
-			default:
-				w.writeError("ERR " + err.Error())
-			}
-		case "SET":
-			if err := p.h.Wait(); err != nil {
-				w.writeError("ERR " + err.Error())
-			} else {
-				w.writeSimple("OK")
-			}
-		case "DEL":
-			switch err := p.h.Wait(); {
-			case err == nil:
-				w.writeInt(1)
-			case errors.Is(err, core.ErrNotFound):
-				w.writeInt(0)
-			default:
-				w.writeError("ERR " + err.Error())
-			}
-		case "EXISTS":
-			switch err := p.h.Wait(); {
-			case err == nil:
-				w.writeInt(1)
-			case errors.Is(err, core.ErrNotFound):
-				w.writeInt(0)
-			default:
-				w.writeError("ERR " + err.Error())
-			}
-		}
-		s.m.recordCmdLatency(p.verb, time.Since(p.start))
+		val, err := p.h.Value()
+		p.cmd.reply(w, val, err)
+		s.m.cmdLat[p.cmd.class].Record(time.Since(p.start).Nanoseconds())
 		p.h = nil
 	}
 	s.m.dispatchWait.Record(time.Since(wait0).Nanoseconds())
 	sess.pending = sess.pending[:0]
-}
-
-// verbOf returns the canonical uppercase verb for a command name. Known
-// verbs return interned constants without allocating (the dispatch hot
-// path); unknown verbs fall back to an allocated uppercase copy.
-func verbOf(b []byte) string {
-	var buf [8]byte
-	if len(b) > len(buf) {
-		return strings.ToUpper(string(b))
-	}
-	for i, c := range b {
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		buf[i] = c
-	}
-	switch string(buf[:len(b)]) {
-	case "GET":
-		return "GET"
-	case "SET":
-		return "SET"
-	case "DEL":
-		return "DEL"
-	case "EXISTS":
-		return "EXISTS"
-	case "MGET":
-		return "MGET"
-	case "MSET":
-		return "MSET"
-	case "SCAN":
-		return "SCAN"
-	case "PING":
-		return "PING"
-	case "ECHO":
-		return "ECHO"
-	case "MULTI":
-		return "MULTI"
-	case "EXEC":
-		return "EXEC"
-	case "DISCARD":
-		return "DISCARD"
-	case "DBSIZE":
-		return "DBSIZE"
-	case "INFO":
-		return "INFO"
-	case "COMMAND":
-		return "COMMAND"
-	case "QUIT":
-		return "QUIT"
-	}
-	return strings.ToUpper(string(b))
 }
 
 // copyArgs deep-copies a parsed argument vector. The parser's args live
@@ -570,88 +630,53 @@ func copyArgs(args [][]byte) [][]byte {
 	return cp
 }
 
-// dispatch executes one command and writes its reply. It returns true
-// when the connection should close (QUIT).
-func (s *Server) dispatch(sess *session, w *respWriter, args [][]byte) (quit bool) {
-	verb := verbOf(args[0])
-	s.countCommand(verb)
+// dispatch executes one command (cmd is args[0]'s table row) and writes
+// its reply. It returns true when the connection should close (QUIT).
+func (s *Server) dispatch(sess *session, w *respWriter, cmd *command, args [][]byte) (quit bool) {
+	s.m.commands[cmd.slot].Inc()
 	wall0 := time.Now()
 	defer func() {
 		d := time.Since(wall0).Nanoseconds()
 		s.m.wallLat.Record(d)
-		s.m.recordCmdLatency(verb, time.Duration(d))
+		s.m.cmdLat[cmd.class].Record(d)
 	}()
 
-	// Transaction control verbs run immediately even inside a block.
-	switch verb {
-	case "MULTI":
-		if sess.inMulti {
-			w.writeError("ERR MULTI calls can not be nested")
-			return false
-		}
-		sess.inMulti = true
-		w.writeSimple("OK")
-		return false
-	case "EXEC":
-		if !sess.inMulti {
-			w.writeError("ERR EXEC without MULTI")
-			return false
-		}
-		if sess.txDirty {
-			sess.resetTx()
-			w.writeError("EXECABORT Transaction discarded because of previous errors.")
-			return false
-		}
-		s.execMulti(sess, w)
-		sess.resetTx()
-		return false
-	case "DISCARD":
-		if !sess.inMulti {
-			w.writeError("ERR DISCARD without MULTI")
-			return false
-		}
-		sess.resetTx()
-		w.writeSimple("OK")
-		return false
-	case "QUIT":
-		w.writeSimple("OK")
-		return true
+	if cmd.control {
+		cmd.run(s, sess, w, args)
+		return cmd.quit
 	}
-
-	if sess.inMulti {
-		// Queue-time validation, Redis-style: an unknown verb or bad
-		// arity replies immediately and poisons the block, so EXEC can
-		// trust every queued frame (the SET/GET coalescer indexes args
-		// without re-checking).
-		if msg := queueCheck(verb, len(args)); msg != "" {
+	// Validation is the same outside MULTI and at queue time; inside a
+	// block, Redis-style, an unknown verb or bad arity replies
+	// immediately and poisons the block, so EXEC can trust every queued
+	// frame (the handlers index args without re-checking).
+	msg := cmd.arityError(len(args))
+	if cmd == unknownCommand {
+		msg = fmt.Sprintf("ERR unknown command '%s'", strings.ToLower(string(args[0])))
+	}
+	if msg == "" && sess.inMulti && len(sess.queued) >= s.cfg.MaxMultiQueued {
+		msg = fmt.Sprintf("ERR MULTI queue exceeds %d commands", s.cfg.MaxMultiQueued)
+	}
+	switch {
+	case msg != "":
+		if sess.inMulti {
 			sess.txDirty = true
-			w.writeError(msg)
-			return false
 		}
-		if len(sess.queued) >= s.cfg.MaxMultiQueued {
-			sess.txDirty = true
-			w.writeError(fmt.Sprintf("ERR MULTI queue exceeds %d commands", s.cfg.MaxMultiQueued))
-			return false
-		}
+		w.writeError(msg)
+	case sess.inMulti:
 		// args live in the parser's reused arena and are invalidated by
 		// the next read, so queueing until EXEC requires a deep copy
 		// (asserted by TestMultiQueueCopiesArgs).
-		sess.queued = append(sess.queued, queuedCmd{verb: verb, args: copyArgs(args)})
+		sess.queued = append(sess.queued, queuedCmd{cmd: cmd, args: copyArgs(args)})
 		w.writeSimple("QUEUED")
-		return false
-	}
-
-	switch verb {
-	case "GET", "SET", "DEL", "EXISTS", "MGET", "MSET", "SCAN":
+	case cmd.locked:
 		slot := sess.slot
 		s.lockSlot(slot)
-		th := slot.th
-		v0 := th.Clk.Now()
-		s.execStore(sess, th, w, verb, args)
-		s.m.virtLat.Record(th.Clk.Now() - v0)
+		v0 := slot.th.Clk.Now()
+		cmd.run(s, sess, w, args)
+		s.m.virtLat.Record(slot.th.Clk.Now() - v0)
 		slot.mu.Unlock()
 	default:
-		s.execSimple(w, verb, args)
+		cmd.run(s, sess, w, args)
 	}
 	return false
 }
@@ -667,263 +692,181 @@ func (s *Server) lockSlot(slot *lockedThread) {
 	s.m.dispatchWait.Record(time.Since(t0).Nanoseconds())
 }
 
-// queueCheck validates a verb and its arity at MULTI queue time. It
-// returns the error reply for a rejected command, or "" to queue it.
-func queueCheck(verb string, n int) string {
-	switch verb {
-	case "PING", "COMMAND", "INFO", "DBSIZE":
-		return ""
-	case "ECHO", "GET":
-		if n != 2 {
-			return "ERR wrong number of arguments for '" + strings.ToLower(verb) + "' command"
-		}
-	case "SET":
-		if n != 3 {
-			return "ERR wrong number of arguments for 'set' command"
-		}
-	case "DEL", "EXISTS", "MGET":
-		if n < 2 {
-			return "ERR wrong number of arguments for '" + strings.ToLower(verb) + "' command"
-		}
-	case "MSET":
-		if n < 3 || n%2 != 1 {
-			return "ERR wrong number of arguments for 'mset' command"
-		}
-	case "SCAN":
-		if n != 3 {
-			return "ERR usage: SCAN <start-key> <count>"
-		}
-	default:
-		return fmt.Sprintf("ERR unknown command '%s'", strings.ToLower(verb))
+func runMulti(_ *Server, sess *session, w *respWriter, _ [][]byte) {
+	if sess.inMulti {
+		w.writeError("ERR MULTI calls can not be nested")
+		return
 	}
-	return ""
+	sess.inMulti = true
+	w.writeSimple("OK")
 }
 
-// execMulti runs a validated MULTI block. The thread slot is held for
+func runDiscard(_ *Server, sess *session, w *respWriter, _ [][]byte) {
+	if !sess.inMulti {
+		w.writeError("ERR DISCARD without MULTI")
+		return
+	}
+	sess.resetTx()
+	w.writeSimple("OK")
+}
+
+// runExec runs a validated MULTI block. The thread slot is held for
 // the whole block — commands from other connections pinned to the same
-// store thread cannot interleave — and adjacent same-verb commands
-// coalesce into the store's batch operations: a run of SETs becomes one
-// PutBatch (one epoch entry, one publish window) and a run of GETs one
-// MultiGet (merged VS read extents).
-func (s *Server) execMulti(sess *session, w *respWriter) {
+// store thread cannot interleave — and adjacent same-verb commands with
+// a batch form coalesce into the store's batch operations: a run of SETs
+// becomes one PutBatch (one epoch entry, one publish window) and a run
+// of GETs one MultiGet (merged VS read extents).
+func runExec(s *Server, sess *session, w *respWriter, _ [][]byte) {
+	if !sess.inMulti {
+		w.writeError("ERR EXEC without MULTI")
+		return
+	}
+	defer sess.resetTx()
+	if sess.txDirty {
+		w.writeError("EXECABORT Transaction discarded because of previous errors.")
+		return
+	}
 	s.m.multiExec.Inc()
 	q := sess.queued
 	w.writeArrayHeader(len(q))
 	slot := sess.slot
 	s.lockSlot(slot)
 	defer slot.mu.Unlock()
-	th := slot.th
-	v0 := th.Clk.Now()
-	defer func() {
-		s.m.virtLat.Record(th.Clk.Now() - v0)
-	}()
-
+	v0 := slot.th.Clk.Now()
 	for i := 0; i < len(q); {
-		switch q[i].verb {
-		case "SET":
-			j := i
-			sess.kvs = sess.kvs[:0]
-			for j < len(q) && q[j].verb == "SET" {
-				sess.kvs = append(sess.kvs, core.KV{Key: q[j].args[1], Value: q[j].args[2]})
+		c, j := q[i].cmd, i+1
+		if c.batch == nil {
+			c.run(s, sess, w, q[i].args)
+		} else {
+			for j < len(q) && q[j].cmd == c {
 				j++
 			}
-			if err := th.PutBatch(sess.kvs); err != nil {
-				// PutBatch applies a prefix before failing and does not
-				// report its length, so the whole run reports the error.
-				for k := i; k < j; k++ {
-					w.writeError("ERR " + err.Error())
-				}
-			} else {
-				for k := i; k < j; k++ {
-					w.writeSimple("OK")
-				}
-			}
-			i = j
-		case "GET":
-			j := i
-			sess.keys = sess.keys[:0]
-			for j < len(q) && q[j].verb == "GET" {
-				sess.keys = append(sess.keys, q[j].args[1])
-				j++
-			}
-			vals, err := th.MultiGetInto(sess.keys, sess.vals[:0])
-			sess.vals = vals
-			if err != nil {
-				for k := i; k < j; k++ {
-					w.writeError("ERR " + err.Error())
-				}
-			} else {
-				for _, v := range vals {
-					if v == nil {
-						w.writeNil()
-					} else {
-						w.writeBulk(v)
-					}
-				}
-			}
-			i = j
-		case "DEL", "EXISTS", "MGET", "MSET", "SCAN":
-			s.execStore(sess, th, w, q[i].verb, q[i].args)
-			i++
-		default:
-			s.execSimple(w, q[i].verb, q[i].args)
-			i++
+			c.batch(sess, w, q[i:j])
 		}
+		i = j
+	}
+	sess.resetScratch()
+	s.m.virtLat.Record(slot.th.Clk.Now() - v0)
+}
+
+// batchSets applies a run of queued SETs as one PutBatch. PutBatch
+// applies a prefix before failing and does not report its length, so
+// the whole run reports the error.
+func batchSets(sess *session, w *respWriter, run []queuedCmd) {
+	sess.kvs = sess.kvs[:0]
+	for _, q := range run {
+		sess.kvs = append(sess.kvs, core.KV{Key: q.args[1], Value: q.args[2]})
+	}
+	err := sess.slot.th.PutBatch(sess.kvs)
+	for range run {
+		replyOK(w, nil, err)
+	}
+}
+
+// batchGets resolves a run of queued GETs as one MultiGet.
+func batchGets(sess *session, w *respWriter, run []queuedCmd) {
+	sess.keys = sess.keys[:0]
+	for _, q := range run {
+		sess.keys = append(sess.keys, q.args[1])
+	}
+	vals, err := sess.slot.th.MultiGetInto(sess.keys, sess.vals[:0])
+	sess.vals = vals
+	for i := range run {
+		replyValue(w, vals[i], err)
+	}
+}
+
+func runPing(_ *Server, _ *session, w *respWriter, args [][]byte) {
+	if len(args) > 1 {
+		w.writeBulk(args[1])
+	} else {
+		w.writeSimple("PONG")
+	}
+}
+
+func runEcho(_ *Server, _ *session, w *respWriter, args [][]byte) { w.writeBulk(args[1]) }
+
+func runInfo(s *Server, _ *session, w *respWriter, _ [][]byte) { w.writeBulk([]byte(s.info())) }
+
+func runDBSize(s *Server, _ *session, w *respWriter, _ [][]byte) { w.writeInt(int64(s.store.Len())) }
+
+// The locked handlers below run on the connection's store thread with
+// the slot mutex held (see dispatch and runExec).
+
+// countKeys replies with how many of keys op succeeded on, not-found
+// counting as zero (multi-key DEL and EXISTS).
+func countKeys(w *respWriter, keys [][]byte, op func(k []byte) error) {
+	var n int64
+	for _, k := range keys {
+		if err := op(k); err == nil {
+			n++
+		} else if !errors.Is(err, core.ErrNotFound) {
+			w.writeError("ERR " + err.Error())
+			return
+		}
+	}
+	w.writeInt(n)
+}
+
+func runDel(_ *Server, sess *session, w *respWriter, args [][]byte) {
+	countKeys(w, args[1:], sess.slot.th.Delete)
+}
+
+func runExists(_ *Server, sess *session, w *respWriter, args [][]byte) {
+	th := sess.slot.th
+	countKeys(w, args[1:], func(k []byte) error {
+		_, err := th.Get(k)
+		return err
+	})
+}
+
+// runMGet is one MultiGet instead of a Get per key: one epoch entry, VS
+// reads merged into extents. Values land in the connection's scratch
+// slice, so steady-state MGET allocates nothing per key beyond the
+// value copies themselves.
+func runMGet(_ *Server, sess *session, w *respWriter, args [][]byte) {
+	vals, err := sess.slot.th.MultiGetInto(args[1:], sess.vals[:0])
+	sess.vals = vals
+	if err != nil {
+		w.writeError("ERR " + err.Error())
+		return
+	}
+	w.writeArrayHeader(len(vals))
+	for _, v := range vals {
+		replyValue(w, v, nil)
 	}
 	sess.resetScratch()
 }
 
-// execSimple handles the commands that do not touch a store thread.
-func (s *Server) execSimple(w *respWriter, verb string, args [][]byte) {
-	switch verb {
-	case "PING":
-		if len(args) > 1 {
-			w.writeBulk(args[1])
-		} else {
-			w.writeSimple("PONG")
-		}
-	case "ECHO":
-		if len(args) != 2 {
-			w.writeError("ERR wrong number of arguments for 'echo' command")
-			return
-		}
-		w.writeBulk(args[1])
-	case "COMMAND":
-		// Stock clients probe COMMAND on connect; an empty array keeps
-		// them happy without a command table.
-		w.writeArrayHeader(0)
-	case "INFO":
-		w.writeBulk([]byte(s.info()))
-	case "DBSIZE":
-		w.writeInt(int64(s.store.Len()))
-	default:
-		w.writeError(fmt.Sprintf("ERR unknown command '%s'", strings.ToLower(verb)))
+func runMSet(_ *Server, sess *session, w *respWriter, args [][]byte) {
+	sess.kvs = sess.kvs[:0]
+	for i := 1; i < len(args); i += 2 {
+		sess.kvs = append(sess.kvs, core.KV{Key: args[i], Value: args[i+1]})
 	}
+	err := sess.slot.th.PutBatch(sess.kvs)
+	sess.resetScratch()
+	replyOK(w, nil, err)
 }
 
-// execStore runs one store-backed command on th. The caller holds the
-// slot mutex and records virtual-time latency around the call.
-func (s *Server) execStore(sess *session, th *shard.Thread, w *respWriter, verb string, args [][]byte) {
-	switch verb {
-	case "GET":
-		if len(args) != 2 {
-			w.writeError("ERR wrong number of arguments for 'get' command")
-			return
-		}
-		val, err := th.Get(args[1])
-		switch {
-		case err == nil:
-			w.writeBulk(val)
-		case errors.Is(err, core.ErrNotFound):
-			w.writeNil()
-		default:
-			w.writeError("ERR " + err.Error())
-		}
-	case "SET":
-		if len(args) != 3 {
-			w.writeError("ERR wrong number of arguments for 'set' command")
-			return
-		}
-		if err := th.Put(args[1], args[2]); err != nil {
-			w.writeError("ERR " + err.Error())
-			return
-		}
-		w.writeSimple("OK")
-	case "DEL":
-		if len(args) < 2 {
-			w.writeError("ERR wrong number of arguments for 'del' command")
-			return
-		}
-		var n int64
-		for _, k := range args[1:] {
-			err := th.Delete(k)
-			if err == nil {
-				n++
-			} else if !errors.Is(err, core.ErrNotFound) {
-				w.writeError("ERR " + err.Error())
-				return
-			}
-		}
-		w.writeInt(n)
-	case "EXISTS":
-		if len(args) < 2 {
-			w.writeError("ERR wrong number of arguments for 'exists' command")
-			return
-		}
-		var n int64
-		for _, k := range args[1:] {
-			if _, err := th.Get(k); err == nil {
-				n++
-			} else if !errors.Is(err, core.ErrNotFound) {
-				w.writeError("ERR " + err.Error())
-				return
-			}
-		}
-		w.writeInt(n)
-	case "MGET":
-		if len(args) < 2 {
-			w.writeError("ERR wrong number of arguments for 'mget' command")
-			return
-		}
-		// One MultiGet instead of a Get per key: one epoch entry, VS
-		// reads merged into extents. Values land in the connection's
-		// scratch slice, so steady-state MGET allocates nothing per key
-		// beyond the value copies themselves.
-		vals, err := th.MultiGetInto(args[1:], sess.vals[:0])
-		sess.vals = vals
-		if err != nil {
-			w.writeError("ERR " + err.Error())
-			return
-		}
-		w.writeArrayHeader(len(vals))
-		for _, v := range vals {
-			if v == nil {
-				w.writeNil()
-			} else {
-				w.writeBulk(v)
-			}
-		}
-		sess.resetScratch()
-	case "MSET":
-		if len(args) < 3 || len(args)%2 != 1 {
-			w.writeError("ERR wrong number of arguments for 'mset' command")
-			return
-		}
-		sess.kvs = sess.kvs[:0]
-		for i := 1; i < len(args); i += 2 {
-			sess.kvs = append(sess.kvs, core.KV{Key: args[i], Value: args[i+1]})
-		}
-		err := th.PutBatch(sess.kvs)
-		sess.resetScratch()
-		if err != nil {
-			w.writeError("ERR " + err.Error())
-			return
-		}
-		w.writeSimple("OK")
-	case "SCAN":
-		if len(args) != 3 {
-			w.writeError("ERR usage: SCAN <start-key> <count>")
-			return
-		}
-		count, err := strconv.Atoi(string(args[2]))
-		if err != nil || count < 0 {
-			w.writeError("ERR count must be a non-negative integer")
-			return
-		}
-		var kvs []core.KV
-		scanErr := th.Scan(args[1], count, func(kv core.KV) bool {
-			kvs = append(kvs, kv)
-			return true
-		})
-		if scanErr != nil {
-			w.writeError("ERR " + scanErr.Error())
-			return
-		}
-		w.writeArrayHeader(2 * len(kvs))
-		for _, kv := range kvs {
-			w.writeBulk(kv.Key)
-			w.writeBulk(kv.Value)
-		}
+func runScan(_ *Server, sess *session, w *respWriter, args [][]byte) {
+	count, err := strconv.Atoi(string(args[2]))
+	if err != nil || count < 0 {
+		w.writeError("ERR count must be a non-negative integer")
+		return
+	}
+	var kvs []core.KV
+	err = sess.slot.th.Scan(args[1], count, func(kv core.KV) bool {
+		kvs = append(kvs, kv)
+		return true
+	})
+	if err != nil {
+		w.writeError("ERR " + err.Error())
+		return
+	}
+	w.writeArrayHeader(2 * len(kvs))
+	for _, kv := range kvs {
+		w.writeBulk(kv.Key)
+		w.writeBulk(kv.Value)
 	}
 }
 

@@ -367,6 +367,12 @@ func TestGracefulShutdownDrainsPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// One round trip first: Dial returns once the kernel completes the
+	// handshake, which can be before Serve has accepted the connection,
+	// and Shutdown rightly refuses connections it has not admitted yet.
+	if _, err := c.Do("PING"); err != nil {
+		t.Fatal(err)
+	}
 	const n = 100
 	for i := 0; i < n; i++ {
 		c.Send("SET", fmt.Sprintf("k%d", i), "v")

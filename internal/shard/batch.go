@@ -2,22 +2,29 @@ package shard
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
 )
 
-// PutBatch partitions kvs by owning shard and applies the per-shard
+// PutBatch partitions kvs over the shard sets of their keys — each
+// entry goes to every live replica of its key, stamped individually
+// from one block drawn for the whole batch — and applies the per-shard
 // sub-batches, in parallel goroutines when more than one shard is
-// touched. Each sub-batch goes through core.PutBatch, so the
+// touched. Each sub-batch goes through core.PutBatchTS, so the
 // one-epoch-enter / one-publish-window amortization holds per shard: a
 // batch of B keys touching S shards costs at most S epoch enters.
 //
 // Ordering and durability: partitioning preserves input order within a
-// shard, and duplicate keys hash to the same shard, so the later of two
-// duplicate entries still wins. Core's prefix-durability guarantee
-// holds per shard only — after a crash, different shards may have
-// persisted different prefixes of their sub-batches.
+// shard, and duplicate keys route to the same shards (with increasing
+// stamps), so the later of two duplicate entries still wins. Core's
+// prefix-durability guarantee holds per shard only — after a crash,
+// different shards may have persisted different prefixes of their
+// sub-batches. An entry is acknowledged if at least one of its
+// replicas' sub-batches succeeded; the batch fails if any entry went
+// wholly unacknowledged. In range mode the batch runs under the
+// placement guard, so it lands in one placement epoch.
 func (t *Thread) PutBatch(kvs []core.KV) error {
 	s := t.s
 	if len(kvs) == 0 {
@@ -25,109 +32,136 @@ func (t *Thread) PutBatch(kvs []core.KV) error {
 	}
 	s.m.batchPut.Inc()
 	if s.rangeMode {
-		p := s.placeWriteBatch(kvs)
+		s.placeWrite(kvs...)
 		defer s.migMu.RUnlock()
-		if s.replicas > 1 {
-			return t.putBatchReplicated(kvs)
+	}
+	first := s.stampBlock(len(kvs))
+	for attempt := 0; ; attempt++ {
+		err := t.putBatchOnce(kvs, first)
+		// A sub-batch that hit a closed shard raced a crash: the stamps
+		// are fixed, so re-running the whole fan-out is idempotent and
+		// picks up the current replica states.
+		if !s.crashed(err) || attempt >= writeRetries {
+			return err
 		}
-		return t.putBatchRange(p, kvs)
+		runtime.Gosched()
 	}
-	if s.replicas > 1 {
-		return t.putBatchReplicated(kvs)
-	}
-	if len(s.shards) == 1 {
-		s.m.fanout.Record(1)
-		err := t.ths[0].PutBatch(kvs)
-		t.sync(0)
-		return err
-	}
+}
+
+// putBatchOnce is one partition → fan-out → fold round of PutBatch.
+func (t *Thread) putBatchOnce(kvs []core.KV, first uint64) error {
+	s := t.s
 	t.touched = t.touched[:0]
 	for i := range kvs {
-		j := s.ShardOf(kvs[i].Key)
-		if len(t.subPut[j]) == 0 {
-			t.touched = append(t.touched, j)
+		t.rset = s.route(kvs[i].Key, t.rset)
+		for _, j := range t.rset {
+			if s.skipDown(j) {
+				continue
+			}
+			if len(t.subPut[j]) == 0 {
+				t.touched = append(t.touched, j)
+			}
+			t.subPut[j] = append(t.subPut[j], kvs[i])
+			t.subIdx[j] = append(t.subIdx[j], i)
+			if first != 0 {
+				t.subTS[j] = append(t.subTS[j], first+uint64(i))
+			}
 		}
-		t.subPut[j] = append(t.subPut[j], kvs[i])
 	}
 	s.m.fanout.Record(int64(len(t.touched)))
-	var err error
-	if len(t.touched) == 1 {
-		// Single-shard batch: stay on the caller's goroutine (the
-		// affinity fast path — no spawn, no barrier).
-		j := t.touched[0]
-		err = t.ths[j].PutBatch(t.subPut[j])
-		t.sync(j)
-	} else {
-		s.m.crossPut.Inc()
-		var wg sync.WaitGroup
-		for _, j := range t.touched {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				t.errs[j] = t.ths[j].PutBatch(t.subPut[j])
-			}(j)
+	t.fanOut(false)
+
+	// An entry is covered if at least one replica's sub-batch fully
+	// succeeded (a failed sub-batch may have applied a prefix, but only
+	// full success is counted — conservative). Coverage runs even with
+	// zero sub-batch errors: an entry whose entire replica set was down
+	// was never partitioned into any sub-batch at all and must surface
+	// errNoReplica, not a silent acknowledgment.
+	if cap(t.cov) < len(kvs) {
+		t.cov = make([]bool, len(kvs))
+	}
+	cov := t.cov[:len(kvs)]
+	clear(cov)
+	var errs []error
+	for _, j := range t.touched {
+		if err := t.errs[j]; err != nil {
+			errs = append(errs, err)
+			s.m.replicaErrors.Inc()
+			if !errors.Is(err, core.ErrClosed) {
+				s.markNeedsRepair(j)
+			}
+			continue
 		}
-		wg.Wait()
-		for _, j := range t.touched {
-			err = errors.Join(err, t.errs[j])
-			t.errs[j] = nil
-			t.sync(j)
+		for _, i := range t.subIdx[j] {
+			cov[i] = true
+		}
+	}
+	var err error
+	for _, c := range cov {
+		if !c {
+			if err = foldErrs(errs); err == nil {
+				err = errNoReplica
+			}
+			break
 		}
 	}
 	for _, j := range t.touched {
+		if err == nil && t.errs[j] == nil {
+			s.m.replicaPut.Add(int64(len(t.subPut[j])))
+		}
 		clear(t.subPut[j]) // release caller references
 		t.subPut[j] = t.subPut[j][:0]
+		t.subIdx[j] = t.subIdx[j][:0]
+		t.subTS[j] = t.subTS[j][:0]
+		t.errs[j] = nil
 	}
 	return err
 }
 
-// putBatchRange is the unreplicated range-mode PutBatch: partitioning
-// routes through the placement snapshot (held stable by the caller's
-// migMu.RLock), and every entry carries a stamp — one block drawn for
-// the whole batch — so migration can enumerate the writes. Duplicate
-// keys land on the same shard in input order with increasing stamps, so
-// the later entry still wins.
-func (t *Thread) putBatchRange(p *placement, kvs []core.KV) error {
-	s := t.s
-	base := s.stamp.Add(uint64(len(kvs))) - uint64(len(kvs))
-	t.touched = t.touched[:0]
-	for i := range kvs {
-		j := p.shardFor(s, kvs[i].Key)
-		if len(t.subPut[j]) == 0 {
-			t.touched = append(t.touched, j)
-		}
-		t.subPut[j] = append(t.subPut[j], kvs[i])
-		t.subTS[j] = append(t.subTS[j], base+1+uint64(i))
-	}
-	s.m.fanout.Record(int64(len(t.touched)))
-	var err error
+// fanOut runs every touched shard's sub-batch — the MultiGet sub-read
+// when get, else the PutBatch sub-write — and folds each shard's thread
+// clock into the router thread's: on the caller's goroutine when one
+// shard is touched (the affinity fast path — no spawn, no barrier),
+// else in parallel goroutines.
+func (t *Thread) fanOut(get bool) {
 	if len(t.touched) == 1 {
-		j := t.touched[0]
-		err = t.ths[j].PutBatchTS(t.subPut[j], t.subTS[j])
-		t.sync(j)
+		t.runSub(t.touched[0], get)
 	} else {
-		s.m.crossPut.Inc()
+		if get {
+			t.s.m.crossGet.Inc()
+		} else {
+			t.s.m.crossPut.Inc()
+		}
 		var wg sync.WaitGroup
 		for _, j := range t.touched {
 			wg.Add(1)
 			go func(j int) {
 				defer wg.Done()
-				t.errs[j] = t.ths[j].PutBatchTS(t.subPut[j], t.subTS[j])
+				t.runSub(j, get)
 			}(j)
 		}
 		wg.Wait()
-		for _, j := range t.touched {
-			err = errors.Join(err, t.errs[j])
-			t.errs[j] = nil
-			t.sync(j)
-		}
 	}
 	for _, j := range t.touched {
-		clear(t.subPut[j]) // release caller references
-		t.subPut[j] = t.subPut[j][:0]
-		t.subTS[j] = t.subTS[j][:0]
+		t.sync(j)
 	}
-	return err
+}
+
+func (t *Thread) runSub(j int, get bool) {
+	if get {
+		t.subVals[j], t.errs[j] = t.ths[j].MultiGetInto(t.subKeys[j], t.subVals[j][:0])
+	} else {
+		t.errs[j] = t.ths[j].PutBatchTS(t.subPut[j], t.subTS[j])
+	}
+}
+
+// foldErrs folds per-shard fan-out errors into one: nil, the lone error
+// itself (so its identity survives), or their join.
+func foldErrs(errs []error) error {
+	if len(errs) == 1 {
+		return errs[0]
+	}
+	return errors.Join(errs...)
 }
 
 // MultiGet resolves keys across shards and returns one value per key in
@@ -137,31 +171,23 @@ func (t *Thread) MultiGet(keys [][]byte) ([][]byte, error) {
 }
 
 // MultiGetInto is MultiGet appending into vals (one entry per key, nil
-// = missing), returning the extended slice. Keys are partitioned by
-// shard, the per-shard sub-reads run in parallel goroutines (each a
-// single epoch-scoped pass with merged VS read extents on its shard),
-// and results scatter back to the input positions — the merged output
-// order always matches the key order given, regardless of fan-out.
+// = missing), returning the extended slice. Keys are partitioned by the
+// preferred read replica of each (see candidates), the per-shard
+// sub-reads run in parallel goroutines (each a single epoch-scoped pass
+// with merged VS read extents on its shard), and results scatter back
+// to the input positions — the merged output order always matches the
+// key order given, regardless of fan-out. Keys whose shard turns out to
+// be closed are rerouted in a further round; unlike the single-key path
+// there is no per-key miss fallback: a key missing on its preferred
+// replica is reported missing, matching MultiGet's semantics of one
+// consistent pass. Range-mode reads need only a stable placement
+// snapshot — no dual-window fallback here: the destination set is
+// complete from the flip onward, so owner answers are authoritative.
 func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	s := t.s
 	if s.rangeMode {
-		// Reads need only a stable placement snapshot (ShardOf loads it);
-		// no dual-window fallback here — the destination set is complete
-		// from the flip onward, so owner answers are authoritative.
 		s.migMu.RLock()
 		defer s.migMu.RUnlock()
-	}
-	if s.replicas > 1 {
-		return t.multiGetReplicated(keys, vals)
-	}
-	if len(s.shards) == 1 {
-		if len(keys) > 0 {
-			s.m.batchGet.Inc()
-			s.m.fanout.Record(1)
-		}
-		out, err := t.ths[0].MultiGetInto(keys, vals)
-		t.sync(0)
-		return out, err
 	}
 	base := len(vals)
 	for range keys {
@@ -171,47 +197,61 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 		return vals, nil
 	}
 	s.m.batchGet.Inc()
-	t.touched = t.touched[:0]
-	for i, k := range keys {
-		j := s.ShardOf(k)
-		if len(t.subKeys[j]) == 0 {
-			t.touched = append(t.touched, j)
-		}
-		t.subKeys[j] = append(t.subKeys[j], k)
-		t.subIdx[j] = append(t.subIdx[j], i)
+	t.rem = t.rem[:0]
+	for i := range keys {
+		t.rem = append(t.rem, i)
 	}
-	s.m.fanout.Record(int64(len(t.touched)))
-	var err error
-	if len(t.touched) == 1 {
-		j := t.touched[0]
-		t.subVals[j], t.errs[j] = t.ths[j].MultiGetInto(t.subKeys[j], t.subVals[j][:0])
-		t.sync(j)
-	} else {
-		s.m.crossGet.Inc()
-		var wg sync.WaitGroup
+	var errs []error
+	for round := 0; round <= s.replicas && len(t.rem) > 0; round++ {
+		t.touched = t.touched[:0]
+		dead := false
+		for _, i := range t.rem {
+			t.rset = s.candidates(s.route(keys[i], t.rset))
+			if len(t.rset) == 0 {
+				dead = true
+				continue
+			}
+			j := t.rset[0]
+			if len(t.subKeys[j]) == 0 {
+				t.touched = append(t.touched, j)
+			}
+			t.subKeys[j] = append(t.subKeys[j], keys[i])
+			t.subIdx[j] = append(t.subIdx[j], i)
+		}
+		t.rem = t.rem[:0]
+		if dead {
+			errs = append(errs, errNoReplica)
+		}
+		if len(t.touched) == 0 {
+			break
+		}
+		if round == 0 {
+			s.m.fanout.Record(int64(len(t.touched)))
+		}
+		t.fanOut(true)
 		for _, j := range t.touched {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				t.subVals[j], t.errs[j] = t.ths[j].MultiGetInto(t.subKeys[j], t.subVals[j][:0])
-			}(j)
-		}
-		wg.Wait()
-		for _, j := range t.touched {
-			t.sync(j)
+			switch err := t.errs[j]; {
+			case err == nil:
+				for si, i := range t.subIdx[j] {
+					vals[base+i] = t.subVals[j][si]
+				}
+			case s.crashed(err):
+				// Shard crashed underneath us: the next round re-reads
+				// the states and routes these keys to a live replica.
+				t.rem = append(t.rem, t.subIdx[j]...)
+			default:
+				errs = append(errs, err)
+			}
+			clear(t.subKeys[j])
+			t.subKeys[j] = t.subKeys[j][:0]
+			clear(t.subVals[j])
+			t.subVals[j] = t.subVals[j][:0]
+			t.subIdx[j] = t.subIdx[j][:0]
+			t.errs[j] = nil
 		}
 	}
-	for _, j := range t.touched {
-		err = errors.Join(err, t.errs[j])
-		t.errs[j] = nil
-		for si, i := range t.subIdx[j] {
-			vals[base+i] = t.subVals[j][si]
-		}
-		clear(t.subKeys[j])
-		t.subKeys[j] = t.subKeys[j][:0]
-		clear(t.subVals[j])
-		t.subVals[j] = t.subVals[j][:0]
-		t.subIdx[j] = t.subIdx[j][:0]
+	if len(t.rem) > 0 {
+		errs = append(errs, errNoReplica)
 	}
-	return vals, err
+	return vals, foldErrs(errs)
 }

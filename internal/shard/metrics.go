@@ -17,7 +17,7 @@ type routerMetrics struct {
 	fanout                   *obs.Histogram
 
 	// Range placement + migration (registered only when Placement is
-	// "range", so hash-mode exports stay exactly what they were).
+	// "range"; in hash mode they stay nil, and a nil counter is a no-op).
 	rangeScans       *obs.Counter
 	migSplits        *obs.Counter
 	migRanges        *obs.Counter
@@ -28,8 +28,9 @@ type routerMetrics struct {
 	migFrozenWaits   *obs.Counter
 	migDualReads     *obs.Counter
 
-	// Replication (registered only when Replicas > 1, so the
-	// single-replica export stays exactly what it was).
+	// Replication (registered only when Replicas > 1; with one replica
+	// they stay nil, so the shared op path needs no branch to keep the
+	// shard.replica_* series absent).
 	replicaPut, replicaDelete *obs.Counter
 	replicaSkips              *obs.Counter
 	replicaErrors             *obs.Counter
@@ -63,12 +64,8 @@ func (s *Store) registerMetrics() {
 			Labels: map[string]string{"shard": strconv.Itoa(i)}},
 			func() float64 { return float64(cs.Len()) })
 	}
-	if s.rangeMode {
-		s.registerPlacementMetrics()
-	}
-	if s.replicas > 1 {
-		s.registerReplicaMetrics()
-	}
+	s.registerPlacementMetrics()
+	s.registerReplicaMetrics()
 	r.GaugeFunc(obs.Desc{Name: "shard.imbalance", Help: "max/mean live keys across shards (1.0 = perfectly balanced, 0 = empty)", Unit: "ratio"},
 		func() float64 {
 			var total, max int
@@ -90,6 +87,9 @@ func (s *Store) registerMetrics() {
 // registerPlacementMetrics registers the range-placement and migration
 // families; only range-mode stores export them.
 func (s *Store) registerPlacementMetrics() {
+	if !s.rangeMode {
+		return
+	}
 	r := s.reg
 	r.GaugeFunc(obs.Desc{Name: "shard.placement_epoch", Help: "current placement epoch (bumped by every split and migration flip)", Unit: "epoch"},
 		func() float64 { return float64(s.PlacementEpoch()) })
@@ -109,6 +109,9 @@ func (s *Store) registerPlacementMetrics() {
 // registerReplicaMetrics registers the replication and anti-entropy
 // families; only replicated stores export them.
 func (s *Store) registerReplicaMetrics() {
+	if s.replicas == 1 {
+		return
+	}
 	r := s.reg
 	op := func(v string) map[string]string { return map[string]string{"op": v} }
 	r.GaugeFunc(obs.Desc{Name: "shard.replica_factor", Help: "replica count per key", Unit: "replicas"},

@@ -93,7 +93,7 @@ func (s *Store) SplitRange(key []byte) error {
 }
 
 // ownerSet returns the replica set rooted at shard o ({o .. o+R-1} ring
-// successors, matching replicaSet), or every shard for hashOwned — a
+// successors, matching route), or every shard for hashOwned — a
 // hash-owned range's keys are spread across all shards, so all of them
 // are migration sources.
 func (s *Store) ownerSet(o int) []int {

@@ -283,6 +283,16 @@ func (m *migState) contains(key []byte) bool {
 	return true
 }
 
+// containsAny reports whether any of kvs' keys falls in the window.
+func (m *migState) containsAny(kvs []core.KV) bool {
+	for i := range kvs {
+		if m.contains(kvs[i].Key) {
+			return true
+		}
+	}
+	return false
+}
+
 // shardFor routes key under this placement snapshot: the owning shard of
 // its range, or jump hash for hash-owned ranges.
 func (p *placement) shardFor(s *Store, key []byte) int {
@@ -339,19 +349,19 @@ func (s *Store) RangeBounds(r int) (lo, hi []byte) {
 	return nil, nil
 }
 
-// placeWrite acquires the range-mode op guard (migMu.RLock, released by
-// the caller) and returns the placement snapshot, spin-waiting while the
-// key sits in a frozen migration window: the freeze is the short
-// stream-the-delta phase of MigrateRange, and a pending flip (a writer
-// waiting in migMu.Lock) blocks new RLocks, so spinners drain into the
-// flipped epoch naturally.
-func (s *Store) placeWrite(key []byte) *placement {
+// placeWrite acquires the range-mode write guard (migMu.RLock, released
+// by the caller) for a write to kvs' keys, spin-waiting while any of
+// them sits in a frozen migration window (a batch lands in one
+// placement epoch): the freeze is the short stream-the-delta phase of
+// MigrateRange, and a pending flip (a writer waiting in migMu.Lock)
+// blocks new RLocks, so spinners drain into the flipped epoch naturally.
+// Hash mode has no guard.
+func (s *Store) placeWrite(kvs ...core.KV) {
 	waited := false
 	for {
 		s.migMu.RLock()
-		p := s.pl.Load()
-		if m := p.mig; m == nil || !m.frozen || !m.contains(key) {
-			return p
+		if m := s.pl.Load().mig; m == nil || !m.frozen || !m.containsAny(kvs) {
+			return
 		}
 		s.migMu.RUnlock()
 		if !waited {
@@ -417,35 +427,4 @@ func (t *Thread) dualGet(p *placement, key []byte) ([]byte, error, bool) {
 	v, err := t.ths[si].Get(key)
 	t.sync(si)
 	return v, err, true
-}
-
-// placeWriteBatch is placeWrite for a whole batch: it blocks while any
-// batch key sits in a frozen window (the batch lands atomically in one
-// placement epoch per shard).
-func (s *Store) placeWriteBatch(kvs []core.KV) *placement {
-	waited := false
-	for {
-		s.migMu.RLock()
-		p := s.pl.Load()
-		m := p.mig
-		if m == nil || !m.frozen {
-			return p
-		}
-		blocked := false
-		for i := range kvs {
-			if m.contains(kvs[i].Key) {
-				blocked = true
-				break
-			}
-		}
-		if !blocked {
-			return p
-		}
-		s.migMu.RUnlock()
-		if !waited {
-			waited = true
-			s.m.migFrozenWaits.Inc()
-		}
-		runtime.Gosched()
-	}
 }

@@ -194,7 +194,7 @@ func (s *Store) RepairShard(j int) RepairStats {
 		}
 		var todo []ent
 		src.ReplicaEntries(func(key []byte, ts uint64, tomb bool) bool {
-			rset = s.replicaSet(key, rset)
+			rset = s.route(key, rset)
 			member := false
 			for _, r := range rset {
 				if r == j {
@@ -281,7 +281,7 @@ func (s *Store) Repair() RepairStats {
 		}
 	}
 	if allUp {
-		if cur := s.stamp.Load(); cur > s.graceWrites() {
+		if cur := s.stamps.Load(); cur > s.graceWrites() {
 			cutoff := cur - s.graceWrites()
 			for _, cs := range s.shards {
 				n := cs.DiscardTombstones(cutoff)
@@ -316,7 +316,7 @@ func (s *Store) sharedDigest(a, b int) uint64 {
 	var d uint64
 	var rset []int
 	s.shards[a].ReplicaEntries(func(key []byte, ts uint64, tomb bool) bool {
-		rset = s.replicaSet(key, rset)
+		rset = s.route(key, rset)
 		hasA, hasB := false, false
 		for _, r := range rset {
 			hasA = hasA || r == a

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Replica placement and the replicated operation paths. Placement rides
@@ -59,16 +60,15 @@ func (s *Store) setState(j int, st int32) { s.state[j].Store(st) }
 // replica would otherwise stay divergent forever (states never change
 // on their own). The CAS only moves up→repairing, so it cannot race
 // CrashShard (down wins: CrashShard stores down before crashing) or
-// resurrect a down replica.
+// resurrect a down replica. A lone replica (R=1) has no peer to diverge
+// from or repair against, so it is never demoted.
 func (s *Store) markNeedsRepair(j int) {
-	if !s.state[j].CompareAndSwap(replicaUp, replicaRepairing) {
+	if s.replicas == 1 || !s.state[j].CompareAndSwap(replicaUp, replicaRepairing) {
 		return
 	}
-	if s.repairCh != nil {
-		select {
-		case s.repairCh <- j:
-		default: // worker already has a kick pending; it re-scans states
-		}
+	select {
+	case s.repairCh <- j:
+	default: // worker already has a kick pending; it re-scans states
 	}
 }
 
@@ -79,9 +79,11 @@ func (s *Store) markNeedsRepair(j int) {
 // instead of failing spuriously.
 const writeRetries = 4
 
-// replicaSet appends key's shard set to buf (reused scratch): the jump
-// primary first, then its ring successors.
-func (s *Store) replicaSet(key []byte, buf []int) []int {
+// route appends key's shard set to buf (reused scratch): the placement
+// owner (ShardOf: boundary table in range mode, jump hash otherwise)
+// first, then its R-1 ring successors. Every routed operation starts
+// here; with R=1 the set is the one owning shard.
+func (s *Store) route(key []byte, buf []int) []int {
 	p := s.ShardOf(key)
 	buf = buf[:0]
 	for k := 0; k < s.replicas; k++ {
@@ -90,37 +92,108 @@ func (s *Store) replicaSet(key []byte, buf []int) []int {
 	return buf
 }
 
-// nextStamp draws one logical timestamp. Stamps are store-wide and
-// strictly increasing; they order writes for last-writer-wins
+// stampBlock draws n consecutive logical timestamps and returns the
+// first, or 0 — core's plain unstamped operation — when neither
+// replication nor range placement needs stamps. Stamps are store-wide
+// and strictly increasing; they order writes for last-writer-wins
 // reconciliation, not for linearizability (which single-key ops get
 // from the per-key stripe serialization in core).
-func (s *Store) nextStamp() uint64 { return s.stamp.Add(1) }
+func (s *Store) stampBlock(n int) uint64 {
+	if !s.stamped {
+		return 0
+	}
+	return s.stamps.Add(uint64(n)) - uint64(n) + 1
+}
 
-// putReplicated fans one write out to every live replica in the key's
-// set under one stamp. The write acknowledges when at least one replica
-// accepted it; replicas that are down are skipped (repair converges
-// them later). If every attempted replica turns out to be closed — the
-// op raced a crash — the fan-out retries with fresh states (the stamp
-// stays fixed, so partial applications are idempotent).
-func (t *Thread) putReplicated(key, value []byte) error {
+func (s *Store) stamp() uint64 { return s.stampBlock(1) }
+
+// skipDown reports (and counts) a write leg skipped because its replica
+// is down; repair converges it later. A lone replica is never skipped:
+// there is nowhere to route around it, so its own error is the answer.
+func (s *Store) skipDown(j int) bool {
+	if s.replicas == 1 || s.state[j].Load() != replicaDown {
+		return false
+	}
+	s.m.replicaSkips.Inc()
+	return true
+}
+
+// crashed reports whether err is a replica crashing underneath the
+// operation — retryable on the key's other replicas with fresh states
+// (CrashShard stores the down state before crashing the shard). With
+// R=1 there is no other replica and ErrClosed is simply the result.
+func (s *Store) crashed(err error) bool {
+	return s.replicas > 1 && errors.Is(err, core.ErrClosed)
+}
+
+// candidates filters set in place down to the replicas a read should
+// try, in set order: the up ones, or — only when none is up, as a last
+// resort against total unavailability — the repairing ones (they may
+// still be missing history). Safe against resurrecting deletes: an
+// acknowledged delete reached every replica that was up, and a replica
+// that missed it must pass through repair — where the tombstone
+// propagates — before it is preferred again. A lone replica is always
+// its key's candidate.
+func (s *Store) candidates(set []int) []int {
+	if len(set) == 1 {
+		return set
+	}
+	for _, want := range [...]int32{replicaUp, replicaRepairing} {
+		out := set[:0] // nothing is overwritten unless this pass matches
+		for _, j := range set {
+			if s.state[j].Load() == want {
+				out = append(out, j)
+			}
+		}
+		if len(out) > 0 {
+			return out
+		}
+	}
+	return set[:0]
+}
+
+// write is the one routed single-key write, Put or (del) Delete: it
+// draws one stamp and applies it on every live member of the key's set.
+// The write acknowledges when at least one replica accepted it; down
+// replicas are skipped. If every attempted replica turns out to be
+// closed — the op raced a crash — the fan-out retries with fresh states
+// (the stamp stays fixed, so partial applications are idempotent). A
+// delete reports ErrNotFound only when no replica held a live value. In
+// range mode the write runs under the placement guard (a frozen
+// migration window parks it until the flip).
+func (t *Thread) write(key, value []byte, del bool) error {
 	s := t.s
-	ts := s.nextStamp()
+	if s.rangeMode {
+		s.placeWrite(core.KV{Key: key})
+		defer s.migMu.RUnlock()
+	}
+	ts := s.stamp()
+	applied := s.m.replicaPut
+	if del {
+		applied = s.m.replicaDelete
+	}
 	for attempt := 0; ; attempt++ {
-		t.rset = s.replicaSet(key, t.rset)
-		acked, closed := 0, false
+		t.rset = s.route(key, t.rset)
+		acked, found, closed := 0, false, false
 		var firstErr error
 		for _, j := range t.rset {
-			if s.state[j].Load() == replicaDown {
-				s.m.replicaSkips.Inc()
+			if s.skipDown(j) {
 				continue
 			}
-			err := t.ths[j].PutTS(key, value, ts)
+			var f bool
+			var err error
+			if del {
+				f, err = t.ths[j].DeleteTS(key, ts)
+			} else {
+				err = t.ths[j].PutTS(key, value, ts)
+			}
 			t.sync(j)
 			switch {
 			case err == nil:
 				acked++
-				s.m.replicaPut.Inc()
-			case errors.Is(err, core.ErrClosed):
+				found = found || f
+				applied.Inc()
+			case s.crashed(err):
 				closed = true
 				s.m.replicaErrors.Inc()
 			default:
@@ -131,39 +204,51 @@ func (t *Thread) putReplicated(key, value []byte) error {
 				}
 			}
 		}
-		if acked > 0 {
+		switch {
+		case acked > 0 && del && !found:
+			return core.ErrNotFound
+		case acked > 0:
 			return nil
-		}
-		if firstErr != nil {
+		case firstErr != nil:
 			return firstErr
+		case !closed || attempt >= writeRetries:
+			return errNoReplica
 		}
-		if closed && attempt < writeRetries {
-			runtime.Gosched()
-			continue
-		}
-		return errNoReplica
+		runtime.Gosched()
 	}
 }
 
-// getReplicated reads primary-first across the key's replica set.
-// Up replicas are tried in set order; a miss on one falls through to
-// the next (safe against resurrecting deletes: an acknowledged delete
-// reached every replica that was up, and a replica that missed it must
-// pass through repair — where the tombstone propagates — before it is
-// readable again). Repairing replicas are consulted only if no up
-// replica exists, as a last resort against total unavailability.
-func (t *Thread) getReplicated(key []byte) ([]byte, error) {
+// read is the one routed single-key read: primary-first across the
+// key's candidates, a miss on one falling through to the next. If no
+// candidate answered at all the op raced a crash/recover transition and
+// retries with fresh states before declaring the set unavailable.
+func (t *Thread) read(key []byte) ([]byte, error) {
 	s := t.s
 	for attempt := 0; ; attempt++ {
-		t.rset = s.replicaSet(key, t.rset)
-		if v, err, ok := t.getFromReplicas(key, t.rset, replicaUp); ok {
-			return v, err
+		t.rset = s.route(key, t.rset)
+		primary, missed := t.rset[0], false
+		for _, j := range s.candidates(t.rset) {
+			v, err := t.ths[j].Get(key)
+			t.sync(j)
+			switch {
+			case err == nil:
+				pos := (j - primary + len(s.shards)) % len(s.shards)
+				if pos > 0 || s.state[j].Load() != replicaUp {
+					s.m.replicaFallbacks.Inc()
+				}
+				s.m.replicaReads[pos].Inc()
+				return v, nil
+			case errors.Is(err, core.ErrNotFound):
+				missed = true
+			case s.crashed(err):
+				// Crashed underneath us; the next state read sees it down.
+			default:
+				return nil, err
+			}
 		}
-		if v, err, ok := t.getFromReplicas(key, t.rset, replicaRepairing); ok {
-			return v, err
+		if missed {
+			return nil, core.ErrNotFound
 		}
-		// No replica answered: raced a crash/recover transition; retry
-		// with fresh states before declaring the set unavailable.
 		if attempt >= writeRetries {
 			return nil, errNoReplica
 		}
@@ -171,378 +256,69 @@ func (t *Thread) getReplicated(key []byte) ([]byte, error) {
 	}
 }
 
-// getFromReplicas tries every replica currently in state want, in set
-// order. ok=false means no replica in that state answered at all
-// (missing counts as an answer only after every candidate missed).
-func (t *Thread) getFromReplicas(key []byte, set []int, want int32) (val []byte, err error, ok bool) {
+// writeAsync is write on the async pipelines: one stamp, one submission
+// per live member of the key's set, joined into one caller-visible
+// Handle that completes when every replica completed — successfully if
+// at least one accepted the write. Safe from any goroutine (it touches
+// no router-thread scratch).
+func (t *Thread) writeAsync(key, value []byte, del bool) *core.Handle {
 	s := t.s
-	missed := false
-	for pos, j := range set {
-		if s.state[j].Load() != want {
-			continue
-		}
-		v, gerr := t.ths[j].Get(key)
-		t.sync(j)
+	if s.rangeMode {
+		s.placeWrite(core.KV{Key: key})
+		defer s.migMu.RUnlock()
+	}
+	ts := s.stamp()
+	var sbuf [4]int
+	var hbuf [4]*core.Handle
+	set, hs := s.route(key, sbuf[:0]), hbuf[:0]
+	for _, j := range set {
+		var h *core.Handle // stays nil for a skipped (down) replica
 		switch {
-		case gerr == nil:
-			if pos > 0 || want != replicaUp {
-				s.m.replicaFallbacks.Inc()
-			}
-			s.m.replicaReads[pos].Inc()
-			return v, nil, true
-		case errors.Is(gerr, core.ErrNotFound):
-			missed = true
-		case errors.Is(gerr, core.ErrClosed):
-			// Crashed underneath us; the next state read sees it down.
+		case s.skipDown(j):
+		case del:
+			h = t.ths[j].DeleteTSAsync(key, ts)
 		default:
-			return nil, gerr, true
+			h = t.ths[j].PutTSAsync(key, value, ts)
 		}
+		hs = append(hs, h)
 	}
-	if missed {
-		return nil, core.ErrNotFound, true
+	if len(set) == 1 {
+		return hs[0] // a lone replica's completion is the result: nothing to join
 	}
-	return nil, nil, false
-}
-
-// deleteReplicated records one timestamped tombstone on every live
-// replica. The delete acknowledges when at least one replica accepted
-// the tombstone; ErrNotFound is reported only when no replica held a
-// live value.
-func (t *Thread) deleteReplicated(key []byte) error {
-	s := t.s
-	ts := s.nextStamp()
-	for attempt := 0; ; attempt++ {
-		t.rset = s.replicaSet(key, t.rset)
-		acked, found, closed := 0, false, false
-		var firstErr error
-		for _, j := range t.rset {
-			if s.state[j].Load() == replicaDown {
-				s.m.replicaSkips.Inc()
-				continue
-			}
-			f, err := t.ths[j].DeleteTS(key, ts)
-			t.sync(j)
-			switch {
-			case err == nil:
-				acked++
-				found = found || f
-				s.m.replicaDelete.Inc()
-			case errors.Is(err, core.ErrClosed):
-				closed = true
-				s.m.replicaErrors.Inc()
-			default:
-				s.m.replicaErrors.Inc()
-				s.markNeedsRepair(j)
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-		if acked == 0 {
-			if firstErr != nil {
-				return firstErr
-			}
-			if closed && attempt < writeRetries {
-				runtime.Gosched()
-				continue
-			}
-			return errNoReplica
-		}
-		if !found {
-			return core.ErrNotFound
-		}
-		return nil
+	if del {
+		return s.joinWrite(hs, set, s.m.replicaDelete)
 	}
-}
-
-// putBatchReplicated partitions a batch over the replica sets of its
-// keys — each entry goes to every live replica of its key, stamped
-// individually — and runs the per-shard sub-batches in parallel,
-// preserving core's one-epoch/one-publish-window amortization per
-// replica. An entry is acknowledged if at least one of its replicas'
-// sub-batches succeeded; the batch fails if any entry went wholly
-// unacknowledged.
-func (t *Thread) putBatchReplicated(kvs []core.KV) error {
-	s := t.s
-	base := s.stamp.Add(uint64(len(kvs))) - uint64(len(kvs))
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = t.putBatchReplicatedOnce(kvs, base)
-		// A sub-batch that hit a closed shard raced a crash: the stamps
-		// are fixed, so re-running the whole fan-out is idempotent and
-		// picks up the current replica states.
-		if err == nil || !errors.Is(err, core.ErrClosed) || attempt >= writeRetries {
-			return err
-		}
-		runtime.Gosched()
-	}
-}
-
-func (t *Thread) putBatchReplicatedOnce(kvs []core.KV, base uint64) error {
-	s := t.s
-	t.touched = t.touched[:0]
-	for i := range kvs {
-		ts := base + 1 + uint64(i)
-		t.rset = s.replicaSet(kvs[i].Key, t.rset)
-		for _, j := range t.rset {
-			if s.state[j].Load() == replicaDown {
-				s.m.replicaSkips.Inc()
-				continue
-			}
-			if len(t.subPut[j]) == 0 {
-				t.touched = append(t.touched, j)
-			}
-			t.subPut[j] = append(t.subPut[j], kvs[i])
-			t.subTS[j] = append(t.subTS[j], ts)
-			t.subIdx[j] = append(t.subIdx[j], i)
-		}
-	}
-	s.m.fanout.Record(int64(len(t.touched)))
-	if len(t.touched) > 1 {
-		s.m.crossPut.Inc()
-	}
-	var wg sync.WaitGroup
-	for _, j := range t.touched {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			t.errs[j] = t.ths[j].PutBatchTS(t.subPut[j], t.subTS[j])
-		}(j)
-	}
-	wg.Wait()
-	err := t.finishBatchReplicated(len(kvs))
-	for _, j := range t.touched {
-		t.sync(j)
-		t.subPut[j] = t.subPut[j][:0]
-		t.subTS[j] = t.subTS[j][:0]
-		t.subIdx[j] = t.subIdx[j][:0]
-		t.errs[j] = nil
-	}
-	return err
-}
-
-// finishBatchReplicated folds the per-shard fan-out errors into the
-// batch result: nil only if every entry was acknowledged somewhere.
-func (t *Thread) finishBatchReplicated(nkvs int) error {
-	s := t.s
-	var errs []error
-	for _, j := range t.touched {
-		if t.errs[j] == nil {
-			continue
-		}
-		errs = append(errs, t.errs[j])
-		s.m.replicaErrors.Inc()
-		if !errors.Is(t.errs[j], core.ErrClosed) {
-			s.markNeedsRepair(j)
-		}
-	}
-	// An entry is covered if at least one replica's sub-batch fully
-	// succeeded (a failed sub-batch may have applied a prefix, but only
-	// full success is counted — conservative). Coverage runs even with
-	// zero sub-batch errors: an entry whose entire replica set was down
-	// was never partitioned into any sub-batch at all and must surface
-	// errNoReplica, not a silent acknowledgment.
-	if cap(t.cov) < nkvs {
-		t.cov = make([]bool, nkvs)
-	}
-	cov := t.cov[:nkvs]
-	for i := range cov {
-		cov[i] = false
-	}
-	for _, j := range t.touched {
-		if t.errs[j] != nil {
-			continue
-		}
-		for _, i := range t.subIdx[j] {
-			cov[i] = true
-		}
-	}
-	for i := range cov {
-		if !cov[i] {
-			if len(errs) > 0 {
-				return errors.Join(errs...)
-			}
-			return errNoReplica
-		}
-	}
-	for _, j := range t.touched {
-		if t.errs[j] == nil {
-			s.m.replicaPut.Add(int64(len(t.subPut[j])))
-		}
-	}
-	return nil
-}
-
-// multiGetReplicated fans a batch read out with one preferred replica
-// per key (first up replica in set order; repairing as a last resort),
-// rerouting keys whose shard turns out to be closed. Unlike the
-// single-key path there is no per-key miss fallback: a key missing on
-// its preferred up replica is reported missing (vals entry stays nil),
-// matching MultiGet's semantics of one consistent pass.
-func (t *Thread) multiGetReplicated(keys [][]byte, vals [][]byte) ([][]byte, error) {
-	s := t.s
-	base := len(vals)
-	for range keys {
-		vals = append(vals, nil)
-	}
-	if len(keys) == 0 {
-		return vals, nil
-	}
-	s.m.batchGet.Inc()
-	remaining := make([]int, 0, len(keys))
-	for i := range keys {
-		remaining = append(remaining, i)
-	}
-	var firstErr error
-	for round := 0; round <= s.replicas && len(remaining) > 0; round++ {
-		perShard := make(map[int][]int)
-		var dead []int
-		for _, i := range remaining {
-			j, ok := s.readReplicaFor(keys[i])
-			if !ok {
-				dead = append(dead, i)
-				continue
-			}
-			perShard[j] = append(perShard[j], i)
-		}
-		if len(dead) > 0 && firstErr == nil {
-			firstErr = errNoReplica
-		}
-		if len(perShard) == 0 {
-			break
-		}
-		type result struct {
-			j    int
-			idxs []int
-			vs   [][]byte
-			err  error
-		}
-		results := make([]result, 0, len(perShard))
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for j, idxs := range perShard {
-			wg.Add(1)
-			go func(j int, idxs []int) {
-				defer wg.Done()
-				sub := make([][]byte, 0, len(idxs))
-				for _, i := range idxs {
-					sub = append(sub, keys[i])
-				}
-				vs, err := t.ths[j].MultiGet(sub)
-				mu.Lock()
-				results = append(results, result{j: j, idxs: idxs, vs: vs, err: err})
-				mu.Unlock()
-			}(j, idxs)
-		}
-		wg.Wait()
-		remaining = remaining[:0]
-		for _, res := range results {
-			t.sync(res.j)
-			switch {
-			case res.err == nil:
-				for k, i := range res.idxs {
-					vals[base+i] = res.vs[k]
-				}
-			case errors.Is(res.err, core.ErrClosed):
-				// Shard crashed underneath us: the next round re-reads
-				// the states and routes these keys to a live replica.
-				remaining = append(remaining, res.idxs...)
-			default:
-				if firstErr == nil {
-					firstErr = res.err
-				}
-			}
-		}
-	}
-	if len(remaining) > 0 && firstErr == nil {
-		firstErr = errNoReplica
-	}
-	return vals, firstErr
-}
-
-// readReplicaFor picks the replica shard a batched read of key should
-// use: the first up replica in set order, else the first repairing one.
-func (s *Store) readReplicaFor(key []byte) (shard int, ok bool) {
-	p := s.ShardOf(key)
-	n := len(s.shards)
-	repairing := -1
-	for k := 0; k < s.replicas; k++ {
-		j := (p + k) % n
-		switch s.state[j].Load() {
-		case replicaUp:
-			return j, true
-		case replicaRepairing:
-			if repairing < 0 {
-				repairing = j
-			}
-		}
-	}
-	if repairing >= 0 {
-		return repairing, true
-	}
-	return 0, false
-}
-
-// putAsyncReplicated fans an async write out to every live replica and
-// joins the per-replica handles into one caller-visible Handle: it
-// completes when every replica completed, successfully if at least one
-// accepted the write. Safe from any goroutine (allocates its own
-// replica-set scratch).
-func (t *Thread) putAsyncReplicated(key, value []byte) *core.Handle {
-	s := t.s
-	ts := s.nextStamp()
-	set := s.replicaSet(key, make([]int, 0, s.replicas))
-	hs := make([]*core.Handle, 0, len(set))
-	js := make([]int, 0, len(set))
-	for _, j := range set {
-		if s.state[j].Load() == replicaDown {
-			s.m.replicaSkips.Inc()
-			continue
-		}
-		hs = append(hs, t.ths[j].PutTSAsync(key, value, ts))
-		js = append(js, j)
-	}
-	return s.joinWrite(hs, js, s.m.replicaPut)
-}
-
-// deleteAsyncReplicated is putAsyncReplicated for tombstones.
-func (t *Thread) deleteAsyncReplicated(key []byte) *core.Handle {
-	s := t.s
-	ts := s.nextStamp()
-	set := s.replicaSet(key, make([]int, 0, s.replicas))
-	hs := make([]*core.Handle, 0, len(set))
-	js := make([]int, 0, len(set))
-	for _, j := range set {
-		if s.state[j].Load() == replicaDown {
-			s.m.replicaSkips.Inc()
-			continue
-		}
-		hs = append(hs, t.ths[j].DeleteTSAsync(key, ts))
-		js = append(js, j)
-	}
-	return s.joinWrite(hs, js, s.m.replicaDelete)
+	return s.joinWrite(hs, set, s.m.replicaPut)
 }
 
 // joinWrite composes per-replica write handles into one: nil if any
 // replica succeeded, ErrNotFound if every replica reported it (deletes
-// of a missing key), otherwise the first error. js names the shard
-// behind each handle so a replica that failed with a non-closed error
-// can be demoted to repairing. Completion time is the slowest
-// replica's — the fan-out is a barrier in virtual time.
-func (s *Store) joinWrite(hs []*core.Handle, js []int, opCounter interface{ Inc() }) *core.Handle {
-	if len(hs) == 0 {
-		ph, resolve := core.NewProxyHandle()
+// of a missing key), otherwise the first error. hs[k] is the submission
+// on shard set[k] — nil where the replica was skipped — so a replica
+// that failed with a non-closed error can be demoted to repairing.
+// Completion time is the slowest replica's — the fan-out is a barrier
+// in virtual time.
+func (s *Store) joinWrite(hs []*core.Handle, set []int, applied *obs.Counter) *core.Handle {
+	ph, resolve := core.NewProxyHandle()
+	remaining := 0
+	for _, h := range hs {
+		if h != nil {
+			remaining++
+		}
+	}
+	if remaining == 0 {
 		resolve(nil, errNoReplica, 0)
 		return ph
 	}
-	ph, resolve := core.NewProxyHandle()
 	var mu sync.Mutex
-	remaining := len(hs)
 	anyOK, allNotFound := false, true
 	var firstErr error
 	var endMax int64
 	for k, h := range hs {
-		j := js[k]
+		if h == nil {
+			continue
+		}
+		j := set[k]
 		h.OnDone(func(h *core.Handle) {
 			err := h.Wait()
 			mu.Lock()
@@ -550,22 +326,18 @@ func (s *Store) joinWrite(hs []*core.Handle, js []int, opCounter interface{ Inc(
 			case err == nil:
 				anyOK = true
 				allNotFound = false
-				opCounter.Inc()
+				applied.Inc()
 			case errors.Is(err, core.ErrNotFound):
 				// counts toward allNotFound
-			case errors.Is(err, core.ErrClosed):
-				allNotFound = false
-				if firstErr == nil {
-					firstErr = err
-				}
-				s.m.replicaErrors.Inc()
 			default:
 				allNotFound = false
 				if firstErr == nil {
 					firstErr = err
 				}
 				s.m.replicaErrors.Inc()
-				s.markNeedsRepair(j)
+				if !errors.Is(err, core.ErrClosed) {
+					s.markNeedsRepair(j)
+				}
 			}
 			if at := h.CompletedAt(); at > endMax {
 				endMax = at
@@ -592,27 +364,21 @@ func (s *Store) joinWrite(hs []*core.Handle, js []int, opCounter interface{ Inc(
 	return ph
 }
 
-// getAsyncReplicated chains an async read across the key's replica set:
-// try the first candidate, and on miss or crash fall through to the
-// next from the completion callback — the same failover order as the
-// synchronous path, without blocking any goroutine. Note the follow-up
-// submission happens when the previous attempt completes, which may be
-// after a Flush started earlier; callers wanting completion wait the
-// returned handle, not just Flush.
-func (t *Thread) getAsyncReplicated(key []byte) *core.Handle {
+// readAsync is read on the async pipelines: try the first candidate,
+// and on miss or crash fall through to the next from the completion
+// callback — the same failover order as the synchronous path, without
+// blocking any goroutine. Note the follow-up submission happens when
+// the previous attempt completes, which may be after a Flush started
+// earlier; callers wanting completion wait the returned handle, not
+// just Flush. Safe from any goroutine.
+func (t *Thread) readAsync(key []byte) *core.Handle {
 	s := t.s
-	set := s.replicaSet(key, make([]int, 0, s.replicas))
-	order := make([]int, 0, len(set)*2)
-	for _, j := range set {
-		if s.state[j].Load() == replicaUp {
-			order = append(order, j)
-		}
+	var buf [4]int
+	set := s.route(key, buf[:0])
+	if len(set) == 1 {
+		return t.ths[set[0]].GetAsync(key) // a lone replica's completion is the result
 	}
-	for _, j := range set {
-		if s.state[j].Load() == replicaRepairing {
-			order = append(order, j)
-		}
-	}
+	order := append([]int(nil), s.candidates(set)...)
 	ph, resolve := core.NewProxyHandle()
 	if len(order) == 0 {
 		resolve(nil, errNoReplica, 0)
@@ -643,7 +409,7 @@ func (t *Thread) getAsyncReplicated(key []byte) *core.Handle {
 				resolve(v, nil, at)
 			case errors.Is(err, core.ErrNotFound):
 				try(k+1, true, at)
-			case errors.Is(err, core.ErrClosed):
+			case s.crashed(err):
 				try(k+1, sawMiss, at)
 			default:
 				resolve(nil, err, at)

@@ -60,7 +60,7 @@ func TestReplicatedRoundTrip(t *testing.T) {
 func TestReplicaSetPlacement(t *testing.T) {
 	s := repl(t, 4, 3, nil)
 	for i := 0; i < 500; i++ {
-		set := s.replicaSet(key(i), nil)
+		set := s.route(key(i), nil)
 		if len(set) != 3 {
 			t.Fatalf("replica set size = %d", len(set))
 		}

@@ -96,7 +96,8 @@ type Store struct {
 	// Replication state (replicas == 1 leaves all of it idle; see
 	// replica.go / repair.go).
 	replicas   int
-	stamp      atomic.Uint64  // store-wide logical timestamp source
+	stamped    bool           // writes carry stamps: replicas > 1 or range mode (see stampBlock)
+	stamps     atomic.Uint64  // store-wide logical timestamp source
 	state      []atomic.Int32 // per-shard replicaUp/Down/Repairing
 	repairCh   chan int       // kicks the anti-entropy worker
 	repairStop chan struct{}
@@ -124,11 +125,12 @@ type Thread struct {
 	subKeys [][][]byte  // per-shard key sub-slices for MultiGet
 	subVals [][][]byte  // per-shard value results for MultiGet
 	subIdx  [][]int     // original input positions per shard
-	subTS   [][]uint64  // per-shard stamps for replicated PutBatch
+	subTS   [][]uint64  // per-shard stamps for a stamped PutBatch
 	touched []int       // shards hit by the current batch
 	errs    []error     // per-shard fan-out errors
-	rset    []int       // replica-set scratch for sync replicated ops
-	cov     []bool      // per-entry coverage scratch for replicated PutBatch
+	rset    []int       // shard-set scratch for sync ops (see route)
+	cov     []bool      // per-entry coverage scratch for PutBatch
+	rem     []int       // MultiGet key positions still to resolve
 }
 
 // Open creates a Store of opt.Shards independent core stores (default
@@ -164,17 +166,18 @@ func Open(opt core.Options) (*Store, error) {
 	default:
 		return nil, errors.New("prism: unknown Placement (want \"hash\" or \"range\")")
 	}
-	s := &Store{opt: opt, replicas: r, rangeMode: rangeMode}
+	// Range mode stamps every write (migration enumerates the stamp
+	// records to stream a range), so it forces the timestamp layer on
+	// just like replication does.
+	stamped := r > 1 || rangeMode
+	s := &Store{opt: opt, replicas: r, rangeMode: rangeMode, stamped: stamped}
 	for i := 0; i < n; i++ {
 		sopt := opt
 		sopt.Shards = 0
 		sopt.Replicas = 0
 		sopt.Placement = ""
 		sopt.SplitKeys = nil
-		// Range mode stamps every write (migration enumerates the stamp
-		// records to stream a range), so it forces the timestamp layer on
-		// just like replication does.
-		sopt.TrackTimestamps = opt.TrackTimestamps || r > 1 || rangeMode
+		sopt.TrackTimestamps = opt.TrackTimestamps || stamped
 		if sopt.Seed == 0 {
 			sopt.Seed = 1 // mirror core's default before deriving
 		}
@@ -206,6 +209,11 @@ func Open(opt core.Options) (*Store, error) {
 		s.threads = append(s.threads, th)
 	}
 	s.state = make([]atomic.Int32, n)
+	// The per-position read counters are indexed unconditionally on the
+	// read path, so the slice must exist even when R=1 or metrics are
+	// disabled (its nil *obs.Counter elements are no-op;
+	// registerReplicaMetrics fills them in when replicated with metrics).
+	s.m.replicaReads = make([]*obs.Counter, r)
 	if rangeMode {
 		bt, err := newBoundaryTable(opt.SplitKeys, n)
 		if err != nil {
@@ -217,11 +225,6 @@ func Open(opt core.Options) (*Store, error) {
 		s.pl.Store(&placement{epoch: 1, tab: bt})
 	}
 	if r > 1 {
-		// The per-position read counters are indexed unconditionally on
-		// the replicated read path, so the slice must exist even when
-		// metrics are disabled (its nil *obs.Counter elements are no-op;
-		// registerReplicaMetrics fills them in when metrics are on).
-		s.m.replicaReads = make([]*obs.Counter, r)
 		s.repairCh = make(chan int, 4*MaxShards)
 		s.repairStop = make(chan struct{})
 		if !opt.DisableAutoRepair {
@@ -422,200 +425,109 @@ func (t *Thread) sync(j int) {
 	t.Clk.AdvanceTo(t.ths[j].Clk.Now())
 }
 
-// Put routes a single-key write to the owning shard's pinned thread —
-// or, with Replicas > 1, fans it out to every live replica under one
-// logical timestamp (see replica.go). In range mode the write runs
-// under the placement guard (a frozen migration window parks it until
-// the flip) and always carries a stamp so migration can enumerate it.
+// Put routes a single-key write to the key's shard set: the owning
+// shard's pinned thread, fanned out with Replicas > 1 to every live
+// replica under one logical timestamp (see write in replica.go).
 func (t *Thread) Put(key, value []byte) error {
-	s := t.s
-	s.m.routedPut.Inc()
-	if s.rangeMode {
-		p := s.placeWrite(key)
-		defer s.migMu.RUnlock()
-		if s.replicas > 1 {
-			return t.putReplicated(key, value)
-		}
-		j := p.shardFor(s, key)
-		err := t.ths[j].PutTS(key, value, s.nextStamp())
-		t.sync(j)
-		return err
-	}
-	if s.replicas > 1 {
-		return t.putReplicated(key, value)
-	}
-	j := s.ShardOf(key)
-	err := t.ths[j].Put(key, value)
-	t.sync(j)
-	return err
+	t.s.m.routedPut.Inc()
+	return t.write(key, value, false)
 }
 
-// Get routes a single-key read to the owning shard's pinned thread —
-// or, with Replicas > 1, primary-first across the replica set with
-// fallback on miss or crash. Range-mode reads hold the placement guard
-// and, during a migration's dual-read window, may fall back to the
-// not-yet-purged source set (see dualGet).
+// Delete routes a single-key delete like Put; where writes are stamped
+// it records a timestamped tombstone (what replicas reconcile against
+// and migration streams).
+func (t *Thread) Delete(key []byte) error {
+	t.s.m.routedDelete.Inc()
+	return t.write(key, nil, true)
+}
+
+// Get routes a single-key read to the key's shard set, primary-first
+// with fallback on miss or crash (see read in replica.go). Range-mode
+// reads hold the placement guard and, during a migration's dual-read
+// window, may fall back to the not-yet-purged source set (see dualGet).
 func (t *Thread) Get(key []byte) ([]byte, error) {
 	s := t.s
 	s.m.routedGet.Inc()
+	var p *placement
 	if s.rangeMode {
 		s.migMu.RLock()
 		defer s.migMu.RUnlock()
-		p := s.pl.Load()
-		var v []byte
-		var err error
-		if s.replicas > 1 {
-			v, err = t.getReplicated(key)
-		} else {
-			j := p.shardFor(s, key)
-			v, err = t.ths[j].Get(key)
-			t.sync(j)
-		}
-		if err != nil && p.mig != nil && p.mig.dual && p.mig.contains(key) {
-			if fv, ferr, ok := t.dualGet(p, key); ok {
-				return fv, ferr
-			}
-		}
-		return v, err
+		p = s.pl.Load()
 	}
-	if s.replicas > 1 {
-		return t.getReplicated(key)
+	v, err := t.read(key)
+	if err != nil && p != nil && p.mig != nil && p.mig.dual && p.mig.contains(key) {
+		if fv, ferr, ok := t.dualGet(p, key); ok {
+			return fv, ferr
+		}
 	}
-	j := s.ShardOf(key)
-	v, err := t.ths[j].Get(key)
-	t.sync(j)
 	return v, err
 }
 
-// Delete routes a single-key delete to the owning shard's pinned thread
-// — or, with Replicas > 1, records a timestamped tombstone on every
-// live replica. Range-mode deletes run under the placement guard and
-// carry a stamp (the tombstone record is what migration streams).
-func (t *Thread) Delete(key []byte) error {
-	s := t.s
-	s.m.routedDelete.Inc()
-	if s.rangeMode {
-		p := s.placeWrite(key)
-		defer s.migMu.RUnlock()
-		if s.replicas > 1 {
-			return t.deleteReplicated(key)
-		}
-		j := p.shardFor(s, key)
-		found, err := t.ths[j].DeleteTS(key, s.nextStamp())
-		t.sync(j)
-		if err == nil && !found {
-			return core.ErrNotFound
-		}
-		return err
-	}
-	if s.replicas > 1 {
-		return t.deleteReplicated(key)
-	}
-	j := s.ShardOf(key)
-	err := t.ths[j].Delete(key)
-	t.sync(j)
-	return err
-}
-
-// PutAsync routes an asynchronous write to the owning shard's admission
-// loop and returns its completion Handle. Unlike the synchronous
-// methods, the async methods are safe to call from any goroutine (they
-// touch no router-thread scratch and the per-shard pipelines are
-// concurrency-safe); submissions retain per-shard submission order,
-// while cross-shard ordering is whatever the caller imposes by waiting
-// handles in submit order. The router thread's Clk is NOT advanced —
-// async work runs on each shard's own async timeline; Flush folds the
-// makespan in.
+// PutAsync routes an asynchronous write to the admission loops of the
+// key's shard set and returns its completion Handle. Unlike the
+// synchronous methods, the async methods are safe to call from any
+// goroutine (they touch no router-thread scratch and the per-shard
+// pipelines are concurrency-safe); submissions retain per-shard
+// submission order, while cross-shard ordering is whatever the caller
+// imposes by waiting handles in submit order. The router thread's Clk
+// is NOT advanced — async work runs on each shard's own async timeline;
+// Flush folds the makespan in.
 func (t *Thread) PutAsync(key, value []byte) *core.Handle {
-	s := t.s
-	s.m.routedPut.Inc()
-	if s.rangeMode {
-		p := s.placeWrite(key)
-		defer s.migMu.RUnlock()
-		if s.replicas > 1 {
-			return t.putAsyncReplicated(key, value)
-		}
-		return t.ths[p.shardFor(s, key)].PutTSAsync(key, value, s.nextStamp())
-	}
-	if s.replicas > 1 {
-		return t.putAsyncReplicated(key, value)
-	}
-	return t.ths[s.ShardOf(key)].PutAsync(key, value)
+	t.s.m.routedPut.Inc()
+	return t.writeAsync(key, value, false)
 }
 
-// GetAsync routes an asynchronous read to the owning shard's admission
-// loop. See PutAsync for the concurrency and ordering contract. During
-// a migration's dual-read window the completion chains a source-set
-// fallback exactly like the synchronous path (see dualGet).
+// DeleteAsync routes an asynchronous delete like PutAsync.
+func (t *Thread) DeleteAsync(key []byte) *core.Handle {
+	t.s.m.routedDelete.Inc()
+	return t.writeAsync(key, nil, true)
+}
+
+// GetAsync routes an asynchronous read to the admission loops of the
+// key's shard set. See PutAsync for the concurrency and ordering
+// contract. During a migration's dual-read window the completion chains
+// a source-set fallback exactly like the synchronous path (see dualGet).
 func (t *Thread) GetAsync(key []byte) *core.Handle {
 	s := t.s
 	s.m.routedGet.Inc()
-	if s.rangeMode {
-		s.migMu.RLock()
-		defer s.migMu.RUnlock()
-		p := s.pl.Load()
-		var inner *core.Handle
-		if s.replicas > 1 {
-			inner = t.getAsyncReplicated(key)
-		} else {
-			inner = t.ths[p.shardFor(s, key)].GetAsync(key)
+	if !s.rangeMode {
+		return t.readAsync(key)
+	}
+	s.migMu.RLock()
+	defer s.migMu.RUnlock()
+	inner := t.readAsync(key)
+	m := s.pl.Load().mig
+	if m == nil || !m.dual || !m.contains(key) {
+		return inner
+	}
+	// The completion callback runs on an executor goroutine, so the
+	// fallback must use store-level async submission, never this
+	// router thread's scratch or sync handles.
+	ph, resolve := core.NewProxyHandle()
+	kc := append([]byte(nil), key...)
+	inner.OnDone(func(h *core.Handle) {
+		v, err := h.Value()
+		at := h.CompletedAt()
+		if err == nil || s.dualRecorded(m, kc) {
+			resolve(v, err, at)
+			return
 		}
-		m := p.mig
-		if m == nil || !m.dual || !m.contains(key) {
-			return inner
+		si := s.dualSrcShard(m, kc)
+		if si < 0 {
+			resolve(v, err, at)
+			return
 		}
-		// The completion callback runs on an executor goroutine, so the
-		// fallback must use store-level async submission, never this
-		// router thread's scratch or sync handles.
-		ph, resolve := core.NewProxyHandle()
-		kc := append([]byte(nil), key...)
-		inner.OnDone(func(h *core.Handle) {
-			v, err := h.Value()
-			at := h.CompletedAt()
-			if err == nil || s.dualRecorded(m, kc) {
-				resolve(v, err, at)
-				return
+		s.m.migDualReads.Inc()
+		s.shards[si].Thread(0).GetAsync(kc).OnDone(func(h2 *core.Handle) {
+			v2, err2 := h2.Value()
+			at2 := h2.CompletedAt()
+			if at2 < at {
+				at2 = at
 			}
-			si := s.dualSrcShard(m, kc)
-			if si < 0 {
-				resolve(v, err, at)
-				return
-			}
-			s.m.migDualReads.Inc()
-			s.shards[si].Thread(0).GetAsync(kc).OnDone(func(h2 *core.Handle) {
-				v2, err2 := h2.Value()
-				at2 := h2.CompletedAt()
-				if at2 < at {
-					at2 = at
-				}
-				resolve(v2, err2, at2)
-			})
+			resolve(v2, err2, at2)
 		})
-		return ph
-	}
-	if s.replicas > 1 {
-		return t.getAsyncReplicated(key)
-	}
-	return t.ths[s.ShardOf(key)].GetAsync(key)
-}
-
-// DeleteAsync routes an asynchronous delete to the owning shard's
-// admission loop. See PutAsync for the concurrency contract.
-func (t *Thread) DeleteAsync(key []byte) *core.Handle {
-	s := t.s
-	s.m.routedDelete.Inc()
-	if s.rangeMode {
-		p := s.placeWrite(key)
-		defer s.migMu.RUnlock()
-		if s.replicas > 1 {
-			return t.deleteAsyncReplicated(key)
-		}
-		return t.ths[p.shardFor(s, key)].DeleteTSAsync(key, s.nextStamp())
-	}
-	if s.replicas > 1 {
-		return t.deleteAsyncReplicated(key)
-	}
-	return t.ths[s.ShardOf(key)].DeleteAsync(key)
+	})
+	return ph
 }
 
 // Flush blocks until every async submission on this handle's per-shard
