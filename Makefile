@@ -20,7 +20,9 @@ test:
 # TestPWBReclaimPublishStress in internal/core is its permanent
 # regression gate; TestShardBatchFanoutStress in internal/shard is the
 # equivalent gate for the cross-shard batch fan-out (re-run explicitly
-# with -count=1 so a cached pass can never mask it). internal/bench's
+# with -count=1 so a cached pass can never mask it), and
+# TestMixedSetReadersStress in internal/tcq for one-request and
+# multi-request readers sharing a combining queue. internal/bench's
 # full Fig 7 matrix exceeds CI timeouts under the detector's ~20x
 # slowdown, so that one package contributes a bounded concurrent-load
 # smoke instead of its whole suite; every other package runs in full.
@@ -33,6 +35,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestAdaptiveWatermarkBurstStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$' ./internal/server
+	$(GO) test -race -count=1 -run 'TestMixedSetReadersStress$$' ./internal/tcq
 
 # fmt-check fails (listing the files) if any file needs gofmt.
 fmt-check:

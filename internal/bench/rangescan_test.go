@@ -12,16 +12,24 @@ import (
 // 9): on a 4-shard store with quartile split keys, (1) a narrow scan
 // reads exactly its owning shard — pinned both by the aggregate fan-out
 // counter and by the per-shard {shard=N} core.ops{op=scan} metric — and
-// (2) the concurrent quartile-local scan phase beats hash placement's
-// k-way merge by a clear virtual-time margin.
+// (2) a scan does a fraction of the device work of hash placement's
+// k-way merge. The work is gated, not the throughput: a scan's Value
+// Storage reads overlap (DESIGN.md §4), so fan-out costs little
+// latency, and the 4-thread virtual-time makespan swings with goroutine
+// interleaving (0.5x to 2x between runs); it is logged.
 func TestRangeScanLocality(t *testing.T) {
 	rc := RunConfig{Threads: 4, Records: 4000, Ops: 4000, ValueSize: 256}
 	hash := runRangeScan(rc, "hash")
 	rng := runRangeScan(rc, "range")
 
-	t.Logf("hash:  %.1f Kops/sec, %.2f shard scans per scan", hash.KOps, hash.ShardScansPer)
-	t.Logf("range: %.1f Kops/sec, %.2f shard scans per scan, speedup %.2fx",
-		rng.KOps, rng.ShardScansPer, rng.KOps/hash.KOps)
+	for _, r := range []struct {
+		name string
+		RangeScanResult
+	}{{"hash", hash}, {"range", rng}} {
+		t.Logf("%-5s %.1f Kops/sec, per scan: %.2f shard scans, %.1f rows resolved, %.1f NVM loads, %.2f SSD read IOs, %.0f SSD bytes",
+			r.name, r.KOps, r.ShardScansPer, r.PerScan("core.read_path"), r.PerScan("nvm.loads"), r.PerScan("ssd.read_ios"), r.PerScan("ssd.bytes_read"))
+	}
+	t.Logf("throughput ratio range/hash %.2fx (not gated)", rng.KOps/hash.KOps)
 
 	if rng.ShardScansPer != 1.0 {
 		t.Errorf("range placement fan-out = %.3f shard scans per scan, want exactly 1.0", rng.ShardScansPer)
@@ -30,8 +38,16 @@ func TestRangeScanLocality(t *testing.T) {
 		t.Errorf("hash placement fan-out = %.3f shard scans per scan, want %d (k-way merge)",
 			hash.ShardScansPer, rangeScanShards)
 	}
-	if hash.KOps <= 0 || rng.KOps < hash.KOps*1.3 {
-		t.Errorf("range scan throughput %.1f Kops vs hash %.1f Kops, want >= 1.3x", rng.KOps, hash.KOps)
+	// Every shard of a hash-placed scan resolves up to 64 rows of its own
+	// and walks its own index for them; the owning shard of a range-placed
+	// scan does it once. At this scale the rows sit in the SVC and the
+	// PWB — about half an SSD read per scan under either placement, too
+	// few to compare, so those are logged above — and the work saved is
+	// NVM and DRAM work.
+	for _, name := range []string{"core.read_path", "nvm.loads"} {
+		if h, r := hash.PerScan(name), rng.PerScan(name); r <= 0 || h < 3*r {
+			t.Errorf("%s per scan: hash %.1f, range %.1f, want range at most a third of hash", name, h, r)
+		}
 	}
 
 	// Single-scan metric-level check: one narrow scan on a fresh range

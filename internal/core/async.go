@@ -467,23 +467,23 @@ func (a *asyncThread) getPass(hs []*Handle) {
 	endMax := t0
 	lt.part.Enter()
 	defer lt.part.Exit()
-	if cap(lt.mgItems) < len(hs) {
-		lt.mgItems = make([]scanItem, len(hs))
+	if cap(lt.items) < len(hs) {
+		lt.items = make([]scanItem, len(hs))
 	}
-	items := lt.mgItems[:len(hs)]
-	lt.mgPending = lt.mgPending[:0]
+	items := lt.items[:len(hs)]
+	lt.pending = lt.pending[:0]
 	a.pendIdx = a.pendIdx[:0]
 	for i, h := range hs {
 		base.Advance(asyncIssueNS)
 		stage := sim.NewClock(base.Now())
 		lt.Clk = stage
 		items[i] = scanItem{key: h.key}
-		nvs := len(lt.mgPending)
+		nvs := len(lt.pending)
 		if idx, ok := s.index.Lookup(stage, h.key); ok {
 			items[i].idx = idx
-			lt.mgPending = lt.stageRead(&items[i], lt.mgPending)
+			lt.pending = lt.stageRead(&items[i], lt.pending)
 		}
-		resolved := len(lt.mgPending) == nvs
+		resolved := len(lt.pending) == nvs
 		if !resolved {
 			a.pendIdx = append(a.pendIdx, i)
 		}
@@ -496,8 +496,8 @@ func (a *asyncThread) getPass(hs []*Handle) {
 		}
 	}
 	base.AdvanceTo(endMax)
-	if len(lt.mgPending) > 0 {
-		lt.readVSBatch(lt.mgPending, false)
+	if len(lt.pending) > 0 {
+		lt.readVSBatch(lt.pending, false)
 		for _, i := range a.pendIdx {
 			a.completeGet(hs[i], items[i].val, base.Now(), t0)
 		}

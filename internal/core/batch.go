@@ -106,8 +106,10 @@ func (t *Thread) putBatchEpoch(kvs []KV, tss []uint64) (applied int, err error) 
 // MultiGet resolves keys in one epoch-scoped pass and returns one value
 // per key, with nil marking a missing key (present-but-empty values are
 // non-nil). Values resident only in Value Storage are read as merged,
-// sorted extents — one coalesced IO per extent through the §5.3 batching
-// scheme — instead of one IO per key.
+// sorted extents — one IO per extent instead of one per key — and the
+// extents go to the devices together, as one asynchronous batch through
+// the §5.3 batching scheme: the call waits about one SSD read latency
+// for all of them (see readVSBatch).
 func (t *Thread) MultiGet(keys [][]byte) ([][]byte, error) {
 	return t.MultiGetInto(keys, make([][]byte, 0, len(keys)))
 }
@@ -135,11 +137,11 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	t.part.Enter()
 	defer t.part.Exit()
 
-	if cap(t.mgItems) < len(keys) {
-		t.mgItems = make([]scanItem, len(keys))
+	if cap(t.items) < len(keys) {
+		t.items = make([]scanItem, len(keys))
 	}
-	items := t.mgItems[:len(keys)]
-	t.mgPending = t.mgPending[:0]
+	items := t.items[:len(keys)]
+	t.pending = t.pending[:0]
 
 	// Fast paths per key (SVC, then PWB), collecting Value Storage
 	// residents for the merged batch read — the Scan resolution order.
@@ -149,10 +151,10 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 		items[i] = scanItem{key: k}
 		if idx, ok := s.index.Lookup(t.Clk, k); ok {
 			items[i].idx = idx
-			t.mgPending = t.stageRead(&items[i], t.mgPending)
+			t.pending = t.stageRead(&items[i], t.pending)
 		}
 	}
-	t.readVSBatch(t.mgPending, false)
+	t.readVSBatch(t.pending, false)
 
 	for i := range items {
 		vals[base+i] = items[i].val

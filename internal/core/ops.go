@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/hsit"
 	"repro/internal/pwb"
@@ -372,7 +373,11 @@ func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err er
 	if !s.vsm.Stores[devIdx].IsValid(local) {
 		return nil, nil, true // migrated before we read
 	}
-	backptr, v, ok := valuestore.DecodeRecord(s.readVS(t.Clk, it.p))
+	req := s.vsm.Stores[devIdx].ReadAt(local, it.p.Len)
+	req.UserData = uint64(devIdx)
+	t.reqs = append(t.reqs[:0], req)
+	t.readVS(t.reqs)
+	backptr, v, ok := valuestore.DecodeRecord(req.Data)
 	if !ok || backptr != idx || len(v) != it.p.Len {
 		return nil, nil, true // chunk recycled under us
 	}
@@ -486,9 +491,11 @@ type KV struct {
 
 // Scan visits up to count pairs with key >= start in key order, calling
 // fn for each until it returns false. Values resident only in Value
-// Storage are fetched in merged, batched reads, and are admitted to the
-// SVC chained together so that an eviction rewrites the whole range into
-// one chunk (§4.4 scan acceleration).
+// Storage are fetched as one asynchronous batch of merged extents (see
+// readVSBatch: the scan waits about one SSD read latency for all of
+// them, not one per extent), and are admitted to the SVC chained
+// together so that an eviction rewrites the whole range into one chunk
+// (§4.4 scan acceleration).
 func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 	s := t.s
 	if s.closed.Load() {
@@ -498,28 +505,34 @@ func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 	defer t.part.Exit()
 	s.stats.scans.Add(1)
 	t0 := t.Clk.Now()
-	defer func() { s.latScan.Record(t.Clk.Now() - t0) }()
+	// The row slab leaves the thread while fn runs, so an operation fn
+	// issues on this thread cannot overwrite the rows being yielded.
+	items := t.items[:0]
+	t.items = nil
+	defer func() {
+		t.items = items
+		s.latScan.Record(t.Clk.Now() - t0)
+	}()
 
-	var items []*scanItem
 	s.index.Scan(t.Clk, start, count, func(key []byte, idx uint64) bool {
-		items = append(items, &scanItem{key: cloneBytes(key), idx: idx})
+		items = append(items, scanItem{key: cloneBytes(key), idx: idx})
 		return true
 	})
 
 	// Resolve fast paths; collect Value Storage residents for batching.
 	// An item deleted between index scan and resolution keeps a nil val
 	// and is skipped below.
-	var pending []*scanItem
-	for _, it := range items {
-		pending = t.stageRead(it, pending)
+	t.pending = t.pending[:0]
+	for i := range items {
+		t.pending = t.stageRead(&items[i], t.pending)
 	}
-	t.readVSBatch(pending, true)
+	t.readVSBatch(t.pending, true)
 
-	for _, it := range items {
-		if it.val == nil {
+	for i := range items {
+		if items[i].val == nil {
 			continue
 		}
-		if !fn(KV{Key: it.key, Value: it.val}) {
+		if !fn(KV{Key: items[i].key, Value: items[i].val}) {
 			break
 		}
 	}
@@ -550,80 +563,76 @@ type scanItem struct {
 // device that still coalesces them into one read IO.
 const mergeGap = 4096
 
-// readVSBatch fetches the pending items' records with merged extents:
-// records adjacent on the same device (within mergeGap bytes) coalesce
-// into one IO — this is why the SVC's sorted rewrite reduces scan IO.
-// chain selects the scan-specific SVC eviction chaining (§4.4); MultiGet
-// shares the merged-read machinery but its keys are not a key-ordered
-// range, so chaining them would invite pointless rewrites.
+// located is one pending record's place on its device.
+type located struct {
+	it   *scanItem
+	dev  int
+	off  uint64 // device-local record offset
+	size int    // record bytes, header included
+}
+
+// readVSBatch fetches the pending items' records as one asynchronous
+// batch of merged extents: records adjacent on the same device (within
+// mergeGap bytes) coalesce into one IO — this is why the SVC's sorted
+// rewrite reduces scan IO — and all extents are in flight together (see
+// readVS for the timing). chain selects the scan-specific SVC eviction
+// chaining (§4.4); MultiGet shares the merged-read machinery but its
+// keys are not a key-ordered range, so chaining them would invite
+// pointless rewrites.
 func (t *Thread) readVSBatch(pending []*scanItem, chain bool) {
 	if len(pending) == 0 {
 		return
 	}
 	s := t.s
 
-	type located struct {
-		it    *scanItem
-		dev   int
-		off   uint64 // device-local record offset
-		recSz int
-	}
-	locs := make([]located, 0, len(pending))
+	locs := t.locs[:0]
 	for _, it := range pending {
 		dev, local := valuestore.SplitOff(it.p.Off)
-		locs = append(locs, located{it: it, dev: dev, off: local, recSz: valuestore.HeaderSize + it.p.Len})
+		locs = append(locs, located{it: it, dev: dev, off: local, size: valuestore.HeaderSize + it.p.Len})
 	}
-	sort.Slice(locs, func(a, b int) bool {
-		if locs[a].dev != locs[b].dev {
-			return locs[a].dev < locs[b].dev
+	slices.SortFunc(locs, func(a, b located) int {
+		if c := cmp.Compare(a.dev, b.dev); c != 0 {
+			return c
 		}
-		return locs[a].off < locs[b].off
+		return cmp.Compare(a.off, b.off)
 	})
+	t.locs = locs
 
-	type extent struct {
-		dev        int
-		start, end uint64
-		members    []located
+	// One request per extent, in locs order: an extent's members are the
+	// run of locs on its device that start inside it.
+	reqs := t.reqs[:0]
+	for i := 0; i < len(locs); {
+		l := locs[i]
+		end := l.off + uint64(l.size)
+		for i++; i < len(locs) && locs[i].dev == l.dev && locs[i].off <= end+mergeGap; i++ {
+			end = max(end, locs[i].off+uint64(locs[i].size))
+		}
+		reqs = append(reqs, ssd.Request{Op: ssd.OpRead, Offset: int64(l.off), Data: make([]byte, end-l.off), UserData: uint64(l.dev)})
 	}
-	var extents []*extent
-	for _, l := range locs {
-		if n := len(extents); n > 0 {
-			e := extents[n-1]
-			if e.dev == l.dev && l.off >= e.start && l.off <= e.end+mergeGap {
-				if end := l.off + uint64(l.recSz); end > e.end {
-					e.end = end
-				}
-				e.members = append(e.members, l)
+	t.reqs = reqs
+	t.readVS(reqs)
+
+	i := 0
+	for _, r := range reqs {
+		end := uint64(r.Offset) + uint64(len(r.Data))
+		for ; i < len(locs) && locs[i].dev == int(r.UserData) && locs[i].off < end; i++ {
+			it := locs[i].it
+			backptr, v, ok := valuestore.DecodeRecord(r.Data[locs[i].off-uint64(r.Offset):])
+			if !ok || backptr != it.idx || len(v) != it.p.Len {
+				// Moved mid-scan. The batched pointer is stale now: clearing
+				// it excludes the item from SVC admission and marks it for
+				// the individual resolve below.
+				it.p = hsit.Pointer{}
 				continue
 			}
+			it.val = cloneBytes(v)
 		}
-		extents = append(extents, &extent{dev: l.dev, start: l.off, end: l.off + uint64(l.recSz), members: []located{l}})
 	}
-
-	// Submit one IO per extent through the batching scheme.
-	for _, e := range extents {
-		buf := make([]byte, e.end-e.start)
-		r := ssd.Request{Op: ssd.OpRead, Offset: int64(e.start), Data: buf}
-		var done int64
-		if s.opt.DisableCombining {
-			done = s.tas[e.dev].Read(t.Clk.Now(), r)
-		} else {
-			done = s.queues[e.dev].Read(t.Clk.Now(), r)
-		}
-		t.Clk.AdvanceTo(done)
-		s.stats.vsReads.Add(1)
-		for _, m := range e.members {
-			rec := buf[m.off-e.start:]
-			backptr, v, ok := valuestore.DecodeRecord(rec)
-			if !ok || backptr != m.it.idx || len(v) != m.it.p.Len {
-				// Moved mid-scan: fall back to an individual resolve. The
-				// batched pointer is stale now, so the item is also
-				// excluded from SVC admission below.
-				m.it.val, _, _ = t.getOnce(m.it.idx, m.it.key)
-				m.it.p = hsit.Pointer{}
-				continue
-			}
-			m.it.val = cloneBytes(v)
+	// The fallback reads reuse the request scratch, so they run only now
+	// that every extent is decoded.
+	for _, it := range pending {
+		if it.p.IsNil() {
+			it.val, _, _ = t.getOnce(it.idx, it.key)
 		}
 	}
 
@@ -631,17 +640,38 @@ func (t *Thread) readVSBatch(pending []*scanItem, chain bool) {
 	// range served by one merged extent is already contiguous on the
 	// SSD — chaining it would only invite a pointless rewrite later.
 	if s.cache != nil {
-		var handles []uint64
+		chain = chain && !s.opt.DisableScanSort && len(reqs) > 1
+		var handles []uint64 // the cache keeps a chain's slice: no scratch
 		for _, it := range pending {
 			if it.val == nil || it.p.IsNil() {
 				continue
 			}
-			if h, ok := t.admitToSVC(it.idx, it.ver, it.key, it.val); ok {
+			if h, ok := t.admitToSVC(it.idx, it.ver, it.key, it.val); ok && chain {
 				handles = append(handles, h)
 			}
 		}
-		if chain && !s.opt.DisableScanSort && len(handles) >= 2 && len(extents) > 1 {
-			s.cache.LinkChain(handles)
-		}
+		s.cache.LinkChain(handles)
 	}
+}
+
+// readVS issues Value Storage reads — reqs grouped by device, each
+// tagged with its device index in UserData — as one asynchronous batch
+// through the batching scheme chosen at Open: every device's set starts
+// at the thread's current time, so devices overlap as the requests
+// within one set do, and the clock advances once, to the latest
+// completion. A set larger than the queue depth takes one submission
+// per depth requests, back to back (see tcq). A lone Get is the
+// one-request case.
+func (t *Thread) readVS(reqs []ssd.Request) {
+	t.s.stats.vsReads.Add(int64(len(reqs)))
+	at, done := t.Clk.Now(), t.Clk.Now()
+	for len(reqs) > 0 {
+		n := 1
+		for n < len(reqs) && reqs[n].UserData == reqs[0].UserData {
+			n++
+		}
+		done = max(done, t.s.readers[reqs[0].UserData].Read(at, reqs[:n]...))
+		reqs = reqs[n:]
+	}
+	t.Clk.AdvanceTo(done)
 }

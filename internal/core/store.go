@@ -221,8 +221,9 @@ type Store struct {
 	pwbs    []*pwb.Buffer
 	pwbBase int
 	vsm     *valuestore.Manager
-	queues  []*tcq.Queue
-	tas     []*tcq.TimeoutBatcher
+	queues  []*tcq.Queue          // thread combining (§5.3), or
+	tas     []*tcq.TimeoutBatcher // the TA ablation baseline
+	readers []vsReader            // whichever of the two Open built, per device
 	cache   *svc.Cache
 	em      *epoch.Manager
 
@@ -283,6 +284,13 @@ type Store struct {
 	batchStepHook func(i int)
 }
 
+// vsReader is one device's read batching scheme: it takes a caller's set
+// of read requests at a virtual time and returns the set's latest
+// completion time.
+type vsReader interface {
+	Read(at int64, reqs ...ssd.Request) int64
+}
+
 type gcReq struct {
 	store int
 	now   int64
@@ -324,10 +332,15 @@ type Thread struct {
 	// DeleteAsync (nil only on shadow executors, which never submit).
 	async *asyncThread
 
-	// MultiGet scratch, reused across calls (a Thread is single-owner, so
-	// per-thread reuse is race-free and keeps batch reads allocation-flat).
-	mgItems   []scanItem
-	mgPending []*scanItem
+	// Batch-read scratch of Scan, MultiGet and the async get pass, reused
+	// across calls (a Thread is single-owner, so per-thread reuse is
+	// race-free and keeps batch reads allocation-flat): one item per key,
+	// those left for the merged Value Storage read, their records sorted
+	// by (device, offset), and one read request per extent.
+	items   []scanItem
+	pending []*scanItem
+	locs    []located
+	reqs    []ssd.Request
 }
 
 // Open creates a Store over fresh simulated devices.
@@ -408,9 +421,11 @@ func Open(opt Options) (*Store, error) {
 		dev := ssd.New(scfg)
 		s.ssds = append(s.ssds, dev)
 		if opt.DisableCombining {
-			s.tas = append(s.tas, tcq.NewTimeoutBatcher(dev, opt.QueueDepth, opt.TimeoutNS))
+			ta := tcq.NewTimeoutBatcher(dev, opt.QueueDepth, opt.TimeoutNS)
+			s.tas, s.readers = append(s.tas, ta), append(s.readers, ta)
 		} else {
-			s.queues = append(s.queues, tcq.New(dev, opt.QueueDepth))
+			q := tcq.New(dev, opt.QueueDepth)
+			s.queues, s.readers = append(s.queues, q), append(s.readers, q)
 		}
 	}
 	s.vsm = valuestore.NewManager(s.ssds, opt.ChunkSize, s.em)
@@ -516,22 +531,6 @@ func (s *Store) Close() error {
 func (s *Store) pwbOf(devOff uint64) *pwb.Buffer {
 	i := (int(devOff) - s.pwbBase) / s.opt.PWBBytesPerThread
 	return s.pwbs[i]
-}
-
-// readVS reads the record for (idx, p) from Value Storage through the
-// configured batching scheme and returns the raw record bytes.
-func (s *Store) readVS(clk *sim.Clock, p hsit.Pointer) []byte {
-	devIdx, local := valuestore.SplitOff(p.Off)
-	req := s.vsm.Stores[devIdx].ReadAt(local, p.Len)
-	var done int64
-	if s.opt.DisableCombining {
-		done = s.tas[devIdx].Read(clk.Now(), req)
-	} else {
-		done = s.queues[devIdx].Read(clk.Now(), req)
-	}
-	clk.AdvanceTo(done)
-	s.stats.vsReads.Add(1)
-	return req.Data
 }
 
 // Stats is a point-in-time snapshot of store-level counters.

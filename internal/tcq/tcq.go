@@ -2,15 +2,21 @@
 // Storage reads (§5.3).
 //
 // Concurrent reader threads line up in a Thread Combining Queue — an
-// MCS-style list built with one atomic swap on the tail. The thread that
-// finds the tail empty becomes the leader: it walks the queue, coalesces
-// up to QueueDepth read requests (its own plus its followers'), submits
-// them as one asynchronous batch, and distributes completions. Followers
-// return as soon as the leader has serviced them. When the queue is
-// longer than the coalescing limit, the leader hands leadership to the
-// next waiter, so heavy read concurrency turns into large, bandwidth-
-// efficient batches while a lone reader pays only its own latency — the
-// dynamic batch-size adaptation the paper claims.
+// MCS-style list built with one atomic swap on the tail. Each brings a
+// set of read requests: one for a Get, every extent on this device for a
+// scan or a multi-key read. The thread that finds the tail empty becomes
+// the leader: it walks the queue, coalesces sets (its own plus its
+// followers') up to QueueDepth requests, submits them as one
+// asynchronous batch, and distributes completions. Followers return as
+// soon as the leader has serviced them. When the queue is longer than
+// the coalescing limit, the leader hands leadership to the next waiter,
+// so heavy read concurrency turns into large, bandwidth-efficient
+// batches while a lone reader pays only its own latency — the dynamic
+// batch-size adaptation the paper claims. The requests of one
+// submission are in flight together: a set completes about one read
+// latency after it is issued, however many requests it holds, and a set
+// larger than the limit takes one submission per QueueDepth requests,
+// one after the other.
 //
 // The package also provides TimeoutBatcher, the timeout-based
 // asynchronous IO baseline ("TA") that Figure 11 compares against.
@@ -29,12 +35,54 @@ import (
 // DefaultDepth is the paper's coalescing limit (io_uring queue depth).
 const DefaultDepth = 64
 
+// node is one caller's set of requests waiting in a queue.
 type node struct {
-	req  ssd.Request
+	reqs []ssd.Request
 	at   int64
-	done chan int64 // receives the request's DoneTime
-	lead chan struct{}
+	done chan int64 // receives the set's latest DoneTime, or takeLead
 	next atomic.Pointer[node]
+}
+
+// takeLead, sent on a waiting node's done channel in place of a
+// completion time (which is never negative), hands it leadership of the
+// rest of the queue.
+const takeLead = -1
+
+// batchStats counts submissions for Queue and TimeoutBatcher alike.
+type batchStats struct {
+	batches  atomic.Int64
+	combined atomic.Int64
+
+	// BatchHist, when set before first use, records the number of
+	// requests in every submission — the Figure 11 batch-size
+	// distribution. A nil histogram is a no-op.
+	BatchHist *obs.Histogram
+}
+
+// record accounts for count coalesced requests, which go out as
+// submissions of at most depth.
+func (s *batchStats) record(count, depth int) {
+	s.combined.Add(int64(count))
+	for ; count > 0; count -= depth {
+		s.batches.Add(1)
+		s.BatchHist.Record(int64(min(count, depth)))
+	}
+}
+
+// submit issues one caller's set to dev at virtual time at and returns
+// the latest completion time. The requests of one submission overlap on
+// the device. A set larger than depth goes out in successive
+// submissions of at most depth, each issued when the previous one
+// completes, so depth bounds what is in flight at any time.
+func submit(dev *ssd.Device, depth int, at int64, reqs []ssd.Request) int64 {
+	for len(reqs) > 0 {
+		wave := reqs[:min(len(reqs), depth)]
+		reqs = reqs[len(wave):]
+		for _, c := range dev.Submit(at, wave) {
+			at = max(at, c.DoneTime)
+		}
+	}
+	return at
 }
 
 // Queue is a thread combining queue bound to one SSD (one Value Storage).
@@ -43,13 +91,7 @@ type Queue struct {
 	depth int
 	tail  atomic.Pointer[node]
 
-	batches  atomic.Int64
-	combined atomic.Int64
-
-	// BatchHist, when set before first use, records the size of every
-	// submitted batch — the Figure 11 batch-size distribution. A nil
-	// histogram is a no-op.
-	BatchHist *obs.Histogram
+	batchStats
 }
 
 // New creates a queue over dev with the given coalescing limit
@@ -64,20 +106,20 @@ func New(dev *ssd.Device, depth int) *Queue {
 // Depth returns the coalescing limit.
 func (q *Queue) Depth() int { return q.depth }
 
-// Read submits one read request at virtual time at, possibly combined
-// with concurrent readers' requests, and returns its completion time.
-// The request's Data is filled on return.
-func (q *Queue) Read(at int64, req ssd.Request) int64 {
-	n := &node{req: req, at: at, done: make(chan int64, 1), lead: make(chan struct{}, 1)}
-	prev := q.tail.Swap(n)
-	if prev != nil {
+// Read submits the caller's set of read requests at virtual time at,
+// possibly combined with concurrent readers' sets, and returns the
+// latest completion time of the set (at itself for an empty set). Every
+// request's Data is filled on return. A lone Get is the one-request
+// set; a scan passes all its extents on this device at once.
+func (q *Queue) Read(at int64, reqs ...ssd.Request) int64 {
+	if len(reqs) == 0 {
+		return at
+	}
+	n := &node{reqs: reqs, at: at, done: make(chan int64, 1)}
+	if prev := q.tail.Swap(n); prev != nil {
 		prev.next.Store(n)
-		select {
-		case d := <-n.done:
+		if d := <-n.done; d != takeLead {
 			return d
-		case <-n.lead:
-			// Leadership handed off: n leads the remaining queue.
-			return q.lead(n)
 		}
 	}
 	return q.lead(n)
@@ -93,62 +135,40 @@ func (q *Queue) Read(at int64, req ssd.Request) int64 {
 // ever occur.
 func (q *Queue) lead(n *node) int64 {
 	runtime.Gosched()
-	batch := []*node{n}
-	cur := n
+	// Coalesce followers while their sets fit under the limit. The
+	// follower whose set would not fit — any follower, once the batch is
+	// full or n's own set alone exceeds the limit — takes over leadership
+	// of the rest of the queue before we do our IO.
+	last, count := n, len(n.reqs)
 	for {
-		if len(batch) >= q.depth {
-			break
-		}
-		next := cur.next.Load()
+		next := last.next.Load()
 		if next == nil {
 			// Possibly the true end of the queue: try to close it.
-			if q.tail.CompareAndSwap(cur, nil) {
+			if q.tail.CompareAndSwap(last, nil) {
 				break
 			}
 			// A follower is mid-enqueue: wait for its link.
 			for next == nil {
 				runtime.Gosched()
-				next = cur.next.Load()
+				next = last.next.Load()
 			}
 		}
-		batch = append(batch, next)
-		cur = next
+		if count+len(next.reqs) > q.depth {
+			next.done <- takeLead
+			break
+		}
+		last, count = next, count+len(next.reqs)
 	}
 
-	// At the coalescing limit, either close the queue or hand leadership
-	// to the next waiter before doing our IO.
-	if len(batch) >= q.depth {
-		if !q.tail.CompareAndSwap(cur, nil) {
-			next := cur.next.Load()
-			for next == nil {
-				runtime.Gosched()
-				next = cur.next.Load()
-			}
-			next.lead <- struct{}{}
-		}
-	}
-
-	// Coalesce and submit (§5.3 step 3). The batch shares one submission
-	// (one syscall worth of CPU), but each member's IO is scheduled no
-	// earlier than the later of its own arrival and the leader's — a
-	// straggler member cannot delay the rest, it just lands later in the
-	// device queue.
-	q.batches.Add(1)
-	q.combined.Add(int64(len(batch)))
-	q.BatchHist.Record(int64(len(batch)))
-	leaderAt := n.at
-	var own int64
-	for _, b := range batch {
-		at := b.at
-		if leaderAt > at {
-			at = leaderAt
-		}
-		comps := q.dev.Submit(at, []ssd.Request{b.req})
-		if b == n {
-			own = comps[0].DoneTime
-		} else {
-			b.done <- comps[0].DoneTime
-		}
+	// Submit (§5.3 step 3). The batch shares one submission (one syscall
+	// worth of CPU), but each member's IO is scheduled no earlier than
+	// the later of its own arrival and the leader's — a straggler member
+	// cannot delay the rest, it just lands later in the device queue.
+	q.record(count, q.depth)
+	own := submit(q.dev, q.depth, n.at, n.reqs)
+	for b := n; b != last; {
+		b = b.next.Load()
+		b.done <- submit(q.dev, q.depth, max(b.at, n.at), b.reqs)
 	}
 	return own
 }
@@ -187,14 +207,12 @@ type TimeoutBatcher struct {
 	// wall-clock progress, never virtual-time results.
 	Grace time.Duration
 
-	// BatchHist, when set before first use, records submitted batch
-	// sizes (nil is a no-op), mirroring Queue.BatchHist.
-	BatchHist *obs.Histogram
+	batchStats
 
-	mu      sync.Mutex
-	group   []*node
-	timer   *time.Timer
-	batches atomic.Int64
+	mu    sync.Mutex
+	group []*node
+	count int // requests in group
+	timer *time.Timer
 }
 
 // NewTimeoutBatcher creates the TA baseline. timeout is virtual
@@ -209,12 +227,24 @@ func NewTimeoutBatcher(dev *ssd.Device, depth int, timeout int64) *TimeoutBatche
 	return &TimeoutBatcher{dev: dev, depth: depth, timeout: timeout}
 }
 
-// Read submits req at virtual time at and blocks until its batch flushes.
-func (b *TimeoutBatcher) Read(at int64, req ssd.Request) int64 {
-	n := &node{req: req, at: at, done: make(chan int64, 1)}
+// Read submits the caller's set of requests at virtual time at, blocks
+// until its batch flushes, and returns the set's latest completion time
+// (at itself for an empty set). A set that does not fit in the pending
+// group flushes that group first.
+func (b *TimeoutBatcher) Read(at int64, reqs ...ssd.Request) int64 {
+	if len(reqs) == 0 {
+		return at
+	}
+	n := &node{reqs: reqs, at: at, done: make(chan int64, 1)}
 	b.mu.Lock()
+	if b.count+len(reqs) > b.depth {
+		b.flushLocked(false)
+	}
 	b.group = append(b.group, n)
-	if len(b.group) == 1 {
+	b.count += len(reqs)
+	if b.count >= b.depth {
+		b.flushLocked(false)
+	} else if len(b.group) == 1 {
 		// Arm a real-time trigger standing in for the device-poll timer;
 		// the flush itself happens at the virtual deadline.
 		grace := b.Grace
@@ -222,14 +252,6 @@ func (b *TimeoutBatcher) Read(at int64, req ssd.Request) int64 {
 			grace = 200 * time.Microsecond
 		}
 		b.timer = time.AfterFunc(grace, func() { b.flush(true) })
-	}
-	if len(b.group) >= b.depth {
-		if b.timer != nil {
-			b.timer.Stop()
-		}
-		b.flushLocked(false)
-		b.mu.Unlock()
-		return <-n.done
 	}
 	b.mu.Unlock()
 	return <-n.done
@@ -245,29 +267,22 @@ func (b *TimeoutBatcher) flushLocked(timedOut bool) {
 	if len(b.group) == 0 {
 		return
 	}
-	group := b.group
-	b.group = nil
+	if b.timer != nil {
+		b.timer.Stop()
+	}
+	group, count := b.group, b.count
+	b.group, b.count = nil, 0
 	submitAt := group[0].at
 	for _, g := range group {
-		if g.at > submitAt {
-			submitAt = g.at
-		}
+		submitAt = max(submitAt, g.at)
 	}
 	if timedOut {
 		// The batch waited out the timer from its first arrival.
-		if d := group[0].at + b.timeout; d > submitAt {
-			submitAt = d
-		}
+		submitAt = max(submitAt, group[0].at+b.timeout)
 	}
-	reqs := make([]ssd.Request, len(group))
-	for i, g := range group {
-		reqs[i] = g.req
-	}
-	comps := b.dev.Submit(submitAt, reqs)
-	b.batches.Add(1)
-	b.BatchHist.Record(int64(len(group)))
-	for i, g := range group {
-		g.done <- comps[i].DoneTime
+	b.record(count, b.depth)
+	for _, g := range group {
+		g.done <- submit(b.dev, b.depth, submitAt, g.reqs)
 	}
 }
 
