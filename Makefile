@@ -61,9 +61,13 @@ bench:
 # amortized fraction), the sharding scale-out comparison
 # (BenchmarkPutSharded's virt-Kops/s at shards=1 vs shards=4), and the
 # pipelining comparison (BenchmarkPutPipelined's virt-Kops/s at depth=1
-# vs depth=32) at a longer benchtime so the counters are stable.
+# vs depth=32) at a longer benchtime so the counters are stable. The
+# second line is the reclaim path's: BenchmarkReclaimPass prints wall ns,
+# heap bytes and heap objects per migrated record, beside its
+# AllocsPerRun gate (a pass allocates per chunk written, not per record).
 bench-smoke:
 	$(GO) test -bench='BenchmarkPut($$|Batch|Sharded|Pipelined)' -benchtime=1000x -run '^$$' .
+	$(GO) test -bench='BenchmarkReclaimPass$$' -benchtime=20x -count=1 -run 'TestReclaimPassAllocs$$' ./internal/core
 
 # bench-module vets and tests benchmark/, the repo benchmark: it is its
 # own module (`replace repro => ../`), so `go build ./... && go test

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/hsit"
 	"repro/internal/pwb"
@@ -30,34 +31,53 @@ func (s *Store) reclaimLoop(i int) {
 	}
 }
 
+// liveRec is one well-coupled PWB record on its way to Value Storage.
+// val is wherever the caller read the value: the reclaimer passes views
+// into the ring (pwb.Record.Value), recovery passes copies.
+type liveRec struct {
+	idx    uint64
+	devOff uint64
+	val    []byte
+}
+
+// reclaimer is one ring's reclaim pass state. Whoever holds mu is the
+// ring's single scan owner for the pass — the ring's reclaimLoop
+// goroutine, or under SyncVSWrites its application thread; tests that
+// force a pass take the same lock, which in production is uncontended.
+// It guards the ring's reclaim cursor and the pass's scratch.
+type reclaimer struct {
+	mu        sync.Mutex
+	live, hot []liveRec
+}
+
 // reclaimBuffer migrates the well-coupled (live) values of one PWB into
-// Value Storage (§5.2): scan the ring, keep only records whose HSIT
-// forward pointer still refers back to them, write them chunk by chunk to
-// an idle Value Storage, republish their pointers, and release the ring
-// space after epoch grace.
+// Value Storage (§5.2): scan the ring from the reclaim cursor, keep only
+// records whose HSIT forward pointer still refers back to them, write
+// them chunk by chunk to an idle Value Storage, republish their pointers,
+// and release the ring space after epoch grace.
 //
-// Release protocol: each buffer has exactly one scan owner (this
-// function, reached either from the buffer's reclaimLoop goroutine or —
-// under SyncVSWrites — from the owning application thread, never both).
-// Epoch grace turns a completed pass into a Grant; the owner folds
-// pending grants into the tail only here, between passes. The tail is
-// therefore frozen while a scan is in flight, which closes two seed
+// Release protocol: each buffer has exactly one scan owner at a time (see
+// reclaimer). Epoch grace turns a completed pass into a Grant; the owner
+// folds pending grants into the tail only here, between passes. The tail
+// is therefore frozen while a scan is in flight, which closes two seed
 // races: a foreground append can never recycle (and physically alias)
 // bytes the scan is still reading, and PublishIf can never install a
 // pointer that a newer append at the same wrapped DevOff now owns.
+//
+// The tail trails the scan by an epoch grace period plus one pass, so a
+// pass starts at the ring's reclaim cursor, not at the tail: every
+// record is scanned, and its HSIT entry checked, by exactly one
+// successful pass. The values are views into the ring (stable until this
+// pass's range is granted, which cannot happen before it returns), so
+// the only copies are ring → chunk buffer → device.
 func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
+	r := &s.reclaimers[threadID]
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	b := s.pwbs[threadID]
 	b.ApplyGrants()
-	head, tail := b.Head(), b.Tail()
-	// Exclude the owner's append-to-publish window: a record whose HSIT
-	// forward pointer has not landed yet looks ill-coupled, and treating
-	// it as garbage would release a slot that the imminent publish will
-	// reference forever. (Head must be read before the floor — see
-	// pwb.UnpublishedFloor.)
-	if f := b.UnpublishedFloor(); f < head {
-		head = f
-	}
-	if head <= tail {
+	from, to := b.ScanRange()
+	if to <= from {
 		return
 	}
 	s.stats.reclaims.Add(1)
@@ -65,126 +85,63 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 	// whether a put hit a full ring while this pass ran.
 	stalls0 := s.stats.putStalls.Load()
 
-	type liveRec struct {
-		idx    uint64
-		devOff uint64
-		val    []byte
-	}
-	var live []liveRec
+	live := r.live[:0]
 	// The ring scan is one large sequential NVM read: charge it in bulk
 	// (per-record latency would overstate a streaming read by ~300x).
-	s.nvmDev.ChargeRead(clk, int(head-tail))
-	err := b.Scan(nil, tail, head, func(r pwb.Record) bool {
-		p := s.table.Load(clk, r.HSITIdx)
+	s.nvmDev.ChargeRead(clk, int(to-from))
+	var scanned int64
+	err := b.Scan(nil, from, to, func(rec pwb.Record) bool {
+		scanned++
+		p := s.table.Load(clk, rec.HSITIdx)
 		// Well-coupled check (§5.2): forward and backward pointers refer
 		// to each other. Ill-coupled records are superseded garbage and
 		// are skipped — only the latest version reaches the SSD, which
 		// is where the write-traffic reduction comes from.
-		if p.Media == hsit.PWB && p.Off == r.DevOff && p.Len == len(r.Value) {
-			live = append(live, liveRec{idx: r.HSITIdx, devOff: r.DevOff, val: r.Value})
+		if p.Media == hsit.PWB && p.Off == rec.DevOff && p.Len == len(rec.Value) {
+			live = append(live, liveRec{idx: rec.HSITIdx, devOff: rec.DevOff, val: rec.Value})
 		}
 		return true
 	})
+	r.live = live[:0]
+	s.stats.pwbScanned.Add(scanned)
 	if err != nil {
 		// A header failed to parse. With the frozen-tail protocol this
 		// should be unreachable; if it ever fires, abort the pass without
-		// migrating or releasing anything — the range is intact on NVM
-		// and a later pass simply re-scans it.
+		// migrating, moving the cursor or releasing anything — the range
+		// is intact on NVM and a later pass simply re-scans it.
 		s.stats.scanTornRecords.Add(1)
 		return
 	}
 
-	// migrate writes recs into Value Storage and republishes their HSIT
-	// pointers. target >= 0 pins the destination (tier steering); -1
-	// keeps the paper's idle-device selection. When the target is out of
-	// chunks the records spill to any device with space (counted as
-	// fallback bytes — availability beats placement). Returns false when
-	// no device has space: the remaining records stay in the PWB (tail
-	// does not advance; a later reclaim retries once GC has produced
-	// space). Already-published records are then simply ill-coupled ring
-	// garbage, so a partial pass aborting is safe.
-	migrate := func(recs []liveRec, target int, hot bool) bool {
-		i := 0
-		for i < len(recs) {
-			var devIdx int
-			var st *valuestore.Store
-			steered := target >= 0
-			if steered {
-				devIdx, st = target, s.vsm.Stores[target]
-			} else {
-				devIdx, st = s.vsm.PickIdle(rng)
-			}
-			w, err := st.NewWriterReserve(s.gcReserve(st))
-			if err != nil {
-				// This store is out of chunks; kick its GC and try any other.
-				s.kickGC(devIdx, clk.Now())
-				w, devIdx, st = s.anyWriter(clk.Now())
-				if w == nil {
-					return false
-				}
-				steered = steered && devIdx == target
-			}
-			var batch []liveRec
-			for i < len(recs) && w.Room(len(recs[i].val)) {
-				w.Add(recs[i].idx, recs[i].val)
-				batch = append(batch, recs[i])
-				i++
-			}
-			done, entries := w.Commit(clk.Now())
-			clk.AdvanceTo(done)
-			for j, e := range entries {
-				if s.tiered() {
-					switch {
-					case hot && steered:
-						s.stats.tierHotSteered.Add(int64(e.ValueLen))
-					case hot:
-						s.stats.tierHotFallback.Add(int64(e.ValueLen))
-					case steered:
-						s.stats.tierColdSteered.Add(int64(e.ValueLen))
-					default:
-						s.stats.tierColdFallback.Add(int64(e.ValueLen))
-					}
-				}
-				old := hsit.Pointer{Media: hsit.PWB, Len: e.ValueLen, Off: batch[j].devOff}
-				newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
-				if s.table.PublishIf(clk, e.HSITIdx, old, newp) {
-					s.stats.pwbLiveMigrated.Add(1)
-					// First landing of this user value on an SSD: credit
-					// the per-device WAF denominator.
-					st.AttributeUserBytes(int64(e.ValueLen))
-				} else {
-					// A foreground write superseded this value mid-flight.
-					s.stats.reclaimPublishLost.Add(1)
-					st.Invalidate(e.LocalOff, e.ValueLen)
-				}
-			}
-			s.maybeKickGC(devIdx, st, clk.Now())
-		}
-		return true
-	}
-
+	// When no device has space the remaining records stay in the PWB:
+	// the cursor does not advance and a later pass, once GC has produced
+	// space, scans the range again. Records this pass already republished
+	// are by then ill-coupled ring garbage, so aborting midway is safe.
 	if s.tiered() {
 		// Classify at reclaim time (§4.3 meets PrismDB's placement rule):
 		// hot values to the fastest device — migrated first, so they hit
 		// the SSD soonest — cold values to the capacity device.
-		var hot, cold []liveRec
-		for _, r := range live {
-			if s.hotIdx(r.idx) {
-				hot = append(hot, r)
+		hot, cold := r.hot[:0], live[:0]
+		for _, rec := range live {
+			if s.hotIdx(rec.idx) {
+				hot = append(hot, rec)
 			} else {
-				cold = append(cold, r)
+				cold = append(cold, rec)
 			}
 		}
-		if !migrate(hot, s.tierFast, true) || !migrate(cold, s.tierCap, false) {
+		r.hot = hot[:0]
+		if !s.migrate(clk, rng, hot, s.tierFast, true, s.gcReserve) || !s.migrate(clk, rng, cold, s.tierCap, false, s.gcReserve) {
 			return
 		}
-	} else if !migrate(live, -1, false) {
+	} else if !s.migrate(clk, rng, live, -1, false, s.gcReserve) {
 		return
 	}
-	// Every live value has been migrated; the whole scanned range is
-	// garbage. After epoch grace (no reader can still be inside, §5.4)
-	// the space becomes a grant, which the next pass folds into the tail.
-	s.em.Retire(func() { b.Grant(head) })
+	// Every live value of the range has been migrated, and everything
+	// below it by earlier passes: the ring is garbage up to `to`. After
+	// epoch grace (no reader can still be inside, §5.4) the space becomes
+	// a grant, which the next pass folds into the tail.
+	b.Scanned(to)
+	s.em.Retire(func() { b.Grant(to) })
 	// Close the controller loop (§4.7): a background pass that completed
 	// without any put hitting a full ring means reclamation is keeping
 	// pace — relax the trigger upward to recover batching efficiency. A
@@ -204,6 +161,77 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 	}
 }
 
+// migrate writes recs into Value Storage, chunk by chunk, and swings
+// their HSIT pointers from the PWB to the new location; it is the
+// reclaimer's and recovery's one way out of the ring. target >= 0 pins
+// the destination (tier steering, with hot the heat class being placed);
+// -1 keeps the paper's idle-device selection. When the chosen store is
+// out of chunks the records spill to any device with space (counted as
+// fallback bytes — availability beats placement). reserve is how many
+// free chunks a store keeps back: gcReserve for the reclaimer, or GC can
+// wedge; nothing for recovery, which has to finish for the store to come
+// back and runs with GC stopped. It returns false when no device has
+// space, with recs partly migrated.
+func (s *Store) migrate(clk *sim.Clock, rng *sim.RNG, recs []liveRec, target int, hot bool, reserve func(*valuestore.Store) int) bool {
+	for len(recs) > 0 {
+		var devIdx int
+		var st *valuestore.Store
+		steered := target >= 0
+		if steered {
+			devIdx, st = target, s.vsm.Stores[target]
+		} else {
+			devIdx, st = s.vsm.PickIdle(rng)
+		}
+		w, err := st.NewWriterReserve(reserve(st))
+		if err != nil {
+			// This store is out of chunks; kick its GC and try any other.
+			s.kickGC(devIdx, clk.Now())
+			w, devIdx, st = s.anyWriter(clk.Now(), reserve)
+			if w == nil {
+				return false
+			}
+			steered = steered && devIdx == target
+		}
+		n := 0
+		for n < len(recs) && w.Room(len(recs[n].val)) {
+			w.Add(recs[n].idx, recs[n].val)
+			n++
+		}
+		done, entries := w.Commit(clk.Now())
+		clk.AdvanceTo(done)
+		for j, e := range entries {
+			if target >= 0 {
+				switch {
+				case hot && steered:
+					s.stats.tierHotSteered.Add(int64(e.ValueLen))
+				case hot:
+					s.stats.tierHotFallback.Add(int64(e.ValueLen))
+				case steered:
+					s.stats.tierColdSteered.Add(int64(e.ValueLen))
+				default:
+					s.stats.tierColdFallback.Add(int64(e.ValueLen))
+				}
+			}
+			old := hsit.Pointer{Media: hsit.PWB, Len: e.ValueLen, Off: recs[j].devOff}
+			newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
+			if s.table.PublishIf(clk, e.HSITIdx, old, newp) {
+				s.stats.pwbLiveMigrated.Add(1)
+				// First landing of this user value on an SSD: credit
+				// the per-device WAF denominator.
+				st.AttributeUserBytes(int64(e.ValueLen))
+			} else {
+				// A foreground write superseded this value mid-flight.
+				s.stats.reclaimPublishLost.Add(1)
+				st.Invalidate(e.LocalOff, e.ValueLen)
+			}
+		}
+		w.Release()
+		s.maybeKickGC(devIdx, st, clk.Now())
+		recs = recs[n:]
+	}
+	return true
+}
+
 // gcReserve is the number of free chunks held back for GC to compact
 // into (log-structured reserve).
 func (s *Store) gcReserve(st *valuestore.Store) int {
@@ -214,10 +242,10 @@ func (s *Store) gcReserve(st *valuestore.Store) int {
 	return r
 }
 
-// anyWriter tries every store for a free chunk (respecting GC reserve).
-func (s *Store) anyWriter(now int64) (*valuestore.Writer, int, *valuestore.Store) {
+// anyWriter tries every store for a free chunk beyond its reserve.
+func (s *Store) anyWriter(now int64, reserve func(*valuestore.Store) int) (*valuestore.Writer, int, *valuestore.Store) {
 	for di, st := range s.vsm.Stores {
-		if w, err := st.NewWriterReserve(s.gcReserve(st)); err == nil {
+		if w, err := st.NewWriterReserve(reserve(st)); err == nil {
 			return w, di, st
 		}
 		s.kickGC(di, now)
@@ -354,6 +382,7 @@ func (s *Store) onScanEvict(chain svc.EvictedChain) {
 				st.Invalidate(ce.LocalOff, ce.ValueLen)
 			}
 		}
+		w.Release()
 		batch = nil
 	}
 	for _, t := range todo {

@@ -183,9 +183,10 @@ func TestGetServedFromSVCAfterVSRead(t *testing.T) {
 	}
 }
 
-// drain pushes both PWBs to Value Storage by forcing reclamation. It
-// uses a private clock and RNG: the background reclaim loop owns the
-// store's.
+// drain pushes both PWBs to Value Storage by forcing a reclaim pass on
+// each. reclaimBuffer's pass lock makes the test the ring's scan owner
+// for the pass, beside the ring's live reclaimLoop; the clock and RNG are
+// private because that loop owns its own.
 func drain(t *testing.T, s *Store) {
 	t.Helper()
 	clk := sim.NewClock(0)

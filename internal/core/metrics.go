@@ -145,11 +145,13 @@ func (s *Store) registerMetrics() {
 		})
 	r.CounterFunc(obs.Desc{Name: "pwb.reclaims", Help: "background reclamation passes", Unit: "passes"},
 		s.stats.reclaims.Load)
-	r.CounterFunc(obs.Desc{Name: "pwb.live_migrated", Help: "live values migrated from PWB to Value Storage", Unit: "values"},
+	r.CounterFunc(obs.Desc{Name: "pwb.records_scanned", Help: "ring records reclamation passes parsed and HSIT-checked (over pwb.live_migrated plus superseded records it is the rescan factor: 1 unless passes abort)", Unit: "records"},
+		s.stats.pwbScanned.Load)
+	r.CounterFunc(obs.Desc{Name: "pwb.live_migrated", Help: "live values migrated from PWB to Value Storage (reclamation and the recovery drain)", Unit: "values"},
 		s.stats.pwbLiveMigrated.Load)
 	r.CounterFunc(obs.Desc{Name: "core.reclaim_publish_lost", Help: "migrated values whose PublishIf lost to a concurrent foreground write (VS copy invalidated)", Unit: "values"},
 		s.stats.reclaimPublishLost.Load)
-	r.CounterFunc(obs.Desc{Name: "pwb.scan_torn_record", Help: "reclamation passes aborted on an unparseable ring record (should stay 0 under the frozen-tail protocol)", Unit: "passes"},
+	r.CounterFunc(obs.Desc{Name: "pwb.scan_torn_record", Help: "reclamation passes aborted on an unparseable ring record: the reclaim cursor stays put and the next pass re-scans the range (should stay 0 under the frozen-tail protocol)", Unit: "passes"},
 		s.stats.scanTornRecords.Load)
 
 	// ---- vs: log-structured Value Storage, per device (§5.1-5.2) ----

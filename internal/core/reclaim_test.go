@@ -1,0 +1,222 @@
+package core
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"repro/internal/hsit"
+	"repro/internal/sim"
+	"repro/internal/valuestore"
+)
+
+// quietReclaim opens a one-thread store whose background reclaimer never
+// triggers on its own (the watermark sits above anything the tests
+// append), so the test decides when a pass runs and what it finds.
+func quietReclaim(t *testing.T) *Store {
+	t.Helper()
+	return small(t, func(o *Options) {
+		o.NumThreads = 1
+		o.ReclaimWatermark = 0.95
+		o.DisableSVC = true // every read of a migrated value is a VS read
+	})
+}
+
+// pass runs one reclaim pass over ring 0 on the test's behalf and
+// returns the ring's reclaim cursor afterwards.
+func pass(s *Store, clk *sim.Clock, rng *sim.RNG) uint64 {
+	s.reclaimBuffer(0, clk, rng)
+	r := &s.reclaimers[0]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cursor, _ := s.pwbs[0].ScanRange()
+	return cursor
+}
+
+// mustReadFromVS checks keys [0, n) hold value(i) and that every one of
+// the reads went to Value Storage.
+func mustReadFromVS(t *testing.T, s *Store, n int) {
+	t.Helper()
+	th := s.Thread(0)
+	before := s.Stats().VSReads
+	for i := 0; i < n; i++ {
+		got, err := th.Get(key(i))
+		if err != nil || !bytes.Equal(got, value(i)) {
+			t.Fatalf("key %d = %q, %v", i, got, err)
+		}
+	}
+	if got := s.Stats().VSReads - before; got != int64(n) {
+		t.Fatalf("%d of %d reads came from Value Storage", got, n)
+	}
+}
+
+// TestReclaimScansEachRecordOnce pins the reclaim cursor's point: ring
+// space is released an epoch grace period after the pass that scanned
+// it, and with a participant parked inside an epoch it is not released
+// at all — yet no pass may read a record an earlier pass already
+// migrated. Scanning from the tail instead re-reads everything since the
+// last applied grant on every pass (210 records for every 20 here).
+func TestReclaimScansEachRecordOnce(t *testing.T) {
+	const passes, perPass = 20, 20
+	s := quietReclaim(t)
+	th := s.Thread(0)
+	clk, rng := sim.NewClock(0), sim.NewRNG(1)
+
+	pinned := s.em.Register()
+	pinned.Enter()
+	unpin := sync.OnceFunc(pinned.Exit)
+	t.Cleanup(unpin) // before the store's Close, which waits for epochs
+	for p := 0; p < passes; p++ {
+		for i := p * perPass; i < (p+1)*perPass; i++ {
+			if err := th.Put(key(i), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cursor := pass(s, clk, rng); cursor != s.pwbs[0].Head() {
+			t.Fatalf("pass %d left the cursor at %d, head %d", p, cursor, s.pwbs[0].Head())
+		}
+	}
+	if tail := s.pwbs[0].Tail(); tail != 0 {
+		t.Fatalf("tail moved to %d with an epoch pinned", tail)
+	}
+	st := s.Stats()
+	if st.Reclaims != passes || st.PWBRecordsScanned != passes*perPass || st.PWBLiveMigrated != passes*perPass {
+		t.Fatalf("%d passes scanned %d records and migrated %d; %d were appended",
+			st.Reclaims, st.PWBRecordsScanned, st.PWBLiveMigrated, passes*perPass)
+	}
+
+	// Grace over: the grants land, and the next pass folds them in.
+	unpin()
+	s.em.Barrier()
+	pass(s, clk, rng)
+	if b := s.pwbs[0]; b.Tail() != b.Head() {
+		t.Fatalf("tail %d, head %d after the grants applied", b.Tail(), b.Head())
+	}
+	if got := s.Stats().PWBRecordsScanned; got != passes*perPass {
+		t.Fatalf("an empty pass scanned: %d records", got)
+	}
+	mustReadFromVS(t, s, passes*perPass)
+}
+
+// TestReclaimCursorFailurePaths: a pass that cannot finish — no device
+// has a chunk to give, or a ring header does not parse — leaves the
+// cursor where it was, so the next pass scans the range again and
+// nothing is lost; Crash and Recover restart the cursor with the ring.
+func TestReclaimCursorFailurePaths(t *testing.T) {
+	const n = 100
+	load := func(t *testing.T, s *Store) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := s.Thread(0).Put(key(i), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("no free chunk", func(t *testing.T) {
+		s := quietReclaim(t)
+		clk, rng := sim.NewClock(0), sim.NewRNG(1)
+		load(t, s)
+		// Take every chunk of every store.
+		var held []*valuestore.Writer
+		for _, st := range s.vsm.Stores {
+			for {
+				w, err := st.NewWriter()
+				if err != nil {
+					break
+				}
+				held = append(held, w)
+			}
+		}
+		if cursor := pass(s, clk, rng); cursor != 0 {
+			t.Fatalf("cursor moved to %d though nothing could migrate", cursor)
+		}
+		if st := s.Stats(); st.PWBRecordsScanned != n || st.PWBLiveMigrated != 0 {
+			t.Fatalf("failed pass scanned %d, migrated %d", st.PWBRecordsScanned, st.PWBLiveMigrated)
+		}
+		for _, w := range held {
+			w.Abort()
+		}
+		if cursor := pass(s, clk, rng); cursor != s.pwbs[0].Head() {
+			t.Fatalf("retry left the cursor at %d, head %d", cursor, s.pwbs[0].Head())
+		}
+		if st := s.Stats(); st.PWBRecordsScanned != 2*n || st.PWBLiveMigrated != n {
+			t.Fatalf("retry: scanned %d in total, migrated %d", st.PWBRecordsScanned, st.PWBLiveMigrated)
+		}
+		mustReadFromVS(t, s, n)
+	})
+
+	t.Run("torn header", func(t *testing.T) {
+		s := quietReclaim(t)
+		clk, rng := sim.NewClock(0), sim.NewRNG(1)
+		load(t, s)
+		// Smash the magic of a record in the middle of the range.
+		magicOff := int(s.table.Load(nil, mustIdx(t, s, n/2)).Off) + 12
+		good := make([]byte, 4)
+		s.nvmDev.Load(nil, magicOff, good)
+		s.nvmDev.Store(nil, magicOff, []byte{0xde, 0xad, 0xbe, 0xef})
+		if cursor := pass(s, clk, rng); cursor != 0 {
+			t.Fatalf("cursor moved to %d past a torn header", cursor)
+		}
+		if st := s.Stats(); st.ScanTornRecords != 1 || st.PWBLiveMigrated != 0 {
+			t.Fatalf("torn pass: %d torn, %d migrated", st.ScanTornRecords, st.PWBLiveMigrated)
+		}
+		s.nvmDev.Store(nil, magicOff, good)
+		if cursor := pass(s, clk, rng); cursor != s.pwbs[0].Head() {
+			t.Fatalf("retry left the cursor at %d, head %d", cursor, s.pwbs[0].Head())
+		}
+		if st := s.Stats(); st.PWBLiveMigrated != n {
+			t.Fatalf("retry migrated %d of %d", st.PWBLiveMigrated, n)
+		}
+		mustReadFromVS(t, s, n)
+	})
+
+	t.Run("crash and recover", func(t *testing.T) {
+		s := quietReclaim(t)
+		clk, rng := sim.NewClock(0), sim.NewRNG(1)
+		load(t, s)
+		if cursor := pass(s, clk, rng); cursor == 0 {
+			t.Fatal("pass did not move the cursor")
+		}
+		// A second generation stays in the ring across the crash.
+		for i := 0; i < n/2; i++ {
+			if err := s.Thread(0).Put(key(i), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Crash()
+		rep, err := s.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.PWBValuesDrained != n/2 || rep.LiveKeys != n {
+			t.Fatalf("recovery drained %d, %d live", rep.PWBValuesDrained, rep.LiveKeys)
+		}
+		if from, to := s.pwbs[0].ScanRange(); from != 0 || to != 0 {
+			t.Fatalf("scan range [%d,%d) after recovery, want the empty ring's", from, to)
+		}
+		mustReadFromVS(t, s, n)
+		// The new incarnation's first pass starts at the new ring's start.
+		scanned := s.Stats().PWBRecordsScanned
+		if err := s.Thread(0).Put(key(0), value(0)); err != nil {
+			t.Fatal(err)
+		}
+		pass(s, clk, rng)
+		if got := s.Stats().PWBRecordsScanned - scanned; got != 1 {
+			t.Fatalf("first pass after recovery scanned %d records, want 1", got)
+		}
+		p := s.table.Load(nil, mustIdx(t, s, 0))
+		if p.Media != hsit.VS {
+			t.Fatalf("key 0 at %v after the pass", p)
+		}
+	})
+}
+
+func mustIdx(t *testing.T, s *Store, i int) uint64 {
+	t.Helper()
+	idx, ok := s.index.Lookup(nil, key(i))
+	if !ok {
+		t.Fatalf("key %d not in the index", i)
+	}
+	return idx
+}

@@ -93,12 +93,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	}
 	reachable := make([]map[uint64]bool, workers)
 	lost := make([][]pair, workers)
-	type pwbLive struct {
-		idx uint64
-		p   hsit.Pointer
-		val []byte
-	}
-	pwbVals := make([][]pwbLive, workers)
+	pwbVals := make([][]liveRec, workers)
 	clocks := make([]*sim.Clock, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -119,7 +114,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 						continue
 					}
 					val := s.pwbOf(p.Off).ReadValue(clk, p.Off, p.Len)
-					pwbVals[w] = append(pwbVals[w], pwbLive{idx: pr.idx, p: p, val: val})
+					pwbVals[w] = append(pwbVals[w], liveRec{idx: pr.idx, devOff: p.Off, val: val})
 					reach[pr.idx] = true
 				case hsit.VS:
 					s.vsm.MarkRecovered(p.Off, p.Len)
@@ -161,40 +156,15 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	// reset (their volatile cursors are unknown after the crash).
 	drainClk := sim.NewClock(rep.VirtualNS)
 	rng := sim.NewRNG(s.opt.Seed ^ 0x5ec0)
-	var drain []pwbLive
+	var drain []liveRec
 	for w := 0; w < workers; w++ {
 		drain = append(drain, pwbVals[w]...)
 	}
-	i := 0
-	for i < len(drain) {
-		devIdx, st := s.vsm.PickIdle(rng)
-		w, err := st.NewWriter()
-		if err != nil {
-			w, devIdx, st = s.anyWriter(drainClk.Now())
-			if w == nil {
-				return rep, errors.New("prism: no Value Storage space during recovery")
-			}
-		}
-		var batch []pwbLive
-		for i < len(drain) && w.Room(len(drain[i].val)) {
-			w.Add(drain[i].idx, drain[i].val)
-			batch = append(batch, drain[i])
-			i++
-		}
-		done, entries := w.Commit(drainClk.Now())
-		drainClk.AdvanceTo(done)
-		for j, e := range entries {
-			newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
-			if s.table.PublishIf(drainClk, e.HSITIdx, batch[j].p, newp) {
-				// First landing of this user value on an SSD (it only ever
-				// lived in the PWB before the crash): per-device WAF credit.
-				st.AttributeUserBytes(int64(e.ValueLen))
-			} else {
-				st.Invalidate(e.LocalOff, e.ValueLen)
-			}
-		}
-		rep.PWBValuesDrained += len(entries)
+	noReserve := func(*valuestore.Store) int { return 0 }
+	if !s.migrate(drainClk, rng, drain, -1, false, noReserve) {
+		return rep, errors.New("prism: no Value Storage space during recovery")
 	}
+	rep.PWBValuesDrained = len(drain)
 	for _, b := range s.pwbs {
 		b.Reset()
 	}

@@ -238,6 +238,7 @@ type Store struct {
 	mntMu sync.Mutex
 
 	reclaimChs []chan int64 // per-PWB reclamation triggers (value = trigger time)
+	reclaimers []reclaimer  // per-PWB pass lock and scratch
 	gcCh       chan gcReq
 	stop       chan struct{}
 	bg         sync.WaitGroup
@@ -302,6 +303,7 @@ type statsCounters struct {
 	svcHits, pwbHits, vsReads     atomic.Int64
 	userBytesWritten              atomic.Int64
 	reclaims, pwbLiveMigrated     atomic.Int64
+	pwbScanned                    atomic.Int64
 	scanRewrites, recoveredValues atomic.Int64
 	putStalls                     atomic.Int64
 	reclaimPublishLost            atomic.Int64
@@ -400,6 +402,7 @@ func Open(opt Options) (*Store, error) {
 		s.repl = newReplState()
 	}
 	s.reclaimStall = make([]atomic.Int64, opt.NumThreads)
+	s.reclaimers = make([]reclaimer, opt.NumThreads)
 	for i := 0; i < opt.NumThreads; i++ {
 		s.reclaimChs = append(s.reclaimChs, make(chan int64, 2))
 	}
@@ -542,6 +545,7 @@ type Stats struct {
 	SVCHits, PWBHits, VSReads  int64
 	UserBytesWritten           int64
 	Reclaims, PWBLiveMigrated  int64
+	PWBRecordsScanned          int64
 	ScanRewrites               int64
 	PutStalls                  int64
 	ReclaimPublishLost         int64
@@ -576,6 +580,7 @@ func (s *Store) Stats() Stats {
 		UserBytesWritten:      s.stats.userBytesWritten.Load(),
 		Reclaims:              s.stats.reclaims.Load(),
 		PWBLiveMigrated:       s.stats.pwbLiveMigrated.Load(),
+		PWBRecordsScanned:     s.stats.pwbScanned.Load(),
 		ScanRewrites:          s.stats.scanRewrites.Load(),
 		PutStalls:             s.stats.putStalls.Load(),
 		ReclaimPublishLost:    s.stats.reclaimPublishLost.Load(),

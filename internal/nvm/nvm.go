@@ -153,10 +153,19 @@ func (d *Device) ChargeWrite(clk Clock, n int) { d.chargeWrite(clk, n) }
 
 // Load copies n = len(dst) bytes at off into dst and charges read cost.
 func (d *Device) Load(clk Clock, off int, dst []byte) {
-	d.check(off, len(dst))
-	copy(dst, d.data[off:off+len(dst)])
+	copy(dst, d.View(clk, off, len(dst)))
+}
+
+// View is Load without the copy: it returns the n bytes at off as a
+// slice of the device's volatile view and charges the read cost.
+// The caller must not write through it, and it is only as stable as the
+// region: it is for a reader that owns the range against concurrent
+// Stores for as long as it keeps the slice (the PWB reclaimer's scan).
+func (d *Device) View(clk Clock, off, n int) []byte {
+	d.check(off, n)
 	d.loads.Add(1)
-	d.chargeRead(clk, len(dst))
+	d.chargeRead(clk, n)
+	return d.data[off : off+n : off+n]
 }
 
 // Store copies src to off, marks the covered lines dirty, and charges

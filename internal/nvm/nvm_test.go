@@ -303,3 +303,30 @@ func TestStats(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
+
+// TestViewIsLoadWithoutTheCopy: View returns the device's own bytes,
+// bounded to the range, and counts and charges as the Load it replaces.
+func TestViewIsLoadWithoutTheCopy(t *testing.T) {
+	d := New(Config{Size: 4096})
+	d.Store(nil, 128, []byte("persistent"))
+	clkV, clkL := sim.NewClock(0), sim.NewClock(0)
+	before := d.Stats().Loads
+	v := d.View(clkV, 128, 10)
+	if string(v) != "persistent" || cap(v) != 10 || d.Stats().Loads != before+1 {
+		t.Fatalf("View = %q cap %d, %d loads", v, cap(v), d.Stats().Loads-before)
+	}
+	New(Config{Size: 4096}).Load(clkL, 128, make([]byte, 10))
+	if clkV.Now() != clkL.Now() || clkV.Now() == 0 {
+		t.Fatalf("View charged %d ns, Load %d", clkV.Now(), clkL.Now())
+	}
+	d.Store(nil, 128, []byte("P"))
+	if v[0] != 'P' {
+		t.Fatal("View copied")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range View did not panic")
+		}
+	}()
+	d.View(nil, 4090, 10)
+}

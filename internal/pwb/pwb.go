@@ -21,6 +21,15 @@
 // next scan range. The tail therefore never moves while a scan is in
 // flight, so the physical bytes under a scan can never be recycled and
 // re-appended (the aliasing that caused the seed's reclamation race).
+//
+// Release lags the scan by an epoch grace period, so the scan does not
+// start at the tail: the ring keeps a reclaim cursor, owned by the same
+// single scan owner. A pass scans [cursor, min(Head, UnpublishedFloor))
+// (ScanRange) and moves the cursor to the end of that range (Scanned)
+// only once every live record in it has been migrated; a pass that
+// aborts leaves the cursor alone and the next one re-scans. Every
+// appended record is therefore scanned by exactly one successful pass,
+// however far the tail trails behind.
 package pwb
 
 import (
@@ -68,6 +77,11 @@ type Buffer struct {
 	// as garbage would release a slot that a live pointer is about to
 	// reference forever.
 	unpublished atomic.Uint64
+
+	// cursor is the reclaim cursor: every record below it has been scanned
+	// and, if it was live, migrated. A plain field — only the single scan
+	// owner touches it. tail <= releasable <= cursor <= head.
+	cursor uint64
 
 	bytesAppended atomic.Int64 // user payload bytes (WAF accounting; survives Reset)
 }
@@ -190,6 +204,26 @@ func (b *Buffer) Published() {
 // has a visible forward pointer.
 func (b *Buffer) UnpublishedFloor() uint64 { return b.unpublished.Load() }
 
+// ScanRange returns the range the next reclaim pass scans: from the
+// reclaim cursor to min(Head, UnpublishedFloor), which excludes the
+// owner's append-to-publish window — a record whose HSIT forward pointer
+// has not landed yet looks ill-coupled, and treating it as garbage would
+// release a slot the imminent publish will reference forever. Only the
+// single scan owner may call it, after ApplyGrants.
+func (b *Buffer) ScanRange() (from, to uint64) {
+	to = b.head.Load() // before the floor: see UnpublishedFloor
+	if f := b.unpublished.Load(); f < to {
+		to = f
+	}
+	return b.cursor, to
+}
+
+// Scanned moves the reclaim cursor to to, the end of a ScanRange whose
+// live records have all been migrated. The scan owner calls it before it
+// hands the range to epoch grace (Grant(to)); a pass that aborted must
+// not call it, so the range is scanned again.
+func (b *Buffer) Scanned(to uint64) { b.cursor = to }
+
 func (b *Buffer) writePad(clk nvm.Clock, head, n uint64) {
 	off := b.pos(head)
 	var hdr [headerSize]byte
@@ -230,7 +264,10 @@ func (b *Buffer) ReadHeader(clk nvm.Clock, devOff uint64) (hsitIdx uint64, value
 	return binary.LittleEndian.Uint64(hdr[0:]), int(binary.LittleEndian.Uint32(hdr[8:])), true
 }
 
-// Record is one entry yielded by Scan.
+// Record is one entry yielded by Scan. Value aliases the ring — it is a
+// view, not a copy — and is valid only while the scanned range is: until
+// the pass that scanned it retires the range (Grant). It must not be
+// written through.
 type Record struct {
 	HSITIdx uint64
 	DevOff  uint64 // device offset of the record (HSIT pointer value)
@@ -248,15 +285,16 @@ var ErrCorruptRecord = errors.New("pwb: corrupt record")
 // reclaimer (§5.2) to collect candidate values; the caller decides
 // liveness via HSIT well-coupledness.
 //
-// Contract: [from, to) must be a range whose bytes are stable for the
-// duration of the call — from at or above the ring tail (which only the
-// single scan owner may advance, via ApplyGrants between passes) and to
-// at or below min(Head, UnpublishedFloor). A nil clk performs the reads
-// without charging device time; the reclaimer charges the whole range as
-// one bulk sequential read instead. If a header fails to parse, Scan
-// stops and returns an error wrapping ErrCorruptRecord — the caller
-// should abort the pass without releasing any space, so the torn range
-// is simply re-scanned later.
+// Contract: [from, to) must be a range whose bytes are stable for as
+// long as the caller keeps any Record.Value — from at or above the ring
+// tail (which only the single scan owner may advance, via ApplyGrants
+// between passes) and to at or below min(Head, UnpublishedFloor); the
+// reclaimer passes ScanRange. A nil clk performs the reads without
+// charging device time; the reclaimer charges the whole range as one
+// bulk sequential read instead. If a header fails to parse, Scan stops
+// and returns an error wrapping ErrCorruptRecord — the caller should
+// abort the pass without moving the cursor or releasing any space, so
+// the torn range is simply re-scanned later.
 func (b *Buffer) Scan(clk nvm.Clock, from, to uint64, fn func(r Record) bool) error {
 	cur := from
 	var hdr [headerSize]byte
@@ -271,8 +309,7 @@ func (b *Buffer) Scan(clk nvm.Clock, from, to uint64, fn func(r Record) bool) er
 			cur += uint64(vlen) + headerSize
 			continue
 		case magic:
-			val := make([]byte, vlen)
-			b.dev.Load(clk, off+headerSize, val)
+			val := b.dev.View(clk, off+headerSize, int(vlen))
 			if !fn(Record{HSITIdx: backptr, DevOff: uint64(off), Logical: cur, Value: val}) {
 				return nil
 			}
@@ -337,13 +374,14 @@ func (b *Buffer) BytesAppended() int64 { return b.bytesAppended.Load() }
 
 // Reset empties the ring. Recovery drains every live PWB value into
 // Value Storage and then resets the cursors, because the volatile
-// head/tail are unknown after a crash (§5.5). Pending grants and the
-// publish-pending mark are volatile state of the old incarnation and are
-// discarded; bytesAppended survives (see BytesAppended). Quiescent
-// callers only.
+// head/tail are unknown after a crash (§5.5). Pending grants, the reclaim
+// cursor and the publish-pending mark are volatile state of the old
+// incarnation and are discarded; bytesAppended survives (see
+// BytesAppended). Quiescent callers only.
 func (b *Buffer) Reset() {
 	b.head.Store(0)
 	b.tail.Store(0)
 	b.releasable.Store(0)
+	b.cursor = 0
 	b.unpublished.Store(noPending)
 }

@@ -363,3 +363,66 @@ func TestManyLapsConsistency(t *testing.T) {
 		t.Fatalf("only %d appends across 20 laps", next)
 	}
 }
+
+// TestScanCursor covers the reclaim cursor: ScanRange starts where the
+// last Scanned left off — not at the tail, which trails by a grace
+// period — stops below the publish-pending floor, and Reset takes the
+// cursor back to the start with the rest of the ring.
+func TestScanCursor(t *testing.T) {
+	b, _ := newBuf(1024)
+	for i := 0; i < 3; i++ {
+		b.Append(nil, uint64(i), make([]byte, 16))
+		b.Published()
+	}
+	from, to := b.ScanRange()
+	if from != 0 || to != b.Head() {
+		t.Fatalf("first range [%d,%d), head %d", from, to, b.Head())
+	}
+	// A pass that aborts does not call Scanned: same range again.
+	if f, e := b.ScanRange(); f != from || e != to {
+		t.Fatalf("range moved without Scanned: [%d,%d)", f, e)
+	}
+	b.Scanned(to)
+	b.Grant(to) // tail stays until ApplyGrants; the cursor does not wait for it
+	_, pending, _ := b.Append(nil, 3, make([]byte, 16))
+	if f, e := b.ScanRange(); f != to || e != pending || b.Tail() != 0 {
+		t.Fatalf("range [%d,%d) tail %d, want the empty [%d,%d) below the unpublished append, tail 0", f, e, b.Tail(), to, pending)
+	}
+	b.Published()
+	n := 0
+	from, to = b.ScanRange()
+	if err := b.Scan(nil, from, to, func(r Record) bool { n++; return r.HSITIdx == 3 }); err != nil || n != 1 {
+		t.Fatalf("second range held %d records (err %v), want only the new one", n, err)
+	}
+	b.Reset()
+	if f, e := b.ScanRange(); f != 0 || e != 0 {
+		t.Fatalf("range [%d,%d) after Reset", f, e)
+	}
+}
+
+// TestScanValueAliasesRing pins the no-copy contract of Record.Value: it
+// is the ring's own bytes, so it costs no allocation and shows a later
+// store to the same NVM.
+func TestScanValueAliasesRing(t *testing.T) {
+	b, dev := newBuf(4096)
+	for i := 0; i < 8; i++ {
+		b.Append(nil, uint64(i), bytes.Repeat([]byte{'v'}, 100))
+	}
+	b.Published()
+	var first Record
+	scan := func() {
+		b.Scan(nil, b.Tail(), b.Head(), func(r Record) bool {
+			if r.HSITIdx == 0 {
+				first = r
+			}
+			return true
+		})
+	}
+	if allocs := testing.AllocsPerRun(10, scan); allocs != 0 {
+		t.Fatalf("Scan allocated %.0f objects for 8 records", allocs)
+	}
+	dev.Store(nil, int(first.DevOff)+headerSize, []byte("X"))
+	if first.Value[0] != 'X' || len(first.Value) != 100 || cap(first.Value) != 100 {
+		t.Fatalf("Value is not a bounded view of the ring: %q... len %d cap %d", first.Value[:1], len(first.Value), cap(first.Value))
+	}
+}

@@ -93,6 +93,7 @@ type Device struct {
 	durable []byte
 	pending map[uint64]pendingWrite
 	nextTok uint64
+	staging [][]byte // buffers of acked writes, reused to stage later ones
 
 	readBW  sim.Resource
 	writeBW sim.Resource
@@ -166,7 +167,7 @@ func (d *Device) Submit(at int64, reqs []Request) []Completion {
 			c.StartTime, c.DoneTime = start, end+d.cfg.WriteLatency
 			d.nextTok++
 			c.token = d.nextTok
-			buf := make([]byte, len(r.Data))
+			buf := d.stagingBuf(len(r.Data))
 			copy(buf, r.Data)
 			d.pending[c.token] = pendingWrite{off: r.Offset, data: buf}
 			d.inFlight.Add(1)
@@ -177,6 +178,20 @@ func (d *Device) Submit(at int64, reqs []Request) []Completion {
 		comps[i] = c
 	}
 	return comps
+}
+
+// stagingBuf returns an n-byte buffer to stage a write in, recycled from
+// an acked write when one is large enough. The caller holds d.mu and
+// overwrites all n bytes.
+func (d *Device) stagingBuf(n int) []byte {
+	if k := len(d.staging); k > 0 {
+		buf := d.staging[k-1]
+		d.staging = d.staging[:k-1]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]byte, n)
 }
 
 // Ack acknowledges an observed write completion, making the data durable.
@@ -193,6 +208,7 @@ func (d *Device) Ack(c Completion) {
 	}
 	delete(d.pending, c.token)
 	copy(d.durable[p.off:p.off+int64(len(p.data))], p.data)
+	d.staging = append(d.staging, p.data)
 	d.bytesWritten.Add(int64(len(p.data)))
 	d.inFlight.Add(-1)
 }

@@ -189,3 +189,42 @@ func TestCompletionOrderWithinBatchIsSubmitOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestStagingReuseNeverLeaksAcrossCrash: write-staging buffers are
+// recycled at Ack, so a staged write sits in memory that still holds an
+// earlier, longer write past its own end. Only the acked write's own
+// bytes may ever become durable, whatever else is in the buffer, and a
+// write that was staged but never acked leaves nothing behind a Crash.
+func TestStagingReuseNeverLeaksAcrossCrash(t *testing.T) {
+	d := newDev(1 << 20)
+	fill := func(n int, c byte) []byte { return bytes.Repeat([]byte{c}, n) }
+	write := func(off int64, data []byte) Completion {
+		return d.Submit(0, []Request{{Op: OpWrite, Offset: off, Data: data}})[0]
+	}
+	read := func(off int64, n int) []byte {
+		buf := make([]byte, n)
+		d.Submit(0, []Request{{Op: OpRead, Offset: off, Data: buf}})
+		return buf
+	}
+
+	d.Ack(write(0, fill(4096, 'A'))) // its buffer goes back for reuse
+	write(8192, fill(1024, 'B'))     // staged in it, never acked
+	d.Crash()
+	if got := read(8192, 4096); !bytes.Equal(got, make([]byte, 4096)) {
+		t.Fatal("bytes of an un-acked write (or of the buffer it was staged in) reached the device")
+	}
+	if got := read(0, 4096); !bytes.Equal(got, fill(4096, 'A')) {
+		t.Fatal("acked write damaged")
+	}
+
+	// A short write staged in a recycled long buffer lands alone.
+	d.Ack(write(16384, fill(4096, 'C')))
+	d.Ack(write(32768, fill(100, 'D')))
+	want := append(fill(100, 'D'), make([]byte, 3996)...)
+	if got := read(32768, 4096); !bytes.Equal(got, want) {
+		t.Fatal("a recycled staging buffer leaked its old contents past the write's end")
+	}
+	if d.Stats().BytesWritten != 4096+4096+100 {
+		t.Fatalf("BytesWritten = %d", d.Stats().BytesWritten)
+	}
+}

@@ -159,8 +159,9 @@ type Store struct {
 	nchunks   int
 	em        *epoch.Manager
 
-	mu   sync.Mutex
-	free []int
+	mu    sync.Mutex
+	free  []int
+	spare []*Writer // released writers, kept for their buffers
 
 	chunks []chunkMeta
 
@@ -226,19 +227,6 @@ func (s *Store) FreeChunks() int {
 // Utilization returns the fraction of chunks not free.
 func (s *Store) Utilization() float64 {
 	return 1 - float64(s.FreeChunks())/float64(s.nchunks)
-}
-
-func (s *Store) allocChunk(reserve int) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.free)
-	if n <= reserve {
-		return 0, ErrNoFreeChunk
-	}
-	idx := s.free[n-1]
-	s.free = s.free[:n-1]
-	s.chunks[idx].state.Store(chunkWriting)
-	return idx, nil
 }
 
 // releaseChunk returns a chunk to the free list immediately.
@@ -311,17 +299,11 @@ func (s *Store) Stats() Stats {
 // asynchronous write (§5.2). Writers are single-threaded; concurrent
 // threads each own their writer/chunk.
 type Writer struct {
-	s     *Store
-	chunk int
-	buf   []byte
-	fill  int
-	offs  []entryLoc
-}
-
-type entryLoc struct {
-	localOff uint64 // chunk-local offset within the store
-	hsitIdx  uint64
-	valueLen int
+	s       *Store
+	chunk   int
+	buf     []byte
+	fill    int
+	entries []Entry
 }
 
 // NewWriter allocates a free chunk and returns a writer for it. Only the
@@ -333,19 +315,48 @@ func (s *Store) NewWriter() (*Writer, error) { return s.NewWriterReserve(0) }
 // write paths (PWB reclamation, scan rewrite) must pass a positive
 // reserve or the store can wedge with zero free chunks and no way for GC
 // to make progress.
+//
+// A writer a previous owner Released comes back with its buffers; a new
+// one is allocated only until the writers in use at once have all been
+// through here.
 func (s *Store) NewWriterReserve(reserve int) (*Writer, error) {
-	idx, err := s.allocChunk(reserve)
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n <= reserve {
+		return nil, ErrNoFreeChunk
 	}
-	return &Writer{s: s, chunk: idx, buf: make([]byte, s.chunkSize)}, nil
+	idx := s.free[n-1]
+	s.free = s.free[:n-1]
+	s.chunks[idx].state.Store(chunkWriting)
+	var w *Writer
+	if k := len(s.spare); k > 0 {
+		w, s.spare = s.spare[k-1], s.spare[:k-1]
+	} else {
+		w = &Writer{s: s, buf: make([]byte, s.chunkSize)}
+	}
+	w.chunk = idx
+	return w, nil
+}
+
+// Release hands the writer's chunk buffer and entry slice back to the
+// store for the next NewWriter, once its chunk is committed or aborted.
+// The entries Commit returned alias that slice: the caller must be done
+// with them, and with the writer. Release is optional — a writer that is
+// simply dropped is garbage-collected — but a steady writer (the PWB
+// reclaimer) that releases allocates nothing per chunk.
+func (w *Writer) Release() {
+	w.fill, w.entries = 0, w.entries[:0]
+	w.s.mu.Lock()
+	w.s.spare = append(w.s.spare, w)
+	w.s.mu.Unlock()
 }
 
 // Room reports whether a value of n bytes fits in the remaining space.
 func (w *Writer) Room(n int) bool { return w.fill+RecordSize(n) <= len(w.buf) }
 
 // Len returns the number of records staged.
-func (w *Writer) Len() int { return len(w.offs) }
+func (w *Writer) Len() int { return len(w.entries) }
 
 // Add stages a record. It returns the record's store-local offset (what
 // the HSIT forward pointer will hold, before the device tag) and false if
@@ -356,7 +367,7 @@ func (w *Writer) Add(hsitIdx uint64, value []byte) (localOff uint64, ok bool) {
 	}
 	n := EncodeRecord(w.buf[w.fill:], hsitIdx, value)
 	localOff = uint64(w.chunk*w.s.chunkSize + w.fill)
-	w.offs = append(w.offs, entryLoc{localOff: localOff, hsitIdx: hsitIdx, valueLen: len(value)})
+	w.entries = append(w.entries, Entry{LocalOff: localOff, HSITIdx: hsitIdx, ValueLen: len(value)})
 	w.fill += n
 	return localOff, true
 }
@@ -375,6 +386,8 @@ type Entry struct {
 // superseded mid-flight, §5.2) must be un-marked with Invalidate.
 //
 // Commit with zero staged records releases the chunk and returns at.
+// The returned entries belong to the writer: they stay valid until
+// Release.
 func (w *Writer) Commit(at int64) (doneTime int64, entries []Entry) {
 	if w.fill == 0 {
 		w.s.releaseChunk(w.chunk)
@@ -390,15 +403,13 @@ func (w *Writer) Commit(at int64) (doneTime int64, entries []Entry) {
 
 	c := &w.s.chunks[w.chunk]
 	c.fill.Store(int32(w.fill))
-	entries = make([]Entry, len(w.offs))
-	for i, e := range w.offs {
-		c.setValid(int(e.localOff)%w.s.chunkSize, RecordSize(e.valueLen))
-		entries[i] = Entry{LocalOff: e.localOff, HSITIdx: e.hsitIdx, ValueLen: e.valueLen}
+	for _, e := range w.entries {
+		c.setValid(int(e.LocalOff)%w.s.chunkSize, RecordSize(e.ValueLen))
 	}
 	c.state.Store(chunkLive)
 	w.s.chunksWritten.Add(1)
 	w.s.bytesWritten.Add(int64(w.fill))
-	return done, entries
+	return done, w.entries
 }
 
 // Abort releases the writer's chunk without writing.
@@ -537,6 +548,7 @@ func (s *Store) GC(at int64, maxVictims int, relocate func(hsitIdx, oldOff, newO
 				s.Invalidate(e.LocalOff, e.ValueLen)
 			}
 		}
+		w.Release()
 	}
 
 	// Phase 3: recycle fully migrated victims; victims still holding
@@ -645,6 +657,7 @@ func (s *Store) DemoteChunk(at int64, cursor int, dest *Store, reserve int, cold
 				dest.Invalidate(e.LocalOff, e.ValueLen)
 			}
 		}
+		w.Release()
 	}
 
 	if c.live.Load() == 0 {
