@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-module fuzz-smoke fault-smoke bench-record bench-check ci-check fmt-check tidy-check ci check-docs
+.PHONY: all build vet test race bench bench-smoke bench-module fuzz-smoke fault-smoke bench-record bench-check ci-check fmt-check tidy-check ci check-docs loc
 
 all: build
 
@@ -20,9 +20,11 @@ test:
 # TestPWBReclaimPublishStress in internal/core is its permanent
 # regression gate; TestShardBatchFanoutStress in internal/shard is the
 # equivalent gate for the cross-shard batch fan-out (re-run explicitly
-# with -count=1 so a cached pass can never mask it), and
+# with -count=1 so a cached pass can never mask it),
 # TestMixedSetReadersStress in internal/tcq for one-request and
-# multi-request readers sharing a combining queue. internal/bench's
+# multi-request readers sharing a combining queue, and TestGCChurnStress
+# in internal/core for reclaimers, Value Storage GC and the scan-range
+# rewrite relocating values at once (DESIGN.md §4.12). internal/bench's
 # full Fig 7 matrix exceeds CI timeouts under the detector's ~20x
 # slowdown, so that one package contributes a bounded concurrent-load
 # smoke instead of its whole suite; every other package runs in full.
@@ -33,9 +35,18 @@ race:
 	$(GO) test -race -count=1 -run 'TestMigrationMidFlightStress$$' ./internal/shard
 	$(GO) test -race -count=1 -run 'TestAsyncCompletionStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAdaptiveWatermarkBurstStress$$' ./internal/core
+	$(GO) test -race -count=1 -run 'TestGCChurnStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$' ./internal/server
 	$(GO) test -race -count=1 -run 'TestMixedSetReadersStress$$' ./internal/tcq
+
+# loc prints the non-blank, non-comment lines of non-test Go code per
+# package — the measure ROADMAP.md and CHANGES.md quote when a PR claims
+# to have removed code (per file: grep -cvE '^\s*(//.*)?$$' file.go).
+loc:
+	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//.*)?$$'); \
+		printf '%6d %s\n' $$n .$${d#$(CURDIR)}; done
 
 # fmt-check fails (listing the files) if any file needs gofmt.
 fmt-check:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -31,15 +32,6 @@ func (s *Store) reclaimLoop(i int) {
 	}
 }
 
-// liveRec is one well-coupled PWB record on its way to Value Storage.
-// val is wherever the caller read the value: the reclaimer passes views
-// into the ring (pwb.Record.Value), recovery passes copies.
-type liveRec struct {
-	idx    uint64
-	devOff uint64
-	val    []byte
-}
-
 // reclaimer is one ring's reclaim pass state. Whoever holds mu is the
 // ring's single scan owner for the pass — the ring's reclaimLoop
 // goroutine, or under SyncVSWrites its application thread; tests that
@@ -47,7 +39,7 @@ type liveRec struct {
 // It guards the ring's reclaim cursor and the pass's scratch.
 type reclaimer struct {
 	mu        sync.Mutex
-	live, hot []liveRec
+	live, hot []valuestore.Move
 }
 
 // reclaimBuffer migrates the well-coupled (live) values of one PWB into
@@ -98,10 +90,18 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 		// are skipped — only the latest version reaches the SSD, which
 		// is where the write-traffic reduction comes from.
 		if p.Media == hsit.PWB && p.Off == rec.DevOff && p.Len == len(rec.Value) {
-			live = append(live, liveRec{idx: rec.HSITIdx, devOff: rec.DevOff, val: rec.Value})
+			live = append(live, valuestore.Move{HSITIdx: rec.HSITIdx, Old: rec.DevOff, Value: rec.Value})
 		}
 		return true
 	})
+	if cap(live) > cap(r.live) {
+		// The scratch grew: take it at once to what a full ring of records
+		// this size holds. How large a pass gets depends on how far the
+		// writers ran ahead of this goroutine, and a scratch that grew a
+		// step at a time reallocated ~100 KiB whenever timing produced a
+		// new largest pass, long after the store had warmed up.
+		live = slices.Grow(live, int(scanned*int64(b.Size())/int64(to-from))-len(live))
+	}
 	r.live = live[:0]
 	s.stats.pwbScanned.Add(scanned)
 	if err != nil {
@@ -123,7 +123,7 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 		// the SSD soonest — cold values to the capacity device.
 		hot, cold := r.hot[:0], live[:0]
 		for _, rec := range live {
-			if s.hotIdx(rec.idx) {
+			if s.hotIdx(rec.HSITIdx) {
 				hot = append(hot, rec)
 			} else {
 				cold = append(cold, rec)
@@ -161,73 +161,78 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 	}
 }
 
-// migrate writes recs into Value Storage, chunk by chunk, and swings
-// their HSIT pointers from the PWB to the new location; it is the
-// reclaimer's and recovery's one way out of the ring. target >= 0 pins
-// the destination (tier steering, with hot the heat class being placed);
-// -1 keeps the paper's idle-device selection. When the chosen store is
-// out of chunks the records spill to any device with space (counted as
-// fallback bytes — availability beats placement). reserve is how many
-// free chunks a store keeps back: gcReserve for the reclaimer, or GC can
-// wedge; nothing for recovery, which has to finish for the store to come
-// back and runs with GC stopped. It returns false when no device has
-// space, with recs partly migrated.
-func (s *Store) migrate(clk *sim.Clock, rng *sim.RNG, recs []liveRec, target int, hot bool, reserve func(*valuestore.Store) int) bool {
-	for len(recs) > 0 {
-		var devIdx int
-		var st *valuestore.Store
-		steered := target >= 0
-		if steered {
-			devIdx, st = target, s.vsm.Stores[target]
-		} else {
-			devIdx, st = s.vsm.PickIdle(rng)
+// settleHook is a test seam: when set, it runs at the top of every settle
+// callback in this package — after a chunk's device write, before the
+// record's HSIT pointer swings to it.
+var settleHook func()
+
+// migrate writes recs — well-coupled PWB records, Old their ring offset,
+// Value wherever the caller read them (the reclaimer passes views into
+// the ring, recovery copies) — into Value Storage, one WriteChunk per
+// chunk, and swings their HSIT pointers from the PWB to the new location;
+// it is the reclaimer's and recovery's one way out of the ring. target >=
+// 0 pins the destination (tier steering, with hot the heat class being
+// placed); -1 keeps the paper's idle-device selection. When the chosen
+// store is out of chunks the records spill to any device with space
+// (counted as fallback bytes — availability beats placement). reserve is
+// how many free chunks a store keeps back: gcReserve for the reclaimer,
+// or GC can wedge; nothing for recovery, which has to finish for the
+// store to come back and runs with GC stopped. It returns false when no
+// device has space, with recs partly migrated.
+func (s *Store) migrate(clk *sim.Clock, rng *sim.RNG, recs []valuestore.Move, target int, hot bool, reserve func(*valuestore.Store) int) bool {
+	var devIdx int
+	var st *valuestore.Store
+	settle := func(i int, e valuestore.Entry) bool {
+		if settleHook != nil {
+			settleHook()
 		}
-		w, err := st.NewWriterReserve(reserve(st))
-		if err != nil {
-			// This store is out of chunks; kick its GC and try any other.
+		if target >= 0 {
+			steered := devIdx == target
+			switch {
+			case hot && steered:
+				s.stats.tierHotSteered.Add(int64(e.ValueLen))
+			case hot:
+				s.stats.tierHotFallback.Add(int64(e.ValueLen))
+			case steered:
+				s.stats.tierColdSteered.Add(int64(e.ValueLen))
+			default:
+				s.stats.tierColdFallback.Add(int64(e.ValueLen))
+			}
+		}
+		old := hsit.Pointer{Media: hsit.PWB, Len: e.ValueLen, Off: recs[i].Old}
+		newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
+		if !s.table.PublishIf(clk, e.HSITIdx, old, newp) {
+			// A foreground write superseded this value mid-flight.
+			s.stats.reclaimPublishLost.Add(1)
+			return false
+		}
+		s.stats.pwbLiveMigrated.Add(1)
+		// First landing of this user value on an SSD: credit the
+		// per-device WAF denominator.
+		st.AttributeUserBytes(int64(e.ValueLen))
+		return true
+	}
+	for len(recs) > 0 {
+		devIdx = target
+		if target < 0 {
+			devIdx, _ = s.vsm.PickIdle(rng)
+		}
+		// The chosen store first; when it is out of chunks, kick its GC
+		// and try every store in turn.
+		for next := 0; ; next++ {
+			st = s.vsm.Stores[devIdx]
+			n, err := st.WriteChunk(clk, reserve(st), recs, settle)
+			if err == nil {
+				recs = recs[n:]
+				break
+			}
 			s.kickGC(devIdx, clk.Now())
-			w, devIdx, st = s.anyWriter(clk.Now(), reserve)
-			if w == nil {
+			if next == len(s.vsm.Stores) {
 				return false
 			}
-			steered = steered && devIdx == target
+			devIdx = next
 		}
-		n := 0
-		for n < len(recs) && w.Room(len(recs[n].val)) {
-			w.Add(recs[n].idx, recs[n].val)
-			n++
-		}
-		done, entries := w.Commit(clk.Now())
-		clk.AdvanceTo(done)
-		for j, e := range entries {
-			if target >= 0 {
-				switch {
-				case hot && steered:
-					s.stats.tierHotSteered.Add(int64(e.ValueLen))
-				case hot:
-					s.stats.tierHotFallback.Add(int64(e.ValueLen))
-				case steered:
-					s.stats.tierColdSteered.Add(int64(e.ValueLen))
-				default:
-					s.stats.tierColdFallback.Add(int64(e.ValueLen))
-				}
-			}
-			old := hsit.Pointer{Media: hsit.PWB, Len: e.ValueLen, Off: recs[j].devOff}
-			newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
-			if s.table.PublishIf(clk, e.HSITIdx, old, newp) {
-				s.stats.pwbLiveMigrated.Add(1)
-				// First landing of this user value on an SSD: credit
-				// the per-device WAF denominator.
-				st.AttributeUserBytes(int64(e.ValueLen))
-			} else {
-				// A foreground write superseded this value mid-flight.
-				s.stats.reclaimPublishLost.Add(1)
-				st.Invalidate(e.LocalOff, e.ValueLen)
-			}
-		}
-		w.Release()
 		s.maybeKickGC(devIdx, st, clk.Now())
-		recs = recs[n:]
 	}
 	return true
 }
@@ -240,17 +245,6 @@ func (s *Store) gcReserve(st *valuestore.Store) int {
 		r = 2
 	}
 	return r
-}
-
-// anyWriter tries every store for a free chunk beyond its reserve.
-func (s *Store) anyWriter(now int64, reserve func(*valuestore.Store) int) (*valuestore.Writer, int, *valuestore.Store) {
-	for di, st := range s.vsm.Stores {
-		if w, err := st.NewWriterReserve(reserve(st)); err == nil {
-			return w, di, st
-		}
-		s.kickGC(di, now)
-	}
-	return nil, 0, nil
 }
 
 func (s *Store) maybeKickGC(devIdx int, st *valuestore.Store, now int64) {
@@ -313,11 +307,10 @@ func (s *Store) onScanEvict(chain svc.EvictedChain) {
 		return string(entries[a].Key) < string(entries[b].Key)
 	})
 
-	type staged struct {
-		e   *svc.Entry
-		old hsit.Pointer
-	}
-	var todo []staged
+	// todo[i] is a value to rewrite — Old its global offset — and vers[i]
+	// the publish version its cached bytes were admitted under.
+	var todo []valuestore.Move
+	var vers []uint64
 	for _, e := range entries {
 		// Only values still resident in Value Storage with unchanged
 		// content participate; anything updated meanwhile is skipped.
@@ -330,7 +323,8 @@ func (s *Store) onScanEvict(chain svc.EvictedChain) {
 		}
 		p := s.table.Load(clk, e.HSITIdx)
 		if p.Media == hsit.VS && p.Len == len(e.Value) {
-			todo = append(todo, staged{e: e, old: p})
+			todo = append(todo, valuestore.Move{HSITIdx: e.HSITIdx, Old: p.Off, Value: e.Value})
+			vers = append(vers, e.Ver)
 		}
 	}
 	if len(todo) < 2 {
@@ -342,8 +336,8 @@ func (s *Store) onScanEvict(chain svc.EvictedChain) {
 	// spatial locality; once created, the range stays put.)
 	adjacent := 0
 	for i := 1; i < len(todo); i++ {
-		prev, cur := todo[i-1].old, todo[i].old
-		gap := int64(cur.Off) - int64(prev.Off) - int64(valuestore.RecordSize(prev.Len))
+		prev, cur := todo[i-1], todo[i]
+		gap := int64(cur.Old) - int64(prev.Old) - int64(valuestore.RecordSize(len(prev.Value)))
 		if gap >= 0 && gap <= mergeGap {
 			adjacent++
 		}
@@ -363,41 +357,29 @@ func (s *Store) onScanEvict(chain svc.EvictedChain) {
 
 	rng := sim.NewRNG(uint64(clk.Now()) | 1)
 	devIdx, st := s.vsm.PickIdle(rng)
-	w, err := st.NewWriterReserve(s.gcReserve(st))
-	if err != nil {
-		return // no space: skip the rewrite, correctness unaffected
-	}
-	var batch []staged
-	commit := func() {
-		done, committed := w.Commit(clk.Now())
-		clk.AdvanceTo(done)
-		for j, ce := range committed {
-			newp := hsit.Pointer{Media: hsit.VS, Len: ce.ValueLen, Off: valuestore.GlobalOff(devIdx, ce.LocalOff)}
+	for wrote := false; len(todo) > 0; wrote = true {
+		n, err := st.WriteChunk(clk, s.gcReserve(st), todo, func(i int, e valuestore.Entry) bool {
+			if settleHook != nil {
+				settleHook()
+			}
+			newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
 			// Version-conditioned publish: the old offset may have been
 			// recycled since staging, so a pointer-word compare could
 			// alias (ABA) and clobber a newer value. The version cannot.
-			if s.table.PublishIfVersion(clk, ce.HSITIdx, batch[j].e.Ver, newp) {
-				s.vsm.Invalidate(batch[j].old.Off, batch[j].old.Len)
-			} else {
-				st.Invalidate(ce.LocalOff, ce.ValueLen)
+			if !s.table.PublishIfVersion(clk, e.HSITIdx, vers[i], newp) {
+				return false
 			}
-		}
-		w.Release()
-		batch = nil
-	}
-	for _, t := range todo {
-		if !w.Room(len(t.e.Value)) {
-			commit()
-			w, err = st.NewWriterReserve(s.gcReserve(st))
-			if err != nil {
-				s.stats.scanRewrites.Add(1)
-				return
+			s.vsm.Invalidate(todo[i].Old, e.ValueLen)
+			return true
+		})
+		if err != nil {
+			if !wrote {
+				return // no space: skip the rewrite, correctness unaffected
 			}
+			break
 		}
-		w.Add(t.e.HSITIdx, t.e.Value)
-		batch = append(batch, t)
+		todo, vers = todo[n:], vers[n:]
 	}
-	commit()
 	s.stats.scanRewrites.Add(1)
 	s.maybeKickGC(devIdx, st, clk.Now())
 }

@@ -95,12 +95,16 @@ func BenchmarkReclaimPass(b *testing.B) {
 }
 
 // TestReclaimPassAllocs is the allocation gate of the reclaim path: a
-// steady-state pass allocates a constant number of objects however many
-// records it migrates (its closure, one completion slice per chunk
-// write), not one or more per record — values are views into the ring,
-// and the scratch slices, chunk buffers, entry slices and device staging
-// buffers are all reused. The measured function includes the puts that
-// refill the ring, which allocate nothing.
+// steady-state pass allocates one object per chunk it writes — the
+// device's completion slice — and nothing per record or per pass: values
+// are views into the ring, the settle closure stays on the stack, and the
+// scratch slices, chunk buffers, entry slices and device staging buffers
+// are all reused. 1,000 records of 1 KiB are two chunks and 3,000 are
+// six, so the bounds are the measured 4 and 8 with room for one stray
+// object, not for a second object per chunk (at ~504 records a chunk, 32
+// bytes per chunk is +17% bytes_per_op on the benchmark's write-churn).
+// The measured function includes the puts that refill the ring, which
+// allocate nothing.
 func TestReclaimPassAllocs(t *testing.T) {
 	perRound := func(records int) float64 {
 		r := newReclaimBench(t, records)
@@ -111,10 +115,30 @@ func TestReclaimPassAllocs(t *testing.T) {
 	}
 	small, large := perRound(1000), perRound(3000)
 	t.Logf("allocations per round: %.0f at 1,000 records, %.0f at 3,000", small, large)
-	if small > 16 {
-		t.Errorf("a pass over 1,000 live records allocated %.0f objects", small)
+	if small > 5 {
+		t.Errorf("a pass over 1,000 live records (2 chunks) allocated %.0f objects", small)
 	}
-	if large-small > 12 {
-		t.Errorf("allocations grow with the records migrated: %.0f at 1,000, %.0f at 3,000", small, large)
+	if large-small > 5 {
+		t.Errorf("4 more chunks cost %.0f more objects: %.0f at 1,000 records, %.0f at 3,000", large-small, small, large)
+	}
+}
+
+// The pass scratch is sized by the ring, not by the largest pass so far:
+// a pass three times the size of every earlier one does not reallocate
+// it. (Grown a step at a time it cost ~100 KiB whenever timing produced a
+// new largest pass — the whole spread of the benchmark's bytes_per_op.)
+func TestReclaimScratchSizedOnce(t *testing.T) {
+	r := newReclaimBench(t, 1000) // warm-up passes of 1,000 live records; the ring holds 4,000
+	before, migrated0 := cap(r.s.reclaimers[0].live), r.s.Stats().PWBLiveMigrated
+	for i := len(r.keys); i < 3000; i++ {
+		r.keys = append(r.keys, key(i))
+	}
+	r.load(t)
+	r.pass()
+	if got := r.s.Stats().PWBLiveMigrated - migrated0; got != 3000 {
+		t.Fatalf("the large pass migrated %d records, want 3,000", got)
+	}
+	if after := cap(r.s.reclaimers[0].live); after != before || before < 3000 {
+		t.Fatalf("scratch capacity %d after 1,000-record passes, %d after a 3,000-record pass", before, after)
 	}
 }

@@ -93,7 +93,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	}
 	reachable := make([]map[uint64]bool, workers)
 	lost := make([][]pair, workers)
-	pwbVals := make([][]liveRec, workers)
+	pwbVals := make([][]valuestore.Move, workers)
 	clocks := make([]*sim.Clock, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -114,7 +114,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 						continue
 					}
 					val := s.pwbOf(p.Off).ReadValue(clk, p.Off, p.Len)
-					pwbVals[w] = append(pwbVals[w], liveRec{idx: pr.idx, devOff: p.Off, val: val})
+					pwbVals[w] = append(pwbVals[w], valuestore.Move{HSITIdx: pr.idx, Old: p.Off, Value: val})
 					reach[pr.idx] = true
 				case hsit.VS:
 					s.vsm.MarkRecovered(p.Off, p.Len)
@@ -156,7 +156,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	// reset (their volatile cursors are unknown after the crash).
 	drainClk := sim.NewClock(rep.VirtualNS)
 	rng := sim.NewRNG(s.opt.Seed ^ 0x5ec0)
-	var drain []liveRec
+	var drain []valuestore.Move
 	for w := 0; w < workers; w++ {
 		drain = append(drain, pwbVals[w]...)
 	}

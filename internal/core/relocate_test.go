@@ -1,0 +1,313 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/hsit"
+	"repro/internal/sim"
+	"repro/internal/svc"
+	"repro/internal/valuestore"
+)
+
+// runClaimers is the worst neighbour a relocation can have: one GC pass
+// over every Value Storage with every sparse chunk a victim, then a
+// demotion sweep of every chunk of every store into the next store
+// (sparing the entries in pinned), each with the production conditional
+// publish. Run from inside a settle callback it finds the caller's chunk
+// written and marked valid while HSIT does not point at its records yet.
+func runClaimers(s *Store, pinned map[uint64]bool) {
+	clk := sim.NewClock(0)
+	swing := func(from, to int) func(idx, oldOff, newOff uint64, vlen int) bool {
+		return func(idx, oldOff, newOff uint64, vlen int) bool {
+			return s.table.PublishIf(clk, idx,
+				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(from, oldOff)},
+				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(to, newOff)})
+		}
+	}
+	for di, st := range s.vsm.Stores {
+		st.GC(0, st.Chunks(), swing(di, di))
+	}
+	for di, st := range s.vsm.Stores {
+		to := (di + 1) % len(s.vsm.Stores)
+		for cursor := 0; ; {
+			next, _, _ := st.DemoteChunk(0, cursor, s.vsm.Stores[to], 0, func(idx uint64) bool { return !pinned[idx] }, swing(di, to))
+			if next <= cursor {
+				break // nothing claimable, or the sweep wrapped
+			}
+			cursor = next
+		}
+	}
+}
+
+// TestClaimersInsideSettle runs GC and DemoteChunk from inside the settle
+// callback of every caller of the relocation path. A chunk is claimable
+// only once its writer has settled every record, so the claimers must
+// leave the chunk being settled alone, and afterwards every key is
+// well-coupled and readable. (With a chunk sealed at its device write, GC
+// takes the short fresh chunk as its best victim, finds its unpublished
+// records refused, frees it, and the caller then points HSIT into a free
+// chunk: "VS record has a clear validity bit".)
+func TestClaimersInsideSettle(t *testing.T) {
+	type row struct {
+		s      *Store
+		th     *Thread
+		clk    *sim.Clock
+		rng    *sim.RNG
+		want   map[string][]byte
+		next   int
+		pinned map[uint64]bool // HSIT entries the claimers' demotion spares
+	}
+	var armed atomic.Pointer[row]
+	var calls atomic.Int64
+	settleHook = func() {
+		if r := armed.Load(); r != nil {
+			calls.Add(1)
+			runClaimers(r.s, r.pinned)
+		}
+	}
+	t.Cleanup(func() { settleHook = nil }) // after every row's store has closed
+
+	// put writes n fresh keys (or rewrites keys [from, from+n) when from
+	// >= 0) and leaves them in the ring.
+	put := func(t *testing.T, r *row, from, n int, val func(int) []byte) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			k := from + i
+			if from < 0 {
+				k = r.next
+				r.next++
+			}
+			if err := r.th.Put(key(k), val(k)); err != nil {
+				t.Fatal(err)
+			}
+			r.want[string(key(k))] = val(k)
+		}
+	}
+	// seed leaves every store a one-shot key can land on (under tiering:
+	// the capacity tier) with two or more sparse sealed chunks, so a GC
+	// pass there always nets a chunk and has the fresh one to covet.
+	seed := func(t *testing.T, r *row, val func(int) []byte) {
+		t.Helper()
+		for round := 0; ; round++ {
+			sparse := true
+			for di, st := range r.s.vsm.Stores {
+				sparse = sparse && (st.Stats().LiveChunks >= 2 || r.s.tiered() && di != r.s.tierCap)
+			}
+			if sparse {
+				return
+			}
+			if round == 64 {
+				t.Fatal("seeding never left two live chunks on every store")
+			}
+			put(t, r, -1, 6, val)
+			pass(r.s, r.clk, r.rng)
+		}
+	}
+	val512 := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 512) }
+
+	callers := []struct {
+		name   string
+		tiered bool
+		run    func(t *testing.T, r *row)
+	}{
+		{"reclaim", false, func(t *testing.T, r *row) {
+			seed(t, r, value)
+			put(t, r, -1, 6, value)
+			put(t, r, 0, 3, func(i int) []byte { return value(i + 1000) }) // supersede seeded records too
+			armed.Store(r)
+			pass(r.s, r.clk, r.rng)
+		}},
+		{"recovery drain", false, func(t *testing.T, r *row) {
+			seed(t, r, value)
+			put(t, r, -1, 6, value)
+			r.s.Crash()
+			armed.Store(r)
+			rep, err := r.s.Recover()
+			if err != nil || rep.PWBValuesDrained != 6 || rep.LostKeys != 0 {
+				t.Fatalf("recovery: %+v, %v", rep, err)
+			}
+		}},
+		{"scan rewrite", false, func(t *testing.T, r *row) {
+			// The chain: four keys of one dense chunk (GC passes over it),
+			// more than mergeGap apart, pinned against the claimers'
+			// demotion — so the rewrite's own publishes win.
+			put(t, r, -1, 240, value) // 64-byte records: 15 of the chunk's 16 KiB
+			pass(r.s, r.clk, r.rng)
+			seed(t, r, value)
+			var chain svc.EvictedChain
+			for k := 0; k < 240; k += 70 {
+				idx := mustIdx(t, r.s, k)
+				r.pinned[idx] = true
+				chain.Entries = append(chain.Entries, &svc.Entry{
+					HSITIdx: idx, Key: key(k), Value: value(k), Ver: r.s.table.Version(idx),
+				})
+			}
+			r.s.svcMu.Lock()
+			r.s.svcClk.AdvanceTo(10_000_000) // past the rewrite pacing interval
+			r.s.svcMu.Unlock()
+			armed.Store(r)
+			r.s.onScanEvict(chain)
+			for _, e := range chain.Entries {
+				if r.s.table.Version(e.HSITIdx) == e.Ver {
+					t.Fatalf("key %s was not rewritten", e.Key)
+				}
+			}
+		}},
+		{"demotion", true, func(t *testing.T, r *row) {
+			seed(t, r, val512) // one-shot keys: cold, capacity tier
+			// 40 keys written twice are hot and fill two of the fast tier's
+			// four chunks: half full, the demotion threshold.
+			hot0 := r.next
+			put(t, r, -1, 40, val512)
+			pass(r.s, r.clk, r.rng)
+			put(t, r, hot0, 40, val512)
+			pass(r.s, r.clk, r.rng)
+			if dev := vsDevice(r.s, key(hot0)); dev != r.s.tierFast {
+				t.Fatalf("hot key on device %d, fast tier is %d", dev, r.s.tierFast)
+			}
+			// Cool every other one: age the heat clock past the window, then
+			// touch half of them again. From the first cooled key on,
+			// maintenanceLoop's own demoteStep may get there first: arm now.
+			armed.Store(r)
+			for i := 0; i < 2*int(r.s.heat.window); i++ {
+				r.s.heat.Touch(uint64(r.s.opt.HSITCapacity - 1))
+			}
+			for k := hot0; k < hot0+40; k += 2 {
+				r.s.heat.Touch(mustIdx(t, r.s, k))
+				r.s.heat.Touch(mustIdx(t, r.s, k))
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for cursor := 0; r.s.stats.tierDemotions.Load() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("nothing demoted from a half-full fast tier of cooled keys")
+				}
+				cursor = r.s.demoteStep(r.clk, cursor) // beside maintenanceLoop's own
+			}
+		}},
+	}
+	for _, c := range callers {
+		t.Run(c.name, func(t *testing.T) {
+			var s *Store
+			if c.tiered {
+				s = tieredStore(t, func(o *Options) {
+					o.SSDConfigs[0].Size = 64 << 10 // four chunks
+					o.ReclaimWatermark = 0.95
+					o.DisableSVC = true
+				})
+			} else {
+				s = quietReclaim(t)
+			}
+			r := &row{s: s, th: s.Thread(0), clk: sim.NewClock(0), rng: sim.NewRNG(1), want: map[string][]byte{}, pinned: map[uint64]bool{}}
+			calls.Store(0)
+			c.run(t, r)
+			armed.Store(nil)
+			if calls.Load() == 0 {
+				t.Fatal("no settle callback ran")
+			}
+			if rep := s.CheckInvariants(); !rep.OK() {
+				t.Fatalf("invariants after %d settles with claimers inside: %v", calls.Load(), rep.Problems)
+			}
+			for k, want := range r.want {
+				if got, err := r.th.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("key %s = %.16q, %v; want %.16q", k, got, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestGCChurnStress is the gate for running with garbage collection on:
+// two writers overwrite a small key set on 40 MiB devices with the
+// default GC threshold and the scan-range rewrite enabled, so reclaimers,
+// GC and the rewrite all relocate values at once, for a bounded time. No
+// operation may fail — a Get spinning out with "kept moving" or a Put
+// with "reclamation stalled" is what a chunk claimed from under its
+// publisher looks like from outside — every writer reads its own last
+// write, and the store ends well-coupled.
+func TestGCChurnStress(t *testing.T) {
+	const (
+		writers = 2
+		keys    = 6000 // per writer, 1 KiB values, written in random order
+		budget  = 3 * time.Second
+	)
+	s, err := Open(Options{
+		NumThreads:        writers,
+		PWBBytesPerThread: 256 << 10,
+		NumSSDs:           2,
+		SSDBytes:          40 << 20,
+		SVCBytes:          256 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	stop := time.Now().Add(budget)
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for ti := 0; ti < writers; ti++ {
+		wg.Add(1)
+		go func(ti int) {
+			defer wg.Done()
+			th := s.Thread(ti)
+			rng := sim.NewRNG(uint64(ti) + 1)
+			val := make([]byte, 1024)
+			keyOf := func(k int) []byte { return key(ti*keys + k) }
+			stamp := func(k, seq int) { copy(val, fmt.Sprintf("w%d-k%05d-s%09d", ti, k, seq)) }
+			for seq := 1; time.Now().Before(stop); seq++ {
+				k := rng.Intn(keys)
+				stamp(k, seq)
+				if err := th.Put(keyOf(k), val); err != nil {
+					errs <- fmt.Errorf("writer %d put: %w", ti, err)
+					return
+				}
+				switch rng.Uint64() % 16 {
+				case 0: // own last write
+					got, err := th.Get(keyOf(k))
+					if err != nil || !bytes.Equal(got, val) {
+						errs <- fmt.Errorf("writer %d key %d seq %d: got %.24q, %v", ti, k, seq, got, err)
+						return
+					}
+				case 1: // a range, chained in the SVC for the rewrite
+					start := rng.Intn(keys)
+					err := th.Scan(keyOf(start), 20, func(kv KV) bool { return true })
+					if err != nil {
+						errs <- fmt.Errorf("writer %d scan: %w", ti, err)
+						return
+					}
+				case 2, 3: // cold reads push scanned chains out of the SVC
+					if _, err := th.Get(keyOf(rng.Intn(keys))); err != nil && !errors.Is(err, ErrNotFound) {
+						errs <- fmt.Errorf("writer %d get: %w", ti, err)
+						return
+					}
+				}
+			}
+		}(ti)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	st := s.Stats()
+	t.Logf("%d puts, %d reclaims, %d GC runs moving %d values, %d scan rewrites",
+		st.Puts, st.Reclaims, st.VS.GCRuns, st.VS.GCLiveMoved, st.ScanRewrites)
+	// 40 MiB devices reach the GC threshold after some 20,000 puts: a
+	// plain run does many times that in its budget; under the race
+	// detector the budget can end first.
+	if st.VS.GCRuns == 0 && st.Puts >= 50_000 {
+		t.Error("GC never ran: the stress did not reach its subject")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.CheckInvariants(); !rep.OK() {
+		t.Fatalf("invariants violated after stress: %v", rep.Problems)
+	}
+}

@@ -232,6 +232,9 @@ func (s *Store) demoteStep(clk *sim.Clock, cursor int) int {
 	next, moved, done := fastSt.DemoteChunk(clk.Now(), cursor, capSt, s.gcReserve(capSt),
 		func(idx uint64) bool { return !s.hotIdx(idx) },
 		func(idx, oldLocal, newLocal uint64, vlen int) bool {
+			if settleHook != nil {
+				settleHook()
+			}
 			ok := s.table.PublishIf(clk, idx,
 				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(s.tierFast, oldLocal)},
 				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(s.tierCap, newLocal)})

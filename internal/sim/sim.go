@@ -67,6 +67,10 @@ type Resource struct {
 type window struct{ start, end int64 }
 
 // maxWindows bounds the busy list; old windows compress into the floor.
+// The first window allocates the list at this bound, so no later Acquire
+// allocates: how fragmented a schedule gets depends on goroutine timing,
+// and a list that grew on demand made the heap traffic of otherwise
+// identical runs differ by whole reallocations (up to 64 KiB each).
 const maxWindows = 4096
 
 // Acquire reserves busy ns of service beginning no earlier than at,
@@ -102,6 +106,9 @@ func (r *Resource) Acquire(at, busy int64) (start, end int64) {
 	case i < len(r.busy) && r.busy[i].start == end:
 		r.busy[i].start = start
 	default:
+		if r.busy == nil {
+			r.busy = make([]window, 0, maxWindows+1)
+		}
 		r.busy = append(r.busy, window{})
 		copy(r.busy[i+1:], r.busy[i:])
 		r.busy[i] = window{start, end}

@@ -122,6 +122,25 @@ func TestResourceBackfillsIdleGaps(t *testing.T) {
 	}
 }
 
+// However fragmented the schedule gets — past the window bound, so the
+// list is trimmed into the floor several times — only the first window
+// allocates.
+func TestResourceAcquireAllocatesOnce(t *testing.T) {
+	var r Resource
+	r.Acquire(0, 1)
+	at := int64(0)
+	allocs := testing.AllocsPerRun(3*maxWindows, func() {
+		at += 10 // a gap after every window: nothing merges
+		r.Acquire(at, 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("Acquire allocates %.2f objects per call after the first", allocs)
+	}
+	if r.floor == 0 || len(r.busy) > maxWindows {
+		t.Fatalf("list never trimmed: floor %d, %d windows", r.floor, len(r.busy))
+	}
+}
+
 func TestTransferNS(t *testing.T) {
 	cases := []struct {
 		bytes int

@@ -14,10 +14,17 @@
 //
 // Writes happen in chunk granularity to maximize SSD bandwidth;
 // allocating a free chunk is the only critical section, after which the
-// owning thread fills and submits its chunk independently (§5.2). Freed
-// chunks are recycled only after an epoch-based grace period so stale
-// readers are confined to reading stale-but-parseable bytes, which they
-// detect by re-validating the HSIT pointer.
+// owning thread fills and submits its chunk independently (§5.2). A chunk
+// with no valid record left is recycled at once, with no epoch grace
+// period: a reader holding a stale location checks the validity bit
+// before the IO and the record's backward pointer and length after it
+// (see releaseChunk).
+//
+// Everything that moves values into a chunk — PWB reclamation, the
+// recovery drain, GC, demotion, the scan-range rewrite — goes through
+// WriteChunk: pack, one device write, settle each record against HSIT,
+// and only then seal the chunk, so that no claimer (GC, DemoteChunk) can
+// take a chunk whose records are still being published.
 package valuestore
 
 import (
@@ -28,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/epoch"
+	"repro/internal/sim"
 	"repro/internal/ssd"
 )
 
@@ -81,7 +89,11 @@ func DecodeRecord(src []byte) (hsitIdx uint64, value []byte, ok bool) {
 	return binary.LittleEndian.Uint64(src[0:]), src[HeaderSize : HeaderSize+vlen], true
 }
 
-// Chunk states.
+// Chunk states. A chunk has one owner from the moment a writer takes it
+// off the free list (chunkWriting) until that writer has settled every
+// record and seals it (chunkLive); a claimer owns it again from
+// chunkLive -> chunkVictim until it seals or recycles it. Only a
+// chunkLive chunk is claimable.
 const (
 	chunkFree int32 = iota
 	chunkWriting
@@ -157,11 +169,11 @@ type Store struct {
 	Dev       *ssd.Device
 	chunkSize int
 	nchunks   int
-	em        *epoch.Manager
 
-	mu    sync.Mutex
-	free  []int
-	spare []*Writer // released writers, kept for their buffers
+	mu      sync.Mutex
+	free    []int
+	spare   []*Writer // released writers, kept for their buffers
+	readBuf []byte    // the claimers' victim read buffer, between passes
 
 	chunks []chunkMeta
 
@@ -186,8 +198,9 @@ func (s *Store) AttributeUserBytes(n int64) { s.userBytes.Add(n) }
 func (s *Store) UserBytes() int64 { return s.userBytes.Load() }
 
 // NewStore creates a store covering the whole device with chunkSize-byte
-// chunks (DefaultChunkSize if 0).
-func NewStore(dev *ssd.Device, chunkSize int, em *epoch.Manager) *Store {
+// chunks (DefaultChunkSize if 0). Chunks are recycled without an epoch
+// grace period (see releaseChunk), so the manager goes unused.
+func NewStore(dev *ssd.Device, chunkSize int, _ *epoch.Manager) *Store {
 	if chunkSize == 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -198,7 +211,7 @@ func NewStore(dev *ssd.Device, chunkSize int, em *epoch.Manager) *Store {
 	if n == 0 {
 		panic("valuestore: device smaller than one chunk")
 	}
-	s := &Store{Dev: dev, chunkSize: chunkSize, nchunks: n, em: em}
+	s := &Store{Dev: dev, chunkSize: chunkSize, nchunks: n}
 	s.chunks = make([]chunkMeta, n)
 	units := chunkSize / recordAlign
 	for i := range s.chunks {
@@ -211,9 +224,6 @@ func NewStore(dev *ssd.Device, chunkSize int, em *epoch.Manager) *Store {
 	return s
 }
 
-// ChunkSize returns the configured chunk size.
-func (s *Store) ChunkSize() int { return s.chunkSize }
-
 // Chunks returns the total chunk count.
 func (s *Store) Chunks() int { return s.nchunks }
 
@@ -222,11 +232,6 @@ func (s *Store) FreeChunks() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.free)
-}
-
-// Utilization returns the fraction of chunks not free.
-func (s *Store) Utilization() float64 {
-	return 1 - float64(s.FreeChunks())/float64(s.nchunks)
 }
 
 // releaseChunk returns a chunk to the free list immediately.
@@ -254,15 +259,34 @@ func (s *Store) releaseChunk(idx int) {
 	s.mu.Unlock()
 }
 
+// seal puts chunk idx (back) into service once its owner is done with it
+// — a writer that has settled every record, a claimer finished with its
+// victim — or recycles it when nothing in it is valid, and reports which.
+func (s *Store) seal(idx int) (recycled bool) {
+	s.chunks[idx].state.Store(chunkLive)
+	return s.recycleIfEmpty(idx)
+}
+
+// recycleIfEmpty frees chunk idx if it is in service with no valid
+// record. A chunk that empties while a writer or claimer still owns it is
+// left alone: the owner's seal recycles it.
+func (s *Store) recycleIfEmpty(idx int) bool {
+	c := &s.chunks[idx]
+	if c.live.Load() != 0 || !c.state.CompareAndSwap(chunkLive, chunkVictim) {
+		return false
+	}
+	s.releaseChunk(idx)
+	return true
+}
+
 // Invalidate clears the validity bit of the record of valueLen bytes at
 // localOff (the value was superseded, deleted, or migrated). It reports
 // whether the bit was set. An empty live chunk is reclaimed immediately.
 func (s *Store) Invalidate(localOff uint64, valueLen int) bool {
 	ci := int(localOff) / s.chunkSize
-	c := &s.chunks[ci]
-	cleared := c.clearValid(int(localOff)%s.chunkSize, RecordSize(valueLen))
-	if cleared && c.live.Load() == 0 && c.state.CompareAndSwap(chunkLive, chunkVictim) {
-		s.releaseChunk(ci)
+	cleared := s.chunks[ci].clearValid(int(localOff)%s.chunkSize, RecordSize(valueLen))
+	if cleared {
+		s.recycleIfEmpty(ci)
 	}
 	return cleared
 }
@@ -306,15 +330,16 @@ type Writer struct {
 	entries []Entry
 }
 
-// NewWriter allocates a free chunk and returns a writer for it. Only the
-// garbage collector uses this unreserved form.
+// NewWriter allocates a free chunk and returns a writer for it, with no
+// reserve held back: the form for a caller that fills chunks by hand (the
+// benchmark's valuestore.write_chunk rung, tests).
 func (s *Store) NewWriter() (*Writer, error) { return s.NewWriterReserve(0) }
 
 // NewWriterReserve allocates a chunk only while more than reserve free
 // chunks would remain — the headroom GC needs to compact into. Ordinary
-// write paths (PWB reclamation, scan rewrite) must pass a positive
-// reserve or the store can wedge with zero free chunks and no way for GC
-// to make progress.
+// write paths (PWB reclamation, scan rewrite, demotion) must pass a
+// positive reserve or the store can wedge with zero free chunks and no
+// way for GC to make progress; GC itself and the recovery drain pass 0.
 //
 // A writer a previous owner Released comes back with its buffers; a new
 // one is allocated only until the writers in use at once have all been
@@ -355,9 +380,6 @@ func (w *Writer) Release() {
 // Room reports whether a value of n bytes fits in the remaining space.
 func (w *Writer) Room(n int) bool { return w.fill+RecordSize(n) <= len(w.buf) }
 
-// Len returns the number of records staged.
-func (w *Writer) Len() int { return len(w.entries) }
-
 // Add stages a record. It returns the record's store-local offset (what
 // the HSIT forward pointer will hold, before the device tag) and false if
 // the chunk is full.
@@ -379,11 +401,34 @@ type Entry struct {
 	ValueLen int
 }
 
-// Commit submits the chunk write at virtual time `at`, waits for the
-// completion (returning its DoneTime), acknowledges it, marks every
-// record valid, and seals the chunk. The caller then publishes the new
-// locations in HSIT; records whose publication fails (the value was
-// superseded mid-flight, §5.2) must be un-marked with Invalidate.
+// write ships the staged records with one device write at virtual time
+// at, acknowledges it, marks every record valid and returns the write's
+// completion time. The chunk stays chunkWriting — readable, but not
+// claimable — until its owner seals it.
+func (w *Writer) write(at int64) (doneTime int64) {
+	s := w.s
+	comps := s.Dev.Submit(at, []ssd.Request{{
+		Op:     ssd.OpWrite,
+		Offset: int64(w.chunk * s.chunkSize),
+		Data:   w.buf[:w.fill],
+	}})
+	s.Dev.Ack(comps[0])
+
+	c := &s.chunks[w.chunk]
+	c.fill.Store(int32(w.fill))
+	for _, e := range w.entries {
+		c.setValid(int(e.LocalOff)%s.chunkSize, RecordSize(e.ValueLen))
+	}
+	s.chunksWritten.Add(1)
+	s.bytesWritten.Add(int64(w.fill))
+	return comps[0].DoneTime
+}
+
+// Commit writes the chunk at virtual time `at` and seals it with every
+// record valid, returning the write's completion time: the form for a
+// caller with nothing to publish (the benchmark's write_chunk rung,
+// tests). Whoever publishes the records in HSIT uses WriteChunk, which
+// seals only after the last record is settled.
 //
 // Commit with zero staged records releases the chunk and returns at.
 // The returned entries belong to the writer: they stay valid until
@@ -393,28 +438,60 @@ func (w *Writer) Commit(at int64) (doneTime int64, entries []Entry) {
 		w.s.releaseChunk(w.chunk)
 		return at, nil
 	}
-	comps := w.s.Dev.Submit(at, []ssd.Request{{
-		Op:     ssd.OpWrite,
-		Offset: int64(w.chunk * w.s.chunkSize),
-		Data:   w.buf[:w.fill],
-	}})
-	done := comps[0].DoneTime
-	w.s.Dev.Ack(comps[0])
-
-	c := &w.s.chunks[w.chunk]
-	c.fill.Store(int32(w.fill))
-	for _, e := range w.entries {
-		c.setValid(int(e.LocalOff)%w.s.chunkSize, RecordSize(e.ValueLen))
-	}
-	c.state.Store(chunkLive)
-	w.s.chunksWritten.Add(1)
-	w.s.bytesWritten.Add(int64(w.fill))
-	return done, w.entries
+	doneTime = w.write(at)
+	w.s.seal(w.chunk)
+	return doneTime, w.entries
 }
 
 // Abort releases the writer's chunk without writing.
 func (w *Writer) Abort() {
 	w.s.releaseChunk(w.chunk)
+}
+
+// Move is one value on its way into a fresh chunk: the HSIT entry it
+// belongs to, its bytes (a view the caller keeps stable until WriteChunk
+// returns), and Old, the caller's note of where the value is now — a PWB
+// offset, a local or a global Value Storage offset; WriteChunk never
+// looks at it.
+type Move struct {
+	HSITIdx uint64
+	Old     uint64
+	Value   []byte
+}
+
+// WriteChunk is the one relocation path (§5.2; DESIGN.md §4.12): it takes
+// a free chunk (leaving reserve of them, see NewWriterReserve), packs the
+// longest prefix of moves that fits — n of them, at least one — ships the
+// chunk with a single device write at clk, advances clk to the write's
+// completion, and then calls settle(i, e) for each packed record in
+// order: e is where moves[i] now also lives, and settle conditionally
+// swings the record's HSIT pointer there. A record whose settle returns
+// false (the value was superseded mid-flight) has its fresh copy
+// invalidated. Only after the last settle is the chunk sealed — or
+// recycled, if nothing in it stayed valid — so GC and DemoteChunk, which
+// claim sealed chunks only, can never read a chunk whose records HSIT
+// does not point at yet and mistake them for garbage.
+//
+// ErrNoFreeChunk means nothing was written. The caller loops over what is
+// left of moves, choosing a destination per chunk.
+func (s *Store) WriteChunk(clk *sim.Clock, reserve int, moves []Move, settle func(i int, e Entry) bool) (n int, err error) {
+	w, err := s.NewWriterReserve(reserve)
+	if err != nil {
+		return 0, err
+	}
+	for n < len(moves) && w.Room(len(moves[n].Value)) {
+		w.Add(moves[n].HSITIdx, moves[n].Value)
+		n++
+	}
+	clk.AdvanceTo(w.write(clk.Now()))
+	for i, e := range w.entries {
+		if !settle(i, e) {
+			s.Invalidate(e.LocalOff, e.ValueLen)
+		}
+	}
+	s.seal(w.chunk)
+	w.Release()
+	return n, nil
 }
 
 // ReadAt builds the read request for a record at localOff with the given
@@ -428,13 +505,89 @@ func (s *Store) ReadAt(localOff uint64, valueLen int) ssd.Request {
 	}
 }
 
+// takeReadBuf hands a claimer the store's victim read buffer, n bytes
+// long; putReadBuf returns it. Claimers running at once (GC beside
+// demotion) each get a buffer and the last one back is kept.
+func (s *Store) takeReadBuf(n int) []byte {
+	s.mu.Lock()
+	buf := s.readBuf
+	s.readBuf = nil
+	s.mu.Unlock()
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	return buf[:n]
+}
+
+func (s *Store) putReadBuf(buf []byte) {
+	s.mu.Lock()
+	s.readBuf = buf
+	s.mu.Unlock()
+}
+
+// claim takes chunk idx out of service for a relocation pass: the
+// chunkLive -> chunkVictim transition is the one GC and DemoteChunk
+// compete on, and one a chunk whose writer is still settling records
+// never offers. It reads the chunk at clk into buf (a chunk long) and
+// appends to moves, as views of buf, the valid records keep admits (nil
+// admits all). The victim stays readable — bitmap and data untouched —
+// until its claimer seals it.
+func (s *Store) claim(clk *sim.Clock, idx int, buf []byte, keep func(hsitIdx uint64) bool, moves []Move) ([]Move, bool) {
+	c := &s.chunks[idx]
+	if !c.state.CompareAndSwap(chunkLive, chunkVictim) {
+		return moves, false
+	}
+	buf = buf[:c.fill.Load()]
+	comps := s.Dev.Submit(clk.Now(), []ssd.Request{{Op: ssd.OpRead, Offset: int64(idx * s.chunkSize), Data: buf}})
+	clk.AdvanceTo(comps[0].DoneTime)
+	for off := 0; off < len(buf); {
+		hsitIdx, val, ok := DecodeRecord(buf[off:])
+		if !ok {
+			break
+		}
+		if c.isValid(off) && (keep == nil || keep(hsitIdx)) {
+			moves = append(moves, Move{HSITIdx: hsitIdx, Old: uint64(idx*s.chunkSize + off), Value: val})
+		}
+		off += RecordSize(len(val))
+	}
+	return moves, true
+}
+
+// evacuate writes moves — records of victims the caller claimed in s —
+// into chunks of dest. relocate must atomically swing HSIT[hsitIdx] from
+// this store's oldOff to dest's newOff (PublishIf) and report success: a
+// record that moved loses its bit here, so live accounting stays truthful
+// while the victim lingers; one that did not keeps it, and its victim
+// returns to service. When dest runs out of chunks the rest stay put. It
+// returns the records moved and their payload bytes.
+func (s *Store) evacuate(clk *sim.Clock, dest *Store, reserve int, moves []Move, relocate func(hsitIdx, oldOff, newOff uint64, valueLen int) bool) (moved int, bytes int64) {
+	for len(moves) > 0 {
+		n, err := dest.WriteChunk(clk, reserve, moves, func(i int, e Entry) bool {
+			old := moves[i].Old
+			if !relocate(e.HSITIdx, old, e.LocalOff, e.ValueLen) {
+				return false
+			}
+			s.chunks[int(old)/s.chunkSize].clearValid(int(old)%s.chunkSize, RecordSize(e.ValueLen))
+			moved++
+			bytes += int64(e.ValueLen)
+			return true
+		})
+		if err != nil {
+			break
+		}
+		moves = moves[n:]
+	}
+	return moved, bytes
+}
+
 // GC performs one garbage-collection pass (§5.2): it greedily selects up
 // to maxVictims live chunks with the fewest live bytes, migrates their
-// live records into fresh chunks, republishes their HSIT pointers via
-// relocate, and recycles the victims. relocate must atomically swing
-// HSIT[hsitIdx] from oldOff to newOff (PublishIf) and report success.
+// live records into as few fresh chunks as possible, republishes their
+// HSIT pointers via relocate (see evacuate), and recycles the victims it
+// emptied; a victim still holding a record — relocation refused, or no
+// chunk left to move it into — returns to service.
 //
-// Chunks that are still mostly live (>90% of their fill) are never chosen
+// Chunks that are still mostly live (>90% of a chunk) are never chosen
 // — compacting them writes nearly as much as it frees, the churn the
 // greedy policy exists to avoid.
 //
@@ -464,7 +617,6 @@ func (s *Store) GC(at int64, maxVictims int, relocate func(hsitIdx, oldOff, newO
 	if len(cands) > maxVictims {
 		cands = cands[:maxVictims]
 	}
-	done = at
 	// Only run when compaction nets at least one whole chunk; otherwise
 	// GC would copy a partial chunk into another partial chunk forever.
 	var gain int64
@@ -472,198 +624,61 @@ func (s *Store) GC(at int64, maxVictims int, relocate func(hsitIdx, oldOff, newO
 		gain += int64(s.chunkSize) - v.live
 	}
 	if len(cands) == 0 || gain < int64(s.chunkSize) {
-		return 0, done
+		return 0, at
 	}
 	s.gcRuns.Add(1)
 
-	// Phase 1: claim the victims and gather their live records. Claimed
-	// victims stay readable (their bitmaps and data are untouched) until
-	// phase 3.
-	type liveRec struct {
-		hsitIdx  uint64
-		localOff uint64
-		val      []byte
-	}
-	var liveRecs []liveRec
+	clk := sim.NewClock(at)
+	buf := s.takeReadBuf(len(cands) * s.chunkSize)
+	defer s.putReadBuf(buf)
+	var moves []Move
 	var claimed []int
-	for _, v := range cands {
-		c := &s.chunks[v.idx]
-		if !c.state.CompareAndSwap(chunkLive, chunkVictim) {
-			continue
-		}
-		claimed = append(claimed, v.idx)
-		fill := int(c.fill.Load())
-		buf := make([]byte, fill)
-		comps := s.Dev.Submit(done, []ssd.Request{{Op: ssd.OpRead, Offset: int64(v.idx * s.chunkSize), Data: buf}})
-		if comps[0].DoneTime > done {
-			done = comps[0].DoneTime
-		}
-		for off := 0; off < fill; {
-			hsitIdx, val, ok := DecodeRecord(buf[off:])
-			if !ok {
-				break
-			}
-			if c.isValid(off) {
-				liveRecs = append(liveRecs, liveRec{
-					hsitIdx:  hsitIdx,
-					localOff: uint64(v.idx*s.chunkSize + off),
-					val:      append([]byte(nil), val...),
-				})
-			}
-			off += RecordSize(len(val))
+	for i, v := range cands {
+		var ok bool
+		if moves, ok = s.claim(clk, v.idx, buf[i*s.chunkSize:], nil, moves); ok {
+			claimed = append(claimed, v.idx)
 		}
 	}
-
-	// Phase 2: pack every live record into as few output chunks as
-	// possible (a chunk is committed only when full or at the very end),
-	// then republish the locations.
-	i := 0
-	migrated := true
-	for i < len(liveRecs) {
-		w, err := s.NewWriter()
-		if err != nil {
-			// Out of chunks mid-GC: records from i on stay in their
-			// victims, which therefore cannot be released.
-			migrated = false
-			break
-		}
-		var batch []liveRec
-		for i < len(liveRecs) && w.Room(len(liveRecs[i].val)) {
-			w.Add(liveRecs[i].hsitIdx, liveRecs[i].val)
-			batch = append(batch, liveRecs[i])
-			i++
-		}
-		cdone, entries := w.Commit(done)
-		if cdone > done {
-			done = cdone
-		}
-		for j, e := range entries {
-			if relocate(e.HSITIdx, batch[j].localOff, e.LocalOff, e.ValueLen) {
-				s.gcLiveMoved.Add(1)
-				s.gcBytesMoved.Add(int64(e.ValueLen))
-				// Clear the old record's bit so live accounting stays
-				// truthful while the victim lingers.
-				s.chunks[int(batch[j].localOff)/s.chunkSize].clearValid(int(batch[j].localOff)%s.chunkSize, RecordSize(e.ValueLen))
-			} else {
-				s.Invalidate(e.LocalOff, e.ValueLen)
-			}
-		}
-		w.Release()
-	}
-
-	// Phase 3: recycle fully migrated victims; victims still holding
-	// unmigrated live records return to service.
+	moved, bytes := s.evacuate(clk, s, 0, moves, relocate)
+	s.gcLiveMoved.Add(int64(moved))
+	s.gcBytesMoved.Add(bytes)
 	for _, idx := range claimed {
-		c := &s.chunks[idx]
-		if migrated || c.live.Load() == 0 {
-			s.releaseChunk(idx)
+		if s.seal(idx) {
 			freed++
-		} else {
-			c.state.Store(chunkLive)
 		}
 	}
-	return freed, done
+	return freed, clk.Now()
 }
 
 // DemoteChunk is the tiering counterpart of GC: it claims the next live
-// chunk at or after cursor (wrapping), reads it, and relocates every
-// still-valid record for which cold returns true into dest — the
-// capacity tier. relocate must atomically swing the record's HSIT
-// pointer from this store's old local offset to dest's new local offset
-// (the caller composes the global offsets) and report success; failed
-// relocations invalidate the fresh copy instead. Hot records stay in
+// chunk at or after cursor (wrapping), and relocates every still-valid
+// record for which cold returns true into dest — the capacity tier —
+// holding back reserve of its chunks. relocate is evacuate's: the caller
+// composes the global offsets of the two stores. Hot records stay in
 // place, so a mostly-hot chunk just returns to service with holes where
 // its cold records were. A chunk left empty is recycled.
 //
 // One chunk per call keeps the pass incremental — the maintenance tick
 // paces demotion instead of a burst relocating the whole tier at once.
-// Claiming via the same chunkLive -> chunkVictim CAS as GC makes the two
-// passes mutually exclusive per chunk. Returns the cursor to resume
-// from, the number of records moved, and the virtual completion time.
+// Returns the cursor to resume from, the number of records moved, and the
+// virtual completion time.
 func (s *Store) DemoteChunk(at int64, cursor int, dest *Store, reserve int, cold func(hsitIdx uint64) bool, relocate func(hsitIdx, oldLocal, newLocal uint64, valueLen int) bool) (nextCursor, moved int, done int64) {
-	done = at
 	if cursor < 0 || cursor >= s.nchunks {
 		cursor = 0
 	}
-	ci := -1
-	var c *chunkMeta
+	clk := sim.NewClock(at)
+	buf := s.takeReadBuf(s.chunkSize)
+	defer s.putReadBuf(buf)
 	for i := 0; i < s.nchunks; i++ {
-		j := (cursor + i) % s.nchunks
-		cand := &s.chunks[j]
-		if cand.state.Load() != chunkLive || cand.live.Load() == 0 {
+		ci := (cursor + i) % s.nchunks
+		if s.chunks[ci].live.Load() == 0 {
 			continue
 		}
-		if cand.state.CompareAndSwap(chunkLive, chunkVictim) {
-			ci, c = j, cand
-			break
+		if moves, ok := s.claim(clk, ci, buf, cold, nil); ok {
+			moved, _ = s.evacuate(clk, dest, reserve, moves, relocate)
+			s.seal(ci)
+			return (ci + 1) % s.nchunks, moved, clk.Now()
 		}
 	}
-	if ci < 0 {
-		return cursor, 0, done
-	}
-	nextCursor = (ci + 1) % s.nchunks
-
-	// Read the chunk and gather its valid, cold records. The claimed
-	// chunk stays readable throughout (bitmap and data untouched until a
-	// record actually moves).
-	fill := int(c.fill.Load())
-	buf := make([]byte, fill)
-	comps := s.Dev.Submit(done, []ssd.Request{{Op: ssd.OpRead, Offset: int64(ci * s.chunkSize), Data: buf}})
-	if comps[0].DoneTime > done {
-		done = comps[0].DoneTime
-	}
-	type coldRec struct {
-		hsitIdx  uint64
-		localOff uint64
-		val      []byte
-	}
-	var recs []coldRec
-	for off := 0; off < fill; {
-		hsitIdx, val, ok := DecodeRecord(buf[off:])
-		if !ok {
-			break
-		}
-		if c.isValid(off) && cold(hsitIdx) {
-			recs = append(recs, coldRec{
-				hsitIdx:  hsitIdx,
-				localOff: uint64(ci*s.chunkSize + off),
-				val:      append([]byte(nil), val...),
-			})
-		}
-		off += RecordSize(len(val))
-	}
-
-	i := 0
-	for i < len(recs) {
-		w, err := dest.NewWriterReserve(reserve)
-		if err != nil {
-			break // capacity tier out of space: keep the rest hot-resident
-		}
-		var batch []coldRec
-		for i < len(recs) && w.Room(len(recs[i].val)) {
-			w.Add(recs[i].hsitIdx, recs[i].val)
-			batch = append(batch, recs[i])
-			i++
-		}
-		cdone, entries := w.Commit(done)
-		if cdone > done {
-			done = cdone
-		}
-		for j, e := range entries {
-			if relocate(e.HSITIdx, batch[j].localOff, e.LocalOff, e.ValueLen) {
-				moved++
-				c.clearValid(int(batch[j].localOff)%s.chunkSize, RecordSize(e.ValueLen))
-			} else {
-				dest.Invalidate(e.LocalOff, e.ValueLen)
-			}
-		}
-		w.Release()
-	}
-
-	if c.live.Load() == 0 {
-		s.releaseChunk(ci)
-	} else {
-		c.state.Store(chunkLive)
-	}
-	return nextCursor, moved, done
+	return cursor, 0, at
 }

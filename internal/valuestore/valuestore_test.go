@@ -208,21 +208,122 @@ func TestGCMigratesOnlyLiveRecords(t *testing.T) {
 
 func TestGCRespectsFailedRelocation(t *testing.T) {
 	s, _ := newStore(t, 4, 1024)
-	w, _ := s.NewWriter()
-	off, _ := w.Add(9, []byte("stale"))
-	w.Commit(0)
-	// Invalidate nothing, but refuse relocation (value superseded).
-	s.GC(0, 1, func(h, oldOff, newOff uint64, n int) bool {
-		if oldOff != off {
-			t.Fatalf("unexpected relocation of %d", h)
+	// Two sparse chunks, so that compacting them nets a whole chunk.
+	var offs []uint64
+	for i := uint64(0); i < 2; i++ {
+		w, _ := s.NewWriter()
+		off, _ := w.Add(9+i, []byte("stale"))
+		w.Commit(0)
+		offs = append(offs, off)
+	}
+	// Invalidate nothing, but refuse relocation (value superseded, the
+	// superseder's Invalidate still on its way).
+	refused := 0
+	freed, _ := s.GC(0, 2, func(h, oldOff, newOff uint64, n int) bool {
+		if oldOff != offs[h-9] {
+			t.Fatalf("unexpected relocation of %d from %d", h, oldOff)
 		}
+		refused++
 		return false
 	})
+	if refused != 2 {
+		t.Fatalf("GC offered %d relocations, want 2", refused)
+	}
 	// The new location must have been invalidated; chunk accounting must
 	// not count the failed migration as live anywhere permanent.
 	st := s.Stats()
 	if st.GCLiveMoved != 0 {
 		t.Fatalf("failed relocation counted as moved: %+v", st)
+	}
+	// A refused record was not moved: it is still valid where it was, and
+	// its chunk is back in service, not on the free list.
+	if freed != 0 || st.FreeChunks != 2 || st.LiveChunks != 2 {
+		t.Fatalf("GC freed %d victims of refused relocations: %+v", freed, st)
+	}
+	for _, off := range offs {
+		if !s.IsValid(off) {
+			t.Fatalf("refused record at %d lost its validity bit", off)
+		}
+	}
+	// The superseder's Invalidate then empties and recycles each chunk.
+	for _, off := range offs {
+		s.Invalidate(off, 5)
+	}
+	if got := s.FreeChunks(); got != 4 {
+		t.Fatalf("%d free chunks after the records were invalidated, want 4", got)
+	}
+}
+
+// TestWriteChunkSealsAfterSettle: between a chunk's device write and its
+// last settle no claimer can take it — a GC or a DemoteChunk run from
+// inside settle finds nothing to do, however sparse the chunk — and an
+// Invalidate that empties it leaves the recycling to the seal.
+func TestWriteChunkSealsAfterSettle(t *testing.T) {
+	s, _ := newStore(t, 8, 1024)
+	dest, _ := newStore(t, 8, 1024)
+	// claimers runs both claimers while the chunk holding localOff is
+	// being settled; they may take the sealed chunk of an earlier round
+	// (and are refused its records), never this one.
+	claimers := func(localOff uint64) {
+		refuse := func(h, oldOff, newOff uint64, n int) bool {
+			if oldOff/1024 == localOff/1024 {
+				t.Errorf("a claimer took record %d of a chunk still being settled", h)
+			}
+			return false
+		}
+		if freed, _ := s.GC(0, 8, refuse); freed != 0 {
+			t.Errorf("GC freed %d chunks from inside settle", freed)
+		}
+		s.DemoteChunk(0, 0, dest, 0, func(uint64) bool { return true }, refuse)
+	}
+	moves := []Move{{HSITIdx: 1, Value: []byte("one")}, {HSITIdx: 2, Value: []byte("two")}, {HSITIdx: 3, Value: []byte("three")}}
+
+	// Two sparse chunks at once make GC willing; the first is sealed.
+	var kept []Entry
+	for round := 0; round < 2; round++ {
+		clk := sim.NewClock(0)
+		n, err := s.WriteChunk(clk, 0, moves, func(i int, e Entry) bool {
+			claimers(e.LocalOff)
+			if !s.IsValid(e.LocalOff) {
+				t.Errorf("record %d not valid at its settle", i)
+			}
+			kept = append(kept, e)
+			return i != 1 // the middle record lost its race
+		})
+		if err != nil || n != len(moves) || clk.Now() == 0 {
+			t.Fatalf("WriteChunk = %d, %v at %d", n, err, clk.Now())
+		}
+	}
+	for i, e := range kept {
+		if s.IsValid(e.LocalOff) != (i%3 != 1) {
+			t.Fatalf("entry %d validity after settle = %v", i, s.IsValid(e.LocalOff))
+		}
+	}
+	if st := s.Stats(); st.LiveChunks != 2 || st.FreeChunks != 6 {
+		t.Fatalf("after two sealed chunks: %+v", st)
+	}
+	// Sealed, the same two chunks are fair game.
+	if freed, _ := s.GC(0, 8, func(h, oldOff, newOff uint64, n int) bool { return true }); freed != 2 {
+		t.Fatalf("GC freed %d sealed sparse chunks, want 2", freed)
+	}
+
+	// Every record refused, or invalidated before the seal: the chunk is
+	// recycled by the seal, not earlier and not never.
+	before := s.FreeChunks()
+	if _, err := s.WriteChunk(sim.NewClock(0), 0, moves, func(i int, e Entry) bool {
+		if i == 0 {
+			return false
+		}
+		s.Invalidate(e.LocalOff, e.ValueLen) // published, then superseded at once
+		if got := s.FreeChunks(); got != before-1 {
+			t.Errorf("chunk recycled under its writer: %d free, want %d", got, before-1)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.FreeChunks(); got != before {
+		t.Fatalf("emptied chunk not recycled at seal: %d free, want %d", got, before)
 	}
 }
 
