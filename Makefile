@@ -76,9 +76,13 @@ bench:
 # second line is the reclaim path's: BenchmarkReclaimPass prints wall ns,
 # heap bytes and heap objects per migrated record, beside its
 # AllocsPerRun gate (a pass allocates per chunk written, not per record).
+# The third is the device channel's: BenchmarkResourceAcquire prints ns
+# and allocations per sim.Resource.Acquire for one clock and for two
+# clocks 5 ms apart, beside its allocates-once gate.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPut($$|Batch|Sharded|Pipelined)' -benchtime=1000x -run '^$$' .
 	$(GO) test -bench='BenchmarkReclaimPass$$' -benchtime=20x -count=1 -run 'TestReclaimPassAllocs$$' ./internal/core
+	$(GO) test -bench='BenchmarkResourceAcquire$$' -benchtime=200000x -count=1 -run 'TestResourceAcquireAllocatesOnce$$' ./internal/sim
 
 # bench-module vets and tests benchmark/, the repo benchmark: it is its
 # own module (`replace repro => ../`), so `go build ./... && go test

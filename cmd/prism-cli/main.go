@@ -251,7 +251,7 @@ func localREPL() {
 			s := store.Stats()
 			fmt.Printf("ops: puts=%d gets=%d deletes=%d scans=%d\n", s.Puts, s.Gets, s.Deletes, s.Scans)
 			fmt.Printf("reads: svcHits=%d pwbHits=%d vsReads=%d\n", s.SVCHits, s.PWBHits, s.VSReads)
-			fmt.Printf("writes: reclaims=%d migrated=%d stalls=%d\n", s.Reclaims, s.PWBLiveMigrated, s.PutStalls)
+			fmt.Printf("writes: reclaims=%d migrated=%d stalled=%d ringFull=%d\n", s.Reclaims, s.PWBLiveMigrated, s.PutsStalled, s.PutStalls)
 			fmt.Printf("value storage: chunksWritten=%d gcRuns=%d free=%d\n", s.VS.ChunksWritten, s.VS.GCRuns, s.VS.FreeChunks)
 			fmt.Printf("nvm space: index=%dB hsit=%dB\n", s.IndexSpaceBytes, s.HSITSpaceBytes)
 		case "metrics", ".metrics":

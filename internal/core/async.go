@@ -393,6 +393,8 @@ func (a *asyncThread) complete(h *Handle, val []byte, err error, at, t0 int64) {
 // runPuts applies one run of puts, retrying stalled passes under the
 // same reclamation protocol as the synchronous path (a stalled pass
 // closed its publish window on the way out, so reclamation can progress).
+// A store that closes while the run sleeps on a full ring fails the rest
+// of it with ErrClosed.
 func (a *asyncThread) runPuts(hs []*Handle) {
 	lt := a.lt
 	err := lt.untilApplied(func() error {
@@ -437,14 +439,14 @@ func (a *asyncThread) putPass(hs []*Handle) int {
 			}
 			return len(hs)
 		}
-		base.Advance(asyncIssueNS)
-		stage := sim.NewClock(base.Now())
+		stage := sim.NewClock(base.Now() + asyncIssueNS)
 		lt.Clk = stage
 		err := lt.putStep(h.key, h.val, h.ts, false)
 		lt.Clk = base
 		if err == errRetryPut {
-			return i
+			return i // not issued: the retry pays for the doorbell
 		}
+		base.Advance(asyncIssueNS)
 		if end := stage.Now(); end > endMax {
 			endMax = end
 		}

@@ -27,6 +27,13 @@ func (s *Store) reclaimLoop(i int) {
 		case now := <-s.reclaimChs[i]:
 			clk.AdvanceTo(now)
 			s.reclaimBuffer(i, clk, rng)
+			// Two advances take the range the pass retired through epoch
+			// grace when no operation is pinned in an older epoch, and its
+			// grant then folds straight into the tail (see reclaimBuffer):
+			// the ring's owner may be asleep waiting for exactly that.
+			// Otherwise a later Collect lands it — any thread's 64th Exit,
+			// or the maintenance tick.
+			s.em.Collect()
 			s.em.Collect()
 		}
 	}
@@ -39,6 +46,7 @@ func (s *Store) reclaimLoop(i int) {
 // It guards the ring's reclaim cursor and the pass's scratch.
 type reclaimer struct {
 	mu        sync.Mutex
+	buf       *pwb.Buffer
 	live, hot []valuestore.Move
 }
 
@@ -49,12 +57,19 @@ type reclaimer struct {
 // and release the ring space after epoch grace.
 //
 // Release protocol: each buffer has exactly one scan owner at a time (see
-// reclaimer). Epoch grace turns a completed pass into a Grant; the owner
-// folds pending grants into the tail only here, between passes. The tail
-// is therefore frozen while a scan is in flight, which closes two seed
-// races: a foreground append can never recycle (and physically alias)
-// bytes the scan is still reading, and PublishIf can never install a
-// pointer that a newer append at the same wrapped DevOff now owns.
+// reclaimer). Epoch grace turns a completed pass into a Grant, stamped
+// with the pass's virtual end time; pending grants are folded into the
+// tail only under the pass lock — here, before the scan, or by the grant
+// itself when it lands with no pass in flight. The tail is therefore
+// frozen while a scan is in flight, which closes two seed races: a
+// foreground append can never recycle (and physically alias) bytes the
+// scan is still reading, and PublishIf can never install a pointer that
+// a newer append at the same wrapped DevOff now owns.
+//
+// A pass that releases nothing — nothing to scan, a torn header, no
+// device with a free chunk — wakes the ring's owner on the way out: if
+// it is asleep on a full ring it must look again and kick the next pass,
+// which is also how its attempt count reaches the bound in untilApplied.
 //
 // The tail trails the scan by an epoch grace period plus one pass, so a
 // pass starts at the ring's reclaim cursor, not at the tail: every
@@ -66,8 +81,15 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 	r := &s.reclaimers[threadID]
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := s.pwbs[threadID]
+	b := r.buf
 	b.ApplyGrants()
+	released, t0 := false, clk.Now()
+	defer func() {
+		s.stats.reclaimNS.Add(clk.Now() - t0)
+		if !released && !b.AwaitingGrace() {
+			b.Wake()
+		}
+	}()
 	from, to := b.ScanRange()
 	if to <= from {
 		return
@@ -140,8 +162,15 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 	// below it by earlier passes: the ring is garbage up to `to`. After
 	// epoch grace (no reader can still be inside, §5.4) the space becomes
 	// a grant, which the next pass folds into the tail.
-	b.Scanned(to)
-	s.em.Retire(func() { b.Grant(to) })
+	b.Scanned(to, clk.Now())
+	released = true
+	s.em.Retire(func() {
+		r.buf.Grant(to)
+		if r.mu.TryLock() { // no pass in flight: nothing to wait for
+			r.buf.ApplyGrants()
+			r.mu.Unlock()
+		}
+	})
 	// Close the controller loop (§4.7): a background pass that completed
 	// without any put hitting a full ring means reclamation is keeping
 	// pace — relax the trigger upward to recover batching efficiency. A
@@ -152,12 +181,6 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 	// never adapt up.
 	if !s.opt.SyncVSWrites && s.stats.putStalls.Load() == stalls0 {
 		s.adaptWatermark(true)
-	}
-	for {
-		cur := s.reclaimStall[threadID].Load()
-		if clk.Now() <= cur || s.reclaimStall[threadID].CompareAndSwap(cur, clk.Now()) {
-			break
-		}
 	}
 }
 
@@ -301,6 +324,7 @@ func (s *Store) onScanEvict(chain svc.EvictedChain) {
 	s.svcMu.Lock()
 	defer s.svcMu.Unlock()
 	clk := s.svcClk
+	clk.AdvanceTo(s.lastSeen.Load())
 
 	entries := chain.Entries
 	sort.Slice(entries, func(a, b int) bool {

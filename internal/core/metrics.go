@@ -34,8 +34,11 @@ func (s *Store) registerMetrics() {
 	rp("svc", "value reads served from the DRAM cache", s.stats.svcHits.Load)
 	rp("pwb", "value reads served from an NVM write buffer", s.stats.pwbHits.Load)
 	rp("vs", "value read IOs issued to Value Storage", s.stats.vsReads.Load)
-	r.CounterFunc(obs.Desc{Name: "core.put_stalls", Help: "puts that waited on PWB reclamation", Unit: "ops"},
+	r.CounterFunc(obs.Desc{Name: "core.put_stalls", Help: "put attempts that found their PWB ring full (about one per sleep on the ring; says how late the host ran the reclaimer's goroutine, not what the put waited in virtual time)", Unit: "attempts"},
 		s.stats.putStalls.Load)
+	r.CounterFunc(obs.Desc{Name: "core.puts_stalled", Help: "puts that waited, in virtual time, for PWB reclamation to release the ring space they landed in", Unit: "ops"},
+		s.stats.putsStalled.Load)
+	s.putStallNS = r.Histogram(obs.Desc{Name: "core.put_stall_ns", Help: "virtual time a stalled put waited for its ring space (one sample per core.puts_stalled)", Unit: "ns"})
 	r.CounterFunc(obs.Desc{Name: "core.user_bytes", Help: "value payload bytes written by the application (WAF denominator)", Unit: "bytes"},
 		s.stats.userBytesWritten.Load)
 	r.GaugeFunc(obs.Desc{Name: "core.keys", Help: "live keys in the store", Unit: "keys"},
@@ -145,6 +148,8 @@ func (s *Store) registerMetrics() {
 		})
 	r.CounterFunc(obs.Desc{Name: "pwb.reclaims", Help: "background reclamation passes", Unit: "passes"},
 		s.stats.reclaims.Load)
+	r.CounterFunc(obs.Desc{Name: "pwb.reclaim_ns", Help: "virtual time reclamation passes took, on the reclaimers' clocks (over pwb.live_migrated it is the reclaimer's cost per record, which must stay below a put's for reclamation to keep off the put's critical path)", Unit: "ns"},
+		s.stats.reclaimNS.Load)
 	r.CounterFunc(obs.Desc{Name: "pwb.records_scanned", Help: "ring records reclamation passes parsed and HSIT-checked (over pwb.live_migrated plus superseded records it is the rescan factor: 1 unless passes abort)", Unit: "records"},
 		s.stats.pwbScanned.Load)
 	r.CounterFunc(obs.Desc{Name: "pwb.live_migrated", Help: "live values migrated from PWB to Value Storage (reclamation and the recovery drain)", Unit: "values"},

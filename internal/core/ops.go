@@ -4,18 +4,13 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 
 	"repro/internal/hsit"
-	"repro/internal/pwb"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/valuestore"
 )
-
-// pwbFullErr aliases the PWB's full signal for the retry loop.
-var pwbFullErr = pwb.ErrFull
 
 // dramCost models a DRAM copy: ~80ns latency plus 15 GB/s transfer.
 func dramCost(n int) int64 { return 80 + sim.TransferNS(n, 15_000_000_000) }
@@ -71,15 +66,17 @@ func (t *Thread) PutTS(key, value []byte, ts uint64) error {
 }
 
 // untilApplied runs pass — one epoch-scoped write attempt on t's PWB ring
-// — until it stops reporting errRetryPut. A stalled pass has left its
-// epoch and closed its publish window, so between attempts the thread
-// helps epochs along (retired ring space and chunks land) and waits, in
-// virtual time, until the latest reclamation pass has finished. It is
-// the one stall protocol of the sync single op, the sync batch and the
-// async admission loop.
+// — until it stops reporting errRetryPut. A stalled pass found the ring
+// full before it charged anything to the clock (reserve), has left its
+// epoch and closed its publish window; the thread then sleeps until the
+// ring's tail has moved, or a reclaim pass ended without releasing
+// anything and the reclaimer wants to be kicked again. It is the one
+// stall protocol of the sync single op, the sync batch and the async
+// admission loop.
 func (t *Thread) untilApplied(pass func() error) error {
 	s := t.s
 	for attempt := 0; attempt < 1_000_000; attempt++ {
+		seq := t.buf.WaitSeq()
 		err := pass()
 		if err != errRetryPut {
 			if err == nil {
@@ -87,11 +84,48 @@ func (t *Thread) untilApplied(pass func() error) error {
 			}
 			return err
 		}
+		// Out of the epoch now: help grace along. Under SyncVSWrites this
+		// thread ran the reclaim pass itself and its grant is two advances
+		// from landing; otherwise the reclaimer does the same after its pass.
 		s.em.Collect()
-		runtime.Gosched()
-		t.Clk.AdvanceTo(s.reclaimStall[t.id].Load())
+		s.em.Collect()
+		if !t.buf.Wait(seq) {
+			return ErrClosed
+		}
 	}
 	return errors.New("prism: PWB reclamation stalled")
+}
+
+// reserve makes sure t's ring has room for a value of n bytes before the
+// put that carries it touches the key index, and that the put does not
+// run ahead, in virtual time, of the reclaim pass that made the room: the
+// clock advances to the release time of the ring space the record will
+// land in (pwb.Buffer.Room) — the put's one wait, and the model's stall:
+// whether the thread also slept on the ring says how the host scheduled
+// the reclaimer's goroutine, not how fast the modeled reclaimer is. It
+// returns false when the ring is full: reclamation has been asked for,
+// nothing was charged to the clock, and the caller reports errRetryPut.
+func (t *Thread) reserve(n int) bool {
+	s := t.s
+	releasedAt, ok := t.buf.Room(n)
+	if !ok {
+		s.stats.putStalls.Add(1)
+		// Feedback for the adaptive watermark: a full ring means
+		// reclamation started too late — lower the trigger.
+		s.adaptWatermark(false)
+		if s.opt.SyncVSWrites {
+			s.reclaimBuffer(t.id, t.Clk, t.rng)
+		} else {
+			t.kickReclaim()
+		}
+		return false
+	}
+	if wait := releasedAt - t.Clk.Now(); wait > 0 {
+		t.Clk.Advance(wait)
+		s.stats.putsStalled.Add(1)
+		s.putStallNS.Record(wait)
+	}
+	return true
 }
 
 // putStep is the one index-traversal-plus-write for key that every put
@@ -121,6 +155,9 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 			return nil
 		}
 	}
+	if !t.reserve(len(value)) {
+		return errRetryPut
+	}
 	idx, found := s.index.Lookup(t.Clk, key)
 	if !found {
 		var err error
@@ -136,10 +173,14 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 			// Another thread inserted the key first. Our entry is
 			// orphaned: clear it and redo the write against the winner's
 			// entry (the record must carry the winner's backward pointer
-			// to stay well-coupled).
+			// to stay well-coupled). The second record needs room of its
+			// own; without it the whole put retries and finds the winner.
 			old := s.table.Clear(t.Clk, idx)
 			t.invalidateOld(idx, old)
 			s.table.Free(idx)
+			if !t.reserve(len(value)) {
+				return errRetryPut
+			}
 			err = t.writeAndPublish(winner, value, clearPending)
 		}
 	}
@@ -149,26 +190,14 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 	return err
 }
 
-// writeAndPublish appends the value to the thread's PWB with idx as its
-// backward pointer and publishes the new location in HSIT, invalidating
-// whatever the entry pointed to before. When clearPending is false the
-// publish-pending mark set by Append stays in place for the caller's
-// batch-wide Published call.
+// writeAndPublish appends the value to the thread's PWB — the caller has
+// reserved the room — with idx as its backward pointer and publishes the
+// new location in HSIT, invalidating whatever the entry pointed to
+// before. When clearPending is false the publish-pending mark set by
+// Append stays in place for the caller's batch-wide Published call.
 func (t *Thread) writeAndPublish(idx uint64, value []byte, clearPending bool) error {
 	s := t.s
 	off, _, err := t.buf.Append(t.Clk, idx, value)
-	if err == pwbFullErr {
-		s.stats.putStalls.Add(1)
-		// Feedback for the adaptive watermark: a full ring means
-		// reclamation started too late — lower the trigger.
-		s.adaptWatermark(false)
-		if s.opt.SyncVSWrites {
-			s.reclaimBuffer(t.id, t.Clk, t.rng)
-		} else {
-			t.kickReclaim()
-		}
-		return errRetryPut
-	}
 	if err != nil {
 		return err
 	}
@@ -216,8 +245,10 @@ func (t *Thread) maybeKickReclaim() {
 }
 
 func (t *Thread) kickReclaim() {
+	now := t.Clk.Now()
+	t.s.lastSeen.Store(now)
 	select {
-	case t.s.reclaimChs[t.id] <- t.Clk.Now():
+	case t.s.reclaimChs[t.id] <- now:
 	default:
 	}
 }
@@ -401,6 +432,7 @@ func (t *Thread) admitToSVC(idx uint64, ver uint64, key, value []byte) (handle u
 		s.cache.AbortAdmit(e)
 		return 0, false
 	}
+	s.lastSeen.Store(t.Clk.Now()) // an admission is what evicts: the rewrite it may cause happens now
 	s.cache.Published(e)
 	// Admission TOCTOU guard: a writer that superseded the value after
 	// our read may have run its invalidateOld before the CAS above, seen

@@ -220,3 +220,61 @@ func mustIdx(t *testing.T, s *Store, i int) uint64 {
 	}
 	return idx
 }
+
+// churn runs puts puts of 1 KiB values per thread over keys keys each,
+// every thread on its own goroutine, and returns the virtual ns the
+// slowest-clocked thread spent per put.
+func churn(t *testing.T, s *Store, keys, puts int) (nsPerPut float64) {
+	t.Helper()
+	var wg sync.WaitGroup
+	var spent int64
+	var mu sync.Mutex
+	for ti := 0; ti < s.NumThreads(); ti++ {
+		wg.Add(1)
+		go func(ti int) {
+			defer wg.Done()
+			th := s.Thread(ti)
+			val := bytes.Repeat([]byte{byte('a' + ti)}, 1024)
+			t0 := th.Clk.Now()
+			for i := 0; i < puts; i++ {
+				if err := th.Put(key(ti*keys+i%keys), val); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			mu.Lock()
+			spent = max(spent, th.Clk.Now()-t0)
+			mu.Unlock()
+		}(ti)
+	}
+	wg.Wait()
+	return float64(spent) / float64(puts)
+}
+
+// TestReclaimerOffPutCriticalPath is §5.2's promise as a gate: with two
+// threads overwriting 1 KiB values and a background reclaimer per ring,
+// a reclaimer spends less virtual time on a record than a put does —
+// and no more than 2,000 ns — so it keeps up, and fewer than one put in
+// a hundred reaches ring space the reclaimer has not released yet.
+func TestReclaimerOffPutCriticalPath(t *testing.T) {
+	s := small(t, func(o *Options) {
+		o.PWBBytesPerThread = 1 << 20
+		o.ChunkSize = 0        // the default 512 KiB
+		o.SSDBytes = 256 << 20 // room enough that GC stays off: see TestGCChurnStress for it on
+		o.GCFreeFraction = 0.05
+		o.DisableSVC = true
+	})
+	const keys, puts = 4_000, 40_000
+	nsPerPut := churn(t, s, keys, puts)
+	st := s.Stats()
+	nsPerRecord := float64(s.stats.reclaimNS.Load()) / float64(st.PWBLiveMigrated)
+	stalled := float64(st.PutsStalled) / float64(st.Puts)
+	t.Logf("%.0f virtual ns per put, %.0f per migrated record (%d passes, %d records); %d of %d puts stalled (%.3f%%), %d found the ring full",
+		nsPerPut, nsPerRecord, st.Reclaims, st.PWBLiveMigrated, st.PutsStalled, st.Puts, 100*stalled, st.PutStalls)
+	if nsPerRecord > 2_000 || nsPerRecord >= nsPerPut {
+		t.Errorf("the reclaimer spends %.0f virtual ns per migrated record; a put takes %.0f and the budget is 2000", nsPerRecord, nsPerPut)
+	}
+	if stalled >= 0.01 {
+		t.Errorf("%.2f%% of puts waited for reclamation", 100*stalled)
+	}
+}

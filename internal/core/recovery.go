@@ -30,11 +30,8 @@ type RecoveryReport struct {
 func (s *Store) Crash() {
 	if !s.closed.Swap(true) {
 		// Join the admission loops before the devices lose state: a window
-		// in flight completes its handles (with ErrClosed from here on),
-		// then the loop exits.
-		for _, t := range s.threads {
-			t.async.stop()
-		}
+		// in flight completes its handles (with ErrClosed from here on).
+		s.stopForeground()
 		close(s.stop)
 		s.bg.Wait()
 	}
@@ -70,8 +67,15 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	}
 	var rep RecoveryReport
 
+	// Recovery begins where the crashed incarnation stopped — the time up to
+	// which it had booked the NVM channel — and VirtualNS counts from there.
+	// A clock started at zero would be served in the channels' past or,
+	// beyond their horizon, be pulled to it and report the store's age as
+	// its recovery time.
+	begin := s.nvmDev.Now()
+
 	// Phase 1: collect (key, idx) pairs from the index.
-	scanClk := sim.NewClock(0)
+	scanClk := sim.NewClock(begin)
 	type pair struct {
 		key []byte
 		idx uint64
@@ -129,6 +133,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	wg.Wait()
 
 	allReach := make(map[uint64]bool)
+	validated := scanClk.Now() // when the slowest worker finished
 	for w := 0; w < workers; w++ {
 		for idx := range reachable[w] {
 			allReach[idx] = true
@@ -143,9 +148,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 			}
 			rep.LostKeys++
 		}
-		if clocks[w].Now() > rep.VirtualNS {
-			rep.VirtualNS = clocks[w].Now()
-		}
+		validated = max(validated, clocks[w].Now())
 	}
 
 	// Rebuild the free-chunk lists before draining: every chunk that
@@ -154,7 +157,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 
 	// Phase 3: drain live PWB values into Value Storage so the rings can
 	// reset (their volatile cursors are unknown after the crash).
-	drainClk := sim.NewClock(rep.VirtualNS)
+	drainClk := sim.NewClock(validated)
 	rng := sim.NewRNG(s.opt.Seed ^ 0x5ec0)
 	var drain []valuestore.Move
 	for w := 0; w < workers; w++ {
@@ -204,7 +207,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		t.async.reset()
 	}
 	s.closed.Store(false)
-	rep.VirtualNS = drainClk.Now()
+	rep.VirtualNS = drainClk.Now() - begin
 	s.stats.recoveredValues.Add(int64(rep.LiveKeys))
 	return rep, nil
 }

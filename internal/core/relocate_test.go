@@ -298,6 +298,14 @@ func TestGCChurnStress(t *testing.T) {
 	st := s.Stats()
 	t.Logf("%d puts, %d reclaims, %d GC runs moving %d values, %d scan rewrites",
 		st.Puts, st.Reclaims, st.VS.GCRuns, st.VS.GCLiveMoved, st.ScanRewrites)
+	// What the reclaimer costs the puts with GC and the rewrite competing
+	// for the devices (TestReclaimerOffPutCriticalPath gates it with both
+	// held off): logged, not gated — the mix of work done in the budget
+	// is the host's.
+	waits, _ := s.Metrics().Get("core.put_stall_ns", nil)
+	t.Logf("%d puts (%.3f%%) waited for ring space, %.0f virtual ns each on average; %d attempts found a ring full; the reclaimers spent %d virtual ns per migrated record",
+		st.PutsStalled, 100*float64(st.PutsStalled)/float64(st.Puts), waits.Hist.Mean,
+		st.PutStalls, s.stats.reclaimNS.Load()/max(st.PWBLiveMigrated, 1))
 	// 40 MiB devices reach the GC threshold after some 20,000 puts: a
 	// plain run does many times that in its budget; under the race
 	// detector the budget can end first.

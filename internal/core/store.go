@@ -245,15 +245,18 @@ type Store struct {
 	closed     atomic.Bool
 
 	gcClk *sim.Clock
-	// reclaimStall[i] is the virtual time at which PWB i's latest
-	// reclamation pass finished; its stalled owner waits until then
-	// (the paper's "thread utilizes the remaining space" then blocks if
-	// reclamation cannot keep up).
-	reclaimStall []atomic.Int64
 
 	svcMu       sync.Mutex // guards svcClk and the rewrite path
 	svcClk      *sim.Clock
 	lastRewrite int64 // guarded by svcMu; paces scan-range rewrites
+
+	// lastSeen is the newest virtual time a foreground thread has handed
+	// to background work: a reclaim kick or an SVC admission. It drives
+	// the clocks of the background jobs no request carries a time to —
+	// the scan-range rewrite and the demotion pass — which would
+	// otherwise stand still while the clocks of the work they wait on
+	// run seconds ahead.
+	lastSeen atomic.Int64
 
 	// Tiering + adaptive admission (tiering.go). tierFast/tierCap are the
 	// device indices chosen at Open; equal when the array is
@@ -279,6 +282,7 @@ type Store struct {
 	latPutBatch, latMultiGet   *obs.Histogram
 	batchSizePut, batchSizeGet *obs.Histogram
 	asyncWindow, asyncLat      *obs.Histogram
+	putStallNS                 *obs.Histogram
 
 	// batchStepHook, when non-nil, runs after each batch entry is applied
 	// (crash-injection point for the mid-batch prefix-consistency tests).
@@ -303,9 +307,9 @@ type statsCounters struct {
 	svcHits, pwbHits, vsReads     atomic.Int64
 	userBytesWritten              atomic.Int64
 	reclaims, pwbLiveMigrated     atomic.Int64
-	pwbScanned                    atomic.Int64
+	pwbScanned, reclaimNS         atomic.Int64
 	scanRewrites, recoveredValues atomic.Int64
-	putStalls                     atomic.Int64
+	putStalls, putsStalled        atomic.Int64
 	reclaimPublishLost            atomic.Int64
 	scanTornRecords               atomic.Int64
 
@@ -401,7 +405,6 @@ func Open(opt Options) (*Store, error) {
 	if opt.TrackTimestamps {
 		s.repl = newReplState()
 	}
-	s.reclaimStall = make([]atomic.Int64, opt.NumThreads)
 	s.reclaimers = make([]reclaimer, opt.NumThreads)
 	for i := 0; i < opt.NumThreads; i++ {
 		s.reclaimChs = append(s.reclaimChs, make(chan int64, 2))
@@ -411,6 +414,7 @@ func Open(opt Options) (*Store, error) {
 	for i := 0; i < opt.NumThreads; i++ {
 		base := pwbBase + i*opt.PWBBytesPerThread
 		s.pwbs = append(s.pwbs, pwb.NewBuffer(s.nvmDev, base, opt.PWBBytesPerThread))
+		s.reclaimers[i].buf = s.pwbs[i]
 	}
 	for i := 0; i < opt.NumSSDs; i++ {
 		scfg := opt.SSD
@@ -516,10 +520,9 @@ func (s *Store) Close() error {
 	}
 	// Stop admission loops first (closed is set, so still-queued
 	// submissions complete with ErrClosed) while reclamation/GC are
-	// still alive to serve any window already in flight.
-	for _, t := range s.threads {
-		t.async.stop()
-	}
+	// still alive to serve any window already in flight; a put asleep on
+	// a full ring gives up with ErrClosed.
+	s.stopForeground()
 	close(s.stop)
 	s.bg.Wait()
 	if s.cache != nil {
@@ -528,6 +531,18 @@ func (s *Store) Close() error {
 	s.em.Barrier()
 	s.nvmDev.PersistAll()
 	return nil
+}
+
+// stopForeground, called with closed set, wakes every put that sleeps on
+// a full ring (it returns ErrClosed) and joins the admission loops: a
+// window in flight completes its handles, then the loop exits.
+func (s *Store) stopForeground() {
+	for _, b := range s.pwbs {
+		b.Interrupt()
+	}
+	for _, t := range s.threads {
+		t.async.stop()
+	}
 }
 
 // pwbOf maps a PWB forward-pointer offset to its owning buffer.
@@ -547,7 +562,7 @@ type Stats struct {
 	Reclaims, PWBLiveMigrated  int64
 	PWBRecordsScanned          int64
 	ScanRewrites               int64
-	PutStalls                  int64
+	PutStalls, PutsStalled     int64
 	ReclaimPublishLost         int64
 	ScanTornRecords            int64
 	IndexSpaceBytes            int64
@@ -583,6 +598,7 @@ func (s *Store) Stats() Stats {
 		PWBRecordsScanned:     s.stats.pwbScanned.Load(),
 		ScanRewrites:          s.stats.scanRewrites.Load(),
 		PutStalls:             s.stats.putStalls.Load(),
+		PutsStalled:           s.stats.putsStalled.Load(),
 		ReclaimPublishLost:    s.stats.reclaimPublishLost.Load(),
 		ScanTornRecords:       s.stats.scanTornRecords.Load(),
 		TierHotSteeredBytes:   s.stats.tierHotSteered.Load(),

@@ -211,6 +211,7 @@ func (s *Store) maintenanceLoop() {
 				}
 			}
 			s.em.Collect()
+			clk.AdvanceTo(s.lastSeen.Load())
 			cursor = s.demoteStep(clk, cursor)
 		}
 	}

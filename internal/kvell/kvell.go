@@ -567,7 +567,8 @@ func (w *worker) allocSlot() (int64, error) {
 // rebuildFromSlab scans the worker's slab pages and rebuilds the index;
 // returns the modeled time.
 func (w *worker) rebuildFromSlab() int64 {
-	clk := sim.NewClock(0)
+	begin := w.dev.Now() // not zero: the scan would be served in the device's past, or be pulled to its horizon
+	clk := sim.NewClock(begin)
 	w.index = keyindex.New(nil)
 	w.free = w.free[:0]
 	used := w.next / int64(w.itemsPerPage) * PageSize
@@ -596,7 +597,7 @@ func (w *worker) rebuildFromSlab() int64 {
 		}
 		clk.Advance(int64(n / 64)) // CPU parse cost
 	}
-	return clk.Now()
+	return clk.Now() - begin
 }
 
 func encodeItem(dst []byte, key, val []byte) {

@@ -22,6 +22,15 @@
 // flight, so the physical bytes under a scan can never be recycled and
 // re-appended (the aliasing that caused the seed's reclamation race).
 //
+// Space is released at a virtual time — the reclaim pass's clock when it
+// had migrated the last live record out of the range — and that time
+// travels with the space: Scanned takes it, ApplyGrants stamps it on the
+// ring segments the pass's grant frees, and Room hands it
+// to the next append that lands there, so that an append can be kept from
+// preceding, in virtual time, the release of the bytes it reuses. An
+// owner that finds the ring full sleeps in Wait until the tail moves (or
+// Wake, or Interrupt).
+//
 // Release lags the scan by an epoch grace period, so the scan does not
 // start at the tail: the ring keeps a reclaim cursor, owned by the same
 // single scan owner. A pass scans [cursor, min(Head, UnpublishedFloor))
@@ -36,6 +45,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/nvm"
@@ -50,8 +60,9 @@ const (
 )
 
 // ErrFull is returned by Append when the ring has insufficient space.
-// The engine responds by kicking reclamation and retrying (§4.3: the
-// application thread uses the remaining space while reclaiming).
+// The engine asks Room first and, on a full ring, kicks reclamation and
+// sleeps in Wait (§4.3: the application thread uses the remaining space
+// while reclaiming).
 var ErrFull = errors.New("pwb: buffer full")
 
 // Buffer is one thread's persistent write buffer over the NVM region
@@ -83,8 +94,29 @@ type Buffer struct {
 	// owner touches it. tail <= releasable <= cursor <= head.
 	cursor uint64
 
+	// scannedAt is the virtual time at which the newest successful pass
+	// ended (Scanned), and releasedAt[s] the virtual time at which the
+	// bytes of ring segment s (1/relSegments of the ring) were last
+	// released, zero while they have never been reused. Both only ever err
+	// late: a grant applied after a newer pass has finished takes that
+	// pass's time, and a segment's stamp covers the bytes at its start a
+	// segment early.
+	scannedAt  atomic.Int64
+	releasedAt [relSegments]atomic.Int64
+
+	// The owner's sleep while the ring is full. seq counts the events worth
+	// waking for (Wake); mu orders them against a sleeper's last look.
+	mu          sync.Mutex
+	cond        sync.Cond
+	seq         atomic.Uint64
+	interrupted bool // guarded by mu
+
 	bytesAppended atomic.Int64 // user payload bytes (WAF accounting; survives Reset)
 }
+
+// relSegments is the resolution at which the ring remembers when its
+// space was released.
+const relSegments = 256
 
 // noPending is the unpublished-floor sentinel meaning "no append is
 // awaiting its HSIT publish".
@@ -103,6 +135,7 @@ func NewBuffer(dev *nvm.Device, base, size int) *Buffer {
 		panic("pwb: region exceeds device")
 	}
 	b := &Buffer{dev: dev, base: base, size: uint64(size)}
+	b.cond.L = &b.mu
 	b.unpublished.Store(noPending)
 	return b
 }
@@ -154,15 +187,13 @@ func (b *Buffer) Append(clk nvm.Clock, hsitIdx uint64, value []byte) (devOff uin
 		return 0, 0, fmt.Errorf("pwb: value of %d bytes exceeds buffer capacity %d", len(value), b.size)
 	}
 	head := b.head.Load()
-	// A record never straddles the ring end; pad the remainder if needed.
-	if rem := b.size - head%b.size; rem < need {
-		if b.size-(head-b.tail.Load()) < rem+need {
-			return 0, 0, ErrFull
-		}
-		b.writePad(clk, head, rem)
-		head += rem
-	} else if b.size-(head-b.tail.Load()) < need {
+	pad, ok := b.fit(head, need)
+	if !ok {
 		return 0, 0, ErrFull
+	}
+	if pad > 0 {
+		b.writePad(clk, head, pad)
+		head += pad
 	}
 
 	off := b.pos(head)
@@ -187,6 +218,41 @@ func (b *Buffer) Append(clk nvm.Clock, hsitIdx uint64, value []byte) (devOff uin
 	b.bytesAppended.Add(int64(len(value)))
 	return uint64(off), head, nil
 }
+
+// fit reports whether a record of need bytes appended at head fits below
+// the tail, and the padding it takes first: a record never straddles the
+// ring end, so the remainder of a lap too short for it is padded out.
+func (b *Buffer) fit(head, need uint64) (pad uint64, ok bool) {
+	if rem := b.size - head%b.size; rem < need {
+		pad = rem
+	}
+	return pad, b.size-(head-b.tail.Load()) >= pad+need
+}
+
+// Room reports whether Append would find room for a value of valueLen
+// bytes, and the virtual time at which the ring space the record would
+// land in was released (zero for space never used before). Only the
+// owning thread may call it. An owner that does not advance its clock to
+// releasedAt before it appends writes into space that, in virtual time,
+// the reclaimer has not handed back yet.
+func (b *Buffer) Room(valueLen int) (releasedAt int64, ok bool) {
+	need := recSize(valueLen)
+	if need > b.size {
+		return 0, true // no wait helps: Append reports the oversized value
+	}
+	head := b.head.Load()
+	pad, ok := b.fit(head, need)
+	if !ok {
+		return 0, false
+	}
+	return b.releasedAt[b.segment(head+pad+need-1)%relSegments].Load(), true
+}
+
+// segment numbers the ring segments along the logical cursor: segment n
+// is ring segment n%relSegments, one lap later for every relSegments, so
+// a released range is a run of consecutive numbers even across the ring
+// end.
+func (b *Buffer) segment(logical uint64) uint64 { return logical * relSegments / b.size }
 
 // Published clears the publish-pending mark set by Append. Only the
 // owning thread may call it, after the forward pointers of every record
@@ -219,10 +285,21 @@ func (b *Buffer) ScanRange() (from, to uint64) {
 }
 
 // Scanned moves the reclaim cursor to to, the end of a ScanRange whose
-// live records have all been migrated. The scan owner calls it before it
-// hands the range to epoch grace (Grant(to)); a pass that aborted must
-// not call it, so the range is scanned again.
-func (b *Buffer) Scanned(to uint64) { b.cursor = to }
+// live records have all been migrated, the last of them by virtual time
+// at: the time the grants that follow release the range at. The scan
+// owner calls it before it hands the range to epoch grace (Grant(to)); a
+// pass that aborted must not call it, so the range is scanned again.
+func (b *Buffer) Scanned(to uint64, at int64) {
+	b.cursor = to
+	if at > b.scannedAt.Load() {
+		b.scannedAt.Store(at)
+	}
+}
+
+// AwaitingGrace reports whether a scanned range is still on its way
+// through epoch grace: its Grant has not arrived. Only the single scan
+// owner may call it.
+func (b *Buffer) AwaitingGrace() bool { return b.cursor > b.releasable.Load() }
 
 func (b *Buffer) writePad(clk nvm.Clock, head, n uint64) {
 	off := b.pos(head)
@@ -321,48 +398,83 @@ func (b *Buffer) Scan(clk nvm.Clock, from, to uint64, fn func(r Record) bool) er
 	return nil
 }
 
-// ReleaseTo advances the tail to newTail, recycling everything before it.
-// Quiescent callers (recovery, tests) may call it directly; during normal
-// operation space is released only through Grant + ApplyGrants so the
+// ReleaseTo advances the tail to newTail at once, recycling everything
+// before it with no release time. Quiescent callers (tests) only; during
+// normal operation space is released through Grant + ApplyGrants so the
 // tail never moves while a scan pass is in flight.
 func (b *Buffer) ReleaseTo(newTail uint64) {
-	for {
-		t := b.tail.Load()
-		if newTail <= t {
-			return
-		}
-		if b.tail.CompareAndSwap(t, newTail) {
-			return
-		}
-	}
+	b.Grant(newTail)
+	b.ApplyGrants()
 }
 
-// Grant records that the ring space below newTail has passed epoch grace
-// and may be recycled. It does NOT move the tail: the grant takes effect
-// only when the single scan owner calls ApplyGrants between passes. Safe
-// to call from any goroutine (epoch-retire callbacks run wherever
-// Collect happens to be called).
+// Grant records that the ring space below newTail — a range handed to
+// Scanned before — has passed epoch grace and may be recycled. It does
+// NOT move the tail: the grant takes effect only when the single scan
+// owner calls ApplyGrants between passes. Safe to call from any goroutine
+// (epoch-retire callbacks run wherever Collect happens to be called).
+// Stale grants never regress the tail.
 func (b *Buffer) Grant(newTail uint64) {
-	for {
-		g := b.releasable.Load()
-		if newTail <= g {
-			return
-		}
-		if b.releasable.CompareAndSwap(g, newTail) {
-			return
-		}
+	for g := b.releasable.Load(); newTail > g && !b.releasable.CompareAndSwap(g, newTail); g = b.releasable.Load() {
 	}
 }
 
 // ApplyGrants folds all pending grants into the tail, making the space
-// appendable. Only the single scan owner (the buffer's reclaimer) may
-// call it, and only between scan passes: freezing the tail for the whole
-// duration of a pass is what keeps the scanned bytes stable and the
-// physical DevOff coupling check free of ring-wrap aliasing.
+// appendable, stamps the freed segments with the grants' virtual time
+// (see Room) and wakes an owner sleeping in Wait. Only the single scan
+// owner (whoever holds the buffer's pass lock) may call it, and only
+// between scan passes: freezing the tail for the whole duration of a pass
+// is what keeps the scanned bytes stable and the physical DevOff coupling
+// check free of ring-wrap aliasing.
 func (b *Buffer) ApplyGrants() {
-	if g := b.releasable.Load(); g > b.tail.Load() {
-		b.ReleaseTo(g)
+	g, t := b.releasable.Load(), b.tail.Load()
+	if g <= t {
+		return
 	}
+	// Read after the grant: the pass stored its end time (Scanned) before
+	// it retired the range, so this is that pass's time or a later one's.
+	at := b.scannedAt.Load()
+	for seg, last := b.segment(t), b.segment(g-1); seg <= last; seg++ {
+		if s := &b.releasedAt[seg%relSegments]; s.Load() < at {
+			s.Store(at)
+		}
+	}
+	b.tail.Store(g) // after the stamps: an owner that sees the room sees its release time
+	b.Wake()
+}
+
+// WaitSeq returns the ticket for Wait. The owner takes it before the look
+// at the ring that finds it full, so no wake-up after that look is lost.
+func (b *Buffer) WaitSeq() uint64 { return b.seq.Load() }
+
+// Wait blocks until a Wake after the WaitSeq call that returned seq: the
+// tail moved (ApplyGrants), or the scan owner finished a pass that
+// released nothing and wants the owner to look again. It returns false
+// once the buffer is interrupted.
+func (b *Buffer) Wait(seq uint64) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.seq.Load() == seq && !b.interrupted {
+		b.cond.Wait()
+	}
+	return !b.interrupted
+}
+
+// Wake ends every Wait whose ticket was taken before the call.
+func (b *Buffer) Wake() {
+	b.mu.Lock()
+	b.seq.Add(1)
+	b.mu.Unlock()
+	b.cond.Broadcast()
+}
+
+// Interrupt ends every Wait, present and future, with false: the store is
+// closing or has crashed, and no reclaimer will move the tail again. Reset
+// lifts it.
+func (b *Buffer) Interrupt() {
+	b.mu.Lock()
+	b.interrupted = true
+	b.mu.Unlock()
+	b.cond.Broadcast()
 }
 
 // BytesAppended returns cumulative user payload bytes (write-traffic
@@ -374,14 +486,21 @@ func (b *Buffer) BytesAppended() int64 { return b.bytesAppended.Load() }
 
 // Reset empties the ring. Recovery drains every live PWB value into
 // Value Storage and then resets the cursors, because the volatile
-// head/tail are unknown after a crash (§5.5). Pending grants, the reclaim
-// cursor and the publish-pending mark are volatile state of the old
-// incarnation and are discarded; bytesAppended survives (see
-// BytesAppended). Quiescent callers only.
+// head/tail are unknown after a crash (§5.5). Pending grants, release
+// times, the reclaim cursor, the publish-pending mark and an Interrupt
+// are volatile state of the old incarnation and are discarded;
+// bytesAppended survives (see BytesAppended). Quiescent callers only.
 func (b *Buffer) Reset() {
 	b.head.Store(0)
 	b.tail.Store(0)
 	b.releasable.Store(0)
+	b.scannedAt.Store(0)
+	for i := range b.releasedAt {
+		b.releasedAt[i].Store(0)
+	}
 	b.cursor = 0
 	b.unpublished.Store(noPending)
+	b.mu.Lock()
+	b.interrupted = false
+	b.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/nvm"
 	"repro/internal/sim"
@@ -382,7 +383,7 @@ func TestScanCursor(t *testing.T) {
 	if f, e := b.ScanRange(); f != from || e != to {
 		t.Fatalf("range moved without Scanned: [%d,%d)", f, e)
 	}
-	b.Scanned(to)
+	b.Scanned(to, 0)
 	b.Grant(to) // tail stays until ApplyGrants; the cursor does not wait for it
 	_, pending, _ := b.Append(nil, 3, make([]byte, 16))
 	if f, e := b.ScanRange(); f != to || e != pending || b.Tail() != 0 {
@@ -424,5 +425,140 @@ func TestScanValueAliasesRing(t *testing.T) {
 	dev.Store(nil, int(first.DevOff)+headerSize, []byte("X"))
 	if first.Value[0] != 'X' || len(first.Value) != 100 || cap(first.Value) != 100 {
 		t.Fatalf("Value is not a bounded view of the ring: %q... len %d cap %d", first.Value[:1], len(first.Value), cap(first.Value))
+	}
+}
+
+// TestReleaseTimesTravelWithSpace: the virtual time a pass hands to Grant
+// is what Room reports to the append that lands in the space the grant
+// freed — a lap later, not before — and a stale grant's time is never
+// paired with a newer grant's space.
+func TestReleaseTimesTravelWithSpace(t *testing.T) {
+	const size = 64 * 1024
+	b, _ := newBuf(size)
+	v := make([]byte, 1024-headerSize) // 1 KiB records: 64 to a lap, 4 segments each
+	fill := func() (n int) {
+		for {
+			at, ok := b.Room(len(v))
+			if !ok {
+				return n
+			}
+			if _, _, err := b.Append(nil, 0, v); err != nil {
+				t.Fatal(err)
+			}
+			if b.Head() <= size && at != 0 {
+				t.Fatalf("first lap: space released at %d", at)
+			}
+			n++
+		}
+	}
+	if n := fill(); n != 64 {
+		t.Fatalf("first lap took %d records", n)
+	}
+	// Two passes, two grants; the second lands before the first is applied.
+	b.Scanned(16*1024, 1_000)
+	b.Grant(16 * 1024)
+	b.Scanned(32*1024, 2_000)
+	b.Grant(32 * 1024)
+	b.Grant(8 * 1024) // a stale grant regresses neither the tail nor the time
+	if _, ok := b.Room(len(v)); ok {
+		t.Fatal("room before ApplyGrants")
+	}
+	b.ApplyGrants()
+	if b.Tail() != 32*1024 {
+		t.Fatalf("tail = %d", b.Tail())
+	}
+	for i := 0; i < 32; i++ {
+		at, ok := b.Room(len(v))
+		if !ok || at != 2_000 {
+			t.Fatalf("record %d of lap 2: room %v, released at %d; the grants applied together carry the newer pass's time, 2000", i, ok, at)
+		}
+		if _, _, err := b.Append(nil, 0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := b.Room(len(v)); ok {
+		t.Fatal("room past the applied grants")
+	}
+	// The next grant covers the ring end and the wrap's first half again.
+	b.Scanned(size+16*1024, 20_000)
+	b.Grant(size + 16*1024)
+	b.ApplyGrants()
+	for i := 0; i < 48; i++ {
+		at, ok := b.Room(len(v))
+		if !ok || at != 20_000 {
+			t.Fatalf("record %d after the wrap grant: room %v, released at %d", i, ok, at)
+		}
+		if _, _, err := b.Append(nil, 0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Reset()
+	if at, ok := b.Room(len(v)); !ok || at != 0 {
+		t.Fatalf("after Reset: room %v, released at %d", ok, at)
+	}
+}
+
+// TestRoomMatchesAppend: Room says yes exactly when Append succeeds,
+// padding at the ring end included, and leaves an oversized value to
+// Append's own error.
+func TestRoomMatchesAppend(t *testing.T) {
+	b, _ := newBuf(256)
+	sizes := []int{16, 48, 100, 16, 200, 8, 120}
+	for i := 0; i < 200; i++ {
+		n := sizes[i%len(sizes)]
+		_, ok := b.Room(n)
+		_, _, err := b.Append(nil, uint64(i), make([]byte, n))
+		if ok != (err == nil) {
+			t.Fatalf("append %d of %d bytes: Room %v, Append %v (head %d tail %d)", i, n, ok, err, b.Head(), b.Tail())
+		}
+		if err == ErrFull {
+			b.ReleaseTo(b.Tail() + uint64(b.Used()/2/16*16))
+		}
+	}
+	if _, ok := b.Room(1 << 20); !ok {
+		t.Fatal("Room refused an oversized value instead of leaving it to Append")
+	}
+	if _, _, err := b.Append(nil, 0, make([]byte, 1<<20)); err == nil || err == ErrFull {
+		t.Fatalf("oversized append: %v", err)
+	}
+}
+
+// TestWaitWakeInterrupt covers the owner's sleep: a ticket taken before a
+// wake-up never blocks, a sleeper wakes when the tail moves and when the
+// scan owner calls Wake, and Interrupt ends every Wait until Reset.
+func TestWaitWakeInterrupt(t *testing.T) {
+	b, _ := newBuf(256)
+	b.Append(nil, 0, make([]byte, 100))
+	sleep := func(seq uint64) chan bool {
+		done := make(chan bool, 1)
+		go func() { done <- b.Wait(seq) }()
+		return done
+	}
+	seq := b.WaitSeq()
+	b.Wake()
+	if !b.Wait(seq) {
+		t.Fatal("Wait with a ticket older than the wake-up reported an interrupt")
+	}
+	done := sleep(b.WaitSeq())
+	b.Grant(64)
+	select {
+	case <-done:
+		t.Fatal("Grant alone woke the owner")
+	case <-time.After(10 * time.Millisecond):
+	}
+	b.ApplyGrants()
+	if !<-done {
+		t.Fatal("a moved tail ended Wait with an interrupt")
+	}
+	done = sleep(b.WaitSeq())
+	b.Interrupt()
+	if <-done || b.Wait(b.WaitSeq()) {
+		t.Fatal("Wait outlived Interrupt")
+	}
+	b.Reset()
+	done = sleep(b.WaitSeq())
+	b.Wake()
+	if !<-done {
+		t.Fatal("Reset did not lift the interrupt")
 	}
 }

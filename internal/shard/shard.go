@@ -386,6 +386,7 @@ func (s *Store) Stats() core.Stats {
 		t.PWBLiveMigrated += st.PWBLiveMigrated
 		t.ScanRewrites += st.ScanRewrites
 		t.PutStalls += st.PutStalls
+		t.PutsStalled += st.PutsStalled
 		t.ReclaimPublishLost += st.ReclaimPublishLost
 		t.ScanTornRecords += st.ScanTornRecords
 		t.IndexSpaceBytes += st.IndexSpaceBytes

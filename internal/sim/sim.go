@@ -7,18 +7,20 @@
 // experiments deterministic and lets a single-core host reproduce the
 // throughput and latency *shapes* of a 40-core, 8-SSD testbed.
 //
-// Shared device capacity is modeled by Resource: a serially reusable
-// service channel in virtual time with gap-aware (backfilling) placement.
-// Sustained offered load beyond capacity queues, which yields the
-// queueing behaviour behind the paper's observation that large IO batches
-// raise tail latency; transient out-of-order arrivals backfill idle gaps
-// instead of stacking up.
+// Shared device capacity is modeled by Resource: a bandwidth channel in
+// virtual time, kept as a calendar of fixed-width time buckets that each
+// record how much service has been granted in them. A request takes the
+// capacity that is left, from its arrival time forward, so requests
+// share the channel instead of queueing for one contiguous slot in it: a
+// bulk transfer flows around the small accesses already scheduled, a
+// thread whose clock trails the others still finds the capacity nobody
+// used, and no bucket is ever granted more service than its width.
+// Offered load beyond capacity fills bucket after bucket and so queues,
+// which yields the queueing behaviour behind the paper's observation
+// that large IO batches raise tail latency.
 package sim
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Clock is a per-thread virtual clock in nanoseconds. It is not safe for
 // concurrent use; each simulated thread owns exactly one Clock.
@@ -48,92 +50,111 @@ func (c *Clock) AdvanceTo(t int64) int64 {
 	return c.now
 }
 
-// Resource models a shared serially-reusable capacity (a device's
-// bandwidth channel). Acquire schedules busy nanoseconds of service
-// starting no earlier than at, returning the service window.
+// The calendar's geometry. A bucket is as wide as the queueing delay the
+// model gives up on: requests inside one bucket are not ordered against
+// each other. 1,024 ns is a third of a put and a fiftieth of an SSD read,
+// yet a 512 KiB chunk write still spans a hundred buckets. The ring's
+// length sets the horizon — how far a clock may trail the newest
+// reservation and still be served at its own time: 65,536 buckets are
+// 67 ms, beyond the skew between threads that advance a few microseconds
+// per operation and are descheduled for milliseconds of wall time. At two
+// bytes a bucket that is 128 KiB per channel, allocated by the first
+// Acquire.
+const (
+	bucketShift = 10
+	bucketNS    = 1 << bucketShift
+	numBuckets  = 1 << 16
+)
+
+// Resource models a shared capacity (a device's bandwidth channel) as a
+// calendar: a ring of fixed-width time buckets, each holding the busy
+// nanoseconds already granted in it. The zero value is an idle channel.
 //
-// The scheduler is gap-aware: a request arriving at a time when the
-// resource is idle is placed into that idle gap even if later work has
-// already been scheduled further in the future. (A naive next-free
-// ratchet would strand early-time requests behind phantom busy windows
-// whenever virtual clocks issue work out of order — which they routinely
-// do when real goroutines are scheduled serially on few cores.)
+// What the calendar conserves is service per bucket: the grants that
+// draw on one bucket never add up to more than its width, so over any
+// window that starts on a bucket boundary the channel serves at most the
+// window plus one bucket. What it does not keep is an order inside a
+// bucket: a request that fits in what its arrival bucket has left is
+// served on arrival, whoever else was granted time there, so queueing
+// delays shorter than a bucket are not modeled. A grant is final — a
+// small request that arrives, in call order, after a bulk one and inside
+// its span waits for the first bucket the bulk left room in.
 type Resource struct {
-	mu    sync.Mutex
-	busy  []window // sorted by start, non-overlapping, merged when adjacent
-	floor int64    // time before which no new work may be placed (pruned past)
+	mu   sync.Mutex
+	used []uint16 // busy ns granted in each bucket of the ring, at index bucket%numBuckets
+	head int64    // newest bucket the ring holds; it covers (head-numBuckets, head]
 }
 
-type window struct{ start, end int64 }
-
-// maxWindows bounds the busy list; old windows compress into the floor.
-// The first window allocates the list at this bound, so no later Acquire
-// allocates: how fragmented a schedule gets depends on goroutine timing,
-// and a list that grew on demand made the heap traffic of otherwise
-// identical runs differ by whole reallocations (up to 64 KiB each).
-const maxWindows = 4096
-
-// Acquire reserves busy ns of service beginning no earlier than at,
-// using the earliest available gap. It returns the reserved window.
+// Acquire reserves busy ns of service beginning no earlier than at and
+// returns the span in which it is served. The request draws on the free
+// capacity of its arrival bucket — no more of it than lies after at —
+// and then of each following bucket until it is covered; it starts where
+// it first got capacity and, when it spilled past its arrival bucket,
+// ends at the fill level of the last bucket it reached.
+//
+// The ring remembers numBuckets buckets back from the newest one any
+// request has reached. A request older than that horizon is clamped to
+// it: it is served as if it had arrived at the horizon, so a clock that
+// nothing drives is pulled to within the horizon of the clocks that do
+// the work. Acquire runs in time proportional to the buckets the request
+// spans and does not allocate after the first call.
 func (r *Resource) Acquire(at, busy int64) (start, end int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	start = at
-	if r.floor > start {
-		start = r.floor
+	if r.used == nil {
+		r.used = make([]uint16, numBuckets)
+	}
+	if horizon := (r.head - numBuckets + 1) << bucketShift; at < horizon {
+		at = horizon
 	}
 	if busy <= 0 {
-		return start, start
+		return at, at
 	}
-	// Find the first window that could conflict, then walk gaps.
-	i := sort.Search(len(r.busy), func(i int) bool { return r.busy[i].end > start })
-	for ; i < len(r.busy); i++ {
-		if start+busy <= r.busy[i].start {
-			break // fits in the gap before window i
+	start = -1
+	for b := at >> bucketShift; ; b++ {
+		if b > r.head {
+			r.advance(b)
 		}
-		if r.busy[i].end > start {
-			start = r.busy[i].end
+		slot := &r.used[b&(numBuckets-1)]
+		room := min(bucketNS-int64(*slot), (b+1)<<bucketShift-at) // the second term binds only in the arrival bucket
+		if room <= 0 {
+			continue
 		}
-	}
-	end = start + busy
-	// Insert [start,end) at position i, merging with touching neighbors.
-	switch {
-	case i > 0 && r.busy[i-1].end == start && i < len(r.busy) && r.busy[i].start == end:
-		r.busy[i-1].end = r.busy[i].end
-		r.busy = append(r.busy[:i], r.busy[i+1:]...)
-	case i > 0 && r.busy[i-1].end == start:
-		r.busy[i-1].end = end
-	case i < len(r.busy) && r.busy[i].start == end:
-		r.busy[i].start = start
-	default:
-		if r.busy == nil {
-			r.busy = make([]window, 0, maxWindows+1)
+		if start < 0 {
+			start = max(at, b<<bucketShift)
 		}
-		r.busy = append(r.busy, window{})
-		copy(r.busy[i+1:], r.busy[i:])
-		r.busy[i] = window{start, end}
+		take := min(room, busy)
+		*slot += uint16(take)
+		if busy -= take; busy > 0 {
+			continue
+		}
+		if b == at>>bucketShift {
+			return start, start + take
+		}
+		return start, b<<bucketShift + int64(*slot)
 	}
-	if len(r.busy) > maxWindows {
-		cut := len(r.busy) - maxWindows/2
-		r.floor = r.busy[cut-1].end
-		r.busy = append(r.busy[:0], r.busy[cut:]...)
-	}
-	return start, end
 }
 
-// Backlog reports how far the resource's last scheduled work extends
-// beyond t — the worst-case queueing delay a request arriving at t sees.
-func (r *Resource) Backlog(t int64) int64 {
+// Newest returns the start of the newest bucket any request has reached:
+// the channel's present, for a caller that has no clock of its own to
+// start from (recovery).
+func (r *Resource) Newest() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	last := r.floor
-	if n := len(r.busy); n > 0 {
-		last = r.busy[n-1].end
+	return r.head << bucketShift
+}
+
+// advance makes b the newest bucket of the ring, recycling the oldest
+// ones as empty buckets of the new range.
+func (r *Resource) advance(b int64) {
+	if b-r.head >= numBuckets {
+		clear(r.used)
+	} else {
+		for i := r.head + 1; i <= b; i++ {
+			r.used[i&(numBuckets-1)] = 0
+		}
 	}
-	if d := last - t; d > 0 {
-		return d
-	}
-	return 0
+	r.head = b
 }
 
 // TransferNS converts a byte count and a bandwidth in bytes/second into a

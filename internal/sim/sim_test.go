@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -31,43 +34,33 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestResourceSerializes(t *testing.T) {
+// An idle channel serves a request where it arrives, whether it fits in
+// its arrival bucket or spans many.
+func TestResourceIdleArrivalStartsAtArrival(t *testing.T) {
+	for _, c := range []struct{ at, busy int64 }{
+		{0, 100}, {12_345, 5}, {bucketNS - 1, 1}, {bucketNS - 10, 100}, {777, 50 * bucketNS},
+	} {
+		var r Resource
+		if s, e := r.Acquire(c.at, c.busy); s != c.at || e != c.at+c.busy {
+			t.Errorf("idle Acquire(%d, %d) = [%d,%d), want [%d,%d)", c.at, c.busy, s, e, c.at, c.at+c.busy)
+		}
+	}
 	var r Resource
-	s1, e1 := r.Acquire(0, 100)
-	if s1 != 0 || e1 != 100 {
-		t.Fatalf("first acquire = [%d,%d), want [0,100)", s1, e1)
-	}
-	// Arrives while busy: queued behind.
-	s2, e2 := r.Acquire(50, 100)
-	if s2 != 100 || e2 != 200 {
-		t.Fatalf("second acquire = [%d,%d), want [100,200)", s2, e2)
-	}
-	// Arrives after idle gap: starts at arrival.
-	s3, e3 := r.Acquire(500, 10)
-	if s3 != 500 || e3 != 510 {
-		t.Fatalf("third acquire = [%d,%d), want [500,510)", s3, e3)
+	if s, e := r.Acquire(500, 0); s != 500 || e != 500 {
+		t.Errorf("empty request = [%d,%d), want [500,500)", s, e)
 	}
 }
 
-func TestResourceBacklog(t *testing.T) {
-	var r Resource
-	r.Acquire(0, 1000)
-	if b := r.Backlog(400); b != 600 {
-		t.Fatalf("Backlog(400) = %d, want 600", b)
-	}
-	if b := r.Backlog(2000); b != 0 {
-		t.Fatalf("Backlog(2000) = %d, want 0", b)
-	}
-}
+type grant struct{ start, end, busy int64 }
 
-// Property: concurrent acquisitions never produce overlapping service
-// windows and total reserved time equals the sum of busy times.
-func TestResourceConcurrentNoOverlap(t *testing.T) {
+// Conservation, with eight goroutines on the channel at once: over any
+// window that starts on a bucket boundary, the requests served wholly
+// inside it were granted no more than the window plus one bucket, and
+// every request is served for at least as long as it asked.
+func TestResourceConservesCapacity(t *testing.T) {
 	var r Resource
-	const workers = 8
-	const perWorker = 200
-	type window struct{ s, e int64 }
-	results := make([][]window, workers)
+	const workers, perWorker = 8, 400
+	results := make([][]grant, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -75,70 +68,170 @@ func TestResourceConcurrentNoOverlap(t *testing.T) {
 			defer wg.Done()
 			rng := NewRNG(uint64(w) + 1)
 			for i := 0; i < perWorker; i++ {
-				busy := rng.Int63n(50) + 1
-				s, e := r.Acquire(rng.Int63n(1000), busy)
-				results[w] = append(results[w], window{s, e})
+				busy := rng.Int63n(3*bucketNS) + 1 // 1.5x the channel's capacity over the arrival span
+				s, e := r.Acquire(rng.Int63n(3_000*bucketNS), busy)
+				results[w] = append(results[w], grant{s, e, busy})
 			}
 		}(w)
 	}
 	wg.Wait()
-	var all []window
-	for _, ws := range results {
-		all = append(all, ws...)
+	var all []grant
+	for _, gs := range results {
+		all = append(all, gs...)
 	}
-	// Sort by start and check non-overlap.
-	for i := range all {
-		for j := i + 1; j < len(all); j++ {
-			if all[j].s < all[i].s {
-				all[i], all[j] = all[j], all[i]
+	slices.SortFunc(all, func(a, b grant) int { return cmp.Compare(a.end, b.end) })
+	for _, g := range all {
+		if g.end-g.start < g.busy {
+			t.Fatalf("request of %d ns served in [%d,%d)", g.busy, g.start, g.end)
+		}
+	}
+	last := all[len(all)-1].end
+	for from := int64(0); from < last; from += bucketNS {
+		var sum int64
+		for _, g := range all { // by end: each prefix is a window [from, g.end)
+			if g.start < from {
+				continue
+			}
+			if sum += g.busy; sum > g.end-from+bucketNS {
+				t.Fatalf("window [%d,%d) was granted %d ns", from, g.end, sum)
 			}
 		}
 	}
-	for i := 1; i < len(all); i++ {
-		if all[i].s < all[i-1].e {
-			t.Fatalf("windows overlap: [%d,%d) then [%d,%d)", all[i-1].s, all[i-1].e, all[i].s, all[i].e)
+}
+
+// Offered twice what the channel can serve, the work completes at the
+// channel's capacity: the last request ends where the total busy time does.
+func TestResourceOverloadCompletesAtCapacity(t *testing.T) {
+	var r Resource
+	const n, busy = 10_000, 200
+	var last int64
+	for i := int64(0); i < n; i++ {
+		_, last = r.Acquire(i*busy/2, busy)
+	}
+	if want := int64(n * busy); last < want || last > want+want/100 {
+		t.Fatalf("%d requests of %d ns, arriving every %d ns, end at %d; want %d (+1%%)", n, busy, busy/2, last, want)
+	}
+}
+
+// A bulk request shares the channel with the small ones already on it: on
+// a channel at utilisation rho it ends where B/(1-rho) of wall-to-wall
+// capacity runs out, to within a bucket, instead of waiting for a gap as
+// long as itself. It moves none of the requests granted before it, and a
+// small request that arrives as it ends waits for at most one bucket.
+func TestResourceBulkSharesChannel(t *testing.T) {
+	var r Resource
+	const (
+		span  = 4_000 * bucketNS
+		every = 64 // one 5 ns request every 64 ns, sixteen to a bucket
+		small = 5
+		bulk  = 500 * bucketNS
+		at    = 100*bucketNS + 300
+	)
+	for a := int64(0); a < span; a += every {
+		if s, e := r.Acquire(a, small); s != a || e != a+small {
+			t.Fatalf("small request at %d served in [%d,%d)", a, s, e)
+		}
+	}
+	rho := float64(small) / every
+	s, e := r.Acquire(at, bulk)
+	want := at + int64(bulk/(1-rho))
+	if s != at || e < want-bucketNS || e > want+bucketNS {
+		t.Fatalf("bulk of %d ns at %d on a channel at %.3f: [%d,%d), want it to end at %d give or take a bucket", bulk, at, rho, s, e, want)
+	}
+	for _, a := range []int64{e, e + 1, e + bucketNS/2} {
+		if s, _ := r.Acquire(a, small); s-a > bucketNS {
+			t.Fatalf("5 ns request at %d, where the bulk ends, starts at %d", a, s)
+		}
+	}
+	// Behind the bulk, and past it, the channel is as it was.
+	for _, a := range []int64{at - 2*bucketNS, e + 2*bucketNS} {
+		if s, _ := r.Acquire(a, small); s != a {
+			t.Fatalf("5 ns request at %d starts at %d", a, s)
 		}
 	}
 }
 
-// A later-time reservation must not strand an earlier-time one: the
-// earlier request backfills the idle gap.
-func TestResourceBackfillsIdleGaps(t *testing.T) {
+// A clock that lags the newest reservation still finds the capacity
+// nobody used at its own time; only past the horizon is it pulled forward,
+// and then to the horizon.
+func TestResourceLaggingClockAndHorizon(t *testing.T) {
 	var r Resource
-	r.Acquire(1_000_000, 100) // future work at 1ms
-	s, e := r.Acquire(0, 100) // early request: idle gap before 1ms
-	if s != 0 || e != 100 {
-		t.Fatalf("early request stranded: [%d,%d)", s, e)
+	r.Acquire(20_000_000, 100)
+	if s, e := r.Acquire(10_000_000, 100); s != 10_000_000 || e != 10_000_100 {
+		t.Fatalf("request 10 ms behind the newest reservation: [%d,%d)", s, e)
 	}
-	// A request that does not fit in the gap goes after the future work.
-	s2, _ := r.Acquire(0, 2_000_000)
-	if s2 < 1_000_100 {
-		t.Fatalf("oversized request overlapped future work: start %d", s2)
+	const far = 200_000_000 // three horizons ahead
+	r.Acquire(far, 10)
+	horizon := int64(far>>bucketShift-numBuckets+1) << bucketShift
+	if s, e := r.Acquire(0, 10); s != horizon || e != horizon+10 {
+		t.Fatalf("request older than the horizon: [%d,%d), want [%d,%d)", s, e, horizon, horizon+10)
 	}
-	// Exact-fit gap reuse.
-	s3, e3 := r.Acquire(100, 999_900)
-	if s3 != 100 || e3 != 1_000_000 {
-		t.Fatalf("exact gap not used: [%d,%d)", s3, e3)
+	if s, _ := r.Acquire(horizon+5*bucketNS, 10); s != horizon+5*bucketNS {
+		t.Fatalf("request inside the horizon moved to %d", s)
 	}
 }
 
-// However fragmented the schedule gets — past the window bound, so the
-// list is trimmed into the floor several times — only the first window
-// allocates.
+// Only the first Acquire allocates, however the clocks that follow are
+// spread: one running ahead, one 5 ms behind it, and a jump past the whole
+// ring.
 func TestResourceAcquireAllocatesOnce(t *testing.T) {
 	var r Resource
 	r.Acquire(0, 1)
-	at := int64(0)
-	allocs := testing.AllocsPerRun(3*maxWindows, func() {
-		at += 10 // a gap after every window: nothing merges
-		r.Acquire(at, 1)
+	at := int64(5_000_000)
+	allocs := testing.AllocsPerRun(10_000, func() {
+		at += 700
+		r.Acquire(at, 5)
+		r.Acquire(at-5_000_000, 3*bucketNS)
 	})
 	if allocs != 0 {
 		t.Fatalf("Acquire allocates %.2f objects per call after the first", allocs)
 	}
-	if r.floor == 0 || len(r.busy) > maxWindows {
-		t.Fatalf("list never trimmed: floor %d, %d windows", r.floor, len(r.busy))
+	if allocs := testing.AllocsPerRun(10, func() { at += 2 * numBuckets * bucketNS; r.Acquire(at, 5) }); allocs != 0 {
+		t.Fatalf("Acquire allocates %.2f objects per call when the ring turns over", allocs)
 	}
+}
+
+// BenchmarkResourceAcquire is the channel's own line in the trajectory:
+// one clock alone, and two clocks that stay 5 ms apart, so that the
+// lagging one reserves in the middle of what the leading one has booked
+// — first taking turns, which repeats exactly, then from two goroutines,
+// which adds the contention for the channel's lock and interleaves as the
+// scheduler pleases. Virtual time is a shared tick, 3 us (an operation's
+// worth) per call, so the skew is the benchmark's: it does not grow when
+// one goroutine gets more of the CPU, nor shrink when an implementation
+// moves a lagging request forward.
+func BenchmarkResourceAcquire(b *testing.B) {
+	const skew = 5_000_000
+	var tick atomic.Int64
+	run := func(r *Resource, lead int64, n int) {
+		for i := 0; i < n; i++ {
+			r.Acquire(tick.Add(3_000)+lead, 5)
+		}
+	}
+	bench := func(name string, body func(r *Resource, n int)) {
+		b.Run(name, func(b *testing.B) {
+			var r Resource
+			r.Acquire(0, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			body(&r, b.N)
+		})
+	}
+	bench("uncontended", func(r *Resource, n int) { run(r, 0, n) })
+	bench("skewed-5ms", func(r *Resource, n int) {
+		for i := 0; i < n; i++ {
+			r.Acquire(tick.Add(3_000)+int64(i&1)*skew, 5)
+		}
+	})
+	bench("skewed-5ms-2goroutines", func(r *Resource, n int) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			run(r, skew, n/2)
+		}()
+		run(r, 0, n-n/2)
+		<-done
+	})
 }
 
 func TestTransferNS(t *testing.T) {

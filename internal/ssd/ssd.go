@@ -5,9 +5,9 @@
 // The model captures the three SSD properties the evaluation depends on:
 //
 //   - Bandwidth vs. latency trade-off. Each direction has a shared
-//     bandwidth channel in virtual time; transfer time queues behind
-//     earlier IO, so large batches raise utilization *and* tail latency —
-//     the queueing effect of §4.2.
+//     bandwidth channel in virtual time; a transfer takes the capacity
+//     earlier IO left, so large batches raise utilization *and* tail
+//     latency — the queueing effect of §4.2.
 //   - Durability boundary. A write is durable only once the submitter has
 //     observed its completion and acknowledged it (Ack). Crash drops all
 //     unacknowledged writes, modeling in-flight IO lost on power failure.
@@ -217,8 +217,10 @@ func (d *Device) Ack(c Completion) {
 // Storage uses it to prefer idle devices (§5.2).
 func (d *Device) InFlight() int { return int(d.inFlight.Load()) }
 
-// Backlog reports the queueing delay (ns) a read arriving at t would see.
-func (d *Device) Backlog(t int64) int64 { return d.readBW.Backlog(t) }
+// Now returns the virtual time up to which the device's channels have
+// been booked, to the bucket: where a caller with no clock of its own
+// (a recovery scan) starts.
+func (d *Device) Now() int64 { return max(d.readBW.Newest(), d.writeBW.Newest()) }
 
 // Crash drops every staged, unacknowledged write — the in-flight IO a
 // power failure would lose. Durable contents are untouched.

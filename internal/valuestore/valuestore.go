@@ -175,6 +175,13 @@ type Store struct {
 	spare   []*Writer // released writers, kept for their buffers
 	readBuf []byte    // the claimers' victim read buffer, between passes
 
+	// writeMu admits one chunk write to the device at a time, submit to
+	// ack. The device stages a write in a buffer it keeps for the next
+	// one; with a single write in flight that is one buffer, allocated
+	// by the first chunk, instead of one more whenever two writers
+	// happen to overlap for the first time.
+	writeMu sync.Mutex
+
 	chunks []chunkMeta
 
 	chunksWritten atomic.Int64
@@ -407,12 +414,14 @@ type Entry struct {
 // claimable — until its owner seals it.
 func (w *Writer) write(at int64) (doneTime int64) {
 	s := w.s
+	s.writeMu.Lock()
 	comps := s.Dev.Submit(at, []ssd.Request{{
 		Op:     ssd.OpWrite,
 		Offset: int64(w.chunk * s.chunkSize),
 		Data:   w.buf[:w.fill],
 	}})
 	s.Dev.Ack(comps[0])
+	s.writeMu.Unlock()
 
 	c := &s.chunks[w.chunk]
 	c.fill.Store(int32(w.fill))

@@ -3,6 +3,8 @@ package valuestore
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -486,5 +488,55 @@ func TestWriterReleaseReusesBuffers(t *testing.T) {
 		w.Release()
 	}); allocs > 1 { // the device's completion slice
 		t.Fatalf("a released-and-reused writer cost %.0f allocations per chunk", allocs)
+	}
+}
+
+// Concurrent WriteChunk callers never have two writes in flight on the
+// device, so its staging pool stays at the one buffer the first chunk
+// allocated however the callers interleave: no run pays for a second
+// buffer at whatever moment two of them first overlap.
+func TestChunkWritesShareOneStagingBuffer(t *testing.T) {
+	const writers, rounds, chunkSize = 4, 100, 1 << 20
+	s, _ := newStore(t, 2*writers, chunkSize)
+	val := make([]byte, chunkSize/2)
+	lost := func(int, Entry) bool { return false } // every chunk comes straight back
+
+	// As many writers as will ever be open at once, and one staged write.
+	var held []*Writer
+	for i := 0; i < writers; i++ {
+		w, err := s.NewWriter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, w)
+	}
+	for _, w := range held {
+		w.Abort()
+		w.Release()
+	}
+	if _, err := s.WriteChunk(sim.NewClock(0), 0, []Move{{Value: val}}, lost); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			clk, moves := sim.NewClock(0), []Move{{HSITIdx: uint64(g), Value: val}}
+			for i := 0; i < rounds; i++ {
+				if _, err := s.WriteChunk(clk, 0, moves, lost); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(val)) {
+		t.Fatalf("%d concurrent chunk writes allocated %d bytes: a second staging buffer of %d", writers*rounds, got, len(val))
 	}
 }
