@@ -24,7 +24,9 @@ test:
 # TestMixedSetReadersStress in internal/tcq for one-request and
 # multi-request readers sharing a combining queue, and TestGCChurnStress
 # in internal/core for reclaimers, Value Storage GC and the scan-range
-# rewrite relocating values at once (DESIGN.md §4.12). internal/bench's
+# rewrite relocating values at once (DESIGN.md §4.12), and
+# TestReclaimAdmissionNeverStale for the reclaimers handing values to the
+# SVC beside writers and readers of the same keys (§4.13). internal/bench's
 # full Fig 7 matrix exceeds CI timeouts under the detector's ~20x
 # slowdown, so that one package contributes a bounded concurrent-load
 # smoke instead of its whole suite; every other package runs in full.
@@ -36,6 +38,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestAsyncCompletionStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAdaptiveWatermarkBurstStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestGCChurnStress$$' ./internal/core
+	$(GO) test -race -count=1 -run 'TestReclaimAdmissionNeverStale$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$' ./internal/server
 	$(GO) test -race -count=1 -run 'TestMixedSetReadersStress$$' ./internal/tcq
@@ -74,14 +77,17 @@ bench:
 # pipelining comparison (BenchmarkPutPipelined's virt-Kops/s at depth=1
 # vs depth=32) at a longer benchtime so the counters are stable. The
 # second line is the reclaim path's: BenchmarkReclaimPass prints wall ns,
-# heap bytes and heap objects per migrated record, beside its
-# AllocsPerRun gate (a pass allocates per chunk written, not per record).
+# heap bytes, heap objects and SVC hand-offs per migrated record for a
+# write-only pass and for one whose every record was read first (an entry
+# and a value copy each), beside its AllocsPerRun gates (a pass nobody
+# reads behind allocates per chunk written, not per record — with the
+# cache off and on).
 # The third is the device channel's: BenchmarkResourceAcquire prints ns
 # and allocations per sim.Resource.Acquire for one clock and for two
 # clocks 5 ms apart, beside its allocates-once gate.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPut($$|Batch|Sharded|Pipelined)' -benchtime=1000x -run '^$$' .
-	$(GO) test -bench='BenchmarkReclaimPass$$' -benchtime=20x -count=1 -run 'TestReclaimPassAllocs$$' ./internal/core
+	$(GO) test -bench='BenchmarkReclaimPass$$' -benchtime=20x -count=1 -run 'TestReclaimPassAllocs$$|TestWriteOnlyReclaimAdmitsNothing$$' ./internal/core
 	$(GO) test -bench='BenchmarkResourceAcquire$$' -benchtime=200000x -count=1 -run 'TestResourceAcquireAllocatesOnce$$' ./internal/sim
 
 # bench-module vets and tests benchmark/, the repo benchmark: it is its

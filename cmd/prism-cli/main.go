@@ -251,6 +251,7 @@ func localREPL() {
 			s := store.Stats()
 			fmt.Printf("ops: puts=%d gets=%d deletes=%d scans=%d\n", s.Puts, s.Gets, s.Deletes, s.Scans)
 			fmt.Printf("reads: svcHits=%d pwbHits=%d vsReads=%d\n", s.SVCHits, s.PWBHits, s.VSReads)
+			fmt.Printf("svc: entries=%d evictions=%d reclaimAdmits=%d reclaimAdmitSkips=%d scanDeferred=%d\n", s.SVC.Entries, s.SVC.Evictions, s.ReclaimAdmits, s.ReclaimAdmitSkips, s.ScanDeferred)
 			fmt.Printf("writes: reclaims=%d migrated=%d stalled=%d ringFull=%d\n", s.Reclaims, s.PWBLiveMigrated, s.PutsStalled, s.PutStalls)
 			fmt.Printf("value storage: chunksWritten=%d gcRuns=%d free=%d\n", s.VS.ChunksWritten, s.VS.GCRuns, s.VS.FreeChunks)
 			fmt.Printf("nvm space: index=%dB hsit=%dB\n", s.IndexSpaceBytes, s.HSITSpaceBytes)

@@ -483,6 +483,7 @@ func (a *asyncThread) getPass(hs []*Handle) {
 		nvs := len(lt.pending)
 		if idx, ok := s.index.Lookup(stage, h.key); ok {
 			items[i].idx = idx
+			s.recent.mark(idx)
 			lt.pending = lt.stageRead(&items[i], lt.pending)
 		}
 		resolved := len(lt.pending) == nvs

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/hsit"
@@ -192,10 +191,12 @@ var settleHook func()
 // migrate writes recs — well-coupled PWB records, Old their ring offset,
 // Value wherever the caller read them (the reclaimer passes views into
 // the ring, recovery copies) — into Value Storage, one WriteChunk per
-// chunk, and swings their HSIT pointers from the PWB to the new location;
-// it is the reclaimer's and recovery's one way out of the ring. target >=
-// 0 pins the destination (tier steering, with hot the heat class being
-// placed); -1 keeps the paper's idle-device selection. When the chosen
+// chunk, and swings their HSIT pointers from the PWB to the new location
+// (handing a read-recent value to the SVC as it goes, see handOff; never
+// from recovery's drain, which runs with the filter cleared and the cache
+// gone); it is the reclaimer's and recovery's one way out of the ring.
+// target >= 0 pins the destination (tier steering, with hot the heat class
+// being placed); -1 keeps the paper's idle-device selection. When the chosen
 // store is out of chunks the records spill to any device with space
 // (counted as fallback bytes — availability beats placement). reserve is
 // how many free chunks a store keeps back: gcReserve for the reclaimer,
@@ -224,7 +225,8 @@ func (s *Store) migrate(clk *sim.Clock, rng *sim.RNG, recs []valuestore.Move, ta
 		}
 		old := hsit.Pointer{Media: hsit.PWB, Len: e.ValueLen, Off: recs[i].Old}
 		newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
-		if !s.table.PublishIf(clk, e.HSITIdx, old, newp) {
+		ver, ok := s.table.PublishIf(clk, e.HSITIdx, old, newp)
+		if !ok {
 			// A foreground write superseded this value mid-flight.
 			s.stats.reclaimPublishLost.Add(1)
 			return false
@@ -233,6 +235,7 @@ func (s *Store) migrate(clk *sim.Clock, rng *sim.RNG, recs []valuestore.Move, ta
 		// First landing of this user value on an SSD: credit the
 		// per-device WAF denominator.
 		st.AttributeUserBytes(int64(e.ValueLen))
+		s.handOff(clk, e.HSITIdx, ver, recs[i].Value)
 		return true
 	}
 	for len(recs) > 0 {
@@ -299,10 +302,11 @@ func (s *Store) gcLoop() {
 			for float64(st.FreeChunks())/float64(st.Chunks()) < s.opt.GCFreeFraction {
 				before := st.FreeChunks()
 				freed, done := st.GC(s.gcClk.Now(), 4, func(idx, oldOff, newOff uint64, vlen int) bool {
-					return s.table.PublishIf(s.gcClk,
+					_, ok := s.table.PublishIf(s.gcClk,
 						idx,
 						hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(r.store, oldOff)},
 						hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(r.store, newOff)})
+					return ok
 				})
 				s.gcClk.AdvanceTo(done)
 				s.em.Collect()
@@ -317,25 +321,21 @@ func (s *Store) gcLoop() {
 }
 
 // onScanEvict is the SVC rewrite hook (§4.4 steps 5-6): when a chained
-// (scanned) entry is evicted, the resident chain is sorted by key and
-// written into a single fresh Value Storage chunk, restoring spatial
-// locality for the key range. Runs on the cache manager goroutine.
+// (scanned) entry is evicted, the resident chain — in key order as the
+// scan linked it — is written into a single fresh Value Storage chunk,
+// restoring spatial locality for the key range. Runs on the cache manager
+// goroutine.
 func (s *Store) onScanEvict(chain svc.EvictedChain) {
 	s.svcMu.Lock()
 	defer s.svcMu.Unlock()
 	clk := s.svcClk
 	clk.AdvanceTo(s.lastSeen.Load())
 
-	entries := chain.Entries
-	sort.Slice(entries, func(a, b int) bool {
-		return string(entries[a].Key) < string(entries[b].Key)
-	})
-
 	// todo[i] is a value to rewrite — Old its global offset — and vers[i]
 	// the publish version its cached bytes were admitted under.
 	var todo []valuestore.Move
 	var vers []uint64
-	for _, e := range entries {
+	for _, e := range chain.Entries {
 		// Only values still resident in Value Storage with unchanged
 		// content participate; anything updated meanwhile is skipped.
 		// Currency is judged by the publish version under which the

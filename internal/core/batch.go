@@ -151,6 +151,7 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 		items[i] = scanItem{key: k}
 		if idx, ok := s.index.Lookup(t.Clk, k); ok {
 			items[i].idx = idx
+			s.recent.mark(idx)
 			t.pending = t.stageRead(&items[i], t.pending)
 		}
 	}

@@ -91,7 +91,7 @@ func (s *Store) registerMetrics() {
 			s.stats.svcHits.Load)
 		r.CounterFunc(obs.Desc{Name: "svc.misses", Help: "reads that fell through to NVM or SSD", Unit: "reads"},
 			func() int64 { return s.stats.pwbHits.Load() + s.stats.vsReads.Load() })
-		r.GaugeFunc(obs.Desc{Name: "svc.bytes", Help: "resident key+value+overhead bytes", Unit: "bytes"},
+		r.GaugeFunc(obs.Desc{Name: "svc.bytes", Help: "resident value+overhead bytes", Unit: "bytes"},
 			func() float64 { return float64(s.cache.Stats().Bytes) })
 		r.GaugeFunc(obs.Desc{Name: "svc.entries", Help: "resident entries", Unit: "entries"},
 			func() float64 { return float64(s.cache.Stats().Entries) })
@@ -105,6 +105,12 @@ func (s *Store) registerMetrics() {
 			s.stats.scanRewrites.Load)
 		r.CounterFunc(obs.Desc{Name: "svc.touch_drops", Help: "advisory touch events dropped under pressure", Unit: "events"},
 			func() int64 { return s.cache.Stats().TouchDrops })
+		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admits", Help: "values a reclaim pass handed to the cache as it moved them to Value Storage, because the read-recency filter had their key (over pwb.live_migrated: the share of migrated records somebody had read)", Unit: "values"},
+			s.stats.reclaimAdmits.Load)
+		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admit_skips", Help: "hand-offs a reclaim pass skipped because the cache manager's queue was more than half full (a pass never waits for the manager)", Unit: "values"},
+			s.stats.reclaimAdmitSkips.Load)
+		r.CounterFunc(obs.Desc{Name: "svc.scan_deferred", Help: "scan rows read from Value Storage and not admitted because it was their first touch (the touch set their read-recency bit; a second one admits)", Unit: "rows"},
+			s.stats.scanDeferred.Load)
 	}
 
 	// ---- pwb: per-thread Persistent Write Buffers (§4.3) ----

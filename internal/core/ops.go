@@ -164,6 +164,7 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 		if idx, err = s.table.Alloc(t.Clk); err != nil {
 			return err
 		}
+		s.recent.forget(idx) // whoever held the slot before, nobody has read this key
 	}
 	err := t.writeAndPublish(idx, value, clearPending)
 	if !found {
@@ -246,7 +247,7 @@ func (t *Thread) maybeKickReclaim() {
 
 func (t *Thread) kickReclaim() {
 	now := t.Clk.Now()
-	t.s.lastSeen.Store(now)
+	t.s.sawTime(now)
 	select {
 	case t.s.reclaimChs[t.id] <- now:
 	default:
@@ -274,6 +275,8 @@ func (t *Thread) invalidateOld(idx uint64, old hsit.Pointer) {
 // Get returns the current value for key. Resolution order is the paper's
 // fast-path order: SVC (DRAM) -> PWB (NVM) -> Value Storage (SSD, via
 // thread combining), admitting SSD-read values into the SVC (§4.4).
+// Whichever medium serves it, the read goes on record in the read-recency
+// filter (admit.go).
 func (t *Thread) Get(key []byte) ([]byte, error) {
 	s := t.s
 	if s.closed.Load() {
@@ -289,6 +292,7 @@ func (t *Thread) Get(key []byte) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
+	s.recent.mark(idx)
 	for attempt := 0; attempt < 1000; attempt++ {
 		val, err, retry := t.resolve(idx, key, true)
 		if !retry {
@@ -413,48 +417,9 @@ func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err er
 		return nil, nil, true // chunk recycled under us
 	}
 	if admit {
-		t.admitToSVC(idx, it.ver, key, v)
+		s.admitToSVC(t.Clk, idx, it.ver, v)
 	}
 	return cloneBytes(v), nil, false
-}
-
-// admitToSVC publishes a freshly read value in the cache (§4.4: admission
-// only on Value Storage reads, lock-free HSIT publication). ver is the
-// entry's publish version observed before the pointer load that the read
-// resolved; admission is aborted if the entry has moved on since.
-func (t *Thread) admitToSVC(idx uint64, ver uint64, key, value []byte) (handle uint64, admitted bool) {
-	s := t.s
-	if s.cache == nil || ver&1 != 0 {
-		return 0, false
-	}
-	e := s.cache.Admit(idx, ver, key, value)
-	if !s.table.CasSVC(t.Clk, idx, 0, e.Handle()) {
-		s.cache.AbortAdmit(e)
-		return 0, false
-	}
-	s.lastSeen.Store(t.Clk.Now()) // an admission is what evicts: the rewrite it may cause happens now
-	s.cache.Published(e)
-	// Admission TOCTOU guard: a writer that superseded the value after
-	// our read may have run its invalidateOld before the CAS above, seen
-	// word1 == 0, and concluded there was nothing to unpublish — which
-	// would leave these stale bytes cached forever. Re-checking the
-	// publish version after publishing closes the window: whichever side
-	// acts second is guaranteed to see the other's update. The version —
-	// not the forward pointer — is what makes the guard sound: Value
-	// Storage chunks and PWB ring slots are recycled without epoch grace,
-	// so a superseded value of the same length can be rewritten at the
-	// same offset and make the pointer word match a stale snapshot (the
-	// releaseChunk coincidence is linearizable for an overlapping read,
-	// but caching it would leak the stale bytes to later reads). A reader
-	// that resolves the handle between the CAS and this retraction is
-	// covered by svcRead's identical version check.
-	if s.table.Version(idx) != ver {
-		if s.table.CasSVC(t.Clk, idx, e.Handle(), 0) {
-			s.cache.Invalidate(idx, e.Handle())
-		}
-		return 0, false
-	}
-	return e.Handle(), true
 }
 
 // Delete removes key. The HSIT entry is reclaimed after two epochs
@@ -525,9 +490,9 @@ type KV struct {
 // fn for each until it returns false. Values resident only in Value
 // Storage are fetched as one asynchronous batch of merged extents (see
 // readVSBatch: the scan waits about one SSD read latency for all of
-// them, not one per extent), and are admitted to the SVC chained
-// together so that an eviction rewrites the whole range into one chunk
-// (§4.4 scan acceleration).
+// them, not one per extent); those the read-recency filter has seen
+// before are admitted to the SVC, chained together so that an eviction
+// rewrites the range into one chunk (§4.4 scan acceleration).
 func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 	s := t.s
 	if s.closed.Load() {
@@ -607,11 +572,15 @@ type located struct {
 // batch of merged extents: records adjacent on the same device (within
 // mergeGap bytes) coalesce into one IO — this is why the SVC's sorted
 // rewrite reduces scan IO — and all extents are in flight together (see
-// readVS for the timing). chain selects the scan-specific SVC eviction
-// chaining (§4.4); MultiGet shares the merged-read machinery but its
-// keys are not a key-ordered range, so chaining them would invite
-// pointless rewrites.
-func (t *Thread) readVSBatch(pending []*scanItem, chain bool) {
+// readVS for the timing). scan selects what is specific to a range scan:
+// a row is admitted to the SVC on its second touch only — the first sets
+// its bit in the read-recency filter, so a one-pass scan does not flush
+// the point reads' working set — and the admitted rows are chained for
+// the eviction-time rewrite (§4.4). MultiGet and the async get pass share
+// the merged-read machinery, but theirs are point reads: every one is
+// admitted (their bits were set at lookup), and their keys are not a
+// key-ordered range, so chaining them would invite pointless rewrites.
+func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	if len(pending) == 0 {
 		return
 	}
@@ -672,16 +641,22 @@ func (t *Thread) readVSBatch(pending []*scanItem, chain bool) {
 	// range served by one merged extent is already contiguous on the
 	// SSD — chaining it would only invite a pointless rewrite later.
 	if s.cache != nil {
-		chain = chain && !s.opt.DisableScanSort && len(reqs) > 1
+		chain := scan && !s.opt.DisableScanSort && len(reqs) > 1
 		var handles []uint64 // the cache keeps a chain's slice: no scratch
+		var deferred int64
 		for _, it := range pending {
 			if it.val == nil || it.p.IsNil() {
 				continue
 			}
-			if h, ok := t.admitToSVC(it.idx, it.ver, it.key, it.val); ok && chain {
+			if scan && !s.recent.mark(it.idx) {
+				deferred++
+				continue
+			}
+			if h, ok := s.admitToSVC(t.Clk, it.idx, it.ver, it.val); ok && chain {
 				handles = append(handles, h)
 			}
 		}
+		s.stats.scanDeferred.Add(deferred)
 		s.cache.LinkChain(handles)
 	}
 }

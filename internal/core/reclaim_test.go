@@ -214,9 +214,14 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 
 func mustIdx(t *testing.T, s *Store, i int) uint64 {
 	t.Helper()
-	idx, ok := s.index.Lookup(nil, key(i))
+	return mustIdxOf(t, s, key(i))
+}
+
+func mustIdxOf(t *testing.T, s *Store, k []byte) uint64 {
+	t.Helper()
+	idx, ok := s.index.Lookup(nil, k)
 	if !ok {
-		t.Fatalf("key %d not in the index", i)
+		t.Fatalf("key %s not in the index", k)
 	}
 	return idx
 }

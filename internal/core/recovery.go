@@ -39,6 +39,7 @@ func (s *Store) Crash() {
 		s.cache.Close()
 		s.cache = nil
 	}
+	s.recent.clear() // DRAM: who read what died with the crash
 	// Pending epoch retirements (free-list pushes, ring releases) are
 	// volatile deferred work: a real crash loses them, and recovery
 	// rebuilds their effects from durable state. Letting one fire after

@@ -25,9 +25,10 @@ func runClaimers(s *Store, pinned map[uint64]bool) {
 	clk := sim.NewClock(0)
 	swing := func(from, to int) func(idx, oldOff, newOff uint64, vlen int) bool {
 		return func(idx, oldOff, newOff uint64, vlen int) bool {
-			return s.table.PublishIf(clk, idx,
+			_, ok := s.table.PublishIf(clk, idx,
 				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(from, oldOff)},
 				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(to, newOff)})
+			return ok
 		}
 	}
 	for di, st := range s.vsm.Stores {
@@ -145,7 +146,7 @@ func TestClaimersInsideSettle(t *testing.T) {
 				idx := mustIdx(t, r.s, k)
 				r.pinned[idx] = true
 				chain.Entries = append(chain.Entries, &svc.Entry{
-					HSITIdx: idx, Key: key(k), Value: value(k), Ver: r.s.table.Version(idx),
+					HSITIdx: idx, Value: value(k), Ver: r.s.table.Version(idx),
 				})
 			}
 			r.s.svcMu.Lock()
@@ -155,7 +156,7 @@ func TestClaimersInsideSettle(t *testing.T) {
 			r.s.onScanEvict(chain)
 			for _, e := range chain.Entries {
 				if r.s.table.Version(e.HSITIdx) == e.Ver {
-					t.Fatalf("key %s was not rewritten", e.Key)
+					t.Fatalf("the key at HSIT entry %d was not rewritten", e.HSITIdx)
 				}
 			}
 		}},

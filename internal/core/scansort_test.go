@@ -35,8 +35,10 @@ func TestScanSortRewrite(t *testing.T) {
 	}
 	drain(t, s)
 
-	// Scan a range (chains it in the SVC), then flood the cache so the
-	// chain evicts and the rewrite hook runs.
+	// Scan a range twice, then flood the cache so the chain evicts and the
+	// rewrite hook runs. Twice is the admission rule, not a workaround: a
+	// scan row enters the SVC (and its range's chain) on its second touch,
+	// so a range scanned once is never chained and never rewritten.
 	scanReads := func() int64 {
 		before := s.Stats().VSReads
 		count := 0
@@ -49,6 +51,12 @@ func TestScanSortRewrite(t *testing.T) {
 		return s.Stats().VSReads - before
 	}
 	first := scanReads()
+	if again := scanReads(); again != first {
+		t.Fatalf("the second scan read %d extents, the first %d: nothing has moved yet", again, first)
+	}
+	if st := s.Stats(); st.ScanDeferred != 40 || st.SVC.Entries != 40 {
+		t.Fatalf("after two scans of 40 rows: %d rows deferred, %d entries cached; want 40 and 40", st.ScanDeferred, st.SVC.Entries)
+	}
 	for i := 1; i <= 4000; i++ {
 		if _, err := th.Get([]byte(fmt.Sprintf("b%06d", i%filler+1))); err != nil {
 			t.Fatal(err)

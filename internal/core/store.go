@@ -250,13 +250,16 @@ type Store struct {
 	svcClk      *sim.Clock
 	lastRewrite int64 // guarded by svcMu; paces scan-range rewrites
 
-	// lastSeen is the newest virtual time a foreground thread has handed
-	// to background work: a reclaim kick or an SVC admission. It drives
-	// the clocks of the background jobs no request carries a time to —
-	// the scan-range rewrite and the demotion pass — which would
-	// otherwise stand still while the clocks of the work they wait on
-	// run seconds ahead.
+	// lastSeen is the newest virtual time anyone has handed to background
+	// work: a reclaim kick, or an SVC admission by a reader or a reclaimer
+	// (sawTime keeps it a maximum). It drives the clocks of the background
+	// jobs no request carries a time to — the scan-range rewrite and the
+	// demotion pass — which would otherwise stand still while the clocks
+	// of the work they wait on run seconds ahead.
 	lastSeen atomic.Int64
+
+	// recent is the read-recency filter behind SVC admission (admit.go).
+	recent *readFilter
 
 	// Tiering + adaptive admission (tiering.go). tierFast/tierCap are the
 	// device indices chosen at Open; equal when the array is
@@ -312,6 +315,12 @@ type statsCounters struct {
 	putStalls, putsStalled        atomic.Int64
 	reclaimPublishLost            atomic.Int64
 	scanTornRecords               atomic.Int64
+
+	// SVC admission by source other than a point read's SSD read: records
+	// the reclaimer handed over, hand-offs it skipped because the cache
+	// manager was behind, and first-touch scan rows left out.
+	reclaimAdmits, reclaimAdmitSkips atomic.Int64
+	scanDeferred                     atomic.Int64
 
 	asyncPuts, asyncGets atomic.Int64
 	asyncDeletes         atomic.Int64
@@ -452,6 +461,7 @@ func Open(opt Options) (*Store, error) {
 		}
 		s.cache = svc.New(cfg)
 	}
+	s.recent = newReadFilter(opt.HSITCapacity, s.recentLimit)
 	rng := sim.NewRNG(opt.Seed)
 	for i := 0; i < opt.NumThreads; i++ {
 		s.threads = append(s.threads, &Thread{
@@ -562,6 +572,9 @@ type Stats struct {
 	Reclaims, PWBLiveMigrated  int64
 	PWBRecordsScanned          int64
 	ScanRewrites               int64
+	ReclaimAdmits              int64
+	ReclaimAdmitSkips          int64
+	ScanDeferred               int64
 	PutStalls, PutsStalled     int64
 	ReclaimPublishLost         int64
 	ScanTornRecords            int64
@@ -597,6 +610,9 @@ func (s *Store) Stats() Stats {
 		PWBLiveMigrated:       s.stats.pwbLiveMigrated.Load(),
 		PWBRecordsScanned:     s.stats.pwbScanned.Load(),
 		ScanRewrites:          s.stats.scanRewrites.Load(),
+		ReclaimAdmits:         s.stats.reclaimAdmits.Load(),
+		ReclaimAdmitSkips:     s.stats.reclaimAdmitSkips.Load(),
+		ScanDeferred:          s.stats.scanDeferred.Load(),
 		PutStalls:             s.stats.putStalls.Load(),
 		PutsStalled:           s.stats.putsStalled.Load(),
 		ReclaimPublishLost:    s.stats.reclaimPublishLost.Load(),

@@ -236,7 +236,7 @@ func (s *Store) demoteStep(clk *sim.Clock, cursor int) int {
 			if settleHook != nil {
 				settleHook()
 			}
-			ok := s.table.PublishIf(clk, idx,
+			_, ok := s.table.PublishIf(clk, idx,
 				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(s.tierFast, oldLocal)},
 				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(s.tierCap, newLocal)})
 			if ok {

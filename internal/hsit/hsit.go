@@ -301,21 +301,25 @@ func (t *Table) Publish(clk nvm.Clock, idx uint64, p Pointer) Pointer {
 // PublishIf installs p only if the current pointer still equals expect
 // (ignoring the dirty bit). It returns false when the entry has moved on —
 // the reclamation/GC case where a foreground write superseded the value
-// being migrated (§5.2). On success the expect location is garbage.
+// being migrated (§5.2). On success the expect location is garbage, and
+// ver is the publish version this install left behind: the bytes the
+// caller moved are the entry's current value for exactly as long as
+// Version(idx) still reads ver (what the reclaimer admits them to the SVC
+// under).
 //
 // Callers must guarantee expect cannot be a recycled-offset alias of a
 // different value (reclamation's frozen-tail scan and GC's victim-chunk
 // pin both do); callers that cannot, use PublishIfVersion.
-func (t *Table) PublishIf(clk nvm.Clock, idx uint64, expect, p Pointer) bool {
+func (t *Table) PublishIf(clk nvm.Clock, idx uint64, expect, p Pointer) (ver uint64, ok bool) {
 	v := t.lockVersion(idx)
 	off := t.word0(idx)
 	if t.dev.LoadUint64(clk, off)&^dirtyBit != Encode(expect) {
 		t.vers[idx].Store(v) // nothing installed: restore quiescence
-		return false
+		return 0, false
 	}
 	t.install(clk, off, Encode(p))
 	t.vers[idx].Store(v + 2)
-	return true
+	return v + 2, true
 }
 
 // PublishIfVersion installs p only if the entry's publish version still

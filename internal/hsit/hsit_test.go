@@ -84,11 +84,18 @@ func TestPublishIf(t *testing.T) {
 	p2 := Pointer{Media: VS, Len: 10, Off: 200}
 	p3 := Pointer{Media: VS, Len: 10, Off: 300}
 	tb.Publish(nil, idx, p1)
-	if !tb.PublishIf(nil, idx, p1, p2) {
+	ver, ok := tb.PublishIf(nil, idx, p1, p2)
+	if !ok {
 		t.Fatal("PublishIf with matching expect failed")
 	}
-	if tb.PublishIf(nil, idx, p1, p3) {
+	if got := tb.Version(idx); got != ver {
+		t.Fatalf("PublishIf returned version %d, the entry is at %d", ver, got)
+	}
+	if _, ok := tb.PublishIf(nil, idx, p1, p3); ok {
 		t.Fatal("PublishIf with stale expect succeeded")
+	}
+	if got := tb.Version(idx); got != ver {
+		t.Fatalf("a refused PublishIf moved the version: %d -> %d", ver, got)
 	}
 	if got := tb.Load(nil, idx); got != p2 {
 		t.Fatalf("Load = %v, want %v", got, p2)

@@ -385,6 +385,9 @@ func (s *Store) Stats() core.Stats {
 		t.Reclaims += st.Reclaims
 		t.PWBLiveMigrated += st.PWBLiveMigrated
 		t.ScanRewrites += st.ScanRewrites
+		t.ReclaimAdmits += st.ReclaimAdmits
+		t.ReclaimAdmitSkips += st.ReclaimAdmitSkips
+		t.ScanDeferred += st.ScanDeferred
 		t.PutStalls += st.PutStalls
 		t.PutsStalled += st.PutsStalled
 		t.ReclaimPublishLost += st.ReclaimPublishLost

@@ -12,9 +12,11 @@
 //
 // Scan awareness: values admitted by the same range scan are chained in
 // key order. When one member of a chain is evicted, the whole resident
-// chain is handed to the engine's rewrite hook, which sorts the values
-// and writes them into a single Value Storage chunk, restoring spatial
-// locality for future scans (§4.4 steps 5–6).
+// chain is handed to the engine's rewrite hook, which writes the values
+// in that order into a single Value Storage chunk, restoring spatial
+// locality for future scans (§4.4 steps 5–6). The cache keeps no keys:
+// a chain is in key order because the scan linked it in key order and
+// unlinking a member keeps its neighbours' order.
 //
 // Entry lifetime: handles embed a per-slot generation, so a stale handle
 // read from HSIT after the slot was recycled simply fails validation.
@@ -27,12 +29,10 @@ import (
 	"sync/atomic"
 )
 
-// Entry is one cached value. Key, Value, HSITIdx, Ver are immutable
-// after creation; list and chain links are owned by the manager
-// goroutine.
+// Entry is one cached value. Value, HSITIdx, Ver are immutable after
+// creation; list and chain links are owned by the manager goroutine.
 type Entry struct {
 	HSITIdx uint64
-	Key     []byte
 	Value   []byte
 
 	// Ver is the caller's opaque currency token (the HSIT entry's
@@ -56,17 +56,18 @@ type Entry struct {
 // Handle returns the value published in HSIT word 1 for this entry.
 func (e *Entry) Handle() uint64 { return uint64(e.gen)<<32 | uint64(e.slot+1) }
 
-func (e *Entry) size() int64 { return int64(len(e.Key) + len(e.Value) + 96) }
+func (e *Entry) size() int64 { return int64(len(e.Value) + 96) }
 
 // EvictedChain is passed to the rewrite hook: the resident members of a
-// scan chain, in key order, at the moment one of them was evicted.
+// scan chain, in the order LinkChain was given them (the scan's key
+// order), at the moment one of them was evicted.
 type EvictedChain struct {
 	Entries []*Entry
 }
 
 // Config parameterizes the cache.
 type Config struct {
-	// CapacityBytes bounds resident Key+Value+overhead bytes.
+	// CapacityBytes bounds resident value+overhead bytes.
 	CapacityBytes int64
 	// ActiveFraction is the share of capacity the active list may hold
 	// before demotion (default 2/3, the usual 2Q split).
@@ -189,13 +190,13 @@ func (c *Cache) resolve(hsitIdx, handle uint64) *Entry {
 	return e
 }
 
-// Admit allocates an entry for a value just read from Value Storage
-// under publish version ver (opaque to the cache; readers compare it on
-// Lookup). The caller must then publish e.Handle() in HSIT word 1 (CAS
-// from 0) and call Published on success or AbortAdmit if it lost the
-// race (§4.4: values are admitted only on SSD reads, published
-// atomically).
-func (c *Cache) Admit(hsitIdx, ver uint64, key, value []byte) *Entry {
+// Admit allocates an entry holding a copy of value, the entry's current
+// value under publish version ver (opaque to the cache; readers compare
+// it on Lookup). The caller must then publish e.Handle() in HSIT word 1
+// (CAS from 0) and call Published on success or AbortAdmit if it lost the
+// race (§4.4: published atomically). The key is not kept — nothing reads
+// it; the parameter stays because benchmark/ladder.go passes one.
+func (c *Cache) Admit(hsitIdx, ver uint64, _, value []byte) *Entry {
 	c.mu.Lock()
 	var slot uint32
 	if n := len(c.frees); n > 0 {
@@ -208,7 +209,6 @@ func (c *Cache) Admit(hsitIdx, ver uint64, key, value []byte) *Entry {
 	}
 	e := &Entry{
 		HSITIdx: hsitIdx,
-		Key:     append([]byte(nil), key...),
 		Value:   append([]byte(nil), value...),
 		Ver:     ver,
 		slot:    slot,
@@ -225,6 +225,12 @@ func (c *Cache) Published(e *Entry) {
 	c.entries.Add(1)
 	c.post(event{kind: evAdd, entry: e}, true)
 }
+
+// Backlogged reports that the manager's event queue is more than half
+// full. Published and Invalidate wait for a slot, so a caller that must
+// not wait — a reclaim pass holding its ring's lock — asks first and
+// skips its admission.
+func (c *Cache) Backlogged() bool { return len(c.events) > cap(c.events)/2 }
 
 // AbortAdmit releases an entry whose HSIT publication lost a race.
 func (c *Cache) AbortAdmit(e *Entry) {
