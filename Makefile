@@ -26,7 +26,11 @@ test:
 # in internal/core for reclaimers, Value Storage GC and the scan-range
 # rewrite relocating values at once (DESIGN.md §4.12), and
 # TestReclaimAdmissionNeverStale for the reclaimers handing values to the
-# SVC beside writers and readers of the same keys (§4.13). internal/bench's
+# SVC beside writers and readers of the same keys (§4.13), and
+# TestWindowKeepsSubmissionOrderPerKey and TestWindowStallMidWindow for
+# the one-pass admission window: RESP order per key while gets wait for
+# the window's Value Storage batch, and a put stalling mid-window with
+# such gets outstanding (§4.5). internal/bench's
 # full Fig 7 matrix exceeds CI timeouts under the detector's ~20x
 # slowdown, so that one package contributes a bounded concurrent-load
 # smoke instead of its whole suite; every other package runs in full.
@@ -39,6 +43,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestAdaptiveWatermarkBurstStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestGCChurnStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestReclaimAdmissionNeverStale$$' ./internal/core
+	$(GO) test -race -count=1 -run 'TestWindowKeepsSubmissionOrderPerKey$$|TestWindowStallMidWindow$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$' ./internal/server
 	$(GO) test -race -count=1 -run 'TestMixedSetReadersStress$$' ./internal/tcq
@@ -75,7 +80,11 @@ bench:
 # amortized fraction), the sharding scale-out comparison
 # (BenchmarkPutSharded's virt-Kops/s at shards=1 vs shards=4), and the
 # pipelining comparison (BenchmarkPutPipelined's virt-Kops/s at depth=1
-# vs depth=32) at a longer benchtime so the counters are stable. The
+# vs depth=32) at a longer benchtime so the counters are stable; beside
+# them, the overlap frame's two lines (DESIGN.md §4.5):
+# BenchmarkMixedPipelined's virt-Kops/s for an alternating SET/GET stream
+# at depth=1 vs depth=16, and BenchmarkScanResident's virt-ns/scan for 50
+# PWB-resident rows. The
 # second line is the reclaim path's: BenchmarkReclaimPass prints wall ns,
 # heap bytes, heap objects and SVC hand-offs per migrated record for a
 # write-only pass and for one whose every record was read first (an entry
@@ -86,7 +95,7 @@ bench:
 # and allocations per sim.Resource.Acquire for one clock and for two
 # clocks 5 ms apart, beside its allocates-once gate.
 bench-smoke:
-	$(GO) test -bench='BenchmarkPut($$|Batch|Sharded|Pipelined)' -benchtime=1000x -run '^$$' .
+	$(GO) test -bench='Benchmark(Put($$|Batch|Sharded|Pipelined)|MixedPipelined|ScanResident)' -benchtime=1000x -run '^$$' .
 	$(GO) test -bench='BenchmarkReclaimPass$$' -benchtime=20x -count=1 -run 'TestReclaimPassAllocs$$|TestWriteOnlyReclaimAdmitsNothing$$' ./internal/core
 	$(GO) test -bench='BenchmarkResourceAcquire$$' -benchtime=200000x -count=1 -run 'TestResourceAcquireAllocatesOnce$$' ./internal/sim
 

@@ -154,7 +154,40 @@ func BenchmarkPutSharded(b *testing.B) {
 // BenchmarkPutSharded: depth scales one connection, shards scale the
 // device sets, and the two compound.
 func BenchmarkPutPipelined(b *testing.B) {
-	for _, depth := range []int{1, 8, 32} {
+	val := make([]byte, 128)
+	benchPipelined(b, []int{1, 8, 32}, nil, func(th *prism.Thread, i int) *prism.Handle {
+		return th.PutAsync([]byte(fmt.Sprintf("bench-pipe-%08d", i%10000)), val)
+	})
+}
+
+// BenchmarkMixedPipelined is BenchmarkPutPipelined for the stream a
+// connection actually sends: SET and GET alternating over keys already in
+// the store, depth operations in flight. An admission window is one pass
+// over puts, gets and deletes alike (DESIGN.md §4.5), so depth=16 must
+// come out several times the depth=1 row; when a window was cut into
+// same-kind runs an alternating stream gained nothing past depth 2.
+func BenchmarkMixedPipelined(b *testing.B) {
+	val := make([]byte, 128)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("bench-mixed-%08d", i%1000)) }
+	load := func(th *prism.Thread) {
+		for i := 0; i < 1000; i++ {
+			th.PutAsync(key(i), val)
+		}
+	}
+	benchPipelined(b, []int{1, 16}, load, func(th *prism.Thread, i int) *prism.Handle {
+		if i%2 == 0 {
+			return th.PutAsync(key(i), val)
+		}
+		return th.GetAsync(key(i))
+	})
+}
+
+// benchPipelined drives submit(th, i) for i in [0, b.N) through one
+// thread's async pipeline in bursts of depth, each drained before the
+// next, and reports ops over the async-timeline makespan. load, if any,
+// fills the store through the same pipeline before the measured phase.
+func benchPipelined(b *testing.B, depths []int, load func(th *prism.Thread), submit func(th *prism.Thread, i int) *prism.Handle) {
+	for _, depth := range depths {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			store, err := prism.Open(prism.Options{
 				NumThreads:        1,
@@ -165,13 +198,16 @@ func BenchmarkPutPipelined(b *testing.B) {
 			}
 			defer store.Close()
 			th := store.Thread(0)
-			val := make([]byte, 128)
+			if load != nil {
+				load(th)
+			}
+			th.Flush()
+			t0 := th.Clk.Now()
 			hs := make([]*prism.Handle, 0, depth)
 			b.ResetTimer()
 			for i := 0; i < b.N; i += depth {
-				for j := 0; j < depth && i+j < b.N; j++ {
-					key := []byte(fmt.Sprintf("bench-pipe-%08d", (i+j)%10000))
-					hs = append(hs, th.PutAsync(key, val))
+				for j := i; j < i+depth && j < b.N; j++ {
+					hs = append(hs, submit(th, j))
 				}
 				for _, h := range hs {
 					if err := h.Wait(); err != nil {
@@ -182,11 +218,44 @@ func BenchmarkPutPipelined(b *testing.B) {
 			}
 			b.StopTimer()
 			th.Flush()
-			if makespan := th.Clk.Now(); makespan > 0 {
+			if makespan := th.Clk.Now() - t0; makespan > 0 {
 				b.ReportMetric(float64(b.N)/(float64(makespan)/1e6), "virt-Kops/s")
 			}
 		})
 	}
+}
+
+// BenchmarkScanResident scans 50 rows whose values are all still in the
+// PWB: no SSD read, so virt-ns/scan is the index walk plus the rows'
+// NVM round trips — overlapped through the same frame as an admission
+// window's operations, not paid one after another.
+func BenchmarkScanResident(b *testing.B) {
+	store, err := prism.Open(prism.Options{
+		NumThreads:        1,
+		PWBBytesPerThread: 8 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	th := store.Thread(0)
+	keys := make([][]byte, 1000)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("bench-scan-%08d", i))
+		if err := th.Put(keys[i], make([]byte, 1024)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	t0 := th.Clk.Now()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows := 0
+		if err := th.Scan(keys[i*50%(len(keys)-50)], 50, func(prism.KV) bool { rows++; return true }); err != nil || rows != 50 {
+			b.Fatalf("scan yielded %d rows, %v", rows, err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(th.Clk.Now()-t0)/float64(b.N), "virt-ns/scan")
 }
 
 func reportKops(b *testing.B, name string, kops float64) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 
@@ -11,19 +12,107 @@ import (
 // Asynchronous submission (§5.4 one layer up): PutAsync/GetAsync/
 // DeleteAsync enqueue work on a per-thread admission loop and return a
 // completion Handle immediately. The loop drains whatever has queued
-// into one admission window — one epoch enter, one PWB publish window —
-// exactly the coalescing the TCQ already performs for SSD IO, applied to
-// whole operations. Within a window each operation runs on its own stage
-// clock forked from the window's base clock, so fixed device latencies
-// (NVM load/store latency, flush waits) overlap across in-flight
-// operations while shared-bandwidth costs (the NVM DIMM channel, SSD
-// transfer time) still serialize in virtual time: the same
-// latency-hiding / bandwidth-bound split as a real submission queue.
+// into one admission window — one epoch enter, one PWB publish window,
+// one Value Storage batch — exactly the coalescing the TCQ already
+// performs for SSD IO, applied to whole operations, and runs the window
+// through the overlap frame below.
 
-// asyncIssueNS is the per-submission issue cost charged to the window's
-// base clock: ringing the doorbell and staging one SQE. It is the only
-// strictly serial per-op software cost of the pipeline.
+// asyncIssueNS is the per-step issue cost charged to a frame's base
+// clock: ringing the doorbell and staging one SQE. It is the only
+// strictly serial per-step software cost of the frame.
 const asyncIssueNS = 120
+
+// frame is the overlap frame, core's one way of keeping independent steps
+// in flight together: an admission window's operations, a Scan's rows and
+// a MultiGet's keys all run through it. Each step is issued asyncIssueNS
+// after the one before on the base clock — the thread's own, parked
+// meanwhile — and runs on the thread's stage clock forked there, so fixed
+// device latencies (NVM load/store latency, flush waits) overlap across
+// the steps while shared-bandwidth costs (the NVM DIMM channel, SSD
+// transfer time) still serialize through the devices' sim.Resource, in
+// call order: the latency-hiding / bandwidth-bound split of a real
+// submission queue. Host execution stays serial and in step order. join
+// advances the base clock once, to the latest step end: the makespan.
+//
+// Read steps leave their Value Storage residents in t.pending; readBatch
+// fetches them as one batch (readVSBatch) issued when the last of those
+// steps has ended, not when every step has.
+type frame struct {
+	t     *Thread
+	base  *sim.Clock
+	end   int64 // latest step end so far
+	ready int64 // latest end of a read step that left its row to the batch
+}
+
+// fork opens a frame on t's clock, with an empty batch.
+func (t *Thread) fork() frame {
+	t.pending = t.pending[:0]
+	return frame{t: t, base: t.Clk, end: t.Clk.Now()}
+}
+
+// step issues the next step: until land, t.Clk is the stage clock. A step
+// that is not landed — a put that found its ring full — was not issued:
+// join takes the thread back to the base clock with nothing charged.
+func (f *frame) step() {
+	f.t.stage.Reset(f.base.Now() + asyncIssueNS)
+	f.t.Clk = &f.t.stage
+}
+
+// land ends the current step — its doorbell is paid on the base clock —
+// and returns the virtual time it ended at.
+func (f *frame) land() int64 {
+	f.base.Advance(asyncIssueNS)
+	return f.settle()
+}
+
+// settle parks the stage clock and folds its time into the makespan.
+func (f *frame) settle() int64 {
+	at := f.t.stage.Now()
+	f.t.Clk = f.base
+	f.end = max(f.end, at)
+	return at
+}
+
+// read resolves it as one step — the key index lookup first when lookup
+// is set (a point read; a scan row comes with its idx), then the fast
+// paths — and reports when the step ended and whether it resolved the
+// item: a Value Storage resident is in t.pending instead, for readBatch.
+func (f *frame) read(it *scanItem, lookup bool) (at int64, resolved bool) {
+	t := f.t
+	f.step()
+	found := !lookup
+	if lookup {
+		if it.idx, found = t.s.index.Lookup(t.Clk, it.key); found {
+			t.s.recent.mark(it.idx)
+		}
+	}
+	// A key missing from the index is resolved: its value stays nil.
+	resolved = !found || t.stageRead(it)
+	if at = f.land(); !resolved {
+		f.ready = max(f.ready, at)
+	}
+	return at, resolved
+}
+
+// readBatch reads what the read steps so far left pending as one Value
+// Storage batch — a step of its own that rings no doorbell and starts at
+// ready — and returns when it landed (scan: see readVSBatch). The items
+// hold their values afterwards and the batch is empty again.
+func (f *frame) readBatch(scan bool) int64 {
+	t := f.t
+	t.stage.Reset(f.ready)
+	t.Clk = &t.stage
+	t.readVSBatch(t.pending, scan)
+	t.pending = t.pending[:0]
+	return f.settle()
+}
+
+// join closes the frame: the thread is back on its base clock, advanced
+// to the end of the last step to finish.
+func (f *frame) join() {
+	f.t.Clk = f.base
+	f.base.AdvanceTo(f.end)
+}
 
 // asyncOp is the operation kind carried by a Handle.
 type asyncOp uint8
@@ -172,7 +261,7 @@ type asyncThread struct {
 	// loop goroutine touches it.
 	lastDone int64
 
-	pendIdx []int // getPass scratch: window indexes awaiting the VS batch
+	waiting []*Handle // pass scratch: the gets behind lt.pending, in its order
 }
 
 // PutAsync submits a durable write and returns its completion Handle.
@@ -206,8 +295,12 @@ func (t *Thread) PutTSAsync(key, value []byte, ts uint64) *Handle {
 
 // GetAsync submits a read and returns its completion Handle; the value
 // arrives via Handle.Value (nil + ErrNotFound for a missing key). A read
-// submitted after a write on the same Thread observes that write. See
-// PutAsync for the concurrency contract.
+// submitted after a write on the same Thread observes that write, and
+// never one submitted after it (see pass). A get the SVC or the PWB serves
+// completes at the end of its own step of the window, overlapped with the
+// window's other operations; one that goes to Value Storage completes
+// when the window's one batch read lands. See PutAsync for the
+// concurrency contract.
 func (t *Thread) GetAsync(key []byte) *Handle {
 	s := t.s
 	if s.closed.Load() {
@@ -354,30 +447,28 @@ func (a *asyncThread) loop() {
 	}
 }
 
-// runWindow executes one admission window: maximal same-op runs in
-// submission order, so mixed submissions keep their ordering semantics
-// (a Get submitted after a Put in the same window sees it applied).
+// runWindow executes one admission window, retrying a pass that stalled on
+// a full ring under the same reclamation protocol as the synchronous path
+// (the stalled pass closed its publish window and left its epoch on the way
+// out, so reclamation can progress); the retry resumes at the put that
+// stalled. A store that closes while the window sleeps on a full ring
+// fails the rest of it with ErrClosed.
 func (a *asyncThread) runWindow(hs []*Handle) {
-	a.t.s.asyncWindow.Record(int64(len(hs)))
-	for i := 0; i < len(hs); {
-		j := i + 1
-		for j < len(hs) && hs[j].op == hs[i].op {
-			j++
+	lt := a.lt
+	lt.s.asyncWindow.Record(int64(len(hs)))
+	err := lt.untilApplied(func() error {
+		if hs = hs[a.pass(hs):]; len(hs) > 0 {
+			return errRetryPut
 		}
-		switch hs[i].op {
-		case opPut:
-			a.runPuts(hs[i:j])
-		case opGet:
-			a.getPass(hs[i:j])
-		case opDelete:
-			a.deletePass(hs[i:j])
-		}
-		i = j
+		return nil
+	})
+	for _, h := range hs {
+		a.complete(h, nil, err, lt.Clk.Now(), lt.Clk.Now())
 	}
 }
 
 // complete finishes h exactly once: result fields are set before the
-// done channel closes, so every accessor sees them. t0 is the window's
+// done channel closes, so every accessor sees them. t0 is the pass's
 // opening time on the async timeline (completion latency baseline).
 func (a *asyncThread) complete(h *Handle, val []byte, err error, at, t0 int64) {
 	if at < a.lastDone {
@@ -390,121 +481,80 @@ func (a *asyncThread) complete(h *Handle, val []byte, err error, at, t0 int64) {
 	h.finish()
 }
 
-// runPuts applies one run of puts, retrying stalled passes under the
-// same reclamation protocol as the synchronous path (a stalled pass
-// closed its publish window on the way out, so reclamation can progress).
-// A store that closes while the run sleeps on a full ring fails the rest
-// of it with ErrClosed.
-func (a *asyncThread) runPuts(hs []*Handle) {
+// pass is one epoch-scoped pass over a window: one epoch enter, one PWB
+// publish window, one frame — every put, get and delete a step of it, run
+// in submission order, so a read after a write sees it applied. A put or
+// delete completes at its step's end; so does a get the fast paths (SVC,
+// PWB) resolve. The gets left to Value Storage share one batch for the
+// whole window and complete when it lands, possibly after later
+// operations (reads may complete out of submission order; writes never
+// do) — but always before a write to the same key runs: the batch re-reads
+// a record that moved under it from wherever the key points *then*, and
+// that must not be a later submission's value. The batch is read, at the
+// latest, before the pass leaves its epoch.
+//
+// It returns how many handles were consumed (completed or, on a close,
+// failed); a short count means a put found its ring full at that index.
+func (a *asyncThread) pass(hs []*Handle) int {
 	lt := a.lt
-	err := lt.untilApplied(func() error {
-		if hs = hs[a.putPass(hs):]; len(hs) > 0 {
-			return errRetryPut
-		}
-		return nil
-	})
-	for _, h := range hs {
-		a.complete(h, nil, err, lt.Clk.Now(), lt.Clk.Now())
-	}
-}
-
-// putPass is one epoch-scoped pass over a run of puts: one epoch enter,
-// one PWB publish window. Each put is issued at base+asyncIssueNS and
-// executes on a stage clock forked from the base clock, so device fixed
-// latencies overlap across the run while NVM-channel bandwidth costs
-// serialize (the shared sim.Resource orders them in call order). The
-// base clock then advances to the latest stage end: the window's
-// makespan. Returns how many handles were consumed (completed or, on a
-// close, failed); a short count means the pass stalled on a full ring
-// at that index.
-func (a *asyncThread) putPass(hs []*Handle) int {
-	lt := a.lt
-	s := lt.s
-	base := lt.Clk
-	t0 := base.Now()
-	endMax := t0
+	t0 := lt.Clk.Now()
 	lt.part.Enter()
+	f := lt.fork()
 	defer func() {
+		a.landReads(&f, t0)
 		// One Published per pass — including stall exits, where records
 		// already published must become visible to the reclaimer.
 		lt.buf.Published()
 		lt.part.Exit()
-		lt.Clk = base
-		base.AdvanceTo(endMax)
+		f.join()
 	}()
-	for i, h := range hs {
-		if s.closed.Load() {
-			for _, r := range hs[i:] {
-				a.complete(r, nil, ErrClosed, base.Now(), t0)
-			}
-			return len(hs)
-		}
-		stage := sim.NewClock(base.Now() + asyncIssueNS)
-		lt.Clk = stage
-		err := lt.putStep(h.key, h.val, h.ts, false)
-		lt.Clk = base
-		if err == errRetryPut {
-			return i // not issued: the retry pays for the doorbell
-		}
-		base.Advance(asyncIssueNS)
-		if end := stage.Now(); end > endMax {
-			endMax = end
-		}
-		a.complete(h, nil, err, stage.Now(), t0)
-	}
-	return len(hs)
-}
-
-// getPass resolves one run of gets: per-key fast paths (SVC, PWB) on
-// stage clocks, then one merged batch read for Value Storage residents
-// on the base clock — the MultiGet resolution order. Fast-path gets
-// complete at their stage end; VS-resident gets complete when the
-// merged read lands, which may be after later fast-path completions
-// (reads may complete out of submission order; writes never do).
-func (a *asyncThread) getPass(hs []*Handle) {
-	lt := a.lt
-	s := lt.s
-	base := lt.Clk
-	t0 := base.Now()
-	endMax := t0
-	lt.part.Enter()
-	defer lt.part.Exit()
 	if cap(lt.items) < len(hs) {
 		lt.items = make([]scanItem, len(hs))
 	}
 	items := lt.items[:len(hs)]
-	lt.pending = lt.pending[:0]
-	a.pendIdx = a.pendIdx[:0]
 	for i, h := range hs {
-		base.Advance(asyncIssueNS)
-		stage := sim.NewClock(base.Now())
-		lt.Clk = stage
-		items[i] = scanItem{key: h.key}
-		nvs := len(lt.pending)
-		if idx, ok := s.index.Lookup(stage, h.key); ok {
-			items[i].idx = idx
-			s.recent.mark(idx)
-			lt.pending = lt.stageRead(&items[i], lt.pending)
+		if lt.s.closed.Load() {
+			for _, r := range hs[i:] {
+				a.complete(r, nil, ErrClosed, f.base.Now(), t0)
+			}
+			return len(hs)
 		}
-		resolved := len(lt.pending) == nvs
-		if !resolved {
-			a.pendIdx = append(a.pendIdx, i)
+		if h.op == opGet {
+			items[i] = scanItem{key: h.key}
+			if at, resolved := f.read(&items[i], true); resolved {
+				a.completeGet(h, items[i].val, at, t0)
+			} else {
+				a.waiting = append(a.waiting, h)
+			}
+			continue
 		}
-		lt.Clk = base
-		if end := stage.Now(); end > endMax {
-			endMax = end
+		for _, it := range lt.pending {
+			if bytes.Equal(it.key, h.key) {
+				a.landReads(&f, t0)
+				break
+			}
 		}
-		if resolved {
-			a.completeGet(hs[i], items[i].val, stage.Now(), t0)
+		f.step()
+		var err error
+		if h.op == opDelete {
+			err = lt.deleteStep(h.key, h.ts)
+		} else if err = lt.putStep(h.key, h.val, h.ts, false); err == errRetryPut {
+			return i // not issued: the retry pays for the doorbell
 		}
+		a.complete(h, nil, err, f.land(), t0)
 	}
-	base.AdvanceTo(endMax)
-	if len(lt.pending) > 0 {
-		lt.readVSBatch(lt.pending, false)
-		for _, i := range a.pendIdx {
-			a.completeGet(hs[i], items[i].val, base.Now(), t0)
-		}
+	return len(hs)
+}
+
+// landReads reads the pass's Value Storage batch and completes the gets
+// that were waiting for it.
+func (a *asyncThread) landReads(f *frame, t0 int64) {
+	pending := a.lt.pending
+	at := f.readBatch(false)
+	for i, h := range a.waiting {
+		a.completeGet(h, pending[i].val, at, t0)
 	}
+	a.waiting = a.waiting[:0]
 }
 
 // completeGet finishes a get handle, mapping a missing value (nil — a
@@ -514,31 +564,5 @@ func (a *asyncThread) completeGet(h *Handle, val []byte, at, t0 int64) {
 		a.complete(h, nil, ErrNotFound, at, t0)
 	} else {
 		a.complete(h, val, nil, at, t0)
-	}
-}
-
-// deletePass applies one run of deletes under a single epoch enter,
-// each on its own stage clock.
-func (a *asyncThread) deletePass(hs []*Handle) {
-	lt := a.lt
-	base := lt.Clk
-	t0 := base.Now()
-	endMax := t0
-	lt.part.Enter()
-	defer func() {
-		lt.part.Exit()
-		lt.Clk = base
-		base.AdvanceTo(endMax)
-	}()
-	for _, h := range hs {
-		base.Advance(asyncIssueNS)
-		stage := sim.NewClock(base.Now())
-		lt.Clk = stage
-		err := lt.deleteStep(h.key, h.ts)
-		lt.Clk = base
-		if end := stage.Now(); end > endMax {
-			endMax = end
-		}
-		a.complete(h, nil, err, stage.Now(), t0)
 	}
 }

@@ -105,11 +105,15 @@ func (t *Thread) putBatchEpoch(kvs []KV, tss []uint64) (applied int, err error) 
 
 // MultiGet resolves keys in one epoch-scoped pass and returns one value
 // per key, with nil marking a missing key (present-but-empty values are
-// non-nil). Values resident only in Value Storage are read as merged,
-// sorted extents — one IO per extent instead of one per key — and the
-// extents go to the devices together, as one asynchronous batch through
-// the §5.3 batching scheme: the call waits about one SSD read latency
-// for all of them (see readVSBatch).
+// non-nil). The keys resolve through one overlap frame (async.go) — each
+// key's index lookup and NVM round trips issued asyncIssueNS after the
+// previous key's, overlapping with them — so MultiGet of n keys advances
+// the clock by what the same n GetAsyncs in one admission window do.
+// Values resident only in Value Storage are read as merged, sorted
+// extents — one IO per extent instead of one per key — and the extents go
+// to the devices together, as one asynchronous batch through the §5.3
+// batching scheme, issued when the last such key has resolved: the call
+// waits about one SSD read latency for all of them (see readVSBatch).
 func (t *Thread) MultiGet(keys [][]byte) ([][]byte, error) {
 	return t.MultiGetInto(keys, make([][]byte, 0, len(keys)))
 }
@@ -141,21 +145,19 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 		t.items = make([]scanItem, len(keys))
 	}
 	items := t.items[:len(keys)]
-	t.pending = t.pending[:0]
 
-	// Fast paths per key (SVC, then PWB), collecting Value Storage
-	// residents for the merged batch read — the Scan resolution order.
-	// A key missing from the index, or deleted between lookup and load,
-	// keeps a nil val.
+	// One frame step per key — lookup, then the fast paths (SVC, then PWB)
+	// — with the Value Storage residents left to one merged batch read:
+	// what the same keys cost as GetAsyncs in one admission window. A key
+	// missing from the index, or deleted between lookup and load, keeps a
+	// nil val.
+	f := t.fork()
 	for i, k := range keys {
 		items[i] = scanItem{key: k}
-		if idx, ok := s.index.Lookup(t.Clk, k); ok {
-			items[i].idx = idx
-			s.recent.mark(idx)
-			t.pending = t.stageRead(&items[i], t.pending)
-		}
+		f.read(&items[i], true)
 	}
-	t.readVSBatch(t.pending, false)
+	f.readBatch(false)
+	f.join()
 
 	for i := range items {
 		vals[base+i] = items[i].val

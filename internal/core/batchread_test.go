@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -78,24 +77,12 @@ func TestBatchReadOverlapsExtents(t *testing.T) {
 			return vals, th.Clk.Now() - t0
 		},
 		"async": func(t *testing.T, s *Store, th *Thread, n int) ([][]byte, int64) {
-			// Park the admission loop on a first window of one missing key,
-			// so that the n gets queue up behind it and are admitted in
-			// windows of QueueDepth.
-			a := th.async
-			a.execMu.Lock()
-			first := th.GetAsync([]byte("missing"))
-			for queued := 1; queued > 0; {
-				runtime.Gosched()
-				a.mu.Lock()
-				queued = len(a.queue)
-				a.mu.Unlock()
-			}
 			hs := make([]*Handle, n)
-			for i := range hs {
-				hs[i] = th.GetAsync(aKey(i))
-			}
-			a.execMu.Unlock()
-			th.Flush()
+			advance := oneWindow(th, func() {
+				for i := range hs {
+					hs[i] = th.GetAsync(aKey(i))
+				}
+			})
 			vals := make([][]byte, n)
 			for i, h := range hs {
 				v, err := h.Value()
@@ -104,7 +91,7 @@ func TestBatchReadOverlapsExtents(t *testing.T) {
 				}
 				vals[i] = v
 			}
-			return vals, th.AsyncNow() - first.CompletedAt()
+			return vals, advance
 		},
 	}
 	cases := []struct{ n, depth int }{

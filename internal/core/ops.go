@@ -376,17 +376,19 @@ func (t *Thread) resolveFast(it *scanItem) fastResult {
 	return fastDone
 }
 
-// stageRead resolves it on the fast paths or appends it to pending, the
-// caller's merged Value Storage read (Scan, MultiGet and the async get
-// pass share it). A value that moved mid-read takes the slow path.
-func (t *Thread) stageRead(it *scanItem, pending []*scanItem) []*scanItem {
+// stageRead resolves it on the fast paths, or leaves it in t.pending for
+// the caller's merged Value Storage read and reports false (the read step
+// of a frame: Scan, MultiGet and the async pass share it). A value that
+// moved mid-read takes the slow path.
+func (t *Thread) stageRead(it *scanItem) (resolved bool) {
 	switch t.resolveFast(it) {
 	case fastVS:
-		return append(pending, it)
+		t.pending = append(t.pending, it)
+		return false
 	case fastMoved:
 		it.val, _, _ = t.getOnce(it.idx, it.key)
 	}
-	return pending
+	return true
 }
 
 // resolve reads the value behind HSIT entry idx once. retry reports that
@@ -487,12 +489,17 @@ type KV struct {
 }
 
 // Scan visits up to count pairs with key >= start in key order, calling
-// fn for each until it returns false. Values resident only in Value
-// Storage are fetched as one asynchronous batch of merged extents (see
-// readVSBatch: the scan waits about one SSD read latency for all of
-// them, not one per extent); those the read-recency filter has seen
-// before are admitted to the SVC, chained together so that an eviction
-// rewrites the range into one chunk (§4.4 scan acceleration).
+// fn for each until it returns false. After the index walk the rows
+// resolve through one overlap frame (async.go): each row's NVM round trips
+// — SVC pointer, forward pointer, PWB read — are issued asyncIssueNS after
+// the previous row's and overlap with them, so fifty resident rows cost
+// about 50 x 120 ns plus one row, not fifty rows. Values resident only in
+// Value Storage are fetched as one asynchronous batch of merged extents,
+// issued when the last such row has resolved (see readVSBatch: the scan
+// waits about one SSD read latency for all of them, not one per extent);
+// those the read-recency filter has seen before are admitted to the SVC,
+// chained together so that an eviction rewrites the range into one chunk
+// (§4.4 scan acceleration).
 func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 	s := t.s
 	if s.closed.Load() {
@@ -516,14 +523,15 @@ func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 		return true
 	})
 
-	// Resolve fast paths; collect Value Storage residents for batching.
-	// An item deleted between index scan and resolution keeps a nil val
-	// and is skipped below.
-	t.pending = t.pending[:0]
+	// Resolve the rows through one frame: fast paths overlapped, Value
+	// Storage residents in one batch. An item deleted between index scan
+	// and resolution keeps a nil val and is skipped below.
+	f := t.fork()
 	for i := range items {
-		t.pending = t.stageRead(&items[i], t.pending)
+		f.read(&items[i], false)
 	}
-	t.readVSBatch(t.pending, true)
+	f.readBatch(true)
+	f.join()
 
 	for i := range items {
 		if items[i].val == nil {
@@ -576,7 +584,7 @@ type located struct {
 // a row is admitted to the SVC on its second touch only — the first sets
 // its bit in the read-recency filter, so a one-pass scan does not flush
 // the point reads' working set — and the admitted rows are chained for
-// the eviction-time rewrite (§4.4). MultiGet and the async get pass share
+// the eviction-time rewrite (§4.4). MultiGet and the async window share
 // the merged-read machinery, but theirs are point reads: every one is
 // admitted (their bits were set at lookup), and their keys are not a
 // key-ordered range, so chaining them would invite pointless rewrites.

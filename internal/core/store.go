@@ -347,7 +347,11 @@ type Thread struct {
 	// DeleteAsync (nil only on shadow executors, which never submit).
 	async *asyncThread
 
-	// Batch-read scratch of Scan, MultiGet and the async get pass, reused
+	// stage is the clock the steps of an overlap frame run on (async.go):
+	// Clk points at it while a step is in flight.
+	stage sim.Clock
+
+	// Batch-read scratch of Scan, MultiGet and the async pass, reused
 	// across calls (a Thread is single-owner, so per-thread reuse is
 	// race-free and keeps batch reads allocation-flat): one item per key,
 	// those left for the merged Value Storage read, their records sorted

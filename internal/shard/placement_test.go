@@ -444,9 +444,30 @@ func TestRangeScanReplicatedAvailability(t *testing.T) {
 	if seen != n {
 		t.Fatalf("scan with one member down saw %d keys, want %d", seen, n)
 	}
+	// The owner back but repairing (auto-repair is off, so it stays so),
+	// its successor down: the set's only read candidate is the repairing
+	// member, and it must serve the range rather than fail the scan.
+	if _, err := s.RecoverShard(owner); err != nil {
+		t.Fatal(err)
+	}
+	s.CrashShard((owner + 1) % 4)
+	lo1, hi1 := s.RangeBounds(1)
+	seen = 0
+	if err := th.Scan(lo1, 0, func(kv core.KV) bool {
+		if bytes.Compare(kv.Key, hi1) >= 0 {
+			return false
+		}
+		seen++
+		return true
+	}); err != nil {
+		t.Fatalf("scan of a range whose set is down to its repairing member: %v", err)
+	}
+	if seen != n/4 {
+		t.Fatalf("the repairing member served %d keys of range 1, want %d", seen, n/4)
+	}
 	// Down the whole set: scans touching range 1 fail, scans confined
 	// to other ranges still work.
-	s.CrashShard((owner + 1) % 4)
+	s.CrashShard(owner)
 	if err := th.Scan(nil, 0, func(core.KV) bool { return true }); !errors.Is(err, errNoReplica) {
 		t.Fatalf("scan over dead set = %v, want errNoReplica", err)
 	}

@@ -79,15 +79,17 @@ func (s *Store) markNeedsRepair(j int) {
 // instead of failing spuriously.
 const writeRetries = 4
 
-// route appends key's shard set to buf (reused scratch): the placement
-// owner (ShardOf: boundary table in range mode, jump hash otherwise)
-// first, then its R-1 ring successors. Every routed operation starts
-// here; with R=1 the set is the one owning shard.
-func (s *Store) route(key []byte, buf []int) []int {
-	p := s.ShardOf(key)
+// route appends key's shard set to buf (reused scratch): the set of its
+// placement owner (ShardOf: boundary table in range mode, jump hash
+// otherwise). Every routed single-key operation starts here.
+func (s *Store) route(key []byte, buf []int) []int { return s.setOf(s.ShardOf(key), buf) }
+
+// setOf appends owner's replica set to buf: the owner first, then its R-1
+// ring successors. With R=1 the set is the one owning shard.
+func (s *Store) setOf(owner int, buf []int) []int {
 	buf = buf[:0]
 	for k := 0; k < s.replicas; k++ {
-		buf = append(buf, (p+k)%len(s.shards))
+		buf = append(buf, (owner+k)%len(s.shards))
 	}
 	return buf
 }

@@ -88,35 +88,17 @@ func (t *Thread) scanRange(p *placement, start []byte, count int, fn func(kv cor
 }
 
 // scanOwned reads [from, hi) from the range's owning shard — or, with
-// Replicas > 1, from the first available member of the owner's replica
-// set (up first, then repairing, errNoReplica when the whole set is
-// down; with Replicas == 1 a crashed owner surfaces its own error).
-// The owner's ordered scan stops at hi, so nothing is over-fetched.
+// Replicas > 1, from the first read candidate of the owner's replica set
+// (see candidates: errNoReplica when the whole set is down; with
+// Replicas == 1 a crashed owner surfaces its own error). The owner's
+// ordered scan stops at hi, so nothing is over-fetched.
 func (t *Thread) scanOwned(owner int, from, hi []byte, count int, fn func(kv core.KV) bool) (int, bool, error) {
 	s := t.s
-	j := owner
-	if s.replicas > 1 {
-		j = -1
-		repairing := -1
-		n := len(s.shards)
-		for k := 0; k < s.replicas && j < 0; k++ {
-			m := (owner + k) % n
-			switch s.state[m].Load() {
-			case replicaUp:
-				j = m
-			case replicaRepairing:
-				if repairing < 0 {
-					repairing = m
-				}
-			}
-		}
-		if j < 0 {
-			j = repairing
-		}
-		if j < 0 {
-			return 0, false, errNoReplica
-		}
+	t.rset = s.candidates(s.setOf(owner, t.rset))
+	if len(t.rset) == 0 {
+		return 0, false, errNoReplica
 	}
+	j := t.rset[0]
 	emitted := 0
 	stopped := false
 	err := t.ths[j].Scan(from, count, func(kv core.KV) bool {

@@ -538,6 +538,54 @@ func TestRoutedOpAllocs(t *testing.T) {
 	})
 }
 
+// TestAsyncOpAllocs is TestRoutedOpAllocs for the routed async path, one
+// submission in flight at a time (a window of one, the wire-sync shape):
+// handle, completion channel, key copy, value copy (the put's input, the
+// get's result), the window slice — and, until the admission window ran
+// on a per-thread stage clock, a sim.Clock per operation. The bounds are
+// one below what the commit before that (33a5b6d) measured with this
+// test, 6.00 and 6.00 in three runs of three; one allocation more per
+// operation fails.
+func TestAsyncOpAllocs(t *testing.T) {
+	s := small(t, 1, func(o *core.Options) { o.PWBBytesPerThread = 4 << 20 })
+	th := s.Thread(0)
+	keys := make([][]byte, 1000)
+	for i := range keys {
+		keys[i] = key(i)
+		if err := th.Put(keys[i], value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	val := value(7)
+	const runs = 4000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(op func(k []byte) *core.Handle) float64 {
+		t.Helper()
+		op(keys[0]).Wait() // the admission loop is running
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			if err := op(keys[i%len(keys)]).Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs-m0.Mallocs) / runs
+	}
+	put := measure(func(k []byte) *core.Handle { return th.PutAsync(k, val) })
+	get := measure(th.GetAsync)
+	t.Logf("%.2f allocs/PutAsync, %.2f allocs/GetAsync", put, get)
+	if put > putAsyncAllocs+putAllocSlack || get > getAsyncAllocs+putAllocSlack {
+		t.Fatalf("%.2f allocs/PutAsync, %.2f allocs/GetAsync; want <= %.2f and %.2f (+%.1f slack)",
+			put, get, putAsyncAllocs, getAsyncAllocs, putAllocSlack)
+	}
+}
+
+const (
+	putAsyncAllocs = 5.0
+	getAsyncAllocs = 5.0
+)
+
 // Measured at the parent commit: 15 of 15 runs gave exactly these Put
 // averages (the first of the four passes over the keys inserts, the
 // rest update in place). The slack is for a stray background

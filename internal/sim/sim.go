@@ -34,6 +34,11 @@ func NewClock(start int64) *Clock { return &Clock{now: start} }
 // Now returns the current virtual time in nanoseconds.
 func (c *Clock) Now() int64 { return c.now }
 
+// Reset sets the clock to t, backwards included: the owner of a scratch
+// clock reuses it for the next piece of work it forks off its own clock
+// (core's overlap frame) instead of allocating one per piece.
+func (c *Clock) Reset(t int64) { c.now = t }
+
 // Advance moves the clock forward by d nanoseconds. Negative d is ignored.
 func (c *Clock) Advance(d int64) {
 	if d > 0 {
