@@ -44,16 +44,6 @@
 //	-metrics-every MS   additionally sample every metric each MS of
 //	                    virtual time (a Fig-17-style timeline per capture,
 //	                    JSON only)
-//	-metrics-out FILE   write the metrics document to FILE instead of
-//	                    stdout (`make bench-record` uses this to commit
-//	                    BENCH_<experiment>.json trajectory snapshots)
-//
-// Trajectory gating (`make bench-check` / the CI bench-record job):
-//
-//	-compare OLD,NEW        compare two trajectory JSON documents and exit
-//	                        1 if any capture's throughput regressed beyond
-//	                        the threshold (or went missing)
-//	-compare-threshold F    allowed fractional drop (default 0.25 = 25%)
 package main
 
 import (
@@ -84,13 +74,10 @@ func main() {
 		metrics = flag.Bool("metrics", false, "print a final metrics-snapshot document (see METRICS.md)")
 		mformat = flag.String("metrics-format", "json", "metrics output format: json or prom")
 		every   = flag.Int64("metrics-every", 0, "also sample metrics every N virtual ms (implies -metrics)")
-		mout    = flag.String("metrics-out", "", "write the metrics document to this file instead of stdout (implies -metrics)")
 		pipe    = flag.Int("pipeline", 1, "submit ops through the async pipeline, draining every N submissions")
 		place   = flag.String("placement", "hash", "key placement across shards: hash or range")
 		split   = flag.String("split", "", "comma-separated range boundary keys for -placement range")
 		tiers   = flag.String("tiers", "", "heterogeneous SSD array with hot/cold tiering: size[:writeMBps[:readMBps]],... (Prism only)")
-		compare = flag.String("compare", "", "OLD,NEW: compare two trajectory JSON files, exit 1 on regression")
-		cthresh = flag.Float64("compare-threshold", 0.25, "allowed fractional throughput drop for -compare")
 	)
 	flag.Parse()
 	if _, err := prism.ParseTierSpec(*tiers); err != nil {
@@ -109,38 +96,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -metrics-format %q (json or prom)\n", *mformat)
 		os.Exit(1)
 	}
-	if *compare != "" {
-		parts := strings.Split(*compare, ",")
-		if len(parts) != 2 {
-			fmt.Fprintln(os.Stderr, "-compare wants OLD,NEW (two trajectory JSON files)")
-			os.Exit(1)
-		}
-		oldDoc, err := os.ReadFile(strings.TrimSpace(parts[0]))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compare: %v\n", err)
-			os.Exit(1)
-		}
-		newDoc, err := os.ReadFile(strings.TrimSpace(parts[1]))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compare: %v\n", err)
-			os.Exit(1)
-		}
-		failures, err := bench.CompareTrajectories(oldDoc, newDoc, *cthresh)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compare: %v\n", err)
-			os.Exit(1)
-		}
-		if len(failures) > 0 {
-			fmt.Fprintf(os.Stderr, "trajectory regression (threshold %.0f%%):\n", *cthresh*100)
-			for _, f := range failures {
-				fmt.Fprintf(os.Stderr, "  %s\n", f)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("trajectories within %.0f%%: %s vs %s\n", *cthresh*100, parts[0], parts[1])
-		return
-	}
-
 	if *list || *run == "" {
 		fmt.Println("experiments:")
 		for _, n := range bench.ExperimentNames() {
@@ -168,7 +123,7 @@ func main() {
 		SplitKeys: prism.ParseSplitKeys(*split),
 	}
 	var mc *bench.MetricsCollector
-	if *metrics || *every > 0 || *mout != "" {
+	if *metrics || *every > 0 {
 		mc = &bench.MetricsCollector{}
 		rc.Metrics = mc
 		rc.SampleNS = *every * 1_000_000
@@ -203,16 +158,9 @@ func main() {
 		if *mformat == "prom" {
 			doc = mc.OpenMetrics()
 		}
-		if *mout != "" {
-			if err := os.WriteFile(*mout, []byte(doc), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "metrics-out: %v\n", err)
-				os.Exit(1)
-			}
-		} else {
-			// The metrics document is the last thing printed, so scripts
-			// can extract it with e.g. `awk '/^{/,0'` (json) or
-			// `awk '/^# /,0'` (prom).
-			fmt.Print(doc)
-		}
+		// The metrics document is the last thing printed, so scripts
+		// can extract it with e.g. `awk '/^{/,0'` (json) or
+		// `awk '/^# /,0'` (prom).
+		fmt.Print(doc)
 	}
 }

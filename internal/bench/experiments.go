@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/kvell"
-	"repro/internal/obs"
 	"repro/internal/ycsb"
 )
 
@@ -757,20 +756,8 @@ func PipelineDepth(rc RunConfig) Table {
 			prc.Threads = 1
 			prc.ValueSize = 128
 			prc.Pipeline = d
-			// Captured as the measured phase's Snapshot.Delta: this is what
-			// `make bench-record` commits as BENCH_pipelinedepth.json, so
-			// per-PR diffs show counter movement, not cumulative totals.
-			var pre obs.Snapshot
-			src, hasMetrics := st.(MetricsSource)
-			if hasMetrics {
-				pre = src.Metrics()
-			}
 			r := Load(st, EnginePrism, prc)
-			if hasMetrics {
-				rc.Metrics.CaptureSnapshot(EnginePrism,
-					fmt.Sprintf("pipelinedepth-%d-shards%d", d, shards),
-					r.KOpsPerSec(), src.Metrics().Delta(pre))
-			}
+			rc.Metrics.Capture(st, EnginePrism, fmt.Sprintf("pipelinedepth-%d-shards%d", d, shards), nil)
 			st.Close()
 			kops[si] = r.KOpsPerSec()
 			if d == 1 {

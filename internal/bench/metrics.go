@@ -26,7 +26,6 @@ type MetricsSource interface {
 type EngineMetrics struct {
 	Engine   string         `json:"engine"`
 	Workload string         `json:"workload,omitempty"`
-	KOps     float64        `json:"kops,omitempty"` // virtual-time throughput of the captured phase
 	Snapshot obs.Snapshot   `json:"snapshot"`
 	Timeline []MetricSample `json:"timeline,omitempty"`
 }
@@ -66,42 +65,6 @@ func (mc *MetricsCollector) Capture(store any, engineName, workload string, time
 		Workload: workload,
 		Snapshot: snap,
 		Timeline: timeline,
-	})
-	mc.mu.Unlock()
-}
-
-// CaptureSnapshot records an already-built snapshot — typically a
-// Snapshot.Delta around one measured phase, the per-PR bench-trajectory
-// form (`make bench-record`) — together with the phase's virtual-time
-// throughput (kops, 0 to omit), which CompareTrajectories gates on.
-// Series with no activity in the interval (zero counters, empty
-// histograms, zero gauges) are dropped, so the committed trajectory
-// diffs stay small and all-signal.
-func (mc *MetricsCollector) CaptureSnapshot(engineName, workload string, kops float64, snap obs.Snapshot) {
-	if mc == nil {
-		return
-	}
-	active := obs.Snapshot{Metrics: make([]obs.Metric, 0, len(snap.Metrics))}
-	for _, m := range snap.Metrics {
-		if m.Hist != nil {
-			if m.Hist.Count != 0 {
-				active.Metrics = append(active.Metrics, m)
-			}
-			continue
-		}
-		if m.Value != 0 {
-			active.Metrics = append(active.Metrics, m)
-		}
-	}
-	if len(active.Metrics) == 0 {
-		return
-	}
-	mc.mu.Lock()
-	mc.captures = append(mc.captures, EngineMetrics{
-		Engine:   engineName,
-		Workload: workload,
-		KOps:     kops,
-		Snapshot: active,
 	})
 	mc.mu.Unlock()
 }

@@ -135,7 +135,7 @@ func runRangeScan(rc RunConfig, placement string) RangeScanResult {
 	}
 	out.ShardScansPer = float64(scansAfter-scansBefore) / float64(out.Scans)
 	out.Delta = ps.Metrics().Delta(pre)
-	rc.Metrics.CaptureSnapshot(EnginePrism, "rangescan-"+placement, out.KOps, out.Delta)
+	rc.Metrics.Capture(st, EnginePrism, "rangescan-"+placement, nil)
 	st.Close()
 	return out
 }

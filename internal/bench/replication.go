@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/ycsb"
 )
 
@@ -44,18 +43,9 @@ func Replication(rc RunConfig) Table {
 		if err != nil {
 			panic(err)
 		}
-		var pre obs.Snapshot
-		src, hasMetrics := st.(MetricsSource)
-		if hasMetrics {
-			pre = src.Metrics()
-		}
 		load := Load(st, EnginePrism, rc)
 		a := Run(st, EnginePrism, ycsb.WorkloadA, rc)
-		if hasMetrics {
-			rc.Metrics.CaptureSnapshot(EnginePrism,
-				fmt.Sprintf("replication-r%d", r),
-				a.KOpsPerSec(), src.Metrics().Delta(pre))
-		}
+		rc.Metrics.Capture(st, EnginePrism, fmt.Sprintf("replication-r%d", r), nil)
 		passes := "-"
 		if r > 1 {
 			passes = fmt.Sprintf("%d", replicationFaultDrill(st.(*engine.PrismStore), rc))

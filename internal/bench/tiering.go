@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/ssd"
 	"repro/internal/ycsb"
 )
@@ -90,11 +89,6 @@ func runTiering(rc RunConfig, tiered bool) TieringResult {
 	}
 	prc := rc
 
-	var pre obs.Snapshot
-	src, hasMetrics := st.(MetricsSource)
-	if hasMetrics {
-		pre = src.Metrics()
-	}
 	var out TieringResult
 	Load(st, EnginePrism, prc)
 	out.ChurnKOps = tieringChurn(st, rc)
@@ -103,24 +97,21 @@ func runTiering(rc RunConfig, tiered bool) TieringResult {
 	prc.Records = rc.Records / 8
 	prc.Zipfian = 1.1
 	out.Read = Run(st, EnginePrism, ycsb.WorkloadC, prc)
-	if hasMetrics {
-		cur := src.Metrics()
-		rc.Metrics.CaptureSnapshot(EnginePrism, "tiering-"+mode,
-			out.ChurnKOps, cur.Delta(pre))
-		fast := map[string]string{"device": "ssd0"}
-		if m, ok := cur.Get("ssd.bytes_written", fast); ok {
-			out.FastBytes = m.Value
-		}
-		if m, ok := cur.Get("ssd.waf", fast); ok {
-			out.FastWAF = m.Value
-		}
-		if m, ok := cur.Get("tier.steered_bytes", map[string]string{"class": "cold"}); ok {
-			out.ColdSteered = m.Value
-			out.ColdTotal = m.Value
-		}
-		if m, ok := cur.Get("tier.fallback_bytes", map[string]string{"class": "cold"}); ok {
-			out.ColdTotal += m.Value
-		}
+	rc.Metrics.Capture(st, EnginePrism, "tiering-"+mode, nil)
+	cur := st.(*engine.PrismStore).Metrics()
+	fast := map[string]string{"device": "ssd0"}
+	if m, ok := cur.Get("ssd.bytes_written", fast); ok {
+		out.FastBytes = m.Value
+	}
+	if m, ok := cur.Get("ssd.waf", fast); ok {
+		out.FastWAF = m.Value
+	}
+	if m, ok := cur.Get("tier.steered_bytes", map[string]string{"class": "cold"}); ok {
+		out.ColdSteered = m.Value
+		out.ColdTotal = m.Value
+	}
+	if m, ok := cur.Get("tier.fallback_bytes", map[string]string{"class": "cold"}); ok {
+		out.ColdTotal += m.Value
 	}
 	st.Close()
 	return out

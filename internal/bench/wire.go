@@ -214,20 +214,18 @@ func Wire(rc RunConfig) Table {
 		addr, stop := wireServer(ps.S)
 		Load(st, EnginePrism, rc)
 
-		pre := ps.Metrics()
 		marks := wireClockMarks(ps.S)
 		res, err := RunWire(addr, ycsb.WorkloadA, rc, conns, depth)
 		if err != nil {
 			panic(err)
 		}
 		span := wireMakespan(marks, wireClockMarks(ps.S))
-		delta := ps.Metrics().Delta(pre)
 
 		var wireKops float64
 		if span > 0 {
 			wireKops = float64(res.Ops) / (float64(span) / 1e9) / 1e3
 		}
-		rc.Metrics.CaptureSnapshot(EnginePrism, fmt.Sprintf("wire-%dconns", conns), wireKops, delta)
+		rc.Metrics.Capture(st, EnginePrism, fmt.Sprintf("wire-%dconns", conns), nil)
 
 		rcp := rc
 		rcp.Pipeline = depth

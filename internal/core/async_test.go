@@ -225,19 +225,20 @@ func TestAsyncConcurrentWithSync(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		i := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		// Put, then look at stop: on a busy host the sync loop below can
+		// finish before this goroutine first runs, and async-000 is read
+		// back at the end.
+		for i := 0; ; i++ {
 			key := []byte(fmt.Sprintf("async-%03d", i%64))
 			if err := th.PutAsync(key, []byte("av")).Wait(); err != nil {
 				t.Error(err)
 				return
 			}
-			i++
+			select {
+			case <-stop:
+				return
+			default:
+			}
 		}
 	}()
 	val := bytes.Repeat([]byte("s"), 128)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/hsit"
 	"repro/internal/sim"
-	"repro/internal/svc"
 	"repro/internal/valuestore"
 )
 
@@ -182,28 +181,8 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	if s.heat != nil {
 		s.heat = newHeatTracker(s.opt.HSITCapacity)
 	}
-	if !s.opt.DisableSVC {
-		cfg := svc.Config{
-			CapacityBytes: s.opt.SVCBytes,
-			Unpublish: func(idx, handle uint64) bool {
-				return s.table.CasSVC(nil, idx, handle, 0)
-			},
-		}
-		if !s.opt.DisableScanSort {
-			cfg.OnScanEvict = s.onScanEvict
-		}
-		if s.heat != nil {
-			cfg.OnPromote = s.heat.Touch
-		}
-		s.cache = svc.New(cfg)
-	}
-	s.stop = make(chan struct{})
-	s.bg.Add(2 + len(s.threads))
-	for i := range s.threads {
-		go s.reclaimLoop(i)
-	}
-	go s.gcLoop()
-	go s.maintenanceLoop()
+	s.cache = s.newCache()
+	s.startBackground()
 	for _, t := range s.threads {
 		t.async.reset()
 	}

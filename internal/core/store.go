@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -97,11 +98,10 @@ type Options struct {
 	EnableTiering bool
 
 	// Ablation switches (§7.6 "impact of individual techniques").
-	DisableSVC       bool  // no DRAM value cache
-	DisableCombining bool  // use timeout-based async IO (TA) instead of TC
-	TimeoutNS        int64 // TA timeout; default 100 us
-	SyncVSWrites     bool  // bypass PWB: write values synchronously to VS
-	DisableScanSort  bool  // no eviction-time scan-range rewrite
+	DisableSVC       bool // no DRAM value cache
+	DisableCombining bool // use timeout-based async IO (TA) instead of TC
+	SyncVSWrites     bool // bypass PWB: write values synchronously to VS
+	DisableScanSort  bool // no eviction-time scan-range rewrite
 
 	// DisableMetrics turns off the observability registry: Metrics()
 	// returns an empty snapshot and every hot-path metric update becomes
@@ -198,9 +198,6 @@ func (o *Options) applyDefaults() {
 	// ReclaimWatermark deliberately has no default: zero means adaptive.
 	if o.GCFreeFraction == 0 {
 		o.GCFreeFraction = 0.25
-	}
-	if o.TimeoutNS == 0 {
-		o.TimeoutNS = 100_000
 	}
 	if o.TombstoneGraceWrites == 0 {
 		o.TombstoneGraceWrites = 4096
@@ -410,7 +407,6 @@ func Open(opt Options) (*Store, error) {
 		nvmDev:  nvm.New(ncfg),
 		em:      epoch.NewManager(),
 		gcCh:    make(chan gcReq, opt.NumSSDs*2),
-		stop:    make(chan struct{}),
 		gcClk:   sim.NewClock(0),
 		svcClk:  sim.NewClock(0),
 		pwbBase: pwbBase,
@@ -441,7 +437,8 @@ func Open(opt Options) (*Store, error) {
 		dev := ssd.New(scfg)
 		s.ssds = append(s.ssds, dev)
 		if opt.DisableCombining {
-			ta := tcq.NewTimeoutBatcher(dev, opt.QueueDepth, opt.TimeoutNS)
+			const taTimeoutNS = 100_000 // the TA baseline's batching timeout, 100 us
+			ta := tcq.NewTimeoutBatcher(dev, opt.QueueDepth, taTimeoutNS)
 			s.tas, s.readers = append(s.tas, ta), append(s.readers, ta)
 		} else {
 			q := tcq.New(dev, opt.QueueDepth)
@@ -450,21 +447,7 @@ func Open(opt Options) (*Store, error) {
 	}
 	s.vsm = valuestore.NewManager(s.ssds, opt.ChunkSize, s.em)
 	s.initTiering()
-	if !opt.DisableSVC {
-		cfg := svc.Config{
-			CapacityBytes: opt.SVCBytes,
-			Unpublish: func(idx, handle uint64) bool {
-				return s.table.CasSVC(nil, idx, handle, 0)
-			},
-		}
-		if !opt.DisableScanSort {
-			cfg.OnScanEvict = s.onScanEvict
-		}
-		if s.heat != nil {
-			cfg.OnPromote = s.heat.Touch
-		}
-		s.cache = svc.New(cfg)
-	}
+	s.cache = s.newCache()
 	s.recent = newReadFilter(opt.HSITCapacity, s.recentLimit)
 	rng := sim.NewRNG(opt.Seed)
 	for i := 0; i < opt.NumThreads; i++ {
@@ -503,13 +486,41 @@ func Open(opt Options) (*Store, error) {
 		s.reg = obs.NewRegistry()
 		s.registerMetrics()
 	}
-	s.bg.Add(2 + opt.NumThreads)
-	for i := 0; i < opt.NumThreads; i++ {
+	s.startBackground()
+	return s, nil
+}
+
+// newCache builds the SVC with the store's hooks, for Open and for Recover
+// (the cache is DRAM and dies with a crash); nil under DisableSVC.
+func (s *Store) newCache() *svc.Cache {
+	if s.opt.DisableSVC {
+		return nil
+	}
+	cfg := svc.Config{
+		CapacityBytes: s.opt.SVCBytes,
+		Unpublish: func(idx, handle uint64) bool {
+			return s.table.CasSVC(nil, idx, handle, 0)
+		},
+	}
+	if !s.opt.DisableScanSort {
+		cfg.OnScanEvict = s.onScanEvict
+	}
+	if s.heat != nil {
+		cfg.OnPromote = s.heat.Touch
+	}
+	return svc.New(cfg)
+}
+
+// startBackground starts the reclaimers, GC and the maintenance loop under
+// a fresh stop channel; Close and Crash close it and wait on bg.
+func (s *Store) startBackground() {
+	s.stop = make(chan struct{})
+	s.bg.Add(2 + len(s.threads))
+	for i := range s.threads {
 		go s.reclaimLoop(i)
 	}
 	go s.gcLoop()
 	go s.maintenanceLoop()
-	return s, nil
 }
 
 // Thread returns application thread handle i (0 <= i < NumThreads).
@@ -592,6 +603,24 @@ type Stats struct {
 	TierDemotedBytes           int64
 	VS                         valuestore.Stats
 	SVC                        svc.Stats
+}
+
+// Add folds b into a: every integer field, the nested VS and SVC ones
+// included, is summed. It walks the struct, so a counter added to Stats is
+// summed by the router (shard.Store.Stats) without being listed again.
+func (a *Stats) Add(b Stats) { addInts(reflect.ValueOf(a).Elem(), reflect.ValueOf(b)) }
+
+func addInts(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		switch f := dst.Field(i); f.Kind() {
+		case reflect.Struct:
+			addInts(f, src.Field(i))
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + src.Field(i).Int())
+		default:
+			panic("core: Stats field of a kind Add does not sum: " + f.Kind().String())
+		}
+	}
 }
 
 // Stats returns current counters.

@@ -12,8 +12,7 @@ package obs
 //     state — so they are zeroed rather than left at their cumulative
 //     values (which would silently mix lifetime tails into an interval
 //     snapshot). Consumers needing tails over an interval must keep
-//     their own histogram; trajectory comparison (prism-bench -compare)
-//     keys off KOps only and never reads these fields;
+//     their own histogram;
 //   - gauges are point-in-time readings and pass through unchanged.
 //
 // Series absent from prev (e.g. registered mid-run) are treated as

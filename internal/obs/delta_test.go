@@ -7,7 +7,7 @@ import "testing"
 // rank statistics (Min/Max/percentiles), which are structural over the
 // whole history and cannot be subtracted, are zeroed — never left at
 // their cumulative values, which would silently mix lifetime tails into
-// an interval snapshot (the bench-record bug of ISSUE 8).
+// an interval snapshot (the bug of ISSUE 8).
 func TestDeltaHistogramZeroesRankStats(t *testing.T) {
 	hist := func(count, sum, min, max, p50, p99, p999 int64) Metric {
 		return Metric{Name: "h", Type: TypeHistogram, Value: float64(count),

@@ -368,45 +368,7 @@ func (s *Store) Recover() (core.RecoveryReport, error) {
 func (s *Store) Stats() core.Stats {
 	var t core.Stats
 	for _, cs := range s.shards {
-		st := cs.Stats()
-		t.Puts += st.Puts
-		t.Gets += st.Gets
-		t.Deletes += st.Deletes
-		t.Scans += st.Scans
-		t.BatchPuts += st.BatchPuts
-		t.BatchGets += st.BatchGets
-		t.AsyncPuts += st.AsyncPuts
-		t.AsyncGets += st.AsyncGets
-		t.AsyncDeletes += st.AsyncDeletes
-		t.SVCHits += st.SVCHits
-		t.PWBHits += st.PWBHits
-		t.VSReads += st.VSReads
-		t.UserBytesWritten += st.UserBytesWritten
-		t.Reclaims += st.Reclaims
-		t.PWBLiveMigrated += st.PWBLiveMigrated
-		t.ScanRewrites += st.ScanRewrites
-		t.ReclaimAdmits += st.ReclaimAdmits
-		t.ReclaimAdmitSkips += st.ReclaimAdmitSkips
-		t.ScanDeferred += st.ScanDeferred
-		t.PutStalls += st.PutStalls
-		t.PutsStalled += st.PutsStalled
-		t.ReclaimPublishLost += st.ReclaimPublishLost
-		t.ScanTornRecords += st.ScanTornRecords
-		t.IndexSpaceBytes += st.IndexSpaceBytes
-		t.HSITSpaceBytes += st.HSITSpaceBytes
-		t.VS.ChunksWritten += st.VS.ChunksWritten
-		t.VS.BytesWritten += st.VS.BytesWritten
-		t.VS.GCRuns += st.VS.GCRuns
-		t.VS.GCLiveMoved += st.VS.GCLiveMoved
-		t.VS.GCBytesMoved += st.VS.GCBytesMoved
-		t.VS.FreeChunks += st.VS.FreeChunks
-		t.VS.LiveChunks += st.VS.LiveChunks
-		t.SVC.Bytes += st.SVC.Bytes
-		t.SVC.Entries += st.SVC.Entries
-		t.SVC.Evictions += st.SVC.Evictions
-		t.SVC.Promotions += st.SVC.Promotions
-		t.SVC.ChainRewrites += st.SVC.ChainRewrites
-		t.SVC.TouchDrops += st.SVC.TouchDrops
+		t.Add(cs.Stats())
 	}
 	return t
 }

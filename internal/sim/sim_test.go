@@ -191,7 +191,7 @@ func TestResourceAcquireAllocatesOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkResourceAcquire is the channel's own line in the trajectory:
+// BenchmarkResourceAcquire is the channel's own line in `make bench-smoke`:
 // one clock alone, and two clocks that stay 5 ms apart, so that the
 // lagging one reserves in the middle of what the leading one has booked
 // — first taking turns, which repeats exactly, then from two goroutines,
