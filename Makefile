@@ -30,11 +30,14 @@ test:
 # TestWindowKeepsSubmissionOrderPerKey and TestWindowStallMidWindow for
 # the one-pass admission window: RESP order per key while gets wait for
 # the window's Value Storage batch, and a put stalling mid-window with
-# such gets outstanding (§4.5). internal/bench's suite is whole YCSB runs
-# of every baseline engine, which the detector's ~20x slowdown stretches
-# for no Prism code the other packages leave uncovered, so that one
-# package contributes a bounded concurrent-load smoke instead of its
-# whole suite; every other package runs in full.
+# such gets outstanding (§4.5), and TestPublishActsOnTheCurrentWord and
+# TestPrefetchedPublishStress in internal/hsit for a writer whose entry is
+# moved, flushed or admitted to between its prefetch and its publish
+# (DESIGN.md §3.5). internal/bench's suite is whole YCSB runs of every
+# baseline engine, which the detector's ~20x slowdown stretches for no
+# Prism code the other packages leave uncovered, so that one package
+# contributes a bounded concurrent-load smoke instead of its whole suite;
+# every other package runs in full.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v internal/bench)
 	$(GO) test -race -count=1 -run 'TestShardBatchFanoutStress$$' ./internal/shard
@@ -45,6 +48,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestGCChurnStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestReclaimAdmissionNeverStale$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestWindowKeepsSubmissionOrderPerKey$$|TestWindowStallMidWindow$$' ./internal/core
+	$(GO) test -race -count=1 -run 'TestPublishActsOnTheCurrentWord$$|TestPrefetchedPublishStress$$' ./internal/hsit
 	$(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$' ./internal/server
 	$(GO) test -race -count=1 -run 'TestMixedSetReadersStress$$' ./internal/tcq
@@ -78,7 +82,9 @@ bench:
 # bench-smoke runs the Put benchmarks once: benchmark code can never
 # silently rot, and the job log shows the batch-vs-single comparison
 # (BenchmarkPut's epoch-enters/op = 1.0 vs BenchmarkPutBatch/size=32's
-# amortized fraction), the sharding scale-out comparison
+# amortized fraction), what a put costs in the model (BenchmarkPut's
+# virt-ns/op and nvm-loads/op = 1.0: one HSIT entry read per put,
+# DESIGN.md §3.5), the sharding scale-out comparison
 # (BenchmarkPutSharded's virt-Kops/s at shards=1 vs shards=4), and the
 # pipelining comparison (BenchmarkPutPipelined's virt-Kops/s at depth=1
 # vs depth=32) at a longer benchtime so the counters are stable; beside

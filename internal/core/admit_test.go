@@ -119,7 +119,7 @@ func parseSeqValue(v []byte) (k int, seq uint64, ok bool) {
 func noStaleEntry(t *testing.T, s *Store, k []byte) {
 	t.Helper()
 	idx := mustIdxOf(t, s, k)
-	h := s.table.LoadSVC(nil, idx)
+	h := svcHandle(s, idx)
 	if h == 0 {
 		return
 	}
@@ -155,7 +155,7 @@ func TestReclaimAdmissionNeverStale(t *testing.T) {
 			t.Fatal("a value superseded before the CAS was admitted")
 		}
 		s.cache.Sync()
-		if h := s.table.LoadSVC(nil, idx); h != 0 || s.Stats().SVC.Entries != 0 {
+		if h := svcHandle(s, idx); h != 0 || s.Stats().SVC.Entries != 0 {
 			t.Fatalf("the superseded value stays published: word 1 = %d, %d entries", h, s.Stats().SVC.Entries)
 		}
 		if _, seq, ok := parseSeqValue(mustGet(t, th, key(0))); !ok || seq != 2 {

@@ -283,7 +283,7 @@ func TestStaleAdmissionRejectedOnRead(t *testing.T) {
 		t.Fatalf("Get through stale cache entry = %q, %v", got, err)
 	}
 	// The rejected entry must have been retracted, not just skipped.
-	if h := s.table.LoadSVC(nil, idx); h != 0 {
+	if h := svcHandle(s, idx); h != 0 {
 		t.Fatalf("stale handle still published: %d", h)
 	}
 
@@ -297,7 +297,7 @@ func TestStaleAdmissionRejectedOnRead(t *testing.T) {
 	if err != nil || string(vals[0]) != "fresh" {
 		t.Fatalf("MultiGet through stale cache entry = %q, %v", vals, err)
 	}
-	if h := s.table.LoadSVC(nil, idx); h != 0 {
+	if h := svcHandle(s, idx); h != 0 {
 		t.Fatalf("stale handle still published after MultiGet: %d", h)
 	}
 }

@@ -156,14 +156,16 @@ func TestBatchReadOverlapsExtents(t *testing.T) {
 }
 
 // TestSingleGetTiming pins a lone Get from Value Storage — the
-// one-request case of the batched read — to the virtual time it took
-// before reads were batched.
+// one-request case of the batched read — to what its steps cost on idle
+// devices (cost_test.go): batching adds nothing to it.
 func TestSingleGetTiming(t *testing.T) {
 	s, th := vsOnlyStore(t, 32, nil)
 	ios := readIOs(s)
 	// Far past every reservation the load and the drain left on the NVM
 	// and SSD channels, so the Get queues behind nothing.
 	t0 := th.Clk.AdvanceTo(1 << 40)
+	c := costsOf(s, t0)
+	want := c.vsGet(c.lookup(aKey(7)), len(aValue(7)))
 	v, err := th.Get(aKey(7))
 	if err != nil || !bytes.Equal(v, aValue(7)) {
 		t.Fatalf("Get: %d bytes, %v", len(v), err)
@@ -177,11 +179,7 @@ func TestSingleGetTiming(t *testing.T) {
 	if total != 1 {
 		t.Fatalf("%d read IOs for one Get", total)
 	}
-	if advance != singleGetNS {
-		t.Fatalf("Get advanced the clock %d ns, want %d", advance, singleGetNS)
+	if advance != want {
+		t.Fatalf("Get advanced the clock %d ns, want %d", advance, want)
 	}
 }
-
-// singleGetNS is what TestSingleGetTiming's Get cost at the commit
-// before batched reads (b091a41), measured there with this test.
-const singleGetNS = 51141

@@ -47,7 +47,7 @@ func (s *Store) CheckInvariants() CheckReport {
 	var rep CheckReport
 	s.index.Scan(nil, nil, 0, func(key []byte, idx uint64) bool {
 		rep.LiveKeys++
-		p := s.table.Load(nil, idx)
+		p, h := s.table.Entry(nil, idx)
 		switch p.Media {
 		case hsit.None:
 			rep.problem("key %q: HSIT[%d] has no durable value", key, idx)
@@ -87,18 +87,16 @@ func (s *Store) CheckInvariants() CheckReport {
 		}
 		// SVC publication, if any, must resolve and agree with the
 		// durable value.
-		if s.cache != nil {
-			if h := s.table.LoadSVC(nil, idx); h != 0 {
-				rep.SVCPublished++
-				// Ver may legitimately lag the publish version here (a GC
-				// or scan rewrite relocates values without touching the
-				// cache, and the read-side retraction only fires on
-				// access), so only resolution and length are checked.
-				if v, _, ok := s.cache.Lookup(idx, h); !ok {
-					rep.problem("key %q: published SVC handle %d does not resolve", key, h)
-				} else if len(v) != p.Len && !p.IsNil() {
-					rep.problem("key %q: cached value length %d != durable %d", key, len(v), p.Len)
-				}
+		if s.cache != nil && h != 0 {
+			rep.SVCPublished++
+			// Ver may legitimately lag the publish version here (a GC
+			// or scan rewrite relocates values without touching the
+			// cache, and the read-side retraction only fires on
+			// access), so only resolution and length are checked.
+			if v, _, ok := s.cache.Lookup(idx, h); !ok {
+				rep.problem("key %q: published SVC handle %d does not resolve", key, h)
+			} else if len(v) != p.Len && !p.IsNil() {
+				rep.problem("key %q: cached value length %d != durable %d", key, len(v), p.Len)
 			}
 		}
 		return true

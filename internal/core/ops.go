@@ -176,8 +176,8 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 			// entry (the record must carry the winner's backward pointer
 			// to stay well-coupled). The second record needs room of its
 			// own; without it the whole put retries and finds the winner.
-			old := s.table.Clear(t.Clk, idx)
-			t.invalidateOld(idx, old)
+			old, svc := s.table.Clear(t.Clk, idx)
+			t.invalidateOld(idx, old, svc)
 			s.table.Free(idx)
 			if !t.reserve(len(value)) {
 				return errRetryPut
@@ -194,15 +194,19 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 // writeAndPublish appends the value to the thread's PWB — the caller has
 // reserved the room — with idx as its backward pointer and publishes the
 // new location in HSIT, invalidating whatever the entry pointed to
-// before. When clearPending is false the publish-pending mark set by
-// Append stays in place for the caller's batch-wide Published call.
+// before. The read of the entry the publish will CAS is issued first: it
+// does not depend on the append, and is back before the append's stores,
+// flushes and fence are done (DESIGN.md §3.5). When clearPending is false
+// the publish-pending mark set by Append stays in place for the caller's
+// batch-wide Published call.
 func (t *Thread) writeAndPublish(idx uint64, value []byte, clearPending bool) error {
 	s := t.s
+	ready := s.table.Prefetch(t.Clk, idx)
 	off, _, err := t.buf.Append(t.Clk, idx, value)
 	if err != nil {
 		return err
 	}
-	old := s.table.Publish(t.Clk, idx, hsit.Pointer{Media: hsit.PWB, Len: len(value), Off: off})
+	old, svc := s.table.PublishAt(t.Clk, idx, hsit.Pointer{Media: hsit.PWB, Len: len(value), Off: off}, ready)
 	// Lift the publish-pending mark set by Append: the reclaimer may now
 	// include this record in its scan, and is guaranteed to observe the
 	// pointer just published (so it classifies the record as live).
@@ -212,7 +216,7 @@ func (t *Thread) writeAndPublish(idx uint64, value []byte, clearPending bool) er
 	if s.heat != nil {
 		s.heat.Touch(idx) // write heat: a fresh put is a hot key
 	}
-	t.invalidateOld(idx, old)
+	t.invalidateOld(idx, old, svc)
 	if s.opt.SyncVSWrites && t.buf.Used() >= s.opt.ChunkSize {
 		// Ablation: no asynchronous bandwidth-optimized write — the
 		// application thread migrates PWB contents to Value Storage on
@@ -256,19 +260,16 @@ func (t *Thread) kickReclaim() {
 
 // invalidateOld cleans up the location a Publish displaced: a superseded
 // Value Storage record loses its validity bit; a superseded PWB record
-// simply becomes ill-coupled (§4.3). Any cached copy is unpublished and
+// simply becomes ill-coupled (§4.3). Any cached copy — svc is the handle
+// the publish found in the entry after its install — is unpublished and
 // dropped, since it now holds a stale value.
-func (t *Thread) invalidateOld(idx uint64, old hsit.Pointer) {
+func (t *Thread) invalidateOld(idx uint64, old hsit.Pointer, svc uint64) {
 	s := t.s
 	if old.Media == hsit.VS {
 		s.vsm.Invalidate(old.Off, old.Len)
 	}
-	if s.cache != nil {
-		if h := s.table.LoadSVC(t.Clk, idx); h != 0 {
-			if s.table.CasSVC(t.Clk, idx, h, 0) {
-				s.cache.Invalidate(idx, h)
-			}
-		}
+	if svc != 0 && s.cache != nil && s.table.CasSVC(t.Clk, idx, svc, 0) {
+		s.cache.Invalidate(idx, svc)
 	}
 }
 
@@ -312,14 +313,11 @@ func (t *Thread) Get(key []byte) ([]byte, error) {
 // bumped). Either way the entry is retracted so the next Value Storage
 // read re-admits under the current version. The check deliberately uses
 // the version, not the forward pointer: recycled PWB/chunk offsets can
-// make a stale pointer word bit-identical to the current one.
-func (t *Thread) svcRead(idx uint64) ([]byte, bool) {
+// make a stale pointer word bit-identical to the current one. h is the
+// entry's SVC handle as the caller read it.
+func (t *Thread) svcRead(idx, h uint64) ([]byte, bool) {
 	s := t.s
-	if s.cache == nil {
-		return nil, false
-	}
-	h := s.table.LoadSVC(t.Clk, idx)
-	if h == 0 {
+	if s.cache == nil || h == 0 {
 		return nil, false
 	}
 	v, ver, ok := s.cache.Lookup(idx, h)
@@ -347,20 +345,20 @@ const (
 )
 
 // resolveFast is the read path's one fast-path attempt for an item whose
-// idx is known (§4.4 resolution order): SVC hit, else — snapshotting the
-// publish version before the pointer load, because SVC admission keeps
-// bytes only if the version is unchanged (and even) at publish time,
-// which certifies no write overlapped the read — a PWB read re-checked
-// against the pointer, or a Value Storage location left for the caller
-// to read (alone in resolve, merged in readVSBatch).
+// idx is known (§4.4 resolution order), on one read of the entry: SVC
+// hit, else — the publish version was snapshotted before the entry read,
+// because SVC admission keeps bytes only if the version is unchanged (and
+// even) at publish time, which certifies no write overlapped the read — a
+// PWB read re-checked against the pointer, or a Value Storage location
+// left for the caller to read (alone in resolve, merged in readVSBatch).
 func (t *Thread) resolveFast(it *scanItem) fastResult {
 	s := t.s
-	if v, ok := t.svcRead(it.idx); ok {
+	it.ver = s.table.Version(it.idx)
+	p, h := s.table.Entry(t.Clk, it.idx)
+	if v, ok := t.svcRead(it.idx, h); ok {
 		it.val = cloneBytes(v)
 		return fastDone
 	}
-	it.ver = s.table.Version(it.idx)
-	p := s.table.Load(t.Clk, it.idx)
 	switch p.Media {
 	case hsit.PWB:
 		v := s.pwbOf(p.Off).ReadValue(t.Clk, p.Off, p.Len)
@@ -471,8 +469,8 @@ func (t *Thread) deleteStep(key []byte, ts uint64) error {
 	}
 	err := ErrNotFound
 	if idx, ok := s.index.Delete(t.Clk, key); ok {
-		old := s.table.Clear(t.Clk, idx)
-		t.invalidateOld(idx, old)
+		old, svc := s.table.Clear(t.Clk, idx)
+		t.invalidateOld(idx, old, svc)
 		s.table.Free(idx)
 		err = nil
 	}
@@ -491,7 +489,7 @@ type KV struct {
 // Scan visits up to count pairs with key >= start in key order, calling
 // fn for each until it returns false. After the index walk the rows
 // resolve through one overlap frame (async.go): each row's NVM round trips
-// — SVC pointer, forward pointer, PWB read — are issued asyncIssueNS after
+// — the HSIT entry, the PWB read — are issued asyncIssueNS after
 // the previous row's and overlap with them, so fifty resident rows cost
 // about 50 x 120 ns plus one row, not fifty rows. Values resident only in
 // Value Storage are fetched as one asynchronous batch of merged extents,

@@ -125,7 +125,11 @@ func (s *Store) hotIdx(idx uint64) bool {
 	if s.heat != nil && s.heat.Hot(idx) {
 		return true
 	}
-	return s.cache != nil && s.table.LoadSVC(nil, idx) != 0
+	if s.cache == nil {
+		return false
+	}
+	_, svc := s.table.Entry(nil, idx)
+	return svc != 0
 }
 
 // ---- adaptive reclamation watermark ----

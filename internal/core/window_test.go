@@ -69,18 +69,21 @@ func kib(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 512)
 // TestWindowOverlapsMixedOps: an admission window is one pass, so a mixed
 // stream overlaps the way a same-kind run always did. Thirty-two
 // alternating SET/GET operations over PWB-resident 1 KiB keys are cut
-// into windows of 1, 2 and 16: a window of one is a lone operation and
-// costs what it cost before the window was one pass, and depth 16 must
-// take at most a quarter of depth 2's time per operation (at the parent
-// commit a window was cut into same-kind runs whose makespans added up, so
-// an alternating stream gained nothing past depth 2: 2,258 against 2,252
-// ns per operation). A put-only window is the degenerate case and stays
-// where the parent's putPass had it, to the nanosecond.
+// into windows of 1, 2 and 16: a window of one is a lone operation — one
+// doorbell and what the operation costs on its own (cost_test.go), a
+// window of one is not a frame's business — and depth 16 must take at most
+// a quarter of depth 2's time per operation (before a window was one pass
+// it was cut into same-kind runs whose makespans added up, so an
+// alternating stream gained nothing past depth 2: 2,258 against 2,252 ns
+// per operation). A put-only window is the degenerate case: its steps are
+// issued a doorbell apart and it ends when the last of them does, to the
+// nanosecond.
 func TestWindowOverlapsMixedOps(t *testing.T) {
 	const ops = 32
 	perOp := map[int]int64{}
+	var wantDepth1 int64
 	for _, depth := range []int{1, 2, 16} {
-		_, th := residentStore(t, ops)
+		s, th := residentStore(t, ops)
 		var total int64
 		var hs []*Handle
 		for from := 0; from < ops; from += depth {
@@ -101,39 +104,46 @@ func TestWindowOverlapsMixedOps(t *testing.T) {
 		}
 		perOp[depth] = total / ops
 		t.Logf("depth %2d: %d virtual ns per operation", depth, perOp[depth])
+		if depth == 1 {
+			c := costsOf(s, th.Clk.Now())
+			for i := 0; i < ops; i++ {
+				if lookup := c.lookup(aKey(i)); i%2 == 0 {
+					wantDepth1 += asyncIssueNS + c.put(lookup, pwbOff(t, s, aKey(i)), len(kib(i)))
+				} else {
+					wantDepth1 += asyncIssueNS + c.pwbGet(lookup, len(kib(i)))
+				}
+			}
+			wantDepth1 /= ops
+		}
 	}
-	if perOp[1] != mixedDepth1NS {
-		t.Errorf("depth 1: %d ns per operation, want %d as at the parent commit (a window of one is not a frame's business)", perOp[1], mixedDepth1NS)
+	if perOp[1] != wantDepth1 {
+		t.Errorf("depth 1: %d ns per operation, want %d: a doorbell and the operation's own cost", perOp[1], wantDepth1)
 	}
 	if perOp[16]*4 > perOp[2] {
 		t.Errorf("depth 16: %d ns per operation, want at most a quarter of depth 2's %d", perOp[16], perOp[2])
 	}
 
-	_, th := residentStore(t, 16)
+	s, th := residentStore(t, 16)
 	advance := oneWindow(th, func() {
 		for i := 0; i < 16; i++ {
 			th.PutAsync(aKey(i), kib(i+16))
 		}
 	})
 	t.Logf("put-only window of 16: %d virtual ns", advance)
-	if advance != putWindow16NS {
-		t.Errorf("a put-only window of 16 advanced the clock %d ns, want %d as at the parent commit", advance, putWindow16NS)
+	var want int64
+	for c, i := costsOf(s, th.Clk.Now()), 0; i < 16; i++ {
+		want = max(want, int64(i+1)*asyncIssueNS+c.put(c.lookup(aKey(i)), pwbOff(t, s, aKey(i)), len(kib(i))))
+	}
+	if advance != want {
+		t.Errorf("a put-only window of 16 advanced the clock %d ns, want %d: sixteen doorbells and the last put", advance, want)
 	}
 }
-
-// What TestWindowOverlapsMixedOps measured at the parent commit (33a5b6d)
-// with this test: the per-operation cost of the alternating stream in
-// windows of one, and the makespan of sixteen 1 KiB puts in one window.
-const (
-	mixedDepth1NS = 2250
-	putWindow16NS = 4763
-)
 
 // TestScanRowsResolveOverlapped: the rows of a scan are independent NVM
 // round trips and resolve through the overlap frame — 120 ns apart, not
 // one after another — whichever medium holds them. Fifty PWB-resident rows
-// cost 53.2 us at the parent commit (LoadSVC 301 + Load 302 + ReadValue
-// 451 ns a row, in series) and fifty SVC-resident ones 23.0 us.
+// cost 53.2 us before the frame (SVC word 301 + pointer word 302 +
+// ReadValue 451 ns a row, in series) and fifty SVC-resident ones 23.0 us.
 func TestScanRowsResolveOverlapped(t *testing.T) {
 	const rows = 50
 	scan := func(th *Thread) int64 {

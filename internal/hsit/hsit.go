@@ -21,6 +21,13 @@
 // dirty bit flushes the line on the writer's behalf before using the
 // pointer, so an unpersisted pointer is never acted upon.
 //
+// One entry is one NVM access (the point of packing it into 16 bytes), and
+// the cost model charges it that way: Entry reads both words for one
+// read; a publisher reads the word it CASes once — when it asks
+// (Publish, PublishIf's compare) or ahead of time (Prefetch, then
+// PublishAt) — and gets the SVC word back with the line its CAS owns.
+// Only a CAS that loses to a reader's flush-on-read pays for a second read.
+//
 // Concurrency contract: every Table method is safe for concurrent use by
 // any number of goroutines; entry words are only ever read and written
 // with 8-byte atomics, and the CAS on the forward pointer is the
@@ -263,39 +270,80 @@ func (t *Table) Free(idx uint64) {
 func (t *Table) Load(clk nvm.Clock, idx uint64) Pointer {
 	t.checkIdx(idx)
 	off := t.word0(idx)
-	w := t.dev.LoadUint64(clk, off)
+	return t.flushOnRead(clk, off, t.dev.LoadUint64(clk, off))
+}
+
+// Entry reads idx's whole entry — the forward pointer, as Load returns it,
+// and the volatile SVC handle (0 = none) — in one NVM access: the three
+// forward pointers share 16 bytes so that one read reaches all of them
+// (§4.5). It is the one way to read the SVC word.
+func (t *Table) Entry(clk nvm.Clock, idx uint64) (p Pointer, svc uint64) {
+	t.checkIdx(idx)
+	off := t.word0(idx)
+	if ready := t.dev.Prefetch(clk, off, EntrySize); clk != nil {
+		clk.AdvanceTo(ready)
+	}
+	return t.flushOnRead(clk, off, t.dev.HeldUint64(off)), t.dev.HeldUint64(t.word1(idx))
+}
+
+func (t *Table) flushOnRead(clk nvm.Clock, off int, w uint64) Pointer {
 	if w&dirtyBit != 0 {
 		t.dev.Persist(clk, off, 8)
 		t.dev.CompareAndSwapUint64(clk, off, w, w&^dirtyBit)
-		w &^= dirtyBit
 	}
 	return Decode(w)
 }
 
+// Prefetch starts the read of idx's forward pointer for the publish the
+// caller is about to make (PublishAt) and returns when the line will be
+// there. Issued as soon as idx is known, it is long back by the time the
+// value has been appended to the PWB.
+func (t *Table) Prefetch(clk nvm.Clock, idx uint64) (ready int64) {
+	t.checkIdx(idx)
+	return t.dev.Prefetch(clk, t.word0(idx), 8)
+}
+
 // install runs the durable-linearizable dirty-bit install under the
 // publish claim: CAS in the new word with the dirty bit set, persist,
-// clear. The CAS loop only contends with readers' flush-on-read clears,
-// never another publisher (those are spun out by the seqlock).
-func (t *Table) install(clk nvm.Clock, off int, neww uint64) uint64 {
-	for {
-		old := t.dev.LoadUint64(clk, off)
-		if t.dev.CompareAndSwapUint64(clk, off, old, neww|dirtyBit) {
-			t.dev.Persist(clk, off, 8)
-			t.dev.CompareAndSwapUint64(clk, off, neww|dirtyBit, neww)
-			return old
-		}
+// clear. old is the word as the caller has read it; the first CAS is
+// against it, and only a CAS that loses pays for another read. The CAS
+// loop only contends with readers' flush-on-read clears, never another
+// publisher (those are spun out by the seqlock). It returns the word it
+// displaced.
+func (t *Table) install(clk nvm.Clock, off int, old, neww uint64) uint64 {
+	for !t.dev.CompareAndSwapUint64(clk, off, old, neww|dirtyBit) {
+		old = t.dev.LoadUint64(clk, off)
 	}
+	t.dev.Persist(clk, off, 8)
+	t.dev.CompareAndSwapUint64(clk, off, neww|dirtyBit, neww)
+	return old
 }
 
 // Publish unconditionally installs p as idx's forward pointer with the
 // durable-linearizable dirty-bit protocol and returns the pointer it
 // replaced. The replaced location is now ill-coupled garbage the caller
-// must invalidate (PWB: nothing to do; VS: clear the validity bit).
-func (t *Table) Publish(clk nvm.Clock, idx uint64, p Pointer) Pointer {
+// must invalidate (PWB: nothing to do; VS: clear the validity bit), and so
+// is any cached copy: svc is the entry's SVC handle, read after the
+// install from the line the CAS owns.
+func (t *Table) Publish(clk nvm.Clock, idx uint64, p Pointer) (old Pointer, svc uint64) {
+	return t.PublishAt(clk, idx, p, t.Prefetch(clk, idx))
+}
+
+// PublishAt is Publish for a caller that issued Prefetch(clk, idx) when it
+// learned idx: ready is what that returned. The publish waits for what is
+// left of the read, if anything, and loads the word then — whatever
+// happened to the entry since the prefetch, it is the current word that
+// is displaced and returned.
+func (t *Table) PublishAt(clk nvm.Clock, idx uint64, p Pointer, ready int64) (old Pointer, svc uint64) {
 	v := t.lockVersion(idx)
-	old := t.install(clk, t.word0(idx), Encode(p))
+	if clk != nil {
+		clk.AdvanceTo(ready)
+	}
+	off := t.word0(idx)
+	w := t.install(clk, off, t.dev.HeldUint64(off), Encode(p))
+	svc = t.dev.HeldUint64(t.word1(idx))
 	t.vers[idx].Store(v + 2)
-	return Decode(old)
+	return Decode(w), svc
 }
 
 // PublishIf installs p only if the current pointer still equals expect
@@ -313,11 +361,12 @@ func (t *Table) Publish(clk nvm.Clock, idx uint64, p Pointer) Pointer {
 func (t *Table) PublishIf(clk nvm.Clock, idx uint64, expect, p Pointer) (ver uint64, ok bool) {
 	v := t.lockVersion(idx)
 	off := t.word0(idx)
-	if t.dev.LoadUint64(clk, off)&^dirtyBit != Encode(expect) {
+	w := t.dev.LoadUint64(clk, off)
+	if w&^dirtyBit != Encode(expect) {
 		t.vers[idx].Store(v) // nothing installed: restore quiescence
 		return 0, false
 	}
-	t.install(clk, off, Encode(p))
+	t.install(clk, off, w, Encode(p))
 	t.vers[idx].Store(v + 2)
 	return v + 2, true
 }
@@ -333,20 +382,16 @@ func (t *Table) PublishIfVersion(clk nvm.Clock, idx uint64, expectVer uint64, p 
 	if expectVer&1 != 0 || !t.vers[idx].CompareAndSwap(expectVer, expectVer+1) {
 		return false
 	}
-	t.install(clk, t.word0(idx), Encode(p))
+	off := t.word0(idx)
+	t.install(clk, off, t.dev.LoadUint64(clk, off), Encode(p))
 	t.vers[idx].Store(expectVer + 2)
 	return true
 }
 
-// Clear removes the forward pointer (delete path), returning the old one.
-func (t *Table) Clear(clk nvm.Clock, idx uint64) Pointer {
+// Clear removes the forward pointer (delete path), returning what Publish
+// returns: the old pointer and the SVC handle.
+func (t *Table) Clear(clk nvm.Clock, idx uint64) (old Pointer, svc uint64) {
 	return t.Publish(clk, idx, Pointer{})
-}
-
-// LoadSVC returns the volatile SVC handle of idx (0 = none).
-func (t *Table) LoadSVC(clk nvm.Clock, idx uint64) uint64 {
-	t.checkIdx(idx)
-	return t.dev.LoadUint64(clk, t.word1(idx))
 }
 
 // CasSVC atomically replaces the SVC handle if it still equals old. No

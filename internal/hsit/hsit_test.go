@@ -15,6 +15,12 @@ func newTable(capacity int) (*Table, *nvm.Device, *epoch.Manager) {
 	return New(dev, 0, capacity, em), dev, em
 }
 
+// svcOf is the entry's SVC handle, read for free.
+func svcOf(tb *Table, idx uint64) uint64 {
+	_, h := tb.Entry(nil, idx)
+	return h
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(media uint8, length uint16, off uint64) bool {
 		p := Pointer{
@@ -51,7 +57,7 @@ func TestAllocPublishLoad(t *testing.T) {
 		t.Fatal("fresh entry not nil")
 	}
 	p := Pointer{Media: PWB, Len: 100, Off: 4096}
-	old := tb.Publish(nil, idx, p)
+	old, _ := tb.Publish(nil, idx, p)
 	if !old.IsNil() {
 		t.Fatalf("publish returned old=%v", old)
 	}
@@ -69,7 +75,7 @@ func TestPublishReturnsReplacedPointer(t *testing.T) {
 	p1 := Pointer{Media: PWB, Len: 10, Off: 100}
 	p2 := Pointer{Media: VS, Len: 10, Off: 200}
 	tb.Publish(nil, idx, p1)
-	if old := tb.Publish(nil, idx, p2); old != p1 {
+	if old, _ := tb.Publish(nil, idx, p2); old != p1 {
 		t.Fatalf("old = %v, want %v", old, p1)
 	}
 	if got := tb.Load(nil, idx); got != p2 {
@@ -159,7 +165,7 @@ func TestUnpersistedPointerRollsBack(t *testing.T) {
 func TestSVCWord(t *testing.T) {
 	tb, _, _ := newTable(4)
 	idx, _ := tb.Alloc(nil)
-	if tb.LoadSVC(nil, idx) != 0 {
+	if svcOf(tb, idx) != 0 {
 		t.Fatal("fresh SVC word nonzero")
 	}
 	if !tb.CasSVC(nil, idx, 0, 55) {
@@ -168,8 +174,8 @@ func TestSVCWord(t *testing.T) {
 	if tb.CasSVC(nil, idx, 0, 66) {
 		t.Fatal("stale CasSVC succeeded")
 	}
-	if tb.LoadSVC(nil, idx) != 55 {
-		t.Fatalf("SVC = %d", tb.LoadSVC(nil, idx))
+	if svcOf(tb, idx) != 55 {
+		t.Fatalf("SVC = %d", svcOf(tb, idx))
 	}
 }
 
@@ -212,7 +218,7 @@ func TestAllocZeroesRecycledEntry(t *testing.T) {
 	if idx2 != idx {
 		t.Fatalf("expected recycle of %d, got %d", idx, idx2)
 	}
-	if !tb.Load(nil, idx2).IsNil() || tb.LoadSVC(nil, idx2) != 0 {
+	if !tb.Load(nil, idx2).IsNil() || svcOf(tb, idx2) != 0 {
 		t.Fatal("recycled entry not zeroed")
 	}
 }
@@ -282,7 +288,7 @@ func TestRebuildVolatile(t *testing.T) {
 		t.Fatalf("live = %d, want 3", live)
 	}
 	for idx := uint64(0); idx < 6; idx++ {
-		if tb.LoadSVC(nil, idx) != 0 {
+		if svcOf(tb, idx) != 0 {
 			t.Fatalf("SVC word %d not nullified", idx)
 		}
 		if idx%2 == 1 && !tb.Load(nil, idx).IsNil() {

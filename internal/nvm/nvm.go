@@ -17,7 +17,9 @@
 //     media write of the lines it pushes out (at 1.9 GB/s) to the
 //     flushing thread's clock alone, so NVM's limited write bandwidth
 //     slows each writer but writers do not yet queue behind each other's
-//     flushes.
+//     flushes. A read is paid for once per line and where its data is
+//     first needed: Prefetch issues one without waiting for it, and
+//     HeldUint64 reads a word of a line the thread already holds.
 //
 // Offsets within the device are stable across crashes, so components
 // store offset-based pointers (never Go pointers) in NVM.
@@ -33,6 +35,10 @@ import (
 
 // LineSize is the persistence granularity in bytes (a CPU cache line).
 const LineSize = 64
+
+// CacheFillBandwidth is the rate, in bytes/second, at which Store copies
+// into the CPU cache: stores pay it, not the media's write bandwidth.
+const CacheFillBandwidth = 30_000_000_000
 
 // Config describes the performance envelope of the simulated device.
 // Zero-valued fields fall back to the defaults from the paper's Figure 1
@@ -121,6 +127,9 @@ func New(cfg Config) *Device {
 // Size returns the device capacity in bytes.
 func (d *Device) Size() int { return d.cfg.Size }
 
+// Config returns the device's configuration, defaults applied.
+func (d *Device) Config() Config { return d.cfg }
+
 func (d *Device) check(off, n int) {
 	if off < 0 || n < 0 || off+n > d.cfg.Size {
 		panic(fmt.Sprintf("nvm: access [%d,%d) out of range (size %d)", off, off+n, d.cfg.Size))
@@ -131,11 +140,16 @@ func (d *Device) check(off, n int) {
 // channel (so concurrent threads contend for the DIMM bandwidth in
 // virtual time) and add the fixed access latency on top.
 func (d *Device) chargeRead(clk Clock, n int) {
-	if clk == nil {
-		return
+	if clk != nil {
+		clk.AdvanceTo(d.readyAt(clk, n))
 	}
+}
+
+// readyAt reserves the transfer of an n-byte read issued at clk's time
+// and returns when its data is there. It does not advance clk.
+func (d *Device) readyAt(clk Clock, n int) int64 {
 	_, end := d.bw.Acquire(clk.Now(), sim.TransferNS(n, d.cfg.ReadBandwidth))
-	clk.AdvanceTo(end + d.cfg.ReadLatency)
+	return end + d.cfg.ReadLatency
 }
 
 func (d *Device) chargeWrite(clk Clock, n int) {
@@ -188,7 +202,7 @@ func (d *Device) Store(clk Clock, off int, src []byte) {
 	d.markDirty(off, len(src))
 	d.stores.Add(1)
 	if clk != nil {
-		clk.Advance(d.cfg.WriteLatency + sim.TransferNS(len(src), 30_000_000_000))
+		clk.Advance(d.cfg.WriteLatency + sim.TransferNS(len(src), CacheFillBandwidth))
 	}
 }
 
@@ -207,6 +221,28 @@ func (d *Device) LoadUint64(clk Clock, off int) uint64 {
 	d.chargeRead(clk, 8)
 	return v
 }
+
+// Prefetch issues the read of [off, off+n) at clk's time and returns when
+// the data will be there (0 for a nil clk). It is the read's one load and
+// its one reservation on the channel, and it advances nobody: the thread
+// goes on with work that does not need the line, and pays what is left of
+// the read — clk.AdvanceTo(ready) — where it first uses it. A prefetch
+// carries cost, never data: the words are loaded with HeldUint64 when
+// they are used, as a coherent cache would serve them.
+func (d *Device) Prefetch(clk Clock, off, n int) (ready int64) {
+	d.check(off, n)
+	d.loads.Add(1)
+	if clk == nil {
+		return 0
+	}
+	return d.readyAt(clk, n)
+}
+
+// HeldUint64 atomically loads the word at off for a thread that holds its
+// line — it has paid for a read of it (a Prefetch it waited out, a load)
+// or its CAS owns it — in the same operation step, with no device wait in
+// between. Such a read is served by the cache: free, and not a load.
+func (d *Device) HeldUint64(off int) uint64 { return d.wordAt(off).Load() }
 
 // StoreUint64 atomically stores v at off and marks the line dirty.
 func (d *Device) StoreUint64(clk Clock, off int, v uint64) {

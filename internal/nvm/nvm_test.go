@@ -330,3 +330,33 @@ func TestViewIsLoadWithoutTheCopy(t *testing.T) {
 	}()
 	d.View(nil, 4090, 10)
 }
+
+// TestPrefetchIsALoadPaidWhereItIsUsed: a prefetch is the load it stands
+// for — the same load count, the same reservation on the channel, ready
+// when the load would have returned — except that it advances nobody; the
+// word is read, for free and uncounted, when it is used, and is then
+// whatever is there.
+func TestPrefetchIsALoadPaidWhereItIsUsed(t *testing.T) {
+	d, same := New(Config{Size: 4096}), New(Config{Size: 4096})
+	d.StoreUint64(nil, 64, 1)
+	clkP, clkL := sim.NewClock(1000), sim.NewClock(1000)
+	before := d.Stats().Loads
+	ready := d.Prefetch(clkP, 64, 8)
+	same.LoadUint64(clkL, 64)
+	if clkP.Now() != 1000 || ready != clkL.Now() || d.Stats().Loads != before+1 {
+		t.Fatalf("Prefetch at 1000: clock at %d, ready at %d, %d loads; a load returns at %d", clkP.Now(), ready, d.Stats().Loads-before, clkL.Now())
+	}
+	d.StoreUint64(nil, 64, 2) // after the prefetch, before the use
+	if v := d.HeldUint64(64); v != 2 || d.Stats().Loads != before+1 {
+		t.Fatalf("HeldUint64 = %d after %d loads, want the current word, 2, and the prefetch's one load", v, d.Stats().Loads-before)
+	}
+	// The channel is booked: a bulk read issued just before by another
+	// thread, then a second prefetch, which queues behind it.
+	d.ChargeRead(sim.NewClock(0), 1<<20)
+	if later := d.Prefetch(clkP, 64, 8); later <= ready {
+		t.Fatalf("a prefetch behind a 1 MiB read is ready at %d, no later than one on an idle channel (%d)", later, ready)
+	}
+	if d.Prefetch(nil, 64, 8) != 0 {
+		t.Fatal("a prefetch without a clock has a ready time")
+	}
+}
