@@ -55,11 +55,12 @@ race:
 
 # loc prints the non-blank, non-comment lines of non-test Go code per
 # package — the measure ROADMAP.md and CHANGES.md quote when a PR claims
-# to have removed code (per file: grep -cvE '^\s*(//.*)?$$' file.go).
+# to have removed code (per file: grep -cvE '^\s*(//.*)?$$' file.go) —
+# and, last, their total: the tree's size as ROADMAP.md quotes it.
 loc:
-	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
+	@$(GO) list -f '{{.Dir}}' ./... | { t=0; while read d; do \
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//.*)?$$'); \
-		printf '%6d %s\n' $$n .$${d#$(CURDIR)}; done
+		t=$$((t+n)); printf '%6d %s\n' $$n .$${d#$(CURDIR)}; done; printf '%6d total\n' $$t; }
 
 # fmt-check fails (listing the files) if any file needs gofmt.
 fmt-check:

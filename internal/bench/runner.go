@@ -137,9 +137,6 @@ func (r Result) KOpsPerSec() float64 {
 	return float64(r.Ops) / (float64(r.VirtualNS) / 1e9) / 1e3
 }
 
-// MopsPerSec returns throughput in millions of ops per virtual second.
-func (r Result) MopsPerSec() float64 { return r.KOpsPerSec() / 1e3 }
-
 // Load populates store with rc.Records keys (the YCSB LOAD phase) in
 // random order, as §7.1 does, and returns the load-phase result.
 func Load(store engine.Store, name string, rc RunConfig) Result {
@@ -166,12 +163,6 @@ func Run(store engine.Store, name string, w ycsb.Workload, rc RunConfig) Result 
 	}
 	shared := ycsb.NewShared(cfg)
 	return runThreads(store, name, w, rc, cfg, shared, rc.Ops)
-}
-
-// LoadAndRun is the common load-then-measure sequence.
-func LoadAndRun(store engine.Store, name string, w ycsb.Workload, rc RunConfig) Result {
-	Load(store, name, rc)
-	return Run(store, name, w, rc)
 }
 
 func runThreads(store engine.Store, name string, w ycsb.Workload, rc RunConfig, cfg ycsb.Config, shared *ycsb.Shared, totalOps int) Result {

@@ -3,7 +3,7 @@ package bench
 // The tiering experiment: hot/cold steering on a heterogeneous SSD
 // array (ISSUE 8 / §2.1's device table). Both modes run on the *same*
 // two-device array — a small fast drive and a large slow one — so the
-// only variable is whether reclamation steers by heat or stripes
+// only variable is whether reclamation steers by popularity or stripes
 // round-robin. The claim under test: on cold-heavy traffic (a small,
 // repeatedly-updated hot set amid a stream of write-once inserts),
 // steering keeps the cold bytes off the fast device — preserving its
@@ -77,9 +77,10 @@ func runTiering(rc RunConfig, tiered bool) TieringResult {
 			o.SSDConfigs = tieringDevices(int64(rc.Records) * int64(rc.ValueSize))
 			o.NumSSDs = 2
 			o.EnableTiering = tiered
-			// Room for the churn's inserts, and a heat window
-			// (capacity/4 touches) comfortably longer than one churn
-			// round, so the hot set stays in-window between updates.
+			// Room for the churn's inserts, and write planes that
+			// clear after capacity/4 distinct written slots — every
+			// key the run writes — so the hot set keeps its bits
+			// between updates.
 			o.HSITCapacity = totalKeys * 4
 		},
 	}

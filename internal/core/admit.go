@@ -7,70 +7,147 @@ import (
 	"repro/internal/sim"
 )
 
-// What the SVC admits (DESIGN.md §4.13). Three sources publish values in
-// the cache, all through admitToSVC: a point read that went to the SSD
-// (always — the paper's rule, §4.4), a scan row read from the SSD that
-// had been read before, and a record the reclaimer moves from the PWB to
-// Value Storage that had been read before. "Read before" is one filter.
+// Which keys are popular (DESIGN.md §4.13). Two questions are asked of
+// one tracker. "Was this key read recently" gates what the SVC admits:
+// three sources publish values in the cache, all through admitToSVC — a
+// point read that went to the SSD (always: the paper's rule, §4.4), a
+// scan row read from the SSD that had been read before, and a record the
+// reclaimer moves from the PWB to Value Storage that had been read
+// before. "Does this key deserve fast media" steers tiering (hotIdx).
 
-// readFilter is the store's read-recency filter: one volatile bit per
-// HSIT slot, set by every point read (whichever medium served it) and by
-// a scan's touch of a Value Storage row. It forgets by clearing itself
-// whenever limit() bits are set, so on average it remembers half that
-// many distinct slots; a slot handed to a new key starts unread. A store
-// without an SVC keeps one too — 8 KiB per 64k slots — that nothing asks.
-type readFilter struct {
-	bits  []atomic.Uint64
-	n     atomic.Int64 // bits set since the last clear
-	limit func() int64
+// plane is one volatile bit per HSIT slot, and how many are set.
+type plane struct {
+	bits []atomic.Uint64
+	n    atomic.Int64 // bits set since the last clear
 }
 
-func newReadFilter(slots int, limit func() int64) *readFilter {
-	return &readFilter{bits: make([]atomic.Uint64, (slots+63)/64), limit: limit}
+func (p *plane) word(idx uint64) (*atomic.Uint64, uint64) {
+	return &p.bits[idx>>6], 1 << (idx & 63)
 }
 
-func (f *readFilter) word(idx uint64) (*atomic.Uint64, uint64) {
-	return &f.bits[idx>>6], 1 << (idx & 63)
-}
-
-// mark records a read of idx and reports whether one was on record
-// already. A set bit costs one load of a shared line nobody is writing;
-// only a new bit looks at the limit.
-func (f *readFilter) mark(idx uint64) bool {
-	w, m := f.word(idx)
-	if w.Load()&m != 0 {
-		return true
-	}
-	if f.n.Load() >= f.limit() {
-		f.clear()
-	}
-	if w.Or(m)&m == 0 {
-		f.n.Add(1)
-	}
-	return false
-}
-
-func (f *readFilter) has(idx uint64) bool {
-	w, m := f.word(idx)
+func (p *plane) has(idx uint64) bool {
+	w, m := p.word(idx)
 	return w.Load()&m != 0
 }
 
-// forget drops idx's bit: the slot is being handed to a new key, which
-// nobody has read.
-func (f *readFilter) forget(idx uint64) {
-	if w, m := f.word(idx); w.Load()&m != 0 && w.And(^m)&m != 0 {
-		f.n.Add(-1)
+// set costs one load of a shared line nobody is writing when the bit is
+// set already.
+func (p *plane) set(idx uint64) {
+	if w, m := p.word(idx); w.Load()&m == 0 && flip(w, m, true) {
+		p.n.Add(1)
 	}
 }
 
-// clear forgets everything, in place. A mark racing it may keep its bit
+func (p *plane) drop(idx uint64) {
+	if w, m := p.word(idx); w.Load()&m != 0 && flip(w, m, false) {
+		p.n.Add(-1)
+	}
+}
+
+// flip sets or clears m in w and reports whether this call changed it.
+// It is its own frame because go1.24.0's amd64 loop for an Or or And
+// whose result is used takes a scratch register without telling the
+// allocator: inlined, it overwrote the caller's saved receiver and the
+// count's Add faulted at address 0 (TestReadFilterAgeing).
+//
+//go:noinline
+func flip(w *atomic.Uint64, m uint64, on bool) bool {
+	if on {
+		return w.Or(m)&m == 0
+	}
+	return w.And(^m)&m != 0
+}
+
+// clear forgets everything, in place. A set racing it may keep its bit
 // uncounted or lose it; both are one key's worth of error until the next
 // clear.
-func (f *readFilter) clear() {
-	for i := range f.bits {
-		f.bits[i].Store(0)
+func (p *plane) clear() {
+	for i := range p.bits {
+		p.bits[i].Store(0)
 	}
-	f.n.Store(0)
+	p.n.Store(0)
+}
+
+// popularity is the store's one popularity tracker: up to three planes.
+//
+// read is set by every point read (whichever medium served it) and by a
+// scan's touch of a Value Storage row. It forgets by clearing itself
+// whenever readLimit() bits are set, so on average it remembers half
+// that many distinct slots. A store without an SVC keeps one too — 8 KiB
+// per 64k slots — that nothing asks.
+//
+// written and again exist only when tiering is armed, and are set by a
+// put's publish: the first write of a slot sets written, a later one
+// again, so load-once data never earns again — every record in the PWB
+// ring was by construction written recently, and recency alone would
+// call a one-shot bulk load hot (PrismDB's popularity rule). Both clear
+// once writeLimit distinct slots have been written — one-shot inserts
+// count, so a hot set that stops being written cools while cold traffic
+// flows past it.
+//
+// A write never sets a read bit: a write-only key must never be handed
+// to the cache. A slot handed to a new key forgets every plane. All of it
+// is DRAM and cleared by a crash, which is safe: placement already made
+// persists in Value Storage, and the bits re-accumulate with traffic.
+type popularity struct {
+	read, written, again plane
+	readLimit            func() int64
+	writeLimit           int64
+}
+
+func newPopularity(slots int, tiered bool, readLimit func() int64) *popularity {
+	words := (slots + 63) / 64
+	p := &popularity{readLimit: readLimit, writeLimit: int64(slots) / 4}
+	p.read.bits = make([]atomic.Uint64, words)
+	if tiered {
+		p.written.bits = make([]atomic.Uint64, words)
+		p.again.bits = make([]atomic.Uint64, words)
+	}
+	return p
+}
+
+// mark records a read of idx and reports whether one was on record
+// already. Only a new bit looks at the limit.
+func (p *popularity) mark(idx uint64) bool {
+	if p.read.has(idx) {
+		return true
+	}
+	if p.read.n.Load() >= p.readLimit() {
+		p.read.clear()
+	}
+	p.read.set(idx)
+	return false
+}
+
+// wrote records a put's publish at idx.
+func (p *popularity) wrote(idx uint64) {
+	switch {
+	case p.written.bits == nil:
+	case p.written.has(idx):
+		p.again.set(idx)
+	default:
+		if p.written.n.Load() >= p.writeLimit {
+			p.written.clear()
+			p.again.clear()
+		}
+		p.written.set(idx)
+	}
+}
+
+// forget drops idx from every plane: the slot is being handed to a new
+// key, which nobody has read or written.
+func (p *popularity) forget(idx uint64) {
+	p.read.drop(idx)
+	if p.written.bits != nil {
+		p.written.drop(idx)
+		p.again.drop(idx)
+	}
+}
+
+func (p *popularity) clear() {
+	p.read.clear()
+	p.written.clear()
+	p.again.clear()
 }
 
 // recentSpan is how many cache capacities of distinct slots the filter
@@ -157,7 +234,7 @@ func (s *Store) admitToSVC(clk *sim.Clock, idx uint64, ver uint64, value []byte)
 // (the owner may be asleep in pwb.Wait for this pass), so with the queue
 // half full the hand-off is skipped and counted.
 func (s *Store) handOff(clk *sim.Clock, idx, ver uint64, value []byte) {
-	if s.cache == nil || !s.recent.has(idx) {
+	if s.cache == nil || !s.pop.read.has(idx) {
 		return
 	}
 	if s.cache.Backlogged() {

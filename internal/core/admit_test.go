@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -312,7 +313,7 @@ func TestScanRowsAdmittedOnSecondTouch(t *testing.T) {
 	if st := s.Stats(); st.SVC.Entries != before.SVC.Entries+2 || st.ScanDeferred != before.ScanDeferred {
 		t.Fatalf("MultiGet of two rows on flash: %d entries admitted, %d deferred", st.SVC.Entries-before.SVC.Entries, st.ScanDeferred-before.ScanDeferred)
 	}
-	if !s.recent.has(mustIdxOf(t, s, aKey(30))) || s.recent.has(mustIdxOf(t, s, aKey(32))) {
+	if !s.pop.read.has(mustIdxOf(t, s, aKey(30))) || s.pop.read.has(mustIdxOf(t, s, aKey(32))) {
 		t.Fatal("the filter holds exactly the rows somebody read")
 	}
 }
@@ -363,10 +364,10 @@ func TestOnePassScanKeepsPointReadSet(t *testing.T) {
 func TestReadFilterAgeing(t *testing.T) {
 	t.Run("bound", func(t *testing.T) {
 		limit := int64(100)
-		f := newReadFilter(1<<12, func() int64 { return limit })
+		f := newPopularity(1<<12, false, func() int64 { return limit })
 		count := func() (n int64) {
 			for idx := uint64(0); idx < 1<<12; idx++ {
-				if f.has(idx) {
+				if f.read.has(idx) {
 					n++
 				}
 			}
@@ -376,11 +377,11 @@ func TestReadFilterAgeing(t *testing.T) {
 			if f.mark(idx) {
 				t.Fatalf("slot %d was on record before its first read", idx)
 			}
-			if !f.mark(idx) || !f.has(idx) {
+			if !f.mark(idx) || !f.read.has(idx) {
 				t.Fatalf("slot %d not on record after its first read", idx)
 			}
-			if n := count(); n > limit || n != f.n.Load() {
-				t.Fatalf("after %d distinct reads the filter holds %d bits and counts %d; limit %d", idx+1, n, f.n.Load(), limit)
+			if n := count(); n > limit || n != f.read.n.Load() {
+				t.Fatalf("after %d distinct reads the filter holds %d bits and counts %d; limit %d", idx+1, n, f.read.n.Load(), limit)
 			}
 		}
 		// 4,096 distinct reads at 100 a generation: the newest generation only.
@@ -389,8 +390,93 @@ func TestReadFilterAgeing(t *testing.T) {
 		}
 		f.forget(1<<12 - 1)
 		f.forget(0) // not set: not counted down
-		if n := count(); n != (1<<12)%100-1 || n != f.n.Load() {
-			t.Fatalf("after forgetting one slot: %d bits, %d counted", n, f.n.Load())
+		if n := count(); n != (1<<12)%100-1 || n != f.read.n.Load() {
+			t.Fatalf("after forgetting one slot: %d bits, %d counted", n, f.read.n.Load())
+		}
+	})
+
+	// The write planes: the first write of a slot is not hot, the second
+	// is; they age by distinct written slots, one-shot inserts included;
+	// and a write never reaches the read plane.
+	t.Run("write planes", func(t *testing.T) {
+		const slots = 1 << 12
+		f := newPopularity(slots, true, func() int64 { return math.MaxInt64 })
+		if f.writeLimit != slots/4 {
+			t.Fatalf("write limit %d, want a quarter of %d slots", f.writeLimit, slots)
+		}
+		const hot = 7
+		f.wrote(hot)
+		if f.again.has(hot) {
+			t.Fatal("hot after one write: a bulk load would be hot")
+		}
+		f.wrote(hot)
+		if !f.again.has(hot) {
+			t.Fatal("not hot after two writes")
+		}
+		// One-shot inserts up to the limit leave it hot; the next one ages
+		// every slot out, itself excepted.
+		for idx := uint64(100); f.written.n.Load() < f.writeLimit; idx++ {
+			f.wrote(idx)
+		}
+		if !f.again.has(hot) {
+			t.Fatalf("cooled after %d distinct written slots, limit %d", f.written.n.Load(), f.writeLimit)
+		}
+		f.wrote(slots - 1)
+		if f.again.has(hot) || f.written.has(hot) || !f.written.has(slots-1) || f.written.n.Load() != 1 || f.again.n.Load() != 0 {
+			t.Fatalf("after the write past the limit: %d written, %d again; want the one slot just written", f.written.n.Load(), f.again.n.Load())
+		}
+		if f.read.n.Load() != 0 || f.read.has(hot) || f.read.has(slots-1) {
+			t.Fatal("a write set a read bit: a write-only key would be handed to the cache")
+		}
+		// Slot reuse drops every plane and keeps every count.
+		f.wrote(hot)
+		f.wrote(hot)
+		f.mark(hot)
+		f.forget(hot)
+		f.forget(hot + 1) // nothing set: nothing counted down
+		if f.read.has(hot) || f.written.has(hot) || f.again.has(hot) || f.read.n.Load() != 0 || f.written.n.Load() != 1 || f.again.n.Load() != 0 {
+			t.Fatalf("after forgetting the slot: %d read, %d written, %d again", f.read.n.Load(), f.written.n.Load(), f.again.n.Load())
+		}
+		f.wrote(hot)
+		if f.again.has(hot) {
+			t.Fatal("the slot's new key is hot on its first write")
+		}
+		// Untiered: no write planes, and wrote and forget are no-ops on them.
+		u := newPopularity(slots, false, func() int64 { return math.MaxInt64 })
+		u.wrote(hot)
+		u.wrote(hot)
+		u.forget(hot)
+		if u.written.bits != nil || u.again.bits != nil {
+			t.Fatal("an untiered store allocated write planes")
+		}
+	})
+
+	// Every plane is allocated once, in Open: a crash clears them where
+	// they are.
+	t.Run("crash clears in place", func(t *testing.T) {
+		s := tieredStore(t, nil)
+		th := s.Thread(0)
+		for r := 0; r < 2; r++ {
+			if err := th.Put(hotKey(0), val512(0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustGet(t, th, hotKey(0))
+		idx := mustIdxOf(t, s, hotKey(0))
+		if !s.pop.again.has(idx) || !s.pop.read.has(idx) {
+			t.Fatal("a key written twice and read is on no plane")
+		}
+		tracker, planes := s.pop, [3]*atomic.Uint64{&s.pop.read.bits[0], &s.pop.written.bits[0], &s.pop.again.bits[0]}
+		s.Crash()
+		if _, err := s.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if s.pop != tracker || planes != [3]*atomic.Uint64{&s.pop.read.bits[0], &s.pop.written.bits[0], &s.pop.again.bits[0]} {
+			t.Error("Crash or Recover reallocated the tracker; it clears in place")
+		}
+		if s.pop.again.has(idx) || s.pop.read.has(idx) || s.pop.read.n.Load()+s.pop.written.n.Load()+s.pop.again.n.Load() != 0 {
+			t.Fatalf("after recovery: %d read, %d written, %d again; every key restarts cold",
+				s.pop.read.n.Load(), s.pop.written.n.Load(), s.pop.again.n.Load())
 		}
 	})
 
@@ -420,7 +506,7 @@ func TestReadFilterAgeing(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.em.Barrier() // grace: the slot is free
-		if !s.recent.has(idx) {
+		if !s.pop.read.has(idx) {
 			t.Fatal("the deleted key's bit is gone already; the test wants it stale")
 		}
 		if err := th.Put(key(1), value(1)); err != nil {
@@ -450,25 +536,25 @@ func TestRecoverStartsWithNothingRead(t *testing.T) {
 		}
 		mustGet(t, th, key(i)) // from the PWB: read-recent, still in the ring
 	}
-	if got := s.recent.n.Load(); got != n {
+	if got := s.pop.read.n.Load(); got != n {
 		t.Fatalf("%d bits set before the crash, want %d", got, n)
 	}
-	bits := &s.recent.bits[0]
+	bits := &s.pop.read.bits[0]
 	s.Crash()
 	rep, err := s.Recover()
 	if err != nil || rep.PWBValuesDrained != n {
 		t.Fatalf("recovery drained %d of %d: %v", rep.PWBValuesDrained, n, err)
 	}
-	if &s.recent.bits[0] != bits {
+	if &s.pop.read.bits[0] != bits {
 		t.Error("Crash reallocated the filter; it clears in place")
 	}
 	st := s.Stats()
-	if s.recent.n.Load() != 0 || s.recent.has(mustIdx(t, s, 0)) || st.SVC.Entries != 0 || st.ReclaimAdmits != 0 {
+	if s.pop.read.n.Load() != 0 || s.pop.read.has(mustIdx(t, s, 0)) || st.SVC.Entries != 0 || st.ReclaimAdmits != 0 {
 		t.Fatalf("after recovery: %d bits set, %d cache entries, %d handed over by the drain; want none",
-			s.recent.n.Load(), st.SVC.Entries, st.ReclaimAdmits)
+			s.pop.read.n.Load(), st.SVC.Entries, st.ReclaimAdmits)
 	}
 	mustReadFromVS(t, s, n)
-	if got := s.recent.n.Load(); got != n {
+	if got := s.pop.read.n.Load(); got != n {
 		t.Fatalf("%d bits after reading %d keys back", got, n)
 	}
 }

@@ -83,7 +83,7 @@ func (f *frame) read(it *scanItem, lookup bool) (at int64, resolved bool) {
 	found := !lookup
 	if lookup {
 		if it.idx, found = t.s.index.Lookup(t.Clk, it.key); found {
-			t.s.recent.mark(it.idx)
+			t.s.pop.mark(it.idx)
 		}
 	}
 	// A key missing from the index is resolved: its value stays nil.

@@ -151,9 +151,9 @@ func checkReclaimPassAllocs(t *testing.T, withSVC bool) {
 			r.load(t)
 			r.pass()
 		})
-		if st := r.s.Stats(); st.PWBLiveMigrated == 0 || st.ReclaimAdmits != 0 || st.ReclaimAdmitSkips != 0 || st.SVC.Entries != 0 || r.s.recent.n.Load() != 0 {
+		if st := r.s.Stats(); st.PWBLiveMigrated == 0 || st.ReclaimAdmits != 0 || st.ReclaimAdmitSkips != 0 || st.SVC.Entries != 0 || r.s.pop.read.n.Load() != 0 {
 			t.Fatalf("write-only passes migrated %d records, handed over %d (skipped %d); the cache holds %d entries, the filter %d bits",
-				st.PWBLiveMigrated, st.ReclaimAdmits, st.ReclaimAdmitSkips, st.SVC.Entries, r.s.recent.n.Load())
+				st.PWBLiveMigrated, st.ReclaimAdmits, st.ReclaimAdmitSkips, st.SVC.Entries, r.s.pop.read.n.Load())
 		}
 		return allocs
 	}

@@ -164,7 +164,7 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 		if idx, err = s.table.Alloc(t.Clk); err != nil {
 			return err
 		}
-		s.recent.forget(idx) // whoever held the slot before, nobody has read this key
+		s.pop.forget(idx) // whoever held the slot before, nobody has read or written this key
 	}
 	err := t.writeAndPublish(idx, value, clearPending)
 	if !found {
@@ -213,9 +213,7 @@ func (t *Thread) writeAndPublish(idx uint64, value []byte, clearPending bool) er
 	if clearPending {
 		t.buf.Published()
 	}
-	if s.heat != nil {
-		s.heat.Touch(idx) // write heat: a fresh put is a hot key
-	}
+	s.pop.wrote(idx)
 	t.invalidateOld(idx, old, svc)
 	if s.opt.SyncVSWrites && t.buf.Used() >= s.opt.ChunkSize {
 		// Ablation: no asynchronous bandwidth-optimized write — the
@@ -293,7 +291,7 @@ func (t *Thread) Get(key []byte) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	s.recent.mark(idx)
+	s.pop.mark(idx)
 	for attempt := 0; attempt < 1000; attempt++ {
 		val, err, retry := t.resolve(idx, key, true)
 		if !retry {
@@ -654,7 +652,7 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 			if it.val == nil || it.p.IsNil() {
 				continue
 			}
-			if scan && !s.recent.mark(it.idx) {
+			if scan && !s.pop.mark(it.idx) {
 				deferred++
 				continue
 			}

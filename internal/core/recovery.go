@@ -38,7 +38,7 @@ func (s *Store) Crash() {
 		s.cache.Close()
 		s.cache = nil
 	}
-	s.recent.clear() // DRAM: who read what died with the crash
+	s.pop.clear() // DRAM: who read and wrote what died with the crash
 	// Pending epoch retirements (free-list pushes, ring releases) are
 	// volatile deferred work: a real crash loses them, and recovery
 	// rebuilds their effects from durable state. Letting one fire after
@@ -176,11 +176,6 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	rep.LiveKeys = s.table.RebuildVolatile(func(idx uint64) bool { return allReach[idx] }, uint64(s.table.Capacity()))
 	rep.VSValuesRecovered = rep.LiveKeys - rep.PWBValuesDrained
 
-	// Heat state is DRAM-resident and died with the crash: every key
-	// restarts cold (placement already made persists in Value Storage).
-	if s.heat != nil {
-		s.heat = newHeatTracker(s.opt.HSITCapacity)
-	}
 	s.cache = s.newCache()
 	s.startBackground()
 	for _, t := range s.threads {

@@ -172,16 +172,16 @@ func TestClaimersInsideSettle(t *testing.T) {
 			if dev := vsDevice(r.s, key(hot0)); dev != r.s.tierFast {
 				t.Fatalf("hot key on device %d, fast tier is %d", dev, r.s.tierFast)
 			}
-			// Cool every other one: age the heat clock past the window, then
-			// touch half of them again. From the first cooled key on,
-			// maintenanceLoop's own demoteStep may get there first: arm now.
+			// Cool every other one: age the write planes out, as a limit's
+			// worth of one-shot inserts does, then write half of them twice
+			// again. From the first cooled key on, maintenanceLoop's own
+			// demoteStep may get there first: arm now.
 			armed.Store(r)
-			for i := 0; i < 2*int(r.s.heat.window); i++ {
-				r.s.heat.Touch(uint64(r.s.opt.HSITCapacity - 1))
-			}
+			r.s.pop.written.clear()
+			r.s.pop.again.clear()
 			for k := hot0; k < hot0+40; k += 2 {
-				r.s.heat.Touch(mustIdx(t, r.s, k))
-				r.s.heat.Touch(mustIdx(t, r.s, k))
+				r.s.pop.wrote(mustIdx(t, r.s, k))
+				r.s.pop.wrote(mustIdx(t, r.s, k))
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for cursor := 0; r.s.stats.tierDemotions.Load() == 0; {

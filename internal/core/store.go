@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -91,9 +92,9 @@ type Options struct {
 	SSDConfigs []ssd.Config
 
 	// EnableTiering turns on hot/cold value placement: the PWB reclaimer
-	// steers hot values (SVC-promoted or recently written) to the fastest
-	// device and cold values to the highest-capacity one, and a
-	// background pass demotes values that cool off. It is a no-op when
+	// steers hot values (written at least twice, or read, recently) to
+	// the fastest device and cold values to the highest-capacity one, and
+	// a background pass demotes values that cool off. It is a no-op when
 	// tier selection cannot tell two devices apart (a single SSD).
 	EnableTiering bool
 
@@ -255,17 +256,16 @@ type Store struct {
 	// of the work they wait on run seconds ahead.
 	lastSeen atomic.Int64
 
-	// recent is the read-recency filter behind SVC admission (admit.go).
-	recent *readFilter
+	// pop is the popularity tracker behind SVC admission and tier
+	// steering (admit.go).
+	pop *popularity
 
 	// Tiering + adaptive admission (tiering.go). tierFast/tierCap are the
 	// device indices chosen at Open; equal when the array is
-	// indistinguishable (tiering then disables itself). heat is nil
-	// unless EnableTiering. watermark holds the effective reclaim
-	// trigger as float64 bits; adaptiveWM says whether the controller
-	// may move it.
+	// indistinguishable (tiering then disables itself). watermark holds
+	// the effective reclaim trigger as float64 bits; adaptiveWM says
+	// whether the controller may move it.
 	tierFast, tierCap int
-	heat              *heatTracker
 	watermark         atomic.Uint64
 	adaptiveWM        bool
 
@@ -411,6 +411,12 @@ func Open(opt Options) (*Store, error) {
 		svcClk:  sim.NewClock(0),
 		pwbBase: pwbBase,
 	}
+	wm := opt.ReclaimWatermark
+	if wm == 0 {
+		s.adaptiveWM = true
+		wm = wmStart
+	}
+	s.watermark.Store(math.Float64bits(wm))
 	if opt.TrackTimestamps {
 		s.repl = newReplState()
 	}
@@ -446,9 +452,9 @@ func Open(opt Options) (*Store, error) {
 		}
 	}
 	s.vsm = valuestore.NewManager(s.ssds, opt.ChunkSize, s.em)
-	s.initTiering()
+	s.tierFast, s.tierCap = pickTiers(s.ssds)
 	s.cache = s.newCache()
-	s.recent = newReadFilter(opt.HSITCapacity, s.recentLimit)
+	s.pop = newPopularity(opt.HSITCapacity, s.tiered(), s.recentLimit)
 	rng := sim.NewRNG(opt.Seed)
 	for i := 0; i < opt.NumThreads; i++ {
 		s.threads = append(s.threads, &Thread{
@@ -504,9 +510,6 @@ func (s *Store) newCache() *svc.Cache {
 	}
 	if !s.opt.DisableScanSort {
 		cfg.OnScanEvict = s.onScanEvict
-	}
-	if s.heat != nil {
-		cfg.OnPromote = s.heat.Touch
 	}
 	return svc.New(cfg)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/hsit"
@@ -14,89 +13,11 @@ import (
 	"repro/internal/valuestore"
 )
 
-// ---- per-key heat tracking ----
-
-// heatTracker classifies keys as hot by repeated recent access. Time is
-// a logical clock advanced by every touch (not virtual ns, so heat is
-// workload-relative). Touch sources are put publishes (write heat) and
-// SVC 2Q promotions (read heat, via svc.Config.OnPromote — itself a
-// second-access signal, matching this tracker's repetition requirement).
-//
-// A key is hot only when touched at least twice with the latest touch
-// inside the window. The repetition requirement is what makes the
-// signal usable at reclaim time: every record in the PWB ring was by
-// construction *written* recently, so recency alone would classify all
-// traffic — including a one-shot bulk load — as hot. Load-once data
-// stays cold and steers straight to the capacity tier; only re-written
-// or re-read keys earn the fast device (PrismDB's popularity rule).
-//
-// The state is DRAM-resident and volatile: after a crash every key
-// starts cold, which is safe — placement already made persists in Value
-// Storage, and heat re-accumulates with traffic.
-type heatTracker struct {
-	clock  atomic.Int64
-	window int64
-	last   []atomic.Int64 // HSIT idx -> logical clock of last touch (0 = never)
-	prev   []atomic.Int64 // HSIT idx -> logical clock of the touch before
-}
-
-func newHeatTracker(capacity int) *heatTracker {
-	w := int64(capacity) / 4
-	if w < 256 {
-		w = 256
-	}
-	return &heatTracker{
-		window: w,
-		last:   make([]atomic.Int64, capacity),
-		prev:   make([]atomic.Int64, capacity),
-	}
-}
-
-// Touch records an access to HSIT entry idx. Safe from any goroutine;
-// the prev/last pair is advisory, so a racing pair of touches at worst
-// misorders two timestamps.
-func (h *heatTracker) Touch(idx uint64) {
-	if idx >= uint64(len(h.last)) {
-		return
-	}
-	c := h.clock.Add(1)
-	h.prev[idx].Store(h.last[idx].Load())
-	h.last[idx].Store(c)
-}
-
-// Hot reports whether idx was touched at least twice, with the latest
-// touch within the last window accesses.
-func (h *heatTracker) Hot(idx uint64) bool {
-	if h.prev[idx].Load() == 0 {
-		return false
-	}
-	l := h.last[idx].Load()
-	return l != 0 && h.clock.Load()-l <= h.window
-}
-
 // ---- tier selection ----
 
-// initTiering ranks the SSD array and arms heat tracking. Called from
-// Open/Recover after the devices exist, before any thread runs.
-func (s *Store) initTiering() {
-	s.tierFast, s.tierCap = pickTiers(s.ssds)
-	if s.opt.EnableTiering && s.tierFast != s.tierCap {
-		if s.heat == nil {
-			s.heat = newHeatTracker(s.opt.HSITCapacity)
-		}
-	} else {
-		s.heat = nil
-	}
-	wm := s.opt.ReclaimWatermark
-	if wm == 0 {
-		s.adaptiveWM = true
-		wm = wmStart
-	}
-	s.watermark.Store(math.Float64bits(wm))
-}
-
-// tiered reports whether hot/cold steering is active.
-func (s *Store) tiered() bool { return s.heat != nil }
+// tiered reports whether hot/cold steering is active: asked for, and on
+// an array with two distinguishable devices.
+func (s *Store) tiered() bool { return s.opt.EnableTiering && s.tierFast != s.tierCap }
 
 // pickTiers returns the fastest device (highest write bandwidth, ties
 // broken by lower write latency then lower index) and the capacity
@@ -119,17 +40,12 @@ func pickTiers(devs []*ssd.Device) (fast, capacity int) {
 	return fast, capacity
 }
 
-// hotIdx is the reclaim/demotion-time heat classification: recently
-// touched (written or SVC-promoted) or currently SVC-resident.
+// hotIdx is the reclaim- and demotion-time classification: written at
+// least twice or read, recently. Two DRAM bit tests; the read plane
+// stands in for "in the SVC, or was", since every path into the cache
+// sets or requires that bit.
 func (s *Store) hotIdx(idx uint64) bool {
-	if s.heat != nil && s.heat.Hot(idx) {
-		return true
-	}
-	if s.cache == nil {
-		return false
-	}
-	_, svc := s.table.Entry(nil, idx)
-	return svc != 0
+	return s.pop.again.has(idx) || s.cache != nil && s.pop.read.has(idx)
 }
 
 // ---- adaptive reclamation watermark ----

@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"repro/internal/hsit"
+	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/valuestore"
 )
 
 // tieredStore opens a store over a small fast device (ssd0, paper-default
-// speed) and a large slow one (ssd1, QLC-class), with heat steering on
-// and the fixed 0.5 watermark so reclamation timing is predictable.
+// speed) and a large slow one (ssd1, QLC-class), with hot/cold steering
+// on and the fixed 0.5 watermark so reclamation timing is predictable.
 func tieredStore(t *testing.T, mutate func(*Options)) *Store {
 	t.Helper()
 	opt := Options{
@@ -127,7 +128,7 @@ func TestTieringHotColdPlacement(t *testing.T) {
 	}
 
 	// Crash and recover: whatever was VS-resident must stay on its device
-	// (placement is durable state; only the volatile heat resets).
+	// (placement is durable state; only the volatile tracker resets).
 	before := map[string]int{}
 	for i := 0; i < nHot; i++ {
 		if d := vsDevice(s, hotKey(i)); d >= 0 {
@@ -158,8 +159,8 @@ func TestTieringHotColdPlacement(t *testing.T) {
 }
 
 // TestTieringDemotion drives the background demotion path by hand: keys
-// made hot enough to land on the fast device, then aged out of the heat
-// window, must migrate to the capacity tier once the fast tier passes
+// made hot enough to land on the fast device, then aged out of the write
+// planes, must migrate to the capacity tier once the fast tier passes
 // half full.
 func TestTieringDemotion(t *testing.T) {
 	s := tieredStore(t, func(o *Options) {
@@ -176,30 +177,63 @@ func TestTieringDemotion(t *testing.T) {
 			}
 		}
 	}
-	// Age the hot set: enough one-shot writes to push the heat clock past
-	// the window (HSITCapacity/4 = 1024) and flush the ring.
+	// Age the hot set: enough one-shot writes to take the written slots
+	// past the limit (HSITCapacity/4 = 1024) and flush the ring.
 	for i := 0; i < 1200; i++ {
 		if err := th.Put(coldKey(i), val512(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// maintenanceLoop's own demoteStep may have been there already.
 	fastSt := s.vsm.Stores[s.tierFast]
-	if fastSt.FreeChunks()*2 > fastSt.Chunks() {
-		t.Skipf("fast tier only %d/%d chunks used; demotion threshold not reached",
+	if s.stats.tierDemotions.Load() == 0 && fastSt.FreeChunks()*2 > fastSt.Chunks() {
+		t.Fatalf("fast tier only %d/%d chunks used; demotion threshold not reached",
 			fastSt.Chunks()-fastSt.FreeChunks(), fastSt.Chunks())
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.stats.tierDemotions.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond) // maintenanceLoop ticks at 1ms
-	}
-	if n := s.stats.tierDemotions.Load(); n == 0 {
-		t.Fatal("no demotions despite a cooled-off, more-than-half-full fast tier")
+	clk := sim.NewClock(0)
+	for cursor, step := 0, 0; s.stats.tierDemotions.Load() == 0; step++ {
+		if step == 2*fastSt.Chunks() {
+			t.Fatal("no demotions despite a cooled-off, more-than-half-full fast tier")
+		}
+		cursor = s.demoteStep(clk, cursor)
 	}
 	for i := 0; i < nHot; i++ {
 		got, err := th.Get(hotKey(i))
 		if err != nil || !bytes.Equal(got, val512(i)) {
 			t.Fatalf("hot key %d after demotion: %v", i, err)
 		}
+	}
+}
+
+// TestHotIdxReadsNoNVM: classifying a slot is two DRAM bit tests. The NVM
+// device sees no access — no load of the slot's HSIT entry, and so no
+// flush-on-read of an entry a put left dirty — whatever the verdict.
+func TestHotIdxReadsNoNVM(t *testing.T) {
+	s := tieredStore(t, func(o *Options) { o.ReclaimWatermark = 0.95 }) // no pass runs beside the test
+	th := s.Thread(0)
+	const n = 30
+	for i := 0; i < n; i++ {
+		for w := 0; w <= i%2; w++ { // odd keys twice
+			if err := th.Put(hotKey(i), val512(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%3 == 0 {
+			mustGet(t, th, hotKey(i))
+		}
+	}
+	var idxs [n]uint64
+	for i := range idxs {
+		idxs[i] = mustIdxOf(t, s, hotKey(i))
+	}
+	before := s.nvmDev.Stats()
+	for i, idx := range idxs {
+		if got, want := s.hotIdx(idx), i%2 == 1 || i%3 == 0; got != want {
+			t.Errorf("key %d (written %d times, read: %v) classified hot=%v", i, 1+i%2, i%3 == 0, got)
+		}
+	}
+	if after := s.nvmDev.Stats(); after != before {
+		t.Fatalf("classifying %d slots moved the NVM counters from %+v to %+v", n, before, after)
 	}
 }
 

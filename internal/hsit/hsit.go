@@ -430,7 +430,3 @@ func (t *Table) RebuildVolatile(reachable func(idx uint64) bool, scanLimit uint6
 	t.allocated.Store(int64(live))
 	return live
 }
-
-// Bump returns the high-water mark of ever-allocated slots (recovery uses
-// it as the scan limit).
-func (t *Table) Bump() uint64 { return t.bump.Load() }

@@ -283,7 +283,7 @@ func TestRebuildVolatile(t *testing.T) {
 	}
 	dev.Crash()
 	// Entries 0,2,4 reachable from the key index; others leaked.
-	live := tb.RebuildVolatile(func(idx uint64) bool { return idx%2 == 0 }, tb.Bump())
+	live := tb.RebuildVolatile(func(idx uint64) bool { return idx%2 == 0 }, 6)
 	if live != 3 {
 		t.Fatalf("live = %d, want 3", live)
 	}

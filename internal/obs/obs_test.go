@@ -185,9 +185,6 @@ func TestSampler(t *testing.T) {
 			t.Fatalf("series[%d] = %v, want %v", i, pts[i], want[i])
 		}
 	}
-	if got := SeriesOf(sp.Samples(), "s.ops"); len(got) != 3 || got[2].Value != 15 {
-		t.Fatalf("SeriesOf = %v", got)
-	}
 
 	var nilSp *Sampler
 	if nilSp.Observe(1) || nilSp.Samples() != nil {

@@ -81,13 +81,3 @@ func (sp *Sampler) Series(name string) []Point {
 	}
 	return out
 }
-
-// SeriesOf extracts the timeline of one metric from pre-collected
-// samples (e.g. samples carried in a benchmark result).
-func SeriesOf(samples []Sample, name string) []Point {
-	var out []Point
-	for _, s := range samples {
-		out = append(out, Point{NS: s.NS, Value: s.Snap.Sum(name)})
-	}
-	return out
-}

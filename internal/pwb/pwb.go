@@ -398,15 +398,6 @@ func (b *Buffer) Scan(clk nvm.Clock, from, to uint64, fn func(r Record) bool) er
 	return nil
 }
 
-// ReleaseTo advances the tail to newTail at once, recycling everything
-// before it with no release time. Quiescent callers (tests) only; during
-// normal operation space is released through Grant + ApplyGrants so the
-// tail never moves while a scan pass is in flight.
-func (b *Buffer) ReleaseTo(newTail uint64) {
-	b.Grant(newTail)
-	b.ApplyGrants()
-}
-
 // Grant records that the ring space below newTail — a range handed to
 // Scanned before — has passed epoch grace and may be recycled. It does
 // NOT move the tail: the grant takes effect only when the single scan

@@ -84,7 +84,8 @@ func TestFullAndRelease(t *testing.T) {
 		t.Fatalf("utilization = %v", b.Utilization())
 	}
 	// Release the first half and append again.
-	b.ReleaseTo(128)
+	b.Grant(128)
+	b.ApplyGrants()
 	if b.Used() != 128 {
 		t.Fatalf("Used = %d after release", b.Used())
 	}
@@ -107,7 +108,8 @@ func TestWraparoundPadding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.ReleaseTo(96) // free the first record
+	b.Grant(96) // free the first record
+	b.ApplyGrants()
 	// 64B remain at ring end; an 80-byte record (96B) must pad and wrap.
 	off, _, err := b.Append(nil, 2, make([]byte, 80))
 	if err != nil {
@@ -183,8 +185,10 @@ func TestOversizedValueRejected(t *testing.T) {
 func TestReleaseToNeverRegresses(t *testing.T) {
 	b, _ := newBuf(256)
 	b.Append(nil, 1, make([]byte, 16))
-	b.ReleaseTo(32)
-	b.ReleaseTo(16) // stale release must not move tail backwards
+	b.Grant(32)
+	b.ApplyGrants()
+	b.Grant(16) // stale release must not move tail backwards
+	b.ApplyGrants()
 	if b.Tail() != 32 {
 		t.Fatalf("tail = %d", b.Tail())
 	}
@@ -358,7 +362,8 @@ func TestManyLapsConsistency(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		b.ReleaseTo(b.Tail() + uint64(b.Used()/2/16*16))
+		b.Grant(b.Tail() + uint64(b.Used()/2/16*16))
+		b.ApplyGrants()
 	}
 	if next < 100 {
 		t.Fatalf("only %d appends across 20 laps", next)
@@ -512,7 +517,8 @@ func TestRoomMatchesAppend(t *testing.T) {
 			t.Fatalf("append %d of %d bytes: Room %v, Append %v (head %d tail %d)", i, n, ok, err, b.Head(), b.Tail())
 		}
 		if err == ErrFull {
-			b.ReleaseTo(b.Tail() + uint64(b.Used()/2/16*16))
+			b.Grant(b.Tail() + uint64(b.Used()/2/16*16))
+			b.ApplyGrants()
 		}
 	}
 	if _, ok := b.Room(1 << 20); !ok {

@@ -248,11 +248,3 @@ func (d *Device) Stats() Stats {
 		WriteIOs:     d.writeIOs.Load(),
 	}
 }
-
-// ResetStats zeroes the counters (used between benchmark phases).
-func (d *Device) ResetStats() {
-	d.bytesRead.Store(0)
-	d.bytesWritten.Store(0)
-	d.readIOs.Store(0)
-	d.writeIOs.Store(0)
-}

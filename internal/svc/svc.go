@@ -78,11 +78,6 @@ type Config struct {
 	// Unpublish must CAS HSIT[idx].word1 from handle to 0; it returns
 	// whether this call cleared it. Wired to hsit.Table.CasSVC.
 	Unpublish func(hsitIdx, handle uint64) bool
-	// OnPromote, if set, is called when an entry is promoted from the
-	// inactive to the active 2Q list — the cache's read-hotness signal.
-	// The tiering engine feeds it into per-key heat tracking. Runs on
-	// the manager goroutine; must not block or call back into the cache.
-	OnPromote func(hsitIdx uint64)
 	// QueueLen sizes the manager's event queue (default 4096).
 	QueueLen int
 }
@@ -378,9 +373,6 @@ func (c *Cache) touch(e *Entry) {
 		c.inactive.remove(e)
 		e.state = 2
 		c.promotions.Add(1)
-		if c.cfg.OnPromote != nil {
-			c.cfg.OnPromote(e.HSITIdx)
-		}
 		c.active.pushHead(e)
 		c.rebalance()
 	case 2:

@@ -179,14 +179,6 @@ type Stats struct {
 	Combined int64 // total requests across all batches
 }
 
-// AvgBatch returns the mean requests per submission.
-func (s Stats) AvgBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.Combined) / float64(s.Batches)
-}
-
 // Stats returns a snapshot of the queue's counters.
 func (q *Queue) Stats() Stats {
 	return Stats{Batches: q.batches.Load(), Combined: q.combined.Load()}
