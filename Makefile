@@ -105,10 +105,16 @@ bench:
 # The last is the paper's headline figure at its thread count: Fig 7 with
 # 40 simulated threads takes most of a minute, so it runs here and not in
 # `go test` (internal/bench's TestSmokeFig7 asserts the same table at 2).
+# Before it, every entry of bench.Experiments runs once at toy scale: tier-1
+# reaches the table code of only a few of them, so this is what keeps the
+# other builders from rotting — a cell that fails to open, or whose
+# operations fail, panics (EXPERIMENTS.md, "How an experiment is built");
+# the numbers at 400 records mean nothing.
 bench-smoke:
 	$(GO) test -bench='Benchmark(Put($$|Batch|Sharded|Pipelined)|MixedPipelined|ScanResident)' -benchtime=1000x -run '^$$' .
 	$(GO) test -bench='BenchmarkReclaimPass$$' -benchtime=20x -count=1 -run 'TestReclaimPassAllocs$$|TestWriteOnlyReclaimAdmitsNothing$$' ./internal/core
 	$(GO) test -bench='BenchmarkResourceAcquire$$' -benchtime=200000x -count=1 -run 'TestResourceAcquireAllocatesOnce$$' ./internal/sim
+	$(GO) run ./cmd/prism-bench -run all -threads 2 -records 400 -ops 400
 	$(GO) run ./cmd/prism-bench -run fig7 -threads 40 -records 10000 -ops 40000
 
 # bench-module vets and tests benchmark/, the repo benchmark: it is its

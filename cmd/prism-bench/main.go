@@ -53,43 +53,23 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/bench"
 )
 
 func main() {
 	var (
-		run     = flag.String("run", "", "comma-separated experiment names, or 'all'")
-		list    = flag.Bool("list", false, "list experiment names and exit")
-		threads = flag.Int("threads", 8, "simulated application threads")
-		records = flag.Int("records", 10000, "records loaded before measuring")
-		ops     = flag.Int("ops", 20000, "operations in the measured phase")
-		value   = flag.Int("value", 1024, "value size in bytes")
-		zipf    = flag.Float64("zipf", 0.99, "zipfian coefficient")
-		seed    = flag.Uint64("seed", 42, "workload seed")
-		batch   = flag.Int("batch", 1, "group consecutive same-kind ops into PutBatch/MultiGet windows of this size")
-		shards  = flag.Int("shards", 1, "run Prism as this many independent stores behind the hash router")
-		reps    = flag.Int("replicas", 1, "place each key on this many shards of the router ring")
-		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
-		metrics = flag.Bool("metrics", false, "print a final metrics-snapshot document (see METRICS.md)")
-		mformat = flag.String("metrics-format", "json", "metrics output format: json or prom")
-		every   = flag.Int64("metrics-every", 0, "also sample metrics every N virtual ms (implies -metrics)")
-		pipe    = flag.Int("pipeline", 1, "submit ops through the async pipeline, draining every N submissions")
-		place   = flag.String("placement", "hash", "key placement across shards: hash or range")
-		split   = flag.String("split", "", "comma-separated range boundary keys for -placement range")
-		tiers   = flag.String("tiers", "", "heterogeneous SSD array with hot/cold tiering: size[:writeMBps[:readMBps]],... (Prism only)")
+		run       = flag.String("run", "", "comma-separated experiment names, or 'all'")
+		list      = flag.Bool("list", false, "list experiment names and exit")
+		csvDir    = flag.String("csv", "", "also write each table as CSV into this directory")
+		metrics   = flag.Bool("metrics", false, "print a final metrics-snapshot document (see METRICS.md)")
+		mformat   = flag.String("metrics-format", "json", "metrics output format: json or prom")
+		every     = flag.Int64("metrics-every", 0, "also sample metrics every N virtual ms (implies -metrics)")
+		runConfig = bench.Flags(flag.CommandLine)
 	)
 	flag.Parse()
-	if _, err := prism.ParseTierSpec(*tiers); err != nil {
-		fmt.Fprintf(os.Stderr, "-tiers: %v\n", err)
-		os.Exit(1)
-	}
-	if *place != "hash" && *place != "range" {
-		fmt.Fprintf(os.Stderr, "unknown -placement %q (hash or range)\n", *place)
-		os.Exit(1)
-	}
-	if *split != "" && *place != "range" {
-		fmt.Fprintln(os.Stderr, "-split requires -placement range")
+	rc, err := runConfig()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if *mformat != "json" && *mformat != "prom" {
@@ -107,21 +87,6 @@ func main() {
 		return
 	}
 
-	rc := bench.RunConfig{
-		Threads:   *threads,
-		Records:   *records,
-		Ops:       *ops,
-		ValueSize: *value,
-		Zipfian:   *zipf,
-		Seed:      *seed,
-		Batch:     *batch,
-		Pipeline:  *pipe,
-		Shards:    *shards,
-		Replicas:  *reps,
-		TierSpec:  *tiers,
-		Placement: *place,
-		SplitKeys: prism.ParseSplitKeys(*split),
-	}
 	var mc *bench.MetricsCollector
 	if *metrics || *every > 0 {
 		mc = &bench.MetricsCollector{}

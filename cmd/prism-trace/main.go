@@ -78,15 +78,14 @@ func doReplay(path, engineName string, records, value int, metrics bool) {
 		fatal(err)
 	}
 
-	th := 1 // replay is single-threaded: the trace is one sequence
-	st, err := bench.NewEngine(engineName, bench.Params{Threads: th, Records: records, ValueSize: value})
+	rc := bench.RunConfig{Threads: 1, Records: records, ValueSize: value} // the trace is one sequence
+	st, err := bench.NewEngine(engineName, rc)
 	if err != nil {
 		fatal(err)
 	}
 	defer st.Close()
 
 	// Load the keyspace first so reads/updates hit existing keys.
-	rc := bench.RunConfig{Threads: th, Records: records, ValueSize: value}
 	bench.Load(st, engineName, rc)
 
 	kv := st.Thread(0)

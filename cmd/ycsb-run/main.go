@@ -54,45 +54,26 @@ func main() {
 	var (
 		engineName = flag.String("engine", "prism", "engine: "+strings.Join(bench.AllEngines, ", "))
 		workload   = flag.String("workload", "C", "workload: L, A, B, C, D, E, N")
-		threads    = flag.Int("threads", 8, "client threads")
-		records    = flag.Int("records", 10000, "records to load")
-		ops        = flag.Int("ops", 20000, "measured operations")
-		value      = flag.Int("value", 1024, "value size in bytes")
-		zipf       = flag.Float64("zipf", 0.99, "zipfian coefficient")
-		seed       = flag.Uint64("seed", 42, "workload seed")
-		batch      = flag.Int("batch", 1, "group consecutive same-kind ops into PutBatch/MultiGet windows of this size")
-		pipeline   = flag.Int("pipeline", 1, "submit ops through the async pipeline, draining every N submissions (Prism only)")
-		shards     = flag.Int("shards", 1, "run Prism as this many independent stores behind the hash router")
-		replicas   = flag.Int("replicas", 1, "place each key on this many shards of the router ring (Prism only)")
-		placement  = flag.String("placement", "hash", "key placement across shards: hash or range (Prism only)")
-		split      = flag.String("split", "", "comma-separated range boundary keys for -placement range")
 		metrics    = flag.Bool("metrics", false, "print the final metrics snapshot (see METRICS.md)")
 		mformat    = flag.String("metrics-format", "json", "metrics output format: json or prom")
-		tiers      = flag.String("tiers", "", "heterogeneous SSD array with hot/cold tiering: size[:writeMBps[:readMBps]],... (Prism only)")
 		wmbps      = flag.Int64("ssd-write-mbps", 0, "override every SSD's write bandwidth, MB/s (Prism only; 0 = paper default)")
 		rmbps      = flag.Int64("ssd-read-mbps", 0, "override every SSD's read bandwidth, MB/s (Prism only; 0 = paper default)")
 		connect    = flag.String("connect", "", "drive the workload over RESP against a running server at this address instead of an in-process engine")
 		conns      = flag.Int("conns", 8, "client connections in -connect mode")
+		runConfig  = bench.Flags(flag.CommandLine)
 	)
 	flag.Parse()
+	rc, err := runConfig()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if *mformat != "json" && *mformat != "prom" {
 		fmt.Fprintf(os.Stderr, "unknown -metrics-format %q (json or prom)\n", *mformat)
 		os.Exit(1)
 	}
-	if _, err := prism.ParseTierSpec(*tiers); err != nil {
-		fmt.Fprintf(os.Stderr, "-tiers: %v\n", err)
-		os.Exit(1)
-	}
-	if *tiers != "" && (*wmbps > 0 || *rmbps > 0) {
+	if rc.TierSpec != "" && (*wmbps > 0 || *rmbps > 0) {
 		fmt.Fprintln(os.Stderr, "-tiers already sets per-device speeds; drop -ssd-write-mbps/-ssd-read-mbps")
-		os.Exit(1)
-	}
-	if *placement != "hash" && *placement != "range" {
-		fmt.Fprintln(os.Stderr, "unknown -placement (hash or range)")
-		os.Exit(1)
-	}
-	if *split != "" && *placement != "range" {
-		fmt.Fprintln(os.Stderr, "-split requires -placement range")
 		os.Exit(1)
 	}
 
@@ -105,23 +86,12 @@ func main() {
 	}
 
 	if *connect != "" {
-		runWire(*connect, w, bench.RunConfig{
-			Records:   *records,
-			Ops:       *ops,
-			ValueSize: *value,
-			Zipfian:   *zipf,
-			Seed:      *seed,
-		}, *conns, *pipeline)
+		runWire(*connect, w, rc, *conns, rc.Pipeline)
 		return
 	}
 
-	th := *threads
-	if *engineName == bench.EngineSLMDB {
-		th = 1 // the open-source SLM-DB is single-threaded (§7.4)
-	}
-	var mut func(*prism.Options)
 	if *wmbps > 0 || *rmbps > 0 {
-		mut = func(o *prism.Options) {
+		rc.PrismMut = func(o *prism.Options) {
 			cfgs := make([]ssd.Config, o.NumSSDs)
 			for i := range cfgs {
 				cfgs[i].Size = o.SSDBytes
@@ -131,33 +101,12 @@ func main() {
 			o.SSDConfigs = cfgs
 		}
 	}
-	st, err := bench.NewEngine(*engineName, bench.Params{
-		Threads:   th,
-		Records:   *records,
-		ValueSize: *value,
-		Shards:    *shards,
-		Replicas:  *replicas,
-		TierSpec:  *tiers,
-		Placement: *placement,
-		SplitKeys: prism.ParseSplitKeys(*split),
-		PrismMut:  mut,
-	})
+	st, err := bench.NewEngine(*engineName, rc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer st.Close()
-
-	rc := bench.RunConfig{
-		Threads:   th,
-		Records:   *records,
-		Ops:       *ops,
-		ValueSize: *value,
-		Zipfian:   *zipf,
-		Seed:      *seed,
-		Batch:     *batch,
-		Pipeline:  *pipeline,
-	}
 
 	load := bench.Load(st, *engineName, rc)
 	report("LOAD", load)

@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/ycsb"
 )
 
@@ -14,7 +19,7 @@ func tiny() RunConfig {
 }
 
 func TestLoadAndRunProduceSaneResults(t *testing.T) {
-	st, err := NewEngine(EnginePrism, Params{Threads: 4, Records: 3000})
+	st, err := NewEngine(EnginePrism, RunConfig{Threads: 4, Records: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +50,7 @@ func TestEveryEngineRunsEveryWorkload(t *testing.T) {
 			if kind == EngineSLMDB {
 				th = 1
 			}
-			st, err := NewEngine(kind, Params{Threads: th, Records: rc.Records})
+			st, err := NewEngine(kind, RunConfig{Threads: th, Records: rc.Records})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +80,7 @@ func TestEveryEngineRunsEveryWorkload(t *testing.T) {
 func TestWAFShapePrismBelowKVell(t *testing.T) {
 	rc := tiny()
 	measure := func(kind string) float64 {
-		st, err := NewEngine(kind, Params{Threads: rc.Threads, Records: rc.Records})
+		st, err := NewEngine(kind, RunConfig{Threads: rc.Threads, Records: rc.Records})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +106,7 @@ func TestWAFShapePrismBelowKVell(t *testing.T) {
 func TestThreadCombiningBeatsTimeoutAtDepth(t *testing.T) {
 	rc := tiny()
 	measure := func(disable bool) float64 {
-		p := Params{Threads: rc.Threads, Records: rc.Records, QueueDepth: 64,
+		p := RunConfig{Threads: rc.Threads, Records: rc.Records, QueueDepth: 64,
 			PrismMut: func(o *core.Options) { o.DisableCombining = disable; o.SVCBytes = 64 << 10 }}
 		st, err := NewEngine(EnginePrism, p)
 		if err != nil {
@@ -122,7 +127,7 @@ func TestThreadCombiningBeatsTimeoutAtDepth(t *testing.T) {
 func TestPrismScalesWithThreads(t *testing.T) {
 	measure := func(threads int) float64 {
 		rc := RunConfig{Threads: threads, Records: 3000, Ops: 8000}
-		st, err := NewEngine(EnginePrism, Params{Threads: threads, Records: rc.Records})
+		st, err := NewEngine(EnginePrism, RunConfig{Threads: threads, Records: rc.Records})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +172,7 @@ func TestNVMSpaceExperiment(t *testing.T) {
 }
 
 func TestTimelineCollection(t *testing.T) {
-	st, err := NewEngine(EnginePrism, Params{Threads: 2, Records: 1500})
+	st, err := NewEngine(EnginePrism, RunConfig{Threads: 2, Records: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,50 +205,113 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestBatchedRunner drives the Batch>1 path: ops are grouped into
-// PutBatch/MultiGet windows, per-op counts stay exact, and the store's
-// batch metrics confirm the windows actually reached the batch API.
+// TestBatchedRunner drives the client loop's three windows — one
+// synchronous call, Batch-sized PutBatch/MultiGet runs, Pipeline async
+// submissions — against an engine that has a native form of each (Prism)
+// and one that has none (KVell): per-op counts stay exact in every mode,
+// Prism's batch and async metrics move in their own mode and no other,
+// and KVell, where every window falls back to per-op calls, measures the
+// same run to the nanosecond and the device byte — which it would not if
+// a window dropped, repeated or reordered an operation.
 func TestBatchedRunner(t *testing.T) {
-	st, err := NewEngine(EnginePrism, Params{Threads: 4, Records: 3000})
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		ops, virtNS, device, user int64
 	}
-	defer st.Close()
-	rc := tiny()
-	rc.Batch = 8
-	load := Load(st, EnginePrism, rc)
-	if load.Ops == 0 || load.Errors != 0 {
-		t.Fatalf("batched load result %+v", load)
+	for _, kind := range []string{EnginePrism, EngineKVell} {
+		var sync outcome
+		for _, mode := range []struct {
+			name            string
+			batch, pipeline int
+		}{{"sync", 0, 0}, {"batch", 8, 0}, {"pipeline", 0, 16}} {
+			rc := tiny()
+			if kind == EngineKVell {
+				rc.Threads = 1 // deterministic: one client, no interleaving
+			}
+			rc.Batch, rc.Pipeline = mode.batch, mode.pipeline
+			var got outcome
+			var snap obs.Snapshot
+			res := cell(kind, rc, "", []ycsb.Workload{ycsb.WorkloadA}, func(st engine.Store) {
+				got.device, got.user = st.WriteAmp()
+				if src, ok := st.(MetricsSource); ok {
+					snap = src.Metrics()
+				}
+			})
+			load, r := res[ycsb.Load], res[ycsb.WorkloadA]
+			// Every generated op records exactly one latency sample.
+			if want := int64(rc.Records / rc.Threads * rc.Threads); load.Ops != want || load.Errors != 0 {
+				t.Errorf("%s %s: load counted %d ops (%d errors), want %d", kind, mode.name, load.Ops, load.Errors, want)
+			}
+			if want := int64(rc.Ops / rc.Threads * rc.Threads); r.Ops != want || r.Errors != 0 {
+				t.Errorf("%s %s: run counted %d ops (%d errors), want %d", kind, mode.name, r.Ops, r.Errors, want)
+			}
+			got.ops, got.virtNS = r.Ops, load.VirtualNS+r.VirtualNS
+			switch {
+			case kind == EnginePrism:
+				for _, m := range []struct {
+					name string
+					in   string
+				}{{"core.batch_ops", "batch"}, {"core.async_ops", "pipeline"}} {
+					for _, op := range []string{"put", "get"} {
+						v, _ := snap.Get(m.name, map[string]string{"op": op})
+						if moved := v.Value > 0; moved != (mode.name == m.in) {
+							t.Errorf("prism %s: %s{op=%s} = %v", mode.name, m.name, op, v.Value)
+						}
+					}
+				}
+			case mode.name == "sync":
+				sync = got
+			case got != sync:
+				t.Errorf("kvell %s: %+v, want the synchronous run's %+v", mode.name, got, sync)
+			}
+		}
 	}
-	r := Run(st, EnginePrism, ycsb.WorkloadA, rc)
-	if r.Errors != 0 {
-		t.Fatalf("batched run produced %d errors", r.Errors)
+}
+
+// TestRouterConfigReachesEveryCell: the one RunConfig carries the router
+// and tier settings into every Prism store a cell opens, and an
+// experiment that owns one of those axes overrides it.
+func TestRouterConfigReachesEveryCell(t *testing.T) {
+	splits := [][]byte{ycsb.Key(100)}
+	opt := PrismOptions(RunConfig{Shards: 2, Replicas: 2, Placement: "range", SplitKeys: splits, TierSpec: "8M:5000,32M:1000"})
+	if opt.Shards != 2 || opt.Replicas != 2 || opt.Placement != "range" || len(opt.SplitKeys) != 1 || !bytes.Equal(opt.SplitKeys[0], splits[0]) {
+		t.Errorf("router options: shards %d, replicas %d, placement %q, splits %q", opt.Shards, opt.Replicas, opt.Placement, opt.SplitKeys)
 	}
-	// Per-op accounting must not change under batching: every generated
-	// op records exactly one latency sample.
-	wantOps := int64(rc.Ops/rc.Threads) * int64(rc.Threads)
-	if r.Ops != wantOps {
-		t.Fatalf("batched run counted %d ops, want %d", r.Ops, wantOps)
+	if !opt.EnableTiering || opt.NumSSDs != 2 || len(opt.SSDConfigs) != 2 || opt.SSDConfigs[0].Size != 8<<20 || opt.SSDConfigs[1].Size != 32<<20 {
+		t.Errorf("tier options: tiering %v, %d SSDs, configs %+v", opt.EnableTiering, opt.NumSSDs, opt.SSDConfigs)
 	}
-	src, ok := st.(MetricsSource)
-	if !ok {
-		t.Fatal("prism engine lost MetricsSource")
+
+	// A cell opens what PrismOptions describes.
+	cell(EnginePrism, RunConfig{Threads: 2, Records: 400, Shards: 2, Replicas: 2}, "", nil, func(st engine.Store) {
+		if s := st.(*engine.PrismStore).S; s.NumShards() != 2 || s.Replicas() != 2 {
+			t.Errorf("cell opened %d shards x %d replicas, want 2 x 2", s.NumShards(), s.Replicas())
+		}
+	})
+
+	// ShardScale sweeps the shard count itself: a -shards 3 -replicas 2
+	// run still measures 1, 2 and 4 unreplicated shards.
+	tab := ShardScale(RunConfig{Threads: 2, Records: 400, Ops: 400, Shards: 3, Replicas: 2})
+	var rows []string
+	for _, row := range tab.Rows {
+		rows = append(rows, row[0])
 	}
-	snap := src.Metrics()
-	if m, ok := snap.Get("core.batch_ops", map[string]string{"op": "put"}); !ok || m.Value <= 0 {
-		t.Fatalf("core.batch_ops{op=put} = %+v ok=%v", m, ok)
+	if strings.Join(rows, ",") != "1,2,4" {
+		t.Errorf("ShardScale rows %v, want 1, 2, 4", rows)
 	}
-	if m, ok := snap.Get("core.batch_ops", map[string]string{"op": "get"}); !ok || m.Value <= 0 {
-		t.Fatalf("core.batch_ops{op=get} = %+v ok=%v", m, ok)
-	}
-	// The fallback loop path must agree on counts for a non-batch engine.
-	st2, err := NewEngine(EngineKVell, Params{Threads: 4, Records: 3000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	load2 := Load(st2, EngineKVell, rc)
-	if load2.Ops != load.Ops || load2.Errors != 0 {
-		t.Fatalf("fallback batched load %+v vs %+v", load2, load)
-	}
+}
+
+// TestCellRefusesFailedOps: a cell whose operations fail is not a
+// measurement — with an HSIT of 16 entries under 200 records the load
+// cannot finish, and the cell says so instead of returning a throughput.
+func TestCellRefusesFailedOps(t *testing.T) {
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{EnginePrism, "LOAD", " of 200 operations failed"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %q", msg, want)
+			}
+		}
+	}()
+	cell(EnginePrism, RunConfig{Threads: 1, Records: 200, Ops: 100,
+		PrismMut: func(o *core.Options) { o.HSITCapacity = 16 }}, "", []ycsb.Workload{ycsb.WorkloadC})
+	t.Fatal("cell returned a result over failed operations")
 }

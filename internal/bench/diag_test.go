@@ -17,7 +17,7 @@ func TestDiagPrismLoad(t *testing.T) {
 		{"bigPWB", func(o *core.Options) { o.PWBBytesPerThread = 32 << 20 }},
 		{"noSVC", func(o *core.Options) { o.DisableSVC = true }},
 	} {
-		p := Params{Threads: 4, Records: 4000, ValueSize: 1024, PrismMut: tc.mut}
+		p := RunConfig{Threads: 4, Records: 4000, ValueSize: 1024, PrismMut: tc.mut}
 		st, _ := NewEngine(EnginePrism, p)
 		rc := RunConfig{Threads: 4, Records: 4000, Ops: 8000}
 		r := Load(st, EnginePrism, rc)

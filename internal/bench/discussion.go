@@ -13,38 +13,24 @@ import (
 // track device bandwidth; latency-sensitive reads (YCSB-C misses) should
 // track device latency.
 func DiscussionMedia(rc RunConfig) Table {
-	rc.applyDefaults()
+	ws := []ycsb.Workload{ycsb.Load, ycsb.WorkloadA, ycsb.WorkloadC}
 	t := Table{
 		Title:  "Discussion (§8): Prism across storage media (Kops/sec)",
-		Header: []string{"value-storage device", "LOAD", "YCSB-A", "YCSB-C"},
+		Header: append([]string{"value-storage device"}, wnames(ws)...),
+		Notes:  []string{"same engine and configuration; only the SSD profile changes"},
 	}
-	for _, p := range []devices.Profile{
+	for _, prof := range []devices.Profile{
 		devices.Samsung980,
 		devices.Samsung980Pro,
 		devices.PCIe5Flash,
 		devices.Optane905P,
 	} {
-		prof := p
-		params := Params{Threads: rc.Threads, Records: rc.Records, ValueSize: rc.ValueSize,
-			PrismMut: func(o *core.Options) {
-				cfg := prof.SSDConfig()
-				cfg.Size = o.SSDBytes
-				o.SSD = cfg
-			}}
-		st, err := NewEngine(EnginePrism, params)
-		if err != nil {
-			panic(err)
+		rc.PrismMut = func(o *core.Options) {
+			cfg := prof.SSDConfig()
+			cfg.Size = o.SSDBytes
+			o.SSD = cfg
 		}
-		load := Load(st, EnginePrism, rc)
-		a := Run(st, EnginePrism, ycsb.WorkloadA, rc)
-		c := Run(st, EnginePrism, ycsb.WorkloadC, rc)
-		st.Close()
-		t.Rows = append(t.Rows, []string{prof.Model, f1(load.KOpsPerSec()), f1(a.KOpsPerSec()), f1(c.KOpsPerSec())})
+		t.Rows = append(t.Rows, kopsRow(prof.Model, cell(EnginePrism, rc, "", ws), ws))
 	}
-	t.Notes = append(t.Notes, "same engine and configuration; only the SSD profile changes")
 	return t
-}
-
-func init() {
-	Experiments["discussion-media"] = func(rc RunConfig) []Table { return []Table{DiscussionMedia(rc)} }
 }

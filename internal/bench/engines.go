@@ -22,65 +22,6 @@ const (
 // AllEngines lists every implemented engine.
 var AllEngines = []string{EnginePrism, EngineKVell, EngineMatrixKV, EngineRocksDBNVM, EngineSLMDB}
 
-// Params sizes an engine for a dataset, applying Table 1's cost-equal
-// memory split scaled to the (much smaller) simulated dataset:
-// Prism 20% DRAM cache + 16% NVM buffer, KVell 32% DRAM cache,
-// MatrixKV 26% DRAM + 8% NVM — the same ratios as 20/16/32/26/8 GB
-// against the paper's 100 GB dataset.
-type Params struct {
-	Threads    int
-	NumSSDs    int
-	Records    int
-	ValueSize  int
-	QueueDepth int
-
-	// Shards > 1 opens Prism as that many independent stores behind the
-	// hash router; each shard gets the full scaled sizing below. Only
-	// Prism shards (the baselines ignore it).
-	Shards int
-
-	// Replicas > 1 places each key on that many ring-successor shards
-	// with last-writer-wins reconciliation (requires Shards >= Replicas).
-	// Only Prism replicates (the baselines ignore it).
-	Replicas int
-
-	// Placement selects the router's placement mode ("hash" default, or
-	// "range" for boundary-table routing with SplitKeys as the initial
-	// boundaries). Only Prism shards (the baselines ignore it).
-	Placement string
-	SplitKeys [][]byte
-
-	// TierSpec, when non-empty, replaces the homogeneous SSD array with
-	// the parsed per-device configs (core.ParseTierSpec format) and
-	// enables hot/cold tiering. Only Prism tiers (the baselines ignore
-	// it).
-	TierSpec string
-
-	// PrismMut lets experiments override Prism options (ablations,
-	// sweeps). Applied after scaling.
-	PrismMut func(*core.Options)
-}
-
-func (p *Params) applyDefaults() {
-	if p.Threads == 0 {
-		p.Threads = 4
-	}
-	if p.NumSSDs == 0 {
-		p.NumSSDs = 2
-	}
-	if p.Records == 0 {
-		p.Records = 10000
-	}
-	if p.ValueSize == 0 {
-		p.ValueSize = 1024
-	}
-	if p.QueueDepth == 0 {
-		p.QueueDepth = 64
-	}
-}
-
-func (p *Params) dataset() int64 { return int64(p.Records) * int64(p.ValueSize) }
-
 func clamp64(v, lo, hi int64) int64 {
 	if v < lo {
 		return lo
@@ -91,60 +32,62 @@ func clamp64(v, lo, hi int64) int64 {
 	return v
 }
 
-// PrismOptions returns the scaled Prism configuration for p.
-func PrismOptions(p Params) core.Options {
-	p.applyDefaults()
-	ds := p.dataset()
+// PrismOptions returns the scaled Prism configuration for rc.
+func PrismOptions(rc RunConfig) core.Options {
+	rc.applyDefaults()
+	ds := rc.dataset()
 	chunk := clamp64(ds/256, 16<<10, 512<<10) / 16 * 16
-	pwbPer := clamp64(ds*16/100/int64(p.Threads), 64<<10, 1<<30) / 16 * 16
+	pwbPer := clamp64(ds*16/100/int64(rc.Threads), 64<<10, 1<<30) / 16 * 16
 	opt := core.Options{
-		NumThreads:        p.Threads,
+		NumThreads:        rc.Threads,
 		PWBBytesPerThread: int(pwbPer),
-		HSITCapacity:      p.Records*4 + 1024,
-		NumSSDs:           p.NumSSDs,
-		SSDBytes:          clamp64(ds*4/int64(p.NumSSDs), 4<<20, 1<<40),
+		HSITCapacity:      rc.Records*4 + 1024,
+		NumSSDs:           rc.NumSSDs,
+		SSDBytes:          clamp64(ds*4/int64(rc.NumSSDs), 4<<20, 1<<40),
 		ChunkSize:         int(chunk),
 		SVCBytes:          clamp64(ds*20/100, 256<<10, 1<<40),
-		QueueDepth:        p.QueueDepth,
-		Shards:            p.Shards,
-		Replicas:          p.Replicas,
-		Placement:         p.Placement,
-		SplitKeys:         p.SplitKeys,
+		QueueDepth:        rc.QueueDepth,
+		Shards:            rc.Shards,
+		Replicas:          rc.Replicas,
+		Placement:         rc.Placement,
+		SplitKeys:         rc.SplitKeys,
 	}
-	if p.TierSpec != "" {
-		cfgs, err := core.ParseTierSpec(p.TierSpec)
-		if err == nil && len(cfgs) > 0 {
-			opt.SSDConfigs = cfgs
-			opt.NumSSDs = len(cfgs)
-			opt.EnableTiering = true
-		}
+	// An empty spec parses to no devices; Flags has refused a malformed one.
+	if cfgs, err := core.ParseTierSpec(rc.TierSpec); err == nil && len(cfgs) > 0 {
+		opt.SSDConfigs = cfgs
+		opt.NumSSDs = len(cfgs)
+		opt.EnableTiering = true
 	}
-	if p.PrismMut != nil {
-		p.PrismMut(&opt)
+	if rc.PrismMut != nil {
+		rc.PrismMut(&opt)
 	}
 	return opt
 }
 
-// NewEngine opens a cost-equalized engine instance.
-func NewEngine(kind string, p Params) (engine.Store, error) {
-	p.applyDefaults()
-	ds := p.dataset()
+// NewEngine opens a cost-equalized engine instance: Table 1's cost-equal
+// memory split scaled to the (much smaller) simulated dataset — Prism
+// 20% DRAM cache + 16% NVM buffer, KVell 32% DRAM cache, MatrixKV 26%
+// DRAM + 8% NVM, the same ratios as 20/16/32/26/8 GB against the paper's
+// 100 GB dataset.
+func NewEngine(kind string, rc RunConfig) (engine.Store, error) {
+	rc.applyDefaults()
+	ds := rc.dataset()
 	switch kind {
 	case EnginePrism:
-		return engine.NewPrism(PrismOptions(p))
+		return engine.NewPrism(PrismOptions(rc))
 	case EngineKVell:
-		item := (p.ValueSize + 32 + 15) / 16 * 16
+		item := (rc.ValueSize + 32 + 15) / 16 * 16
 		return kvell.Open(kvell.Config{
-			NumSSDs:    p.NumSSDs,
-			SSDBytes:   clamp64(ds*3/int64(p.NumSSDs), 4<<20, 1<<40),
+			NumSSDs:    rc.NumSSDs,
+			SSDBytes:   clamp64(ds*3/int64(rc.NumSSDs), 4<<20, 1<<40),
 			ItemSize:   item,
 			CacheBytes: clamp64(ds*32/100, 256<<10, 1<<40),
-			QueueDepth: p.QueueDepth,
-			Clients:    p.Threads,
+			QueueDepth: rc.QueueDepth,
+			Clients:    rc.Threads,
 		}), nil
 	case EngineMatrixKV:
-		cfg := lsm.MatrixKVConfig(p.Threads, p.NumSSDs, 1)
-		cfg.DataBytes = clamp64(ds*4/int64(p.NumSSDs), 8<<20, 1<<40)
+		cfg := lsm.MatrixKVConfig(rc.Threads, rc.NumSSDs, 1)
+		cfg.DataBytes = clamp64(ds*4/int64(rc.NumSSDs), 8<<20, 1<<40)
 		cfg.MemtableBytes = clamp64(ds/64, 64<<10, 1<<30)
 		cfg.MatrixCap = clamp64(ds*8/100, 128<<10, 1<<40)
 		cfg.MatrixColumns = 4 // coarser columns at simulation scale so runs drain
@@ -154,7 +97,7 @@ func NewEngine(kind string, p Params) (engine.Store, error) {
 		cfg.WALBytes = clamp64(ds/4, 4<<20, 1<<40)
 		return lsm.Open(cfg), nil
 	case EngineRocksDBNVM:
-		cfg := lsm.RocksDBNVMConfig(p.Threads, 1)
+		cfg := lsm.RocksDBNVMConfig(rc.Threads, 1)
 		cfg.DataBytes = clamp64(ds*6, 16<<20, 1<<40)
 		cfg.MemtableBytes = clamp64(ds/64, 64<<10, 1<<30)
 		cfg.BlockCacheBytes = clamp64(ds*26/100, 256<<10, 1<<40)

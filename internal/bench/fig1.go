@@ -60,7 +60,3 @@ func Fig1(rc RunConfig) Table {
 	t.Notes = append(t.Notes, "cells are measured (spec); latency includes one transfer")
 	return t
 }
-
-func init() {
-	Experiments["fig1"] = func(rc RunConfig) []Table { return []Table{Fig1(rc)} }
-}

@@ -18,7 +18,7 @@ func TestEnginesMatchReferenceModel(t *testing.T) {
 	for _, kind := range AllEngines {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			st, err := NewEngine(kind, Params{Threads: 1, Records: 500, ValueSize: 256})
+			st, err := NewEngine(kind, RunConfig{Threads: 1, Records: 500, ValueSize: 256})
 			if err != nil {
 				t.Fatal(err)
 			}

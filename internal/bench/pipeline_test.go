@@ -14,7 +14,7 @@ func runPipelinedPut(t *testing.T, depth int) float64 {
 	t.Helper()
 	// PWB sized to hold the run: the gate measures submission overlap,
 	// not reclamation pressure (see PipelineDepth).
-	p := Params{Threads: 1, Records: 4000, ValueSize: 128,
+	p := RunConfig{Threads: 1, Records: 4000, ValueSize: 128,
 		PrismMut: func(o *core.Options) { o.PWBBytesPerThread = 8 << 20 }}
 	st, err := NewEngine(EnginePrism, p)
 	if err != nil {

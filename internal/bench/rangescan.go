@@ -53,34 +53,24 @@ func (r RangeScanResult) PerScan(name string) float64 {
 // placement every scan has exactly one owning shard.
 func runRangeScan(rc RunConfig, placement string) RangeScanResult {
 	rc.applyDefaults()
-	p := Params{
-		Threads:   rc.Threads,
-		Records:   rc.Records,
-		ValueSize: rc.ValueSize,
-		Shards:    rangeScanShards,
-		Placement: placement,
-	}
+	rc.Shards, rc.Replicas, rc.Placement, rc.SplitKeys = rangeScanShards, 0, placement, nil
 	if placement == "range" {
-		p.SplitKeys = QuartileSplitKeys(rc.Records)
+		rc.SplitKeys = QuartileSplitKeys(rc.Records)
 	}
-	st, err := NewEngine(EnginePrism, p)
-	if err != nil {
-		panic(err)
-	}
+	st, _ := loaded(EnginePrism, rc)
 	ps := st.(*engine.PrismStore)
-	Load(st, EnginePrism, rc)
 
 	pre := ps.Metrics()
-	scansBefore := int64(0)
-	for j := 0; j < rangeScanShards; j++ {
-		scansBefore += ps.S.Shard(j).Stats().Scans
+	shardScans := func() (n int64) {
+		for j := 0; j < rangeScanShards; j++ {
+			n += ps.S.Shard(j).Stats().Scans
+		}
+		return n
 	}
+	scansBefore := shardScans()
 
 	const scanLen = 64
 	nt := rc.Threads
-	if nt > st.NumThreads() {
-		nt = st.NumThreads()
-	}
 	scansPerThread := rc.Ops / 8 / nt
 	if scansPerThread == 0 {
 		scansPerThread = 1
@@ -126,14 +116,8 @@ func runRangeScan(rc RunConfig, placement string) RangeScanResult {
 		}
 	}
 	out.Scans = int64(nt) * int64(scansPerThread)
-	if makespan > 0 {
-		out.KOps = float64(out.Scans) / (float64(makespan) / 1e9) / 1e3
-	}
-	scansAfter := int64(0)
-	for j := 0; j < rangeScanShards; j++ {
-		scansAfter += ps.S.Shard(j).Stats().Scans
-	}
-	out.ShardScansPer = float64(scansAfter-scansBefore) / float64(out.Scans)
+	out.KOps = kops(out.Scans, makespan)
+	out.ShardScansPer = float64(shardScans()-scansBefore) / float64(out.Scans)
 	out.Delta = ps.Metrics().Delta(pre)
 	rc.Metrics.Capture(st, EnginePrism, "rangescan-"+placement, nil)
 	st.Close()

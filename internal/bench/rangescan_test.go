@@ -52,7 +52,7 @@ func TestRangeScanLocality(t *testing.T) {
 
 	// Single-scan metric-level check: one narrow scan on a fresh range
 	// store moves core.ops{op=scan} on exactly the owning shard.
-	p := Params{Threads: 1, Records: 1000, ValueSize: 256, Shards: rangeScanShards,
+	p := RunConfig{Threads: 1, Records: 1000, ValueSize: 256, Shards: rangeScanShards,
 		Placement: "range", SplitKeys: QuartileSplitKeys(1000)}
 	st, err := NewEngine(EnginePrism, p)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 // sequence the CI fault-injection gate asserts on.
 func Replication(rc RunConfig) Table {
 	rc.applyDefaults()
-	const shards = 3
 	t := Table{
 		Title:  "Replication: 3-shard throughput and repair convergence vs replica factor",
 		Header: []string{"replicas", "LOAD Kops/sec", "YCSB-A Kops/sec", "A overhead vs R=1", "repair passes"},
@@ -27,41 +26,27 @@ func Replication(rc RunConfig) Table {
 			"repair passes: crash 1 replica mid-burst, recover, pull passes until converged",
 		},
 	}
+	ws := []ycsb.Workload{ycsb.Load, ycsb.WorkloadA}
+	rc.Shards, rc.Placement, rc.SplitKeys = 3, "", nil // the experiment owns the router
+	// The experiment drives repair passes by hand so the pass count is
+	// deterministic and reportable.
+	rc.PrismMut = func(o *core.Options) { o.DisableAutoRepair = true }
 	var baseA float64
-	for _, r := range []int{1, 2, 3} {
-		p := Params{
-			Threads:   rc.Threads,
-			Records:   rc.Records,
-			ValueSize: rc.ValueSize,
-			Shards:    shards,
-			Replicas:  r,
-			// The experiment drives repair passes by hand so the pass
-			// count is deterministic and reportable.
-			PrismMut: func(o *core.Options) { o.DisableAutoRepair = true },
-		}
-		st, err := NewEngine(EnginePrism, p)
-		if err != nil {
-			panic(err)
-		}
-		load := Load(st, EnginePrism, rc)
-		a := Run(st, EnginePrism, ycsb.WorkloadA, rc)
-		rc.Metrics.Capture(st, EnginePrism, fmt.Sprintf("replication-r%d", r), nil)
+	for _, rc.Replicas = range []int{1, 2, 3} {
 		passes := "-"
-		if r > 1 {
-			passes = fmt.Sprintf("%d", replicationFaultDrill(st.(*engine.PrismStore), rc))
-		}
+		res := cell(EnginePrism, rc, fmt.Sprintf("replication-r%d", rc.Replicas), ws, func(st engine.Store) {
+			if rc.Replicas > 1 {
+				passes = fmt.Sprintf("%d", replicationFaultDrill(st.(*engine.PrismStore), rc))
+			}
+		})
 		overhead := "0.0%"
-		ka := a.KOpsPerSec()
-		if r == 1 {
+		ka := res[ycsb.WorkloadA].KOpsPerSec()
+		if rc.Replicas == 1 {
 			baseA = ka
 		} else if baseA > 0 {
 			overhead = fmt.Sprintf("%.1f%%", (1-ka/baseA)*100)
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r),
-			f1(load.KOpsPerSec()), f1(ka), overhead, passes,
-		})
-		st.Close()
+		t.Rows = append(t.Rows, append(kopsRow(fmt.Sprintf("%d", rc.Replicas), res, ws), overhead, passes))
 	}
 	return t
 }

@@ -4,6 +4,16 @@
 // Table plus structured results, so the cmd/prism-bench CLI, the root
 // bench_test.go benchmarks, and the tests all drive the same code.
 //
+// One RunConfig sizes both the engine (NewEngine, PrismOptions) and the
+// workload phases (Load, Run). The unit of an experiment is the cell
+// (experiments.go): open an engine, load it, run workloads on the one
+// store, capture its metrics, close — an experiment is a grid of cells
+// over the axis it varies. Every phase is driven by runThreads' one
+// client loop, whose window is 1 (a synchronous call per op),
+// RunConfig.Batch or RunConfig.Pipeline. A phase of an experiment that
+// counts a failed operation panics: a figure over failed operations is
+// not a measurement.
+//
 // Numbers are produced in virtual time by the device simulators;
 // EXPERIMENTS.md records how the shapes compare with the paper.
 package bench
@@ -15,6 +25,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/histogram"
 	"repro/internal/obs"
@@ -22,7 +33,8 @@ import (
 	"repro/internal/ycsb"
 )
 
-// RunConfig sizes one workload phase.
+// RunConfig sizes an experiment: the engine NewEngine opens and the
+// workload phases Load and Run drive against it.
 type RunConfig struct {
 	Threads    int
 	Records    int // loaded keyspace
@@ -32,8 +44,19 @@ type RunConfig struct {
 	MaxScanLen int
 	Seed       uint64
 
+	// NumSSDs is the size of the SSD array (default 2) and QueueDepth the
+	// per-device IO queue depth (default 64), for the engines that have
+	// them.
+	NumSSDs    int
+	QueueDepth int
+
+	// PrismMut lets experiments override Prism options (ablations,
+	// sweeps). Applied after scaling and after TierSpec.
+	PrismMut func(*core.Options)
+
 	// Shards routes Prism through that many independent stores behind
-	// the hash router (default 1; baselines ignore it).
+	// the hash router, each with the full scaled sizing (default 1;
+	// baselines ignore it).
 	Shards int
 
 	// Replicas places each key on that many shards of the router ring
@@ -106,7 +129,15 @@ func (rc *RunConfig) applyDefaults() {
 	if rc.Seed == 0 {
 		rc.Seed = 42
 	}
+	if rc.NumSSDs == 0 {
+		rc.NumSSDs = 2
+	}
+	if rc.QueueDepth == 0 {
+		rc.QueueDepth = 64
+	}
 }
+
+func (rc *RunConfig) dataset() int64 { return int64(rc.Records) * int64(rc.ValueSize) }
 
 // Result is one (engine, workload) measurement.
 type Result struct {
@@ -130,30 +161,31 @@ type TimelinePoint struct {
 
 // KOpsPerSec returns throughput in thousands of operations per virtual
 // second.
-func (r Result) KOpsPerSec() float64 {
-	if r.VirtualNS == 0 {
+func (r Result) KOpsPerSec() float64 { return kops(r.Ops, r.VirtualNS) }
+
+// kops is ops in ns of virtual time as thousands of operations per
+// virtual second (0 over an empty interval).
+func kops(ops, ns int64) float64 {
+	if ns <= 0 {
 		return 0
 	}
-	return float64(r.Ops) / (float64(r.VirtualNS) / 1e9) / 1e3
+	return float64(ops) / (float64(ns) / 1e9) / 1e3
 }
 
-// Load populates store with rc.Records keys (the YCSB LOAD phase) in
-// random order, as §7.1 does, and returns the load-phase result.
-func Load(store engine.Store, name string, rc RunConfig) Result {
-	rc.applyDefaults()
-	cfg := ycsb.Config{
-		Workload:    ycsb.Load,
-		Records:     0,
-		InsertStart: 1, // shared counter hands out 1..Records
-		ValueSize:   rc.ValueSize,
+// mustSucceed panics if the phase counted a failed operation (a miss is
+// not one): its throughput and latency would describe the failure path.
+func (r Result) mustSucceed() Result {
+	if r.Errors != 0 {
+		panic(fmt.Sprintf("bench: %s %s: %d of %d operations failed", r.Engine, wname(r.Workload), r.Errors, r.Ops))
 	}
-	shared := ycsb.NewShared(cfg)
-	return runThreads(store, name, ycsb.Load, rc, cfg, shared, rc.Records)
+	return r
 }
 
-// Run executes one measured workload phase over an already-loaded store.
-func Run(store engine.Store, name string, w ycsb.Workload, rc RunConfig) Result {
-	rc.applyDefaults()
+// phase returns workload w's generator configuration and operation
+// count under rc: rc.Ops over the rc.Records loaded keys, or, for the
+// load itself, rc.Records inserts of the keys 1..Records, which the
+// clients' shared counter hands out.
+func phase(w ycsb.Workload, rc RunConfig) (ycsb.Config, int) {
 	cfg := ycsb.Config{
 		Workload:   w,
 		Records:    uint64(rc.Records),
@@ -161,11 +193,31 @@ func Run(store engine.Store, name string, w ycsb.Workload, rc RunConfig) Result 
 		MaxScanLen: rc.MaxScanLen,
 		ValueSize:  rc.ValueSize,
 	}
-	shared := ycsb.NewShared(cfg)
-	return runThreads(store, name, w, rc, cfg, shared, rc.Ops)
+	if w == ycsb.Load {
+		cfg.Records, cfg.InsertStart = 0, 1
+		return cfg, rc.Records
+	}
+	return cfg, rc.Ops
 }
 
-func runThreads(store engine.Store, name string, w ycsb.Workload, rc RunConfig, cfg ycsb.Config, shared *ycsb.Shared, totalOps int) Result {
+// Load populates store with rc.Records keys (the YCSB LOAD phase) in
+// random order, as §7.1 does, and returns the load-phase result.
+func Load(store engine.Store, name string, rc RunConfig) Result {
+	return Run(store, name, ycsb.Load, rc)
+}
+
+// Run executes one workload phase on store: ycsb.Load is the load
+// itself, every other workload runs over an already-loaded store.
+func Run(store engine.Store, name string, w ycsb.Workload, rc RunConfig) Result {
+	rc.applyDefaults()
+	cfg, totalOps := phase(w, rc)
+	return runThreads(store, name, rc, cfg, totalOps)
+}
+
+// runThreads is the client driver: rc.Threads closed-loop clients, each
+// with its own generator, split totalOps between them.
+func runThreads(store engine.Store, name string, rc RunConfig, cfg ycsb.Config, totalOps int) Result {
+	shared := ycsb.NewShared(cfg)
 	threads := rc.Threads
 	if threads > store.NumThreads() {
 		threads = store.NumThreads()
@@ -210,163 +262,129 @@ func runThreads(store engine.Store, name string, w ycsb.Workload, rc RunConfig, 
 			start := clk.Now()
 			var errs int64
 			var times []int64
-			batch := rc.Batch
-			if batch < 1 {
-				batch = 1
-			}
-			// Pipelined mode: submit through the async pipeline and drain
-			// every `pipe` submissions. The store clones keys and values at
-			// submission, so the generator's reused buffers are safe.
-			pipe := 0
-			var async engine.AsyncKV
-			if rc.Pipeline > 1 {
-				if a, ok := kv.(engine.AsyncKV); ok {
-					pipe = rc.Pipeline
-					async = a
-					batch = 1
+			// record books n operations that took elapsed between them —
+			// each its even share, so Result.Ops and the latency counts stay
+			// per-op — and err, unless it is a miss, as one failure.
+			record := func(n int, elapsed int64, err error) {
+				if err != nil && !errors.Is(err, engine.ErrNotFound) {
+					errs++
 				}
-			}
-			var inflight []engine.Completion
-			// flushPipe drains the in-flight window: Flush folds the async
-			// makespan into the thread clock, and the window's virtual time
-			// is spread evenly over its ops.
-			flushPipe := func() {
-				n := len(inflight)
-				if n == 0 {
-					return
-				}
-				t0 := clk.Now()
-				async.Flush()
-				for _, c := range inflight {
-					if err := c.Wait(); err != nil && !errors.Is(err, engine.ErrNotFound) {
-						errs++
-					}
-				}
-				share := (clk.Now() - t0) / int64(n)
-				for i := 0; i < n; i++ {
-					h.Record(share)
+				for j := 0; j < n; j++ {
+					h.Record(elapsed / int64(n))
 					if rc.TimelineBucketNS > 0 {
 						times = append(times, clk.Now())
 					}
 				}
-				inflight = inflight[:0]
 			}
-			// Per-slot value copies: the generator reuses one value
-			// buffer, so a batch window must snapshot each value before
-			// the next op overwrites it.
+			// The window is what the client keeps outstanding before it
+			// waits: one synchronous call, a same-kind run of up to Batch
+			// operations issued as one PutBatch/MultiGet, or up to Pipeline
+			// async submissions (the store clones keys and values at
+			// submission, so the generator's reused buffers are safe).
+			window := 1
+			if rc.Batch > 1 {
+				window = rc.Batch
+			}
+			var async engine.AsyncKV
+			if a, ok := kv.(engine.AsyncKV); ok && rc.Pipeline > 1 {
+				async, window = a, rc.Pipeline
+			}
+			var inflight []engine.Completion
 			var pairs []engine.Pair
 			var keys [][]byte
+			// Per-slot value copies: the generator reuses one value buffer,
+			// so a batch window must snapshot each value before the next op
+			// overwrites it.
 			var valBufs [][]byte
-			if batch > 1 {
-				pairs = make([]engine.Pair, 0, batch)
-				keys = make([][]byte, 0, batch)
-				valBufs = make([][]byte, batch)
+			if async == nil && window > 1 {
+				valBufs = make([][]byte, window)
 				for i := range valBufs {
 					valBufs[i] = make([]byte, rc.ValueSize)
 				}
 			}
-			// flushRun issues the accumulated same-kind run as one batch
-			// call and spreads the window's virtual time evenly over its
-			// ops, so Result.Ops and latency counts stay per-op.
-			flushRun := func() {
-				n := len(pairs) + len(keys)
+			// drain waits for the window: the batch call is issued here,
+			// and Flush folds the async makespan into the thread clock.
+			drain := func() {
+				n := len(pairs) + len(keys) + len(inflight)
 				if n == 0 {
 					return
 				}
 				t0 := clk.Now()
-				var err error
-				if len(pairs) > 0 {
-					err = engine.PutBatch(kv, pairs)
-				} else {
-					_, err = engine.MultiGet(kv, keys)
-				}
-				if err != nil && !errors.Is(err, engine.ErrNotFound) {
-					errs++
-				}
-				share := (clk.Now() - t0) / int64(n)
-				for i := 0; i < n; i++ {
-					h.Record(share)
-					if rc.TimelineBucketNS > 0 {
-						times = append(times, clk.Now())
+				switch {
+				case len(pairs) > 0:
+					err := engine.PutBatch(kv, pairs)
+					record(n, clk.Now()-t0, err)
+				case len(keys) > 0:
+					_, err := engine.MultiGet(kv, keys)
+					record(n, clk.Now()-t0, err)
+				default:
+					async.Flush()
+					share := (clk.Now() - t0) / int64(n)
+					for _, c := range inflight {
+						record(1, share, c.Wait())
 					}
 				}
-				pairs = pairs[:0]
-				keys = keys[:0]
+				pairs, keys, inflight = pairs[:0], keys[:0], inflight[:0]
 			}
 			for i := 0; i < perThread; i++ {
 				if i%roundOps == 0 {
-					flushRun()
-					flushPipe()
+					drain()
 					bar.await(clk)
 					if ti == 0 {
 						sampler.Observe(clk.Now())
 					}
 				}
 				op := gen.Next()
-				if pipe > 0 {
-					switch op.Kind {
-					case ycsb.OpInsert, ycsb.OpUpdate:
-						inflight = append(inflight, async.PutAsync(op.Key, gen.Value(keyID(op.Key))))
-					case ycsb.OpRead:
-						inflight = append(inflight, async.GetAsync(op.Key))
-					default:
-						// Scans have no async form: drain the window (the
-						// scan must observe prior writes) and run sync.
-						flushPipe()
-					}
-					if op.Kind != ycsb.OpScan {
-						if len(inflight) >= pipe {
-							flushPipe()
-						}
-						continue
-					}
-				}
-				if batch > 1 {
-					switch op.Kind {
-					case ycsb.OpInsert, ycsb.OpUpdate:
-						if len(keys) > 0 || len(pairs) == batch {
-							flushRun()
-						}
-						v := valBufs[len(pairs)]
-						copy(v, gen.Value(keyID(op.Key)))
-						pairs = append(pairs, engine.Pair{Key: op.Key, Value: v})
-						continue
-					case ycsb.OpRead:
-						if len(pairs) > 0 || len(keys) == batch {
-							flushRun()
-						}
-						keys = append(keys, op.Key)
-						continue
-					default:
-						flushRun()
-					}
-				}
 				t0 := clk.Now()
-				var err error
 				switch op.Kind {
 				case ycsb.OpInsert, ycsb.OpUpdate:
-					err = kv.Put(op.Key, gen.Value(keyID(op.Key)))
+					val := gen.Value(keyID(op.Key))
+					switch {
+					case async != nil:
+						inflight = append(inflight, async.PutAsync(op.Key, val))
+					case window > 1:
+						if len(keys) > 0 {
+							drain()
+						}
+						v := valBufs[len(pairs)]
+						copy(v, val)
+						pairs = append(pairs, engine.Pair{Key: op.Key, Value: v})
+					default:
+						err := kv.Put(op.Key, val)
+						record(1, clk.Now()-t0, err)
+					}
 				case ycsb.OpRead:
-					_, err = kv.Get(op.Key)
+					switch {
+					case async != nil:
+						inflight = append(inflight, async.GetAsync(op.Key))
+					case window > 1:
+						if len(pairs) > 0 {
+							drain()
+						}
+						keys = append(keys, op.Key)
+					default:
+						_, err := kv.Get(op.Key)
+						record(1, clk.Now()-t0, err)
+					}
 				case ycsb.OpScan:
-					err = kv.Scan(op.Key, op.ScanLen, func(k, v []byte) bool { return true })
+					// A scan has no batch or async form and must observe
+					// the window's writes: it drains the window and runs alone.
+					drain()
+					t0 = clk.Now()
+					err := kv.Scan(op.Key, op.ScanLen, func(k, v []byte) bool { return true })
+					record(1, clk.Now()-t0, err)
 				}
-				if err != nil && !errors.Is(err, engine.ErrNotFound) {
-					errs++
-				}
-				h.Record(clk.Now() - t0)
-				if rc.TimelineBucketNS > 0 {
-					times = append(times, clk.Now())
+				if len(pairs)+len(keys)+len(inflight) >= window {
+					drain()
 				}
 			}
-			flushRun()
-			flushPipe()
+			drain()
 			outs[ti] = threadOut{hist: h, startNS: start, endNS: clk.Now(), errs: errs, times: times}
 		}(ti)
 	}
 	wg.Wait()
 
-	res := Result{Engine: name, Workload: w}
+	res := Result{Engine: name, Workload: cfg.Workload}
 	all := histogram.New()
 	for _, o := range outs {
 		all.Merge(o.hist)

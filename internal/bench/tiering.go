@@ -35,6 +35,9 @@ func tieringDevices(ds int64) []ssd.Config {
 	}
 }
 
+// tieringMode names the two placements compared, by Options.EnableTiering.
+var tieringMode = map[bool]string{false: "untiered", true: "tiered"}
+
 // TieringResult is one mode's measurements, shared with the gate test.
 type TieringResult struct {
 	ChurnKOps   float64 // cold-heavy churn throughput (Kops per virtual sec)
@@ -64,41 +67,27 @@ const tieringChurnRounds = 8
 // runTiering runs one mode — load, cold-heavy churn, hot-set reads — on
 // the heterogeneous array and extracts the per-device counters.
 func runTiering(rc RunConfig, tiered bool) TieringResult {
-	mode := "untiered"
-	if tiered {
-		mode = "tiered"
-	}
 	totalKeys := rc.Records * 3 // load + 2x cold inserts
-	p := Params{
-		Threads:   rc.Threads,
-		Records:   rc.Records,
-		ValueSize: rc.ValueSize,
-		PrismMut: func(o *core.Options) {
-			o.SSDConfigs = tieringDevices(int64(rc.Records) * int64(rc.ValueSize))
-			o.NumSSDs = 2
-			o.EnableTiering = tiered
-			// Room for the churn's inserts, and write planes that
-			// clear after capacity/4 distinct written slots — every
-			// key the run writes — so the hot set keeps its bits
-			// between updates.
-			o.HSITCapacity = totalKeys * 4
-		},
+	rc.PrismMut = func(o *core.Options) {
+		o.SSDConfigs = tieringDevices(rc.dataset())
+		o.NumSSDs = 2
+		o.EnableTiering = tiered
+		// Room for the churn's inserts, and write planes that clear
+		// after capacity/4 distinct written slots — every key the run
+		// writes — so the hot set keeps its bits between updates.
+		o.HSITCapacity = totalKeys * 4
 	}
-	st, err := NewEngine(EnginePrism, p)
-	if err != nil {
-		panic(err)
-	}
-	prc := rc
+	st, _ := loaded(EnginePrism, rc)
 
 	var out TieringResult
-	Load(st, EnginePrism, prc)
 	out.ChurnKOps = tieringChurn(st, rc)
 	// Hot Get latency: skewed reads over the hot subset only. Identical
 	// in both modes; only where the values ended up differs.
+	prc := rc
 	prc.Records = rc.Records / 8
 	prc.Zipfian = 1.1
-	out.Read = Run(st, EnginePrism, ycsb.WorkloadC, prc)
-	rc.Metrics.Capture(st, EnginePrism, "tiering-"+mode, nil)
+	out.Read = Run(st, EnginePrism, ycsb.WorkloadC, prc).mustSucceed()
+	rc.Metrics.Capture(st, EnginePrism, "tiering-"+tieringMode[tiered], nil)
 	cur := st.(*engine.PrismStore).Metrics()
 	fast := map[string]string{"device": "ssd0"}
 	if m, ok := cur.Get("ssd.bytes_written", fast); ok {
@@ -133,7 +122,7 @@ func tieringChurn(st engine.Store, rc RunConfig) float64 {
 	nHot := rc.Records / 8
 	coldPerRound := nHot * 2
 	coldNext := uint64(rc.Records) // fresh ids above the loaded keyspace
-	ops := 0
+	var ops int64
 	for r := 0; r < tieringChurnRounds; r++ {
 		for k := 0; k < coldPerRound; k++ {
 			if err := kv.Put(ycsb.Key(coldNext), val); err != nil {
@@ -150,11 +139,7 @@ func tieringChurn(st engine.Store, rc RunConfig) float64 {
 			}
 		}
 	}
-	elapsed := clk.Now() - start
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(ops) / (float64(elapsed) / 1e9) / 1e3
+	return kops(ops, clk.Now()-start)
 }
 
 // Tiering compares round-robin placement against hot/cold steering on
@@ -174,17 +159,13 @@ func Tiering(rc RunConfig) Table {
 		},
 	}
 	for _, tiered := range []bool{false, true} {
-		mode := "untiered"
-		if tiered {
-			mode = "tiered"
-		}
 		r := runTiering(rc, tiered)
 		cold := "-"
 		if r.ColdTotal > 0 {
 			cold = f1(r.ColdOnCapacityPct())
 		}
 		t.Rows = append(t.Rows, []string{
-			mode,
+			tieringMode[tiered],
 			f1(r.ChurnKOps), f1(r.Read.KOpsPerSec()),
 			f1(r.Read.Lat.AvgUS), f1(r.Read.Lat.P99US),
 			f1(r.FastBytes / (1 << 20)),

@@ -40,19 +40,7 @@ func RunWire(addr string, w ycsb.Workload, rc RunConfig, conns, depth int) (Wire
 	if depth < 1 {
 		depth = 1
 	}
-	cfg := ycsb.Config{
-		Workload:   w,
-		Records:    uint64(rc.Records),
-		Zipfian:    rc.Zipfian,
-		MaxScanLen: rc.MaxScanLen,
-		ValueSize:  rc.ValueSize,
-	}
-	totalOps := rc.Ops
-	if w == ycsb.Load {
-		cfg.Records = 0
-		cfg.InsertStart = 1
-		totalOps = rc.Records
-	}
+	cfg, totalOps := phase(w, rc)
 	shared := ycsb.NewShared(cfg)
 
 	perConn := totalOps / conns
@@ -205,32 +193,27 @@ func Wire(rc RunConfig) Table {
 	}
 	var base float64
 	for _, conns := range []int{1, 2, 4, 8} {
-		p := Params{Threads: rc.Threads, Records: rc.Records, ValueSize: rc.ValueSize}
-		st, err := NewEngine(EnginePrism, p)
-		if err != nil {
-			panic(err)
-		}
+		st, _ := loaded(EnginePrism, rc)
 		ps := st.(*engine.PrismStore)
 		addr, stop := wireServer(ps.S)
-		Load(st, EnginePrism, rc)
 
 		marks := wireClockMarks(ps.S)
 		res, err := RunWire(addr, ycsb.WorkloadA, rc, conns, depth)
 		if err != nil {
 			panic(err)
 		}
+		if res.Errors != 0 {
+			panic(fmt.Sprintf("bench: wire YCSB-A at %d conns: %d of %d commands failed", conns, res.Errors, res.Ops))
+		}
 		span := wireMakespan(marks, wireClockMarks(ps.S))
 
-		var wireKops float64
-		if span > 0 {
-			wireKops = float64(res.Ops) / (float64(span) / 1e9) / 1e3
-		}
+		wireKops := kops(res.Ops, span)
 		rc.Metrics.Capture(st, EnginePrism, fmt.Sprintf("wire-%dconns", conns), nil)
 
 		rcp := rc
 		rcp.Pipeline = depth
 		rcp.Threads = conns
-		inproc := Run(st, EnginePrism, ycsb.WorkloadA, rcp).KOpsPerSec()
+		inproc := Run(st, EnginePrism, ycsb.WorkloadA, rcp).mustSucceed().KOpsPerSec()
 
 		stop()
 		st.Close()

@@ -12,7 +12,7 @@ import (
 // client-side result.
 func wirePoint(t *testing.T, rc RunConfig, conns, depth int) (float64, WireResult) {
 	t.Helper()
-	st, err := NewEngine(EnginePrism, Params{Threads: rc.Threads, Records: rc.Records, ValueSize: rc.ValueSize})
+	st, err := NewEngine(EnginePrism, RunConfig{Threads: rc.Threads, Records: rc.Records, ValueSize: rc.ValueSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestWireThroughputScales(t *testing.T) {
 // is inserted exactly once and the store ends at exactly Records keys.
 func TestWireLoadPhase(t *testing.T) {
 	rc := RunConfig{Threads: 4, Records: 1500, Ops: 1500, ValueSize: 128}
-	st, err := NewEngine(EnginePrism, Params{Threads: rc.Threads, Records: rc.Records, ValueSize: rc.ValueSize})
+	st, err := NewEngine(EnginePrism, RunConfig{Threads: rc.Threads, Records: rc.Records, ValueSize: rc.ValueSize})
 	if err != nil {
 		t.Fatal(err)
 	}
