@@ -92,7 +92,10 @@ bench:
 # them, the overlap frame's two lines (DESIGN.md §4.5):
 # BenchmarkMixedPipelined's virt-Kops/s for an alternating SET/GET stream
 # at depth=1 vs depth=16, and BenchmarkScanResident's virt-ns/scan for 50
-# PWB-resident rows. The
+# PWB-resident rows; and the merged scan's: BenchmarkScanMerged's
+# rows-read/scan and shard-scans/scan for 50 flash-resident rows through
+# the router — 50 and 2 at 3 shards x 2 replicas, 50 and 4 at 4 x 1: each
+# row read once, a covering set of the shards walked. The
 # second line is the reclaim path's: BenchmarkReclaimPass prints wall ns,
 # heap bytes, heap objects and SVC hand-offs per migrated record for a
 # write-only pass and for one whose every record was read first (an entry
@@ -111,7 +114,7 @@ bench:
 # operations fail, panics (EXPERIMENTS.md, "How an experiment is built");
 # the numbers at 400 records mean nothing.
 bench-smoke:
-	$(GO) test -bench='Benchmark(Put($$|Batch|Sharded|Pipelined)|MixedPipelined|ScanResident)' -benchtime=1000x -run '^$$' .
+	$(GO) test -bench='Benchmark(Put($$|Batch|Sharded|Pipelined)|MixedPipelined|ScanResident|ScanMerged)' -benchtime=1000x -run '^$$' .
 	$(GO) test -bench='BenchmarkReclaimPass$$' -benchtime=20x -count=1 -run 'TestReclaimPassAllocs$$|TestWriteOnlyReclaimAdmitsNothing$$' ./internal/core
 	$(GO) test -bench='BenchmarkResourceAcquire$$' -benchtime=200000x -count=1 -run 'TestResourceAcquireAllocatesOnce$$' ./internal/sim
 	$(GO) run ./cmd/prism-bench -run all -threads 2 -records 400 -ops 400

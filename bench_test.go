@@ -266,6 +266,65 @@ func BenchmarkScanResident(b *testing.B) {
 	b.ReportMetric(float64(th.Clk.Now()-t0)/float64(b.N), "virt-ns/scan")
 }
 
+// BenchmarkScanMerged scans 50 rows through the shard router over data
+// that is all on flash at the start: what a hash-placed scan costs when it
+// has to be merged. rows-read/scan is core.read_path summed over the
+// shards — 50, each row once, where merging whole per-shard scans read 150
+// at 3x2 and 200 at 4x1; shard-scans/scan is the index walks, a covering
+// set of the shards (2 of 3 at two replicas, all 4 at one); virt-ns/scan
+// is the router thread's clock. The rows are written in 64 strided runs
+// to one SSD a shard, so the rows of one scan — 50 from a multiple of 64,
+// clear of the last runs, which recovery drains from the PWB in key order
+// — are far apart on flash and each is its own read IO: the row count is
+// exact, whatever has been cached by then.
+func BenchmarkScanMerged(b *testing.B) {
+	for _, tc := range []struct{ shards, replicas int }{{3, 2}, {4, 1}} {
+		b.Run(fmt.Sprintf("%dx%d", tc.shards, tc.replicas), func(b *testing.B) {
+			store, err := prism.Open(prism.Options{
+				NumThreads:        1,
+				Shards:            tc.shards,
+				Replicas:          tc.replicas,
+				PWBBytesPerThread: 128 << 10,
+				NumSSDs:           1,
+				SVCBytes:          16 << 20,
+				DisableAutoRepair: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			th := store.Thread(0)
+			const records, runs = 6400, 64
+			keys := make([][]byte, records)
+			for r := 0; r < runs; r++ {
+				for i := r; i < records; i += runs {
+					keys[i] = []byte(fmt.Sprintf("bench-scan-%08d", i))
+					if err := th.Put(keys[i], make([]byte, 1024)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			store.Crash()
+			if _, err := store.Recover(); err != nil {
+				b.Fatal(err)
+			}
+			s0, t0 := store.Stats(), th.Clk.Now()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows := 0
+				if err := th.Scan(keys[i%(records/runs-1)*runs], 50, func(prism.KV) bool { rows++; return true }); err != nil || rows != 50 {
+					b.Fatalf("scan yielded %d rows, %v", rows, err)
+				}
+			}
+			b.StopTimer()
+			s1 := store.Stats()
+			b.ReportMetric(float64(s1.SVCHits+s1.PWBHits+s1.VSReads-s0.SVCHits-s0.PWBHits-s0.VSReads)/float64(b.N), "rows-read/scan")
+			b.ReportMetric(float64(s1.Scans-s0.Scans)/float64(b.N), "shard-scans/scan")
+			b.ReportMetric(float64(th.Clk.Now()-t0)/float64(b.N), "virt-ns/scan")
+		})
+	}
+}
+
 func reportKops(b *testing.B, name string, kops float64) {
 	b.ReportMetric(kops, name+"-Kops/s")
 }

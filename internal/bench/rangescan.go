@@ -2,12 +2,12 @@ package bench
 
 // The rangescan experiment: scan locality under range placement (ISSUE
 // 9). Hash placement spreads every key range across all shards, so a
-// narrow scan must k-way merge all of them — each shard runs a bounded
-// sub-scan and the router over-fetches up to shards x count keys of
-// device work per scan. Range placement routes the same scan to the one
-// shard owning the interval, so concurrent scans from different threads
-// partition cleanly across the shards' independent device sets instead
-// of contending on all of them.
+// narrow scan asks every shard for an index walk, merges the keys and
+// reads each row on the shard that holds it: N walks and two rounds per
+// scan, each row read once. Range placement routes the same scan to the
+// one shard owning the interval — one walk, one round — so concurrent
+// scans from different threads partition cleanly across the shards'
+// independent device sets instead of visiting all of them.
 
 import (
 	"fmt"
@@ -134,9 +134,9 @@ func RangeScan(rc RunConfig) Table {
 		Header: []string{"placement", "shard scans per scan", "rows resolved", "NVM loads", "SSD read IOs", "SSD bytes", "scan Kops/sec", "speedup"},
 		Notes: []string{
 			"each thread scans 64-key intervals confined to its own keyspace quartile",
-			"hash: every scan k-way merges all 4 shards (over-fetching 4x64 keys of device work)",
+			"hash: every scan merges the key-index walks of all 4 shards, then reads each row on the one shard that holds it",
 			"range: the boundary table routes each scan to the one shard owning its quartile",
-			"shard scans per scan = core scan ops issued / router scans (fan-out; 1.0 = perfect locality)",
+			"shard scans per scan = core scan ops (index walks) issued / router scans (fan-out; 1.0 = perfect locality)",
 			"rows resolved, NVM loads, SSD read IOs and SSD bytes are per router scan, summed over shards",
 			"Kops/sec is the 4-thread virtual-time makespan: it depends on goroutine interleaving and is not gated",
 		},

@@ -318,6 +318,70 @@ func TestScanRowsAdmittedOnSecondTouch(t *testing.T) {
 	}
 }
 
+// TestReadRowsKeepsScanAdmission: the row half of a scan on its own — what
+// the shard router calls once its merge has chosen the rows — admits like
+// a scan, not like the MultiGet it resembles: the first ReadRows over rows
+// on flash defers every one, the second admits them, the third is served
+// from the cache; and the lookup alone is not a touch.
+func TestReadRowsKeepsScanAdmission(t *testing.T) {
+	s, th := vsOnlyStore(t, 40, nil)
+	var keys [][]byte
+	if err := th.ScanKeys(aKey(5), 20, func(k []byte) bool {
+		keys = append(keys, k)
+		return true
+	}); err != nil || len(keys) != 20 {
+		t.Fatalf("ScanKeys: %d keys, %v", len(keys), err)
+	}
+	readRows := func() {
+		t.Helper()
+		vals, err := th.ReadRows(keys, nil)
+		if err != nil || len(vals) != len(keys) {
+			t.Fatalf("ReadRows: %d values, %v", len(vals), err)
+		}
+		for i, v := range vals {
+			if !bytes.Equal(keys[i], aKey(5+i)) || !bytes.Equal(v, aValue(5+i)) {
+				t.Fatalf("row %d is %s", i, keys[i])
+			}
+		}
+	}
+	readRows()
+	if st := s.Stats(); st.ScanDeferred != 20 || st.SVC.Entries != 0 || s.pop.read.n.Load() != 20 {
+		t.Fatalf("first ReadRows: %d rows deferred, %d admitted, %d marked; want 20, 0, 20", st.ScanDeferred, st.SVC.Entries, s.pop.read.n.Load())
+	}
+	readRows()
+	if st := s.Stats(); st.ScanDeferred != 20 || st.SVC.Entries != 20 {
+		t.Fatalf("second ReadRows: %d rows deferred, %d admitted; want 20, 20", st.ScanDeferred, st.SVC.Entries)
+	}
+	ios := ssdReads(s)
+	readRows()
+	if st := s.Stats(); ssdReads(s) != ios || st.SVCHits != 20 {
+		t.Fatalf("third ReadRows: %d SSD read IOs, %d SVC hits", ssdReads(s)-ios, st.SVCHits)
+	}
+	if st := s.Stats(); st.Scans != 1 || st.Gets != 0 {
+		t.Fatalf("one walk and three row reads counted %d scans and %d gets, want 1 and 0", st.Scans, st.Gets)
+	}
+
+	// Rows the PWB serves never reach the Value Storage batch, where a
+	// scan's touches are recorded: their lookups leave the filter alone. A
+	// key that is gone comes back nil.
+	fresh := [][]byte{[]byte("c0"), []byte("c1"), []byte("c2")}
+	for _, k := range fresh {
+		if err := th.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := th.Delete(fresh[1]); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := th.ReadRows(fresh, nil)
+	if err != nil || string(vals[0]) != "v" || vals[1] != nil || string(vals[2]) != "v" {
+		t.Fatalf("ReadRows of PWB rows = %q, %v", vals, err)
+	}
+	if n := s.pop.read.n.Load(); n != 20 {
+		t.Fatalf("%d bits in the read filter after ReadRows of rows in the PWB, want the 20 from flash", n)
+	}
+}
+
 // TestOnePassScanKeepsPointReadSet: fill half the cache with point reads,
 // scan ten cache capacities of other rows once, read the point-read set
 // again. The scan's rows were each touched once, so none was admitted and

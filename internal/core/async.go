@@ -74,15 +74,18 @@ func (f *frame) settle() int64 {
 }
 
 // read resolves it as one step — the key index lookup first when lookup
-// is set (a point read; a scan row comes with its idx), then the fast
-// paths — and reports when the step ended and whether it resolved the
-// item: a Value Storage resident is in t.pending instead, for readBatch.
-func (f *frame) read(it *scanItem, lookup bool) (at int64, resolved bool) {
+// is set (a row straight from this thread's index walk comes with its
+// idx), then the fast paths — and reports when the step ended and whether
+// it resolved the item: a Value Storage resident is in t.pending instead,
+// for readBatch. point says the lookup is a point read, which goes on
+// record in the read-recency filter; a scan's row does not (readVSBatch
+// marks the ones it fetched from Value Storage).
+func (f *frame) read(it *scanItem, lookup, point bool) (at int64, resolved bool) {
 	t := f.t
 	f.step()
 	found := !lookup
 	if lookup {
-		if it.idx, found = t.s.index.Lookup(t.Clk, it.key); found {
+		if it.idx, found = t.s.index.Lookup(t.Clk, it.key); found && point {
 			t.s.pop.mark(it.idx)
 		}
 	}
@@ -521,7 +524,7 @@ func (a *asyncThread) pass(hs []*Handle) int {
 		}
 		if h.op == opGet {
 			items[i] = scanItem{key: h.key}
-			if at, resolved := f.read(&items[i], true); resolved {
+			if at, resolved := f.read(&items[i], true, true); resolved {
 				a.completeGet(h, items[i].val, at, t0)
 			} else {
 				a.waiting = append(a.waiting, h)

@@ -141,10 +141,7 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	t.part.Enter()
 	defer t.part.Exit()
 
-	if cap(t.items) < len(keys) {
-		t.items = make([]scanItem, len(keys))
-	}
-	items := t.items[:len(keys)]
+	items := t.itemsFor(keys)
 
 	// One frame step per key — lookup, then the fast paths (SVC, then PWB)
 	// — with the Value Storage residents left to one merged batch read:
@@ -152,9 +149,8 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	// missing from the index, or deleted between lookup and load, keeps a
 	// nil val.
 	f := t.fork()
-	for i, k := range keys {
-		items[i] = scanItem{key: k}
-		f.read(&items[i], true)
+	for i := range items {
+		f.read(&items[i], true, true)
 	}
 	f.readBatch(false)
 	f.join()

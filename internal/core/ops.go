@@ -417,7 +417,9 @@ func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err er
 	if admit {
 		s.admitToSVC(t.Clk, idx, it.ver, v)
 	}
-	return cloneBytes(v), nil, false
+	// The buffer was read for this call alone and the SVC keeps a copy of
+	// its own: the value is returned in place.
+	return v[:len(v):len(v)], nil, false
 }
 
 // Delete removes key. The HSIT entry is reclaimed after two epochs
@@ -485,17 +487,10 @@ type KV struct {
 }
 
 // Scan visits up to count pairs with key >= start in key order, calling
-// fn for each until it returns false. After the index walk the rows
-// resolve through one overlap frame (async.go): each row's NVM round trips
-// — the HSIT entry, the PWB read — are issued asyncIssueNS after
-// the previous row's and overlap with them, so fifty resident rows cost
-// about 50 x 120 ns plus one row, not fifty rows. Values resident only in
-// Value Storage are fetched as one asynchronous batch of merged extents,
-// issued when the last such row has resolved (see readVSBatch: the scan
-// waits about one SSD read latency for all of them, not one per extent);
-// those the read-recency filter has seen before are admitted to the SVC,
-// chained together so that an eviction rewrites the range into one chunk
-// (§4.4 scan acceleration).
+// fn for each until it returns false: the index walk, then the rows (see
+// readRows) — the two halves ScanKeys and ReadRows export to the shard
+// router, back to back on one store, with the walk's HSIT index standing
+// in for the row's own lookup.
 func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 	s := t.s
 	if s.closed.Load() {
@@ -503,7 +498,6 @@ func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 	}
 	t.part.Enter()
 	defer t.part.Exit()
-	s.stats.scans.Add(1)
 	t0 := t.Clk.Now()
 	// The row slab leaves the thread while fn runs, so an operation fn
 	// issues on this thread cannot overwrite the rows being yielded.
@@ -514,21 +508,13 @@ func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 		s.latScan.Record(t.Clk.Now() - t0)
 	}()
 
-	s.index.Scan(t.Clk, start, count, func(key []byte, idx uint64) bool {
+	t.walk(start, count, func(key []byte, idx uint64) bool {
 		items = append(items, scanItem{key: cloneBytes(key), idx: idx})
 		return true
 	})
-
-	// Resolve the rows through one frame: fast paths overlapped, Value
-	// Storage residents in one batch. An item deleted between index scan
-	// and resolution keeps a nil val and is skipped below.
-	f := t.fork()
-	for i := range items {
-		f.read(&items[i], false)
-	}
-	f.readBatch(true)
-	f.join()
-
+	// An item deleted between the walk and its row step keeps a nil val
+	// and is skipped.
+	t.readRows(items, false)
 	for i := range items {
 		if items[i].val == nil {
 			continue
@@ -538,6 +524,86 @@ func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 		}
 	}
 	return nil
+}
+
+// ScanKeys is the first half of a scan on its own: the key index walk — no
+// HSIT, SVC, PWB or SSD access — visiting up to count keys >= start in key
+// order (count <= 0: to the end) until fn returns false. The shard router
+// merges several stores' walks before it reads any row. key is the index's
+// own copy: fn may keep it, and must not write to it.
+func (t *Thread) ScanKeys(start []byte, count int, fn func(key []byte) bool) error {
+	if t.s.closed.Load() {
+		return ErrClosed
+	}
+	t.part.Enter()
+	defer t.part.Exit()
+	t.walk(start, count, func(key []byte, _ uint64) bool { return fn(key) })
+	return nil
+}
+
+// walk is a scan's walk of the key index: one scan, as core.ops counts
+// them.
+func (t *Thread) walk(start []byte, count int, fn func(key []byte, idx uint64) bool) {
+	t.s.stats.scans.Add(1)
+	t.s.index.Scan(t.Clk, start, count, fn)
+}
+
+// ReadRows is the second half of a scan on its own: it resolves keys — a
+// key-ordered selection of what ScanKeys returned, here or on a store that
+// holds the same keys — as a scan resolves its rows (see readRows), each
+// row's step starting with the key's lookup, and appends one value per key
+// to vals (nil: the key is gone since the walk), returning the extended
+// slice. The lookups are a scan's, not point reads: they leave no mark in
+// the read-recency filter.
+func (t *Thread) ReadRows(keys [][]byte, vals [][]byte) ([][]byte, error) {
+	s := t.s
+	if s.closed.Load() {
+		return vals, ErrClosed
+	}
+	t.part.Enter()
+	defer t.part.Exit()
+	t0 := t.Clk.Now()
+	defer func() { s.latScan.Record(t.Clk.Now() - t0) }()
+
+	items := t.itemsFor(keys)
+	t.readRows(items, true)
+	for i := range items {
+		vals = append(vals, items[i].val)
+	}
+	return vals, nil
+}
+
+// itemsFor returns the thread's item slab holding one unresolved item per
+// key.
+func (t *Thread) itemsFor(keys [][]byte) []scanItem {
+	if cap(t.items) < len(keys) {
+		t.items = make([]scanItem, len(keys))
+	}
+	items := t.items[:len(keys)]
+	for i, k := range keys {
+		items[i] = scanItem{key: k}
+	}
+	return items
+}
+
+// readRows resolves a scan's rows through one overlap frame (async.go):
+// each row's NVM round trips — the key's lookup when the row does not come
+// with its idx, the HSIT entry, the PWB read — are issued asyncIssueNS
+// after the previous row's and overlap with them, so fifty resident rows
+// cost about 50 x 120 ns plus one row, not fifty rows. Values resident
+// only in Value Storage are fetched as one asynchronous batch of merged
+// extents, issued when the last such row has resolved (see readVSBatch:
+// the scan waits about one SSD read latency for all of them, not one per
+// extent); those the read-recency filter has seen before are admitted to
+// the SVC, chained together so that an eviction rewrites the range into
+// one chunk (§4.4 scan acceleration).
+func (t *Thread) readRows(items []scanItem, lookup bool) {
+	f := t.fork()
+	for i := range items {
+		f.read(&items[i], lookup, false)
+	}
+	f.readBatch(true)
+	f.join()
 }
 
 // getOnce is the slow-path fallback for values that moved mid-scan.
@@ -620,6 +686,10 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	i := 0
 	for _, r := range reqs {
 		end := uint64(r.Offset) + uint64(len(r.Data))
+		// A record alone in its extent is returned in the buffer it was read
+		// into, as resolve does; the rows of a merged extent are copied out:
+		// one retained row must not pin a 40 KB extent.
+		alone := i+1 == len(locs) || locs[i+1].dev != int(r.UserData) || locs[i+1].off >= end
 		for ; i < len(locs) && locs[i].dev == int(r.UserData) && locs[i].off < end; i++ {
 			it := locs[i].it
 			backptr, v, ok := valuestore.DecodeRecord(r.Data[locs[i].off-uint64(r.Offset):])
@@ -630,7 +700,11 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 				it.p = hsit.Pointer{}
 				continue
 			}
-			it.val = cloneBytes(v)
+			if alone {
+				it.val = v[:len(v):len(v)]
+			} else {
+				it.val = cloneBytes(v)
+			}
 		}
 	}
 	// The fallback reads reuse the request scratch, so they run only now

@@ -69,7 +69,10 @@ func (t *Thread) putBatchOnce(kvs []core.KV, first uint64) error {
 		}
 	}
 	s.m.fanout.Record(int64(len(t.touched)))
-	t.fanOut(false)
+	if len(t.touched) > 1 {
+		s.m.crossPut.Inc()
+	}
+	t.fanOut(t.touched, func(j int) { t.errs[j] = t.ths[j].PutBatchTS(t.subPut[j], t.subTS[j]) })
 
 	// An entry is covered if at least one replica's sub-batch fully
 	// succeeded (a failed sub-batch may have applied a prefix, but only
@@ -118,41 +121,46 @@ func (t *Thread) putBatchOnce(kvs []core.KV, first uint64) error {
 	return err
 }
 
-// fanOut runs every touched shard's sub-batch — the MultiGet sub-read
-// when get, else the PutBatch sub-write — and folds each shard's thread
-// clock into the router thread's: on the caller's goroutine when one
-// shard is touched (the affinity fast path — no spawn, no barrier),
+// fanOut runs run for every shard of set — a batch's sub-writes or
+// sub-reads, a merged scan's walks or row reads — and folds each shard's
+// thread clock into the router thread's: on the caller's goroutine when
+// the set is one shard (the affinity fast path — no spawn, no barrier),
 // else in parallel goroutines.
-func (t *Thread) fanOut(get bool) {
-	if len(t.touched) == 1 {
-		t.runSub(t.touched[0], get)
+func (t *Thread) fanOut(set []int, run func(j int)) {
+	if len(set) == 1 {
+		run(set[0])
 	} else {
-		if get {
-			t.s.m.crossGet.Inc()
-		} else {
-			t.s.m.crossPut.Inc()
-		}
 		var wg sync.WaitGroup
-		for _, j := range t.touched {
+		for _, j := range set {
 			wg.Add(1)
 			go func(j int) {
 				defer wg.Done()
-				t.runSub(j, get)
+				run(j)
 			}(j)
 		}
 		wg.Wait()
 	}
-	for _, j := range t.touched {
+	for _, j := range set {
 		t.sync(j)
 	}
 }
 
-func (t *Thread) runSub(j int, get bool) {
-	if get {
-		t.subVals[j], t.errs[j] = t.ths[j].MultiGetInto(t.subKeys[j], t.subVals[j][:0])
-	} else {
-		t.errs[j] = t.ths[j].PutBatchTS(t.subPut[j], t.subTS[j])
+// takeErrs joins, and clears, the errors a fan-out over set left in t.errs.
+func (t *Thread) takeErrs(set []int) error {
+	var err error
+	for _, j := range set {
+		err = errors.Join(err, t.errs[j])
+		t.errs[j] = nil
 	}
+	return err
+}
+
+// dropSubRead empties shard j's sub-read scratch — a MultiGet's or a
+// merged scan's keys, values and positions — releasing what it referenced.
+func (t *Thread) dropSubRead(j int) {
+	clear(t.subKeys[j])
+	clear(t.subVals[j])
+	t.subKeys[j], t.subVals[j], t.subIdx[j] = t.subKeys[j][:0], t.subVals[j][:0], t.subIdx[j][:0]
 }
 
 // foldErrs folds per-shard fan-out errors into one: nil, the lone error
@@ -228,7 +236,12 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 		if round == 0 {
 			s.m.fanout.Record(int64(len(t.touched)))
 		}
-		t.fanOut(true)
+		if len(t.touched) > 1 {
+			s.m.crossGet.Inc()
+		}
+		t.fanOut(t.touched, func(j int) {
+			t.subVals[j], t.errs[j] = t.ths[j].MultiGetInto(t.subKeys[j], t.subVals[j][:0])
+		})
 		for _, j := range t.touched {
 			switch err := t.errs[j]; {
 			case err == nil:
@@ -242,11 +255,7 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 			default:
 				errs = append(errs, err)
 			}
-			clear(t.subKeys[j])
-			t.subKeys[j] = t.subKeys[j][:0]
-			clear(t.subVals[j])
-			t.subVals[j] = t.subVals[j][:0]
-			t.subIdx[j] = t.subIdx[j][:0]
+			t.dropSubRead(j)
 			t.errs[j] = nil
 		}
 	}

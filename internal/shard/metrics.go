@@ -54,7 +54,7 @@ func (s *Store) registerMetrics() {
 	s.m.batchGet = r.Counter(obs.Desc{Name: "shard.batch_ops", Help: "batches seen by the router", Unit: "ops", Labels: op("get")})
 	s.m.crossPut = r.Counter(obs.Desc{Name: "shard.cross_batches", Help: "batches fanned out to more than one shard", Unit: "ops", Labels: op("put")})
 	s.m.crossGet = r.Counter(obs.Desc{Name: "shard.cross_batches", Help: "batches fanned out to more than one shard", Unit: "ops", Labels: op("get")})
-	s.m.scanMerges = r.Counter(obs.Desc{Name: "shard.scan_merges", Help: "scans answered by a k-way merge over shards", Unit: "ops"})
+	s.m.scanMerges = r.Counter(obs.Desc{Name: "shard.scan_merges", Help: "scans answered by merging shards' key-index walks (each row then read once)", Unit: "ops"})
 	s.m.fanout = r.Histogram(obs.Desc{Name: "shard.batch_fanout", Help: "shards touched per batch", Unit: "shards"})
 	r.GaugeFunc(obs.Desc{Name: "shard.count", Help: "number of shards", Unit: "shards"},
 		func() float64 { return float64(len(s.shards)) })

@@ -6,7 +6,7 @@ package shard
 // migration claims it). Routing stays a pure lookup — binary search over
 // the sorted bounds — so single-key ops cost one search plus one method
 // call, and Scan walks only the ranges that intersect the request
-// instead of k-way merging every shard.
+// instead of merging every shard's index walk.
 //
 // The table lives in an immutable placement snapshot swapped atomically
 // under migMu (see migrate.go for the freeze → stream → flip protocol).

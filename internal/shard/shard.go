@@ -32,10 +32,10 @@
 // PutBatch/MultiGet partition by shard and execute the per-shard
 // sub-batches in parallel goroutines, preserving core's one-epoch-enter
 // / one-publish-window amortization per shard; results merge back in
-// input order. Scan runs per-shard ordered scans in parallel and k-way
-// merges them. Cross-shard PutBatch keeps core's prefix-durability only
-// per shard: a crash can leave different shards at different prefixes
-// of their sub-batches.
+// input order. Scan merges the shards' key-index walks and then reads
+// each row once, from one shard that holds it (scan.go). Cross-shard
+// PutBatch keeps core's prefix-durability only per shard: a crash can
+// leave different shards at different prefixes of their sub-batches.
 //
 // # Replication
 //
@@ -131,6 +131,14 @@ type Thread struct {
 	rset    []int       // shard-set scratch for sync ops (see route)
 	cov     []bool      // per-entry coverage scratch for PutBatch
 	rem     []int       // MultiGet key positions still to resolve
+
+	// Merged-scan scratch (scan.go), on the same terms; a scan's row reads
+	// go through subKeys, subVals, subIdx and touched like a MultiGet's.
+	turn  int        // scans planned over a covering set: rotates its offset
+	asked []int      // shards the scan walks
+	lists [][][]byte // per shard, the keys its walk returned
+	pos   []int      // per shard, how far into its list the merge is
+	rows  []core.KV  // the winners, in merge order
 }
 
 // Open creates a Store of opt.Shards independent core stores (default
@@ -202,6 +210,8 @@ func Open(opt core.Options) (*Store, error) {
 			subIdx:  make([][]int, n),
 			subTS:   make([][]uint64, n),
 			errs:    make([]error, n),
+			lists:   make([][][]byte, n),
+			pos:     make([]int, n),
 		}
 		for j := 0; j < n; j++ {
 			th.ths = append(th.ths, s.shards[j].Thread(i))

@@ -61,7 +61,8 @@
 // hash router (package internal/shard): keys place by FNV-1a 64 + jump
 // consistent hash, single-key ops keep the pinned per-thread fast path
 // on the owning shard, batches fan out to per-shard sub-batches in
-// parallel, and Scan k-way merges the per-shard ordered scans. The
+// parallel, and Scan merges the shards' key-index walks and then reads
+// each row once, on the shard that holds it. The
 // default (0 or 1) runs a single shard with no routing overhead beyond
 // one nil-check hash call.
 //
@@ -85,7 +86,7 @@
 // 1) routes through a boundary table instead: Options.SplitKeys cuts
 // the keyspace into contiguous ranges, each owned by one shard (its
 // whole replica set when replicated), so a Scan touches only the shards
-// whose ranges intersect it — no k-way merge across non-owners. With no
+// whose ranges intersect it — no merge across non-owners. With no
 // split keys the single all-covering range routes by hash until
 // boundaries are learned online (Store.RebalanceRanges samples live
 // keys, installs equal-population splits, and migrates each range to
