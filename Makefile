@@ -141,9 +141,13 @@ fuzz-smoke:
 # write is lost, then assert anti-entropy repair converges — see
 # internal/shard/fault_test.go) plus the migration crash matrix (kill
 # the source shard at every protocol stage and assert abort-or-complete
-# with no acked write lost — see internal/shard/migrate_fault_test.go).
+# with no acked write lost — see internal/shard/migrate_fault_test.go),
+# plus the one pull path's two contracts: a peer whose devices crash
+# after a repair pass read its state vetoes promotion like a down peer
+# (TestRepairWaitsForUnreadablePeer), and a migration's freeze reads
+# only the records a destination lacks (TestMigrationDeltaReadsOnlyTheDelta).
 fault-smoke:
-	$(GO) test -count=1 -run 'TestFaultMatrix$$|TestMigrationFaultMatrix$$|TestMigrationDestMemberCrash$$' ./internal/shard
+	$(GO) test -count=1 -run 'TestFaultMatrix$$|TestMigrationFaultMatrix$$|TestMigrationDestMemberCrash$$|TestRepairWaitsForUnreadablePeer$$|TestMigrationDeltaReadsOnlyTheDelta$$' ./internal/shard
 
 # ci-check asserts the Makefile ci target and .github/workflows/ci.yml
 # stay in lockstep: every make target the workflow runs must be a

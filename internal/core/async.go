@@ -275,8 +275,8 @@ type asyncThread struct {
 // Unlike the synchronous methods, PutAsync (and GetAsync/DeleteAsync)
 // may be called from any goroutine, concurrently; key and value are
 // copied before return. Submissions on one Thread apply in submission
-// order. If more than Options.AsyncMaxPending submissions are in flight
-// the call blocks until the loop catches up (backpressure, not error).
+// order. If asyncMaxPending submissions are already in flight the call
+// blocks until the loop catches up (backpressure, not error).
 func (t *Thread) PutAsync(key, value []byte) *Handle { return t.PutTSAsync(key, value, 0) }
 
 // PutTSAsync is PutAsync carrying a logical timestamp; the admission
@@ -355,13 +355,17 @@ func (t *Thread) AsyncNow() int64 {
 	return now
 }
 
+// asyncMaxPending bounds in-flight async submissions per Thread:
+// PutAsync/GetAsync/DeleteAsync block (backpressure) at the bound.
+const asyncMaxPending = 256
+
 // submit enqueues h on the admission loop, applying backpressure at
-// Options.AsyncMaxPending in-flight submissions, and lazily starts the
-// loop goroutine on first use.
+// asyncMaxPending in-flight submissions, and lazily starts the loop
+// goroutine on first use.
 func (a *asyncThread) submit(h *Handle) *Handle {
 	s := a.t.s
 	a.mu.Lock()
-	for !a.stopping && !s.closed.Load() && a.inflight.Load() >= int64(s.opt.AsyncMaxPending) {
+	for !a.stopping && !s.closed.Load() && a.inflight.Load() >= asyncMaxPending {
 		a.cond.Wait()
 	}
 	if a.stopping || s.closed.Load() {

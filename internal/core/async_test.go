@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func asyncStore(t *testing.T, mut func(*Options)) *Store {
@@ -148,7 +150,6 @@ func TestAsyncCoalescing(t *testing.T) {
 func TestAsyncCompletionStress(t *testing.T) {
 	s := asyncStore(t, func(o *Options) {
 		o.PWBBytesPerThread = 8 << 10 // tiny rings: stall/reclaim churn
-		o.AsyncMaxPending = 16        // exercise backpressure waits
 		o.QueueDepth = 8
 	})
 	const submitters, opsEach = 4, 250
@@ -209,6 +210,50 @@ func TestAsyncCompletionStress(t *testing.T) {
 	st := s.Stats()
 	if st.AsyncPuts+st.AsyncGets+st.AsyncDeletes != want {
 		t.Fatalf("async stats %d+%d+%d != %d", st.AsyncPuts, st.AsyncGets, st.AsyncDeletes, want)
+	}
+}
+
+// TestAsyncBackpressureBound: with the admission loop parked on one get,
+// a goroutine submits asyncMaxPending more puts. The first
+// asyncMaxPending-1 return at once; the last, the bound's +1st
+// submission, blocks with exactly asyncMaxPending in flight until the
+// loop is released, and then everything completes.
+func TestAsyncBackpressureBound(t *testing.T) {
+	s := asyncStore(t, nil)
+	th := s.Thread(0)
+	hs := make([]*Handle, asyncMaxPending)
+	var returned atomic.Int64
+	done := make(chan struct{})
+	parked := queueWindow(th, func() {
+		go func() {
+			defer close(done)
+			for i := range hs {
+				hs[i] = th.PutAsync([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+				returned.Add(1)
+			}
+		}()
+		for th.async.inflight.Load() < asyncMaxPending {
+			runtime.Gosched()
+		}
+		// Nothing can complete while the loop is parked, so with a higher
+		// bound the last submission would return within this pause.
+		time.Sleep(10 * time.Millisecond)
+		if n := returned.Load(); n != asyncMaxPending-1 {
+			t.Errorf("%d of %d submissions returned with the loop parked, want %d", n, asyncMaxPending, asyncMaxPending-1)
+		}
+		if n := th.async.inflight.Load(); n != asyncMaxPending {
+			t.Errorf("inflight = %d with the loop parked, want %d", n, asyncMaxPending)
+		}
+	})
+	<-done
+	th.Flush()
+	if err := parked.Wait(); err != ErrNotFound {
+		t.Fatalf("parked get: %v, want ErrNotFound", err)
+	}
+	for i, h := range hs {
+		if err := h.Wait(); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
 	}
 }
 

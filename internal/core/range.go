@@ -1,13 +1,12 @@
 package core
 
-// Range export and purge hooks for the sharding router's online range
-// migration (internal/shard/migrate.go). Migration streams a key range
-// from its source shards to a destination over the async pipeline using
-// the same pull machinery as anti-entropy repair: enumerate stamped
-// records with ReplicaEntriesRange, read values through the normal read
-// path, apply with PutTSAsync/DeleteTSAsync, and finally purge the
-// source's copy of the range with DropRange once the placement epoch has
-// flipped and the dual-read window has drained.
+// Range sampling and purge hooks for the sharding router's online range
+// migration (internal/shard/migrate.go). Migration moves a key range
+// through the router's one pull path, the one anti-entropy repair uses
+// (shard.pull: ReplicaEntries filtered to the range, the normal read
+// path, PutTSAsync/DeleteTSAsync), and then purges the source's copy of
+// the range with DropRange once the placement epoch has flipped and the
+// dual-read window has drained.
 
 import "bytes"
 
@@ -20,18 +19,6 @@ func inRange(key, lo, hi []byte) bool {
 		return false
 	}
 	return true
-}
-
-// ReplicaEntriesRange is ReplicaEntries restricted to lo <= key < hi
-// (nil bounds are unbounded). Like ReplicaEntries it iterates a
-// snapshot, so fn may call back into the store. Requires TrackTimestamps.
-func (s *Store) ReplicaEntriesRange(lo, hi []byte, fn func(key []byte, ts uint64, tombstone bool) bool) {
-	s.ReplicaEntries(func(key []byte, ts uint64, tomb bool) bool {
-		if !inRange(key, lo, hi) {
-			return true
-		}
-		return fn(key, ts, tomb)
-	})
 }
 
 // SampleKeys returns up to max live keys in key order, strided evenly

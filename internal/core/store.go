@@ -66,10 +66,6 @@ type Options struct {
 	// QueueDepth is the IO coalescing limit (§5.3), and also caps how
 	// many async submissions one admission window coalesces. Default 64.
 	QueueDepth int
-	// AsyncMaxPending bounds in-flight async submissions per Thread;
-	// PutAsync/GetAsync/DeleteAsync block (backpressure) at the bound.
-	// Default 256.
-	AsyncMaxPending int
 	// ReclaimWatermark is the PWB utilization that triggers background
 	// reclamation. Zero selects the adaptive controller, which starts at
 	// 0.5 (§4.3) and closes the loop from put stalls and reclaim-pass
@@ -149,13 +145,6 @@ type Options struct {
 	// index it survives Crash in-process.
 	TrackTimestamps bool
 
-	// TombstoneGraceWrites is how many logical stamps a tombstone is
-	// retained for after its delete before a full repair pass may
-	// discard it (creiht/valuestore "tombstone age" in stamp units,
-	// since the simulation has no wall clock). Discarding is only ever
-	// done by the router's Repair when every replica is up. Default 4096.
-	TombstoneGraceWrites uint64
-
 	// DisableAutoRepair stops the router from starting its background
 	// anti-entropy worker; RecoverShard then leaves the shard in the
 	// repairing state until the application drives Repair/RepairShard
@@ -193,15 +182,9 @@ func (o *Options) applyDefaults() {
 	if o.QueueDepth == 0 {
 		o.QueueDepth = 64
 	}
-	if o.AsyncMaxPending == 0 {
-		o.AsyncMaxPending = 256
-	}
 	// ReclaimWatermark deliberately has no default: zero means adaptive.
 	if o.GCFreeFraction == 0 {
 		o.GCFreeFraction = 0.25
-	}
-	if o.TombstoneGraceWrites == 0 {
-		o.TombstoneGraceWrites = 4096
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

@@ -145,7 +145,7 @@ type pendingReply struct {
 
 // maxPendingReplies bounds a connection's in-flight burst; past it the
 // burst drains inline before more commands are admitted (the store's
-// own AsyncMaxPending backpressure sits below this).
+// own per-thread async backpressure, also 256 in flight, sits below this).
 const maxPendingReplies = 256
 
 // session is one connection's dispatch state: the pinned thread slot,

@@ -2,20 +2,22 @@ package shard
 
 // Online shard migration: moving a placement range between shards while
 // the store serves traffic. The protocol is the slot-migration shape
-// (catch-up → freeze → drain+delta → flip → settle), built on the same
-// pull machinery as anti-entropy repair (repair.go): stamped records are
-// enumerated with core.ReplicaEntriesRange and replayed onto the
+// (catch-up → freeze → drain+delta → flip → settle), and both of its
+// copy passes are the router's one pull path — pull (repair.go), the
+// function anti-entropy repair runs: stamped records in the range that a
+// destination lacks are read on the source and replayed onto the
 // destination over the async pipeline under last-writer-wins, so a
 // migration can never regress a newer write.
 //
-//  1. catch-up   — stream the range with foreground traffic live; the
+//  1. catch-up   — pull the range with foreground traffic live; the
 //                  bulk of the data moves without blocking anyone.
 //  2. freeze     — install a placement snapshot whose migState gates
 //                  writes into the range (placeWrite spins them);
 //                  reads stay live against the source.
-//  3. drain+delta— flush the source shards' async pipelines, then
-//                  stream what changed since the catch-up pass — only
-//                  the delta, so the freeze stays brief.
+//  3. drain+delta— flush the source shards' async pipelines, then pull
+//                  again: pull reads only the records some destination
+//                  lacks, so the freeze reads just what changed since
+//                  the catch-up pass.
 //  4. flip       — install the new table (owner = destination) with the
 //                  epoch bumped and the dual-read window open: a read
 //                  that finds no stamp record at all on the destination
@@ -26,30 +28,29 @@ package shard
 //                  so a later migration back cannot be shadowed by
 //                  stale stamps.
 //
-// Invariants: an acked write is either streamed before the flip (it
+// Invariants: an acked write is either pulled before the flip (it
 // carries a stamp <= the freeze, and the delta pass replays every stamp
 // the destination lacks) or lands post-flip on the destination directly
 // — never both lost. A crash before the flip aborts: the placement is
 // restored unchanged and the destination's extra copies are harmless
-// (LWW; the next attempt re-streams). A crash after the flip leaves the
+// (LWW; the next attempt re-pulls). A crash after the flip leaves the
 // flip standing: the destination is complete by construction, and the
 // unpurged source copies are unreachable garbage. Either way exactly one
 // placement snapshot owns the range — no double-owner, no orphan.
 //
 // Replication: migrating a range moves its whole replica set — the
 // destination set is the ring successor run {dst .. dst+R-1}, sources
-// are enumerated from every member of the old set. Migration requires
-// the full source set alive (a down source may hold the only copy of
-// acked writes — the same veto repair promotion applies) and at least
-// one destination member up; down destination members are skipped and
-// healed later by anti-entropy repair, whose replica sets follow
-// placement automatically.
+// are every member of the old set. Migration requires the full source
+// set alive (a down source may hold the only copy of acked writes — the
+// same veto repair promotion applies; a source that goes down before the
+// flip fails its pull) and at least one destination member up; down
+// destination members are skipped and healed later by anti-entropy
+// repair, whose replica sets follow placement automatically.
 
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/core"
+	"slices"
 )
 
 // errHashPlacement rejects placement operations on a hash-mode store.
@@ -92,32 +93,12 @@ func (s *Store) SplitRange(key []byte) error {
 	return nil
 }
 
-// ownerSet returns the replica set rooted at shard o ({o .. o+R-1} ring
-// successors, matching route), or every shard for hashOwned — a
-// hash-owned range's keys are spread across all shards, so all of them
-// are migration sources.
-func (s *Store) ownerSet(o int) []int {
-	n := len(s.shards)
-	if o == hashOwned {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	set := make([]int, 0, s.replicas)
-	for k := 0; k < s.replicas; k++ {
-		set = append(set, (o+k)%n)
-	}
-	return set
-}
-
 // MigrateRange moves range r — and, with Replicas > 1, its whole replica
 // set — to destination shard dst via catch-up → freeze → drain+delta →
 // flip → settle (see the package comment above). Hash-owned ranges
-// stream from every shard, which is the online hash→range conversion
+// pull from every shard, which is the online hash→range conversion
 // step. Returns with the placement unchanged on any pre-flip failure
-// (source crash mid-stream, store closing); after the flip the new
+// (source crash mid-pull, store closing); after the flip the new
 // placement stands. Serialized against other placement operations and
 // against anti-entropy repair passes.
 func (s *Store) MigrateRange(r, dst int) error {
@@ -144,38 +125,50 @@ func (s *Store) MigrateRange(r, dst int) error {
 		return nil
 	}
 	lo, hi := p.tab.rangeBounds(r)
-	srcSet := s.ownerSet(src)
-	dstSet := s.ownerSet(dst)
+	m := migState{lo: lo, hi: hi, srcOwner: src, dstSet: s.setOf(dst, nil)}
+	if src == hashOwned { // a hash-owned range's keys are on every shard
+		for i := range s.shards {
+			m.srcSet = append(m.srcSet, i)
+		}
+	} else {
+		m.srcSet = s.setOf(src, nil)
+	}
 	// A down source may hold the only copy of acked writes in the range
 	// (the repair-promotion veto, repair.go); a destination set with no
-	// live member has nowhere to stream to.
-	for _, j := range srcSet {
+	// live member has nowhere to pull to.
+	for _, j := range m.srcSet {
 		if s.state[j].Load() == replicaDown {
 			return fmt.Errorf("prism: source shard %d is down: %w", j, errNoReplica)
 		}
 	}
-	dstUp := false
-	for _, j := range dstSet {
-		if s.state[j].Load() != replicaDown {
-			dstUp = true
-			break
-		}
-	}
-	if !dstUp {
+	if !slices.ContainsFunc(m.dstSet, func(j int) bool { return s.state[j].Load() != replicaDown }) {
 		return fmt.Errorf("prism: destination replica set all down: %w", errNoReplica)
+	}
+	// pullRange is one pass over the range from every source; any error —
+	// a source or destination crashing mid-pull — aborts the migration.
+	pullRange := func() error {
+		for _, si := range m.srcSet {
+			keys, tombs, err := s.pull(si, m.dstSet, m.contains)
+			s.m.migKeysStreamed.Add(int64(keys))
+			s.m.migTombsStreamed.Add(int64(tombs))
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	s.hook("catchup")
-	if err := s.streamRange(srcSet, dstSet, lo, hi); err != nil {
+	if err := pullRange(); err != nil {
 		s.m.migAborts.Inc()
 		return err
 	}
 
 	// Freeze writes into the range; reads stay on the source.
+	frozen := m
+	frozen.frozen = true
 	s.migMu.Lock()
-	s.pl.Store(&placement{epoch: p.epoch, tab: p.tab, mig: &migState{
-		lo: lo, hi: hi, frozen: true, srcOwner: src, srcSet: srcSet, dstSet: dstSet,
-	}})
+	s.pl.Store(&placement{epoch: p.epoch, tab: p.tab, mig: &frozen})
 	s.migMu.Unlock()
 	s.hook("frozen")
 
@@ -187,115 +180,36 @@ func (s *Store) MigrateRange(r, dst int) error {
 		return err
 	}
 
-	// Drain writes admitted before the freeze, then stream the delta.
-	s.drainShards(srcSet)
-	if err := s.streamRange(srcSet, dstSet, lo, hi); err != nil {
+	// Drain writes admitted before the freeze, then pull the delta.
+	s.drainShards(m.srcSet)
+	if err := pullRange(); err != nil {
 		return abort(err)
 	}
 	s.hook("streamed")
 
 	// Flip: the destination owns the range; open the dual-read window.
 	nt := p.tab.withOwner(r, dst)
+	dual := m
+	dual.dual = true
 	s.migMu.Lock()
-	s.pl.Store(&placement{epoch: p.epoch + 1, tab: nt, mig: &migState{
-		lo: lo, hi: hi, dual: true, srcOwner: src, srcSet: srcSet, dstSet: dstSet,
-	}})
+	s.pl.Store(&placement{epoch: p.epoch + 1, tab: nt, mig: &dual})
 	s.migMu.Unlock()
 	s.hook("flipped")
 
 	// Settle: drain reads routed pre-flip, close the window, purge the
 	// source copies (stamp records included) outside the lock — routing
 	// no longer reaches them.
-	s.drainShards(srcSet)
+	s.drainShards(m.srcSet)
 	s.migMu.Lock()
 	s.pl.Store(&placement{epoch: p.epoch + 1, tab: nt})
 	s.migMu.Unlock()
-	for _, j := range srcSet {
-		inDst := false
-		for _, d := range dstSet {
-			if d == j {
-				inDst = true
-				break
-			}
+	for _, j := range m.srcSet {
+		if !slices.Contains(m.dstSet, j) {
+			s.m.migPurged.Add(int64(s.shards[j].DropRange(lo, hi)))
 		}
-		if inDst {
-			continue
-		}
-		n := s.shards[j].DropRange(lo, hi)
-		s.m.migPurged.Add(int64(n))
 	}
 	s.m.migRanges.Inc()
 	s.hook("settled")
-	return nil
-}
-
-// streamRange replays every stamped record in [lo, hi) from the source
-// shards onto the destination set under LWW, mirroring RepairShard's
-// pull idiom. Down destination members are skipped (anti-entropy heals
-// them); any ErrClosed — a source or destination crashing mid-stream —
-// aborts the stream so the caller can abort the migration.
-func (s *Store) streamRange(srcSet, dstSet []int, lo, hi []byte) error {
-	type ent struct {
-		key  []byte
-		ts   uint64
-		tomb bool
-	}
-	for _, si := range srcSet {
-		src := s.shards[si]
-		var todo []ent
-		src.ReplicaEntriesRange(lo, hi, func(key []byte, ts uint64, tomb bool) bool {
-			todo = append(todo, ent{key: key, ts: ts, tomb: tomb})
-			return true
-		})
-		for _, e := range todo {
-			var val []byte
-			if !e.tomb {
-				v, err := src.Thread(0).GetAsync(e.key).Value()
-				switch {
-				case err == nil:
-					// Re-check the stamp (repair.go): a moved stamp means a
-					// newer write superseded this entry — it has its own
-					// record and streams on its own terms.
-					if ts2, tomb2, ok := src.ReplicaNewest(e.key); !ok || tomb2 || ts2 != e.ts {
-						continue
-					}
-					val = v
-				case errors.Is(err, core.ErrClosed):
-					return err
-				default:
-					// Deleted or superseded since enumeration — unless the
-					// record still claims this stamp lives here, in which
-					// case the source lost a value it acked and the
-					// migration must not proceed.
-					if ts2, tomb2, ok := src.ReplicaNewest(e.key); ok && !tomb2 && ts2 == e.ts {
-						return err
-					}
-					continue
-				}
-			}
-			for _, di := range dstSet {
-				if di == si || s.state[di].Load() == replicaDown {
-					continue
-				}
-				dst := s.shards[di]
-				if cur, _, ok := dst.ReplicaNewest(e.key); ok && cur >= e.ts {
-					continue
-				}
-				if e.tomb {
-					err := dst.Thread(0).DeleteTSAsync(e.key, e.ts).Wait()
-					if err != nil && !errors.Is(err, core.ErrNotFound) {
-						return err
-					}
-					s.m.migTombsStreamed.Inc()
-					continue
-				}
-				if err := dst.Thread(0).PutTSAsync(e.key, val, e.ts).Wait(); err != nil {
-					return err
-				}
-				s.m.migKeysStreamed.Inc()
-			}
-		}
-	}
 	return nil
 }
 

@@ -319,6 +319,34 @@ func TestMigrateRangeMovesData(t *testing.T) {
 	}
 }
 
+// The freeze's delta pass reads only the records a destination lacks:
+// with nothing written since the catch-up pass, it reads no value from
+// the source, while the catch-up reads every value of the range once.
+func TestMigrationDeltaReadsOnlyTheDelta(t *testing.T) {
+	const n = 400
+	s := rng(t, 2, 1, quartiles(n, 2), nil)
+	th := s.Thread(0)
+	for i := 0; i < n; i++ {
+		if err := th.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := s.RangeOwner(0)
+	gets := map[string]int64{}
+	s.migHook = func(stage string) { gets[stage] = s.Shard(src).Stats().AsyncGets }
+	err := s.MigrateRange(0, 1-src)
+	s.migHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := gets["frozen"] - gets["catchup"]; got != n/2 {
+		t.Fatalf("catch-up read %d source values, want %d", got, n/2)
+	}
+	if got := gets["streamed"] - gets["frozen"]; got != 0 {
+		t.Fatalf("delta pass read %d source values with nothing changed since catch-up, want 0", got)
+	}
+}
+
 func TestRebalanceRangesFromHash(t *testing.T) {
 	// Zero splits (hash-equivalent routing) → RebalanceRanges learns
 	// boundaries from live keys and migrates every range to an owner:

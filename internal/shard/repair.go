@@ -3,28 +3,36 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
 )
 
 // Anti-entropy repair (the creiht/valuestore pull-replication idiom):
-// a repair pass for shard j walks every peer's timestamped entry map —
-// live stamps and tombstones — restricted to keys whose replica set
-// contains j, and pulls anything stamped newer than j's own record.
-// Pulls ride the existing async submission pipeline on core thread 0 of
-// the source and destination shards (the async methods are safe from
-// any goroutine), so repair traffic is coalesced and timed on the same
-// virtual async timelines as foreground pipelined load. Last-writer-
-// wins at the destination makes passes idempotent: a pass that races
-// foreground writes at worst re-offers a stamp the destination already
-// has. Convergence is "a full pass pulled nothing".
+// a repair pass for shard j pulls from every peer the records of keys
+// whose replica set contains j — live stamps and tombstones — that j
+// lacks or holds an older stamp for. The copy itself is pull, below, the
+// router's one pull path: range migration (migrate.go) runs the same
+// function. Pulls ride the existing async submission pipeline on core
+// thread 0 of the source and destination shards (the async methods are
+// safe from any goroutine), so repair traffic is coalesced and timed on
+// the same virtual async timelines as foreground pipelined load. Last-
+// writer-wins at the destination makes passes idempotent: a pass that
+// races foreground writes at worst re-offers a stamp the destination
+// already has. Convergence is "a full pass read every keyspace peer and
+// pulled nothing".
 
 // maxRepairPasses bounds one convergence attempt of the background
 // worker. Under quiesced writes a single pass converges; under
 // continuous load each pass shrinks the in-flight window, and if the
 // bound is hit the shard simply stays repairing until the next attempt.
 const maxRepairPasses = 16
+
+// tombstoneGraceWrites is how many logical stamps a tombstone is kept
+// after its delete before Repair may discard it (creiht/valuestore's
+// tombstone age in stamp units: the simulation has no wall clock).
+const tombstoneGraceWrites = 4096
 
 // RepairStats reports what one or more anti-entropy passes applied.
 type RepairStats struct {
@@ -133,7 +141,7 @@ func (s *Store) stopRepairWorker() {
 
 // repairUntilConverged runs passes for shard j until one pulls nothing
 // (RepairShard promotes the shard to up on that pass, unless a keyspace
-// peer was down — then the shard stays repairing and the worker parks
+// peer was down or unreadable — then the shard stays repairing and the worker parks
 // until the peer's RecoverShard kicks it again). Returns false if the
 // pass bound was hit (or the shard crashed again mid-repair) without
 // the pass going quiet.
@@ -150,20 +158,21 @@ func (s *Store) repairUntilConverged(j int) bool {
 	return false
 }
 
-// RepairShard runs one anti-entropy pull pass into shard j: enumerate
-// every live peer's stamps for keys replicated on j and pull anything
-// newer than j's own record. Returns what the pass applied; call it
-// repeatedly until Applied() == 0 for convergence (the fault-injection
-// gate asserts the pass count stays bounded). A pass that pulls nothing
-// promotes a repairing shard back to up — unless a keyspace peer was
-// down during the pass: that peer may be the only holder of acked
-// writes for j's keyspace, so promoting on a pass that could not
-// consult it would declare convergence while acked data is still
-// missing (and, since anti-entropy only pulls into repairing shards,
-// the gap would never heal once j is up). The shard stays repairing
-// until a pass runs with every keyspace peer consultable; RecoverShard
-// on the peer re-kicks the worker. Safe to call concurrently with
-// foreground traffic; passes themselves serialize.
+// RepairShard runs one anti-entropy pull pass into shard j: pull from
+// every peer the records of keys replicated on j that are newer than j's
+// own. Returns what the pass applied; call it repeatedly until
+// Applied() == 0 for convergence (the fault-injection gate asserts the
+// pass count stays bounded). A pass that pulls nothing promotes a
+// repairing shard back to up — unless a keyspace peer could not be read
+// during the pass, because it was down or its pull failed (a crash
+// landing after the pass read its state): that peer may be the only
+// holder of acked writes for j's keyspace, so promoting on a pass that
+// could not consult it would declare convergence while acked data is
+// still missing (and, since anti-entropy only pulls into repairing
+// shards, the gap would never heal once j is up). The shard stays
+// repairing until a pass reads every keyspace peer; RecoverShard on the
+// peer re-kicks the worker. Safe to call concurrently with foreground
+// traffic; passes themselves serialize.
 func (s *Store) RepairShard(j int) RepairStats {
 	var st RepairStats
 	if s.replicas <= 1 {
@@ -173,72 +182,95 @@ func (s *Store) RepairShard(j int) RepairStats {
 	defer s.repairMu.Unlock()
 	st.Passes = 1
 	s.m.repairPasses.Inc()
-	dst := s.shards[j]
-	peerDown := false
 	var rset []int
+	member := func(key []byte) bool {
+		rset = s.route(key, rset)
+		return slices.Contains(rset, j)
+	}
+	unread := false
 	for i := range s.shards {
 		if i == j {
 			continue
 		}
-		if s.state[i].Load() == replicaDown {
-			if s.ringPeers(i, j) {
-				peerDown = true
-			}
-			continue
-		}
-		src := s.shards[i]
-		type ent struct {
-			key  []byte
-			ts   uint64
-			tomb bool
-		}
-		var todo []ent
-		src.ReplicaEntries(func(key []byte, ts uint64, tomb bool) bool {
-			rset = s.route(key, rset)
-			member := false
-			for _, r := range rset {
-				if r == j {
-					member = true
-					break
-				}
-			}
-			if !member {
-				return true
-			}
-			if cur, _, ok := dst.ReplicaNewest(key); !ok || cur < ts {
-				todo = append(todo, ent{key: key, ts: ts, tomb: tomb})
-			}
-			return true
-		})
-		for _, e := range todo {
-			if e.tomb {
-				err := dst.Thread(0).DeleteTSAsync(e.key, e.ts).Wait()
-				if err == nil || errors.Is(err, core.ErrNotFound) {
-					st.TombstonesPulled++
-					s.m.repairTombsPulled.Inc()
-				}
-				continue
-			}
-			v, err := src.Thread(0).GetAsync(e.key).Value()
-			if err != nil {
-				continue // overwritten or deleted since enumeration; next pass settles it
-			}
-			// Re-check the stamp: installing v under e.ts when the source
-			// has moved on would pin a stale value under a newer-looking
-			// stamp. A moved stamp is left for the next pass.
-			if ts2, tomb2, ok := src.ReplicaNewest(e.key); !ok || tomb2 || ts2 != e.ts {
-				continue
-			}
-			if dst.Thread(0).PutTSAsync(e.key, v, e.ts).Wait() == nil {
-				st.KeysPulled++
-				s.m.repairKeysPulled.Inc()
-			}
-		}
+		keys, tombs, err := s.pull(i, []int{j}, member)
+		st.KeysPulled += keys
+		st.TombstonesPulled += tombs
+		s.m.repairKeysPulled.Add(int64(keys))
+		s.m.repairTombsPulled.Add(int64(tombs))
+		unread = unread || err != nil && s.ringPeers(i, j)
 	}
-	if st.Applied() == 0 && !peerDown && s.state[j].CompareAndSwap(replicaRepairing, replicaUp) {
+	if st.Applied() == 0 && !unread && s.state[j].CompareAndSwap(replicaRepairing, replicaUp) {
 		s.m.repairConverged.Inc()
 	}
 	return st
+}
+
+// pull copies src's stamped records onto dsts under last-writer-wins —
+// the one copy path behind repair and range migration. It walks src's
+// ReplicaEntries snapshot, keeps the records whose key want accepts and
+// that some live destination other than src lacks (no stamp, or an older
+// one), and only for those reads the value on src's core thread 0 and
+// re-checks the stamp: a value superseded since the snapshot is left to
+// its newer record rather than installed under the older stamp. Each
+// kept record is applied on every destination that lacks it. Returns the
+// live values and tombstones applied (one per destination) and the
+// failure that stopped the walk: src down, an ErrClosed from either
+// side, or src no longer holding a value its record still claims.
+func (s *Store) pull(src int, dsts []int, want func(key []byte) bool) (keys, tombs int, err error) {
+	if s.state[src].Load() == replicaDown {
+		return 0, 0, fmt.Errorf("prism: shard %d is down: %w", src, errNoReplica)
+	}
+	from := s.shards[src]
+	lacks := func(d int, key []byte, ts uint64) bool {
+		if d == src || s.state[d].Load() == replicaDown {
+			return false
+		}
+		cur, _, ok := s.shards[d].ReplicaNewest(key)
+		return !ok || cur < ts
+	}
+	from.ReplicaEntries(func(key []byte, ts uint64, tomb bool) bool {
+		if !want(key) || !slices.ContainsFunc(dsts, func(d int) bool { return lacks(d, key, ts) }) {
+			return true
+		}
+		var val []byte
+		if !tomb {
+			v, rerr := from.Thread(0).GetAsync(key).Value()
+			cur, curTomb, ok := from.ReplicaNewest(key)
+			claimed := ok && !curTomb && cur == ts
+			if rerr != nil && (claimed || errors.Is(rerr, core.ErrClosed)) {
+				err = rerr
+				return false
+			}
+			if rerr != nil || !claimed {
+				return true // superseded since the snapshot
+			}
+			val = v
+		}
+		for _, d := range dsts {
+			if !lacks(d, key, ts) {
+				continue
+			}
+			th := s.shards[d].Thread(0)
+			var h *core.Handle
+			if tomb {
+				h = th.DeleteTSAsync(key, ts)
+			} else {
+				h = th.PutTSAsync(key, val, ts)
+			}
+			// ErrNotFound: a tombstone recorded with nothing live to remove.
+			if werr := h.Wait(); werr != nil && !errors.Is(werr, core.ErrNotFound) {
+				err = werr
+				return false
+			}
+			if tomb {
+				tombs++
+			} else {
+				keys++
+			}
+		}
+		return true
+	})
+	return keys, tombs, err
 }
 
 // ringPeers reports whether shards i and j share any replica set: with
@@ -259,8 +291,8 @@ func (s *Store) ringPeers(i, j int) bool {
 
 // Repair runs one pull pass into every live shard, promotes repairing
 // shards that converged, and — only when every replica is up — discards
-// tombstones older than Options.TombstoneGraceWrites stamps, the point
-// at which every replica has provably seen them. Returns the aggregate
+// tombstones older than tombstoneGraceWrites stamps, the point at which
+// every replica has provably seen them. Returns the aggregate
 // work applied; call until Applied() == 0 for full convergence.
 func (s *Store) Repair() RepairStats {
 	var agg RepairStats
@@ -281,8 +313,8 @@ func (s *Store) Repair() RepairStats {
 		}
 	}
 	if allUp {
-		if cur := s.stamps.Load(); cur > s.graceWrites() {
-			cutoff := cur - s.graceWrites()
+		if cur := s.stamps.Load(); cur > tombstoneGraceWrites {
+			cutoff := cur - tombstoneGraceWrites
 			for _, cs := range s.shards {
 				n := cs.DiscardTombstones(cutoff)
 				agg.TombstonesDiscarded += n
@@ -291,13 +323,6 @@ func (s *Store) Repair() RepairStats {
 		}
 	}
 	return agg
-}
-
-func (s *Store) graceWrites() uint64 {
-	if s.opt.TombstoneGraceWrites != 0 {
-		return s.opt.TombstoneGraceWrites
-	}
-	return 4096 // core's default (applyDefaults runs per shard, not here)
 }
 
 // PairDigest folds an order-independent digest of the replicated

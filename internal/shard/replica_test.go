@@ -161,7 +161,7 @@ func TestFailoverAndRepairConverges(t *testing.T) {
 }
 
 func TestTombstoneDiscardAfterGrace(t *testing.T) {
-	s := repl(t, 2, 2, func(o *core.Options) { o.TombstoneGraceWrites = 100 })
+	s := repl(t, 2, 2, nil)
 	th := s.Thread(0)
 	for i := 0; i < 20; i++ {
 		if err := th.Put(key(i), value(i)); err != nil {
@@ -180,12 +180,15 @@ func TestTombstoneDiscardAfterGrace(t *testing.T) {
 	if tombs == 0 {
 		t.Fatal("no tombstones recorded")
 	}
-	// Advance the stamp past the grace window, then a full repair with
-	// all replicas up discards them.
-	for i := 100; i < 250; i++ {
-		if err := th.Put(key(i), value(i)); err != nil {
-			t.Fatal(err)
-		}
+	// Advance the stamp past the grace window with one batch (it draws a
+	// stamp per entry), then a full repair with all replicas up discards
+	// them.
+	kvs := make([]core.KV, tombstoneGraceWrites+100)
+	for i := range kvs {
+		kvs[i] = core.KV{Key: key(100 + i), Value: []byte("v")}
+	}
+	if err := th.PutBatch(kvs); err != nil {
+		t.Fatal(err)
 	}
 	st := s.Repair()
 	if st.TombstonesDiscarded == 0 {
@@ -632,5 +635,53 @@ func TestScanCoversRepairingSet(t *testing.T) {
 	err := th.Scan([]byte("user"), 0, func(kv core.KV) bool { return true })
 	if !errors.Is(err, errNoReplica) {
 		t.Fatalf("scan with a fully-down replica set = %v, want errNoReplica", err)
+	}
+}
+
+// Regression: a peer whose records cannot be read vetoes promotion like
+// a down peer. Shard 0's devices crash after the pass has read its state
+// as up (core's Crash without the router's state change): the pass
+// cannot read the keys of set {0, 1} that shard 1 missed, so shard 1
+// must stay repairing however many passes run, and converge once shard
+// 0 is back.
+func TestRepairWaitsForUnreadablePeer(t *testing.T) {
+	s := repl(t, 3, 2, nil)
+	th := s.Thread(0)
+	const n = 300
+	s.CrashShard(1)
+	for i := 0; i < n; i++ {
+		if err := th.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.RecoverShard(1); err != nil {
+		t.Fatal(err)
+	}
+	s.Shard(0).Crash()
+	for pass := 0; pass < maxRepairPasses; pass++ {
+		if s.RepairShard(1).Applied() == 0 {
+			break
+		}
+	}
+	if st := s.ReplicaState(1); st != int(replicaRepairing) {
+		t.Fatalf("shard 1 state after repair with peer 0 unreadable = %d, want repairing", st)
+	}
+	s.CrashShard(0)
+	if _, err := s.RecoverShard(0); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2*maxRepairPasses; pass++ {
+		if s.Repair().Applied() == 0 && s.ReplicaState(0) == int(replicaUp) && s.ReplicaState(1) == int(replicaUp) {
+			break
+		}
+	}
+	for i := 0; i < n; i++ {
+		v, err := th.Get(key(i))
+		if err != nil || !bytes.Equal(v, value(i)) {
+			t.Fatalf("Get(%d) after repair = %q, %v", i, v, err)
+		}
+	}
+	if err := s.ConvergenceCheck(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -69,18 +69,21 @@ type EvictedChain struct {
 type Config struct {
 	// CapacityBytes bounds resident value+overhead bytes.
 	CapacityBytes int64
-	// ActiveFraction is the share of capacity the active list may hold
-	// before demotion (default 2/3, the usual 2Q split).
-	ActiveFraction float64
 	// OnScanEvict, if set, receives the resident chain whenever a
 	// chained entry is evicted. It runs on the manager goroutine.
 	OnScanEvict func(chain EvictedChain)
 	// Unpublish must CAS HSIT[idx].word1 from handle to 0; it returns
 	// whether this call cleared it. Wired to hsit.Table.CasSVC.
 	Unpublish func(hsitIdx, handle uint64) bool
-	// QueueLen sizes the manager's event queue (default 4096).
-	QueueLen int
 }
+
+const (
+	// activeFraction is the share of capacity the active list may hold
+	// before demotion: the usual 2Q split.
+	activeFraction = 2.0 / 3.0
+	// queueLen sizes the manager's event queue.
+	queueLen = 4096
+)
 
 type evKind uint8
 
@@ -128,16 +131,10 @@ func New(cfg Config) *Cache {
 	if cfg.CapacityBytes <= 0 {
 		panic("svc: non-positive capacity")
 	}
-	if cfg.ActiveFraction <= 0 || cfg.ActiveFraction >= 1 {
-		cfg.ActiveFraction = 2.0 / 3.0
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 4096
-	}
 	if cfg.Unpublish == nil {
 		panic("svc: Unpublish hook required")
 	}
-	c := &Cache{cfg: cfg, events: make(chan event, cfg.QueueLen)}
+	c := &Cache{cfg: cfg, events: make(chan event, queueLen)}
 	c.wg.Add(1)
 	go c.manager()
 	return c
@@ -384,7 +381,7 @@ func (c *Cache) touch(e *Entry) {
 // rebalance demotes the active tail when the active list outgrows its
 // share, then evicts from the inactive tail while over capacity.
 func (c *Cache) rebalance() {
-	activeCap := int64(float64(c.cfg.CapacityBytes) * c.cfg.ActiveFraction)
+	activeCap := int64(float64(c.cfg.CapacityBytes) * activeFraction)
 	for c.active.bytes > activeCap && c.active.tail != nil {
 		e := c.active.tail
 		c.active.remove(e)
