@@ -145,9 +145,14 @@ fuzz-smoke:
 # plus the one pull path's two contracts: a peer whose devices crash
 # after a repair pass read its state vetoes promotion like a down peer
 # (TestRepairWaitsForUnreadablePeer), and a migration's freeze reads
-# only the records a destination lacks (TestMigrationDeltaReadsOnlyTheDelta).
+# only the records a destination lacks (TestMigrationDeltaReadsOnlyTheDelta);
+# plus the one op path's: the sync and async paths give the same answer
+# and move the same replica counters on the same fault
+# (TestRouterSyncAsyncAgree), an oversized value is the write's answer and
+# demotes no replica (TestOversizedValueKeepsReplicasUp), and Metrics reads
+# a crashed shard without panicking (TestMetricsWhileShardCrashed).
 fault-smoke:
-	$(GO) test -count=1 -run 'TestFaultMatrix$$|TestMigrationFaultMatrix$$|TestMigrationDestMemberCrash$$|TestRepairWaitsForUnreadablePeer$$|TestMigrationDeltaReadsOnlyTheDelta$$' ./internal/shard
+	$(GO) test -count=1 -run 'TestFaultMatrix$$|TestMigrationFaultMatrix$$|TestMigrationDestMemberCrash$$|TestRepairWaitsForUnreadablePeer$$|TestMigrationDeltaReadsOnlyTheDelta$$|TestRouterSyncAsyncAgree$$|TestOversizedValueKeepsReplicasUp$$|TestMetricsWhileShardCrashed$$' ./internal/shard
 
 # ci-check asserts the Makefile ci target and .github/workflows/ci.yml
 # stay in lockstep: every make target the workflow runs must be a

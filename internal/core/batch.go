@@ -44,8 +44,7 @@ func (t *Thread) PutBatchTS(kvs []KV, tss []uint64) error {
 	var total int64
 	for i := range kvs {
 		if len(kvs[i].Value) > hsit.MaxValueLen {
-			return fmt.Errorf("prism: batch entry %d: value of %d bytes exceeds max %d",
-				i, len(kvs[i].Value), hsit.MaxValueLen)
+			return fmt.Errorf("batch entry %d: %w", i, errValueTooLarge(len(kvs[i].Value)))
 		}
 		total += int64(len(kvs[i].Value))
 	}

@@ -457,8 +457,16 @@ func TestVirtualClockAdvances(t *testing.T) {
 
 func TestValueTooLargeRejected(t *testing.T) {
 	s := small(t, nil)
-	if err := s.Thread(0).Put(key(1), make([]byte, hsit.MaxValueLen+1)); err == nil {
-		t.Fatal("oversized value accepted")
+	th := s.Thread(0)
+	big := make([]byte, hsit.MaxValueLen+1)
+	for name, err := range map[string]error{
+		"Put":      th.Put(key(1), big),
+		"PutAsync": th.PutAsync(key(1), big).Wait(),
+		"PutBatch": th.PutBatch([]KV{{Key: key(2), Value: value(2)}, {Key: key(1), Value: big}}),
+	} {
+		if !errors.Is(err, ErrValueTooLarge) {
+			t.Errorf("oversized %s = %v, want ErrValueTooLarge", name, err)
+		}
 	}
 }
 

@@ -92,19 +92,19 @@ func (s *Store) registerMetrics() {
 		r.CounterFunc(obs.Desc{Name: "svc.misses", Help: "reads that fell through to NVM or SSD", Unit: "reads"},
 			func() int64 { return s.stats.pwbHits.Load() + s.stats.vsReads.Load() })
 		r.GaugeFunc(obs.Desc{Name: "svc.bytes", Help: "resident value+overhead bytes", Unit: "bytes"},
-			func() float64 { return float64(s.cache.Stats().Bytes) })
+			func() float64 { return float64(s.svcStats().Bytes) })
 		r.GaugeFunc(obs.Desc{Name: "svc.entries", Help: "resident entries", Unit: "entries"},
-			func() float64 { return float64(s.cache.Stats().Entries) })
+			func() float64 { return float64(s.svcStats().Entries) })
 		r.CounterFunc(obs.Desc{Name: "svc.promotions", Help: "2Q inactive->active promotions", Unit: "entries"},
-			func() int64 { return s.cache.Stats().Promotions })
+			func() int64 { return s.svcStats().Promotions })
 		r.CounterFunc(obs.Desc{Name: "svc.evictions", Help: "entries evicted for capacity", Unit: "entries"},
-			func() int64 { return s.cache.Stats().Evictions })
+			func() int64 { return s.svcStats().Evictions })
 		r.CounterFunc(obs.Desc{Name: "svc.chain_rewrites", Help: "scan chains handed to the rewrite hook on eviction", Unit: "chains"},
-			func() int64 { return s.cache.Stats().ChainRewrites })
+			func() int64 { return s.svcStats().ChainRewrites })
 		r.CounterFunc(obs.Desc{Name: "svc.scan_rewrites", Help: "sorted scan-range rewrites into Value Storage (§4.4 steps 5-6)", Unit: "rewrites"},
 			s.stats.scanRewrites.Load)
 		r.CounterFunc(obs.Desc{Name: "svc.touch_drops", Help: "advisory touch events dropped under pressure", Unit: "events"},
-			func() int64 { return s.cache.Stats().TouchDrops })
+			func() int64 { return s.svcStats().TouchDrops })
 		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admits", Help: "values a reclaim pass handed to the cache as it moved them to Value Storage, because the read-recency filter had their key (over pwb.live_migrated: the share of migrated records somebody had read)", Unit: "values"},
 			s.stats.reclaimAdmits.Load)
 		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admit_skips", Help: "hand-offs a reclaim pass skipped because the cache manager's queue was more than half full (a pass never waits for the manager)", Unit: "values"},

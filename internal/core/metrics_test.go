@@ -190,6 +190,49 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 }
 
+// Regression: Crash drops the SVC, so the svc.* gauges read the cache
+// through the accessor Stats uses: a crashed store's Metrics reads them
+// as 0 instead of dereferencing nil, and after Recover they follow the
+// fresh cache.
+func TestMetricsAfterCrash(t *testing.T) {
+	s := small(t, nil)
+	th := s.Thread(0)
+	entries := func() float64 {
+		t.Helper()
+		m, ok := s.Metrics().Get("svc.entries", nil)
+		if !ok {
+			t.Fatal("svc.entries not in snapshot")
+		}
+		return m.Value
+	}
+	// A value read from Value Storage is admitted to the SVC.
+	cacheOne := func() {
+		t.Helper()
+		drain(t, s)
+		if _, err := th.Get(key(7)); err != nil {
+			t.Fatal(err)
+		}
+		s.cache.Sync()
+		if n := entries(); n == 0 {
+			t.Fatal("svc.entries = 0 after a Value Storage read")
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		if err := th.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cacheOne()
+	s.Crash()
+	if n := entries(); n != 0 {
+		t.Fatalf("svc.entries = %v on a crashed store, want 0", n)
+	}
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	cacheOne()
+}
+
 // TestMetricsDisabled verifies DisableMetrics yields an empty snapshot
 // and no hot-path panics.
 func TestMetricsDisabled(t *testing.T) {

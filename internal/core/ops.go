@@ -29,7 +29,7 @@ var errRetryPut = errors.New("prism: retry put")
 var errNoTimestamps = errors.New("prism: timestamped writes require Options.TrackTimestamps")
 
 func errValueTooLarge(n int) error {
-	return fmt.Errorf("prism: value of %d bytes exceeds max %d", n, hsit.MaxValueLen)
+	return fmt.Errorf("%w: %d bytes exceeds max %d", ErrValueTooLarge, n, hsit.MaxValueLen)
 }
 
 // Put inserts or updates key with value. The write is durable when Put

@@ -38,10 +38,12 @@ import (
 	"repro/internal/valuestore"
 )
 
-// Errors returned by store operations.
+// Errors returned by store operations. ErrValueTooLarge is an input
+// rejection: the operation's own answer, not a fault of the store.
 var (
-	ErrNotFound = errors.New("prism: key not found")
-	ErrClosed   = errors.New("prism: store closed")
+	ErrNotFound      = errors.New("prism: key not found")
+	ErrClosed        = errors.New("prism: store closed")
+	ErrValueTooLarge = errors.New("prism: value too large")
 )
 
 // Options configures a Store. The zero value is completed by defaults
@@ -611,7 +613,7 @@ func addInts(dst, src reflect.Value) {
 
 // Stats returns current counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Puts:                  s.stats.puts.Load(),
 		Gets:                  s.stats.gets.Load(),
 		BatchPuts:             s.stats.batchPuts.Load(),
@@ -645,11 +647,18 @@ func (s *Store) Stats() Stats {
 		IndexSpaceBytes:       s.index.SpaceBytes(),
 		HSITSpaceBytes:        s.table.SpaceBytes(),
 		VS:                    s.vsm.Stats(),
+		SVC:                   s.svcStats(),
 	}
-	if s.cache != nil {
-		st.SVC = s.cache.Stats()
+}
+
+// svcStats reads the SVC's counters through one load of the cache
+// pointer: Crash drops the cache, so a crashed store reads zero here
+// until Recover installs a fresh one.
+func (s *Store) svcStats() svc.Stats {
+	if c := s.cache; c != nil {
+		return c.Stats()
 	}
-	return st
+	return svc.Stats{}
 }
 
 // Len returns the number of live keys.

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -37,19 +38,21 @@ func (t *Thread) PutBatch(kvs []core.KV) error {
 	}
 	first := s.stampBlock(len(kvs))
 	for attempt := 0; ; attempt++ {
-		err := t.putBatchOnce(kvs, first)
-		// A sub-batch that hit a closed shard raced a crash: the stamps
-		// are fixed, so re-running the whole fan-out is idempotent and
-		// picks up the current replica states.
-		if !s.crashed(err) || attempt >= writeRetries {
+		if retry, err := t.putBatchOnce(kvs, first, attempt); !retry {
 			return err
 		}
 		runtime.Gosched()
 	}
 }
 
-// putBatchOnce is one partition → fan-out → fold round of PutBatch.
-func (t *Thread) putBatchOnce(kvs []core.KV, first uint64) error {
+// putBatchOnce is one partition → fan-out → fold round of PutBatch: each
+// sub-batch is a leg of one verdict (replica.go), and the batch
+// acknowledges when every entry is covered — at least one of its
+// replicas' sub-batches fully succeeded (a failed sub-batch may have
+// applied a prefix, but only full success counts). Coverage is checked
+// even with no failed leg: an entry whose entire replica set was down was
+// never partitioned into any sub-batch and must surface errNoReplica.
+func (t *Thread) putBatchOnce(kvs []core.KV, first uint64, attempt int) (retry bool, err error) {
 	s := t.s
 	t.touched = t.touched[:0]
 	for i := range kvs {
@@ -74,43 +77,18 @@ func (t *Thread) putBatchOnce(kvs []core.KV, first uint64) error {
 	}
 	t.fanOut(t.touched, func(j int) { t.errs[j] = t.ths[j].PutBatchTS(t.subPut[j], t.subTS[j]) })
 
-	// An entry is covered if at least one replica's sub-batch fully
-	// succeeded (a failed sub-batch may have applied a prefix, but only
-	// full success is counted — conservative). Coverage runs even with
-	// zero sub-batch errors: an entry whose entire replica set was down
-	// was never partitioned into any sub-batch at all and must surface
-	// errNoReplica, not a silent acknowledgment.
 	if cap(t.cov) < len(kvs) {
 		t.cov = make([]bool, len(kvs))
 	}
 	cov := t.cov[:len(kvs)]
 	clear(cov)
-	var errs []error
+	v := verdict{s: s}
 	for _, j := range t.touched {
-		if err := t.errs[j]; err != nil {
-			errs = append(errs, err)
-			s.m.replicaErrors.Inc()
-			if !errors.Is(err, core.ErrClosed) {
-				s.markNeedsRepair(j)
+		v.leg(j, len(t.subPut[j]), false, t.errs[j])
+		if t.errs[j] == nil {
+			for _, i := range t.subIdx[j] {
+				cov[i] = true
 			}
-			continue
-		}
-		for _, i := range t.subIdx[j] {
-			cov[i] = true
-		}
-	}
-	var err error
-	for _, c := range cov {
-		if !c {
-			if err = foldErrs(errs); err == nil {
-				err = errNoReplica
-			}
-			break
-		}
-	}
-	for _, j := range t.touched {
-		if err == nil && t.errs[j] == nil {
-			s.m.replicaPut.Add(int64(len(t.subPut[j])))
 		}
 		clear(t.subPut[j]) // release caller references
 		t.subPut[j] = t.subPut[j][:0]
@@ -118,7 +96,8 @@ func (t *Thread) putBatchOnce(kvs []core.KV, first uint64) error {
 		t.subTS[j] = t.subTS[j][:0]
 		t.errs[j] = nil
 	}
-	return err
+	v.acked = !slices.Contains(cov, false)
+	return v.answer(attempt)
 }
 
 // fanOut runs run for every shard of set — a batch's sub-writes or

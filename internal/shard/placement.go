@@ -372,59 +372,39 @@ func (s *Store) placeWrite(kvs ...core.KV) {
 	}
 }
 
-// dualRecorded reports whether any destination-set member holds a stamp
-// record for key, live or tombstone — the gate on dual-read fallback. A
-// record on the destination means the owner's answer is authoritative:
-// every migrated key has one (streamed under its stamp), and a
-// tombstone recorded there must not resurrect from the source. Stamp
-// records are modeled NVM-resident, so they stay readable even while
-// the member's devices are crashed.
-func (s *Store) dualRecorded(m *migState, key []byte) bool {
-	for _, di := range m.dstSet {
-		if _, _, ok := s.shards[di].ReplicaNewest(key); ok {
-			return true
-		}
+// dualWindow returns the migration whose dual-read window is open over
+// key, or nil. The caller holds migMu.RLock.
+func (s *Store) dualWindow(key []byte) *migState {
+	if m := s.pl.Load().mig; m != nil && m.dual && m.contains(key) {
+		return m
 	}
-	return false
+	return nil
 }
 
-// dualSrcShard picks the source shard to consult for a dual-window
-// fallback read: the pre-flip owner's first live set member, or the
-// key's jump shard when the range was hash-owned. Returns -1 when no
-// source is live.
-func (s *Store) dualSrcShard(m *migState, key []byte) int {
-	if m.srcOwner == hashOwned {
-		j := jump(fnv64a(key), len(s.shards))
-		if s.state[j].Load() != replicaDown {
-			return j
+// dualSource returns the source shard a read of key falls back to in m's
+// dual-read window: the pre-flip owner's first live set member, or the
+// key's jump shard when the range was hash-owned. It returns -1 when no
+// source is live, or when any destination-set member holds a stamp record
+// for key, live or tombstone: the owner's answer is then authoritative —
+// every migrated key has one (streamed under its stamp), and a tombstone
+// recorded there must not resurrect from the source. Stamp records are
+// modeled NVM-resident, so they stay readable even while the member's
+// devices are crashed.
+func (s *Store) dualSource(m *migState, key []byte) int {
+	for _, di := range m.dstSet {
+		if _, _, ok := s.shards[di].ReplicaNewest(key); ok {
+			return -1
 		}
-		return -1
 	}
-	for _, si := range m.srcSet {
+	src := m.srcSet
+	if m.srcOwner == hashOwned { // src is every shard, in order
+		j := jump(fnv64a(key), len(s.shards))
+		src = src[j : j+1]
+	}
+	for _, si := range src {
 		if s.state[si].Load() != replicaDown {
 			return si
 		}
 	}
 	return -1
-}
-
-// dualGet is the synchronous dual-window fallback: called after the
-// owner path failed for a key inside the migration window, it re-reads
-// from the source set when no destination member has any record of the
-// key. Returns ok=false when the fallback does not apply (the owner's
-// answer stands).
-func (t *Thread) dualGet(p *placement, key []byte) ([]byte, error, bool) {
-	s := t.s
-	m := p.mig
-	if s.dualRecorded(m, key) {
-		return nil, nil, false
-	}
-	si := s.dualSrcShard(m, key)
-	if si < 0 {
-		return nil, nil, false
-	}
-	s.m.migDualReads.Inc()
-	v, err := t.ths[si].Get(key)
-	t.sync(si)
-	return v, err, true
 }

@@ -436,6 +436,22 @@ func TestScanDuringDualWindow(t *testing.T) {
 		if _, err := probe.Get([]byte("user99999999")); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("missing key during dual window: %v", err)
 		}
+		// One that never existed inside the window asks the source once,
+		// sync and async alike.
+		inside := append(key(mid+2), 'x')
+		for _, get := range []func() error{
+			func() error { _, err := probe.Get(inside); return err },
+			func() error { _, err := probe.GetAsync(inside).Value(); return err },
+		} {
+			before, _ := s.reg.Snapshot().Get("migrate.dual_reads", nil)
+			if err := get(); !errors.Is(err, core.ErrNotFound) {
+				t.Errorf("missing key inside the dual window: %v", err)
+			}
+			after, _ := s.reg.Snapshot().Get("migrate.dual_reads", nil)
+			if n := after.Value - before.Value; n != 1 {
+				t.Errorf("missing key inside the dual window: %v dual reads, want 1", n)
+			}
+		}
 		// Async read of a migrated key during the window.
 		if v, err := probe.GetAsync(key(mid + 1)).Value(); err != nil || !bytes.Equal(v, value(mid+1)) {
 			t.Errorf("GetAsync during dual window = %v", err)

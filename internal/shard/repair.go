@@ -305,14 +305,7 @@ func (s *Store) Repair() RepairStats {
 		}
 		agg.add(s.RepairShard(j))
 	}
-	allUp := true
-	for j := range s.state {
-		if s.state[j].Load() != replicaUp {
-			allUp = false
-			break
-		}
-	}
-	if allUp {
+	if s.allUp() {
 		if cur := s.stamps.Load(); cur > tombstoneGraceWrites {
 			cutoff := cur - tombstoneGraceWrites
 			for _, cs := range s.shards {
@@ -325,29 +318,17 @@ func (s *Store) Repair() RepairStats {
 	return agg
 }
 
-// PairDigest folds an order-independent digest of the replicated
-// keyspace shards i and j share: every (key, stamp, tombstone) record
-// on each side whose replica set contains both shards. Equal digests
-// mean the two replicas agree bit-for-bit on their shared keys — the
-// convergence check the fault-injection gate uses. Callers must quiesce
-// writes first (the fold reads live state).
-func (s *Store) PairDigest(i, j int) (di, dj uint64) {
-	return s.sharedDigest(i, j), s.sharedDigest(j, i)
-}
-
-// sharedDigest digests shard a's records for keys replicated on both a
-// and b.
+// sharedDigest folds an order-independent digest of shard a's records
+// — (key, stamp, tombstone) — for keys replicated on both a and b. Equal
+// digests both ways mean the two replicas agree bit-for-bit on their
+// shared keys. Callers must quiesce writes first (the fold reads live
+// state).
 func (s *Store) sharedDigest(a, b int) uint64 {
 	var d uint64
 	var rset []int
 	s.shards[a].ReplicaEntries(func(key []byte, ts uint64, tomb bool) bool {
 		rset = s.route(key, rset)
-		hasA, hasB := false, false
-		for _, r := range rset {
-			hasA = hasA || r == a
-			hasB = hasB || r == b
-		}
-		if !hasA || !hasB {
+		if !slices.Contains(rset, a) || !slices.Contains(rset, b) {
 			return true
 		}
 		h := fnv64a(key) ^ (ts * 0x9e3779b97f4a7c15)
@@ -381,7 +362,7 @@ func (s *Store) ConvergenceCheck() error {
 			if s.state[j].Load() == replicaDown {
 				continue
 			}
-			if di, dj := s.PairDigest(i, j); di != dj {
+			if di, dj := s.sharedDigest(i, j), s.sharedDigest(j, i); di != dj {
 				return fmt.Errorf("prism: replicas diverged: shard %d digest %016x != shard %d digest %016x", i, di, j, dj)
 			}
 		}

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Replica placement and the replicated operation paths. Placement rides
@@ -45,6 +45,16 @@ func (s *Store) ReplicaState(j int) int { return int(s.state[j].Load()) }
 
 func (s *Store) setState(j int, st int32) { s.state[j].Store(st) }
 
+// allUp reports whether every shard is up.
+func (s *Store) allUp() bool {
+	for j := range s.state {
+		if s.state[j].Load() != replicaUp {
+			return false
+		}
+	}
+	return true
+}
+
 // Replica states change only through CrashShard, RecoverShard,
 // repair-pass promotion, and markNeedsRepair's up→repairing demotion —
 // never otherwise from operation paths. An operation that observes
@@ -72,8 +82,8 @@ func (s *Store) markNeedsRepair(j int) {
 	}
 }
 
-// writeRetries bounds the re-attempts a synchronous replicated
-// operation makes when a replica crashes underneath it mid-operation:
+// writeRetries bounds the re-attempts a replicated operation — sync or
+// async, write or read — makes when a replica crashes underneath it:
 // each retry re-reads the replica states, so an op racing a
 // crash/recover transition lands on whichever replicas are now live
 // instead of failing spuriously.
@@ -154,15 +164,76 @@ func (s *Store) candidates(set []int) []int {
 	return set[:0]
 }
 
-// write is the one routed single-key write, Put or (del) Delete: it
-// draws one stamp and applies it on every live member of the key's set.
-// The write acknowledges when at least one replica accepted it; down
-// replicas are skipped. If every attempted replica turns out to be
-// closed — the op raced a crash — the fan-out retries with fresh states
-// (the stamp stays fixed, so partial applications are idempotent). A
-// delete reports ErrNotFound only when no replica held a live value. In
-// range mode the write runs under the placement guard (a frozen
-// migration window parks it until the flip).
+// verdict folds one routed write's per-replica outcomes — a leg per
+// replica attempted, or per PutBatch sub-batch — into its answer. Every
+// write path folds through leg, so the rules live here once:
+//   - the write acknowledges when at least one replica accepted it;
+//   - a delete reports ErrNotFound when no replica removed a live value;
+//   - a failed leg counts shard.replica_errors and demotes its replica to
+//     repairing (markNeedsRepair), unless it found the replica closed —
+//     the crash takes it down — or core rejected the input (an oversized
+//     value): that is the op's answer, not a replica fault;
+//   - an acking leg counts shard.replica_writes, one per write it carried;
+//   - when every attempted leg found its replica closed, the op raced a
+//     crash and retries with fresh states under the same stamp (partial
+//     applications are idempotent), up to writeRetries.
+type verdict struct {
+	s      *Store
+	del    bool
+	acked  bool  // some replica accepted
+	found  bool  // some replica removed a live value (deletes)
+	closed bool  // some leg found its replica closed (R > 1)
+	err    error // the first failure that is the op's answer
+}
+
+// leg folds shard j's outcome for the n writes it carried. found is a
+// delete's "removed a live value". An async delete's ErrNotFound — a
+// tombstone recorded for an absent key — folds as found=false, err=nil,
+// which is core.DeleteTS's mapping.
+func (v *verdict) leg(j, n int, found bool, err error) {
+	s := v.s
+	switch {
+	case err == nil || errors.Is(err, core.ErrNotFound):
+		v.acked = true
+		v.found = v.found || found
+		if v.del {
+			s.m.replicaDelete.Add(int64(n))
+		} else {
+			s.m.replicaPut.Add(int64(n))
+		}
+	case s.crashed(err):
+		s.m.replicaErrors.Inc()
+		v.closed = true
+	default:
+		if !errors.Is(err, core.ErrValueTooLarge) {
+			s.m.replicaErrors.Inc()
+			s.markNeedsRepair(j)
+		}
+		if v.err == nil {
+			v.err = err
+		}
+	}
+}
+
+// answer is the write's result after attempt (counting from 0), or retry.
+func (v *verdict) answer(attempt int) (retry bool, err error) {
+	switch {
+	case v.acked && v.del && !v.found:
+		return false, core.ErrNotFound
+	case v.acked:
+		return false, nil
+	case v.err != nil:
+		return false, v.err
+	case v.closed && attempt < writeRetries:
+		return true, nil
+	}
+	return false, errNoReplica
+}
+
+// write is the sync write path, Put or (del) Delete: one stamp, a leg on
+// every live member of the key's set, run on this thread's clock. In
+// range mode it runs under the placement guard (a frozen migration window
+// parks it until the flip).
 func (t *Thread) write(key, value []byte, del bool) error {
 	s := t.s
 	if s.rangeMode {
@@ -170,254 +241,255 @@ func (t *Thread) write(key, value []byte, del bool) error {
 		defer s.migMu.RUnlock()
 	}
 	ts := s.stamp()
-	applied := s.m.replicaPut
-	if del {
-		applied = s.m.replicaDelete
-	}
 	for attempt := 0; ; attempt++ {
+		v := verdict{s: s, del: del}
 		t.rset = s.route(key, t.rset)
-		acked, found, closed := 0, false, false
-		var firstErr error
 		for _, j := range t.rset {
 			if s.skipDown(j) {
 				continue
 			}
-			var f bool
+			var found bool
 			var err error
 			if del {
-				f, err = t.ths[j].DeleteTS(key, ts)
+				found, err = t.ths[j].DeleteTS(key, ts)
 			} else {
 				err = t.ths[j].PutTS(key, value, ts)
 			}
 			t.sync(j)
-			switch {
-			case err == nil:
-				acked++
-				found = found || f
-				applied.Inc()
-			case s.crashed(err):
-				closed = true
-				s.m.replicaErrors.Inc()
-			default:
-				s.m.replicaErrors.Inc()
-				s.markNeedsRepair(j)
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
+			v.leg(j, 1, found, err)
 		}
-		switch {
-		case acked > 0 && del && !found:
-			return core.ErrNotFound
-		case acked > 0:
-			return nil
-		case firstErr != nil:
-			return firstErr
-		case !closed || attempt >= writeRetries:
-			return errNoReplica
+		if retry, err := v.answer(attempt); !retry {
+			return err
 		}
 		runtime.Gosched()
 	}
 }
 
-// read is the one routed single-key read: primary-first across the
-// key's candidates, a miss on one falling through to the next. If no
-// candidate answered at all the op raced a crash/recover transition and
-// retries with fresh states before declaring the set unavailable.
-func (t *Thread) read(key []byte) ([]byte, error) {
-	s := t.s
-	for attempt := 0; ; attempt++ {
-		t.rset = s.route(key, t.rset)
-		primary, missed := t.rset[0], false
-		for _, j := range s.candidates(t.rset) {
-			v, err := t.ths[j].Get(key)
-			t.sync(j)
-			switch {
-			case err == nil:
-				pos := (j - primary + len(s.shards)) % len(s.shards)
-				if pos > 0 || s.state[j].Load() != replicaUp {
-					s.m.replicaFallbacks.Inc()
-				}
-				s.m.replicaReads[pos].Inc()
-				return v, nil
-			case errors.Is(err, core.ErrNotFound):
-				missed = true
-			case s.crashed(err):
-				// Crashed underneath us; the next state read sees it down.
-			default:
-				return nil, err
-			}
-		}
-		if missed {
-			return nil, core.ErrNotFound
-		}
-		if attempt >= writeRetries {
-			return nil, errNoReplica
-		}
-		runtime.Gosched()
-	}
-}
-
-// writeAsync is write on the async pipelines: one stamp, one submission
-// per live member of the key's set, joined into one caller-visible
-// Handle that completes when every replica completed — successfully if
-// at least one accepted the write. Safe from any goroutine (it touches
-// no router-thread scratch).
+// writeAsync is the async write path. A lone replica's handle is the
+// result itself: no proxy, no copy. With R > 1 the legs' completions fold
+// into one proxy handle (see pendingWrite). Safe from any goroutine (it
+// touches no router-thread scratch).
 func (t *Thread) writeAsync(key, value []byte, del bool) *core.Handle {
 	s := t.s
+	if s.replicas > 1 {
+		kv := append(append(make([]byte, 0, len(key)+len(value)), key...), value...)
+		w := &pendingWrite{t: t, key: kv[:len(key):len(key)], val: kv[len(key):], v: verdict{del: del}}
+		var ph *core.Handle
+		ph, w.resolve = core.NewProxyHandle()
+		w.send()
+		return ph
+	}
 	if s.rangeMode {
 		s.placeWrite(core.KV{Key: key})
 		defer s.migMu.RUnlock()
 	}
-	ts := s.stamp()
-	var sbuf [4]int
-	var hbuf [4]*core.Handle
-	set, hs := s.route(key, sbuf[:0]), hbuf[:0]
-	for _, j := range set {
-		var h *core.Handle // stays nil for a skipped (down) replica
-		switch {
-		case s.skipDown(j):
-		case del:
-			h = t.ths[j].DeleteTSAsync(key, ts)
-		default:
-			h = t.ths[j].PutTSAsync(key, value, ts)
-		}
-		hs = append(hs, h)
-	}
-	if len(set) == 1 {
-		return hs[0] // a lone replica's completion is the result: nothing to join
-	}
+	j, ts := s.ShardOf(key), s.stamp()
 	if del {
-		return s.joinWrite(hs, set, s.m.replicaDelete)
+		return t.ths[j].DeleteTSAsync(key, ts)
 	}
-	return s.joinWrite(hs, set, s.m.replicaPut)
+	return t.ths[j].PutTSAsync(key, value, ts)
 }
 
-// joinWrite composes per-replica write handles into one: nil if any
-// replica succeeded, ErrNotFound if every replica reported it (deletes
-// of a missing key), otherwise the first error. hs[k] is the submission
-// on shard set[k] — nil where the replica was skipped — so a replica
-// that failed with a non-closed error can be demoted to repairing.
-// Completion time is the slowest replica's — the fan-out is a barrier
-// in virtual time.
-func (s *Store) joinWrite(hs []*core.Handle, set []int, applied *obs.Counter) *core.Handle {
-	ph, resolve := core.NewProxyHandle()
-	remaining := 0
-	for _, h := range hs {
-		if h != nil {
-			remaining++
-		}
+// pendingWrite is one replicated async write in flight. Its legs fold
+// into the verdict as they complete; the last one resolves the caller's
+// handle at the slowest leg's completion time — or, when the verdict says
+// retry, sends every leg again under fresh states and the same stamp.
+type pendingWrite struct {
+	t        *Thread
+	key, val []byte // copies: a retry sends them again
+	ts       uint64 // drawn once, under the first send's guard
+	resolve  func([]byte, error, int64)
+	left     atomic.Int32 // legs in flight, plus the sender's own count
+	attempt  int
+
+	mu  sync.Mutex // guards the fold of concurrently landing legs
+	v   verdict
+	end int64
+}
+
+// send submits one attempt: a leg on every live member of the key's set,
+// under the placement guard in range mode. A retry runs it on a goroutine
+// of its own, since the guard may park it.
+func (w *pendingWrite) send() {
+	t, s := w.t, w.t.s
+	if s.rangeMode {
+		s.placeWrite(core.KV{Key: w.key})
+		defer s.migMu.RUnlock()
 	}
-	if remaining == 0 {
-		resolve(nil, errNoReplica, 0)
-		return ph
+	if w.ts == 0 {
+		w.ts = s.stamp()
 	}
-	var mu sync.Mutex
-	anyOK, allNotFound := false, true
-	var firstErr error
-	var endMax int64
-	for k, h := range hs {
-		if h == nil {
+	w.v = verdict{s: s, del: w.v.del}
+	w.left.Store(1)
+	var buf [4]int
+	for _, j := range s.route(w.key, buf[:0]) {
+		if s.skipDown(j) {
 			continue
 		}
-		j := set[k]
-		h.OnDone(func(h *core.Handle) {
-			err := h.Wait()
-			mu.Lock()
-			switch {
-			case err == nil:
-				anyOK = true
-				allNotFound = false
-				applied.Inc()
-			case errors.Is(err, core.ErrNotFound):
-				// counts toward allNotFound
-			default:
-				allNotFound = false
-				if firstErr == nil {
-					firstErr = err
-				}
-				s.m.replicaErrors.Inc()
-				if !errors.Is(err, core.ErrClosed) {
-					s.markNeedsRepair(j)
-				}
-			}
-			if at := h.CompletedAt(); at > endMax {
-				endMax = at
-			}
-			remaining--
-			last := remaining == 0
-			ok, nf, ferr, end := anyOK, allNotFound, firstErr, endMax
-			mu.Unlock()
-			if !last {
-				return
-			}
-			switch {
-			case ok:
-				resolve(nil, nil, end)
-			case nf:
-				resolve(nil, core.ErrNotFound, end)
-			case ferr != nil:
-				resolve(nil, ferr, end)
-			default:
-				resolve(nil, errNoReplica, end)
-			}
-		})
+		var h *core.Handle
+		if w.v.del {
+			h = t.ths[j].DeleteTSAsync(w.key, w.ts)
+		} else {
+			h = t.ths[j].PutTSAsync(w.key, w.val, w.ts)
+		}
+		w.left.Add(1)
+		h.OnDone(func(h *core.Handle) { w.land(j, h) })
 	}
-	return ph
+	w.land(-1, nil) // every leg is out: release the sender's count
 }
 
-// readAsync is read on the async pipelines: try the first candidate,
-// and on miss or crash fall through to the next from the completion
-// callback — the same failover order as the synchronous path, without
-// blocking any goroutine. Note the follow-up submission happens when
-// the previous attempt completes, which may be after a Flush started
-// earlier; callers wanting completion wait the returned handle, not
-// just Flush. Safe from any goroutine.
-func (t *Thread) readAsync(key []byte) *core.Handle {
-	s := t.s
-	var buf [4]int
-	set := s.route(key, buf[:0])
-	if len(set) == 1 {
-		return t.ths[set[0]].GetAsync(key) // a lone replica's completion is the result
+// land folds shard j's completed leg h (nil: the sender's count); the
+// last to land settles the write.
+func (w *pendingWrite) land(j int, h *core.Handle) {
+	if h != nil {
+		err := h.Wait()
+		w.mu.Lock()
+		w.v.leg(j, 1, err == nil, err)
+		w.end = max(w.end, h.CompletedAt())
+		w.mu.Unlock()
 	}
-	order := append([]int(nil), s.candidates(set)...)
-	ph, resolve := core.NewProxyHandle()
-	if len(order) == 0 {
-		resolve(nil, errNoReplica, 0)
-		return ph
+	if w.left.Add(-1) > 0 {
+		return
 	}
-	var try func(k int, sawMiss bool, lastAt int64)
-	try = func(k int, sawMiss bool, lastAt int64) {
-		if k >= len(order) {
-			if sawMiss {
-				resolve(nil, core.ErrNotFound, lastAt)
-			} else {
-				resolve(nil, errNoReplica, lastAt)
-			}
-			return
+	if retry, err := w.v.answer(w.attempt); !retry {
+		w.resolve(nil, err, w.end)
+		return
+	}
+	w.attempt++
+	go w.send()
+}
+
+// walk is one routed read: the key's read candidates (candidates of its
+// set, primary first) and, past them, the source of a migration's
+// dual-read window — offered only while the window is open over the key
+// and no destination member holds any record of it. Both read paths
+// step through it, so the order, what an answer means, when to retry and
+// what is counted are decided here once.
+type walk struct {
+	s       *Store
+	key     []byte
+	mig     *migState // the dual window the read was admitted under, or nil
+	set     []int     // route scratch; order filters it in place
+	order   []int     // the candidates, in set order
+	primary int
+	k, j    int  // steps taken, and the shard the last one asked
+	missed  bool // some shard answered ErrNotFound
+	attempt int
+}
+
+// plan (re)reads the replica states into the walk's order.
+func (w *walk) plan() {
+	w.set = w.s.route(w.key, w.set)
+	w.primary = w.set[0] // before candidates filters the set in place
+	w.order, w.k, w.missed = w.s.candidates(w.set), 0, false
+}
+
+// next returns the shard to ask, or -1 and the read's result once the
+// walk is out of shards: a miss if any shard missed. If no shard answered
+// at all the read raced a crash/recover transition, and the walk starts
+// over from fresh states, up to writeRetries times, before declaring the
+// set unavailable. Taking the dual-window source counts
+// migrate.dual_reads.
+func (w *walk) next() (int, error) {
+	s := w.s
+	for {
+		k := w.k
+		w.k++
+		if k < len(w.order) {
+			w.j = w.order[k]
+			return w.j, nil
 		}
-		j := order[k]
-		t.ths[j].GetAsync(key).OnDone(func(h *core.Handle) {
-			v, err := h.Value()
-			at := h.CompletedAt()
-			if at < lastAt {
-				at = lastAt
+		if k == len(w.order) && w.mig != nil {
+			if w.j = s.dualSource(w.mig, w.key); w.j >= 0 {
+				s.m.migDualReads.Inc()
+				return w.j, nil
 			}
-			switch {
-			case err == nil:
-				if k > 0 {
-					s.m.replicaFallbacks.Inc()
-				}
-				resolve(v, nil, at)
-			case errors.Is(err, core.ErrNotFound):
-				try(k+1, true, at)
-			case s.crashed(err):
-				try(k+1, sawMiss, at)
-			default:
-				resolve(nil, err, at)
-			}
-		})
+		}
+		switch {
+		case w.missed:
+			return -1, core.ErrNotFound
+		case w.attempt == writeRetries:
+			return -1, errNoReplica
+		}
+		w.attempt++
+		runtime.Gosched()
+		w.plan()
 	}
-	try(0, false, 0)
-	return ph
+}
+
+// answer folds the last asked shard's answer and reports whether it
+// decides the read: a hit or an error is the result as the shard gave it.
+// A miss, or a replica crashed under the read, goes on to the next shard.
+// A hit on a candidate counts shard.replica_reads by its set position, and
+// a fallback when that is not the primary or the replica is not up.
+func (w *walk) answer(err error) bool {
+	s, j := w.s, w.j
+	switch {
+	case err == nil:
+		if w.k <= len(w.order) {
+			pos := (j - w.primary + len(s.shards)) % len(s.shards)
+			if pos > 0 || s.state[j].Load() != replicaUp {
+				s.m.replicaFallbacks.Inc()
+			}
+			s.m.replicaReads[pos].Inc()
+		}
+		return true
+	case errors.Is(err, core.ErrNotFound):
+		w.missed = true
+		return false
+	}
+	return !s.crashed(err)
+}
+
+// read is the sync read path: the walk's shards asked in turn on this
+// thread's clock.
+func (t *Thread) read(w *walk) ([]byte, error) {
+	w.set = t.rset
+	w.plan()
+	t.rset = w.set // a set is always R long: later plans reuse this array
+	for {
+		j, err := w.next()
+		if j < 0 {
+			return nil, err
+		}
+		v, err := t.ths[j].Get(w.key)
+		t.sync(j)
+		if w.answer(err) {
+			return v, err
+		}
+	}
+}
+
+// pendingRead is the async read path: one step of the walk in flight at
+// a time, the next asked from the previous one's completion callback —
+// which may be after a Flush started earlier; callers wanting completion
+// wait the returned handle, not just Flush. It completes at the last
+// answer's completion time.
+type pendingRead struct {
+	t       *Thread
+	w       walk
+	at      int64
+	landed  func(*core.Handle) // land, bound once
+	resolve func([]byte, error, int64)
+}
+
+// ask submits the walk's next step, or settles a walk with none left.
+func (r *pendingRead) ask() {
+	if j, err := r.w.next(); j < 0 {
+		r.resolve(nil, err, r.at)
+	} else {
+		r.t.ths[j].GetAsync(r.w.key).OnDone(r.landed)
+	}
+}
+
+// land folds a step's answer: a decided read resolves, else the walk
+// goes on.
+func (r *pendingRead) land(h *core.Handle) {
+	v, err := h.Value()
+	r.at = max(r.at, h.CompletedAt())
+	if r.w.answer(err) {
+		r.resolve(v, err, r.at)
+		return
+	}
+	r.ask()
 }

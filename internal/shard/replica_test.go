@@ -685,3 +685,212 @@ func TestRepairWaitsForUnreadablePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRouterSyncAsyncAgree runs each case's op once through the sync
+// path and once through the async one, each on a fresh store, and
+// requires the same answer and the same moves of the router's replica
+// counters: both paths fold one write verdict and step one read walk.
+func TestRouterSyncAsyncAgree(t *testing.T) {
+	k := key(0)
+	put := func(th *Thread, async bool, k, v []byte) error {
+		if async {
+			return th.PutAsync(k, v).Wait()
+		}
+		return th.Put(k, v)
+	}
+	del := func(th *Thread, async bool, k []byte) error {
+		if async {
+			return th.DeleteAsync(k).Wait()
+		}
+		return th.Delete(k)
+	}
+	get := func(th *Thread, async bool, k []byte) error {
+		var err error
+		if async {
+			_, err = th.GetAsync(k).Value()
+		} else {
+			_, err = th.Get(k)
+		}
+		return err
+	}
+	// each runs op n times and returns its first error.
+	each := func(n int, op func(i int) error) error {
+		var first error
+		for i := 0; i < n; i++ {
+			if err := op(i); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	counts := func(s *Store) map[string]float64 {
+		out := map[string]float64{}
+		for _, m := range s.reg.Snapshot().Metrics {
+			switch m.Name {
+			case "shard.replica_reads", "shard.replica_read_fallbacks", "shard.replica_writes":
+				out[fmt.Sprint(m.Name, " ", m.Labels)] = m.Value
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(s *Store, th *Thread)
+		op    func(th *Thread, async bool) error
+		want  error
+		// fallbacks is how many of the op's reads a non-primary replica
+		// serves (nil: none).
+		fallbacks func(s *Store) int
+	}{
+		{"delete of a missing key, second replica closed underneath",
+			func(s *Store, th *Thread) { s.Shard(s.route(k, nil)[1]).Crash() },
+			func(th *Thread, async bool) error { return del(th, async, k) },
+			core.ErrNotFound, nil},
+		{"put, every replica closed underneath",
+			func(s *Store, th *Thread) {
+				for _, j := range s.route(k, nil) {
+					s.Shard(j).Crash()
+				}
+			},
+			func(th *Thread, async bool) error { return put(th, async, k, value(0)) },
+			errNoReplica, nil},
+		{"100 reads, shard 1 down",
+			func(s *Store, th *Thread) {
+				if err := each(100, func(i int) error { return th.Put(key(i), value(i)) }); err != nil {
+					t.Fatal(err)
+				}
+				s.CrashShard(1)
+			},
+			func(th *Thread, async bool) error {
+				return each(100, func(i int) error { return get(th, async, key(i)) })
+			},
+			nil,
+			func(s *Store) (n int) {
+				for i := 0; i < 100; i++ {
+					if s.ShardOf(key(i)) == 1 {
+						n++
+					}
+				}
+				return n
+			}},
+		{"10 deletes of missing keys",
+			nil,
+			func(th *Thread, async bool) error {
+				return each(10, func(i int) error { return del(th, async, key(i)) })
+			},
+			core.ErrNotFound, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var moved [2]map[string]float64
+			for i, async := range []bool{false, true} {
+				s := repl(t, 3, 2, nil)
+				th := s.Thread(0)
+				if tc.setup != nil {
+					tc.setup(s, th)
+				}
+				before := counts(s)
+				if err := tc.op(th, async); !errors.Is(err, tc.want) {
+					t.Fatalf("async=%v: %v, want %v", async, err, tc.want)
+				}
+				moved[i] = counts(s)
+				for name, v := range before {
+					moved[i][name] -= v
+				}
+				want := 0
+				if tc.fallbacks != nil {
+					want = tc.fallbacks(s)
+				}
+				if got := moved[i]["shard.replica_read_fallbacks map[]"]; got != float64(want) {
+					t.Fatalf("async=%v: %v read fallbacks, want %d", async, got, want)
+				}
+			}
+			if fmt.Sprint(moved[0]) != fmt.Sprint(moved[1]) {
+				t.Fatalf("counters moved\n sync  %v\n async %v", moved[0], moved[1])
+			}
+		})
+	}
+}
+
+// Regression: core's rejection of an oversized value is the write's
+// answer, not a replica fault — no replica the write reached may leave
+// the up state for it.
+func TestOversizedValueKeepsReplicasUp(t *testing.T) {
+	s := repl(t, 3, 2, nil)
+	th := s.Thread(0)
+	big := make([]byte, 70_000) // over hsit.MaxValueLen
+	for _, tc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"Put", func() error { return th.Put(key(0), big) }},
+		{"PutAsync", func() error { return th.PutAsync(key(0), big).Wait() }},
+		{"PutBatch", func() error {
+			return th.PutBatch([]core.KV{{Key: key(1), Value: value(1)}, {Key: key(0), Value: big}})
+		}},
+	} {
+		err := tc.op()
+		for j := 0; j < s.NumShards(); j++ {
+			if st := s.ReplicaState(j); st != int(replicaUp) {
+				t.Fatalf("%s: shard %d state %d after an oversized value, want up", tc.name, j, st)
+			}
+		}
+		if !errors.Is(err, core.ErrValueTooLarge) {
+			t.Fatalf("%s of an oversized value = %v, want ErrValueTooLarge", tc.name, err)
+		}
+	}
+}
+
+// Regression: Metrics must not panic while a shard is crashed. The
+// crashed shard's svc.* gauges read 0, and follow its fresh cache once
+// it is recovered and repaired.
+func TestMetricsWhileShardCrashed(t *testing.T) {
+	s := repl(t, 3, 2, func(o *core.Options) { o.PWBBytesPerThread = 4096 })
+	th := s.Thread(0)
+	one := map[string]string{"shard": "1"}
+	entries := func() float64 {
+		t.Helper()
+		m, ok := s.Metrics().Get("svc.entries", one)
+		if !ok {
+			t.Fatal("svc.entries{shard=1} not in snapshot")
+		}
+		return m.Value
+	}
+	var k []byte // an early key (pushed through the tiny rings) primaried on shard 1
+	for i := 0; k == nil; i++ {
+		if s.ShardOf(key(i)) == 1 {
+			k = key(i)
+		}
+	}
+	// Rewrite everything, then read k until shard 1 serves it from its SVC.
+	cacheK := func() {
+		t.Helper()
+		for i := 0; i < 512; i++ {
+			if err := th.Put(key(i), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for tries, hits := 0, s.Shard(1).Stats().SVCHits; s.Shard(1).Stats().SVCHits == hits; tries++ {
+			if tries == 100 {
+				t.Fatal("shard 1 never served k from its SVC")
+			}
+			if _, err := th.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := entries(); n == 0 {
+			t.Fatal("svc.entries{shard=1} = 0 with k cached")
+		}
+	}
+	cacheK()
+	s.CrashShard(1)
+	if n := entries(); n != 0 {
+		t.Fatalf("svc.entries{shard=1} = %v while crashed, want 0", n)
+	}
+	if _, err := s.RecoverShard(1); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < maxRepairPasses && s.ReplicaState(1) != int(replicaUp); pass++ {
+		s.RepairShard(1)
+	}
+	cacheK()
+}

@@ -299,11 +299,7 @@ func (t *Thread) plan() error {
 	s := t.s
 	n := len(s.shards)
 	t.asked = t.asked[:0]
-	allUp := true
-	for j := range s.state {
-		allUp = allUp && s.state[j].Load() == replicaUp
-	}
-	if allUp {
+	if s.allUp() {
 		t.turn++
 		t.asked = cover(n, s.replicas, t.turn%n, t.asked)
 		return nil

@@ -179,6 +179,13 @@ func Open(opt core.Options) (*Store, error) {
 	// just like replication does.
 	stamped := r > 1 || rangeMode
 	s := &Store{opt: opt, replicas: r, rangeMode: rangeMode, stamped: stamped}
+	if rangeMode {
+		bt, err := newBoundaryTable(opt.SplitKeys, n)
+		if err != nil {
+			return nil, err
+		}
+		s.pl.Store(&placement{epoch: 1, tab: bt})
+	}
 	for i := 0; i < n; i++ {
 		sopt := opt
 		sopt.Shards = 0
@@ -224,16 +231,6 @@ func Open(opt core.Options) (*Store, error) {
 	// disabled (its nil *obs.Counter elements are no-op;
 	// registerReplicaMetrics fills them in when replicated with metrics).
 	s.m.replicaReads = make([]*obs.Counter, r)
-	if rangeMode {
-		bt, err := newBoundaryTable(opt.SplitKeys, n)
-		if err != nil {
-			for _, prev := range s.shards {
-				prev.Close()
-			}
-			return nil, err
-		}
-		s.pl.Store(&placement{epoch: 1, tab: bt})
-	}
 	if r > 1 {
 		s.repairCh = make(chan int, 4*MaxShards)
 		s.repairStop = make(chan struct{})
@@ -403,7 +400,8 @@ func (t *Thread) sync(j int) {
 
 // Put routes a single-key write to the key's shard set: the owning
 // shard's pinned thread, fanned out with Replicas > 1 to every live
-// replica under one logical timestamp (see write in replica.go).
+// replica under one logical timestamp (see write and verdict in
+// replica.go).
 func (t *Thread) Put(key, value []byte) error {
 	t.s.m.routedPut.Inc()
 	return t.write(key, value, false)
@@ -418,25 +416,19 @@ func (t *Thread) Delete(key []byte) error {
 }
 
 // Get routes a single-key read to the key's shard set, primary-first
-// with fallback on miss or crash (see read in replica.go). Range-mode
+// with fallback on miss or crash (see walk in replica.go). Range-mode
 // reads hold the placement guard and, during a migration's dual-read
-// window, may fall back to the not-yet-purged source set (see dualGet).
+// window, may fall back to the not-yet-purged source set.
 func (t *Thread) Get(key []byte) ([]byte, error) {
 	s := t.s
 	s.m.routedGet.Inc()
-	var p *placement
+	w := walk{s: s, key: key}
 	if s.rangeMode {
 		s.migMu.RLock()
 		defer s.migMu.RUnlock()
-		p = s.pl.Load()
+		w.mig = s.dualWindow(key)
 	}
-	v, err := t.read(key)
-	if err != nil && p != nil && p.mig != nil && p.mig.dual && p.mig.contains(key) {
-		if fv, ferr, ok := t.dualGet(p, key); ok {
-			return fv, ferr
-		}
-	}
-	return v, err
+	return t.read(&w)
 }
 
 // PutAsync routes an asynchronous write to the admission loops of the
@@ -460,49 +452,28 @@ func (t *Thread) DeleteAsync(key []byte) *core.Handle {
 }
 
 // GetAsync routes an asynchronous read to the admission loops of the
-// key's shard set. See PutAsync for the concurrency and ordering
-// contract. During a migration's dual-read window the completion chains
-// a source-set fallback exactly like the synchronous path (see dualGet).
+// key's shard set: the walk Get takes, one step per completion (see
+// pendingRead). A lone replica outside a dual-read window returns its
+// shard's handle itself. See PutAsync for the concurrency and ordering
+// contract.
 func (t *Thread) GetAsync(key []byte) *core.Handle {
 	s := t.s
 	s.m.routedGet.Inc()
-	if !s.rangeMode {
-		return t.readAsync(key)
+	var m *migState
+	if s.rangeMode {
+		s.migMu.RLock()
+		defer s.migMu.RUnlock()
+		m = s.dualWindow(key)
 	}
-	s.migMu.RLock()
-	defer s.migMu.RUnlock()
-	inner := t.readAsync(key)
-	m := s.pl.Load().mig
-	if m == nil || !m.dual || !m.contains(key) {
-		return inner
+	if s.replicas == 1 && m == nil {
+		return t.ths[s.ShardOf(key)].GetAsync(key)
 	}
-	// The completion callback runs on an executor goroutine, so the
-	// fallback must use store-level async submission, never this
-	// router thread's scratch or sync handles.
-	ph, resolve := core.NewProxyHandle()
-	kc := append([]byte(nil), key...)
-	inner.OnDone(func(h *core.Handle) {
-		v, err := h.Value()
-		at := h.CompletedAt()
-		if err == nil || s.dualRecorded(m, kc) {
-			resolve(v, err, at)
-			return
-		}
-		si := s.dualSrcShard(m, kc)
-		if si < 0 {
-			resolve(v, err, at)
-			return
-		}
-		s.m.migDualReads.Inc()
-		s.shards[si].Thread(0).GetAsync(kc).OnDone(func(h2 *core.Handle) {
-			v2, err2 := h2.Value()
-			at2 := h2.CompletedAt()
-			if at2 < at {
-				at2 = at
-			}
-			resolve(v2, err2, at2)
-		})
-	})
+	r := &pendingRead{t: t, w: walk{s: s, key: append([]byte(nil), key...), mig: m}}
+	var ph *core.Handle
+	ph, r.resolve = core.NewProxyHandle()
+	r.landed = r.land
+	r.w.plan()
+	r.ask()
 	return ph
 }
 
