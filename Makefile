@@ -30,7 +30,12 @@ test:
 # TestWindowKeepsSubmissionOrderPerKey and TestWindowStallMidWindow for
 # the one-pass admission window: RESP order per key while gets wait for
 # the window's Value Storage batch, and a put stalling mid-window with
-# such gets outstanding (§4.5), and TestPublishActsOnTheCurrentWord and
+# such gets outstanding (§4.5), and TestClaimersInsideSettle and
+# TestRelocationChargesSwingsAfterWrite for GC and demotion claiming
+# chunks from inside every relocation caller's settle, and every caller
+# charging its swings after its write, beside the live background loops
+# (the demotion row of the first races maintenanceLoop's own pass by
+# design; DESIGN.md §4.12), and TestPublishActsOnTheCurrentWord and
 # TestPrefetchedPublishStress in internal/hsit for a writer whose entry is
 # moved, flushed or admitted to between its prefetch and its publish
 # (DESIGN.md §3.5). internal/bench's suite is whole YCSB runs of every
@@ -48,6 +53,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestGCChurnStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestReclaimAdmissionNeverStale$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestWindowKeepsSubmissionOrderPerKey$$|TestWindowStallMidWindow$$' ./internal/core
+	$(GO) test -race -count=1 -run 'TestClaimersInsideSettle$$|TestRelocationChargesSwingsAfterWrite$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestPublishActsOnTheCurrentWord$$|TestPrefetchedPublishStress$$' ./internal/hsit
 	$(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$' ./internal/server

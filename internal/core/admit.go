@@ -174,18 +174,6 @@ func (s *Store) recentLimit() int64 {
 	return recentSpan * s.opt.SVCBytes * st.Entries / st.Bytes
 }
 
-// sawTime raises lastSeen to now. Its writers' clocks — application
-// threads and reclaimers — differ by milliseconds, and lastSeen must not
-// move backwards with whoever wrote last.
-func (s *Store) sawTime(now int64) {
-	for {
-		cur := s.lastSeen.Load()
-		if now <= cur || s.lastSeen.CompareAndSwap(cur, now) {
-			return
-		}
-	}
-}
-
 // admitToSVC publishes value in the cache as idx's current value
 // (lock-free HSIT publication, §4.4), on the caller's clock. ver is a
 // publish version under which value is known to be current: the one a
@@ -201,7 +189,6 @@ func (s *Store) admitToSVC(clk *sim.Clock, idx uint64, ver uint64, value []byte)
 		s.cache.AbortAdmit(e)
 		return 0, false
 	}
-	s.sawTime(clk.Now()) // an admission is what evicts: the rewrite it may cause happens now
 	s.cache.Published(e)
 	// Admission TOCTOU guard: a writer that superseded the value after
 	// our read may have run its invalidateOld before the CAS above, seen

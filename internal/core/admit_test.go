@@ -37,7 +37,7 @@ func handOffStore(t *testing.T) *Store {
 func TestReclaimHandsReadValuesToSVC(t *testing.T) {
 	s := handOffStore(t)
 	th := s.Thread(0)
-	clk, rng := sim.NewClock(0), sim.NewRNG(1)
+	p := s.newThread(0, sim.NewRNG(1), nil, nil)
 	for i := 0; i < 2; i++ {
 		if err := th.Put(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -49,14 +49,14 @@ func TestReclaimHandsReadValuesToSVC(t *testing.T) {
 	if st := s.Stats(); st.PWBHits != 1 || st.SVC.Entries != 0 {
 		t.Fatalf("before the pass: %d PWB hits, %d cache entries", st.PWBHits, st.SVC.Entries)
 	}
-	t0 := clk.Now()
-	pass(s, clk, rng)
+	t0 := p.Clk.Now()
+	pass(p)
 	st := s.Stats()
 	if st.PWBLiveMigrated != 2 || st.ReclaimAdmits != 1 || st.SVC.Entries != 1 {
 		t.Fatalf("the pass migrated %d records, handed over %d, the cache holds %d; want 2, 1, 1",
 			st.PWBLiveMigrated, st.ReclaimAdmits, st.SVC.Entries)
 	}
-	t.Logf("the pass took %d virtual ns for 2 records, 1 of them handed over", clk.Now()-t0)
+	t.Logf("the pass took %d virtual ns for 2 records, 1 of them handed over", p.Clk.Now()-t0)
 
 	ios, thClk := ssdReads(s), th.Clk.Now()
 	if got, err := th.Get(key(0)); err != nil || !bytes.Equal(got, value(0)) {
@@ -81,7 +81,7 @@ func TestReclaimHandsReadValuesToSVC(t *testing.T) {
 	if err := th.Put(key(0), value(100)); err != nil {
 		t.Fatal(err)
 	}
-	pass(s, clk, rng)
+	pass(p)
 	ios = ssdReads(s)
 	if got, err := th.Get(key(0)); err != nil || !bytes.Equal(got, value(100)) {
 		t.Fatalf("key 0 after its update and a pass = %q, %v", got, err)
@@ -142,17 +142,17 @@ func TestReclaimAdmissionNeverStale(t *testing.T) {
 		// the ring, after a put that landed since.
 		s := handOffStore(t)
 		th := s.Thread(0)
-		clk, rng := sim.NewClock(0), sim.NewRNG(1)
+		p := s.newThread(0, sim.NewRNG(1), nil, nil)
 		if err := th.Put(key(0), seqValue(0, 1)); err != nil {
 			t.Fatal(err)
 		}
-		pass(s, clk, rng) // never read: moved, not handed over
+		pass(p) // never read: moved, not handed over
 		idx := mustIdx(t, s, 0)
 		ver := s.table.Version(idx)
 		if err := th.Put(key(0), seqValue(0, 2)); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.admitToSVC(clk, idx, ver, seqValue(0, 1)); ok {
+		if _, ok := s.admitToSVC(p.Clk, idx, ver, seqValue(0, 1)); ok {
 			t.Fatal("a value superseded before the CAS was admitted")
 		}
 		s.cache.Sync()
@@ -172,7 +172,7 @@ func TestReclaimAdmissionNeverStale(t *testing.T) {
 		)
 		// Every settle yields first, so puts and gets get between the
 		// records of a pass.
-		settleHook = runtime.Gosched
+		settleHook = func(*Thread) { runtime.Gosched() }
 		t.Cleanup(func() { settleHook = nil }) // after the store has closed
 		s := small(t, func(o *Options) {
 			o.NumThreads = writers + readers
@@ -232,9 +232,12 @@ func TestReclaimAdmissionNeverStale(t *testing.T) {
 				reads.Add(1)
 			}, 100+r)
 		}
-		// Forced passes beside the rings' own reclaimers.
+		// Forced passes beside the rings' own reclaimers, each on a pass
+		// thread of its own that starts at the NVM channel's present.
 		run(func(rng *sim.RNG) {
-			s.reclaimBuffer(rng.Intn(writers), sim.NewClock(s.lastSeen.Load()), rng)
+			p := s.newThread(rng.Intn(writers), rng, nil, nil)
+			p.Clk.AdvanceTo(s.nvmDev.Now())
+			s.reclaimBuffer(p)
 			s.em.Collect()
 		}, 200)
 
@@ -560,7 +563,7 @@ func TestReadFilterAgeing(t *testing.T) {
 	t.Run("slot reuse", func(t *testing.T) {
 		s := handOffStore(t)
 		th := s.Thread(0)
-		clk, rng := sim.NewClock(0), sim.NewRNG(1)
+		p := s.newThread(0, sim.NewRNG(1), nil, nil)
 		if err := th.Put(key(0), value(0)); err != nil {
 			t.Fatal(err)
 		}
@@ -579,7 +582,7 @@ func TestReadFilterAgeing(t *testing.T) {
 		if got := mustIdx(t, s, 1); got != idx {
 			t.Fatalf("the new key took slot %d, not the freed %d", got, idx)
 		}
-		pass(s, clk, rng)
+		pass(p)
 		if st := s.Stats(); st.PWBLiveMigrated != 1 || st.ReclaimAdmits != 0 {
 			t.Fatalf("the pass migrated %d and handed over %d; the new key was never read", st.PWBLiveMigrated, st.ReclaimAdmits)
 		}

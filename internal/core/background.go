@@ -17,15 +17,14 @@ import (
 // per-thread write-buffer design — reclamation scales with the writers.
 func (s *Store) reclaimLoop(i int) {
 	defer s.bg.Done()
-	rng := sim.NewRNG(s.opt.Seed ^ (0xabcdef + uint64(i)*7919))
-	clk := sim.NewClock(0)
+	t := s.newThread(i, sim.NewRNG(s.opt.Seed^(0xabcdef+uint64(i)*7919)), nil, nil)
 	for {
 		select {
 		case <-s.stop:
 			return
 		case now := <-s.reclaimChs[i]:
-			clk.AdvanceTo(now)
-			s.reclaimBuffer(i, clk, rng)
+			t.Clk.AdvanceTo(now)
+			s.reclaimBuffer(t)
 			// Two advances take the range the pass retired through epoch
 			// grace when no operation is pinned in an older epoch, and its
 			// grant then folds straight into the tail (see reclaimBuffer):
@@ -40,9 +39,10 @@ func (s *Store) reclaimLoop(i int) {
 
 // reclaimer is one ring's reclaim pass state. Whoever holds mu is the
 // ring's single scan owner for the pass — the ring's reclaimLoop
-// goroutine, or under SyncVSWrites its application thread; tests that
-// force a pass take the same lock, which in production is uncontended.
-// It guards the ring's reclaim cursor and the pass's scratch.
+// goroutine on its pass thread, or under SyncVSWrites the ring's owner;
+// tests that force a pass on a thread of their own take the same lock,
+// which in production is uncontended. It guards the ring's reclaim
+// cursor and the pass's scratch.
 type reclaimer struct {
 	mu        sync.Mutex
 	buf       *pwb.Buffer
@@ -76,11 +76,14 @@ type reclaimer struct {
 // successful pass. The values are views into the ring (stable until this
 // pass's range is granted, which cannot happen before it returns), so
 // the only copies are ring → chunk buffer → device.
-func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
-	r := &s.reclaimers[threadID]
+//
+// The pass reclaims ring t.id on t's clock and RNG: the ring's pass
+// thread, or under SyncVSWrites the ring's owner.
+func (s *Store) reclaimBuffer(t *Thread) {
+	r := &s.reclaimers[t.id]
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := r.buf
+	b, clk := r.buf, t.Clk
 	b.ApplyGrants()
 	released, t0 := false, clk.Now()
 	defer func() {
@@ -151,10 +154,10 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 			}
 		}
 		r.hot = hot[:0]
-		if !s.migrate(clk, rng, hot, s.tierFast, true, s.gcReserve) || !s.migrate(clk, rng, cold, s.tierCap, false, s.gcReserve) {
+		if !s.migrate(t, hot, s.tierFast, true, s.gcReserve) || !s.migrate(t, cold, s.tierCap, false, s.gcReserve) {
 			return
 		}
-	} else if !s.migrate(clk, rng, live, -1, false, s.gcReserve) {
+	} else if !s.migrate(t, live, -1, false, s.gcReserve) {
 		return
 	}
 	// Every live value of the range has been migrated, and everything
@@ -185,8 +188,9 @@ func (s *Store) reclaimBuffer(threadID int, clk *sim.Clock, rng *sim.RNG) {
 
 // settleHook is a test seam: when set, it runs at the top of every settle
 // callback in this package — after a chunk's device write, before the
-// record's HSIT pointer swings to it.
-var settleHook func()
+// record's HSIT pointer swings to it — with the thread of the pass that
+// settles, on that pass's goroutine.
+var settleHook func(t *Thread)
 
 // migrate writes recs — well-coupled PWB records, Old their ring offset,
 // Value wherever the caller read them (the reclaimer passes views into
@@ -202,13 +206,15 @@ var settleHook func()
 // how many free chunks a store keeps back: gcReserve for the reclaimer,
 // or GC can wedge; nothing for recovery, which has to finish for the
 // store to come back and runs with GC stopped. It returns false when no
-// device has space, with recs partly migrated.
-func (s *Store) migrate(clk *sim.Clock, rng *sim.RNG, recs []valuestore.Move, target int, hot bool, reserve func(*valuestore.Store) int) bool {
+// device has space, with recs partly migrated. It runs on t's clock and
+// picks devices with t's RNG.
+func (s *Store) migrate(t *Thread, recs []valuestore.Move, target int, hot bool, reserve func(*valuestore.Store) int) bool {
 	var devIdx int
 	var st *valuestore.Store
+	clk := t.Clk
 	settle := func(i int, e valuestore.Entry) bool {
 		if settleHook != nil {
-			settleHook()
+			settleHook(t)
 		}
 		if target >= 0 {
 			steered := devIdx == target
@@ -241,7 +247,7 @@ func (s *Store) migrate(clk *sim.Clock, rng *sim.RNG, recs []valuestore.Move, ta
 	for len(recs) > 0 {
 		devIdx = target
 		if target < 0 {
-			devIdx, _ = s.vsm.PickIdle(rng)
+			devIdx, _ = s.vsm.PickIdle(t.rng)
 		}
 		// The chosen store first; when it is out of chunks, kick its GC
 		// and try every store in turn.
@@ -286,33 +292,23 @@ func (s *Store) kickGC(devIdx int, now int64) {
 	}
 }
 
-// gcLoop runs Value Storage garbage collection (§5.2): when a store's
-// free-chunk fraction drops below the threshold, greedily collect the
-// chunks with the fewest live values. Each Value Storage is collected
+// gcLoop runs Value Storage garbage collection (§5.2) on a pass thread
+// of its own: when a store's free-chunk fraction drops below the
+// threshold, greedily collect the chunks with the fewest live values,
+// starting at the time the kick carries. Each Value Storage is collected
 // independently.
 func (s *Store) gcLoop() {
 	defer s.bg.Done()
+	t := s.newThread(0, nil, nil, nil)
 	for {
 		select {
 		case <-s.stop:
 			return
 		case r := <-s.gcCh:
-			s.gcClk.AdvanceTo(r.now)
+			t.Clk.AdvanceTo(r.now)
 			st := s.vsm.Stores[r.store]
 			for float64(st.FreeChunks())/float64(st.Chunks()) < s.opt.GCFreeFraction {
-				before := st.FreeChunks()
-				freed, done := st.GC(s.gcClk.Now(), 4, func(idx, oldOff, newOff uint64, vlen int) bool {
-					_, ok := s.table.PublishIf(s.gcClk,
-						idx,
-						hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(r.store, oldOff)},
-						hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(r.store, newOff)})
-					return ok
-				})
-				s.gcClk.AdvanceTo(done)
-				s.em.Collect()
-				// Stop on zero NET progress: freed counts victims, but a
-				// pass also consumes output chunks.
-				if freed == 0 || st.FreeChunks() <= before {
+				if !s.collect(t, r.store) {
 					break
 				}
 			}
@@ -320,16 +316,42 @@ func (s *Store) gcLoop() {
 	}
 }
 
+// collect runs one GC pass over device dev on t and reports whether it
+// made net progress: freed counts victims, but a pass also consumes
+// output chunks.
+func (s *Store) collect(t *Thread, dev int) bool {
+	st := s.vsm.Stores[dev]
+	before := st.FreeChunks()
+	freed := st.GC(t.Clk, 4, s.relocate(t, dev, dev))
+	s.em.Collect()
+	return freed > 0 && st.FreeChunks() > before
+}
+
+// relocate is GC's and demotion's settle: it runs settleHook, then swings
+// idx's HSIT pointer from record oldLocal of device from to newLocal of
+// device to on t's clock, which the pass's WriteChunk has advanced past
+// the write the new pointer points into.
+func (s *Store) relocate(t *Thread, from, to int) func(idx, oldLocal, newLocal uint64, vlen int) bool {
+	return func(idx, oldLocal, newLocal uint64, vlen int) bool {
+		if settleHook != nil {
+			settleHook(t)
+		}
+		_, ok := s.table.PublishIf(t.Clk, idx,
+			hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(from, oldLocal)},
+			hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(to, newLocal)})
+		return ok
+	}
+}
+
 // onScanEvict is the SVC rewrite hook (§4.4 steps 5-6): when a chained
 // (scanned) entry is evicted, the resident chain — in key order as the
 // scan linked it — is written into a single fresh Value Storage chunk,
-// restoring spatial locality for the key range. Runs on the cache manager
-// goroutine.
-func (s *Store) onScanEvict(chain svc.EvictedChain) {
-	s.svcMu.Lock()
-	defer s.svcMu.Unlock()
-	clk := s.svcClk
-	clk.AdvanceTo(s.lastSeen.Load())
+// restoring spatial locality for the key range. It runs on t, the
+// cache's rewrite thread, on the cache manager goroutine; no request
+// hands it a time, so it starts at the NVM channel's present.
+func (s *Store) onScanEvict(t *Thread, chain svc.EvictedChain) {
+	clk := t.Clk
+	clk.AdvanceTo(s.nvmDev.Now())
 
 	// todo[i] is a value to rewrite — Old its global offset — and vers[i]
 	// the publish version its cached bytes were admitted under.
@@ -379,12 +401,11 @@ func (s *Store) onScanEvict(chain svc.EvictedChain) {
 	}
 	s.lastRewrite = clk.Now()
 
-	rng := sim.NewRNG(uint64(clk.Now()) | 1)
-	devIdx, st := s.vsm.PickIdle(rng)
+	devIdx, st := s.vsm.PickIdle(t.rng)
 	for wrote := false; len(todo) > 0; wrote = true {
 		n, err := st.WriteChunk(clk, s.gcReserve(st), todo, func(i int, e valuestore.Entry) bool {
 			if settleHook != nil {
-				settleHook()
+				settleHook(t)
 			}
 			newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
 			// Version-conditioned publish: the old offset may have been

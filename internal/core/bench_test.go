@@ -20,8 +20,7 @@ type reclaimBench struct {
 	s    *Store
 	keys [][]byte
 	val  []byte
-	clk  *sim.Clock
-	rng  *sim.RNG
+	p    *Thread // the caller's pass thread
 }
 
 func newReclaimBench(tb testing.TB, records int, withSVC bool) *reclaimBench {
@@ -36,7 +35,7 @@ func newReclaimBench(tb testing.TB, records int, withSVC bool) *reclaimBench {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { s.Close() })
-	r := &reclaimBench{s: s, val: make([]byte, 1024), clk: sim.NewClock(0), rng: sim.NewRNG(1)}
+	r := &reclaimBench{s: s, val: make([]byte, 1024), p: s.newThread(0, sim.NewRNG(1), nil, nil)}
 	for i := 0; i < records; i++ {
 		r.keys = append(r.keys, key(i))
 	}
@@ -57,7 +56,7 @@ func (r *reclaimBench) load(tb testing.TB) {
 }
 
 func (r *reclaimBench) pass() {
-	r.s.reclaimBuffer(0, r.clk, r.rng)
+	r.s.reclaimBuffer(r.p)
 	r.s.em.Barrier()
 }
 

@@ -183,16 +183,15 @@ func TestGetServedFromSVCAfterVSRead(t *testing.T) {
 	}
 }
 
-// drain pushes both PWBs to Value Storage by forcing a reclaim pass on
+// drain pushes every PWB to Value Storage by forcing a reclaim pass on
 // each. reclaimBuffer's pass lock makes the test the ring's scan owner
-// for the pass, beside the ring's live reclaimLoop; the clock and RNG are
-// private because that loop owns its own.
+// for the pass, beside the ring's live reclaimLoop; the pass threads are
+// the test's own because that loop owns its own.
 func drain(t *testing.T, s *Store) {
 	t.Helper()
-	clk := sim.NewClock(0)
 	rng := sim.NewRNG(0xd7a1)
 	for i := range s.pwbs {
-		s.reclaimBuffer(i, clk, rng)
+		s.reclaimBuffer(s.newThread(i, rng, nil, nil))
 	}
 	s.em.Barrier()
 }

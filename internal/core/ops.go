@@ -114,7 +114,7 @@ func (t *Thread) reserve(n int) bool {
 		// reclamation started too late — lower the trigger.
 		s.adaptWatermark(false)
 		if s.opt.SyncVSWrites {
-			s.reclaimBuffer(t.id, t.Clk, t.rng)
+			s.reclaimBuffer(t)
 		} else {
 			t.kickReclaim()
 		}
@@ -219,7 +219,7 @@ func (t *Thread) writeAndPublish(idx uint64, value []byte, clearPending bool) er
 		// Ablation: no asynchronous bandwidth-optimized write — the
 		// application thread migrates PWB contents to Value Storage on
 		// its own clock, putting the SSD write on the critical path.
-		s.reclaimBuffer(t.id, t.Clk, t.rng)
+		s.reclaimBuffer(t)
 	}
 	return nil
 }
@@ -240,7 +240,7 @@ func (t *Thread) maybeKickReclaim() {
 		// signal: the trigger shrinks until pass cost stops dominating
 		// the stalled put's latency.
 		t.s.adaptWatermark(false)
-		t.s.reclaimBuffer(t.id, t.Clk, t.rng)
+		t.s.reclaimBuffer(t)
 		t.s.em.Collect()
 		return
 	}
@@ -248,10 +248,8 @@ func (t *Thread) maybeKickReclaim() {
 }
 
 func (t *Thread) kickReclaim() {
-	now := t.Clk.Now()
-	t.s.sawTime(now)
 	select {
-	case t.s.reclaimChs[t.id] <- now:
+	case t.s.reclaimChs[t.id] <- t.Clk.Now():
 	default:
 	}
 }

@@ -32,6 +32,7 @@ func (s *Store) SampleKeys(max int) [][]byte {
 	s.mntMu.Lock()
 	defer s.mntMu.Unlock()
 	t := s.mnt
+	t.Clk.AdvanceTo(s.nvmDev.Now()) // no request hands it a time: see DropRange
 	n := s.index.Len()
 	stride := 1
 	if max > 0 && n > max {
@@ -57,8 +58,9 @@ func (s *Store) SampleKeys(max int) [][]byte {
 // source shards no longer own the range, so their copies — and their
 // stamps, which would otherwise shadow the destination during a future
 // migration back — are garbage. Runs on the store's dedicated
-// maintenance thread, so it is safe concurrently with foreground and
-// async work on other Thread handles. Returns the number of live keys
+// maintenance thread, from the NVM channel's present, so it is safe
+// concurrently with foreground and async work on other Thread handles
+// and competes with it in virtual time. Returns the number of live keys
 // removed; a closed store drops nothing (the leftover copies are benign:
 // routing no longer reaches them).
 func (s *Store) DropRange(lo, hi []byte) int {
@@ -68,6 +70,7 @@ func (s *Store) DropRange(lo, hi []byte) int {
 	s.mntMu.Lock()
 	defer s.mntMu.Unlock()
 	t := s.mnt
+	t.Clk.AdvanceTo(s.nvmDev.Now())
 
 	var keys [][]byte
 	t.part.Enter()

@@ -22,14 +22,15 @@ func quietReclaim(t *testing.T) *Store {
 	})
 }
 
-// pass runs one reclaim pass over ring 0 on the test's behalf and
-// returns the ring's reclaim cursor afterwards.
-func pass(s *Store, clk *sim.Clock, rng *sim.RNG) uint64 {
-	s.reclaimBuffer(0, clk, rng)
-	r := &s.reclaimers[0]
+// pass runs one reclaim pass over ring p.id on the test's pass thread p
+// and returns the ring's reclaim cursor afterwards.
+func pass(p *Thread) uint64 {
+	s := p.s
+	s.reclaimBuffer(p)
+	r := &s.reclaimers[p.id]
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cursor, _ := s.pwbs[0].ScanRange()
+	cursor, _ := r.buf.ScanRange()
 	return cursor
 }
 
@@ -60,20 +61,20 @@ func TestReclaimScansEachRecordOnce(t *testing.T) {
 	const passes, perPass = 20, 20
 	s := quietReclaim(t)
 	th := s.Thread(0)
-	clk, rng := sim.NewClock(0), sim.NewRNG(1)
+	p := s.newThread(0, sim.NewRNG(1), nil, nil)
 
 	pinned := s.em.Register()
 	pinned.Enter()
 	unpin := sync.OnceFunc(pinned.Exit)
 	t.Cleanup(unpin) // before the store's Close, which waits for epochs
-	for p := 0; p < passes; p++ {
-		for i := p * perPass; i < (p+1)*perPass; i++ {
+	for n := 0; n < passes; n++ {
+		for i := n * perPass; i < (n+1)*perPass; i++ {
 			if err := th.Put(key(i), value(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if cursor := pass(s, clk, rng); cursor != s.pwbs[0].Head() {
-			t.Fatalf("pass %d left the cursor at %d, head %d", p, cursor, s.pwbs[0].Head())
+		if cursor := pass(p); cursor != s.pwbs[0].Head() {
+			t.Fatalf("pass %d left the cursor at %d, head %d", n, cursor, s.pwbs[0].Head())
 		}
 	}
 	if tail := s.pwbs[0].Tail(); tail != 0 {
@@ -88,7 +89,7 @@ func TestReclaimScansEachRecordOnce(t *testing.T) {
 	// Grace over: the grants land, and the next pass folds them in.
 	unpin()
 	s.em.Barrier()
-	pass(s, clk, rng)
+	pass(p)
 	if b := s.pwbs[0]; b.Tail() != b.Head() {
 		t.Fatalf("tail %d, head %d after the grants applied", b.Tail(), b.Head())
 	}
@@ -115,7 +116,7 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 
 	t.Run("no free chunk", func(t *testing.T) {
 		s := quietReclaim(t)
-		clk, rng := sim.NewClock(0), sim.NewRNG(1)
+		p := s.newThread(0, sim.NewRNG(1), nil, nil)
 		load(t, s)
 		// Take every chunk of every store.
 		var held []*valuestore.Writer
@@ -128,7 +129,7 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 				held = append(held, w)
 			}
 		}
-		if cursor := pass(s, clk, rng); cursor != 0 {
+		if cursor := pass(p); cursor != 0 {
 			t.Fatalf("cursor moved to %d though nothing could migrate", cursor)
 		}
 		if st := s.Stats(); st.PWBRecordsScanned != n || st.PWBLiveMigrated != 0 {
@@ -137,7 +138,7 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 		for _, w := range held {
 			w.Abort()
 		}
-		if cursor := pass(s, clk, rng); cursor != s.pwbs[0].Head() {
+		if cursor := pass(p); cursor != s.pwbs[0].Head() {
 			t.Fatalf("retry left the cursor at %d, head %d", cursor, s.pwbs[0].Head())
 		}
 		if st := s.Stats(); st.PWBRecordsScanned != 2*n || st.PWBLiveMigrated != n {
@@ -148,21 +149,21 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 
 	t.Run("torn header", func(t *testing.T) {
 		s := quietReclaim(t)
-		clk, rng := sim.NewClock(0), sim.NewRNG(1)
+		p := s.newThread(0, sim.NewRNG(1), nil, nil)
 		load(t, s)
 		// Smash the magic of a record in the middle of the range.
 		magicOff := int(s.table.Load(nil, mustIdx(t, s, n/2)).Off) + 12
 		good := make([]byte, 4)
 		s.nvmDev.Load(nil, magicOff, good)
 		s.nvmDev.Store(nil, magicOff, []byte{0xde, 0xad, 0xbe, 0xef})
-		if cursor := pass(s, clk, rng); cursor != 0 {
+		if cursor := pass(p); cursor != 0 {
 			t.Fatalf("cursor moved to %d past a torn header", cursor)
 		}
 		if st := s.Stats(); st.ScanTornRecords != 1 || st.PWBLiveMigrated != 0 {
 			t.Fatalf("torn pass: %d torn, %d migrated", st.ScanTornRecords, st.PWBLiveMigrated)
 		}
 		s.nvmDev.Store(nil, magicOff, good)
-		if cursor := pass(s, clk, rng); cursor != s.pwbs[0].Head() {
+		if cursor := pass(p); cursor != s.pwbs[0].Head() {
 			t.Fatalf("retry left the cursor at %d, head %d", cursor, s.pwbs[0].Head())
 		}
 		if st := s.Stats(); st.PWBLiveMigrated != n {
@@ -173,9 +174,9 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 
 	t.Run("crash and recover", func(t *testing.T) {
 		s := quietReclaim(t)
-		clk, rng := sim.NewClock(0), sim.NewRNG(1)
+		p := s.newThread(0, sim.NewRNG(1), nil, nil)
 		load(t, s)
-		if cursor := pass(s, clk, rng); cursor == 0 {
+		if cursor := pass(p); cursor == 0 {
 			t.Fatal("pass did not move the cursor")
 		}
 		// A second generation stays in the ring across the crash.
@@ -201,13 +202,12 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 		if err := s.Thread(0).Put(key(0), value(0)); err != nil {
 			t.Fatal(err)
 		}
-		pass(s, clk, rng)
+		pass(p)
 		if got := s.Stats().PWBRecordsScanned - scanned; got != 1 {
 			t.Fatalf("first pass after recovery scanned %d records, want 1", got)
 		}
-		p := s.table.Load(nil, mustIdx(t, s, 0))
-		if p.Media != hsit.VS {
-			t.Fatalf("key 0 at %v after the pass", p)
+		if ptr := s.table.Load(nil, mustIdx(t, s, 0)); ptr.Media != hsit.VS {
+			t.Fatalf("key 0 at %v after the pass", ptr)
 		}
 	})
 }

@@ -156,15 +156,16 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	s.vsm.FinishRecovery()
 
 	// Phase 3: drain live PWB values into Value Storage so the rings can
-	// reset (their volatile cursors are unknown after the crash).
-	drainClk := sim.NewClock(validated)
-	rng := sim.NewRNG(s.opt.Seed ^ 0x5ec0)
+	// reset (their volatile cursors are unknown after the crash), on a
+	// pass thread that starts when the slowest validator finished.
+	dt := s.newThread(0, sim.NewRNG(s.opt.Seed^0x5ec0), nil, nil)
+	dt.Clk.AdvanceTo(validated)
 	var drain []valuestore.Move
 	for w := 0; w < workers; w++ {
 		drain = append(drain, pwbVals[w]...)
 	}
 	noReserve := func(*valuestore.Store) int { return 0 }
-	if !s.migrate(drainClk, rng, drain, -1, false, noReserve) {
+	if !s.migrate(dt, drain, -1, false, noReserve) {
 		return rep, errors.New("prism: no Value Storage space during recovery")
 	}
 	rep.PWBValuesDrained = len(drain)
@@ -182,7 +183,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		t.async.reset()
 	}
 	s.closed.Store(false)
-	rep.VirtualNS = drainClk.Now() - begin
+	rep.VirtualNS = dt.Clk.Now() - begin
 	s.stats.recoveredValues.Add(int64(rep.LiveKeys))
 	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/hsit"
@@ -148,6 +149,27 @@ func TestDoubleCrashRecovery(t *testing.T) {
 		if err != nil || !bytes.Equal(got, value(i)) {
 			t.Fatalf("key %d after double crash: %q, %v", i, got, err)
 		}
+	}
+}
+
+// TestCrashCyclesRegisterNoParticipant: the pass threads every Recover
+// builds anew never enter an epoch and so register no participant — the
+// manager never forgets one, and every epoch advance scans them all.
+func TestCrashCyclesRegisterNoParticipant(t *testing.T) {
+	s := small(t, nil)
+	parts := func() int { return reflect.ValueOf(s.em).Elem().FieldByName("parts").Len() }
+	before := parts()
+	for cycle := 0; cycle < 3; cycle++ {
+		if err := s.Thread(0).Put(key(cycle), value(cycle)); err != nil {
+			t.Fatal(err)
+		}
+		s.Crash()
+		if _, err := s.Recover(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := parts(); got != before {
+		t.Fatalf("three crash cycles took the epoch participants from %d to %d", before, got)
 	}
 }
 

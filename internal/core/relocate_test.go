@@ -32,12 +32,12 @@ func runClaimers(s *Store, pinned map[uint64]bool) {
 		}
 	}
 	for di, st := range s.vsm.Stores {
-		st.GC(0, st.Chunks(), swing(di, di))
+		st.GC(clk, st.Chunks(), swing(di, di))
 	}
 	for di, st := range s.vsm.Stores {
 		to := (di + 1) % len(s.vsm.Stores)
 		for cursor := 0; ; {
-			next, _, _ := st.DemoteChunk(0, cursor, s.vsm.Stores[to], 0, func(idx uint64) bool { return !pinned[idx] }, swing(di, to))
+			next, _, _ := st.DemoteChunk(clk, cursor, s.vsm.Stores[to], 0, func(idx uint64) bool { return !pinned[idx] }, swing(di, to))
 			if next <= cursor {
 				break // nothing claimable, or the sweep wrapped
 			}
@@ -47,26 +47,25 @@ func runClaimers(s *Store, pinned map[uint64]bool) {
 }
 
 // TestClaimersInsideSettle runs GC and DemoteChunk from inside the settle
-// callback of every caller of the relocation path. A chunk is claimable
-// only once its writer has settled every record, so the claimers must
-// leave the chunk being settled alone, and afterwards every key is
-// well-coupled and readable. (With a chunk sealed at its device write, GC
-// takes the short fresh chunk as its best victim, finds its unpublished
-// records refused, frees it, and the caller then points HSIT into a free
-// chunk: "VS record has a clear validity bit".)
+// callback of every caller of the relocation path, GC's own included. A
+// chunk is claimable only once its writer has settled every record, so
+// the claimers must leave the chunk being settled alone, and afterwards
+// every key is well-coupled and readable. (With a chunk sealed at its
+// device write, GC takes the short fresh chunk as its best victim, finds
+// its unpublished records refused, frees it, and the caller then points
+// HSIT into a free chunk: "VS record has a clear validity bit".)
 func TestClaimersInsideSettle(t *testing.T) {
 	type row struct {
 		s      *Store
 		th     *Thread
-		clk    *sim.Clock
-		rng    *sim.RNG
+		p      *Thread // the test's pass thread
 		want   map[string][]byte
 		next   int
 		pinned map[uint64]bool // HSIT entries the claimers' demotion spares
 	}
 	var armed atomic.Pointer[row]
 	var calls atomic.Int64
-	settleHook = func() {
+	settleHook = func(*Thread) {
 		if r := armed.Load(); r != nil {
 			calls.Add(1)
 			runClaimers(r.s, r.pinned)
@@ -107,7 +106,7 @@ func TestClaimersInsideSettle(t *testing.T) {
 				t.Fatal("seeding never left two live chunks on every store")
 			}
 			put(t, r, -1, 6, val)
-			pass(r.s, r.clk, r.rng)
+			pass(r.p)
 		}
 	}
 	val512 := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 512) }
@@ -122,7 +121,7 @@ func TestClaimersInsideSettle(t *testing.T) {
 			put(t, r, -1, 6, value)
 			put(t, r, 0, 3, func(i int) []byte { return value(i + 1000) }) // supersede seeded records too
 			armed.Store(r)
-			pass(r.s, r.clk, r.rng)
+			pass(r.p)
 		}},
 		{"recovery drain", false, func(t *testing.T, r *row) {
 			seed(t, r, value)
@@ -139,7 +138,7 @@ func TestClaimersInsideSettle(t *testing.T) {
 			// more than mergeGap apart, pinned against the claimers'
 			// demotion — so the rewrite's own publishes win.
 			put(t, r, -1, 240, value) // 64-byte records: 15 of the chunk's 16 KiB
-			pass(r.s, r.clk, r.rng)
+			pass(r.p)
 			seed(t, r, value)
 			var chain svc.EvictedChain
 			for k := 0; k < 240; k += 70 {
@@ -149,11 +148,9 @@ func TestClaimersInsideSettle(t *testing.T) {
 					HSITIdx: idx, Value: value(k), Ver: r.s.table.Version(idx),
 				})
 			}
-			r.s.svcMu.Lock()
-			r.s.svcClk.AdvanceTo(10_000_000) // past the rewrite pacing interval
-			r.s.svcMu.Unlock()
+			r.p.Clk.AdvanceTo(10_000_000) // past the rewrite pacing interval
 			armed.Store(r)
-			r.s.onScanEvict(chain)
+			r.s.onScanEvict(r.p, chain)
 			for _, e := range chain.Entries {
 				if r.s.table.Version(e.HSITIdx) == e.Ver {
 					t.Fatalf("the key at HSIT entry %d was not rewritten", e.HSITIdx)
@@ -166,9 +163,9 @@ func TestClaimersInsideSettle(t *testing.T) {
 			// four chunks: half full, the demotion threshold.
 			hot0 := r.next
 			put(t, r, -1, 40, val512)
-			pass(r.s, r.clk, r.rng)
+			pass(r.p)
 			put(t, r, hot0, 40, val512)
-			pass(r.s, r.clk, r.rng)
+			pass(r.p)
 			if dev := vsDevice(r.s, key(hot0)); dev != r.s.tierFast {
 				t.Fatalf("hot key on device %d, fast tier is %d", dev, r.s.tierFast)
 			}
@@ -188,7 +185,16 @@ func TestClaimersInsideSettle(t *testing.T) {
 				if time.Now().After(deadline) {
 					t.Fatal("nothing demoted from a half-full fast tier of cooled keys")
 				}
-				cursor = r.s.demoteStep(r.clk, cursor) // beside maintenanceLoop's own
+				cursor = r.s.demoteStep(r.p, cursor) // beside maintenanceLoop's own
+			}
+		}},
+		{"gc", false, func(t *testing.T, r *row) {
+			// A GC pass's victims and its output chunk are its own until it
+			// seals them; every store holds two sparse chunks to collect.
+			seed(t, r, value)
+			armed.Store(r)
+			for di := range r.s.vsm.Stores {
+				r.s.collect(r.p, di)
 			}
 		}},
 	}
@@ -204,7 +210,7 @@ func TestClaimersInsideSettle(t *testing.T) {
 			} else {
 				s = quietReclaim(t)
 			}
-			r := &row{s: s, th: s.Thread(0), clk: sim.NewClock(0), rng: sim.NewRNG(1), want: map[string][]byte{}, pinned: map[uint64]bool{}}
+			r := &row{s: s, th: s.Thread(0), p: s.newThread(0, sim.NewRNG(1), nil, nil), want: map[string][]byte{}, pinned: map[uint64]bool{}}
 			calls.Store(0)
 			c.run(t, r)
 			armed.Store(nil)
@@ -220,6 +226,251 @@ func TestClaimersInsideSettle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRelocationChargesSwingsAfterWrite: each of the five callers of the
+// relocation path charges a record's pointer swing on its pass's clock
+// after the chunk write the new pointer points into, so a pass of N swings
+// ends at least N swing costs after that write. The write's completion is
+// read off the devices, not off the clock under test: every pass starts at
+// the devices' horizon, so when its records settle the newest SSD bucket
+// is the one the chunk's transfer ended in, and the device's write latency
+// follows it.
+func TestRelocationChargesSwingsAfterWrite(t *testing.T) {
+	// settled is one record's settle: the pass's clock, where its swing is
+	// charged from, and the earliest its chunk's write can have completed.
+	type settled struct{ at, written int64 }
+	type probe struct {
+		mu      sync.Mutex
+		s       *Store
+		pass    *Thread // the pass watched: the first to settle
+		settles []settled
+	}
+	var armed atomic.Pointer[probe]
+	settleHook = func(p *Thread) { // on p's goroutine: its clock is safe to read
+		pr := armed.Load()
+		if pr == nil {
+			return
+		}
+		pr.mu.Lock()
+		defer pr.mu.Unlock()
+		if pr.pass == nil {
+			pr.pass = p
+		}
+		if p != pr.pass {
+			return
+		}
+		var written int64
+		for _, d := range pr.s.ssds {
+			written = max(written, d.Now()+d.Config().WriteLatency)
+		}
+		pr.settles = append(pr.settles, settled{p.Clk.Now(), written})
+	}
+	t.Cleanup(func() { settleHook = nil }) // after every row's store has closed
+
+	horizon := func(s *Store) int64 {
+		h := s.nvmDev.Now()
+		for _, d := range s.ssds {
+			h = max(h, d.Now())
+		}
+		return h
+	}
+	flat := func(t *testing.T) *Store { // room in the ring for every key: no pass runs unasked
+		return small(t, func(o *Options) {
+			o.NumThreads = 1
+			o.PWBBytesPerThread = 1 << 20
+			o.ReclaimWatermark = 0.95
+			o.DisableSVC = true
+		})
+	}
+	put := func(t *testing.T, s *Store, k, v []byte) {
+		t.Helper()
+		if err := s.Thread(0).Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := []struct {
+		name string
+		open func(t *testing.T) *Store
+		// setup leaves the store ready for the pass; run runs it on p (the
+		// recovery drain runs on a thread of Recover's own).
+		setup, run func(t *testing.T, s *Store, p *Thread)
+	}{
+		{"reclaim", flat, func(t *testing.T, s *Store, p *Thread) {
+			for i := 0; i < 200; i++ {
+				put(t, s, key(i), value(i))
+			}
+		}, func(t *testing.T, s *Store, p *Thread) { pass(p) }},
+		{"recovery drain", flat, func(t *testing.T, s *Store, p *Thread) {
+			for i := 0; i < 200; i++ {
+				put(t, s, key(i), value(i))
+			}
+			s.Crash()
+		}, func(t *testing.T, s *Store, p *Thread) {
+			if rep, err := s.Recover(); err != nil || rep.PWBValuesDrained != 200 {
+				t.Fatalf("recovery: %+v, %v", rep, err)
+			}
+		}},
+		{"scan rewrite", flat, func(t *testing.T, s *Store, p *Thread) {
+			for i := 0; i < 240; i++ {
+				put(t, s, key(i), value(i))
+			}
+			pass(p)
+			p.Clk.AdvanceTo(10_000_000) // past the rewrite pacing interval
+		}, func(t *testing.T, s *Store, p *Thread) {
+			var chain svc.EvictedChain
+			for k := 0; k < 240; k += 70 { // more than mergeGap apart
+				idx := mustIdx(t, s, k)
+				chain.Entries = append(chain.Entries, &svc.Entry{HSITIdx: idx, Value: value(k), Ver: s.table.Version(idx)})
+			}
+			s.onScanEvict(p, chain)
+		}},
+		{"gc", flat, func(t *testing.T, s *Store, p *Thread) {
+			// 3,000 keys, then 3 of every 4 overwritten: the first chunks
+			// are a quarter live.
+			for i := 0; i < 3000; i++ {
+				put(t, s, key(i), value(i))
+			}
+			pass(p)
+			for i := 0; i < 3000; i++ {
+				if i%4 != 0 {
+					put(t, s, key(i), value(i+10_000))
+				}
+			}
+			pass(p)
+		}, func(t *testing.T, s *Store, p *Thread) {
+			for di := range s.vsm.Stores {
+				s.collect(p, di)
+			}
+		}},
+		{"demotion", func(t *testing.T) *Store {
+			return tieredStore(t, func(o *Options) {
+				o.SSDConfigs[0].Size = 64 << 10 // four chunks
+				o.PWBBytesPerThread = 1 << 20
+				o.ReclaimWatermark = 0.95
+				o.DisableSVC = true
+			})
+		}, func(t *testing.T, s *Store, p *Thread) {
+			// 40 keys written twice fill half the fast tier. The
+			// maintenance loop stops before they cool, so the step below
+			// is the only one to move them.
+			for round := 0; round < 2; round++ {
+				for i := 0; i < 40; i++ {
+					put(t, s, hotKey(i), val512(i))
+				}
+				pass(p)
+			}
+			s.Close()
+			s.pop.written.clear()
+			s.pop.again.clear()
+		}, func(t *testing.T, s *Store, p *Thread) {
+			s.demoteStep(p, 0)
+			if s.stats.tierDemotions.Load() == 0 {
+				t.Fatal("nothing demoted from a half-full fast tier of cooled keys")
+			}
+		}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			s := r.open(t)
+			p := s.newThread(0, sim.NewRNG(1), nil, nil)
+			r.setup(t, s, p)
+			p.Clk.AdvanceTo(horizon(s))
+			pr := &probe{s: s}
+			armed.Store(pr)
+			r.run(t, s, p)
+			armed.Store(nil)
+			if len(pr.settles) == 0 {
+				t.Fatal("no record settled")
+			}
+			c := costsOf(s, 0)
+			// A swing is PublishIf: load the word, then install. need is the
+			// earliest the pass can end.
+			swing, need := c.read(8)+c.publish(), int64(0)
+			for i, st := range pr.settles {
+				if st.at < st.written {
+					t.Errorf("%s: swing %d of %d charged at %d, %d ns before the chunk write it points into completed",
+						r.name, i, len(pr.settles), st.at, st.written-st.at)
+					break
+				}
+				need = max(need, st.written) + swing
+			}
+			first, end := pr.settles[0].written, pr.pass.Clk.Now()
+			if end < need {
+				t.Errorf("%s: %d swings end at +%d ns after the write they point into completed; at least +%d is required",
+					r.name, len(pr.settles), end-first, need-first)
+			}
+			t.Logf("%d swings of %d ns: the first charged at +%d ns after its write, the pass ends at +%d (at least +%d)",
+				len(pr.settles), swing, pr.settles[0].at-first, end-first, need-first)
+		})
+	}
+}
+
+// TestUndrivenPassesStartAtThePresent: a pass no request hands a time to —
+// the migration purge on the maintenance thread, a demotion step, the
+// scan-range rewrite — starts at the NVM channel's present. After a
+// virtual second of foreground work that kicks no reclaimer and admits
+// nothing, each must end no earlier than where the channel stood just
+// before it: a pass started at a time nothing drives is served in the
+// channel's past, up to its 67 ms horizon behind, and ends there.
+func TestUndrivenPassesStartAtThePresent(t *testing.T) {
+	s := tieredStore(t, func(o *Options) {
+		o.SSDConfigs[0].Size = 64 << 10 // four chunks: the hot keys fill half
+		o.PWBBytesPerThread = 1 << 20
+		o.ReclaimWatermark = 0.95
+		o.DisableSVC = true
+	})
+	th := s.Thread(0)
+	put := func(k, v []byte) {
+		if err := th.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := s.newThread(0, sim.NewRNG(1), nil, nil)
+	for round := 0; round < 2; round++ { // written twice: hot, on the fast tier
+		for i := 0; i < 40; i++ {
+			put(hotKey(i), val512(i))
+		}
+		pass(p)
+	}
+	for i := 0; i < 240; i++ { // written once: cold, on the capacity tier
+		put(coldKey(i), value(i))
+	}
+	pass(p)
+	for i := 0; i < 100; i++ { // the purge's range, in the ring
+		put(key(i), value(i))
+	}
+	for i := 0; i < 400; i++ {
+		th.Clk.Advance(2_500_000)
+		put([]byte("ticker"), value(i))
+	}
+
+	check := func(name string, on *Thread, run func()) {
+		t.Helper()
+		present := s.nvmDev.Now()
+		run()
+		if end := on.Clk.Now(); end < present {
+			t.Errorf("%s ended %d ns behind the NVM channel's present when it started", name, present-end)
+		}
+	}
+	check("DropRange", s.mnt, func() {
+		if n := s.DropRange(key(0), key(100)); n != 100 {
+			t.Errorf("DropRange removed %d keys, want 100", n)
+		}
+	})
+	demoter := s.newThread(0, nil, nil, nil)
+	check("demoteStep", demoter, func() { s.demoteStep(demoter, 0) })
+	var chain svc.EvictedChain
+	for k := 0; k < 240; k += 70 { // more than mergeGap apart
+		idx := mustIdxOf(t, s, coldKey(k))
+		chain.Entries = append(chain.Entries, &svc.Entry{HSITIdx: idx, Value: value(k), Ver: s.table.Version(idx)})
+	}
+	rewrites := s.Stats().ScanRewrites
+	rewriter := s.newThread(0, sim.NewRNG(1), nil, nil)
+	check("onScanEvict", rewriter, func() { s.onScanEvict(rewriter, chain) })
+	if got := s.Stats().ScanRewrites - rewrites; got != 1 {
+		t.Errorf("%d scan-range rewrites, want 1", got)
 	}
 }
 

@@ -11,10 +11,11 @@
 //
 // Every application thread obtains a Thread handle carrying its virtual
 // clock, epoch participant, and private PWB. Background work (PWB
-// reclamation, Value Storage GC, SVC management) runs on goroutines with
-// their own clocks, contending with the foreground for device bandwidth
-// in virtual time exactly as the paper's background threads contend for
-// real devices.
+// reclamation, Value Storage GC, demotion, the SVC's scan-range rewrite)
+// runs as passes on Threads of its own, with no ring and no admission
+// loop, contending with the foreground for device bandwidth in virtual
+// time exactly as the paper's background threads contend for real
+// devices.
 package core
 
 import (
@@ -227,19 +228,7 @@ type Store struct {
 	bg         sync.WaitGroup
 	closed     atomic.Bool
 
-	gcClk *sim.Clock
-
-	svcMu       sync.Mutex // guards svcClk and the rewrite path
-	svcClk      *sim.Clock
-	lastRewrite int64 // guarded by svcMu; paces scan-range rewrites
-
-	// lastSeen is the newest virtual time anyone has handed to background
-	// work: a reclaim kick, or an SVC admission by a reader or a reclaimer
-	// (sawTime keeps it a maximum). It drives the clocks of the background
-	// jobs no request carries a time to — the scan-range rewrite and the
-	// demotion pass — which would otherwise stand still while the clocks
-	// of the work they wait on run seconds ahead.
-	lastSeen atomic.Int64
+	lastRewrite int64 // the rewrite thread's: paces scan-range rewrites
 
 	// pop is the popularity tracker behind SVC admission and tier
 	// steering (admit.go).
@@ -315,8 +304,10 @@ type statsCounters struct {
 }
 
 // Thread is one application thread's handle: it owns a virtual clock, an
-// epoch participant, and a private PWB. A Thread must not be used
-// concurrently; different Threads may run in parallel.
+// epoch participant, and a private PWB. A background pass runs on a
+// Thread too, one with no ring and no admission loop (newThread). A
+// Thread must not be used concurrently; different Threads may run in
+// parallel.
 type Thread struct {
 	s    *Store
 	id   int
@@ -326,7 +317,8 @@ type Thread struct {
 	rng  *sim.RNG
 
 	// async is the thread's admission loop for PutAsync/GetAsync/
-	// DeleteAsync (nil only on shadow executors, which never submit).
+	// DeleteAsync (nil on shadow executors and pass threads, which never
+	// submit).
 	async *asyncThread
 
 	// stage is the clock the steps of an overlap frame run on (async.go):
@@ -392,8 +384,6 @@ func Open(opt Options) (*Store, error) {
 		nvmDev:  nvm.New(ncfg),
 		em:      epoch.NewManager(),
 		gcCh:    make(chan gcReq, opt.NumSSDs*2),
-		gcClk:   sim.NewClock(0),
-		svcClk:  sim.NewClock(0),
 		pwbBase: pwbBase,
 	}
 	wm := opt.ReclaimWatermark
@@ -442,37 +432,20 @@ func Open(opt Options) (*Store, error) {
 	s.pop = newPopularity(opt.HSITCapacity, s.tiered(), s.recentLimit)
 	rng := sim.NewRNG(opt.Seed)
 	for i := 0; i < opt.NumThreads; i++ {
-		s.threads = append(s.threads, &Thread{
-			s:    s,
-			id:   i,
-			Clk:  sim.NewClock(0),
-			part: s.em.Register(),
-			buf:  s.pwbs[i],
-			rng:  rng.Split(),
-		})
+		s.threads = append(s.threads, s.newThread(i, rng.Split(), s.pwbs[i], s.em.Register()))
 	}
 	// Shadow executors are split from the master RNG after every public
 	// thread, so existing seeds produce the same public-thread streams.
 	for i := 0; i < opt.NumThreads; i++ {
 		t := s.threads[i]
-		a := &asyncThread{
-			t: t,
-			lt: &Thread{
-				s:    s,
-				id:   i,
-				Clk:  sim.NewClock(0),
-				part: s.em.Register(),
-				buf:  s.pwbs[i],
-				rng:  rng.Split(),
-			},
-		}
+		a := &asyncThread{t: t, lt: s.newThread(i, rng.Split(), s.pwbs[i], s.em.Register())}
 		a.cond = sync.NewCond(&a.mu)
 		t.async = a
 	}
 	// The maintenance thread registers after all public + shadow
 	// participants and takes no RNG split, so existing seeds keep their
 	// streams bit-identical.
-	s.mnt = &Thread{s: s, id: 0, Clk: sim.NewClock(0), part: s.em.Register()}
+	s.mnt = s.newThread(0, nil, nil, s.em.Register())
 	if !opt.DisableMetrics {
 		s.reg = obs.NewRegistry()
 		s.registerMetrics()
@@ -481,8 +454,22 @@ func Open(opt Options) (*Store, error) {
 	return s, nil
 }
 
+// newThread builds a Thread of s, its clock at 0: the one constructor of
+// every thread — public, shadow, maintenance and pass. id is the ring it
+// reclaims or appends to; buf is that ring for a thread that appends, nil
+// for one that never does (a misrouted append then fails loudly). rng is
+// its stream for device picks, nil for one that never picks. part is its
+// epoch participant, nil for a pass that never enters an epoch: the
+// manager never forgets a participant, and pass threads are built anew
+// at every Recover.
+func (s *Store) newThread(id int, rng *sim.RNG, buf *pwb.Buffer, part *epoch.Participant) *Thread {
+	return &Thread{s: s, id: id, Clk: sim.NewClock(0), part: part, buf: buf, rng: rng}
+}
+
 // newCache builds the SVC with the store's hooks, for Open and for Recover
-// (the cache is DRAM and dies with a crash); nil under DisableSVC.
+// (the cache is DRAM and dies with a crash); nil under DisableSVC. The
+// scan-range rewrite runs on a pass thread of the cache's own, on the
+// cache manager's goroutine.
 func (s *Store) newCache() *svc.Cache {
 	if s.opt.DisableSVC {
 		return nil
@@ -494,7 +481,8 @@ func (s *Store) newCache() *svc.Cache {
 		},
 	}
 	if !s.opt.DisableScanSort {
-		cfg.OnScanEvict = s.onScanEvict
+		t := s.newThread(0, sim.NewRNG(s.opt.Seed^0x5ca9), nil, nil)
+		cfg.OnScanEvict = func(chain svc.EvictedChain) { s.onScanEvict(t, chain) }
 	}
 	return svc.New(cfg)
 }

@@ -7,10 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/hsit"
-	"repro/internal/sim"
 	"repro/internal/ssd"
-	"repro/internal/valuestore"
 )
 
 // ---- tier selection ----
@@ -110,7 +107,7 @@ func (s *Store) maintenanceLoop() {
 	defer s.bg.Done()
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
-	clk := sim.NewClock(0)
+	t := s.newThread(0, nil, nil, nil)
 	cursor := 0
 	for {
 		select {
@@ -131,17 +128,17 @@ func (s *Store) maintenanceLoop() {
 				}
 			}
 			s.em.Collect()
-			clk.AdvanceTo(s.lastSeen.Load())
-			cursor = s.demoteStep(clk, cursor)
+			cursor = s.demoteStep(t, cursor)
 		}
 	}
 }
 
-// demoteStep runs one increment of the background demotion pass: when
-// the fast tier is more than half full, relocate the cold records of one
-// chunk to the capacity tier. The cursor makes successive ticks sweep
-// the whole fast store instead of re-scanning its head.
-func (s *Store) demoteStep(clk *sim.Clock, cursor int) int {
+// demoteStep runs one increment of the background demotion pass on t:
+// when the fast tier is more than half full, relocate the cold records of
+// one chunk to the capacity tier. No request hands it a time, so it
+// starts at the NVM channel's present. The cursor makes successive ticks
+// sweep the whole fast store instead of re-scanning its head.
+func (s *Store) demoteStep(t *Thread, cursor int) int {
 	if !s.tiered() {
 		return cursor
 	}
@@ -149,25 +146,14 @@ func (s *Store) demoteStep(clk *sim.Clock, cursor int) int {
 	if fastSt.FreeChunks()*2 > fastSt.Chunks() {
 		return cursor
 	}
+	t.Clk.AdvanceTo(s.nvmDev.Now())
 	capSt := s.vsm.Stores[s.tierCap]
-	next, moved, done := fastSt.DemoteChunk(clk.Now(), cursor, capSt, s.gcReserve(capSt),
-		func(idx uint64) bool { return !s.hotIdx(idx) },
-		func(idx, oldLocal, newLocal uint64, vlen int) bool {
-			if settleHook != nil {
-				settleHook()
-			}
-			_, ok := s.table.PublishIf(clk, idx,
-				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(s.tierFast, oldLocal)},
-				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(s.tierCap, newLocal)})
-			if ok {
-				s.stats.tierDemotedBytes.Add(int64(vlen))
-			}
-			return ok
-		})
-	clk.AdvanceTo(done)
+	next, moved, bytes := fastSt.DemoteChunk(t.Clk, cursor, capSt, s.gcReserve(capSt),
+		func(idx uint64) bool { return !s.hotIdx(idx) }, s.relocate(t, s.tierFast, s.tierCap))
 	if moved > 0 {
 		s.stats.tierDemotions.Add(int64(moved))
-		s.maybeKickGC(s.tierCap, capSt, clk.Now())
+		s.stats.tierDemotedBytes.Add(bytes)
+		s.maybeKickGC(s.tierCap, capSt, t.Clk.Now())
 	}
 	s.em.Collect()
 	return next

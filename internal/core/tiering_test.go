@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/hsit"
-	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/valuestore"
 )
@@ -190,12 +189,12 @@ func TestTieringDemotion(t *testing.T) {
 		t.Fatalf("fast tier only %d/%d chunks used; demotion threshold not reached",
 			fastSt.Chunks()-fastSt.FreeChunks(), fastSt.Chunks())
 	}
-	clk := sim.NewClock(0)
+	p := s.newThread(0, nil, nil, nil)
 	for cursor, step := 0, 0; s.stats.tierDemotions.Load() == 0; step++ {
 		if step == 2*fastSt.Chunks() {
 			t.Fatal("no demotions despite a cooled-off, more-than-half-full fast tier")
 		}
-		cursor = s.demoteStep(clk, cursor)
+		cursor = s.demoteStep(p, cursor)
 	}
 	for i := 0; i < nHot; i++ {
 		got, err := th.Get(hotKey(i))

@@ -589,19 +589,21 @@ func (s *Store) evacuate(clk *sim.Clock, dest *Store, reserve int, moves []Move,
 	return moved, bytes
 }
 
-// GC performs one garbage-collection pass (§5.2): it greedily selects up
-// to maxVictims live chunks with the fewest live bytes, migrates their
-// live records into as few fresh chunks as possible, republishes their
-// HSIT pointers via relocate (see evacuate), and recycles the victims it
-// emptied; a victim still holding a record — relocation refused, or no
-// chunk left to move it into — returns to service.
+// GC performs one garbage-collection pass (§5.2) on the caller's clock,
+// which it advances through the victim reads and the chunk writes: it
+// greedily selects up to maxVictims live chunks with the fewest live
+// bytes, migrates their live records into as few fresh chunks as
+// possible, republishes their HSIT pointers via relocate (see evacuate),
+// and recycles the victims it emptied; a victim still holding a record —
+// relocation refused, or no chunk left to move it into — returns to
+// service.
 //
 // Chunks that are still mostly live (>90% of a chunk) are never chosen
 // — compacting them writes nearly as much as it frees, the churn the
 // greedy policy exists to avoid.
 //
-// It returns the number of chunks freed and the virtual completion time.
-func (s *Store) GC(at int64, maxVictims int, relocate func(hsitIdx, oldOff, newOff uint64, valueLen int) bool) (freed int, done int64) {
+// It returns the number of chunks freed.
+func (s *Store) GC(clk *sim.Clock, maxVictims int, relocate func(hsitIdx, oldOff, newOff uint64, valueLen int) bool) (freed int) {
 	type victim struct {
 		idx  int
 		live int64
@@ -633,11 +635,10 @@ func (s *Store) GC(at int64, maxVictims int, relocate func(hsitIdx, oldOff, newO
 		gain += int64(s.chunkSize) - v.live
 	}
 	if len(cands) == 0 || gain < int64(s.chunkSize) {
-		return 0, at
+		return 0
 	}
 	s.gcRuns.Add(1)
 
-	clk := sim.NewClock(at)
 	buf := s.takeReadBuf(len(cands) * s.chunkSize)
 	defer s.putReadBuf(buf)
 	var moves []Move
@@ -656,26 +657,26 @@ func (s *Store) GC(at int64, maxVictims int, relocate func(hsitIdx, oldOff, newO
 			freed++
 		}
 	}
-	return freed, clk.Now()
+	return freed
 }
 
-// DemoteChunk is the tiering counterpart of GC: it claims the next live
-// chunk at or after cursor (wrapping), and relocates every still-valid
-// record for which cold returns true into dest — the capacity tier —
-// holding back reserve of its chunks. relocate is evacuate's: the caller
-// composes the global offsets of the two stores. Hot records stay in
-// place, so a mostly-hot chunk just returns to service with holes where
-// its cold records were. A chunk left empty is recycled.
+// DemoteChunk is the tiering counterpart of GC, on the caller's clock
+// likewise: it claims the next live chunk at or after cursor (wrapping),
+// and relocates every still-valid record for which cold returns true into
+// dest — the capacity tier — holding back reserve of its chunks.
+// relocate is evacuate's: the caller composes the global offsets of the
+// two stores. Hot records stay in place, so a mostly-hot chunk just
+// returns to service with holes where its cold records were. A chunk left
+// empty is recycled.
 //
 // One chunk per call keeps the pass incremental — the maintenance tick
 // paces demotion instead of a burst relocating the whole tier at once.
-// Returns the cursor to resume from, the number of records moved, and the
-// virtual completion time.
-func (s *Store) DemoteChunk(at int64, cursor int, dest *Store, reserve int, cold func(hsitIdx uint64) bool, relocate func(hsitIdx, oldLocal, newLocal uint64, valueLen int) bool) (nextCursor, moved int, done int64) {
+// Returns the cursor to resume from, and the records moved and their
+// payload bytes.
+func (s *Store) DemoteChunk(clk *sim.Clock, cursor int, dest *Store, reserve int, cold func(hsitIdx uint64) bool, relocate func(hsitIdx, oldLocal, newLocal uint64, valueLen int) bool) (nextCursor, moved int, bytes int64) {
 	if cursor < 0 || cursor >= s.nchunks {
 		cursor = 0
 	}
-	clk := sim.NewClock(at)
 	buf := s.takeReadBuf(s.chunkSize)
 	defer s.putReadBuf(buf)
 	for i := 0; i < s.nchunks; i++ {
@@ -684,10 +685,10 @@ func (s *Store) DemoteChunk(at int64, cursor int, dest *Store, reserve int, cold
 			continue
 		}
 		if moves, ok := s.claim(clk, ci, buf, cold, nil); ok {
-			moved, _ = s.evacuate(clk, dest, reserve, moves, relocate)
+			moved, bytes = s.evacuate(clk, dest, reserve, moves, relocate)
 			s.seal(ci)
-			return (ci + 1) % s.nchunks, moved, clk.Now()
+			return (ci + 1) % s.nchunks, moved, bytes
 		}
 	}
-	return cursor, 0, at
+	return cursor, 0, 0
 }

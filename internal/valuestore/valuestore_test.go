@@ -168,7 +168,8 @@ func TestGCMigratesOnlyLiveRecords(t *testing.T) {
 		}
 	}
 	relocations := 0
-	freed, done := s.GC(0, 2, func(h, oldOff, newOff uint64, n int) bool {
+	clk := sim.NewClock(0)
+	freed := s.GC(clk, 2, func(h, oldOff, newOff uint64, n int) bool {
 		if hsit[h] != oldOff {
 			t.Fatalf("relocate with stale old offset for %d", h)
 		}
@@ -185,7 +186,7 @@ func TestGCMigratesOnlyLiveRecords(t *testing.T) {
 	if relocations != 4 {
 		t.Fatalf("relocated %d, want 4", relocations)
 	}
-	if done <= 0 {
+	if clk.Now() <= 0 {
 		t.Fatal("GC consumed no virtual time")
 	}
 	em.Barrier()
@@ -196,7 +197,7 @@ func TestGCMigratesOnlyLiveRecords(t *testing.T) {
 			t.Fatalf("record %d invalid after GC", h)
 		}
 		req := s.ReadAt(hsit[h], 5)
-		s.Dev.Submit(done, []ssd.Request{req})
+		s.Dev.Submit(clk.Now(), []ssd.Request{req})
 		gi, gv, ok := DecodeRecord(req.Data)
 		if !ok || gi != h || string(gv) != fmt.Sprintf("v%04d", h) {
 			t.Fatalf("record %d corrupt after GC: %q", h, gv)
@@ -221,7 +222,7 @@ func TestGCRespectsFailedRelocation(t *testing.T) {
 	// Invalidate nothing, but refuse relocation (value superseded, the
 	// superseder's Invalidate still on its way).
 	refused := 0
-	freed, _ := s.GC(0, 2, func(h, oldOff, newOff uint64, n int) bool {
+	freed := s.GC(sim.NewClock(0), 2, func(h, oldOff, newOff uint64, n int) bool {
 		if oldOff != offs[h-9] {
 			t.Fatalf("unexpected relocation of %d from %d", h, oldOff)
 		}
@@ -273,10 +274,10 @@ func TestWriteChunkSealsAfterSettle(t *testing.T) {
 			}
 			return false
 		}
-		if freed, _ := s.GC(0, 8, refuse); freed != 0 {
+		if freed := s.GC(sim.NewClock(0), 8, refuse); freed != 0 {
 			t.Errorf("GC freed %d chunks from inside settle", freed)
 		}
-		s.DemoteChunk(0, 0, dest, 0, func(uint64) bool { return true }, refuse)
+		s.DemoteChunk(sim.NewClock(0), 0, dest, 0, func(uint64) bool { return true }, refuse)
 	}
 	moves := []Move{{HSITIdx: 1, Value: []byte("one")}, {HSITIdx: 2, Value: []byte("two")}, {HSITIdx: 3, Value: []byte("three")}}
 
@@ -305,7 +306,7 @@ func TestWriteChunkSealsAfterSettle(t *testing.T) {
 		t.Fatalf("after two sealed chunks: %+v", st)
 	}
 	// Sealed, the same two chunks are fair game.
-	if freed, _ := s.GC(0, 8, func(h, oldOff, newOff uint64, n int) bool { return true }); freed != 2 {
+	if freed := s.GC(sim.NewClock(0), 8, func(h, oldOff, newOff uint64, n int) bool { return true }); freed != 2 {
 		t.Fatalf("GC freed %d sealed sparse chunks, want 2", freed)
 	}
 
@@ -397,7 +398,7 @@ func TestRecoveryRebuild(t *testing.T) {
 	// The revived chunk is 100% live from recovery's perspective, so the
 	// greedy policy must NOT churn it.
 	moved := 0
-	s.GC(0, 8, func(h, oldOff, newOff uint64, n int) bool {
+	s.GC(sim.NewClock(0), 8, func(h, oldOff, newOff uint64, n int) bool {
 		moved++
 		return true
 	})
@@ -412,7 +413,7 @@ func TestRecoveryRebuild(t *testing.T) {
 	w2.Commit(0)
 	m.Invalidate(GlobalOff(0, offD), 4)
 	newLoc := map[uint64]uint64{}
-	s.GC(0, 8, func(h, oldOff, newOff uint64, n int) bool {
+	s.GC(sim.NewClock(0), 8, func(h, oldOff, newOff uint64, n int) bool {
 		if h != 1 && h != 3 {
 			t.Fatalf("unexpected relocation: h=%d old=%d", h, oldOff)
 		}
