@@ -38,17 +38,22 @@ test:
 # design; DESIGN.md §4.12), and TestPublishActsOnTheCurrentWord and
 # TestPrefetchedPublishStress in internal/hsit for a writer whose entry is
 # moved, flushed or admitted to between its prefetch and its publish
-# (DESIGN.md §3.5). internal/bench's suite is whole YCSB runs of every
-# baseline engine, which the detector's ~20x slowdown stretches for no
-# Prism code the other packages leave uncovered, so that one package
-# contributes a bounded concurrent-load smoke instead of its whole suite;
-# every other package runs in full.
+# (DESIGN.md §3.5), and TestConcurrentOwnershipProperty in internal/core
+# for four clients of the one model harness (internal/model) beside the
+# live reclaimers and Value Storage GC, ending in CheckInvariants, and
+# TestMigrationMidFlightStress in internal/shard for four such clients
+# while ranges split and migrate under them. internal/bench's suite is
+# whole YCSB runs of every baseline engine, which the detector's ~20x
+# slowdown stretches for no Prism code the other packages leave
+# uncovered, so that one package contributes a bounded concurrent-load
+# smoke instead of its whole suite; every other package runs in full.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v internal/bench)
 	$(GO) test -race -count=1 -run 'TestShardBatchFanoutStress$$' ./internal/shard
 	$(GO) test -race -count=1 -run 'TestReplicaFanoutStress$$' ./internal/shard
 	$(GO) test -race -count=1 -run 'TestMigrationMidFlightStress$$' ./internal/shard
 	$(GO) test -race -count=1 -run 'TestAsyncCompletionStress$$' ./internal/core
+	$(GO) test -race -count=1 -run 'TestConcurrentOwnershipProperty$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAdaptiveWatermarkBurstStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestGCChurnStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestReclaimAdmissionNeverStale$$' ./internal/core
@@ -62,11 +67,16 @@ race:
 # loc prints the non-blank, non-comment lines of non-test Go code per
 # package — the measure ROADMAP.md and CHANGES.md quote when a PR claims
 # to have removed code (per file: grep -cvE '^\s*(//.*)?$$' file.go) —
-# and, last, their total: the tree's size as ROADMAP.md quotes it.
+# then, in a second column, the package's _test.go lines counted by the
+# same rule, and, last, both totals: the first is the tree's size as
+# ROADMAP.md quotes it, the two together are what a PR that moves code
+# between tests and production changes.
 loc:
-	@$(GO) list -f '{{.Dir}}' ./... | { t=0; while read d; do \
-		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//.*)?$$'); \
-		t=$$((t+n)); printf '%6d %s\n' $$n .$${d#$(CURDIR)}; done; printf '%6d total\n' $$t; }
+	@$(GO) list -f '{{.Dir}}' ./... | { t=0; u=0; while read d; do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs -r cat | grep -cvE '^[[:space:]]*(//.*)?$$'); \
+		m=$$(ls $$d/*.go | grep _test.go | xargs -r cat | grep -cvE '^[[:space:]]*(//.*)?$$'); \
+		t=$$((t+n)); u=$$((u+m)); printf '%6d %6d %s\n' $$n $$m .$${d#$(CURDIR)}; done; \
+		printf '%6d %6d total\n' $$t $$u; }
 
 # fmt-check fails (listing the files) if any file needs gofmt.
 fmt-check:

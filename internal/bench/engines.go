@@ -86,7 +86,7 @@ func NewEngine(kind string, rc RunConfig) (engine.Store, error) {
 			Clients:    rc.Threads,
 		}), nil
 	case EngineMatrixKV:
-		cfg := lsm.MatrixKVConfig(rc.Threads, rc.NumSSDs, 1)
+		cfg := lsm.MatrixKVConfig(rc.Threads, rc.NumSSDs)
 		cfg.DataBytes = clamp64(ds*4/int64(rc.NumSSDs), 8<<20, 1<<40)
 		cfg.MemtableBytes = clamp64(ds/64, 64<<10, 1<<30)
 		cfg.MatrixCap = clamp64(ds*8/100, 128<<10, 1<<40)
@@ -97,7 +97,7 @@ func NewEngine(kind string, rc RunConfig) (engine.Store, error) {
 		cfg.WALBytes = clamp64(ds/4, 4<<20, 1<<40)
 		return lsm.Open(cfg), nil
 	case EngineRocksDBNVM:
-		cfg := lsm.RocksDBNVMConfig(rc.Threads, 1)
+		cfg := lsm.RocksDBNVMConfig(rc.Threads)
 		cfg.DataBytes = clamp64(ds*6, 16<<20, 1<<40)
 		cfg.MemtableBytes = clamp64(ds/64, 64<<10, 1<<30)
 		cfg.BlockCacheBytes = clamp64(ds*26/100, 256<<10, 1<<40)

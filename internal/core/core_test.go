@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/hsit"
@@ -237,6 +238,39 @@ func TestScanReturnsOrderedRange(t *testing.T) {
 	for i, k := range got {
 		if k != string(key(50+i)) {
 			t.Fatalf("scan[%d] = %s", i, k)
+		}
+	}
+}
+
+// Regression: a counted scan whose rows are deleted between its walk and
+// its row reads walks on, so it returns a full page while the store holds
+// one. It used to return a short page, which the router's range scan read
+// as the end of the range and skipped the rest of it.
+func TestScanPageSurvivesConcurrentDeletes(t *testing.T) {
+	s := small(t, nil)
+	th, churn := s.Thread(0), s.Thread(1)
+	for i := 0; i < 200; i++ {
+		if err := th.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stop atomic.Bool
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for i := 0; !stop.Load(); i++ {
+			k := key(2*(i%100) + 1) // odd keys come and go
+			if err := errors.Join(churn.Delete(k), churn.Put(k, value(1))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { stop.Store(true); <-stopped }()
+	for i := 0; i < 2000; i++ {
+		n := 0
+		if err := th.Scan(key(60), 19, func(KV) bool { n++; return true }); err != nil || n != 19 {
+			t.Fatalf("scan %d returned %d rows of 19 (%v), with 70 keys it never deletes after its start", i, n, err)
 		}
 	}
 }

@@ -318,11 +318,11 @@ func (s *Store) registerMetrics() {
 		s.em.Enters)
 }
 
-// MetricsRegistry exposes the store's observability registry (nil when
-// Options.DisableMetrics), e.g. for attaching an obs.Sampler.
+// MetricsRegistry exposes the store's observability registry, e.g. for
+// attaching an obs.Sampler.
 func (s *Store) MetricsRegistry() *obs.Registry { return s.reg }
 
 // Metrics returns a stable, JSON-serializable snapshot of every
-// registered metric. With metrics disabled it returns an empty snapshot.
-// Safe to call concurrently with operations, and after Close.
+// registered metric. Safe to call concurrently with operations, and
+// after Close.
 func (s *Store) Metrics() obs.Snapshot { return s.reg.Snapshot() }

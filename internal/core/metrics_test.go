@@ -233,32 +233,6 @@ func TestMetricsAfterCrash(t *testing.T) {
 	cacheOne()
 }
 
-// TestMetricsDisabled verifies DisableMetrics yields an empty snapshot
-// and no hot-path panics.
-func TestMetricsDisabled(t *testing.T) {
-	st, err := Open(Options{DisableMetrics: true, PWBBytesPerThread: 64 << 10, SSDBytes: 4 << 20, ChunkSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	th := st.Thread(0)
-	if err := th.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := th.Get([]byte("k")); err != nil {
-		t.Fatal(err)
-	}
-	if err := th.Scan([]byte("k"), 1, func(KV) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if snap := st.Metrics(); len(snap.Metrics) != 0 {
-		t.Errorf("disabled store exported %d metrics", len(snap.Metrics))
-	}
-	if st.MetricsRegistry() != nil {
-		t.Error("disabled store has a registry")
-	}
-}
-
 // TestMetricsTABaseline checks the DisableCombining configuration exports
 // the ta.* family instead of tcq.*.
 func TestMetricsTABaseline(t *testing.T) {

@@ -464,18 +464,18 @@ func (t *Thread) deleteStep(key []byte, ts uint64) error {
 		if cur, _ := s.repl.newest(string(key)); cur >= ts {
 			return ErrNotFound
 		}
+		// The tombstone goes first: a pull that finds the key gone must find
+		// it superseded, not a live stamp claiming a value that is not there
+		// (shard.pull reads the two without the stripe).
+		s.repl.setTomb(string(key), ts)
 	}
-	err := ErrNotFound
 	if idx, ok := s.index.Delete(t.Clk, key); ok {
 		old, svc := s.table.Clear(t.Clk, idx)
 		t.invalidateOld(idx, old, svc)
 		s.table.Free(idx)
-		err = nil
+		return nil
 	}
-	if ts != 0 {
-		s.repl.setTomb(string(key), ts)
-	}
-	return err
+	return ErrNotFound
 }
 
 // KV is one key-value pair yielded by Scan.
@@ -506,13 +506,29 @@ func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 		s.latScan.Record(t.Clk.Now() - t0)
 	}()
 
-	t.walk(start, count, func(key []byte, idx uint64) bool {
+	collect := func(key []byte, idx uint64) bool {
 		items = append(items, scanItem{key: cloneBytes(key), idx: idx})
 		return true
-	})
-	// An item deleted between the walk and its row step keeps a nil val
-	// and is skipped.
-	t.readRows(items, false)
+	}
+	t.walk(start, count, collect)
+	for n, want := 0, count; ; {
+		// An item deleted between the walk and its row step keeps a nil val
+		// and is skipped. A counted scan it left short walks on past its
+		// last key for as many rows again, so a short scan always means the
+		// index ran out: the router's range scan then moves to the next range.
+		t.readRows(items[n:], false)
+		dropped := 0
+		for i := n; i < len(items); i++ {
+			if items[i].val == nil {
+				dropped++
+			}
+		}
+		if count <= 0 || dropped == 0 || len(items)-n < want {
+			break
+		}
+		n, want = len(items), dropped
+		s.index.Scan(t.Clk, append(cloneBytes(items[n-1].key), 0), want, collect)
+	}
 	for i := range items {
 		if items[i].val == nil {
 			continue

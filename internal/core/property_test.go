@@ -4,279 +4,63 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/sim"
+	"repro/internal/model"
 )
 
-// Property: under a random op sequence (with crashes injected), the
-// store always agrees with an in-memory reference model — every
-// committed write is durable, every delete holds, reads never return
-// stale or torn values.
-//
-// Batch operations are part of the mix, including crashes injected
-// MID-batch via Store.batchStepHook. PutBatch's durability contract is
-// prefix consistency: after recovery, exactly the entries before the
-// crash point hold their new values and every later entry is untouched —
-// never a suffix entry without its predecessors (hsit.Publish persists
-// each forward pointer before the next entry appends).
-func TestStoreMatchesModelWithCrashes(t *testing.T) {
-	f := func(seed uint64) bool {
-		s, err := Open(Options{
-			NumThreads:        1,
-			PWBBytesPerThread: 64 << 10,
-			HSITCapacity:      1 << 12,
-			NumSSDs:           1,
-			SSDBytes:          4 << 20,
-			ChunkSize:         16 << 10,
-			SVCBytes:          32 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
+// coreLevel is s as the model harness drives it, client c on thread c.
+// At the end Len must count the rows of a full scan, which the audit has
+// checked against the model.
+func coreLevel(s *Store) model.Level[KV, *Handle] {
+	return model.Level[KV, *Handle]{Name: "core", NotFound: ErrNotFound, Client: func(c int) model.Ops[KV, *Handle] {
+		th := s.Thread(c)
+		return model.Ops[KV, *Handle]{Put: th.Put, Get: th.Get, Del: th.Delete, Scan: th.Scan,
+			PutBatch: th.PutBatch, MultiGet: th.MultiGet, PutAsync: th.PutAsync, GetAsync: th.GetAsync, DelAsync: th.DeleteAsync}
+	}, End: func() error {
+		n := 0
+		if err := s.Thread(0).Scan(nil, 0, func(KV) bool { n++; return true }); err != nil || n != s.Len() {
+			return fmt.Errorf("Len %d, a full scan returned %d rows (%v)", s.Len(), n, err)
 		}
-		defer s.Close()
-		th := s.Thread(0)
-		rng := sim.NewRNG(seed)
-		ref := map[string]string{}
-		for i := 0; i < 1200; i++ {
-			k := fmt.Sprintf("key%03d", rng.Intn(150))
-			switch rng.Intn(15) {
-			case 14:
-				// Async burst, occasionally crashed mid-flight. A handle
-				// that resolves nil is durable — its put hit the PWB
-				// before Crash let the devices drop state — and one that
-				// resolves ErrClosed was never applied; the model applies
-				// exactly the nil-resolved prefix in submission order.
-				n := 4 + rng.Intn(8)
-				type sub struct {
-					k, v string
-					h    *Handle
-				}
-				subs := make([]sub, n)
-				doCrash := rng.Intn(6) == 0
-				for j := range subs {
-					kk := fmt.Sprintf("key%03d", rng.Intn(150))
-					vv := fmt.Sprintf("aval-%d-%d", i, j)
-					subs[j] = sub{kk, vv, th.PutAsync([]byte(kk), []byte(vv))}
-					if doCrash && j == n/2 {
-						s.Crash()
-					}
-				}
-				for _, sb := range subs {
-					switch err := sb.h.Wait(); {
-					case err == nil:
-						ref[sb.k] = sb.v
-					case doCrash && errors.Is(err, ErrClosed):
-						// not applied
-					default:
-						t.Errorf("async put %q: %v", sb.k, err)
-						return false
-					}
-				}
-				if doCrash {
-					if _, err := s.Recover(); err != nil {
-						t.Errorf("recover mid-async: %v", err)
-						return false
-					}
-					for _, sb := range subs {
-						want, exists := ref[sb.k]
-						got, gerr := th.Get([]byte(sb.k))
-						if exists != (gerr == nil) {
-							t.Errorf("post-crash async key %q: err=%v, model exists=%v", sb.k, gerr, exists)
-							return false
-						}
-						if exists && string(got) != want {
-							t.Errorf("post-crash async key %q = %q, model %q", sb.k, got, want)
-							return false
-						}
-					}
-				}
-			case 12:
-				// MultiGet agreement: nil iff the model lacks the key.
-				keys := make([][]byte, 2+rng.Intn(6))
-				for j := range keys {
-					keys[j] = []byte(fmt.Sprintf("key%03d", rng.Intn(150)))
-				}
-				vals, err := th.MultiGet(keys)
-				if err != nil {
-					t.Errorf("multiget: %v", err)
-					return false
-				}
-				for j, kk := range keys {
-					want, exists := ref[string(kk)]
-					if exists != (vals[j] != nil) {
-						t.Errorf("multiget %q: got %v, model exists=%v", kk, vals[j], exists)
-						return false
-					}
-					if exists && string(vals[j]) != want {
-						t.Errorf("multiget %q = %q, model %q", kk, vals[j], want)
-						return false
-					}
-				}
-			case 13:
-				// PutBatch, occasionally crashed mid-batch. The hook
-				// fires after entry `step` has been applied, so a crash
-				// at step c commits exactly entries 0..c.
-				n := 2 + rng.Intn(5)
-				kvs := make([]KV, n)
-				for j := range kvs {
-					kvs[j] = KV{
-						Key:   []byte(fmt.Sprintf("key%03d", rng.Intn(150))),
-						Value: []byte(fmt.Sprintf("bval-%d-%d", i, j)),
-					}
-				}
-				crashAt := -1
-				if rng.Intn(6) == 0 {
-					crashAt = rng.Intn(n)
-					s.batchStepHook = func(step int) {
-						if step == crashAt {
-							s.Crash()
-						}
-					}
-				}
-				err := th.PutBatch(kvs)
-				s.batchStepHook = nil
-				applied := n
-				switch {
-				case err == nil:
-					// Full application — a crash at the last step still
-					// commits everything.
-				case crashAt >= 0 && errors.Is(err, ErrClosed):
-					applied = crashAt + 1
-				default:
-					t.Errorf("putbatch: %v", err)
-					return false
-				}
-				for j := 0; j < applied; j++ {
-					ref[string(kvs[j].Key)] = string(kvs[j].Value)
-				}
-				if crashAt >= 0 {
-					if _, err := s.Recover(); err != nil {
-						t.Errorf("recover mid-batch: %v", err)
-						return false
-					}
-					// Prefix consistency: after recovery every batch key
-					// agrees with the model that applied exactly the
-					// prefix — suffix entries must hold their pre-batch
-					// values (or stay missing), never the new ones.
-					for _, kv := range kvs {
-						want, exists := ref[string(kv.Key)]
-						got, gerr := th.Get(kv.Key)
-						if exists != (gerr == nil) {
-							t.Errorf("post-crash batch key %q: err=%v, model exists=%v", kv.Key, gerr, exists)
-							return false
-						}
-						if exists && string(got) != want {
-							t.Errorf("post-crash batch key %q = %q, model %q", kv.Key, got, want)
-							return false
-						}
-					}
-				}
-			case 0:
-				if err := th.Delete([]byte(k)); err == nil {
-					delete(ref, k)
-				} else if _, exists := ref[k]; exists {
-					t.Errorf("delete of existing %q failed: %v", k, err)
-					return false
-				}
-			case 1, 2, 3:
-				got, err := th.Get([]byte(k))
-				want, exists := ref[k]
-				if exists != (err == nil) {
-					t.Errorf("get %q: err=%v, model exists=%v", k, err, exists)
-					return false
-				}
-				if exists && string(got) != want {
-					t.Errorf("get %q = %q, model %q", k, got, want)
-					return false
-				}
-			case 4:
-				if i%97 == 0 { // occasional crash+recover
-					s.Crash()
-					if _, err := s.Recover(); err != nil {
-						t.Errorf("recover: %v", err)
-						return false
-					}
-				}
-			default:
-				v := fmt.Sprintf("val-%d-%d", i, rng.Uint64()%1000)
-				if err := th.Put([]byte(k), []byte(v)); err != nil {
-					t.Errorf("put: %v", err)
-					return false
-				}
-				ref[k] = v
-			}
-		}
-		// Final full agreement, including scan order.
-		if s.Len() != len(ref) {
-			t.Errorf("Len %d != model %d", s.Len(), len(ref))
-			return false
-		}
-		seen := 0
-		ok := true
-		th.Scan(nil, 0, func(kv KV) bool {
-			want, exists := ref[string(kv.Key)]
-			if !exists || want != string(kv.Value) {
-				ok = false
-				return false
-			}
-			seen++
-			return true
-		})
-		return ok && seen == len(ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-		t.Fatal(err)
-	}
+		return nil
+	}}
 }
 
-// Property: concurrent per-thread key ownership — each thread's final
-// writes are exactly what it reads back, across enough volume to force
-// reclamation and GC.
-func TestConcurrentOwnershipProperty(t *testing.T) {
-	s := small(t, func(o *Options) {
-		o.NumThreads = 4
-		o.SSDBytes = 8 << 20
+// The model harness with crashes: whole-store crashes between ops, in the
+// middle of an async burst, and in the middle of a PutBatch. A handle
+// that resolves ErrClosed was never applied; PutBatch is prefix-durable,
+// so a crash right after entry c commits exactly entries 0..c.
+func TestStoreMatchesModelWithCrashes(t *testing.T) {
+	model.Run(t, model.Config{Keys: 150, Steps: 1200}, func(t *testing.T) model.Level[KV, *Handle] {
+		s := small(t, func(o *Options) { o.NumThreads, o.NumSSDs, o.HSITCapacity, o.SVCBytes = 1, 1, 1<<12, 32<<10 })
+		lv := coreLevel(s)
+		lv.Fates = map[error]model.Outcome{ErrClosed: model.Failed}
+		lv.Crash = func(uint64) { s.Crash() }
+		lv.BatchStep = func(hook func(int)) { s.batchStepHook = hook }
+		lv.Recover = func() error { _, err := s.Recover(); return err }
+		lv.Fault = func(uint64) error { s.Crash(); return lv.Recover() }
+		return lv
 	})
-	const per = 1500
-	var wg sync.WaitGroup
-	finals := make([]map[int]int, 4)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := s.Thread(w)
-			rng := sim.NewRNG(uint64(w) + 99)
-			final := map[int]int{}
-			for i := 0; i < per; i++ {
-				k := rng.Intn(200)
-				v := i
-				if err := th.Put([]byte(fmt.Sprintf("own%d-%04d", w, k)), []byte(fmt.Sprintf("v%06d", v))); err != nil {
-					t.Errorf("put: %v", err)
-					return
-				}
-				final[k] = v
+}
+
+// The model harness with 4 clients, each on its own thread, on devices
+// small enough that PWB reclamation and Value Storage GC run beside them;
+// the store then passes the invariant checker.
+func TestConcurrentOwnershipProperty(t *testing.T) {
+	model.Run(t, model.Config{Clients: 4, Keys: 800, Steps: 1500}, func(t *testing.T) model.Level[KV, *Handle] {
+		s := small(t, func(o *Options) { o.NumThreads, o.SSDBytes, o.GCFreeFraction = 4, 1<<20, 0.9 })
+		lv := coreLevel(s)
+		count := lv.End
+		lv.End = func() error {
+			err := count()
+			settle(s)
+			if rep := s.CheckInvariants(); !rep.OK() {
+				return fmt.Errorf("invariants violated: %v", rep.Problems)
 			}
-			finals[w] = final
-		}(w)
-	}
-	wg.Wait()
-	for w := 0; w < 4; w++ {
-		th := s.Thread(w)
-		for k, v := range finals[w] {
-			got, err := th.Get([]byte(fmt.Sprintf("own%d-%04d", w, k)))
-			if err != nil || !bytes.Equal(got, []byte(fmt.Sprintf("v%06d", v))) {
-				t.Fatalf("thread %d key %d: %q, %v", w, k, got, err)
-			}
+			return err
 		}
-	}
-	// And the whole store passes the invariant checker.
-	settle(s)
-	if rep := s.CheckInvariants(); !rep.OK() {
-		t.Fatalf("invariants violated: %v", rep.Problems)
-	}
+		return lv
+	})
 }
 
 // Deletes of missing keys and empty-value writes behave sanely.

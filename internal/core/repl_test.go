@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -77,6 +78,33 @@ func TestDeleteTSTombstoneBlocksStaleWrite(t *testing.T) {
 	}
 	if n := s.TombstoneCount(); n != 1 {
 		t.Fatalf("TombstoneCount after discard = %d, want 1", n)
+	}
+}
+
+// Regression: a stamped delete records its tombstone before it drops the
+// key, so a reader that finds the key gone finds its stamp superseded.
+// It used to drop the key first, and a concurrent MigrateRange's pull read
+// a live stamp with no value behind it and aborted. The test holds the
+// stamp map's read lock, which parks the delete on its tombstone write,
+// and looks at the key there.
+func TestDeleteRecordsTombstoneFirst(t *testing.T) {
+	s := tsStore(t)
+	if err := s.Thread(0).PutTS(key(1), value(1), 1); err != nil {
+		t.Fatal(err)
+	}
+	r := s.repl
+	r.mu.RLock()
+	done := make(chan error)
+	go func() { _, err := s.Thread(1).DeleteTS(key(1), 2); done <- err }()
+	for r.mu.TryRLock() { // fails once the delete waits to write
+		r.mu.RUnlock()
+		runtime.Gosched()
+	}
+	_, err := s.Thread(0).Get(key(1))
+	live, tomb := r.live[string(key(1))], r.tomb[string(key(1))]
+	r.mu.RUnlock()
+	if del := <-done; del != nil || errors.Is(err, ErrNotFound) && tomb == 0 {
+		t.Fatalf("delete: %v; the key read %v while its stamps said live %d, tombstone %d", del, err, live, tomb)
 	}
 }
 

@@ -103,11 +103,6 @@ type Options struct {
 	SyncVSWrites     bool // bypass PWB: write values synchronously to VS
 	DisableScanSort  bool // no eviction-time scan-range rewrite
 
-	// DisableMetrics turns off the observability registry: Metrics()
-	// returns an empty snapshot and every hot-path metric update becomes
-	// a nil-receiver no-op.
-	DisableMetrics bool
-
 	// Shards is consumed by the sharding router above this package
 	// (internal/shard, surfaced as prism.Open): values > 1 open that many
 	// independent core Stores behind one routed front end, each with the
@@ -249,8 +244,8 @@ type Store struct {
 	// Options.TrackTimestamps); see repl.go.
 	repl *replState
 
-	// Observability (nil when Options.DisableMetrics): the registry and
-	// the owned hot-path histograms of op latency in virtual ns.
+	// Observability: the registry and the owned hot-path histograms of op
+	// latency in virtual ns.
 	reg                        *obs.Registry
 	latPut, latGet, latScan    *obs.Histogram
 	latPutBatch, latMultiGet   *obs.Histogram
@@ -446,10 +441,8 @@ func Open(opt Options) (*Store, error) {
 	// participants and takes no RNG split, so existing seeds keep their
 	// streams bit-identical.
 	s.mnt = s.newThread(0, nil, nil, s.em.Register())
-	if !opt.DisableMetrics {
-		s.reg = obs.NewRegistry()
-		s.registerMetrics()
-	}
+	s.reg = obs.NewRegistry()
+	s.registerMetrics()
 	s.startBackground()
 	return s, nil
 }

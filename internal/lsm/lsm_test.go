@@ -324,9 +324,9 @@ func TestMatrixKVModeWorks(t *testing.T) {
 }
 
 func TestBaselineConfigsOpen(t *testing.T) {
-	r := Open(RocksDBNVMConfig(2, 1))
+	r := Open(RocksDBNVMConfig(2))
 	defer r.Close()
-	m := Open(MatrixKVConfig(2, 2, 1))
+	m := Open(MatrixKVConfig(2, 2))
 	defer m.Close()
 	for i, s := range []*Store{r, m} {
 		h := s.Thread(0)

@@ -25,8 +25,8 @@
 //
 // Disabled operation: every method is nil-safe. A nil *Registry returns
 // nil metric handles, and Add/Record on nil handles are no-ops that
-// compile to a pointer test — turning the registry off (Options.
-// DisableMetrics) costs nothing on the hot path.
+// compile to a pointer test, so a handle left unregistered (a replica
+// counter of an unreplicated router, say) costs nothing on the hot path.
 package obs
 
 import (

@@ -8,8 +8,8 @@ import (
 )
 
 // serverMetrics holds the server.* instrumentation (see METRICS.md).
-// Every handle is nil-safe, so a store opened with DisableMetrics costs
-// the server nothing.
+// Every handle is nil-safe, so a series the server does not register
+// costs it nothing.
 type serverMetrics struct {
 	connsCur   atomic.Int64 // exported via gauge func
 	connsTotal *obs.Counter

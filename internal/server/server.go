@@ -211,7 +211,7 @@ type Server struct {
 }
 
 // New builds a Server over store and registers its server.* metrics in
-// the store's observability registry (no-op when metrics are disabled).
+// the store's observability registry.
 func New(store *shard.Store, cfg Config) *Server {
 	cfg.applyDefaults()
 	s := &Server{

@@ -122,7 +122,7 @@ func (s *Store) registerReplicaMetrics() {
 	s.m.replicaErrors = r.Counter(obs.Desc{Name: "shard.replica_errors", Help: "write fan-out legs that failed (crashed mid-op or store error)", Unit: "ops"})
 	s.m.replicaFallbacks = r.Counter(obs.Desc{Name: "shard.replica_read_fallbacks", Help: "reads served by a non-primary or repairing replica", Unit: "ops"})
 	// s.m.replicaReads is allocated in Open (the read path indexes it
-	// even when metrics are disabled); here we only fill the elements.
+	// even when R=1); here we only fill the elements.
 	for m := 0; m < s.replicas; m++ {
 		s.m.replicaReads[m] = r.Counter(obs.Desc{Name: "shard.replica_reads", Help: "reads served, by position in the key's replica set (0 = primary)", Unit: "ops",
 			Labels: map[string]string{"replica": strconv.Itoa(m)}})
@@ -144,11 +144,7 @@ func (s *Store) registerReplicaMetrics() {
 // shard the core series pass through untouched (so existing unique-name
 // lookups keep working); with several, each core series gains a
 // {shard=i} label and store-wide values are obtained with Snapshot.Sum.
-// Empty when Options.DisableMetrics.
 func (s *Store) Metrics() obs.Snapshot {
-	if s.reg == nil {
-		return obs.Snapshot{}
-	}
 	snap := s.reg.Snapshot()
 	if len(s.shards) == 1 {
 		snap.Metrics = append(snap.Metrics, s.shards[0].Metrics().Metrics...)
@@ -170,7 +166,7 @@ func (s *Store) Metrics() obs.Snapshot {
 	return snap
 }
 
-// MetricsRegistry returns the router-level registry (nil when metrics
-// are disabled) — the home for front-end metrics such as the RESP
-// server's, which are store-wide rather than per-shard.
+// MetricsRegistry returns the router-level registry — the home for
+// front-end metrics such as the RESP server's, which are store-wide
+// rather than per-shard.
 func (s *Store) MetricsRegistry() *obs.Registry { return s.reg }

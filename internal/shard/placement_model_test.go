@@ -1,298 +1,79 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
-	"sync"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
-// Placement-aware model property test (TestReplicatedStoreMatchesModel
-// lineage): a single-writer sequence of puts/deletes/gets/scans against
-// a model map, with random splits and range migrations — plus replica
-// crash/recover churn (replicated variant) or whole-store crash/recover
-// (unreplicated variant) — interleaved mid-sequence. An acknowledged
-// write is never lost, and every scan matches the model exactly.
+// The model harness on 3 range-placed shards, unreplicated and with 2
+// replicas, while Fault events split ranges, migrate them (only with
+// every shard up: a down source vetoes the stream) and crash: one replica
+// at a time under R = 2, the whole store under R = 1, where a routed
+// write the crash interrupted may or may not have landed.
 func TestRangePlacementMatchesModel(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
-		replicas := replicas
 		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
-			const shards, keyspace = 3, 150
-			s := rng(t, shards, replicas, [][]byte{key(50), key(100)}, nil)
-			th := s.Thread(0)
-			model := map[string]string{}
-			r := rand.New(rand.NewSource(11))
-			down := -1
-
-			modelScan := func(start string, count int) []string {
-				var ks []string
-				for k := range model {
-					if k >= start {
-						ks = append(ks, k)
-					}
+			model.Run(t, model.Config{Keys: 150, Steps: 2500}, func(t *testing.T) model.Level[core.KV, *core.Handle] {
+				s := rng(t, 3, replicas, [][]byte{key(50), key(100)}, func(o *core.Options) { o.HSITCapacity = 1 << 10 })
+				lv := routerLevel(s)
+				down, crash := withReplicaFaults(&lv, s), lv.Fault
+				if replicas == 1 {
+					lv.Fates = map[error]model.Outcome{core.ErrClosed: model.Unknown}
+					lv.Crash = func(uint64) { s.Crash() }
+					lv.Recover = func() error { _, err := s.Recover(); return err }
+					crash = func(uint64) error { s.Crash(); return lv.Recover() }
 				}
-				sort.Strings(ks)
-				if count > 0 && len(ks) > count {
-					ks = ks[:count]
-				}
-				return ks
-			}
-
-			for step := 0; step < 2500; step++ {
-				k := key(r.Intn(keyspace))
-				switch op := r.Intn(12); {
-				case op < 5: // put
-					v := []byte(fmt.Sprintf("v-%d-%d", step, r.Intn(1000)))
-					if err := th.Put(k, v); err != nil {
-						t.Fatalf("step %d: Put: %v", step, err)
-					}
-					model[string(k)] = string(v)
-				case op < 7: // delete
-					err := th.Delete(k)
-					_, want := model[string(k)]
-					if want && err != nil {
-						t.Fatalf("step %d: Delete(%q) = %v, model has it", step, k, err)
-					}
-					if !want && !errors.Is(err, core.ErrNotFound) {
-						t.Fatalf("step %d: Delete(%q) = %v, want ErrNotFound", step, k, err)
-					}
-					delete(model, string(k))
-				case op < 10: // get
-					v, err := th.Get(k)
-					want, ok := model[string(k)]
-					if ok && (err != nil || string(v) != want) {
-						t.Fatalf("step %d: Get(%q) = %q,%v; model %q (down=%d)", step, k, v, err, want, down)
-					}
-					if !ok && !errors.Is(err, core.ErrNotFound) {
-						t.Fatalf("step %d: Get(%q) = %v, model missing (down=%d)", step, k, err, down)
-					}
-				default: // scan vs model
-					start := key(r.Intn(keyspace))
-					count := 1 + r.Intn(20)
-					var got []string
-					if err := th.Scan(start, count, func(kv core.KV) bool {
-						got = append(got, string(kv.Key))
-						return true
-					}); err != nil {
-						t.Fatalf("step %d: Scan: %v (down=%d)", step, err, down)
-					}
-					want := modelScan(string(start), count)
-					if len(got) != len(want) {
-						t.Fatalf("step %d: scan len %d, model %d (down=%d)", step, len(got), len(want), down)
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("step %d: scan[%d] = %q, model %q", step, i, got[i], want[i])
+				lv.Fault = func(arg uint64) error {
+					switch arg % 3 {
+					case 0:
+						return s.SplitRange(key(int(arg / 3 % 150)))
+					case 1:
+						if down() >= 0 {
+							return nil
 						}
+						return s.MigrateRange(int(arg/3)%s.Ranges(), int(arg/450)%3)
 					}
+					return crash(arg / 3)
 				}
-				// Placement churn: splits any time; migrations only when
-				// every shard is up (a down source vetoes the stream).
-				if step%250 == 100 {
-					if r.Intn(2) == 0 {
-						if err := s.SplitRange(key(r.Intn(keyspace))); err != nil {
-							t.Fatalf("step %d: SplitRange: %v", step, err)
-						}
-					} else if down < 0 {
-						ri := r.Intn(s.Ranges())
-						if err := s.MigrateRange(ri, r.Intn(shards)); err != nil {
-							t.Fatalf("step %d: MigrateRange(%d): %v", step, ri, err)
-						}
-					}
-				}
-				// Crash churn.
-				if replicas > 1 {
-					if step%400 == 250 && down < 0 {
-						down = r.Intn(shards)
-						s.CrashShard(down)
-					}
-					if step%400 == 399 && down >= 0 {
-						if _, err := s.RecoverShard(down); err != nil {
-							t.Fatal(err)
-						}
-						for i := 0; i < maxRepairPasses; i++ {
-							if s.Repair().Applied() == 0 {
-								break
-							}
-						}
-						if st := s.ReplicaState(down); st != int(replicaUp) {
-							t.Fatalf("step %d: shard %d state %d after repair", step, down, st)
-						}
-						down = -1
-					}
-				} else if step%700 == 600 {
-					// Whole-store power failure: every acked write must
-					// survive recovery, placement table included.
-					s.Crash()
-					if _, err := s.Recover(); err != nil {
-						t.Fatalf("step %d: Recover: %v", step, err)
-					}
-				}
-			}
-			if down >= 0 {
-				if _, err := s.RecoverShard(down); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < maxRepairPasses; i++ {
-					if s.Repair().Applied() == 0 {
-						break
-					}
-				}
-			}
-			if replicas > 1 {
-				if err := s.ConvergenceCheck(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Final audit: store contents == model exactly, by point reads
-			// and by full scan.
-			for k, want := range model {
-				v, err := th.Get([]byte(k))
-				if err != nil || string(v) != want {
-					t.Fatalf("final: Get(%q) = %q,%v; want %q", k, v, err, want)
-				}
-			}
-			seen := 0
-			if err := th.Scan(nil, 0, func(kv core.KV) bool {
-				want, ok := model[string(kv.Key)]
-				if !ok || want != string(kv.Value) {
-					t.Fatalf("final scan: %q = %q, model %q (present=%v)", kv.Key, kv.Value, want, ok)
-				}
-				seen++
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if seen != len(model) {
-				t.Fatalf("final scan saw %d keys, model has %d", seen, len(model))
-			}
+				return lv
+			})
 		})
 	}
 }
 
-// TestMigrationMidFlightStress drives concurrent writers (sync, async,
-// batch, scans) across the keyspace while the main goroutine splits and
-// migrates ranges under them — the strict race gate for the placement
-// guard: no acked write may be lost across any number of epoch flips,
-// and no scan may error while every shard is up.
+// TestMigrationMidFlightStress runs the model harness with 4 clients, each
+// on its own router thread, while the main goroutine splits and migrates
+// ranges under them — the strict race gate for the placement guard: no
+// acked write may be lost across any number of epoch flips, and no op may
+// fail while every shard is up.
 func TestMigrationMidFlightStress(t *testing.T) {
-	const shards, writers, perWriter = 3, 4, 150
-	s := rng(t, shards, 1, [][]byte{key(200), key(400)}, func(o *core.Options) {
-		o.NumThreads = writers
-	})
-	expected := make([]map[string]string, writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		expected[w] = map[string]string{}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := s.Thread(w)
-			r := rand.New(rand.NewSource(int64(100 + w)))
-			exp := expected[w]
-			base := w * perWriter // writers own disjoint key stripes
-			for i := 0; i < 600; i++ {
-				k := key(base + r.Intn(perWriter))
-				switch op := r.Intn(10); {
-				case op < 3: // sync put
-					v := fmt.Sprintf("w%d-%d", w, i)
-					if err := th.Put(k, []byte(v)); err != nil {
-						t.Errorf("writer %d: Put: %v", w, err)
-						return
-					}
-					exp[string(k)] = v
-				case op < 5: // async put, waited
-					v := fmt.Sprintf("w%d-a%d", w, i)
-					if err := th.PutAsync(k, []byte(v)).Wait(); err != nil {
-						t.Errorf("writer %d: PutAsync: %v", w, err)
-						return
-					}
-					exp[string(k)] = v
-				case op < 6: // batch put
-					v := fmt.Sprintf("w%d-b%d", w, i)
-					k2 := key(base + r.Intn(perWriter))
-					if err := th.PutBatch([]core.KV{
-						{Key: k, Value: []byte(v)},
-						{Key: k2, Value: []byte(v + "x")},
-					}); err != nil {
-						t.Errorf("writer %d: PutBatch: %v", w, err)
-						return
-					}
-					exp[string(k)] = v
-					exp[string(k2)] = v + "x"
-					if string(k) == string(k2) {
-						exp[string(k)] = v + "x" // later duplicate wins
-					}
-				case op < 7: // delete
-					err := th.Delete(k)
-					if err != nil && !errors.Is(err, core.ErrNotFound) {
-						t.Errorf("writer %d: Delete: %v", w, err)
-						return
-					}
-					delete(exp, string(k))
-				case op < 9: // get (stripe-exclusive, so exact)
-					v, err := th.Get(k)
-					want, ok := exp[string(k)]
-					if ok && (err != nil || string(v) != want) {
-						t.Errorf("writer %d: Get(%q) = %q,%v; want %q", w, k, v, err, want)
-						return
-					}
-					if !ok && !errors.Is(err, core.ErrNotFound) {
-						t.Errorf("writer %d: Get(%q) = %v, want ErrNotFound", w, k, err)
-						return
-					}
-				default: // scan: no error while all shards are up
-					if err := th.Scan(k, 10, func(core.KV) bool { return true }); err != nil {
-						t.Errorf("writer %d: Scan: %v", w, err)
-						return
+	const shards = 3
+	model.Run(t, model.Config{Clients: 4, Keys: 600, Steps: 600}, func(t *testing.T) model.Level[core.KV, *core.Handle] {
+		s := rng(t, shards, 1, [][]byte{key(200), key(400)}, func(o *core.Options) { o.NumThreads = 4 })
+		lv := routerLevel(s)
+		lv.During = func() error {
+			// Start once the clients have written something to move.
+			for end := time.Now().Add(5 * time.Second); s.Len() < 100 && time.Now().Before(end); {
+				runtime.Gosched()
+			}
+			for i := 0; i < 8; i++ {
+				if split, ok := map[int]int{2: 100, 5: 300}[i]; ok {
+					if err := s.SplitRange(key(split)); err != nil {
+						return err
 					}
 				}
+				ri := i % s.Ranges()
+				if err := s.MigrateRange(ri, (ri+i)%shards); err != nil {
+					return fmt.Errorf("MigrateRange(%d): %w", ri, err)
+				}
 			}
-		}(w)
-	}
-	// Placement churn under the writers: splits and migrations walking
-	// every range across every shard.
-	for i := 0; i < 8; i++ {
-		if i == 2 {
-			if err := s.SplitRange(key(100)); err != nil {
-				t.Error(err)
-			}
+			return nil
 		}
-		if i == 5 {
-			if err := s.SplitRange(key(300)); err != nil {
-				t.Error(err)
-			}
-		}
-		ri := i % s.Ranges()
-		if err := s.MigrateRange(ri, (ri+i)%shards); err != nil {
-			t.Errorf("MigrateRange(%d): %v", ri, err)
-		}
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	// Final audit across all writers' acked state.
-	th := s.Thread(0)
-	total := 0
-	for w, exp := range expected {
-		total += len(exp)
-		for k, want := range exp {
-			v, err := th.Get([]byte(k))
-			if err != nil || string(v) != want {
-				t.Fatalf("final: writer %d key %q = %q,%v; want %q", w, k, v, err, want)
-			}
-		}
-	}
-	seen := 0
-	if err := th.Scan(nil, 0, func(kv core.KV) bool { seen++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if seen != total {
-		t.Fatalf("final scan saw %d keys, writers acked %d", seen, total)
-	}
+		return lv
+	})
 }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 // repl opens a replicated store with auto-repair off so tests drive
@@ -355,90 +355,73 @@ func TestReplicatedAsync(t *testing.T) {
 	}
 }
 
-// Model property test with replica-crash interleavings: a single-writer
-// sequence of puts/deletes/reads against a model map, with one replica
-// crashed, written around, recovered, and repaired mid-sequence. Reads
-// must always match the model exactly — an acknowledged write is never
-// lost and a read after failover never returns a value older than the
-// model's (stale-beyond-timestamp).
+// routerLevel is s as the model harness drives it, client c on router
+// thread c.
+func routerLevel(s *Store) model.Level[core.KV, *core.Handle] {
+	return model.Level[core.KV, *core.Handle]{Name: "router", NotFound: core.ErrNotFound, Reorders: s.Replicas() > 1, Client: func(c int) model.Ops[core.KV, *core.Handle] {
+		th := s.Thread(c)
+		return model.Ops[core.KV, *core.Handle]{Put: th.Put, Get: th.Get, Del: th.Delete, Scan: th.Scan,
+			PutBatch: th.PutBatch, MultiGet: th.MultiGet, PutAsync: th.PutAsync, GetAsync: th.GetAsync, DelAsync: th.DeleteAsync}
+	}}
+}
+
+// withReplicaFaults gives lv a replicated router's faults, one shard down
+// at a time: a mid-op crash or a Fault event crashes shard arg mod n when
+// every shard is up, and a Fault event with one down recovers it and
+// repairs until a pass applies nothing. At the end the downed shard is
+// healed and the replicas must have converged. down is the downed shard,
+// or -1.
+func withReplicaFaults(lv *model.Level[core.KV, *core.Handle], s *Store) (down func() int) {
+	d := -1
+	heal := func() error {
+		if d < 0 {
+			return nil
+		}
+		if _, err := s.RecoverShard(d); err != nil {
+			return err
+		}
+		for i := 0; i < maxRepairPasses && s.Repair().Applied() > 0; i++ {
+		}
+		if st := s.ReplicaState(d); st != int(replicaUp) {
+			return fmt.Errorf("shard %d state %d after repair", d, st)
+		}
+		d = -1
+		return nil
+	}
+	lv.Crash = func(arg uint64) {
+		if d < 0 {
+			d = int(arg % uint64(s.NumShards()))
+			s.CrashShard(d)
+		}
+	}
+	lv.Fault = func(arg uint64) error {
+		if d >= 0 {
+			return heal()
+		}
+		lv.Crash(arg)
+		return nil
+	}
+	lv.End = func() error {
+		if err := heal(); err != nil {
+			return err
+		}
+		return s.ConvergenceCheck()
+	}
+	return func() int { return d }
+}
+
+// The model harness on 3 shards x 2 replicas, one replica at a time
+// crashed, written around, recovered and repaired — also in the middle of
+// async bursts. With a replica down writes keep succeeding, so any
+// routed error fails the test; an acked write is never lost and no read
+// after failover returns a version older than the model's.
 func TestReplicatedStoreMatchesModel(t *testing.T) {
-	const shards, replicas = 3, 2
-	s := repl(t, shards, replicas, nil)
-	th := s.Thread(0)
-	model := map[string]string{}
-	rng := rand.New(rand.NewSource(7))
-	down := -1 // currently crashed shard, -1 when all up
-	const keyspace = 150
-	for step := 0; step < 2500; step++ {
-		k := key(rng.Intn(keyspace))
-		switch op := rng.Intn(10); {
-		case op < 5: // put
-			v := []byte(fmt.Sprintf("v-%d-%d", step, rng.Intn(1000)))
-			if err := th.Put(k, v); err != nil {
-				t.Fatalf("step %d: Put: %v", step, err)
-			}
-			model[string(k)] = string(v)
-		case op < 7: // delete
-			err := th.Delete(k)
-			_, want := model[string(k)]
-			if want && err != nil {
-				t.Fatalf("step %d: Delete(%q) = %v, model has it", step, k, err)
-			}
-			if !want && !errors.Is(err, core.ErrNotFound) {
-				t.Fatalf("step %d: Delete(%q) = %v, want ErrNotFound", step, k, err)
-			}
-			delete(model, string(k))
-		default: // get
-			v, err := th.Get(k)
-			want, ok := model[string(k)]
-			if ok && (err != nil || string(v) != want) {
-				t.Fatalf("step %d: Get(%q) = %q,%v; model %q (down=%d)", step, k, v, err, want, down)
-			}
-			if !ok && !errors.Is(err, core.ErrNotFound) {
-				t.Fatalf("step %d: Get(%q) = %v, model missing (down=%d)", step, k, err, down)
-			}
-		}
-		// Periodic crash/recover churn: crash only when everything is
-		// up (with R=2 two concurrent downs could lose a whole set).
-		if step%400 == 250 && down < 0 {
-			down = rng.Intn(shards)
-			s.CrashShard(down)
-		}
-		if step%400 == 399 && down >= 0 {
-			if _, err := s.RecoverShard(down); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < maxRepairPasses; i++ {
-				if s.Repair().Applied() == 0 {
-					break
-				}
-			}
-			if st := s.ReplicaState(down); st != int(replicaUp) {
-				t.Fatalf("step %d: shard %d state %d after repair", step, down, st)
-			}
-			down = -1
-		}
-	}
-	if down >= 0 {
-		if _, err := s.RecoverShard(down); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < maxRepairPasses; i++ {
-			if s.Repair().Applied() == 0 {
-				break
-			}
-		}
-	}
-	if err := s.ConvergenceCheck(); err != nil {
-		t.Fatal(err)
-	}
-	// Final audit: store contents == model exactly.
-	for k, want := range model {
-		v, err := th.Get([]byte(k))
-		if err != nil || string(v) != want {
-			t.Fatalf("final: Get(%q) = %q,%v; want %q", k, v, err, want)
-		}
-	}
+	model.Run(t, model.Config{Keys: 150, Steps: 2500}, func(t *testing.T) model.Level[core.KV, *core.Handle] {
+		s := repl(t, 3, 2, func(o *core.Options) { o.HSITCapacity = 1 << 10 }) // recovery walks the whole HSIT
+		lv := routerLevel(s)
+		withReplicaFaults(&lv, s)
+		return lv
+	})
 }
 
 // The auto-repair worker (DisableAutoRepair unset) converges a
@@ -508,31 +491,6 @@ func TestBatchAllReplicasDownNotAcked(t *testing.T) {
 	})
 	if !errors.Is(err, errNoReplica) {
 		t.Fatalf("PutBatch with one set fully down = %v, want errNoReplica", err)
-	}
-}
-
-// Regression: DisableMetrics with Replicas > 1 must not panic — the
-// per-position replicaReads slice is indexed on every successful read
-// and has to exist even when no registry does.
-func TestReplicatedDisableMetrics(t *testing.T) {
-	s := repl(t, 3, 2, func(o *core.Options) { o.DisableMetrics = true })
-	th := s.Thread(0)
-	for i := 0; i < 50; i++ {
-		if err := th.Put(key(i), value(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		v, err := th.Get(key(i))
-		if err != nil || !bytes.Equal(v, value(i)) {
-			t.Fatalf("Get(%d) = %q, %v", i, v, err)
-		}
-	}
-	s.CrashShard(0)
-	for i := 0; i < 50; i++ {
-		if _, err := th.Get(key(i)); err != nil {
-			t.Fatalf("Get(%d) with shard 0 down: %v", i, err)
-		}
 	}
 }
 

@@ -227,9 +227,9 @@ func Open(opt core.Options) (*Store, error) {
 	}
 	s.state = make([]atomic.Int32, n)
 	// The per-position read counters are indexed unconditionally on the
-	// read path, so the slice must exist even when R=1 or metrics are
-	// disabled (its nil *obs.Counter elements are no-op;
-	// registerReplicaMetrics fills them in when replicated with metrics).
+	// read path, so the slice must exist even when R=1, where its
+	// *obs.Counter elements stay nil (a no-op); registerReplicaMetrics
+	// fills them in when replicated.
 	s.m.replicaReads = make([]*obs.Counter, r)
 	if r > 1 {
 		s.repairCh = make(chan int, 4*MaxShards)
@@ -239,10 +239,8 @@ func Open(opt core.Options) (*Store, error) {
 			go s.repairWorker()
 		}
 	}
-	if !opt.DisableMetrics {
-		s.reg = obs.NewRegistry()
-		s.registerMetrics()
-	}
+	s.reg = obs.NewRegistry()
+	s.registerMetrics()
 	return s, nil
 }
 

@@ -439,11 +439,6 @@ func TestMetricsShardLabels(t *testing.T) {
 	if v, ok := snap.Value("shard.imbalance"); !ok || v < 1 {
 		t.Fatalf("shard.imbalance = %v ok=%v, want >= 1", v, ok)
 	}
-
-	off := small(t, 2, func(o *core.Options) { o.DisableMetrics = true })
-	if n := len(off.Metrics().Metrics); n != 0 {
-		t.Fatalf("DisableMetrics snapshot has %d series", n)
-	}
 }
 
 // Allocation gates on the routed single-key path, extending the RESP

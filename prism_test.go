@@ -1,14 +1,13 @@
 package prism_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro"
+	"repro/internal/model"
 )
 
 func openSmall(t *testing.T) *prism.Store {
@@ -114,39 +113,15 @@ func TestPublicAPIConcurrentThreads(t *testing.T) {
 	}
 }
 
-// Property: the store agrees with a map reference under random
-// single-threaded operation sequences through the public API.
+// The model harness through the public API.
 func TestPublicAPIMatchesModel(t *testing.T) {
-	s := openSmall(t)
-	th := s.Thread(0)
-	ref := map[string]string{}
-	f := func(ops []uint16) bool {
-		for _, o := range ops {
-			k := fmt.Sprintf("key%03d", o%200)
-			switch (o / 200) % 3 {
-			case 0:
-				v := fmt.Sprintf("v%d", o)
-				if err := th.Put([]byte(k), []byte(v)); err != nil {
-					return false
-				}
-				ref[k] = v
-			case 1:
-				delete(ref, k)
-				th.Delete([]byte(k))
-			case 2:
-				got, err := th.Get([]byte(k))
-				want, ok := ref[k]
-				if ok != (err == nil) {
-					return false
-				}
-				if ok && !bytes.Equal(got, []byte(want)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
+	model.Run(t, model.Config{Keys: 200, Steps: 1000}, func(t *testing.T) model.Level[prism.KV, *prism.Handle] {
+		s := openSmall(t)
+		return model.Level[prism.KV, *prism.Handle]{Name: "public API", NotFound: prism.ErrNotFound,
+			Client: func(c int) model.Ops[prism.KV, *prism.Handle] {
+				th := s.Thread(c)
+				return model.Ops[prism.KV, *prism.Handle]{Put: th.Put, Get: th.Get, Del: th.Delete, Scan: th.Scan,
+					PutBatch: th.PutBatch, MultiGet: th.MultiGet, PutAsync: th.PutAsync, GetAsync: th.GetAsync, DelAsync: th.DeleteAsync}
+			}}
+	})
 }
