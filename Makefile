@@ -166,9 +166,12 @@ fuzz-smoke:
 # and move the same replica counters on the same fault
 # (TestRouterSyncAsyncAgree), an oversized value is the write's answer and
 # demotes no replica (TestOversizedValueKeepsReplicasUp), and Metrics reads
-# a crashed shard without panicking (TestMetricsWhileShardCrashed).
+# a crashed shard without panicking (TestMetricsWhileShardCrashed); plus
+# the one scan path's: a shard crashing under a range read, hash-owned or
+# owned, is planned around onto its set's survivors
+# (TestScanReplansAfterCrashBetweenPhases).
 fault-smoke:
-	$(GO) test -count=1 -run 'TestFaultMatrix$$|TestMigrationFaultMatrix$$|TestMigrationDestMemberCrash$$|TestRepairWaitsForUnreadablePeer$$|TestMigrationDeltaReadsOnlyTheDelta$$|TestRouterSyncAsyncAgree$$|TestOversizedValueKeepsReplicasUp$$|TestMetricsWhileShardCrashed$$' ./internal/shard
+	$(GO) test -count=1 -run 'TestFaultMatrix$$|TestMigrationFaultMatrix$$|TestMigrationDestMemberCrash$$|TestRepairWaitsForUnreadablePeer$$|TestMigrationDeltaReadsOnlyTheDelta$$|TestRouterSyncAsyncAgree$$|TestOversizedValueKeepsReplicasUp$$|TestMetricsWhileShardCrashed$$|TestScanReplansAfterCrashBetweenPhases$$' ./internal/shard
 
 # ci-check asserts the Makefile ci target and .github/workflows/ci.yml
 # stay in lockstep: every make target the workflow runs must be a

@@ -24,10 +24,6 @@ func cloneBytes(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) 
 // (the PWB was full; space can only be released once the thread unpins).
 var errRetryPut = errors.New("prism: retry put")
 
-// errNoTimestamps rejects a stamped mutation on a store opened without
-// Options.TrackTimestamps (see putStep for the stamp rule).
-var errNoTimestamps = errors.New("prism: timestamped writes require Options.TrackTimestamps")
-
 func errValueTooLarge(n int) error {
 	return fmt.Errorf("%w: %d bytes exceeds max %d", ErrValueTooLarge, n, hsit.MaxValueLen)
 }
@@ -136,18 +132,14 @@ func (t *Thread) reserve(n int) bool {
 // Buffer.Published).
 //
 // The stamp rule, shared with deleteStep: stamp 0 is the plain,
-// unstamped operation on any store; a nonzero stamp requires
-// Options.TrackTimestamps (errNoTimestamps otherwise) and is gated by
-// the newest-stamp map under the key's stripe lock, held across the
+// unstamped operation, which leaves the newest-stamp map alone; a nonzero
+// stamp is gated by that map under the key's stripe lock, held across the
 // check, the write and the map update so concurrent writers to one key
 // apply in stamp order. A write no newer than the recorded stamp is
 // superseded and returns nil.
 func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error {
 	s := t.s
 	if ts != 0 {
-		if s.repl == nil {
-			return errNoTimestamps
-		}
 		st := s.repl.stripe(key)
 		st.Lock()
 		defer st.Unlock()
@@ -455,9 +447,6 @@ func (t *Thread) deleteSync(key []byte, ts uint64) error {
 func (t *Thread) deleteStep(key []byte, ts uint64) error {
 	s := t.s
 	if ts != 0 {
-		if s.repl == nil {
-			return errNoTimestamps
-		}
 		st := s.repl.stripe(key)
 		st.Lock()
 		defer st.Unlock()

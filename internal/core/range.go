@@ -96,19 +96,18 @@ func (s *Store) DropRange(lo, hi []byte) int {
 		}
 	}
 
-	if r := s.repl; r != nil {
-		r.mu.Lock()
-		for k := range r.live {
-			if inRange([]byte(k), lo, hi) {
-				delete(r.live, k)
-			}
+	r := s.repl
+	r.mu.Lock()
+	for k := range r.live {
+		if inRange([]byte(k), lo, hi) {
+			delete(r.live, k)
 		}
-		for k := range r.tomb {
-			if inRange([]byte(k), lo, hi) {
-				delete(r.tomb, k)
-			}
-		}
-		r.mu.Unlock()
 	}
+	for k := range r.tomb {
+		if inRange([]byte(k), lo, hi) {
+			delete(r.tomb, k)
+		}
+	}
+	r.mu.Unlock()
 	return n
 }

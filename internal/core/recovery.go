@@ -140,12 +140,10 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		}
 		for _, pr := range lost[w] {
 			s.index.Delete(nil, pr.key)
-			if s.repl != nil {
-				// Forget the lost value's stamp too, so anti-entropy
-				// re-pulls it from a peer instead of the stale stamp
-				// making this replica refuse its own missing value.
-				s.repl.dropLive(string(pr.key))
-			}
+			// Forget the lost value's stamp too, so anti-entropy re-pulls
+			// it from a peer instead of the stale stamp making this
+			// replica refuse its own missing value.
+			s.repl.dropLive(string(pr.key))
 			rep.LostKeys++
 		}
 		validated = max(validated, clocks[w].Now())

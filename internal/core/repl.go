@@ -8,14 +8,14 @@ import "sync"
 // last-writer-wins reconciliation makes replica repair idempotent).
 //
 // The store itself neither assigns stamps nor talks to peers; the shard
-// router does both. When Options.TrackTimestamps is set the store keeps
-// a newest-stamp map alongside the Persistent Key Index — modeled, like
-// the index, as NVM-resident state that survives Crash in-process — and
-// exposes the TS write variants plus the enumeration hooks an
-// anti-entropy pass needs (ReplicaEntries, ReplicaNewest,
-// DiscardTombstones). With TrackTimestamps unset nothing below is
-// allocated; the plain operations are the TS variants with stamp 0 (see
-// putStep for the stamp rule), so the single-replica path is untouched.
+// router does both. The store keeps a newest-stamp map alongside the
+// Persistent Key Index — modeled, like the index, as NVM-resident state
+// that survives Crash in-process — and exposes the TS write variants plus
+// the enumeration hooks an anti-entropy pass needs (ReplicaEntries,
+// ReplicaNewest, DiscardTombstones). The plain operations are the TS
+// variants with stamp 0 (see putStep for the stamp rule): they never touch
+// the map, which stays empty until a write carries a stamp, so the
+// single-replica path is untouched.
 
 // replState is the newest-stamp map: for each key, at most one of live
 // (a stored value) or tomb (a deletion) holds the newest stamp observed.
@@ -92,12 +92,9 @@ func (r *replState) dropLive(key string) {
 // values and tombstones — until fn returns false. It iterates a snapshot
 // taken under the lock, so fn may freely call back into the store
 // (anti-entropy passes read peers and write pulls from inside fn's
-// loop). Keys are safe to retain. Requires TrackTimestamps.
+// loop). Keys are safe to retain.
 func (s *Store) ReplicaEntries(fn func(key []byte, ts uint64, tombstone bool) bool) {
 	r := s.repl
-	if r == nil {
-		return
-	}
 	type ent struct {
 		key  string
 		ts   uint64
@@ -120,13 +117,9 @@ func (s *Store) ReplicaEntries(fn func(key []byte, ts uint64, tombstone bool) bo
 }
 
 // ReplicaNewest returns the newest stamp recorded for key, whether it is
-// a tombstone, and whether any record exists. Requires TrackTimestamps.
+// a tombstone, and whether any record exists.
 func (s *Store) ReplicaNewest(key []byte) (ts uint64, tombstone, ok bool) {
-	r := s.repl
-	if r == nil {
-		return 0, false, false
-	}
-	ts, tombstone = r.newest(string(key))
+	ts, tombstone = s.repl.newest(string(key))
 	return ts, tombstone, ts != 0
 }
 
@@ -136,9 +129,6 @@ func (s *Store) ReplicaNewest(key []byte) (ts uint64, tombstone, ok bool) {
 // discarding early lets a divergent replica resurrect the key.
 func (s *Store) DiscardTombstones(olderThan uint64) int {
 	r := s.repl
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	n := 0
 	for k, ts := range r.tomb {
@@ -153,12 +143,7 @@ func (s *Store) DiscardTombstones(olderThan uint64) int {
 
 // TombstoneCount returns the number of tombstones currently retained.
 func (s *Store) TombstoneCount() int {
-	r := s.repl
-	if r == nil {
-		return 0
-	}
-	r.mu.RLock()
-	n := len(r.tomb)
-	r.mu.RUnlock()
-	return n
+	s.repl.mu.RLock()
+	defer s.repl.mu.RUnlock()
+	return len(s.repl.tomb)
 }

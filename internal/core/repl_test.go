@@ -7,14 +7,10 @@ import (
 	"testing"
 )
 
-func tsStore(t *testing.T) *Store {
-	return small(t, func(o *Options) { o.TrackTimestamps = true })
-}
-
 // Last-writer-wins: an older stamp never overwrites a newer one, in
 // either direction (put-then-stale-put, delete-then-stale-put).
 func TestPutTSLastWriterWins(t *testing.T) {
-	s := tsStore(t)
+	s := small(t, nil)
 	th := s.Thread(0)
 	if err := th.PutTS(key(1), []byte("new"), 10); err != nil {
 		t.Fatal(err)
@@ -39,7 +35,7 @@ func TestPutTSLastWriterWins(t *testing.T) {
 }
 
 func TestDeleteTSTombstoneBlocksStaleWrite(t *testing.T) {
-	s := tsStore(t)
+	s := small(t, nil)
 	th := s.Thread(0)
 	if err := th.PutTS(key(2), value(2), 3); err != nil {
 		t.Fatal(err)
@@ -88,7 +84,7 @@ func TestDeleteTSTombstoneBlocksStaleWrite(t *testing.T) {
 // stamp map's read lock, which parks the delete on its tombstone write,
 // and looks at the key there.
 func TestDeleteRecordsTombstoneFirst(t *testing.T) {
-	s := tsStore(t)
+	s := small(t, nil)
 	if err := s.Thread(0).PutTS(key(1), value(1), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +105,7 @@ func TestDeleteRecordsTombstoneFirst(t *testing.T) {
 }
 
 func TestPutBatchTSAndEntries(t *testing.T) {
-	s := tsStore(t)
+	s := small(t, nil)
 	th := s.Thread(0)
 	kvs := []KV{
 		{Key: key(10), Value: value(10)},
@@ -151,7 +147,7 @@ func TestPutBatchTSAndEntries(t *testing.T) {
 
 // Async TS variants go through the same gate.
 func TestAsyncTSVariants(t *testing.T) {
-	s := tsStore(t)
+	s := small(t, nil)
 	th := s.Thread(0)
 	if err := th.PutTSAsync(key(20), []byte("v1"), 100).Wait(); err != nil {
 		t.Fatal(err)
@@ -177,7 +173,7 @@ func TestAsyncTSVariants(t *testing.T) {
 // whose value was lost (unacknowledged at the crash): those are
 // forgotten so anti-entropy can re-pull them.
 func TestReplStateSurvivesCrash(t *testing.T) {
-	s := tsStore(t)
+	s := small(t, nil)
 	th := s.Thread(0)
 	for i := 0; i < 50; i++ {
 		if err := th.PutTS(key(i), value(i), uint64(i+1)); err != nil {
@@ -250,9 +246,8 @@ func TestHandleOnDoneAndProxy(t *testing.T) {
 }
 
 // The stamp rule every write path shares (documented on putStep): stamp
-// 0 is the plain operation on any store, and a nonzero stamp without
-// Options.TrackTimestamps is errNoTimestamps — through the sync, batch
-// and async entry points alike.
+// 0 is the plain operation and a nonzero stamp applies when it is the
+// newest — through the sync, batch and async entry points alike.
 func TestStampRule(t *testing.T) {
 	k, v := key(1), value(1)
 	ops := []struct {
@@ -271,23 +266,17 @@ func TestStampRule(t *testing.T) {
 		}},
 		{"DeleteTSAsync", func(th *Thread, ts uint64) error { return th.DeleteTSAsync(k, ts).Wait() }},
 	}
-	for _, tracked := range []bool{false, true} {
-		s := small(t, func(o *Options) { o.TrackTimestamps = tracked })
-		th := s.Thread(0)
-		for _, op := range ops {
-			for ts := uint64(0); ts < 2; ts++ {
-				// Every op finds the key present: the deletes remove it.
-				if err := th.Put(k, v); err != nil {
-					t.Fatal(err)
-				}
-				var want error
-				if ts != 0 && !tracked {
-					want = errNoTimestamps
-				}
-				// Nonzero stamps grow with every put so each is the newest.
-				if err := op.do(th, ts*uint64(1000+s.Stats().Puts)); !errors.Is(err, want) {
-					t.Errorf("TrackTimestamps=%v %s(ts=%d) = %v, want %v", tracked, op.name, ts, err, want)
-				}
+	s := small(t, nil)
+	th := s.Thread(0)
+	for _, op := range ops {
+		for ts := uint64(0); ts < 2; ts++ {
+			// Every op finds the key present: the deletes remove it.
+			if err := th.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			// Nonzero stamps grow with every put so each is the newest.
+			if err := op.do(th, ts*uint64(1000+s.Stats().Puts)); err != nil {
+				t.Errorf("%s(ts=%d) = %v, want nil", op.name, ts, err)
 			}
 		}
 	}

@@ -135,14 +135,6 @@ type Options struct {
 	// RebalanceRanges converts online once keys exist to sample.
 	SplitKeys [][]byte
 
-	// TrackTimestamps keeps a per-key logical-timestamp map (newest
-	// write or tombstone stamp) alongside the Persistent Key Index and
-	// enables the TS operation variants (PutTS/DeleteTS/PutBatchTS and
-	// their async forms). The router sets it automatically when
-	// Replicas > 1. Stamp state is modeled as NVM-resident: like the key
-	// index it survives Crash in-process.
-	TrackTimestamps bool
-
 	// DisableAutoRepair stops the router from starting its background
 	// anti-entropy worker; RecoverShard then leaves the shard in the
 	// repairing state until the application drives Repair/RepairShard
@@ -240,8 +232,8 @@ type Store struct {
 
 	stats statsCounters
 
-	// repl is the per-key newest-stamp map for replication (nil unless
-	// Options.TrackTimestamps); see repl.go.
+	// repl is the per-key newest-stamp map the stamped writes keep (empty
+	// until the first one); see repl.go.
 	repl *replState
 
 	// Observability: the registry and the owned hot-path histograms of op
@@ -380,6 +372,7 @@ func Open(opt Options) (*Store, error) {
 		em:      epoch.NewManager(),
 		gcCh:    make(chan gcReq, opt.NumSSDs*2),
 		pwbBase: pwbBase,
+		repl:    newReplState(),
 	}
 	wm := opt.ReclaimWatermark
 	if wm == 0 {
@@ -387,9 +380,6 @@ func Open(opt Options) (*Store, error) {
 		wm = wmStart
 	}
 	s.watermark.Store(math.Float64bits(wm))
-	if opt.TrackTimestamps {
-		s.repl = newReplState()
-	}
 	s.reclaimers = make([]reclaimer, opt.NumThreads)
 	for i := 0; i < opt.NumThreads; i++ {
 		s.reclaimChs = append(s.reclaimChs, make(chan int64, 2))

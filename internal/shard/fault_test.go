@@ -262,24 +262,24 @@ func TestReplicaFanoutStress(t *testing.T) {
 	}
 }
 
-// TestScanReplansAfterCrashBetweenPhases: a merged scan has two phases, so
-// a shard it asked can crash after its walk and before its row read. The
-// scan is planned again from the replica states the crash left — the
-// survivors hold every key — and fn sees every row once. A crash that
+// TestScanReplansAfterCrashBetweenPhases: a range read has two phases, so
+// a shard it asked can crash after the plan — and, in a merge, after its
+// walk — and before its row read. The read is planned again from the
+// replica states the crash left — the survivors hold every key — and fn
+// sees every row once, whether the range is hash-owned (a merge over a
+// covering set) or owned (one member of the owner's set). A crash that
 // leaves some replica set with no live member fails the scan with
 // errNoReplica, as it does when the set is down before the scan starts;
 // and without replication the crashed shard's own error is the answer.
 func TestScanReplansAfterCrashBetweenPhases(t *testing.T) {
 	const n = 300
-	open := func(shards, replicas int) (*Store, *Thread) {
-		s := repl(t, shards, replicas, nil)
-		th := s.Thread(0)
+	fill := func(s *Store) *Store {
 		for i := 0; i < n; i++ {
-			if err := th.Put(key(i), value(i)); err != nil {
+			if err := s.Thread(0).Put(key(i), value(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return s, th
+		return s
 	}
 	// crashOne arms the seam to crash the first shard about to read rows.
 	crashOne := func(s *Store) *int {
@@ -293,26 +293,30 @@ func TestScanReplansAfterCrashBetweenPhases(t *testing.T) {
 		t.Cleanup(func() { scanHook = nil })
 		return &crashed
 	}
-
-	s, th := open(3, 2)
-	crashed := crashOne(s)
-	i := 0
-	if err := th.Scan(nil, 0, func(kv core.KV) bool {
-		if !bytes.Equal(kv.Key, key(i)) || !bytes.Equal(kv.Value, value(i)) {
-			t.Fatalf("row %d of the replanned scan is %s", i, kv.Key)
+	// scanAll scans the whole store and expects every row, in order.
+	scanAll := func(name string, s *Store) {
+		crashed := crashOne(s)
+		i := 0
+		if err := s.Thread(0).Scan(nil, 0, func(kv core.KV) bool {
+			if !bytes.Equal(kv.Key, key(i)) || !bytes.Equal(kv.Value, value(i)) {
+				t.Fatalf("%s: row %d of the replanned scan is %s", name, i, kv.Key)
+			}
+			i++
+			return true
+		}); err != nil || i != n || *crashed < 0 {
+			t.Fatalf("%s: scan across the crash of shard %d returned %d of %d rows: %v", name, *crashed, i, n, err)
 		}
-		i++
-		return true
-	}); err != nil || i != n || *crashed < 0 {
-		t.Fatalf("scan across the crash of shard %d returned %d of %d rows: %v", *crashed, i, n, err)
 	}
+
+	scanAll("hash-placed", fill(repl(t, 3, 2, nil)))
+	scanAll("range-placed", fill(rng(t, 3, 2, quartiles(n, 3), nil)))
 
 	// Shard 1 is down already; the crash of an asked neighbour takes the
 	// last member of a replica set with it.
-	s, th = open(3, 2)
+	s := fill(repl(t, 3, 2, nil))
 	s.CrashShard(1)
-	crashed = crashOne(s)
-	err := th.Scan(nil, 0, func(core.KV) bool {
+	crashed := crashOne(s)
+	err := s.Thread(0).Scan(nil, 0, func(core.KV) bool {
 		t.Fatal("a scan that cannot cover the keyspace emitted a row")
 		return false
 	})
@@ -320,9 +324,9 @@ func TestScanReplansAfterCrashBetweenPhases(t *testing.T) {
 		t.Fatalf("scan with shards 1 and %d down = %v, want errNoReplica", *crashed, err)
 	}
 
-	s, th = open(3, 1)
+	s = fill(repl(t, 3, 1, nil))
 	crashed = crashOne(s)
-	if err := th.Scan(nil, 0, func(core.KV) bool { return true }); !errors.Is(err, core.ErrClosed) || *crashed < 0 {
+	if err := s.Thread(0).Scan(nil, 0, func(core.KV) bool { return true }); !errors.Is(err, core.ErrClosed) || *crashed < 0 {
 		t.Fatalf("unreplicated scan across the crash of shard %d = %v, want the shard's ErrClosed", *crashed, err)
 	}
 }

@@ -46,15 +46,16 @@ type routerMetrics struct {
 func (s *Store) registerMetrics() {
 	r := s.reg
 	op := func(v string) map[string]string { return map[string]string{"op": v} }
-	s.m.routedPut = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: "single-key ops routed to their owning shard", Unit: "ops", Labels: op("put")})
-	s.m.routedGet = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: "single-key ops routed to their owning shard", Unit: "ops", Labels: op("get")})
-	s.m.routedDelete = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: "single-key ops routed to their owning shard", Unit: "ops", Labels: op("delete")})
-	s.m.routedScan = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: "single-key ops routed to their owning shard", Unit: "ops", Labels: op("scan")})
+	const routedHelp = "ops routed to their shards: single-key ops to the key's shard set, scans through the placement ranges"
+	s.m.routedPut = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: routedHelp, Unit: "ops", Labels: op("put")})
+	s.m.routedGet = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: routedHelp, Unit: "ops", Labels: op("get")})
+	s.m.routedDelete = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: routedHelp, Unit: "ops", Labels: op("delete")})
+	s.m.routedScan = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: routedHelp, Unit: "ops", Labels: op("scan")})
 	s.m.batchPut = r.Counter(obs.Desc{Name: "shard.batch_ops", Help: "batches seen by the router", Unit: "ops", Labels: op("put")})
 	s.m.batchGet = r.Counter(obs.Desc{Name: "shard.batch_ops", Help: "batches seen by the router", Unit: "ops", Labels: op("get")})
 	s.m.crossPut = r.Counter(obs.Desc{Name: "shard.cross_batches", Help: "batches fanned out to more than one shard", Unit: "ops", Labels: op("put")})
 	s.m.crossGet = r.Counter(obs.Desc{Name: "shard.cross_batches", Help: "batches fanned out to more than one shard", Unit: "ops", Labels: op("get")})
-	s.m.scanMerges = r.Counter(obs.Desc{Name: "shard.scan_merges", Help: "scans answered by merging shards' key-index walks (each row then read once)", Unit: "ops"})
+	s.m.scanMerges = r.Counter(obs.Desc{Name: "shard.scan_merges", Help: "range reads whose plan asked more than one shard: key-index walks merged, each row then read once", Unit: "ops"})
 	s.m.fanout = r.Histogram(obs.Desc{Name: "shard.batch_fanout", Help: "shards touched per batch", Unit: "shards"})
 	r.GaugeFunc(obs.Desc{Name: "shard.count", Help: "number of shards", Unit: "shards"},
 		func() float64 { return float64(len(s.shards)) })
@@ -95,7 +96,7 @@ func (s *Store) registerPlacementMetrics() {
 		func() float64 { return float64(s.PlacementEpoch()) })
 	r.GaugeFunc(obs.Desc{Name: "shard.placement_ranges", Help: "ranges in the placement boundary table", Unit: "ranges"},
 		func() float64 { return float64(s.Ranges()) })
-	s.m.rangeScans = r.Counter(obs.Desc{Name: "shard.range_scans", Help: "scans routed through the boundary table (owner-only reads)", Unit: "ops"})
+	s.m.rangeScans = r.Counter(obs.Desc{Name: "shard.range_scans", Help: "scans routed through the boundary table, each range read through one plan", Unit: "ops"})
 	s.m.migSplits = r.Counter(obs.Desc{Name: "migrate.splits", Help: "placement boundaries inserted by SplitRange", Unit: "ops"})
 	s.m.migRanges = r.Counter(obs.Desc{Name: "migrate.ranges", Help: "range migrations completed (epoch flipped and settled)", Unit: "ops"})
 	s.m.migKeysStreamed = r.Counter(obs.Desc{Name: "migrate.keys_streamed", Help: "live values streamed to migration destinations", Unit: "keys"})

@@ -11,7 +11,8 @@ package shard
 // The table lives in an immutable placement snapshot swapped atomically
 // under migMu (see migrate.go for the freeze → stream → flip protocol).
 // Hash mode (the default) never allocates a placement and takes no
-// locks: its routing is bit-for-bit the pre-placement code path.
+// locks: its routing is bit-for-bit the pre-placement code path, and its
+// scans walk a static table of one hash-owned range (hashTable, scan.go).
 
 import (
 	"bytes"
@@ -299,10 +300,7 @@ func (p *placement) shardFor(s *Store, key []byte) int {
 	if o := p.tab.owner[p.tab.rangeOf(key)]; o != hashOwned {
 		return o
 	}
-	if len(s.shards) == 1 {
-		return 0
-	}
-	return jump(fnv64a(key), len(s.shards))
+	return s.hashShard(key)
 }
 
 // PlacementMode returns "hash" or "range".
@@ -398,7 +396,7 @@ func (s *Store) dualSource(m *migState, key []byte) int {
 	}
 	src := m.srcSet
 	if m.srcOwner == hashOwned { // src is every shard, in order
-		j := jump(fnv64a(key), len(s.shards))
+		j := s.hashShard(key)
 		src = src[j : j+1]
 	}
 	for _, si := range src {

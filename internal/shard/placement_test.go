@@ -133,6 +133,26 @@ func TestRangeZeroSplitsMatchesHash(t *testing.T) {
 	if got != 100 {
 		t.Fatalf("scan over hash-owned range saw %d keys, want 100", got)
 	}
+
+	// On one shard the hash-owned range is read the way a hash store reads
+	// it, at the same virtual cost: the shard's own scan, each row looked
+	// up once.
+	scanCost := func(s *Store) int64 {
+		th := s.Thread(0)
+		for i := 0; i < 200; i++ {
+			if err := th.Put(key(i), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t0, rows := th.Clk.Now(), 0
+		if err := th.Scan(key(100), 50, func(core.KV) bool { rows++; return true }); err != nil || rows != 50 {
+			t.Fatalf("scan of 50 rows returned %d: %v", rows, err)
+		}
+		return th.Clk.Now() - t0
+	}
+	if r, h := scanCost(rng(t, 1, 1, nil, nil)), scanCost(small(t, 1, nil)); r != h {
+		t.Fatalf("a 50-row scan costs %d virtual ns on a one-shard range store, %d on a hash store", r, h)
+	}
 }
 
 func TestRangeScanOrderAndBounds(t *testing.T) {

@@ -9,45 +9,36 @@ import (
 )
 
 // Scan visits up to count pairs with key >= start in global key order.
+// count <= 0 scans to the end.
 //
-// Hash placement scatters adjacent keys across shards, so a hash-mode
-// scan is a merge — of keys, not of rows: a covering set of the shards
-// walk their key indexes in parallel, the router merges the key streams,
-// and each of the count winners is then read once, on one shard that
-// holds it (see gather). What hash placement costs a scan is one index
-// walk per asked shard and the second round of the row reads.
+// A scan is one loop over placement ranges: it walks the boundary table
+// in key order from the range containing start and reads each range it
+// intersects through one plan (see plan and gather). Ranges are disjoint
+// and ordered, so the per-range streams concatenate into global key order
+// with no merge between them. A hash-mode store is one hash-owned range
+// over the whole keyspace (hashTable), read the way a hash-owned range of
+// a range-placed store is.
 //
-// Range placement removes both: the scan walks the boundary table in key
-// order and reads each intersecting range from its owning shard only, in
-// one pass that stops at the range's upper bound. Hash-owned ranges (not
-// yet claimed by a migration) fall back to the bounded merge for just
-// that slice of the keyspace. count <= 0 scans to the end.
+// Within a range the plan decides the cost. An owned range asks one shard
+// of its owner's set, which reads the range in its own scan. A hash-owned
+// range scatters adjacent keys across shards, so it asks a covering set of
+// them; when that is more than one shard the read is a merge — of keys,
+// not of rows: the asked shards walk their key indexes in parallel, the
+// router merges the key streams, and each winner is then read once, on one
+// shard that holds it. What hash placement costs a scan is one index walk
+// per asked shard and the second round of the row reads. A plan of one
+// shard — a one-shard store, or a covering set of one — costs what a scan
+// of a lone core store costs.
 func (t *Thread) Scan(start []byte, count int, fn func(kv core.KV) bool) error {
 	s := t.s
 	s.m.routedScan.Inc()
+	tab := hashTable
 	if s.rangeMode {
+		s.m.rangeScans.Inc()
 		s.migMu.RLock()
 		defer s.migMu.RUnlock()
-		return t.scanRange(s.pl.Load(), start, count, fn)
+		tab = s.pl.Load().tab
 	}
-	if len(s.shards) == 1 {
-		err := t.ths[0].Scan(start, count, fn)
-		t.sync(0)
-		return err
-	}
-	s.m.scanMerges.Inc()
-	_, _, err := t.scanMerged(start, nil, count, fn)
-	return err
-}
-
-// scanRange walks the placement's ranges from the one containing start,
-// reading each from its owner (or via a bounded merge when hash-owned)
-// and emitting directly: ranges are disjoint and ordered, so per-range
-// streams concatenate into global key order with no merge.
-func (t *Thread) scanRange(p *placement, start []byte, count int, fn func(kv core.KV) bool) error {
-	s := t.s
-	s.m.rangeScans.Inc()
-	tab := p.tab
 	emitted := 0
 	for r := tab.rangeOf(start); r < tab.ranges(); r++ {
 		lo, hi := tab.rangeBounds(r)
@@ -55,73 +46,36 @@ func (t *Thread) scanRange(p *placement, start []byte, count int, fn func(kv cor
 		if lo != nil && bytes.Compare(lo, from) > 0 {
 			from = lo
 		}
-		remaining := 0
+		left := 0
 		if count > 0 {
-			remaining = count - emitted
-			if remaining <= 0 {
+			if left = count - emitted; left <= 0 {
 				return nil
 			}
 		}
-		var n int
-		var stopped bool
-		var err error
-		if o := tab.owner[r]; o == hashOwned {
-			if len(s.shards) > 1 {
-				s.m.scanMerges.Inc()
-			}
-			n, stopped, err = t.scanMerged(from, hi, remaining, fn)
-		} else {
-			n, stopped, err = t.scanOwned(o, from, hi, remaining, fn)
-		}
-		if err != nil {
+		n, stopped, err := t.scanRange(tab.owner[r], from, hi, left, fn)
+		if err != nil || stopped || hi == nil {
 			return err
 		}
 		emitted += n
-		if stopped || hi == nil {
-			return nil
-		}
 	}
 	return nil
 }
 
-// scanOwned reads [from, hi) from the range's owning shard — or, with
-// Replicas > 1, from the first read candidate of the owner's replica set
-// (see candidates: errNoReplica when the whole set is down; with
-// Replicas == 1 a crashed owner surfaces its own error). The owner's
-// ordered scan stops at hi, so nothing is over-fetched.
-func (t *Thread) scanOwned(owner int, from, hi []byte, count int, fn func(kv core.KV) bool) (int, bool, error) {
-	s := t.s
-	t.rset = s.candidates(s.setOf(owner, t.rset))
-	if len(t.rset) == 0 {
-		return 0, false, errNoReplica
-	}
-	j := t.rset[0]
-	emitted := 0
-	stopped := false
-	err := t.ths[j].Scan(from, count, func(kv core.KV) bool {
-		if hi != nil && bytes.Compare(kv.Key, hi) >= 0 {
-			return false
-		}
-		emitted++
-		if !fn(kv) {
-			stopped = true
-			return false
-		}
-		return count <= 0 || emitted < count
-	})
-	t.sync(j)
-	return emitted, stopped, err
-}
+// hashTable is a hash-mode store's placement: one hash-owned range over
+// the whole keyspace. It is never installed in s.pl, so hash-mode routing
+// loads no snapshot and takes no lock.
+var hashTable = &boundaryTable{owner: []int{hashOwned}}
 
-// scanMerged is the merged scan of [start, hi) (nil hi = unbounded): the
-// hash-mode Scan body, reused by range mode for hash-owned ranges. It
-// returns how many pairs it emitted and whether fn stopped the scan. The
-// rows are gathered whole (see gather) before the first is emitted, so a
-// gather that lost a replica to a crash has shown fn nothing: with
-// Replicas > 1 it is planned again from fresh replica states, at most
-// writeRetries times, like a replicated write. With Replicas == 1 there is
-// nobody else to ask and the shard's own error is the answer.
-func (t *Thread) scanMerged(start, hi []byte, count int, fn func(kv core.KV) bool) (int, bool, error) {
+// scanRange reads [start, hi) (nil hi = unbounded) of the range owner
+// owns — a shard, or hashOwned — and emits it, returning how many pairs it
+// emitted and whether fn stopped the scan. The rows are gathered whole
+// (see gather) before the first is emitted, so a gather that lost a
+// replica to a crash has shown fn nothing: with Replicas > 1 it is planned
+// again from fresh replica states, at most writeRetries times, like a
+// replicated write. With Replicas == 1 there is nobody else to ask and the
+// shard's own error is the answer. A read whose plan asked more than one
+// shard counts shard.scan_merges.
+func (t *Thread) scanRange(owner int, start, hi []byte, count int, fn func(kv core.KV) bool) (int, bool, error) {
 	// The row slab leaves the thread while fn runs, so a scan fn issues on
 	// this thread cannot overwrite the rows being yielded.
 	rows := t.rows
@@ -132,18 +86,24 @@ func (t *Thread) scanMerged(start, hi []byte, count int, fn func(kv core.KV) boo
 	}()
 	var err error
 	for attempt := 0; ; attempt++ {
-		rows, err = t.gather(rows[:0], start, hi, count)
+		rows, err = t.gather(rows[:0], owner, start, hi, count)
 		if !t.s.crashed(err) || attempt >= writeRetries {
 			break
 		}
 		runtime.Gosched()
 	}
+	merged := len(t.asked) > 1
+	if merged {
+		t.s.m.scanMerges.Inc()
+	}
 	if err != nil {
 		return 0, false, err
 	}
 	for i, kv := range rows {
-		// The key is an index's own copy (core.ScanKeys); fn gets its own.
-		kv.Key = bytes.Clone(kv.Key)
+		if merged {
+			// The key is an index's own copy (core.ScanKeys); fn gets its own.
+			kv.Key = bytes.Clone(kv.Key)
+		}
 		if !fn(kv) {
 			return i + 1, true, nil
 		}
@@ -151,15 +111,17 @@ func (t *Thread) scanMerged(start, hi []byte, count int, fn func(kv core.KV) boo
 	return len(rows), false, nil
 }
 
-// scanHook is a test seam: when set, it runs in every merged scan between
-// the walks' merge and the row reads — t.touched and t.subKeys say which
-// shard is about to read which rows.
+// scanHook is a test seam: when set, it runs in every range read once the
+// plan is made, before any row is read — t.touched names the shards about
+// to read rows, and in a merge t.subKeys[j] says which rows shard j reads.
 var scanHook func(t *Thread)
 
-// gather appends to rows the first count pairs of [start, hi) in key order
-// (count <= 0: all of them), each resolved once, keys first:
+// gather appends to rows the first count pairs of [start, hi) of owner's
+// range in key order (count <= 0: all of them), each resolved once, from
+// the shards plan asks. A plan of one shard reads through that shard's own
+// scan (see scanOne). A plan of several merges, keys first:
 //
-//   - The asked shards (see plan) run the key-index walk only, in parallel.
+//   - The asked shards run the key-index walk only, in parallel.
 //   - The router merges their key streams — a key materializes on up to
 //     Replicas shards, so equal heads collapse to one winner — and hands
 //     each winner to one asked shard that holds it, the one with the fewest
@@ -174,9 +136,12 @@ var scanHook func(t *Thread)
 // what follows such a walk's last key on its shard is unknown: the merge
 // never passes it, and when it gets there short of count the shards walk
 // again from the last key merged.
-func (t *Thread) gather(rows []core.KV, start, hi []byte, count int) ([]core.KV, error) {
-	if err := t.plan(); err != nil {
+func (t *Thread) gather(rows []core.KV, owner int, start, hi []byte, count int) ([]core.KV, error) {
+	if err := t.plan(owner); err != nil {
 		return rows, err
+	}
+	if len(t.asked) == 1 {
+		return t.scanOne(rows, start, hi, count)
 	}
 	var (
 		from  = start
@@ -281,34 +246,64 @@ func (t *Thread) gather(rows []core.KV, start, hi []byte, count int) ([]core.KV,
 	}
 }
 
-// plan chooses the shards a merged scan asks, into t.asked. With every
-// shard up each key is on all Replicas ring-consecutive members of its
-// set, so a covering set of ceil(n/Replicas) shards holds every key
-// between them (see cover); its offset rotates with every scan so the
-// load spreads. Otherwise the scan asks, for every replica set, the
-// shards a single-key read of that set would try (see candidates): its up
-// members — so every up shard is asked, and a down shard's keys are
-// covered by its replicas — or, for a set with none, its repairing ones
-// (during such a divergence window the surviving copy of a key is
-// whichever asked shard returns it: scans are eventually consistent, like
-// replicated reads); a set with no live member at all fails the scan with
+// scanOne is gather over a plan of one shard: that shard's own scan of
+// [start, hi), whose rows come with the index walk's HSIT slots, so none
+// is looked up twice. Its rows own their keys (core clones them).
+func (t *Thread) scanOne(rows []core.KV, start, hi []byte, count int) ([]core.KV, error) {
+	j := t.asked[0]
+	t.touched = append(t.touched[:0], j)
+	if scanHook != nil {
+		scanHook(t)
+	}
+	err := t.ths[j].Scan(start, count, func(kv core.KV) bool {
+		if hi != nil && bytes.Compare(kv.Key, hi) >= 0 {
+			return false
+		}
+		rows = append(rows, kv)
+		return true
+	})
+	t.sync(j)
+	return rows, err
+}
+
+// plan chooses the shards a range read asks, into t.asked.
+//
+// An owned range asks the first read candidate of its owner's set (see
+// candidates): every member holds the whole range.
+//
+// A hash-owned range, with every shard up, asks a covering set: each key
+// is on all Replicas ring-consecutive members of its set, so a covering
+// set of ceil(n/Replicas) shards holds every key between them (see cover);
+// its offset rotates with every plan so the load spreads. Otherwise it
+// asks, for every replica set, the shards a single-key read of that set
+// would try: its up members — so every up shard is asked, and a down
+// shard's keys are covered by its replicas — or, for a set with none, its
+// repairing ones (during such a divergence window the surviving copy of a
+// key is whichever asked shard returns it: scans are eventually
+// consistent, like replicated reads).
+//
+// Either way a set with no live member at all fails the read with
 // errNoReplica rather than silently omitting its keyspace. Without
 // replication every shard is its own set and is asked, up or not: a
 // crashed shard surfaces its error.
-func (t *Thread) plan() error {
+func (t *Thread) plan(owner int) error {
 	s := t.s
-	n := len(s.shards)
 	t.asked = t.asked[:0]
+	if owner != hashOwned {
+		if t.rset = s.candidates(s.setOf(owner, t.rset)); len(t.rset) == 0 {
+			return errNoReplica
+		}
+		t.asked = append(t.asked, t.rset[0])
+		return nil
+	}
+	n := len(s.shards)
 	if s.allUp() {
 		t.turn++
 		t.asked = cover(n, s.replicas, t.turn%n, t.asked)
 		return nil
 	}
 	for p := 0; p < n; p++ {
-		t.rset = s.candidates(s.setOf(p, t.rset))
-		if len(t.rset) == 0 {
-			// Keys whose primary is p have no live replica; a scan
-			// cannot serve its contract over that keyspace.
+		if t.rset = s.candidates(s.setOf(p, t.rset)); len(t.rset) == 0 {
 			return errNoReplica
 		}
 		for _, j := range t.rset {

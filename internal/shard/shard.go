@@ -32,8 +32,11 @@
 // PutBatch/MultiGet partition by shard and execute the per-shard
 // sub-batches in parallel goroutines, preserving core's one-epoch-enter
 // / one-publish-window amortization per shard; results merge back in
-// input order. Scan merges the shards' key-index walks and then reads
-// each row once, from one shard that holds it (scan.go). Cross-shard
+// input order. Scan is one loop over placement ranges — a hash-mode
+// store is one hash-owned range — and reads each through one plan: a plan
+// of one shard is that shard's own scan; a plan of several merges their
+// key-index walks and then reads each row once, from one shard that holds
+// it (scan.go). Cross-shard
 // PutBatch keeps core's prefix-durability only per shard: a crash can
 // leave different shards at different prefixes of their sub-batches.
 //
@@ -42,7 +45,7 @@
 // Options.Replicas > 1 places each key on R shards — the jump-hash
 // primary plus its R-1 ring successors — with every write carrying a
 // store-wide logical timestamp and applied per replica under
-// last-writer-wins (see core's TrackTimestamps layer). Writes fan out
+// last-writer-wins (see core's timestamp layer, repl.go). Writes fan out
 // to every live replica and acknowledge when at least one accepted;
 // reads go primary-first and fall back across the set on a miss or a
 // crashed shard. A crashed shard is marked down (writes skip it, reads
@@ -132,13 +135,13 @@ type Thread struct {
 	cov     []bool      // per-entry coverage scratch for PutBatch
 	rem     []int       // MultiGet key positions still to resolve
 
-	// Merged-scan scratch (scan.go), on the same terms; a scan's row reads
-	// go through subKeys, subVals, subIdx and touched like a MultiGet's.
-	turn  int        // scans planned over a covering set: rotates its offset
-	asked []int      // shards the scan walks
+	// Scan scratch (scan.go), on the same terms; a merge's row reads go
+	// through subKeys, subVals, subIdx and touched like a MultiGet's.
+	turn  int        // range reads planned over a covering set: rotates its offset
+	asked []int      // shards the range read's plan asks
 	lists [][][]byte // per shard, the keys its walk returned
 	pos   []int      // per shard, how far into its list the merge is
-	rows  []core.KV  // the winners, in merge order
+	rows  []core.KV  // the range's rows, in key order
 }
 
 // Open creates a Store of opt.Shards independent core stores (default
@@ -175,8 +178,7 @@ func Open(opt core.Options) (*Store, error) {
 		return nil, errors.New("prism: unknown Placement (want \"hash\" or \"range\")")
 	}
 	// Range mode stamps every write (migration enumerates the stamp
-	// records to stream a range), so it forces the timestamp layer on
-	// just like replication does.
+	// records to stream a range), just like replication does.
 	stamped := r > 1 || rangeMode
 	s := &Store{opt: opt, replicas: r, rangeMode: rangeMode, stamped: stamped}
 	if rangeMode {
@@ -192,7 +194,6 @@ func Open(opt core.Options) (*Store, error) {
 		sopt.Replicas = 0
 		sopt.Placement = ""
 		sopt.SplitKeys = nil
-		sopt.TrackTimestamps = opt.TrackTimestamps || stamped
 		if sopt.Seed == 0 {
 			sopt.Seed = 1 // mirror core's default before deriving
 		}
@@ -275,6 +276,12 @@ func (s *Store) ShardOf(key []byte) int {
 	if p := s.pl.Load(); p != nil {
 		return p.shardFor(s, key)
 	}
+	return s.hashShard(key)
+}
+
+// hashShard is key's jump-hash shard: its owner under hash placement, and
+// in a hash-owned range.
+func (s *Store) hashShard(key []byte) int {
 	if len(s.shards) == 1 {
 		return 0
 	}
