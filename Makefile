@@ -145,12 +145,14 @@ bench-module:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# fuzz-smoke runs short fuzz passes over the RESP parser and the range
+# fuzz-smoke runs short fuzz passes over the RESP parser, the range
 # placement boundary table (decode/encode roundtrip + split-key
-# selection invariants).
+# selection invariants) and the value-record codec (no panic, no value
+# past the bytes read, encode/decode roundtrip).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzBoundaryTable -fuzztime 10s ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime 10s ./internal/record
 
 # fault-smoke is the crash-fault gate: the replica-kill matrix (crash a
 # replica mid write-burst, assert reads keep being served and no acked

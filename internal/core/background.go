@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hsit"
 	"repro/internal/pwb"
+	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/svc"
 	"repro/internal/valuestore"
@@ -129,10 +130,11 @@ func (s *Store) reclaimBuffer(t *Thread) {
 	r.live = live[:0]
 	s.stats.pwbScanned.Add(scanned)
 	if err != nil {
-		// A header failed to parse. With the frozen-tail protocol this
-		// should be unreachable; if it ever fires, abort the pass without
-		// migrating, moving the cursor or releasing anything — the range
-		// is intact on NVM and a later pass simply re-scans it.
+		// A header was corrupt: unparseable, or its length ran past the
+		// range. With the frozen-tail protocol this should be unreachable;
+		// if it ever fires, abort the pass without migrating, moving the
+		// cursor or releasing anything — the range is intact on NVM and a
+		// later pass simply re-scans it.
 		s.stats.scanTornRecords.Add(1)
 		return
 	}
@@ -383,7 +385,7 @@ func (s *Store) onScanEvict(t *Thread, chain svc.EvictedChain) {
 	adjacent := 0
 	for i := 1; i < len(todo); i++ {
 		prev, cur := todo[i-1], todo[i]
-		gap := int64(cur.Old) - int64(prev.Old) - int64(valuestore.RecordSize(len(prev.Value)))
+		gap := int64(cur.Old) - int64(prev.Old) - int64(record.Size(len(prev.Value)))
 		if gap >= 0 && gap <= mergeGap {
 			adjacent++
 		}

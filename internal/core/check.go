@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/hsit"
+	"repro/internal/nvm"
+	"repro/internal/pwb"
+	"repro/internal/record"
 	"repro/internal/ssd"
-	"repro/internal/valuestore"
 )
 
 // CheckReport is the result of a CheckInvariants pass.
@@ -33,9 +35,11 @@ func (r *CheckReport) OK() bool { return len(r.Problems) == 0 && r.ProblemsOmitt
 // cross-media structures). It walks the Persistent Key Index and
 // verifies, for every live key, the §4.5/§5.5 invariants:
 //
-//   - the HSIT entry holds a durable forward pointer (PWB or VS);
-//   - the pointed-to record is well-coupled: its backward pointer names
-//     the same HSIT entry and its length matches the pointer;
+//   - the HSIT entry holds a durable forward pointer (PWB or VS) to a
+//     place inside its medium;
+//   - the pointed-to record is well-coupled (record.Coupled): its
+//     backward pointer names the same HSIT entry and its length matches
+//     the pointer;
 //   - a VS-resident record's validity bit is set;
 //   - a published SVC handle resolves to a cache entry for that key
 //     whose content matches the durable value.
@@ -48,41 +52,27 @@ func (s *Store) CheckInvariants() CheckReport {
 	s.index.Scan(nil, nil, 0, func(key []byte, idx uint64) bool {
 		rep.LiveKeys++
 		p, h := s.table.Entry(nil, idx)
-		switch p.Media {
-		case hsit.None:
+		switch {
+		case p.IsNil():
 			rep.problem("key %q: HSIT[%d] has no durable value", key, idx)
-		case hsit.PWB:
+		case !s.inMedium(p):
+			rep.problem("key %q: forward pointer %v lies outside its medium", key, p)
+		case p.Media == hsit.PWB:
 			rep.PWBResident++
-			buf := s.pwbOf(p.Off)
-			backptr, vlen, ok := buf.ReadHeader(nil, p.Off)
-			if !ok {
-				rep.problem("key %q: PWB record at %d unparseable", key, p.Off)
-			} else if backptr != idx {
-				rep.problem("key %q: ill-coupled PWB record (backptr %d != %d)", key, backptr, idx)
-			} else if vlen != p.Len {
-				rep.problem("key %q: PWB length mismatch (%d != %d)", key, vlen, p.Len)
+			if _, err := s.readPWB(nil, idx, p); err != nil {
+				rep.problem("key %q: PWB record at %d %v", key, p.Off, err)
 			}
-		case hsit.VS:
+		default:
 			rep.VSResident++
-			devIdx, local := valuestore.SplitOff(p.Off)
-			if devIdx >= len(s.vsm.Stores) {
-				rep.problem("key %q: VS pointer names device %d of %d", key, devIdx, len(s.vsm.Stores))
-				break
-			}
-			st := s.vsm.Stores[devIdx]
+			st, local := s.vsm.StoreOf(p.Off)
 			if !st.IsValid(local) {
 				rep.problem("key %q: VS record at %d has a clear validity bit", key, p.Off)
 				break
 			}
 			req := st.ReadAt(local, p.Len)
 			st.Dev.Submit(0, []ssd.Request{req})
-			backptr, val, ok := valuestore.DecodeRecord(req.Data)
-			if !ok {
-				rep.problem("key %q: VS record at %d unparseable", key, p.Off)
-			} else if backptr != idx {
-				rep.problem("key %q: ill-coupled VS record (backptr %d != %d)", key, backptr, idx)
-			} else if len(val) != p.Len {
-				rep.problem("key %q: VS length mismatch (%d != %d)", key, len(val), p.Len)
+			if _, err := record.Coupled(req.Data, idx, p.Len); err != nil {
+				rep.problem("key %q: VS record at %d %v", key, p.Off, err)
 			}
 		}
 		// SVC publication, if any, must resolve and agree with the
@@ -105,4 +95,35 @@ func (s *Store) CheckInvariants() CheckReport {
 		rep.problem("HSIT live count %d < reachable keys %d", live, rep.LiveKeys)
 	}
 	return rep
+}
+
+// inMedium checks forward pointer p against its medium before anything
+// reads through it, so that a corrupt pointer is a problem to report, not
+// an index out of range: it reports whether p's record lies inside one PWB
+// ring, or inside one chunk of one of the Value Storage stores.
+func (s *Store) inMedium(p hsit.Pointer) bool {
+	return p.Media == hsit.PWB && s.pwbOf(p) != nil || p.Media == hsit.VS && s.vsm.Holds(p.Off, p.Len)
+}
+
+// pwbOf maps PWB forward pointer p to the ring its record lies inside,
+// nil when it lies inside none.
+func (s *Store) pwbOf(p hsit.Pointer) *pwb.Buffer {
+	rel, per := p.Off-uint64(s.pwbBase), uint64(s.opt.PWBBytesPerThread)
+	if p.Off < uint64(s.pwbBase) || rel/per >= uint64(len(s.pwbs)) || rel%per+uint64(record.Size(p.Len)) > per {
+		return nil
+	}
+	return s.pwbs[rel/per]
+}
+
+// readPWB reads the PWB record p names on clk — its header, then, once
+// record.Coupled finds it coupled to HSIT entry idx, its value — and
+// returns the value or the check that failed. p must be inMedium.
+func (s *Store) readPWB(clk nvm.Clock, idx uint64, p hsit.Pointer) ([]byte, error) {
+	buf := make([]byte, record.HeaderSize+p.Len)
+	s.nvmDev.Load(clk, int(p.Off), buf[:record.HeaderSize])
+	v, err := record.Coupled(buf, idx, p.Len)
+	if err == nil {
+		s.nvmDev.Load(clk, int(p.Off)+record.HeaderSize, v)
+	}
+	return v, err
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/hsit"
+	"repro/internal/valuestore"
 )
 
 // settle stops all background work so the checker sees a stable store
@@ -65,28 +68,67 @@ func TestCheckerAfterRecovery(t *testing.T) {
 	}
 }
 
+// badPointer is a forward pointer a corrupt HSIT entry may hold, built
+// for store s: it names no record of the key it is installed for.
+type badPointer struct {
+	name string
+	ptr  func(t *testing.T, s *Store) hsit.Pointer
+}
+
+// outsideMedium names no place inside its medium: no PWB ring, or no
+// chunk of a Value Storage store.
+var outsideMedium = []badPointer{
+	{"PWB past the last ring", func(_ *testing.T, s *Store) hsit.Pointer {
+		return hsit.Pointer{Media: hsit.PWB, Len: 3, Off: uint64(s.pwbBase + len(s.pwbs)*s.opt.PWBBytesPerThread)}
+	}},
+	{"PWB below the first ring", func(_ *testing.T, s *Store) hsit.Pointer {
+		return hsit.Pointer{Media: hsit.PWB, Len: 3, Off: uint64(s.pwbBase - 16)}
+	}},
+	{"VS past the last store", func(_ *testing.T, s *Store) hsit.Pointer {
+		return hsit.Pointer{Media: hsit.VS, Len: 3, Off: valuestore.GlobalOff(len(s.ssds), 0)}
+	}},
+	{"VS past its store's end", func(_ *testing.T, s *Store) hsit.Pointer {
+		return hsit.Pointer{Media: hsit.VS, Len: 3, Off: valuestore.GlobalOff(0, uint64(s.ssds[0].Size()))}
+	}},
+}
+
+// TestCheckerDetectsIllCoupling installs a bad forward pointer for key 1:
+// into bytes that are no record, at key 2's record (same length, so only
+// the backward pointer tells), or outside its medium. The checker must
+// name the key, not panic.
 func TestCheckerDetectsIllCoupling(t *testing.T) {
-	s := small(t, nil)
-	th := s.Thread(0)
-	th.Put(key(1), value(1))
-	idx, ok := s.index.Lookup(nil, key(1))
-	if !ok {
-		t.Fatal("lookup failed")
+	otherKey := func(t *testing.T, s *Store) hsit.Pointer {
+		idx, _ := s.index.Lookup(nil, key(2))
+		return s.table.Load(nil, idx)
 	}
-	// Corrupt the forward pointer: point it at a bogus PWB offset.
-	s.table.Publish(nil, idx, hsit.Pointer{Media: hsit.PWB, Len: 3, Off: uint64(s.pwbBase + 4096)})
-	rep := s.CheckInvariants()
-	if rep.OK() {
-		t.Fatal("checker missed a corrupted forward pointer")
-	}
-	found := false
-	for _, p := range rep.Problems {
-		if strings.Contains(p, "unparseable") || strings.Contains(p, "ill-coupled") || strings.Contains(p, "mismatch") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("unexpected problem set: %v", rep.Problems)
+	cases := append([]badPointer{
+		{"no record there", func(_ *testing.T, s *Store) hsit.Pointer {
+			return hsit.Pointer{Media: hsit.PWB, Len: 3, Off: uint64(s.pwbBase + 4096)}
+		}},
+		{"another key's PWB record", otherKey},
+		{"another key's VS record", func(t *testing.T, s *Store) hsit.Pointer {
+			drain(t, s)
+			return otherKey(t, s)
+		}},
+	}, outsideMedium...)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := small(t, nil)
+			th := s.Thread(0)
+			th.Put(key(1), value(1))
+			th.Put(key(2), value(2))
+			idx, ok := s.index.Lookup(nil, key(1))
+			if !ok {
+				t.Fatal("lookup failed")
+			}
+			p := c.ptr(t, s)
+			s.table.Publish(nil, idx, p)
+			rep := s.CheckInvariants()
+			want := fmt.Sprintf("key %q", key(1))
+			if !slices.ContainsFunc(rep.Problems, func(line string) bool { return strings.Contains(line, want) }) {
+				t.Fatalf("forward pointer %v: no problem names %s: %v", p, want, rep.Problems)
+			}
+		})
 	}
 }
 

@@ -162,7 +162,7 @@ func (s *Store) registerMetrics() {
 		s.stats.pwbLiveMigrated.Load)
 	r.CounterFunc(obs.Desc{Name: "core.reclaim_publish_lost", Help: "migrated values whose PublishIf lost to a concurrent foreground write (VS copy invalidated)", Unit: "values"},
 		s.stats.reclaimPublishLost.Load)
-	r.CounterFunc(obs.Desc{Name: "pwb.scan_torn_record", Help: "reclamation passes aborted on an unparseable ring record: the reclaim cursor stays put and the next pass re-scans the range (should stay 0 under the frozen-tail protocol)", Unit: "passes"},
+	r.CounterFunc(obs.Desc{Name: "pwb.scan_torn_record", Help: "reclamation passes aborted on a corrupt ring record (unparseable, or its length runs past the scanned range): the reclaim cursor stays put and the next pass re-scans the range (should stay 0 under the frozen-tail protocol)", Unit: "passes"},
 		s.stats.scanTornRecords.Load)
 
 	// ---- vs: log-structured Value Storage, per device (§5.1-5.2) ----

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/hsit"
+	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/valuestore"
@@ -349,7 +350,7 @@ func (t *Thread) resolveFast(it *scanItem) fastResult {
 	}
 	switch p.Media {
 	case hsit.PWB:
-		v := s.pwbOf(p.Off).ReadValue(t.Clk, p.Off, p.Len)
+		v := s.pwbOf(p).ReadValue(t.Clk, p.Off, p.Len)
 		if s.table.Load(nil, it.idx) != p {
 			return fastMoved
 		}
@@ -400,8 +401,8 @@ func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err er
 	req.UserData = uint64(devIdx)
 	t.reqs = append(t.reqs[:0], req)
 	t.readVS(t.reqs)
-	backptr, v, ok := valuestore.DecodeRecord(req.Data)
-	if !ok || backptr != idx || len(v) != it.p.Len {
+	v, err := record.Coupled(req.Data, idx, it.p.Len)
+	if err != nil {
 		return nil, nil, true // chunk recycled under us
 	}
 	if admit {
@@ -409,7 +410,7 @@ func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err er
 	}
 	// The buffer was read for this call alone and the SVC keeps a copy of
 	// its own: the value is returned in place.
-	return v[:len(v):len(v)], nil, false
+	return v, nil, false
 }
 
 // Delete removes key. The HSIT entry is reclaimed after two epochs
@@ -662,7 +663,7 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	locs := t.locs[:0]
 	for _, it := range pending {
 		dev, local := valuestore.SplitOff(it.p.Off)
-		locs = append(locs, located{it: it, dev: dev, off: local, size: valuestore.HeaderSize + it.p.Len})
+		locs = append(locs, located{it: it, dev: dev, off: local, size: record.HeaderSize + it.p.Len})
 	}
 	slices.SortFunc(locs, func(a, b located) int {
 		if c := cmp.Compare(a.dev, b.dev); c != 0 {
@@ -695,17 +696,16 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 		alone := i+1 == len(locs) || locs[i+1].dev != int(r.UserData) || locs[i+1].off >= end
 		for ; i < len(locs) && locs[i].dev == int(r.UserData) && locs[i].off < end; i++ {
 			it := locs[i].it
-			backptr, v, ok := valuestore.DecodeRecord(r.Data[locs[i].off-uint64(r.Offset):])
-			if !ok || backptr != it.idx || len(v) != it.p.Len {
+			v, err := record.Coupled(r.Data[locs[i].off-uint64(r.Offset):], it.idx, it.p.Len)
+			if err != nil {
 				// Moved mid-scan. The batched pointer is stale now: clearing
 				// it excludes the item from SVC admission and marks it for
 				// the individual resolve below.
 				it.p = hsit.Pointer{}
 				continue
 			}
-			if alone {
-				it.val = v[:len(v):len(v)]
-			} else {
+			it.val = v
+			if !alone {
 				it.val = cloneBytes(v)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"repro/internal/hsit"
@@ -56,9 +57,10 @@ func (s *Store) Crash() {
 //  1. Scan the Persistent Key Index for reachable HSIT entries
 //     (partitioned across workers, as the paper recovers "concurrently
 //     for randomly partitioned key ranges").
-//  2. For each reachable entry, validate forward/backward coupling. PWB
-//     values are drained into Value Storage; VS values rebuild the
-//     per-chunk validity bitmaps; SVC pointers are nullified.
+//  2. For each reachable entry, check its pointer against its medium and
+//     a PWB record's coupling (record.Coupled); an entry that fails is
+//     lost. PWB values are drained into Value Storage; VS values rebuild
+//     the per-chunk validity bitmaps; SVC pointers are nullified.
 //  3. Unreachable HSIT entries return to the free list; PWB rings reset;
 //     background threads restart.
 func (s *Store) Recover() (RecoveryReport, error) {
@@ -86,67 +88,53 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		return true
 	})
 
-	// Phase 2: validate couplings in parallel partitions.
+	// Phase 2: check every entry's pointer in parallel partitions, worker w
+	// taking pairs w, w+workers, ...: lost[i] marks pair i's pointer as
+	// outside its medium or naming an ill-coupled PWB record.
 	s.vsm.BeginRecovery()
-	workers := len(s.threads)
-	if workers > len(pairs) && len(pairs) > 0 {
-		workers = len(pairs)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-	reachable := make([]map[uint64]bool, workers)
-	lost := make([][]pair, workers)
+	workers := max(1, min(len(s.threads), len(pairs)))
+	lost := make([]bool, len(pairs))
 	pwbVals := make([][]valuestore.Move, workers)
-	clocks := make([]*sim.Clock, workers)
+	ends := make([]int64, workers) // when each worker finished
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			clk := sim.NewClock(scanClk.Now())
-			clocks[w] = clk
-			reach := make(map[uint64]bool)
+			defer func() { ends[w] = clk.Now() }()
 			for i := w; i < len(pairs); i += workers {
-				pr := pairs[i]
-				p := s.table.Load(clk, pr.idx)
-				switch p.Media {
-				case hsit.PWB:
-					backptr, vlen, ok := s.pwbOf(p.Off).ReadHeader(clk, p.Off)
-					if !ok || backptr != pr.idx || vlen != p.Len {
-						lost[w] = append(lost[w], pr) // ill-coupled
-						continue
+				idx := pairs[i].idx
+				p := s.table.Load(clk, idx)
+				switch {
+				case !s.inMedium(p):
+					lost[i] = true
+				case p.Media == hsit.PWB:
+					val, err := s.readPWB(clk, idx, p)
+					lost[i] = err != nil
+					if err == nil {
+						pwbVals[w] = append(pwbVals[w], valuestore.Move{HSITIdx: idx, Old: p.Off, Value: val})
 					}
-					val := s.pwbOf(p.Off).ReadValue(clk, p.Off, p.Len)
-					pwbVals[w] = append(pwbVals[w], valuestore.Move{HSITIdx: pr.idx, Old: p.Off, Value: val})
-					reach[pr.idx] = true
-				case hsit.VS:
-					s.vsm.MarkRecovered(p.Off, p.Len)
-					reach[pr.idx] = true
 				default:
-					lost[w] = append(lost[w], pr)
+					s.vsm.MarkRecovered(p.Off, p.Len)
 				}
 			}
-			reachable[w] = reach
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	allReach := make(map[uint64]bool)
-	validated := scanClk.Now() // when the slowest worker finished
-	for w := 0; w < workers; w++ {
-		for idx := range reachable[w] {
-			allReach[idx] = true
+	reach := make(map[uint64]bool)
+	for i, pr := range pairs {
+		if !lost[i] {
+			reach[pr.idx] = true
+			continue
 		}
-		for _, pr := range lost[w] {
-			s.index.Delete(nil, pr.key)
-			// Forget the lost value's stamp too, so anti-entropy re-pulls
-			// it from a peer instead of the stale stamp making this
-			// replica refuse its own missing value.
-			s.repl.dropLive(string(pr.key))
-			rep.LostKeys++
-		}
-		validated = max(validated, clocks[w].Now())
+		s.index.Delete(nil, pr.key)
+		// Forget the lost value's stamp too, so anti-entropy re-pulls it from
+		// a peer instead of the stale stamp making this replica refuse its
+		// own missing value.
+		s.repl.dropLive(string(pr.key))
+		rep.LostKeys++
 	}
 
 	// Rebuild the free-chunk lists before draining: every chunk that
@@ -157,13 +145,9 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	// reset (their volatile cursors are unknown after the crash), on a
 	// pass thread that starts when the slowest validator finished.
 	dt := s.newThread(0, sim.NewRNG(s.opt.Seed^0x5ec0), nil, nil)
-	dt.Clk.AdvanceTo(validated)
-	var drain []valuestore.Move
-	for w := 0; w < workers; w++ {
-		drain = append(drain, pwbVals[w]...)
-	}
-	noReserve := func(*valuestore.Store) int { return 0 }
-	if !s.migrate(dt, drain, -1, false, noReserve) {
+	dt.Clk.AdvanceTo(slices.Max(ends))
+	drain := slices.Concat(pwbVals...)
+	if !s.migrate(dt, drain, -1, false, func(*valuestore.Store) int { return 0 }) {
 		return rep, errors.New("prism: no Value Storage space during recovery")
 	}
 	rep.PWBValuesDrained = len(drain)
@@ -172,7 +156,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	}
 
 	// Phase 4: rebuild volatile tables and restart background work.
-	rep.LiveKeys = s.table.RebuildVolatile(func(idx uint64) bool { return allReach[idx] }, uint64(s.table.Capacity()))
+	rep.LiveKeys = s.table.RebuildVolatile(func(idx uint64) bool { return reach[idx] }, uint64(s.table.Capacity()))
 	rep.VSValuesRecovered = rep.LiveKeys - rep.PWBValuesDrained
 
 	s.cache = s.newCache()

@@ -204,6 +204,30 @@ func TestTornPointerUpdateRollsBack(t *testing.T) {
 	}
 }
 
+// A forward pointer outside its medium, persisted before a crash, loses
+// its key in recovery; it must not panic it.
+func TestRecoverLosesPointerOutsideItsMedium(t *testing.T) {
+	for _, c := range outsideMedium {
+		t.Run(c.name, func(t *testing.T) {
+			s := small(t, nil)
+			th := s.Thread(0)
+			for i := 0; i < 3; i++ {
+				th.Put(key(i), value(i))
+			}
+			idx, _ := s.index.Lookup(nil, key(1))
+			s.table.Publish(nil, idx, c.ptr(t, s))
+			s.Crash()
+			rep, err := s.Recover()
+			if err != nil || rep.LostKeys != 1 || rep.LiveKeys != 2 {
+				t.Fatalf("Recover = %+v, %v; want key 1 lost and the other two live", rep, err)
+			}
+			if _, err := th.Get(key(1)); err != ErrNotFound {
+				t.Fatalf("Get of the lost key: %v", err)
+			}
+		})
+	}
+}
+
 func TestRecoverOnRunningStoreFails(t *testing.T) {
 	s := small(t, nil)
 	if _, err := s.Recover(); err == nil {

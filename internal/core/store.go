@@ -529,12 +529,6 @@ func (s *Store) stopForeground() {
 	}
 }
 
-// pwbOf maps a PWB forward-pointer offset to its owning buffer.
-func (s *Store) pwbOf(devOff uint64) *pwb.Buffer {
-	i := (int(devOff) - s.pwbBase) / s.opt.PWBBytesPerThread
-	return s.pwbs[i]
-}
-
 // Stats is a point-in-time snapshot of store-level counters.
 type Stats struct {
 	Puts, Gets, Deletes, Scans int64

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/hsit"
+	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/valuestore"
@@ -481,7 +482,7 @@ func recycleChunk(t *testing.T, s *Store, idx uint64, at hsit.Pointer, val []byt
 	_, local := valuestore.SplitOff(at.Off)
 	req := st.ReadAt(local, at.Len)
 	s.ssds[0].Submit(0, []ssd.Request{req})
-	if backptr, _, ok := valuestore.DecodeRecord(req.Data); ok && backptr == idx {
+	if _, err := record.Coupled(req.Data, idx, at.Len); err == nil {
 		t.Errorf("the record at %+v survived its chunk's recycling", at)
 	}
 }

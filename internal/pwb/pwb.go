@@ -2,13 +2,11 @@
 // per-thread, append-only ring of value records on NVM that makes every
 // write durable off the SSD's critical path.
 //
-// Record layout on NVM (16-byte aligned, sizes multiples of 16):
-//
-//	[ backptr:8 ][ len:4 ][ magic:4 ][ value... pad ]
-//
-// backptr is the HSIT entry index — the backward pointer of §4.5. A
-// record is live iff it is well-coupled: HSIT[backptr]'s forward pointer
-// refers back to this record. Because writes are append-only, old
+// Records are package record's, the layout Value Storage shares: a
+// record is live iff it is well-coupled (record.Coupled), its backward
+// pointer naming the HSIT entry whose forward pointer refers back to
+// it. A record never straddles the ring end; the remainder of a lap too
+// short for the next record is a pad. Because writes are append-only, old
 // versions are never overwritten in place; they simply become ill-coupled
 // once the HSIT entry moves on, which is what makes PWB crash consistency
 // "easy and efficient" (§4.3).
@@ -42,21 +40,13 @@
 package pwb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/nvm"
-)
-
-const (
-	headerSize  = 16
-	recordAlign = 16
-	// magic marks a live record header; padMagic marks end-of-ring filler.
-	magic    = 0x50574252 // "PWBR"
-	padMagic = 0x50574250 // "PWBP"
+	"repro/internal/record"
 )
 
 // ErrFull is returned by Append when the ring has insufficient space.
@@ -125,7 +115,7 @@ const noPending = ^uint64(0)
 // NewBuffer creates a buffer over [base, base+size) of dev. base and size
 // must be 16-byte aligned, size >= 64.
 func NewBuffer(dev *nvm.Device, base, size int) *Buffer {
-	if base%recordAlign != 0 || size%recordAlign != 0 {
+	if base%record.Align != 0 || size%record.Align != 0 {
 		panic("pwb: unaligned region")
 	}
 	if size < 64 {
@@ -138,11 +128,6 @@ func NewBuffer(dev *nvm.Device, base, size int) *Buffer {
 	b.cond.L = &b.mu
 	b.unpublished.Store(noPending)
 	return b
-}
-
-// recSize returns the aligned on-NVM footprint of a value record.
-func recSize(valueLen int) uint64 {
-	return uint64(headerSize+valueLen+recordAlign-1) / recordAlign * recordAlign
 }
 
 // Size returns the ring capacity in bytes.
@@ -182,7 +167,7 @@ func (b *Buffer) GlobalOff(logical uint64) uint64 { return uint64(b.pos(logical)
 // first record appended since the last Published call, so a batch of
 // appends followed by a single Published is covered end to end.
 func (b *Buffer) Append(clk nvm.Clock, hsitIdx uint64, value []byte) (devOff uint64, logical uint64, err error) {
-	need := recSize(len(value))
+	need := uint64(record.Size(len(value)))
 	if need > b.size {
 		return 0, 0, fmt.Errorf("pwb: value of %d bytes exceeds buffer capacity %d", len(value), b.size)
 	}
@@ -191,19 +176,20 @@ func (b *Buffer) Append(clk nvm.Clock, hsitIdx uint64, value []byte) (devOff uin
 	if !ok {
 		return 0, 0, ErrFull
 	}
+	var hdr [record.HeaderSize]byte
 	if pad > 0 {
-		b.writePad(clk, head, pad)
+		record.PutPad(hdr[:], int(pad))
+		b.dev.Store(clk, b.pos(head), hdr[:])
+		b.dev.Persist(clk, b.pos(head), record.HeaderSize)
 		head += pad
+		b.head.Store(head)
 	}
 
 	off := b.pos(head)
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], hsitIdx)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(value)))
-	binary.LittleEndian.PutUint32(hdr[12:], magic)
+	record.PutHeader(hdr[:], hsitIdx, len(value))
 	b.dev.Store(clk, off, hdr[:])
-	b.dev.Store(clk, off+headerSize, value)
-	b.dev.Persist(clk, off, headerSize+len(value))
+	b.dev.Store(clk, off+record.HeaderSize, value)
+	b.dev.Persist(clk, off, record.HeaderSize+len(value))
 
 	// Publish-pending mark BEFORE the head advance: a reclaimer that
 	// observes the new head is guaranteed to also observe the mark (or
@@ -236,7 +222,7 @@ func (b *Buffer) fit(head, need uint64) (pad uint64, ok bool) {
 // releasedAt before it appends writes into space that, in virtual time,
 // the reclaimer has not handed back yet.
 func (b *Buffer) Room(valueLen int) (releasedAt int64, ok bool) {
-	need := recSize(valueLen)
+	need := uint64(record.Size(valueLen))
 	if need > b.size {
 		return 0, true // no wait helps: Append reports the oversized value
 	}
@@ -301,17 +287,6 @@ func (b *Buffer) Scanned(to uint64, at int64) {
 // owner may call it.
 func (b *Buffer) AwaitingGrace() bool { return b.cursor > b.releasable.Load() }
 
-func (b *Buffer) writePad(clk nvm.Clock, head, n uint64) {
-	off := b.pos(head)
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], ^uint64(0))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(n-headerSize))
-	binary.LittleEndian.PutUint32(hdr[12:], padMagic)
-	b.dev.Store(clk, off, hdr[:])
-	b.dev.Persist(clk, off, headerSize)
-	b.head.Store(head + n)
-}
-
 // ReadValue reads the value payload of the record at devOff (from an HSIT
 // forward pointer) into a new slice. valueLen comes from the pointer.
 //
@@ -325,20 +300,8 @@ func (b *Buffer) writePad(clk nvm.Clock, head, n uint64) {
 // time (offline checkers and tests).
 func (b *Buffer) ReadValue(clk nvm.Clock, devOff uint64, valueLen int) []byte {
 	buf := make([]byte, valueLen)
-	b.dev.Load(clk, int(devOff)+headerSize, buf)
+	b.dev.Load(clk, int(devOff)+record.HeaderSize, buf)
 	return buf
-}
-
-// ReadHeader parses the record header at devOff, returning its backward
-// pointer and value length. ok is false when the bytes do not form a
-// value record (coupling validation during recovery, §5.5).
-func (b *Buffer) ReadHeader(clk nvm.Clock, devOff uint64) (hsitIdx uint64, valueLen int, ok bool) {
-	var hdr [headerSize]byte
-	b.dev.Load(clk, int(devOff), hdr[:])
-	if binary.LittleEndian.Uint32(hdr[12:]) != magic {
-		return 0, 0, false
-	}
-	return binary.LittleEndian.Uint64(hdr[0:]), int(binary.LittleEndian.Uint32(hdr[8:])), true
 }
 
 // Record is one entry yielded by Scan. Value aliases the ring — it is a
@@ -348,13 +311,14 @@ func (b *Buffer) ReadHeader(clk nvm.Clock, devOff uint64) (hsitIdx uint64, value
 type Record struct {
 	HSITIdx uint64
 	DevOff  uint64 // device offset of the record (HSIT pointer value)
-	Logical uint64 // logical cursor of the record
 	Value   []byte
 }
 
-// ErrCorruptRecord is returned by Scan when a header fails to parse; it
-// wraps the logical cursor and bad magic. A torn or recycled header must
-// surface as an error the caller can abort on, not a process abort.
+// ErrCorruptRecord is returned by Scan when a header parses as neither a
+// record nor a pad, or its footprint runs past the scanned range or the
+// ring end. A torn or recycled header must surface as an error the caller
+// can abort on, not a process abort, and a bad length must not make Scan
+// step over the records behind it.
 var ErrCorruptRecord = errors.New("pwb: corrupt record")
 
 // Scan parses records in logical range [from, to), calling fn for each
@@ -368,32 +332,24 @@ var ErrCorruptRecord = errors.New("pwb: corrupt record")
 // between passes) and to at or below min(Head, UnpublishedFloor); the
 // reclaimer passes ScanRange. A nil clk performs the reads without
 // charging device time; the reclaimer charges the whole range as one
-// bulk sequential read instead. If a header fails to parse, Scan stops
-// and returns an error wrapping ErrCorruptRecord — the caller should
-// abort the pass without moving the cursor or releasing any space, so
-// the torn range is simply re-scanned later.
+// bulk sequential read instead. If a header is corrupt, Scan stops and
+// returns an error wrapping ErrCorruptRecord — the caller should abort
+// the pass without moving the cursor or releasing any space, so the torn
+// range is simply re-scanned later.
 func (b *Buffer) Scan(clk nvm.Clock, from, to uint64, fn func(r Record) bool) error {
-	cur := from
-	var hdr [headerSize]byte
-	for cur < to {
+	var hdr [record.HeaderSize]byte
+	for cur := from; cur < to; {
 		off := b.pos(cur)
 		b.dev.Load(clk, off, hdr[:])
-		backptr := binary.LittleEndian.Uint64(hdr[0:])
-		vlen := binary.LittleEndian.Uint32(hdr[8:])
-		mg := binary.LittleEndian.Uint32(hdr[12:])
-		switch mg {
-		case padMagic:
-			cur += uint64(vlen) + headerSize
-			continue
-		case magic:
-			val := b.dev.View(clk, off+headerSize, int(vlen))
-			if !fn(Record{HSITIdx: backptr, DevOff: uint64(off), Logical: cur, Value: val}) {
-				return nil
-			}
-			cur += recSize(int(vlen))
-		default:
-			return fmt.Errorf("%w at logical %d (magic %#x)", ErrCorruptRecord, cur, mg)
+		backptr, vlen, kind := record.ParseHeader(hdr[:])
+		size := uint64(record.Size(vlen))
+		if kind == record.Invalid || size > to-cur || cur%b.size+size > b.size {
+			return fmt.Errorf("%w at logical %d (%d bytes)", ErrCorruptRecord, cur, size)
 		}
+		if kind == record.Value && !fn(Record{HSITIdx: backptr, DevOff: uint64(off), Value: b.dev.View(clk, off+record.HeaderSize, vlen)}) {
+			return nil
+		}
+		cur += size
 	}
 	return nil
 }

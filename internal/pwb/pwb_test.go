@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/nvm"
+	"repro/internal/record"
 	"repro/internal/sim"
 )
 
@@ -41,7 +42,7 @@ func TestAppendIsDurableBeforeReturn(t *testing.T) {
 	}
 	dev.Crash()
 	got := make([]byte, len(val))
-	dev.Load(nil, int(off)+headerSize, got)
+	dev.Load(nil, int(off)+record.HeaderSize, got)
 	if !bytes.Equal(got, val) {
 		t.Fatalf("value lost on crash: %q", got)
 	}
@@ -249,19 +250,40 @@ func TestPWBWrapABA(t *testing.T) {
 	}
 }
 
-// TestScanCorruptHeaderReturnsError covers the panic→error conversion:
-// a header that parses as neither a record nor padding must surface as
-// ErrCorruptRecord so the reclaimer can abort its pass, not crash.
+// TestScanCorruptHeaderReturnsError covers the panic→error conversion: a
+// first header that parses as neither a record nor padding, or whose
+// footprint runs past the scanned range, must surface as ErrCorruptRecord
+// so the reclaimer can abort its pass — not crash reading 1 GiB off the
+// ring, and not step over the second record as if it had been scanned.
 func TestScanCorruptHeaderReturnsError(t *testing.T) {
-	b, dev := newBuf(256)
-	if _, _, err := b.Append(nil, 1, make([]byte, 16)); err != nil {
-		t.Fatal(err)
+	hdr := func(put func(h []byte)) []byte {
+		h := make([]byte, record.HeaderSize)
+		put(h)
+		return h
 	}
-	// Smash the magic of the first record.
-	dev.Store(nil, 12, []byte{0xde, 0xad, 0xbe, 0xef})
-	err := b.Scan(nil, b.Tail(), b.Head(), func(r Record) bool { return true })
-	if !errors.Is(err, ErrCorruptRecord) {
-		t.Fatalf("Scan on corrupt header = %v, want ErrCorruptRecord", err)
+	for _, c := range []struct {
+		name string
+		hdr  []byte
+	}{
+		{"no magic", bytes.Repeat([]byte{0xde}, record.HeaderSize)},
+		{"length 1<<30", hdr(func(h []byte) { record.PutHeader(h, 1, 1<<30) })},
+		{"length 100", hdr(func(h []byte) { record.PutHeader(h, 1, 100) })},
+		{"pad of 128", hdr(func(h []byte) { record.PutPad(h, 128) })},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b, dev := newBuf(256)
+			for i := uint64(1); i <= 2; i++ {
+				if _, _, err := b.Append(nil, i, make([]byte, 16)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dev.Store(nil, 0, c.hdr)
+			var seen []uint64
+			err := b.Scan(nil, b.Tail(), b.Head(), func(r Record) bool { seen = append(seen, r.HSITIdx); return true })
+			if !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("Scan = %v after yielding %v, want ErrCorruptRecord", err, seen)
+			}
+		})
 	}
 }
 
@@ -427,7 +449,7 @@ func TestScanValueAliasesRing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, scan); allocs != 0 {
 		t.Fatalf("Scan allocated %.0f objects for 8 records", allocs)
 	}
-	dev.Store(nil, int(first.DevOff)+headerSize, []byte("X"))
+	dev.Store(nil, int(first.DevOff)+record.HeaderSize, []byte("X"))
 	if first.Value[0] != 'X' || len(first.Value) != 100 || cap(first.Value) != 100 {
 		t.Fatalf("Value is not a bounded view of the ring: %q... len %d cap %d", first.Value[:1], len(first.Value), cap(first.Value))
 	}
@@ -440,7 +462,7 @@ func TestScanValueAliasesRing(t *testing.T) {
 func TestReleaseTimesTravelWithSpace(t *testing.T) {
 	const size = 64 * 1024
 	b, _ := newBuf(size)
-	v := make([]byte, 1024-headerSize) // 1 KiB records: 64 to a lap, 4 segments each
+	v := make([]byte, 1024-record.HeaderSize) // 1 KiB records: 64 to a lap, 4 segments each
 	fill := func() (n int) {
 		for {
 			at, ok := b.Room(len(v))

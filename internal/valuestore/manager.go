@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/epoch"
+	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -67,6 +68,18 @@ func (m *Manager) StoreOf(global uint64) (*Store, uint64) {
 	return m.Stores[dev], local
 }
 
+// Holds reports whether a record of valueLen bytes at global offset would
+// lie inside one chunk of one of the stores: what a forward pointer read
+// off the media must satisfy before the other methods index by it.
+func (m *Manager) Holds(global uint64, valueLen int) bool {
+	dev, local := SplitOff(global)
+	if dev >= len(m.Stores) {
+		return false
+	}
+	s := m.Stores[dev]
+	return local < uint64(s.nchunks*s.chunkSize) && int(local)%s.chunkSize+record.Size(valueLen) <= s.chunkSize
+}
+
 // Invalidate clears the validity bit for the record of valueLen bytes
 // at global offset.
 func (m *Manager) Invalidate(global uint64, valueLen int) bool {
@@ -119,8 +132,8 @@ func (m *Manager) MarkRecovered(global uint64, valueLen int) {
 	ci := int(local) / s.chunkSize
 	c := &s.chunks[ci]
 	c.state.Store(chunkLive)
-	c.setValid(int(local)%s.chunkSize, RecordSize(valueLen))
-	end := int32(int(local)%s.chunkSize + RecordSize(valueLen))
+	c.setValid(int(local)%s.chunkSize, record.Size(valueLen))
+	end := int32(int(local)%s.chunkSize + record.Size(valueLen))
 	for {
 		f := c.fill.Load()
 		if end <= f || c.fill.CompareAndSwap(f, end) {

@@ -2,15 +2,13 @@
 // log-structured store of values on flash SSD, organized as fixed-size
 // chunks written with large asynchronous IO.
 //
-// Each chunk holds variable-size records:
-//
-//	[ backptr:8 ][ len:4 ][ magic:4 ][ value... pad to 16 ]
-//
-// backptr is the HSIT entry index (backward pointer). A DRAM validity
-// bitmap per chunk — one bit per 16-byte unit, addressed by a record's
-// chunk-local offset — tracks which records are up to date, so garbage
-// collection and recovery never traverse the key index (§5.2). Bitmaps
-// are volatile: they are rebuilt from HSIT during recovery (§5.5).
+// Each chunk holds variable-size records in package record's layout, the
+// one the PWB shares; a record's backward pointer is its HSIT entry
+// index. A DRAM validity bitmap per chunk — one bit per 16-byte unit,
+// addressed by a record's chunk-local offset — tracks which records are
+// up to date, so garbage collection and recovery never traverse the key
+// index (§5.2). Bitmaps are volatile: they are rebuilt from HSIT during
+// recovery (§5.5).
 //
 // Writes happen in chunk granularity to maximize SSD bandwidth;
 // allocating a free chunk is the only critical section, after which the
@@ -28,22 +26,21 @@
 package valuestore
 
 import (
-	"encoding/binary"
 	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/epoch"
+	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
 
 const (
-	// HeaderSize is the per-record metadata footprint (§5.1).
-	HeaderSize  = 16
-	recordAlign = 16
-	recordMagic = 0x56535245 // "VSRE"
+	// HeaderSize is the per-record metadata footprint (§5.1): what a
+	// record read adds to its value length.
+	HeaderSize = record.HeaderSize
 
 	// DefaultChunkSize is the paper's chunk size (512 KB).
 	DefaultChunkSize = 512 << 10
@@ -52,42 +49,6 @@ const (
 // ErrNoFreeChunk is returned when chunk allocation fails; the caller
 // should kick GC and retry.
 var ErrNoFreeChunk = errors.New("valuestore: no free chunk")
-
-// RecordSize returns the aligned chunk footprint of a value record.
-func RecordSize(valueLen int) int {
-	return (HeaderSize + valueLen + recordAlign - 1) / recordAlign * recordAlign
-}
-
-// EncodeRecord writes a record for (hsitIdx, value) into dst, which must
-// have RecordSize(len(value)) bytes, and returns the record size.
-func EncodeRecord(dst []byte, hsitIdx uint64, value []byte) int {
-	n := RecordSize(len(value))
-	binary.LittleEndian.PutUint64(dst[0:], hsitIdx)
-	binary.LittleEndian.PutUint32(dst[8:], uint32(len(value)))
-	binary.LittleEndian.PutUint32(dst[12:], recordMagic)
-	copy(dst[HeaderSize:], value)
-	for i := HeaderSize + len(value); i < n; i++ {
-		dst[i] = 0
-	}
-	return n
-}
-
-// DecodeRecord parses a record at the start of src, returning the
-// backward pointer and value. ok is false if src does not begin with a
-// well-formed record.
-func DecodeRecord(src []byte) (hsitIdx uint64, value []byte, ok bool) {
-	if len(src) < HeaderSize {
-		return 0, nil, false
-	}
-	if binary.LittleEndian.Uint32(src[12:]) != recordMagic {
-		return 0, nil, false
-	}
-	vlen := int(binary.LittleEndian.Uint32(src[8:]))
-	if HeaderSize+vlen > len(src) {
-		return 0, nil, false
-	}
-	return binary.LittleEndian.Uint64(src[0:]), src[HeaderSize : HeaderSize+vlen], true
-}
 
 // Chunk states. A chunk has one owner from the moment a writer takes it
 // off the free list (chunkWriting) until that writer has settled every
@@ -110,7 +71,7 @@ type chunkMeta struct {
 }
 
 func (c *chunkMeta) bit(localOff int) (word *atomic.Uint64, mask uint64) {
-	unit := localOff / recordAlign
+	unit := localOff / record.Align
 	return &c.valid[unit/64], 1 << (uint(unit) % 64)
 }
 
@@ -211,7 +172,7 @@ func NewStore(dev *ssd.Device, chunkSize int, _ *epoch.Manager) *Store {
 	if chunkSize == 0 {
 		chunkSize = DefaultChunkSize
 	}
-	if chunkSize%recordAlign != 0 {
+	if chunkSize%record.Align != 0 {
 		panic("valuestore: chunk size must be 16-byte aligned")
 	}
 	n := int(dev.Size() / int64(chunkSize))
@@ -220,7 +181,7 @@ func NewStore(dev *ssd.Device, chunkSize int, _ *epoch.Manager) *Store {
 	}
 	s := &Store{Dev: dev, chunkSize: chunkSize, nchunks: n}
 	s.chunks = make([]chunkMeta, n)
-	units := chunkSize / recordAlign
+	units := chunkSize / record.Align
 	for i := range s.chunks {
 		s.chunks[i].valid = make([]atomic.Uint64, (units+63)/64)
 	}
@@ -291,7 +252,7 @@ func (s *Store) recycleIfEmpty(idx int) bool {
 // whether the bit was set. An empty live chunk is reclaimed immediately.
 func (s *Store) Invalidate(localOff uint64, valueLen int) bool {
 	ci := int(localOff) / s.chunkSize
-	cleared := s.chunks[ci].clearValid(int(localOff)%s.chunkSize, RecordSize(valueLen))
+	cleared := s.chunks[ci].clearValid(int(localOff)%s.chunkSize, record.Size(valueLen))
 	if cleared {
 		s.recycleIfEmpty(ci)
 	}
@@ -385,7 +346,7 @@ func (w *Writer) Release() {
 }
 
 // Room reports whether a value of n bytes fits in the remaining space.
-func (w *Writer) Room(n int) bool { return w.fill+RecordSize(n) <= len(w.buf) }
+func (w *Writer) Room(n int) bool { return w.fill+record.Size(n) <= len(w.buf) }
 
 // Add stages a record. It returns the record's store-local offset (what
 // the HSIT forward pointer will hold, before the device tag) and false if
@@ -394,10 +355,9 @@ func (w *Writer) Add(hsitIdx uint64, value []byte) (localOff uint64, ok bool) {
 	if !w.Room(len(value)) {
 		return 0, false
 	}
-	n := EncodeRecord(w.buf[w.fill:], hsitIdx, value)
 	localOff = uint64(w.chunk*w.s.chunkSize + w.fill)
 	w.entries = append(w.entries, Entry{LocalOff: localOff, HSITIdx: hsitIdx, ValueLen: len(value)})
-	w.fill += n
+	w.fill += record.Encode(w.buf[w.fill:], hsitIdx, value)
 	return localOff, true
 }
 
@@ -426,7 +386,7 @@ func (w *Writer) write(at int64) (doneTime int64) {
 	c := &s.chunks[w.chunk]
 	c.fill.Store(int32(w.fill))
 	for _, e := range w.entries {
-		c.setValid(int(e.LocalOff)%s.chunkSize, RecordSize(e.ValueLen))
+		c.setValid(int(e.LocalOff)%s.chunkSize, record.Size(e.ValueLen))
 	}
 	s.chunksWritten.Add(1)
 	s.bytesWritten.Add(int64(w.fill))
@@ -505,7 +465,7 @@ func (s *Store) WriteChunk(clk *sim.Clock, reserve int, moves []Move, settle fun
 
 // ReadAt builds the read request for a record at localOff with the given
 // value length. The caller submits it (typically through the thread
-// combining queue) and parses with DecodeRecord.
+// combining queue) and checks with record.Coupled.
 func (s *Store) ReadAt(localOff uint64, valueLen int) ssd.Request {
 	return ssd.Request{
 		Op:     ssd.OpRead,
@@ -550,14 +510,14 @@ func (s *Store) claim(clk *sim.Clock, idx int, buf []byte, keep func(hsitIdx uin
 	comps := s.Dev.Submit(clk.Now(), []ssd.Request{{Op: ssd.OpRead, Offset: int64(idx * s.chunkSize), Data: buf}})
 	clk.AdvanceTo(comps[0].DoneTime)
 	for off := 0; off < len(buf); {
-		hsitIdx, val, ok := DecodeRecord(buf[off:])
+		hsitIdx, val, ok := record.Decode(buf[off:])
 		if !ok {
 			break
 		}
 		if c.isValid(off) && (keep == nil || keep(hsitIdx)) {
 			moves = append(moves, Move{HSITIdx: hsitIdx, Old: uint64(idx*s.chunkSize + off), Value: val})
 		}
-		off += RecordSize(len(val))
+		off += record.Size(len(val))
 	}
 	return moves, true
 }
@@ -576,7 +536,7 @@ func (s *Store) evacuate(clk *sim.Clock, dest *Store, reserve int, moves []Move,
 			if !relocate(e.HSITIdx, old, e.LocalOff, e.ValueLen) {
 				return false
 			}
-			s.chunks[int(old)/s.chunkSize].clearValid(int(old)%s.chunkSize, RecordSize(e.ValueLen))
+			s.chunks[int(old)/s.chunkSize].clearValid(int(old)%s.chunkSize, record.Size(e.ValueLen))
 			moved++
 			bytes += int64(e.ValueLen)
 			return true

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/epoch"
+	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -20,26 +21,52 @@ func newStore(t *testing.T, chunks, chunkSize int) (*Store, *epoch.Manager) {
 	return NewStore(dev, chunkSize, em), em
 }
 
+// TestRecordEncodeDecode round-trips arbitrary records through the store:
+// a Writer stages and commits one, and ReadAt reads back the backward
+// pointer and value it laid out.
 func TestRecordEncodeDecode(t *testing.T) {
 	f := func(idx uint64, val []byte) bool {
 		if len(val) > 4096 {
 			val = val[:4096]
 		}
-		buf := make([]byte, RecordSize(len(val)))
-		EncodeRecord(buf, idx, val)
-		gi, gv, ok := DecodeRecord(buf)
-		return ok && gi == idx && bytes.Equal(gv, val)
+		s, _ := newStore(t, 2, 8192)
+		w, err := s.NewWriter()
+		if err != nil {
+			return false
+		}
+		off, ok := w.Add(idx, val)
+		if !ok {
+			return false
+		}
+		done, _ := w.Commit(0)
+		req := s.ReadAt(off, len(val))
+		s.Dev.Submit(done, []ssd.Request{req})
+		gi, gv, ok := record.Decode(req.Data)
+		if !ok || gi != idx || !bytes.Equal(gv, val) {
+			return false
+		}
+		gv, err = record.Coupled(req.Data, idx, len(val))
+		return err == nil && bytes.Equal(gv, val)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestDecodeRejectsGarbage reads where no record was written: the zeroed
+// bytes of a fresh chunk, and a read shorter than a record header, must
+// not decode.
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, _, ok := DecodeRecord(make([]byte, 32)); ok {
+	s, _ := newStore(t, 2, 4096)
+	req := s.ReadAt(0, 32-HeaderSize)
+	s.Dev.Submit(0, []ssd.Request{req})
+	if _, _, ok := record.Decode(req.Data); ok {
 		t.Fatal("decoded zeroed bytes")
 	}
-	if _, _, ok := DecodeRecord([]byte{1, 2}); ok {
+	if _, err := record.Coupled(req.Data, 0, 32-HeaderSize); err == nil {
+		t.Fatal("coupled zeroed bytes")
+	}
+	if _, _, ok := record.Decode(req.Data[:2]); ok {
 		t.Fatal("decoded short buffer")
 	}
 }
@@ -71,7 +98,7 @@ func TestWriterCommitAndRead(t *testing.T) {
 		}
 		req := s.ReadAt(off, len(fmt.Sprintf("value-%d", i)))
 		s.Dev.Submit(done, []ssd.Request{req})
-		gi, gv, ok := DecodeRecord(req.Data)
+		gi, gv, ok := record.Decode(req.Data)
 		if !ok || gi != i || string(gv) != fmt.Sprintf("value-%d", i) {
 			t.Fatalf("read back record %d: ok=%v idx=%d val=%q", i, ok, gi, gv)
 		}
@@ -198,7 +225,7 @@ func TestGCMigratesOnlyLiveRecords(t *testing.T) {
 		}
 		req := s.ReadAt(hsit[h], 5)
 		s.Dev.Submit(clk.Now(), []ssd.Request{req})
-		gi, gv, ok := DecodeRecord(req.Data)
+		gi, gv, ok := record.Decode(req.Data)
 		if !ok || gi != h || string(gv) != fmt.Sprintf("v%04d", h) {
 			t.Fatalf("record %d corrupt after GC: %q", h, gv)
 		}
@@ -437,7 +464,7 @@ func TestStatsAccumulate(t *testing.T) {
 	w.Add(1, make([]byte, 100))
 	w.Commit(0)
 	st := s.Stats()
-	if st.ChunksWritten != 1 || st.BytesWritten != int64(RecordSize(100)) {
+	if st.ChunksWritten != 1 || st.BytesWritten != int64(record.Size(100)) {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.LiveChunks != 1 || st.FreeChunks != 3 {
@@ -466,7 +493,7 @@ func TestWriterReleaseReusesBuffers(t *testing.T) {
 		for i, e := range entries {
 			req := s.ReadAt(e.LocalOff, e.ValueLen)
 			s.Dev.Submit(done, []ssd.Request{req})
-			idx, val, ok := DecodeRecord(req.Data)
+			idx, val, ok := record.Decode(req.Data)
 			if !ok || idx != uint64(seed)<<8|uint64(i) || !bytes.Equal(val, bytes.Repeat([]byte{seed}, 100)) {
 				t.Fatalf("round %c record %d read back idx %#x %.8q ok=%v", seed, i, idx, val, ok)
 			}
