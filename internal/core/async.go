@@ -441,10 +441,6 @@ func (a *asyncThread) loop() {
 
 		a.execMu.Lock()
 		a.runWindow(window)
-		// Idle-reclaim probe: an async burst can leave the ring above the
-		// watermark with no further put to kick reclamation; probe after
-		// every window so the backlog drains even if traffic stops here.
-		a.lt.maybeKickReclaim()
 		a.execMu.Unlock()
 
 		a.mu.Lock()

@@ -186,7 +186,7 @@ func TestGetServedFromSVCAfterVSRead(t *testing.T) {
 
 // drain pushes every PWB to Value Storage by forcing a reclaim pass on
 // each. reclaimBuffer's pass lock makes the test the ring's scan owner
-// for the pass, beside the ring's live reclaimLoop; the pass threads are
+// for the pass, beside the ring's live passLoop; the pass threads are
 // the test's own because that loop owns its own.
 func drain(t *testing.T, s *Store) {
 	t.Helper()

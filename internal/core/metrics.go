@@ -89,8 +89,8 @@ func (s *Store) registerMetrics() {
 	if s.cache != nil {
 		r.CounterFunc(obs.Desc{Name: "svc.hits", Help: "reads served from the cache", Unit: "reads"},
 			s.stats.svcHits.Load)
-		r.CounterFunc(obs.Desc{Name: "svc.misses", Help: "reads that fell through to NVM or SSD", Unit: "reads"},
-			func() int64 { return s.stats.pwbHits.Load() + s.stats.vsReads.Load() })
+		r.CounterFunc(obs.Desc{Name: "svc.misses", Help: "reads that fell through to NVM or SSD: records, as svc.hits counts them, not read IOs", Unit: "reads"},
+			func() int64 { return s.stats.pwbHits.Load() + s.stats.vsRecords.Load() })
 		r.GaugeFunc(obs.Desc{Name: "svc.bytes", Help: "resident value+overhead bytes", Unit: "bytes"},
 			func() float64 { return float64(s.svcStats().Bytes) })
 		r.GaugeFunc(obs.Desc{Name: "svc.entries", Help: "resident entries", Unit: "entries"},

@@ -3,7 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"repro/internal/ssd"
 )
 
 // runMixedWorkload drives enough traffic through st to touch every
@@ -38,64 +41,189 @@ func runMixedWorkload(t *testing.T, st *Store) {
 	}
 }
 
-// TestMetricsMatchStats runs a mixed workload and cross-checks the obs
-// snapshot against the pre-existing Stats() accessors: every number
+// statsTwins names the registry twin of every Stats field, by the field's
+// path: a metric and its labels, or (nil labels) the sum of the metric's
+// series, per device for the vs.* family. A field may have two twins.
+var statsTwins = []struct {
+	field, metric string
+	labels        map[string]string
+}{
+	{"Puts", "core.ops", map[string]string{"op": "put"}},
+	{"Gets", "core.ops", map[string]string{"op": "get"}},
+	{"Deletes", "core.ops", map[string]string{"op": "delete"}},
+	{"Scans", "core.ops", map[string]string{"op": "scan"}},
+	{"BatchPuts", "core.batch_ops", map[string]string{"op": "put"}},
+	{"BatchGets", "core.batch_ops", map[string]string{"op": "get"}},
+	{"AsyncPuts", "core.async_ops", map[string]string{"op": "put"}},
+	{"AsyncGets", "core.async_ops", map[string]string{"op": "get"}},
+	{"AsyncDeletes", "core.async_ops", map[string]string{"op": "delete"}},
+	{"SVCHits", "core.read_path", map[string]string{"source": "svc"}},
+	{"SVCHits", "svc.hits", nil},
+	{"PWBHits", "core.read_path", map[string]string{"source": "pwb"}},
+	{"VSReads", "core.read_path", map[string]string{"source": "vs"}},
+	{"UserBytesWritten", "core.user_bytes", nil},
+	{"Reclaims", "pwb.reclaims", nil},
+	{"PWBLiveMigrated", "pwb.live_migrated", nil},
+	{"PWBRecordsScanned", "pwb.records_scanned", nil},
+	{"ScanRewrites", "svc.scan_rewrites", nil},
+	{"ReclaimAdmits", "svc.reclaim_admits", nil},
+	{"ReclaimAdmitSkips", "svc.reclaim_admit_skips", nil},
+	{"ScanDeferred", "svc.scan_deferred", nil},
+	{"PutStalls", "core.put_stalls", nil},
+	{"PutsStalled", "core.puts_stalled", nil},
+	{"ReclaimPublishLost", "core.reclaim_publish_lost", nil},
+	{"ScanTornRecords", "pwb.scan_torn_record", nil},
+	{"IndexSpaceBytes", "index.space_bytes", nil},
+	{"HSITSpaceBytes", "hsit.space_bytes", nil},
+	{"TierHotSteeredBytes", "tier.steered_bytes", map[string]string{"class": "hot"}},
+	{"TierColdSteeredBytes", "tier.steered_bytes", map[string]string{"class": "cold"}},
+	{"TierHotFallbackBytes", "tier.fallback_bytes", map[string]string{"class": "hot"}},
+	{"TierColdFallbackBytes", "tier.fallback_bytes", map[string]string{"class": "cold"}},
+	{"TierDemotions", "tier.demotions", nil},
+	{"TierDemotedBytes", "tier.demoted_bytes", nil},
+	{"VS.ChunksWritten", "vs.chunks_written", nil},
+	{"VS.BytesWritten", "vs.bytes_written", nil},
+	{"VS.UserBytes", "vs.user_bytes", nil},
+	{"VS.GCRuns", "vs.gc_runs", nil},
+	{"VS.GCLiveMoved", "vs.gc_live_moved", nil},
+	{"VS.GCBytesMoved", "vs.gc_bytes_moved", nil},
+	{"VS.FreeChunks", "vs.free_chunks", nil},
+	{"VS.LiveChunks", "vs.live_chunks", nil},
+	{"SVC.Bytes", "svc.bytes", nil},
+	{"SVC.Entries", "svc.entries", nil},
+	{"SVC.Evictions", "svc.evictions", nil},
+	{"SVC.Promotions", "svc.promotions", nil},
+	{"SVC.ChainRewrites", "svc.chain_rewrites", nil},
+	{"SVC.TouchDrops", "svc.touch_drops", nil},
+}
+
+// rareStats are the Stats fields the workload of TestMetricsMatchStats
+// need not move: faults, races and pressure it does not stage.
+var rareStats = map[string]bool{
+	"ScanRewrites": true, "SVC.ChainRewrites": true, "SVC.TouchDrops": true,
+	"ReclaimAdmitSkips": true, "ReclaimPublishLost": true, "ScanTornRecords": true,
+	"PutStalls": true, "PutsStalled": true,
+	"TierHotFallbackBytes": true, "TierColdFallbackBytes": true,
+}
+
+// statsFields flattens v's integer fields into path → value, nested
+// structs as "Outer.Inner".
+func statsFields(v reflect.Value, prefix string, out map[string]int64) {
+	for i := 0; i < v.NumField(); i++ {
+		name := prefix + v.Type().Field(i).Name
+		if f := v.Field(i); f.Kind() == reflect.Struct {
+			statsFields(f, name+".", out)
+		} else {
+			out[name] = f.Int()
+		}
+	}
+}
+
+// TestMetricsMatchStats runs a mixed workload — sync, batch and async ops,
+// reclaim with tier steering, GC and a demotion — and cross-checks every
+// Stats field against its registry twin (statsTwins): every number
 // surfaced through the registry must agree with the subsystem that owns
-// it.
+// it, and every field has a twin.
 func TestMetricsMatchStats(t *testing.T) {
 	st, err := Open(Options{
 		NumThreads:        2,
 		PWBBytesPerThread: 64 << 10,
-		SSDBytes:          8 << 20,
-		ChunkSize:         64 << 10,
-		SVCBytes:          256 << 10,
+		SSDConfigs: []ssd.Config{
+			{Size: 512 << 10}, // the fast tier: 8 chunks, fewer than the hot keys fill
+			{Size: 8 << 20, WriteLatency: 80_000, WriteBandwidth: 1_000_000_000},
+		},
+		ChunkSize:     64 << 10,
+		SVCBytes:      256 << 10,
+		EnableTiering: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	runMixedWorkload(t, st)
-	// Quiesce the SVC manager goroutine: admissions and evictions are
-	// processed asynchronously, and comparing two point-in-time readings
-	// while it still drains its queue would race the counters.
-	if st.cache != nil {
-		st.cache.Sync()
+	// A value read in its ring, which no background pass takes (ring 1
+	// stays far below the trigger): draining the rings hands it to the SVC.
+	// Then collect the fast tier, fill it past half with keys written twice
+	// (hot), cool every key and demote from it until something moves, and
+	// scan every key, leaving the first-touch rows out of the SVC.
+	th := st.Thread(1)
+	if err := th.Put([]byte("read-in-ring"), []byte("v")); err != nil {
+		t.Fatal(err)
 	}
+	mustGet(t, th, []byte("read-in-ring"))
+	st.cache.Sync()
+	drain(t, st)
+	p := st.newThread(0, nil, nil, nil)
+	st.collect(p, st.tierFast)
+	val := make([]byte, 1024)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 300; i++ {
+			if err := th.Put([]byte(fmt.Sprintf("hot-%03d", i)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain(t, st)
+	}
+	st.pop.clear()
+	fast := st.vsm.Stores[st.tierFast]
+	for cursor, step := 0, 0; st.stats.tierDemotions.Load() == 0; step++ {
+		if step == 64 {
+			t.Fatalf("nothing demoted from the fast tier, %d of its %d chunks free", fast.FreeChunks(), fast.Chunks())
+		}
+		cursor = st.demoteStep(p, cursor)
+	}
+	if err := th.Scan(nil, 0, func(KV) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	single := st.Stats() // the ops after this are batch and async ones
+	kvs := []KV{{Key: []byte("batch-1"), Value: []byte("v1")}, {Key: []byte("batch-2"), Value: []byte("v2")}}
+	if err := th.PutBatch(kvs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := th.MultiGet([][]byte{kvs[0].Key, []byte("key-00100")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Handle{th.PutAsync([]byte("async"), []byte("v")), th.GetAsync([]byte("async")), th.DeleteAsync([]byte("async"))} {
+		if err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Stop every background pass and the cache manager: the two readings
+	// below then see the same counters.
+	st.Close()
 
 	snap := st.Metrics()
 	stats := st.Stats()
-
-	wantCounter := func(name string, labels map[string]string, want int64) {
-		t.Helper()
-		m, ok := snap.Get(name, labels)
+	fields := map[string]int64{}
+	statsFields(reflect.ValueOf(stats), "", fields)
+	twinned := map[string]bool{}
+	for _, tw := range statsTwins {
+		want, ok := fields[tw.field]
 		if !ok {
-			t.Fatalf("metric %s%v not in snapshot", name, labels)
+			t.Errorf("statsTwins names %s, which Stats does not have", tw.field)
+			continue
 		}
-		if int64(m.Value) != want {
-			t.Errorf("%s%v = %v, Stats says %d", name, labels, m.Value, want)
+		twinned[tw.field] = true
+		got := snap.Sum(tw.metric)
+		if tw.labels != nil {
+			m, ok := snap.Get(tw.metric, tw.labels)
+			if !ok {
+				t.Errorf("metric %s%v not in snapshot", tw.metric, tw.labels)
+				continue
+			}
+			got = m.Value
+		}
+		if int64(got) != want {
+			t.Errorf("%s%v = %v, Stats.%s says %d", tw.metric, tw.labels, got, tw.field, want)
+		}
+		if want == 0 && !rareStats[tw.field] {
+			t.Errorf("Stats.%s is 0: the workload does not reach it", tw.field)
 		}
 	}
-
-	wantCounter("core.ops", map[string]string{"op": "put"}, stats.Puts)
-	wantCounter("core.ops", map[string]string{"op": "get"}, stats.Gets)
-	wantCounter("core.ops", map[string]string{"op": "delete"}, stats.Deletes)
-	wantCounter("core.ops", map[string]string{"op": "scan"}, stats.Scans)
-	wantCounter("core.read_path", map[string]string{"source": "svc"}, stats.SVCHits)
-	wantCounter("core.read_path", map[string]string{"source": "pwb"}, stats.PWBHits)
-	wantCounter("core.read_path", map[string]string{"source": "vs"}, stats.VSReads)
-	wantCounter("core.user_bytes", nil, stats.UserBytesWritten)
-	wantCounter("svc.hits", nil, stats.SVCHits)
-	wantCounter("svc.evictions", nil, stats.SVC.Evictions)
-	wantCounter("pwb.reclaims", nil, stats.Reclaims)
-	wantCounter("pwb.live_migrated", nil, stats.PWBLiveMigrated)
-	wantCounter("hsit.space_bytes", nil, stats.HSITSpaceBytes)
-	wantCounter("index.space_bytes", nil, stats.IndexSpaceBytes)
-
-	if got, want := int64(snap.Sum("vs.bytes_written")), stats.VS.BytesWritten; got != want {
-		t.Errorf("sum(vs.bytes_written) = %d, Stats says %d", got, want)
-	}
-	if got, want := int64(snap.Sum("vs.gc_runs")), stats.VS.GCRuns; got != want {
-		t.Errorf("sum(vs.gc_runs) = %d, Stats says %d", got, want)
+	for f := range fields {
+		if !twinned[f] {
+			t.Errorf("Stats.%s has no registry twin in statsTwins", f)
+		}
 	}
 
 	// WAF gauge must equal sum(ssd bytes written)/user bytes.
@@ -147,8 +275,8 @@ func TestMetricsMatchStats(t *testing.T) {
 		t.Errorf("per-device user bytes attributed = %d, want in (0, %d]", attributed, stats.UserBytesWritten)
 	}
 
-	// Latency histograms must have one sample per operation.
-	for op, n := range map[string]int64{"put": stats.Puts, "get": stats.Gets, "scan": stats.Scans} {
+	// Latency histograms must have one sample per single sync operation.
+	for op, n := range map[string]int64{"put": single.Puts, "get": single.Gets, "scan": single.Scans} {
 		m, ok := snap.Get("core.op_latency", map[string]string{"op": op})
 		if !ok || m.Hist == nil {
 			t.Fatalf("core.op_latency{op=%s} missing or not a histogram", op)

@@ -67,9 +67,10 @@ func (t *Thread) PutTS(key, value []byte, ts uint64) error {
 // full before it charged anything to the clock (reserve), has left its
 // epoch and closed its publish window; the thread then sleeps until the
 // ring's tail has moved, or a reclaim pass ended without releasing
-// anything and the reclaimer wants to be kicked again. It is the one
-// stall protocol of the sync single op, the sync batch and the async
-// admission loop.
+// anything and the reclaimer wants to be kicked again. A pass that
+// applied probes the ring against the watermark once (maybeKickReclaim).
+// It is the one stall protocol, and the one probe, of the sync single op,
+// the sync batch and the async admission window.
 func (t *Thread) untilApplied(pass func() error) error {
 	s := t.s
 	for attempt := 0; attempt < 1_000_000; attempt++ {
@@ -113,7 +114,7 @@ func (t *Thread) reserve(n int) bool {
 		if s.opt.SyncVSWrites {
 			s.reclaimBuffer(t)
 		} else {
-			t.kickReclaim()
+			kick(s.reclaimChs[t.id], t.Clk.Now())
 		}
 		return false
 	}
@@ -237,14 +238,7 @@ func (t *Thread) maybeKickReclaim() {
 		t.s.em.Collect()
 		return
 	}
-	t.kickReclaim()
-}
-
-func (t *Thread) kickReclaim() {
-	select {
-	case t.s.reclaimChs[t.id] <- t.Clk.Now():
-	default:
-	}
+	kick(t.s.reclaimChs[t.id], t.Clk.Now())
 }
 
 // invalidateOld cleans up the location a Publish displaced: a superseded
@@ -400,7 +394,7 @@ func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err er
 	req := s.vsm.Stores[devIdx].ReadAt(local, it.p.Len)
 	req.UserData = uint64(devIdx)
 	t.reqs = append(t.reqs[:0], req)
-	t.readVS(t.reqs)
+	t.readVS(t.reqs, 1)
 	v, err := record.Coupled(req.Data, idx, it.p.Len)
 	if err != nil {
 		return nil, nil, true // chunk recycled under us
@@ -685,7 +679,7 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 		reqs = append(reqs, ssd.Request{Op: ssd.OpRead, Offset: int64(l.off), Data: make([]byte, end-l.off), UserData: uint64(l.dev)})
 	}
 	t.reqs = reqs
-	t.readVS(reqs)
+	t.readVS(reqs, len(locs))
 
 	i := 0
 	for _, r := range reqs {
@@ -749,9 +743,10 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 // within one set do, and the clock advances once, to the latest
 // completion. A set larger than the queue depth takes one submission
 // per depth requests, back to back (see tcq). A lone Get is the
-// one-request case.
-func (t *Thread) readVS(reqs []ssd.Request) {
+// one-request case. records is how many records the requests hold.
+func (t *Thread) readVS(reqs []ssd.Request, records int) {
 	t.s.stats.vsReads.Add(int64(len(reqs)))
+	t.s.stats.vsRecords.Add(int64(records))
 	at, done := t.Clk.Now(), t.Clk.Now()
 	for len(reqs) > 0 {
 		n := 1

@@ -99,10 +99,11 @@ func (s *Store) adaptWatermark(up bool) {
 // ---- background maintenance ----
 
 // maintenanceLoop is the store's periodic worker: it probes every PWB so
-// a store left idle above the watermark still reclaims (the put path and
-// the async admission loop are the other two probes, but both go silent
-// when traffic stops), helps epoch collection along, and paces the
-// tiering demotion scan one chunk at a time.
+// a store left idle above the watermark still reclaims (a write's probe
+// in untilApplied goes silent when traffic stops), helps epoch collection
+// along, and paces the tiering demotion scan one chunk at a time. No
+// request hands the tick a time, so its kicks start at the NVM channel's
+// present.
 func (s *Store) maintenanceLoop() {
 	defer s.bg.Done()
 	tick := time.NewTicker(time.Millisecond)
@@ -117,13 +118,7 @@ func (s *Store) maintenanceLoop() {
 			if !s.opt.SyncVSWrites {
 				for i, b := range s.pwbs {
 					if b.Utilization() >= s.effectiveWatermark() {
-						// Trigger time 0: the reclaimer keeps its own
-						// clock and AdvanceTo(0) is a no-op, so we never
-						// read a foreground clock from this goroutine.
-						select {
-						case s.reclaimChs[i] <- 0:
-						default:
-						}
+						kick(s.reclaimChs[i], s.nvmDev.Now())
 					}
 				}
 			}
@@ -153,7 +148,7 @@ func (s *Store) demoteStep(t *Thread, cursor int) int {
 	if moved > 0 {
 		s.stats.tierDemotions.Add(int64(moved))
 		s.stats.tierDemotedBytes.Add(bytes)
-		s.maybeKickGC(s.tierCap, capSt, t.Clk.Now())
+		s.maybeKickGC(s.tierCap, t.Clk.Now())
 	}
 	s.em.Collect()
 	return next

@@ -6,9 +6,10 @@ import (
 	"sync"
 )
 
-// extentAlloc is a first-fit extent allocator with coalescing, managing
-// SSTable placement on a device.
-type extentAlloc struct {
+// ExtentAlloc is a first-fit extent allocator with coalescing: it places
+// SSTables here and SLM-DB's data files on their devices. It is safe for
+// concurrent use.
+type ExtentAlloc struct {
 	mu   sync.Mutex
 	free []extent // sorted by offset, non-adjacent
 }
@@ -17,12 +18,13 @@ type extent struct {
 	off, n int64
 }
 
-func newExtentAlloc(size int64) *extentAlloc {
-	return &extentAlloc{free: []extent{{0, size}}}
+// NewExtentAlloc returns an allocator over [0, size).
+func NewExtentAlloc(size int64) *ExtentAlloc {
+	return &ExtentAlloc{free: []extent{{0, size}}}
 }
 
-// alloc reserves n bytes, first-fit.
-func (a *extentAlloc) alloc(n int64) (int64, error) {
+// Alloc reserves n bytes, first-fit.
+func (a *ExtentAlloc) Alloc(n int64) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for i := range a.free {
@@ -39,8 +41,8 @@ func (a *extentAlloc) alloc(n int64) (int64, error) {
 	return 0, fmt.Errorf("lsm: no extent of %d bytes free", n)
 }
 
-// release returns [off, off+n) to the free list, coalescing neighbors.
-func (a *extentAlloc) release(off, n int64) {
+// Release returns [off, off+n) to the free list, coalescing neighbors.
+func (a *ExtentAlloc) Release(off, n int64) {
 	if n == 0 {
 		return
 	}
@@ -62,7 +64,7 @@ func (a *extentAlloc) release(off, n int64) {
 }
 
 // freeBytes reports total free space (tests).
-func (a *extentAlloc) freeBytes() int64 {
+func (a *ExtentAlloc) freeBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var t int64

@@ -72,7 +72,7 @@ func (s *Store) flushOne() bool {
 
 // pickDevAlloc stripes output tables across the data devices, pairing
 // each with its extent allocator.
-func (s *Store) pickDevAlloc() (int, *extentAlloc) {
+func (s *Store) pickDevAlloc() (int, *ExtentAlloc) {
 	i := s.pickDev()
 	return i, s.allocs[i]
 }

@@ -131,7 +131,7 @@ type Store struct {
 	walOff int64
 
 	dataDevs []*ssd.Device
-	allocs   []*extentAlloc
+	allocs   []*ExtentAlloc
 	devRR    atomic.Uint64
 	cache    *blockCache
 	nvmCost  *nvm.Device // matrix-container cost charging
@@ -179,7 +179,7 @@ func Open(cfg Config) *Store {
 		dcfg.Size = cfg.DataBytes
 		dcfg.Name = fmt.Sprintf("%s-data%d", cfg.Name, i)
 		s.dataDevs = append(s.dataDevs, ssd.New(dcfg))
-		s.allocs = append(s.allocs, newExtentAlloc(cfg.DataBytes))
+		s.allocs = append(s.allocs, NewExtentAlloc(cfg.DataBytes))
 	}
 	if cfg.MatrixL0 {
 		s.nvmCost = nvm.New(nvm.Config{Size: 4096})

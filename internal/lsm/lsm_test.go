@@ -33,30 +33,30 @@ func key(i int) []byte   { return []byte(fmt.Sprintf("user%08d", i)) }
 func value(i int) []byte { return []byte(fmt.Sprintf("value-%08d-%016d", i, i)) }
 
 func TestExtentAllocator(t *testing.T) {
-	a := newExtentAlloc(1000)
-	o1, err := a.alloc(100)
+	a := NewExtentAlloc(1000)
+	o1, err := a.Alloc(100)
 	if err != nil || o1 != 0 {
 		t.Fatalf("alloc = %d, %v", o1, err)
 	}
-	o2, _ := a.alloc(200)
+	o2, _ := a.Alloc(200)
 	if o2 != 100 {
 		t.Fatalf("second alloc at %d", o2)
 	}
-	a.release(o1, 100)
-	o3, _ := a.alloc(50)
+	a.Release(o1, 100)
+	o3, _ := a.Alloc(50)
 	if o3 != 0 {
 		t.Fatalf("first-fit ignored freed hole: %d", o3)
 	}
-	a.release(o3, 50)
-	a.release(o2, 200)
+	a.Release(o3, 50)
+	a.Release(o2, 200)
 	// Everything free again: coalescing must give one extent of 1000.
 	if a.freeBytes() != 1000 {
 		t.Fatalf("free = %d", a.freeBytes())
 	}
-	if o, err := a.alloc(1000); err != nil || o != 0 {
+	if o, err := a.Alloc(1000); err != nil || o != 0 {
 		t.Fatalf("full-range alloc after coalesce: %d, %v", o, err)
 	}
-	if _, err := a.alloc(1); err == nil {
+	if _, err := a.Alloc(1); err == nil {
 		t.Fatal("alloc beyond capacity succeeded")
 	}
 }
@@ -81,7 +81,7 @@ func TestMemtableBasics(t *testing.T) {
 
 func TestSSTableBuildAndGet(t *testing.T) {
 	dev := ssd.New(ssd.Config{Size: 1 << 20})
-	alloc := newExtentAlloc(1 << 20)
+	alloc := NewExtentAlloc(1 << 20)
 	clk := sim.NewClock(0)
 	var ents []entry
 	for i := 0; i < 500; i++ {

@@ -28,7 +28,7 @@ type entry struct {
 type SSTable struct {
 	id      uint64
 	dev     *ssd.Device
-	alloc   *extentAlloc
+	alloc   *ExtentAlloc
 	off     int64
 	size    int64
 	minKey  []byte
@@ -82,7 +82,7 @@ func decodeEntries(b []byte, fn func(e entry) bool) {
 
 // buildSSTable writes a sorted entry stream as one table with a single
 // large sequential device write at virtual time clk.Now().
-func buildSSTable(clk *sim.Clock, dev *ssd.Device, alloc *extentAlloc, entries []entry) (*SSTable, error) {
+func buildSSTable(clk *sim.Clock, dev *ssd.Device, alloc *ExtentAlloc, entries []entry) (*SSTable, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
@@ -117,7 +117,7 @@ func buildSSTable(clk *sim.Clock, dev *ssd.Device, alloc *extentAlloc, entries [
 	t.index[len(t.index)-1].n = len(data) - blockStart
 	t.size = int64(len(data))
 
-	off, err := alloc.alloc(t.size)
+	off, err := alloc.Alloc(t.size)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func buildSSTable(clk *sim.Clock, dev *ssd.Device, alloc *extentAlloc, entries [
 }
 
 // release frees the table's device extent.
-func (t *SSTable) release() { t.alloc.release(t.off, t.size) }
+func (t *SSTable) release() { t.alloc.Release(t.off, t.size) }
 
 // mayContain is the bloom-filter pre-check.
 func (t *SSTable) mayContain(key []byte) bool {

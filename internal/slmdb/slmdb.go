@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/keyindex"
+	"repro/internal/lsm"
 	"repro/internal/nvm"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -87,7 +88,7 @@ type Store struct {
 	nvmCost *nvm.Device
 
 	dev    *ssd.Device
-	alloc  *extentAlloc
+	alloc  *lsm.ExtentAlloc
 	files  map[int]*dataFile
 	nextID int
 
@@ -119,7 +120,7 @@ func Open(cfg Config) *Store {
 		index:     keyindex.New(nvm.New(nvm.Config{Size: 4096})),
 		nvmCost:   nvm.New(nvm.Config{Size: 4096}),
 		dev:       ssd.New(scfg),
-		alloc:     newExtentAllocShim(cfg.SSDBytes),
+		alloc:     lsm.NewExtentAlloc(cfg.SSDBytes),
 		files:     map[int]*dataFile{},
 		pcacheCap: cfg.PageCacheBytes,
 		pcache:    map[int64][]byte{},
@@ -345,7 +346,7 @@ func (s *Store) flush() error {
 		for len(data)%pageSize != 0 {
 			data = append(data, 0)
 		}
-		base, err := s.alloc.alloc(int64(len(data)))
+		base, err := s.alloc.Alloc(int64(len(data)))
 		if err != nil {
 			return fmt.Errorf("slmdb: %w", err)
 		}
@@ -399,7 +400,7 @@ func (s *Store) decay(oldLoc uint64) {
 	}
 	f.live--
 	if f.live <= 0 {
-		s.alloc.release(f.off, f.size)
+		s.alloc.Release(f.off, f.size)
 		delete(s.files, fid)
 	}
 }
@@ -455,7 +456,7 @@ func (s *Store) selectiveCompact() {
 		for len(data)%pageSize != 0 {
 			data = append(data, 0)
 		}
-		base, err := s.alloc.alloc(int64(len(data)))
+		base, err := s.alloc.Alloc(int64(len(data)))
 		if err != nil {
 			return // out of space: skip compaction
 		}
@@ -472,7 +473,7 @@ func (s *Store) selectiveCompact() {
 	}
 	for _, v := range victims {
 		if s.files[v.id] != nil {
-			s.alloc.release(v.off, v.size)
+			s.alloc.Release(v.off, v.size)
 			delete(s.files, v.id)
 		}
 	}

@@ -103,9 +103,6 @@ func New(dev *ssd.Device, depth int) *Queue {
 	return &Queue{dev: dev, depth: depth}
 }
 
-// Depth returns the coalescing limit.
-func (q *Queue) Depth() int { return q.depth }
-
 // Read submits the caller's set of read requests at virtual time at,
 // possibly combined with concurrent readers' sets, and returns the
 // latest completion time of the set (at itself for an empty set). Every
@@ -194,10 +191,10 @@ type TimeoutBatcher struct {
 	depth   int
 	timeout int64 // virtual ns added to the group's first arrival
 
-	// Grace is the real-time delay before a pending group is rescued and
+	// grace is the real-time delay before a pending group is rescued and
 	// flushed at its virtual deadline (default 200us). It only affects
 	// wall-clock progress, never virtual-time results.
-	Grace time.Duration
+	grace time.Duration
 
 	batchStats
 
@@ -239,11 +236,11 @@ func (b *TimeoutBatcher) Read(at int64, reqs ...ssd.Request) int64 {
 	} else if len(b.group) == 1 {
 		// Arm a real-time trigger standing in for the device-poll timer;
 		// the flush itself happens at the virtual deadline.
-		grace := b.Grace
-		if grace == 0 {
-			grace = 200 * time.Microsecond
+		after := b.grace
+		if after == 0 {
+			after = 200 * time.Microsecond
 		}
-		b.timer = time.AfterFunc(grace, func() { b.flush(true) })
+		b.timer = time.AfterFunc(after, func() { b.flush(true) })
 	}
 	b.mu.Unlock()
 	return <-n.done

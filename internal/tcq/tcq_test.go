@@ -144,7 +144,7 @@ func TestSequentialReadsReuseQueue(t *testing.T) {
 func TestTimeoutBatcherFlushesAtDepth(t *testing.T) {
 	dev := newDev()
 	b := NewTimeoutBatcher(dev, 4, 100_000)
-	b.Grace = time.Second // depth, not the rescue timer, must trigger
+	b.grace = time.Second // depth, not the rescue timer, must trigger
 	var wg sync.WaitGroup
 	times := make([]int64, 4)
 	for i := 0; i < 4; i++ {
@@ -366,7 +366,7 @@ func TestMixedSetReadersStress(t *testing.T) {
 	})
 	t.Run("timeout", func(t *testing.T) {
 		b := NewTimeoutBatcher(dev, depth, 100_000)
-		b.Grace = 50 * time.Microsecond
+		b.grace = 50 * time.Microsecond
 		h, hist := batchHist()
 		b.BatchHist = h
 		run(t, b, func() (int64, int64) { return b.Batches(), b.combined.Load() }, hist)
