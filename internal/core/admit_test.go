@@ -291,7 +291,7 @@ func scanAll(t *testing.T, th *Thread, from, n int) {
 // only sets their read-recency bits; the second admits them; the third
 // is served from the cache. A point read counts as a touch too.
 func TestScanRowsAdmittedOnSecondTouch(t *testing.T) {
-	s, th := vsOnlyStore(t, 40, nil)
+	s, th := vsOnlyStore(t, 40, apart, nil)
 	scanAll(t, th, 0, 20)
 	if st := s.Stats(); st.ScanDeferred != 20 || st.SVC.Entries != 0 {
 		t.Fatalf("first scan: %d rows deferred, %d admitted; want 20, 0", st.ScanDeferred, st.SVC.Entries)
@@ -327,7 +327,7 @@ func TestScanRowsAdmittedOnSecondTouch(t *testing.T) {
 // on flash defers every one, the second admits them, the third is served
 // from the cache; and the lookup alone is not a touch.
 func TestReadRowsKeepsScanAdmission(t *testing.T) {
-	s, th := vsOnlyStore(t, 40, nil)
+	s, th := vsOnlyStore(t, 40, apart, nil)
 	var keys [][]byte
 	if err := th.ScanKeys(aKey(5), 20, func(k []byte) bool {
 		keys = append(keys, k)
@@ -397,7 +397,7 @@ func TestOnePassScanKeepsPointReadSet(t *testing.T) {
 		hot      = capacity / 2
 		rows     = 10 * capacity
 	)
-	s, th := vsOnlyStore(t, hot+rows, func(o *Options) {
+	s, th := vsOnlyStore(t, hot+rows, apart, func(o *Options) {
 		o.SVCBytes = capacity * (512 + 96)
 		o.SSDBytes = 32 << 20
 		o.HSITCapacity = 1 << 16
@@ -548,7 +548,7 @@ func TestReadFilterAgeing(t *testing.T) {
 	})
 
 	t.Run("limit follows the cache", func(t *testing.T) {
-		s, th := vsOnlyStore(t, 10, func(o *Options) { o.SVCBytes = 100 * (512 + 96) })
+		s, th := vsOnlyStore(t, 10, apart, func(o *Options) { o.SVCBytes = 100 * (512 + 96) })
 		if got := s.recentLimit(); got < 1<<40 {
 			t.Fatalf("limit %d over an empty cache: nothing to protect yet, the filter keeps everything", got)
 		}

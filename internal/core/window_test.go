@@ -200,7 +200,7 @@ func TestMultiGetCostsWhatAWindowCosts(t *testing.T) {
 	load := func() (*Thread, [][]byte) {
 		// A ring the load does not fill to the reclaim watermark: what is on
 		// flash is what drain put there, and what is put back stays.
-		s, th := vsOnlyStore(t, n, func(o *Options) { o.PWBBytesPerThread = 1 << 20 })
+		s, th := vsOnlyStore(t, n, apart, func(o *Options) { o.PWBBytesPerThread = 1 << 20 })
 		keys := make([][]byte, n)
 		for i := range keys {
 			keys[i] = aKey(i)
