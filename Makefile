@@ -93,9 +93,10 @@ tidy-check:
 	$(GO) mod tidy -diff
 
 # check-docs fails if METRICS.md names a metric the registry does not
-# export (or vice versa) — see docs_test.go.
+# export (or vice versa), or if a doc that describes the present cites a
+# ROADMAP item by number rather than by title — see docs_test.go.
 check-docs:
-	$(GO) test -run 'TestMetricsDocsComplete|TestReadmeMentionsMetrics' -count=1 .
+	$(GO) test -run 'TestMetricsDocsComplete|TestReadmeMentionsMetrics|TestDocsCiteRoadmapItemsByTitle' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -132,13 +133,16 @@ bench:
 # reaches the table code of only a few of them, so this is what keeps the
 # other builders from rotting — a cell that fails to open, or whose
 # operations fail, panics (EXPERIMENTS.md, "How an experiment is built");
-# the numbers at 400 records mean nothing.
+# the numbers at 400 records mean nothing. Then every example runs once
+# (all five in about a second): they read the store's counters by series
+# name and exit non-zero when one they print is missing.
 bench-smoke:
 	$(GO) test -bench='Benchmark(Put($$|Batch|Sharded|Pipelined)|MixedPipelined|ScanResident|ScanMerged)' -benchtime=1000x -run '^$$' .
 	$(GO) test -bench='BenchmarkReclaimPass$$' -benchtime=20x -count=1 -run 'TestReclaimPassAllocs$$|TestWriteOnlyReclaimAdmitsNothing$$' ./internal/core
 	$(GO) test -bench='BenchmarkResourceAcquire$$' -benchtime=200000x -count=1 -run 'TestResourceAcquireAllocatesOnce$$' ./internal/sim
 	$(GO) run ./cmd/prism-bench -run all -threads 2 -records 400 -ops 400
 	$(GO) run ./cmd/prism-bench -run fig7 -threads 40 -records 10000 -ops 40000
+	for e in examples/*/; do $(GO) run ./$$e || exit 1; done
 
 # bench-module vets and tests benchmark/, the repo benchmark: it is its
 # own module (`replace repro => ../`), so `go build ./... && go test

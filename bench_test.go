@@ -308,7 +308,7 @@ func BenchmarkScanMerged(b *testing.B) {
 			if _, err := store.Recover(); err != nil {
 				b.Fatal(err)
 			}
-			s0, t0 := store.Stats(), th.Clk.Now()
+			m0, t0 := store.Metrics(), th.Clk.Now()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rows := 0
@@ -317,9 +317,9 @@ func BenchmarkScanMerged(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			s1 := store.Stats()
-			b.ReportMetric(float64(s1.SVCHits+s1.PWBHits+s1.VSReads-s0.SVCHits-s0.PWBHits-s0.VSReads)/float64(b.N), "rows-read/scan")
-			b.ReportMetric(float64(s1.Scans-s0.Scans)/float64(b.N), "shard-scans/scan")
+			d := store.Metrics().Delta(m0)
+			b.ReportMetric(d.Sum("core.read_path")/float64(b.N), "rows-read/scan")
+			b.ReportMetric(d.Sum("core.ops", "op", "scan")/float64(b.N), "shard-scans/scan")
 			b.ReportMetric(float64(th.Clk.Now()-t0)/float64(b.N), "virt-ns/scan")
 		})
 	}
@@ -427,8 +427,8 @@ func BenchmarkFig16MulticoreScalability(b *testing.B) {
 
 func BenchmarkFig17GCTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, _, stats := bench.Fig17(benchRC())
-		b.ReportMetric(float64(stats.VS.GCRuns), "gc-runs")
+		_, _, gcRuns, _ := bench.Fig17(benchRC())
+		b.ReportMetric(float64(gcRuns), "gc-runs")
 	}
 }
 

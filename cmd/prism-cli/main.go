@@ -1,5 +1,5 @@
 // Command prism-cli is an interactive shell over the Prism public API —
-// a quick way to poke at the store, watch its internal statistics, and
+// a quick way to poke at the store, watch its metrics, and
 // exercise crash/recovery by hand.
 //
 // With -connect addr it speaks to a running prism-server over RESP2
@@ -15,9 +15,9 @@
 //	get <key>              read a value
 //	del <key>              delete a key
 //	scan <start> <n>       range scan
-//	stats                  engine counters (SVC hits, reclaims, GC, ...)
-//	metrics [name...]      obs snapshot (all metrics, or just the named
-//	                       ones); 'metrics -json' dumps METRICS.md JSON
+//	metrics [name...]      engine counters (SVC hits, reclaims, GC, ...):
+//	                       every metric, or just the named ones (see
+//	                       METRICS.md); 'metrics -json' dumps them as JSON
 //	crash                  simulate power failure + recovery
 //	help | quit
 package main
@@ -247,14 +247,6 @@ func localREPL() {
 			if err != nil {
 				fmt.Println("error:", err)
 			}
-		case "stats":
-			s := store.Stats()
-			fmt.Printf("ops: puts=%d gets=%d deletes=%d scans=%d\n", s.Puts, s.Gets, s.Deletes, s.Scans)
-			fmt.Printf("reads: svcHits=%d pwbHits=%d vsReads=%d\n", s.SVCHits, s.PWBHits, s.VSReads)
-			fmt.Printf("svc: entries=%d evictions=%d reclaimAdmits=%d reclaimAdmitSkips=%d scanDeferred=%d\n", s.SVC.Entries, s.SVC.Evictions, s.ReclaimAdmits, s.ReclaimAdmitSkips, s.ScanDeferred)
-			fmt.Printf("writes: reclaims=%d migrated=%d stalled=%d ringFull=%d\n", s.Reclaims, s.PWBLiveMigrated, s.PutsStalled, s.PutStalls)
-			fmt.Printf("value storage: chunksWritten=%d gcRuns=%d free=%d\n", s.VS.ChunksWritten, s.VS.GCRuns, s.VS.FreeChunks)
-			fmt.Printf("nvm space: index=%dB hsit=%dB\n", s.IndexSpaceBytes, s.HSITSpaceBytes)
 		case "metrics", ".metrics":
 			snap := store.Metrics()
 			if len(fields) > 1 && fields[1] == "-json" {
@@ -291,7 +283,7 @@ func localREPL() {
 			fmt.Printf("recovered %d keys (%d lost, %d drained from PWB) in %.2f virtual ms\n",
 				rep.LiveKeys, rep.LostKeys, rep.PWBValuesDrained, float64(rep.VirtualNS)/1e6)
 		case "help":
-			fmt.Println("put <k> <v> | get <k> | del <k> | scan <start> <n> | stats | metrics [name...|-json] | crash | quit")
+			fmt.Println("put <k> <v> | get <k> | del <k> | scan <start> <n> | metrics [name...|-json] | crash | quit")
 		case "quit", "exit":
 			return
 		default:

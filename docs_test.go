@@ -3,6 +3,7 @@ package prism
 import (
 	"os"
 	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/server"
@@ -79,6 +80,26 @@ func TestReadmeMentionsMetrics(t *testing.T) {
 	for _, want := range []string{"METRICS.md", "-metrics", "Metrics()"} {
 		if !regexp.MustCompile(regexp.QuoteMeta(want)).Match(readme) {
 			t.Errorf("README.md does not mention %q", want)
+		}
+	}
+}
+
+// roadmapItemByNumber matches a ROADMAP item cited by its number: "item
+// 3", "items 1 and 2", "ROADMAP #7", "ROADMAP item 4".
+var roadmapItemByNumber = regexp.MustCompile(`(?i)\bitems?\s+\(?[0-9]|\broadmap:?\s+(item\s+)?#?[0-9]`)
+
+// TestDocsCiteRoadmapItemsByTitle: the docs that describe the present cite
+// a ROADMAP item by its title, because the numbers change at every
+// re-anchor. CHANGES.md is history and is not checked.
+func TestDocsCiteRoadmapItemsByTitle(t *testing.T) {
+	for _, f := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "METRICS.md", ".claude/skills/verify/SKILL.md"} {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range roadmapItemByNumber.FindAllIndex(doc, -1) {
+			line := 1 + strings.Count(string(doc[:at[0]]), "\n")
+			t.Errorf("%s:%d cites a ROADMAP item by number (%q): cite it by title", f, line, doc[at[0]:at[1]])
 		}
 	}
 }

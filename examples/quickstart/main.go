@@ -56,8 +56,24 @@ func main() {
 		fmt.Println("user042 deleted")
 	}
 
-	s := store.Stats()
-	fmt.Printf("\nengine stats: puts=%d gets=%d pwbHits=%d svcHits=%d vsReads=%d\n",
-		s.Puts, s.Gets, s.PWBHits, s.SVCHits, s.VSReads)
+	// The store's counters are its metrics (METRICS.md): core.ops counts
+	// operations by kind, core.read_path value reads by the medium that
+	// served them.
+	m := store.Metrics()
+	fmt.Printf("\nengine counters: puts=%d gets=%d pwbHits=%d svcHits=%d vsReads=%d\n",
+		count(m, "core.ops", "op", "put"), count(m, "core.ops", "op", "get"),
+		count(m, "core.read_path", "source", "pwb"), count(m, "core.read_path", "source", "svc"),
+		count(m, "core.read_path", "source", "vs"))
 	fmt.Printf("virtual time consumed by this thread: %.2f ms\n", float64(t.Clk.Now())/1e6)
+}
+
+// count reads a counter from the store's metrics, by its METRICS.md name:
+// the sum of the series called name that carry labels (key/value pairs).
+// A series the store does not export stops the example.
+func count(m prism.Metrics, name string, labels ...string) int64 {
+	v, ok := m.Lookup(name, labels...)
+	if !ok {
+		log.Fatalf("no metric %s%v", name, labels)
+	}
+	return int64(v)
 }

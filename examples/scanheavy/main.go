@@ -51,25 +51,25 @@ func main() {
 	}
 
 	scan := func(label string) {
-		before := store.Stats().VSReads
+		before := count(store.Metrics(), "core.read_path", "source", "vs")
 		t0 := t.Clk.Now()
-		count := 0
+		rows := 0
 		err := t.Scan([]byte("a000100"), 50, func(kv prism.KV) bool {
-			count++
+			rows++
 			return true
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := store.Stats()
+		reads := count(store.Metrics(), "core.read_path", "source", "vs") - before
 		fmt.Printf("%-28s %2d items, %3d SSD reads, %.1f virtual us\n",
-			label, count, s.VSReads-before, float64(t.Clk.Now()-t0)/1e3)
+			label, rows, reads, float64(t.Clk.Now()-t0)/1e3)
 	}
 
 	scan("first scan (scattered):")
-	fmt.Printf("rows cached: %d (first touch: remembered, not admitted)\n", store.Stats().SVC.Entries)
+	fmt.Printf("rows cached: %d (first touch: remembered, not admitted)\n", count(store.Metrics(), "svc.entries"))
 	scan("second scan (scattered):")
-	fmt.Printf("rows cached: %d (second touch: admitted and chained)\n", store.Stats().SVC.Entries)
+	fmt.Printf("rows cached: %d (second touch: admitted and chained)\n", count(store.Metrics(), "svc.entries"))
 
 	// The scanned values are now chained in the SVC. Flood the cache so
 	// the chain evicts, triggering the background sort-and-rewrite of the
@@ -79,9 +79,20 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("cache flooded; scan-range rewrites so far: %d\n", store.Stats().ScanRewrites)
+	fmt.Printf("cache flooded; scan-range rewrites so far: %d\n", count(store.Metrics(), "svc.scan_rewrites"))
 
 	scan("third scan (reorganized):")
 	fmt.Println("\nfewer SSD reads on the third scan = the range was rewritten contiguously")
 	fmt.Println("same virtual time = a scan's reads overlap; the rewrite saves IOs, not latency")
+}
+
+// count reads a counter from the store's metrics, by its METRICS.md name:
+// the sum of the series called name that carry labels (key/value pairs).
+// A series the store does not export stops the example.
+func count(m prism.Metrics, name string, labels ...string) int64 {
+	v, ok := m.Lookup(name, labels...)
+	if !ok {
+		log.Fatalf("no metric %s%v", name, labels)
+	}
+	return int64(v)
 }

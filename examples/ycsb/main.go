@@ -89,10 +89,23 @@ func main() {
 		float64(ops)/(float64(maxDur)/1e9)/1e3, threads)
 	fmt.Printf("latency: %s\n", all.Summarize())
 
-	s := store.Stats()
-	total := float64(s.SVCHits + s.PWBHits + s.VSReads)
+	m := store.Metrics()
+	svc, pwb, vs := count(m, "core.read_path", "source", "svc"), count(m, "core.read_path", "source", "pwb"),
+		count(m, "core.read_path", "source", "vs")
+	total := float64(svc + pwb + vs)
 	fmt.Printf("read breakdown: SVC %.0f%%, PWB %.0f%%, SSD %.0f%%\n",
-		100*float64(s.SVCHits)/total, 100*float64(s.PWBHits)/total, 100*float64(s.VSReads)/total)
+		100*float64(svc)/total, 100*float64(pwb)/total, 100*float64(vs)/total)
+}
+
+// count reads a counter from the store's metrics, by its METRICS.md name:
+// the sum of the series called name that carry labels (key/value pairs).
+// A series the store does not export stops the example.
+func count(m prism.Metrics, name string, labels ...string) int64 {
+	v, ok := m.Lookup(name, labels...)
+	if !ok {
+		log.Fatalf("no metric %s%v", name, labels)
+	}
+	return int64(v)
 }
 
 func parallel(fn func(ti int)) {

@@ -21,10 +21,16 @@ func TestDiagPrismLoad(t *testing.T) {
 		st, _ := NewEngine(EnginePrism, p)
 		rc := RunConfig{Threads: 4, Records: 4000, Ops: 8000}
 		r := Load(st, EnginePrism, rc)
-		ps := st.(*engine.PrismStore)
-		stats := ps.S.Stats()
-		fmt.Printf("%-8s LOAD=%6.1fK avg=%5.1fus p99=%6.1fus stalls=%d reclaims=%d migrated=%d\n",
-			tc.name, r.KOpsPerSec(), r.Lat.AvgUS, r.Lat.P99US, stats.PutStalls, stats.Reclaims, stats.PWBLiveMigrated)
+		m := st.(*engine.PrismStore).Metrics()
+		n := func(name string) float64 {
+			v, ok := m.Lookup(name)
+			if !ok {
+				t.Fatalf("no series %s in the registry", name)
+			}
+			return v
+		}
+		fmt.Printf("%-8s LOAD=%6.1fK avg=%5.1fus p99=%6.1fus stalls=%.0f reclaims=%.0f migrated=%.0f\n",
+			tc.name, r.KOpsPerSec(), r.Lat.AvgUS, r.Lat.P99US, n("core.put_stalls"), n("pwb.reclaims"), n("pwb.live_migrated"))
 		st.Close()
 	}
 }

@@ -52,7 +52,7 @@ func loaded(kind string, rc RunConfig) (engine.Store, Result) {
 // cell is the unit every experiment is a grid of: it opens and loads a
 // kind engine sized by rc, runs the workloads in order on that one store
 // (LOAD in the list names the load phase's result, it is not run twice),
-// hands the still-open store to each then — a Stats read, a crash and
+// hands the still-open store to each then — a metrics read, a crash and
 // recovery, a fault drill — captures the store's metrics under tag (no
 // capture for an empty tag) and closes it. Like loaded, it panics if a
 // phase counts a failed operation.
@@ -390,8 +390,10 @@ func Fig16(rc RunConfig) Table {
 }
 
 // Fig17 reproduces Figure 17: Prism throughput over time across Value
-// Storage garbage collection, on a store sized to force GC.
-func Fig17(rc RunConfig) (Table, []TimelinePoint, core.Stats) {
+// Storage garbage collection, on a store sized to force GC. Beside the
+// table and the timeline it returns what the table's note prints: the GC
+// passes run and the live values they moved (vs.gc_runs, vs.gc_live_moved).
+func Fig17(rc RunConfig) (t Table, timeline []TimelinePoint, gcRuns, gcMoved int64) {
 	rc.applyDefaults()
 	rc.Ops *= 4
 	ds := rc.dataset()
@@ -403,20 +405,20 @@ func Fig17(rc RunConfig) (Table, []TimelinePoint, core.Stats) {
 	if rc.Metrics != nil && rc.SampleNS == 0 {
 		rc.SampleNS = rc.TimelineBucketNS // metrics timeline on the same grid
 	}
-	var stats core.Stats
 	r := cell(EnginePrism, rc, "fig17", []ycsb.Workload{ycsb.WorkloadA}, func(st engine.Store) {
-		stats = st.(*engine.PrismStore).S.Stats()
+		m := st.(*engine.PrismStore).Metrics()
+		gcRuns, gcMoved = int64(m.Sum("vs.gc_runs")), int64(m.Sum("vs.gc_live_moved"))
 	})[ycsb.WorkloadA]
 
-	t := Table{
+	t = Table{
 		Title:  "Figure 17: YCSB-A throughput timeline across GC (Kops/sec per 20ms window)",
 		Header: []string{"t(ms)", "Kops/sec"},
-		Notes:  []string{fmt.Sprintf("GC runs: %d, chunks moved: %d", stats.VS.GCRuns, stats.VS.GCLiveMoved)},
+		Notes:  []string{fmt.Sprintf("GC runs: %d, chunks moved: %d", gcRuns, gcMoved)},
 	}
 	for _, pt := range r.Timeline {
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", pt.NS/1_000_000), f1(kops(pt.Ops, rc.TimelineBucketNS))})
 	}
-	return t, r.Timeline, stats
+	return t, r.Timeline, gcRuns, gcMoved
 }
 
 // Ablation reproduces §7.6 "impact of individual techniques": each Prism
@@ -460,8 +462,11 @@ func Ablation(rc RunConfig) Table {
 // record for the key index and HSIT.
 func NVMSpace(rc RunConfig) Table {
 	rc.applyDefaults()
-	var stats core.Stats
-	cell(EnginePrism, rc, "", nil, func(st engine.Store) { stats = st.(*engine.PrismStore).S.Stats() })
+	var index, table int64
+	cell(EnginePrism, rc, "", nil, func(st engine.Store) {
+		m := st.(*engine.PrismStore).Metrics()
+		index, table = int64(m.Sum("index.space_bytes")), int64(m.Sum("hsit.space_bytes"))
+	})
 	t := Table{
 		Title:  "NVM space (§7.6): Persistent Key Index + HSIT",
 		Header: []string{"component", "bytes", "bytes/record"},
@@ -471,9 +476,9 @@ func NVMSpace(rc RunConfig) Table {
 		name  string
 		bytes int64
 	}{
-		{"key index", stats.IndexSpaceBytes},
-		{"HSIT", stats.HSITSpaceBytes},
-		{"total", stats.IndexSpaceBytes + stats.HSITSpaceBytes},
+		{"key index", index},
+		{"HSIT", table},
+		{"total", index + table},
 	} {
 		t.Rows = append(t.Rows, []string{c.name, fmt.Sprintf("%d", c.bytes), f1(float64(c.bytes) / float64(rc.Records))})
 	}
@@ -588,7 +593,7 @@ var Experiments = map[string]func(rc RunConfig) []Table{
 	"fig15a":   func(rc RunConfig) []Table { return []Table{Fig15a(rc)} },
 	"fig15b":   func(rc RunConfig) []Table { return []Table{Fig15b(rc)} },
 	"fig16":    func(rc RunConfig) []Table { return []Table{Fig16(rc)} },
-	"fig17":    func(rc RunConfig) []Table { t, _, _ := Fig17(rc); return []Table{t} },
+	"fig17":    func(rc RunConfig) []Table { t, _, _, _ := Fig17(rc); return []Table{t} },
 	"ablation": func(rc RunConfig) []Table { return []Table{Ablation(rc)} },
 	"nvmspace": func(rc RunConfig) []Table { return []Table{NVMSpace(rc)} },
 	"recovery": func(rc RunConfig) []Table { return []Table{Recovery(rc)} },

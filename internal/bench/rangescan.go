@@ -42,9 +42,9 @@ type RangeScanResult struct {
 }
 
 // PerScan returns the movement of the named metric, summed over shards,
-// devices and label values, per router scan.
-func (r RangeScanResult) PerScan(name string) float64 {
-	return r.Delta.Sum(name) / float64(r.Scans)
+// devices and the label values labels does not fix, per router scan.
+func (r RangeScanResult) PerScan(name string, labels ...string) float64 {
+	return r.Delta.Sum(name, labels...) / float64(r.Scans)
 }
 
 // runRangeScan loads a 4-shard Prism under the given placement mode and
@@ -61,13 +61,6 @@ func runRangeScan(rc RunConfig, placement string) RangeScanResult {
 	ps := st.(*engine.PrismStore)
 
 	pre := ps.Metrics()
-	shardScans := func() (n int64) {
-		for j := 0; j < rangeScanShards; j++ {
-			n += ps.S.Shard(j).Stats().Scans
-		}
-		return n
-	}
-	scansBefore := shardScans()
 
 	const scanLen = 64
 	nt := rc.Threads
@@ -117,8 +110,8 @@ func runRangeScan(rc RunConfig, placement string) RangeScanResult {
 	}
 	out.Scans = int64(nt) * int64(scansPerThread)
 	out.KOps = kops(out.Scans, makespan)
-	out.ShardScansPer = float64(shardScans()-scansBefore) / float64(out.Scans)
 	out.Delta = ps.Metrics().Delta(pre)
+	out.ShardScansPer = out.PerScan("core.ops", "op", "scan")
 	rc.Metrics.Capture(st, EnginePrism, "rangescan-"+placement, nil)
 	st.Close()
 	return out

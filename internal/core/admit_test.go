@@ -46,15 +46,15 @@ func TestReclaimHandsReadValuesToSVC(t *testing.T) {
 	if got, err := th.Get(key(0)); err != nil || !bytes.Equal(got, value(0)) {
 		t.Fatalf("key 0 from the PWB = %q, %v", got, err)
 	}
-	if st := s.Stats(); st.PWBHits != 1 || st.SVC.Entries != 0 {
-		t.Fatalf("before the pass: %d PWB hits, %d cache entries", st.PWBHits, st.SVC.Entries)
+	if st := reg(t, s); st.n("core.read_path", "source", "pwb") != 1 || st.n("svc.entries") != 0 {
+		t.Fatalf("before the pass: %d PWB hits, %d cache entries", st.n("core.read_path", "source", "pwb"), st.n("svc.entries"))
 	}
 	t0 := p.Clk.Now()
 	pass(p)
-	st := s.Stats()
-	if st.PWBLiveMigrated != 2 || st.ReclaimAdmits != 1 || st.SVC.Entries != 1 {
+	st := reg(t, s)
+	if st.n("pwb.live_migrated") != 2 || st.n("svc.reclaim_admits") != 1 || st.n("svc.entries") != 1 {
 		t.Fatalf("the pass migrated %d records, handed over %d, the cache holds %d; want 2, 1, 1",
-			st.PWBLiveMigrated, st.ReclaimAdmits, st.SVC.Entries)
+			st.n("pwb.live_migrated"), st.n("svc.reclaim_admits"), st.n("svc.entries"))
 	}
 	t.Logf("the pass took %d virtual ns for 2 records, 1 of them handed over", p.Clk.Now()-t0)
 
@@ -62,8 +62,8 @@ func TestReclaimHandsReadValuesToSVC(t *testing.T) {
 	if got, err := th.Get(key(0)); err != nil || !bytes.Equal(got, value(0)) {
 		t.Fatalf("key 0 after the pass = %q, %v", got, err)
 	}
-	if st := s.Stats(); st.SVCHits != 1 || ssdReads(s) != ios {
-		t.Fatalf("the read after the pass: %d SVC hits, %d SSD read IOs", st.SVCHits, ssdReads(s)-ios)
+	if st := reg(t, s); st.n("core.read_path", "source", "svc") != 1 || ssdReads(s) != ios {
+		t.Fatalf("the read after the pass: %d SVC hits, %d SSD read IOs", st.n("core.read_path", "source", "svc"), ssdReads(s)-ios)
 	}
 	if d := th.Clk.Now() - thClk; d > 5_000 {
 		t.Fatalf("an SVC hit took %d virtual ns", d)
@@ -86,8 +86,8 @@ func TestReclaimHandsReadValuesToSVC(t *testing.T) {
 	if got, err := th.Get(key(0)); err != nil || !bytes.Equal(got, value(100)) {
 		t.Fatalf("key 0 after its update and a pass = %q, %v", got, err)
 	}
-	if st := s.Stats(); st.ReclaimAdmits != 2 || ssdReads(s) != ios {
-		t.Fatalf("after the update: %d handed over, %d SSD read IOs", st.ReclaimAdmits, ssdReads(s)-ios)
+	if st := reg(t, s); st.n("svc.reclaim_admits") != 2 || ssdReads(s) != ios {
+		t.Fatalf("after the update: %d handed over, %d SSD read IOs", st.n("svc.reclaim_admits"), ssdReads(s)-ios)
 	}
 }
 
@@ -156,8 +156,8 @@ func TestReclaimAdmissionNeverStale(t *testing.T) {
 			t.Fatal("a value superseded before the CAS was admitted")
 		}
 		s.cache.Sync()
-		if h := svcHandle(s, idx); h != 0 || s.Stats().SVC.Entries != 0 {
-			t.Fatalf("the superseded value stays published: word 1 = %d, %d entries", h, s.Stats().SVC.Entries)
+		if h := svcHandle(s, idx); h != 0 || reg(t, s).n("svc.entries") != 0 {
+			t.Fatalf("the superseded value stays published: word 1 = %d, %d entries", h, reg(t, s).n("svc.entries"))
 		}
 		if _, seq, ok := parseSeqValue(mustGet(t, th, key(0))); !ok || seq != 2 {
 			t.Fatalf("read sequence %d after sequence 2 was acknowledged", seq)
@@ -246,10 +246,10 @@ func TestReclaimAdmissionNeverStale(t *testing.T) {
 		wg.Wait()
 		drain(t, s)
 		s.cache.Sync()
-		st := s.Stats()
+		st := reg(t, s)
 		t.Logf("%d puts, %d gets (%d SVC hits), %d records migrated, %d handed over, %d hand-offs skipped, %d publishes lost",
-			st.Puts, reads.Load(), st.SVCHits, st.PWBLiveMigrated, st.ReclaimAdmits, st.ReclaimAdmitSkips, st.ReclaimPublishLost)
-		if st.ReclaimAdmits == 0 || st.SVCHits == 0 {
+			st.n("core.ops", "op", "put"), reads.Load(), st.n("core.read_path", "source", "svc"), st.n("pwb.live_migrated"), st.n("svc.reclaim_admits"), st.n("svc.reclaim_admit_skips"), st.n("core.reclaim_publish_lost"))
+		if st.n("svc.reclaim_admits") == 0 || st.n("core.read_path", "source", "svc") == 0 {
 			t.Error("the stress did not reach its subject: nothing handed over, or nothing read from the cache")
 		}
 		th := s.Thread(writers)
@@ -293,28 +293,28 @@ func scanAll(t *testing.T, th *Thread, from, n int) {
 func TestScanRowsAdmittedOnSecondTouch(t *testing.T) {
 	s, th := vsOnlyStore(t, 40, apart, nil)
 	scanAll(t, th, 0, 20)
-	if st := s.Stats(); st.ScanDeferred != 20 || st.SVC.Entries != 0 {
-		t.Fatalf("first scan: %d rows deferred, %d admitted; want 20, 0", st.ScanDeferred, st.SVC.Entries)
+	if st := reg(t, s); st.n("svc.scan_deferred") != 20 || st.n("svc.entries") != 0 {
+		t.Fatalf("first scan: %d rows deferred, %d admitted; want 20, 0", st.n("svc.scan_deferred"), st.n("svc.entries"))
 	}
 	scanAll(t, th, 10, 20) // rows 10-19 again, rows 20-29 for the first time
-	if st := s.Stats(); st.ScanDeferred != 30 || st.SVC.Entries != 10 {
-		t.Fatalf("overlapping scan: %d rows deferred, %d admitted; want 30, 10", st.ScanDeferred, st.SVC.Entries)
+	if st := reg(t, s); st.n("svc.scan_deferred") != 30 || st.n("svc.entries") != 10 {
+		t.Fatalf("overlapping scan: %d rows deferred, %d admitted; want 30, 10", st.n("svc.scan_deferred"), st.n("svc.entries"))
 	}
 	ios := ssdReads(s)
 	scanAll(t, th, 10, 10)
-	if st := s.Stats(); ssdReads(s) != ios || st.SVCHits != 10 {
-		t.Fatalf("third scan of rows 10-19: %d SSD read IOs, %d SVC hits", ssdReads(s)-ios, st.SVCHits)
+	if st := reg(t, s); ssdReads(s) != ios || st.n("core.read_path", "source", "svc") != 10 {
+		t.Fatalf("third scan of rows 10-19: %d SSD read IOs, %d SVC hits", ssdReads(s)-ios, st.n("core.read_path", "source", "svc"))
 	}
 
 	// Every point read admits what it fetched from flash, first touch or
 	// not (§4.4), and leaves its mark for a later scan: MultiGet here; Get
 	// is TestGetServedFromSVCAfterVSRead.
-	before := s.Stats()
+	before := reg(t, s)
 	if _, err := th.MultiGet([][]byte{aKey(30), aKey(31)}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.SVC.Entries != before.SVC.Entries+2 || st.ScanDeferred != before.ScanDeferred {
-		t.Fatalf("MultiGet of two rows on flash: %d entries admitted, %d deferred", st.SVC.Entries-before.SVC.Entries, st.ScanDeferred-before.ScanDeferred)
+	if st := reg(t, s); st.n("svc.entries") != before.n("svc.entries")+2 || st.n("svc.scan_deferred") != before.n("svc.scan_deferred") {
+		t.Fatalf("MultiGet of two rows on flash: %d entries admitted, %d deferred", st.n("svc.entries")-before.n("svc.entries"), st.n("svc.scan_deferred")-before.n("svc.scan_deferred"))
 	}
 	if !s.pop.read.has(mustIdxOf(t, s, aKey(30))) || s.pop.read.has(mustIdxOf(t, s, aKey(32))) {
 		t.Fatal("the filter holds exactly the rows somebody read")
@@ -348,20 +348,20 @@ func TestReadRowsKeepsScanAdmission(t *testing.T) {
 		}
 	}
 	readRows()
-	if st := s.Stats(); st.ScanDeferred != 20 || st.SVC.Entries != 0 || s.pop.read.n.Load() != 20 {
-		t.Fatalf("first ReadRows: %d rows deferred, %d admitted, %d marked; want 20, 0, 20", st.ScanDeferred, st.SVC.Entries, s.pop.read.n.Load())
+	if st := reg(t, s); st.n("svc.scan_deferred") != 20 || st.n("svc.entries") != 0 || s.pop.read.n.Load() != 20 {
+		t.Fatalf("first ReadRows: %d rows deferred, %d admitted, %d marked; want 20, 0, 20", st.n("svc.scan_deferred"), st.n("svc.entries"), s.pop.read.n.Load())
 	}
 	readRows()
-	if st := s.Stats(); st.ScanDeferred != 20 || st.SVC.Entries != 20 {
-		t.Fatalf("second ReadRows: %d rows deferred, %d admitted; want 20, 20", st.ScanDeferred, st.SVC.Entries)
+	if st := reg(t, s); st.n("svc.scan_deferred") != 20 || st.n("svc.entries") != 20 {
+		t.Fatalf("second ReadRows: %d rows deferred, %d admitted; want 20, 20", st.n("svc.scan_deferred"), st.n("svc.entries"))
 	}
 	ios := ssdReads(s)
 	readRows()
-	if st := s.Stats(); ssdReads(s) != ios || st.SVCHits != 20 {
-		t.Fatalf("third ReadRows: %d SSD read IOs, %d SVC hits", ssdReads(s)-ios, st.SVCHits)
+	if st := reg(t, s); ssdReads(s) != ios || st.n("core.read_path", "source", "svc") != 20 {
+		t.Fatalf("third ReadRows: %d SSD read IOs, %d SVC hits", ssdReads(s)-ios, st.n("core.read_path", "source", "svc"))
 	}
-	if st := s.Stats(); st.Scans != 1 || st.Gets != 0 {
-		t.Fatalf("one walk and three row reads counted %d scans and %d gets, want 1 and 0", st.Scans, st.Gets)
+	if st := reg(t, s); st.n("core.ops", "op", "scan") != 1 || st.n("core.ops", "op", "get") != 0 {
+		t.Fatalf("one walk and three row reads counted %d scans and %d gets, want 1 and 0", st.n("core.ops", "op", "scan"), st.n("core.ops", "op", "get"))
 	}
 
 	// Rows the PWB serves never reach the Value Storage batch, where a
@@ -406,20 +406,20 @@ func TestOnePassScanKeepsPointReadSet(t *testing.T) {
 		mustGet(t, th, aKey(i))
 	}
 	s.cache.Sync()
-	if st := s.Stats(); st.SVC.Entries != hot || st.SVC.Evictions != 0 {
-		t.Fatalf("the point reads left %d entries (%d evicted), want %d", st.SVC.Entries, st.SVC.Evictions, hot)
+	if st := reg(t, s); st.n("svc.entries") != hot || st.n("svc.evictions") != 0 {
+		t.Fatalf("the point reads left %d entries (%d evicted), want %d", st.n("svc.entries"), st.n("svc.evictions"), hot)
 	}
 	for from := hot; from < hot+rows; from += 100 {
 		scanAll(t, th, from, 100)
 	}
 	s.cache.Sync()
-	hits := s.Stats().SVCHits
+	hits := reg(t, s).n("core.read_path", "source", "svc")
 	for i := 0; i < hot; i++ {
 		mustGet(t, th, aKey(i))
 	}
-	st := s.Stats()
-	rate := float64(st.SVCHits-hits) / hot
-	t.Logf("after a one-pass scan of %d rows (%d deferred, %d evictions): %.2f of the %d point-read keys still hit", rows, st.ScanDeferred, st.SVC.Evictions, rate, hot)
+	st := reg(t, s)
+	rate := float64(st.n("core.read_path", "source", "svc")-hits) / hot
+	t.Logf("after a one-pass scan of %d rows (%d deferred, %d evictions): %.2f of the %d point-read keys still hit", rows, st.n("svc.scan_deferred"), st.n("svc.evictions"), rate, hot)
 	if rate < 0.9 {
 		t.Fatalf("hit rate of the point-read set after a one-pass scan: %.2f, want >= 0.9", rate)
 	}
@@ -583,8 +583,8 @@ func TestReadFilterAgeing(t *testing.T) {
 			t.Fatalf("the new key took slot %d, not the freed %d", got, idx)
 		}
 		pass(p)
-		if st := s.Stats(); st.PWBLiveMigrated != 1 || st.ReclaimAdmits != 0 {
-			t.Fatalf("the pass migrated %d and handed over %d; the new key was never read", st.PWBLiveMigrated, st.ReclaimAdmits)
+		if st := reg(t, s); st.n("pwb.live_migrated") != 1 || st.n("svc.reclaim_admits") != 0 {
+			t.Fatalf("the pass migrated %d and handed over %d; the new key was never read", st.n("pwb.live_migrated"), st.n("svc.reclaim_admits"))
 		}
 	})
 }
@@ -615,10 +615,10 @@ func TestRecoverStartsWithNothingRead(t *testing.T) {
 	if &s.pop.read.bits[0] != bits {
 		t.Error("Crash reallocated the filter; it clears in place")
 	}
-	st := s.Stats()
-	if s.pop.read.n.Load() != 0 || s.pop.read.has(mustIdx(t, s, 0)) || st.SVC.Entries != 0 || st.ReclaimAdmits != 0 {
+	st := reg(t, s)
+	if s.pop.read.n.Load() != 0 || s.pop.read.has(mustIdx(t, s, 0)) || st.n("svc.entries") != 0 || st.n("svc.reclaim_admits") != 0 {
 		t.Fatalf("after recovery: %d bits set, %d cache entries, %d handed over by the drain; want none",
-			s.pop.read.n.Load(), st.SVC.Entries, st.ReclaimAdmits)
+			s.pop.read.n.Load(), st.n("svc.entries"), st.n("svc.reclaim_admits"))
 	}
 	mustReadFromVS(t, s, n)
 	if got := s.pop.read.n.Load(); got != n {

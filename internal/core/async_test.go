@@ -101,7 +101,7 @@ func TestAsyncFlushAndClose(t *testing.T) {
 			t.Fatalf("handle %d: %v", i, err)
 		}
 	}
-	if n := s.Stats().AsyncPuts; n != 100 {
+	if n := reg(t, s).n("core.async_ops", "op", "put"); n != 100 {
 		t.Fatalf("AsyncPuts = %d, want 100", n)
 	}
 	if err := s.Close(); err != nil {
@@ -207,9 +207,9 @@ func TestAsyncCompletionStress(t *testing.T) {
 	if completed.Load() != want {
 		t.Fatalf("completed %d handles, want %d", completed.Load(), want)
 	}
-	st := s.Stats()
-	if st.AsyncPuts+st.AsyncGets+st.AsyncDeletes != want {
-		t.Fatalf("async stats %d+%d+%d != %d", st.AsyncPuts, st.AsyncGets, st.AsyncDeletes, want)
+	st := reg(t, s)
+	if st.n("core.async_ops", "op", "put")+st.n("core.async_ops", "op", "get")+st.n("core.async_ops", "op", "delete") != want {
+		t.Fatalf("async stats %d+%d+%d != %d", st.n("core.async_ops", "op", "put"), st.n("core.async_ops", "op", "get"), st.n("core.async_ops", "op", "delete"), want)
 	}
 }
 

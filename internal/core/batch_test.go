@@ -16,7 +16,7 @@ func TestPutBatchBasics(t *testing.T) {
 	if err := th.PutBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if got := s.Stats().BatchPuts; got != 0 {
+	if got := reg(t, s).n("core.batch_ops", "op", "put"); got != 0 {
 		t.Fatalf("empty batch counted: %d", got)
 	}
 
@@ -33,9 +33,9 @@ func TestPutBatchBasics(t *testing.T) {
 			t.Fatalf("key %d after batch: %q, %v", i, got, err)
 		}
 	}
-	st := s.Stats()
-	if st.BatchPuts != 1 || st.Puts != 50 {
-		t.Fatalf("BatchPuts=%d Puts=%d, want 1/50", st.BatchPuts, st.Puts)
+	st := reg(t, s)
+	if st.n("core.batch_ops", "op", "put") != 1 || st.n("core.ops", "op", "put") != 50 {
+		t.Fatalf("BatchPuts=%d Puts=%d, want 1/50", st.n("core.batch_ops", "op", "put"), st.n("core.ops", "op", "put"))
 	}
 }
 
@@ -107,11 +107,11 @@ func TestMultiGetSemantics(t *testing.T) {
 	}
 
 	// Empty key set: no batch counted.
-	before := s.Stats().BatchGets
+	before := reg(t, s).n("core.batch_ops", "op", "get")
 	if vals, err := th.MultiGet(nil); err != nil || len(vals) != 0 {
 		t.Fatalf("empty MultiGet: %q, %v", vals, err)
 	}
-	if got := s.Stats().BatchGets; got != before {
+	if got := reg(t, s).n("core.batch_ops", "op", "get"); got != before {
 		t.Fatalf("empty MultiGet counted: %d -> %d", before, got)
 	}
 

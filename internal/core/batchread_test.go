@@ -131,7 +131,7 @@ func TestBatchReadOverlapsExtents(t *testing.T) {
 				// the NVM and SSD channels, so the reads queue behind nothing.
 				th.Clk.AdvanceTo(1 << 40)
 				th.async.lt.Clk.AdvanceTo(1 << 40)
-				extents, ios, missed := s.Stats().VSReads, readIOs(s), misses(s)
+				extents, ios, missed := reg(t, s).n("core.read_path", "source", "vs"), readIOs(s), misses(s)
 				vals, advance := read(t, s, th, c.n)
 				if len(vals) != c.n {
 					t.Fatalf("read %d values, want %d", len(vals), c.n)
@@ -141,7 +141,7 @@ func TestBatchReadOverlapsExtents(t *testing.T) {
 						t.Fatalf("key %d: wrong value (%d bytes)", i, len(v))
 					}
 				}
-				extents = s.Stats().VSReads - extents
+				extents = reg(t, s).n("core.read_path", "source", "vs") - extents
 				switch {
 				case c.adjacent && extents >= int64(c.n):
 					t.Fatalf("%d extents for %d adjacent keys", extents, c.n)

@@ -85,7 +85,7 @@ func BenchmarkReclaimPass(b *testing.B) {
 func benchReclaimPass(b *testing.B, read bool) {
 	const records = 2000
 	r := newReclaimBench(b, records, true)
-	migrated0, admits0 := r.s.Stats().PWBLiveMigrated, r.s.Stats().ReclaimAdmits
+	migrated0, admits0 := reg(b, r.s).n("pwb.live_migrated"), reg(b, r.s).n("svc.reclaim_admits")
 	var ms0, ms1 runtime.MemStats
 	var elapsed time.Duration
 	var bytes, objects uint64
@@ -109,14 +109,14 @@ func benchReclaimPass(b *testing.B, read bool) {
 		b.StartTimer()
 	}
 	b.StopTimer()
-	n := float64(r.s.Stats().PWBLiveMigrated - migrated0)
+	n := float64(reg(b, r.s).n("pwb.live_migrated") - migrated0)
 	if n != float64(b.N*records) {
 		b.Fatalf("migrated %.0f records in %d passes of %d", n, b.N, records)
 	}
 	b.ReportMetric(float64(elapsed.Nanoseconds())/n, "ns/record")
 	b.ReportMetric(float64(bytes)/n, "B/record")
 	b.ReportMetric(float64(objects)/n, "allocs/record")
-	b.ReportMetric(float64(r.s.Stats().ReclaimAdmits-admits0)/n, "admits/record")
+	b.ReportMetric(float64(reg(b, r.s).n("svc.reclaim_admits")-admits0)/n, "admits/record")
 }
 
 // TestReclaimPassAllocs is the allocation gate of the reclaim path: a
@@ -150,9 +150,13 @@ func checkReclaimPassAllocs(t *testing.T, withSVC bool) {
 			r.load(t)
 			r.pass()
 		})
-		if st := r.s.Stats(); st.PWBLiveMigrated == 0 || st.ReclaimAdmits != 0 || st.ReclaimAdmitSkips != 0 || st.SVC.Entries != 0 || r.s.pop.read.n.Load() != 0 {
-			t.Fatalf("write-only passes migrated %d records, handed over %d (skipped %d); the cache holds %d entries, the filter %d bits",
-				st.PWBLiveMigrated, st.ReclaimAdmits, st.ReclaimAdmitSkips, st.SVC.Entries, r.s.pop.read.n.Load())
+		st := reg(t, r.s)
+		if st.n("pwb.live_migrated") == 0 || r.s.pop.read.n.Load() != 0 {
+			t.Fatalf("write-only passes migrated %d records; the filter holds %d bits", st.n("pwb.live_migrated"), r.s.pop.read.n.Load())
+		}
+		if withSVC && (st.n("svc.reclaim_admits") != 0 || st.n("svc.reclaim_admit_skips") != 0 || st.n("svc.entries") != 0) {
+			t.Fatalf("write-only passes handed over %d records (skipped %d); the cache holds %d entries",
+				st.n("svc.reclaim_admits"), st.n("svc.reclaim_admit_skips"), st.n("svc.entries"))
 		}
 		return allocs
 	}
@@ -172,13 +176,13 @@ func checkReclaimPassAllocs(t *testing.T, withSVC bool) {
 // new largest pass — the whole spread of the benchmark's bytes_per_op.)
 func TestReclaimScratchSizedOnce(t *testing.T) {
 	r := newReclaimBench(t, 1000, false) // warm-up passes of 1,000 live records; the ring holds 4,000
-	before, migrated0 := cap(r.s.reclaimers[0].live), r.s.Stats().PWBLiveMigrated
+	before, migrated0 := cap(r.s.reclaimers[0].live), reg(t, r.s).n("pwb.live_migrated")
 	for i := len(r.keys); i < 3000; i++ {
 		r.keys = append(r.keys, key(i))
 	}
 	r.load(t)
 	r.pass()
-	if got := r.s.Stats().PWBLiveMigrated - migrated0; got != 3000 {
+	if got := reg(t, r.s).n("pwb.live_migrated") - migrated0; got != 3000 {
 		t.Fatalf("the large pass migrated %d records, want 3,000", got)
 	}
 	if after := cap(r.s.reclaimers[0].live); after != before || before < 3000 {

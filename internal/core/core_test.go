@@ -116,11 +116,11 @@ func TestReclamationPreservesValues(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	st := s.Stats()
-	if st.Reclaims == 0 {
+	st := reg(t, s)
+	if st.n("pwb.reclaims") == 0 {
 		t.Fatal("no reclamation happened despite PWB overflow")
 	}
-	if st.VS.ChunksWritten == 0 {
+	if st.n("vs.chunks_written") == 0 {
 		t.Fatal("nothing migrated to Value Storage")
 	}
 	for i := 0; i < n; i++ {
@@ -142,9 +142,9 @@ func TestReclamationSkipsSupersededVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.PWBLiveMigrated >= updates/2 {
-		t.Fatalf("migrated %d of %d versions — superseded values not skipped", st.PWBLiveMigrated, updates)
+	st := reg(t, s)
+	if st.n("pwb.live_migrated") >= updates/2 {
+		t.Fatalf("migrated %d of %d versions — superseded values not skipped", st.n("pwb.live_migrated"), updates)
 	}
 	for i := updates - 5; i < updates; i++ {
 		got, err := th.Get(key(i % 5))
@@ -163,23 +163,23 @@ func TestGetServedFromSVCAfterVSRead(t *testing.T) {
 	}
 	// Force the PWB empty so reads come from VS.
 	drain(t, s)
-	before := s.Stats()
+	before := reg(t, s)
 	if _, err := th.Get(key(7)); err != nil {
 		t.Fatal(err)
 	}
-	mid := s.Stats()
-	if mid.VSReads == before.VSReads {
+	mid := reg(t, s)
+	if mid.n("core.read_path", "source", "vs") == before.n("core.read_path", "source", "vs") {
 		t.Skip("value still in PWB; cannot exercise SVC admission")
 	}
 	// Second read must hit the cache, not the SSD.
 	if _, err := th.Get(key(7)); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Stats()
-	if after.SVCHits != mid.SVCHits+1 {
-		t.Fatalf("second read missed the SVC: %+v -> %+v", mid, after)
+	after := reg(t, s)
+	if after.n("core.read_path", "source", "svc") != mid.n("core.read_path", "source", "svc")+1 {
+		t.Fatalf("second read missed the SVC: %d SVC hits before it, %d after", mid.n("core.read_path", "source", "svc"), after.n("core.read_path", "source", "svc"))
 	}
-	if after.VSReads != mid.VSReads {
+	if after.n("core.read_path", "source", "vs") != mid.n("core.read_path", "source", "vs") {
 		t.Fatal("second read went to the SSD")
 	}
 }
@@ -453,11 +453,11 @@ func TestGCUnderSpacePressure(t *testing.T) {
 			latestHot[h] = v
 		}
 	}
-	st := s.Stats()
-	if st.VS.GCRuns == 0 {
+	st := reg(t, s)
+	if st.n("vs.gc_runs") == 0 {
 		t.Fatal("GC never ran under space pressure")
 	}
-	if st.VS.GCLiveMoved == 0 {
+	if st.n("vs.gc_live_moved") == 0 {
 		t.Fatal("GC ran but migrated nothing")
 	}
 	for _, id := range coldIDs {
@@ -562,12 +562,14 @@ func TestStatsReporting(t *testing.T) {
 	th.Get(key(1))
 	th.Scan(nil, 1, func(kv KV) bool { return true })
 	th.Delete(key(1))
-	st := s.Stats()
-	if st.Puts != 1 || st.Gets != 1 || st.Scans != 1 || st.Deletes != 1 {
-		t.Fatalf("op counters: %+v", st)
+	st := reg(t, s)
+	for _, op := range []string{"put", "get", "scan", "delete"} {
+		if n := st.n("core.ops", "op", op); n != 1 {
+			t.Errorf("core.ops{op=%s} = %d, want 1", op, n)
+		}
 	}
-	if st.IndexSpaceBytes < 0 || st.HSITSpaceBytes < 0 {
-		t.Fatalf("space: %+v", st)
+	if idx, tbl := st.n("index.space_bytes"), st.n("hsit.space_bytes"); idx < 0 || tbl < 0 {
+		t.Fatalf("space: index %d, HSIT %d bytes", idx, tbl)
 	}
 }
 

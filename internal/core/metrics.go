@@ -41,8 +41,6 @@ func (s *Store) registerMetrics() {
 	s.putStallNS = r.Histogram(obs.Desc{Name: "core.put_stall_ns", Help: "virtual time a stalled put waited for its ring space (one sample per core.puts_stalled)", Unit: "ns"})
 	r.CounterFunc(obs.Desc{Name: "core.user_bytes", Help: "value payload bytes written by the application (WAF denominator)", Unit: "bytes"},
 		s.stats.userBytesWritten.Load)
-	r.GaugeFunc(obs.Desc{Name: "core.keys", Help: "live keys in the store", Unit: "keys"},
-		func() float64 { return float64(s.index.Len()) })
 	lat := func(op string) *obs.Histogram {
 		return r.Histogram(obs.Desc{Name: "core.op_latency", Help: "operation latency in virtual time", Unit: "ns",
 			Labels: map[string]string{"op": op}})
@@ -130,7 +128,7 @@ func (s *Store) registerMetrics() {
 			}
 			return float64(t)
 		})
-	r.GaugeFunc(obs.Desc{Name: "pwb.utilization", Help: "highest ring utilization (reclamation triggers above pwb.watermark)", Unit: "ratio"},
+	r.GaugeFunc(obs.Desc{Name: "pwb.utilization", Help: "highest ring utilization (reclamation triggers above pwb.watermark_effective)", Unit: "ratio"},
 		func() float64 {
 			var m float64
 			for _, b := range s.pwbs {
@@ -140,8 +138,6 @@ func (s *Store) registerMetrics() {
 			}
 			return m
 		})
-	r.GaugeFunc(obs.Desc{Name: "pwb.watermark", Help: "configured reclamation watermark (0 = adaptive)", Unit: "ratio"},
-		func() float64 { return s.opt.ReclaimWatermark })
 	r.GaugeFunc(obs.Desc{Name: "pwb.watermark_effective", Help: "reclamation trigger in force (the adaptive controller's value, or the configured watermark when fixed)", Unit: "ratio"},
 		s.effectiveWatermark)
 	r.CounterFunc(obs.Desc{Name: "pwb.bytes_appended", Help: "value payload bytes appended across rings", Unit: "bytes"},

@@ -3,9 +3,9 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/ssd"
 )
 
@@ -41,90 +41,80 @@ func runMixedWorkload(t *testing.T, st *Store) {
 	}
 }
 
-// statsTwins names the registry twin of every Stats field, by the field's
-// path: a metric and its labels, or (nil labels) the sum of the metric's
-// series, per device for the vs.* family. A field may have two twins.
-var statsTwins = []struct {
-	field, metric string
-	labels        map[string]string
-}{
-	{"Puts", "core.ops", map[string]string{"op": "put"}},
-	{"Gets", "core.ops", map[string]string{"op": "get"}},
-	{"Deletes", "core.ops", map[string]string{"op": "delete"}},
-	{"Scans", "core.ops", map[string]string{"op": "scan"}},
-	{"BatchPuts", "core.batch_ops", map[string]string{"op": "put"}},
-	{"BatchGets", "core.batch_ops", map[string]string{"op": "get"}},
-	{"AsyncPuts", "core.async_ops", map[string]string{"op": "put"}},
-	{"AsyncGets", "core.async_ops", map[string]string{"op": "get"}},
-	{"AsyncDeletes", "core.async_ops", map[string]string{"op": "delete"}},
-	{"SVCHits", "core.read_path", map[string]string{"source": "svc"}},
-	{"SVCHits", "svc.hits", nil},
-	{"PWBHits", "core.read_path", map[string]string{"source": "pwb"}},
-	{"VSReads", "core.read_path", map[string]string{"source": "vs"}},
-	{"UserBytesWritten", "core.user_bytes", nil},
-	{"Reclaims", "pwb.reclaims", nil},
-	{"PWBLiveMigrated", "pwb.live_migrated", nil},
-	{"PWBRecordsScanned", "pwb.records_scanned", nil},
-	{"ScanRewrites", "svc.scan_rewrites", nil},
-	{"ReclaimAdmits", "svc.reclaim_admits", nil},
-	{"ReclaimAdmitSkips", "svc.reclaim_admit_skips", nil},
-	{"ScanDeferred", "svc.scan_deferred", nil},
-	{"PutStalls", "core.put_stalls", nil},
-	{"PutsStalled", "core.puts_stalled", nil},
-	{"ReclaimPublishLost", "core.reclaim_publish_lost", nil},
-	{"ScanTornRecords", "pwb.scan_torn_record", nil},
-	{"IndexSpaceBytes", "index.space_bytes", nil},
-	{"HSITSpaceBytes", "hsit.space_bytes", nil},
-	{"TierHotSteeredBytes", "tier.steered_bytes", map[string]string{"class": "hot"}},
-	{"TierColdSteeredBytes", "tier.steered_bytes", map[string]string{"class": "cold"}},
-	{"TierHotFallbackBytes", "tier.fallback_bytes", map[string]string{"class": "hot"}},
-	{"TierColdFallbackBytes", "tier.fallback_bytes", map[string]string{"class": "cold"}},
-	{"TierDemotions", "tier.demotions", nil},
-	{"TierDemotedBytes", "tier.demoted_bytes", nil},
-	{"VS.ChunksWritten", "vs.chunks_written", nil},
-	{"VS.BytesWritten", "vs.bytes_written", nil},
-	{"VS.UserBytes", "vs.user_bytes", nil},
-	{"VS.GCRuns", "vs.gc_runs", nil},
-	{"VS.GCLiveMoved", "vs.gc_live_moved", nil},
-	{"VS.GCBytesMoved", "vs.gc_bytes_moved", nil},
-	{"VS.FreeChunks", "vs.free_chunks", nil},
-	{"VS.LiveChunks", "vs.live_chunks", nil},
-	{"SVC.Bytes", "svc.bytes", nil},
-	{"SVC.Entries", "svc.entries", nil},
-	{"SVC.Evictions", "svc.evictions", nil},
-	{"SVC.Promotions", "svc.promotions", nil},
-	{"SVC.ChainRewrites", "svc.chain_rewrites", nil},
-	{"SVC.TouchDrops", "svc.touch_drops", nil},
+// reading is one snapshot of a store's registry, the surface METRICS.md
+// documents and benchmark/ and operators read: tests check the counters
+// there, so a miswired series fails the test of its counter's behaviour.
+type reading struct {
+	t testing.TB
+	obs.Snapshot
 }
 
-// rareStats are the Stats fields the workload of TestMetricsMatchStats
-// need not move: faults, races and pressure it does not stage.
-var rareStats = map[string]bool{
-	"ScanRewrites": true, "SVC.ChainRewrites": true, "SVC.TouchDrops": true,
-	"ReclaimAdmitSkips": true, "ReclaimPublishLost": true, "ScanTornRecords": true,
-	"PutStalls": true, "PutsStalled": true,
-	"TierHotFallbackBytes": true, "TierColdFallbackBytes": true,
+// reg snapshots s's registry.
+func reg(t testing.TB, s *Store) reading { return reading{t, s.Metrics()} }
+
+// n sums the series named name that carry labels (key/value pairs). A
+// name or label no series has fails the test, so a mistyped name cannot
+// read as 0.
+func (r reading) n(name string, labels ...string) int64 {
+	r.t.Helper()
+	v, ok := r.Lookup(name, labels...)
+	if !ok {
+		r.t.Fatalf("no series %s%v in the registry", name, labels)
+	}
+	return int64(v)
 }
 
-// statsFields flattens v's integer fields into path → value, nested
-// structs as "Outer.Inner".
-func statsFields(v reflect.Value, prefix string, out map[string]int64) {
-	for i := 0; i < v.NumField(); i++ {
-		name := prefix + v.Type().Field(i).Name
-		if f := v.Field(i); f.Kind() == reflect.Struct {
-			statsFields(f, name+".", out)
-		} else {
-			out[name] = f.Int()
+// TestReadingRejectsUnknownSeries: the helper fails on a name no series
+// has, and on a label value no series carries, rather than reading 0.
+func TestReadingRejectsUnknownSeries(t *testing.T) {
+	s := small(t, nil)
+	for _, c := range []struct {
+		name   string
+		labels []string
+	}{{"core.opz", nil}, {"core.ops", []string{"op", "merge"}}} {
+		ft := &fatalT{TB: t}
+		func() {
+			defer func() { recover() }()
+			reg(ft, s).n(c.name, c.labels...)
+		}()
+		if !ft.failed {
+			t.Errorf("reading %s%v did not fail the test", c.name, c.labels)
 		}
+	}
+	if n := reg(t, s).n("core.ops", "op", "scan"); n != 0 {
+		t.Errorf("core.ops{op=scan} = %d on a fresh store", n)
 	}
 }
 
-// TestMetricsMatchStats runs a mixed workload — sync, batch and async ops,
-// reclaim with tier steering, GC and a demotion — and cross-checks every
-// Stats field against its registry twin (statsTwins): every number
-// surfaced through the registry must agree with the subsystem that owns
-// it, and every field has a twin.
-func TestMetricsMatchStats(t *testing.T) {
+// fatalT records a Fatalf instead of ending the test, and panics to stop
+// the caller the way FailNow would.
+type fatalT struct {
+	testing.TB
+	failed bool
+}
+
+func (f *fatalT) Helper() {}
+
+func (f *fatalT) Fatalf(string, ...any) {
+	f.failed = true
+	panic("fatal")
+}
+
+// rareSeries are the core counter series the workload of
+// TestMetricsMixedWorkload need not move: faults, races and pressure it
+// does not stage.
+var rareSeries = map[string]bool{
+	"svc.scan_rewrites": true, "svc.chain_rewrites": true, "svc.touch_drops": true,
+	"svc.reclaim_admit_skips": true, "core.reclaim_publish_lost": true, "pwb.scan_torn_record": true,
+	"core.put_stalls": true, "core.puts_stalled": true, "tier.fallback_bytes": true,
+}
+
+// TestMetricsMixedWorkload runs a mixed workload — sync, batch and async
+// ops, reclaim with tier steering, GC and a demotion — and requires it to
+// move every core counter series but the rare ones, and the derived
+// series (WAF, latency and batch-size histograms) to agree with the
+// counters they are derived from.
+func TestMetricsMixedWorkload(t *testing.T) {
 	st, err := Open(Options{
 		NumThreads:        2,
 		PWBBytesPerThread: 64 << 10,
@@ -143,9 +133,11 @@ func TestMetricsMatchStats(t *testing.T) {
 	runMixedWorkload(t, st)
 	// A value read in its ring, which no background pass takes (ring 1
 	// stays far below the trigger): draining the rings hands it to the SVC.
-	// Then collect the fast tier, fill it past half with keys written twice
-	// (hot), cool every key and demote from it until something moves, and
-	// scan every key, leaving the first-touch rows out of the SVC.
+	// Then leave chunks half live for GC — keys written once land on the
+	// capacity tier, and every other one is overwritten — and collect every
+	// device. Fill the fast tier past half with keys written twice (hot),
+	// cool every key and demote from it until something moves, and scan
+	// every key, leaving the first-touch rows out of the SVC.
 	th := st.Thread(1)
 	if err := th.Put([]byte("read-in-ring"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -153,9 +145,19 @@ func TestMetricsMatchStats(t *testing.T) {
 	mustGet(t, th, []byte("read-in-ring"))
 	st.cache.Sync()
 	drain(t, st)
-	p := st.newThread(0, nil, nil, nil)
-	st.collect(p, st.tierFast)
 	val := make([]byte, 1024)
+	for step := 1; step <= 2; step++ {
+		for i := 0; i < 256; i += step {
+			if err := th.Put([]byte(fmt.Sprintf("gc-%03d", i)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain(t, st)
+	}
+	p := st.newThread(0, nil, nil, nil)
+	for dev := range st.vsm.Stores {
+		st.collect(p, dev)
+	}
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 300; i++ {
 			if err := th.Put([]byte(fmt.Sprintf("hot-%03d", i)), val); err != nil {
@@ -166,7 +168,7 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 	st.pop.clear()
 	fast := st.vsm.Stores[st.tierFast]
-	for cursor, step := 0, 0; st.stats.tierDemotions.Load() == 0; step++ {
+	for cursor, step := 0, 0; reg(t, st).n("tier.demotions") == 0; step++ {
 		if step == 64 {
 			t.Fatalf("nothing demoted from the fast tier, %d of its %d chunks free", fast.FreeChunks(), fast.Chunks())
 		}
@@ -175,7 +177,7 @@ func TestMetricsMatchStats(t *testing.T) {
 	if err := th.Scan(nil, 0, func(KV) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	single := st.Stats() // the ops after this are batch and async ones
+	single := reg(t, st) // the ops after this are batch and async ones
 	kvs := []KV{{Key: []byte("batch-1"), Value: []byte("v1")}, {Key: []byte("batch-2"), Value: []byte("v2")}}
 	if err := th.PutBatch(kvs); err != nil {
 		t.Fatal(err)
@@ -188,41 +190,29 @@ func TestMetricsMatchStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Stop every background pass and the cache manager: the two readings
-	// below then see the same counters.
+	// Stop every background pass and the cache manager: the counters
+	// stand still from here.
 	st.Close()
 
-	snap := st.Metrics()
-	stats := st.Stats()
-	fields := map[string]int64{}
-	statsFields(reflect.ValueOf(stats), "", fields)
-	twinned := map[string]bool{}
-	for _, tw := range statsTwins {
-		want, ok := fields[tw.field]
-		if !ok {
-			t.Errorf("statsTwins names %s, which Stats does not have", tw.field)
+	// A per-device series moves on some device: only the fast tier is
+	// collected.
+	snap := reg(t, st)
+	moved := map[string]bool{}
+	for _, m := range snap.Metrics {
+		if m.Type != obs.TypeCounter || rareSeries[m.Name] {
 			continue
 		}
-		twinned[tw.field] = true
-		got := snap.Sum(tw.metric)
-		if tw.labels != nil {
-			m, ok := snap.Get(tw.metric, tw.labels)
-			if !ok {
-				t.Errorf("metric %s%v not in snapshot", tw.metric, tw.labels)
-				continue
+		id := m.Name
+		for k, v := range m.Labels {
+			if k != "device" {
+				id += fmt.Sprintf("{%s=%s}", k, v)
 			}
-			got = m.Value
 		}
-		if int64(got) != want {
-			t.Errorf("%s%v = %v, Stats.%s says %d", tw.metric, tw.labels, got, tw.field, want)
-		}
-		if want == 0 && !rareStats[tw.field] {
-			t.Errorf("Stats.%s is 0: the workload does not reach it", tw.field)
-		}
+		moved[id] = moved[id] || m.Value != 0
 	}
-	for f := range fields {
-		if !twinned[f] {
-			t.Errorf("Stats.%s has no registry twin in statsTwins", f)
+	for id, ok := range moved {
+		if !ok {
+			t.Errorf("%s is 0: the workload does not reach it", id)
 		}
 	}
 
@@ -239,7 +229,8 @@ func TestMetricsMatchStats(t *testing.T) {
 		t.Fatal("ssd.waf (aggregate row) missing")
 	}
 	waf := wafM.Value
-	want := float64(devBytes) / float64(stats.UserBytesWritten)
+	userBytes := snap.n("core.user_bytes")
+	want := float64(devBytes) / float64(userBytes)
 	if diff := waf - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("ssd.waf = %v, want %v", waf, want)
 	}
@@ -249,7 +240,7 @@ func TestMetricsMatchStats(t *testing.T) {
 
 	// Per-device WAF rows: each device's acked bytes over the user bytes
 	// first landed there, and the denominators must sum to what the
-	// reclaimers attributed (a subset of UserBytesWritten — values still
+	// reclaimers attributed (a subset of core.user_bytes — values still
 	// in the PWB ring or superseded before migration never land).
 	var attributed int64
 	for i, d := range st.SSDs() {
@@ -271,12 +262,13 @@ func TestMetricsMatchStats(t *testing.T) {
 			t.Errorf("ssd.waf%v = %v, want %v", lbl, m.Value, dw)
 		}
 	}
-	if attributed == 0 || attributed > stats.UserBytesWritten {
-		t.Errorf("per-device user bytes attributed = %d, want in (0, %d]", attributed, stats.UserBytesWritten)
+	if attributed == 0 || attributed > userBytes {
+		t.Errorf("per-device user bytes attributed = %d, want in (0, %d]", attributed, userBytes)
 	}
 
 	// Latency histograms must have one sample per single sync operation.
-	for op, n := range map[string]int64{"put": single.Puts, "get": single.Gets, "scan": single.Scans} {
+	for _, op := range []string{"put", "get", "scan"} {
+		n := single.n("core.ops", "op", op)
 		m, ok := snap.Get("core.op_latency", map[string]string{"op": op})
 		if !ok || m.Hist == nil {
 			t.Fatalf("core.op_latency{op=%s} missing or not a histogram", op)
@@ -303,7 +295,7 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 
 	// The whole snapshot must serialize to valid JSON and round-trip.
-	raw, err := json.Marshal(snap)
+	raw, err := json.Marshal(snap.Snapshot)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -319,7 +311,7 @@ func TestMetricsMatchStats(t *testing.T) {
 }
 
 // Regression: Crash drops the SVC, so the svc.* gauges read the cache
-// through the accessor Stats uses: a crashed store's Metrics reads them
+// through one load of its pointer: a crashed store's Metrics reads them
 // as 0 instead of dereferencing nil, and after Recover they follow the
 // fresh cache.
 func TestMetricsAfterCrash(t *testing.T) {

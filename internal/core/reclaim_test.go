@@ -39,14 +39,14 @@ func pass(p *Thread) uint64 {
 func mustReadFromVS(t *testing.T, s *Store, n int) {
 	t.Helper()
 	th := s.Thread(0)
-	before := s.Stats().VSReads
+	before := reg(t, s).n("core.read_path", "source", "vs")
 	for i := 0; i < n; i++ {
 		got, err := th.Get(key(i))
 		if err != nil || !bytes.Equal(got, value(i)) {
 			t.Fatalf("key %d = %q, %v", i, got, err)
 		}
 	}
-	if got := s.Stats().VSReads - before; got != int64(n) {
+	if got := reg(t, s).n("core.read_path", "source", "vs") - before; got != int64(n) {
 		t.Fatalf("%d of %d reads came from Value Storage", got, n)
 	}
 }
@@ -80,10 +80,10 @@ func TestReclaimScansEachRecordOnce(t *testing.T) {
 	if tail := s.pwbs[0].Tail(); tail != 0 {
 		t.Fatalf("tail moved to %d with an epoch pinned", tail)
 	}
-	st := s.Stats()
-	if st.Reclaims != passes || st.PWBRecordsScanned != passes*perPass || st.PWBLiveMigrated != passes*perPass {
+	st := reg(t, s)
+	if st.n("pwb.reclaims") != passes || st.n("pwb.records_scanned") != passes*perPass || st.n("pwb.live_migrated") != passes*perPass {
 		t.Fatalf("%d passes scanned %d records and migrated %d; %d were appended",
-			st.Reclaims, st.PWBRecordsScanned, st.PWBLiveMigrated, passes*perPass)
+			st.n("pwb.reclaims"), st.n("pwb.records_scanned"), st.n("pwb.live_migrated"), passes*perPass)
 	}
 
 	// Grace over: the grants land, and the next pass folds them in.
@@ -93,7 +93,7 @@ func TestReclaimScansEachRecordOnce(t *testing.T) {
 	if b := s.pwbs[0]; b.Tail() != b.Head() {
 		t.Fatalf("tail %d, head %d after the grants applied", b.Tail(), b.Head())
 	}
-	if got := s.Stats().PWBRecordsScanned; got != passes*perPass {
+	if got := reg(t, s).n("pwb.records_scanned"); got != passes*perPass {
 		t.Fatalf("an empty pass scanned: %d records", got)
 	}
 	mustReadFromVS(t, s, passes*perPass)
@@ -132,8 +132,8 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 		if cursor := pass(p); cursor != 0 {
 			t.Fatalf("cursor moved to %d though nothing could migrate", cursor)
 		}
-		if st := s.Stats(); st.PWBRecordsScanned != n || st.PWBLiveMigrated != 0 {
-			t.Fatalf("failed pass scanned %d, migrated %d", st.PWBRecordsScanned, st.PWBLiveMigrated)
+		if st := reg(t, s); st.n("pwb.records_scanned") != n || st.n("pwb.live_migrated") != 0 {
+			t.Fatalf("failed pass scanned %d, migrated %d", st.n("pwb.records_scanned"), st.n("pwb.live_migrated"))
 		}
 		for _, w := range held {
 			w.Abort()
@@ -141,8 +141,8 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 		if cursor := pass(p); cursor != s.pwbs[0].Head() {
 			t.Fatalf("retry left the cursor at %d, head %d", cursor, s.pwbs[0].Head())
 		}
-		if st := s.Stats(); st.PWBRecordsScanned != 2*n || st.PWBLiveMigrated != n {
-			t.Fatalf("retry: scanned %d in total, migrated %d", st.PWBRecordsScanned, st.PWBLiveMigrated)
+		if st := reg(t, s); st.n("pwb.records_scanned") != 2*n || st.n("pwb.live_migrated") != n {
+			t.Fatalf("retry: scanned %d in total, migrated %d", st.n("pwb.records_scanned"), st.n("pwb.live_migrated"))
 		}
 		mustReadFromVS(t, s, n)
 	})
@@ -159,15 +159,15 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 		if cursor := pass(p); cursor != 0 {
 			t.Fatalf("cursor moved to %d past a torn header", cursor)
 		}
-		if st := s.Stats(); st.ScanTornRecords != 1 || st.PWBLiveMigrated != 0 {
-			t.Fatalf("torn pass: %d torn, %d migrated", st.ScanTornRecords, st.PWBLiveMigrated)
+		if st := reg(t, s); st.n("pwb.scan_torn_record") != 1 || st.n("pwb.live_migrated") != 0 {
+			t.Fatalf("torn pass: %d torn, %d migrated", st.n("pwb.scan_torn_record"), st.n("pwb.live_migrated"))
 		}
 		s.nvmDev.Store(nil, magicOff, good)
 		if cursor := pass(p); cursor != s.pwbs[0].Head() {
 			t.Fatalf("retry left the cursor at %d, head %d", cursor, s.pwbs[0].Head())
 		}
-		if st := s.Stats(); st.PWBLiveMigrated != n {
-			t.Fatalf("retry migrated %d of %d", st.PWBLiveMigrated, n)
+		if st := reg(t, s); st.n("pwb.live_migrated") != n {
+			t.Fatalf("retry migrated %d of %d", st.n("pwb.live_migrated"), n)
 		}
 		mustReadFromVS(t, s, n)
 	})
@@ -198,12 +198,12 @@ func TestReclaimCursorFailurePaths(t *testing.T) {
 		}
 		mustReadFromVS(t, s, n)
 		// The new incarnation's first pass starts at the new ring's start.
-		scanned := s.Stats().PWBRecordsScanned
+		scanned := reg(t, s).n("pwb.records_scanned")
 		if err := s.Thread(0).Put(key(0), value(0)); err != nil {
 			t.Fatal(err)
 		}
 		pass(p)
-		if got := s.Stats().PWBRecordsScanned - scanned; got != 1 {
+		if got := reg(t, s).n("pwb.records_scanned") - scanned; got != 1 {
 			t.Fatalf("first pass after recovery scanned %d records, want 1", got)
 		}
 		if ptr := s.table.Load(nil, mustIdx(t, s, 0)); ptr.Media != hsit.VS {
@@ -271,11 +271,11 @@ func TestReclaimerOffPutCriticalPath(t *testing.T) {
 	})
 	const keys, puts = 4_000, 40_000
 	nsPerPut := churn(t, s, keys, puts)
-	st := s.Stats()
-	nsPerRecord := float64(s.stats.reclaimNS.Load()) / float64(st.PWBLiveMigrated)
-	stalled := float64(st.PutsStalled) / float64(st.Puts)
+	st := reg(t, s)
+	nsPerRecord := float64(st.n("pwb.reclaim_ns")) / float64(st.n("pwb.live_migrated"))
+	stalled := float64(st.n("core.puts_stalled")) / float64(st.n("core.ops", "op", "put"))
 	t.Logf("%.0f virtual ns per put, %.0f per migrated record (%d passes, %d records); %d of %d puts stalled (%.3f%%), %d found the ring full",
-		nsPerPut, nsPerRecord, st.Reclaims, st.PWBLiveMigrated, st.PutsStalled, st.Puts, 100*stalled, st.PutStalls)
+		nsPerPut, nsPerRecord, st.n("pwb.reclaims"), st.n("pwb.live_migrated"), st.n("core.puts_stalled"), st.n("core.ops", "op", "put"), 100*stalled, st.n("core.put_stalls"))
 	if nsPerRecord > 2_000 || nsPerRecord >= nsPerPut {
 		t.Errorf("the reclaimer spends %.0f virtual ns per migrated record; a put takes %.0f and the budget is 2000", nsPerRecord, nsPerPut)
 	}

@@ -182,7 +182,7 @@ func TestClaimersInsideSettle(t *testing.T) {
 				r.s.pop.wrote(mustIdx(t, r.s, k))
 			}
 			deadline := time.Now().Add(5 * time.Second)
-			for cursor := 0; r.s.stats.tierDemotions.Load() == 0; {
+			for cursor := 0; reg(t, r.s).n("tier.demotions") == 0; {
 				if time.Now().After(deadline) {
 					t.Fatal("nothing demoted from a half-full fast tier of cooled keys")
 				}
@@ -367,7 +367,7 @@ func TestRelocationChargesSwingsAfterWrite(t *testing.T) {
 			s.pop.again.clear()
 		}, func(t *testing.T, s *Store, p *Thread) {
 			s.demoteStep(p, 0)
-			if s.stats.tierDemotions.Load() == 0 {
+			if reg(t, s).n("tier.demotions") == 0 {
 				t.Fatal("nothing demoted from a half-full fast tier of cooled keys")
 			}
 		}},
@@ -484,10 +484,12 @@ func TestUndrivenPassesStartAtThePresent(t *testing.T) {
 		idx := mustIdxOf(t, s, coldKey(k))
 		chain.Entries = append(chain.Entries, &svc.Entry{HSITIdx: idx, Value: value(k), Ver: s.table.Version(idx)})
 	}
-	rewrites := s.Stats().ScanRewrites
+	// svc.scan_rewrites is registered with the cache, which this store
+	// lacks: the rewrite called by hand is counted on its atomic.
+	rewrites := s.stats.scanRewrites.Load()
 	rewriter := s.newThread(0, sim.NewRNG(1), nil, nil)
 	check("onScanEvict", rewriter, func() { s.onScanEvict(rewriter, chain) })
-	if got := s.Stats().ScanRewrites - rewrites; got != 1 {
+	if got := s.stats.scanRewrites.Load() - rewrites; got != 1 {
 		t.Errorf("%d scan-range rewrites, want 1", got)
 	}
 
@@ -580,21 +582,21 @@ func TestGCChurnStress(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	st := s.Stats()
+	st := reg(t, s)
 	t.Logf("%d puts, %d reclaims, %d GC runs moving %d values, %d scan rewrites",
-		st.Puts, st.Reclaims, st.VS.GCRuns, st.VS.GCLiveMoved, st.ScanRewrites)
+		st.n("core.ops", "op", "put"), st.n("pwb.reclaims"), st.n("vs.gc_runs"), st.n("vs.gc_live_moved"), st.n("svc.scan_rewrites"))
 	// What the reclaimer costs the puts with GC and the rewrite competing
 	// for the devices (TestReclaimerOffPutCriticalPath gates it with both
 	// held off): logged, not gated — the mix of work done in the budget
 	// is the host's.
 	waits, _ := s.Metrics().Get("core.put_stall_ns", nil)
 	t.Logf("%d puts (%.3f%%) waited for ring space, %.0f virtual ns each on average; %d attempts found a ring full; the reclaimers spent %d virtual ns per migrated record",
-		st.PutsStalled, 100*float64(st.PutsStalled)/float64(st.Puts), waits.Hist.Mean,
-		st.PutStalls, s.stats.reclaimNS.Load()/max(st.PWBLiveMigrated, 1))
+		st.n("core.puts_stalled"), 100*float64(st.n("core.puts_stalled"))/float64(st.n("core.ops", "op", "put")), waits.Hist.Mean,
+		st.n("core.put_stalls"), st.n("pwb.reclaim_ns")/max(st.n("pwb.live_migrated"), 1))
 	// 40 MiB devices reach the GC threshold after some 20,000 puts: a
 	// plain run does many times that in its budget; under the race
 	// detector the budget can end first.
-	if st.VS.GCRuns == 0 && st.Puts >= 50_000 {
+	if st.n("vs.gc_runs") == 0 && st.n("core.ops", "op", "put") >= 50_000 {
 		t.Error("GC never ran: the stress did not reach its subject")
 	}
 	if err := s.Close(); err != nil {

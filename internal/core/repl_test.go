@@ -275,7 +275,7 @@ func TestStampRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Nonzero stamps grow with every put so each is the newest.
-			if err := op.do(th, ts*uint64(1000+s.Stats().Puts)); err != nil {
+			if err := op.do(th, ts*uint64(1000+reg(t, s).n("core.ops", "op", "put"))); err != nil {
 				t.Errorf("%s(ts=%d) = %v, want nil", op.name, ts, err)
 			}
 		}

@@ -40,7 +40,7 @@ func TestScanSortRewrite(t *testing.T) {
 	// scan row enters the SVC (and its range's chain) on its second touch,
 	// so a range scanned once is never chained and never rewritten.
 	scanReads := func() int64 {
-		before := s.Stats().VSReads
+		before := reg(t, s).n("core.read_path", "source", "vs")
 		count := 0
 		if err := th.Scan([]byte("a000050"), 40, func(kv KV) bool { count++; return true }); err != nil {
 			t.Fatal(err)
@@ -48,14 +48,14 @@ func TestScanSortRewrite(t *testing.T) {
 		if count != 40 {
 			t.Fatalf("scan visited %d", count)
 		}
-		return s.Stats().VSReads - before
+		return reg(t, s).n("core.read_path", "source", "vs") - before
 	}
 	first := scanReads()
 	if again := scanReads(); again != first {
 		t.Fatalf("the second scan read %d extents, the first %d: nothing has moved yet", again, first)
 	}
-	if st := s.Stats(); st.ScanDeferred != 40 || st.SVC.Entries != 40 {
-		t.Fatalf("after two scans of 40 rows: %d rows deferred, %d entries cached; want 40 and 40", st.ScanDeferred, st.SVC.Entries)
+	if st := reg(t, s); st.n("svc.scan_deferred") != 40 || st.n("svc.entries") != 40 {
+		t.Fatalf("after two scans of 40 rows: %d rows deferred, %d entries cached; want 40 and 40", st.n("svc.scan_deferred"), st.n("svc.entries"))
 	}
 	for i := 1; i <= 4000; i++ {
 		if _, err := th.Get([]byte(fmt.Sprintf("b%06d", i%filler+1))); err != nil {
@@ -66,7 +66,7 @@ func TestScanSortRewrite(t *testing.T) {
 		s.cache.Sync()
 	}
 	s.em.Barrier()
-	if s.Stats().ScanRewrites == 0 {
+	if reg(t, s).n("svc.scan_rewrites") == 0 {
 		t.Fatal("scan-range rewrite never fired")
 	}
 	second := scanReads()

@@ -50,13 +50,13 @@ func TestPutNeverPrecedesItsSpace(t *testing.T) {
 				i, before, releasedAt, end)
 		}
 	}
-	st := s.Stats()
+	st := reg(t, s)
 	t.Logf("%d of %d puts landed in space released after their clock's time; %d counted stalled, %d attempts found the ring full",
-		bound, puts, st.PutsStalled, st.PutStalls)
-	if st.PutsStalled < int64(bound) {
-		t.Fatalf("core.puts_stalled = %d, but %d puts waited", st.PutsStalled, bound)
+		bound, puts, st.n("core.puts_stalled"), st.n("core.put_stalls"))
+	if st.n("core.puts_stalled") < int64(bound) {
+		t.Fatalf("core.puts_stalled = %d, but %d puts waited", st.n("core.puts_stalled"), bound)
 	}
-	if m, ok := s.Metrics().Get("core.put_stall_ns", nil); !ok || m.Hist.Count != st.PutsStalled || m.Hist.Sum <= 0 {
+	if m, ok := s.Metrics().Get("core.put_stall_ns", nil); !ok || m.Hist.Count != st.n("core.puts_stalled") || m.Hist.Sum <= 0 {
 		t.Fatalf("core.put_stall_ns = %+v, want one sample per stalled put", m.Hist)
 	}
 }
@@ -95,7 +95,7 @@ func TestStalledPutParks(t *testing.T) {
 		}
 		p.clock = th.Clk.Now()
 		go func() { p.done <- th.Put(key(0), val) }()
-		for s.Stats().PutStalls == 0 {
+		for reg(t, s).n("core.put_stalls") == 0 {
 			runtime.Gosched()
 		}
 		select {
@@ -103,7 +103,7 @@ func TestStalledPutParks(t *testing.T) {
 			t.Fatalf("put returned %v with the ring full and every grant held back", err)
 		case <-time.After(20 * time.Millisecond):
 		}
-		if n := s.Stats().PutStalls; n != 1 {
+		if n := reg(t, s).n("core.put_stalls"); n != 1 {
 			t.Fatalf("the sleeping put made %d attempts", n)
 		}
 		return p
@@ -131,8 +131,8 @@ func TestStalledPutParks(t *testing.T) {
 		}
 		// One attempt slept, one appended; the clock moved by one put and,
 		// at most, the wait for the reclaimer's virtual time.
-		if st := p.s.Stats(); st.PutStalls != 1 {
-			t.Fatalf("%d attempts found the ring full", st.PutStalls)
+		if st := reg(t, p.s); st.n("core.put_stalls") != 1 {
+			t.Fatalf("%d attempts found the ring full", st.n("core.put_stalls"))
 		}
 		if th.Clk.Now() <= p.clock {
 			t.Fatal("the put charged nothing")

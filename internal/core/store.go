@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -258,6 +257,8 @@ type vsReader interface {
 	Read(at int64, reqs ...ssd.Request) int64
 }
 
+// statsCounters are the store's own counters. They are read only through
+// the registry (registerMetrics), the one surface METRICS.md documents.
 type statsCounters struct {
 	puts, gets, deletes, scans    atomic.Int64
 	batchPuts, batchGets          atomic.Int64
@@ -523,93 +524,6 @@ func (s *Store) stopForeground() {
 	}
 	for _, t := range s.threads {
 		t.async.stop()
-	}
-}
-
-// Stats is a point-in-time snapshot of store-level counters.
-type Stats struct {
-	Puts, Gets, Deletes, Scans int64
-	BatchPuts, BatchGets       int64
-	AsyncPuts, AsyncGets       int64
-	AsyncDeletes               int64
-	SVCHits, PWBHits, VSReads  int64
-	UserBytesWritten           int64
-	Reclaims, PWBLiveMigrated  int64
-	PWBRecordsScanned          int64
-	ScanRewrites               int64
-	ReclaimAdmits              int64
-	ReclaimAdmitSkips          int64
-	ScanDeferred               int64
-	PutStalls, PutsStalled     int64
-	ReclaimPublishLost         int64
-	ScanTornRecords            int64
-	IndexSpaceBytes            int64
-	HSITSpaceBytes             int64
-	TierHotSteeredBytes        int64
-	TierColdSteeredBytes       int64
-	TierHotFallbackBytes       int64
-	TierColdFallbackBytes      int64
-	TierDemotions              int64
-	TierDemotedBytes           int64
-	VS                         valuestore.Stats
-	SVC                        svc.Stats
-}
-
-// Add folds b into a: every integer field, the nested VS and SVC ones
-// included, is summed. It walks the struct, so a counter added to Stats is
-// summed by the router (shard.Store.Stats) without being listed again.
-func (a *Stats) Add(b Stats) { addInts(reflect.ValueOf(a).Elem(), reflect.ValueOf(b)) }
-
-func addInts(dst, src reflect.Value) {
-	for i := 0; i < dst.NumField(); i++ {
-		switch f := dst.Field(i); f.Kind() {
-		case reflect.Struct:
-			addInts(f, src.Field(i))
-		case reflect.Int, reflect.Int64:
-			f.SetInt(f.Int() + src.Field(i).Int())
-		default:
-			panic("core: Stats field of a kind Add does not sum: " + f.Kind().String())
-		}
-	}
-}
-
-// Stats returns current counters.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Puts:                  s.stats.puts.Load(),
-		Gets:                  s.stats.gets.Load(),
-		BatchPuts:             s.stats.batchPuts.Load(),
-		BatchGets:             s.stats.batchGets.Load(),
-		AsyncPuts:             s.stats.asyncPuts.Load(),
-		AsyncGets:             s.stats.asyncGets.Load(),
-		AsyncDeletes:          s.stats.asyncDeletes.Load(),
-		Deletes:               s.stats.deletes.Load(),
-		Scans:                 s.stats.scans.Load(),
-		SVCHits:               s.stats.svcHits.Load(),
-		PWBHits:               s.stats.pwbHits.Load(),
-		VSReads:               s.stats.vsReads.Load(),
-		UserBytesWritten:      s.stats.userBytesWritten.Load(),
-		Reclaims:              s.stats.reclaims.Load(),
-		PWBLiveMigrated:       s.stats.pwbLiveMigrated.Load(),
-		PWBRecordsScanned:     s.stats.pwbScanned.Load(),
-		ScanRewrites:          s.stats.scanRewrites.Load(),
-		ReclaimAdmits:         s.stats.reclaimAdmits.Load(),
-		ReclaimAdmitSkips:     s.stats.reclaimAdmitSkips.Load(),
-		ScanDeferred:          s.stats.scanDeferred.Load(),
-		PutStalls:             s.stats.putStalls.Load(),
-		PutsStalled:           s.stats.putsStalled.Load(),
-		ReclaimPublishLost:    s.stats.reclaimPublishLost.Load(),
-		ScanTornRecords:       s.stats.scanTornRecords.Load(),
-		TierHotSteeredBytes:   s.stats.tierHotSteered.Load(),
-		TierColdSteeredBytes:  s.stats.tierColdSteered.Load(),
-		TierHotFallbackBytes:  s.stats.tierHotFallback.Load(),
-		TierColdFallbackBytes: s.stats.tierColdFallback.Load(),
-		TierDemotions:         s.stats.tierDemotions.Load(),
-		TierDemotedBytes:      s.stats.tierDemotedBytes.Load(),
-		IndexSpaceBytes:       s.index.SpaceBytes(),
-		HSITSpaceBytes:        s.table.SpaceBytes(),
-		VS:                    s.vsm.Stats(),
-		SVC:                   s.svcStats(),
 	}
 }
 

@@ -164,10 +164,10 @@ func TestScanRowsResolveOverlapped(t *testing.T) {
 	}
 
 	s, th := residentStore(t, rows)
-	hits := s.Stats().PWBHits
+	hits := reg(t, s).n("core.read_path", "source", "pwb")
 	advance := scan(th)
 	t.Logf("%d PWB-resident rows: %d virtual ns", rows, advance)
-	if n := s.Stats().PWBHits - hits; n != rows {
+	if n := reg(t, s).n("core.read_path", "source", "pwb") - hits; n != rows {
 		t.Fatalf("%d of %d rows came from the PWB", n, rows)
 	}
 	if advance > 12_000 {
@@ -179,11 +179,11 @@ func TestScanRowsResolveOverlapped(t *testing.T) {
 	drain(t, s)
 	scan(th)
 	scan(th)
-	hits = s.Stats().SVCHits
+	hits = reg(t, s).n("core.read_path", "source", "svc")
 	th.Clk.AdvanceTo(th.Clk.Now() + 1<<30) // past the SSD reads' and the admissions' reservations
 	advance = scan(th)
 	t.Logf("%d SVC-resident rows: %d virtual ns", rows, advance)
-	if n := s.Stats().SVCHits - hits; n != rows {
+	if n := reg(t, s).n("core.read_path", "source", "svc") - hits; n != rows {
 		t.Fatalf("%d of %d rows came from the SVC", n, rows)
 	}
 	if advance > 9_000 {
@@ -216,12 +216,13 @@ func TestMultiGetCostsWhatAWindowCosts(t *testing.T) {
 			}
 		}
 		keys[n-1] = []byte("a-missing")
-		svc, pwb, vs := s.Stats().SVCHits, s.Stats().PWBHits, s.Stats().VSReads
+		r0 := reg(t, s)
+		svc, pwb, vs := r0.n("core.read_path", "source", "svc"), r0.n("core.read_path", "source", "pwb"), r0.n("core.read_path", "source", "vs")
 		t.Cleanup(func() {
-			st := s.Stats()
-			if st.SVCHits-svc != n/4 || st.PWBHits-pwb != n/4 || st.VSReads-vs == 0 {
+			st := reg(t, s)
+			if st.n("core.read_path", "source", "svc")-svc != n/4 || st.n("core.read_path", "source", "pwb")-pwb != n/4 || st.n("core.read_path", "source", "vs")-vs == 0 {
 				t.Errorf("%d SVC hits, %d PWB hits, %d extents read: the keys are not of mixed residency",
-					st.SVCHits-svc, st.PWBHits-pwb, st.VSReads-vs)
+					st.n("core.read_path", "source", "svc")-svc, st.n("core.read_path", "source", "pwb")-pwb, st.n("core.read_path", "source", "vs")-vs)
 			}
 		})
 		th.Clk.AdvanceTo(1 << 40)
@@ -356,7 +357,7 @@ func TestWindowStallMidWindow(t *testing.T) {
 			}
 		}
 		drain(t, s)
-		reclaims := s.Stats().Reclaims
+		reclaims := reg(t, s).n("pwb.reclaims")
 		pin := s.em.Register()
 		pin.Enter()
 		w.unpin = sync.OnceFunc(pin.Exit)
@@ -378,7 +379,7 @@ func TestWindowStallMidWindow(t *testing.T) {
 		// once the pass has closed its publish window, and by then the pass
 		// has read its batch: what is complete now is what completed before
 		// the window left its epoch.
-		for deadline := time.Now().Add(10 * time.Second); s.Stats().Reclaims == reclaims; runtime.Gosched() {
+		for deadline := time.Now().Add(10 * time.Second); reg(t, s).n("pwb.reclaims") == reclaims; runtime.Gosched() {
 			if time.Now().After(deadline) {
 				t.Fatal("no put of the window found the ring full")
 			}

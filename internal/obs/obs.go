@@ -367,16 +367,33 @@ func (s Snapshot) Value(name string) (v float64, ok bool) {
 	return v, n == 1
 }
 
-// Sum adds the values of every series with the given name (e.g. a
-// per-device counter summed across devices).
-func (s Snapshot) Sum(name string) float64 {
-	var t float64
-	for _, m := range s.Metrics {
-		if m.Name == name {
-			t += m.Value
-		}
-	}
+// Sum adds the values of every series with the given name that carries
+// each of labels, given as key/value pairs (e.g. a per-device counter
+// summed across devices, or Sum("core.ops", "op", "scan") across shards).
+func (s Snapshot) Sum(name string, labels ...string) float64 {
+	t, _ := s.Lookup(name, labels...)
 	return t
+}
+
+// Lookup is Sum that also reports whether any series matched, so a
+// reader can tell a series at 0 from a name or label no series has.
+func (s Snapshot) Lookup(name string, labels ...string) (sum float64, ok bool) {
+	if len(labels)%2 != 0 {
+		panic("obs: labels must be key/value pairs")
+	}
+next:
+	for _, m := range s.Metrics {
+		if m.Name != name {
+			continue
+		}
+		for i := 0; i < len(labels); i += 2 {
+			if v, has := m.Labels[labels[i]]; !has || v != labels[i+1] {
+				continue next
+			}
+		}
+		sum, ok = sum+m.Value, true
+	}
+	return sum, ok
 }
 
 // Names returns the sorted, de-duplicated metric names in the snapshot.

@@ -131,6 +131,43 @@ func TestSnapshotStableAndJSON(t *testing.T) {
 	}
 }
 
+// TestSumByLabels: Sum keeps the series that carry every given label pair,
+// whatever other labels they have, and Lookup tells a series at 0 from a
+// name or label no series has.
+func TestSumByLabels(t *testing.T) {
+	r := NewRegistry()
+	for _, l := range []map[string]string{{"op": "scan", "shard": "0"}, {"op": "scan", "shard": "1"}, {"op": "get", "shard": "0"}} {
+		n := int64(len(l["op"]) + len(l["shard"]))
+		r.CounterFunc(Desc{Name: "c.ops", Labels: l}, func() int64 { return n })
+	}
+	r.Counter(Desc{Name: "c.idle"})
+	s := r.Snapshot()
+	for _, c := range []struct {
+		labels []string
+		want   float64
+		ok     bool
+	}{
+		{nil, 14, true},
+		{[]string{"op", "scan"}, 10, true},
+		{[]string{"shard", "0", "op", "get"}, 4, true},
+		{[]string{"op", "put"}, 0, false},
+		{[]string{"device", "ssd0"}, 0, false},
+	} {
+		if got, ok := s.Lookup("c.ops", c.labels...); got != c.want || ok != c.ok {
+			t.Errorf("Lookup(c.ops, %v) = %v, %v; want %v, %v", c.labels, got, ok, c.want, c.ok)
+		}
+		if got := s.Sum("c.ops", c.labels...); got != c.want {
+			t.Errorf("Sum(c.ops, %v) = %v, want %v", c.labels, got, c.want)
+		}
+	}
+	if v, ok := s.Lookup("c.idle"); v != 0 || !ok {
+		t.Errorf("Lookup(c.idle) = %v, %v; a series at 0 is still a series", v, ok)
+	}
+	if _, ok := s.Lookup("c.opz"); ok {
+		t.Error("Lookup matched a name no series has")
+	}
+}
+
 func TestNilRegistryNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter(Desc{Name: "x"})

@@ -28,11 +28,11 @@ func TestShardAsyncFanout(t *testing.T) {
 	}
 	// Every shard should have seen a slice of the stream.
 	for j := 0; j < s.NumShards(); j++ {
-		if n := s.Shard(j).Stats().AsyncPuts; n == 0 {
+		if n := reg(t, s.Shard(j)).n("core.async_ops", "op", "put"); n == 0 {
 			t.Fatalf("shard %d saw no async puts", j)
 		}
 	}
-	if n := s.Stats().AsyncPuts; n != ops {
+	if n := reg(t, s).n("core.async_ops", "op", "put"); n != ops {
 		t.Fatalf("summed AsyncPuts = %d, want %d", n, ops)
 	}
 	// Flush folded the makespan: the router clock covers every shard's

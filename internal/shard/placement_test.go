@@ -353,7 +353,7 @@ func TestMigrationDeltaReadsOnlyTheDelta(t *testing.T) {
 	}
 	src := s.RangeOwner(0)
 	gets := map[string]int64{}
-	s.migHook = func(stage string) { gets[stage] = s.Shard(src).Stats().AsyncGets }
+	s.migHook = func(stage string) { gets[stage] = reg(t, s.Shard(src)).n("core.async_ops", "op", "get") }
 	err := s.MigrateRange(0, 1-src)
 	s.migHook = nil
 	if err != nil {
@@ -400,11 +400,11 @@ func TestRebalanceRangesFromHash(t *testing.T) {
 		}
 	}
 	// A narrow scan now touches only the owning shard.
-	pre := s.Shard(0).Stats().Scans + s.Shard(1).Stats().Scans + s.Shard(2).Stats().Scans + s.Shard(3).Stats().Scans
+	pre := reg(t, s).n("core.ops", "op", "scan") // summed over the shards
 	if err := th.Scan(key(10), 5, func(core.KV) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	post := s.Shard(0).Stats().Scans + s.Shard(1).Stats().Scans + s.Shard(2).Stats().Scans + s.Shard(3).Stats().Scans
+	post := reg(t, s).n("core.ops", "op", "scan")
 	if post-pre != 1 {
 		t.Fatalf("narrow scan issued %d shard scans, want 1", post-pre)
 	}

@@ -827,7 +827,7 @@ func TestMetricsWhileShardCrashed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for tries, hits := 0, s.Shard(1).Stats().SVCHits; s.Shard(1).Stats().SVCHits == hits; tries++ {
+		for tries, hits := 0, reg(t, s.Shard(1)).n("core.read_path", "source", "svc"); reg(t, s.Shard(1)).n("core.read_path", "source", "svc") == hits; tries++ {
 			if tries == 100 {
 				t.Fatal("shard 1 never served k from its SVC")
 			}

@@ -76,40 +76,36 @@ func TestMergedScanReadsEachRowOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			all := func(int) bool { return true }
-			scan := func() core.Stats {
-				before := s.Stats()
+			scan := func() reading {
+				before := s.Metrics()
 				scanRows(t, th, 1024, 50, all)
-				after := s.Stats()
-				return core.Stats{
-					Scans:        after.Scans - before.Scans,
-					SVCHits:      after.SVCHits - before.SVCHits,
-					PWBHits:      after.PWBHits - before.PWBHits,
-					VSReads:      after.VSReads - before.VSReads,
-					ScanDeferred: after.ScanDeferred - before.ScanDeferred,
-				}
+				return reading{t, s.Metrics().Delta(before)}
+			}
+			rows := func(r reading) (svc, pwb, vs int64) {
+				return r.n("core.read_path", "source", "svc"), r.n("core.read_path", "source", "pwb"), r.n("core.read_path", "source", "vs")
 			}
 			cold := scan()
-			if cold.VSReads != 50 || cold.ScanDeferred != 50 || cold.SVCHits+cold.PWBHits != 0 {
+			if svc, pwb, vs := rows(cold); vs != 50 || cold.n("svc.scan_deferred") != 50 || svc+pwb != 0 {
 				t.Errorf("cold: %d rows from flash (%d first touches), %d from the SVC, %d from the PWB; want 50 (50), 0, 0",
-					cold.VSReads, cold.ScanDeferred, cold.SVCHits, cold.PWBHits)
+					vs, cold.n("svc.scan_deferred"), svc, pwb)
 			}
-			if cold.Scans != int64(tc.asked) {
-				t.Errorf("cold: %d shards asked, want %d", cold.Scans, tc.asked)
+			if n := cold.n("core.ops", "op", "scan"); n != int64(tc.asked) {
+				t.Errorf("cold: %d shards asked, want %d", n, tc.asked)
 			}
 			// Each shard admits a row on its second touch there, and the
 			// covering set rotates: a few scans and every row is cached
 			// wherever the scan reads it.
-			var warm core.Stats
+			var warm reading
 			for i := 0; i < 4*tc.shards; i++ {
-				if warm = scan(); warm.VSReads == 0 {
+				if warm = scan(); warm.n("core.read_path", "source", "vs") == 0 {
 					break
 				}
 			}
-			if warm.SVCHits != 50 || warm.VSReads+warm.PWBHits != 0 {
-				t.Errorf("warm: %d rows from the SVC, %d from flash, %d from the PWB; want 50, 0, 0", warm.SVCHits, warm.VSReads, warm.PWBHits)
+			if svc, pwb, vs := rows(warm); svc != 50 || vs+pwb != 0 {
+				t.Errorf("warm: %d rows from the SVC, %d from flash, %d from the PWB; want 50, 0, 0", svc, vs, pwb)
 			}
-			if warm.Scans != int64(tc.asked) {
-				t.Errorf("warm: %d shards asked, want %d", warm.Scans, tc.asked)
+			if n := warm.n("core.ops", "op", "scan"); n != int64(tc.asked) {
+				t.Errorf("warm: %d shards asked, want %d", n, tc.asked)
 			}
 		})
 	}
@@ -162,7 +158,7 @@ func TestScanCover(t *testing.T) {
 		}
 		share := float64(scans) * float64((tc.shards+tc.replicas-1)/tc.replicas) / float64(tc.shards)
 		for j := 0; j < tc.shards; j++ {
-			if got := float64(s.Shard(j).Stats().Scans); got < 0.9*share || got > 1.1*share {
+			if got := float64(reg(t, s.Shard(j)).n("core.ops", "op", "scan")); got < 0.9*share || got > 1.1*share {
 				t.Errorf("%dx%d: shard %d was asked by %.0f of %d scans, want %.0f +-10%%", tc.shards, tc.replicas, j, got, scans, share)
 			}
 		}

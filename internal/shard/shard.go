@@ -376,25 +376,11 @@ func (s *Store) Recover() (core.RecoveryReport, error) {
 	return rep, nil
 }
 
-// Stats sums the per-shard counters into one store-level snapshot.
-func (s *Store) Stats() core.Stats {
-	var t core.Stats
-	for _, cs := range s.shards {
-		t.Add(cs.Stats())
-	}
-	return t
-}
-
 // WriteAmp reports (SSD bytes written, user bytes written) summed over
 // every shard's device set.
 func (s *Store) WriteAmp() (device, user int64) {
-	for _, cs := range s.shards {
-		for _, d := range cs.SSDs() {
-			device += d.Stats().BytesWritten
-		}
-		user += cs.Stats().UserBytesWritten
-	}
-	return device, user
+	m := s.Metrics()
+	return int64(m.Sum("ssd.bytes_written")), int64(m.Sum("core.user_bytes"))
 }
 
 // sync folds shard j's thread clock into the router thread's makespan

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -39,6 +40,30 @@ func small(t *testing.T, shards int, mutate func(*core.Options)) *Store {
 
 func key(i int) []byte   { return []byte(fmt.Sprintf("user%08d", i)) }
 func value(i int) []byte { return []byte(fmt.Sprintf("value-%08d-%032d", i, i)) }
+
+// reading is one snapshot of a registry — the router's, whose core series
+// carry a shard label once there are several shards, or one shard's.
+type reading struct {
+	t testing.TB
+	obs.Snapshot
+}
+
+// reg snapshots s's registry.
+func reg(t testing.TB, s interface{ Metrics() obs.Snapshot }) reading {
+	return reading{t, s.Metrics()}
+}
+
+// n sums the series named name that carry labels (key/value pairs), over
+// shards and devices. A name or label no series has fails the test, so a
+// mistyped name cannot read as 0.
+func (r reading) n(name string, labels ...string) int64 {
+	r.t.Helper()
+	v, ok := r.Lookup(name, labels...)
+	if !ok {
+		r.t.Fatalf("no series %s%v in the registry", name, labels)
+	}
+	return int64(v)
+}
 
 // Placement must be a pure function of the key bytes and the shard
 // count: two independently opened stores agree on every key, and jump
@@ -512,19 +537,19 @@ func TestRoutedOpAllocs(t *testing.T) {
 			}
 		}
 		k := key(0)
-		for hits := s.Stats().SVCHits; s.Stats().SVCHits == hits; {
+		for hits := reg(t, s).n("core.read_path", "source", "svc"); reg(t, s).n("core.read_path", "source", "svc") == hits; {
 			if _, err := th.Get(k); err != nil {
 				t.Fatal(err)
 			}
 		}
-		hits := s.Stats().SVCHits
+		hits := reg(t, s).n("core.read_path", "source", "svc")
 		const runs = 1000
 		got := testing.AllocsPerRun(runs, func() {
 			if _, err := th.Get(k); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if n := s.Stats().SVCHits - hits; n != runs+1 { // AllocsPerRun warms up once
+		if n := reg(t, s).n("core.read_path", "source", "svc") - hits; n != runs+1 { // AllocsPerRun warms up once
 			t.Fatalf("%d of %d reads hit the SVC", n, runs+1)
 		}
 		if got != getAllocsSVC {

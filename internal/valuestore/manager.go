@@ -93,23 +93,6 @@ func (m *Manager) IsValid(global uint64) bool {
 	return s.IsValid(local)
 }
 
-// Stats sums the per-store counters.
-func (m *Manager) Stats() Stats {
-	var t Stats
-	for _, s := range m.Stores {
-		st := s.Stats()
-		t.ChunksWritten += st.ChunksWritten
-		t.BytesWritten += st.BytesWritten
-		t.UserBytes += st.UserBytes
-		t.GCRuns += st.GCRuns
-		t.GCLiveMoved += st.GCLiveMoved
-		t.GCBytesMoved += st.GCBytesMoved
-		t.FreeChunks += st.FreeChunks
-		t.LiveChunks += st.LiveChunks
-	}
-	return t
-}
-
 // BeginRecovery clears all volatile chunk state before a post-crash
 // rebuild (§5.5). The caller must be quiescent.
 func (m *Manager) BeginRecovery() {

@@ -131,9 +131,6 @@ type KV = core.KV
 // polls. All methods are safe from any goroutine, repeatedly.
 type Handle = core.Handle
 
-// Stats is a snapshot of store counters.
-type Stats = core.Stats
-
 // Metrics is the store's observability snapshot: every registered metric
 // with a stable name, labels, and value, JSON-serializable and sorted.
 // Obtain one with (*Store).Metrics(); METRICS.md documents every name.
