@@ -33,7 +33,7 @@ test:
 # such gets outstanding (§4.5), and TestClaimersInsideSettle and
 # TestRelocationChargesSwingsAfterWrite for GC and demotion claiming
 # chunks from inside every relocation caller's settle, and every caller
-# charging its swings after its write, beside the live background loops
+# charging its swings after its write, overlapped, beside the live background loops
 # (the demotion row of the first races maintenanceLoop's own pass by
 # design; DESIGN.md §4.12), and TestPublishActsOnTheCurrentWord and
 # TestPrefetchedPublishStress in internal/hsit for a writer whose entry is
@@ -118,7 +118,8 @@ bench:
 # the router — 50 and 2 at 3 shards x 2 replicas, 50 and 4 at 4 x 1: each
 # row read once, a covering set of the shards walked. The
 # second line is the reclaim path's: BenchmarkReclaimPass prints wall ns,
-# heap bytes, heap objects and SVC hand-offs per migrated record for a
+# virtual ns (pwb.reclaim_ns, from the writer's present as a kick starts
+# a pass), heap bytes, heap objects and SVC hand-offs per migrated record for a
 # write-only pass and for one whose every record was read first (an entry
 # and a value copy each), beside its AllocsPerRun gates (a pass nobody
 # reads behind allocates per chunk written, not per record — with the

@@ -23,8 +23,9 @@ import (
 const asyncIssueNS = 120
 
 // frame is the overlap frame, core's one way of keeping independent steps
-// in flight together: an admission window's operations, a Scan's rows and
-// a MultiGet's keys all run through it. Each step is issued asyncIssueNS
+// in flight together: an admission window's operations, a Scan's rows, a
+// MultiGet's keys, a reclaim pass's HSIT checks and every relocation's
+// pointer swings (swing) all run through it. Each step is issued asyncIssueNS
 // after the one before on the base clock — the thread's own, parked
 // meanwhile — and runs on the thread's stage clock forked there, so fixed
 // device latencies (NVM load/store latency, flush waits) overlap across
@@ -108,6 +109,21 @@ func (f *frame) readBatch(scan bool) int64 {
 	t.readVSBatch(t.pending, scan)
 	t.pending = t.pending[:0]
 	return f.settle()
+}
+
+// swing runs one record's settle — a relocation's conditional HSIT swing
+// and its bookkeeping, on t.Clk — as a step of f, after settleHook. It is
+// every WriteChunk settle callback's one body: the chunk write advanced the
+// base clock, so each swing is issued after the write it points into, and
+// the swings of a chunk overlap one another and the next chunk's write.
+func (f *frame) swing(settle func() bool) bool {
+	f.step()
+	if settleHook != nil {
+		settleHook(f.t)
+	}
+	ok := settle()
+	f.land()
+	return ok
 }
 
 // join closes the frame: the thread is back on its base clock, advanced

@@ -96,7 +96,7 @@ type reclaimer struct {
 // the only copies are ring → chunk buffer → device.
 //
 // The pass reclaims ring t.id on t's clock and RNG: the ring's pass
-// thread, or under SyncVSWrites the ring's owner.
+// thread, or under SyncVSWrites the owner's (reclaimInline).
 func (s *Store) reclaimBuffer(t *Thread) {
 	r := &s.reclaimers[t.id]
 	r.mu.Lock()
@@ -124,9 +124,14 @@ func (s *Store) reclaimBuffer(t *Thread) {
 	// (per-record latency would overstate a streaming read by ~300x).
 	s.nvmDev.ChargeRead(clk, int(to-from))
 	var scanned int64
+	// Each record's HSIT check is a step of one overlap frame: the loads are
+	// independent, so their latencies overlap and only the issue is serial.
+	f := t.fork()
 	err := b.Scan(nil, from, to, func(rec pwb.Record) bool {
 		scanned++
-		p := s.table.Load(clk, rec.HSITIdx)
+		f.step()
+		p := s.table.Load(t.Clk, rec.HSITIdx)
+		f.land()
 		// Well-coupled check (§5.2): forward and backward pointers refer
 		// to each other. Ill-coupled records are superseded garbage and
 		// are skipped — only the latest version reaches the SSD, which
@@ -136,6 +141,7 @@ func (s *Store) reclaimBuffer(t *Thread) {
 		}
 		return true
 	})
+	f.join()
 	if cap(live) > cap(r.live) {
 		// The scratch grew: take it at once to what a full ring of records
 		// this size holds. How large a pass gets depends on how far the
@@ -205,10 +211,24 @@ func (s *Store) reclaimBuffer(t *Thread) {
 	}
 }
 
+// reclaimInline is SyncVSWrites' reclaim pass: the ring's owner t runs it
+// itself, from its own time and with its own device picks, and absorbs it.
+// It runs on t's inline pass thread, not on t: the pass opens overlap
+// frames, and t may be a step of one (an async window's put).
+func (t *Thread) reclaimInline() {
+	if t.inline == nil {
+		t.inline = t.s.newThread(t.id, t.rng, nil, nil)
+	}
+	p := t.inline
+	p.Clk.Reset(t.Clk.Now())
+	t.s.reclaimBuffer(p)
+	t.Clk.AdvanceTo(p.Clk.Now())
+}
+
 // settleHook is a test seam: when set, it runs at the top of every settle
-// callback in this package — after a chunk's device write, before the
-// record's HSIT pointer swings to it — with the thread of the pass that
-// settles, on that pass's goroutine.
+// step (frame.swing) — after a chunk's device write, before the record's
+// HSIT pointer swings to it — with the thread of the pass that settles, on
+// that pass's goroutine; t.Clk is the step's clock.
 var settleHook func(t *Thread)
 
 // migrate writes recs — well-coupled PWB records, Old their ring offset,
@@ -225,43 +245,44 @@ var settleHook func(t *Thread)
 // how many free chunks a store keeps back: gcReserve for the reclaimer,
 // or GC can wedge; nothing for recovery, which has to finish for the
 // store to come back and runs with GC stopped. It returns false when no
-// device has space, with recs partly migrated. It runs on t's clock and
-// picks devices with t's RNG.
+// device has space, with recs partly migrated. It runs on t's clock, its
+// swings steps of one frame, and picks devices with t's RNG.
 func (s *Store) migrate(t *Thread, recs []valuestore.Move, target int, hot bool, reserve func(*valuestore.Store) int) bool {
 	var devIdx int
 	var st *valuestore.Store
 	clk := t.Clk
+	f := t.fork()
+	defer f.join()
 	settle := func(i int, e valuestore.Entry) bool {
-		if settleHook != nil {
-			settleHook(t)
-		}
-		if target >= 0 {
-			steered := devIdx == target
-			switch {
-			case hot && steered:
-				s.stats.tierHotSteered.Add(int64(e.ValueLen))
-			case hot:
-				s.stats.tierHotFallback.Add(int64(e.ValueLen))
-			case steered:
-				s.stats.tierColdSteered.Add(int64(e.ValueLen))
-			default:
-				s.stats.tierColdFallback.Add(int64(e.ValueLen))
+		return f.swing(func() bool {
+			if target >= 0 {
+				steered := devIdx == target
+				switch {
+				case hot && steered:
+					s.stats.tierHotSteered.Add(int64(e.ValueLen))
+				case hot:
+					s.stats.tierHotFallback.Add(int64(e.ValueLen))
+				case steered:
+					s.stats.tierColdSteered.Add(int64(e.ValueLen))
+				default:
+					s.stats.tierColdFallback.Add(int64(e.ValueLen))
+				}
 			}
-		}
-		old := hsit.Pointer{Media: hsit.PWB, Len: e.ValueLen, Off: recs[i].Old}
-		newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
-		ver, ok := s.table.PublishIf(clk, e.HSITIdx, old, newp)
-		if !ok {
-			// A foreground write superseded this value mid-flight.
-			s.stats.reclaimPublishLost.Add(1)
-			return false
-		}
-		s.stats.pwbLiveMigrated.Add(1)
-		// First landing of this user value on an SSD: credit the
-		// per-device WAF denominator.
-		st.AttributeUserBytes(int64(e.ValueLen))
-		s.handOff(clk, e.HSITIdx, ver, recs[i].Value)
-		return true
+			old := hsit.Pointer{Media: hsit.PWB, Len: e.ValueLen, Off: recs[i].Old}
+			newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
+			ver, ok := s.table.PublishIf(t.Clk, e.HSITIdx, old, newp)
+			if !ok {
+				// A foreground write superseded this value mid-flight.
+				s.stats.reclaimPublishLost.Add(1)
+				return false
+			}
+			s.stats.pwbLiveMigrated.Add(1)
+			// First landing of this user value on an SSD: credit the
+			// per-device WAF denominator.
+			st.AttributeUserBytes(int64(e.ValueLen))
+			s.handOff(t.Clk, e.HSITIdx, ver, recs[i].Value)
+			return true
+		})
 	}
 	for len(recs) > 0 {
 		devIdx = target
@@ -325,24 +346,24 @@ func (s *Store) gcPass(t *Thread) {
 func (s *Store) collect(t *Thread, dev int) bool {
 	st := s.vsm.Stores[dev]
 	before := st.FreeChunks()
-	freed := st.GC(t.Clk, 4, s.relocate(t, dev, dev))
+	f := t.fork()
+	freed := st.GC(t.Clk, 4, s.relocate(&f, dev, dev))
+	f.join()
 	s.em.Collect()
 	return freed > 0 && st.FreeChunks() > before
 }
 
-// relocate is GC's and demotion's settle: it runs settleHook, then swings
-// idx's HSIT pointer from record oldLocal of device from to newLocal of
-// device to on t's clock, which the pass's WriteChunk has advanced past
-// the write the new pointer points into.
-func (s *Store) relocate(t *Thread, from, to int) func(idx, oldLocal, newLocal uint64, vlen int) bool {
+// relocate is GC's and demotion's settle, a swing of f, the frame their
+// pass opened on its thread: it swings idx's HSIT pointer from record
+// oldLocal of device from to newLocal of device to.
+func (s *Store) relocate(f *frame, from, to int) func(idx, oldLocal, newLocal uint64, vlen int) bool {
 	return func(idx, oldLocal, newLocal uint64, vlen int) bool {
-		if settleHook != nil {
-			settleHook(t)
-		}
-		_, ok := s.table.PublishIf(t.Clk, idx,
-			hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(from, oldLocal)},
-			hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(to, newLocal)})
-		return ok
+		return f.swing(func() bool {
+			_, ok := s.table.PublishIf(f.t.Clk, idx,
+				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(from, oldLocal)},
+				hsit.Pointer{Media: hsit.VS, Len: vlen, Off: valuestore.GlobalOff(to, newLocal)})
+			return ok
+		})
 	}
 }
 
@@ -405,20 +426,21 @@ func (s *Store) onScanEvict(t *Thread, chain svc.EvictedChain) {
 	s.lastRewrite = clk.Now()
 
 	devIdx, st := s.vsm.PickIdle(t.rng)
+	f := t.fork()
+	defer f.join()
 	for wrote := false; len(todo) > 0; wrote = true {
 		n, err := st.WriteChunk(clk, s.gcReserve(st), todo, func(i int, e valuestore.Entry) bool {
-			if settleHook != nil {
-				settleHook(t)
-			}
-			newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
-			// Version-conditioned publish: the old offset may have been
-			// recycled since staging, so a pointer-word compare could
-			// alias (ABA) and clobber a newer value. The version cannot.
-			if !s.table.PublishIfVersion(clk, e.HSITIdx, vers[i], newp) {
-				return false
-			}
-			s.vsm.Invalidate(todo[i].Old, e.ValueLen)
-			return true
+			return f.swing(func() bool {
+				newp := hsit.Pointer{Media: hsit.VS, Len: e.ValueLen, Off: valuestore.GlobalOff(devIdx, e.LocalOff)}
+				// Version-conditioned publish: the old offset may have been
+				// recycled since staging, so a pointer-word compare could
+				// alias (ABA) and clobber a newer value. The version cannot.
+				if !s.table.PublishIfVersion(t.Clk, e.HSITIdx, vers[i], newp) {
+					return false
+				}
+				s.vsm.Invalidate(todo[i].Old, e.ValueLen)
+				return true
+			})
 		})
 		if err != nil {
 			if !wrote {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -163,5 +164,51 @@ func TestWriteCrossingTheTriggerDecaysItOnce(t *testing.T) {
 				t.Fatalf("one write across the trigger left it at %.4f, want %.4f (one decay)", got, want)
 			}
 		})
+	}
+}
+
+// TestInlineReclaimInsideAsyncWindow: under SyncVSWrites the put of an
+// async window that takes the ring past a chunk runs the reclaim pass
+// inline, from inside its step of the window's frame. The pass opens frames
+// of its own, so it runs on a pass thread of the ring's owner: opened on
+// the window's thread they would nest in its frame and drop the window's
+// Value Storage batch, under the get that waits for it.
+func TestInlineReclaimInsideAsyncWindow(t *testing.T) {
+	s := small(t, func(o *Options) {
+		o.NumThreads = 1
+		o.SyncVSWrites = true
+		o.DisableSVC = true // the get below is served from Value Storage
+	})
+	th := s.Thread(0)
+	put := func(i int) {
+		if err := th.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		put(i)
+	}
+	drain(t, s) // keys 0-49 on flash, the ring empty
+	for i := 50; i < 150; i++ {
+		put(i) // published, not yet scanned: ~6 KiB, under a chunk
+	}
+	reclaims := reg(t, s).n("pwb.reclaims")
+	var got *Handle
+	oneWindow(th, func() {
+		got = th.GetAsync(key(0))
+		for i := 0; i < 12; i++ { // 12 KiB: the ring crosses the 16 KiB chunk
+			th.PutAsync(key(1000+i), kib(i))
+		}
+	})
+	if reg(t, s).n("pwb.reclaims") == reclaims {
+		t.Fatal("no pass ran inside the window")
+	}
+	if v, err := got.Value(); err != nil || !bytes.Equal(v, value(0)) {
+		t.Fatalf("the window's get of a flash-resident key = %.16q, %v", v, err)
+	}
+	for i := 0; i < 150; i++ {
+		if v, err := th.Get(key(i)); err != nil || !bytes.Equal(v, value(i)) {
+			t.Fatalf("key %d = %.16q, %v", i, v, err)
+		}
 	}
 }

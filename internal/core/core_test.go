@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/hsit"
@@ -245,7 +245,8 @@ func TestScanReturnsOrderedRange(t *testing.T) {
 // Regression: a counted scan whose rows are deleted between its walk and
 // its row reads walks on, so it returns a full page while the store holds
 // one. It used to return a short page, which the router's range scan read
-// as the end of the range and skipped the rest of it.
+// as the end of the range and skipped the rest of it. scanHook deletes the
+// odd keys of the page the walk found, every time, before a row is read.
 func TestScanPageSurvivesConcurrentDeletes(t *testing.T) {
 	s := small(t, nil)
 	th, churn := s.Thread(0), s.Thread(1)
@@ -254,23 +255,31 @@ func TestScanPageSurvivesConcurrentDeletes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var stop atomic.Bool
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		for i := 0; !stop.Load(); i++ {
-			k := key(2*(i%100) + 1) // odd keys come and go
-			if err := errors.Join(churn.Delete(k), churn.Put(k, value(1))); err != nil {
-				t.Error(err)
-				return
+	const page = 19
+	t.Cleanup(func() { scanHook = nil })
+	for _, start := range []int{60, 120} {
+		scanHook = func(*Thread) {
+			for k := start + 1; k < start+page; k += 2 {
+				if err := churn.Delete(key(k)); err != nil {
+					t.Error(err)
+				}
 			}
 		}
-	}()
-	defer func() { stop.Store(true); <-stopped }()
-	for i := 0; i < 2000; i++ {
-		n := 0
-		if err := th.Scan(key(60), 19, func(KV) bool { n++; return true }); err != nil || n != 19 {
-			t.Fatalf("scan %d returned %d rows of 19 (%v), with 70 keys it never deletes after its start", i, n, err)
+		var got []string
+		if err := th.Scan(key(start), page, func(kv KV) bool { got = append(got, string(kv.Key)); return true }); err != nil {
+			t.Fatal(err)
+		}
+		scanHook = nil
+		// The page's even keys, then the rows after it the walk moved on to.
+		var want []string
+		for k := start; len(want) < page; k++ {
+			if k < start+page && k%2 != start%2 {
+				continue
+			}
+			want = append(want, string(key(k)))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("scan from %s with its odd keys deleted under it returned %d rows of %d: %q, want %q", key(start), len(got), page, got, want)
 		}
 	}
 }

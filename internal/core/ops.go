@@ -112,7 +112,7 @@ func (t *Thread) reserve(n int) bool {
 		// reclamation started too late — lower the trigger.
 		s.adaptWatermark(false)
 		if s.opt.SyncVSWrites {
-			s.reclaimBuffer(t)
+			t.reclaimInline()
 		} else {
 			kick(s.reclaimChs[t.id], t.Clk.Now())
 		}
@@ -213,7 +213,7 @@ func (t *Thread) writeAndPublish(idx uint64, value []byte, clearPending bool) er
 		// Ablation: no asynchronous bandwidth-optimized write — the
 		// application thread migrates PWB contents to Value Storage on
 		// its own clock, putting the SSD write on the critical path.
-		s.reclaimBuffer(t)
+		t.reclaimInline()
 	}
 	return nil
 }
@@ -234,7 +234,7 @@ func (t *Thread) maybeKickReclaim() {
 		// signal: the trigger shrinks until pass cost stops dominating
 		// the stalled put's latency.
 		t.s.adaptWatermark(false)
-		t.s.reclaimBuffer(t)
+		t.reclaimInline()
 		t.s.em.Collect()
 		return
 	}
@@ -495,6 +495,9 @@ func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 		return true
 	}
 	t.walk(start, count, collect)
+	if scanHook != nil {
+		scanHook(t)
+	}
 	for n, want := 0, count; ; {
 		// An item deleted between the walk and its row step keeps a nil val
 		// and is skipped. A counted scan it left short walks on past its
@@ -523,6 +526,10 @@ func (t *Thread) Scan(start []byte, count int, fn func(kv KV) bool) error {
 	}
 	return nil
 }
+
+// scanHook is a test seam: when set, it runs in every Scan between the
+// index walk and the row step, on the scanning thread's goroutine.
+var scanHook func(t *Thread)
 
 // ScanKeys is the first half of a scan on its own: the key index walk — no
 // HSIT, SVC, PWB or SSD access — visiting up to count keys >= start in key

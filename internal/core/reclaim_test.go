@@ -259,8 +259,9 @@ func churn(t *testing.T, s *Store, keys, puts int) (nsPerPut float64) {
 // TestReclaimerOffPutCriticalPath is §5.2's promise as a gate: with two
 // threads overwriting 1 KiB values and a background reclaimer per ring,
 // a reclaimer spends less virtual time on a record than a put does —
-// and no more than 2,000 ns — so it keeps up, and fewer than one put in
-// a hundred reaches ring space the reclaimer has not released yet.
+// and no more than 1,000 ns: its HSIT checks and pointer swings overlap —
+// so it keeps up, and fewer than one put in a hundred reaches ring space
+// the reclaimer has not released yet.
 func TestReclaimerOffPutCriticalPath(t *testing.T) {
 	s := small(t, func(o *Options) {
 		o.PWBBytesPerThread = 1 << 20
@@ -276,8 +277,8 @@ func TestReclaimerOffPutCriticalPath(t *testing.T) {
 	stalled := float64(st.n("core.puts_stalled")) / float64(st.n("core.ops", "op", "put"))
 	t.Logf("%.0f virtual ns per put, %.0f per migrated record (%d passes, %d records); %d of %d puts stalled (%.3f%%), %d found the ring full",
 		nsPerPut, nsPerRecord, st.n("pwb.reclaims"), st.n("pwb.live_migrated"), st.n("core.puts_stalled"), st.n("core.ops", "op", "put"), 100*stalled, st.n("core.put_stalls"))
-	if nsPerRecord > 2_000 || nsPerRecord >= nsPerPut {
-		t.Errorf("the reclaimer spends %.0f virtual ns per migrated record; a put takes %.0f and the budget is 2000", nsPerRecord, nsPerPut)
+	if nsPerRecord > 1_000 || nsPerRecord >= nsPerPut {
+		t.Errorf("the reclaimer spends %.0f virtual ns per migrated record; a put takes %.0f and the budget is 1000", nsPerRecord, nsPerPut)
 	}
 	if stalled >= 0.01 {
 		t.Errorf("%.2f%% of puts waited for reclamation", 100*stalled)

@@ -310,6 +310,10 @@ type Thread struct {
 	// Clk points at it while a step is in flight.
 	stage sim.Clock
 
+	// inline is the pass thread a ring's owner runs its reclaim passes on
+	// under SyncVSWrites (reclaimInline); built on the first.
+	inline *Thread
+
 	// Batch-read scratch of Scan, MultiGet and the async pass, reused
 	// across calls (a Thread is single-owner, so per-thread reuse is
 	// race-free and keeps batch reads allocation-flat): one item per key,

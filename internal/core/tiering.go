@@ -143,8 +143,10 @@ func (s *Store) demoteStep(t *Thread, cursor int) int {
 	}
 	t.Clk.AdvanceTo(s.nvmDev.Now())
 	capSt := s.vsm.Stores[s.tierCap]
+	f := t.fork()
 	next, moved, bytes := fastSt.DemoteChunk(t.Clk, cursor, capSt, s.gcReserve(capSt),
-		func(idx uint64) bool { return !s.hotIdx(idx) }, s.relocate(t, s.tierFast, s.tierCap))
+		func(idx uint64) bool { return !s.hotIdx(idx) }, s.relocate(&f, s.tierFast, s.tierCap))
+	f.join()
 	if moved > 0 {
 		s.stats.tierDemotions.Add(int64(moved))
 		s.stats.tierDemotedBytes.Add(bytes)
