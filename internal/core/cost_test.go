@@ -48,9 +48,13 @@ func (c *costModel) read(n int) int64 {
 }
 func (c *costModel) entry() int64 { return c.read(hsit.EntrySize) }
 
-// cas is an 8-byte atomic store or CAS; store a cached store of n bytes;
-// persist the flush of that many dirty lines plus the fence.
-func (c *costModel) cas() int64 { return c.nvm.WriteLatency + sim.TransferNS(8, c.nvm.WriteBandwidth) }
+// write is an n-byte store through the channel, cas the 8-byte atomic
+// store or CAS; store a cached store of n bytes; persist the flush of that
+// many dirty lines plus the fence.
+func (c *costModel) write(n int) int64 {
+	return c.nvm.WriteLatency + sim.TransferNS(n, c.nvm.WriteBandwidth)
+}
+func (c *costModel) cas() int64 { return c.write(8) }
 func (c *costModel) store(n int) int64 {
 	return c.nvm.WriteLatency + sim.TransferNS(n, nvm.CacheFillBandwidth)
 }
@@ -58,23 +62,35 @@ func (c *costModel) persist(lines int) int64 {
 	return int64(1+lines)*c.nvm.FlushLatency + sim.TransferNS(lines*nvm.LineSize, c.nvm.WriteBandwidth) + c.nvm.FenceLatency
 }
 
-// appendRec is pwb.Buffer.Append of an n-byte value at device offset off:
-// header store, value store, persist of the lines the record covers.
-func (c *costModel) appendRec(off uint64, n int) int64 {
+// body and seal are pwb.Buffer.AppendSplit of an n-byte value at device
+// offset off. The body is the value's store and the writeback of the
+// record's lines after the header's; the seal is the header's store and
+// the persist of its line, which pays the flush's own latency. Together
+// they are the unsplit Append.
+func (c *costModel) body(off uint64, n int) int64 {
 	const header = 16
-	lines := int((off+header+uint64(n)-1)/nvm.LineSize - off/nvm.LineSize + 1)
-	return c.store(header) + c.store(n) + c.persist(lines)
+	after := int((off+header+uint64(n)-1)/nvm.LineSize - off/nvm.LineSize)
+	return c.store(n) + int64(after)*c.nvm.FlushLatency + sim.TransferNS(after*nvm.LineSize, c.nvm.WriteBandwidth)
 }
+func (c *costModel) seal() int64                       { return c.store(16) + c.persist(1) }
+func (c *costModel) appendRec(off uint64, n int) int64 { return c.body(off, n) + c.seal() }
+
+// alloc is an HSIT entry's allocation: two word stores and their persist.
+func (c *costModel) alloc() int64 { return 2*c.cas() + c.persist(1) }
 
 // publish is the dirty-bit install of an entry whose line is already
 // there: CAS, persist, CAS.
 func (c *costModel) publish() int64 { return c.cas() + c.persist(1) + c.cas() }
 
-// put is an update of a key whose record landed at off: lookup, append,
-// publish — the entry's read is issued after the lookup and is back before
-// the append is done. A key with no cached copy: nothing to unpublish.
-func (c *costModel) put(lookup int64, off uint64, n int) int64 {
-	return lookup + c.appendRec(off, n) + c.publish()
+// put is a put of an n-byte value whose record landed at off, from its
+// room's reservation to its publish (DESIGN.md §3.5). Two branches run from
+// the put's start: find is the key index lookup, and an insert's Alloc
+// after it; the other is the record's body. The seal starts when both have
+// ended, and the publish waits for the seal and for the read of the word
+// it CASes, issued when find ended. A key with no cached copy: nothing to
+// unpublish. An insert then pays its key index insert on top.
+func (c *costModel) put(find int64, off uint64, n int) int64 {
+	return max(max(find, c.body(off, n))+c.seal(), find+c.read(8)) + c.publish()
 }
 
 // pwbGet is a read served from the PWB; vsGet one served from Value
@@ -101,32 +117,62 @@ func svcHandle(s *Store, idx uint64) uint64 {
 	return h
 }
 
-// TestPutCostIsLookupAppendPublish: an operation pays NVM read latency for
-// its HSIT entry once (DESIGN.md §3.5). On a quiet store, with the clock
-// past every reservation, an update put advances the clock by exactly
-// lookup + append + CAS + persist + CAS — the read of the word it CASes
-// was issued when the lookup returned and is hidden behind the append, and
-// the SVC word comes with the line the CAS owns — and a get served from the
-// PWB by exactly lookup + one entry read + the value read.
+// TestPutCostIsLookupAppendPublish: a put's record body needs nothing its
+// key index lookup finds, so the two overlap (DESIGN.md §3.5). On a quiet
+// store, with the clock past every reservation, a put advances the clock by
+// exactly max(lookup, body) + seal + publish: CAS, persist, CAS — the read
+// of the word it CASes was issued when the lookup returned and is back
+// before the seal is done, and the SVC word comes with the line the CAS
+// owns — unless the read outlasts the seal. Three puts pin it: a 1 KiB
+// update, whose body is the longer branch; an 8-byte update, whose lookup
+// is, so the entry's read is what the publish waits for; and a 1 KiB
+// insert, whose Alloc is on the lookup's branch and hidden behind the body.
+// A get served from the PWB costs exactly lookup + one entry read + the
+// value read.
 func TestPutCostIsLookupAppendPublish(t *testing.T) {
 	s, th := residentStore(t, 16)
 	c := costsOf(s, th.Clk.Now())
+	for _, tc := range []struct {
+		name       string
+		k, v       []byte
+		insert     bool
+		bodyLonger bool
+	}{
+		{"1 KiB update", aKey(5), kib(99), false, true},
+		{"8-byte update", aKey(6), []byte("8 bytes!"), false, false},
+		{"1 KiB insert", aKey(100), kib(100), true, true},
+	} {
+		lookup, space := c.lookup(tc.k), s.index.SpaceBytes()
+		t0, loads := th.Clk.Now(), s.NVM().Stats().Loads
+		if err := th.Put(tc.k, tc.v); err != nil {
+			t.Fatal(err)
+		}
+		put, putLoads := th.Clk.Now()-t0, s.NVM().Stats().Loads-loads
+		off, n := pwbOff(t, s, tc.k), len(tc.v)
+		find, want := lookup, int64(0)
+		if tc.insert {
+			// The key index insert: the lookup's walk again, then the node's write.
+			find += c.alloc()
+			want = lookup + c.write(int(s.index.SpaceBytes()-space))
+		}
+		want += c.put(find, off, n)
+		t.Logf("%s: %d ns = max(find %d, body %d) + seal %d + publish %d (CAS %d, persist %d, CAS %d); word read %d; index insert %d",
+			tc.name, put, find, c.body(off, n), c.seal(), c.publish(), c.cas(), c.persist(1), c.cas(), c.read(8), want-c.put(find, off, n))
+		if body := c.body(off, n); (body > find) != tc.bodyLonger {
+			t.Fatalf("%s: body %d ns against lookup %d: not the case the test means", tc.name, body, find)
+		}
+		if put != want {
+			t.Errorf("%s advanced the clock %d ns, want %d", tc.name, put, want)
+		}
+		// nvm.loads: the put's prefetch of the entry it CASes.
+		if putLoads != 1 {
+			t.Errorf("%s: %d NVM loads, want 1", tc.name, putLoads)
+		}
+	}
+
 	k, v := aKey(5), kib(99)
 	lookup := c.lookup(k)
-
 	t0, loads := th.Clk.Now(), s.NVM().Stats().Loads
-	if err := th.Put(k, v); err != nil {
-		t.Fatal(err)
-	}
-	put, putLoads := th.Clk.Now()-t0, s.NVM().Stats().Loads-loads
-	off := pwbOff(t, s, k)
-	t.Logf("put: %d ns = lookup %d + append %d + publish %d (CAS %d, persist %d, CAS %d)",
-		put, lookup, c.appendRec(off, len(v)), c.publish(), c.cas(), c.persist(1), c.cas())
-	if want := c.put(lookup, off, len(v)); put != want {
-		t.Errorf("an update put advanced the clock %d ns, want %d", put, want)
-	}
-
-	t0, loads = th.Clk.Now(), s.NVM().Stats().Loads
 	got, err := th.Get(k)
 	if err != nil || !bytes.Equal(got, v) {
 		t.Fatalf("Get: %d bytes, %v", len(got), err)
@@ -136,10 +182,24 @@ func TestPutCostIsLookupAppendPublish(t *testing.T) {
 	if want := c.pwbGet(lookup, len(v)); get != want {
 		t.Errorf("a PWB get advanced the clock %d ns, want %d", get, want)
 	}
+	// nvm.loads: the get's entry, its value and the uncharged pointer
+	// recheck after the value read.
+	if getLoads != 3 {
+		t.Errorf("%d NVM loads for the get, want 3", getLoads)
+	}
+}
 
-	// nvm.loads: the put's prefetch; the get's entry, its value and the
-	// uncharged pointer recheck after the value read.
-	if putLoads != 1 || getLoads != 3 {
-		t.Errorf("%d NVM loads for the put and %d for the get, want 1 and 3", putLoads, getLoads)
+// TestUpdatePutAllocatesNothing: an update put allocates nothing — its
+// record's body clock lives on the Thread, so overlapping the body with the
+// lookup costs no heap. write-churn's allocs_per_op (0.005) rests on it.
+func TestUpdatePutAllocatesNothing(t *testing.T) {
+	_, th := residentStore(t, 16)
+	k, v := aKey(5), kib(99)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := th.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("an update put allocated %v times, want 0", n)
 	}
 }

@@ -152,6 +152,7 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 	if !t.reserve(len(value)) {
 		return errRetryPut
 	}
+	start := t.Clk.Now() // where the record's body starts: it needs nothing the lookup finds
 	idx, found := s.index.Lookup(t.Clk, key)
 	if !found {
 		var err error
@@ -160,7 +161,7 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 		}
 		s.pop.forget(idx) // whoever held the slot before, nobody has read or written this key
 	}
-	err := t.writeAndPublish(idx, value, clearPending)
+	err := t.writeAndPublish(idx, value, start, clearPending)
 	if !found {
 		if err != nil {
 			s.table.Free(idx) // never published, never inserted
@@ -176,7 +177,7 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 			if !t.reserve(len(value)) {
 				return errRetryPut
 			}
-			err = t.writeAndPublish(winner, value, clearPending)
+			err = t.writeAndPublish(winner, value, t.Clk.Now(), clearPending)
 		}
 	}
 	if err == nil && ts != 0 {
@@ -188,15 +189,19 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 // writeAndPublish appends the value to the thread's PWB — the caller has
 // reserved the room — with idx as its backward pointer and publishes the
 // new location in HSIT, invalidating whatever the entry pointed to
-// before. The read of the entry the publish will CAS is issued first: it
-// does not depend on the append, and is back before the append's stores,
-// flushes and fence are done (DESIGN.md §3.5). When clearPending is false
-// the publish-pending mark set by Append stays in place for the caller's
-// batch-wide Published call.
-func (t *Thread) writeAndPublish(idx uint64, value []byte, clearPending bool) error {
+// before. Only the record's header needs idx, so its body — the value's
+// stores and flushes — is charged on t.body from start, the time the
+// caller reserved its room at, beside the key index lookup that found
+// idx on t.Clk; the seal — the header's store and flush and the fence —
+// runs on t.Clk once both are done (DESIGN.md §3.5). The read of the
+// entry the publish will CAS is issued when idx is known: it depends on
+// neither. When clearPending is false the publish-pending mark set by
+// Append stays in place for the caller's batch-wide Published call.
+func (t *Thread) writeAndPublish(idx uint64, value []byte, start int64, clearPending bool) error {
 	s := t.s
 	ready := s.table.Prefetch(t.Clk, idx)
-	off, _, err := t.buf.Append(t.Clk, idx, value)
+	t.body.Reset(start)
+	off, _, err := t.buf.AppendSplit(&t.body, t.Clk, idx, value)
 	if err != nil {
 		return err
 	}

@@ -8,11 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/record"
 	"repro/internal/ssd"
 )
 
 // TestPutNeverPrecedesItsSpace: an append's clock is never behind the
-// virtual time at which the ring bytes it reuses were released. The
+// virtual time at which the ring bytes it reuses were released — not even
+// the clock its record's body is charged to beside the lookup. The
 // devices here write so slowly that a reclaim pass takes longer, in
 // virtual time, than the puts that fill the ring behind it — while on
 // the host the reclaimer's goroutine keeps up easily, so the ring is
@@ -25,7 +27,7 @@ func TestPutNeverPrecedesItsSpace(t *testing.T) {
 		o.DisableSVC = true
 		o.SSD = ssd.Config{WriteBandwidth: 20_000_000} // 20 MB/s: 50 us per KiB migrated
 	})
-	th, b := s.Thread(0), s.pwbs[0]
+	th, b, c := s.Thread(0), s.pwbs[0], costsOf(s, 0)
 	val := bytes.Repeat([]byte{'v'}, 1000)
 	const keys, enough, maxPuts = 200, 20, 50_000
 	bound, puts := 0, 0
@@ -44,10 +46,16 @@ func TestPutNeverPrecedesItsSpace(t *testing.T) {
 		if releasedAt > before {
 			bound++
 		}
-		// The put ran after both its own clock and its space's release.
-		if end := th.Clk.Now(); end <= max(before, releasedAt) {
-			t.Fatalf("put %d: clock %d at entry, ring space released at %d — yet it ended at %d",
-				i, before, releasedAt, end)
+		// The put ran after both its own clock and its space's release, and
+		// nothing of its record was charged before then: its body, seal and
+		// publish all follow the later of the two. The publish is counted
+		// without its line's writeback: a reclaimer's flush-on-read of the
+		// entry may have done it first.
+		off := b.GlobalOff(b.Head() - uint64(record.Size(len(val))))
+		publish := 2*c.cas() + c.nvm.FlushLatency + c.nvm.FenceLatency
+		if end, least := th.Clk.Now(), max(before, releasedAt)+c.appendRec(off, len(val))+publish; end < least {
+			t.Fatalf("put %d: clock %d at entry, ring space released at %d — yet it ended at %d, before %d",
+				i, before, releasedAt, end, least)
 		}
 	}
 	st := reg(t, s)

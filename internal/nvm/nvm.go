@@ -273,11 +273,29 @@ func (d *Device) markDirty(off, n int) {
 
 // Flush persists every line overlapping [off, off+n): line contents are
 // copied to the durable state and the dirty bits cleared. It charges one
-// FlushLatency per flushed line plus the lines' transfer time at the
-// write bandwidth, both to clk alone — not through the shared channel
-// (see the package comment). Flush of a clean line is free of transfer
-// time but still charges latency, like a clwb that misses dirty data.
+// FlushLatency for the flush itself, one per flushed line, and the lines'
+// transfer time at the write bandwidth, all to clk alone — not through
+// the shared channel (see the package comment). A flush of clean lines
+// is free of transfer time but still charges its own latency, like a
+// clwb that misses dirty data.
 func (d *Device) Flush(clk Clock, off, n int) {
+	if n <= 0 {
+		return
+	}
+	d.Writeback(clk, off, n)
+	if clk != nil {
+		clk.Advance(d.cfg.FlushLatency)
+	}
+}
+
+// Writeback is the per-line part of a Flush: it persists the dirty lines
+// overlapping [off, off+n) and charges each its FlushLatency and transfer
+// time, but not the flush's own FlushLatency. That one is paid by the
+// Flush that completes the same persist before its Fence, so a persist
+// whose lines are pushed out on two clocks (pwb.Buffer.AppendSplit) costs
+// what one Flush of them all would, but for each part's transfer time
+// rounding up to the nanosecond on its own.
+func (d *Device) Writeback(clk Clock, off, n int) {
 	if n <= 0 {
 		return
 	}
@@ -300,7 +318,7 @@ func (d *Device) Flush(clk Clock, off, n int) {
 	}
 	d.flushes.Add(int64(flushed))
 	if clk != nil {
-		clk.Advance(int64(1+flushed)*d.cfg.FlushLatency + sim.TransferNS(flushed*LineSize, d.cfg.WriteBandwidth))
+		clk.Advance(int64(flushed)*d.cfg.FlushLatency + sim.TransferNS(flushed*LineSize, d.cfg.WriteBandwidth))
 	}
 }
 

@@ -180,6 +180,37 @@ func TestCostCharging(t *testing.T) {
 	}
 }
 
+// TestWritebackIsFlushLessItsOwnLatency: Writeback persists the dirty lines
+// it covers and charges each its FlushLatency and transfer, but not the
+// flush's own FlushLatency — so a Writeback of some lines and a Flush of
+// the rest cost one Flush of them all, but for each part rounding its
+// transfer up to the nanosecond.
+func TestWritebackIsFlushLessItsOwnLatency(t *testing.T) {
+	d := New(Config{Size: 4096, FlushLatency: 100})
+	bw := d.Config().WriteBandwidth
+	one, split := sim.NewClock(0), sim.NewClock(0)
+	d.Store(nil, 0, make([]byte, 4*LineSize))
+	d.Flush(one, 0, 4*LineSize)
+	if want := 5*100 + sim.TransferNS(4*LineSize, bw); one.Now() != want {
+		t.Fatalf("Flush of 4 lines charged %d ns, want %d", one.Now(), want)
+	}
+	val := bytes.Repeat([]byte{1}, 4*LineSize)
+	d.Store(nil, 0, val)
+	d.Writeback(split, LineSize, 3*LineSize)
+	if want := 3*100 + sim.TransferNS(3*LineSize, bw); split.Now() != want {
+		t.Errorf("Writeback of 3 lines charged %d ns, want %d", split.Now(), want)
+	}
+	d.Flush(split, 0, LineSize)
+	if d := split.Now() - one.Now(); d != 0 && d != 1 {
+		t.Errorf("Writeback of 3 lines + Flush of 1 charged %d ns, want one Flush of 4: %d, or 1 ns more", split.Now(), one.Now())
+	}
+	d.Crash()
+	got := make([]byte, len(val))
+	if d.Load(nil, 0, got); !bytes.Equal(got, val) {
+		t.Error("lines written back were lost on crash")
+	}
+}
+
 func TestBandwidthContention(t *testing.T) {
 	d := New(Config{Size: 1 << 20, WriteBandwidth: 1_000_000_000}) // 1 GB/s => 1ns/byte
 	// Two threads pushing 64 KB to media at t=0: the second waits for

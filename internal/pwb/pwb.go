@@ -167,6 +167,21 @@ func (b *Buffer) GlobalOff(logical uint64) uint64 { return uint64(b.pos(logical)
 // first record appended since the last Published call, so a batch of
 // appends followed by a single Published is covered end to end.
 func (b *Buffer) Append(clk nvm.Clock, hsitIdx uint64, value []byte) (devOff uint64, logical uint64, err error) {
+	return b.AppendSplit(clk, clk, hsitIdx, value)
+}
+
+// AppendSplit is Append with the record's persist charged to two clocks,
+// for an owner whose body clock started before it knew hsitIdx (a put
+// learns it from its key index lookup). Only the 16-byte header names
+// hsitIdx, so the body — a pad if the lap needs one, the value's stores
+// and the writeback of every line after the header's — is charged to
+// body, and the seal — the header's store, its line's flush and the one
+// fence — to seal, once seal has caught up with body. On one clock (Append)
+// the two parts cost one persist of the record, but for a nanosecond of
+// transfer rounding at some line counts (none for a 1 KiB value). The
+// device sees the same persist order either way: the value's lines, then
+// the header's, then the fence, all before the caller's publish.
+func (b *Buffer) AppendSplit(body, seal nvm.Clock, hsitIdx uint64, value []byte) (devOff uint64, logical uint64, err error) {
 	need := uint64(record.Size(len(value)))
 	if need > b.size {
 		return 0, 0, fmt.Errorf("pwb: value of %d bytes exceeds buffer capacity %d", len(value), b.size)
@@ -179,17 +194,22 @@ func (b *Buffer) Append(clk nvm.Clock, hsitIdx uint64, value []byte) (devOff uin
 	var hdr [record.HeaderSize]byte
 	if pad > 0 {
 		record.PutPad(hdr[:], int(pad))
-		b.dev.Store(clk, b.pos(head), hdr[:])
-		b.dev.Persist(clk, b.pos(head), record.HeaderSize)
+		b.dev.Store(body, b.pos(head), hdr[:])
+		b.dev.Persist(body, b.pos(head), record.HeaderSize)
 		head += pad
 		b.head.Store(head)
 	}
 
 	off := b.pos(head)
+	b.dev.Store(body, off+record.HeaderSize, value)
+	next := (off/nvm.LineSize + 1) * nvm.LineSize // the first line after the header's
+	b.dev.Writeback(body, next, off+record.HeaderSize+len(value)-next)
+	if body != nil && seal != nil {
+		seal.AdvanceTo(body.Now())
+	}
 	record.PutHeader(hdr[:], hsitIdx, len(value))
-	b.dev.Store(clk, off, hdr[:])
-	b.dev.Store(clk, off+record.HeaderSize, value)
-	b.dev.Persist(clk, off, record.HeaderSize+len(value))
+	b.dev.Store(seal, off, hdr[:])
+	b.dev.Persist(seal, off, record.HeaderSize)
 
 	// Publish-pending mark BEFORE the head advance: a reclaimer that
 	// observes the new head is guaranteed to also observe the mark (or

@@ -359,6 +359,38 @@ func TestCostCharging(t *testing.T) {
 	}
 }
 
+// TestAppendSplitChargesBodyAndSeal: AppendSplit charges the record's body
+// to its first clock and its seal to the second, from the later of the
+// second's time and the body's end; the two parts cost what Append costs
+// on one clock, and the record is as durable.
+func TestAppendSplitChargesBodyAndSeal(t *testing.T) {
+	val := bytes.Repeat([]byte{'v'}, 1000)
+	one, _ := newBuf(4096)
+	clk := sim.NewClock(0)
+	if _, _, err := one.Append(clk, 1, val); err != nil {
+		t.Fatal(err)
+	}
+	whole := clk.Now()
+	for _, sealFrom := range []int64{0, 10_000} { // behind the body's end, then past it
+		b, dev := newBuf(4096)
+		body, seal := sim.NewClock(0), sim.NewClock(sealFrom)
+		off, _, err := b.AppendSplit(body, seal, 1, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sealCost := seal.Now() - max(sealFrom, body.Now()); body.Now() <= 0 || sealCost <= 0 || body.Now()+sealCost != whole {
+			t.Errorf("seal clock from %d: body %d ns + seal %d ns, want two parts of Append's %d",
+				sealFrom, body.Now(), sealCost, whole)
+		}
+		dev.Crash()
+		rec := make([]byte, record.HeaderSize+len(val))
+		dev.Load(nil, int(off), rec)
+		if idx, n, kind := record.ParseHeader(rec); kind != record.Value || idx != 1 || n != len(val) || !bytes.Equal(rec[record.HeaderSize:], val) {
+			t.Errorf("seal clock from %d: after a crash the record reads %v idx %d, %d bytes", sealFrom, kind, idx, n)
+		}
+	}
+}
+
 func TestManyLapsConsistency(t *testing.T) {
 	b, _ := newBuf(512)
 	logicalOf := map[int]uint64{}
