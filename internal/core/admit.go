@@ -192,7 +192,7 @@ func (s *Store) admitToSVC(clk *sim.Clock, idx uint64, ver uint64, value []byte)
 	s.cache.Published(e)
 	// Admission TOCTOU guard: a writer that superseded the value after
 	// our read may have run its invalidateOld before the CAS above, seen
-	// word1 == 0, and concluded there was nothing to unpublish — which
+	// no handle, and concluded there was nothing to unpublish — which
 	// would leave these stale bytes cached forever. Re-checking the
 	// publish version after publishing closes the window: whichever side
 	// acts second is guaranteed to see the other's update. The version —

@@ -112,7 +112,7 @@ func parseSeqValue(v []byte) (k int, seq uint64, ok bool) {
 	return k, seq, bytes.Equal(v, seqValue(k, seq))
 }
 
-// noStaleEntry checks that HSIT word 1 of key k is empty or names a cache
+// noStaleEntry checks that the SVC handle of key k is empty or names a cache
 // entry admitted under the entry's current publish version: nothing stale
 // stays published. (Without relocation by GC or the scan rewrite, which
 // move bytes under an unchanged value and leave the entry for the next
@@ -120,7 +120,7 @@ func parseSeqValue(v []byte) (k int, seq uint64, ok bool) {
 func noStaleEntry(t *testing.T, s *Store, k []byte) {
 	t.Helper()
 	idx := mustIdxOf(t, s, k)
-	h := svcHandle(s, idx)
+	h := s.table.SVC(nil, idx)
 	if h == 0 {
 		return
 	}
@@ -133,7 +133,7 @@ func noStaleEntry(t *testing.T, s *Store, k []byte) {
 // by a value the reclaimer admitted. A put that lands after the pass has
 // swung the pointer invalidates the hand-off exactly as it invalidates a
 // get's admission — also when it lands between PublishIf and the SVC CAS,
-// where its invalidateOld finds word 1 empty and only the version
+// where its invalidateOld finds no handle and only the version
 // re-check after the CAS can retract the entry.
 func TestReclaimAdmissionNeverStale(t *testing.T) {
 	t.Run("put between PublishIf and the CAS", func(t *testing.T) {
@@ -156,8 +156,8 @@ func TestReclaimAdmissionNeverStale(t *testing.T) {
 			t.Fatal("a value superseded before the CAS was admitted")
 		}
 		s.cache.Sync()
-		if h := svcHandle(s, idx); h != 0 || reg(t, s).n("svc.entries") != 0 {
-			t.Fatalf("the superseded value stays published: word 1 = %d, %d entries", h, reg(t, s).n("svc.entries"))
+		if h := s.table.SVC(nil, idx); h != 0 || reg(t, s).n("svc.entries") != 0 {
+			t.Fatalf("the superseded value stays published: handle %d, %d entries", h, reg(t, s).n("svc.entries"))
 		}
 		if _, seq, ok := parseSeqValue(mustGet(t, th, key(0))); !ok || seq != 2 {
 			t.Fatalf("read sequence %d after sequence 2 was acknowledged", seq)

@@ -252,7 +252,7 @@ func TestBatchLatencyMetrics(t *testing.T) {
 // TestStaleAdmissionRejectedOnRead pins the read-side currency check
 // down deterministically. An SVC admission races with a writer like
 // this: the admitter reads value v1 from Value Storage, the writer
-// supersedes it with v2 (its invalidateOld sees HSIT word 1 == 0 —
+// supersedes it with v2 (its invalidateOld sees no SVC handle —
 // nothing to retract), and only then does the admitter CAS its handle
 // in. The admitter's own TOCTOU guard retracts the entry, but between
 // the CAS and the retraction the stale handle is resolvable — a reader
@@ -274,7 +274,7 @@ func TestStaleAdmissionRejectedOnRead(t *testing.T) {
 	staleVer := s.table.Version(idx) + 101
 	e := s.cache.Admit(idx, staleVer, []byte("k"), []byte("stale"))
 	if !s.table.CasSVC(nil, idx, 0, e.Handle()) {
-		t.Fatal("word 1 unexpectedly occupied")
+		t.Fatal("SVC handle unexpectedly set")
 	}
 	s.cache.Published(e)
 
@@ -283,21 +283,21 @@ func TestStaleAdmissionRejectedOnRead(t *testing.T) {
 		t.Fatalf("Get through stale cache entry = %q, %v", got, err)
 	}
 	// The rejected entry must have been retracted, not just skipped.
-	if h := svcHandle(s, idx); h != 0 {
+	if h := s.table.SVC(nil, idx); h != 0 {
 		t.Fatalf("stale handle still published: %d", h)
 	}
 
 	// Same via the MultiGet fast path: re-plant and batch-read.
 	e = s.cache.Admit(idx, staleVer, []byte("k"), []byte("stale"))
 	if !s.table.CasSVC(nil, idx, 0, e.Handle()) {
-		t.Fatal("word 1 unexpectedly occupied after retraction")
+		t.Fatal("SVC handle unexpectedly set after retraction")
 	}
 	s.cache.Published(e)
 	vals, err := th.MultiGet([][]byte{[]byte("k")})
 	if err != nil || string(vals[0]) != "fresh" {
 		t.Fatalf("MultiGet through stale cache entry = %q, %v", vals, err)
 	}
-	if h := svcHandle(s, idx); h != 0 {
+	if h := s.table.SVC(nil, idx); h != 0 {
 		t.Fatalf("stale handle still published after MultiGet: %d", h)
 	}
 }

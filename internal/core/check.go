@@ -51,7 +51,7 @@ func (s *Store) CheckInvariants() CheckReport {
 	var rep CheckReport
 	s.index.Scan(nil, nil, 0, func(key []byte, idx uint64) bool {
 		rep.LiveKeys++
-		p, h := s.table.Entry(nil, idx)
+		p, h := s.table.Load(nil, idx), s.table.SVC(nil, idx)
 		switch {
 		case p.IsNil():
 			rep.problem("key %q: HSIT[%d] has no durable value", key, idx)

@@ -13,10 +13,10 @@ import (
 
 // costModel is what an operation's steps cost on an idle store, derived
 // from the device configurations: every timing pin in this package
-// (TestPutCostIsLookupAppendPublish, TestSingleGetTiming,
-// TestWindowOverlapsMixedOps) is a sum of its methods, so a recalibration
-// of a device constant needs no edit here and a change of the cost model
-// itself edits this one helper.
+// (TestPutCostIsLookupAppendPublish, TestSVCHitWaitsForNoNVM,
+// TestSingleGetTiming, TestWindowOverlapsMixedOps) is a sum of its
+// methods, so a recalibration of a device constant needs no edit here and
+// a change of the cost model itself edits this one helper.
 type costModel struct {
 	s     *Store
 	nvm   nvm.Config
@@ -42,11 +42,14 @@ func (c *costModel) lookup(key []byte) int64 {
 	return clk.Now() - at
 }
 
-// read is one NVM read of n bytes; an HSIT entry is one of 16.
+// read is one NVM read of n bytes; an HSIT entry's forward pointer is one
+// of hsit.EntrySize. dram is one DRAM word access: the load or CAS of an
+// entry's SVC handle.
 func (c *costModel) read(n int) int64 {
 	return c.nvm.ReadLatency + sim.TransferNS(n, c.nvm.ReadBandwidth)
 }
 func (c *costModel) entry() int64 { return c.read(hsit.EntrySize) }
+func (c *costModel) dram() int64  { return sim.DRAMLatency }
 
 // write is an n-byte store through the channel, cas the 8-byte atomic
 // store or CAS; store a cached store of n bytes; persist the flush of that
@@ -75,8 +78,9 @@ func (c *costModel) body(off uint64, n int) int64 {
 func (c *costModel) seal() int64                       { return c.store(16) + c.persist(1) }
 func (c *costModel) appendRec(off uint64, n int) int64 { return c.body(off, n) + c.seal() }
 
-// alloc is an HSIT entry's allocation: two word stores and their persist.
-func (c *costModel) alloc() int64 { return 2*c.cas() + c.persist(1) }
+// alloc is an HSIT entry's allocation: the pointer's store and its
+// persist; the handle's DRAM store is free.
+func (c *costModel) alloc() int64 { return c.cas() + c.persist(1) }
 
 // publish is the dirty-bit install of an entry whose line is already
 // there: CAS, persist, CAS.
@@ -93,11 +97,17 @@ func (c *costModel) put(find int64, off uint64, n int) int64 {
 	return max(max(find, c.body(off, n))+c.seal(), find+c.read(8)) + c.publish()
 }
 
-// pwbGet is a read served from the PWB; vsGet one served from Value
-// Storage on an idle device, admitted to the SVC with one CAS.
-func (c *costModel) pwbGet(lookup int64, n int) int64 { return lookup + c.entry() + c.read(n) }
+// svcGet is a read the SVC serves: the handle's DRAM load and the value's
+// copy, the forward pointer's read issued and never waited for. miss is
+// what a read the SVC misses pays for the entry: the pointer's read, the
+// handle's load hidden behind it. pwbGet is a read served from the PWB;
+// vsGet one served from Value Storage on an idle device, admitted to the
+// SVC with one DRAM CAS.
+func (c *costModel) svcGet(lookup int64, n int) int64 { return lookup + c.dram() + dramCost(n) }
+func (c *costModel) miss() int64                      { return max(c.entry(), c.dram()) }
+func (c *costModel) pwbGet(lookup int64, n int) int64 { return lookup + c.miss() + c.read(n) }
 func (c *costModel) vsGet(lookup int64, n int) int64 {
-	return lookup + c.entry() + c.ssd.ReadLatency + sim.TransferNS(valuestore.HeaderSize+n, c.ssd.ReadBandwidth) + c.cas()
+	return lookup + c.miss() + c.ssd.ReadLatency + sim.TransferNS(valuestore.HeaderSize+n, c.ssd.ReadBandwidth) + c.dram()
 }
 
 // pwbOff is the device offset of key's record in the PWB.
@@ -111,24 +121,18 @@ func pwbOff(t *testing.T, s *Store, key []byte) uint64 {
 	return p.Off
 }
 
-// svcHandle is idx's SVC handle, read for free.
-func svcHandle(s *Store, idx uint64) uint64 {
-	_, h := s.table.Entry(nil, idx)
-	return h
-}
-
 // TestPutCostIsLookupAppendPublish: a put's record body needs nothing its
 // key index lookup finds, so the two overlap (DESIGN.md §3.5). On a quiet
 // store, with the clock past every reservation, a put advances the clock by
 // exactly max(lookup, body) + seal + publish: CAS, persist, CAS — the read
 // of the word it CASes was issued when the lookup returned and is back
-// before the seal is done, and the SVC word comes with the line the CAS
-// owns — unless the read outlasts the seal. Three puts pin it: a 1 KiB
+// before the seal is done, and the SVC handle is a DRAM word read for
+// free — unless the read outlasts the seal. Three puts pin it: a 1 KiB
 // update, whose body is the longer branch; an 8-byte update, whose lookup
 // is, so the entry's read is what the publish waits for; and a 1 KiB
 // insert, whose Alloc is on the lookup's branch and hidden behind the body.
-// A get served from the PWB costs exactly lookup + one entry read + the
-// value read.
+// A get served from the PWB costs exactly lookup + one entry read, the SVC
+// handle's DRAM load hidden behind it, + the value read.
 func TestPutCostIsLookupAppendPublish(t *testing.T) {
 	s, th := residentStore(t, 16)
 	c := costsOf(s, th.Clk.Now())
@@ -137,10 +141,11 @@ func TestPutCostIsLookupAppendPublish(t *testing.T) {
 		k, v       []byte
 		insert     bool
 		bodyLonger bool
+		pin        int64 // the row's cost in ns, where it is pinned as a number too
 	}{
-		{"1 KiB update", aKey(5), kib(99), false, true},
-		{"8-byte update", aKey(6), []byte("8 bytes!"), false, false},
-		{"1 KiB insert", aKey(100), kib(100), true, true},
+		{"1 KiB update", aKey(5), kib(99), false, true, 0},
+		{"8-byte update", aKey(6), []byte("8 bytes!"), false, false, 0},
+		{"1 KiB insert", aKey(100), kib(100), true, true, 2354},
 	} {
 		lookup, space := c.lookup(tc.k), s.index.SpaceBytes()
 		t0, loads := th.Clk.Now(), s.NVM().Stats().Loads
@@ -164,6 +169,11 @@ func TestPutCostIsLookupAppendPublish(t *testing.T) {
 		if put != want {
 			t.Errorf("%s advanced the clock %d ns, want %d", tc.name, put, want)
 		}
+		// Alloc is on the lookup's branch and hidden behind the body: what
+		// it costs must not show in the insert's number.
+		if tc.pin != 0 && put != tc.pin {
+			t.Errorf("%s advanced the clock %d ns, pinned at %d", tc.name, put, tc.pin)
+		}
 		// nvm.loads: the put's prefetch of the entry it CASes.
 		if putLoads != 1 {
 			t.Errorf("%s: %d NVM loads, want 1", tc.name, putLoads)
@@ -178,7 +188,7 @@ func TestPutCostIsLookupAppendPublish(t *testing.T) {
 		t.Fatalf("Get: %d bytes, %v", len(got), err)
 	}
 	get, getLoads := th.Clk.Now()-t0, s.NVM().Stats().Loads-loads
-	t.Logf("PWB get: %d ns = lookup %d + entry read %d + value read %d", get, lookup, c.entry(), c.read(len(v)))
+	t.Logf("PWB get: %d ns = lookup %d + entry read %d + value read %d", get, lookup, c.miss(), c.read(len(v)))
 	if want := c.pwbGet(lookup, len(v)); get != want {
 		t.Errorf("a PWB get advanced the clock %d ns, want %d", get, want)
 	}
@@ -186,6 +196,40 @@ func TestPutCostIsLookupAppendPublish(t *testing.T) {
 	// recheck after the value read.
 	if getLoads != 3 {
 		t.Errorf("%d NVM loads for the get, want 3", getLoads)
+	}
+}
+
+// TestSVCHitWaitsForNoNVM: a get the SVC serves issues the read of the
+// entry's forward pointer, reads the entry's SVC handle from DRAM while it
+// is in flight, and never waits for it: the clock advances by exactly
+// lookup + one DRAM access + the value's DRAM copy.
+func TestSVCHitWaitsForNoNVM(t *testing.T) {
+	s, th := vsOnlyStore(t, 32, apart, nil)
+	k, v := aKey(7), aValue(7)
+	th.Clk.AdvanceTo(1 << 40)
+	if _, err := th.Get(k); err != nil { // from Value Storage, admitted to the SVC
+		t.Fatal(err)
+	}
+	th.Clk.Advance(1 << 20) // the channel is idle again
+	c := costsOf(s, th.Clk.Now())
+	lookup, hits := c.lookup(k), reg(t, s).n("core.read_path", "source", "svc")
+	t0, loads := th.Clk.Now(), s.NVM().Stats().Loads
+	got, err := th.Get(k)
+	if err != nil || !bytes.Equal(got, v) {
+		t.Fatalf("Get: %d bytes, %v", len(got), err)
+	}
+	if n := reg(t, s).n("core.read_path", "source", "svc") - hits; n != 1 {
+		t.Fatalf("%d reads served from the SVC, want 1", n)
+	}
+	get := th.Clk.Now() - t0
+	t.Logf("SVC get: %d ns = lookup %d + handle %d + copy %d; the pointer's read, %d, never waited for",
+		get, lookup, c.dram(), dramCost(len(v)), c.entry())
+	if want := c.svcGet(lookup, len(v)); get != want {
+		t.Errorf("an SVC get advanced the clock %d ns, want %d", get, want)
+	}
+	// nvm.loads: the pointer's read, issued beside the handle's.
+	if n := s.NVM().Stats().Loads - loads; n != 1 {
+		t.Errorf("%d NVM loads for the get, want 1", n)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"repro/internal/valuestore"
 )
 
-// dramCost models a DRAM copy: ~80ns latency plus 15 GB/s transfer.
-func dramCost(n int) int64 { return 80 + sim.TransferNS(n, 15_000_000_000) }
+// dramCost models a DRAM copy: one DRAM access plus 15 GB/s transfer.
+func dramCost(n int) int64 { return sim.DRAMLatency + sim.TransferNS(n, 15_000_000_000) }
 
 // cloneBytes copies b into a fresh, always non-nil slice: a present key
 // with an empty value must stay distinguishable from a missing key
@@ -301,11 +301,15 @@ func (t *Thread) Get(key []byte) ([]byte, error) {
 // bumped). Either way the entry is retracted so the next Value Storage
 // read re-admits under the current version. The check deliberately uses
 // the version, not the forward pointer: recycled PWB/chunk offsets can
-// make a stale pointer word bit-identical to the current one. h is the
-// entry's SVC handle as the caller read it.
-func (t *Thread) svcRead(idx, h uint64) ([]byte, bool) {
+// make a stale pointer word bit-identical to the current one. It reads
+// the entry's SVC handle, one DRAM access, and nothing else of the entry.
+func (t *Thread) svcRead(idx uint64) ([]byte, bool) {
 	s := t.s
-	if s.cache == nil || h == 0 {
+	if s.cache == nil {
+		return nil, false
+	}
+	h := s.table.SVC(t.Clk, idx)
+	if h == 0 {
 		return nil, false
 	}
 	v, ver, ok := s.cache.Lookup(idx, h)
@@ -333,20 +337,24 @@ const (
 )
 
 // resolveFast is the read path's one fast-path attempt for an item whose
-// idx is known (§4.4 resolution order), on one read of the entry: SVC
-// hit, else — the publish version was snapshotted before the entry read,
-// because SVC admission keeps bytes only if the version is unchanged (and
-// even) at publish time, which certifies no write overlapped the read — a
-// PWB read re-checked against the pointer, or a Value Storage location
-// left for the caller to read (alone in resolve, merged in readVSBatch).
+// idx is known (§4.4 resolution order). The forward pointer's NVM read is
+// issued first and the SVC tried while it is in flight, so a hit costs a
+// DRAM access for the handle and never waits for the pointer. On a miss —
+// the publish version was snapshotted before both reads, because SVC
+// admission keeps bytes only if the version is unchanged (and even) at
+// publish time, which certifies no write overlapped the read — the pointer
+// is waited out: a PWB read re-checked against the pointer, or a Value
+// Storage location left for the caller to read (alone in resolve, merged
+// in readVSBatch).
 func (t *Thread) resolveFast(it *scanItem) fastResult {
 	s := t.s
 	it.ver = s.table.Version(it.idx)
-	p, h := s.table.Entry(t.Clk, it.idx)
-	if v, ok := t.svcRead(it.idx, h); ok {
+	ready := s.table.Prefetch(t.Clk, it.idx)
+	if v, ok := t.svcRead(it.idx); ok {
 		it.val = cloneBytes(v)
 		return fastDone
 	}
+	p := s.table.LoadAt(t.Clk, it.idx, ready)
 	switch p.Media {
 	case hsit.PWB:
 		v := s.pwbOf(p).ReadValue(t.Clk, p.Off, p.Len)

@@ -41,6 +41,47 @@ func TestCrashRecoveryPreservesAllData(t *testing.T) {
 	}
 }
 
+// TestVersionsStayMonotoneAcrossCrash: HSIT publish versions are DRAM
+// words, but the table outlives a crash and recovery leaves them alone, so
+// no live entry's version after Crash + Recover is lower than before it.
+// Half the keys are on flash at the crash, half in the PWB, which recovery
+// drains and so republishes.
+func TestVersionsStayMonotoneAcrossCrash(t *testing.T) {
+	s := small(t, nil)
+	th := s.Thread(0)
+	const n = 40
+	put := func(from int) {
+		for i := from; i < from+n/2; i++ {
+			for j := 0; j < 3; j++ { // a few publishes each
+				if err := th.Put(key(i), value(i+j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	put(0)
+	drain(t, s)
+	put(n / 2)
+	before := make([]uint64, n)
+	for i := range before {
+		idx, _ := s.index.Lookup(nil, key(i))
+		before[i] = s.table.Version(idx)
+	}
+	s.Crash()
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range before {
+		idx, ok := s.index.Lookup(nil, key(i))
+		if !ok {
+			t.Fatalf("key %d lost", i)
+		}
+		if after := s.table.Version(idx); after < v {
+			t.Errorf("key %d: publish version %d before the crash, %d after", i, v, after)
+		}
+	}
+}
+
 func TestCrashRecoveryLatestVersionWins(t *testing.T) {
 	s := small(t, nil)
 	th := s.Thread(0)

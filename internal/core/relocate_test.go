@@ -218,13 +218,16 @@ func TestClaimersInsideSettle(t *testing.T) {
 			if calls.Load() == 0 {
 				t.Fatal("no settle callback ran")
 			}
-			if rep := s.CheckInvariants(); !rep.OK() {
-				t.Fatalf("invariants after %d settles with claimers inside: %v", calls.Load(), rep.Problems)
-			}
 			for k, want := range r.want {
 				if got, err := r.th.Get([]byte(k)); err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("key %s = %.16q, %v; want %.16q", k, got, err, want)
 				}
+			}
+			// The checker needs a store at rest, and maintenanceLoop's own
+			// demotion goes on while the fast tier is half full.
+			settle(s)
+			if rep := s.CheckInvariants(); !rep.OK() {
+				t.Fatalf("invariants after %d settles with claimers inside: %v", calls.Load(), rep.Problems)
 			}
 		})
 	}

@@ -142,9 +142,9 @@ func TestWindowOverlapsMixedOps(t *testing.T) {
 
 // TestScanRowsResolveOverlapped: the rows of a scan are independent NVM
 // round trips and resolve through the overlap frame — 120 ns apart, not
-// one after another — whichever medium holds them. Fifty PWB-resident rows
-// cost 53.2 us before the frame (SVC word 301 + pointer word 302 +
-// ReadValue 451 ns a row, in series) and fifty SVC-resident ones 23.0 us.
+// one after another — whichever medium holds them: a PWB-resident row
+// costs its pointer read and ReadValue, 753 ns in series, an SVC-resident
+// one its handle and copy.
 func TestScanRowsResolveOverlapped(t *testing.T) {
 	const rows = 50
 	scan := func(th *Thread) int64 {

@@ -1,19 +1,19 @@
 // Package hsit implements the Heterogeneous Storage Index Table (§4.5):
-// the NVM-resident indirection layer at the center of Prism's cross-media
-// concurrency control and crash consistency.
+// the indirection layer at the center of Prism's cross-media concurrency
+// control and crash consistency.
 //
-// Each entry is 16 bytes, updated with 8-byte atomics on the simulated
-// NVM device:
+// An entry is one 8-byte word on the simulated NVM device, the forward
+// pointer to the durable value, updated with 8-byte atomics:
 //
-//	word 0 — forward pointer to the durable value:
-//	         [media:2][dirty:1][len:16][off:45]
-//	word 1 — volatile forward pointer to the SVC (DRAM cache) entry;
-//	         meaningless after a crash and nullified during recovery.
+//	[media:2][dirty:1][len:16][off:45]
 //
-// A value can live in either the PWB or Value Storage, never both, so a
-// single durable pointer word suffices — this is how the paper packs
-// three forward pointers into 16 bytes. The value length rides in the
-// pointer so a Value Storage read knows how many bytes to fetch.
+// A value lives in either the PWB or Value Storage, never both, so one
+// durable pointer serves as the paper's PWB and Value Storage pointers.
+// The value length rides in the pointer so a Value Storage read knows how
+// many bytes to fetch. The paper's third pointer, to the value's SVC (DRAM
+// cache) entry, is volatile — recovery nullifies it — so it lives in DRAM,
+// one handle word per entry beside the publish version, not in NVM: a read
+// the SVC serves pays a DRAM access for it, not an NVM one.
 //
 // Durable linearizability (§5.4) uses the flush-on-read dirty bit: a
 // writer CASes in the new pointer with the dirty bit set, flushes the
@@ -21,12 +21,14 @@
 // dirty bit flushes the line on the writer's behalf before using the
 // pointer, so an unpersisted pointer is never acted upon.
 //
-// One entry is one NVM access (the point of packing it into 16 bytes), and
-// the cost model charges it that way: Entry reads both words for one
-// read; a publisher reads the word it CASes once — when it asks
-// (Publish, PublishIf's compare) or ahead of time (Prefetch, then
-// PublishAt) — and gets the SVC word back with the line its CAS owns.
-// Only a CAS that loses to a reader's flush-on-read pays for a second read.
+// The cost model charges each word where it lives: a pointer read is one
+// NVM access, a handle read or CAS one DRAM access. A reader that wants
+// both issues the pointer's read (Prefetch), reads the handle (SVC) while
+// it is in flight, and waits for the pointer (LoadAt) only if the handle
+// did not serve it. A publisher reads the word it CASes once — when it
+// asks (Publish, PublishIf's compare) or ahead of time (Prefetch, then
+// PublishAt) — and reads the handle after its install for free. Only a
+// CAS that loses to a reader's flush-on-read pays for a second read.
 //
 // Concurrency contract: every Table method is safe for concurrent use by
 // any number of goroutines; entry words are only ever read and written
@@ -52,10 +54,12 @@ import (
 
 	"repro/internal/epoch"
 	"repro/internal/nvm"
+	"repro/internal/sim"
 )
 
-// EntrySize is the NVM footprint of one HSIT entry in bytes.
-const EntrySize = 16
+// EntrySize is the NVM footprint of one HSIT entry in bytes: the forward
+// pointer word.
+const EntrySize = 8
 
 // Media identifies which device a forward pointer targets.
 type Media uint8
@@ -153,8 +157,9 @@ type Table struct {
 	allocated atomic.Int64 // live entries (for NVM-space accounting)
 
 	// vers holds one volatile publish-version word per entry (DRAM, not
-	// NVM: versions are rebuilt as zero after a crash, which is safe
-	// because the SVC they protect is nullified during recovery too).
+	// NVM). The Table outlives a crash and RebuildVolatile leaves vers
+	// alone, so versions stay monotone across it; what they certify, SVC
+	// admissions, recovery nullifies.
 	//
 	// The word is a seqlock: even = quiescent, odd = a publish in
 	// flight. Every publisher claims the entry (CAS even→odd), installs
@@ -169,6 +174,11 @@ type Table struct {
 	// to a stale snapshot (ABA). Cache admission keyed on pointer
 	// equality would then publish stale bytes; versions close that.
 	vers []atomic.Uint64
+
+	// svc holds each entry's SVC handle (0 = none): the paper's third
+	// forward pointer, volatile by design, so in DRAM. RebuildVolatile
+	// zeroes it.
+	svc []atomic.Uint64
 }
 
 // New creates a table over capacity entries starting at byte offset base
@@ -181,7 +191,7 @@ func New(dev *nvm.Device, base int, capacity int, em *epoch.Manager) *Table {
 		panic("hsit: region exceeds device")
 	}
 	return &Table{dev: dev, base: base, cap: uint64(capacity), em: em,
-		vers: make([]atomic.Uint64, capacity)}
+		vers: make([]atomic.Uint64, capacity), svc: make([]atomic.Uint64, capacity)}
 }
 
 // Version returns the entry's volatile publish version. Even values are
@@ -218,8 +228,7 @@ func (t *Table) Live() int { return int(t.allocated.Load()) }
 // SpaceBytes returns the NVM bytes consumed by live entries.
 func (t *Table) SpaceBytes() int64 { return t.allocated.Load() * EntrySize }
 
-func (t *Table) word0(idx uint64) int { return t.base + int(idx)*EntrySize }
-func (t *Table) word1(idx uint64) int { return t.base + int(idx)*EntrySize + 8 }
+func (t *Table) word(idx uint64) int { return t.base + int(idx)*EntrySize }
 
 func (t *Table) checkIdx(idx uint64) {
 	if idx >= t.cap {
@@ -227,9 +236,10 @@ func (t *Table) checkIdx(idx uint64) {
 	}
 }
 
-// Alloc returns a fresh entry index with both words zeroed. The zeroed
-// state is persisted so a post-crash recovery never mistakes a recycled
-// entry for a live one.
+// Alloc returns a fresh entry index with its pointer and handle zeroed.
+// The zeroed pointer is persisted so a post-crash recovery never mistakes
+// a recycled entry for a live one; the handle's store is a DRAM store the
+// thread does not wait for, and is free.
 func (t *Table) Alloc(clk nvm.Clock) (uint64, error) {
 	t.mu.Lock()
 	var idx uint64
@@ -245,9 +255,9 @@ func (t *Table) Alloc(clk nvm.Clock) (uint64, error) {
 			return 0, ErrFull
 		}
 	}
-	t.dev.StoreUint64(clk, t.word0(idx), 0)
-	t.dev.StoreUint64(clk, t.word1(idx), 0)
-	t.dev.Persist(clk, t.word0(idx), EntrySize)
+	t.dev.StoreUint64(clk, t.word(idx), 0)
+	t.dev.Persist(clk, t.word(idx), EntrySize)
+	t.svc[idx].Store(0)
 	t.allocated.Add(1)
 	return idx, nil
 }
@@ -268,22 +278,27 @@ func (t *Table) Free(idx uint64) {
 // dirty bit is set the reader persists the line and clears the bit on the
 // writer's behalf, so the returned pointer is always durable.
 func (t *Table) Load(clk nvm.Clock, idx uint64) Pointer {
-	t.checkIdx(idx)
-	off := t.word0(idx)
-	return t.flushOnRead(clk, off, t.dev.LoadUint64(clk, off))
+	return t.LoadAt(clk, idx, t.Prefetch(clk, idx))
 }
 
-// Entry reads idx's whole entry — the forward pointer, as Load returns it,
-// and the volatile SVC handle (0 = none) — in one NVM access: the three
-// forward pointers share 16 bytes so that one read reaches all of them
-// (§4.5). It is the one way to read the SVC word.
-func (t *Table) Entry(clk nvm.Clock, idx uint64) (p Pointer, svc uint64) {
-	t.checkIdx(idx)
-	off := t.word0(idx)
-	if ready := t.dev.Prefetch(clk, off, EntrySize); clk != nil {
+// LoadAt is Load for a caller that issued Prefetch(clk, idx) earlier: ready
+// is what that returned. It waits for what is left of the read and loads
+// the word then, for no read of its own.
+func (t *Table) LoadAt(clk nvm.Clock, idx uint64, ready int64) Pointer {
+	if clk != nil {
 		clk.AdvanceTo(ready)
 	}
-	return t.flushOnRead(clk, off, t.dev.HeldUint64(off)), t.dev.HeldUint64(t.word1(idx))
+	off := t.word(idx)
+	return t.flushOnRead(clk, off, t.dev.HeldUint64(off))
+}
+
+// SVC returns idx's SVC handle (0 = none), one DRAM access.
+func (t *Table) SVC(clk nvm.Clock, idx uint64) uint64 {
+	t.checkIdx(idx)
+	if clk != nil {
+		clk.Advance(sim.DRAMLatency)
+	}
+	return t.svc[idx].Load()
 }
 
 func (t *Table) flushOnRead(clk nvm.Clock, off int, w uint64) Pointer {
@@ -294,13 +309,13 @@ func (t *Table) flushOnRead(clk nvm.Clock, off int, w uint64) Pointer {
 	return Decode(w)
 }
 
-// Prefetch starts the read of idx's forward pointer for the publish the
-// caller is about to make (PublishAt) and returns when the line will be
-// there. Issued as soon as idx is known, it is long back by the time the
-// value has been appended to the PWB.
+// Prefetch starts the read of idx's forward pointer and returns when the
+// line will be there, for the load (LoadAt) or publish (PublishAt) the
+// caller makes once it has done what does not need the pointer: a reader
+// tries the SVC, a writer appends the value to the PWB.
 func (t *Table) Prefetch(clk nvm.Clock, idx uint64) (ready int64) {
 	t.checkIdx(idx)
-	return t.dev.Prefetch(clk, t.word0(idx), 8)
+	return t.dev.Prefetch(clk, t.word(idx), EntrySize)
 }
 
 // install runs the durable-linearizable dirty-bit install under the
@@ -324,7 +339,7 @@ func (t *Table) install(clk nvm.Clock, off int, old, neww uint64) uint64 {
 // replaced. The replaced location is now ill-coupled garbage the caller
 // must invalidate (PWB: nothing to do; VS: clear the validity bit), and so
 // is any cached copy: svc is the entry's SVC handle, read after the
-// install from the line the CAS owns.
+// install.
 func (t *Table) Publish(clk nvm.Clock, idx uint64, p Pointer) (old Pointer, svc uint64) {
 	return t.PublishAt(clk, idx, p, t.Prefetch(clk, idx))
 }
@@ -339,9 +354,9 @@ func (t *Table) PublishAt(clk nvm.Clock, idx uint64, p Pointer, ready int64) (ol
 	if clk != nil {
 		clk.AdvanceTo(ready)
 	}
-	off := t.word0(idx)
+	off := t.word(idx)
 	w := t.install(clk, off, t.dev.HeldUint64(off), Encode(p))
-	svc = t.dev.HeldUint64(t.word1(idx))
+	svc = t.svc[idx].Load()
 	t.vers[idx].Store(v + 2)
 	return Decode(w), svc
 }
@@ -360,7 +375,7 @@ func (t *Table) PublishAt(clk nvm.Clock, idx uint64, p Pointer, ready int64) (ol
 // pin both do); callers that cannot, use PublishIfVersion.
 func (t *Table) PublishIf(clk nvm.Clock, idx uint64, expect, p Pointer) (ver uint64, ok bool) {
 	v := t.lockVersion(idx)
-	off := t.word0(idx)
+	off := t.word(idx)
 	w := t.dev.LoadUint64(clk, off)
 	if w&^dirtyBit != Encode(expect) {
 		t.vers[idx].Store(v) // nothing installed: restore quiescence
@@ -382,7 +397,7 @@ func (t *Table) PublishIfVersion(clk nvm.Clock, idx uint64, expectVer uint64, p 
 	if expectVer&1 != 0 || !t.vers[idx].CompareAndSwap(expectVer, expectVer+1) {
 		return false
 	}
-	off := t.word0(idx)
+	off := t.word(idx)
 	t.install(clk, off, t.dev.LoadUint64(clk, off), Encode(p))
 	t.vers[idx].Store(expectVer + 2)
 	return true
@@ -394,18 +409,21 @@ func (t *Table) Clear(clk nvm.Clock, idx uint64) (old Pointer, svc uint64) {
 	return t.Publish(clk, idx, Pointer{})
 }
 
-// CasSVC atomically replaces the SVC handle if it still equals old. No
-// flush: the word is volatile by design (§4.4 — lock-free publication).
+// CasSVC atomically replaces the SVC handle if it still equals old (§4.4 —
+// lock-free publication): one DRAM access.
 func (t *Table) CasSVC(clk nvm.Clock, idx uint64, old, new uint64) bool {
 	t.checkIdx(idx)
-	return t.dev.CompareAndSwapUint64(clk, t.word1(idx), old, new)
+	if clk != nil {
+		clk.Advance(sim.DRAMLatency)
+	}
+	return t.svc[idx].CompareAndSwap(old, new)
 }
 
 // RebuildVolatile reconstructs the volatile state after a crash: the free
-// list becomes every slot not in the reachable set, reachable entries get
-// their SVC word nullified, and unreachable words are zeroed and
-// persisted so a later crash cannot resurrect them. reachable must report
-// true exactly for the HSIT indices found by the key-index scan (§5.5).
+// list becomes every slot not in the reachable set, every SVC handle is
+// nullified, and unreachable pointers are zeroed and persisted so a later
+// crash cannot resurrect them. reachable must report true exactly for the
+// HSIT indices found by the key-index scan (§5.5).
 // It returns the number of live entries.
 func (t *Table) RebuildVolatile(reachable func(idx uint64) bool, scanLimit uint64) int {
 	if scanLimit > t.cap {
@@ -414,16 +432,17 @@ func (t *Table) RebuildVolatile(reachable func(idx uint64) bool, scanLimit uint6
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.free = t.free[:0]
+	for i := range t.svc {
+		t.svc[i].Store(0)
+	}
 	live := 0
 	for idx := uint64(0); idx < scanLimit; idx++ {
 		if reachable(idx) {
 			live++
-			t.dev.StoreUint64(nil, t.word1(idx), 0)
 			continue
 		}
-		t.dev.StoreUint64(nil, t.word0(idx), 0)
-		t.dev.StoreUint64(nil, t.word1(idx), 0)
-		t.dev.Persist(nil, t.word0(idx), EntrySize)
+		t.dev.StoreUint64(nil, t.word(idx), 0)
+		t.dev.Persist(nil, t.word(idx), EntrySize)
 		t.free = append(t.free, idx)
 	}
 	t.bump.Store(scanLimit)

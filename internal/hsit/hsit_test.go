@@ -15,12 +15,6 @@ func newTable(capacity int) (*Table, *nvm.Device, *epoch.Manager) {
 	return New(dev, 0, capacity, em), dev, em
 }
 
-// svcOf is the entry's SVC handle, read for free.
-func svcOf(tb *Table, idx uint64) uint64 {
-	_, h := tb.Entry(nil, idx)
-	return h
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(media uint8, length uint16, off uint64) bool {
 		p := Pointer{
@@ -165,7 +159,7 @@ func TestUnpersistedPointerRollsBack(t *testing.T) {
 func TestSVCWord(t *testing.T) {
 	tb, _, _ := newTable(4)
 	idx, _ := tb.Alloc(nil)
-	if svcOf(tb, idx) != 0 {
+	if tb.SVC(nil, idx) != 0 {
 		t.Fatal("fresh SVC word nonzero")
 	}
 	if !tb.CasSVC(nil, idx, 0, 55) {
@@ -174,8 +168,8 @@ func TestSVCWord(t *testing.T) {
 	if tb.CasSVC(nil, idx, 0, 66) {
 		t.Fatal("stale CasSVC succeeded")
 	}
-	if svcOf(tb, idx) != 55 {
-		t.Fatalf("SVC = %d", svcOf(tb, idx))
+	if tb.SVC(nil, idx) != 55 {
+		t.Fatalf("SVC = %d", tb.SVC(nil, idx))
 	}
 }
 
@@ -218,7 +212,7 @@ func TestAllocZeroesRecycledEntry(t *testing.T) {
 	if idx2 != idx {
 		t.Fatalf("expected recycle of %d, got %d", idx, idx2)
 	}
-	if !tb.Load(nil, idx2).IsNil() || svcOf(tb, idx2) != 0 {
+	if !tb.Load(nil, idx2).IsNil() || tb.SVC(nil, idx2) != 0 {
 		t.Fatal("recycled entry not zeroed")
 	}
 }
@@ -279,7 +273,6 @@ func TestRebuildVolatile(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		idx, _ := tb.Alloc(nil)
 		tb.Publish(nil, idx, Pointer{Media: VS, Len: 1, Off: uint64(i)})
-		tb.CasSVC(nil, idx, 0, uint64(100+i))
 	}
 	dev.Crash()
 	// Entries 0,2,4 reachable from the key index; others leaked.
@@ -288,9 +281,6 @@ func TestRebuildVolatile(t *testing.T) {
 		t.Fatalf("live = %d, want 3", live)
 	}
 	for idx := uint64(0); idx < 6; idx++ {
-		if svcOf(tb, idx) != 0 {
-			t.Fatalf("SVC word %d not nullified", idx)
-		}
 		if idx%2 == 1 && !tb.Load(nil, idx).IsNil() {
 			t.Fatalf("unreachable entry %d not cleared", idx)
 		}
@@ -305,4 +295,26 @@ func TestRebuildVolatile(t *testing.T) {
 		t.Fatal("capacity accounting broken after rebuild")
 	}
 	_ = em
+}
+
+// TestRebuildForgetsEveryHandle: the SVC handles live in DRAM, which a
+// crash takes with it, so recovery must nullify every one of them —
+// reachable entries', leaked entries' and those past the scan limit — or a
+// rebuilt store would resolve handles into a cache that no longer exists.
+func TestRebuildForgetsEveryHandle(t *testing.T) {
+	tb, dev, _ := newTable(8)
+	for i := 0; i < 8; i++ {
+		idx, _ := tb.Alloc(nil)
+		tb.Publish(nil, idx, Pointer{Media: VS, Len: 1, Off: uint64(i)})
+		if !tb.CasSVC(nil, idx, 0, uint64(100+i)) {
+			t.Fatalf("CasSVC on entry %d refused", idx)
+		}
+	}
+	dev.Crash()
+	tb.RebuildVolatile(func(idx uint64) bool { return idx%2 == 0 }, 6)
+	for idx := uint64(0); idx < 8; idx++ {
+		if h := tb.SVC(nil, idx); h != 0 {
+			t.Errorf("entry %d kept SVC handle %d through recovery", idx, h)
+		}
+	}
 }

@@ -76,7 +76,7 @@ func TestPublishActsOnTheCurrentWord(t *testing.T) {
 			idx, _ := tb.Alloc(nil)
 			tb.Publish(nil, idx, p1)
 			if c.dirty {
-				dev.StoreUint64(nil, tb.word0(idx), Encode(p1)|dirtyBit)
+				dev.StoreUint64(nil, tb.word(idx), Encode(p1)|dirtyBit)
 			}
 			cost, clk := deviceCosts(), sim.NewClock(1<<20)
 
@@ -108,7 +108,7 @@ func TestPublishActsOnTheCurrentWord(t *testing.T) {
 	t.Run("a lost CAS reloads once", func(t *testing.T) {
 		tb, dev, _ := newTable(4)
 		idx, _ := tb.Alloc(nil)
-		off := tb.word0(idx)
+		off := tb.word(idx)
 		dev.StoreUint64(nil, off, Encode(p1)|dirtyBit)
 		cost, clk := deviceCosts(), sim.NewClock(1<<20)
 
@@ -144,7 +144,9 @@ func TestPublishActsOnTheCurrentWord(t *testing.T) {
 // writer, or the mover's expectation — except the one left at the end.
 //
 // Beside an admitter that follows core's admission protocol (CAS the handle
-// in, re-check the version, retract), no handle survives a publish that did
+// in, re-check the version, retract) and a reader that resolves the entry
+// as core's read path does (prefetch the pointer, read the handle, wait
+// for the pointer only without one), no handle survives a publish that did
 // not see it: the writer unpublishes the handle its publish returns, the
 // admitter retracts when the version moved, so whenever both are done a
 // handle still in the entry was admitted under the entry's version.
@@ -221,6 +223,20 @@ func TestPrefetchedPublishStress(t *testing.T) {
 		tb, _, _ := newTable(4)
 		idx, _ := tb.Alloc(nil)
 		tb.Publish(nil, idx, first)
+		stop, read := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(read)
+			for clk := sim.NewClock(0); ; runtime.Gosched() {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if ready := tb.Prefetch(clk, idx); tb.SVC(clk, idx) == 0 {
+					tb.LoadAt(clk, idx, ready)
+				}
+			}
+		}()
 		clk, kept := sim.NewClock(0), 0
 		for i := 1; i <= n; i++ {
 			var under uint64 // the version handle i went in under
@@ -234,12 +250,14 @@ func TestPrefetchedPublishStress(t *testing.T) {
 			}()
 			publish(tb, clk, idx, i)
 			<-done
-			if _, h := tb.Entry(nil, idx); h != 0 {
+			if h := tb.SVC(nil, idx); h != 0 {
 				if kept++; h != uint64(i) || under != tb.Version(idx) {
 					t.Fatalf("round %d: handle %d, admitted under version %d, outlived a publish: the entry is at version %d", i, h, under, tb.Version(idx))
 				}
 			}
 		}
+		close(stop)
+		<-read
 		t.Logf("%d of %d admissions landed after the publish they ran beside, and were kept", kept, n)
 	})
 }

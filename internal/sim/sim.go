@@ -162,6 +162,10 @@ func (r *Resource) advance(b int64) {
 	r.head = b
 }
 
+// DRAMLatency is what one DRAM access costs, in ns (Figure 1's DRAM row):
+// a word load or CAS, and the latency part of a copy.
+const DRAMLatency = 80
+
 // TransferNS converts a byte count and a bandwidth in bytes/second into a
 // duration in nanoseconds, rounding up so tiny transfers are never free.
 func TransferNS(bytes int, bytesPerSec int64) int64 {

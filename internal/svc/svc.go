@@ -1,6 +1,6 @@
 // Package svc implements the Scan-aware Value Cache of §4.4: a DRAM
 // cache of read-hot values with no index of its own — cached values are
-// reached directly from HSIT entries (word 1), published lock-free by the
+// reached directly from HSIT entries (their SVC handle), published lock-free by the
 // reading thread.
 //
 // Cache management runs on a background manager goroutine, keeping it off
@@ -53,7 +53,7 @@ type Entry struct {
 	chainNext  *Entry
 }
 
-// Handle returns the value published in HSIT word 1 for this entry.
+// Handle returns the value published as the HSIT entry's SVC handle.
 func (e *Entry) Handle() uint64 { return uint64(e.gen)<<32 | uint64(e.slot+1) }
 
 func (e *Entry) size() int64 { return int64(len(e.Value) + 96) }
@@ -72,7 +72,7 @@ type Config struct {
 	// OnScanEvict, if set, receives the resident chain whenever a
 	// chained entry is evicted. It runs on the manager goroutine.
 	OnScanEvict func(chain EvictedChain)
-	// Unpublish must CAS HSIT[idx].word1 from handle to 0; it returns
+	// Unpublish must CAS HSIT[idx]'s SVC handle from handle to 0; it returns
 	// whether this call cleared it. Wired to hsit.Table.CasSVC.
 	Unpublish func(hsitIdx, handle uint64) bool
 }
@@ -150,7 +150,7 @@ func (c *Cache) Close() {
 	c.wg.Wait()
 }
 
-// Lookup resolves a handle read from HSIT word 1. It returns the entry's
+// Lookup resolves a handle read from an HSIT entry. It returns the entry's
 // value and admission version if the handle is still current, and
 // enqueues a touch event for 2Q promotion. Callers MUST compare ver with
 // the HSIT entry's current publish version before using the value: a
@@ -184,7 +184,7 @@ func (c *Cache) resolve(hsitIdx, handle uint64) *Entry {
 
 // Admit allocates an entry holding a copy of value, the entry's current
 // value under publish version ver (opaque to the cache; readers compare
-// it on Lookup). The caller must then publish e.Handle() in HSIT word 1
+// it on Lookup). The caller must then publish e.Handle() in the HSIT entry
 // (CAS from 0) and call Published on success or AbortAdmit if it lost the
 // race (§4.4: published atomically). The key is not kept — nothing reads
 // it; the parameter stays because benchmark/ladder.go passes one.
