@@ -45,7 +45,10 @@ test:
 # while ranges split and migrate under them, and
 # TestGCPassesRunPerDevice, TestWriteCrossingTheTriggerDecaysItOnce and
 # TestUndrivenPassesStartAtThePresent for the one kick, loop and due-test
-# of core's background passes (DESIGN.md §3.5). internal/bench's suite is
+# of core's background passes (DESIGN.md §3.5), and TestSVCEntryReuseStress
+# in internal/core for readers checking every value's key and CRC while
+# puts and evictions churn a small SVC whose dropped entries are reused
+# two epochs later (DESIGN.md §4.13). internal/bench's suite is
 # whole YCSB runs of every baseline engine, which the detector's ~20x
 # slowdown stretches for no Prism code the other packages leave
 # uncovered, so that one package contributes a bounded concurrent-load
@@ -63,6 +66,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestWindowKeepsSubmissionOrderPerKey$$|TestWindowStallMidWindow$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestClaimersInsideSettle$$|TestRelocationChargesSwingsAfterWrite$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestGCPassesRunPerDevice$$|TestWriteCrossingTheTriggerDecaysItOnce$$|TestUndrivenPassesStartAtThePresent$$' ./internal/core
+	$(GO) test -race -count=1 -run 'TestSVCEntryReuseStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestPublishActsOnTheCurrentWord$$|TestPrefetchedPublishStress$$' ./internal/hsit
 	$(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$' ./internal/server

@@ -42,13 +42,20 @@ func (r *CheckReport) OK() bool { return len(r.Problems) == 0 && r.ProblemsOmitt
 //     the pointer;
 //   - a VS-resident record's validity bit is set;
 //   - a published SVC handle resolves to a cache entry for that key
-//     whose content matches the durable value.
+//     whose length matches the durable value's.
 //
 // The store must be quiescent (no concurrent operations); background
 // threads may be running but the keyspace must not change. Reads are
-// uncharged (nil clocks): checking is free of virtual time.
+// uncharged (nil clocks): checking is free of virtual time, and it
+// touches no cache entry, so no check promotes what it looks at. The
+// walk runs inside an epoch on the maintenance thread, as every reader
+// of the cache does.
 func (s *Store) CheckInvariants() CheckReport {
 	var rep CheckReport
+	s.mntMu.Lock()
+	defer s.mntMu.Unlock()
+	s.mnt.part.Enter()
+	defer s.mnt.part.Exit()
 	s.index.Scan(nil, nil, 0, func(key []byte, idx uint64) bool {
 		rep.LiveKeys++
 		p, h := s.table.Load(nil, idx), s.table.SVC(nil, idx)
@@ -70,7 +77,7 @@ func (s *Store) CheckInvariants() CheckReport {
 				break
 			}
 			req := st.ReadAt(local, p.Len)
-			st.Dev.Submit(0, []ssd.Request{req})
+			st.Dev.Read(0, []ssd.Request{req})
 			if _, err := record.Coupled(req.Data, idx, p.Len); err != nil {
 				rep.problem("key %q: VS record at %d %v", key, p.Off, err)
 			}
@@ -83,10 +90,10 @@ func (s *Store) CheckInvariants() CheckReport {
 			// or scan rewrite relocates values without touching the
 			// cache, and the read-side retraction only fires on
 			// access), so only resolution and length are checked.
-			if v, _, ok := s.cache.Lookup(idx, h); !ok {
+			if n, ok := s.cache.Resident(idx, h); !ok {
 				rep.problem("key %q: published SVC handle %d does not resolve", key, h)
-			} else if len(v) != p.Len && !p.IsNil() {
-				rep.problem("key %q: cached value length %d != durable %d", key, len(v), p.Len)
+			} else if n != p.Len && !p.IsNil() {
+				rep.problem("key %q: cached value length %d != durable %d", key, n, p.Len)
 			}
 		}
 		return true

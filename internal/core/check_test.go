@@ -51,6 +51,39 @@ func TestCheckerCleanStore(t *testing.T) {
 	// drained the rings before the check — don't assert on it.
 }
 
+// TestCheckerTouchesNoCacheEntry: CheckInvariants asks the cache whether a
+// published handle resolves without touching its entry, so checking a
+// store promotes nothing in the 2Q lists: svc.promotions is the same after
+// two checks as before them.
+func TestCheckerTouchesNoCacheEntry(t *testing.T) {
+	s := small(t, nil)
+	th := s.Thread(0)
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := th.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, s)
+	for i := 0; i < n; i++ {
+		if _, err := th.Get(key(i)); err != nil { // admitted once: inactive
+			t.Fatal(err)
+		}
+	}
+	s.cache.Sync()
+	before := reg(t, s).n("svc.promotions")
+	for range 2 {
+		rep := s.CheckInvariants()
+		if !rep.OK() || rep.SVCPublished != n {
+			t.Fatalf("check: %d of %d keys published in the SVC, problems %v", rep.SVCPublished, n, rep.Problems)
+		}
+		s.cache.Sync()
+	}
+	if after := reg(t, s).n("svc.promotions"); after != before {
+		t.Fatalf("checking the store promoted %d cache entries", after-before)
+	}
+}
+
 func TestCheckerAfterRecovery(t *testing.T) {
 	s := small(t, nil)
 	th := s.Thread(0)

@@ -236,6 +236,45 @@ func TestSVCHitWaitsForNoNVM(t *testing.T) {
 // TestUpdatePutAllocatesNothing: an update put allocates nothing — its
 // record's body clock lives on the Thread, so overlapping the body with the
 // lookup costs no heap. write-churn's allocs_per_op (0.005) rests on it.
+// TestVSGetAllocatesOnlyItsValue: on a warm store whose SVC is full, a get
+// served from Value Storage allocates one object, the value it returns.
+// Its admission reuses an entry the cache dropped two epochs ago (buffer
+// and all), its read reuses a combining-queue waiter, and the device
+// reports the read's completion time without a completion slice.
+func TestVSGetAllocatesOnlyItsValue(t *testing.T) {
+	const keys = 1024
+	s, th := vsOnlyStore(t, keys, 0, func(o *Options) { o.SVCBytes = 256 << 10 })
+	ks, vs := make([][]byte, keys), make([][]byte, keys)
+	for k := range ks {
+		ks[k], vs[k] = aKey(k), aValue(k)
+	}
+	i := 0
+	get := func() {
+		k := i % keys
+		i++
+		if v, err := th.Get(ks[k]); err != nil || !bytes.Equal(v, vs[k]) {
+			t.Fatalf("Get(%d): %d bytes, %v", k, len(v), err)
+		}
+	}
+	// Fill the cache and cycle its entries, the manager kept up with each
+	// get: every get misses, and dropped entries are waiting for reuse.
+	// AllocsPerRun runs on one P, where each miss yields to the manager.
+	for j := 0; j < 4*keys; j++ {
+		get()
+		s.cache.Sync()
+	}
+	r := reg(t, s)
+	hits, evictions, reuses := r.n("svc.hits"), r.n("svc.evictions"), r.n("svc.reuses")
+	if n := testing.AllocsPerRun(200, get); n != 1 {
+		t.Errorf("a get from Value Storage allocated %v times, want 1 (its value)", n)
+	}
+	r = reg(t, s)
+	if r.n("svc.hits") != hits || r.n("svc.evictions") == evictions || r.n("svc.reuses") == reuses {
+		t.Fatalf("the gets were not misses that cycled a full cache: hits %d -> %d, evictions %d -> %d, reuses %d -> %d",
+			hits, r.n("svc.hits"), evictions, r.n("svc.evictions"), reuses, r.n("svc.reuses"))
+	}
+}
+
 func TestUpdatePutAllocatesNothing(t *testing.T) {
 	_, th := residentStore(t, 16)
 	k, v := aKey(5), kib(99)

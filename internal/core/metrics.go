@@ -103,6 +103,8 @@ func (s *Store) registerMetrics() {
 			s.stats.scanRewrites.Load)
 		r.CounterFunc(obs.Desc{Name: "svc.touch_drops", Help: "advisory touch events dropped under pressure", Unit: "events"},
 			func() int64 { return s.svcStats().TouchDrops })
+		r.CounterFunc(obs.Desc{Name: "svc.reuses", Help: "admissions that reused a dropped entry, buffer and all, once the two-epoch rule released it (§5.4)", Unit: "entries"},
+			func() int64 { return s.svcStats().Reuses })
 		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admits", Help: "values a reclaim pass handed to the cache as it moved them to Value Storage, because the read-recency filter had their key (over pwb.live_migrated: the share of migrated records somebody had read)", Unit: "values"},
 			s.stats.reclaimAdmits.Load)
 		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admit_skips", Help: "hand-offs a reclaim pass skipped because the cache manager's queue was more than half full (a pass never waits for the manager)", Unit: "values"},

@@ -688,15 +688,25 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	t.locs = locs
 
 	// One request per extent, in locs order: an extent's members are the
-	// run of locs on its device that start inside it.
-	reqs := t.reqs[:0]
+	// run of locs on its device that start inside it. Every extent is read
+	// into the thread's scratch and every row copied out of it, so a batch
+	// allocates its values and nothing else.
+	total := 0
+	for i := 0; i < len(locs); {
+		end, next := extent(locs, i)
+		total += int(end - locs[i].off)
+		i = next
+	}
+	if cap(t.extents) < total {
+		t.extents = make([]byte, total)
+	}
+	reqs, buf := t.reqs[:0], t.extents[:total]
 	for i := 0; i < len(locs); {
 		l := locs[i]
-		end := l.off + uint64(l.size)
-		for i++; i < len(locs) && locs[i].dev == l.dev && locs[i].off <= end+mergeGap; i++ {
-			end = max(end, locs[i].off+uint64(locs[i].size))
-		}
-		reqs = append(reqs, ssd.Request{Op: ssd.OpRead, Offset: int64(l.off), Data: make([]byte, end-l.off), UserData: uint64(l.dev)})
+		end, next := extent(locs, i)
+		n := int(end - l.off)
+		reqs = append(reqs, ssd.Request{Op: ssd.OpRead, Offset: int64(l.off), Data: buf[:n:n], UserData: uint64(l.dev)})
+		buf, i = buf[n:], next
 	}
 	t.reqs = reqs
 	t.readVS(reqs, len(locs))
@@ -704,10 +714,6 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	i := 0
 	for _, r := range reqs {
 		end := uint64(r.Offset) + uint64(len(r.Data))
-		// A record alone in its extent is returned in the buffer it was read
-		// into, as resolve does; the rows of a merged extent are copied out:
-		// one retained row must not pin a 40 KB extent.
-		alone := i+1 == len(locs) || locs[i+1].dev != int(r.UserData) || locs[i+1].off >= end
 		for ; i < len(locs) && locs[i].dev == int(r.UserData) && locs[i].off < end; i++ {
 			it := locs[i].it
 			v, err := record.Coupled(r.Data[locs[i].off-uint64(r.Offset):], it.idx, it.p.Len)
@@ -718,10 +724,7 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 				it.p = hsit.Pointer{}
 				continue
 			}
-			it.val = v
-			if !alone {
-				it.val = cloneBytes(v)
-			}
+			it.val = cloneBytes(v)
 		}
 	}
 	// The fallback reads reuse the request scratch, so they run only now
@@ -754,6 +757,18 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 		s.stats.scanDeferred.Add(deferred)
 		s.cache.LinkChain(handles)
 	}
+}
+
+// extent returns the end of the extent that starts at locs[i] and the
+// index of the first record past its members: the run of locs on its
+// device within mergeGap of the bytes before them.
+func extent(locs []located, i int) (end uint64, next int) {
+	l := locs[i]
+	end = l.off + uint64(l.size)
+	for i++; i < len(locs) && locs[i].dev == l.dev && locs[i].off <= end+mergeGap; i++ {
+		end = max(end, locs[i].off+uint64(locs[i].size))
+	}
+	return end, i
 }
 
 // readVS issues Value Storage reads — reqs grouped by device, each

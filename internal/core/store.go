@@ -324,11 +324,13 @@ type Thread struct {
 	// across calls (a Thread is single-owner, so per-thread reuse is
 	// race-free and keeps batch reads allocation-flat): one item per key,
 	// those left for the merged Value Storage read, their records sorted
-	// by (device, offset), and one read request per extent.
+	// by (device, offset), one read request per extent, and the bytes
+	// the extents are read into.
 	items   []scanItem
 	pending []*scanItem
 	locs    []located
 	reqs    []ssd.Request
+	extents []byte
 }
 
 // Open creates a Store over fresh simulated devices.
@@ -464,6 +466,7 @@ func (s *Store) newCache() *svc.Cache {
 		Unpublish: func(idx, handle uint64) bool {
 			return s.table.CasSVC(nil, idx, handle, 0)
 		},
+		Epochs: s.em,
 	}
 	if !s.opt.DisableScanSort {
 		t := s.newThread(0, sim.NewRNG(s.opt.Seed^0x5ca9), nil, nil)

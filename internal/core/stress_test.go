@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
 
@@ -156,5 +158,100 @@ func runReclaimPublishStress(t *testing.T, disableSVC bool) {
 	}
 	if rep := s.CheckInvariants(); !rep.OK() {
 		t.Fatalf("invariants violated after stress: %v", rep.Problems)
+	}
+}
+
+// reuseVal is a self-describing value for key k: the key's id, a sequence
+// number, filler of a length that varies with seq (so entries are reused
+// across sizes), and a CRC-32 of everything before it.
+func reuseVal(k, seq int) []byte {
+	v := make([]byte, 200+(seq*37)%700)
+	binary.LittleEndian.PutUint32(v, uint32(k))
+	binary.LittleEndian.PutUint32(v[4:], uint32(seq))
+	for i := 8; i < len(v)-4; i++ {
+		v[i] = byte(k + seq + i)
+	}
+	binary.LittleEndian.PutUint32(v[len(v)-4:], crc32.ChecksumIEEE(v[:len(v)-4]))
+	return v
+}
+
+// checkReuseVal reports what is wrong with v as key k's value, "" if
+// nothing.
+func checkReuseVal(k int, v []byte) string {
+	switch {
+	case len(v) < 12:
+		return fmt.Sprintf("%d bytes", len(v))
+	case crc32.ChecksumIEEE(v[:len(v)-4]) != binary.LittleEndian.Uint32(v[len(v)-4:]):
+		return "torn bytes (CRC mismatch)"
+	case binary.LittleEndian.Uint32(v) != uint32(k):
+		return fmt.Sprintf("key %d's bytes", binary.LittleEndian.Uint32(v))
+	}
+	return ""
+}
+
+// TestSVCEntryReuseStress churns a small SVC while every hit is checked:
+// writers overwrite keys (retracting their cached copies), reclaim passes
+// and Value Storage reads admit values, the cache evicts continuously,
+// and dropped entries are reused for other keys two epochs later (§5.4).
+// A get — hit or miss — must return its own key's bytes, whole. Reusing
+// an entry a reader may still hold, or letting a late event act on a
+// reused entry, shows here as a foreign key's value, a CRC mismatch or a
+// race report (make race).
+func TestSVCEntryReuseStress(t *testing.T) {
+	const (
+		threads = 4
+		keys    = 160
+		ops     = 2500
+	)
+	s := small(t, func(o *Options) {
+		o.NumThreads = threads
+		o.SVCBytes = 16 << 10
+	})
+	for k := 0; k < keys; k++ {
+		if err := s.Thread(0).Put(key(k), reuseVal(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, s)
+	var wg sync.WaitGroup
+	for ti := 0; ti < threads; ti++ {
+		wg.Add(1)
+		go func(ti int) {
+			defer wg.Done()
+			th, rng := s.Thread(ti), sim.NewRNG(uint64(ti)+1)
+			for i := 1; i <= ops; i++ {
+				k := rng.Intn(keys)
+				if rng.Intn(4) != 0 {
+					k %= keys / 4 // a hot quarter, so the cache serves hits
+				}
+				if ti < threads/2 && i%5 == 0 {
+					if err := th.Put(key(k), reuseVal(k, ti*ops+i)); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				v, err := th.Get(key(k))
+				if err != nil {
+					t.Errorf("thread %d: Get(%d): %v", ti, k, err)
+					return
+				}
+				if bad := checkReuseVal(k, v); bad != "" {
+					t.Errorf("thread %d, op %d: Get(%d) returned %s", ti, i, k, bad)
+					return
+				}
+			}
+		}(ti)
+	}
+	wg.Wait()
+	s.cache.Sync()
+	r := reg(t, s)
+	if r.n("svc.hits") == 0 || r.n("svc.evictions") == 0 || r.n("svc.reuses") == 0 {
+		t.Fatalf("the cache did not churn: %d hits, %d evictions, %d reuses",
+			r.n("svc.hits"), r.n("svc.evictions"), r.n("svc.reuses"))
+	}
+	t.Logf("%d hits, %d evictions, %d reuses", r.n("svc.hits"), r.n("svc.evictions"), r.n("svc.reuses"))
+	if rep := s.CheckInvariants(); !rep.OK() {
+		t.Fatalf("invariants after the churn: %v", rep.Problems)
 	}
 }

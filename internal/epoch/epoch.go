@@ -1,13 +1,17 @@
 // Package epoch implements epoch-based memory reclamation as used by
-// Prism for HSIT entries, SVC entries, PWB space, and Value Storage
-// chunks (§5.4).
+// Prism for HSIT entries, PWB ring space and SVC entries (§5.4). Value
+// Storage chunks are recycled without it: a read through a recycled
+// chunk fails its backward-pointer check instead.
 //
 // A participant wraps every operation that may hold references to shared
 // state in Enter/Exit. An object retired at global epoch e becomes safe
 // to reclaim once the global epoch has advanced twice past e: the first
 // advance guarantees no *new* operation can acquire a reference, the
 // second that every operation which might already hold one has finished —
-// the paper's two-epoch rule.
+// the paper's two-epoch rule. Retire runs a callback then; an owner that
+// keeps its retired objects itself, as the SVC keeps dropped entries for
+// reuse, stamps each with Epoch and reuses it once Epoch is two past the
+// stamp, without a callback or an allocation.
 //
 // Concurrency contract: Manager methods and Participant.Enter/Exit are
 // safe from any goroutine, but a single Participant must not be shared —

@@ -147,37 +147,60 @@ func (d *Device) Submit(at int64, reqs []Request) []Completion {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i, r := range reqs {
-		d.check(r.Offset, len(r.Data))
-		c := Completion{
-			UserData:   r.UserData,
-			Op:         r.Op,
-			Offset:     r.Offset,
-			Len:        len(r.Data),
-			SubmitTime: at,
-		}
-		switch r.Op {
-		case OpRead:
-			start, end := d.readBW.Acquire(at, sim.TransferNS(len(r.Data), d.cfg.ReadBandwidth))
-			c.StartTime, c.DoneTime = start, end+d.cfg.ReadLatency
-			copy(r.Data, d.durable[r.Offset:r.Offset+int64(len(r.Data))])
-			d.bytesRead.Add(int64(len(r.Data)))
-			d.readIOs.Add(1)
-		case OpWrite:
-			start, end := d.writeBW.Acquire(at, sim.TransferNS(len(r.Data), d.cfg.WriteBandwidth))
-			c.StartTime, c.DoneTime = start, end+d.cfg.WriteLatency
-			d.nextTok++
-			c.token = d.nextTok
-			buf := d.stagingBuf(len(r.Data))
-			copy(buf, r.Data)
-			d.pending[c.token] = pendingWrite{off: r.Offset, data: buf}
-			d.inFlight.Add(1)
-			d.writeIOs.Add(1)
-		default:
-			panic("ssd: unknown op")
-		}
-		comps[i] = c
+		comps[i] = d.schedule(at, r)
 	}
 	return comps
+}
+
+// Read places a batch of reads on the submission queue at virtual time at,
+// exactly as Submit would, and returns the latest DoneTime of the batch (at
+// itself for an empty one). A read is never Acked, so its caller needs no
+// Completion: this is Submit for a reader that keeps none.
+func (d *Device) Read(at int64, reqs []Request) int64 {
+	done := at
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, r := range reqs {
+		if r.Op != OpRead {
+			panic("ssd: Read of a write request")
+		}
+		done = max(done, d.schedule(at, r).DoneTime)
+	}
+	return done
+}
+
+// schedule books one request submitted at virtual time at. The caller
+// holds d.mu.
+func (d *Device) schedule(at int64, r Request) Completion {
+	d.check(r.Offset, len(r.Data))
+	c := Completion{
+		UserData:   r.UserData,
+		Op:         r.Op,
+		Offset:     r.Offset,
+		Len:        len(r.Data),
+		SubmitTime: at,
+	}
+	switch r.Op {
+	case OpRead:
+		start, end := d.readBW.Acquire(at, sim.TransferNS(len(r.Data), d.cfg.ReadBandwidth))
+		c.StartTime, c.DoneTime = start, end+d.cfg.ReadLatency
+		copy(r.Data, d.durable[r.Offset:r.Offset+int64(len(r.Data))])
+		d.bytesRead.Add(int64(len(r.Data)))
+		d.readIOs.Add(1)
+	case OpWrite:
+		start, end := d.writeBW.Acquire(at, sim.TransferNS(len(r.Data), d.cfg.WriteBandwidth))
+		c.StartTime, c.DoneTime = start, end+d.cfg.WriteLatency
+		d.nextTok++
+		c.token = d.nextTok
+		buf := d.stagingBuf(len(r.Data))
+		copy(buf, r.Data)
+		d.pending[c.token] = pendingWrite{off: r.Offset, data: buf}
+		d.inFlight.Add(1)
+		d.writeIOs.Add(1)
+	default:
+		panic("ssd: unknown op")
+	}
+	return c
 }
 
 // stagingBuf returns an n-byte buffer to stage a write in, recycled from

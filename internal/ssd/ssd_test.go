@@ -224,3 +224,45 @@ func TestStagingReuseNeverLeaksAcrossCrash(t *testing.T) {
 		t.Fatalf("BytesWritten = %d", d.Stats().BytesWritten)
 	}
 }
+
+// TestReadMatchesSubmit: Read schedules a batch of reads exactly as
+// Submit does — same channel bookings, same data, same counters — and
+// returns the latest DoneTime, without a completion slice.
+func TestReadMatchesSubmit(t *testing.T) {
+	a, b := newDev(1<<20), newDev(1<<20)
+	for _, d := range []*Device{a, b} {
+		d.Ack(d.Submit(0, []Request{{Op: OpWrite, Offset: 0, Data: bytes.Repeat([]byte("x"), 4096)}})[0])
+	}
+	batch := func() []Request {
+		return []Request{{Op: OpRead, Offset: 0, Data: make([]byte, 4096)}, {Op: OpRead, Offset: 512, Data: make([]byte, 64)}}
+	}
+	for _, at := range []int64{0, 10, 100_000} {
+		want := int64(0)
+		for _, c := range a.Submit(at, batch()) {
+			want = max(want, c.DoneTime)
+		}
+		reqs := batch()
+		if got := b.Read(at, reqs); got != want {
+			t.Fatalf("Read at %d done at %d, Submit at %d", at, got, want)
+		}
+		if reqs[1].Data[63] != 'x' {
+			t.Fatal("Read did not fill its buffers")
+		}
+	}
+	if a.Stats() != b.Stats() {
+		t.Fatalf("counters differ: Submit %+v, Read %+v", a.Stats(), b.Stats())
+	}
+	if got := b.Read(7, nil); got != 7 {
+		t.Fatalf("an empty Read returned %d, want its submission time", got)
+	}
+	buf := make([]byte, 64)
+	if n := testing.AllocsPerRun(100, func() { b.Read(0, []Request{{Op: OpRead, Data: buf}}) }); n != 0 {
+		t.Fatalf("Read allocated %v times, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Read of a write did not panic")
+		}
+	}()
+	b.Read(0, []Request{{Op: OpWrite, Data: buf}})
+}

@@ -18,19 +18,29 @@
 // a chain is in key order because the scan linked it in key order and
 // unlinking a member keeps its neighbours' order.
 //
-// Entry lifetime: handles embed a per-slot generation, so a stale handle
-// read from HSIT after the slot was recycled simply fails validation.
-// (The paper frees entries via epoch-based reclamation; Go's GC plus
-// generation checks provide the same safety for the DRAM-resident part.)
+// Entry lifetime (§5.4): handles embed a per-slot generation, so a stale
+// handle read from HSIT after its entry left the table fails validation.
+// An entry leaves the table when the manager drops it (evict, invalidate,
+// retract) or its admission is aborted. It is then stamped with the
+// global epoch and kept, struct and value buffer together, and a later
+// Admit reuses it once the epoch is two past the stamp: the two-epoch
+// rule, so no reader that resolved the old incarnation inside its
+// critical section can still be reading its bytes. Events queued for the
+// manager name the incarnation (its handle), so a late touch or remove
+// never acts on a reused entry. A cache without an epoch source keeps no
+// entry, since none is ever known safe, and allocates every admission.
 package svc
 
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/epoch"
 )
 
-// Entry is one cached value. Value, HSITIdx, Ver are immutable after
-// creation; list and chain links are owned by the manager goroutine.
+// Entry is one cached value. Value, HSITIdx, Ver are immutable for one
+// incarnation (from Admit until the entry leaves the table); list and
+// chain links are owned by the manager goroutine.
 type Entry struct {
 	HSITIdx uint64
 	Value   []byte
@@ -46,6 +56,12 @@ type Entry struct {
 	slot uint32
 	gen  uint32
 
+	// live is the incarnation's handle while it is in the table, 0 once
+	// it has left: the manager's test that an event is not stale.
+	live atomic.Uint64
+	// retired is the epoch the entry left the table in; guarded by mu.
+	retired uint64
+
 	// Manager-owned state.
 	state      int8 // 0 = not resident, 1 = inactive, 2 = active
 	prev, next *Entry
@@ -60,7 +76,9 @@ func (e *Entry) size() int64 { return int64(len(e.Value) + 96) }
 
 // EvictedChain is passed to the rewrite hook: the resident members of a
 // scan chain, in the order LinkChain was given them (the scan's key
-// order), at the moment one of them was evicted.
+// order), at the moment one of them was evicted. The entries are valid
+// until the hook returns: then the evicted one is dropped, and may be
+// reused.
 type EvictedChain struct {
 	Entries []*Entry
 }
@@ -75,6 +93,10 @@ type Config struct {
 	// Unpublish must CAS HSIT[idx]'s SVC handle from handle to 0; it returns
 	// whether this call cleared it. Wired to hsit.Table.CasSVC.
 	Unpublish func(hsitIdx, handle uint64) bool
+	// Epochs, if set, is the epoch source every Lookup caller's critical
+	// section registers with; it lets entries be reused. Without it
+	// every admission allocates.
+	Epochs *epoch.Manager
 }
 
 const (
@@ -83,6 +105,10 @@ const (
 	activeFraction = 2.0 / 3.0
 	// queueLen sizes the manager's event queue.
 	queueLen = 4096
+	// spareLen bounds the entries kept for reuse, as CapacityBytes bounds
+	// their bytes: far more than the drops of the two epochs an entry
+	// waits, which a store's threads advance every few dozen operations.
+	spareLen = 4096
 )
 
 type evKind uint8
@@ -98,6 +124,7 @@ const (
 type event struct {
 	kind    evKind
 	entry   *Entry
+	handle  uint64 // the incarnation of entry the event is for
 	handles []uint64
 	done    chan struct{}
 }
@@ -110,6 +137,12 @@ type Cache struct {
 	table []*Entry // slot -> resident entry (nil when free); guarded by mu
 	gens  []uint32
 	frees []uint32
+	// spare is a ring of entries that left the table, oldest first at
+	// spareAt, spareN of them holding spareBytes; guarded by mu. Its
+	// length is 0 without an epoch source.
+	spare           []*Entry
+	spareAt, spareN int
+	spareBytes      int64
 
 	events chan event
 	wg     sync.WaitGroup
@@ -121,6 +154,7 @@ type Cache struct {
 	promotions atomic.Int64
 	rewrites   atomic.Int64
 	touchDrop  atomic.Int64
+	reuses     atomic.Int64
 
 	// Manager-owned 2Q lists.
 	active, inactive lruList
@@ -135,6 +169,9 @@ func New(cfg Config) *Cache {
 		panic("svc: Unpublish hook required")
 	}
 	c := &Cache{cfg: cfg, events: make(chan event, queueLen)}
+	if cfg.Epochs != nil {
+		c.spare = make([]*Entry, spareLen)
+	}
 	c.wg.Add(1)
 	go c.manager()
 	return c
@@ -156,38 +193,62 @@ func (c *Cache) Close() {
 // the HSIT entry's current publish version before using the value: a
 // handle can transiently point at a superseded value (an in-flight
 // admission that lost its race, or a GC/rewrite relocation) and only the
-// version check detects it. The returned slice is immutable — callers
-// must copy before handing it to users.
+// version check detects it. The returned slice is immutable and is the
+// entry's own buffer, which a later admission reuses: the caller must
+// call Lookup inside a critical section of the cache's epoch source, copy
+// the bytes before handing them to users, and not keep the slice past
+// that critical section.
 func (c *Cache) Lookup(hsitIdx, handle uint64) (val []byte, ver uint64, ok bool) {
+	c.mu.Lock()
 	e := c.resolve(hsitIdx, handle)
+	if e != nil {
+		val, ver = e.Value, e.Ver
+	}
+	c.mu.Unlock()
 	if e == nil {
 		return nil, 0, false
 	}
-	c.post(event{kind: evTouch, entry: e}, false)
-	return e.Value, e.Ver, true
+	c.post(event{kind: evTouch, entry: e, handle: handle}, false)
+	return val, ver, true
 }
 
-func (c *Cache) resolve(hsitIdx, handle uint64) *Entry {
-	slot := uint32(handle&0xffffffff) - 1
-	gen := uint32(handle >> 32)
+// Resident reports the length of the value handle names for HSIT entry
+// hsitIdx, if the handle is still current, without touching the entry:
+// a checker's question, which must not promote what it looks at.
+func (c *Cache) Resident(hsitIdx, handle uint64) (length int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if e := c.resolve(hsitIdx, handle); e != nil {
+		return len(e.Value), true
+	}
+	return 0, false
+}
+
+// resolve returns the entry handle names if it is in the table for HSIT
+// entry hsitIdx (any entry when hsitIdx is anyIdx). The caller holds mu.
+func (c *Cache) resolve(hsitIdx, handle uint64) *Entry {
+	slot := uint32(handle&0xffffffff) - 1
 	if int(slot) >= len(c.table) {
 		return nil
 	}
 	e := c.table[slot]
-	if e == nil || e.gen != gen || e.HSITIdx != hsitIdx {
+	if e == nil || e.gen != uint32(handle>>32) || hsitIdx != anyIdx && e.HSITIdx != hsitIdx {
 		return nil
 	}
 	return e
 }
 
-// Admit allocates an entry holding a copy of value, the entry's current
+// anyIdx makes resolve match a handle for whichever HSIT entry it is.
+const anyIdx = ^uint64(0)
+
+// Admit returns an entry holding a copy of value, the entry's current
 // value under publish version ver (opaque to the cache; readers compare
-// it on Lookup). The caller must then publish e.Handle() in the HSIT entry
-// (CAS from 0) and call Published on success or AbortAdmit if it lost the
-// race (§4.4: published atomically). The key is not kept — nothing reads
-// it; the parameter stays because benchmark/ladder.go passes one.
+// it on Lookup): a spare entry the two-epoch rule has released, buffer
+// and all, or a new one. The caller must then publish e.Handle() in the
+// HSIT entry (CAS from 0) and call Published on success or AbortAdmit if
+// it lost the race (§4.4: published atomically). The key is not kept —
+// nothing reads it; the parameter stays because benchmark/ladder.go
+// passes one.
 func (c *Cache) Admit(hsitIdx, ver uint64, _, value []byte) *Entry {
 	c.mu.Lock()
 	var slot uint32
@@ -199,15 +260,37 @@ func (c *Cache) Admit(hsitIdx, ver uint64, _, value []byte) *Entry {
 		c.table = append(c.table, nil)
 		c.gens = append(c.gens, 0)
 	}
-	e := &Entry{
-		HSITIdx: hsitIdx,
-		Value:   append([]byte(nil), value...),
-		Ver:     ver,
-		slot:    slot,
-		gen:     c.gens[slot],
+	e := c.reuse()
+	// A spare buffer is kept if it fits and at most doubles the value:
+	// bytes accounts len(Value), and the slack must stay bounded.
+	if n := len(value); cap(e.Value) < n || cap(e.Value) > 2*n {
+		e.Value = make([]byte, n)
 	}
+	e.Value = e.Value[:len(value)]
+	copy(e.Value, value)
+	e.HSITIdx, e.Ver, e.slot, e.gen = hsitIdx, ver, slot, c.gens[slot]
+	e.live.Store(e.Handle())
 	c.table[slot] = e
 	c.mu.Unlock()
+	return e
+}
+
+// reuse pops the oldest spare entry if the two-epoch rule has released
+// it (§5.4), or returns a new one. Spares are stamped in the order they
+// arrive, so when the oldest is not yet safe none is. The caller holds mu.
+func (c *Cache) reuse() *Entry {
+	if c.spareN == 0 {
+		return new(Entry)
+	}
+	e := c.spare[c.spareAt]
+	if c.cfg.Epochs.Epoch() < e.retired+2 {
+		return new(Entry)
+	}
+	c.spare[c.spareAt] = nil
+	c.spareAt = (c.spareAt + 1) % len(c.spare)
+	c.spareN--
+	c.spareBytes -= e.size()
+	c.reuses.Add(1)
 	return e
 }
 
@@ -215,7 +298,7 @@ func (c *Cache) Admit(hsitIdx, ver uint64, _, value []byte) *Entry {
 func (c *Cache) Published(e *Entry) {
 	c.bytes.Add(e.size())
 	c.entries.Add(1)
-	c.post(event{kind: evAdd, entry: e}, true)
+	c.post(event{kind: evAdd, entry: e, handle: e.Handle()}, true)
 }
 
 // Backlogged reports that the manager's event queue is more than half
@@ -226,13 +309,16 @@ func (c *Cache) Backlogged() bool { return len(c.events) > cap(c.events)/2 }
 
 // AbortAdmit releases an entry whose HSIT publication lost a race.
 func (c *Cache) AbortAdmit(e *Entry) {
-	c.freeSlot(e)
+	c.release(e)
 }
 
 // Invalidate removes the entry for handle (value deleted or superseded).
 func (c *Cache) Invalidate(hsitIdx, handle uint64) {
-	if e := c.resolve(hsitIdx, handle); e != nil {
-		c.post(event{kind: evRemove, entry: e}, true)
+	c.mu.Lock()
+	e := c.resolve(hsitIdx, handle)
+	c.mu.Unlock()
+	if e != nil {
+		c.post(event{kind: evRemove, entry: e, handle: handle}, true)
 	}
 }
 
@@ -273,12 +359,22 @@ func (c *Cache) post(ev event, must bool) bool {
 	}
 }
 
-func (c *Cache) freeSlot(e *Entry) {
+// release takes e out of the table, frees its slot and, if the spare ring
+// has room, keeps e there stamped with the epoch it left in. The spares'
+// values total at most CapacityBytes, as the resident ones do.
+func (c *Cache) release(e *Entry) {
 	c.mu.Lock()
 	if int(e.slot) < len(c.table) && c.table[e.slot] == e {
 		c.table[e.slot] = nil
 		c.gens[e.slot]++
 		c.frees = append(c.frees, e.slot)
+		e.live.Store(0)
+		if c.spareN < len(c.spare) && c.spareBytes+e.size() <= c.cfg.CapacityBytes {
+			e.retired = c.cfg.Epochs.Epoch()
+			c.spare[(c.spareAt+c.spareN)%len(c.spare)] = e
+			c.spareN++
+			c.spareBytes += e.size()
+		}
 	}
 	c.mu.Unlock()
 }
@@ -291,6 +387,7 @@ type Stats struct {
 	Promotions    int64 // 2Q inactive -> active moves
 	ChainRewrites int64
 	TouchDrops    int64
+	Reuses        int64 // admissions that reused a dropped entry
 }
 
 // Stats returns the cache counters.
@@ -302,6 +399,7 @@ func (c *Cache) Stats() Stats {
 		Promotions:    c.promotions.Load(),
 		ChainRewrites: c.rewrites.Load(),
 		TouchDrops:    c.touchDrop.Load(),
+		Reuses:        c.reuses.Load(),
 	}
 }
 
@@ -343,6 +441,9 @@ func (l *lruList) remove(e *Entry) {
 func (c *Cache) manager() {
 	defer c.wg.Done()
 	for ev := range c.events {
+		if ev.entry != nil && ev.entry.live.Load() != ev.handle {
+			continue // for an incarnation that has left the table
+		}
 		switch ev.kind {
 		case evAdd:
 			if ev.entry.state == 0 {
@@ -436,7 +537,7 @@ func (c *Cache) drop(e *Entry, unpublish bool) {
 	}
 	c.bytes.Add(-e.size())
 	c.entries.Add(-1)
-	c.freeSlot(e)
+	c.release(e)
 }
 
 func (c *Cache) unlinkChain(e *Entry) {
@@ -453,15 +554,10 @@ func (c *Cache) unlinkChain(e *Entry) {
 func (c *Cache) link(handles []uint64) {
 	var prev *Entry
 	for _, h := range handles {
-		slot := uint32(h&0xffffffff) - 1
-		gen := uint32(h >> 32)
 		c.mu.Lock()
-		var e *Entry
-		if int(slot) < len(c.table) {
-			e = c.table[slot]
-		}
+		e := c.resolve(anyIdx, h)
 		c.mu.Unlock()
-		if e == nil || e.gen != gen || e.state == 0 {
+		if e == nil || e.state == 0 {
 			continue
 		}
 		c.unlinkChain(e) // leave any previous chain

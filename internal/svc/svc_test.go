@@ -1,9 +1,12 @@
 package svc
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/epoch"
 )
 
 // fakeHSIT emulates the word-1 publication protocol.
@@ -32,17 +35,19 @@ func (f *fakeHSIT) load(idx uint64) uint64 {
 
 func newCache(t *testing.T, capacity int64, onEvict func(EvictedChain)) (*Cache, *fakeHSIT) {
 	t.Helper()
+	return newCacheFrom(t, Config{CapacityBytes: capacity, OnScanEvict: onEvict})
+}
+
+// newCacheFrom builds a cache from cfg, its Unpublish wired to a fresh
+// fake HSIT.
+func newCacheFrom(t *testing.T, cfg Config) (*Cache, *fakeHSIT) {
+	t.Helper()
 	h := newFakeHSIT()
-	c := New(Config{
-		CapacityBytes: capacity,
-		OnScanEvict:   onEvict,
-		Unpublish:     func(idx, handle uint64) bool { return f_cas(h, idx, handle) },
-	})
+	cfg.Unpublish = func(idx, handle uint64) bool { return h.cas(idx, handle, 0) }
+	c := New(cfg)
 	t.Cleanup(c.Close)
 	return c, h
 }
-
-func f_cas(h *fakeHSIT, idx, handle uint64) bool { return h.cas(idx, handle, 0) }
 
 // verOf is the admission version token the admit helper records for idx
 // (opaque to the cache; it only round-trips through Lookup).
@@ -334,4 +339,137 @@ func TestCloseIsIdempotentAndSafe(t *testing.T) {
 	// Posting after close must not panic or block.
 	c.Invalidate(1, 42)
 	c.Sync()
+}
+
+// retract unpublishes idx's entry and drops it, the way a writer that
+// supersedes the value does, and waits for the manager to have done so.
+func retract(c *Cache, h *fakeHSIT, idx uint64, e *Entry) {
+	h.cas(idx, e.Handle(), 0)
+	c.Invalidate(idx, e.Handle())
+	c.Sync()
+}
+
+// TestReuseWaitsTwoEpochs: a dropped entry is reused — struct and buffer —
+// only once the global epoch is two past its drop (§5.4). A reader that
+// resolved the entry before the drop holds its bytes for as long as its
+// critical section lasts: an admission meanwhile must get another entry,
+// and the reader's slice must keep the bytes it read.
+func TestReuseWaitsTwoEpochs(t *testing.T) {
+	em := epoch.NewManager()
+	c, h := newCacheFrom(t, Config{CapacityBytes: 1 << 20, Epochs: em})
+	reader := em.Register()
+	a := admit(t, c, h, 1, "first")
+	reader.Enter()
+	v, _, ok := c.Lookup(1, a.Handle())
+	if !ok {
+		t.Fatal("lookup failed")
+	}
+	stale := a.Handle()
+	retract(c, h, 1, a)
+	for i := 0; i < 4; i++ {
+		em.Collect() // the pinned reader lets the epoch move once at most
+	}
+	if b := admit(t, c, h, 2, "other"); b == a {
+		t.Fatal("an entry was reused while a reader inside its epoch could hold it")
+	}
+	if string(v) != "first" {
+		t.Fatalf("the reader's bytes became %q under it", v)
+	}
+	reader.Exit()
+	em.Collect()
+	em.Collect()
+	d := admit(t, c, h, 3, "third")
+	if d != a {
+		t.Fatal("the dropped entry was not reused two epochs after its drop")
+	}
+	if got, _, ok := c.Lookup(3, d.Handle()); !ok || string(got) != "third" {
+		t.Fatalf("reused entry reads %q, %v", got, ok)
+	}
+	if _, _, ok := c.Lookup(1, stale); ok {
+		t.Fatal("the dropped incarnation's handle still resolves")
+	}
+	if st := c.Stats(); st.Reuses != 1 {
+		t.Fatalf("Reuses = %d, want 1", st.Reuses)
+	}
+}
+
+// TestStaleEventSparesReusedEntry: a touch or remove queued for an entry's
+// earlier incarnation reaches the manager only after the entry was
+// dropped and reused for another key. It names the old handle, so the
+// manager leaves the new incarnation alone: not promoted, still resident
+// and published.
+func TestStaleEventSparesReusedEntry(t *testing.T) {
+	em := epoch.NewManager()
+	c, h := newCacheFrom(t, Config{CapacityBytes: 1 << 20, Epochs: em})
+	a := admit(t, c, h, 1, "old")
+	stale := a.Handle()
+	retract(c, h, 1, a)
+	em.Collect()
+	em.Collect()
+	b := admit(t, c, h, 2, "new")
+	if b != a {
+		t.Fatal("the dropped entry was not reused")
+	}
+	c.Sync()
+	c.post(event{kind: evTouch, entry: a, handle: stale}, true)
+	c.post(event{kind: evRemove, entry: a, handle: stale}, true)
+	c.Sync()
+	if got, _, ok := c.Lookup(2, b.Handle()); !ok || string(got) != "new" {
+		t.Fatalf("reused entry after stale events: %q, %v", got, ok)
+	}
+	if h.load(2) != b.Handle() {
+		t.Fatal("a stale remove unpublished the reused entry")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Promotions != 0 {
+		t.Fatalf("stats after stale events = %+v, want 1 entry, 0 promotions", st)
+	}
+}
+
+// TestNoEpochSourceNeverReuses: without an epoch source no dropped entry is
+// known safe, so every admission gets a fresh one.
+func TestNoEpochSourceNeverReuses(t *testing.T) {
+	c, h := newCache(t, 1<<20, nil)
+	a := admit(t, c, h, 1, "v")
+	retract(c, h, 1, a)
+	if b := admit(t, c, h, 2, "w"); b == a {
+		t.Fatal("a cache without an epoch source reused an entry")
+	}
+}
+
+// TestReuseKeepsBufferWithinBounds: a reused entry keeps its buffer for a
+// value that fits it and is at least half its size, and takes a new one
+// otherwise; either way it holds exactly the admitted bytes.
+func TestReuseKeepsBufferWithinBounds(t *testing.T) {
+	em := epoch.NewManager()
+	c, h := newCacheFrom(t, Config{CapacityBytes: 1 << 20, Epochs: em})
+	for i, n := range []int{100, 60, 100, 30} {
+		idx := uint64(i + 1)
+		e := c.Admit(idx, verOf(idx), nil, bytes.Repeat([]byte{byte(i)}, n))
+		if !h.cas(idx, 0, e.Handle()) {
+			t.Fatal("publish race")
+		}
+		c.Published(e)
+		if len(e.Value) != n || e.Value[n-1] != byte(i) || cap(e.Value) > 2*n {
+			t.Fatalf("admission %d: len %d cap %d for a %d-byte value", i, len(e.Value), cap(e.Value), n)
+		}
+		retract(c, h, idx, e)
+		em.Collect()
+		em.Collect()
+	}
+}
+
+// TestSparesHoldAtMostCapacity: dropped entries waiting for reuse hold no
+// more bytes than the cache may keep resident; beyond that a drop is left
+// to the garbage collector.
+func TestSparesHoldAtMostCapacity(t *testing.T) {
+	const capacity = 1000
+	c, h := newCacheFrom(t, Config{CapacityBytes: capacity, Epochs: epoch.NewManager()})
+	for idx := uint64(1); idx <= 20; idx++ {
+		retract(c, h, idx, admit(t, c, h, idx, string(make([]byte, 200))))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.spareBytes > capacity || c.spareN != capacity/(200+96) {
+		t.Fatalf("%d spares hold %d bytes; capacity %d", c.spareN, c.spareBytes, capacity)
+	}
 }

@@ -37,10 +37,46 @@ const DefaultDepth = 64
 
 // node is one caller's set of requests waiting in a queue.
 type node struct {
-	reqs []ssd.Request
+	reqs []ssd.Request // a copy of the caller's set: its Data is the caller's
 	at   int64
 	done chan int64 // receives the set's latest DoneTime, or takeLead
 	next atomic.Pointer[node]
+}
+
+// waiters is a free list of nodes, each with its done channel, so that a
+// read allocates neither. A node goes back once its Read has its answer:
+// by then nobody else holds it (a leader reads a follower's link before
+// it answers the follower).
+type waiters struct {
+	mu   sync.Mutex
+	free []*node
+}
+
+// get returns a node holding a copy of reqs, submitted at at. The copy keeps
+// the caller's variadic slice off the heap.
+func (w *waiters) get(at int64, reqs []ssd.Request) *node {
+	var n *node
+	w.mu.Lock()
+	if k := len(w.free); k > 0 {
+		n = w.free[k-1]
+		w.free = w.free[:k-1]
+	}
+	w.mu.Unlock()
+	if n == nil {
+		n = &node{done: make(chan int64, 1)}
+	}
+	n.reqs = append(n.reqs[:0], reqs...)
+	n.at = at
+	n.next.Store(nil)
+	return n
+}
+
+// put returns n, its done channel drained, to the free list.
+func (w *waiters) put(n *node) {
+	clear(n.reqs) // drop the caller's buffers
+	w.mu.Lock()
+	w.free = append(w.free, n)
+	w.mu.Unlock()
 }
 
 // takeLead, sent on a waiting node's done channel in place of a
@@ -78,9 +114,7 @@ func submit(dev *ssd.Device, depth int, at int64, reqs []ssd.Request) int64 {
 	for len(reqs) > 0 {
 		wave := reqs[:min(len(reqs), depth)]
 		reqs = reqs[len(wave):]
-		for _, c := range dev.Submit(at, wave) {
-			at = max(at, c.DoneTime)
-		}
+		at = dev.Read(at, wave)
 	}
 	return at
 }
@@ -91,6 +125,7 @@ type Queue struct {
 	depth int
 	tail  atomic.Pointer[node]
 
+	waiters
 	batchStats
 }
 
@@ -112,7 +147,8 @@ func (q *Queue) Read(at int64, reqs ...ssd.Request) int64 {
 	if len(reqs) == 0 {
 		return at
 	}
-	n := &node{reqs: reqs, at: at, done: make(chan int64, 1)}
+	n := q.get(at, reqs)
+	defer q.put(n)
 	if prev := q.tail.Swap(n); prev != nil {
 		prev.next.Store(n)
 		if d := <-n.done; d != takeLead {
@@ -163,8 +199,10 @@ func (q *Queue) lead(n *node) int64 {
 	// cannot delay the rest, it just lands later in the device queue.
 	q.record(count, q.depth)
 	own := submit(q.dev, q.depth, n.at, n.reqs)
-	for b := n; b != last; {
-		b = b.next.Load()
+	// A follower's link is read before it is answered: once answered, its
+	// owner may put the node to reuse.
+	for b, next := n, n.next.Load(); b != last; {
+		b, next = next, next.next.Load()
 		b.done <- submit(q.dev, q.depth, max(b.at, n.at), b.reqs)
 	}
 	return own
@@ -196,6 +234,7 @@ type TimeoutBatcher struct {
 	// wall-clock progress, never virtual-time results.
 	grace time.Duration
 
+	waiters
 	batchStats
 
 	mu    sync.Mutex
@@ -224,7 +263,8 @@ func (b *TimeoutBatcher) Read(at int64, reqs ...ssd.Request) int64 {
 	if len(reqs) == 0 {
 		return at
 	}
-	n := &node{reqs: reqs, at: at, done: make(chan int64, 1)}
+	n := b.get(at, reqs)
+	defer b.put(n)
 	b.mu.Lock()
 	if b.count+len(reqs) > b.depth {
 		b.flushLocked(false)
@@ -240,7 +280,11 @@ func (b *TimeoutBatcher) Read(at int64, reqs ...ssd.Request) int64 {
 		if after == 0 {
 			after = 200 * time.Microsecond
 		}
-		b.timer = time.AfterFunc(after, func() { b.flush(true) })
+		if b.timer == nil {
+			b.timer = time.AfterFunc(after, func() { b.flush(true) })
+		} else {
+			b.timer.Reset(after)
+		}
 	}
 	b.mu.Unlock()
 	return <-n.done
@@ -260,7 +304,6 @@ func (b *TimeoutBatcher) flushLocked(timedOut bool) {
 		b.timer.Stop()
 	}
 	group, count := b.group, b.count
-	b.group, b.count = nil, 0
 	submitAt := group[0].at
 	for _, g := range group {
 		submitAt = max(submitAt, g.at)
@@ -273,6 +316,8 @@ func (b *TimeoutBatcher) flushLocked(timedOut bool) {
 	for _, g := range group {
 		g.done <- submit(b.dev, b.depth, submitAt, g.reqs)
 	}
+	clear(group) // answered: their owners may reuse them
+	b.group, b.count = group[:0], 0
 }
 
 // Flush forces any pending group out (shutdown/drain).

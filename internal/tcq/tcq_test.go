@@ -372,3 +372,42 @@ func TestMixedSetReadersStress(t *testing.T) {
 		run(t, b, func() (int64, int64) { return b.Batches(), b.combined.Load() }, hist)
 	})
 }
+
+// TestQueueReadAllocatesNothing: a read reuses its waiter — node and done
+// channel — from the queue's free list, keeps the caller's variadic set
+// off the heap, and asks the device for its latest completion time
+// without a completion slice.
+func TestQueueReadAllocatesNothing(t *testing.T) {
+	dev := newDev()
+	prime(dev, 0, []byte("solo"))
+	q := New(dev, 64)
+	buf := make([]byte, 4)
+	at := int64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		at = q.Read(at, ssd.Request{Op: ssd.OpRead, Offset: 0, Data: buf})
+	}); n != 0 {
+		t.Errorf("a read allocated %v times, want 0", n)
+	}
+	if string(buf) != "solo" {
+		t.Fatalf("read %q", buf)
+	}
+}
+
+// TestTimeoutBatcherReadAllocatesNothing: the TA baseline reuses waiters
+// the same way, so Figure 11's comparison charges neither side for them.
+// At depth 1 every read flushes its own batch; at depth 2 a lone read
+// waits for the rescue timer, which is armed once and reset after.
+func TestTimeoutBatcherReadAllocatesNothing(t *testing.T) {
+	dev := newDev()
+	buf := make([]byte, 64)
+	for _, depth := range []int{1, 2} {
+		b := NewTimeoutBatcher(dev, depth, 100_000)
+		b.grace = 10 * time.Microsecond
+		b.Read(0, ssd.Request{Op: ssd.OpRead, Offset: 0, Data: buf}) // arms the timer
+		if n := testing.AllocsPerRun(50, func() {
+			b.Read(0, ssd.Request{Op: ssd.OpRead, Offset: 0, Data: buf})
+		}); n != 0 {
+			t.Errorf("depth %d: a TA read allocated %v times, want 0", depth, n)
+		}
+	}
+}

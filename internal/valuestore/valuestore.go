@@ -507,8 +507,7 @@ func (s *Store) claim(clk *sim.Clock, idx int, buf []byte, keep func(hsitIdx uin
 		return moves, false
 	}
 	buf = buf[:c.fill.Load()]
-	comps := s.Dev.Submit(clk.Now(), []ssd.Request{{Op: ssd.OpRead, Offset: int64(idx * s.chunkSize), Data: buf}})
-	clk.AdvanceTo(comps[0].DoneTime)
+	clk.AdvanceTo(s.Dev.Read(clk.Now(), []ssd.Request{{Op: ssd.OpRead, Offset: int64(idx * s.chunkSize), Data: buf}}))
 	for off := 0; off < len(buf); {
 		hsitIdx, val, ok := record.Decode(buf[off:])
 		if !ok {
