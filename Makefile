@@ -48,7 +48,10 @@ test:
 # of core's background passes (DESIGN.md §3.5), and TestSVCEntryReuseStress
 # in internal/core for readers checking every value's key and CRC while
 # puts and evictions churn a small SVC whose dropped entries are reused
-# two epochs later (DESIGN.md §4.13). internal/bench's suite is
+# two epochs later (DESIGN.md §4.13), and TestHandleReuseStress in
+# internal/core and TestReplyOutlivesHandleStress in internal/server for
+# goroutines and connections sharing one thread's reused async handles
+# (DESIGN.md §4.5). internal/bench's suite is
 # whole YCSB runs of every baseline engine, which the detector's ~20x
 # slowdown stretches for no Prism code the other packages leave
 # uncovered, so that one package contributes a bounded concurrent-load
@@ -67,9 +70,10 @@ race:
 	$(GO) test -race -count=1 -run 'TestClaimersInsideSettle$$|TestRelocationChargesSwingsAfterWrite$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestGCPassesRunPerDevice$$|TestWriteCrossingTheTriggerDecaysItOnce$$|TestUndrivenPassesStartAtThePresent$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestSVCEntryReuseStress$$' ./internal/core
+	$(GO) test -race -count=1 -run 'TestHandleReuseStress$$' ./internal/core
 	$(GO) test -race -count=1 -run 'TestPublishActsOnTheCurrentWord$$|TestPrefetchedPublishStress$$' ./internal/hsit
 	$(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench
-	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$' ./internal/server
+	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$|TestReplyOutlivesHandleStress$$' ./internal/server
 	$(GO) test -race -count=1 -run 'TestMixedSetReadersStress$$' ./internal/tcq
 
 # loc prints the non-blank, non-comment lines of non-test Go code per

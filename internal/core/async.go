@@ -145,55 +145,65 @@ const (
 // Handle is the completion future of one asynchronous submission.
 //
 // Wait, Value, Done, and CompletedAt are safe to call from any
-// goroutine, any number of times, concurrently. A Handle completes
-// exactly once; after the first Wait returns, every accessor observes
-// the same result. Dropping a Handle without waiting is allowed — the
-// operation still executes (a completed Put is durable whether or not
-// anyone observes it).
+// goroutine, any number of times, concurrently, until Release. A Handle
+// completes exactly once; after the first Wait returns, every accessor
+// observes the same result. Dropping a Handle without waiting is allowed
+// — the operation still executes (a completed Put is durable whether or
+// not anyone observes it) — and so is never releasing one: it is
+// garbage-collected.
+//
+// A Handle returned by a submission owns one byte buffer holding its key
+// copy and then either the put's value copy or the get's result, so
+// Value's bytes are valid until Release. Release hands the handle, buffer
+// and all, back to its thread for a later submission: that is what makes
+// a steady stream of submissions allocation-free.
 type Handle struct {
 	op     asyncOp
 	key    []byte
 	val    []byte // put: input value until applied; get: result value
+	buf    []byte // owned storage behind key and val (pooled handles only)
 	ts     uint64 // nonzero: timestamped variant (PutTSAsync/DeleteTSAsync)
 	err    error
 	doneNS int64
-	done   chan struct{}
+
+	// done flips once the result fields are set; wg is released right
+	// after, and is what Wait and Release block on.
+	done atomic.Bool
+	wg   sync.WaitGroup
 
 	// cbMu guards cb against a concurrent completion; see OnDone.
 	cbMu sync.Mutex
 	cb   func(*Handle)
+
+	// a is the thread whose free list Release returns the handle to; nil
+	// for proxy and already-completed handles, which are never reused.
+	a *asyncThread
 }
 
 // Wait blocks until the operation completes and returns its error:
 // nil on success, ErrNotFound for a missing key (Get/Delete), ErrClosed
 // if the store closed before the operation was admitted.
 func (h *Handle) Wait() error {
-	<-h.done
+	h.wg.Wait()
 	return h.err
 }
 
 // Value blocks until the operation completes and returns its result.
-// Only GetAsync produces a value; for Put/Delete it is always nil.
+// Only GetAsync produces a value; for Put/Delete it is always nil. The
+// bytes are the handle's own: valid until Release.
 func (h *Handle) Value() ([]byte, error) {
-	<-h.done
+	h.wg.Wait()
 	return h.val, h.err
 }
 
 // Done reports whether the operation has completed, without blocking.
-func (h *Handle) Done() bool {
-	select {
-	case <-h.done:
-		return true
-	default:
-		return false
-	}
-}
+func (h *Handle) Done() bool { return h.done.Load() }
 
 // CompletedAt blocks until the operation completes and returns the
 // virtual time (ns, on the thread's async timeline) at which it did.
 // Completion times are monotone in completion order.
 func (h *Handle) CompletedAt() int64 {
-	<-h.done
+	h.wg.Wait()
 	return h.doneNS
 }
 
@@ -201,28 +211,78 @@ func (h *Handle) CompletedAt() int64 {
 // called from the completing goroutine — or inline, before OnDone
 // returns, if the handle already completed. At most one callback per
 // handle. The shard router uses it to compose replica fan-out handles
-// without burning a goroutine per submission; fn must not block.
+// without burning a goroutine per submission; fn must not block. A
+// handle with a callback is released by the callback or not at all: the
+// completing goroutine still hands it to fn after Wait has returned.
 func (h *Handle) OnDone(fn func(*Handle)) {
 	h.cbMu.Lock()
-	select {
-	case <-h.done:
+	if h.done.Load() {
 		h.cbMu.Unlock()
 		fn(h)
 		return
-	default:
 	}
 	h.cb = fn
 	h.cbMu.Unlock()
 }
 
-// finish closes the done channel and fires any registered callback.
-// Result fields must be set before calling.
+// Release waits for the operation to complete and returns the handle to
+// its thread for reuse: neither the handle nor the bytes Value returned
+// may be used afterwards, by any goroutine. Release at most once. It is
+// optional — an unreleased handle is garbage-collected — and a no-op on
+// a handle the shard router composed (a proxy) or one that completed at
+// submission with an error.
+func (h *Handle) Release() {
+	a := h.a
+	if a == nil {
+		return
+	}
+	h.wg.Wait()
+	// A get whose result outgrew the buffer left it in a larger array of
+	// its own: keep whichever is larger (a value is at most
+	// hsit.MaxValueLen, so the free list pins a bounded amount).
+	if cap(h.val) > cap(h.buf) {
+		h.buf = h.val[:0]
+	}
+	h.key, h.val, h.err = nil, nil, nil
+	a.mu.Lock()
+	if len(a.free) < asyncMaxPending {
+		a.free = append(a.free, h)
+	}
+	a.mu.Unlock()
+}
+
+// arm readies a fresh or released handle for one submission, copying key
+// and, for a put, value into its buffer. A get's result is appended
+// behind the key (see dst).
+func (h *Handle) arm(op asyncOp, key, value []byte, ts uint64) {
+	n := len(key) + len(value)
+	if h.buf == nil || cap(h.buf) < n {
+		h.buf = make([]byte, 0, n) // never nil, even for n = 0: see dst
+	}
+	b := append(append(h.buf[:0], key...), value...)
+	h.op, h.key, h.val, h.ts, h.doneNS = op, b[:len(key):len(key)], nil, ts, 0
+	if op == opPut {
+		h.val = b[len(key):]
+	}
+	h.done.Store(false)
+	h.wg.Add(1)
+}
+
+// dst is where a get appends its result: the buffer behind the key, never
+// nil, so a present empty value stays distinguishable from a missing one.
+func (h *Handle) dst() []byte { return h.buf[len(h.key):len(h.key)] }
+
+// finish publishes the result — the fields are set before done flips and
+// before wg lets Wait return — and then runs any registered callback. The
+// handle is not touched after wg.Done but to hand it to the callback:
+// from there on its owner may release it.
 func (h *Handle) finish() {
 	h.cbMu.Lock()
-	close(h.done)
+	h.done.Store(true)
 	cb := h.cb
 	h.cb = nil
 	h.cbMu.Unlock()
+	h.wg.Done()
 	if cb != nil {
 		cb(h)
 	}
@@ -231,9 +291,11 @@ func (h *Handle) finish() {
 // NewProxyHandle returns an unresolved Handle plus the function that
 // resolves it. The shard router aggregates per-replica completions into
 // one caller-visible handle this way. resolve must be called exactly
-// once; doneNS is the completion time reported by CompletedAt.
+// once; doneNS is the completion time reported by CompletedAt. A proxy
+// is never reused: its Release is a no-op.
 func NewProxyHandle() (h *Handle, resolve func(val []byte, err error, doneNS int64)) {
-	h = &Handle{done: make(chan struct{})}
+	h = &Handle{}
+	h.wg.Add(1)
 	return h, func(val []byte, err error, doneNS int64) {
 		h.val, h.err, h.doneNS = val, err, doneNS
 		h.finish()
@@ -243,8 +305,8 @@ func NewProxyHandle() (h *Handle, resolve func(val []byte, err error, doneNS int
 // completedHandle returns an already-completed Handle carrying err
 // (immediate rejections: store closed, value too large).
 func completedHandle(err error) *Handle {
-	h := &Handle{err: err, done: make(chan struct{})}
-	close(h.done)
+	h := &Handle{err: err}
+	h.done.Store(true)
 	return h
 }
 
@@ -270,6 +332,7 @@ type asyncThread struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []*Handle
+	free     []*Handle    // released handles, newest last; at most asyncMaxPending
 	inflight atomic.Int64 // also read lock-free by the in-flight gauge
 	started  bool
 	stopping bool
@@ -280,6 +343,7 @@ type asyncThread struct {
 	// loop goroutine touches it.
 	lastDone int64
 
+	window  []*Handle // loop scratch: the window being run
 	waiting []*Handle // pass scratch: the gets behind lt.pending, in its order
 }
 
@@ -309,7 +373,7 @@ func (t *Thread) PutTSAsync(key, value []byte, ts uint64) *Handle {
 	s.stats.puts.Add(1)
 	s.stats.asyncPuts.Add(1)
 	s.stats.userBytesWritten.Add(int64(len(value)))
-	return t.async.submit(&Handle{op: opPut, key: cloneBytes(key), val: cloneBytes(value), ts: ts, done: make(chan struct{})})
+	return t.async.submit(opPut, key, value, ts)
 }
 
 // GetAsync submits a read and returns its completion Handle; the value
@@ -327,7 +391,7 @@ func (t *Thread) GetAsync(key []byte) *Handle {
 	}
 	s.stats.gets.Add(1)
 	s.stats.asyncGets.Add(1)
-	return t.async.submit(&Handle{op: opGet, key: cloneBytes(key), done: make(chan struct{})})
+	return t.async.submit(opGet, key, nil, 0)
 }
 
 // DeleteAsync submits a delete and returns its completion Handle
@@ -345,7 +409,7 @@ func (t *Thread) DeleteTSAsync(key []byte, ts uint64) *Handle {
 	}
 	s.stats.deletes.Add(1)
 	s.stats.asyncDeletes.Add(1)
-	return t.async.submit(&Handle{op: opDelete, key: cloneBytes(key), ts: ts, done: make(chan struct{})})
+	return t.async.submit(opDelete, key, nil, ts)
 }
 
 // Flush blocks until every async submission on this Thread has
@@ -375,10 +439,11 @@ func (t *Thread) AsyncNow() int64 {
 // PutAsync/GetAsync/DeleteAsync block (backpressure) at the bound.
 const asyncMaxPending = 256
 
-// submit enqueues h on the admission loop, applying backpressure at
-// asyncMaxPending in-flight submissions, and lazily starts the loop
-// goroutine on first use.
-func (a *asyncThread) submit(h *Handle) *Handle {
+// submit enqueues one operation on the admission loop, applying
+// backpressure at asyncMaxPending in-flight submissions, and lazily starts
+// the loop goroutine on first use. Its handle is the newest released one,
+// or a fresh one when none is: key and value are copied into it.
+func (a *asyncThread) submit(op asyncOp, key, value []byte, ts uint64) *Handle {
 	s := a.t.s
 	a.mu.Lock()
 	for !a.stopping && !s.closed.Load() && a.inflight.Load() >= asyncMaxPending {
@@ -386,10 +451,17 @@ func (a *asyncThread) submit(h *Handle) *Handle {
 	}
 	if a.stopping || s.closed.Load() {
 		a.mu.Unlock()
-		h.err = ErrClosed
-		h.finish()
-		return h
+		return completedHandle(ErrClosed)
 	}
+	var h *Handle
+	if n := len(a.free); n > 0 {
+		h = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+	} else {
+		h = &Handle{a: a}
+	}
+	h.arm(op, key, value, ts)
 	a.queue = append(a.queue, h)
 	a.inflight.Add(1)
 	if !a.started {
@@ -446,8 +518,7 @@ func (a *asyncThread) loop() {
 		if n > max {
 			n = max
 		}
-		window := make([]*Handle, n)
-		copy(window, a.queue)
+		window := append(a.window[:0], a.queue[:n]...)
 		rest := copy(a.queue, a.queue[n:])
 		for i := rest; i < len(a.queue); i++ {
 			a.queue[i] = nil
@@ -458,6 +529,9 @@ func (a *asyncThread) loop() {
 		a.execMu.Lock()
 		a.runWindow(window)
 		a.execMu.Unlock()
+
+		clear(window) // completed: their owners may have released them
+		a.window = window[:0]
 
 		a.mu.Lock()
 		a.inflight.Add(int64(-len(window)))
@@ -539,7 +613,7 @@ func (a *asyncThread) pass(hs []*Handle) int {
 			return len(hs)
 		}
 		if h.op == opGet {
-			items[i] = scanItem{key: h.key}
+			items[i] = scanItem{key: h.key, dst: h.dst()}
 			if at, resolved := f.read(&items[i], true, true); resolved {
 				a.completeGet(h, items[i].val, at, t0)
 			} else {

@@ -191,13 +191,13 @@ func (s *Store) reclaimBuffer(t *Thread) {
 	// a grant, which the next pass folds into the tail.
 	b.Scanned(to, clk.Now())
 	released = true
-	s.em.Retire(func() {
+	s.em.Retire(func(to uint64) {
 		r.buf.Grant(to)
 		if r.mu.TryLock() { // no pass in flight: nothing to wait for
 			r.buf.ApplyGrants()
 			r.mu.Unlock()
 		}
-	})
+	}, to)
 	// Close the controller loop (§4.7): a background pass that completed
 	// without any put hitting a full ring means reclamation is keeping
 	// pace — relax the trigger upward to recover batching efficiency. A

@@ -236,6 +236,8 @@ func TestSVCHitWaitsForNoNVM(t *testing.T) {
 // TestUpdatePutAllocatesNothing: an update put allocates nothing — its
 // record's body clock lives on the Thread, so overlapping the body with the
 // lookup costs no heap. write-churn's allocs_per_op (0.005) rests on it.
+// Nor does a stamped update (a replica's write): the key's entry in the
+// newest-stamp map is restamped in place.
 // TestVSGetAllocatesOnlyItsValue: on a warm store whose SVC is full, a get
 // served from Value Storage allocates one object, the value it returns.
 // Its admission reuses an entry the cache dropped two epochs ago (buffer
@@ -284,5 +286,17 @@ func TestUpdatePutAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("an update put allocated %v times, want 0", n)
+	}
+	ts := uint64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		ts++
+		if err := th.PutTS(k, v, ts); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a stamped update put allocated %v times, want 0", n)
+	}
+	if got, tomb, ok := th.s.ReplicaNewest(k); !ok || tomb || got != ts {
+		t.Fatalf("newest stamp %d (tombstone %v, recorded %v), want %d", got, tomb, ok, ts)
 	}
 }

@@ -145,7 +145,7 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 		st := s.repl.stripe(key)
 		st.Lock()
 		defer st.Unlock()
-		if cur, _ := s.repl.newest(string(key)); cur >= ts {
+		if cur, _ := s.repl.newest(key); cur >= ts {
 			return nil
 		}
 	}
@@ -181,7 +181,7 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 		}
 	}
 	if err == nil && ts != 0 {
-		s.repl.setLive(string(key), ts)
+		s.repl.set(key, ts, false)
 	}
 	return err
 }
@@ -351,13 +351,18 @@ func (t *Thread) resolveFast(it *scanItem) fastResult {
 	it.ver = s.table.Version(it.idx)
 	ready := s.table.Prefetch(t.Clk, it.idx)
 	if v, ok := t.svcRead(it.idx); ok {
-		it.val = cloneBytes(v)
+		it.val = it.copyOut(v)
 		return fastDone
 	}
 	p := s.table.LoadAt(t.Clk, it.idx, ready)
 	switch p.Media {
 	case hsit.PWB:
-		v := s.pwbOf(p).ReadValue(t.Clk, p.Off, p.Len)
+		var v []byte
+		if it.dst != nil {
+			v = s.pwbOf(p).AppendValue(t.Clk, p.Off, p.Len, it.dst)
+		} else {
+			v = s.pwbOf(p).ReadValue(t.Clk, p.Off, p.Len)
+		}
 		if s.table.Load(nil, it.idx) != p {
 			return fastMoved
 		}
@@ -458,13 +463,13 @@ func (t *Thread) deleteStep(key []byte, ts uint64) error {
 		st := s.repl.stripe(key)
 		st.Lock()
 		defer st.Unlock()
-		if cur, _ := s.repl.newest(string(key)); cur >= ts {
+		if cur, _ := s.repl.newest(key); cur >= ts {
 			return ErrNotFound
 		}
 		// The tombstone goes first: a pull that finds the key gone must find
 		// it superseded, not a live stamp claiming a value that is not there
 		// (shard.pull reads the two without the stripe).
-		s.repl.setTomb(string(key), ts)
+		s.repl.set(key, ts, true)
 	}
 	if idx, ok := s.index.Delete(t.Clk, key); ok {
 		old, svc := s.table.Clear(t.Clk, idx)
@@ -640,8 +645,18 @@ type scanItem struct {
 	key []byte
 	idx uint64
 	val []byte
+	dst []byte       // non-nil: the value is appended here (an async get's handle buffer)
 	p   hsit.Pointer // set when pending a Value Storage read
 	ver uint64       // publish version observed before p was loaded
+}
+
+// copyOut returns v copied into the item's dst, or into a fresh slice
+// when it has none; either way non-nil, as a present empty value must be.
+func (it *scanItem) copyOut(v []byte) []byte {
+	if it.dst != nil {
+		return append(it.dst, v...)
+	}
+	return cloneBytes(v)
 }
 
 // mergeGap is the maximum gap (bytes) between two records on the same
@@ -724,7 +739,7 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 				it.p = hsit.Pointer{}
 				continue
 			}
-			it.val = cloneBytes(v)
+			it.val = it.copyOut(v)
 		}
 	}
 	// The fallback reads reuse the request scratch, so they run only now

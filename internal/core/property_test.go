@@ -16,7 +16,8 @@ func coreLevel(s *Store) model.Level[KV, *Handle] {
 	return model.Level[KV, *Handle]{Name: "core", NotFound: ErrNotFound, Client: func(c int) model.Ops[KV, *Handle] {
 		th := s.Thread(c)
 		return model.Ops[KV, *Handle]{Put: th.Put, Get: th.Get, Del: th.Delete, Scan: th.Scan,
-			PutBatch: th.PutBatch, MultiGet: th.MultiGet, PutAsync: th.PutAsync, GetAsync: th.GetAsync, DelAsync: th.DeleteAsync}
+			PutBatch: th.PutBatch, MultiGet: th.MultiGet, PutAsync: th.PutAsync, GetAsync: th.GetAsync, DelAsync: th.DeleteAsync,
+			Release: (*Handle).Release}
 	}, End: func() error {
 		n := 0
 		if err := s.Thread(0).Scan(nil, 0, func(KV) bool { n++; return true }); err != nil || n != s.Len() {

@@ -98,14 +98,9 @@ func (s *Store) DropRange(lo, hi []byte) int {
 
 	r := s.repl
 	r.mu.Lock()
-	for k := range r.live {
+	for k := range r.stamps {
 		if inRange([]byte(k), lo, hi) {
-			delete(r.live, k)
-		}
-	}
-	for k := range r.tomb {
-		if inRange([]byte(k), lo, hi) {
-			delete(r.tomb, k)
+			delete(r.stamps, k)
 		}
 	}
 	r.mu.Unlock()

@@ -133,7 +133,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		// Forget the lost value's stamp too, so anti-entropy re-pulls it from
 		// a peer instead of the stale stamp making this replica refuse its
 		// own missing value.
-		s.repl.dropLive(string(pr.key))
+		s.repl.dropLive(pr.key)
 		rep.LostKeys++
 	}
 

@@ -17,12 +17,17 @@ import "sync"
 // the map, which stays empty until a write carries a stamp, so the
 // single-replica path is untouched.
 
-// replState is the newest-stamp map: for each key, at most one of live
-// (a stored value) or tomb (a deletion) holds the newest stamp observed.
-// A coarse RWMutex guards the maps; 64 stripe locks serialize
-// check-then-apply sequences per key so two concurrent timestamped
-// writes cannot apply out of stamp order (map says ts2 but the stored
-// value is ts1's).
+// replState is the newest-stamp map: for each key, the newest stamp
+// observed and whether it is a stored value's or a deletion's
+// (tombstone's). A coarse RWMutex guards the map; 64 stripe locks
+// serialize check-then-apply sequences per key so two concurrent
+// timestamped writes cannot apply out of stamp order (map says ts2 but
+// the stored value is ts1's).
+//
+// Entries are pointers so that a key already recorded — every stamped
+// update after the first — is restamped in place: assigning into a
+// map[string] allocates the key string even when the key is present,
+// while a lookup or a delete does not.
 //
 // Lock order: PWB execMu → epoch section → stripe → mu. The stripe is
 // only ever taken inside an epoch section (putStep/deleteStep run under
@@ -30,15 +35,17 @@ import "sync"
 type replState struct {
 	stripes [64]sync.Mutex
 	mu      sync.RWMutex
-	live    map[string]uint64
-	tomb    map[string]uint64
+	stamps  map[string]*stamp
+}
+
+// stamp is one key's newest recorded stamp.
+type stamp struct {
+	ts   uint64
+	tomb bool
 }
 
 func newReplState() *replState {
-	return &replState{
-		live: make(map[string]uint64),
-		tomb: make(map[string]uint64),
-	}
+	return &replState{stamps: make(map[string]*stamp)}
 }
 
 // stripe returns the per-key write-sequencing lock.
@@ -53,28 +60,24 @@ func (r *replState) stripe(key []byte) *sync.Mutex {
 
 // newest returns the newest stamp recorded for key and whether it is a
 // tombstone. Zero means no record.
-func (r *replState) newest(key string) (ts uint64, tomb bool) {
+func (r *replState) newest(key []byte) (ts uint64, tomb bool) {
 	r.mu.RLock()
-	lv := r.live[key]
-	tv := r.tomb[key]
-	r.mu.RUnlock()
-	if tv > lv {
-		return tv, true
+	if e := r.stamps[string(key)]; e != nil {
+		ts, tomb = e.ts, e.tomb
 	}
-	return lv, false
+	r.mu.RUnlock()
+	return ts, tomb
 }
 
-func (r *replState) setLive(key string, ts uint64) {
+// set records ts as key's newest stamp, a tombstone's if tomb.
+func (r *replState) set(key []byte, ts uint64, tomb bool) {
 	r.mu.Lock()
-	r.live[key] = ts
-	delete(r.tomb, key)
-	r.mu.Unlock()
-}
-
-func (r *replState) setTomb(key string, ts uint64) {
-	r.mu.Lock()
-	r.tomb[key] = ts
-	delete(r.live, key)
+	e := r.stamps[string(key)]
+	if e == nil {
+		e = new(stamp)
+		r.stamps[string(key)] = e
+	}
+	e.ts, e.tomb = ts, tomb
 	r.mu.Unlock()
 }
 
@@ -82,9 +85,11 @@ func (r *replState) setTomb(key string, ts uint64) {
 // recovery (a lost forward/backward pair). The next anti-entropy pull
 // sees the peer's newer stamp and re-replicates it; keeping the stale
 // stamp would make the repaired store refuse its own missing value.
-func (r *replState) dropLive(key string) {
+func (r *replState) dropLive(key []byte) {
 	r.mu.Lock()
-	delete(r.live, key)
+	if e := r.stamps[string(key)]; e != nil && !e.tomb {
+		delete(r.stamps, string(key))
+	}
 	r.mu.Unlock()
 }
 
@@ -101,12 +106,9 @@ func (s *Store) ReplicaEntries(fn func(key []byte, ts uint64, tombstone bool) bo
 		tomb bool
 	}
 	r.mu.RLock()
-	snap := make([]ent, 0, len(r.live)+len(r.tomb))
-	for k, ts := range r.live {
-		snap = append(snap, ent{key: k, ts: ts})
-	}
-	for k, ts := range r.tomb {
-		snap = append(snap, ent{key: k, ts: ts, tomb: true})
+	snap := make([]ent, 0, len(r.stamps))
+	for k, e := range r.stamps {
+		snap = append(snap, ent{key: k, ts: e.ts, tomb: e.tomb})
 	}
 	r.mu.RUnlock()
 	for _, e := range snap {
@@ -119,7 +121,7 @@ func (s *Store) ReplicaEntries(fn func(key []byte, ts uint64, tombstone bool) bo
 // ReplicaNewest returns the newest stamp recorded for key, whether it is
 // a tombstone, and whether any record exists.
 func (s *Store) ReplicaNewest(key []byte) (ts uint64, tombstone, ok bool) {
-	ts, tombstone = s.repl.newest(string(key))
+	ts, tombstone = s.repl.newest(key)
 	return ts, tombstone, ts != 0
 }
 
@@ -131,9 +133,9 @@ func (s *Store) DiscardTombstones(olderThan uint64) int {
 	r := s.repl
 	r.mu.Lock()
 	n := 0
-	for k, ts := range r.tomb {
-		if ts < olderThan {
-			delete(r.tomb, k)
+	for k, e := range r.stamps {
+		if e.tomb && e.ts < olderThan {
+			delete(r.stamps, k)
 			n++
 		}
 	}
@@ -143,7 +145,14 @@ func (s *Store) DiscardTombstones(olderThan uint64) int {
 
 // TombstoneCount returns the number of tombstones currently retained.
 func (s *Store) TombstoneCount() int {
-	s.repl.mu.RLock()
-	defer s.repl.mu.RUnlock()
-	return len(s.repl.tomb)
+	r := s.repl
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := 0
+	for _, e := range r.stamps {
+		if e.tomb {
+			n++
+		}
+	}
+	return n
 }

@@ -97,10 +97,10 @@ func TestDeleteRecordsTombstoneFirst(t *testing.T) {
 		runtime.Gosched()
 	}
 	_, err := s.Thread(0).Get(key(1))
-	live, tomb := r.live[string(key(1))], r.tomb[string(key(1))]
+	st := *r.stamps[string(key(1))]
 	r.mu.RUnlock()
-	if del := <-done; del != nil || errors.Is(err, ErrNotFound) && tomb == 0 {
-		t.Fatalf("delete: %v; the key read %v while its stamps said live %d, tombstone %d", del, err, live, tomb)
+	if del := <-done; del != nil || errors.Is(err, ErrNotFound) && !st.tomb {
+		t.Fatalf("delete: %v; the key read %v while its newest stamp said %+v", del, err, st)
 	}
 }
 

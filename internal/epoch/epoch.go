@@ -34,11 +34,14 @@ type Manager struct {
 	mu      sync.Mutex
 	parts   []*Participant
 	retired []retiredItem
+	spare   []retiredItem // Collect's ready list, kept between calls
 }
 
+// retiredItem is one pending callback, fn(arg).
 type retiredItem struct {
 	epoch uint64
-	fn    func()
+	fn    func(uint64)
+	arg   uint64
 }
 
 // NewManager returns an empty manager at epoch 0.
@@ -92,12 +95,14 @@ func (p *Participant) Exit() {
 	}
 }
 
-// Retire registers fn to run once two epochs have passed. Safe to call
-// from any goroutine, inside or outside a critical section.
-func (m *Manager) Retire(fn func()) {
+// Retire registers fn(arg) to run once two epochs have passed. Safe to
+// call from any goroutine, inside or outside a critical section. A caller
+// that keeps one fn and passes what differs per call as arg, instead of
+// building a closure per call, retires without allocating.
+func (m *Manager) Retire(fn func(uint64), arg uint64) {
 	e := m.global.Load()
 	m.mu.Lock()
-	m.retired = append(m.retired, retiredItem{epoch: e, fn: fn})
+	m.retired = append(m.retired, retiredItem{epoch: e, fn: fn, arg: arg})
 	m.mu.Unlock()
 }
 
@@ -109,22 +114,31 @@ func (m *Manager) Collect() int {
 	cur := m.global.Load()
 
 	m.mu.Lock()
-	var ready []func()
+	ready := m.spare[:0] // taken: a concurrent Collect starts a list of its own
+	m.spare = nil
 	keep := m.retired[:0]
 	for _, it := range m.retired {
 		if cur >= it.epoch+2 {
-			ready = append(ready, it.fn)
+			ready = append(ready, it)
 		} else {
 			keep = append(keep, it)
 		}
 	}
+	clear(m.retired[len(keep):])
 	m.retired = keep
 	m.mu.Unlock()
 
-	for _, fn := range ready {
-		fn()
+	for _, it := range ready {
+		it.fn(it.arg)
 	}
-	return len(ready)
+	n := len(ready)
+	clear(ready)
+	m.mu.Lock()
+	if m.spare == nil {
+		m.spare = ready[:0]
+	}
+	m.mu.Unlock()
+	return n
 }
 
 // tryAdvance bumps the global epoch if every active participant has

@@ -12,7 +12,7 @@ func TestRetireRunsAfterTwoEpochs(t *testing.T) {
 	var ran atomic.Bool
 
 	p.Enter()
-	m.Retire(func() { ran.Store(true) })
+	m.Retire(func(uint64) { ran.Store(true) }, 0)
 	if m.Collect() != 0 {
 		t.Fatal("reclaimed while participant active in retire epoch")
 	}
@@ -54,7 +54,7 @@ func TestBarrierReclaimsEverything(t *testing.T) {
 	_ = m.Register()
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
-		m.Retire(func() { n.Add(1) })
+		m.Retire(func(uint64) { n.Add(1) }, 0)
 	}
 	m.Barrier()
 	if n.Load() != 100 {
@@ -111,7 +111,7 @@ func TestNoUseAfterReclaimUnderConcurrency(t *testing.T) {
 		nw := &node{val: old.val + 1}
 		nw.alive.Store(true)
 		current.Store(nw)
-		m.Retire(func() { old.alive.Store(false) })
+		m.Retire(func(uint64) { old.alive.Store(false) }, 0)
 		if i%16 == 0 {
 			m.Collect()
 		}
@@ -134,7 +134,7 @@ func TestRetireFromManyGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				m.Retire(func() { n.Add(1) })
+				m.Retire(func(uint64) { n.Add(1) }, 0)
 			}
 		}()
 	}
@@ -150,7 +150,7 @@ func TestDiscardRetired(t *testing.T) {
 	_ = m.Register()
 	var ran atomic.Int64
 	for i := 0; i < 10; i++ {
-		m.Retire(func() { ran.Add(1) })
+		m.Retire(func(uint64) { ran.Add(1) }, 0)
 	}
 	m.DiscardRetired()
 	m.Barrier()
@@ -161,7 +161,7 @@ func TestDiscardRetired(t *testing.T) {
 		t.Fatalf("pending = %d after discard", m.Pending())
 	}
 	// The manager must keep working afterwards.
-	m.Retire(func() { ran.Add(1) })
+	m.Retire(func(uint64) { ran.Add(1) }, 0)
 	m.Barrier()
 	if ran.Load() != 1 {
 		t.Fatalf("post-discard retirement did not run")

@@ -151,8 +151,9 @@ type Table struct {
 
 	bump atomic.Uint64 // next never-used slot
 
-	mu   sync.Mutex
-	free []uint64 // recycled slots
+	mu      sync.Mutex
+	free    []uint64     // recycled slots
+	recycle func(uint64) // Free's retirement callback, built once
 
 	allocated atomic.Int64 // live entries (for NVM-space accounting)
 
@@ -190,8 +191,14 @@ func New(dev *nvm.Device, base int, capacity int, em *epoch.Manager) *Table {
 	if base+capacity*EntrySize > dev.Size() {
 		panic("hsit: region exceeds device")
 	}
-	return &Table{dev: dev, base: base, cap: uint64(capacity), em: em,
+	t := &Table{dev: dev, base: base, cap: uint64(capacity), em: em,
 		vers: make([]atomic.Uint64, capacity), svc: make([]atomic.Uint64, capacity)}
+	t.recycle = func(idx uint64) {
+		t.mu.Lock()
+		t.free = append(t.free, idx)
+		t.mu.Unlock()
+	}
+	return t
 }
 
 // Version returns the entry's volatile publish version. Even values are
@@ -267,11 +274,7 @@ func (t *Table) Alloc(clk nvm.Clock) (uint64, error) {
 func (t *Table) Free(idx uint64) {
 	t.checkIdx(idx)
 	t.allocated.Add(-1)
-	t.em.Retire(func() {
-		t.mu.Lock()
-		t.free = append(t.free, idx)
-		t.mu.Unlock()
-	})
+	t.em.Retire(t.recycle, idx)
 }
 
 // Load returns the forward pointer of idx, applying flush-on-read: if the

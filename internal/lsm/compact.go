@@ -352,8 +352,7 @@ func (s *Store) buildTables(merged []entry) []*SSTable {
 // retire releases tables' extents once no reader can hold them.
 func (s *Store) retire(tables []*SSTable) {
 	for _, t := range tables {
-		t := t
-		s.em.Retire(t.release)
+		s.em.Retire(func(uint64) { t.release() }, 0)
 	}
 }
 

@@ -106,6 +106,9 @@ type Ops[KV pair, H handle] struct {
 	PutAsync func(key, val []byte) H
 	GetAsync func(key []byte) H
 	DelAsync func(key []byte) H
+	// Release, if set, returns a burst's handle for reuse once its result
+	// is copied out, so the next burst runs on reused handles.
+	Release func(H)
 }
 
 // A Level is a store under test. Only Name, NotFound and Client are
@@ -297,6 +300,12 @@ func (r *run[KV, H]) submit(ops Ops[KV, H], o Op, crash func()) (vals [][]byte, 
 		}
 		for i, h := range hs {
 			vals[i], errs[i] = h.Value()
+			if ops.Release != nil {
+				if vals[i] != nil { // a present empty value stays non-nil
+					vals[i] = append(make([]byte, 0, len(vals[i])), vals[i]...)
+				}
+				ops.Release(h)
+			}
 		}
 	default:
 		return nil, nil

@@ -42,6 +42,7 @@ package pwb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -319,8 +320,15 @@ func (b *Buffer) AwaitingGrace() bool { return b.cursor > b.releasable.Load() }
 // the record header. A nil clk performs the read without charging device
 // time (offline checkers and tests).
 func (b *Buffer) ReadValue(clk nvm.Clock, devOff uint64, valueLen int) []byte {
-	buf := make([]byte, valueLen)
-	b.dev.Load(clk, int(devOff)+record.HeaderSize, buf)
+	return b.AppendValue(clk, devOff, valueLen, make([]byte, 0, valueLen))
+}
+
+// AppendValue is ReadValue into the caller's buffer: it appends the value
+// payload to dst and returns the extended slice, allocating only when dst
+// lacks the room.
+func (b *Buffer) AppendValue(clk nvm.Clock, devOff uint64, valueLen int, dst []byte) []byte {
+	buf := slices.Grow(dst, valueLen)[:len(dst)+valueLen]
+	b.dev.Load(clk, int(devOff)+record.HeaderSize, buf[len(dst):])
 	return buf
 }
 

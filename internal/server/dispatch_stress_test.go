@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/server/respclient"
-	"repro/internal/shard"
 )
 
 // TestDispatchContentionStress is the race gate for contention-free
@@ -22,27 +20,7 @@ import (
 // reply is verified, so cross-connection corruption (not just races)
 // fails the test.
 func TestDispatchContentionStress(t *testing.T) {
-	store, err := shard.Open(core.Options{NumThreads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(store, server.Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	defer func() {
-		if err := srv.Shutdown(10 * time.Second); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-		store.Close()
-	}()
-	addr := ln.Addr().String()
+	store, addr := serve(t, core.Options{NumThreads: 1}, server.Config{}, 10*time.Second)
 
 	const (
 		asyncConns  = 6

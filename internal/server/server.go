@@ -46,10 +46,12 @@
 // guarantee: a command always observes the writes of every command
 // before it on that connection.
 //
-// Parsing and encoding are zero-allocation at steady state: commands
-// are parsed into a per-connection arena (args are valid only until the
-// next read — the MULTI queue, the one handler that retains them,
-// copies), and reader/writer buffers are pooled across connections via
+// Parsing, dispatch and encoding are zero-allocation at steady state:
+// commands are parsed into a per-connection arena (args are valid only
+// until the next read — the MULTI queue, the one handler that retains
+// them, copies), a single-key verb rides a reused async handle that
+// carries its key, value and result and is released once its reply is
+// written, and reader/writer buffers are pooled across connections via
 // sync.Pool, so connection churn reuses parser memory.
 //
 // Batching: MSET maps to the store's PutBatch and MGET to MultiGet, so a
@@ -612,6 +614,9 @@ func (s *Server) drainPipeline(sess *session, w *respWriter) {
 		p := &sess.pending[i]
 		val, err := p.h.Value()
 		p.cmd.reply(w, val, err)
+		// The reply holds its own copy of val now: the handle, and the
+		// buffer val lives in, go back to the thread for the next command.
+		p.h.Release()
 		s.m.cmdLat[p.cmd.class].Record(time.Since(p.start).Nanoseconds())
 		p.h = nil
 	}

@@ -18,8 +18,15 @@ import (
 // ephemeral loopback port. Cleanup drains the server and closes the
 // store.
 func start(t *testing.T, cfg server.Config) (*shard.Store, string) {
+	return serve(t, core.Options{NumThreads: 4}, cfg, 5*time.Second)
+}
+
+// serve opens a store with opt, serves it with cfg on an ephemeral
+// loopback port and, at cleanup, drains the server within drain and
+// closes the store.
+func serve(t *testing.T, opt core.Options, cfg server.Config, drain time.Duration) (*shard.Store, string) {
 	t.Helper()
-	store, err := shard.Open(core.Options{NumThreads: 4})
+	store, err := shard.Open(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +38,7 @@ func start(t *testing.T, cfg server.Config) (*shard.Store, string) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	t.Cleanup(func() {
-		if err := srv.Shutdown(5 * time.Second); err != nil {
+		if err := srv.Shutdown(drain); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 		if err := <-serveErr; err != nil {

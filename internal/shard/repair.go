@@ -234,6 +234,7 @@ func (s *Store) pull(src int, dsts []int, want func(key []byte) bool) (keys, tom
 		}
 		var val []byte
 		if !tomb {
+			// Not released: val, which lives in the handle, is written below.
 			v, rerr := from.Thread(0).GetAsync(key).Value()
 			cur, curTomb, ok := from.ReplicaNewest(key)
 			claimed := ok && !curTomb && cur == ts

@@ -347,6 +347,7 @@ func (w *pendingWrite) land(j int, h *core.Handle) {
 		w.v.leg(j, 1, err == nil, err)
 		w.end = max(w.end, h.CompletedAt())
 		w.mu.Unlock()
+		h.Release() // folded: nothing reads the leg again
 	}
 	if w.left.Add(-1) > 0 {
 		return
@@ -485,6 +486,7 @@ func (r *pendingRead) ask() {
 // land folds a step's answer: a decided read resolves, else the walk
 // goes on.
 func (r *pendingRead) land(h *core.Handle) {
+	// Not released: v, which lives in h, may become the proxy's result.
 	v, err := h.Value()
 	r.at = max(r.at, h.CompletedAt())
 	if r.w.answer(err) {

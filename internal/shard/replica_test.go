@@ -356,12 +356,17 @@ func TestReplicatedAsync(t *testing.T) {
 }
 
 // routerLevel is s as the model harness drives it, client c on router
-// thread c.
+// thread c. With one replica a burst's handles are the shards' own, and
+// the harness releases them.
 func routerLevel(s *Store) model.Level[core.KV, *core.Handle] {
 	return model.Level[core.KV, *core.Handle]{Name: "router", NotFound: core.ErrNotFound, Reorders: s.Replicas() > 1, Client: func(c int) model.Ops[core.KV, *core.Handle] {
 		th := s.Thread(c)
-		return model.Ops[core.KV, *core.Handle]{Put: th.Put, Get: th.Get, Del: th.Delete, Scan: th.Scan,
+		ops := model.Ops[core.KV, *core.Handle]{Put: th.Put, Get: th.Get, Del: th.Delete, Scan: th.Scan,
 			PutBatch: th.PutBatch, MultiGet: th.MultiGet, PutAsync: th.PutAsync, GetAsync: th.GetAsync, DelAsync: th.DeleteAsync}
+		if s.Replicas() == 1 {
+			ops.Release = (*core.Handle).Release
+		}
+		return ops
 	}}
 }
 

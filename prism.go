@@ -47,7 +47,7 @@
 //	g := t.GetAsync([]byte("k"))
 //	t.Flush()                // drain: block until all in flight complete
 //	if err := h.Wait(); err != nil { ... }
-//	v, err = g.Value()
+//	v, err = g.Value() // v is valid until g.Release()
 //
 // Thread handles are not safe for concurrent use; distinct handles run
 // in parallel and scale with the paper's cross-storage concurrency
@@ -128,7 +128,16 @@ type KV = core.KV
 // Handle is the completion future returned by the asynchronous
 // submission methods (Thread.PutAsync, GetAsync, DeleteAsync). Wait,
 // Value, and CompletedAt block until the operation completes; Done
-// polls. All methods are safe from any goroutine, repeatedly.
+// polls. All methods are safe from any goroutine, repeatedly, until
+// Release.
+//
+// Release is optional: it waits for completion and hands the handle back
+// to its thread, so the next submission reuses it — handle, key and value
+// copies, result buffer and all — and a steady stream of submissions
+// allocates nothing. The bytes Value returns belong to the handle and
+// are valid until Release; copy them first to keep them. A handle never
+// released is garbage-collected. Release is a no-op on a handle the
+// replicated router composed and on one that failed at submission.
 type Handle = core.Handle
 
 // Metrics is the store's observability snapshot: every registered metric
