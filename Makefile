@@ -101,10 +101,11 @@ tidy-check:
 	$(GO) mod tidy -diff
 
 # check-docs fails if METRICS.md names a metric the registry does not
-# export (or vice versa), or if a doc that describes the present cites a
-# ROADMAP item by number rather than by title — see docs_test.go.
+# export (or vice versa), if a doc that describes the present cites a
+# ROADMAP item by number rather than by title, or if a doc every session
+# reads outgrows its byte budget — see docs_test.go.
 check-docs:
-	$(GO) test -run 'TestMetricsDocsComplete|TestReadmeMentionsMetrics|TestDocsCiteRoadmapItemsByTitle' -count=1 .
+	$(GO) test -run 'TestMetricsDocsComplete|TestReadmeMentionsMetrics|TestDocsCiteRoadmapItemsByTitle|TestDocsByteBudget' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -155,9 +156,9 @@ bench-smoke:
 
 # bench-module vets and tests benchmark/, the repo benchmark: it is its
 # own module (`replace repro => ../`), so `go build ./... && go test
-# ./...` here never compiles it, yet it imports the root package, core,
-# server, respclient and the layer packages — without this target a
-# refactor can break the benchmark silently.
+# ./...` here only vets it (TestBenchmarkModuleVets), yet it imports the
+# root package, core, server, respclient and the layer packages — its
+# own tests run only here.
 bench-module:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...

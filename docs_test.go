@@ -103,3 +103,31 @@ func TestDocsCiteRoadmapItemsByTitle(t *testing.T) {
 		}
 	}
 }
+
+// docBudgets caps, in bytes, the docs every session reads before it writes
+// code. A change may lower a budget but never raise it: one that needs
+// more words removes as many elsewhere — from CHANGES.md by compressing
+// older entries.
+var docBudgets = []struct {
+	file  string
+	bytes int64
+}{
+	{"DESIGN.md", 92982},
+	{"EXPERIMENTS.md", 53032},
+	{"README.md", 29679},
+	{".claude/skills/verify/SKILL.md", 29863},
+	{"CHANGES.md", 162642},
+}
+
+// TestDocsByteBudget holds each of those docs to its budget.
+func TestDocsByteBudget(t *testing.T) {
+	for _, d := range docBudgets {
+		fi, err := os.Stat(d.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > d.bytes {
+			t.Errorf("%s is %d bytes, over its budget of %d: remove as many bytes as it gained", d.file, fi.Size(), d.bytes)
+		}
+	}
+}

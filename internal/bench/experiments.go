@@ -540,7 +540,7 @@ func ShardScale(rc RunConfig) Table {
 // PutAsync and drains between bursts, so depth-N keeps N submissions in
 // flight. Deeper pipelines let the admission loop coalesce a burst into
 // a few windows — one epoch enter and one PWB publish per window — and
-// overlap the fixed per-op NVM latencies on stage clocks, leaving only
+// overlap the fixed per-op NVM latencies as steps of one frame, leaving only
 // the shared-channel transfer residue serialized (the §5.4 TCQ shape).
 // A 4-shard column shows pipelining compounding with scale-out.
 func PipelineDepth(rc RunConfig) Table {

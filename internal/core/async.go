@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hsit"
-	"repro/internal/sim"
 )
 
 // Asynchronous submission (§5.4 one layer up): PutAsync/GetAsync/
@@ -17,30 +16,32 @@ import (
 // performs for SSD IO, applied to whole operations, and runs the window
 // through the overlap frame below.
 
-// asyncIssueNS is the per-step issue cost charged to a frame's base
-// clock: ringing the doorbell and staging one SQE. It is the only
-// strictly serial per-step software cost of the frame.
+// asyncIssueNS is the per-step issue cost charged to a frame's present:
+// ringing the doorbell and staging one SQE. It is the only strictly serial
+// per-step software cost of the frame.
 const asyncIssueNS = 120
 
 // frame is the overlap frame, core's one way of keeping independent steps
 // in flight together: an admission window's operations, a Scan's rows, a
 // MultiGet's keys, a reclaim pass's HSIT checks and every relocation's
-// pointer swings (swing) all run through it. Each step is issued asyncIssueNS
-// after the one before on the base clock — the thread's own, parked
-// meanwhile — and runs on the thread's stage clock forked there, so fixed
-// device latencies (NVM load/store latency, flush waits) overlap across
-// the steps while shared-bandwidth costs (the NVM DIMM channel, SSD
+// pointer swings (swing) all run through it. Each step is issued
+// asyncIssueNS after the one before, runs on the thread's one clock from
+// there, and then rewinds that clock to its issue — the frame's present —
+// so fixed device latencies (NVM load/store latency, flush waits) overlap
+// across the steps while shared-bandwidth costs (the NVM DIMM channel, SSD
 // transfer time) still serialize through the devices' sim.Resource, in
 // call order: the latency-hiding / bandwidth-bound split of a real
-// submission queue. Host execution stays serial and in step order. join
-// advances the base clock once, to the latest step end: the makespan.
+// submission queue. Host execution stays serial and in step order, and
+// whatever runs between steps (a relocation's chunk write) moves the
+// present. join advances the clock once, to the latest step end: the
+// makespan.
 //
 // Read steps leave their Value Storage residents in t.pending; readBatch
 // fetches them as one batch (readVSBatch) issued when the last of those
 // steps has ended, not when every step has.
 type frame struct {
 	t     *Thread
-	base  *sim.Clock
+	at    int64 // the present the current step was issued from
 	end   int64 // latest step end so far
 	ready int64 // latest end of a read step that left its row to the batch
 }
@@ -48,28 +49,29 @@ type frame struct {
 // fork opens a frame on t's clock, with an empty batch.
 func (t *Thread) fork() frame {
 	t.pending = t.pending[:0]
-	return frame{t: t, base: t.Clk, end: t.Clk.Now()}
+	return frame{t: t, end: t.Clk.Now()}
 }
 
-// step issues the next step: until land, t.Clk is the stage clock. A step
-// that is not landed — a put that found its ring full — was not issued:
-// join takes the thread back to the base clock with nothing charged.
+// step issues the next step: it saves the frame's present and charges the
+// doorbell on t.Clk, which the step then runs on. land or abort ends it.
 func (f *frame) step() {
-	f.t.stage.Reset(f.base.Now() + asyncIssueNS)
-	f.t.Clk = &f.t.stage
+	f.at = f.t.Clk.Now()
+	f.t.Clk.Advance(asyncIssueNS)
 }
 
-// land ends the current step — its doorbell is paid on the base clock —
-// and returns the virtual time it ended at.
-func (f *frame) land() int64 {
-	f.base.Advance(asyncIssueNS)
-	return f.settle()
-}
+// land ends the current step — the frame's present moves past its
+// doorbell — and returns the virtual time it ended at.
+func (f *frame) land() int64 { return f.rewind(f.at + asyncIssueNS) }
 
-// settle parks the stage clock and folds its time into the makespan.
-func (f *frame) settle() int64 {
-	at := f.t.stage.Now()
-	f.t.Clk = f.base
+// abort takes back a step that was never issued — a put that found its
+// ring full: the clock returns to the frame's present, nothing charged.
+func (f *frame) abort() { f.t.Clk.Reset(f.at) }
+
+// rewind folds the step's end into the makespan, takes t.Clk back to
+// present and returns the step's end.
+func (f *frame) rewind(present int64) int64 {
+	at := f.t.Clk.Now()
+	f.t.Clk.Reset(present)
 	f.end = max(f.end, at)
 	return at
 }
@@ -99,23 +101,25 @@ func (f *frame) read(it *scanItem, lookup, point bool) (at int64, resolved bool)
 }
 
 // readBatch reads what the read steps so far left pending as one Value
-// Storage batch — a step of its own that rings no doorbell and starts at
-// ready — and returns when it landed (scan: see readVSBatch). The items
-// hold their values afterwards and the batch is empty again.
+// Storage batch — a step of its own that rings no doorbell, starts at
+// ready and rewinds to the present — and returns when it landed (scan:
+// see readVSBatch). The items hold their values afterwards and the batch
+// is empty again.
 func (f *frame) readBatch(scan bool) int64 {
 	t := f.t
-	t.stage.Reset(f.ready)
-	t.Clk = &t.stage
+	present := t.Clk.Now()
+	t.Clk.Reset(f.ready)
 	t.readVSBatch(t.pending, scan)
 	t.pending = t.pending[:0]
-	return f.settle()
+	return f.rewind(present)
 }
 
 // swing runs one record's settle — a relocation's conditional HSIT swing
 // and its bookkeeping, on t.Clk — as a step of f, after settleHook. It is
-// every WriteChunk settle callback's one body: the chunk write advanced the
-// base clock, so each swing is issued after the write it points into, and
-// the swings of a chunk overlap one another and the next chunk's write.
+// every WriteChunk settle callback's one body: the chunk write moved the
+// frame's present, so each swing is issued after the write it points
+// into, and the swings of a chunk overlap one another and the next
+// chunk's write.
 func (f *frame) swing(settle func() bool) bool {
 	f.step()
 	if settleHook != nil {
@@ -126,12 +130,9 @@ func (f *frame) swing(settle func() bool) bool {
 	return ok
 }
 
-// join closes the frame: the thread is back on its base clock, advanced
-// to the end of the last step to finish.
-func (f *frame) join() {
-	f.t.Clk = f.base
-	f.base.AdvanceTo(f.end)
-}
+// join closes the frame: the thread's clock advances to the end of the
+// last step to finish.
+func (f *frame) join() { f.t.Clk.AdvanceTo(f.end) }
 
 // asyncOp is the operation kind carried by a Handle.
 type asyncOp uint8
@@ -339,7 +340,7 @@ type asyncThread struct {
 	loopDone chan struct{}
 
 	// lastDone makes completion times monotone in completion order
-	// (stage clocks may finish out of order within a window). Only the
+	// (steps may finish out of order within a window). Only the
 	// loop goroutine touches it.
 	lastDone int64
 
@@ -608,7 +609,7 @@ func (a *asyncThread) pass(hs []*Handle) int {
 	for i, h := range hs {
 		if lt.s.closed.Load() {
 			for _, r := range hs[i:] {
-				a.complete(r, nil, ErrClosed, f.base.Now(), t0)
+				a.complete(r, nil, ErrClosed, lt.Clk.Now(), t0)
 			}
 			return len(hs)
 		}
@@ -632,7 +633,8 @@ func (a *asyncThread) pass(hs []*Handle) int {
 		if h.op == opDelete {
 			err = lt.deleteStep(h.key, h.ts)
 		} else if err = lt.putStep(h.key, h.val, h.ts, false); err == errRetryPut {
-			return i // not issued: the retry pays for the doorbell
+			f.abort() // not issued: the retry pays for the doorbell
+			return i
 		}
 		a.complete(h, nil, err, f.land(), t0)
 	}

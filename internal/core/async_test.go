@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func asyncStore(t *testing.T, mut func(*Options)) *Store {
@@ -355,4 +357,54 @@ func TestAsyncCrashRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%d/%d async puts completed before crash", okBefore, ops)
+}
+
+// TestFrameRewindsTheThreadsClock pins the overlap frame's clock contract,
+// on a thread with no store under it: every step runs on the thread's one
+// clock from the frame's present plus its doorbell, a landed step moves
+// the present by exactly the doorbell, an aborted one by nothing, the
+// batch read starts at ready, and join ends at the latest step end. A
+// clock cached before a step is the step's clock.
+func TestFrameRewindsTheThreadsClock(t *testing.T) {
+	th := &Thread{Clk: sim.NewClock(1_000)}
+	clk := th.Clk
+	now := func(what string, want int64) {
+		t.Helper()
+		if got := th.Clk.Now(); got != want {
+			t.Fatalf("%s: the clock reads %d, want %d", what, got, want)
+		}
+	}
+	f := th.fork()
+
+	f.step()
+	now("a step", 1_000+asyncIssueNS)
+	clk.Advance(500) // the step's work, charged through the cached clock
+	if at := f.land(); at != 1_000+asyncIssueNS+500 {
+		t.Fatalf("the first step landed at %d, want %d", at, 1_000+asyncIssueNS+500)
+	}
+	now("after the first step", 1_000+asyncIssueNS)
+
+	f.step()
+	clk.Advance(50_000)
+	f.abort()
+	now("after an aborted step", 1_000+asyncIssueNS)
+
+	f.step()
+	clk.Advance(200)
+	if at := f.land(); at != 1_000+2*asyncIssueNS+200 {
+		t.Fatalf("the second step landed at %d, want %d", at, 1_000+2*asyncIssueNS+200)
+	}
+	now("after the second step", 1_000+2*asyncIssueNS)
+
+	f.join()
+	now("join", 1_000+asyncIssueNS+500) // the first step's end, not the aborted one's
+
+	f = th.fork()
+	f.ready = 5_000 // as a read step that left its row to the batch would
+	if at := f.readBatch(false); at != 5_000 {
+		t.Fatalf("an empty batch landed at %d, want where it starts, ready = %d", at, 5_000)
+	}
+	now("after the batch", 1_000+asyncIssueNS+500)
+	f.join()
+	now("join after the batch", 5_000)
 }

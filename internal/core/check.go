@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/hsit"
-	"repro/internal/nvm"
 	"repro/internal/pwb"
 	"repro/internal/record"
+	"repro/internal/sim"
 	"repro/internal/ssd"
 )
 
@@ -125,7 +125,7 @@ func (s *Store) pwbOf(p hsit.Pointer) *pwb.Buffer {
 // readPWB reads the PWB record p names on clk — its header, then, once
 // record.Coupled finds it coupled to HSIT entry idx, its value — and
 // returns the value or the check that failed. p must be inMedium.
-func (s *Store) readPWB(clk nvm.Clock, idx uint64, p hsit.Pointer) ([]byte, error) {
+func (s *Store) readPWB(clk *sim.Clock, idx uint64, p hsit.Pointer) ([]byte, error) {
 	buf := make([]byte, record.HeaderSize+p.Len)
 	s.nvmDev.Load(clk, int(p.Off), buf[:record.HeaderSize])
 	v, err := record.Coupled(buf, idx, p.Len)

@@ -65,11 +65,11 @@ func (c *costModel) persist(lines int) int64 {
 	return int64(1+lines)*c.nvm.FlushLatency + sim.TransferNS(lines*nvm.LineSize, c.nvm.WriteBandwidth) + c.nvm.FenceLatency
 }
 
-// body and seal are pwb.Buffer.AppendSplit of an n-byte value at device
-// offset off. The body is the value's store and the writeback of the
-// record's lines after the header's; the seal is the header's store and
-// the persist of its line, which pays the flush's own latency. Together
-// they are the unsplit Append.
+// body and seal are the two parts of pwb.Buffer.AppendAt of an n-byte
+// value at device offset off. The body is the value's store and the
+// writeback of the record's lines after the header's; the seal is the
+// header's store and the persist of its line, which pays the flush's own
+// latency. Back to back they are Append.
 func (c *costModel) body(off uint64, n int) int64 {
 	const header = 16
 	after := int((off+header+uint64(n)-1)/nvm.LineSize - off/nvm.LineSize)
@@ -234,8 +234,8 @@ func TestSVCHitWaitsForNoNVM(t *testing.T) {
 }
 
 // TestUpdatePutAllocatesNothing: an update put allocates nothing — its
-// record's body clock lives on the Thread, so overlapping the body with the
-// lookup costs no heap. write-churn's allocs_per_op (0.005) rests on it.
+// record's body runs on the put's own clock, rewound to the put's start, so
+// overlapping the body with the lookup costs no heap. write-churn's allocs_per_op (0.005) rests on it.
 // Nor does a stamped update (a replica's write): the key's entry in the
 // newest-stamp map is restamped in place.
 // TestVSGetAllocatesOnlyItsValue: on a warm store whose SVC is full, a get

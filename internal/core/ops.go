@@ -190,19 +190,21 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 // reserved the room — with idx as its backward pointer and publishes the
 // new location in HSIT, invalidating whatever the entry pointed to
 // before. Only the record's header needs idx, so its body — the value's
-// stores and flushes — is charged on t.body from start, the time the
-// caller reserved its room at, beside the key index lookup that found
-// idx on t.Clk; the seal — the header's store and flush and the fence —
-// runs on t.Clk once both are done (DESIGN.md §3.5). The read of the
-// entry the publish will CAS is issued when idx is known: it depends on
-// neither. When clearPending is false the publish-pending mark set by
-// Append stays in place for the caller's batch-wide Published call.
+// stores and flushes — runs beside the key index lookup that found idx:
+// the put issues the read of the entry the publish will CAS when the
+// lookup ends, rewinds t.Clk to start, the time the caller reserved its
+// room at, and appends from there, sealing — the header's store and flush
+// and the fence — no earlier than the lookup's end (DESIGN.md §3.5). When
+// clearPending is false the publish-pending mark set by Append stays in
+// place for the caller's batch-wide Published call.
 func (t *Thread) writeAndPublish(idx uint64, value []byte, start int64, clearPending bool) error {
 	s := t.s
+	found := t.Clk.Now()
 	ready := s.table.Prefetch(t.Clk, idx)
-	t.body.Reset(start)
-	off, _, err := t.buf.AppendSplit(&t.body, t.Clk, idx, value)
+	t.Clk.Reset(start)
+	off, _, err := t.buf.AppendAt(t.Clk, idx, value, found)
 	if err != nil {
+		t.Clk.AdvanceTo(found) // nothing appended: the put ends with its lookup
 		return err
 	}
 	old, svc := s.table.PublishAt(t.Clk, idx, hsit.Pointer{Media: hsit.PWB, Len: len(value), Off: off}, ready)

@@ -187,3 +187,41 @@ func TestStalledPutParks(t *testing.T) {
 		}
 	})
 }
+
+// TestStalledAsyncPutChargesNothing: an admission window whose first put
+// finds its ring full stops there with nothing charged to the async
+// timeline — the put's step was never issued, so not even its doorbell is
+// paid; the retry pays it. An operation pinned inside its epoch keeps the
+// ring full.
+func TestStalledAsyncPutChargesNothing(t *testing.T) {
+	s := small(t, func(o *Options) {
+		o.NumThreads = 1
+		o.DisableSVC = true
+	})
+	pin := s.em.Register()
+	pin.Enter()
+	t.Cleanup(pin.Exit) // before the store's Close, which waits for epochs
+	th, val := s.Thread(0), make([]byte, 1000)
+	for i := 0; ; i++ {
+		if _, room := s.pwbs[0].Room(len(val)); !room {
+			break
+		}
+		if err := th.Put(key(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := th.async
+	h := &Handle{a: a}
+	h.arm(opPut, key(0), val, 0)
+	a.execMu.Lock()
+	before := a.lt.Clk.Now()
+	n := a.pass([]*Handle{h})
+	after := a.lt.Clk.Now()
+	a.execMu.Unlock()
+	if n != 0 {
+		t.Fatalf("the pass consumed %d handles with the ring full", n)
+	}
+	if after != before {
+		t.Fatalf("the stalled window moved the async timeline from %d to %d", before, after)
+	}
+}

@@ -306,16 +306,6 @@ type Thread struct {
 	// submit).
 	async *asyncThread
 
-	// stage is the clock the steps of an overlap frame run on (async.go):
-	// Clk points at it while a step is in flight.
-	stage sim.Clock
-
-	// body is the clock a put's record body is charged to, from the put's
-	// start, while the put's own clock runs its key index lookup
-	// (writeAndPublish). A put in an admission window runs on stage, so
-	// the body cannot share it.
-	body sim.Clock
-
 	// inline is the pass thread a ring's owner runs its reclaim passes on
 	// under SyncVSWrites (reclaimInline); built on the first.
 	inline *Thread

@@ -247,7 +247,7 @@ func (t *Table) checkIdx(idx uint64) {
 // The zeroed pointer is persisted so a post-crash recovery never mistakes
 // a recycled entry for a live one; the handle's store is a DRAM store the
 // thread does not wait for, and is free.
-func (t *Table) Alloc(clk nvm.Clock) (uint64, error) {
+func (t *Table) Alloc(clk *sim.Clock) (uint64, error) {
 	t.mu.Lock()
 	var idx uint64
 	if n := len(t.free); n > 0 {
@@ -280,14 +280,14 @@ func (t *Table) Free(idx uint64) {
 // Load returns the forward pointer of idx, applying flush-on-read: if the
 // dirty bit is set the reader persists the line and clears the bit on the
 // writer's behalf, so the returned pointer is always durable.
-func (t *Table) Load(clk nvm.Clock, idx uint64) Pointer {
+func (t *Table) Load(clk *sim.Clock, idx uint64) Pointer {
 	return t.LoadAt(clk, idx, t.Prefetch(clk, idx))
 }
 
 // LoadAt is Load for a caller that issued Prefetch(clk, idx) earlier: ready
 // is what that returned. It waits for what is left of the read and loads
 // the word then, for no read of its own.
-func (t *Table) LoadAt(clk nvm.Clock, idx uint64, ready int64) Pointer {
+func (t *Table) LoadAt(clk *sim.Clock, idx uint64, ready int64) Pointer {
 	if clk != nil {
 		clk.AdvanceTo(ready)
 	}
@@ -296,7 +296,7 @@ func (t *Table) LoadAt(clk nvm.Clock, idx uint64, ready int64) Pointer {
 }
 
 // SVC returns idx's SVC handle (0 = none), one DRAM access.
-func (t *Table) SVC(clk nvm.Clock, idx uint64) uint64 {
+func (t *Table) SVC(clk *sim.Clock, idx uint64) uint64 {
 	t.checkIdx(idx)
 	if clk != nil {
 		clk.Advance(sim.DRAMLatency)
@@ -304,7 +304,7 @@ func (t *Table) SVC(clk nvm.Clock, idx uint64) uint64 {
 	return t.svc[idx].Load()
 }
 
-func (t *Table) flushOnRead(clk nvm.Clock, off int, w uint64) Pointer {
+func (t *Table) flushOnRead(clk *sim.Clock, off int, w uint64) Pointer {
 	if w&dirtyBit != 0 {
 		t.dev.Persist(clk, off, 8)
 		t.dev.CompareAndSwapUint64(clk, off, w, w&^dirtyBit)
@@ -316,7 +316,7 @@ func (t *Table) flushOnRead(clk nvm.Clock, off int, w uint64) Pointer {
 // line will be there, for the load (LoadAt) or publish (PublishAt) the
 // caller makes once it has done what does not need the pointer: a reader
 // tries the SVC, a writer appends the value to the PWB.
-func (t *Table) Prefetch(clk nvm.Clock, idx uint64) (ready int64) {
+func (t *Table) Prefetch(clk *sim.Clock, idx uint64) (ready int64) {
 	t.checkIdx(idx)
 	return t.dev.Prefetch(clk, t.word(idx), EntrySize)
 }
@@ -328,7 +328,7 @@ func (t *Table) Prefetch(clk nvm.Clock, idx uint64) (ready int64) {
 // loop only contends with readers' flush-on-read clears, never another
 // publisher (those are spun out by the seqlock). It returns the word it
 // displaced.
-func (t *Table) install(clk nvm.Clock, off int, old, neww uint64) uint64 {
+func (t *Table) install(clk *sim.Clock, off int, old, neww uint64) uint64 {
 	for !t.dev.CompareAndSwapUint64(clk, off, old, neww|dirtyBit) {
 		old = t.dev.LoadUint64(clk, off)
 	}
@@ -343,7 +343,7 @@ func (t *Table) install(clk nvm.Clock, off int, old, neww uint64) uint64 {
 // must invalidate (PWB: nothing to do; VS: clear the validity bit), and so
 // is any cached copy: svc is the entry's SVC handle, read after the
 // install.
-func (t *Table) Publish(clk nvm.Clock, idx uint64, p Pointer) (old Pointer, svc uint64) {
+func (t *Table) Publish(clk *sim.Clock, idx uint64, p Pointer) (old Pointer, svc uint64) {
 	return t.PublishAt(clk, idx, p, t.Prefetch(clk, idx))
 }
 
@@ -352,7 +352,7 @@ func (t *Table) Publish(clk nvm.Clock, idx uint64, p Pointer) (old Pointer, svc 
 // left of the read, if anything, and loads the word then — whatever
 // happened to the entry since the prefetch, it is the current word that
 // is displaced and returned.
-func (t *Table) PublishAt(clk nvm.Clock, idx uint64, p Pointer, ready int64) (old Pointer, svc uint64) {
+func (t *Table) PublishAt(clk *sim.Clock, idx uint64, p Pointer, ready int64) (old Pointer, svc uint64) {
 	v := t.lockVersion(idx)
 	if clk != nil {
 		clk.AdvanceTo(ready)
@@ -376,7 +376,7 @@ func (t *Table) PublishAt(clk nvm.Clock, idx uint64, p Pointer, ready int64) (ol
 // Callers must guarantee expect cannot be a recycled-offset alias of a
 // different value (reclamation's frozen-tail scan and GC's victim-chunk
 // pin both do); callers that cannot, use PublishIfVersion.
-func (t *Table) PublishIf(clk nvm.Clock, idx uint64, expect, p Pointer) (ver uint64, ok bool) {
+func (t *Table) PublishIf(clk *sim.Clock, idx uint64, expect, p Pointer) (ver uint64, ok bool) {
 	v := t.lockVersion(idx)
 	off := t.word(idx)
 	w := t.dev.LoadUint64(clk, off)
@@ -395,7 +395,7 @@ func (t *Table) PublishIf(clk nvm.Clock, idx uint64, expect, p Pointer) (ver uin
 // compare, the version cannot alias across offset reuse, so this is the
 // safe conditional publish for relocators whose old location may have
 // been recycled since the snapshot (the SVC scan rewrite).
-func (t *Table) PublishIfVersion(clk nvm.Clock, idx uint64, expectVer uint64, p Pointer) bool {
+func (t *Table) PublishIfVersion(clk *sim.Clock, idx uint64, expectVer uint64, p Pointer) bool {
 	t.checkIdx(idx)
 	if expectVer&1 != 0 || !t.vers[idx].CompareAndSwap(expectVer, expectVer+1) {
 		return false
@@ -408,13 +408,13 @@ func (t *Table) PublishIfVersion(clk nvm.Clock, idx uint64, expectVer uint64, p 
 
 // Clear removes the forward pointer (delete path), returning what Publish
 // returns: the old pointer and the SVC handle.
-func (t *Table) Clear(clk nvm.Clock, idx uint64) (old Pointer, svc uint64) {
+func (t *Table) Clear(clk *sim.Clock, idx uint64) (old Pointer, svc uint64) {
 	return t.Publish(clk, idx, Pointer{})
 }
 
 // CasSVC atomically replaces the SVC handle if it still equals old (§4.4 —
 // lock-free publication): one DRAM access.
-func (t *Table) CasSVC(clk nvm.Clock, idx uint64, old, new uint64) bool {
+func (t *Table) CasSVC(clk *sim.Clock, idx uint64, old, new uint64) bool {
 	t.checkIdx(idx)
 	if clk != nil {
 		clk.Advance(sim.DRAMLatency)

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/nvm"
+	"repro/internal/sim"
 )
 
 const maxHeight = 20
@@ -62,7 +63,7 @@ func nodeBytes(keyLen, height int) int64 {
 	return int64(keyLen) + 8 + int64(height)*8 + 16
 }
 
-func (ix *Index) chargeRead(clk nvm.Clock, nodes int) {
+func (ix *Index) chargeRead(clk *sim.Clock, nodes int) {
 	if ix.dev != nil && nodes > 0 {
 		// Upper index levels stay CPU-cache-resident; only a few node
 		// visits per traversal reach NVM media.
@@ -71,7 +72,7 @@ func (ix *Index) chargeRead(clk nvm.Clock, nodes int) {
 	}
 }
 
-func (ix *Index) chargeWrite(clk nvm.Clock, bytes int) {
+func (ix *Index) chargeWrite(clk *sim.Clock, bytes int) {
 	if ix.dev != nil && bytes > 0 {
 		ix.dev.ChargeWrite(clk, bytes)
 	}
@@ -116,7 +117,7 @@ func (ix *Index) findPaths(key []byte, preds, succs *[maxHeight]*node) (int, int
 }
 
 // Lookup returns the value stored for key.
-func (ix *Index) Lookup(clk nvm.Clock, key []byte) (uint64, bool) {
+func (ix *Index) Lookup(clk *sim.Clock, key []byte) (uint64, bool) {
 	var preds, succs [maxHeight]*node
 	lf, visited := ix.findPaths(key, &preds, &succs)
 	ix.chargeRead(clk, visited)
@@ -134,7 +135,7 @@ func (ix *Index) Lookup(clk nvm.Clock, key []byte) (uint64, bool) {
 // and whether this call inserted it. Matching Prism's use, an existing
 // key's value is returned untouched (the HSIT index for a key never
 // changes while the key is live).
-func (ix *Index) Insert(clk nvm.Clock, key []byte, val uint64) (uint64, bool) {
+func (ix *Index) Insert(clk *sim.Clock, key []byte, val uint64) (uint64, bool) {
 	topLayer := ix.randomHeight()
 	var preds, succs [maxHeight]*node
 	for {
@@ -197,7 +198,7 @@ func (ix *Index) Insert(clk nvm.Clock, key []byte, val uint64) (uint64, bool) {
 // the previous value if the key existed. (Prism itself never replaces an
 // index value — the HSIT index is stable per live key — but the baseline
 // engines' memtables need classic map semantics.)
-func (ix *Index) Upsert(clk nvm.Clock, key []byte, val uint64) (old uint64, existed bool) {
+func (ix *Index) Upsert(clk *sim.Clock, key []byte, val uint64) (old uint64, existed bool) {
 	for {
 		var preds, succs [maxHeight]*node
 		lf, visited := ix.findPaths(key, &preds, &succs)
@@ -232,7 +233,7 @@ func unlockPreds(preds *[maxHeight]*node, highest int) {
 }
 
 // Delete removes key, returning its value.
-func (ix *Index) Delete(clk nvm.Clock, key []byte) (uint64, bool) {
+func (ix *Index) Delete(clk *sim.Clock, key []byte) (uint64, bool) {
 	var preds, succs [maxHeight]*node
 	var victim *node
 	isMarked := false
@@ -293,7 +294,7 @@ func (ix *Index) Delete(clk nvm.Clock, key []byte) (uint64, bool) {
 // returns false or count entries have been visited (count <= 0 means
 // unbounded). It is linearizable per visited node, not per snapshot —
 // the semantics of the paper's range scans.
-func (ix *Index) Scan(clk nvm.Clock, start []byte, count int, fn func(key []byte, val uint64) bool) {
+func (ix *Index) Scan(clk *sim.Clock, start []byte, count int, fn func(key []byte, val uint64) bool) {
 	var preds, succs [maxHeight]*node
 	_, visited := ix.findPaths(start, &preds, &succs)
 	n := succs[0]

@@ -19,7 +19,9 @@
 //     slows each writer but writers do not yet queue behind each other's
 //     flushes. A read is paid for once per line and where its data is
 //     first needed: Prefetch issues one without waiting for it, and
-//     HeldUint64 reads a word of a line the thread already holds.
+//     HeldUint64 reads a word of a line the thread already holds. Costs
+//     go to the *sim.Clock the caller passes; a nil clock makes the
+//     access free (setup and test plumbing).
 //
 // Offsets within the device are stable across crashes, so components
 // store offset-based pointers (never Go pointers) in NVM.
@@ -72,14 +74,6 @@ func (c *Config) applyDefaults() {
 	if c.WriteBandwidth == 0 {
 		c.WriteBandwidth = 1_900_000_000 // 1.9 GB/s
 	}
-}
-
-// Clock is the subset of sim.Clock the device needs. A nil Clock means
-// the access is free (setup and test plumbing).
-type Clock interface {
-	Now() int64
-	Advance(d int64)
-	AdvanceTo(t int64) int64
 }
 
 // Device is a simulated byte-addressable persistent memory device.
@@ -139,7 +133,7 @@ func (d *Device) check(off, n int) {
 // chargeRead and chargeWrite reserve transfer time on the shared device
 // channel (so concurrent threads contend for the DIMM bandwidth in
 // virtual time) and add the fixed access latency on top.
-func (d *Device) chargeRead(clk Clock, n int) {
+func (d *Device) chargeRead(clk *sim.Clock, n int) {
 	if clk != nil {
 		clk.AdvanceTo(d.readyAt(clk, n))
 	}
@@ -147,12 +141,12 @@ func (d *Device) chargeRead(clk Clock, n int) {
 
 // readyAt reserves the transfer of an n-byte read issued at clk's time
 // and returns when its data is there. It does not advance clk.
-func (d *Device) readyAt(clk Clock, n int) int64 {
+func (d *Device) readyAt(clk *sim.Clock, n int) int64 {
 	_, end := d.bw.Acquire(clk.Now(), sim.TransferNS(n, d.cfg.ReadBandwidth))
 	return end + d.cfg.ReadLatency
 }
 
-func (d *Device) chargeWrite(clk Clock, n int) {
+func (d *Device) chargeWrite(clk *sim.Clock, n int) {
 	if clk == nil {
 		return
 	}
@@ -169,13 +163,13 @@ func (d *Device) Now() int64 { return d.bw.Newest() }
 // (for example the key index, which the paper treats as a self-contained
 // crash-consistent structure) use this so their accesses still contend
 // for device bandwidth and pay device latency.
-func (d *Device) ChargeRead(clk Clock, n int) { d.chargeRead(clk, n) }
+func (d *Device) ChargeRead(clk *sim.Clock, n int) { d.chargeRead(clk, n) }
 
 // ChargeWrite is the write-side counterpart of ChargeRead.
-func (d *Device) ChargeWrite(clk Clock, n int) { d.chargeWrite(clk, n) }
+func (d *Device) ChargeWrite(clk *sim.Clock, n int) { d.chargeWrite(clk, n) }
 
 // Load copies n = len(dst) bytes at off into dst and charges read cost.
-func (d *Device) Load(clk Clock, off int, dst []byte) {
+func (d *Device) Load(clk *sim.Clock, off int, dst []byte) {
 	copy(dst, d.View(clk, off, len(dst)))
 }
 
@@ -184,7 +178,7 @@ func (d *Device) Load(clk Clock, off int, dst []byte) {
 // The caller must not write through it, and it is only as stable as the
 // region: it is for a reader that owns the range against concurrent
 // Stores for as long as it keeps the slice (the PWB reclaimer's scan).
-func (d *Device) View(clk Clock, off, n int) []byte {
+func (d *Device) View(clk *sim.Clock, off, n int) []byte {
 	d.check(off, n)
 	d.loads.Add(1)
 	d.chargeRead(clk, n)
@@ -196,7 +190,7 @@ func (d *Device) View(clk Clock, off, n int) []byte {
 // and cache-fill time but not NVM media bandwidth — the media write is
 // charged when Flush pushes the lines out. The data is volatile until
 // Flush covers it.
-func (d *Device) Store(clk Clock, off int, src []byte) {
+func (d *Device) Store(clk *sim.Clock, off int, src []byte) {
 	d.check(off, len(src))
 	copy(d.data[off:off+len(src)], src)
 	d.markDirty(off, len(src))
@@ -215,7 +209,7 @@ func (d *Device) wordAt(off int) *atomic.Uint64 {
 }
 
 // LoadUint64 atomically loads the 8-byte word at off (must be 8-aligned).
-func (d *Device) LoadUint64(clk Clock, off int) uint64 {
+func (d *Device) LoadUint64(clk *sim.Clock, off int) uint64 {
 	v := d.wordAt(off).Load()
 	d.loads.Add(1)
 	d.chargeRead(clk, 8)
@@ -229,7 +223,7 @@ func (d *Device) LoadUint64(clk Clock, off int) uint64 {
 // the read — clk.AdvanceTo(ready) — where it first uses it. A prefetch
 // carries cost, never data: the words are loaded with HeldUint64 when
 // they are used, as a coherent cache would serve them.
-func (d *Device) Prefetch(clk Clock, off, n int) (ready int64) {
+func (d *Device) Prefetch(clk *sim.Clock, off, n int) (ready int64) {
 	d.check(off, n)
 	d.loads.Add(1)
 	if clk == nil {
@@ -245,7 +239,7 @@ func (d *Device) Prefetch(clk Clock, off, n int) (ready int64) {
 func (d *Device) HeldUint64(off int) uint64 { return d.wordAt(off).Load() }
 
 // StoreUint64 atomically stores v at off and marks the line dirty.
-func (d *Device) StoreUint64(clk Clock, off int, v uint64) {
+func (d *Device) StoreUint64(clk *sim.Clock, off int, v uint64) {
 	d.wordAt(off).Store(v)
 	d.markDirty(off, 8)
 	d.stores.Add(1)
@@ -253,7 +247,7 @@ func (d *Device) StoreUint64(clk Clock, off int, v uint64) {
 }
 
 // CompareAndSwapUint64 atomically CASes the word at off.
-func (d *Device) CompareAndSwapUint64(clk Clock, off int, old, new uint64) bool {
+func (d *Device) CompareAndSwapUint64(clk *sim.Clock, off int, old, new uint64) bool {
 	ok := d.wordAt(off).CompareAndSwap(old, new)
 	if ok {
 		d.markDirty(off, 8)
@@ -278,7 +272,7 @@ func (d *Device) markDirty(off, n int) {
 // the shared channel (see the package comment). A flush of clean lines
 // is free of transfer time but still charges its own latency, like a
 // clwb that misses dirty data.
-func (d *Device) Flush(clk Clock, off, n int) {
+func (d *Device) Flush(clk *sim.Clock, off, n int) {
 	if n <= 0 {
 		return
 	}
@@ -292,10 +286,11 @@ func (d *Device) Flush(clk Clock, off, n int) {
 // overlapping [off, off+n) and charges each its FlushLatency and transfer
 // time, but not the flush's own FlushLatency. That one is paid by the
 // Flush that completes the same persist before its Fence, so a persist
-// whose lines are pushed out on two clocks (pwb.Buffer.AppendSplit) costs
-// what one Flush of them all would, but for each part's transfer time
-// rounding up to the nanosecond on its own.
-func (d *Device) Writeback(clk Clock, off, n int) {
+// whose lines are pushed out in two parts (pwb.Buffer.AppendAt: the body,
+// then the header once the seal may start) costs what one Flush of them
+// all would, but for each part's transfer time rounding up to the
+// nanosecond on its own.
+func (d *Device) Writeback(clk *sim.Clock, off, n int) {
 	if n <= 0 {
 		return
 	}
@@ -326,7 +321,7 @@ func (d *Device) Writeback(clk Clock, off, n int) {
 // Fence provides no additional semantics — only its cost — but callers
 // use it at exactly the points real code would issue sfence, which keeps
 // the protocol code faithful.
-func (d *Device) Fence(clk Clock) {
+func (d *Device) Fence(clk *sim.Clock) {
 	d.fences.Add(1)
 	if clk != nil {
 		clk.Advance(d.cfg.FenceLatency)
@@ -334,7 +329,7 @@ func (d *Device) Fence(clk Clock) {
 }
 
 // Persist is the common flush-then-fence sequence.
-func (d *Device) Persist(clk Clock, off, n int) {
+func (d *Device) Persist(clk *sim.Clock, off, n int) {
 	d.Flush(clk, off, n)
 	d.Fence(clk)
 }

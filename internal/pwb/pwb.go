@@ -48,6 +48,7 @@ import (
 
 	"repro/internal/nvm"
 	"repro/internal/record"
+	"repro/internal/sim"
 )
 
 // ErrFull is returned by Append when the ring has insufficient space.
@@ -167,22 +168,22 @@ func (b *Buffer) GlobalOff(logical uint64) uint64 { return uint64(b.pos(logical)
 // Several appends may share one publish window: the floor sticks to the
 // first record appended since the last Published call, so a batch of
 // appends followed by a single Published is covered end to end.
-func (b *Buffer) Append(clk nvm.Clock, hsitIdx uint64, value []byte) (devOff uint64, logical uint64, err error) {
-	return b.AppendSplit(clk, clk, hsitIdx, value)
+func (b *Buffer) Append(clk *sim.Clock, hsitIdx uint64, value []byte) (devOff uint64, logical uint64, err error) {
+	return b.AppendAt(clk, hsitIdx, value, 0)
 }
 
-// AppendSplit is Append with the record's persist charged to two clocks,
-// for an owner whose body clock started before it knew hsitIdx (a put
-// learns it from its key index lookup). Only the 16-byte header names
-// hsitIdx, so the body — a pad if the lap needs one, the value's stores
-// and the writeback of every line after the header's — is charged to
-// body, and the seal — the header's store, its line's flush and the one
-// fence — to seal, once seal has caught up with body. On one clock (Append)
-// the two parts cost one persist of the record, but for a nanosecond of
-// transfer rounding at some line counts (none for a 1 KiB value). The
-// device sees the same persist order either way: the value's lines, then
-// the header's, then the fence, all before the caller's publish.
-func (b *Buffer) AppendSplit(body, seal nvm.Clock, hsitIdx uint64, value []byte) (devOff uint64, logical uint64, err error) {
+// AppendAt is Append for an owner that starts the record's body before it
+// knows hsitIdx (a put learns it from its key index lookup, which ended at
+// sealAt). Only the 16-byte header names hsitIdx, so the body — a pad if
+// the lap needs one, the value's stores and the writeback of every line
+// after the header's — is charged on clk from its time, and the seal — the
+// header's store, its line's flush and the one fence — from the later of
+// the body's end and sealAt. The two parts cost one persist of the record,
+// but for a nanosecond of transfer rounding at some line counts (none for
+// a 1 KiB value), and the device sees the same persist order: the value's
+// lines, then the header's, then the fence, all before the caller's
+// publish.
+func (b *Buffer) AppendAt(clk *sim.Clock, hsitIdx uint64, value []byte, sealAt int64) (devOff uint64, logical uint64, err error) {
 	need := uint64(record.Size(len(value)))
 	if need > b.size {
 		return 0, 0, fmt.Errorf("pwb: value of %d bytes exceeds buffer capacity %d", len(value), b.size)
@@ -195,22 +196,22 @@ func (b *Buffer) AppendSplit(body, seal nvm.Clock, hsitIdx uint64, value []byte)
 	var hdr [record.HeaderSize]byte
 	if pad > 0 {
 		record.PutPad(hdr[:], int(pad))
-		b.dev.Store(body, b.pos(head), hdr[:])
-		b.dev.Persist(body, b.pos(head), record.HeaderSize)
+		b.dev.Store(clk, b.pos(head), hdr[:])
+		b.dev.Persist(clk, b.pos(head), record.HeaderSize)
 		head += pad
 		b.head.Store(head)
 	}
 
 	off := b.pos(head)
-	b.dev.Store(body, off+record.HeaderSize, value)
+	b.dev.Store(clk, off+record.HeaderSize, value)
 	next := (off/nvm.LineSize + 1) * nvm.LineSize // the first line after the header's
-	b.dev.Writeback(body, next, off+record.HeaderSize+len(value)-next)
-	if body != nil && seal != nil {
-		seal.AdvanceTo(body.Now())
+	b.dev.Writeback(clk, next, off+record.HeaderSize+len(value)-next)
+	if clk != nil {
+		clk.AdvanceTo(sealAt)
 	}
 	record.PutHeader(hdr[:], hsitIdx, len(value))
-	b.dev.Store(seal, off, hdr[:])
-	b.dev.Persist(seal, off, record.HeaderSize)
+	b.dev.Store(clk, off, hdr[:])
+	b.dev.Persist(clk, off, record.HeaderSize)
 
 	// Publish-pending mark BEFORE the head advance: a reclaimer that
 	// observes the new head is guaranteed to also observe the mark (or
@@ -319,14 +320,14 @@ func (b *Buffer) AwaitingGrace() bool { return b.cursor > b.releasable.Load() }
 // read and retry on mismatch; ReadValue itself does not parse or verify
 // the record header. A nil clk performs the read without charging device
 // time (offline checkers and tests).
-func (b *Buffer) ReadValue(clk nvm.Clock, devOff uint64, valueLen int) []byte {
+func (b *Buffer) ReadValue(clk *sim.Clock, devOff uint64, valueLen int) []byte {
 	return b.AppendValue(clk, devOff, valueLen, make([]byte, 0, valueLen))
 }
 
 // AppendValue is ReadValue into the caller's buffer: it appends the value
 // payload to dst and returns the extended slice, allocating only when dst
 // lacks the room.
-func (b *Buffer) AppendValue(clk nvm.Clock, devOff uint64, valueLen int, dst []byte) []byte {
+func (b *Buffer) AppendValue(clk *sim.Clock, devOff uint64, valueLen int, dst []byte) []byte {
 	buf := slices.Grow(dst, valueLen)[:len(dst)+valueLen]
 	b.dev.Load(clk, int(devOff)+record.HeaderSize, buf[len(dst):])
 	return buf
@@ -364,7 +365,7 @@ var ErrCorruptRecord = errors.New("pwb: corrupt record")
 // returns an error wrapping ErrCorruptRecord — the caller should abort
 // the pass without moving the cursor or releasing any space, so the torn
 // range is simply re-scanned later.
-func (b *Buffer) Scan(clk nvm.Clock, from, to uint64, fn func(r Record) bool) error {
+func (b *Buffer) Scan(clk *sim.Clock, from, to uint64, fn func(r Record) bool) error {
 	var hdr [record.HeaderSize]byte
 	for cur := from; cur < to; {
 		off := b.pos(cur)

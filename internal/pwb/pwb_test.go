@@ -359,34 +359,56 @@ func TestCostCharging(t *testing.T) {
 	}
 }
 
-// TestAppendSplitChargesBodyAndSeal: AppendSplit charges the record's body
-// to its first clock and its seal to the second, from the later of the
-// second's time and the body's end; the two parts cost what Append costs
-// on one clock, and the record is as durable.
-func TestAppendSplitChargesBodyAndSeal(t *testing.T) {
+// TestAppendAtChargesBodyThenSeal: AppendAt charges the record's body on
+// its clock from the clock's time, and the seal — the header's store, its
+// line's flush and the fence — from the later of the body's end and
+// sealAt. At sealAt 0 it costs exactly what Append costs, and the record
+// is as durable at every sealAt.
+func TestAppendAtChargesBodyThenSeal(t *testing.T) {
 	val := bytes.Repeat([]byte{'v'}, 1000)
-	one, _ := newBuf(4096)
-	clk := sim.NewClock(0)
-	if _, _, err := one.Append(clk, 1, val); err != nil {
-		t.Fatal(err)
-	}
-	whole := clk.Now()
-	for _, sealFrom := range []int64{0, 10_000} { // behind the body's end, then past it
+	appendAt := func(from, sealAt int64) int64 {
 		b, dev := newBuf(4096)
-		body, seal := sim.NewClock(0), sim.NewClock(sealFrom)
-		off, _, err := b.AppendSplit(body, seal, 1, val)
+		clk := sim.NewClock(from)
+		off, _, err := b.AppendAt(clk, 1, val, sealAt)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if sealCost := seal.Now() - max(sealFrom, body.Now()); body.Now() <= 0 || sealCost <= 0 || body.Now()+sealCost != whole {
-			t.Errorf("seal clock from %d: body %d ns + seal %d ns, want two parts of Append's %d",
-				sealFrom, body.Now(), sealCost, whole)
 		}
 		dev.Crash()
 		rec := make([]byte, record.HeaderSize+len(val))
 		dev.Load(nil, int(off), rec)
 		if idx, n, kind := record.ParseHeader(rec); kind != record.Value || idx != 1 || n != len(val) || !bytes.Equal(rec[record.HeaderSize:], val) {
-			t.Errorf("seal clock from %d: after a crash the record reads %v idx %d, %d bytes", sealFrom, kind, idx, n)
+			t.Errorf("seal at %d: after a crash the record reads %v idx %d, %d bytes", sealAt, kind, idx, n)
+		}
+		return clk.Now()
+	}
+	one, dev := newBuf(4096)
+	clk := sim.NewClock(0)
+	if _, _, err := one.Append(clk, 1, val); err != nil {
+		t.Fatal(err)
+	}
+	whole := clk.Now()
+	cfg := dev.Config()
+	seal := cfg.WriteLatency + sim.TransferNS(record.HeaderSize, nvm.CacheFillBandwidth) +
+		2*cfg.FlushLatency + sim.TransferNS(nvm.LineSize, cfg.WriteBandwidth) + cfg.FenceLatency
+	body := whole - seal
+	if body <= 0 {
+		t.Fatalf("Append costs %d ns, no more than its seal's %d", whole, seal)
+	}
+	const from = 5_000
+	for _, tc := range []struct {
+		name         string
+		from, sealAt int64
+		want         int64
+	}{
+		{"sealAt 0 is Append", 0, 0, whole},
+		{"body from the clock's time", from, 0, from + whole},
+		{"sealAt inside the body", from, from + body/2, from + whole},
+		{"sealAt at the body's end", from, from + body, from + whole},
+		{"sealAt past the body's end", from, from + body + 10_000, from + body + 10_000 + seal},
+	} {
+		if got := appendAt(tc.from, tc.sealAt); got != tc.want {
+			t.Errorf("%s: clock from %d, sealAt %d ends at %d, want %d (body %d + seal %d ns)",
+				tc.name, tc.from, tc.sealAt, got, tc.want, body, seal)
 		}
 	}
 }

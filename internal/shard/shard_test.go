@@ -561,8 +561,8 @@ func TestRoutedOpAllocs(t *testing.T) {
 // TestAsyncOpAllocs is TestRoutedOpAllocs for the routed async path, one
 // submission in flight at a time (a window of one, the wire-sync shape):
 // handle, completion channel, key copy, value copy (the put's input, the
-// get's result), the window slice — and, until the admission window ran
-// on a per-thread stage clock, a sim.Clock per operation. The bounds are
+// get's result), the window slice — and, until the admission window's
+// steps ran on a clock of the thread's, a sim.Clock per operation. The bounds are
 // one below what the commit before that (33a5b6d) measured with this
 // test, 6.00 and 6.00 in three runs of three; one allocation more per
 // operation fails.

@@ -34,9 +34,9 @@ func NewClock(start int64) *Clock { return &Clock{now: start} }
 // Now returns the current virtual time in nanoseconds.
 func (c *Clock) Now() int64 { return c.now }
 
-// Reset sets the clock to t, backwards included: the owner of a scratch
-// clock reuses it for the next piece of work it forks off its own clock
-// (core's overlap frame) instead of allocating one per piece.
+// Reset sets the clock to t, backwards included: a thread that runs
+// overlapping pieces of work on its one clock (core's overlap frame) takes
+// it back to where the next piece starts.
 func (c *Clock) Reset(t int64) { c.now = t }
 
 // Advance moves the clock forward by d nanoseconds. Negative d is ignored.
