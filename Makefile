@@ -19,8 +19,11 @@ test:
 # reclamation/publish race is fixed (see ROADMAP "RESOLVED (PR 3)") and
 # TestPWBReclaimPublishStress in internal/core is its permanent
 # regression gate; TestShardBatchFanoutStress in internal/shard is the
-# equivalent gate for the cross-shard batch fan-out (re-run explicitly
-# with -count=1 so a cached pass can never mask it),
+# equivalent gate for the cross-shard batch fan-out — a loop on the
+# caller's goroutine, so what it guards is router threads sharing no
+# scratch and no core thread while their legs meet on the same shards and
+# their reclaimers (re-run explicitly with -count=1 so a cached pass can
+# never mask it),
 # TestMixedSetReadersStress in internal/tcq for one-request and
 # multi-request readers sharing a combining queue, and TestGCChurnStress
 # in internal/core for reclaimers, Value Storage GC and the scan-range

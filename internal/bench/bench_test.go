@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -139,6 +140,26 @@ func TestPrismScalesWithThreads(t *testing.T) {
 	t16 := measure(16)
 	if t16 < t2*2 {
 		t.Fatalf("no multicore scaling: 2 threads %.1fK, 16 threads %.1fK", t2, t16)
+	}
+}
+
+// In a multi-threaded run of a one-shard Prism store no op costs less
+// than an SVC hit: its key index lookup reads NVM, and the hit reads one
+// DRAM word. The round barrier moves every client's clock, and an op that
+// ran behind the clock it moved would record 0 ns.
+func TestNoOpCheaperThanAnSVCHit(t *testing.T) {
+	rc := tiny()
+	st, err := NewEngine(EnginePrism, RunConfig{Threads: rc.Threads, Records: rc.Records})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	floor := float64(st.(*engine.PrismStore).S.Shard(0).NVM().Config().ReadLatency + sim.DRAMLatency)
+	for _, r := range []Result{Load(st, EnginePrism, rc), Run(st, EnginePrism, ycsb.WorkloadA, rc)} {
+		if min := r.Lat.MinUS * 1e3; min < floor {
+			t.Errorf("workload %c: the cheapest of %d ops cost %.0f ns, want >= %.0f (an NVM read and a DRAM word)",
+				r.Workload, r.Ops, min, floor)
+		}
 	}
 }
 

@@ -387,7 +387,7 @@ func (t *Thread) stageRead(it *scanItem) (resolved bool) {
 		t.pending = append(t.pending, it)
 		return false
 	case fastMoved:
-		it.val, _, _ = t.getOnce(it.idx, it.key)
+		it.val = t.getOnce(it.idx, it.key)
 	}
 	return true
 }
@@ -631,15 +631,15 @@ func (t *Thread) readRows(items []scanItem, lookup bool) {
 	f.join()
 }
 
-// getOnce is the slow-path fallback for values that moved mid-scan.
-func (t *Thread) getOnce(idx uint64, key []byte) ([]byte, error, bool) {
+// getOnce is the slow-path fallback for values that moved mid-scan: the
+// value behind idx, or nil when there is none.
+func (t *Thread) getOnce(idx uint64, key []byte) []byte {
 	for attempt := 0; attempt < 1000; attempt++ {
-		v, err, retry := t.resolve(idx, key, false)
-		if !retry {
-			return v, err, false
+		if v, _, retry := t.resolve(idx, key, false); !retry {
+			return v
 		}
 	}
-	return nil, ErrNotFound, false
+	return nil
 }
 
 // scanItem tracks one key through scan resolution.
@@ -748,7 +748,7 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	// that every extent is decoded.
 	for _, it := range pending {
 		if it.p.IsNil() {
-			it.val, _, _ = t.getOnce(it.idx, it.key)
+			it.val = t.getOnce(it.idx, it.key)
 		}
 	}
 

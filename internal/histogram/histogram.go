@@ -162,6 +162,7 @@ func (h *H) Reset() {
 // Summary is the latency row the paper's tables report, in microseconds.
 type Summary struct {
 	Count  int64
+	MinUS  float64
 	AvgUS  float64
 	P50US  float64
 	P99US  float64
@@ -173,6 +174,7 @@ type Summary struct {
 func (h *H) Summarize() Summary {
 	return Summary{
 		Count:  h.total,
+		MinUS:  float64(h.Min()) / 1e3,
 		AvgUS:  h.Mean() / 1e3,
 		P50US:  float64(h.Percentile(50)) / 1e3,
 		P99US:  float64(h.Percentile(99)) / 1e3,

@@ -5,6 +5,10 @@ import (
 	"sort"
 )
 
+// holdCompaction is a test seam: while it returns true the background
+// loop flushes memtables but compacts nothing, so L0 grows.
+var holdCompaction func(s *Store) bool
+
 func (s *Store) backgroundLoop() {
 	defer s.bg.Done()
 	for {
@@ -15,7 +19,7 @@ func (s *Store) backgroundLoop() {
 		}
 		for s.flushOne() {
 		}
-		for s.compactOne() {
+		for (holdCompaction == nil || !holdCompaction(s)) && s.compactOne() {
 			for s.flushOne() {
 			}
 		}

@@ -230,6 +230,11 @@ func TestScanOrderedAndShadowed(t *testing.T) {
 }
 
 func TestWriteStallsUnderLoad(t *testing.T) {
+	// Compaction waits until a writer has stalled. Left to run, it may
+	// drain L0 before any writer meets the trigger or after, as the host
+	// schedules it; held, L0 only grows, so a writer meets the trigger.
+	holdCompaction = func(s *Store) bool { return s.stalls.Load() == 0 }
+	t.Cleanup(func() { holdCompaction = nil }) // after the store's Close
 	s := openTest(t, func(c *Config) {
 		c.MemtableBytes = 4 << 10
 		c.L0StallTrigger = 2

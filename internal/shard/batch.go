@@ -1,10 +1,9 @@
 package shard
 
 import (
-	"errors"
+	"cmp"
 	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -12,10 +11,11 @@ import (
 // PutBatch partitions kvs over the shard sets of their keys — each
 // entry goes to every live replica of its key, stamped individually
 // from one block drawn for the whole batch — and applies the per-shard
-// sub-batches, in parallel goroutines when more than one shard is
-// touched. Each sub-batch goes through core.PutBatchTS, so the
-// one-epoch-enter / one-publish-window amortization holds per shard: a
-// batch of B keys touching S shards costs at most S epoch enters.
+// sub-batches one after another on the caller's goroutine, each on its
+// shard's own thread clock. Each sub-batch goes through core.PutBatchTS,
+// so the one-epoch-enter / one-publish-window amortization holds per
+// shard: a batch of B keys touching S shards costs at most S epoch
+// enters.
 //
 // Ordering and durability: partitioning preserves input order within a
 // shard, and duplicate keys route to the same shards (with increasing
@@ -75,8 +75,6 @@ func (t *Thread) putBatchOnce(kvs []core.KV, first uint64, attempt int) (retry b
 	if len(t.touched) > 1 {
 		s.m.crossPut.Inc()
 	}
-	t.fanOut(t.touched, func(j int) { t.errs[j] = t.ths[j].PutBatchTS(t.subPut[j], t.subTS[j]) })
-
 	if cap(t.cov) < len(kvs) {
 		t.cov = make([]bool, len(kvs))
 	}
@@ -84,8 +82,10 @@ func (t *Thread) putBatchOnce(kvs []core.KV, first uint64, attempt int) (retry b
 	clear(cov)
 	v := verdict{s: s}
 	for _, j := range t.touched {
-		v.leg(j, len(t.subPut[j]), false, t.errs[j])
-		if t.errs[j] == nil {
+		err := t.ths[j].PutBatchTS(t.subPut[j], t.subTS[j])
+		t.sync(j)
+		v.leg(j, len(t.subPut[j]), false, err)
+		if err == nil {
 			for _, i := range t.subIdx[j] {
 				cov[i] = true
 			}
@@ -94,44 +94,9 @@ func (t *Thread) putBatchOnce(kvs []core.KV, first uint64, attempt int) (retry b
 		t.subPut[j] = t.subPut[j][:0]
 		t.subIdx[j] = t.subIdx[j][:0]
 		t.subTS[j] = t.subTS[j][:0]
-		t.errs[j] = nil
 	}
 	v.acked = !slices.Contains(cov, false)
 	return v.answer(attempt)
-}
-
-// fanOut runs run for every shard of set — a batch's sub-writes or
-// sub-reads, a merged scan's walks or row reads — and folds each shard's
-// thread clock into the router thread's: on the caller's goroutine when
-// the set is one shard (the affinity fast path — no spawn, no barrier),
-// else in parallel goroutines.
-func (t *Thread) fanOut(set []int, run func(j int)) {
-	if len(set) == 1 {
-		run(set[0])
-	} else {
-		var wg sync.WaitGroup
-		for _, j := range set {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				run(j)
-			}(j)
-		}
-		wg.Wait()
-	}
-	for _, j := range set {
-		t.sync(j)
-	}
-}
-
-// takeErrs joins, and clears, the errors a fan-out over set left in t.errs.
-func (t *Thread) takeErrs(set []int) error {
-	var err error
-	for _, j := range set {
-		err = errors.Join(err, t.errs[j])
-		t.errs[j] = nil
-	}
-	return err
 }
 
 // dropSubRead empties shard j's sub-read scratch — a MultiGet's or a
@@ -140,15 +105,6 @@ func (t *Thread) dropSubRead(j int) {
 	clear(t.subKeys[j])
 	clear(t.subVals[j])
 	t.subKeys[j], t.subVals[j], t.subIdx[j] = t.subKeys[j][:0], t.subVals[j][:0], t.subIdx[j][:0]
-}
-
-// foldErrs folds per-shard fan-out errors into one: nil, the lone error
-// itself (so its identity survives), or their join.
-func foldErrs(errs []error) error {
-	if len(errs) == 1 {
-		return errs[0]
-	}
-	return errors.Join(errs...)
 }
 
 // MultiGet resolves keys across shards and returns one value per key in
@@ -160,16 +116,18 @@ func (t *Thread) MultiGet(keys [][]byte) ([][]byte, error) {
 // MultiGetInto is MultiGet appending into vals (one entry per key, nil
 // = missing), returning the extended slice. Keys are partitioned by the
 // preferred read replica of each (see candidates), the per-shard
-// sub-reads run in parallel goroutines (each a single epoch-scoped pass
-// with merged VS read extents on its shard), and results scatter back
-// to the input positions — the merged output order always matches the
-// key order given, regardless of fan-out. Keys whose shard turns out to
-// be closed are rerouted in a further round; unlike the single-key path
-// there is no per-key miss fallback: a key missing on its preferred
-// replica is reported missing, matching MultiGet's semantics of one
-// consistent pass. Range-mode reads need only a stable placement
-// snapshot — no dual-window fallback here: the destination set is
-// complete from the flip onward, so owner answers are authoritative.
+// sub-reads run one after another on the caller's goroutine (each a
+// single epoch-scoped pass with merged VS read extents on its shard, on
+// that shard's own thread clock), and results scatter back to the input
+// positions — the merged output order always matches the key order
+// given, regardless of fan-out. Keys whose shard turns out to be closed
+// are rerouted in a further round; unlike the single-key path there is
+// no per-key miss fallback: a key missing on its preferred replica is
+// reported missing, matching MultiGet's semantics of one consistent
+// pass. The first failure is the answer. Range-mode reads need only a
+// stable placement snapshot — no dual-window fallback here: the
+// destination set is complete from the flip onward, so owner answers are
+// authoritative.
 func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	s := t.s
 	if s.rangeMode {
@@ -188,7 +146,7 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	for i := range keys {
 		t.rem = append(t.rem, i)
 	}
-	var errs []error
+	var err error
 	for round := 0; round <= s.replicas && len(t.rem) > 0; round++ {
 		t.touched = t.touched[:0]
 		dead := false
@@ -207,7 +165,7 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 		}
 		t.rem = t.rem[:0]
 		if dead {
-			errs = append(errs, errNoReplica)
+			err = cmp.Or(err, errNoReplica)
 		}
 		if len(t.touched) == 0 {
 			break
@@ -218,28 +176,27 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 		if len(t.touched) > 1 {
 			s.m.crossGet.Inc()
 		}
-		t.fanOut(t.touched, func(j int) {
-			t.subVals[j], t.errs[j] = t.ths[j].MultiGetInto(t.subKeys[j], t.subVals[j][:0])
-		})
 		for _, j := range t.touched {
-			switch err := t.errs[j]; {
-			case err == nil:
+			var jerr error
+			t.subVals[j], jerr = t.ths[j].MultiGetInto(t.subKeys[j], t.subVals[j][:0])
+			t.sync(j)
+			switch {
+			case jerr == nil:
 				for si, i := range t.subIdx[j] {
 					vals[base+i] = t.subVals[j][si]
 				}
-			case s.crashed(err):
+			case s.crashed(jerr):
 				// Shard crashed underneath us: the next round re-reads
 				// the states and routes these keys to a live replica.
 				t.rem = append(t.rem, t.subIdx[j]...)
 			default:
-				errs = append(errs, err)
+				err = cmp.Or(err, jerr)
 			}
 			t.dropSubRead(j)
-			t.errs[j] = nil
 		}
 	}
 	if len(t.rem) > 0 {
-		errs = append(errs, errNoReplica)
+		err = cmp.Or(err, errNoReplica)
 	}
-	return vals, foldErrs(errs)
+	return vals, err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // runMultiWriter drives writers concurrent Put streams (1 KiB values,
@@ -67,5 +68,40 @@ func TestShardScaleSpeedup(t *testing.T) {
 	if speedup < 2.5 {
 		t.Fatalf("4-shard speedup %.2fx, want >= 2.5x (1 shard %.0f ops/s, 4 shards %.0f ops/s)",
 			speedup, base, scaled)
+	}
+}
+
+// TestOneShardClockIsTheCoreThreads: with one shard a router thread's
+// Clk is its core thread's clock, so a clock moved from outside — as a
+// benchmark's round barrier moves it — moves the clock the next op runs
+// on. Each op after such a move costs at least what an SVC hit does: its
+// key index lookup reads NVM, and the hit reads one DRAM word. A router
+// clock that only mirrored the core thread's would run these ops in its
+// past, and they would cost 0 ns.
+func TestOneShardClockIsTheCoreThreads(t *testing.T) {
+	s := small(t, 1, nil)
+	th := s.Thread(0)
+	for i := 0; i < 100; i++ {
+		if err := th.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	floor := s.Shard(0).NVM().Config().ReadLatency + sim.DRAMLatency
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"put", func() error { return th.Put(key(1), value(1)) }},
+		{"get", func() error { _, err := th.Get(key(2)); return err }},
+		{"scan", func() error { return th.Scan(key(3), 10, func(core.KV) bool { return true }) }},
+	} {
+		th.Clk.AdvanceTo(th.Clk.Now() + 1<<20)
+		t0 := th.Clk.Now()
+		if err := op.run(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if d := th.Clk.Now() - t0; d < floor {
+			t.Errorf("a %s after the clock moved cost %d ns, want >= %d (an NVM read and a DRAM word)", op.name, d, floor)
+		}
 	}
 }

@@ -23,9 +23,10 @@ import (
 // of its owner's set, which reads the range in its own scan. A hash-owned
 // range scatters adjacent keys across shards, so it asks a covering set of
 // them; when that is more than one shard the read is a merge — of keys,
-// not of rows: the asked shards walk their key indexes in parallel, the
-// router merges the key streams, and each winner is then read once, on one
-// shard that holds it. What hash placement costs a scan is one index walk
+// not of rows: the asked shards walk their key indexes, each on its own
+// thread clock (so the walks overlap in virtual time), the router merges
+// the key streams, and each winner is then read once, on one shard that
+// holds it. What hash placement costs a scan is one index walk
 // per asked shard and the second round of the row reads. A plan of one
 // shard — a one-shard store, or a covering set of one — costs what a scan
 // of a lone core store costs.
@@ -121,7 +122,9 @@ var scanHook func(t *Thread)
 // the shards plan asks. A plan of one shard reads through that shard's own
 // scan (see scanOne). A plan of several merges, keys first:
 //
-//   - The asked shards run the key-index walk only, in parallel.
+//   - The asked shards run the key-index walk only, one after another on
+//     the caller's goroutine, each on its own thread clock; the first
+//     failure ends the read.
 //   - The router merges their key streams — a key materializes on up to
 //     Replicas shards, so equal heads collapse to one winner — and hands
 //     each winner to one asked shard that holds it, the one with the fewest
@@ -157,18 +160,17 @@ func (t *Thread) gather(rows []core.KV, owner int, start, hi []byte, count int) 
 			}
 			for _, j := range t.asked {
 				t.lists[j], t.pos[j] = t.lists[j][:0], 0
-			}
-			t.fanOut(t.asked, func(j int) {
-				t.errs[j] = t.ths[j].ScanKeys(from, limit, func(key []byte) bool {
+				err := t.ths[j].ScanKeys(from, limit, func(key []byte) bool {
 					if hi != nil && bytes.Compare(key, hi) >= 0 {
 						return false
 					}
 					t.lists[j] = append(t.lists[j], key)
 					return true
 				})
-			})
-			if err := t.takeErrs(t.asked); err != nil {
-				return rows, err
+				t.sync(j)
+				if err != nil {
+					return rows, err
+				}
 			}
 			walk = false
 		}
@@ -221,11 +223,12 @@ func (t *Thread) gather(rows []core.KV, owner int, start, hi []byte, count int) 
 		if scanHook != nil {
 			scanHook(t)
 		}
-		t.fanOut(t.touched, func(j int) {
-			t.subVals[j], t.errs[j] = t.ths[j].ReadRows(t.subKeys[j], t.subVals[j][:0])
-		})
-		err := t.takeErrs(t.touched)
+		var err error
 		for _, j := range t.touched {
+			if err == nil {
+				t.subVals[j], err = t.ths[j].ReadRows(t.subKeys[j], t.subVals[j][:0])
+				t.sync(j)
+			}
 			if err == nil {
 				for si, i := range t.subIdx[j] {
 					rows[i].Value = t.subVals[j][si]

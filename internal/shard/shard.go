@@ -20,23 +20,29 @@
 // single-key op routes straight to the owning shard's pinned thread —
 // one hash plus one method call, zero added locking (per-connection
 // shard affinity falls out: a connection whose keys hash to one shard
-// keeps its existing pinned fast path). A router thread's Clk is the
-// makespan over the per-shard clocks it has driven: shards model
-// independent devices running concurrently, so sequential ops that land
-// on different shards overlap in virtual time exactly as N independent
-// stores would. With Shards=1 the router degenerates to a pass-through
-// whose clock mirrors the single core thread.
+// keeps its existing pinned fast path). Every routed op runs on its
+// caller's goroutine: an op that asks several shards asks them one after
+// another, each leg on its shard's own thread clock.
+//
+// With one shard, router thread i's Clk is core thread i's clock itself,
+// so whatever moves it from outside (a benchmark's round barrier, Flush)
+// moves the clock the next op runs on. With several, Clk is the makespan
+// over the per-shard clocks it has driven: shards model independent
+// devices running concurrently, so sequential ops that land on different
+// shards overlap in virtual time exactly as N independent stores would.
+// That is a known leak — a shard's next op may start before the router's
+// present (DESIGN.md §3.5) — kept until the benchmark that prices it is
+// re-baselined.
 //
 // # Batches and scans
 //
-// PutBatch/MultiGet partition by shard and execute the per-shard
-// sub-batches in parallel goroutines, preserving core's one-epoch-enter
-// / one-publish-window amortization per shard; results merge back in
-// input order. Scan is one loop over placement ranges — a hash-mode
-// store is one hash-owned range — and reads each through one plan: a plan
-// of one shard is that shard's own scan; a plan of several merges their
-// key-index walks and then reads each row once, from one shard that holds
-// it (scan.go). Cross-shard
+// PutBatch/MultiGet partition by shard and run the per-shard sub-batches
+// in turn, preserving core's one-epoch-enter / one-publish-window
+// amortization per shard; results merge back in input order. Scan is one
+// loop over placement ranges — a hash-mode store is one hash-owned range
+// — and reads each through one plan: a plan of one shard is that shard's
+// own scan; a plan of several merges their key-index walks and then reads
+// each row once, from one shard that holds it (scan.go). Cross-shard
 // PutBatch keeps core's prefix-durability only per shard: a crash can
 // leave different shards at different prefixes of their sub-batches.
 //
@@ -113,11 +119,13 @@ type Store struct {
 
 // Thread is one application thread's routed handle. It exclusively owns
 // one core.Thread per shard and must not be used concurrently; distinct
-// Threads run in parallel. Clk is the thread's makespan clock: the max
-// over every per-shard virtual clock this handle has driven.
+// Threads run in parallel.
 type Thread struct {
-	s   *Store
-	id  int
+	s  *Store
+	id int
+	// Clk is the thread's virtual clock. With one shard it is the core
+	// thread's own; with several, the makespan — the max over every
+	// per-shard clock this handle has driven.
 	Clk *sim.Clock
 	ths []*core.Thread // core thread id of every shard, exclusively owned
 
@@ -130,7 +138,6 @@ type Thread struct {
 	subIdx  [][]int     // original input positions per shard
 	subTS   [][]uint64  // per-shard stamps for a stamped PutBatch
 	touched []int       // shards hit by the current batch
-	errs    []error     // per-shard fan-out errors
 	rset    []int       // shard-set scratch for sync ops (see route)
 	cov     []bool      // per-entry coverage scratch for PutBatch
 	rem     []int       // MultiGet key positions still to resolve
@@ -211,18 +218,20 @@ func Open(opt core.Options) (*Store, error) {
 		th := &Thread{
 			s:       s,
 			id:      i,
-			Clk:     sim.NewClock(0),
 			subPut:  make([][]core.KV, n),
 			subKeys: make([][][]byte, n),
 			subVals: make([][][]byte, n),
 			subIdx:  make([][]int, n),
 			subTS:   make([][]uint64, n),
-			errs:    make([]error, n),
 			lists:   make([][][]byte, n),
 			pos:     make([]int, n),
 		}
 		for j := 0; j < n; j++ {
 			th.ths = append(th.ths, s.shards[j].Thread(i))
+		}
+		th.Clk = th.ths[0].Clk
+		if n > 1 {
+			th.Clk = sim.NewClock(0)
 		}
 		s.threads = append(s.threads, th)
 	}
@@ -384,7 +393,7 @@ func (s *Store) WriteAmp() (device, user int64) {
 }
 
 // sync folds shard j's thread clock into the router thread's makespan
-// clock after an op has run there.
+// clock after an op has run there; with one shard they are one clock.
 func (t *Thread) sync(j int) {
 	t.Clk.AdvanceTo(t.ths[j].Clk.Now())
 }
@@ -470,8 +479,9 @@ func (t *Thread) GetAsync(key []byte) *core.Handle {
 
 // Flush blocks until every async submission on this handle's per-shard
 // threads has completed, then folds each shard's async timeline into
-// the router thread's makespan clock: shards pipeline independently, so
-// the elapsed virtual time is the slowest shard's.
+// the router thread's clock: shards pipeline independently, so the
+// elapsed virtual time is the slowest shard's. With one shard that clock
+// is the core thread's, so the thread's next op starts after the drain.
 func (t *Thread) Flush() {
 	for _, th := range t.ths {
 		th.Flush()

@@ -16,14 +16,14 @@ func stressVal(ti, k, seq int) []byte {
 
 // TestShardBatchFanoutStress is the -race gate for the cross-shard
 // fan-out path: several router threads drive batches whose keys scatter
-// over every shard, so each PutBatch runs parallel per-shard sub-batch
-// goroutines against shards whose tiny 4 KiB PWB rings are being
-// reclaimed concurrently. It guards the router-level failure modes the
-// per-shard stress (core's TestPutBatchReclaimStress) cannot see:
+// over every shard, so each PutBatch runs a per-shard sub-batch on every
+// shard — one after another on its caller's goroutine — against shards
+// whose tiny 4 KiB PWB rings are being reclaimed concurrently. It guards the router-level failure modes the per-shard stress (core's
+// TestPutBatchReclaimStress) cannot see:
 //
-//   - two fan-out goroutines of the same router thread sharing scratch
-//     state (a DATA RACE in the sub-batch partitioning);
-//   - results scattered to the wrong input position after the parallel
+//   - router threads sharing scratch state or core threads (a DATA RACE
+//     in the sub-batch partitioning or on a core thread's clock);
+//   - results scattered to the wrong input position after the per-shard
 //     sub-reads return (the exact-value self-MultiGets below);
 //   - a sub-batch silently dropped when another shard's sub-batch of
 //     the same fan-out fails or stalls.
