@@ -117,6 +117,7 @@ var docBudgets = []struct {
 	{"README.md", 29679},
 	{".claude/skills/verify/SKILL.md", 29863},
 	{"CHANGES.md", 162642},
+	{"METRICS.md", 27876},
 }
 
 // TestDocsByteBudget holds each of those docs to its budget.

@@ -28,8 +28,8 @@ func TestRangeScanLocality(t *testing.T) {
 		name string
 		RangeScanResult
 	}{{"hash", hash}, {"range", rng}} {
-		t.Logf("%-5s %.1f Kops/sec, per scan: %.2f shard scans, %.1f rows resolved, %.1f NVM loads, %.2f SSD read IOs, %.0f SSD bytes",
-			r.name, r.KOps, r.ShardScansPer, r.PerScan("core.read_path"), r.PerScan("nvm.loads"), r.PerScan("ssd.read_ios"), r.PerScan("ssd.bytes_read"))
+		t.Logf("%-5s %.1f Kops/sec, per scan: %.2f shard scans, %.1f rows resolved, %.1f read paths, %.1f NVM loads, %.2f SSD read IOs, %.0f SSD bytes",
+			r.name, r.KOps, r.ShardScansPer, r.rows(), r.PerScan("core.read_path"), r.PerScan("nvm.loads"), r.PerScan("ssd.read_ios"), r.PerScan("ssd.bytes_read"))
 	}
 	t.Logf("throughput ratio range/hash %.2fx (not gated)", rng.KOps/hash.KOps)
 
@@ -42,9 +42,10 @@ func TestRangeScanLocality(t *testing.T) {
 	}
 	// Each row once: the rows a hash-placed scan resolves, summed over the
 	// shards that read them, are the rows the owning shard of a range-placed
-	// scan resolves (under 64 either way: core.read_path counts a merged
-	// Value Storage extent once, however many rows it holds).
-	if h, r := hash.PerScan("core.read_path"), rng.PerScan("core.read_path"); r <= 0 || h > 1.15*r {
+	// scan resolves. Rows are counted as records (svc.hits + svc.misses),
+	// which an extent merge cannot shrink; core.read_path counts a merged
+	// Value Storage extent once, however many rows it holds.
+	if h, r := hash.rows(), rng.rows(); r <= 0 || h > 1.15*r {
 		t.Errorf("rows resolved per scan: hash %.1f, range %.1f, want hash within 1.15x of range", h, r)
 	}
 
@@ -81,4 +82,10 @@ func TestRangeScanLocality(t *testing.T) {
 	if m, ok := delta.Get("shard.range_scans", nil); !ok || m.Value != 1 {
 		t.Errorf("shard.range_scans delta = %v, want 1", m.Value)
 	}
+}
+
+// rows is the records a scan resolved: SVC hits, PWB reads and every
+// record read from Value Storage, per router scan.
+func (r RangeScanResult) rows() float64 {
+	return r.PerScan("svc.hits") + r.PerScan("svc.misses")
 }

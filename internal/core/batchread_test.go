@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // apart is vsOnlyStore's filler for keys that are each their own extent:
@@ -206,4 +209,56 @@ func TestSingleGetTiming(t *testing.T) {
 	if advance != want {
 		t.Fatalf("Get advanced the clock %d ns, want %d", advance, want)
 	}
+}
+
+// TestCombinedGetIgnoresItsLeadersClock: a Value Storage get that thread
+// combining makes a follower goes out at its own thread's time, not its
+// leader's (DESIGN.md §3.5). Two threads read VS-only keys on one device,
+// one thread's clock a millisecond ahead of the other's, so a get of the
+// trailing thread dragged to its leader's clock would cost a millisecond
+// more. Every get on either thread must cost what a lone one does
+// (TestSingleGetTiming). Once two threads combine, the leader tends to
+// stay the leader, so the rounds take turns putting each thread ahead.
+func TestCombinedGetIgnoresItsLeadersClock(t *testing.T) {
+	const perRound = 75 // gets per thread and round
+	s, _ := vsOnlyStore(t, 8*perRound, 0, func(o *Options) { o.NumThreads, o.NumSSDs = 2, 1 })
+	clks := []*sim.Clock{s.Thread(0).Clk, s.Thread(1).Clk}
+	t0 := clks[0].AdvanceTo(1 << 40)
+	c := costsOf(s, t0)
+	want := make([]int64, 8*perRound)
+	for i := range want {
+		want[i] = c.vsGet(c.lookup(aKey(i)), len(aValue(i)))
+	}
+	batches, reads := reg(t, s).n("tcq.batches"), reg(t, s).n("tcq.combined")
+
+	for round, ahead := range []int{1, 0, 1, 0} {
+		now := max(clks[0].Now(), clks[1].Now())
+		clks[1-ahead].AdvanceTo(now)
+		clks[ahead].AdvanceTo(now + 1_000_000)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for ti := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				th := s.Thread(ti)
+				<-start
+				for i := (2*round + ti) * perRound; i < (2*round+ti+1)*perRound; i++ {
+					at := th.Clk.Now()
+					if v, err := th.Get(aKey(i)); err != nil || !bytes.Equal(v, aValue(i)) {
+						t.Errorf("thread %d Get %d: %d bytes, %v", ti, i, len(v), err)
+						return
+					}
+					if d := th.Clk.Now() - at; d != want[i] {
+						t.Errorf("round %d, thread %d: Get %d advanced the clock %d ns, want %d, a lone read's", round, ti, i, d, want[i])
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	batches, reads = reg(t, s).n("tcq.batches")-batches, reg(t, s).n("tcq.combined")-reads
+	t.Logf("%d reads in %d submissions: %d served behind a leader", reads, batches, reads-batches)
 }

@@ -12,11 +12,14 @@
 // the coalescing limit, the leader hands leadership to the next waiter,
 // so heavy read concurrency turns into large, bandwidth-efficient
 // batches while a lone reader pays only its own latency — the dynamic
-// batch-size adaptation the paper claims. The requests of one
-// submission are in flight together: a set completes about one read
-// latency after it is issued, however many requests it holds, and a set
-// larger than the limit takes one submission per QueueDepth requests,
-// one after the other.
+// batch-size adaptation the paper claims. Every set in a batch is issued
+// at its own virtual arrival, the leader's included: the host decides
+// which readers share a batch, but a reader whose clock trails its
+// leader's is not dragged to it. The requests of one submission are in
+// flight together: a set completes about one read latency after it is
+// issued, however many requests it holds, and a set larger than the
+// limit takes one submission per QueueDepth requests, one after the
+// other.
 //
 // The package also provides TimeoutBatcher, the timeout-based
 // asynchronous IO baseline ("TA") that Figure 11 compares against.
@@ -193,17 +196,18 @@ func (q *Queue) lead(n *node) int64 {
 		last, count = next, count+len(next.reqs)
 	}
 
-	// Submit (§5.3 step 3). The batch shares one submission (one syscall
-	// worth of CPU), but each member's IO is scheduled no earlier than
-	// the later of its own arrival and the leader's — a straggler member
-	// cannot delay the rest, it just lands later in the device queue.
+	// Submit (§5.3 step 3). The batch is one submission, but each member's
+	// IO goes out at its own virtual arrival: a member that arrived before
+	// the leader would have found the queue empty and led itself, so only
+	// host scheduling put it behind the leader. A straggler cannot delay
+	// the rest; it just lands later in the device queue.
 	q.record(count, q.depth)
 	own := submit(q.dev, q.depth, n.at, n.reqs)
 	// A follower's link is read before it is answered: once answered, its
 	// owner may put the node to reuse.
 	for b, next := n, n.next.Load(); b != last; {
 		b, next = next, next.next.Load()
-		b.done <- submit(q.dev, q.depth, max(b.at, n.at), b.reqs)
+		b.done <- submit(q.dev, q.depth, b.at, b.reqs)
 	}
 	return own
 }
@@ -239,7 +243,8 @@ type TimeoutBatcher struct {
 
 	mu    sync.Mutex
 	group []*node
-	count int // requests in group
+	count int   // requests in group
+	first int64 // the group's earliest arrival; its deadline is first+timeout
 	timer *time.Timer
 }
 
@@ -257,8 +262,8 @@ func NewTimeoutBatcher(dev *ssd.Device, depth int, timeout int64) *TimeoutBatche
 
 // Read submits the caller's set of requests at virtual time at, blocks
 // until its batch flushes, and returns the set's latest completion time
-// (at itself for an empty set). A set that does not fit in the pending
-// group flushes that group first.
+// (at itself for an empty set). A set that arrives after the pending
+// group's deadline, or does not fit in it, flushes that group first.
 func (b *TimeoutBatcher) Read(at int64, reqs ...ssd.Request) int64 {
 	if len(reqs) == 0 {
 		return at
@@ -266,8 +271,14 @@ func (b *TimeoutBatcher) Read(at int64, reqs ...ssd.Request) int64 {
 	n := b.get(at, reqs)
 	defer b.put(n)
 	b.mu.Lock()
+	if at > b.first+b.timeout {
+		b.flushLocked(true) // the group timed out before this set arrived
+	}
 	if b.count+len(reqs) > b.depth {
 		b.flushLocked(false)
+	}
+	if len(b.group) == 0 || at < b.first {
+		b.first = at
 	}
 	b.group = append(b.group, n)
 	b.count += len(reqs)
@@ -309,8 +320,8 @@ func (b *TimeoutBatcher) flushLocked(timedOut bool) {
 		submitAt = max(submitAt, g.at)
 	}
 	if timedOut {
-		// The batch waited out the timer from its first arrival.
-		submitAt = max(submitAt, group[0].at+b.timeout)
+		// The batch waited out the timer from its earliest arrival.
+		submitAt = max(submitAt, b.first+b.timeout)
 	}
 	b.record(count, b.depth)
 	for _, g := range group {

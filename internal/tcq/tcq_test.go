@@ -177,6 +177,40 @@ func TestTimeoutBatcherLoneRequestPaysTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeoutBatcherLateSetStartsItsOwnGroup: a set that arrives after
+// the pending group's virtual deadline does not join it. The group goes
+// out at its deadline, not at the late set's arrival, and the late set
+// waits out a timeout of its own.
+func TestTimeoutBatcherLateSetStartsItsOwnGroup(t *testing.T) {
+	const timeout = 100_000
+	// When one read issued at at on an idle device completes.
+	cost := func(at int64) int64 { return newDev().Read(at, readSet(0, 1)) }
+	b := NewTimeoutBatcher(newDev(), 64, timeout)
+	b.grace = time.Hour // only the deadline check and Flush may flush
+	pending := func(at int64) bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.group) > 0 && b.group[len(b.group)-1].at == at
+	}
+	read := func(at int64, slot int) chan int64 {
+		res := make(chan int64, 1)
+		go func() { res <- b.Read(at, readSet(slot, 1)...) }()
+		for !pending(at) {
+			time.Sleep(10 * time.Microsecond)
+		}
+		return res
+	}
+	early := read(0, 0)
+	late := read(2*timeout, 1)
+	b.Flush()
+	if d, want := <-early, cost(timeout); d != want {
+		t.Errorf("early set done at %d, want %d: one read issued at its group's deadline %d", d, want, timeout)
+	}
+	if d, want := <-late, cost(3*timeout); d != want {
+		t.Errorf("late set done at %d, want %d: one read issued at its own deadline %d", d, want, 3*timeout)
+	}
+}
+
 func TestTimeoutBatcherFlushDrains(t *testing.T) {
 	dev := newDev()
 	b := NewTimeoutBatcher(dev, 64, 1<<40) // effectively no timer rescue
@@ -224,7 +258,7 @@ func readSet(slot, k int) []ssd.Request {
 // each leader takes is exact: sets coalesce while their summed request
 // count fits under the depth, the first set that does not fit is handed
 // leadership, a set larger than the depth goes out in depth-sized waves
-// one after the other, and no member is scheduled before it arrived.
+// one after the other, and every member goes out at its own arrival.
 func TestLeadCoalescesSets(t *testing.T) {
 	dev := newDev()
 	lat := dev.Config().ReadLatency
@@ -233,7 +267,9 @@ func TestLeadCoalescesSets(t *testing.T) {
 	q.BatchHist = hist
 
 	sizes := []int{1, 2, 1, 3, 9, 1}
-	ats := []int64{1000, 0, 5000, 0, 0, 0}
+	// The leader arrives two read latencies after set 1, so a set 1 dragged
+	// to the leader's clock cannot pass for one issued at its own arrival.
+	ats := []int64{2 * lat, 0, 2*lat + 5000, 0, 0, 0}
 	var nodes []*node
 	for i, k := range sizes {
 		n := &node{reqs: readSet(16*i, k), at: ats[i], done: make(chan int64, 1)}
@@ -259,9 +295,10 @@ func TestLeadCoalescesSets(t *testing.T) {
 	if own < ats[0]+lat || own >= ats[0]+2*lat {
 		t.Fatalf("leader done at %d, want one read latency after its arrival %d", own, ats[0])
 	}
-	// Set 1 arrived before the leader: it goes out at the leader's time.
-	if d := <-nodes[1].done; d < ats[0]+lat || d >= ats[0]+2*lat {
-		t.Fatalf("early member done at %d, want one latency after the leader's arrival %d", d, ats[0])
+	// Set 1 arrived before the leader: it goes out at its own arrival, not
+	// dragged to the leader's.
+	if d := <-nodes[1].done; d < ats[1]+lat || d >= ats[1]+2*lat {
+		t.Fatalf("early member done at %d, want one latency after its own arrival %d", d, ats[1])
 	}
 	// Set 2 is a straggler: never scheduled before its own arrival.
 	if d := <-nodes[2].done; d < ats[2]+lat {
