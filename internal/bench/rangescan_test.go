@@ -40,13 +40,16 @@ func TestRangeScanLocality(t *testing.T) {
 		t.Errorf("hash placement fan-out = %.3f shard scans per scan, want %d (one index walk on every shard)",
 			hash.ShardScansPer, rangeScanShards)
 	}
-	// Each row once: the rows a hash-placed scan resolves, summed over the
-	// shards that read them, are the rows the owning shard of a range-placed
-	// scan resolves. Rows are counted as records (svc.hits + svc.misses),
-	// which an extent merge cannot shrink; core.read_path counts a merged
-	// Value Storage extent once, however many rows it holds.
-	if h, r := hash.rows(), rng.rows(); r <= 0 || h > 1.15*r {
-		t.Errorf("rows resolved per scan: hash %.1f, range %.1f, want hash within 1.15x of range", h, r)
+	// Each row once: a hash-placed scan, summed over the shards that read
+	// its rows, resolves the rangeScanLen rows the owning shard of a
+	// range-placed scan resolves, and the table says so.
+	for _, r := range []struct {
+		name string
+		RangeScanResult
+	}{{"hash", hash}, {"range", rng}} {
+		if got, want := rangeScanRow(r.name, r.RangeScanResult, "-")[2], f1(rangeScanLen); got != want {
+			t.Errorf("%s: the table's rows resolved per scan read %s, want %s", r.name, got, want)
+		}
 	}
 
 	// Single-scan metric-level check: one narrow scan on a fresh range
@@ -82,10 +85,4 @@ func TestRangeScanLocality(t *testing.T) {
 	if m, ok := delta.Get("shard.range_scans", nil); !ok || m.Value != 1 {
 		t.Errorf("shard.range_scans delta = %v, want 1", m.Value)
 	}
-}
-
-// rows is the records a scan resolved: SVC hits, PWB reads and every
-// record read from Value Storage, per router scan.
-func (r RangeScanResult) rows() float64 {
-	return r.PerScan("svc.hits") + r.PerScan("svc.misses")
 }

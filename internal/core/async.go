@@ -557,21 +557,19 @@ func (a *asyncThread) runWindow(hs []*Handle) {
 		return nil
 	})
 	for _, h := range hs {
-		a.complete(h, nil, err, lt.Clk.Now(), lt.Clk.Now())
+		a.complete(h, nil, err, lt.Clk.Now())
 	}
 }
 
 // complete finishes h exactly once: result fields are set before the
-// done channel closes, so every accessor sees them. t0 is the pass's
-// opening time on the async timeline (completion latency baseline).
-func (a *asyncThread) complete(h *Handle, val []byte, err error, at, t0 int64) {
+// done channel closes, so every accessor sees them.
+func (a *asyncThread) complete(h *Handle, val []byte, err error, at int64) {
 	if at < a.lastDone {
 		at = a.lastDone
 	} else {
 		a.lastDone = at
 	}
 	h.val, h.err, h.doneNS = val, err, at
-	a.t.s.asyncLat.Record(at - t0)
 	h.finish()
 }
 
@@ -591,11 +589,10 @@ func (a *asyncThread) complete(h *Handle, val []byte, err error, at, t0 int64) {
 // failed); a short count means a put found its ring full at that index.
 func (a *asyncThread) pass(hs []*Handle) int {
 	lt := a.lt
-	t0 := lt.Clk.Now()
 	lt.part.Enter()
 	f := lt.fork()
 	defer func() {
-		a.landReads(&f, t0)
+		a.landReads(&f)
 		// One Published per pass — including stall exits, where records
 		// already published must become visible to the reclaimer.
 		lt.buf.Published()
@@ -609,14 +606,14 @@ func (a *asyncThread) pass(hs []*Handle) int {
 	for i, h := range hs {
 		if lt.s.closed.Load() {
 			for _, r := range hs[i:] {
-				a.complete(r, nil, ErrClosed, lt.Clk.Now(), t0)
+				a.complete(r, nil, ErrClosed, lt.Clk.Now())
 			}
 			return len(hs)
 		}
 		if h.op == opGet {
 			items[i] = scanItem{key: h.key, dst: h.dst()}
 			if at, resolved := f.read(&items[i], true, true); resolved {
-				a.completeGet(h, items[i].val, at, t0)
+				a.completeGet(h, items[i].val, at)
 			} else {
 				a.waiting = append(a.waiting, h)
 			}
@@ -624,7 +621,7 @@ func (a *asyncThread) pass(hs []*Handle) int {
 		}
 		for _, it := range lt.pending {
 			if bytes.Equal(it.key, h.key) {
-				a.landReads(&f, t0)
+				a.landReads(&f)
 				break
 			}
 		}
@@ -636,28 +633,28 @@ func (a *asyncThread) pass(hs []*Handle) int {
 			f.abort() // not issued: the retry pays for the doorbell
 			return i
 		}
-		a.complete(h, nil, err, f.land(), t0)
+		a.complete(h, nil, err, f.land())
 	}
 	return len(hs)
 }
 
 // landReads reads the pass's Value Storage batch and completes the gets
 // that were waiting for it.
-func (a *asyncThread) landReads(f *frame, t0 int64) {
+func (a *asyncThread) landReads(f *frame) {
 	pending := a.lt.pending
 	at := f.readBatch(false)
 	for i, h := range a.waiting {
-		a.completeGet(h, pending[i].val, at, t0)
+		a.completeGet(h, pending[i].val, at)
 	}
 	a.waiting = a.waiting[:0]
 }
 
 // completeGet finishes a get handle, mapping a missing value (nil — a
 // present empty value is non-nil) to ErrNotFound.
-func (a *asyncThread) completeGet(h *Handle, val []byte, at, t0 int64) {
+func (a *asyncThread) completeGet(h *Handle, val []byte, at int64) {
 	if val == nil {
-		a.complete(h, nil, ErrNotFound, at, t0)
+		a.complete(h, nil, ErrNotFound, at)
 	} else {
-		a.complete(h, val, nil, at, t0)
+		a.complete(h, val, nil, at)
 	}
 }

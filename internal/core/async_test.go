@@ -246,9 +246,15 @@ func TestAsyncBackpressureBound(t *testing.T) {
 		if n := th.async.inflight.Load(); n != asyncMaxPending {
 			t.Errorf("inflight = %d with the loop parked, want %d", n, asyncMaxPending)
 		}
+		if n := reg(t, s).n("core.async_inflight"); n != asyncMaxPending {
+			t.Errorf("core.async_inflight = %d with the loop parked, want %d", n, asyncMaxPending)
+		}
 	})
 	<-done
 	th.Flush()
+	if n := reg(t, s).n("core.async_inflight"); n != 0 {
+		t.Errorf("core.async_inflight = %d after Flush, want 0", n)
+	}
 	if err := parked.Wait(); err != ErrNotFound {
 		t.Fatalf("parked get: %v, want ErrNotFound", err)
 	}

@@ -150,6 +150,9 @@ func TestWriteCrossingTheTriggerDecaysItOnce(t *testing.T) {
 			if got := s.effectiveWatermark(); got != wmStart {
 				t.Fatalf("trigger %v before the crossing write, want %v", got, wmStart)
 			}
+			if got := reg(t, s).Sum("pwb.utilization"); got != b.Utilization() {
+				t.Fatalf("pwb.utilization = %v, the ring's utilization is %v", got, b.Utilization())
+			}
 			var err error
 			if async {
 				err = th.PutAsync([]byte("crossing"), val).Wait()

@@ -9,9 +9,12 @@ import (
 // registerMetrics wires every subsystem into the observability registry
 // (see METRICS.md for the full reference). Counters that the subsystems
 // already keep as atomics are re-exported as counter funcs, read only at
-// snapshot time, so the hot paths are untouched; the only new hot-path
-// instrumentation is the op-latency histograms (one Record per public
-// operation) and the TCQ batch-size histogram (one Record per batch).
+// snapshot time, so the hot paths are untouched. The hot-path
+// instrumentation is the histograms: op latency (one Record per public
+// operation), keys per batch (one per PutBatch or MultiGet), submissions
+// per admission window (one per window), a stalled put's wait (one per
+// stall) and the TCQ or TA batch size (one per device batch). Every series
+// has a reader outside this file (TestEverySeriesIsRead).
 //
 // Called from Open before background goroutines start; the registry is
 // immutable afterwards.
@@ -62,9 +65,8 @@ func (s *Store) registerMetrics() {
 		Labels: map[string]string{"op": "get"}})
 
 	// Async submission pipeline (PutAsync/GetAsync/DeleteAsync): how much
-	// is submitted, how well the admission loop coalesces it, and how
-	// long completions take on the async timeline. Per-key work still
-	// lands in core.ops above.
+	// is submitted, how well the admission loop coalesces it, and how much
+	// is still outstanding. Per-key work still lands in core.ops above.
 	asyncOps := func(op string, v func() int64) {
 		r.CounterFunc(obs.Desc{Name: "core.async_ops", Help: "asynchronous submissions accepted", Unit: "ops",
 			Labels: map[string]string{"op": op}}, v)
@@ -73,7 +75,6 @@ func (s *Store) registerMetrics() {
 	asyncOps("get", s.stats.asyncGets.Load)
 	asyncOps("delete", s.stats.asyncDeletes.Load)
 	s.asyncWindow = r.Histogram(obs.Desc{Name: "core.async_window", Help: "submissions coalesced per admission window", Unit: "ops"})
-	s.asyncLat = r.Histogram(obs.Desc{Name: "core.async_latency", Help: "virtual time from admission-window open to completion", Unit: "ns"})
 	r.GaugeFunc(obs.Desc{Name: "core.async_inflight", Help: "async submissions accepted but not yet completed", Unit: "ops"},
 		func() float64 {
 			var n int64
@@ -89,8 +90,6 @@ func (s *Store) registerMetrics() {
 			s.stats.svcHits.Load)
 		r.CounterFunc(obs.Desc{Name: "svc.misses", Help: "reads that fell through to NVM or SSD: records, as svc.hits counts them, not read IOs", Unit: "reads"},
 			func() int64 { return s.stats.pwbHits.Load() + s.stats.vsRecords.Load() })
-		r.GaugeFunc(obs.Desc{Name: "svc.bytes", Help: "resident value+overhead bytes", Unit: "bytes"},
-			func() float64 { return float64(s.svcStats().Bytes) })
 		r.GaugeFunc(obs.Desc{Name: "svc.entries", Help: "resident entries", Unit: "entries"},
 			func() float64 { return float64(s.svcStats().Entries) })
 		r.CounterFunc(obs.Desc{Name: "svc.promotions", Help: "2Q inactive->active promotions", Unit: "entries"},
@@ -114,14 +113,6 @@ func (s *Store) registerMetrics() {
 	}
 
 	// ---- pwb: per-thread Persistent Write Buffers (§4.3) ----
-	r.GaugeFunc(obs.Desc{Name: "pwb.capacity_bytes", Help: "total ring capacity across threads", Unit: "bytes"},
-		func() float64 {
-			var t int64
-			for _, b := range s.pwbs {
-				t += int64(b.Size())
-			}
-			return float64(t)
-		})
 	r.GaugeFunc(obs.Desc{Name: "pwb.used_bytes", Help: "bytes between tail and head across rings", Unit: "bytes"},
 		func() float64 {
 			var t int64
@@ -142,14 +133,6 @@ func (s *Store) registerMetrics() {
 		})
 	r.GaugeFunc(obs.Desc{Name: "pwb.watermark_effective", Help: "reclamation trigger in force (the adaptive controller's value, or the configured watermark when fixed)", Unit: "ratio"},
 		s.effectiveWatermark)
-	r.CounterFunc(obs.Desc{Name: "pwb.bytes_appended", Help: "value payload bytes appended across rings", Unit: "bytes"},
-		func() int64 {
-			var t int64
-			for _, b := range s.pwbs {
-				t += b.BytesAppended()
-			}
-			return t
-		})
 	r.CounterFunc(obs.Desc{Name: "pwb.reclaims", Help: "background reclamation passes", Unit: "passes"},
 		s.stats.reclaims.Load)
 	r.CounterFunc(obs.Desc{Name: "pwb.reclaim_ns", Help: "virtual time reclamation passes took, on the reclaimers' clocks (over pwb.live_migrated it is the reclaimer's cost per record, which must stay below a put's for reclamation to keep off the put's critical path)", Unit: "ns"},
@@ -179,10 +162,6 @@ func (s *Store) registerMetrics() {
 			func() int64 { return vs.Stats().GCBytesMoved })
 		r.GaugeFunc(obs.Desc{Name: "vs.free_chunks", Help: "free chunks", Unit: "chunks", Labels: lbl},
 			func() float64 { return float64(vs.FreeChunks()) })
-		r.GaugeFunc(obs.Desc{Name: "vs.live_chunks", Help: "live (sealed, non-empty) chunks", Unit: "chunks", Labels: lbl},
-			func() float64 { return float64(vs.Stats().LiveChunks) })
-		r.CounterFunc(obs.Desc{Name: "vs.user_bytes", Help: "user payload bytes first landed on this device (per-device WAF denominator)", Unit: "bytes", Labels: lbl},
-			vs.UserBytes)
 	}
 
 	// ---- ssd: simulated flash devices ----
@@ -197,8 +176,6 @@ func (s *Store) registerMetrics() {
 			func() int64 { return dev.Stats().ReadIOs })
 		r.CounterFunc(obs.Desc{Name: "ssd.write_ios", Help: "write requests serviced", Unit: "ios", Labels: lbl},
 			func() int64 { return dev.Stats().WriteIOs })
-		r.GaugeFunc(obs.Desc{Name: "ssd.queue_depth", Help: "staged, unacknowledged writes in flight", Unit: "ios", Labels: lbl},
-			func() float64 { return float64(dev.InFlight()) })
 	}
 	// Per-device WAF: each device's acked bytes over the user bytes that
 	// first landed there, so a hot device's amplification is no longer
@@ -243,20 +220,6 @@ func (s *Store) registerMetrics() {
 		s.stats.tierDemotions.Load)
 	r.CounterFunc(obs.Desc{Name: "tier.demoted_bytes", Help: "payload bytes relocated by the demotion pass", Unit: "bytes"},
 		s.stats.tierDemotedBytes.Load)
-	r.GaugeFunc(obs.Desc{Name: "tier.fast_device", Help: "device index of the fast tier (-1 when tiering is off)", Unit: "index"},
-		func() float64 {
-			if !s.tiered() {
-				return -1
-			}
-			return float64(s.tierFast)
-		})
-	r.GaugeFunc(obs.Desc{Name: "tier.capacity_device", Help: "device index of the capacity tier (-1 when tiering is off)", Unit: "index"},
-		func() float64 {
-			if !s.tiered() {
-				return -1
-			}
-			return float64(s.tierCap)
-		})
 
 	// ---- nvm: persistent memory device ----
 	r.CounterFunc(obs.Desc{Name: "nvm.loads", Help: "load operations", Unit: "ops"},
@@ -308,8 +271,6 @@ func (s *Store) registerMetrics() {
 		func() float64 { return float64(s.table.SpaceBytes()) })
 	r.GaugeFunc(obs.Desc{Name: "index.space_bytes", Help: "NVM bytes of the persistent key index (§7.6)", Unit: "bytes"},
 		func() float64 { return float64(s.index.SpaceBytes()) })
-	r.GaugeFunc(obs.Desc{Name: "epoch.global", Help: "current global epoch", Unit: "epochs"},
-		func() float64 { return float64(s.em.Epoch()) })
 	r.GaugeFunc(obs.Desc{Name: "epoch.pending", Help: "retired objects awaiting the two-epoch grace", Unit: "objects"},
 		func() float64 { return float64(s.em.Pending()) })
 	r.CounterFunc(obs.Desc{Name: "epoch.enters", Help: "epoch critical sections entered (batch ops amortize this per-op toll)", Unit: "ops"},

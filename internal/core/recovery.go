@@ -166,6 +166,5 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	}
 	s.closed.Store(false)
 	rep.VirtualNS = dt.Clk.Now() - begin
-	s.stats.recoveredValues.Add(int64(rep.LiveKeys))
 	return rep, nil
 }

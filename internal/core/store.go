@@ -242,7 +242,7 @@ type Store struct {
 	latPut, latGet, latScan    *obs.Histogram
 	latPutBatch, latMultiGet   *obs.Histogram
 	batchSizePut, batchSizeGet *obs.Histogram
-	asyncWindow, asyncLat      *obs.Histogram
+	asyncWindow                *obs.Histogram
 	putStallNS                 *obs.Histogram
 
 	// batchStepHook, when non-nil, runs after each batch entry is applied
@@ -260,17 +260,17 @@ type vsReader interface {
 // statsCounters are the store's own counters. They are read only through
 // the registry (registerMetrics), the one surface METRICS.md documents.
 type statsCounters struct {
-	puts, gets, deletes, scans    atomic.Int64
-	batchPuts, batchGets          atomic.Int64
-	svcHits, pwbHits, vsReads     atomic.Int64
-	vsRecords                     atomic.Int64 // records in the vsReads IOs
-	userBytesWritten              atomic.Int64
-	reclaims, pwbLiveMigrated     atomic.Int64
-	pwbScanned, reclaimNS         atomic.Int64
-	scanRewrites, recoveredValues atomic.Int64
-	putStalls, putsStalled        atomic.Int64
-	reclaimPublishLost            atomic.Int64
-	scanTornRecords               atomic.Int64
+	puts, gets, deletes, scans atomic.Int64
+	batchPuts, batchGets       atomic.Int64
+	svcHits, pwbHits, vsReads  atomic.Int64
+	vsRecords                  atomic.Int64 // records in the vsReads IOs
+	userBytesWritten           atomic.Int64
+	reclaims, pwbLiveMigrated  atomic.Int64
+	pwbScanned, reclaimNS      atomic.Int64
+	scanRewrites               atomic.Int64
+	putStalls, putsStalled     atomic.Int64
+	reclaimPublishLost         atomic.Int64
+	scanTornRecords            atomic.Int64
 
 	// SVC admission by source other than a point read's SSD read: records
 	// the reclaimer handed over, hand-offs it skipped because the cache

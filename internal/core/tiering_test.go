@@ -202,6 +202,12 @@ func TestTieringDemotion(t *testing.T) {
 			t.Fatalf("hot key %d after demotion: %v", i, err)
 		}
 	}
+	// Closed, maintenanceLoop demotes no more between the two reads.
+	s.Close()
+	r := reg(t, s)
+	if got, want := r.n("tier.demoted_bytes"), 512*r.n("tier.demotions"); got != want {
+		t.Fatalf("tier.demoted_bytes = %d, want %d: 512 payload bytes per value demoted", got, want)
+	}
 }
 
 // TestHotIdxReadsNoNVM: classifying a slot is two DRAM bit tests. The NVM

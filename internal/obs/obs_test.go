@@ -212,14 +212,14 @@ func TestSampler(t *testing.T) {
 	}
 	c.Add(5)
 	sp.Observe(250)
-	pts := sp.Series("s.ops")
-	want := []Point{{0, 0}, {100, 10}, {250, 15}}
-	if len(pts) != len(want) {
-		t.Fatalf("series = %v, want %v", pts, want)
+	got := sp.Samples()
+	want := []struct{ ns, ops int64 }{{0, 0}, {100, 10}, {250, 15}}
+	if len(got) != len(want) {
+		t.Fatalf("%d samples, want %d", len(got), len(want))
 	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Fatalf("series[%d] = %v, want %v", i, pts[i], want[i])
+	for i, w := range want {
+		if got[i].NS != w.ns || got[i].Snap.Sum("s.ops") != float64(w.ops) {
+			t.Fatalf("sample %d = (%d, %v), want (%d, %d)", i, got[i].NS, got[i].Snap.Sum("s.ops"), w.ns, w.ops)
 		}
 	}
 

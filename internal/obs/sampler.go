@@ -8,12 +8,6 @@ type Sample struct {
 	Snap Snapshot `json:"snapshot"`
 }
 
-// Point is one (time, value) pair of a metric timeline.
-type Point struct {
-	NS    int64   `json:"ns"`
-	Value float64 `json:"value"`
-}
-
 // Sampler turns a snapshot source into a periodic timeline in *virtual*
 // time: callers feed it their virtual clock via Observe, and whenever a
 // full interval has elapsed it captures a snapshot. Because simulated
@@ -69,15 +63,5 @@ func (sp *Sampler) Samples() []Sample {
 	defer sp.mu.Unlock()
 	out := make([]Sample, len(sp.samples))
 	copy(out, sp.samples)
-	return out
-}
-
-// Series extracts the timeline of one metric (values summed across its
-// label sets, as Snapshot.Sum does).
-func (sp *Sampler) Series(name string) []Point {
-	var out []Point
-	for _, s := range sp.Samples() {
-		out = append(out, Point{NS: s.NS, Value: s.Snap.Sum(name)})
-	}
 	return out
 }

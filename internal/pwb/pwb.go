@@ -102,8 +102,6 @@ type Buffer struct {
 	cond        sync.Cond
 	seq         atomic.Uint64
 	interrupted bool // guarded by mu
-
-	bytesAppended atomic.Int64 // user payload bytes (WAF accounting; survives Reset)
 }
 
 // relSegments is the resolution at which the ring remembers when its
@@ -223,7 +221,6 @@ func (b *Buffer) AppendAt(clk *sim.Clock, hsitIdx uint64, value []byte, sealAt i
 		b.unpublished.Store(head)
 	}
 	b.head.Store(head + need)
-	b.bytesAppended.Add(int64(len(value)))
 	return uint64(off), head, nil
 }
 
@@ -453,19 +450,12 @@ func (b *Buffer) Interrupt() {
 	b.cond.Broadcast()
 }
 
-// BytesAppended returns cumulative user payload bytes (write-traffic
-// accounting for the WAF experiments). The counter intentionally
-// survives Reset: recovery re-initializes the ring cursors, but the
-// device write traffic already issued does not un-happen, so WAF
-// accounting keeps accumulating across crash/recover cycles.
-func (b *Buffer) BytesAppended() int64 { return b.bytesAppended.Load() }
-
 // Reset empties the ring. Recovery drains every live PWB value into
 // Value Storage and then resets the cursors, because the volatile
 // head/tail are unknown after a crash (§5.5). Pending grants, release
 // times, the reclaim cursor, the publish-pending mark and an Interrupt
-// are volatile state of the old incarnation and are discarded;
-// bytesAppended survives (see BytesAppended). Quiescent callers only.
+// are volatile state of the old incarnation and are discarded. Quiescent
+// callers only.
 func (b *Buffer) Reset() {
 	b.head.Store(0)
 	b.tail.Store(0)

@@ -28,9 +28,6 @@ func TestAppendAndReadValue(t *testing.T) {
 	if !bytes.Equal(got, val) {
 		t.Fatalf("ReadValue = %q, want %q", got, val)
 	}
-	if b.BytesAppended() != int64(len(val)) {
-		t.Fatalf("BytesAppended = %d", b.BytesAppended())
-	}
 }
 
 func TestAppendIsDurableBeforeReturn(t *testing.T) {
@@ -310,9 +307,6 @@ func TestUnpublishedFloor(t *testing.T) {
 	b.Reset()
 	if b.UnpublishedFloor() != ^uint64(0) || b.Tail() != 0 || b.Head() != 0 {
 		t.Fatal("Reset did not clear cursors and publish-pending mark")
-	}
-	if b.BytesAppended() == 0 {
-		t.Fatal("BytesAppended must survive Reset (WAF accounting)")
 	}
 }
 

@@ -339,6 +339,19 @@ func TestMaxConnsRejectsExcess(t *testing.T) {
 	if v, ok := store.Metrics().Value("server.connections_rejected"); !ok || v != 1 {
 		t.Fatalf("server.connections_rejected = %v ok=%v, want 1", v, ok)
 	}
+	if v, ok := store.Metrics().Value("server.connections"); !ok || v != 2 {
+		t.Fatalf("server.connections = %v ok=%v, want the 2 admitted", v, ok)
+	}
+	c1.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		v, _ := store.Metrics().Value("server.connections")
+		if v == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server.connections = %v after one client closed, want 1", v)
+		}
+	}
 }
 
 func TestIdleTimeoutClosesConnection(t *testing.T) {

@@ -31,7 +31,6 @@ func (t *Thread) PutBatch(kvs []core.KV) error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	s.m.batchPut.Inc()
 	if s.rangeMode {
 		s.placeWrite(kvs...)
 		defer s.migMu.RUnlock()
@@ -71,7 +70,6 @@ func (t *Thread) putBatchOnce(kvs []core.KV, first uint64, attempt int) (retry b
 			}
 		}
 	}
-	s.m.fanout.Record(int64(len(t.touched)))
 	if len(t.touched) > 1 {
 		s.m.crossPut.Inc()
 	}
@@ -141,7 +139,6 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	if len(keys) == 0 {
 		return vals, nil
 	}
-	s.m.batchGet.Inc()
 	t.rem = t.rem[:0]
 	for i := range keys {
 		t.rem = append(t.rem, i)
@@ -169,9 +166,6 @@ func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 		}
 		if len(t.touched) == 0 {
 			break
-		}
-		if round == 0 {
-			s.m.fanout.Record(int64(len(t.touched)))
 		}
 		if len(t.touched) > 1 {
 			s.m.crossGet.Inc()

@@ -11,10 +11,8 @@ import (
 type routerMetrics struct {
 	routedPut, routedGet     *obs.Counter
 	routedDelete, routedScan *obs.Counter
-	batchPut, batchGet       *obs.Counter
 	crossPut, crossGet       *obs.Counter
 	scanMerges               *obs.Counter
-	fanout                   *obs.Histogram
 
 	// Range placement + migration (registered only when Placement is
 	// "range"; in hash mode they stay nil, and a nil counter is a no-op).
@@ -32,7 +30,6 @@ type routerMetrics struct {
 	// they stay nil, so the shared op path needs no branch to keep the
 	// shard.replica_* series absent).
 	replicaPut, replicaDelete *obs.Counter
-	replicaSkips              *obs.Counter
 	replicaErrors             *obs.Counter
 	replicaFallbacks          *obs.Counter
 	replicaReads              []*obs.Counter // by position in the replica set
@@ -51,12 +48,9 @@ func (s *Store) registerMetrics() {
 	s.m.routedGet = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: routedHelp, Unit: "ops", Labels: op("get")})
 	s.m.routedDelete = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: routedHelp, Unit: "ops", Labels: op("delete")})
 	s.m.routedScan = r.Counter(obs.Desc{Name: "shard.routed_ops", Help: routedHelp, Unit: "ops", Labels: op("scan")})
-	s.m.batchPut = r.Counter(obs.Desc{Name: "shard.batch_ops", Help: "batches seen by the router", Unit: "ops", Labels: op("put")})
-	s.m.batchGet = r.Counter(obs.Desc{Name: "shard.batch_ops", Help: "batches seen by the router", Unit: "ops", Labels: op("get")})
 	s.m.crossPut = r.Counter(obs.Desc{Name: "shard.cross_batches", Help: "batches fanned out to more than one shard", Unit: "ops", Labels: op("put")})
 	s.m.crossGet = r.Counter(obs.Desc{Name: "shard.cross_batches", Help: "batches fanned out to more than one shard", Unit: "ops", Labels: op("get")})
 	s.m.scanMerges = r.Counter(obs.Desc{Name: "shard.scan_merges", Help: "range reads whose plan asked more than one shard: key-index walks merged, each row then read once", Unit: "ops"})
-	s.m.fanout = r.Histogram(obs.Desc{Name: "shard.batch_fanout", Help: "shards touched per batch", Unit: "shards"})
 	r.GaugeFunc(obs.Desc{Name: "shard.count", Help: "number of shards", Unit: "shards"},
 		func() float64 { return float64(len(s.shards)) })
 	for i := range s.shards {
@@ -94,8 +88,6 @@ func (s *Store) registerPlacementMetrics() {
 	r := s.reg
 	r.GaugeFunc(obs.Desc{Name: "shard.placement_epoch", Help: "current placement epoch (bumped by every split and migration flip)", Unit: "epoch"},
 		func() float64 { return float64(s.PlacementEpoch()) })
-	r.GaugeFunc(obs.Desc{Name: "shard.placement_ranges", Help: "ranges in the placement boundary table", Unit: "ranges"},
-		func() float64 { return float64(s.Ranges()) })
 	s.m.rangeScans = r.Counter(obs.Desc{Name: "shard.range_scans", Help: "scans routed through the boundary table, each range read through one plan", Unit: "ops"})
 	s.m.migSplits = r.Counter(obs.Desc{Name: "migrate.splits", Help: "placement boundaries inserted by SplitRange", Unit: "ops"})
 	s.m.migRanges = r.Counter(obs.Desc{Name: "migrate.ranges", Help: "range migrations completed (epoch flipped and settled)", Unit: "ops"})
@@ -115,11 +107,8 @@ func (s *Store) registerReplicaMetrics() {
 	}
 	r := s.reg
 	op := func(v string) map[string]string { return map[string]string{"op": v} }
-	r.GaugeFunc(obs.Desc{Name: "shard.replica_factor", Help: "replica count per key", Unit: "replicas"},
-		func() float64 { return float64(s.replicas) })
 	s.m.replicaPut = r.Counter(obs.Desc{Name: "shard.replica_writes", Help: "per-replica write applications fanned out by the router", Unit: "ops", Labels: op("put")})
 	s.m.replicaDelete = r.Counter(obs.Desc{Name: "shard.replica_writes", Help: "per-replica write applications fanned out by the router", Unit: "ops", Labels: op("delete")})
-	s.m.replicaSkips = r.Counter(obs.Desc{Name: "shard.replica_write_skips", Help: "write fan-out legs skipped because the replica was down", Unit: "ops"})
 	s.m.replicaErrors = r.Counter(obs.Desc{Name: "shard.replica_errors", Help: "write fan-out legs that failed (crashed mid-op or store error)", Unit: "ops"})
 	s.m.replicaFallbacks = r.Counter(obs.Desc{Name: "shard.replica_read_fallbacks", Help: "reads served by a non-primary or repairing replica", Unit: "ops"})
 	// s.m.replicaReads is allocated in Open (the read path indexes it

@@ -174,6 +174,20 @@ func migrationFaultCell(t *testing.T, replicas int, stage string) {
 		t.Fatalf("retry: owner %d, want %d", got, retryDst)
 	}
 	audit("post-retry")
+
+	// A pre-flip crash aborts the first attempt and the retry completes;
+	// after a post-flip crash both complete.
+	aborts, ranges := int64(0), int64(2)
+	if stage == "catchup" || stage == "frozen" {
+		aborts, ranges = 1, 1
+	}
+	r := reg(t, s)
+	if got := r.n("migrate.aborts"); got != aborts {
+		t.Errorf("migrate.aborts = %d, want %d", got, aborts)
+	}
+	if got := r.n("migrate.ranges"); got != ranges {
+		t.Errorf("migrate.ranges = %d, want %d", got, ranges)
+	}
 }
 
 // TestMigrationDestMemberCrash: with Replicas > 1, a destination-set

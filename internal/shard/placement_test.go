@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -265,9 +267,7 @@ func TestSplitRangeOnline(t *testing.T) {
 	if got := s.Ranges(); got != 3 {
 		t.Fatalf("Ranges after split = %d", got)
 	}
-	if s.PlacementEpoch() != epoch+1 {
-		t.Fatalf("epoch = %d, want %d", s.PlacementEpoch(), epoch+1)
-	}
+	wantEpoch(t, s, epoch+1)
 	// Both halves keep the owner: no data moved, everything readable.
 	if s.RangeOwner(0) != s.RangeOwner(1) {
 		t.Fatalf("split halves have different owners: %d vs %d", s.RangeOwner(0), s.RangeOwner(1))
@@ -284,6 +284,29 @@ func TestSplitRangeOnline(t *testing.T) {
 	if got := s.Ranges(); got != 3 {
 		t.Fatalf("duplicate split changed Ranges to %d", got)
 	}
+	if got := reg(t, s).n("migrate.splits"); got != 1 {
+		t.Fatalf("migrate.splits = %d after one split and a no-op, want 1", got)
+	}
+}
+
+// wantEpoch checks the placement epoch, as PlacementEpoch reports it and as
+// shard.placement_epoch exports it.
+func wantEpoch(t *testing.T, s *Store, want uint64) {
+	t.Helper()
+	if got := s.PlacementEpoch(); got != want {
+		t.Fatalf("epoch = %d, want %d", got, want)
+	}
+	if got := reg(t, s).n("shard.placement_epoch"); got != int64(want) {
+		t.Fatalf("shard.placement_epoch = %d, want %d", got, want)
+	}
+}
+
+// migration is the migrate.* series moved between two readings.
+type migration struct{ ranges, keys, tombs, purged int64 }
+
+func migrated(before, after reading) migration {
+	d := func(name string) int64 { return after.n(name) - before.n(name) }
+	return migration{d("migrate.ranges"), d("migrate.keys_streamed"), d("migrate.tombstones_streamed"), d("migrate.purged_keys")}
 }
 
 func TestMigrateRangeMovesData(t *testing.T) {
@@ -299,14 +322,18 @@ func TestMigrateRangeMovesData(t *testing.T) {
 	dst := (src + 1) % 3
 	before := s.Shard(dst).Len()
 	epoch := s.PlacementEpoch()
+	r0 := reg(t, s)
 	if err := s.MigrateRange(1, dst); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.RangeOwner(1); got != dst {
 		t.Fatalf("RangeOwner(1) = %d, want %d", got, dst)
 	}
-	if s.PlacementEpoch() != epoch+1 {
-		t.Fatalf("epoch = %d, want %d", s.PlacementEpoch(), epoch+1)
+	wantEpoch(t, s, epoch+1)
+	// The range's n/3 keys streamed once (the freeze's delta pass found
+	// nothing new) and the source dropped its copies.
+	if got, want := migrated(r0, reg(t, s)), (migration{1, n / 3, 0, n / 3}); got != want {
+		t.Fatalf("migration moved %+v, want %+v", got, want)
 	}
 	// Destination gained the range, source was purged: store-wide key
 	// count is unchanged (no orphan, no double-own).
@@ -331,11 +358,61 @@ func TestMigrateRangeMovesData(t *testing.T) {
 	if err := th.Delete(key(n / 3)); err != nil {
 		t.Fatal(err)
 	}
+	r1 := reg(t, s)
 	if err := s.MigrateRange(1, src); err != nil {
 		t.Fatal(err)
 	}
+	wantEpoch(t, s, epoch+2)
+	if got, want := migrated(r1, reg(t, s)), (migration{1, n/3 - 1, 1, n/3 - 1}); got != want {
+		t.Fatalf("migration back moved %+v, want %+v", got, want)
+	}
 	if _, err := th.Get(key(n / 3)); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("deleted key resurrected after migration: %v", err)
+	}
+}
+
+// A write into a range whose migration is frozen parks until the flip —
+// migrate.frozen_waits counts it once — and then lands on the destination.
+func TestWriteParksOnFrozenWindow(t *testing.T) {
+	const n = 300
+	s := rng(t, 3, 1, quartiles(n, 3), nil)
+	th := s.Thread(0)
+	for i := 0; i < n; i++ {
+		if err := th.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := (s.RangeOwner(1) + 1) % 3
+	parked := make(chan error, 1)
+	s.migHook = func(stage string) {
+		if stage != "frozen" {
+			return
+		}
+		go func() { parked <- s.Thread(1).Put(key(n/2), []byte("parked")) }()
+		for deadline := time.Now().Add(5 * time.Second); reg(t, s).n("migrate.frozen_waits") == 0; runtime.Gosched() {
+			select {
+			case err := <-parked:
+				t.Fatalf("a write into the frozen range returned before the flip: %v", err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("migrate.frozen_waits still 0 with a write into the frozen range outstanding")
+			}
+		}
+	}
+	err := s.MigrateRange(1, dst)
+	s.migHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-parked; err != nil {
+		t.Fatalf("parked write: %v", err)
+	}
+	if got := reg(t, s).n("migrate.frozen_waits"); got != 1 {
+		t.Fatalf("migrate.frozen_waits = %d, want 1", got)
+	}
+	if v, err := s.Shard(dst).Thread(0).Get(key(n / 2)); err != nil || string(v) != "parked" {
+		t.Fatalf("destination holds %q, %v; want the parked write", v, err)
 	}
 }
 

@@ -119,15 +119,11 @@ func (s *Store) stampBlock(n int) uint64 {
 
 func (s *Store) stamp() uint64 { return s.stampBlock(1) }
 
-// skipDown reports (and counts) a write leg skipped because its replica
-// is down; repair converges it later. A lone replica is never skipped:
+// skipDown reports a write leg skipped because its replica is down;
+// repair converges it later. A lone replica is never skipped:
 // there is nowhere to route around it, so its own error is the answer.
 func (s *Store) skipDown(j int) bool {
-	if s.replicas == 1 || s.state[j].Load() != replicaDown {
-		return false
-	}
-	s.m.replicaSkips.Inc()
-	return true
+	return s.replicas > 1 && s.state[j].Load() == replicaDown
 }
 
 // crashed reports whether err is a replica crashing underneath the

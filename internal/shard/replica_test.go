@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -83,9 +84,22 @@ func TestReplicaSetPlacement(t *testing.T) {
 	}
 }
 
+// wantState checks shard j's replica state, as ReplicaState reports it
+// and as its shard.replica_state series exports it.
+func wantState(t *testing.T, s *Store, j int, want int32, when string) {
+	t.Helper()
+	if st := s.ReplicaState(j); st != int(want) {
+		t.Fatalf("state %s = %d, want %d", when, st, want)
+	}
+	if got := reg(t, s).n("shard.replica_state", "shard", strconv.Itoa(j)); got != int64(want) {
+		t.Fatalf("shard.replica_state{shard=%d} %s = %d, want %d", j, when, got, want)
+	}
+}
+
 // Crash one replica: reads and writes keep working off the survivors;
 // recover + bounded repair passes converge the restarted replica; the
-// full keyspace digest agrees afterwards.
+// full keyspace digest agrees afterwards, and the repair.* series count
+// what the passes reported.
 func TestFailoverAndRepairConverges(t *testing.T) {
 	s := repl(t, 3, 2, nil)
 	th := s.Thread(0)
@@ -95,11 +109,11 @@ func TestFailoverAndRepairConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	before := reg(t, s)
 	victim := 1
+	wantState(t, s, victim, replicaUp, "before the crash")
 	s.CrashShard(victim)
-	if st := s.ReplicaState(victim); st != int(replicaDown) {
-		t.Fatalf("state after crash = %d", st)
-	}
+	wantState(t, s, victim, replicaDown, "after crash")
 	// Every key stays readable (fallback for keys whose primary died).
 	for i := 0; i < n; i++ {
 		v, err := th.Get(key(i))
@@ -121,26 +135,42 @@ func TestFailoverAndRepairConverges(t *testing.T) {
 	if _, err := s.RecoverShard(victim); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.ReplicaState(victim); st != int(replicaRepairing) {
-		t.Fatalf("state after recover = %d, want repairing", st)
-	}
+	wantState(t, s, victim, replicaRepairing, "after recover")
 	// Anti-entropy must converge within a small bounded number of
 	// passes when writes are quiesced: one pass pulls everything, the
 	// next verifies emptiness.
+	var sum RepairStats
 	passes := 0
 	for ; passes < 5; passes++ {
-		if s.RepairShard(victim).Applied() == 0 {
+		st := s.RepairShard(victim)
+		sum.add(st)
+		if st.Applied() == 0 {
 			break
 		}
 	}
 	if passes >= 5 {
 		t.Fatalf("repair did not converge within %d passes", passes)
 	}
-	if st := s.Repair(); st.Applied() != 0 {
+	st := s.Repair()
+	if st.Applied() != 0 {
 		t.Fatalf("full repair still applied %+v after convergence", st)
 	}
-	if st := s.ReplicaState(victim); st != int(replicaUp) {
-		t.Fatalf("state after converged repair = %d, want up", st)
+	sum.add(st)
+	wantState(t, s, victim, replicaUp, "after converged repair")
+	after := reg(t, s)
+	for name, want := range map[string]int{
+		"repair.passes":               sum.Passes,
+		"repair.keys_pulled":          sum.KeysPulled,
+		"repair.tombstones_pulled":    sum.TombstonesPulled,
+		"repair.tombstones_discarded": sum.TombstonesDiscarded,
+		"repair.converged":            1, // the victim, once
+	} {
+		if got := after.n(name) - before.n(name); got != int64(want) {
+			t.Errorf("%s moved %d, want %d (passes reported %+v)", name, got, want, sum)
+		}
+	}
+	if sum.KeysPulled == 0 || sum.TombstonesPulled == 0 {
+		t.Errorf("repair pulled %+v: the writes and deletes made while the victim was down", sum)
 	}
 	if err := s.ConvergenceCheck(); err != nil {
 		t.Fatal(err)
@@ -193,6 +223,9 @@ func TestTombstoneDiscardAfterGrace(t *testing.T) {
 	st := s.Repair()
 	if st.TombstonesDiscarded == 0 {
 		t.Fatalf("no tombstones discarded: %+v", st)
+	}
+	if got := reg(t, s).n("repair.tombstones_discarded"); got != int64(st.TombstonesDiscarded) {
+		t.Fatalf("repair.tombstones_discarded = %d, the pass discarded %d", got, st.TombstonesDiscarded)
 	}
 	tombs = 0
 	for j := 0; j < s.NumShards(); j++ {
@@ -690,7 +723,7 @@ func TestRouterSyncAsyncAgree(t *testing.T) {
 		out := map[string]float64{}
 		for _, m := range s.reg.Snapshot().Metrics {
 			switch m.Name {
-			case "shard.replica_reads", "shard.replica_read_fallbacks", "shard.replica_writes":
+			case "shard.replica_reads", "shard.replica_read_fallbacks", "shard.replica_writes", "shard.replica_errors":
 				out[fmt.Sprint(m.Name, " ", m.Labels)] = m.Value
 			}
 		}
@@ -704,11 +737,13 @@ func TestRouterSyncAsyncAgree(t *testing.T) {
 		// fallbacks is how many of the op's reads a non-primary replica
 		// serves (nil: none).
 		fallbacks func(s *Store) int
+		// legErrs is how many write legs fail (shard.replica_errors).
+		legErrs int
 	}{
 		{"delete of a missing key, second replica closed underneath",
 			func(s *Store, th *Thread) { s.Shard(s.route(k, nil)[1]).Crash() },
 			func(th *Thread, async bool) error { return del(th, async, k) },
-			core.ErrNotFound, nil},
+			core.ErrNotFound, nil, 1},
 		{"put, every replica closed underneath",
 			func(s *Store, th *Thread) {
 				for _, j := range s.route(k, nil) {
@@ -716,7 +751,7 @@ func TestRouterSyncAsyncAgree(t *testing.T) {
 				}
 			},
 			func(th *Thread, async bool) error { return put(th, async, k, value(0)) },
-			errNoReplica, nil},
+			errNoReplica, nil, 2 * (1 + writeRetries)}, // both legs, every attempt
 		{"100 reads, shard 1 down",
 			func(s *Store, th *Thread) {
 				if err := each(100, func(i int) error { return th.Put(key(i), value(i)) }); err != nil {
@@ -735,13 +770,13 @@ func TestRouterSyncAsyncAgree(t *testing.T) {
 					}
 				}
 				return n
-			}},
+			}, 0},
 		{"10 deletes of missing keys",
 			nil,
 			func(th *Thread, async bool) error {
 				return each(10, func(i int) error { return del(th, async, key(i)) })
 			},
-			core.ErrNotFound, nil},
+			core.ErrNotFound, nil, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var moved [2]map[string]float64
@@ -765,6 +800,9 @@ func TestRouterSyncAsyncAgree(t *testing.T) {
 				}
 				if got := moved[i]["shard.replica_read_fallbacks map[]"]; got != float64(want) {
 					t.Fatalf("async=%v: %v read fallbacks, want %d", async, got, want)
+				}
+				if got := moved[i]["shard.replica_errors map[]"]; got != float64(tc.legErrs) {
+					t.Fatalf("async=%v: %v failed write legs, want %d", async, got, tc.legErrs)
 				}
 			}
 			if fmt.Sprint(moved[0]) != fmt.Sprint(moved[1]) {
