@@ -105,11 +105,13 @@ tidy-check:
 
 # check-docs fails if METRICS.md names a metric the registry does not
 # export (or vice versa), if an exported series has no reader outside the
-# files that register it, if a doc that describes the present cites a
-# ROADMAP item by number rather than by title, or if a doc every session
-# reads outgrows its byte budget — see docs_test.go.
+# files that register it, if an exported field of a public config
+# (core.Options, server.Config, bench.RunConfig, ycsb.Config) is set by no
+# non-test file, if a doc that describes the present cites a ROADMAP item
+# by number rather than by title, or if a budgeted doc outgrows its byte
+# budget — see docs_test.go.
 check-docs:
-	$(GO) test -run 'TestMetricsDocsComplete|TestEverySeriesIsRead|TestReadmeMentionsMetrics|TestDocsCiteRoadmapItemsByTitle|TestDocsByteBudget' -count=1 .
+	$(GO) test -run 'TestMetricsDocsComplete|TestEverySeriesIsRead|TestEveryOptionIsSet|TestReadmeMentionsMetrics|TestDocsCiteRoadmapItemsByTitle|TestDocsByteBudget' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -168,9 +170,10 @@ bench-module:
 	$(GO) -C benchmark test ./...
 
 # fuzz-smoke runs short fuzz passes over the RESP parser, the range
-# placement boundary table (decode/encode roundtrip + split-key
-# selection invariants) and the value-record codec (no panic, no value
-# past the bytes read, encode/decode roundtrip).
+# placement boundary table (split-key selection, and the tables built
+# from the keys and split online: well-formed, owners kept) and the
+# value-record codec (no panic, no value past the bytes read,
+# encode/decode roundtrip).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzBoundaryTable -fuzztime 10s ./internal/shard

@@ -1,8 +1,17 @@
 package prism
 
 import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -125,6 +134,165 @@ func TestEverySeriesIsRead(t *testing.T) {
 	}
 }
 
+// optionStructs are the public configs TestEveryOptionIsSet audits.
+var optionStructs = []struct{ pkg, name string }{
+	{"repro/internal/core", "Options"},
+	{"repro/internal/server", "Config"},
+	{"repro/internal/bench", "RunConfig"},
+	{"repro/internal/ycsb", "Config"},
+}
+
+// TestEveryOptionIsSet fails for an exported field of a public config
+// that no non-test Go file in the repository sets — benchmark/, cmd/ and
+// examples/ included — through a composite-literal key, an assignment,
+// an increment, a &x.F binding (a flag) or a range clause. It
+// type-checks the tree from source, so a field is matched by identity,
+// not by name. A knob only defaults and tests set is a constant, not an
+// option.
+func TestEveryOptionIsSet(t *testing.T) {
+	tree := &treeImporter{
+		fset: token.NewFileSet(),
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
+		pkgs: map[string]*types.Package{},
+	}
+	tree.std = importer.ForCompiler(tree.fset, "source", nil)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		_, err = tree.Import(importPath(path))
+		if errors.As(err, new(*build.NoGoError)) {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A write in a method of the field's own struct is its default, not a
+	// caller setting it.
+	set := map[*types.Var]bool{}
+	for _, f := range tree.files {
+		for _, d := range f.Decls {
+			var own *types.Struct
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					own, _ = tree.info.Uses[id].Type().Underlying().(*types.Struct)
+				}
+			}
+			mark := func(e ast.Expr) {
+				if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					e = sel.Sel
+				}
+				id, _ := e.(*ast.Ident)
+				v, ok := tree.info.Uses[id].(*types.Var)
+				if !ok || !v.IsField() {
+					return
+				}
+				for i := 0; own != nil && i < own.NumFields(); i++ {
+					if own.Field(i) == v {
+						return
+					}
+				}
+				set[v] = true
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					mark(n.Key)
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						mark(l)
+					}
+				case *ast.IncDecStmt:
+					mark(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						mark(n.X)
+					}
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						mark(n.Key)
+						mark(n.Value)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	for _, o := range optionStructs {
+		st := tree.pkgs[o.pkg].Scope().Lookup(o.name).Type().Underlying().(*types.Struct)
+		for i := range st.NumFields() {
+			if f := st.Field(i); f.Exported() && !set[f] {
+				unset = append(unset, fmt.Sprintf("%s.%s.%s", path.Base(o.pkg), o.name, f.Name()))
+			}
+		}
+	}
+	if len(unset) > 0 {
+		t.Errorf("%d exported config fields are set by no non-test file; make each the constant it always is, or give it a caller:\n%s",
+			len(unset), strings.Join(unset, "\n"))
+	}
+}
+
+// importPath is the import path of the package in dir, a path relative to
+// the repository root; benchmark/ is its own module, repro/benchmark.
+func importPath(dir string) string {
+	if dir == "." {
+		return "repro"
+	}
+	return "repro/" + filepath.ToSlash(dir)
+}
+
+// treeImporter type-checks the repository's packages from their non-test
+// files, once each, recording every use into info; the standard library
+// comes from std.
+type treeImporter struct {
+	fset  *token.FileSet
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files []*ast.File
+	std   types.Importer
+}
+
+func (ti *treeImporter) Import(path string) (*types.Package, error) {
+	if p, ok := ti.pkgs[path]; ok {
+		return p, nil
+	}
+	dir, ok := strings.CutPrefix(path, "repro")
+	if !ok || dir != "" && dir[0] != '/' {
+		return ti.std.Import(path)
+	}
+	bp, err := build.Default.ImportDir("."+dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(ti.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: ti}
+	p, err := conf.Check(path, ti.fset, files, ti.info)
+	if err != nil {
+		return nil, err
+	}
+	ti.pkgs[path], ti.files = p, append(ti.files, files...)
+	return p, nil
+}
+
 // TestReadmeMentionsMetrics keeps the README's observability section
 // pointing at the reference doc.
 func TestReadmeMentionsMetrics(t *testing.T) {
@@ -167,12 +335,12 @@ var docBudgets = []struct {
 	file  string
 	bytes int64
 }{
-	{"DESIGN.md", 92982},
+	{"DESIGN.md", 92924},
 	{"EXPERIMENTS.md", 50750},
-	{"README.md", 29679},
-	{".claude/skills/verify/SKILL.md", 29863},
-	{"CHANGES.md", 162642},
-	{"METRICS.md", 25938},
+	{"README.md", 29555},
+	{".claude/skills/verify/SKILL.md", 29854},
+	{"CHANGES.md", 162034},
+	{"METRICS.md", 25898},
 }
 
 // TestDocsByteBudget holds each of those docs to its budget.

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 
 	"repro"
@@ -35,10 +36,9 @@ func loadThroughput(numSSDs int) float64 {
 		NumThreads:        threads,
 		PWBBytesPerThread: 128 << 10, // small PWB: reclamation bandwidth matters
 		HSITCapacity:      1 << 17,
-		NumSSDs:           numSSDs,
 		SSDBytes:          64 << 20,
 		SVCBytes:          1 << 20,
-		SSD:               ssd.Config{WriteBandwidth: 250_000_000, ReadBandwidth: 500_000_000},
+		SSDConfigs:        slices.Repeat([]ssd.Config{{WriteBandwidth: 250_000_000, ReadBandwidth: 500_000_000}}, numSSDs),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/devices"
+	"repro/internal/ssd"
 	"repro/internal/ycsb"
 )
 
@@ -26,9 +29,7 @@ func DiscussionMedia(rc RunConfig) Table {
 		devices.Optane905P,
 	} {
 		rc.PrismMut = func(o *core.Options) {
-			cfg := prof.SSDConfig()
-			cfg.Size = o.SSDBytes
-			o.SSD = cfg
+			o.SSDConfigs = slices.Repeat([]ssd.Config{prof.SSDConfig()}, o.NumSSDs) // Size falls back to SSDBytes
 		}
 		t.Rows = append(t.Rows, kopsRow(prof.Model, cell(EnginePrism, rc, "", ws), ws))
 	}

@@ -36,13 +36,12 @@ import (
 // RunConfig sizes an experiment: the engine NewEngine opens and the
 // workload phases Load and Run drive against it.
 type RunConfig struct {
-	Threads    int
-	Records    int // loaded keyspace
-	Ops        int // operations in the measured phase
-	ValueSize  int
-	Zipfian    float64
-	MaxScanLen int
-	Seed       uint64
+	Threads   int
+	Records   int // loaded keyspace
+	Ops       int // operations in the measured phase
+	ValueSize int
+	Zipfian   float64
+	Seed      uint64
 
 	// NumSSDs is the size of the SSD array (default 2) and QueueDepth the
 	// per-device IO queue depth (default 64), for the engines that have
@@ -123,9 +122,6 @@ func (rc *RunConfig) applyDefaults() {
 	if rc.Zipfian == 0 {
 		rc.Zipfian = 0.99
 	}
-	if rc.MaxScanLen == 0 {
-		rc.MaxScanLen = 100
-	}
 	if rc.Seed == 0 {
 		rc.Seed = 42
 	}
@@ -187,11 +183,10 @@ func (r Result) mustSucceed() Result {
 // clients' shared counter hands out.
 func phase(w ycsb.Workload, rc RunConfig) (ycsb.Config, int) {
 	cfg := ycsb.Config{
-		Workload:   w,
-		Records:    uint64(rc.Records),
-		Zipfian:    rc.Zipfian,
-		MaxScanLen: rc.MaxScanLen,
-		ValueSize:  rc.ValueSize,
+		Workload:  w,
+		Records:   uint64(rc.Records),
+		Zipfian:   rc.Zipfian,
+		ValueSize: rc.ValueSize,
 	}
 	if w == ycsb.Load {
 		cfg.Records, cfg.InsertStart = 0, 1

@@ -27,7 +27,7 @@ func handOffStore(t *testing.T) *Store {
 	t.Helper()
 	return small(t, func(o *Options) {
 		o.NumThreads = 1
-		o.ReclaimWatermark = 0.95
+		o.reclaimWatermark = 0.95
 	})
 }
 

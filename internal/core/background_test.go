@@ -39,7 +39,7 @@ func TestGCPassesRunPerDevice(t *testing.T) {
 	s := small(t, func(o *Options) {
 		o.NumThreads = 1
 		o.PWBBytesPerThread = 1 << 20 // room for every put: no pass runs unasked
-		o.ReclaimWatermark = 0.95
+		o.reclaimWatermark = 0.95
 		o.SSDBytes = 512 << 10 // 32 chunks a device, 2 of them the reserve
 		o.GCFreeFraction = 0.1 // due at 3 free chunks
 		o.DisableSVC = true

@@ -43,7 +43,7 @@ func runPutBatchReclaimStress(t *testing.T, disableSVC bool) {
 	s := small(t, func(o *Options) {
 		o.NumThreads = threads
 		o.PWBBytesPerThread = 4096 // minimum: a batch spans a large ring fraction
-		o.ReclaimWatermark = 0.2
+		o.reclaimWatermark = 0.2
 		o.DisableSVC = disableSVC
 		o.SVCBytes = 8 << 10 // tiny: constant admission/eviction churn
 	})

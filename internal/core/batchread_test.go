@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/ssd"
 )
 
 // apart is vsOnlyStore's filler for keys that are each their own extent:
@@ -127,7 +128,8 @@ func TestBatchReadOverlapsExtents(t *testing.T) {
 				// hundred keys (about 1 us each) small change.
 				s, th := vsOnlyStore(t, c.n, filler, func(o *Options) {
 					o.QueueDepth = c.depth
-					o.SSD.ReadLatency = 1_000_000
+					slow := ssd.Config{ReadLatency: 1_000_000}
+					o.SSDConfigs = []ssd.Config{slow, slow} // small's two devices
 				})
 				lat := s.SSDs()[0].Config().ReadLatency
 				// Far past every reservation the load and the drain left on

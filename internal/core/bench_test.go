@@ -28,7 +28,7 @@ func newReclaimBench(tb testing.TB, records int, withSVC bool) *reclaimBench {
 		NumThreads:        1,
 		PWBBytesPerThread: 4 * records * 1040,
 		HSITCapacity:      1 << 14,
-		ReclaimWatermark:  0.95,
+		reclaimWatermark:  0.95,
 		DisableSVC:        !withSVC,
 	})
 	if err != nil {

@@ -131,7 +131,7 @@ func (s *Store) registerMetrics() {
 			}
 			return m
 		})
-	r.GaugeFunc(obs.Desc{Name: "pwb.watermark_effective", Help: "reclamation trigger in force (the adaptive controller's value, or the configured watermark when fixed)", Unit: "ratio"},
+	r.GaugeFunc(obs.Desc{Name: "pwb.watermark_effective", Help: "reclamation trigger in force: the adaptive controller's value", Unit: "ratio"},
 		s.effectiveWatermark)
 	r.CounterFunc(obs.Desc{Name: "pwb.reclaims", Help: "background reclamation passes", Unit: "passes"},
 		s.stats.reclaims.Load)

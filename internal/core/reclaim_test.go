@@ -17,7 +17,7 @@ func quietReclaim(t *testing.T) *Store {
 	t.Helper()
 	return small(t, func(o *Options) {
 		o.NumThreads = 1
-		o.ReclaimWatermark = 0.95
+		o.reclaimWatermark = 0.95
 		o.DisableSVC = true // every read of a migrated value is a VS read
 	})
 }

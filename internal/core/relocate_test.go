@@ -205,7 +205,7 @@ func TestClaimersInsideSettle(t *testing.T) {
 			if c.tiered {
 				s = tieredStore(t, func(o *Options) {
 					o.SSDConfigs[0].Size = 64 << 10 // four chunks
-					o.ReclaimWatermark = 0.95
+					o.reclaimWatermark = 0.95
 					o.DisableSVC = true
 				})
 			} else {
@@ -288,7 +288,7 @@ func TestRelocationChargesSwingsAfterWrite(t *testing.T) {
 		return small(t, func(o *Options) {
 			o.NumThreads = 1
 			o.PWBBytesPerThread = 1 << 20
-			o.ReclaimWatermark = 0.95
+			o.reclaimWatermark = 0.95
 			o.DisableSVC = true
 		})
 	}
@@ -356,7 +356,7 @@ func TestRelocationChargesSwingsAfterWrite(t *testing.T) {
 			return tieredStore(t, func(o *Options) {
 				o.SSDConfigs[0].Size = 64 << 10 // four chunks
 				o.PWBBytesPerThread = 1 << 20
-				o.ReclaimWatermark = 0.95
+				o.reclaimWatermark = 0.95
 				o.DisableSVC = true
 			})
 		}, func(t *testing.T, s *Store, p *Thread) {
@@ -452,7 +452,7 @@ func TestUndrivenPassesStartAtThePresent(t *testing.T) {
 	s := tieredStore(t, func(o *Options) {
 		o.SSDConfigs[0].Size = 64 << 10 // four chunks: the hot keys fill half
 		o.PWBBytesPerThread = 1 << 20
-		o.ReclaimWatermark = 0.95
+		o.reclaimWatermark = 0.95
 		o.DisableSVC = true
 	})
 	th := s.Thread(0)

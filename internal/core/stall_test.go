@@ -25,7 +25,8 @@ func TestPutNeverPrecedesItsSpace(t *testing.T) {
 	s := small(t, func(o *Options) {
 		o.NumThreads = 1
 		o.DisableSVC = true
-		o.SSD = ssd.Config{WriteBandwidth: 20_000_000} // 20 MB/s: 50 us per KiB migrated
+		slow := ssd.Config{WriteBandwidth: 20_000_000} // 20 MB/s: 50 us per KiB migrated
+		o.SSDConfigs = []ssd.Config{slow, slow}
 	})
 	th, b, c := s.Thread(0), s.pwbs[0], costsOf(s, 0)
 	val := bytes.Repeat([]byte{'v'}, 1000)

@@ -68,24 +68,15 @@ type Options struct {
 	// QueueDepth is the IO coalescing limit (§5.3), and also caps how
 	// many async submissions one admission window coalesces. Default 64.
 	QueueDepth int
-	// ReclaimWatermark is the PWB utilization that triggers background
-	// reclamation. Zero selects the adaptive controller, which starts at
-	// 0.5 (§4.3) and closes the loop from put stalls and reclaim-pass
-	// outcomes: a stall lowers the trigger (reclaim starts earlier, so
-	// the ring has headroom when the next burst arrives) and a stall-free
-	// pass raises it back. A non-zero value pins the fixed watermark.
-	ReclaimWatermark float64
 	// GCFreeFraction triggers Value Storage GC when the free-chunk
 	// fraction drops below it. Default 0.25.
 	GCFreeFraction float64
 
-	// SSD is every device's performance envelope (zero = paper defaults).
-	SSD ssd.Config
-
 	// SSDConfigs, when non-empty, gives each device its own envelope —
 	// the heterogeneous array of §2.1 — and overrides NumSSDs with its
-	// length. A config's zero Size falls back to SSDBytes and its Name is
-	// always rewritten to ssdN.
+	// length; empty, every device runs the paper's defaults. A config's
+	// zero Size falls back to SSDBytes and its Name is always rewritten
+	// to ssdN.
 	SSDConfigs []ssd.Config
 
 	// EnableTiering turns on hot/cold value placement: the PWB reclaimer
@@ -140,6 +131,13 @@ type Options struct {
 	DisableAutoRepair bool
 
 	Seed uint64
+
+	// reclaimWatermark, when non-zero, pins the PWB utilization that
+	// triggers background reclamation: the paper's fixed §4.3 trigger,
+	// kept as the reference the adaptive controller is tested against.
+	// Zero, what every store outside this package's tests runs, selects
+	// the controller (tiering.go).
+	reclaimWatermark float64
 }
 
 func (o *Options) applyDefaults() {
@@ -170,7 +168,6 @@ func (o *Options) applyDefaults() {
 	if o.QueueDepth == 0 {
 		o.QueueDepth = 64
 	}
-	// ReclaimWatermark deliberately has no default: zero means adaptive.
 	if o.GCFreeFraction == 0 {
 		o.GCFreeFraction = 0.25
 	}
@@ -372,7 +369,7 @@ func Open(opt Options) (*Store, error) {
 		pwbBase:    pwbBase,
 		repl:       newReplState(),
 	}
-	wm := opt.ReclaimWatermark
+	wm := opt.reclaimWatermark
 	if wm == 0 {
 		s.adaptiveWM = true
 		wm = wmStart
@@ -386,7 +383,7 @@ func Open(opt Options) (*Store, error) {
 		s.reclaimers[i].buf = s.pwbs[i]
 	}
 	for i := 0; i < opt.NumSSDs; i++ {
-		scfg := opt.SSD
+		var scfg ssd.Config
 		if len(opt.SSDConfigs) > 0 {
 			scfg = opt.SSDConfigs[i]
 		}

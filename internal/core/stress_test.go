@@ -66,7 +66,7 @@ func runReclaimPublishStress(t *testing.T, disableSVC bool) {
 	s := small(t, func(o *Options) {
 		o.NumThreads = threads
 		o.PWBBytesPerThread = 4096 // minimum: wraps every ~16 appends
-		o.ReclaimWatermark = 0.2
+		o.reclaimWatermark = 0.2
 		o.DisableSVC = disableSVC
 		o.SVCBytes = 8 << 10 // tiny: constant admission/eviction churn
 	})

@@ -67,7 +67,7 @@ const (
 )
 
 // effectiveWatermark is the trigger currently in force (the fixed
-// Options.ReclaimWatermark when non-zero, else the controller's value).
+// Options.reclaimWatermark when non-zero, else the controller's value).
 func (s *Store) effectiveWatermark() float64 {
 	return math.Float64frombits(s.watermark.Load())
 }

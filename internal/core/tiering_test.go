@@ -28,7 +28,7 @@ func tieredStore(t *testing.T, mutate func(*Options)) *Store {
 		ChunkSize:        16 << 10,
 		SVCBytes:         16 << 10,
 		EnableTiering:    true,
-		ReclaimWatermark: 0.5,
+		reclaimWatermark: 0.5,
 	}
 	if mutate != nil {
 		mutate(&opt)
@@ -214,7 +214,7 @@ func TestTieringDemotion(t *testing.T) {
 // device sees no access — no load of the slot's HSIT entry, and so no
 // flush-on-read of an entry a put left dirty — whatever the verdict.
 func TestHotIdxReadsNoNVM(t *testing.T) {
-	s := tieredStore(t, func(o *Options) { o.ReclaimWatermark = 0.95 }) // no pass runs beside the test
+	s := tieredStore(t, func(o *Options) { o.reclaimWatermark = 0.95 }) // no pass runs beside the test
 	th := s.Thread(0)
 	const n = 30
 	for i := 0; i < n; i++ {
@@ -258,7 +258,7 @@ func TestAdaptiveWatermarkBurstStress(t *testing.T) {
 	const rounds, burst = 12, 600
 	run := func(watermark float64) (stallP99 int64, nStalls int, s *Store) {
 		s = tieredStore(t, func(o *Options) {
-			o.ReclaimWatermark = watermark
+			o.reclaimWatermark = watermark
 			o.SyncVSWrites = true
 			o.PWBBytesPerThread = 32 << 10
 			// One chunk = one ring: the watermark is the only drain
@@ -313,7 +313,7 @@ func TestAdaptiveWatermarkBurstStress(t *testing.T) {
 	adP99, adN, ad := run(0)
 
 	if !ad.adaptiveWM {
-		t.Fatal("ReclaimWatermark=0 did not arm the adaptive controller")
+		t.Fatal("reclaimWatermark=0 did not arm the adaptive controller")
 	}
 	if fixedN == 0 {
 		t.Fatal("no put ever paid a reclamation pass under the fixed watermark; stress is not stressing")
@@ -330,7 +330,7 @@ func TestAdaptiveWatermarkBurstStress(t *testing.T) {
 	// Convergence, async this time: fill the ring past any plausible
 	// trigger, stop traffic, and require the maintenance probe (idle
 	// reclaim) to drain every ring below the trigger in force.
-	async := tieredStore(t, func(o *Options) { o.ReclaimWatermark = 0 })
+	async := tieredStore(t, func(o *Options) { o.reclaimWatermark = 0 })
 	th := async.Thread(0)
 	for i := 0; i < 400; i++ {
 		if err := th.Put(coldKey(i), val512(i)); err != nil {

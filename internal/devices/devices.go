@@ -4,7 +4,7 @@
 // simulated devices.
 //
 // Profiles are also the vehicle for the §8 discussion: swapping a
-// profile in core.Options.SSD explores how Prism behaves over emerging
+// profile into core.Options.SSDConfigs explores how Prism behaves over emerging
 // media (PCIe 5 flash, ultra-low-latency NVM SSDs) without touching any
 // engine code.
 package devices

@@ -102,7 +102,8 @@ func TestWireCommandAllocatesNothing(t *testing.T) {
 // written to the socket straight from the handle's buffer. make race runs
 // it.
 func TestReplyOutlivesHandleStress(t *testing.T) {
-	_, addr := serve(t, core.Options{NumThreads: 1}, server.Config{WriteBufBytes: 1024}, 5*time.Second)
+	_, addr := serve(t, core.Options{NumThreads: 1}, server.Config{}, 5*time.Second,
+		func(s *server.Server) { s.SetWriteBufBytes(1024) })
 	const conns, rounds, depth = 4, 300, 8
 	val := func(c, k, r int) string {
 		return fmt.Sprintf("c%d-k%d-r%d:%0*d", c, k, r, 2048+(r*97)%2048, r)

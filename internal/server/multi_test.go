@@ -117,16 +117,25 @@ func TestMultiExecBasics(t *testing.T) {
 	}
 }
 
+// TestMultiQueueCap queues MULTI's cap of 1,024 commands in one pipeline;
+// the next one is refused and poisons the block.
 func TestMultiQueueCap(t *testing.T) {
-	_, addr := start(t, server.Config{MaxMultiQueued: 4})
+	const limit = 1024
+	_, addr := start(t, server.Config{})
 	c := dial(t, addr)
 	c.Do("MULTI")
-	for i := 0; i < 4; i++ {
-		if r, err := c.Do("SET", fmt.Sprintf("k%d", i), "v"); err != nil || r.Str != "QUEUED" {
+	for i := 0; i < limit; i++ {
+		c.Send("SET", fmt.Sprintf("k%d", i), "v")
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < limit; i++ {
+		if r, err := c.Receive(); err != nil || r.Str != "QUEUED" {
 			t.Fatalf("queue %d: %+v, %v", i, r, err)
 		}
 	}
-	if _, err := c.Do("SET", "k4", "v"); err == nil || !strings.Contains(err.Error(), "queue exceeds") {
+	if _, err := c.Do("SET", "over", "v"); err == nil || !strings.Contains(err.Error(), "queue exceeds 1024") {
 		t.Fatalf("over-cap queue: %v", err)
 	}
 	if _, err := c.Do("EXEC"); err == nil || !strings.Contains(err.Error(), "EXECABORT") {

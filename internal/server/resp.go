@@ -35,10 +35,10 @@ import (
 // Parse limits. Conservative versions of Redis's own defaults, sized so
 // a single frame can never demand more memory than a legitimate value.
 const (
-	// DefaultMaxArgs bounds elements per command array.
-	DefaultMaxArgs = 1024
-	// DefaultMaxBulk bounds one bulk-string payload (keys and values).
-	DefaultMaxBulk = 8 << 20
+	// maxFrameArgs bounds elements per command array.
+	maxFrameArgs = 1024
+	// maxBulkBytes bounds one bulk-string payload (keys and values).
+	maxBulkBytes = 8 << 20
 	// maxInlineLen bounds one inline command line.
 	maxInlineLen = 64 << 10
 	// arenaRetainBytes is the largest argument arena a connection keeps
@@ -85,12 +85,6 @@ type respReader struct {
 var readerPool = sync.Pool{New: func() any { return &respReader{br: bufio.NewReader(nil)} }}
 
 func newRespReader(r io.Reader, maxArgs, maxBulk int) *respReader {
-	if maxArgs <= 0 {
-		maxArgs = DefaultMaxArgs
-	}
-	if maxBulk <= 0 {
-		maxBulk = DefaultMaxBulk
-	}
 	rr := readerPool.Get().(*respReader)
 	rr.br.Reset(r)
 	rr.maxArgs = maxArgs
@@ -321,7 +315,7 @@ func unexpectedEOF(err error) error {
 }
 
 // respWriter encodes replies onto a buffered writer. The buffer bound is
-// set by the connection (Config.WriteBufBytes); a full buffer writes
+// set by the connection (writeBufBytes); a full buffer writes
 // through to the socket, so per-connection reply memory stays bounded no
 // matter how deep the client pipelines.
 type respWriter struct {

@@ -10,7 +10,7 @@ import (
 
 func readAll(t *testing.T, input string) ([][][]byte, error) {
 	t.Helper()
-	r := newRespReader(strings.NewReader(input), 0, 0)
+	r := newRespReader(strings.NewReader(input), maxFrameArgs, maxBulkBytes)
 	var cmds [][][]byte
 	for {
 		args, err := r.ReadCommand()
@@ -198,7 +198,7 @@ func TestReadCommandZeroAllocs(t *testing.T) {
 	}
 	for name, frame := range frames {
 		t.Run(name, func(t *testing.T) {
-			r := newRespReader(&loopReader{data: []byte(frame)}, 0, 0)
+			r := newRespReader(&loopReader{data: []byte(frame)}, maxFrameArgs, maxBulkBytes)
 			defer r.release()
 			// Warm up so the arena and argument vector reach steady state.
 			for i := 0; i < 4; i++ {
@@ -253,7 +253,7 @@ func TestParseInt(t *testing.T) {
 func TestParserArenaReuse(t *testing.T) {
 	input := "*3\r\n$3\r\nSET\r\n$4\r\nkey1\r\n$4\r\nval1\r\n" +
 		"*3\r\n$3\r\nSET\r\n$4\r\nkey2\r\n$4\r\nval2\r\n"
-	r := newRespReader(strings.NewReader(input), 0, 0)
+	r := newRespReader(strings.NewReader(input), maxFrameArgs, maxBulkBytes)
 	first, err := r.ReadCommand()
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestParserArenaShrinks(t *testing.T) {
 	big := strings.Repeat("x", 1<<20)
 	input := "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1048576\r\n" + big + "\r\n" +
 		"*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"
-	r := newRespReader(strings.NewReader(input), 0, 0)
+	r := newRespReader(strings.NewReader(input), maxFrameArgs, maxBulkBytes)
 	if _, err := r.ReadCommand(); err != nil {
 		t.Fatal(err)
 	}

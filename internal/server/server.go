@@ -34,7 +34,7 @@
 //	COMMAND               QUIT
 //
 // Pipelining: commands are executed in arrival order and replies are
-// buffered (bounded by Config.WriteBufBytes) until the input buffer
+// buffered (bounded by writeBufBytes) until the input buffer
 // drains, so a deep pipeline costs one flush, not one per command.
 // Because single-key verbs always ride the async pipeline, a pipelined
 // burst of N commands coalesces into a handful of admission windows —
@@ -86,18 +86,19 @@ type Config struct {
 	// IdleTimeout bounds the wait for the next command on an idle
 	// connection. Default 5 minutes.
 	IdleTimeout time.Duration
-	// WriteBufBytes bounds per-connection buffered reply bytes before
-	// writing through to the socket. Default 64 KiB.
-	WriteBufBytes int
-	// MaxArgs and MaxBulkBytes bound a single command frame; see
-	// DefaultMaxArgs / DefaultMaxBulk.
-	MaxArgs      int
-	MaxBulkBytes int
-	// MaxMultiQueued caps commands queued inside one MULTI block; the
-	// block is marked aborted past the cap, so a client cannot buffer
-	// unbounded command memory server-side. Default 1024.
-	MaxMultiQueued int
 }
+
+// Per-connection bounds; a single command frame's are maxFrameArgs and
+// maxBulkBytes (resp.go).
+const (
+	// writeBufBytes bounds a connection's buffered reply bytes before
+	// they write through to the socket.
+	writeBufBytes = 64 << 10
+	// maxMultiQueued caps commands queued inside one MULTI block; the
+	// block is marked aborted past the cap, so a client cannot buffer
+	// unbounded command memory server-side.
+	maxMultiQueued = 1024
+)
 
 func (c *Config) applyDefaults() {
 	if c.MaxConns == 0 {
@@ -105,18 +106,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.WriteBufBytes == 0 {
-		c.WriteBufBytes = 64 << 10
-	}
-	if c.MaxArgs == 0 {
-		c.MaxArgs = DefaultMaxArgs
-	}
-	if c.MaxBulkBytes == 0 {
-		c.MaxBulkBytes = DefaultMaxBulk
-	}
-	if c.MaxMultiQueued == 0 {
-		c.MaxMultiQueued = 1024
 	}
 }
 
@@ -199,6 +188,9 @@ type Server struct {
 	store *shard.Store
 	cfg   Config
 
+	// writeBuf is writeBufBytes; only a test sets it lower (export_test.go).
+	writeBuf int
+
 	threads []*lockedThread
 	next    atomic.Uint64 // round-robin connection->thread assignment
 
@@ -217,9 +209,10 @@ type Server struct {
 func New(store *shard.Store, cfg Config) *Server {
 	cfg.applyDefaults()
 	s := &Server{
-		store: store,
-		cfg:   cfg,
-		conns: make(map[net.Conn]struct{}),
+		store:    store,
+		cfg:      cfg,
+		writeBuf: writeBufBytes,
+		conns:    make(map[net.Conn]struct{}),
 	}
 	for i := 0; i < store.NumThreads(); i++ {
 		s.threads = append(s.threads, &lockedThread{th: store.Thread(i)})
@@ -351,8 +344,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.dropConn(conn)
 
 	sess := &session{slot: s.threads[(s.next.Add(1)-1)%uint64(len(s.threads))]}
-	r := newRespReader(&countingReader{r: conn, n: s.m.bytesIn}, s.cfg.MaxArgs, s.cfg.MaxBulkBytes)
-	w := newRespWriter(&countingWriter{w: conn, n: s.m.bytesOut}, s.cfg.WriteBufBytes)
+	r := newRespReader(&countingReader{r: conn, n: s.m.bytesIn}, maxFrameArgs, maxBulkBytes)
+	w := newRespWriter(&countingWriter{w: conn, n: s.m.bytesOut}, s.writeBuf)
 	defer r.release()
 	defer w.release()
 
@@ -658,8 +651,8 @@ func (s *Server) dispatch(sess *session, w *respWriter, cmd *command, args [][]b
 	if cmd == unknownCommand {
 		msg = fmt.Sprintf("ERR unknown command '%s'", strings.ToLower(string(args[0])))
 	}
-	if msg == "" && sess.inMulti && len(sess.queued) >= s.cfg.MaxMultiQueued {
-		msg = fmt.Sprintf("ERR MULTI queue exceeds %d commands", s.cfg.MaxMultiQueued)
+	if msg == "" && sess.inMulti && len(sess.queued) >= maxMultiQueued {
+		msg = fmt.Sprintf("ERR MULTI queue exceeds %d commands", maxMultiQueued)
 	}
 	switch {
 	case msg != "":

@@ -23,14 +23,17 @@ func start(t *testing.T, cfg server.Config) (*shard.Store, string) {
 
 // serve opens a store with opt, serves it with cfg on an ephemeral
 // loopback port and, at cleanup, drains the server within drain and
-// closes the store.
-func serve(t *testing.T, opt core.Options, cfg server.Config, drain time.Duration) (*shard.Store, string) {
+// closes the store. Each tune runs on the server before it serves.
+func serve(t *testing.T, opt core.Options, cfg server.Config, drain time.Duration, tune ...func(*server.Server)) (*shard.Store, string) {
 	t.Helper()
 	store, err := shard.Open(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(store, cfg)
+	for _, f := range tune {
+		f(srv)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

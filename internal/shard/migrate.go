@@ -12,7 +12,7 @@ package shard
 //  1. catch-up   — pull the range with foreground traffic live; the
 //                  bulk of the data moves without blocking anyone.
 //  2. freeze     — install a placement snapshot whose migState gates
-//                  writes into the range (placeWrite spins them);
+//                  writes into the range (placeWrite parks them);
 //                  reads stay live against the source.
 //  3. drain+delta— flush the source shards' async pipelines, then pull
 //                  again: pull reads only the records some destination
@@ -164,9 +164,10 @@ func (s *Store) MigrateRange(r, dst int) error {
 		return err
 	}
 
-	// Freeze writes into the range; reads stay on the source.
+	// Freeze writes into the range; reads stay on the source. Writers
+	// parked on the freeze wake once the next placement is in.
 	frozen := m
-	frozen.frozen = true
+	frozen.frozen, frozen.thawed = true, make(chan struct{})
 	s.migMu.Lock()
 	s.pl.Store(&placement{epoch: p.epoch, tab: p.tab, mig: &frozen})
 	s.migMu.Unlock()
@@ -176,6 +177,7 @@ func (s *Store) MigrateRange(r, dst int) error {
 		s.migMu.Lock()
 		s.pl.Store(&placement{epoch: p.epoch, tab: p.tab})
 		s.migMu.Unlock()
+		close(frozen.thawed)
 		s.m.migAborts.Inc()
 		return err
 	}
@@ -194,6 +196,7 @@ func (s *Store) MigrateRange(r, dst int) error {
 	s.migMu.Lock()
 	s.pl.Store(&placement{epoch: p.epoch + 1, tab: nt, mig: &dual})
 	s.migMu.Unlock()
+	close(frozen.thawed)
 	s.hook("flipped")
 
 	// Settle: drain reads routed pre-flip, close the window, purge the

@@ -16,10 +16,7 @@ package shard
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/core"
@@ -126,88 +123,6 @@ func (bt *boundaryTable) withSplit(key []byte) (*boundaryTable, bool) {
 	return &boundaryTable{bounds: nb, owner: no}, true
 }
 
-// btMagic identifies an encoded boundary table.
-var btMagic = []byte("PBT1")
-
-// Encode serializes the table: magic, uvarint range count, one uvarint
-// owner per range (0 = hash-owned, else shard+1), then each bound as a
-// uvarint length plus bytes. The format round-trips through
-// decodeBoundaryTable (FuzzBoundaryTable pins this).
-func (bt *boundaryTable) Encode() []byte {
-	buf := append([]byte(nil), btMagic...)
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	putUvarint(uint64(len(bt.owner)))
-	for _, o := range bt.owner {
-		putUvarint(uint64(o + 1))
-	}
-	for _, b := range bt.bounds {
-		putUvarint(uint64(len(b)))
-		buf = append(buf, b...)
-	}
-	return buf
-}
-
-// decodeBoundaryTable parses an Encode()d table, validating structure
-// end to end: magic, range count in [1, maxRanges], owners within
-// [hashOwned, shards), non-empty strictly increasing bounds, no trailing
-// bytes.
-func decodeBoundaryTable(data []byte, shards int) (*boundaryTable, error) {
-	if len(data) < len(btMagic) || !bytes.Equal(data[:len(btMagic)], btMagic) {
-		return nil, errors.New("prism: boundary table: bad magic")
-	}
-	rd := data[len(btMagic):]
-	get := func() (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, errors.New("prism: boundary table: truncated varint")
-		}
-		rd = rd[n:]
-		return v, nil
-	}
-	nr, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if nr < 1 || nr > maxRanges {
-		return nil, fmt.Errorf("prism: boundary table: bad range count %d", nr)
-	}
-	bt := &boundaryTable{owner: make([]int, nr)}
-	for i := range bt.owner {
-		v, err := get()
-		if err != nil {
-			return nil, err
-		}
-		o := int(v) - 1
-		if o < hashOwned || o >= shards {
-			return nil, fmt.Errorf("prism: boundary table: owner %d out of range", o)
-		}
-		bt.owner[i] = o
-	}
-	for i := 0; i < int(nr)-1; i++ {
-		l, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if l == 0 || l > uint64(len(rd)) {
-			return nil, errors.New("prism: boundary table: bad bound length")
-		}
-		b := append([]byte(nil), rd[:l]...)
-		rd = rd[l:]
-		if i > 0 && bytes.Compare(bt.bounds[i-1], b) >= 0 {
-			return nil, errors.New("prism: boundary table: bounds not strictly increasing")
-		}
-		bt.bounds = append(bt.bounds, b)
-	}
-	if len(rd) != 0 {
-		return nil, errors.New("prism: boundary table: trailing bytes")
-	}
-	return bt, nil
-}
-
 // SelectSplitKeys picks up to n-1 split keys dividing the sampled keys
 // into n roughly equal-population ranges — the boundary-learning step
 // behind RebalanceRanges (samples come from core.SampleKeys). The input
@@ -259,7 +174,9 @@ type placement struct {
 }
 
 // migState describes the migration window over [lo, hi). frozen gates
-// writes into the range (they spin-wait for the flip); dual marks the
+// writes into the range: they park on thawed, which MigrateRange closes
+// once it has installed the next placement (the flip, or the abort's
+// restore); dual marks the
 // post-flip dual-read window during which a read that misses the
 // destination set entirely — no stamp record at all — may fall back to
 // the source set (srcSet), which has not yet been purged. dstSet is the
@@ -267,6 +184,7 @@ type placement struct {
 type migState struct {
 	lo, hi   []byte
 	frozen   bool
+	thawed   chan struct{}
 	dual     bool
 	srcOwner int // pre-flip owner; hashOwned when converting a hash range
 	srcSet   []int
@@ -348,17 +266,18 @@ func (s *Store) RangeBounds(r int) (lo, hi []byte) {
 }
 
 // placeWrite acquires the range-mode write guard (migMu.RLock, released
-// by the caller) for a write to kvs' keys, spin-waiting while any of
-// them sits in a frozen migration window (a batch lands in one
-// placement epoch): the freeze is the short stream-the-delta phase of
-// MigrateRange, and a pending flip (a writer waiting in migMu.Lock)
-// blocks new RLocks, so spinners drain into the flipped epoch naturally.
-// Hash mode has no guard.
+// by the caller) for a write to kvs' keys, blocking while any of them
+// sits in a frozen migration window (a batch lands in one placement
+// epoch): the freeze is the short stream-the-delta phase of
+// MigrateRange, and the window's thawed closes once the next placement
+// is installed, so parked writers retry in the flipped (or restored)
+// epoch. Hash mode has no guard.
 func (s *Store) placeWrite(kvs ...core.KV) {
 	waited := false
 	for {
 		s.migMu.RLock()
-		if m := s.pl.Load().mig; m == nil || !m.frozen || !m.containsAny(kvs) {
+		m := s.pl.Load().mig
+		if m == nil || !m.frozen || !m.containsAny(kvs) {
 			return
 		}
 		s.migMu.RUnlock()
@@ -366,7 +285,7 @@ func (s *Store) placeWrite(kvs ...core.KV) {
 			waited = true
 			s.m.migFrozenWaits.Inc()
 		}
-		runtime.Gosched()
+		<-m.thawed
 	}
 }
 

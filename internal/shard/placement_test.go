@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -371,11 +372,12 @@ func TestMigrateRangeMovesData(t *testing.T) {
 	}
 }
 
-// A write into a range whose migration is frozen parks until the flip —
-// migrate.frozen_waits counts it once — and then lands on the destination.
-func TestWriteParksOnFrozenWindow(t *testing.T) {
-	const n = 300
-	s := rng(t, 3, 1, quartiles(n, 3), nil)
+// parkOnFreeze migrates range 1 of a 3-shard range store holding keys
+// [0, n) and, once the freeze is in, puts key(n/2) from router thread 1;
+// held runs inside the freeze after the write has parked
+// (migrate.frozen_waits moved). It returns the destination shard.
+func parkOnFreeze(t *testing.T, s *Store, n int, held func()) int {
+	t.Helper()
 	th := s.Thread(0)
 	for i := 0; i < n; i++ {
 		if err := th.Put(key(i), value(i)); err != nil {
@@ -399,6 +401,7 @@ func TestWriteParksOnFrozenWindow(t *testing.T) {
 				t.Fatal("migrate.frozen_waits still 0 with a write into the frozen range outstanding")
 			}
 		}
+		held()
 	}
 	err := s.MigrateRange(1, dst)
 	s.migHook = nil
@@ -408,12 +411,59 @@ func TestWriteParksOnFrozenWindow(t *testing.T) {
 	if err := <-parked; err != nil {
 		t.Fatalf("parked write: %v", err)
 	}
+	return dst
+}
+
+// A write into a range whose migration is frozen parks until the flip —
+// migrate.frozen_waits counts it once — and then lands on the destination.
+func TestWriteParksOnFrozenWindow(t *testing.T) {
+	const n = 300
+	s := rng(t, 3, 1, quartiles(n, 3), nil)
+	dst := parkOnFreeze(t, s, n, func() {})
 	if got := reg(t, s).n("migrate.frozen_waits"); got != 1 {
 		t.Fatalf("migrate.frozen_waits = %d, want 1", got)
 	}
 	if v, err := s.Shard(dst).Thread(0).Get(key(n / 2)); err != nil || string(v) != "parked" {
 		t.Fatalf("destination holds %q, %v; want the parked write", v, err)
 	}
+}
+
+// A parked writer sleeps: held open for 100 ms, the freeze finds the
+// writer's goroutine blocked on the window every time it looks, never
+// runnable, so a long freeze costs its parked writers no CPU.
+func TestFrozenWriterSleeps(t *testing.T) {
+	const n = 300
+	s := rng(t, 3, 1, quartiles(n, 3), nil)
+	var states []string
+	parkOnFreeze(t, s, n, func() {
+		for i := 0; i < 20; i++ {
+			time.Sleep(5 * time.Millisecond)
+			states = append(states, goroutineState(t, "shard.(*Store).placeWrite("))
+		}
+	})
+	for i, st := range states {
+		if st != "chan receive" {
+			t.Fatalf("look %d of %d into the freeze: the parked writer's goroutine is %q, want blocked on the window (chan receive)", i+1, len(states), st)
+		}
+	}
+}
+
+// goroutineState returns the scheduler state runtime.Stack prints for the
+// one goroutine whose stack has frame in it: "runnable", "chan receive",
+// and so on.
+func goroutineState(t *testing.T, frame string) string {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, frame) { // "goroutine 7 [chan receive]:\n..."
+			st, _, _ := strings.Cut(g[strings.Index(g, "[")+1:], "]")
+			st, _, _ = strings.Cut(st, ",") // ", 2 minutes"
+			return st
+		}
+	}
+	t.Fatalf("no goroutine has %s on its stack", frame)
+	return ""
 }
 
 // The freeze's delta pass reads only the records a destination lacks:

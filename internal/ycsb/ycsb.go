@@ -94,20 +94,20 @@ func MixOf(w Workload) Mix {
 	panic(fmt.Sprintf("ycsb: unknown workload %q", byte(w)))
 }
 
+// maxScanLen bounds a scan's length, drawn uniformly from [1, maxScanLen]
+// (YCSB's default: 100, avg ~50).
+const maxScanLen = 100
+
 // Config parameterizes a workload run.
 type Config struct {
 	Workload    Workload
 	Records     uint64  // loaded record count (keyspace size)
 	Zipfian     float64 // request-distribution skew; 0 disables (uniform)
-	MaxScanLen  int     // uniform in [1, MaxScanLen]; default 100 (avg ~50)
 	ValueSize   int     // bytes per value; default 1024 (paper: 1 KB)
 	InsertStart uint64  // next record number for inserts (default Records)
 }
 
 func (c *Config) applyDefaults() {
-	if c.MaxScanLen == 0 {
-		c.MaxScanLen = 100
-	}
 	if c.ValueSize == 0 {
 		c.ValueSize = 1024
 	}
@@ -204,7 +204,7 @@ func (g *Generator) Next() Op {
 	case p < g.mix.InsertPct+g.mix.UpdatePct+g.mix.ReadPct:
 		return Op{Kind: OpRead, Key: Key(g.chooseExisting())}
 	default:
-		return Op{Kind: OpScan, Key: Key(g.chooseExisting()), ScanLen: 1 + g.rng.Intn(g.cfg.MaxScanLen)}
+		return Op{Kind: OpScan, Key: Key(g.chooseExisting()), ScanLen: 1 + g.rng.Intn(maxScanLen)}
 	}
 }
 

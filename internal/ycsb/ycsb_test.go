@@ -68,7 +68,7 @@ func TestLoadIsAllInsertsWithUniqueKeys(t *testing.T) {
 }
 
 func TestScanWorkloadProducesScans(t *testing.T) {
-	cfg := Config{Workload: WorkloadE, Records: 1000, MaxScanLen: 100}
+	cfg := Config{Workload: WorkloadE, Records: 1000}
 	g := NewGenerator(cfg, NewShared(cfg), 3)
 	scans, totalLen := 0, 0
 	for i := 0; i < 10000; i++ {
