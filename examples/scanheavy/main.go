@@ -4,10 +4,10 @@
 // eviction-time sort-and-rewrite, the range sits contiguously in one
 // chunk and later scans coalesce into fewer, larger reads. A scan's
 // reads are in flight together, so every scan waits about one SSD read
-// latency: what the rewrite saves is IOs (50 -> 1 here), not time. The
-// cache admits a scanned row on its second touch — a range scanned once
-// costs it nothing and is never rewritten — so the range is scanned twice
-// before the flood.
+// latency: what the rewrite saves is IOs (50 -> 1 here), not time. A
+// scan caches its rows on flash only as a whole range, once every one of
+// them was touched before — a range scanned once costs the cache nothing
+// and is never rewritten — so the range is scanned twice before the flood.
 package main
 
 import (
@@ -67,9 +67,9 @@ func main() {
 	}
 
 	scan("first scan (scattered):")
-	fmt.Printf("rows cached: %d (first touch: remembered, not admitted)\n", count(store.Metrics(), "svc.entries"))
+	fmt.Printf("rows cached: %d (first touch: marked, not admitted)\n", count(store.Metrics(), "svc.entries"))
 	scan("second scan (scattered):")
-	fmt.Printf("rows cached: %d (second touch: admitted and chained)\n", count(store.Metrics(), "svc.entries"))
+	fmt.Printf("rows cached: %d (every row touched before: admitted whole and chained)\n", count(store.Metrics(), "svc.entries"))
 
 	// The scanned values are now chained in the SVC. Flood the cache so
 	// the chain evicts, triggering the background sort-and-rewrite of the

@@ -11,9 +11,10 @@ import (
 // one tracker. "Was this key read recently" gates what the SVC admits:
 // three sources publish values in the cache, all through admitToSVC — a
 // point read that went to the SSD (always: the paper's rule, §4.4), a
-// scan row read from the SSD that had been read before, and a record the
-// reclaimer moves from the PWB to Value Storage that had been read
-// before. "Does this key deserve fast media" steers tiering (hotIdx).
+// scan's Value Storage rows when every one of them had been touched
+// before, and a record the reclaimer moves from the PWB to Value Storage
+// that had been point-read before. "Does this key deserve fast media"
+// steers tiering (hotIdx).
 
 // plane is one volatile bit per HSIT slot, and how many are set.
 type plane struct {
@@ -68,12 +69,15 @@ func (p *plane) clear() {
 	p.n.Store(0)
 }
 
-// popularity is the store's one popularity tracker: up to three planes.
+// popularity is the store's one popularity tracker: up to four planes.
 //
-// read is set by every point read (whichever medium served it) and by a
-// scan's touch of a Value Storage row. It forgets by clearing itself
-// whenever readLimit() bits are set, so on average it remembers half
-// that many distinct slots. A store without an SVC keeps one too — 8 KiB
+// read is set by every point read, whichever medium served it. scanned is
+// set by a scan's touch of a Value Storage row, and by nothing else: a
+// scan touches a row whether or not anybody wants it, so its touches
+// neither age the point reads' plane nor count as a point read to the
+// reclaimer's hand-off or to tier steering. Each clears itself whenever
+// readLimit() of its bits are set, so on average it remembers half that
+// many distinct slots. A store without an SVC keeps both — 8 KiB each
 // per 64k slots — that nothing asks.
 //
 // written and again exist only when tiering is armed, and are set by a
@@ -90,15 +94,16 @@ func (p *plane) clear() {
 // is DRAM and cleared by a crash, which is safe: placement already made
 // persists in Value Storage, and the bits re-accumulate with traffic.
 type popularity struct {
-	read, written, again plane
-	readLimit            func() int64
-	writeLimit           int64
+	read, scanned, written, again plane
+	readLimit                     func() int64
+	writeLimit                    int64
 }
 
 func newPopularity(slots int, tiered bool, readLimit func() int64) *popularity {
 	words := (slots + 63) / 64
 	p := &popularity{readLimit: readLimit, writeLimit: int64(slots) / 4}
 	p.read.bits = make([]atomic.Uint64, words)
+	p.scanned.bits = make([]atomic.Uint64, words)
 	if tiered {
 		p.written.bits = make([]atomic.Uint64, words)
 		p.again.bits = make([]atomic.Uint64, words)
@@ -106,17 +111,27 @@ func newPopularity(slots int, tiered bool, readLimit func() int64) *popularity {
 	return p
 }
 
-// mark records a read of idx and reports whether one was on record
-// already. Only a new bit looks at the limit.
-func (p *popularity) mark(idx uint64) bool {
-	if p.read.has(idx) {
+// touch sets idx in pl and reports whether it was set already. Only a new
+// bit looks at the limit.
+func (p *popularity) touch(pl *plane, idx uint64) bool {
+	if pl.has(idx) {
 		return true
 	}
-	if p.read.n.Load() >= p.readLimit() {
-		p.read.clear()
+	if pl.n.Load() >= p.readLimit() {
+		pl.clear()
 	}
-	p.read.set(idx)
+	pl.set(idx)
 	return false
+}
+
+// mark records a point read of idx and reports whether one was on record
+// already.
+func (p *popularity) mark(idx uint64) bool { return p.touch(&p.read, idx) }
+
+// scan records a scan's touch of idx and reports whether the slot was
+// touched before, by a scan or a point read.
+func (p *popularity) scan(idx uint64) bool {
+	return p.touch(&p.scanned, idx) || p.read.has(idx)
 }
 
 // wrote records a put's publish at idx.
@@ -138,6 +153,7 @@ func (p *popularity) wrote(idx uint64) {
 // key, which nobody has read or written.
 func (p *popularity) forget(idx uint64) {
 	p.read.drop(idx)
+	p.scanned.drop(idx)
 	if p.written.bits != nil {
 		p.written.drop(idx)
 		p.again.drop(idx)
@@ -146,16 +162,19 @@ func (p *popularity) forget(idx uint64) {
 
 func (p *popularity) clear() {
 	p.read.clear()
+	p.scanned.clear()
 	p.written.clear()
 	p.again.clear()
 }
 
-// recentSpan is how many cache capacities of distinct slots the filter
-// may hold before it clears. The filter has to outlast the gap between a
-// key's reads for as long as the cache could have kept the key, and no
-// longer: at 8 it never clears on a 40k-key space and admits everything
-// ever read, at 1 it forgets keys the cache still holds (ISSUE 17:
-// mixed-nutanix 184 / 194 / 195 virt_kops at 8 / 1 / 2).
+// recentSpan is how many cache capacities of distinct slots a read or
+// scanned plane may hold before it clears. The read plane has to outlast
+// the gap between a key's reads for as long as the cache could have kept
+// the key, and no longer: at 8 it never clears on a 40k-key space and
+// admits everything ever read, at 1 it forgets keys the cache still holds
+// (mixed-nutanix 184 / 194 / 195 virt_kops at 8 / 1 / 2, one plane for
+// point reads and scans). Re-checked with the planes split: 295 and 303
+// at 1, 302 and 301 at 2, 282 and 282 at 4 (seeds 1 and 2).
 const recentSpan = 2
 
 // recentLimit is the filter's limit: recentSpan times the number of

@@ -287,23 +287,44 @@ func scanAll(t *testing.T, th *Thread, from, n int) {
 	}
 }
 
-// TestScanRowsAdmittedOnSecondTouch: the first scan over rows on flash
-// only sets their read-recency bits; the second admits them; the third
-// is served from the cache. A point read counts as a touch too.
-func TestScanRowsAdmittedOnSecondTouch(t *testing.T) {
+// uncache retracts key's cache entry the way a reader's currency check
+// does, and waits for the cache manager to drop it.
+func uncache(t *testing.T, s *Store, key []byte) {
+	t.Helper()
+	idx := mustIdxOf(t, s, key)
+	if h := s.table.SVC(nil, idx); h != 0 && s.table.CasSVC(nil, idx, h, 0) {
+		s.cache.Invalidate(idx, h)
+	}
+	s.cache.Sync()
+}
+
+// TestScanCachesARangeWhole: a scan admits its rows on flash only when
+// every one of them was touched before. The first scan of a range only
+// marks it; an overlapping scan that brings new rows admits none of its
+// old ones either, since the next scan of that range would wait for the
+// SSD anyway; the scan after it admits the whole range, and the next one
+// reads no flash. A point read counts as a touch too.
+func TestScanCachesARangeWhole(t *testing.T) {
 	s, th := vsOnlyStore(t, 40, apart, nil)
 	scanAll(t, th, 0, 20)
 	if st := reg(t, s); st.n("svc.scan_deferred") != 20 || st.n("svc.entries") != 0 {
 		t.Fatalf("first scan: %d rows deferred, %d admitted; want 20, 0", st.n("svc.scan_deferred"), st.n("svc.entries"))
 	}
 	scanAll(t, th, 10, 20) // rows 10-19 again, rows 20-29 for the first time
-	if st := reg(t, s); st.n("svc.scan_deferred") != 30 || st.n("svc.entries") != 10 {
-		t.Fatalf("overlapping scan: %d rows deferred, %d admitted; want 30, 10", st.n("svc.scan_deferred"), st.n("svc.entries"))
+	if st := reg(t, s); st.n("svc.scan_deferred") != 40 || st.n("svc.entries") != 0 {
+		t.Fatalf("overlapping scan: %d rows deferred, %d admitted; want 40, 0", st.n("svc.scan_deferred"), st.n("svc.entries"))
+	}
+	scanAll(t, th, 10, 20)
+	if st := reg(t, s); st.n("svc.scan_deferred") != 40 || st.n("svc.entries") != 20 {
+		t.Fatalf("third scan, of a range touched whole: %d rows deferred, %d admitted; want 40, 20", st.n("svc.scan_deferred"), st.n("svc.entries"))
 	}
 	ios := ssdReads(s)
-	scanAll(t, th, 10, 10)
-	if st := reg(t, s); ssdReads(s) != ios || st.n("core.read_path", "source", "svc") != 10 {
-		t.Fatalf("third scan of rows 10-19: %d SSD read IOs, %d SVC hits", ssdReads(s)-ios, st.n("core.read_path", "source", "svc"))
+	scanAll(t, th, 10, 20)
+	if st := reg(t, s); ssdReads(s) != ios || st.n("core.read_path", "source", "svc") != 20 {
+		t.Fatalf("fourth scan of rows 10-29: %d SSD read IOs, %d SVC hits", ssdReads(s)-ios, st.n("core.read_path", "source", "svc"))
+	}
+	if s.pop.read.n.Load() != 0 || s.pop.scanned.n.Load() != 30 {
+		t.Fatalf("four scans left %d bits in the read plane and %d in the scanned plane; want 0, 30", s.pop.read.n.Load(), s.pop.scanned.n.Load())
 	}
 
 	// Every point read admits what it fetched from flash, first touch or
@@ -317,15 +338,34 @@ func TestScanRowsAdmittedOnSecondTouch(t *testing.T) {
 		t.Fatalf("MultiGet of two rows on flash: %d entries admitted, %d deferred", st.n("svc.entries")-before.n("svc.entries"), st.n("svc.scan_deferred")-before.n("svc.scan_deferred"))
 	}
 	if !s.pop.read.has(mustIdxOf(t, s, aKey(30))) || s.pop.read.has(mustIdxOf(t, s, aKey(32))) {
-		t.Fatal("the filter holds exactly the rows somebody read")
+		t.Fatal("the read plane holds exactly the rows somebody point-read")
+	}
+	// Rows 30-39 point-read, then out of the cache: the first scan of them
+	// finds every row touched and caches the range whole.
+	for i := 32; i < 40; i++ {
+		mustGet(t, th, aKey(i))
+	}
+	for i := 30; i < 40; i++ {
+		uncache(t, s, aKey(i))
+	}
+	before = reg(t, s)
+	scanAll(t, th, 30, 10)
+	if st := reg(t, s); st.n("svc.scan_deferred") != before.n("svc.scan_deferred") || st.n("svc.entries") != before.n("svc.entries")+10 {
+		t.Fatalf("first scan of point-read rows: %d deferred, %d admitted; want 0, 10", st.n("svc.scan_deferred")-before.n("svc.scan_deferred"), st.n("svc.entries")-before.n("svc.entries"))
+	}
+	ios = ssdReads(s)
+	scanAll(t, th, 30, 10)
+	if ssdReads(s) != ios {
+		t.Fatalf("the scan after it made %d SSD read IOs, want 0", ssdReads(s)-ios)
 	}
 }
 
 // TestReadRowsKeepsScanAdmission: the row half of a scan on its own — what
 // the shard router calls once its merge has chosen the rows — admits like
 // a scan, not like the MultiGet it resembles: the first ReadRows over rows
-// on flash defers every one, the second admits them, the third is served
-// from the cache; and the lookup alone is not a touch.
+// on flash defers every one and marks them on the scanned plane, not the
+// read plane; the second admits them whole, the third is served from the
+// cache; and the lookup alone is not a touch.
 func TestReadRowsKeepsScanAdmission(t *testing.T) {
 	s, th := vsOnlyStore(t, 40, apart, nil)
 	var keys [][]byte
@@ -348,8 +388,9 @@ func TestReadRowsKeepsScanAdmission(t *testing.T) {
 		}
 	}
 	readRows()
-	if st := reg(t, s); st.n("svc.scan_deferred") != 20 || st.n("svc.entries") != 0 || s.pop.read.n.Load() != 20 {
-		t.Fatalf("first ReadRows: %d rows deferred, %d admitted, %d marked; want 20, 0, 20", st.n("svc.scan_deferred"), st.n("svc.entries"), s.pop.read.n.Load())
+	if st := reg(t, s); st.n("svc.scan_deferred") != 20 || st.n("svc.entries") != 0 || s.pop.scanned.n.Load() != 20 || s.pop.read.n.Load() != 0 {
+		t.Fatalf("first ReadRows: %d rows deferred, %d admitted, %d scanned and %d read bits; want 20, 0, 20, 0",
+			st.n("svc.scan_deferred"), st.n("svc.entries"), s.pop.scanned.n.Load(), s.pop.read.n.Load())
 	}
 	readRows()
 	if st := reg(t, s); st.n("svc.scan_deferred") != 20 || st.n("svc.entries") != 20 {
@@ -365,8 +406,8 @@ func TestReadRowsKeepsScanAdmission(t *testing.T) {
 	}
 
 	// Rows the PWB serves never reach the Value Storage batch, where a
-	// scan's touches are recorded: their lookups leave the filter alone. A
-	// key that is gone comes back nil.
+	// scan's touches are recorded: their lookups leave both planes alone.
+	// A key that is gone comes back nil.
 	fresh := [][]byte{[]byte("c0"), []byte("c1"), []byte("c2")}
 	for _, k := range fresh {
 		if err := th.Put(k, []byte("v")); err != nil {
@@ -380,8 +421,61 @@ func TestReadRowsKeepsScanAdmission(t *testing.T) {
 	if err != nil || string(vals[0]) != "v" || vals[1] != nil || string(vals[2]) != "v" {
 		t.Fatalf("ReadRows of PWB rows = %q, %v", vals, err)
 	}
-	if n := s.pop.read.n.Load(); n != 20 {
-		t.Fatalf("%d bits in the read filter after ReadRows of rows in the PWB, want the 20 from flash", n)
+	if sc, rd := s.pop.scanned.n.Load(), s.pop.read.n.Load(); sc != 20 || rd != 0 {
+		t.Fatalf("%d scanned and %d read bits after ReadRows of rows in the PWB, want the 20 scanned from flash and 0", sc, rd)
+	}
+}
+
+// TestScansLeaveThePointReadFilter: scans over many times the filter's
+// limit of distinct rows on flash neither age the read plane nor make
+// the reclaimer forget who was point-read: every hot key, overwritten
+// after the scans, is handed to the cache by the next pass. Scans that
+// marked the read plane would clear it several times over here, and the
+// pass would hand over none of the hot keys.
+func TestScansLeaveThePointReadFilter(t *testing.T) {
+	const (
+		capacity = 200 // entries: 608-byte entries in 120 KiB
+		hot      = 50
+		rows     = 10 * capacity
+	)
+	s, th := vsOnlyStore(t, hot+rows, apart, func(o *Options) {
+		o.SVCBytes = capacity * (512 + 96)
+		o.SSDBytes = 32 << 20
+		o.HSITCapacity = 1 << 16
+		o.reclaimWatermark = 0.95
+	})
+	for i := 0; i < hot; i++ {
+		mustGet(t, th, aKey(i))
+	}
+	s.cache.Sync()
+	limit, marked := s.recentLimit(), s.pop.read.n.Load()
+	if marked != hot || 4*limit > rows {
+		t.Fatalf("%d read bits after %d point reads, filter limit %d; the test wants %d and at least 4 limits of scanned rows", marked, hot, limit, hot)
+	}
+	for from := hot; from < hot+rows; from += 100 {
+		scanAll(t, th, from, 100)
+	}
+	if n := s.pop.read.n.Load(); n != marked {
+		t.Fatalf("%d scanned rows (%d filter limits) moved the read plane from %d bits to %d", rows, rows/limit, marked, n)
+	}
+	for i := 0; i < hot; i++ {
+		if !s.pop.read.has(mustIdxOf(t, s, aKey(i))) {
+			t.Fatalf("hot key %d fell off the read plane during the scans", i)
+		}
+	}
+	for i := 0; i < hot; i++ {
+		if err := th.Put(aKey(i), aValue(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.cache.Sync()
+	before := reg(t, s)
+	p := s.newThread(0, sim.NewRNG(1), nil, nil)
+	p.Clk.Reset(th.Clk.Now())
+	pass(p)
+	st := reg(t, s)
+	if moved, handed := st.n("pwb.live_migrated")-before.n("pwb.live_migrated"), st.n("svc.reclaim_admits"); moved != hot || handed != hot {
+		t.Fatalf("the pass migrated %d of the %d overwritten hot keys and handed %d to the cache; want all %d", moved, hot, handed, hot)
 	}
 }
 

@@ -81,8 +81,8 @@ func (f *frame) rewind(present int64) int64 {
 // idx), then the fast paths — and reports when the step ended and whether
 // it resolved the item: a Value Storage resident is in t.pending instead,
 // for readBatch. point says the lookup is a point read, which goes on
-// record in the read-recency filter; a scan's row does not (readVSBatch
-// marks the ones it fetched from Value Storage).
+// record in the read plane; a scan's row does not (readVSBatch marks the
+// ones it fetched from Value Storage in the scanned plane).
 func (f *frame) read(it *scanItem, lookup, point bool) (at int64, resolved bool) {
 	t := f.t
 	f.step()

@@ -266,8 +266,8 @@ func (t *Thread) invalidateOld(idx uint64, old hsit.Pointer, svc uint64) {
 // Get returns the current value for key. Resolution order is the paper's
 // fast-path order: SVC (DRAM) -> PWB (NVM) -> Value Storage (SSD, via
 // thread combining), admitting SSD-read values into the SVC (§4.4).
-// Whichever medium serves it, the read goes on record in the read-recency
-// filter (admit.go).
+// Whichever medium serves it, the read goes on record in the popularity
+// tracker's read plane (admit.go).
 func (t *Thread) Get(key []byte) ([]byte, error) {
 	s := t.s
 	if s.closed.Load() {
@@ -578,8 +578,9 @@ func (t *Thread) walk(start []byte, count int, fn func(key []byte, idx uint64) b
 // holds the same keys — as a scan resolves its rows (see readRows), each
 // row's step starting with the key's lookup, and appends one value per key
 // to vals (nil: the key is gone since the walk), returning the extended
-// slice. The lookups are a scan's, not point reads: they leave no mark in
-// the read-recency filter.
+// slice. The lookups are a scan's, not point reads: they leave no mark on
+// the read plane, and the rows read from flash are marked on the scanned
+// plane as a local scan's are.
 func (t *Thread) ReadRows(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	s := t.s
 	if s.closed.Load() {
@@ -619,7 +620,7 @@ func (t *Thread) itemsFor(keys [][]byte) []scanItem {
 // only in Value Storage are fetched as one asynchronous batch of merged
 // extents, issued when the last such row has resolved (see readVSBatch:
 // the scan waits about one SSD read latency for all of them, not one per
-// extent); those the read-recency filter has seen before are admitted to
+// extent); when every one of them was touched before they are admitted to
 // the SVC, chained together so that an eviction rewrites the range into
 // one chunk (§4.4 scan acceleration).
 func (t *Thread) readRows(items []scanItem, lookup bool) {
@@ -678,13 +679,16 @@ type located struct {
 // mergeGap bytes) coalesce into one IO — this is why the SVC's sorted
 // rewrite reduces scan IO — and all extents are in flight together (see
 // readVS for the timing). scan selects what is specific to a range scan:
-// a row is admitted to the SVC on its second touch only — the first sets
-// its bit in the read-recency filter, so a one-pass scan does not flush
-// the point reads' working set — and the admitted rows are chained for
-// the eviction-time rewrite (§4.4). MultiGet and the async window share
-// the merged-read machinery, but theirs are point reads: every one is
-// admitted (their bits were set at lookup), and their keys are not a
-// key-ordered range, so chaining them would invite pointless rewrites.
+// its rows are admitted to the SVC as a whole range or not at all — only
+// when every one of them was touched before, by a scan or a point read —
+// and the admitted rows are chained for the eviction-time rewrite (§4.4).
+// A scan waits for its slowest row, so caching part of a range saves the
+// next scan nothing and costs the point reads' working set the space.
+// Every row's touch goes on the scanned plane, never the read plane. MultiGet
+// and the async window share the merged-read machinery, but theirs are
+// point reads: every one is admitted (their bits were set at lookup), and
+// their keys are not a key-ordered range, so chaining them would invite
+// pointless rewrites.
 func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	if len(pending) == 0 {
 		return
@@ -755,25 +759,33 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	// Admit the batch to the SVC and chain it in key order (§4.4). A
 	// range served by one merged extent is already contiguous on the
 	// SSD — chaining it would only invite a pointless rewrite later.
-	if s.cache != nil {
-		chain := scan && !s.opt.DisableScanSort && len(reqs) > 1
-		var handles []uint64 // the cache keeps a chain's slice: no scratch
-		var deferred int64
+	if s.cache == nil {
+		return
+	}
+	if scan {
+		rows, whole := int64(0), true
 		for _, it := range pending {
-			if it.val == nil || it.p.IsNil() {
-				continue
-			}
-			if scan && !s.pop.mark(it.idx) {
-				deferred++
-				continue
-			}
-			if h, ok := s.admitToSVC(t.Clk, it.idx, it.ver, it.val); ok && chain {
-				handles = append(handles, h)
+			if it.val != nil && !it.p.IsNil() {
+				rows++
+				whole = s.pop.scan(it.idx) && whole
 			}
 		}
-		s.stats.scanDeferred.Add(deferred)
-		s.cache.LinkChain(handles)
+		if !whole {
+			s.stats.scanDeferred.Add(rows)
+			return
+		}
 	}
+	chain := scan && !s.opt.DisableScanSort && len(reqs) > 1
+	var handles []uint64 // the cache keeps a chain's slice: no scratch
+	for _, it := range pending {
+		if it.val == nil || it.p.IsNil() {
+			continue
+		}
+		if h, ok := s.admitToSVC(t.Clk, it.idx, it.ver, it.val); ok && chain {
+			handles = append(handles, h)
+		}
+	}
+	s.cache.LinkChain(handles)
 }
 
 // extent returns the end of the extent that starts at locs[i] and the

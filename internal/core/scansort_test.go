@@ -37,8 +37,9 @@ func TestScanSortRewrite(t *testing.T) {
 
 	// Scan a range twice, then flood the cache so the chain evicts and the
 	// rewrite hook runs. Twice is the admission rule, not a workaround: a
-	// scan row enters the SVC (and its range's chain) on its second touch,
-	// so a range scanned once is never chained and never rewritten.
+	// scan's rows enter the SVC (and its range's chain) only once every one
+	// of them was touched before, so a range scanned once is never chained
+	// and never rewritten.
 	scanReads := func() int64 {
 		before := reg(t, s).n("core.read_path", "source", "vs")
 		count := 0

@@ -38,9 +38,9 @@ func pickTiers(devs []*ssd.Device) (fast, capacity int) {
 }
 
 // hotIdx is the reclaim- and demotion-time classification: written at
-// least twice or read, recently. Two DRAM bit tests; the read plane
-// stands in for "in the SVC, or was", since every path into the cache
-// sets or requires that bit.
+// least twice or point-read, recently. Two DRAM bit tests; the read plane
+// stands in for "in the SVC, or was", since every path into the cache but
+// a scan's sets or requires that bit. A key only scanned is not hot.
 func (s *Store) hotIdx(idx uint64) bool {
 	return s.pop.again.has(idx) || s.cache != nil && s.pop.read.has(idx)
 }

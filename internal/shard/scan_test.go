@@ -92,9 +92,9 @@ func TestMergedScanReadsEachRowOnce(t *testing.T) {
 			if n := cold.n("core.ops", "op", "scan"); n != int64(tc.asked) {
 				t.Errorf("cold: %d shards asked, want %d", n, tc.asked)
 			}
-			// Each shard admits a row on its second touch there, and the
-			// covering set rotates: a few scans and every row is cached
-			// wherever the scan reads it.
+			// Each shard caches the rows it reads once every one of them
+			// was touched there before, and the covering set rotates: a
+			// few scans and every row is cached wherever the scan reads it.
 			var warm reading
 			for i := 0; i < 4*tc.shards; i++ {
 				if warm = scan(); warm.n("core.read_path", "source", "vs") == 0 {
