@@ -69,7 +69,7 @@ func (p *plane) clear() {
 	p.n.Store(0)
 }
 
-// popularity is the store's one popularity tracker: up to four planes.
+// popularity is the store's one popularity tracker: up to five planes.
 //
 // read is set by every point read, whichever medium served it. scanned is
 // set by a scan's touch of a Value Storage row, and by nothing else: a
@@ -79,6 +79,12 @@ func (p *plane) clear() {
 // readLimit() of its bits are set, so on average it remembers half that
 // many distinct slots. A store without an SVC keeps both — 8 KiB each
 // per 64k slots — that nothing asks.
+//
+// cached is set when an overwrite or delete unpublishes the slot's SVC
+// entry (invalidateOld), and dropped when the reclaimer's hand-off looks
+// at the slot: the new value takes the old one's place in the cache, on
+// the protected list if the key was point-read recently too. It never
+// ages, and holds at most one bit per entry the cache dropped that way.
 //
 // written and again exist only when tiering is armed, and are set by a
 // put's publish: the first write of a slot sets written, a later one
@@ -94,9 +100,9 @@ func (p *plane) clear() {
 // is DRAM and cleared by a crash, which is safe: placement already made
 // persists in Value Storage, and the bits re-accumulate with traffic.
 type popularity struct {
-	read, scanned, written, again plane
-	readLimit                     func() int64
-	writeLimit                    int64
+	read, scanned, cached, written, again plane
+	readLimit                             func() int64
+	writeLimit                            int64
 }
 
 func newPopularity(slots int, tiered bool, readLimit func() int64) *popularity {
@@ -104,6 +110,7 @@ func newPopularity(slots int, tiered bool, readLimit func() int64) *popularity {
 	p := &popularity{readLimit: readLimit, writeLimit: int64(slots) / 4}
 	p.read.bits = make([]atomic.Uint64, words)
 	p.scanned.bits = make([]atomic.Uint64, words)
+	p.cached.bits = make([]atomic.Uint64, words)
 	if tiered {
 		p.written.bits = make([]atomic.Uint64, words)
 		p.again.bits = make([]atomic.Uint64, words)
@@ -154,6 +161,7 @@ func (p *popularity) wrote(idx uint64) {
 func (p *popularity) forget(idx uint64) {
 	p.read.drop(idx)
 	p.scanned.drop(idx)
+	p.cached.drop(idx)
 	if p.written.bits != nil {
 		p.written.drop(idx)
 		p.again.drop(idx)
@@ -163,6 +171,7 @@ func (p *popularity) forget(idx uint64) {
 func (p *popularity) clear() {
 	p.read.clear()
 	p.scanned.clear()
+	p.cached.clear()
 	p.written.clear()
 	p.again.clear()
 }
@@ -173,8 +182,9 @@ func (p *popularity) clear() {
 // the key, and no longer: at 8 it never clears on a 40k-key space and
 // admits everything ever read, at 1 it forgets keys the cache still holds
 // (mixed-nutanix 184 / 194 / 195 virt_kops at 8 / 1 / 2, one plane for
-// point reads and scans). Re-checked with the planes split: 295 and 303
-// at 1, 302 and 301 at 2, 282 and 282 at 4 (seeds 1 and 2).
+// point reads and scans). Re-checked with the planes split, scan hits
+// kept on probation and overwrites keeping their place: 341 and 345 at 1,
+// 349 and 346 at 2, 342 and 340 at 4 (seeds 1 and 2).
 const recentSpan = 2
 
 // recentLimit is the filter's limit: recentSpan times the number of
@@ -198,12 +208,14 @@ func (s *Store) recentLimit() int64 {
 // publish version under which value is known to be current: the one a
 // reader observed before the pointer load its read resolved, or the one
 // the reclaimer's own PublishIf installed. Admission is aborted if the
-// entry has moved on since.
-func (s *Store) admitToSVC(clk *sim.Clock, idx uint64, ver uint64, value []byte) (handle uint64, admitted bool) {
+// entry has moved on since. protect admits to the active list instead of
+// probation.
+func (s *Store) admitToSVC(clk *sim.Clock, idx uint64, ver uint64, value []byte, protect bool) (handle uint64, admitted bool) {
 	if s.cache == nil || ver&1 != 0 {
 		return 0, false
 	}
 	e := s.cache.Admit(idx, ver, nil, value)
+	e.Protected = protect
 	if !s.table.CasSVC(clk, idx, 0, e.Handle()) {
 		s.cache.AbortAdmit(e)
 		return 0, false
@@ -234,18 +246,26 @@ func (s *Store) admitToSVC(clk *sim.Clock, idx uint64, ver uint64, value []byte)
 
 // handOff is the reclaimer's admission: value — still in the ring — has
 // just been published at its Value Storage location under ver, and if the
-// key was read recently the next read should not pay an SSD read for
-// bytes the pass has in its hands. It is advisory: Published waits for a
-// slot in the cache manager's queue, and a pass holds its ring's lock
-// (the owner may be asleep in pwb.Wait for this pass), so with the queue
-// half full the hand-off is skipped and counted.
+// key was read recently, or its overwrite dropped a cached copy, the next
+// read should not pay an SSD read for bytes the pass has in its hands. A
+// key that is both keeps its place on the protected list; the cached bit
+// is spent either way. It is advisory: Published waits for a slot in the
+// cache manager's queue, and a pass holds its ring's lock (the owner may
+// be asleep in pwb.Wait for this pass), so with the queue half full the
+// hand-off is skipped and counted.
 func (s *Store) handOff(clk *sim.Clock, idx, ver uint64, value []byte) {
-	if s.cache == nil || !s.pop.read.has(idx) {
+	if s.cache == nil {
+		return
+	}
+	read, cached := s.pop.read.has(idx), s.pop.cached.has(idx)
+	if cached {
+		s.pop.cached.drop(idx)
+	} else if !read {
 		return
 	}
 	if s.cache.Backlogged() {
 		s.stats.reclaimAdmitSkips.Add(1)
-	} else if _, ok := s.admitToSVC(clk, idx, ver, value); ok {
+	} else if _, ok := s.admitToSVC(clk, idx, ver, value, read && cached); ok {
 		s.stats.reclaimAdmits.Add(1)
 	}
 }

@@ -152,7 +152,7 @@ func TestReclaimAdmissionNeverStale(t *testing.T) {
 		if err := th.Put(key(0), seqValue(0, 2)); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.admitToSVC(p.Clk, idx, ver, seqValue(0, 1)); ok {
+		if _, ok := s.admitToSVC(p.Clk, idx, ver, seqValue(0, 1), false); ok {
 			t.Fatal("a value superseded before the CAS was admitted")
 		}
 		s.cache.Sync()
@@ -516,6 +516,83 @@ func TestOnePassScanKeepsPointReadSet(t *testing.T) {
 	t.Logf("after a one-pass scan of %d rows (%d deferred, %d evictions): %.2f of the %d point-read keys still hit", rows, st.n("svc.scan_deferred"), st.n("svc.evictions"), rate, hot)
 	if rate < 0.9 {
 		t.Fatalf("hit rate of the point-read set after a one-pass scan: %.2f, want >= 0.9", rate)
+	}
+}
+
+// TestOverwriteKeepsCachedKey: a key read twice sits on the SVC's
+// protected list; its overwrite drops the entry and puts the slot on the
+// cached plane, so the reclaimer hands the new value back to the protected
+// list. The next get is an SVC hit with no SSD read, after a flood of
+// one-touch admissions that evicts everything on probation. A freed slot
+// keeps its cached bit only until a new key takes it.
+func TestOverwriteKeepsCachedKey(t *testing.T) {
+	const (
+		capacity = 20 // entries: 608-byte entries
+		flood    = 5 * capacity
+	)
+	s, th := vsOnlyStore(t, 1+flood, apart, func(o *Options) {
+		o.SVCBytes = capacity * (512 + 96)
+		o.reclaimWatermark = 0.95
+	})
+	mustGet(t, th, aKey(0)) // from the SSD, admitted on probation
+	mustGet(t, th, aKey(0)) // an SVC hit: promoted
+	s.cache.Sync()
+	idx := mustIdxOf(t, s, aKey(0))
+	if st := reg(t, s); st.n("svc.promotions") != 1 {
+		t.Fatalf("two point reads made %d promotions, want 1", st.n("svc.promotions"))
+	}
+	if err := th.Put(aKey(0), aValue(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.pop.cached.has(idx) || s.table.SVC(nil, idx) != 0 {
+		t.Fatalf("after the overwrite: cached bit %v, SVC handle %d", s.pop.cached.has(idx), s.table.SVC(nil, idx))
+	}
+	s.cache.Sync()
+	p := s.newThread(0, sim.NewRNG(1), nil, nil)
+	p.Clk.Reset(th.Clk.Now())
+	pass(p)
+	if st := reg(t, s); st.n("svc.reclaim_admits") != 1 || s.pop.cached.has(idx) {
+		t.Fatalf("the pass handed over %d values, cached bit %v after it; want 1, spent", st.n("svc.reclaim_admits"), s.pop.cached.has(idx))
+	}
+	for i := 1; i <= flood; i++ {
+		mustGet(t, th, aKey(i))
+	}
+	s.cache.Sync()
+	before, ios := reg(t, s), ssdReads(s)
+	if before.n("svc.evictions") < flood-capacity {
+		t.Fatalf("the flood of %d one-touch admissions evicted %d entries", flood, before.n("svc.evictions"))
+	}
+	if got := mustGet(t, th, aKey(0)); !bytes.Equal(got, aValue(1)) {
+		t.Fatalf("the overwritten key reads %.16q", got)
+	}
+	if st := reg(t, s); st.n("core.read_path", "source", "svc")-before.n("core.read_path", "source", "svc") != 1 || ssdReads(s) != ios {
+		t.Fatalf("the overwritten key's get after the flood: %d SVC hits, %d SSD read IOs; want 1, 0",
+			st.n("core.read_path", "source", "svc")-before.n("core.read_path", "source", "svc"), ssdReads(s)-ios)
+	}
+
+	// A delete unpublishes the entry too; the slot's next key, which
+	// nobody has read, inherits nothing and is handed to nobody.
+	if err := th.Delete(aKey(0)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.pop.cached.has(idx) {
+		t.Fatal("the delete of a cached key left no cached bit")
+	}
+	s.em.Barrier() // the freed slot is back on the free list
+	if err := th.Put([]byte("fresh"), aValue(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustIdxOf(t, s, []byte("fresh")); got != idx {
+		t.Fatalf("the new key took slot %d, not the freed %d", got, idx)
+	}
+	if s.pop.cached.has(idx) {
+		t.Fatal("a new key inherited the freed slot's cached bit")
+	}
+	admits := reg(t, s).n("svc.reclaim_admits")
+	p.Clk.Reset(th.Clk.Now())
+	pass(p)
+	if got := reg(t, s).n("svc.reclaim_admits") - admits; got != 0 {
+		t.Fatalf("the pass handed the unread new key to the cache (%d hand-offs)", got)
 	}
 }
 

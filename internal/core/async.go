@@ -80,9 +80,10 @@ func (f *frame) rewind(present int64) int64 {
 // is set (a row straight from this thread's index walk comes with its
 // idx), then the fast paths — and reports when the step ended and whether
 // it resolved the item: a Value Storage resident is in t.pending instead,
-// for readBatch. point says the lookup is a point read, which goes on
-// record in the read plane; a scan's row does not (readVSBatch marks the
-// ones it fetched from Value Storage in the scanned plane).
+// for readBatch. point says the item is a point read: its lookup goes on
+// record in the read plane and its SVC hit may promote the entry. A scan's
+// row does neither (readVSBatch marks the ones it fetched from Value
+// Storage in the scanned plane).
 func (f *frame) read(it *scanItem, lookup, point bool) (at int64, resolved bool) {
 	t := f.t
 	f.step()
@@ -93,7 +94,7 @@ func (f *frame) read(it *scanItem, lookup, point bool) (at int64, resolved bool)
 		}
 	}
 	// A key missing from the index is resolved: its value stays nil.
-	resolved = !found || t.stageRead(it)
+	resolved = !found || t.stageRead(it, point)
 	if at = f.land(); !resolved {
 		f.ready = max(f.ready, at)
 	}

@@ -144,7 +144,8 @@ func TestReclaimPassAllocs(t *testing.T) {
 }
 
 // TestWriteOnlyReclaimAdmitsNothing is the same gate with the cache on:
-// nobody reads, so the read-recency filter is empty, a pass hands nothing
+// nobody reads, so the read-recency filter is empty, and no overwrite
+// drops a cached copy, so the cached plane is too: a pass hands nothing
 // to the SVC and still allocates per chunk, not per record (the
 // benchmark's write-churn runs with a cache it never uses: one entry per
 // migrated record there is +1.9 allocs_per_op and +1 KiB bytes_per_op).
@@ -160,8 +161,8 @@ func checkReclaimPassAllocs(t *testing.T, withSVC bool) {
 			r.pass()
 		})
 		st := reg(t, r.s)
-		if st.n("pwb.live_migrated") == 0 || r.s.pop.read.n.Load() != 0 {
-			t.Fatalf("write-only passes migrated %d records; the filter holds %d bits", st.n("pwb.live_migrated"), r.s.pop.read.n.Load())
+		if st.n("pwb.live_migrated") == 0 || r.s.pop.read.n.Load() != 0 || r.s.pop.cached.n.Load() != 0 {
+			t.Fatalf("write-only passes migrated %d records; the filter holds %d read bits, %d cached", st.n("pwb.live_migrated"), r.s.pop.read.n.Load(), r.s.pop.cached.n.Load())
 		}
 		if withSVC && (st.n("svc.reclaim_admits") != 0 || st.n("svc.reclaim_admit_skips") != 0 || st.n("svc.entries") != 0) {
 			t.Fatalf("write-only passes handed over %d records (skipped %d); the cache holds %d entries",

@@ -92,7 +92,7 @@ func (s *Store) registerMetrics() {
 			func() int64 { return s.stats.pwbHits.Load() + s.stats.vsRecords.Load() })
 		r.GaugeFunc(obs.Desc{Name: "svc.entries", Help: "resident entries", Unit: "entries"},
 			func() float64 { return float64(s.svcStats().Entries) })
-		r.CounterFunc(obs.Desc{Name: "svc.promotions", Help: "2Q inactive->active promotions", Unit: "entries"},
+		r.CounterFunc(obs.Desc{Name: "svc.promotions", Help: "2Q inactive->active promotions by point reads' hits (a scan's hit never promotes)", Unit: "entries"},
 			func() int64 { return s.svcStats().Promotions })
 		r.CounterFunc(obs.Desc{Name: "svc.evictions", Help: "entries evicted for capacity", Unit: "entries"},
 			func() int64 { return s.svcStats().Evictions })
@@ -104,7 +104,7 @@ func (s *Store) registerMetrics() {
 			func() int64 { return s.svcStats().TouchDrops })
 		r.CounterFunc(obs.Desc{Name: "svc.reuses", Help: "admissions that reused a dropped entry, buffer and all, once the two-epoch rule released it (§5.4)", Unit: "entries"},
 			func() int64 { return s.svcStats().Reuses })
-		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admits", Help: "values a reclaim pass handed to the cache as it moved them to Value Storage, because the key had been point-read recently (over pwb.live_migrated: the share of migrated records somebody had read)", Unit: "values"},
+		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admits", Help: "values a reclaim pass handed to the cache as it moved them to Value Storage, because the key had been point-read recently or its overwrite dropped a cached copy (over pwb.live_migrated: the share of migrated records handed over)", Unit: "values"},
 			s.stats.reclaimAdmits.Load)
 		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admit_skips", Help: "hand-offs a reclaim pass skipped because the cache manager's queue was more than half full (a pass never waits for the manager)", Unit: "values"},
 			s.stats.reclaimAdmitSkips.Load)

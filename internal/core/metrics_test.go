@@ -132,9 +132,10 @@ func TestMetricsMixedWorkload(t *testing.T) {
 	defer st.Close()
 	runMixedWorkload(t, st)
 	// A value read in its ring, which no background pass takes (ring 1
-	// stays far below the trigger): draining the rings hands it to the SVC.
-	// Then leave chunks half live for GC — keys written once land on the
-	// capacity tier, and every other one is overwritten — and collect every
+	// stays far below the trigger): draining the rings hands it to the SVC,
+	// and its second point read, a hit there, promotes it. Then leave
+	// chunks half live for GC — keys written once land on the capacity
+	// tier, and every other one is overwritten — and collect every
 	// device. Fill the fast tier past half with keys written twice (hot),
 	// cool every key and demote from it until something moves, and scan
 	// every key, leaving the first-touch rows out of the SVC.
@@ -145,6 +146,7 @@ func TestMetricsMixedWorkload(t *testing.T) {
 	mustGet(t, th, []byte("read-in-ring"))
 	st.cache.Sync()
 	drain(t, st)
+	mustGet(t, th, []byte("read-in-ring"))
 	val := make([]byte, 1024)
 	for step := 1; step <= 2; step++ {
 		for i := 0; i < 256; i += step {

@@ -259,6 +259,7 @@ func (t *Thread) invalidateOld(idx uint64, old hsit.Pointer, svc uint64) {
 		s.vsm.Invalidate(old.Off, old.Len)
 	}
 	if svc != 0 && s.cache != nil && s.table.CasSVC(t.Clk, idx, svc, 0) {
+		s.pop.cached.set(idx) // the new value takes the old one's place (handOff)
 		s.cache.Invalidate(idx, svc)
 	}
 }
@@ -305,7 +306,9 @@ func (t *Thread) Get(key []byte) ([]byte, error) {
 // the version, not the forward pointer: recycled PWB/chunk offsets can
 // make a stale pointer word bit-identical to the current one. It reads
 // the entry's SVC handle, one DRAM access, and nothing else of the entry.
-func (t *Thread) svcRead(idx uint64) ([]byte, bool) {
+// A hit posts a point read's touch, or a scan's when point is false: only
+// point reads decide what the cache protects (svc.LookupScan).
+func (t *Thread) svcRead(idx uint64, point bool) ([]byte, bool) {
 	s := t.s
 	if s.cache == nil {
 		return nil, false
@@ -314,7 +317,11 @@ func (t *Thread) svcRead(idx uint64) ([]byte, bool) {
 	if h == 0 {
 		return nil, false
 	}
-	v, ver, ok := s.cache.Lookup(idx, h)
+	lookup := s.cache.Lookup
+	if !point {
+		lookup = s.cache.LookupScan
+	}
+	v, ver, ok := lookup(idx, h)
 	if !ok {
 		return nil, false
 	}
@@ -347,12 +354,12 @@ const (
 // publish time, which certifies no write overlapped the read — the pointer
 // is waited out: a PWB read re-checked against the pointer, or a Value
 // Storage location left for the caller to read (alone in resolve, merged
-// in readVSBatch).
-func (t *Thread) resolveFast(it *scanItem) fastResult {
+// in readVSBatch). point says whose touch an SVC hit is (see svcRead).
+func (t *Thread) resolveFast(it *scanItem, point bool) fastResult {
 	s := t.s
 	it.ver = s.table.Version(it.idx)
 	ready := s.table.Prefetch(t.Clk, it.idx)
-	if v, ok := t.svcRead(it.idx); ok {
+	if v, ok := t.svcRead(it.idx, point); ok {
 		it.val = it.copyOut(v)
 		return fastDone
 	}
@@ -379,10 +386,10 @@ func (t *Thread) resolveFast(it *scanItem) fastResult {
 
 // stageRead resolves it on the fast paths, or leaves it in t.pending for
 // the caller's merged Value Storage read and reports false (the read step
-// of a frame: Scan, MultiGet and the async pass share it). A value that
-// moved mid-read takes the slow path.
-func (t *Thread) stageRead(it *scanItem) (resolved bool) {
-	switch t.resolveFast(it) {
+// of a frame: Scan, MultiGet and the async pass share it; point is false
+// for a scan's row). A value that moved mid-read takes the slow path.
+func (t *Thread) stageRead(it *scanItem, point bool) (resolved bool) {
+	switch t.resolveFast(it, point) {
 	case fastVS:
 		t.pending = append(t.pending, it)
 		return false
@@ -394,11 +401,13 @@ func (t *Thread) stageRead(it *scanItem) (resolved bool) {
 
 // resolve reads the value behind HSIT entry idx once. retry reports that
 // the location changed mid-read (reclamation/GC migration) and the caller
-// should re-resolve.
+// should re-resolve. admit is set for a Get, the one point read resolved
+// here: getOnce's rare retries of a value that moved mid-batch touch the
+// SVC as a scan's row does, since they may be one.
 func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err error, retry bool) {
 	s := t.s
 	it := scanItem{key: key, idx: idx}
-	switch t.resolveFast(&it) {
+	switch t.resolveFast(&it, admit) {
 	case fastMoved:
 		return nil, nil, true
 	case fastDone:
@@ -420,7 +429,7 @@ func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err er
 		return nil, nil, true // chunk recycled under us
 	}
 	if admit {
-		s.admitToSVC(t.Clk, idx, it.ver, v)
+		s.admitToSVC(t.Clk, idx, it.ver, v, false)
 	}
 	// The buffer was read for this call alone and the SVC keeps a copy of
 	// its own: the value is returned in place.
@@ -579,8 +588,8 @@ func (t *Thread) walk(start []byte, count int, fn func(key []byte, idx uint64) b
 // row's step starting with the key's lookup, and appends one value per key
 // to vals (nil: the key is gone since the walk), returning the extended
 // slice. The lookups are a scan's, not point reads: they leave no mark on
-// the read plane, and the rows read from flash are marked on the scanned
-// plane as a local scan's are.
+// the read plane, their SVC hits promote nothing, and the rows read from
+// flash are marked on the scanned plane as a local scan's are.
 func (t *Thread) ReadRows(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	s := t.s
 	if s.closed.Load() {
@@ -781,7 +790,7 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 		if it.val == nil || it.p.IsNil() {
 			continue
 		}
-		if h, ok := s.admitToSVC(t.Clk, it.idx, it.ver, it.val); ok && chain {
+		if h, ok := s.admitToSVC(t.Clk, it.idx, it.ver, it.val, false); ok && chain {
 			handles = append(handles, h)
 		}
 	}

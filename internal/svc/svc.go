@@ -6,9 +6,12 @@
 // Cache management runs on a background manager goroutine, keeping it off
 // the critical path: foreground threads only (a) publish a freshly
 // admitted entry with one CAS and (b) enqueue touch events. The manager
-// maintains a 2Q LRU — an inactive list receiving first-time admissions
-// and an active list receiving promoted (re-touched) entries — and evicts
-// from the inactive tail when DRAM capacity is exceeded.
+// maintains a 2Q LRU — an inactive (probation) list receiving first-time
+// admissions and an active (protected) list receiving entries a point
+// read touched again, or admitted Protected — and evicts from the inactive tail when DRAM
+// capacity is exceeded. A scan's touch (LookupScan) only refreshes an
+// entry on probation: a scan reads every row of its range whether or not
+// anybody wants it, so it never decides what is protected.
 //
 // Scan awareness: values admitted by the same range scan are chained in
 // key order. When one member of a chain is evicted, the whole resident
@@ -52,6 +55,11 @@ type Entry struct {
 	// the forward pointer itself cannot provide, because recycled
 	// offsets can make a stale pointer bit-identical to the current one.
 	Ver uint64
+
+	// Protected, set between Admit and Published, admits the entry to the
+	// active list instead of probation: a value the caller knows was
+	// protected before (an overwritten key's new value).
+	Protected bool
 
 	slot uint32
 	gen  uint32
@@ -116,6 +124,7 @@ type evKind uint8
 const (
 	evAdd evKind = iota
 	evTouch
+	evScanTouch
 	evRemove
 	evChain
 	evSync
@@ -187,9 +196,10 @@ func (c *Cache) Close() {
 	c.wg.Wait()
 }
 
-// Lookup resolves a handle read from an HSIT entry. It returns the entry's
-// value and admission version if the handle is still current, and
-// enqueues a touch event for 2Q promotion. Callers MUST compare ver with
+// Lookup resolves a handle read from an HSIT entry for a point read. It
+// returns the entry's value and admission version if the handle is still
+// current, and enqueues a touch event: 2Q promotion of an entry on
+// probation, a refresh of a protected one. Callers MUST compare ver with
 // the HSIT entry's current publish version before using the value: a
 // handle can transiently point at a superseded value (an in-flight
 // admission that lost its race, or a GC/rewrite relocation) and only the
@@ -199,6 +209,17 @@ func (c *Cache) Close() {
 // the bytes before handing them to users, and not keep the slice past
 // that critical section.
 func (c *Cache) Lookup(hsitIdx, handle uint64) (val []byte, ver uint64, ok bool) {
+	return c.lookup(hsitIdx, handle, evTouch)
+}
+
+// LookupScan is Lookup for a scan's row. Its touch moves an entry on
+// probation to the head of probation and never promotes it; a protected
+// entry stays where it is.
+func (c *Cache) LookupScan(hsitIdx, handle uint64) (val []byte, ver uint64, ok bool) {
+	return c.lookup(hsitIdx, handle, evScanTouch)
+}
+
+func (c *Cache) lookup(hsitIdx, handle uint64, kind evKind) (val []byte, ver uint64, ok bool) {
 	c.mu.Lock()
 	e := c.resolve(hsitIdx, handle)
 	if e != nil {
@@ -208,7 +229,7 @@ func (c *Cache) Lookup(hsitIdx, handle uint64) (val []byte, ver uint64, ok bool)
 	if e == nil {
 		return nil, 0, false
 	}
-	c.post(event{kind: evTouch, entry: e, handle: handle}, false)
+	c.post(event{kind: kind, entry: e, handle: handle}, false)
 	return val, ver, true
 }
 
@@ -245,8 +266,9 @@ const anyIdx = ^uint64(0)
 // value under publish version ver (opaque to the cache; readers compare
 // it on Lookup): a spare entry the two-epoch rule has released, buffer
 // and all, or a new one. The caller must then publish e.Handle() in the
-// HSIT entry (CAS from 0) and call Published on success or AbortAdmit if
-// it lost the race (§4.4: published atomically). The key is not kept —
+// HSIT entry (CAS from 0) and call Published on success — setting
+// Protected first to skip probation — or AbortAdmit if it lost the race
+// (§4.4: published atomically). The key is not kept —
 // nothing reads it; the parameter stays because benchmark/ladder.go
 // passes one.
 func (c *Cache) Admit(hsitIdx, ver uint64, _, value []byte) *Entry {
@@ -268,7 +290,7 @@ func (c *Cache) Admit(hsitIdx, ver uint64, _, value []byte) *Entry {
 	}
 	e.Value = e.Value[:len(value)]
 	copy(e.Value, value)
-	e.HSITIdx, e.Ver, e.slot, e.gen = hsitIdx, ver, slot, c.gens[slot]
+	e.HSITIdx, e.Ver, e.Protected, e.slot, e.gen = hsitIdx, ver, false, slot, c.gens[slot]
 	e.live.Store(e.Handle())
 	c.table[slot] = e
 	c.mu.Unlock()
@@ -294,7 +316,8 @@ func (c *Cache) reuse() *Entry {
 	return e
 }
 
-// Published enqueues the admitted entry for LRU bookkeeping.
+// Published enqueues the admitted entry for LRU bookkeeping: on
+// probation, or in the active list if it is Protected.
 func (c *Cache) Published(e *Entry) {
 	c.bytes.Add(e.size())
 	c.entries.Add(1)
@@ -384,7 +407,7 @@ type Stats struct {
 	Bytes         int64
 	Entries       int64
 	Evictions     int64
-	Promotions    int64 // 2Q inactive -> active moves
+	Promotions    int64 // 2Q inactive -> active moves, on point reads' hits
 	ChainRewrites int64
 	TouchDrops    int64
 	Reuses        int64 // admissions that reused a dropped entry
@@ -446,13 +469,23 @@ func (c *Cache) manager() {
 		}
 		switch ev.kind {
 		case evAdd:
-			if ev.entry.state == 0 {
-				ev.entry.state = 1
-				c.inactive.pushHead(ev.entry)
+			if e := ev.entry; e.state == 0 {
+				if e.Protected {
+					e.state = 2
+					c.active.pushHead(e)
+				} else {
+					e.state = 1
+					c.inactive.pushHead(e)
+				}
 				c.rebalance()
 			}
 		case evTouch:
 			c.touch(ev.entry)
+		case evScanTouch:
+			if e := ev.entry; e.state == 1 {
+				c.inactive.remove(e)
+				c.inactive.pushHead(e)
+			}
 		case evRemove:
 			c.drop(ev.entry, true)
 		case evChain:
@@ -463,8 +496,9 @@ func (c *Cache) manager() {
 	}
 }
 
-// touch applies 2Q promotion: a second access moves an inactive entry to
-// the active list; an active entry refreshes to the head.
+// touch applies 2Q promotion: a point read's hit — the second access,
+// after the one that admitted it — moves an inactive entry to the active
+// list; an active entry refreshes to the head.
 func (c *Cache) touch(e *Entry) {
 	switch e.state {
 	case 1:

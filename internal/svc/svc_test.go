@@ -166,6 +166,55 @@ func Test2QPromotionProtectsHotEntries(t *testing.T) {
 	}
 }
 
+// TestScanTouchStaysOnProbation: a scan's hit moves an entry on probation
+// to the head of probation and never promotes it, a point read's hit
+// does, and a scan's hit leaves a protected entry where it is.
+func TestScanTouchStaysOnProbation(t *testing.T) {
+	c, h := newCache(t, 1<<20, nil)
+	a := admit(t, c, h, 1, "a")
+	admit(t, c, h, 2, "b")
+	c.Sync()
+	if _, _, ok := c.LookupScan(1, a.Handle()); !ok {
+		t.Fatal("scan lookup of a resident entry missed")
+	}
+	c.Sync()
+	if a.state != 1 || c.inactive.head != a || c.Stats().Promotions != 0 {
+		t.Fatalf("after a scan hit: state %d, head of probation %v, %d promotions; want 1, the entry, 0", a.state, c.inactive.head == a, c.Stats().Promotions)
+	}
+	c.Lookup(1, a.Handle())
+	c.Sync()
+	if a.state != 2 || c.Stats().Promotions != 1 {
+		t.Fatalf("after a point hit: state %d, %d promotions; want 2, 1", a.state, c.Stats().Promotions)
+	}
+	b := admit(t, c, h, 3, "c")
+	c.Lookup(3, b.Handle())
+	c.LookupScan(1, a.Handle())
+	c.Sync()
+	if c.active.tail != a || c.active.head != b || c.Stats().Promotions != 2 {
+		t.Fatalf("a scan hit moved a protected entry: tail %v, head %v", c.active.tail == a, c.active.head == b)
+	}
+}
+
+// TestProtectedAdmissionSkipsProbation: an entry admitted Protected goes
+// straight to the active list — no promotion counted — and outlives a
+// flood of one-touch admissions.
+func TestProtectedAdmissionSkipsProbation(t *testing.T) {
+	c, h := newCache(t, 1200, nil) // ~11 entries
+	e := c.Admit(999, verOf(999), nil, []byte("dddd"))
+	e.Protected = true
+	if !h.cas(999, 0, e.Handle()) {
+		t.Fatal("publish race")
+	}
+	c.Published(e)
+	for i := uint64(0); i < 100; i++ {
+		admit(t, c, h, i, "dddd")
+	}
+	c.Sync()
+	if _, _, ok := c.Lookup(999, e.Handle()); !ok || c.Stats().Promotions != 0 {
+		t.Fatalf("protected entry resident %v after the flood, %d promotions", ok, c.Stats().Promotions)
+	}
+}
+
 func TestInvalidateRemoves(t *testing.T) {
 	c, h := newCache(t, 1<<20, nil)
 	e := admit(t, c, h, 1, "v")
@@ -414,14 +463,15 @@ func TestStaleEventSparesReusedEntry(t *testing.T) {
 	c.post(event{kind: evTouch, entry: a, handle: stale}, true)
 	c.post(event{kind: evRemove, entry: a, handle: stale}, true)
 	c.Sync()
+	// Before the Lookup below, whose own touch may promote b.
+	if st := c.Stats(); st.Entries != 1 || st.Promotions != 0 {
+		t.Fatalf("stats after stale events = %+v, want 1 entry, 0 promotions", st)
+	}
 	if got, _, ok := c.Lookup(2, b.Handle()); !ok || string(got) != "new" {
 		t.Fatalf("reused entry after stale events: %q, %v", got, ok)
 	}
 	if h.load(2) != b.Handle() {
 		t.Fatal("a stale remove unpublished the reused entry")
-	}
-	if st := c.Stats(); st.Entries != 1 || st.Promotions != 0 {
-		t.Fatalf("stats after stale events = %+v, want 1 entry, 0 promotions", st)
 	}
 }
 
