@@ -139,7 +139,12 @@ bench:
 # and a value copy each), beside its AllocsPerRun gates (a pass nobody
 # reads behind allocates per chunk written, not per record — with the
 # cache off and on).
-# The third is the device channel's: BenchmarkResourceAcquire prints ns
+# The third is the read path's: BenchmarkGet prints wall ns, virtual ns,
+# heap bytes and objects for a lone Get of a 512-byte value served by the
+# SVC, by the PWB and by Value Storage with no cache — one allocation each,
+# the value's own 512 bytes (a get from flash is the one-item batch read:
+# its record lands in the thread's scratch, DESIGN.md §4.10).
+# The fourth is the device channel's: BenchmarkResourceAcquire prints ns
 # and allocations per sim.Resource.Acquire for one clock and for two
 # clocks 5 ms apart, beside its allocates-once gate.
 # The last is the paper's headline figure at its thread count: Fig 7 with
@@ -155,6 +160,7 @@ bench:
 bench-smoke:
 	$(GO) test -bench='Benchmark(Put($$|Batch|Sharded|Pipelined)|MixedPipelined|ScanResident|ScanMerged)' -benchtime=1000x -run '^$$' .
 	$(GO) test -bench='BenchmarkReclaimPass$$' -benchtime=20x -count=1 -run 'TestReclaimPassAllocs$$|TestWriteOnlyReclaimAdmitsNothing$$' ./internal/core
+	$(GO) test -bench='BenchmarkGet$$' -benchtime=1000x -benchmem -count=1 -run '^$$' ./internal/core
 	$(GO) test -bench='BenchmarkResourceAcquire$$' -benchtime=200000x -count=1 -run 'TestResourceAcquireAllocatesOnce$$' ./internal/sim
 	$(GO) run ./cmd/prism-bench -run all -threads 2 -records 400 -ops 400
 	$(GO) run ./cmd/prism-bench -run fig7 -threads 40 -records 10000 -ops 40000

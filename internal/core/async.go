@@ -104,13 +104,19 @@ func (f *frame) read(it *scanItem, lookup, point bool) (at int64, resolved bool)
 // readBatch reads what the read steps so far left pending as one Value
 // Storage batch — a step of its own that rings no doorbell, starts at
 // ready and rewinds to the present — and returns when it landed (scan:
-// see readVSBatch). The items hold their values afterwards and the batch
+// see readVSBatch). A row that moved under the batch is read again alone
+// inside that step. The items hold their values afterwards and the batch
 // is empty again.
 func (f *frame) readBatch(scan bool) int64 {
 	t := f.t
 	present := t.Clk.Now()
 	t.Clk.Reset(f.ready)
 	t.readVSBatch(t.pending, scan)
+	for _, it := range t.pending {
+		if it.p.IsNil() {
+			t.readAlone(it, !scan)
+		}
+	}
 	t.pending = t.pending[:0]
 	return f.rewind(present)
 }
@@ -630,7 +636,7 @@ func (a *asyncThread) pass(hs []*Handle) int {
 		var err error
 		if h.op == opDelete {
 			err = lt.deleteStep(h.key, h.ts)
-		} else if err = lt.putStep(h.key, h.val, h.ts, false); err == errRetryPut {
+		} else if err = lt.putStep(h.key, h.val, h.ts); err == errRetryPut {
 			f.abort() // not issued: the retry pays for the doorbell
 			return i
 		}

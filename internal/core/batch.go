@@ -92,7 +92,7 @@ func (t *Thread) putBatchEpoch(kvs []KV, tss []uint64) (applied int, err error) 
 		if tss != nil {
 			ts = tss[i]
 		}
-		if err := t.putStep(kvs[i].Key, kvs[i].Value, ts, false); err != nil {
+		if err := t.putStep(kvs[i].Key, kvs[i].Value, ts); err != nil {
 			return i, err
 		}
 		if h := s.batchStepHook; h != nil {

@@ -19,7 +19,7 @@ const apart = 12
 // drained, so not in the PWB), each followed by filler 512-byte records:
 // with apart, every key is its own read extent; with none, neighbouring
 // keys share extents.
-func vsOnlyStore(t *testing.T, n, filler int, mutate func(*Options)) (*Store, *Thread) {
+func vsOnlyStore(t testing.TB, n, filler int, mutate func(*Options)) (*Store, *Thread) {
 	t.Helper()
 	s := small(t, func(o *Options) {
 		o.NumThreads = 1

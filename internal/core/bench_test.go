@@ -199,3 +199,58 @@ func TestReclaimScratchSizedOnce(t *testing.T) {
 		t.Fatalf("scratch capacity %d after 1,000-record passes, %d after a 3,000-record pass", before, after)
 	}
 }
+
+// BenchmarkGet measures a lone Get of a 512-byte value by the medium that
+// serves it — the SVC, the PWB, or Value Storage with no cache to admit it
+// into — in wall ns, virtual ns (virt-ns/op, the thread's clock on idle
+// devices) and heap bytes and objects: the read path's layer-level line.
+func BenchmarkGet(b *testing.B) {
+	const keys = 64
+	for _, c := range []struct {
+		name, source string
+		open         func(b *testing.B) (*Store, *Thread)
+	}{
+		{"svc", "svc", func(b *testing.B) (*Store, *Thread) {
+			return vsOnlyStore(b, keys, 0, nil) // the warm-up reads admit every key
+		}},
+		{"pwb", "pwb", func(b *testing.B) (*Store, *Thread) {
+			s := small(b, func(o *Options) { o.NumThreads, o.PWBBytesPerThread = 1, 1<<20 })
+			th := s.Thread(0)
+			for i := range keys {
+				if err := th.Put(aKey(i), aValue(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return s, th
+		}},
+		{"flash", "vs", func(b *testing.B) (*Store, *Thread) {
+			return vsOnlyStore(b, keys, apart, func(o *Options) { o.DisableSVC = true })
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, th := c.open(b)
+			ks := make([][]byte, keys)
+			for i := range ks {
+				ks[i] = aKey(i)
+				if _, err := th.Get(ks[i]); err != nil { // warm: scratch at its steady size
+					b.Fatal(err)
+				}
+			}
+			served := reg(b, s).n("core.read_path", "source", c.source)
+			b.ReportAllocs()
+			b.ResetTimer()
+			t0 := th.Clk.Now()
+			for i := 0; i < b.N; i++ {
+				if _, err := th.Get(ks[i%keys]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			virt := th.Clk.Now() - t0
+			b.StopTimer()
+			if n := reg(b, s).n("core.read_path", "source", c.source) - served; n != int64(b.N) {
+				b.Fatalf("%d of %d gets served from %s", n, b.N, c.source)
+			}
+			b.ReportMetric(float64(virt)/float64(b.N), "virt-ns/op")
+		})
+	}
+}

@@ -14,7 +14,7 @@ import (
 
 // small returns a store sized so that reclamation, caching, and GC all
 // trigger quickly in tests.
-func small(t *testing.T, mutate func(*Options)) *Store {
+func small(t testing.TB, mutate func(*Options)) *Store {
 	t.Helper()
 	opt := Options{
 		NumThreads:        2,
@@ -188,7 +188,7 @@ func TestGetServedFromSVCAfterVSRead(t *testing.T) {
 // each. reclaimBuffer's pass lock makes the test the ring's scan owner
 // for the pass, beside the ring's live passLoop; the pass threads are
 // the test's own because that loop owns its own.
-func drain(t *testing.T, s *Store) {
+func drain(t testing.TB, s *Store) {
 	t.Helper()
 	rng := sim.NewRNG(0xd7a1)
 	for i := range s.pwbs {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/hsit"
 	"repro/internal/nvm"
+	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/valuestore"
@@ -274,6 +276,49 @@ func TestVSGetAllocatesOnlyItsValue(t *testing.T) {
 	if r.n("svc.hits") != hits || r.n("svc.evictions") == evictions || r.n("svc.reuses") == reuses {
 		t.Fatalf("the gets were not misses that cycled a full cache: hits %d -> %d, evictions %d -> %d, reuses %d -> %d",
 			hits, r.n("svc.hits"), evictions, r.n("svc.evictions"), reuses, r.n("svc.reuses"))
+	}
+}
+
+// TestVSGetAllocatesItsValueNotItsRecord: a lone Get from Value Storage
+// is the one-item batch read, so it reads the record into the thread's
+// extent scratch and copies the value out. With no cache to admit it into,
+// it makes one allocation, of the value's own size: not of the record,
+// header and all, as a read into a buffer of its own would.
+func TestVSGetAllocatesItsValueNotItsRecord(t *testing.T) {
+	const keys = 64
+	s, th := vsOnlyStore(t, keys, 0, func(o *Options) { o.DisableSVC = true })
+	ks := make([][]byte, keys)
+	for k := range ks {
+		ks[k] = aKey(k)
+	}
+	n := len(aValue(0))
+	i := 0
+	get := func() {
+		k := i % keys
+		i++
+		if v, err := th.Get(ks[k]); err != nil || len(v) != n {
+			t.Fatalf("Get(%d): %d bytes, %v", k, len(v), err)
+		}
+	}
+	reads := reg(t, s).n("core.read_path", "source", "vs")
+	if allocs := testing.AllocsPerRun(200, get); allocs != 1 {
+		t.Errorf("a get from Value Storage allocated %v times, want 1 (its value)", allocs)
+	}
+	const gets = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for range gets {
+		get()
+	}
+	runtime.ReadMemStats(&ms1)
+	if got := reg(t, s).n("core.read_path", "source", "vs") - reads; got != 201+gets {
+		t.Fatalf("%d of %d gets read Value Storage", got, 201+gets)
+	}
+	perGet := float64(ms1.TotalAlloc-ms0.TotalAlloc) / gets
+	t.Logf("a %d-byte value read from Value Storage: %.1f B allocated per get", n, perGet)
+	if perGet >= float64(n+record.HeaderSize) {
+		t.Errorf("a get of a %d-byte value allocated %.1f B, want the value's own %d", n, perGet, n)
 	}
 }
 

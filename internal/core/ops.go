@@ -58,7 +58,8 @@ func (t *Thread) PutTS(key, value []byte, ts uint64) error {
 		defer t.async.execMu.Unlock()
 		t.part.Enter()
 		defer t.part.Exit()
-		return t.putStep(key, value, ts, true)
+		defer t.buf.Published()
+		return t.putStep(key, value, ts)
 	})
 }
 
@@ -128,10 +129,9 @@ func (t *Thread) reserve(n int) bool {
 
 // putStep is the one index-traversal-plus-write for key that every put
 // path runs (sync, batch and async). The caller holds the epoch guard
-// and the ring's execMu. clearPending selects whether each publish
-// immediately lifts the PWB publish-pending mark (single-op Put) or the
-// caller lifts it once for a whole append window (a deferred
-// Buffer.Published).
+// and the ring's execMu, and lifts the PWB publish-pending mark its
+// appends set once, on its pass's way out (a deferred Buffer.Published):
+// every publish in between has persisted, so one clear covers them all.
 //
 // The stamp rule, shared with deleteStep: stamp 0 is the plain,
 // unstamped operation, which leaves the newest-stamp map alone; a nonzero
@@ -139,7 +139,7 @@ func (t *Thread) reserve(n int) bool {
 // check, the write and the map update so concurrent writers to one key
 // apply in stamp order. A write no newer than the recorded stamp is
 // superseded and returns nil.
-func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error {
+func (t *Thread) putStep(key, value []byte, ts uint64) error {
 	s := t.s
 	if ts != 0 {
 		st := s.repl.stripe(key)
@@ -161,7 +161,7 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 		}
 		s.pop.forget(idx) // whoever held the slot before, nobody has read or written this key
 	}
-	err := t.writeAndPublish(idx, value, start, clearPending)
+	err := t.writeAndPublish(idx, value, start)
 	if !found {
 		if err != nil {
 			s.table.Free(idx) // never published, never inserted
@@ -177,7 +177,7 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 			if !t.reserve(len(value)) {
 				return errRetryPut
 			}
-			err = t.writeAndPublish(winner, value, t.Clk.Now(), clearPending)
+			err = t.writeAndPublish(winner, value, t.Clk.Now())
 		}
 	}
 	if err == nil && ts != 0 {
@@ -194,10 +194,10 @@ func (t *Thread) putStep(key, value []byte, ts uint64, clearPending bool) error 
 // the put issues the read of the entry the publish will CAS when the
 // lookup ends, rewinds t.Clk to start, the time the caller reserved its
 // room at, and appends from there, sealing — the header's store and flush
-// and the fence — no earlier than the lookup's end (DESIGN.md §3.5). When
-// clearPending is false the publish-pending mark set by Append stays in
-// place for the caller's batch-wide Published call.
-func (t *Thread) writeAndPublish(idx uint64, value []byte, start int64, clearPending bool) error {
+// and the fence — no earlier than the lookup's end (DESIGN.md §3.5). The
+// publish-pending mark set by Append stays in place for the pass's one
+// Published call.
+func (t *Thread) writeAndPublish(idx uint64, value []byte, start int64) error {
 	s := t.s
 	found := t.Clk.Now()
 	ready := s.table.Prefetch(t.Clk, idx)
@@ -208,12 +208,6 @@ func (t *Thread) writeAndPublish(idx uint64, value []byte, start int64, clearPen
 		return err
 	}
 	old, svc := s.table.PublishAt(t.Clk, idx, hsit.Pointer{Media: hsit.PWB, Len: len(value), Off: off}, ready)
-	// Lift the publish-pending mark set by Append: the reclaimer may now
-	// include this record in its scan, and is guaranteed to observe the
-	// pointer just published (so it classifies the record as live).
-	if clearPending {
-		t.buf.Published()
-	}
 	s.pop.wrote(idx)
 	t.invalidateOld(idx, old, svc)
 	if s.opt.SyncVSWrites && t.buf.Used() >= s.opt.ChunkSize {
@@ -268,7 +262,8 @@ func (t *Thread) invalidateOld(idx uint64, old hsit.Pointer, svc uint64) {
 // fast-path order: SVC (DRAM) -> PWB (NVM) -> Value Storage (SSD, via
 // thread combining), admitting SSD-read values into the SVC (§4.4).
 // Whichever medium serves it, the read goes on record in the popularity
-// tracker's read plane (admit.go).
+// tracker's read plane (admit.go). It is the one-item case of the batch
+// read (readAlone), on the thread's clock with no frame: no doorbell.
 func (t *Thread) Get(key []byte) ([]byte, error) {
 	s := t.s
 	if s.closed.Load() {
@@ -285,13 +280,17 @@ func (t *Thread) Get(key []byte) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	s.pop.mark(idx)
-	for attempt := 0; attempt < 1000; attempt++ {
-		val, err, retry := t.resolve(idx, key, true)
-		if !retry {
-			return val, err
-		}
+	// The item is the thread's: one on Get's stack would escape through
+	// the batch read's records.
+	it := &t.itemsFor([][]byte{key})[0]
+	it.idx = idx
+	if !t.readAlone(it, true) {
+		return nil, fmt.Errorf("prism: value for %q kept moving; giving up", key)
 	}
-	return nil, fmt.Errorf("prism: value for %q kept moving; giving up", key)
+	if it.val == nil {
+		return nil, ErrNotFound
+	}
+	return it.val, nil
 }
 
 // svcRead resolves idx through the SVC with the read-side currency
@@ -353,8 +352,8 @@ const (
 // admission keeps bytes only if the version is unchanged (and even) at
 // publish time, which certifies no write overlapped the read — the pointer
 // is waited out: a PWB read re-checked against the pointer, or a Value
-// Storage location left for the caller to read (alone in resolve, merged
-// in readVSBatch). point says whose touch an SVC hit is (see svcRead).
+// Storage location left for the caller's batch read (readVSBatch). point
+// says whose touch an SVC hit is (see svcRead).
 func (t *Thread) resolveFast(it *scanItem, point bool) fastResult {
 	s := t.s
 	it.ver = s.table.Version(it.idx)
@@ -387,53 +386,44 @@ func (t *Thread) resolveFast(it *scanItem, point bool) fastResult {
 // stageRead resolves it on the fast paths, or leaves it in t.pending for
 // the caller's merged Value Storage read and reports false (the read step
 // of a frame: Scan, MultiGet and the async pass share it; point is false
-// for a scan's row). A value that moved mid-read takes the slow path.
+// for a scan's row). A value that moved mid-read is read again alone.
 func (t *Thread) stageRead(it *scanItem, point bool) (resolved bool) {
 	switch t.resolveFast(it, point) {
 	case fastVS:
 		t.pending = append(t.pending, it)
 		return false
 	case fastMoved:
-		it.val = t.getOnce(it.idx, it.key)
+		t.readAlone(it, point)
 	}
 	return true
 }
 
-// resolve reads the value behind HSIT entry idx once. retry reports that
-// the location changed mid-read (reclamation/GC migration) and the caller
-// should re-resolve. admit is set for a Get, the one point read resolved
-// here: getOnce's rare retries of a value that moved mid-batch touch the
-// SVC as a scan's row does, since they may be one.
-func (t *Thread) resolve(idx uint64, key []byte, admit bool) (val []byte, err error, retry bool) {
-	s := t.s
-	it := scanItem{key: key, idx: idx}
-	switch t.resolveFast(&it, admit) {
-	case fastMoved:
-		return nil, nil, true
-	case fastDone:
-		if it.val == nil {
-			return nil, ErrNotFound, false
+// readAlone resolves it on its own — the one-item case of the batch read,
+// on t.Clk with no frame — and is the one retry of a value that moved
+// mid-read: reclamation or GC relocated it, or its chunk was recycled
+// under the read (the record is no longer coupled to it.idx). Each
+// attempt starts over from the entry's pointer, whose load is the read's
+// linearization point. It reports false when the value kept moving for
+// 1000 attempts; it.val is nil then, as for a key deleted under the read.
+// point keeps the item's kind: a point read is admitted to the SVC as a
+// Get is, a scan's row as a range of one (readVSBatch). It reads into a
+// batch of its own, never t.pending, so a frame's batch may call it for
+// the rows that moved under it once that batch is decoded
+// (frame.readBatch).
+func (t *Thread) readAlone(it *scanItem, point bool) bool {
+	one := [1]*scanItem{it}
+	for attempt := 0; attempt < 1000; attempt++ {
+		switch t.resolveFast(it, point) {
+		case fastDone:
+			return true
+		case fastVS:
+			t.readVSBatch(one[:], !point)
+			if !it.p.IsNil() {
+				return true
+			}
 		}
-		return it.val, nil, false
 	}
-	devIdx, local := valuestore.SplitOff(it.p.Off)
-	if !s.vsm.Stores[devIdx].IsValid(local) {
-		return nil, nil, true // migrated before we read
-	}
-	req := s.vsm.Stores[devIdx].ReadAt(local, it.p.Len)
-	req.UserData = uint64(devIdx)
-	t.reqs = append(t.reqs[:0], req)
-	t.readVS(t.reqs, 1)
-	v, err := record.Coupled(req.Data, idx, it.p.Len)
-	if err != nil {
-		return nil, nil, true // chunk recycled under us
-	}
-	if admit {
-		s.admitToSVC(t.Clk, idx, it.ver, v, false)
-	}
-	// The buffer was read for this call alone and the SVC keeps a copy of
-	// its own: the value is returned in place.
-	return v, nil, false
+	return false
 }
 
 // Delete removes key. The HSIT entry is reclaimed after two epochs
@@ -641,17 +631,6 @@ func (t *Thread) readRows(items []scanItem, lookup bool) {
 	f.join()
 }
 
-// getOnce is the slow-path fallback for values that moved mid-scan: the
-// value behind idx, or nil when there is none.
-func (t *Thread) getOnce(idx uint64, key []byte) []byte {
-	for attempt := 0; attempt < 1000; attempt++ {
-		if v, _, retry := t.resolve(idx, key, false); !retry {
-			return v
-		}
-	}
-	return nil
-}
-
 // scanItem tracks one key through scan resolution.
 type scanItem struct {
 	key []byte
@@ -693,11 +672,13 @@ type located struct {
 // and the admitted rows are chained for the eviction-time rewrite (§4.4).
 // A scan waits for its slowest row, so caching part of a range saves the
 // next scan nothing and costs the point reads' working set the space.
-// Every row's touch goes on the scanned plane, never the read plane. MultiGet
-// and the async window share the merged-read machinery, but theirs are
-// point reads: every one is admitted (their bits were set at lookup), and
+// Every row's touch goes on the scanned plane, never the read plane. Get,
+// MultiGet and the async window share the merged-read machinery, but
+// theirs are point reads: every one is admitted (their bits were set at lookup), and
 // their keys are not a key-ordered range, so chaining them would invite
-// pointless rewrites.
+// pointless rewrites. A record no longer coupled to its item after the
+// read has moved: the item is left with a nil pointer and no value, for
+// the caller to retry (readAlone).
 func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	if len(pending) == 0 {
 		return
@@ -748,20 +729,13 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 			it := locs[i].it
 			v, err := record.Coupled(r.Data[locs[i].off-uint64(r.Offset):], it.idx, it.p.Len)
 			if err != nil {
-				// Moved mid-scan. The batched pointer is stale now: clearing
+				// Moved mid-read. The batched pointer is stale now: clearing
 				// it excludes the item from SVC admission and marks it for
-				// the individual resolve below.
+				// the caller's retry (readAlone).
 				it.p = hsit.Pointer{}
 				continue
 			}
 			it.val = it.copyOut(v)
-		}
-	}
-	// The fallback reads reuse the request scratch, so they run only now
-	// that every extent is decoded.
-	for _, it := range pending {
-		if it.p.IsNil() {
-			it.val = t.getOnce(it.idx, it.key)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -177,21 +178,16 @@ func ParseTierSpec(spec string) ([]ssd.Config, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tier spec %q: %v", part, err)
 		}
-		var c ssd.Config
-		c.Size = size
+		c := ssd.Config{Size: size}
 		if len(fields) > 1 {
-			mbps, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil || mbps <= 0 {
+			if c.WriteBandwidth, err = scaled(fields[1], 1_000_000); err != nil {
 				return nil, fmt.Errorf("tier spec %q: bad write MB/s %q", part, fields[1])
 			}
-			c.WriteBandwidth = mbps * 1_000_000
 		}
 		if len(fields) > 2 {
-			mbps, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil || mbps <= 0 {
+			if c.ReadBandwidth, err = scaled(fields[2], 1_000_000); err != nil {
 				return nil, fmt.Errorf("tier spec %q: bad read MB/s %q", part, fields[2])
 			}
-			c.ReadBandwidth = mbps * 1_000_000
 		}
 		out = append(out, c)
 	}
@@ -211,9 +207,19 @@ func parseSizeBytes(v string) (int64, error) {
 			mult, v = 1<<30, v[:n-1]
 		}
 	}
-	b, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || b <= 0 {
+	b, err := scaled(v, mult)
+	if err != nil {
 		return 0, fmt.Errorf("bad size %q", v)
+	}
+	return b, nil
+}
+
+// scaled parses v as a positive integer and multiplies it by mult,
+// refusing a product that does not fit an int64.
+func scaled(v string, mult int64) (int64, error) {
+	b, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || b <= 0 || b > math.MaxInt64/mult {
+		return 0, errors.New("not a positive int64")
 	}
 	return b * mult, nil
 }

@@ -375,7 +375,8 @@ func TestParseTierSpec(t *testing.T) {
 	if cfgs, err := ParseTierSpec("  "); err != nil || cfgs != nil {
 		t.Errorf("empty spec: %v, %v (want nil, nil)", cfgs, err)
 	}
-	for _, bad := range []string{"64X", "0M", "64M:-1", "64M:0", "64M:a:b", "64M:1:2:3", ":5000"} {
+	for _, bad := range []string{"64X", "0M", "64M:-1", "64M:0", "64M:a:b", "64M:1:2:3", ":5000",
+		"9223372036854775807K", "8589934592G", "1G:9999999999999999", "1G:1:9999999999999999"} {
 		if _, err := ParseTierSpec(bad); err == nil {
 			t.Errorf("ParseTierSpec(%q) accepted a bad spec", bad)
 		}

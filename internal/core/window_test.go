@@ -460,6 +460,39 @@ func TestWindowStallMidWindow(t *testing.T) {
 	})
 }
 
+// TestGetReadsAMovedValueAgain: a value relocated, its old chunk recycled,
+// between a lone Get's pointer load and its device read is read again,
+// alone, from wherever its entry points then — the batch path's one retry
+// (readAlone), which TestWindowKeepsSubmissionOrderPerKey drives for a
+// window's batch: two Value Storage reads, the current value.
+func TestGetReadsAMovedValueAgain(t *testing.T) {
+	s := small(t, func(o *Options) { o.NumThreads, o.NumSSDs = 1, 1 })
+	th := s.Thread(0)
+	k, v := aKey(0), kib(1)
+	if err := th.Put(k, v); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s) // one reclaim pass, one chunk: k has a chunk to itself
+	clk := sim.NewClock(0)
+	idx, _ := s.index.Lookup(clk, k)
+	at := s.table.Load(clk, idx)
+	if at.Media != hsit.VS {
+		t.Fatalf("k is at %+v, want it on flash", at)
+	}
+	reads := 0
+	s.readers[0] = hookedReader{s.readers[0], func() {
+		if reads++; reads == 1 {
+			recycleChunk(t, s, idx, at, v)
+		}
+	}}
+	if got, err := th.Get(k); err != nil || !bytes.Equal(got, v) {
+		t.Fatalf("Get: %d bytes, %v", len(got), err)
+	}
+	if reads != 2 {
+		t.Errorf("%d Value Storage reads, want 2: the moved record's and the value's new place's", reads)
+	}
+}
+
 // recycleChunk does what GC and the next chunk writer do between them to a
 // record alone in its chunk: the value val of HSIT entry idx, still at
 // `at` on device 0, moves to a fresh chunk; the old chunk, empty now, goes

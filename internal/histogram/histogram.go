@@ -29,8 +29,25 @@ const NumBuckets = totalBuckets
 // BucketIndex returns the bucket a sample falls into (0 <= i < NumBuckets).
 func BucketIndex(v int64) int { return bucketOf(v) }
 
-// BucketUpper returns a representative (upper-edge) value for bucket b.
-func BucketUpper(b int) int64 { return valueOf(b) }
+// Percentile is the one percentile walk over this package's bucket layout:
+// the approximate p-th percentile (0 < p <= 100) of total samples, none
+// above hi, of which count(b) fell into bucket b — the representative
+// (upper-edge) value of the bucket holding the sample of that rank, capped
+// at hi, or 0 when there are none. H reads its own counts; a concurrent
+// recorder (internal/obs) reads its atomic ones.
+func Percentile(p float64, total, hi int64, count func(b int) int64) int64 {
+	if total == 0 {
+		return 0
+	}
+	rank := min(max(int64(p/100*float64(total)), 1), total)
+	var seen int64
+	for b := range NumBuckets {
+		if seen += count(b); seen >= rank {
+			return min(valueOf(b), hi)
+		}
+	}
+	return hi
+}
 
 // H is a latency histogram over non-negative int64 samples (nanoseconds).
 // The zero value is ready to use.
@@ -112,28 +129,7 @@ func (h *H) Max() int64 { return h.max }
 
 // Percentile returns the approximate p-th percentile (0 < p <= 100).
 func (h *H) Percentile(p float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	rank := int64(p / 100 * float64(h.total))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.total {
-		rank = h.total
-	}
-	var seen int64
-	for b, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			v := valueOf(b)
-			if v > h.max {
-				v = h.max
-			}
-			return v
-		}
-	}
-	return h.max
+	return Percentile(p, h.total, h.max, func(b int) int64 { return h.counts[b] })
 }
 
 // Merge adds all of other's samples into h.

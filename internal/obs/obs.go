@@ -172,24 +172,8 @@ func (h *Histogram) value() *HistogramValue {
 	}
 	v.Sum = h.sum.Load()
 	v.Mean = float64(v.Sum) / float64(v.Count)
-	pct := func(p float64) int64 {
-		rank := int64(p / 100 * float64(v.Count))
-		if rank < 1 {
-			rank = 1
-		}
-		var seen int64
-		for b := range h.counts {
-			seen += h.counts[b].Load()
-			if seen >= rank {
-				u := histogram.BucketUpper(b)
-				if u > v.Max {
-					u = v.Max
-				}
-				return u
-			}
-		}
-		return v.Max
-	}
+	count := func(b int) int64 { return h.counts[b].Load() }
+	pct := func(p float64) int64 { return histogram.Percentile(p, v.Count, v.Max, count) }
 	v.P50, v.P99, v.P999 = pct(50), pct(99), pct(99.9)
 	return v
 }

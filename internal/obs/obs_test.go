@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/histogram"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -91,6 +93,30 @@ func TestHistogramPercentilesExact(t *testing.T) {
 	}
 	if hv.Mean < 499 || hv.Mean > 502 {
 		t.Fatalf("mean = %f, want ~500.5", hv.Mean)
+	}
+}
+
+// TestHistogramPercentilesMatchH: the concurrent histogram and
+// histogram.H walk their buckets with the one histogram.Percentile, so the
+// same samples give the same percentiles.
+func TestHistogramPercentilesMatchH(t *testing.T) {
+	r := NewRegistry()
+	h, ref := r.Histogram(Desc{Name: "t.h"}), histogram.New()
+	rng := rand.New(rand.NewSource(7))
+	for range 10_000 {
+		v := int64(rng.ExpFloat64() * 50_000)
+		h.Record(v)
+		ref.Record(v)
+	}
+	m, _ := r.Snapshot().Get("t.h", nil)
+	hv := m.Hist
+	for _, c := range []struct {
+		p        float64
+		got, ref int64
+	}{{50, hv.P50, ref.Percentile(50)}, {99, hv.P99, ref.Percentile(99)}, {99.9, hv.P999, ref.Percentile(99.9)}} {
+		if c.got != c.ref {
+			t.Errorf("p%v: %d, histogram.H says %d", c.p, c.got, c.ref)
+		}
 	}
 }
 
