@@ -59,25 +59,30 @@ test:
 # slowdown stretches for no Prism code the other packages leave
 # uncovered, so that one package contributes a bounded concurrent-load
 # smoke instead of its whole suite; every other package runs in full.
+# Every line runs even when an earlier one fails (a flake early on must
+# not hide a later gate); the target then exits non-zero and lists the
+# lines that failed.
 race:
-	$(GO) test -race $$($(GO) list ./... | grep -v internal/bench)
-	$(GO) test -race -count=1 -run 'TestShardBatchFanoutStress$$' ./internal/shard
-	$(GO) test -race -count=1 -run 'TestReplicaFanoutStress$$' ./internal/shard
-	$(GO) test -race -count=1 -run 'TestMigrationMidFlightStress$$' ./internal/shard
-	$(GO) test -race -count=1 -run 'TestAsyncCompletionStress$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestConcurrentOwnershipProperty$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestAdaptiveWatermarkBurstStress$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestGCChurnStress$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestReclaimAdmissionNeverStale$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestWindowKeepsSubmissionOrderPerKey$$|TestWindowStallMidWindow$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestClaimersInsideSettle$$|TestRelocationChargesSwingsAfterWrite$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestGCPassesRunPerDevice$$|TestWriteCrossingTheTriggerDecaysItOnce$$|TestUndrivenPassesStartAtThePresent$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestSVCEntryReuseStress$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestHandleReuseStress$$' ./internal/core
-	$(GO) test -race -count=1 -run 'TestPublishActsOnTheCurrentWord$$|TestPrefetchedPublishStress$$' ./internal/hsit
-	$(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench
-	$(GO) test -race -count=1 -run 'TestDispatchContentionStress$$|TestReplyOutlivesHandleStress$$' ./internal/server
-	$(GO) test -race -count=1 -run 'TestMixedSetReadersStress$$' ./internal/tcq
+	@failed=; run() { echo "$$*"; "$$@" || failed="$$failed$$(printf '\n  %s' "$$*")"; }; \
+	run $(GO) test -race $$($(GO) list ./... | grep -v internal/bench); \
+	run $(GO) test -race -count=1 -run 'TestShardBatchFanoutStress$$' ./internal/shard; \
+	run $(GO) test -race -count=1 -run 'TestReplicaFanoutStress$$' ./internal/shard; \
+	run $(GO) test -race -count=1 -run 'TestMigrationMidFlightStress$$' ./internal/shard; \
+	run $(GO) test -race -count=1 -run 'TestAsyncCompletionStress$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestConcurrentOwnershipProperty$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestAdaptiveWatermarkBurstStress$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestGCChurnStress$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestReclaimAdmissionNeverStale$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestWindowKeepsSubmissionOrderPerKey$$|TestWindowStallMidWindow$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestClaimersInsideSettle$$|TestRelocationChargesSwingsAfterWrite$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestGCPassesRunPerDevice$$|TestWriteCrossingTheTriggerDecaysItOnce$$|TestUndrivenPassesStartAtThePresent$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestSVCEntryReuseStress$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestHandleReuseStress$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestPublishActsOnTheCurrentWord$$|TestPrefetchedPublishStress$$' ./internal/hsit; \
+	run $(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench; \
+	run $(GO) test -race -count=1 -run 'TestDispatchContentionStress$$|TestReplyOutlivesHandleStress$$' ./internal/server; \
+	run $(GO) test -race -count=1 -run 'TestMixedSetReadersStress$$' ./internal/tcq; \
+	if [ -n "$$failed" ]; then echo "race: these lines failed:$$failed"; exit 1; fi
 
 # loc prints the non-blank, non-comment lines of non-test Go code per
 # package — the measure ROADMAP.md and CHANGES.md quote when a PR claims
@@ -107,11 +112,13 @@ tidy-check:
 # export (or vice versa), if an exported series has no reader outside the
 # files that register it, if an exported field of a public config
 # (core.Options, server.Config, bench.RunConfig, ycsb.Config) is set by no
-# non-test file, if a doc that describes the present cites a ROADMAP item
-# by number rather than by title, or if a budgeted doc outgrows its byte
+# non-test file, if an exported function or method (interface methods
+# included) is called by no non-test file and is not in the test-harness
+# table, if a doc that describes the present cites a ROADMAP item by
+# number rather than by title, or if a budgeted doc outgrows its byte
 # budget — see docs_test.go.
 check-docs:
-	$(GO) test -run 'TestMetricsDocsComplete|TestEverySeriesIsRead|TestEveryOptionIsSet|TestReadmeMentionsMetrics|TestDocsCiteRoadmapItemsByTitle|TestDocsByteBudget' -count=1 .
+	$(GO) test -run 'TestMetricsDocsComplete|TestEverySeriesIsRead|TestEveryOptionIsSet|TestEveryExportIsCalled|TestReadmeMentionsMetrics|TestDocsCiteRoadmapItemsByTitle|TestDocsByteBudget' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

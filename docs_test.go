@@ -16,6 +16,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/server"
@@ -150,28 +151,7 @@ var optionStructs = []struct{ pkg, name string }{
 // not by name. A knob only defaults and tests set is a constant, not an
 // option.
 func TestEveryOptionIsSet(t *testing.T) {
-	tree := &treeImporter{
-		fset: token.NewFileSet(),
-		info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
-		pkgs: map[string]*types.Package{},
-	}
-	tree.std = importer.ForCompiler(tree.fset, "source", nil)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		_, err = tree.Import(importPath(path))
-		if errors.As(err, new(*build.NoGoError)) {
-			return nil
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := loadTree(t)
 
 	// A write in a method of the field's own struct is its default, not a
 	// caller setting it.
@@ -242,6 +222,190 @@ func TestEveryOptionIsSet(t *testing.T) {
 		t.Errorf("%d exported config fields are set by no non-test file; make each the constant it always is, or give it a caller:\n%s",
 			len(unset), strings.Join(unset, "\n"))
 	}
+}
+
+// harnessExports are the exports only tests call that stay exported,
+// because tests outside their own package drive them; each reason names
+// the packages whose tests do.
+var harnessExports = []struct{ name, reason string }{
+	{"core.Store.CheckInvariants", "the fsck that core's and shard's stress and property tests end in"},
+	{"core.CheckReport.OK", "how core's and shard's tests read CheckInvariants"},
+	{"core.Store.NVM", "core's, shard's and bench's tests price a read from the NVM device's config"},
+	{"core.Store.TombstoneCount", "core's and shard's replication tests count live tombstones"},
+	{"nvm.Device.Config", "nvm's, pwb's, core's, shard's and bench's tests read the device's latencies"},
+	{"pwb.Buffer.Head", "pwb's tests, and core's reclaim and stall tests, read the append cursor"},
+	{"pwb.Buffer.Tail", "pwb's tests and core's reclaim tests read the release cursor"},
+	{"pwb.Buffer.GlobalOff", "pwb's tests, and core's stall test, turn a ring cursor into an HSIT offset"},
+	{"valuestore.Writer.Abort", "valuestore's tests, and core's that fill the devices with held chunks, give a claimed chunk back"},
+	{"engine.KV.Delete", "bench's TestEnginesMatchReferenceModel deletes through it on every engine; engine's tests too"},
+	{"engine.AsyncKV.DeleteAsync", "bench's TestEnginesMatchReferenceModel drives it on every async engine; engine's tests too"},
+	{"engine.Completion.Value", "internal/model reads every async result through it in bench's TestEnginesMatchReferenceModel; engine's tests too"},
+}
+
+// TestEveryExportIsCalled fails for an exported function or method,
+// interface methods included, that no non-test Go file in the repository
+// calls — directly, or through an interface method it implements that
+// some non-test file calls. String, Error, Read and Write count as
+// called: the standard library calls them. The method sets of the types
+// prism.go aliases are the library's API, and internal/model only tests
+// import; both are exempt. An export only its own package's tests call is
+// unexported; one that other packages' tests need is listed in
+// harnessExports. An entry that gains a caller, or names nothing, fails.
+func TestEveryExportIsCalled(t *testing.T) {
+	tree := loadTree(t)
+	name := func(f *types.Func) string {
+		recv := f.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return path.Base(f.Pkg().Path()) + "." + f.Name()
+		}
+		rt := recv.Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		return fmt.Sprintf("%s.%s.%s", path.Base(f.Pkg().Path()), rt.(*types.Named).Obj().Name(), f.Name())
+	}
+
+	exempt := map[*types.Func]bool{}
+	for _, n := range tree.pkgs["repro"].Scope().Names() {
+		if o, ok := tree.pkgs["repro"].Scope().Lookup(n).(*types.TypeName); ok && o.IsAlias() {
+			if nt, ok := types.Unalias(o.Type()).(*types.Named); ok {
+				for i := range nt.NumMethods() {
+					exempt[nt.Method(i)] = true
+				}
+			}
+		}
+	}
+	exports := map[string]*types.Func{}
+	var named []*types.Named
+	for _, p := range tree.pkgs {
+		for _, n := range p.Scope().Names() {
+			var fns []*types.Func
+			switch o := p.Scope().Lookup(n).(type) {
+			case *types.Func:
+				fns = append(fns, o)
+			case *types.TypeName:
+				nt, ok := o.Type().(*types.Named)
+				if !ok || o.IsAlias() {
+					continue
+				}
+				named = append(named, nt)
+				for i := range nt.NumMethods() {
+					fns = append(fns, nt.Method(i))
+				}
+				if it, ok := nt.Underlying().(*types.Interface); ok {
+					for i := range it.NumExplicitMethods() {
+						fns = append(fns, it.ExplicitMethod(i))
+					}
+				}
+			}
+			for _, fn := range fns {
+				if fn.Exported() && !exempt[fn] && p.Path() != "repro/internal/model" {
+					exports[name(fn)] = fn
+				}
+			}
+		}
+	}
+
+	// A use outside the function's own body is a call: a method value
+	// handed to a callback is called by whoever holds it.
+	called := map[*types.Func]bool{}
+	for _, f := range tree.files {
+		for _, d := range f.Decls {
+			var self types.Object
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				self = tree.info.Defs[fd.Name]
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				id, _ := n.(*ast.Ident)
+				if fn, ok := tree.info.Uses[id].(*types.Func); ok && fn != self {
+					called[fn.Origin()] = true
+				}
+				return true
+			})
+		}
+	}
+	for _, h := range harnessExports {
+		switch fn := exports[h.name]; {
+		case fn == nil:
+			t.Errorf("harnessExports lists %s, which names no audited function or method", h.name)
+		case called[fn]:
+			t.Errorf("harnessExports lists %s, which a non-test file calls: drop the entry", h.name)
+		default:
+			called[fn] = true
+		}
+	}
+	// A method is called when an interface method it implements is.
+	var viaIface []*types.Func
+	for fn := range called {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			viaIface = append(viaIface, fn)
+		}
+	}
+	for _, im := range viaIface {
+		it := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for _, nt := range named {
+			if ptr := types.NewPointer(nt); nt.TypeParams().Len() == 0 && !types.IsInterface(nt) && types.Implements(ptr, it) {
+				m, _, _ := types.LookupFieldOrMethod(ptr, false, im.Pkg(), im.Name())
+				called[m.(*types.Func).Origin()] = true
+			}
+		}
+	}
+
+	var uncalled []string
+	for n, fn := range exports {
+		switch fn.Name() {
+		case "String", "Error", "Read", "Write":
+			continue
+		}
+		if !called[fn] {
+			uncalled = append(uncalled, n)
+		}
+	}
+	sort.Strings(uncalled)
+	if len(uncalled) > 0 {
+		t.Errorf("%d exported functions and methods are called by no non-test file; delete each, unexport it, or list it in harnessExports:\n%s",
+			len(uncalled), strings.Join(uncalled, "\n"))
+	}
+}
+
+// sourceTree is the repository type-checked once for the audits that
+// read it.
+var sourceTree struct {
+	once sync.Once
+	ti   *treeImporter
+	err  error
+}
+
+// loadTree type-checks every package of the repository from its non-test
+// files — benchmark/, cmd/ and examples/ included — recording every
+// definition and use.
+func loadTree(t *testing.T) *treeImporter {
+	t.Helper()
+	sourceTree.once.Do(func() {
+		ti := &treeImporter{
+			fset: token.NewFileSet(),
+			info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+			pkgs: map[string]*types.Package{},
+		}
+		ti.std = importer.ForCompiler(ti.fset, "source", nil)
+		sourceTree.ti, sourceTree.err = ti, filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			_, err = ti.Import(importPath(path))
+			if errors.As(err, new(*build.NoGoError)) {
+				return nil
+			}
+			return err
+		})
+	})
+	if sourceTree.err != nil {
+		t.Fatal(sourceTree.err)
+	}
+	return sourceTree.ti
 }
 
 // importPath is the import path of the package in dir, a path relative to
@@ -338,8 +502,8 @@ var docBudgets = []struct {
 	{"DESIGN.md", 92665},
 	{"EXPERIMENTS.md", 50750},
 	{"README.md", 29555},
-	{".claude/skills/verify/SKILL.md", 29807},
-	{"CHANGES.md", 152994},
+	{".claude/skills/verify/SKILL.md", 29793},
+	{"CHANGES.md", 152977},
 	{"METRICS.md", 25898},
 }
 

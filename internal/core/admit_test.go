@@ -331,7 +331,7 @@ func TestScanCachesARangeWhole(t *testing.T) {
 	// not (§4.4), and leaves its mark for a later scan: MultiGet here; Get
 	// is TestGetServedFromSVCAfterVSRead.
 	before := reg(t, s)
-	if _, err := th.MultiGet([][]byte{aKey(30), aKey(31)}); err != nil {
+	if _, err := th.MultiGetInto([][]byte{aKey(30), aKey(31)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := reg(t, s); st.n("svc.entries") != before.n("svc.entries")+2 || st.n("svc.scan_deferred") != before.n("svc.scan_deferred") {
@@ -414,7 +414,7 @@ func TestReadRowsKeepsScanAdmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := th.Delete(fresh[1]); err != nil {
+	if err := th.deleteSync(fresh[1], 0); err != nil {
 		t.Fatal(err)
 	}
 	vals, err := th.ReadRows(fresh, nil)
@@ -572,7 +572,7 @@ func TestOverwriteKeepsCachedKey(t *testing.T) {
 
 	// A delete unpublishes the entry too; the slot's next key, which
 	// nobody has read, inherits nothing and is handed to nobody.
-	if err := th.Delete(aKey(0)); err != nil {
+	if err := th.deleteSync(aKey(0), 0); err != nil {
 		t.Fatal(err)
 	}
 	if !s.pop.cached.has(idx) {
@@ -740,7 +740,7 @@ func TestReadFilterAgeing(t *testing.T) {
 		}
 		mustGet(t, th, key(0))
 		idx := mustIdx(t, s, 0)
-		if err := th.Delete(key(0)); err != nil {
+		if err := th.deleteSync(key(0), 0); err != nil {
 			t.Fatal(err)
 		}
 		s.em.Barrier() // grace: the slot is free

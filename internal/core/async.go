@@ -355,21 +355,18 @@ type asyncThread struct {
 	waiting []*Handle // pass scratch: the gets behind lt.pending, in its order
 }
 
-// PutAsync submits a durable write and returns its completion Handle.
-// The write obeys the same durability contract as Put — when the Handle
-// completes successfully the value is persisted — but executes on the
-// thread's async timeline, coalesced with other pending submissions.
+// PutTSAsync submits a durable write stamped ts and returns its
+// completion Handle. The write obeys the same durability contract as Put
+// — when the Handle completes successfully the value is persisted — but
+// executes on the thread's async timeline, coalesced with other pending
+// submissions; the admission loop applies it through putStep's
+// last-writer-wins gate (stamp 0 is unstamped).
 //
-// Unlike the synchronous methods, PutAsync (and GetAsync/DeleteAsync)
+// Unlike the synchronous methods, PutTSAsync (and GetAsync/DeleteTSAsync)
 // may be called from any goroutine, concurrently; key and value are
 // copied before return. Submissions on one Thread apply in submission
 // order. If asyncMaxPending submissions are already in flight the call
 // blocks until the loop catches up (backpressure, not error).
-func (t *Thread) PutAsync(key, value []byte) *Handle { return t.PutTSAsync(key, value, 0) }
-
-// PutTSAsync is PutAsync carrying a logical timestamp; the admission
-// loop applies it through putStep's last-writer-wins gate (stamp 0 is
-// the plain PutAsync).
 func (t *Thread) PutTSAsync(key, value []byte, ts uint64) *Handle {
 	s := t.s
 	if s.closed.Load() {
@@ -390,7 +387,7 @@ func (t *Thread) PutTSAsync(key, value []byte, ts uint64) *Handle {
 // never one submitted after it (see pass). A get the SVC or the PWB serves
 // completes at the end of its own step of the window, overlapped with the
 // window's other operations; one that goes to Value Storage completes
-// when the window's one batch read lands. See PutAsync for the
+// when the window's one batch read lands. See PutTSAsync for the
 // concurrency contract.
 func (t *Thread) GetAsync(key []byte) *Handle {
 	s := t.s
@@ -402,14 +399,10 @@ func (t *Thread) GetAsync(key []byte) *Handle {
 	return t.async.submit(opGet, key, nil, 0)
 }
 
-// DeleteAsync submits a delete and returns its completion Handle
-// (ErrNotFound if the key was missing). See PutAsync for the
-// concurrency contract.
-func (t *Thread) DeleteAsync(key []byte) *Handle { return t.DeleteTSAsync(key, 0) }
-
-// DeleteTSAsync is DeleteAsync carrying a logical timestamp. The handle
-// completes with nil if a live value was removed here and ErrNotFound if
-// only the tombstone was recorded (superseded or already absent).
+// DeleteTSAsync submits a delete stamped ts and returns its completion
+// Handle: nil if a live value was removed here, ErrNotFound if the key
+// was missing or only the tombstone was recorded (superseded). See
+// PutTSAsync for the concurrency contract.
 func (t *Thread) DeleteTSAsync(key []byte, ts uint64) *Handle {
 	s := t.s
 	if s.closed.Load() {

@@ -43,8 +43,8 @@ func TestAsyncRoundtrip(t *testing.T) {
 	s := asyncStore(t, nil)
 	th := s.Thread(0)
 
-	hp := th.PutAsync([]byte("k"), []byte("v1"))
-	hp2 := th.PutAsync([]byte("k"), []byte("v2")) // later submission wins
+	hp := th.PutTSAsync([]byte("k"), []byte("v1"), 0)
+	hp2 := th.PutTSAsync([]byte("k"), []byte("v2"), 0) // later submission wins
 	hg := th.GetAsync([]byte("k"))
 	if err := hp.Wait(); err != nil {
 		t.Fatal(err)
@@ -64,18 +64,18 @@ func TestAsyncRoundtrip(t *testing.T) {
 		t.Fatalf("sync Get after async Put = %q, %v", v, err)
 	}
 
-	if err := th.DeleteAsync([]byte("k")).Wait(); err != nil {
+	if err := th.DeleteTSAsync([]byte("k"), 0).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := th.GetAsync([]byte("k")).Value(); err != ErrNotFound {
 		t.Fatalf("GetAsync after delete: %v, want ErrNotFound", err)
 	}
-	if err := th.DeleteAsync([]byte("nope")).Wait(); err != ErrNotFound {
+	if err := th.DeleteTSAsync([]byte("nope"), 0).Wait(); err != ErrNotFound {
 		t.Fatalf("DeleteAsync missing: %v, want ErrNotFound", err)
 	}
 
 	// Empty value stays distinguishable from missing.
-	if err := th.PutAsync([]byte("e"), nil).Wait(); err != nil {
+	if err := th.PutTSAsync([]byte("e"), nil, 0).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := th.GetAsync([]byte("e")).Value(); err != nil || v == nil || len(v) != 0 {
@@ -92,7 +92,7 @@ func TestAsyncFlushAndClose(t *testing.T) {
 	th := s.Thread(0)
 	var hs []*Handle
 	for i := 0; i < 100; i++ {
-		hs = append(hs, th.PutAsync([]byte(fmt.Sprintf("k%03d", i)), []byte("v")))
+		hs = append(hs, th.PutTSAsync([]byte(fmt.Sprintf("k%03d", i)), []byte("v"), 0))
 	}
 	th.Flush()
 	for i, h := range hs {
@@ -109,7 +109,7 @@ func TestAsyncFlushAndClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := th.PutAsync([]byte("late"), []byte("v")).Wait(); err != ErrClosed {
+	if err := th.PutTSAsync([]byte("late"), []byte("v"), 0).Wait(); err != ErrClosed {
 		t.Fatalf("PutAsync after Close: %v, want ErrClosed", err)
 	}
 	if err := th.GetAsync([]byte("late")).Wait(); err != ErrClosed {
@@ -128,7 +128,7 @@ func TestAsyncCoalescing(t *testing.T) {
 	const ops = 256
 	var hs []*Handle
 	for i := 0; i < ops; i++ {
-		hs = append(hs, th.PutAsync([]byte(fmt.Sprintf("k%04d", i)), make([]byte, 64)))
+		hs = append(hs, th.PutTSAsync([]byte(fmt.Sprintf("k%04d", i)), make([]byte, 64), 0))
 	}
 	th.Flush()
 	for _, h := range hs {
@@ -170,11 +170,11 @@ func TestAsyncCompletionStress(t *testing.T) {
 					var h *Handle
 					switch i % 4 {
 					case 0, 1:
-						h = th.PutAsync(key, val)
+						h = th.PutTSAsync(key, val, 0)
 					case 2:
 						h = th.GetAsync(key)
 					default:
-						h = th.DeleteAsync(key)
+						h = th.DeleteTSAsync(key, 0)
 					}
 					hs = append(hs, h)
 					if i%16 == 0 {
@@ -230,7 +230,7 @@ func TestAsyncBackpressureBound(t *testing.T) {
 		go func() {
 			defer close(done)
 			for i := range hs {
-				hs[i] = th.PutAsync([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+				hs[i] = th.PutTSAsync([]byte(fmt.Sprintf("k%03d", i)), []byte("v"), 0)
 				returned.Add(1)
 			}
 		}()
@@ -283,7 +283,7 @@ func TestAsyncConcurrentWithSync(t *testing.T) {
 		// back at the end.
 		for i := 0; ; i++ {
 			key := []byte(fmt.Sprintf("async-%03d", i%64))
-			if err := th.PutAsync(key, []byte("av")).Wait(); err != nil {
+			if err := th.PutTSAsync(key, []byte("av"), 0).Wait(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -304,7 +304,7 @@ func TestAsyncConcurrentWithSync(t *testing.T) {
 			t.Fatalf("sync Get = %q, %v", v, err)
 		}
 		if i%10 == 0 {
-			if err := th.PutBatch([]KV{{Key: key, Value: val}, {Key: []byte("b"), Value: val}}); err != nil {
+			if err := th.PutBatchTS([]KV{{Key: key, Value: val}, {Key: []byte("b"), Value: val}}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -327,7 +327,7 @@ func TestAsyncCrashRecover(t *testing.T) {
 	const ops = 200
 	var hs []*Handle
 	for i := 0; i < ops; i++ {
-		hs = append(hs, th.PutAsync([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%04d", i))))
+		hs = append(hs, th.PutTSAsync([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%04d", i)), 0))
 	}
 	hs[ops/4].Wait() // let the pipeline get partway through the stream
 	s.Crash()        // joins the admission loop mid-stream; rest fail with ErrClosed
@@ -359,7 +359,7 @@ func TestAsyncCrashRecover(t *testing.T) {
 		}
 	}
 	// The pipeline must be usable again after recovery.
-	if err := th.PutAsync([]byte("post"), []byte("crash")).Wait(); err != nil {
+	if err := th.PutTSAsync([]byte("post"), []byte("crash"), 0).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("%d/%d async puts completed before crash", okBefore, ops)

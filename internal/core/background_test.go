@@ -155,7 +155,7 @@ func TestWriteCrossingTheTriggerDecaysItOnce(t *testing.T) {
 			}
 			var err error
 			if async {
-				err = th.PutAsync([]byte("crossing"), val).Wait()
+				err = th.PutTSAsync([]byte("crossing"), val, 0).Wait()
 				th.Flush() // the handle completes inside the window, before its probe
 			} else {
 				err = th.Put([]byte("crossing"), val)
@@ -200,7 +200,7 @@ func TestInlineReclaimInsideAsyncWindow(t *testing.T) {
 	oneWindow(th, func() {
 		got = th.GetAsync(key(0))
 		for i := 0; i < 12; i++ { // 12 KiB: the ring crosses the 16 KiB chunk
-			th.PutAsync(key(1000+i), kib(i))
+			th.PutTSAsync(key(1000+i), kib(i), 0)
 		}
 	})
 	if reg(t, s).n("pwb.reclaims") == reclaims {

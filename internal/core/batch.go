@@ -7,16 +7,20 @@ import (
 	"repro/internal/hsit"
 )
 
-// Batch operations: PutBatch and MultiGet amortize the fixed per-op toll
-// of the public API — epoch enter/exit, publish-pending bookkeeping, and
-// (for reads) Value Storage IO — across many keys. The device-level
-// batching of §5.3 (thread combining) already merges concurrent IO;
-// these entry points remove the per-key software overhead above it.
+// Batch operations: PutBatchTS and MultiGetInto amortize the fixed
+// per-op toll of the public API — epoch enter/exit, publish-pending
+// bookkeeping, and (for reads) Value Storage IO — across many keys. The
+// device-level batching of §5.3 (thread combining) already merges
+// concurrent IO; these entry points remove the per-key software overhead
+// above it.
 
-// PutBatch applies kvs in order, entering the epoch once and clearing
+// PutBatchTS applies kvs in order, entering the epoch once and clearing
 // the PWB publish-pending window once per pass instead of once per key.
+// It carries one stamp per entry (nil tss: all unstamped): the routed
+// replica fan-out's write path, each entry individually obeying
+// last-writer-wins (see putStep for the stamp rule).
 //
-// Durability contract: PutBatch is NOT atomic. Entries are appended and
+// Durability contract: PutBatchTS is NOT atomic. Entries are appended and
 // published in slice order, and each entry's HSIT publish is persisted
 // before the next entry is written, so a crash (or concurrent Close)
 // leaves a durable PREFIX of the batch: if entry i survived recovery,
@@ -24,12 +28,6 @@ import (
 // a nil return means every entry is durable. Duplicate keys are applied
 // in order (the later entry wins), never coalesced — skipping an earlier
 // duplicate would break the prefix guarantee.
-func (t *Thread) PutBatch(kvs []KV) error { return t.PutBatchTS(kvs, nil) }
-
-// PutBatchTS is PutBatch with one stamp per entry (nil tss: all
-// unstamped): the routed replica fan-out's write path, keeping the
-// one-epoch-enter/one-publish-window amortization while each entry
-// individually obeys last-writer-wins (see putStep for the stamp rule).
 func (t *Thread) PutBatchTS(kvs []KV, tss []uint64) error {
 	s := t.s
 	if s.closed.Load() {
@@ -102,24 +100,20 @@ func (t *Thread) putBatchEpoch(kvs []KV, tss []uint64) (applied int, err error) 
 	return len(kvs), nil
 }
 
-// MultiGet resolves keys in one epoch-scoped pass and returns one value
-// per key, with nil marking a missing key (present-but-empty values are
-// non-nil). The keys resolve through one overlap frame (async.go) — each
-// key's index lookup and NVM round trips issued asyncIssueNS after the
-// previous key's, overlapping with them — so MultiGet of n keys advances
-// the clock by what the same n GetAsyncs in one admission window do.
+// MultiGetInto resolves keys in one epoch-scoped pass and appends one
+// value per key to vals, returning the extended slice: nil marks a
+// missing key (present-but-empty values are non-nil). Callers serving
+// hot paths keep a scratch slice and pass vals[:0] to avoid the
+// per-batch allocation. The keys resolve through one overlap frame
+// (async.go) — each key's index lookup and NVM round trips issued
+// asyncIssueNS after the previous key's, overlapping with them — so n
+// keys advance the clock by what the same n GetAsyncs in one admission
+// window do.
 // Values resident only in Value Storage are read as merged, sorted
 // extents — one IO per extent instead of one per key — and the extents go
 // to the devices together, as one asynchronous batch through the §5.3
 // batching scheme, issued when the last such key has resolved: the call
 // waits about one SSD read latency for all of them (see readVSBatch).
-func (t *Thread) MultiGet(keys [][]byte) ([][]byte, error) {
-	return t.MultiGetInto(keys, make([][]byte, 0, len(keys)))
-}
-
-// MultiGetInto is MultiGet appending into vals (one entry per key, nil =
-// missing), returning the extended slice. Callers serving hot paths keep
-// a scratch slice and pass vals[:0] to avoid the per-batch allocation.
 func (t *Thread) MultiGetInto(keys [][]byte, vals [][]byte) ([][]byte, error) {
 	s := t.s
 	if s.closed.Load() {

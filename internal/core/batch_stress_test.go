@@ -81,7 +81,7 @@ func runPutBatchReclaimStress(t *testing.T, disableSVC bool) {
 						picked[b] = k
 						kvs[b] = KV{Key: keyOf(ti, k), Value: stressVal(ti, k, base+j*8+b)}
 					}
-					if err := th.PutBatch(kvs); err != nil {
+					if err := th.PutBatchTS(kvs, nil); err != nil {
 						errs <- fmt.Errorf("thread %d batch: %w", ti, err)
 						return
 					}
@@ -92,7 +92,7 @@ func runPutBatchReclaimStress(t *testing.T, disableSVC bool) {
 					case 0:
 						// Self MultiGet over the whole owned range: every
 						// key must hold exactly its last committed write.
-						vals, err := th.MultiGet(selfKeys)
+						vals, err := th.MultiGetInto(selfKeys, nil)
 						if err != nil {
 							errs <- fmt.Errorf("thread %d self-multiget: %w", ti, err)
 							return
@@ -116,7 +116,7 @@ func runPutBatchReclaimStress(t *testing.T, disableSVC bool) {
 						for b := range fkeys {
 							fkeys[b] = keyOf(fi, rng.Intn(keysPerThread))
 						}
-						if _, err := th.MultiGet(fkeys); err != nil {
+						if _, err := th.MultiGetInto(fkeys, nil); err != nil {
 							errs <- fmt.Errorf("thread %d foreign-multiget: %w", ti, err)
 							return
 						}
@@ -139,7 +139,7 @@ func runPutBatchReclaimStress(t *testing.T, disableSVC bool) {
 			for k := range keys {
 				keys[k] = keyOf(ti, k)
 			}
-			vals, err := th.MultiGet(keys)
+			vals, err := th.MultiGetInto(keys, nil)
 			if err != nil {
 				t.Fatalf("round %d thread %d: %v", round, ti, err)
 			}

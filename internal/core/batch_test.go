@@ -13,7 +13,7 @@ func TestPutBatchBasics(t *testing.T) {
 	th := s.Thread(0)
 
 	// Empty batch: a no-op, not an error, and not a counted batch.
-	if err := th.PutBatch(nil); err != nil {
+	if err := th.PutBatchTS(nil, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 	if got := reg(t, s).n("core.batch_ops", "op", "put"); got != 0 {
@@ -24,7 +24,7 @@ func TestPutBatchBasics(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		kvs = append(kvs, KV{Key: key(i), Value: value(i)})
 	}
-	if err := th.PutBatch(kvs); err != nil {
+	if err := th.PutBatchTS(kvs, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -44,12 +44,12 @@ func TestPutBatchBasics(t *testing.T) {
 func TestPutBatchDuplicateKeysLastWins(t *testing.T) {
 	s := small(t, nil)
 	th := s.Thread(0)
-	err := th.PutBatch([]KV{
+	err := th.PutBatchTS([]KV{
 		{Key: []byte("dup"), Value: []byte("first")},
 		{Key: []byte("other"), Value: []byte("x")},
 		{Key: []byte("dup"), Value: []byte("second")},
 		{Key: []byte("dup"), Value: []byte("third")},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestPutBatchDuplicateKeysLastWins(t *testing.T) {
 func TestPutBatchRejectsOversizedValueUpFront(t *testing.T) {
 	s := small(t, nil)
 	th := s.Thread(0)
-	err := th.PutBatch([]KV{
+	err := th.PutBatchTS([]KV{
 		{Key: []byte("ok0"), Value: []byte("v")},
 		{Key: []byte("big"), Value: make([]byte, hsit.MaxValueLen+1)},
 		{Key: []byte("ok2"), Value: []byte("v")},
-	})
+	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "entry 1") {
 		t.Fatalf("oversized entry error: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestMultiGetSemantics(t *testing.T) {
 	if err := th.Put([]byte("empty"), nil); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := th.MultiGet([][]byte{[]byte("a"), []byte("missing"), []byte("empty"), []byte("a")})
+	vals, err := th.MultiGetInto([][]byte{[]byte("a"), []byte("missing"), []byte("empty"), []byte("a")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestMultiGetSemantics(t *testing.T) {
 
 	// Empty key set: no batch counted.
 	before := reg(t, s).n("core.batch_ops", "op", "get")
-	if vals, err := th.MultiGet(nil); err != nil || len(vals) != 0 {
+	if vals, err := th.MultiGetInto(nil, nil); err != nil || len(vals) != 0 {
 		t.Fatalf("empty MultiGet: %q, %v", vals, err)
 	}
 	if got := reg(t, s).n("core.batch_ops", "op", "get"); got != before {
@@ -143,7 +143,7 @@ func TestMultiGetAcrossMedia(t *testing.T) {
 	for i := range keys {
 		keys[i] = key(i)
 	}
-	vals, err := th.MultiGet(keys)
+	vals, err := th.MultiGetInto(keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestMultiGetAcrossMedia(t *testing.T) {
 		}
 	}
 	// Second pass hits whatever the first pass admitted to the SVC.
-	vals, err = th.MultiGet(keys)
+	vals, err = th.MultiGetInto(keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +168,10 @@ func TestBatchOpsAfterClose(t *testing.T) {
 	s := small(t, nil)
 	th := s.Thread(0)
 	s.Close()
-	if err := th.PutBatch([]KV{{Key: []byte("k"), Value: []byte("v")}}); err != ErrClosed {
+	if err := th.PutBatchTS([]KV{{Key: []byte("k"), Value: []byte("v")}}, nil); err != ErrClosed {
 		t.Fatalf("PutBatch after close: %v", err)
 	}
-	if _, err := th.MultiGet([][]byte{[]byte("k")}); err != ErrClosed {
+	if _, err := th.MultiGetInto([][]byte{[]byte("k")}, nil); err != ErrClosed {
 		t.Fatalf("MultiGet after close: %v", err)
 	}
 }
@@ -184,26 +184,26 @@ func TestBatchAmortizesEpochEnters(t *testing.T) {
 	th := s.Thread(0)
 	const n = 128
 
-	e0 := s.Epochs().Enters()
+	e0 := s.em.Enters()
 	for i := 0; i < n; i++ {
 		if err := th.Put(key(i), value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	single := s.Epochs().Enters() - e0
+	single := s.em.Enters() - e0
 
-	e1 := s.Epochs().Enters()
+	e1 := s.em.Enters()
 	kvs := make([]KV, 0, 32)
 	for i := 0; i < n; i += 32 {
 		kvs = kvs[:0]
 		for j := i; j < i+32 && j < n; j++ {
 			kvs = append(kvs, KV{Key: key(j), Value: value(j + 1)})
 		}
-		if err := th.PutBatch(kvs); err != nil {
+		if err := th.PutBatchTS(kvs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	batched := s.Epochs().Enters() - e1
+	batched := s.em.Enters() - e1
 
 	if single < n {
 		t.Fatalf("single-put enters = %d, want >= %d", single, n)
@@ -233,10 +233,10 @@ func TestBatchAmortizesEpochEnters(t *testing.T) {
 func TestBatchLatencyMetrics(t *testing.T) {
 	s := small(t, nil)
 	th := s.Thread(0)
-	if err := th.PutBatch([]KV{{Key: []byte("k"), Value: []byte("v")}}); err != nil {
+	if err := th.PutBatchTS([]KV{{Key: []byte("k"), Value: []byte("v")}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := th.MultiGet([][]byte{[]byte("k")}); err != nil {
+	if _, err := th.MultiGetInto([][]byte{[]byte("k")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, lbl := range []string{"put_batch", "multiget"} {
@@ -293,7 +293,7 @@ func TestStaleAdmissionRejectedOnRead(t *testing.T) {
 		t.Fatal("SVC handle unexpectedly set after retraction")
 	}
 	s.cache.Published(e)
-	vals, err := th.MultiGet([][]byte{[]byte("k")})
+	vals, err := th.MultiGetInto([][]byte{[]byte("k")}, nil)
 	if err != nil || string(vals[0]) != "fresh" {
 		t.Fatalf("MultiGet through stale cache entry = %q, %v", vals, err)
 	}

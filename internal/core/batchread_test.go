@@ -50,7 +50,7 @@ func aValue(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 2
 // readIOs returns the read IO count of every device.
 func readIOs(s *Store) []int64 {
 	var ios []int64
-	for _, d := range s.SSDs() {
+	for _, d := range s.ssds {
 		ios = append(ios, d.Stats().ReadIOs)
 	}
 	return ios
@@ -79,7 +79,7 @@ func TestBatchReadOverlapsExtents(t *testing.T) {
 				keys[i] = aKey(i)
 			}
 			t0 := th.Clk.Now()
-			vals, err := th.MultiGet(keys)
+			vals, err := th.MultiGetInto(keys, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestBatchReadOverlapsExtents(t *testing.T) {
 					slow := ssd.Config{ReadLatency: 1_000_000}
 					o.SSDConfigs = []ssd.Config{slow, slow} // small's two devices
 				})
-				lat := s.SSDs()[0].Config().ReadLatency
+				lat := s.ssds[0].Config().ReadLatency
 				// Far past every reservation the load and the drain left on
 				// the NVM and SSD channels, so the reads queue behind nothing.
 				th.Clk.AdvanceTo(1 << 40)

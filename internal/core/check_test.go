@@ -34,7 +34,7 @@ func TestCheckerCleanStore(t *testing.T) {
 		th.Get(key(i)) // populate the SVC
 	}
 	for i := 0; i < n; i += 9 {
-		th.Delete(key(i))
+		th.deleteSync(key(i), 0)
 	}
 	settle(s)
 	rep := s.CheckInvariants()

@@ -79,13 +79,13 @@ func TestDelete(t *testing.T) {
 	th := s.Thread(0)
 	th.Put(key(1), value(1))
 	th.Put(key(2), value(2))
-	if err := th.Delete(key(1)); err != nil {
+	if err := th.deleteSync(key(1), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := th.Get(key(1)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted key: %v", err)
 	}
-	if err := th.Delete(key(1)); !errors.Is(err, ErrNotFound) {
+	if err := th.deleteSync(key(1), 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
 	if got, err := th.Get(key(2)); err != nil || !bytes.Equal(got, value(2)) {
@@ -97,7 +97,7 @@ func TestReinsertAfterDelete(t *testing.T) {
 	s := small(t, nil)
 	th := s.Thread(0)
 	th.Put(key(1), []byte("first"))
-	th.Delete(key(1))
+	th.deleteSync(key(1), 0)
 	th.Put(key(1), []byte("second"))
 	got, err := th.Get(key(1))
 	if err != nil || string(got) != "second" {
@@ -260,7 +260,7 @@ func TestScanPageSurvivesConcurrentDeletes(t *testing.T) {
 	for _, start := range []int{60, 120} {
 		scanHook = func(*Thread) {
 			for k := start + 1; k < start+page; k += 2 {
-				if err := churn.Delete(key(k)); err != nil {
+				if err := churn.deleteSync(key(k), 0); err != nil {
 					t.Error(err)
 				}
 			}
@@ -403,7 +403,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				k := key(rng.Intn(200))
 				switch rng.Intn(10) {
 				case 0:
-					th.Delete(k)
+					th.deleteSync(k, 0)
 				case 1, 2:
 					if err := th.Scan(k, 10, func(kv KV) bool { return true }); err != nil {
 						t.Errorf("scan: %v", err)
@@ -503,8 +503,8 @@ func TestValueTooLargeRejected(t *testing.T) {
 	big := make([]byte, hsit.MaxValueLen+1)
 	for name, err := range map[string]error{
 		"Put":      th.Put(key(1), big),
-		"PutAsync": th.PutAsync(key(1), big).Wait(),
-		"PutBatch": th.PutBatch([]KV{{Key: key(2), Value: value(2)}, {Key: key(1), Value: big}}),
+		"PutAsync": th.PutTSAsync(key(1), big, 0).Wait(),
+		"PutBatch": th.PutBatchTS([]KV{{Key: key(2), Value: value(2)}, {Key: key(1), Value: big}}, nil),
 	} {
 		if !errors.Is(err, ErrValueTooLarge) {
 			t.Errorf("oversized %s = %v, want ErrValueTooLarge", name, err)
@@ -570,7 +570,7 @@ func TestStatsReporting(t *testing.T) {
 	th.Put(key(1), value(1))
 	th.Get(key(1))
 	th.Scan(nil, 1, func(kv KV) bool { return true })
-	th.Delete(key(1))
+	th.deleteSync(key(1), 0)
 	st := reg(t, s)
 	for _, op := range []string{"put", "get", "scan", "delete"} {
 		if n := st.n("core.ops", "op", op); n != 1 {

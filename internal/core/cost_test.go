@@ -30,7 +30,7 @@ type costModel struct {
 // past the load: lookups are measured 2^25 ns before that — inside the NVM
 // channel's horizon, in buckets nothing else has drawn on.
 func costsOf(s *Store, now int64) *costModel {
-	return &costModel{s: s, nvm: s.NVM().Config(), ssd: s.SSDs()[0].Config(), quiet: now - 1<<25}
+	return &costModel{s: s, nvm: s.NVM().Config(), ssd: s.ssds[0].Config(), quiet: now - 1<<25}
 }
 
 // lookup is what the key index charges to find key. It depends on the

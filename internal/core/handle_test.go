@@ -49,7 +49,7 @@ func TestAsyncSubmitAllocatesNothing(t *testing.T) {
 		s, th := residentStore(t, 16)
 		k, v := aKey(5), kib(99)
 		measure(t, s, "", func() {
-			h := th.PutAsync(k, v)
+			h := th.PutTSAsync(k, v, 0)
 			if err := h.Wait(); err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestAsyncSubmitAllocatesNothing(t *testing.T) {
 		}
 		i := 0
 		measure(t, s, "", func() {
-			h := th.DeleteAsync(ks[i])
+			h := th.DeleteTSAsync(ks[i], 0)
 			if err := h.Wait(); err != nil {
 				t.Fatalf("DeleteAsync(%d): %v", i, err)
 			}
@@ -140,7 +140,7 @@ func TestReusedHandleEmptyValue(t *testing.T) {
 	var early []string
 	called := make(chan struct{}, 1)
 	queueWindow(th, func() {
-		if put = th.PutAsync(key(2), []byte{}); put != h2 {
+		if put = th.PutTSAsync(key(2), []byte{}, 0); put != h2 {
 			early = append(early, "the put did not reuse the released handle")
 		}
 		if put.Done() {
@@ -206,7 +206,7 @@ func TestHandleReuseStress(t *testing.T) {
 			hs := make([]*Handle, depth)
 			for r := 0; r < rounds; r++ {
 				for k := range keys {
-					hs[k] = th.PutAsync(keys[k], val(g, k, r))
+					hs[k] = th.PutTSAsync(keys[k], val(g, k, r), 0)
 				}
 				for _, h := range hs {
 					if err := h.Wait(); err != nil {
@@ -218,7 +218,7 @@ func TestHandleReuseStress(t *testing.T) {
 				del := r%5 == 4
 				for k := range keys {
 					if del && k%2 == 0 {
-						th.DeleteAsync(keys[k]).Release()
+						th.DeleteTSAsync(keys[k], 0).Release()
 					}
 					hs[k] = th.GetAsync(keys[k])
 				}

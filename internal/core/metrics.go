@@ -277,10 +277,6 @@ func (s *Store) registerMetrics() {
 		s.em.Enters)
 }
 
-// MetricsRegistry exposes the store's observability registry, e.g. for
-// attaching an obs.Sampler.
-func (s *Store) MetricsRegistry() *obs.Registry { return s.reg }
-
 // Metrics returns a stable, JSON-serializable snapshot of every
 // registered metric. Safe to call concurrently with operations, and
 // after Close.

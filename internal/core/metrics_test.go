@@ -35,7 +35,7 @@ func runMixedWorkload(t *testing.T, st *Store) {
 	}
 	for i := 0; i < 50; i++ {
 		key := []byte(fmt.Sprintf("key-%05d", i))
-		if err := th.Delete(key); err != nil {
+		if err := th.deleteSync(key, 0); err != nil {
 			t.Fatalf("delete: %v", err)
 		}
 	}
@@ -181,13 +181,13 @@ func TestMetricsMixedWorkload(t *testing.T) {
 	}
 	single := reg(t, st) // the ops after this are batch and async ones
 	kvs := []KV{{Key: []byte("batch-1"), Value: []byte("v1")}, {Key: []byte("batch-2"), Value: []byte("v2")}}
-	if err := th.PutBatch(kvs); err != nil {
+	if err := th.PutBatchTS(kvs, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := th.MultiGet([][]byte{kvs[0].Key, []byte("key-00100")}); err != nil {
+	if _, err := th.MultiGetInto([][]byte{kvs[0].Key, []byte("key-00100")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range []*Handle{th.PutAsync([]byte("async"), []byte("v")), th.GetAsync([]byte("async")), th.DeleteAsync([]byte("async"))} {
+	for _, h := range []*Handle{th.PutTSAsync([]byte("async"), []byte("v"), 0), th.GetAsync([]byte("async")), th.DeleteTSAsync([]byte("async"), 0)} {
 		if err := h.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestMetricsMixedWorkload(t *testing.T) {
 
 	// WAF gauge must equal sum(ssd bytes written)/user bytes.
 	var devBytes int64
-	for _, d := range st.SSDs() {
+	for _, d := range st.ssds {
 		devBytes += d.Stats().BytesWritten
 	}
 	if devBytes == 0 {
@@ -245,7 +245,7 @@ func TestMetricsMixedWorkload(t *testing.T) {
 	// reclaimers attributed (a subset of core.user_bytes — values still
 	// in the PWB ring or superseded before migration never land).
 	var attributed int64
-	for i, d := range st.SSDs() {
+	for i, d := range st.ssds {
 		lbl := map[string]string{"device": fmt.Sprintf("ssd%d", i)}
 		m, ok := snap.Get("ssd.waf", lbl)
 		if !ok {

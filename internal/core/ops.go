@@ -426,15 +426,13 @@ func (t *Thread) readAlone(it *scanItem, point bool) bool {
 	return false
 }
 
-// Delete removes key. The HSIT entry is reclaimed after two epochs
-// (§5.4: safe reclamation of deleted values and entries).
-func (t *Thread) Delete(key []byte) error { return t.deleteSync(key, 0) }
-
-// DeleteTS is Delete carrying a logical timestamp. It always records the
-// tombstone when ts is newest — even for a key this replica never held —
-// so a divergent peer's stale value cannot resurrect through it. found
-// reports whether a live value was actually removed here; a superseded
-// delete returns (false, nil). Stamp 0 is the plain Delete.
+// DeleteTS removes key under a logical timestamp. The HSIT entry is
+// reclaimed after two epochs (§5.4: safe reclamation of deleted values
+// and entries). It always records the tombstone when ts is newest — even
+// for a key this replica never held — so a divergent peer's stale value
+// cannot resurrect through it. found reports whether a live value was
+// actually removed here; a superseded or missing delete returns (false,
+// nil). Stamp 0 is unstamped.
 func (t *Thread) DeleteTS(key []byte, ts uint64) (found bool, err error) {
 	if err = t.deleteSync(key, ts); err == ErrNotFound {
 		return false, nil

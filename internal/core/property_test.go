@@ -15,9 +15,12 @@ import (
 func coreLevel(s *Store) model.Level[KV, *Handle] {
 	return model.Level[KV, *Handle]{Name: "core", NotFound: ErrNotFound, Client: func(c int) model.Ops[KV, *Handle] {
 		th := s.Thread(c)
-		return model.Ops[KV, *Handle]{Put: th.Put, Get: th.Get, Del: th.Delete, Scan: th.Scan,
-			PutBatch: th.PutBatch, MultiGet: th.MultiGet, PutAsync: th.PutAsync, GetAsync: th.GetAsync, DelAsync: th.DeleteAsync,
-			Release: (*Handle).Release}
+		return model.Ops[KV, *Handle]{Put: th.Put, Get: th.Get, Scan: th.Scan, GetAsync: th.GetAsync, Release: (*Handle).Release,
+			Del:      func(k []byte) error { return th.deleteSync(k, 0) },
+			PutBatch: func(kvs []KV) error { return th.PutBatchTS(kvs, nil) },
+			MultiGet: func(keys [][]byte) ([][]byte, error) { return th.MultiGetInto(keys, nil) },
+			PutAsync: func(k, v []byte) *Handle { return th.PutTSAsync(k, v, 0) },
+			DelAsync: func(k []byte) *Handle { return th.DeleteTSAsync(k, 0) }}
 	}, End: func() error {
 		n := 0
 		if err := s.Thread(0).Scan(nil, 0, func(KV) bool { n++; return true }); err != nil || n != s.Len() {
@@ -78,7 +81,7 @@ func TestEdgeValues(t *testing.T) {
 	if err := th.Put([]byte("k"), make([]byte, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := th.Delete([]byte("never-existed")); !errors.Is(err, ErrNotFound) {
+	if err := th.deleteSync([]byte("never-existed"), 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete missing: %v", err)
 	}
 	// Large (but legal) value.

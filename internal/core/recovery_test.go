@@ -111,7 +111,7 @@ func TestCrashRecoveryAfterDeletes(t *testing.T) {
 		th.Put(key(i), value(i))
 	}
 	for i := 0; i < 200; i += 2 {
-		th.Delete(key(i))
+		th.deleteSync(key(i), 0)
 	}
 	s.Crash()
 	rep, err := s.Recover()

@@ -220,7 +220,7 @@ func TestReplStateSurvivesCrash(t *testing.T) {
 func TestHandleOnDoneAndProxy(t *testing.T) {
 	s := small(t, nil)
 	th := s.Thread(0)
-	h := th.PutAsync(key(1), value(1))
+	h := th.PutTSAsync(key(1), value(1), 0)
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}

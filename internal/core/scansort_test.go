@@ -89,7 +89,7 @@ func TestAccessors(t *testing.T) {
 	if s.NumThreads() != 2 {
 		t.Fatalf("NumThreads = %d", s.NumThreads())
 	}
-	if s.Epochs() == nil || s.NVM() == nil || len(s.SSDs()) != 2 {
+	if s.em == nil || s.NVM() == nil || len(s.ssds) != 2 {
 		t.Fatal("accessors returned zero values")
 	}
 }

@@ -486,14 +486,8 @@ func (s *Store) Thread(i int) *Thread { return s.threads[i] }
 // NumThreads returns the number of thread handles.
 func (s *Store) NumThreads() int { return len(s.threads) }
 
-// Epochs returns the store's epoch manager (tests and harness plumbing).
-func (s *Store) Epochs() *epoch.Manager { return s.em }
-
 // NVM returns the simulated NVM device.
 func (s *Store) NVM() *nvm.Device { return s.nvmDev }
-
-// SSDs returns the simulated flash devices.
-func (s *Store) SSDs() []*ssd.Device { return s.ssds }
 
 // Close stops background work and flushes NVM (clean shutdown).
 func (s *Store) Close() error {

@@ -91,7 +91,7 @@ func TestWindowOverlapsMixedOps(t *testing.T) {
 			total += oneWindow(th, func() {
 				for i := from; i < from+depth; i++ {
 					if i%2 == 0 {
-						hs = append(hs, th.PutAsync(aKey(i), kib(i+ops)))
+						hs = append(hs, th.PutTSAsync(aKey(i), kib(i+ops), 0))
 					} else {
 						hs = append(hs, th.GetAsync(aKey(i)))
 					}
@@ -127,7 +127,7 @@ func TestWindowOverlapsMixedOps(t *testing.T) {
 	s, th := residentStore(t, 16)
 	advance := oneWindow(th, func() {
 		for i := 0; i < 16; i++ {
-			th.PutAsync(aKey(i), kib(i+16))
+			th.PutTSAsync(aKey(i), kib(i+16), 0)
 		}
 	})
 	t.Logf("put-only window of 16: %d virtual ns", advance)
@@ -240,7 +240,7 @@ func TestMultiGetCostsWhatAWindowCosts(t *testing.T) {
 
 	th, keys := load()
 	t0 := th.Clk.Now()
-	vals, err := th.MultiGet(keys)
+	vals, err := th.MultiGetInto(keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestWindowKeepsSubmissionOrderPerKey(t *testing.T) {
 			var hs []*Handle
 			oneWindow(th, func() {
 				hs = append(hs,
-					th.GetAsync(k), th.PutAsync(k, v2), th.GetAsync(k), th.DeleteAsync(k), th.GetAsync(k),
+					th.GetAsync(k), th.PutTSAsync(k, v2, 0), th.GetAsync(k), th.DeleteTSAsync(k, 0), th.GetAsync(k),
 					th.GetAsync(aKey(1))) // a get the writes do not concern: it waits for the window's end
 			})
 			// k's batch ahead of the SET, its re-read when that found the
@@ -371,7 +371,7 @@ func TestWindowStallMidWindow(t *testing.T) {
 					submit(w.th.GetAsync(aKey(i/4%flash)), kib(i/4%flash))
 					submit(w.th.GetAsync(key(i-1)), kib(i-1))
 				}
-				submit(w.th.PutAsync(key(i), kib(i)), nil)
+				submit(w.th.PutTSAsync(key(i), kib(i), 0), nil)
 			}
 		})
 		w.want[1] = nil // key(-1) was never written

@@ -9,10 +9,7 @@
 // engine code.
 package devices
 
-import (
-	"repro/internal/nvm"
-	"repro/internal/ssd"
-)
+import "repro/internal/ssd"
 
 // Profile describes one Figure 1 row.
 type Profile struct {
@@ -81,19 +78,8 @@ func (p Profile) SSDConfig() ssd.Config {
 	}
 }
 
-// NVMConfig returns the profile as a byte-addressable device
-// configuration (meaningful for the DRAM/NVM rows).
-func (p Profile) NVMConfig() nvm.Config {
-	return nvm.Config{
-		ReadLatency:    p.ReadLatency,
-		WriteLatency:   p.WriteLatency,
-		ReadBandwidth:  p.ReadBW,
-		WriteBandwidth: p.WriteBW,
-	}
-}
-
-// CostDollars returns the Table 1-style cost of capacity bytes on this
+// costDollars returns the Table 1-style cost of capacity bytes on this
 // medium, in dollars.
-func (p Profile) CostDollars(capacityBytes int64) float64 {
+func (p Profile) costDollars(capacityBytes int64) float64 {
 	return float64(capacityBytes) / 1e12 * float64(p.DollarsPerTB)
 }

@@ -3,7 +3,6 @@ package devices
 import (
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/ssd"
 )
 
@@ -42,23 +41,14 @@ func TestProfilesReproduceFigure1(t *testing.T) {
 	}
 }
 
-func TestNVMConfigCharging(t *testing.T) {
-	d := sim.NewClock(0)
-	cfg := OptaneDCPMM.NVMConfig()
-	if cfg.ReadLatency != 300 || cfg.WriteBandwidth != 1_900_000_000 {
-		t.Fatalf("NVM config %+v", cfg)
-	}
-	_ = d
-}
-
 func TestCostModel(t *testing.T) {
 	// Table 1's Prism configuration: 20 GB DRAM + 16 GB NVM = ~$170.
-	cost := DRAM.CostDollars(20<<30) + OptaneDCPMM.CostDollars(16<<30)
+	cost := DRAM.costDollars(20<<30) + OptaneDCPMM.costDollars(16<<30)
 	if cost < 150 || cost > 200 {
 		t.Fatalf("Table 1 Prism cost = $%.0f, paper says ~$170", cost)
 	}
 	// KVell: 32 GB DRAM = ~$170 too (cost parity).
-	kvell := DRAM.CostDollars(32 << 30)
+	kvell := DRAM.costDollars(32 << 30)
 	if kvell < 150 || kvell > 200 {
 		t.Fatalf("Table 1 KVell cost = $%.0f", kvell)
 	}

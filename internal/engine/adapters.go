@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"errors"
-
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -47,21 +45,9 @@ func (p *PrismStore) WriteAmp() (device, user int64) { return p.S.WriteAmp() }
 
 func (t prismThread) Put(key, value []byte) error { return t.t.Put(key, value) }
 
-func (t prismThread) Get(key []byte) ([]byte, error) {
-	v, err := t.t.Get(key)
-	if errors.Is(err, core.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
+func (t prismThread) Get(key []byte) ([]byte, error) { return t.t.Get(key) }
 
-func (t prismThread) Delete(key []byte) error {
-	err := t.t.Delete(key)
-	if errors.Is(err, core.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
+func (t prismThread) Delete(key []byte) error { return t.t.Delete(key) }
 
 func (t prismThread) Scan(start []byte, count int, fn func(key, value []byte) bool) error {
 	return t.t.Scan(start, count, func(kv core.KV) bool { return fn(kv.Key, kv.Value) })
@@ -84,43 +70,19 @@ func (t prismThread) MultiGet(keys [][]byte) ([][]byte, error) {
 	return t.t.MultiGet(keys)
 }
 
-// prismCompletion wraps a core Handle so errors surface as the engine's
-// sentinel (errors.Is-matching callers never see core.ErrNotFound).
-type prismCompletion struct{ h *core.Handle }
-
-func (c prismCompletion) Wait() error {
-	err := c.h.Wait()
-	if errors.Is(err, core.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-
-func (c prismCompletion) Value() ([]byte, error) {
-	v, err := c.h.Value()
-	if errors.Is(err, core.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-
-func (c prismCompletion) Done() bool { return c.h.Done() }
-
-func (c prismCompletion) CompletedAt() int64 { return c.h.CompletedAt() }
-
 // PutAsync implements AsyncKV over the routed per-shard admission loops.
 func (t prismThread) PutAsync(key, value []byte) Completion {
-	return prismCompletion{t.t.PutAsync(key, value)}
+	return t.t.PutAsync(key, value)
 }
 
 // GetAsync implements AsyncKV.
 func (t prismThread) GetAsync(key []byte) Completion {
-	return prismCompletion{t.t.GetAsync(key)}
+	return t.t.GetAsync(key)
 }
 
 // DeleteAsync implements AsyncKV.
 func (t prismThread) DeleteAsync(key []byte) Completion {
-	return prismCompletion{t.t.DeleteAsync(key)}
+	return t.t.DeleteAsync(key)
 }
 
 // Flush implements AsyncKV: waits out every in-flight submission and

@@ -8,12 +8,14 @@ package engine
 import (
 	"errors"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
 // ErrNotFound is returned by Get/Delete for missing keys. Engines must
-// return an error that errors.Is-matches this.
-var ErrNotFound = errors.New("engine: key not found")
+// return an error that errors.Is-matches this. It is Prism's own
+// sentinel, so the Prism adapter passes the store's errors through.
+var ErrNotFound = core.ErrNotFound
 
 // Pair is a key-value pair exchanged by engines.
 type Pair struct {
@@ -56,11 +58,6 @@ type Completion interface {
 	// Value blocks until completion and returns the result; only async
 	// gets produce a value.
 	Value() ([]byte, error)
-	// Done reports completion without blocking.
-	Done() bool
-	// CompletedAt blocks until completion and returns the virtual time
-	// (ns) at which the operation finished on its async timeline.
-	CompletedAt() int64
 }
 
 // AsyncKV is the optional asynchronous extension of KV: engines with a

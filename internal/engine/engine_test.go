@@ -53,6 +53,16 @@ func TestPrismAdapterErrorMapping(t *testing.T) {
 	if err := kv.Delete([]byte("missing")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Delete missing = %v, want engine.ErrNotFound", err)
 	}
+	a := kv.(AsyncKV)
+	for name, submit := range map[string]func([]byte) Completion{"GetAsync": a.GetAsync, "DeleteAsync": a.DeleteAsync} {
+		c := submit([]byte("missing"))
+		if err := c.Wait(); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s missing: Wait = %v, want engine.ErrNotFound", name, err)
+		}
+		if v, err := c.Value(); v != nil || !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s missing: Value = %q, %v, want nil, engine.ErrNotFound", name, v, err)
+		}
+	}
 }
 
 func TestPrismAdapterScan(t *testing.T) {

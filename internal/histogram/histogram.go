@@ -124,9 +124,6 @@ func (h *H) Min() int64 {
 	return h.min
 }
 
-// Max returns the largest sample.
-func (h *H) Max() int64 { return h.max }
-
 // Percentile returns the approximate p-th percentile (0 < p <= 100).
 func (h *H) Percentile(p float64) int64 {
 	return Percentile(p, h.total, h.max, func(b int) int64 { return h.counts[b] })
@@ -148,11 +145,6 @@ func (h *H) Merge(other *H) {
 	if other.max > h.max {
 		h.max = other.max
 	}
-}
-
-// Reset clears the histogram.
-func (h *H) Reset() {
-	*h = H{min: -1}
 }
 
 // Summary is the latency row the paper's tables report, in microseconds.

@@ -226,8 +226,8 @@ type Stats struct {
 	LevelTables                  []int
 }
 
-// Stats returns current counters.
-func (s *Store) Stats() Stats {
+// stats returns current counters.
+func (s *Store) stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{

@@ -144,7 +144,7 @@ func TestPutGetThroughFlushAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	st := s.stats()
 	if st.Flushes == 0 {
 		t.Fatal("no memtable flush happened")
 	}
@@ -246,7 +246,7 @@ func TestWriteStallsUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Stats().Stalls == 0 {
+	if s.stats().Stalls == 0 {
 		t.Fatal("no write stalls under pressure")
 	}
 }
@@ -305,7 +305,7 @@ func TestMatrixKVModeWorks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	st := s.stats()
 	if st.Compactions == 0 {
 		t.Fatal("column compaction never ran")
 	}

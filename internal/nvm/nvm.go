@@ -357,9 +357,9 @@ func (d *Device) PersistAll() {
 	}
 }
 
-// ReadPersisted copies the durable (post-crash) contents at off into dst.
+// readPersisted copies the durable (post-crash) contents at off into dst.
 // Test helper; charges nothing.
-func (d *Device) ReadPersisted(off int, dst []byte) {
+func (d *Device) readPersisted(off int, dst []byte) {
 	d.check(off, len(dst))
 	src := unsafe.Slice((*byte)(unsafe.Pointer(&d.shadow[0])), d.cfg.Size)
 	copy(dst, src[off:off+len(dst)])

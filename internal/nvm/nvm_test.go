@@ -155,12 +155,12 @@ func TestReadPersisted(t *testing.T) {
 	d := newDev(256)
 	d.Store(nil, 0, []byte("abc"))
 	got := make([]byte, 3)
-	d.ReadPersisted(0, got)
+	d.readPersisted(0, got)
 	if string(got) == "abc" {
 		t.Fatal("ReadPersisted saw unflushed data")
 	}
 	d.Persist(nil, 0, 3)
-	d.ReadPersisted(0, got)
+	d.readPersisted(0, got)
 	if string(got) != "abc" {
 		t.Fatalf("ReadPersisted after flush = %q", got)
 	}

@@ -151,8 +151,8 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// Count returns the number of samples recorded (0 for nil).
-func (h *Histogram) Count() int64 {
+// count returns the number of samples recorded (0 for nil).
+func (h *Histogram) count() int64 {
 	if h == nil {
 		return 0
 	}

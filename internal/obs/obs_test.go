@@ -49,8 +49,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	if h.Count() != workers*each {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*each)
+	if h.count() != workers*each {
+		t.Fatalf("count = %d, want %d", h.count(), workers*each)
 	}
 	m, _ := r.Snapshot().Get("t.lat", nil)
 	hv := m.Hist
@@ -203,7 +203,7 @@ func TestNilRegistryNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	h.Record(42)
-	if c.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || h.count() != 0 {
 		t.Fatal("nil handles must stay zero")
 	}
 	if s := r.Snapshot(); len(s.Metrics) != 0 {

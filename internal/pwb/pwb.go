@@ -31,7 +31,7 @@
 //
 // Release lags the scan by an epoch grace period, so the scan does not
 // start at the tail: the ring keeps a reclaim cursor, owned by the same
-// single scan owner. A pass scans [cursor, min(Head, UnpublishedFloor))
+// single scan owner. A pass scans [cursor, min(Head, unpublishedFloor))
 // (ScanRange) and moves the cursor to the end of that range (Scanned)
 // only once every live record in it has been migrated; a pass that
 // aborts leaves the cursor alone and the next one re-scans. Every
@@ -160,7 +160,7 @@ func (b *Buffer) GlobalOff(logical uint64) uint64 { return uint64(b.pos(logical)
 //
 // The record is born with its HSIT publish pending: the caller MUST call
 // Published after installing the forward pointer (or after deciding not
-// to). Until then the reclaimer's scan bound (UnpublishedFloor) excludes
+// to). Until then the reclaimer's scan bound (unpublishedFloor) excludes
 // the record, so a pass that would otherwise see it as ill-coupled
 // cannot release its space out from under the soon-to-land pointer.
 // Several appends may share one publish window: the floor sticks to the
@@ -268,21 +268,21 @@ func (b *Buffer) Published() {
 	b.unpublished.Store(noPending)
 }
 
-// UnpublishedFloor returns the logical cursor of the owner's append
+// unpublishedFloor returns the logical cursor of the owner's append
 // whose HSIT publish is still pending, or ^uint64(0) when there is none.
-// The reclaimer caps its scan at min(Head, UnpublishedFloor): reading
+// The reclaimer caps its scan at min(Head, unpublishedFloor): reading
 // Head first and the floor second guarantees every append below the cap
 // has a visible forward pointer.
-func (b *Buffer) UnpublishedFloor() uint64 { return b.unpublished.Load() }
+func (b *Buffer) unpublishedFloor() uint64 { return b.unpublished.Load() }
 
 // ScanRange returns the range the next reclaim pass scans: from the
-// reclaim cursor to min(Head, UnpublishedFloor), which excludes the
+// reclaim cursor to min(Head, unpublishedFloor), which excludes the
 // owner's append-to-publish window — a record whose HSIT forward pointer
 // has not landed yet looks ill-coupled, and treating it as garbage would
 // release a slot the imminent publish will reference forever. Only the
 // single scan owner may call it, after ApplyGrants.
 func (b *Buffer) ScanRange() (from, to uint64) {
-	to = b.head.Load() // before the floor: see UnpublishedFloor
+	to = b.head.Load() // before the floor: see unpublishedFloor
 	if f := b.unpublished.Load(); f < to {
 		to = f
 	}
@@ -355,7 +355,7 @@ var ErrCorruptRecord = errors.New("pwb: corrupt record")
 // Contract: [from, to) must be a range whose bytes are stable for as
 // long as the caller keeps any Record.Value — from at or above the ring
 // tail (which only the single scan owner may advance, via ApplyGrants
-// between passes) and to at or below min(Head, UnpublishedFloor); the
+// between passes) and to at or below min(Head, unpublishedFloor); the
 // reclaimer passes ScanRange. A nil clk performs the reads without
 // charging device time; the reclaimer charges the whole range as one
 // bulk sequential read instead. If a header is corrupt, Scan stops and

@@ -289,23 +289,23 @@ func TestScanCorruptHeaderReturnsError(t *testing.T) {
 // Published.
 func TestUnpublishedFloor(t *testing.T) {
 	b, _ := newBuf(256)
-	if b.UnpublishedFloor() != ^uint64(0) {
-		t.Fatalf("fresh buffer floor = %d", b.UnpublishedFloor())
+	if b.unpublishedFloor() != ^uint64(0) {
+		t.Fatalf("fresh buffer floor = %d", b.unpublishedFloor())
 	}
 	_, logical, err := b.Append(nil, 1, make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.UnpublishedFloor() != logical {
-		t.Fatalf("floor = %d after append, want %d", b.UnpublishedFloor(), logical)
+	if b.unpublishedFloor() != logical {
+		t.Fatalf("floor = %d after append, want %d", b.unpublishedFloor(), logical)
 	}
 	b.Published()
-	if b.UnpublishedFloor() != ^uint64(0) {
-		t.Fatalf("floor = %d after publish", b.UnpublishedFloor())
+	if b.unpublishedFloor() != ^uint64(0) {
+		t.Fatalf("floor = %d after publish", b.unpublishedFloor())
 	}
 	b.Append(nil, 2, make([]byte, 16))
 	b.Reset()
-	if b.UnpublishedFloor() != ^uint64(0) || b.Tail() != 0 || b.Head() != 0 {
+	if b.unpublishedFloor() != ^uint64(0) || b.Tail() != 0 || b.Head() != 0 {
 		t.Fatal("Reset did not clear cursors and publish-pending mark")
 	}
 }
@@ -325,20 +325,20 @@ func TestUnpublishedFloorBatch(t *testing.T) {
 		if _, _, err := b.Append(nil, i, make([]byte, 16)); err != nil {
 			t.Fatal(err)
 		}
-		if got := b.UnpublishedFloor(); got != first {
+		if got := b.unpublishedFloor(); got != first {
 			t.Fatalf("floor moved to %d after append %d, want pinned at %d", got, i, first)
 		}
 	}
 	b.Published()
-	if b.UnpublishedFloor() != ^uint64(0) {
-		t.Fatalf("floor = %d after batch publish", b.UnpublishedFloor())
+	if b.unpublishedFloor() != ^uint64(0) {
+		t.Fatalf("floor = %d after batch publish", b.unpublishedFloor())
 	}
 	// The next window starts at the next append's cursor, not the old one.
 	_, next, err := b.Append(nil, 5, make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.UnpublishedFloor(); got != next {
+	if got := b.unpublishedFloor(); got != next {
 		t.Fatalf("new window floor = %d, want %d", got, next)
 	}
 	b.Published()

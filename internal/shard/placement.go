@@ -17,6 +17,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -45,22 +46,13 @@ type boundaryTable struct {
 // sorted, and deduplicated; with no splits the single all-covering range
 // is hash-owned, otherwise ranges are assigned round-robin.
 func newBoundaryTable(splits [][]byte, shards int) (*boundaryTable, error) {
-	bs := make([][]byte, 0, len(splits))
-	for _, sp := range splits {
-		if len(sp) == 0 {
-			return nil, errors.New("prism: empty split key")
-		}
-		bs = append(bs, append([]byte(nil), sp...))
+	if slices.ContainsFunc(splits, func(sp []byte) bool { return len(sp) == 0 }) {
+		return nil, errors.New("prism: empty split key")
 	}
-	sort.Slice(bs, func(i, j int) bool { return bytes.Compare(bs[i], bs[j]) < 0 })
-	dedup := bs[:0]
+	bs := sortedUnique(splits)
 	for i, b := range bs {
-		if i > 0 && bytes.Equal(b, dedup[len(dedup)-1]) {
-			continue
-		}
-		dedup = append(dedup, b)
+		bs[i] = bytes.Clone(b)
 	}
-	bs = dedup
 	if len(bs)+1 > maxRanges {
 		return nil, errors.New("prism: too many split keys")
 	}
@@ -132,20 +124,10 @@ func SelectSplitKeys(keys [][]byte, n int) [][]byte {
 	if n <= 1 || len(keys) == 0 {
 		return nil
 	}
-	sorted := make([][]byte, len(keys))
-	copy(sorted, keys)
-	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
-	dedup := sorted[:0]
-	for i, k := range sorted {
-		if len(k) == 0 {
-			continue
-		}
-		if i > 0 && len(dedup) > 0 && bytes.Equal(k, dedup[len(dedup)-1]) {
-			continue
-		}
-		dedup = append(dedup, k)
+	sorted := sortedUnique(keys)
+	if len(sorted) > 0 && len(sorted[0]) == 0 {
+		sorted = sorted[1:] // the empty key bounds nothing: skip it
 	}
-	sorted = dedup
 	var splits [][]byte
 	for i := 1; i < n; i++ {
 		idx := i * len(sorted) / n
@@ -159,6 +141,14 @@ func SelectSplitKeys(keys [][]byte, n int) [][]byte {
 		splits = append(splits, append([]byte(nil), k...))
 	}
 	return splits
+}
+
+// sortedUnique returns keys sorted and deduplicated, in a new slice that
+// shares their bytes.
+func sortedUnique(keys [][]byte) [][]byte {
+	s := slices.Clone(keys)
+	slices.SortFunc(s, bytes.Compare)
+	return slices.CompactFunc(s, bytes.Equal)
 }
 
 // placement is the router's immutable placement snapshot: the epoch

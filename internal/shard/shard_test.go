@@ -249,13 +249,7 @@ func TestScanKWayMerge(t *testing.T) {
 func TestPutBatchEpochAmortization(t *testing.T) {
 	s := small(t, 4, nil)
 	th := s.Thread(0)
-	enters := func() int64 {
-		var n int64
-		for j := 0; j < s.NumShards(); j++ {
-			n += s.Shard(j).Epochs().Enters()
-		}
-		return n
-	}
+	enters := func() int64 { return reg(t, s).n("epoch.enters") }
 	const batch = 64
 	kvs := make([]core.KV, batch)
 	for i := range kvs {

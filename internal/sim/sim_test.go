@@ -68,8 +68,8 @@ func TestResourceConservesCapacity(t *testing.T) {
 			defer wg.Done()
 			rng := NewRNG(uint64(w) + 1)
 			for i := 0; i < perWorker; i++ {
-				busy := rng.Int63n(3*bucketNS) + 1 // 1.5x the channel's capacity over the arrival span
-				s, e := r.Acquire(rng.Int63n(3_000*bucketNS), busy)
+				busy := int64(rng.Intn(3*bucketNS)) + 1 // 1.5x the channel's capacity over the arrival span
+				s, e := r.Acquire(int64(rng.Intn(3_000*bucketNS)), busy)
 				results[w] = append(results[w], grant{s, e, busy})
 			}
 		}(w)
@@ -267,11 +267,11 @@ func TestRNGDeterminism(t *testing.T) {
 
 func TestRNGRanges(t *testing.T) {
 	r := NewRNG(1)
-	f := func(n int64) bool {
+	f := func(n int) bool {
 		if n <= 0 {
 			n = -n + 1
 		}
-		v := r.Int63n(n)
+		v := r.Intn(n)
 		return v >= 0 && v < n
 	}
 	if err := quick.Check(f, nil); err != nil {

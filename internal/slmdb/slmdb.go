@@ -155,8 +155,8 @@ type Stats struct {
 	Files                int
 }
 
-// Stats returns engine counters.
-func (s *Store) Stats() Stats {
+// stats returns engine counters.
+func (s *Store) stats() Stats {
 	return Stats{Flushes: s.flushes, Compactions: s.compacts, Files: len(s.files)}
 }
 

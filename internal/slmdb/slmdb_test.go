@@ -45,7 +45,7 @@ func TestFlushAndReadFromFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Stats().Flushes == 0 {
+	if s.stats().Flushes == 0 {
 		t.Fatal("no flush despite memtable overflow")
 	}
 	for i := 0; i < n; i += 13 {
@@ -66,7 +66,7 @@ func TestUpdatesAndSelectiveCompaction(t *testing.T) {
 			}
 		}
 	}
-	st := s.Stats()
+	st := s.stats()
 	if st.Compactions == 0 {
 		t.Fatal("selective compaction never ran despite churn")
 	}

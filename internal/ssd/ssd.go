@@ -125,9 +125,6 @@ func (d *Device) Size() int64 { return d.cfg.Size }
 // Tier selection reads it to rank devices by speed and capacity.
 func (d *Device) Config() Config { return d.cfg }
 
-// Name returns the configured device name.
-func (d *Device) Name() string { return d.cfg.Name }
-
 func (d *Device) check(off int64, n int) {
 	if off < 0 || n < 0 || off+int64(n) > d.cfg.Size {
 		panic(fmt.Sprintf("ssd %q: access [%d,%d) out of range (size %d)", d.cfg.Name, off, off+int64(n), d.cfg.Size))

@@ -331,8 +331,5 @@ func (b *TimeoutBatcher) flushLocked(timedOut bool) {
 	b.group, b.count = group[:0], 0
 }
 
-// Flush forces any pending group out (shutdown/drain).
-func (b *TimeoutBatcher) Flush() { b.flush(true) }
-
 // Batches returns the number of batches submitted so far.
 func (b *TimeoutBatcher) Batches() int64 { return b.batches.Load() }

@@ -202,7 +202,7 @@ func TestTimeoutBatcherLateSetStartsItsOwnGroup(t *testing.T) {
 	}
 	early := read(0, 0)
 	late := read(2*timeout, 1)
-	b.Flush()
+	b.flush(true)
 	if d, want := <-early, cost(timeout); d != want {
 		t.Errorf("early set done at %d, want %d: one read issued at its group's deadline %d", d, want, timeout)
 	}
@@ -221,7 +221,7 @@ func TestTimeoutBatcherFlushDrains(t *testing.T) {
 	}()
 	// Give the reader time to register, then force the drain.
 	for {
-		b.Flush()
+		b.flush(true)
 		select {
 		case d := <-res:
 			if d <= 0 {

@@ -87,8 +87,8 @@ func (m *Manager) Invalidate(global uint64, valueLen int) bool {
 	return s.Invalidate(local, valueLen)
 }
 
-// IsValid reports whether the record at global offset is up to date.
-func (m *Manager) IsValid(global uint64) bool {
+// isValid reports whether the record at global offset is up to date.
+func (m *Manager) isValid(global uint64) bool {
 	s, local := m.StoreOf(global)
 	return s.IsValid(local)
 }

@@ -385,13 +385,13 @@ func TestManagerPickIdleAndInvalidate(t *testing.T) {
 	local, _ := w.Add(5, []byte("x"))
 	w.Commit(0)
 	g := GlobalOff(di, local)
-	if !m.IsValid(g) {
+	if !m.isValid(g) {
 		t.Fatal("record not valid via manager")
 	}
 	if !m.Invalidate(g, 1) {
 		t.Fatal("manager invalidate failed")
 	}
-	if m.IsValid(g) {
+	if m.isValid(g) {
 		t.Fatal("record valid after invalidate")
 	}
 }
@@ -413,10 +413,10 @@ func TestRecoveryRebuild(t *testing.T) {
 	}
 	m.MarkRecovered(GlobalOff(0, offA), 4)
 	m.FinishRecovery()
-	if !m.IsValid(GlobalOff(0, offA)) {
+	if !m.isValid(GlobalOff(0, offA)) {
 		t.Fatal("reachable record not valid after recovery")
 	}
-	if m.IsValid(GlobalOff(0, offB)) {
+	if m.isValid(GlobalOff(0, offB)) {
 		t.Fatal("unreachable record valid after recovery")
 	}
 	if s.FreeChunks() != 7 {

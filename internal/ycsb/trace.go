@@ -114,6 +114,3 @@ func (r *Replayer) Next() (Op, bool) {
 	r.pos++
 	return op, true
 }
-
-// Reset rewinds the replayer to the start.
-func (r *Replayer) Reset() { r.pos = 0 }
