@@ -51,7 +51,9 @@ test:
 # of core's background passes (DESIGN.md §3.5), and TestSVCEntryReuseStress
 # in internal/core for readers checking every value's key and CRC while
 # puts and evictions churn a small SVC whose dropped entries are reused
-# two epochs later (DESIGN.md §4.13), and TestHandleReuseStress in
+# two epochs later (DESIGN.md §4.13), and TestFillerAdmissionStress in
+# internal/svc for filler admissions racing point and scan hits, Invalidate
+# and the manager's evictions on a cache that fills (§4.13), and TestHandleReuseStress in
 # internal/core and TestReplyOutlivesHandleStress in internal/server for
 # goroutines and connections sharing one thread's reused async handles
 # (DESIGN.md §4.5). internal/bench's suite is
@@ -77,6 +79,7 @@ race:
 	run $(GO) test -race -count=1 -run 'TestClaimersInsideSettle$$|TestRelocationChargesSwingsAfterWrite$$' ./internal/core; \
 	run $(GO) test -race -count=1 -run 'TestGCPassesRunPerDevice$$|TestWriteCrossingTheTriggerDecaysItOnce$$|TestUndrivenPassesStartAtThePresent$$' ./internal/core; \
 	run $(GO) test -race -count=1 -run 'TestSVCEntryReuseStress$$' ./internal/core; \
+	run $(GO) test -race -count=1 -run 'TestFillerAdmissionStress$$' ./internal/svc; \
 	run $(GO) test -race -count=1 -run 'TestHandleReuseStress$$' ./internal/core; \
 	run $(GO) test -race -count=1 -run 'TestPublishActsOnTheCurrentWord$$|TestPrefetchedPublishStress$$' ./internal/hsit; \
 	run $(GO) test -race -count=1 -run 'TestDiagPrismLoad$$' ./internal/bench; \
@@ -114,11 +117,13 @@ tidy-check:
 # (core.Options, server.Config, bench.RunConfig, ycsb.Config) is set by no
 # non-test file, if an exported function or method (interface methods
 # included) is called by no non-test file and is not in the test-harness
-# table, if a doc that describes the present cites a ROADMAP item by
+# table, if any Go file, tests included, uses a standard-library symbol
+# newer than go.mod's go line (per $GOROOT/api/go1.N.txt), if a doc that describes
+# the present cites a ROADMAP item by
 # number rather than by title, or if a budgeted doc outgrows its byte
 # budget — see docs_test.go.
 check-docs:
-	$(GO) test -run 'TestMetricsDocsComplete|TestEverySeriesIsRead|TestEveryOptionIsSet|TestEveryExportIsCalled|TestReadmeMentionsMetrics|TestDocsCiteRoadmapItemsByTitle|TestDocsByteBudget' -count=1 .
+	$(GO) test -run 'TestMetricsDocsComplete|TestEverySeriesIsRead|TestEveryOptionIsSet|TestEveryExportIsCalled|TestNoAPINewerThanGoMod|TestReadmeMentionsMetrics|TestDocsCiteRoadmapItemsByTitle|TestDocsByteBudget' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -11,13 +11,16 @@ import (
 	"go/types"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unicode"
 
 	"repro/internal/server"
 )
@@ -368,6 +371,173 @@ func TestEveryExportIsCalled(t *testing.T) {
 	}
 }
 
+// TestNoAPINewerThanGoMod fails on a use, in any Go file of the
+// repository, tests included, of a standard-library function, method,
+// type, constant, variable or field added after go.mod's go line: a newer
+// toolchain builds, vets and tests it, and only one of the go line's
+// version rejects it. What each
+// release added is the toolchain's own record, $GOROOT/api/go1.N.txt.
+func TestNoAPINewerThanGoMod(t *testing.T) {
+	tree := loadTree(t)
+	mod, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^go 1\.(\d+)`).FindSubmatch(mod)
+	if m == nil {
+		t.Fatal("go.mod has no go 1.N line")
+	}
+	minor, _ := strconv.Atoi(string(m[1]))
+	out, err := exec.Command("go", "env", "GOROOT").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := map[string]string{} // apiKey -> the release that added it
+	for n := minor + 1; ; n++ {
+		b, err := os.ReadFile(filepath.Join(strings.TrimSpace(string(out)), "api", fmt.Sprintf("go1.%d.txt", n)))
+		if errors.Is(err, fs.ErrNotExist) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if k := apiKey(line); k != "" {
+				newer[k] = fmt.Sprintf("go1.%d", n)
+			}
+		}
+	}
+
+	// The test files too: each package's in-package tests with its own
+	// files, and its external tests, checked apart from the tree with type
+	// errors ignored — an in-package test importing a package that imports
+	// its own sees two copies of it — since a standard-library use still
+	// resolves.
+	tests := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	for path := range tree.pkgs {
+		bp, err := build.Default.ImportDir("."+strings.TrimPrefix(path, "repro"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := [][]string{bp.XTestGoFiles}
+		if len(bp.TestGoFiles) > 0 {
+			groups = append(groups, append(bp.TestGoFiles, bp.GoFiles...))
+		}
+		for _, names := range groups {
+			var files []*ast.File
+			for _, name := range names {
+				f, err := parser.ParseFile(tree.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			if len(files) > 0 {
+				conf := types.Config{Importer: tree, Error: func(error) {}}
+				conf.Check(path, tree.fset, files, tests)
+			}
+		}
+	}
+
+	found := map[string]bool{}
+	use := func(pos token.Pos, pkg *types.Package, name ...string) {
+		if pkg == nil || strings.HasPrefix(pkg.Path(), "repro") {
+			return
+		}
+		k := pkg.Path() + "." + strings.Join(name, ".")
+		if rel, ok := newer[k]; ok {
+			found[fmt.Sprintf("%s: %s, added in %s", tree.fset.Position(pos), k, rel)] = true
+		}
+	}
+	for _, info := range []*types.Info{tree.info, tests} {
+		for id, o := range info.Uses {
+			switch o := o.(type) {
+			case *types.Func:
+				if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+					if nt := namedOf(recv.Type()); nt != nil {
+						use(id.Pos(), o.Pkg(), nt.Obj().Name(), o.Name())
+					}
+				} else {
+					use(id.Pos(), o.Pkg(), o.Name())
+				}
+			case *types.TypeName, *types.Const, *types.Var:
+				if o.Pkg() != nil && o.Parent() == o.Pkg().Scope() {
+					use(id.Pos(), o.Pkg(), o.Name())
+				}
+			}
+		}
+		for sel, s := range info.Selections {
+			if nt := namedOf(s.Recv()); s.Kind() == types.FieldVal && nt != nil {
+				use(sel.Sel.Pos(), s.Obj().Pkg(), nt.Obj().Name(), s.Obj().Name())
+			}
+		}
+	}
+	var lines []string
+	for f := range found {
+		lines = append(lines, f)
+	}
+	sort.Strings(lines)
+	if len(lines) > 0 {
+		t.Errorf("go.mod says go 1.%d; these uses need a newer standard library:\n%s", minor, strings.Join(lines, "\n"))
+	}
+}
+
+// namedOf is the named type t is, or points to; nil for any other type.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	nt, _ := types.Unalias(t).(*types.Named)
+	return nt
+}
+
+// apiKey is the key TestNoAPINewerThanGoMod looks a use up by for one line
+// of an api/go1.N.txt file: "path.Name" for a function, type, constant or
+// variable, "path.Type.Name" for a method, a struct field or an interface
+// method; "" for any other line.
+func apiKey(line string) string {
+	rest, ok := strings.CutPrefix(line, "pkg ")
+	if !ok {
+		return ""
+	}
+	pkg, decl, ok := strings.Cut(rest, ", ")
+	if !ok {
+		return ""
+	}
+	pkg, _, _ = strings.Cut(pkg, " ") // "syscall (linux-386)"
+	kind, decl, _ := strings.Cut(decl, " ")
+	ident := func(s string) string {
+		end := strings.IndexFunc(s, func(r rune) bool { return r != '_' && !unicode.IsLetter(r) && !unicode.IsDigit(r) })
+		if end < 0 {
+			return s
+		}
+		return s[:end]
+	}
+	switch kind {
+	case "func", "const", "var":
+		return pkg + "." + ident(decl)
+	case "method": // (*T[$0]) Name(...)
+		recv, name, _ := strings.Cut(decl, ") ")
+		return pkg + "." + ident(strings.TrimLeft(recv, "(*")) + "." + ident(name)
+	case "type": // T[...] struct, or a member: T struct, Field ...
+		name := ident(decl)
+		depth := 0
+		for i, r := range decl {
+			switch r {
+			case '[', '(', '{':
+				depth++
+			case ']', ')', '}':
+				depth--
+			case ',':
+				if depth == 0 {
+					return pkg + "." + name + "." + ident(strings.TrimSpace(decl[i+1:]))
+				}
+			}
+		}
+		return pkg + "." + name
+	}
+	return ""
+}
+
 // sourceTree is the repository type-checked once for the audits that
 // read it.
 var sourceTree struct {
@@ -384,7 +554,11 @@ func loadTree(t *testing.T) *treeImporter {
 	sourceTree.once.Do(func() {
 		ti := &treeImporter{
 			fset: token.NewFileSet(),
-			info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+			info: &types.Info{
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			},
 			pkgs: map[string]*types.Package{},
 		}
 		ti.std = importer.ForCompiler(ti.fset, "source", nil)

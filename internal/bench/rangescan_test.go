@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/ycsb"
 )
 
@@ -84,5 +85,22 @@ func TestRangeScanLocality(t *testing.T) {
 	}
 	if m, ok := delta.Get("shard.range_scans", nil); !ok || m.Value != 1 {
 		t.Errorf("shard.range_scans delta = %v, want 1", m.Value)
+	}
+}
+
+// TestRangeScanRowsCountRecords: the table's rows-resolved cell counts
+// records (svc.hits + svc.misses), not core.read_path, which counts a
+// merged Value Storage extent once. TestRangeScanLocality's scans read no
+// flash once the load has filled the caches, so the two agree there; here
+// 64 rows a scan arrive on 55 read paths, as scans over flash with merged
+// extents do.
+func TestRangeScanRowsCountRecords(t *testing.T) {
+	r := obs.NewRegistry()
+	r.Counter(obs.Desc{Name: "svc.hits"}).Add(2000)
+	r.Counter(obs.Desc{Name: "svc.misses"}).Add(4400)
+	r.Counter(obs.Desc{Name: "core.read_path"}).Add(5500)
+	res := RangeScanResult{Scans: 100, Delta: r.Snapshot()}
+	if got := rangeScanRow("hash", res, "-")[2]; got != f1(rangeScanLen) {
+		t.Errorf("rows resolved per scan read %s, want %s", got, f1(rangeScanLen))
 	}
 }

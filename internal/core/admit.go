@@ -13,8 +13,10 @@ import (
 // point read that went to the SSD (always: the paper's rule, §4.4), a
 // scan's Value Storage rows when every one of them had been touched
 // before, and a record the reclaimer moves from the PWB to Value Storage
-// that had been point-read before. "Does this key deserve fast media"
-// steers tiering (hotIdx).
+// that had been point-read before. Until the cache first fills, the last
+// two admit every value as a filler (svc.Cache.Filling): DRAM nobody uses
+// yet costs nothing to fill. "Does this key deserve fast media" steers
+// tiering (hotIdx).
 
 // plane is one volatile bit per HSIT slot, and how many are set.
 type plane struct {
@@ -81,10 +83,11 @@ func (p *plane) clear() {
 // per 64k slots — that nothing asks.
 //
 // cached is set when an overwrite or delete unpublishes the slot's SVC
-// entry (invalidateOld), and dropped when the reclaimer's hand-off looks
-// at the slot: the new value takes the old one's place in the cache, on
-// the protected list if the key was point-read recently too. It never
-// ages, and holds at most one bit per entry the cache dropped that way.
+// entry and a read wanted it (invalidateOld: not a filler no point read
+// hit), and dropped when the reclaimer's hand-off looks at the slot: the
+// new value takes the old one's place in the cache, on the protected list
+// if the key was point-read recently too. It never ages, and holds at
+// most one bit per entry the cache dropped that way.
 //
 // written and again exist only when tiering is armed, and are set by a
 // put's publish: the first write of a slot sets written, a later one
@@ -203,19 +206,28 @@ func (s *Store) recentLimit() int64 {
 	return recentSpan * s.opt.SVCBytes * st.Entries / st.Bytes
 }
 
+// admission is the list an admitToSVC entry enters, and why.
+type admission uint8
+
+const (
+	probation admission = iota // a read asked for the value
+	protected                  // a read asked for the key's value before its overwrite
+	filler                     // nobody asked: only while the cache is filling
+)
+
 // admitToSVC publishes value in the cache as idx's current value
 // (lock-free HSIT publication, §4.4), on the caller's clock. ver is a
 // publish version under which value is known to be current: the one a
 // reader observed before the pointer load its read resolved, or the one
 // the reclaimer's own PublishIf installed. Admission is aborted if the
-// entry has moved on since. protect admits to the active list instead of
-// probation.
-func (s *Store) admitToSVC(clk *sim.Clock, idx uint64, ver uint64, value []byte, protect bool) (handle uint64, admitted bool) {
-	if s.cache == nil || ver&1 != 0 {
+// entry has moved on since, and a filler is not admitted once the cache
+// has filled.
+func (s *Store) admitToSVC(clk *sim.Clock, idx uint64, ver uint64, value []byte, as admission) (handle uint64, admitted bool) {
+	if s.cache == nil || ver&1 != 0 || as == filler && !s.cache.Filling(len(value)) {
 		return 0, false
 	}
 	e := s.cache.Admit(idx, ver, nil, value)
-	e.Protected = protect
+	e.Protected, e.Filler = as == protected, as == filler
 	if !s.table.CasSVC(clk, idx, 0, e.Handle()) {
 		s.cache.AbortAdmit(e)
 		return 0, false
@@ -249,7 +261,9 @@ func (s *Store) admitToSVC(clk *sim.Clock, idx uint64, ver uint64, value []byte,
 // key was read recently, or its overwrite dropped a cached copy, the next
 // read should not pay an SSD read for bytes the pass has in its hands. A
 // key that is both keeps its place on the protected list; the cached bit
-// is spent either way. It is advisory: Published waits for a slot in the
+// is spent either way. Any other key's value is a filler: admitted while
+// the cache has never filled, since until then it costs one DRAM copy and
+// evicts nothing. It is advisory: Published waits for a slot in the
 // cache manager's queue, and a pass holds its ring's lock (the owner may
 // be asleep in pwb.Wait for this pass), so with the queue half full the
 // hand-off is skipped and counted.
@@ -258,14 +272,22 @@ func (s *Store) handOff(clk *sim.Clock, idx, ver uint64, value []byte) {
 		return
 	}
 	read, cached := s.pop.read.has(idx), s.pop.cached.has(idx)
-	if cached {
+	as := probation
+	switch {
+	case cached:
 		s.pop.cached.drop(idx)
-	} else if !read {
-		return
+		if read {
+			as = protected
+		}
+	case !read:
+		if !s.cache.Filling(len(value)) {
+			return
+		}
+		as = filler
 	}
 	if s.cache.Backlogged() {
 		s.stats.reclaimAdmitSkips.Add(1)
-	} else if _, ok := s.admitToSVC(clk, idx, ver, value, read && cached); ok {
+	} else if _, ok := s.admitToSVC(clk, idx, ver, value, as); ok {
 		s.stats.reclaimAdmits.Add(1)
 	}
 }

@@ -21,14 +21,138 @@ func ssdReads(s *Store) (n int64) {
 	return n
 }
 
-// handOffStore is a one-thread store with a cache whose reclaimer runs
-// only when the test forces a pass.
-func handOffStore(t *testing.T) *Store {
+// coldStore is a one-thread store with a cache whose reclaimer runs only
+// when the test forces a pass, and a cache that has never filled.
+func coldStore(t *testing.T) *Store {
 	t.Helper()
 	return small(t, func(o *Options) {
 		o.NumThreads = 1
 		o.reclaimWatermark = 0.95
 	})
+}
+
+// handOffStore is coldStore once its cache has filled (fillOnce): what the
+// reclaimer hands over is what reads asked for.
+func handOffStore(t *testing.T) *Store {
+	t.Helper()
+	s := coldStore(t)
+	fillOnce(t, s)
+	return s
+}
+
+// TestColdCacheFillsOnce: a write-only load into an empty cache hands
+// migrated records to it until the next would not fit — 58 entries of
+// 1,120 bytes in 64 KiB — and then nothing, for good: the same keys
+// written again drop every filler, nobody having read one, and the passes
+// that move the new values admit none, though the room is back. The load
+// sets no read or cached bit and evicts nothing.
+func TestColdCacheFillsOnce(t *testing.T) {
+	s := coldStore(t)
+	th := s.Thread(0)
+	p := s.newThread(0, sim.NewRNG(1), nil, nil)
+	val := make([]byte, 1024)
+	write := func() {
+		for i := 0; i < 200; i++ {
+			if err := th.Put(key(i), val); err != nil {
+				t.Fatal(err)
+			}
+			if i%16 == 15 {
+				s.cache.Sync() // the overwrites' drops are the manager's past
+				pass(p)
+			}
+		}
+		pass(p)
+		s.cache.Sync()
+	}
+	write()
+	fit := s.opt.SVCBytes / int64(len(val)+96)
+	st := reg(t, s)
+	if st.n("svc.reclaim_admits") != fit || st.n("svc.entries") != fit || st.n("svc.evictions") != 0 || s.cache.Filling(0) {
+		t.Fatalf("a load of 200 KiB into a cache of %d entries handed over %d, left %d resident, evicted %d (still filling: %v)",
+			fit, st.n("svc.reclaim_admits"), st.n("svc.entries"), st.n("svc.evictions"), s.cache.Filling(0))
+	}
+	write()
+	st = reg(t, s)
+	if st.n("svc.reclaim_admits") != fit || st.n("svc.entries") != 0 || s.pop.read.n.Load() != 0 || s.pop.cached.n.Load() != 0 {
+		t.Fatalf("the same keys again: %d handed over in all, %d resident, %d read and %d cached bits; want %d, 0, 0, 0",
+			st.n("svc.reclaim_admits"), st.n("svc.entries"), s.pop.read.n.Load(), s.pop.cached.n.Load(), fit)
+	}
+}
+
+// TestFillerFirstHitIsItsAdmission: a value the reclaimer handed to a cold
+// cache is a filler on probation. The first get is an SVC hit that only
+// admits it — a refresh on probation, no promotion — and the second
+// promotes it, as the second touch of a value a read admitted does.
+func TestFillerFirstHitIsItsAdmission(t *testing.T) {
+	s := coldStore(t)
+	th := s.Thread(0)
+	if err := th.Put(key(0), value(0)); err != nil {
+		t.Fatal(err)
+	}
+	pass(s.newThread(0, sim.NewRNG(1), nil, nil))
+	s.cache.Sync()
+	if st := reg(t, s); st.n("svc.reclaim_admits") != 1 || st.n("svc.entries") != 1 {
+		t.Fatalf("the pass handed over %d values, the cache holds %d; want 1, 1", st.n("svc.reclaim_admits"), st.n("svc.entries"))
+	}
+	ios := ssdReads(s)
+	for hit, promotions := range []int64{0, 1} {
+		if got := mustGet(t, th, key(0)); !bytes.Equal(got, value(0)) {
+			t.Fatalf("get %d = %q", hit+1, got)
+		}
+		s.cache.Sync()
+		if st := reg(t, s); st.n("core.read_path", "source", "svc") != int64(hit+1) || ssdReads(s) != ios || st.n("svc.promotions") != promotions {
+			t.Fatalf("after get %d: %d SVC hits, %d SSD read IOs, %d promotions; want %d, 0, %d",
+				hit+1, st.n("core.read_path", "source", "svc"), ssdReads(s)-ios, st.n("svc.promotions"), hit+1, promotions)
+		}
+	}
+}
+
+// TestFillerOverwriteEarnsNothing: an overwrite of a filler nobody read
+// drops it and leaves no cached bit, so once the cache has filled, the
+// pass that moves the new value hands it to nobody and the next get reads
+// flash. A filler a get hit was wanted: its overwrite leaves the bit, and
+// its new value goes back to the cache like any read key's.
+func TestFillerOverwriteEarnsNothing(t *testing.T) {
+	s := coldStore(t)
+	th := s.Thread(0)
+	p := s.newThread(0, sim.NewRNG(1), nil, nil)
+	for i := 0; i < 2; i++ {
+		if err := th.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass(p)
+	mustGet(t, th, key(1)) // an SVC hit: key 1's filler is wanted
+	fillOnce(t, s)
+	base := reg(t, s)
+	if base.n("svc.entries") != 2 {
+		t.Fatalf("the cache holds %d entries, want the 2 fillers", base.n("svc.entries"))
+	}
+	for i := 0; i < 2; i++ {
+		if err := th.Put(key(i), value(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.pop.cached.has(mustIdx(t, s, 0)) || !s.pop.cached.has(mustIdx(t, s, 1)) {
+		t.Fatalf("cached bits after the overwrites: unread filler %v, read filler %v; want false, true",
+			s.pop.cached.has(mustIdx(t, s, 0)), s.pop.cached.has(mustIdx(t, s, 1)))
+	}
+	s.cache.Sync()
+	p.Clk.AdvanceTo(th.Clk.Now())
+	pass(p)
+	s.cache.Sync()
+	if admits := reg(t, s).n("svc.reclaim_admits") - base.n("svc.reclaim_admits"); admits != 1 {
+		t.Fatalf("the pass handed over %d values, want the read key's 1", admits)
+	}
+	for i, want := range []int64{1, 0} {
+		ios := ssdReads(s)
+		if got := mustGet(t, th, key(i)); !bytes.Equal(got, value(100+i)) {
+			t.Fatalf("key %d reads %q", i, got)
+		}
+		if got := ssdReads(s) - ios; got != want {
+			t.Fatalf("key %d's get made %d SSD read IOs, want %d", i, got, want)
+		}
+	}
 }
 
 // TestReclaimHandsReadValuesToSVC: a value that was read while it sat in
@@ -38,6 +162,7 @@ func TestReclaimHandsReadValuesToSVC(t *testing.T) {
 	s := handOffStore(t)
 	th := s.Thread(0)
 	p := s.newThread(0, sim.NewRNG(1), nil, nil)
+	base := reg(t, s)
 	for i := 0; i < 2; i++ {
 		if err := th.Put(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -52,9 +177,9 @@ func TestReclaimHandsReadValuesToSVC(t *testing.T) {
 	t0 := p.Clk.Now()
 	pass(p)
 	st := reg(t, s)
-	if st.n("pwb.live_migrated") != 2 || st.n("svc.reclaim_admits") != 1 || st.n("svc.entries") != 1 {
-		t.Fatalf("the pass migrated %d records, handed over %d, the cache holds %d; want 2, 1, 1",
-			st.n("pwb.live_migrated"), st.n("svc.reclaim_admits"), st.n("svc.entries"))
+	migrated, admits := st.n("pwb.live_migrated")-base.n("pwb.live_migrated"), st.n("svc.reclaim_admits")-base.n("svc.reclaim_admits")
+	if migrated != 2 || admits != 1 || st.n("svc.entries") != 1 {
+		t.Fatalf("the pass migrated %d records, handed over %d, the cache holds %d; want 2, 1, 1", migrated, admits, st.n("svc.entries"))
 	}
 	t.Logf("the pass took %d virtual ns for 2 records, 1 of them handed over", p.Clk.Now()-t0)
 
@@ -86,8 +211,8 @@ func TestReclaimHandsReadValuesToSVC(t *testing.T) {
 	if got, err := th.Get(key(0)); err != nil || !bytes.Equal(got, value(100)) {
 		t.Fatalf("key 0 after its update and a pass = %q, %v", got, err)
 	}
-	if st := reg(t, s); st.n("svc.reclaim_admits") != 2 || ssdReads(s) != ios {
-		t.Fatalf("after the update: %d handed over, %d SSD read IOs", st.n("svc.reclaim_admits"), ssdReads(s)-ios)
+	if admits := reg(t, s).n("svc.reclaim_admits") - base.n("svc.reclaim_admits"); admits != 2 || ssdReads(s) != ios {
+		t.Fatalf("after the update: %d handed over, %d SSD read IOs", admits, ssdReads(s)-ios)
 	}
 }
 
@@ -152,7 +277,7 @@ func TestReclaimAdmissionNeverStale(t *testing.T) {
 		if err := th.Put(key(0), seqValue(0, 2)); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.admitToSVC(p.Clk, idx, ver, seqValue(0, 1), false); ok {
+		if _, ok := s.admitToSVC(p.Clk, idx, ver, seqValue(0, 1), probation); ok {
 			t.Fatal("a value superseded before the CAS was admitted")
 		}
 		s.cache.Sync()
@@ -474,7 +599,7 @@ func TestScansLeaveThePointReadFilter(t *testing.T) {
 	p.Clk.Reset(th.Clk.Now())
 	pass(p)
 	st := reg(t, s)
-	if moved, handed := st.n("pwb.live_migrated")-before.n("pwb.live_migrated"), st.n("svc.reclaim_admits"); moved != hot || handed != hot {
+	if moved, handed := st.n("pwb.live_migrated")-before.n("pwb.live_migrated"), st.n("svc.reclaim_admits")-before.n("svc.reclaim_admits"); moved != hot || handed != hot {
 		t.Fatalf("the pass migrated %d of the %d overwritten hot keys and handed %d to the cache; want all %d", moved, hot, handed, hot)
 	}
 }
@@ -534,6 +659,7 @@ func TestOverwriteKeepsCachedKey(t *testing.T) {
 		o.SVCBytes = capacity * (512 + 96)
 		o.reclaimWatermark = 0.95
 	})
+	base := reg(t, s)
 	mustGet(t, th, aKey(0)) // from the SSD, admitted on probation
 	mustGet(t, th, aKey(0)) // an SVC hit: promoted
 	s.cache.Sync()
@@ -551,8 +677,8 @@ func TestOverwriteKeepsCachedKey(t *testing.T) {
 	p := s.newThread(0, sim.NewRNG(1), nil, nil)
 	p.Clk.Reset(th.Clk.Now())
 	pass(p)
-	if st := reg(t, s); st.n("svc.reclaim_admits") != 1 || s.pop.cached.has(idx) {
-		t.Fatalf("the pass handed over %d values, cached bit %v after it; want 1, spent", st.n("svc.reclaim_admits"), s.pop.cached.has(idx))
+	if admits := reg(t, s).n("svc.reclaim_admits") - base.n("svc.reclaim_admits"); admits != 1 || s.pop.cached.has(idx) {
+		t.Fatalf("the pass handed over %d values, cached bit %v after it; want 1, spent", admits, s.pop.cached.has(idx))
 	}
 	for i := 1; i <= flood; i++ {
 		mustGet(t, th, aKey(i))
@@ -735,6 +861,7 @@ func TestReadFilterAgeing(t *testing.T) {
 		s := handOffStore(t)
 		th := s.Thread(0)
 		p := s.newThread(0, sim.NewRNG(1), nil, nil)
+		base := reg(t, s)
 		if err := th.Put(key(0), value(0)); err != nil {
 			t.Fatal(err)
 		}
@@ -754,8 +881,9 @@ func TestReadFilterAgeing(t *testing.T) {
 			t.Fatalf("the new key took slot %d, not the freed %d", got, idx)
 		}
 		pass(p)
-		if st := reg(t, s); st.n("pwb.live_migrated") != 1 || st.n("svc.reclaim_admits") != 0 {
-			t.Fatalf("the pass migrated %d and handed over %d; the new key was never read", st.n("pwb.live_migrated"), st.n("svc.reclaim_admits"))
+		st := reg(t, s)
+		if migrated, admits := st.n("pwb.live_migrated")-base.n("pwb.live_migrated"), st.n("svc.reclaim_admits")-base.n("svc.reclaim_admits"); migrated != 1 || admits != 0 {
+			t.Fatalf("the pass migrated %d and handed over %d; the new key was never read", migrated, admits)
 		}
 	})
 }
@@ -767,6 +895,7 @@ func TestReadFilterAgeing(t *testing.T) {
 func TestRecoverStartsWithNothingRead(t *testing.T) {
 	s := handOffStore(t)
 	th := s.Thread(0)
+	base := reg(t, s)
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := th.Put(key(i), value(i)); err != nil {
@@ -787,12 +916,44 @@ func TestRecoverStartsWithNothingRead(t *testing.T) {
 		t.Error("Crash reallocated the filter; it clears in place")
 	}
 	st := reg(t, s)
-	if s.pop.read.n.Load() != 0 || s.pop.read.has(mustIdx(t, s, 0)) || st.n("svc.entries") != 0 || st.n("svc.reclaim_admits") != 0 {
+	admits := st.n("svc.reclaim_admits") - base.n("svc.reclaim_admits")
+	if s.pop.read.n.Load() != 0 || s.pop.read.has(mustIdx(t, s, 0)) || st.n("svc.entries") != 0 || admits != 0 {
 		t.Fatalf("after recovery: %d bits set, %d cache entries, %d handed over by the drain; want none",
-			s.pop.read.n.Load(), st.n("svc.entries"), st.n("svc.reclaim_admits"))
+			s.pop.read.n.Load(), st.n("svc.entries"), admits)
 	}
 	mustReadFromVS(t, s, n)
 	if got := s.pop.read.n.Load(); got != n {
 		t.Fatalf("%d bits after reading %d keys back", got, n)
+	}
+}
+
+// TestRecoveredCacheFillsFromScans: the cache Recover builds starts cold,
+// whatever the crashed one had done. A scan of rows on flash that nobody
+// touched before, which the filled cache deferred, admits them while the
+// new cache fills, and the same scan again reads no flash.
+func TestRecoveredCacheFillsFromScans(t *testing.T) {
+	s, th := vsOnlyStore(t, 40, apart, nil)
+	scanAll(t, th, 10, 20)
+	if st := reg(t, s); st.n("svc.scan_deferred") != 20 || st.n("svc.entries") != 0 {
+		t.Fatalf("a first scan over a cache that has filled: %d rows deferred, %d admitted; want 20, 0", st.n("svc.scan_deferred"), st.n("svc.entries"))
+	}
+	s.Crash()
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.cache.Filling(0) {
+		t.Fatal("the recovered cache has filled already")
+	}
+	before, ios := reg(t, s), ssdReads(s)
+	scanAll(t, th, 10, 20)
+	st := reg(t, s)
+	if ssdReads(s) == ios || st.n("svc.scan_deferred") != before.n("svc.scan_deferred") || st.n("svc.entries") != 20 {
+		t.Fatalf("the scan after recovery: %d SSD read IOs, %d rows deferred, %d admitted; want some, 0, 20",
+			ssdReads(s)-ios, st.n("svc.scan_deferred")-before.n("svc.scan_deferred"), st.n("svc.entries"))
+	}
+	ios = ssdReads(s)
+	scanAll(t, th, 10, 20)
+	if got := reg(t, s).n("core.read_path", "source", "svc") - st.n("core.read_path", "source", "svc"); ssdReads(s) != ios || got != 20 {
+		t.Fatalf("the scan again: %d SSD read IOs, %d SVC hits; want 0, 20", ssdReads(s)-ios, got)
 	}
 }

@@ -65,6 +65,17 @@ type reclaimer struct {
 	mu        sync.Mutex
 	buf       *pwb.Buffer
 	live, hot []valuestore.Move
+	grant     func(to uint64) // grantTo, bound once: a pass retires it without allocating
+}
+
+// grantTo hands the ring's space below to back after a pass's epoch
+// grace, and folds it into the tail at once if no pass is in flight.
+func (r *reclaimer) grantTo(to uint64) {
+	r.buf.Grant(to)
+	if r.mu.TryLock() { // no pass in flight: nothing to wait for
+		r.buf.ApplyGrants()
+		r.mu.Unlock()
+	}
 }
 
 // reclaimBuffer migrates the well-coupled (live) values of one PWB into
@@ -191,13 +202,7 @@ func (s *Store) reclaimBuffer(t *Thread) {
 	// a grant, which the next pass folds into the tail.
 	b.Scanned(to, clk.Now())
 	released = true
-	s.em.Retire(func(to uint64) {
-		r.buf.Grant(to)
-		if r.mu.TryLock() { // no pass in flight: nothing to wait for
-			r.buf.ApplyGrants()
-			r.mu.Unlock()
-		}
-	}, to)
+	s.em.Retire(r.grant, to)
 	// Close the controller loop (§4.7): a background pass that completed
 	// without any put hitting a full ring means reclamation is keeping
 	// pace — relax the trigger upward to recover batching efficiency. A

@@ -28,6 +28,7 @@ func vsOnlyStore(t testing.TB, n, filler int, mutate func(*Options)) (*Store, *T
 			mutate(o)
 		}
 	})
+	fillOnce(t, s)
 	th := s.Thread(0)
 	for i, f := 0, 0; i < n; i++ {
 		if err := th.Put(aKey(i), aValue(i)); err != nil {

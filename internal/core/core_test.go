@@ -156,6 +156,7 @@ func TestReclamationSkipsSupersededVersions(t *testing.T) {
 
 func TestGetServedFromSVCAfterVSRead(t *testing.T) {
 	s := small(t, nil)
+	fillOnce(t, s) // else the reclaimer hands key 7 to the cache itself
 	th := s.Thread(0)
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -593,4 +594,39 @@ func TestOpenValidation(t *testing.T) {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
 	}
+}
+
+// fillOnce gives s's cache the state a store's has after its load: junk
+// keys past SVCBytes are written and handed to the cache by reclaim
+// passes until it has filled, then deleted. The cache is left empty and
+// admits no filler again, so a value nobody read stays on flash alone, as
+// a test that counts SSD reads or admissions expects.
+func fillOnce(t testing.TB, s *Store) {
+	t.Helper()
+	if s.cache == nil {
+		return
+	}
+	th := s.Thread(0)
+	val := make([]byte, 1024)
+	var keys [][]byte
+	for i := 0; s.cache.Filling(0); i++ {
+		if i == 1<<16 {
+			t.Fatalf("the cache never filled: %d fillers", reg(t, s).n("svc.entries"))
+		}
+		k := []byte(fmt.Sprintf("fill%08d", i))
+		if err := th.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+		if i%16 == 15 {
+			drain(t, s)
+			s.cache.Sync()
+		}
+	}
+	for _, k := range keys {
+		if err := th.deleteSync(k, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.cache.Sync()
 }

@@ -123,6 +123,36 @@ func pwbOff(t *testing.T, s *Store, key []byte) uint64 {
 	return p.Off
 }
 
+// TestFailedAppendEndsWithItsLookup: an update whose value is larger than
+// the ring passes reserve — no wait makes room for it, so it waits for
+// none — and fails in the append, which charges nothing. The append's
+// rewind to the put's start does not stand: the put ends exactly where its
+// key index lookup ended, and the key keeps its value.
+func TestFailedAppendEndsWithItsLookup(t *testing.T) {
+	s := small(t, func(o *Options) { o.NumThreads = 1 })
+	th := s.Thread(0)
+	k := aKey(0)
+	if err := th.Put(k, kib(0)); err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, hsit.MaxValueLen)
+	if record.Size(len(big)) <= s.opt.PWBBytesPerThread {
+		t.Fatalf("a %d-byte value fits a ring of %d bytes: not the case the test means", len(big), s.opt.PWBBytesPerThread)
+	}
+	th.Clk.AdvanceTo(1 << 40)
+	c := costsOf(s, th.Clk.Now())
+	lookup, t0 := c.lookup(k), th.Clk.Now()
+	if err := th.Put(k, big); err == nil {
+		t.Fatal("a value larger than the ring was appended")
+	}
+	if got := th.Clk.Now() - t0; got != lookup {
+		t.Errorf("the failed put advanced the clock %d ns, want its lookup's %d", got, lookup)
+	}
+	if got := mustGet(t, th, k); !bytes.Equal(got, kib(0)) {
+		t.Fatalf("the key reads %d bytes after the failed put", len(got))
+	}
+}
+
 // TestPutCostIsLookupAppendPublish: a put's record body needs nothing its
 // key index lookup finds, so the two overlap (DESIGN.md §3.5). On a quiet
 // store, with the clock past every reservation, a put advances the clock by

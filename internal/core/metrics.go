@@ -104,11 +104,11 @@ func (s *Store) registerMetrics() {
 			func() int64 { return s.svcStats().TouchDrops })
 		r.CounterFunc(obs.Desc{Name: "svc.reuses", Help: "admissions that reused a dropped entry, buffer and all, once the two-epoch rule released it (§5.4)", Unit: "entries"},
 			func() int64 { return s.svcStats().Reuses })
-		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admits", Help: "values a reclaim pass handed to the cache as it moved them to Value Storage, because the key had been point-read recently or its overwrite dropped a cached copy (over pwb.live_migrated: the share of migrated records handed over)", Unit: "values"},
+		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admits", Help: "values a reclaim pass handed to the cache as it moved them to Value Storage: the key had been point-read recently, or its overwrite dropped a cached copy a read wanted, or the cache has never filled (a filler); 0 on write-only traffic once it has (over pwb.live_migrated: the share of migrated records handed over)", Unit: "values"},
 			s.stats.reclaimAdmits.Load)
 		r.CounterFunc(obs.Desc{Name: "svc.reclaim_admit_skips", Help: "hand-offs a reclaim pass skipped because the cache manager's queue was more than half full (a pass never waits for the manager)", Unit: "values"},
 			s.stats.reclaimAdmitSkips.Load)
-		r.CounterFunc(obs.Desc{Name: "svc.scan_deferred", Help: "scan rows read from Value Storage and not admitted because some row of the same scan had not been touched before (a scan caches its flash rows whole or not at all; every touch sets the row's scanned bit)", Unit: "rows"},
+		r.CounterFunc(obs.Desc{Name: "svc.scan_deferred", Help: "scan rows read from Value Storage and not admitted because some row of the same scan had not been touched before and the cache has filled once; until it has, they are admitted as fillers (a scan caches its flash rows whole; every touch sets the row's scanned bit)", Unit: "rows"},
 			s.stats.scanDeferred.Load)
 	}
 

@@ -246,15 +246,15 @@ func (t *Thread) maybeKickReclaim() {
 // Value Storage record loses its validity bit; a superseded PWB record
 // simply becomes ill-coupled (§4.3). Any cached copy — svc is the handle
 // the publish found in the entry after its install — is unpublished and
-// dropped, since it now holds a stale value.
+// dropped, since it now holds a stale value; unless it was a filler no
+// point read hit, the slot goes on the cached plane.
 func (t *Thread) invalidateOld(idx uint64, old hsit.Pointer, svc uint64) {
 	s := t.s
 	if old.Media == hsit.VS {
 		s.vsm.Invalidate(old.Off, old.Len)
 	}
-	if svc != 0 && s.cache != nil && s.table.CasSVC(t.Clk, idx, svc, 0) {
-		s.pop.cached.set(idx) // the new value takes the old one's place (handOff)
-		s.cache.Invalidate(idx, svc)
+	if svc != 0 && s.cache != nil && s.table.CasSVC(t.Clk, idx, svc, 0) && s.cache.Invalidate(idx, svc) {
+		s.pop.cached.set(idx) // a read wanted it: the new value takes its place (handOff)
 	}
 }
 
@@ -665,11 +665,13 @@ type located struct {
 // mergeGap bytes) coalesce into one IO — this is why the SVC's sorted
 // rewrite reduces scan IO — and all extents are in flight together (see
 // readVS for the timing). scan selects what is specific to a range scan:
-// its rows are admitted to the SVC as a whole range or not at all — only
-// when every one of them was touched before, by a scan or a point read —
-// and the admitted rows are chained for the eviction-time rewrite (§4.4).
-// A scan waits for its slowest row, so caching part of a range saves the
-// next scan nothing and costs the point reads' working set the space.
+// its rows are admitted to the SVC as a whole range — only when every one
+// of them was touched before, by a scan or a point read — and the admitted
+// rows are chained for the eviction-time rewrite (§4.4). A scan waits for
+// its slowest row, so caching part of a range saves the next scan nothing
+// and costs the point reads' working set the space; until the cache first
+// fills there is no such set, and a partial range's rows are admitted as
+// fillers, unchained.
 // Every row's touch goes on the scanned plane, never the read plane. Get,
 // MultiGet and the async window share the merged-read machinery, but
 // theirs are point reads: every one is admitted (their bits were set at lookup), and
@@ -743,6 +745,7 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 	if s.cache == nil {
 		return
 	}
+	as := probation
 	if scan {
 		rows, whole := int64(0), true
 		for _, it := range pending {
@@ -752,17 +755,19 @@ func (t *Thread) readVSBatch(pending []*scanItem, scan bool) {
 			}
 		}
 		if !whole {
-			s.stats.scanDeferred.Add(rows)
-			return
+			as = filler
 		}
 	}
-	chain := scan && !s.opt.DisableScanSort && len(reqs) > 1
+	chain := as == probation && scan && !s.opt.DisableScanSort && len(reqs) > 1
 	var handles []uint64 // the cache keeps a chain's slice: no scratch
 	for _, it := range pending {
 		if it.val == nil || it.p.IsNil() {
 			continue
 		}
-		if h, ok := s.admitToSVC(t.Clk, it.idx, it.ver, it.val, false); ok && chain {
+		h, ok := s.admitToSVC(t.Clk, it.idx, it.ver, it.val, as)
+		if !ok && as == filler {
+			s.stats.scanDeferred.Add(1)
+		} else if ok && chain {
 			handles = append(handles, h)
 		}
 	}

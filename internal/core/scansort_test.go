@@ -16,6 +16,7 @@ func TestScanSortRewrite(t *testing.T) {
 		o.SVCBytes = 64 << 10 // tiny cache: scanned chains evict fast
 		o.ChunkSize = 64 << 10
 	})
+	fillOnce(t, s)
 	th := s.Thread(0)
 
 	// Scatter prefix-a keys between filler bursts so consecutive a-keys

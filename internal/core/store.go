@@ -380,7 +380,8 @@ func Open(opt Options) (*Store, error) {
 	for i := 0; i < opt.NumThreads; i++ {
 		base := pwbBase + i*opt.PWBBytesPerThread
 		s.pwbs = append(s.pwbs, pwb.NewBuffer(s.nvmDev, base, opt.PWBBytesPerThread))
-		s.reclaimers[i].buf = s.pwbs[i]
+		r := &s.reclaimers[i]
+		r.buf, r.grant = s.pwbs[i], r.grantTo
 	}
 	for i := 0; i < opt.NumSSDs; i++ {
 		var scfg ssd.Config

@@ -279,6 +279,7 @@ func TestWindowKeepsSubmissionOrderPerKey(t *testing.T) {
 	for _, moved := range []bool{false, true} {
 		t.Run(fmt.Sprintf("moved=%v", moved), func(t *testing.T) {
 			s := small(t, func(o *Options) { o.NumThreads, o.NumSSDs = 1, 1 })
+			fillOnce(t, s)
 			th := s.Thread(0)
 			k, v1, v2 := aKey(0), kib(1), kib(2)
 			// One reclaim pass, one chunk: k has a chunk to itself.
@@ -467,6 +468,7 @@ func TestWindowStallMidWindow(t *testing.T) {
 // window's batch: two Value Storage reads, the current value.
 func TestGetReadsAMovedValueAgain(t *testing.T) {
 	s := small(t, func(o *Options) { o.NumThreads, o.NumSSDs = 1, 1 })
+	fillOnce(t, s)
 	th := s.Thread(0)
 	k, v := aKey(0), kib(1)
 	if err := th.Put(k, v); err != nil {

@@ -17,7 +17,10 @@ import (
 // in an extent of its own (recovery drains what the crash found in a PWB —
 // the last few runs — in key order, which is why the scan stays clear of
 // those). core.read_path then moves by one per row a scan resolves,
-// whichever medium serves it.
+// whichever medium serves it. The SVCs are empty, and have filled once, as
+// a loaded store's have: 2 KiB junk keys written after the rows are read
+// back from flash after the recovery, past every cache's capacity, and
+// deleted, so no cache admits a row nobody asked for.
 func flashStore(t *testing.T, shards, replicas, n int) *Store {
 	t.Helper()
 	s := repl(t, shards, replicas, func(o *core.Options) {
@@ -33,9 +36,31 @@ func flashStore(t *testing.T, shards, replicas, n int) *Store {
 			}
 		}
 	}
+	const junk = 3000
+	junkKey := func(i int) []byte { return []byte(fmt.Sprintf("fill%08d", i)) }
+	for i := 0; i < junk; i++ {
+		if err := th.Put(junkKey(i), make([]byte, 2048)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s.Crash()
 	if _, err := s.Recover(); err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < junk; i++ {
+		if _, err := th.Get(junkKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < shards; j++ {
+		if reg(t, s.Shard(j)).n("svc.evictions") == 0 {
+			t.Fatalf("shard %d's cache never filled", j)
+		}
+	}
+	for i := 0; i < junk; i++ {
+		if err := th.Delete(junkKey(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return s
 }
@@ -65,7 +90,8 @@ func scanRows(t *testing.T, th *Thread, from, count int, live func(i int) bool) 
 // TestMergedScanReadsEachRowOnce: a merged scan of 50 rows resolves 50
 // rows, summed over the shards — not 50 on every shard asked — and asks a
 // covering set of the shards for a walk: ceil(shards/replicas) of them.
-// Cold, the rows come from flash, first touch; warm, from the SVCs.
+// Cold, the rows come from flash, first touch, and the SVCs, which have
+// filled once, defer them; warm, they come from the SVCs.
 func TestMergedScanReadsEachRowOnce(t *testing.T) {
 	for _, tc := range []struct{ shards, replicas, asked int }{{3, 2, 2}, {4, 1, 4}} {
 		t.Run(fmt.Sprintf("%dx%d", tc.shards, tc.replicas), func(t *testing.T) {

@@ -149,6 +149,18 @@ func (d *Device) Submit(at int64, reqs []Request) []Completion {
 	return comps
 }
 
+// Write places one write on the submission queue at virtual time at,
+// exactly as Submit would, and returns its completion: Submit for a
+// writer with a single request, which needs no completion slice.
+func (d *Device) Write(at int64, r Request) Completion {
+	if r.Op != OpWrite {
+		panic("ssd: Write of a read request")
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.schedule(at, r)
+}
+
 // Read places a batch of reads on the submission queue at virtual time at,
 // exactly as Submit would, and returns the latest DoneTime of the batch (at
 // itself for an empty one). A read is never Acked, so its caller needs no

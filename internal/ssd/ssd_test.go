@@ -266,3 +266,39 @@ func TestReadMatchesSubmit(t *testing.T) {
 	}()
 	b.Read(0, []Request{{Op: OpWrite, Data: buf}})
 }
+
+// TestWriteMatchesSubmit: Write schedules one write exactly as a batch of
+// one through Submit does — same completion, same durable data once
+// acked, same counters — and, its staging buffer reused, allocates
+// nothing: a Value Storage chunk write costs the heap no object.
+func TestWriteMatchesSubmit(t *testing.T) {
+	a, b := newDev(1<<20), newDev(1<<20)
+	data := bytes.Repeat([]byte("w"), 4096)
+	for _, at := range []int64{0, 10, 100_000} {
+		req := Request{Op: OpWrite, Offset: at % 8192, Data: data}
+		want := a.Submit(at, []Request{req})[0]
+		got := b.Write(at, req)
+		if got != want {
+			t.Fatalf("Write at %d: %+v, Submit: %+v", at, got, want)
+		}
+		a.Ack(want)
+		b.Ack(got)
+	}
+	if a.Stats() != b.Stats() {
+		t.Fatalf("counters differ: Submit %+v, Write %+v", a.Stats(), b.Stats())
+	}
+	buf := make([]byte, 4096)
+	b.Read(0, []Request{{Op: OpRead, Offset: 10, Data: buf}})
+	if !bytes.Equal(buf, data) {
+		t.Fatal("an acked Write is not durable")
+	}
+	if n := testing.AllocsPerRun(100, func() { b.Ack(b.Write(0, Request{Op: OpWrite, Data: data})) }); n != 0 {
+		t.Fatalf("Write allocated %v times, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Write of a read did not panic")
+		}
+	}()
+	b.Write(0, Request{Op: OpRead, Data: buf})
+}

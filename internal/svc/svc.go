@@ -13,6 +13,14 @@
 // entry on probation: a scan reads every row of its range whether or not
 // anybody wants it, so it never decides what is protected.
 //
+// A cold cache fills from whatever passes through DRAM: until it first
+// reaches capacity (Filling; sticky, so a cache that has filled once
+// never refills from free room an overwrite left), the engine admits
+// values no read asked for as fillers. A filler's first point-read hit is
+// its admission — it is refreshed on probation, not promoted — and
+// Invalidate reports whether any point read hit it, so an overwrite of a
+// filler nobody read earns the new value nothing.
+//
 // Scan awareness: values admitted by the same range scan are chained in
 // key order. When one member of a chain is evicted, the whole resident
 // chain is handed to the engine's rewrite hook, which writes the values
@@ -60,6 +68,14 @@ type Entry struct {
 	// active list instead of probation: a value the caller knows was
 	// protected before (an overwritten key's new value).
 	Protected bool
+	// Filler, set between Admit and Published, marks a value no read
+	// asked for, admitted while the cache was Filling: on probation, and
+	// its first point-read hit only refreshes it there.
+	Filler bool
+
+	// hit is set by a point read's Lookup of this incarnation; guarded by
+	// mu. Invalidate reports it for a filler.
+	hit bool
 
 	slot uint32
 	gen  uint32
@@ -72,6 +88,7 @@ type Entry struct {
 
 	// Manager-owned state.
 	state      int8 // 0 = not resident, 1 = inactive, 2 = active
+	earned     bool // a filler whose first point-read hit has been applied
 	prev, next *Entry
 	chainPrev  *Entry
 	chainNext  *Entry
@@ -80,7 +97,10 @@ type Entry struct {
 // Handle returns the value published as the HSIT entry's SVC handle.
 func (e *Entry) Handle() uint64 { return uint64(e.gen)<<32 | uint64(e.slot+1) }
 
-func (e *Entry) size() int64 { return int64(len(e.Value) + 96) }
+func (e *Entry) size() int64 { return int64(len(e.Value) + entryOverhead) }
+
+// entryOverhead is what an entry costs the capacity beside its value.
+const entryOverhead = 96
 
 // EvictedChain is passed to the rewrite hook: the resident members of a
 // scan chain, in the order LinkChain was given them (the scan's key
@@ -156,6 +176,10 @@ type Cache struct {
 	events chan event
 	wg     sync.WaitGroup
 	closed atomic.Bool
+	// filled is set, for good, when the cache first reaches capacity:
+	// an admission Filling found would not fit, or the manager's first
+	// eviction.
+	filled atomic.Bool
 
 	bytes      atomic.Int64
 	entries    atomic.Int64
@@ -224,6 +248,7 @@ func (c *Cache) lookup(hsitIdx, handle uint64, kind evKind) (val []byte, ver uin
 	e := c.resolve(hsitIdx, handle)
 	if e != nil {
 		val, ver = e.Value, e.Ver
+		e.hit = e.hit || kind == evTouch
 	}
 	c.mu.Unlock()
 	if e == nil {
@@ -267,8 +292,8 @@ const anyIdx = ^uint64(0)
 // it on Lookup): a spare entry the two-epoch rule has released, buffer
 // and all, or a new one. The caller must then publish e.Handle() in the
 // HSIT entry (CAS from 0) and call Published on success — setting
-// Protected first to skip probation — or AbortAdmit if it lost the race
-// (§4.4: published atomically). The key is not kept —
+// Protected first to skip probation, or Filler — or AbortAdmit if it lost
+// the race (§4.4: published atomically). The key is not kept —
 // nothing reads it; the parameter stays because benchmark/ladder.go
 // passes one.
 func (c *Cache) Admit(hsitIdx, ver uint64, _, value []byte) *Entry {
@@ -290,7 +315,8 @@ func (c *Cache) Admit(hsitIdx, ver uint64, _, value []byte) *Entry {
 	}
 	e.Value = e.Value[:len(value)]
 	copy(e.Value, value)
-	e.HSITIdx, e.Ver, e.Protected, e.slot, e.gen = hsitIdx, ver, false, slot, c.gens[slot]
+	e.HSITIdx, e.Ver, e.slot, e.gen = hsitIdx, ver, slot, c.gens[slot]
+	e.Protected, e.Filler, e.hit = false, false, false
 	e.live.Store(e.Handle())
 	c.table[slot] = e
 	c.mu.Unlock()
@@ -316,6 +342,21 @@ func (c *Cache) reuse() *Entry {
 	return e
 }
 
+// Filling reports whether the cache has never reached capacity and a
+// value of n bytes fits in it now: whether a filler may be admitted. The
+// first time one would not fit, it reports false from then on, as it
+// does once the manager has evicted.
+func (c *Cache) Filling(n int) bool {
+	if c.filled.Load() {
+		return false
+	}
+	if c.bytes.Load()+int64(n+entryOverhead) > c.cfg.CapacityBytes {
+		c.filled.Store(true)
+		return false
+	}
+	return true
+}
+
 // Published enqueues the admitted entry for LRU bookkeeping: on
 // probation, or in the active list if it is Protected.
 func (c *Cache) Published(e *Entry) {
@@ -335,14 +376,20 @@ func (c *Cache) AbortAdmit(e *Entry) {
 	c.release(e)
 }
 
-// Invalidate removes the entry for handle (value deleted or superseded).
-func (c *Cache) Invalidate(hsitIdx, handle uint64) {
+// Invalidate removes the entry for handle (value deleted or superseded)
+// and reports whether a read wanted it: it was still in the table and is
+// not a filler that no point read has hit.
+func (c *Cache) Invalidate(hsitIdx, handle uint64) (wanted bool) {
 	c.mu.Lock()
 	e := c.resolve(hsitIdx, handle)
+	if e != nil {
+		wanted = !e.Filler || e.hit
+	}
 	c.mu.Unlock()
 	if e != nil {
 		c.post(event{kind: evRemove, entry: e, handle: handle}, true)
 	}
+	return wanted
 }
 
 // LinkChain records that the entries behind handles were admitted by one
@@ -470,6 +517,7 @@ func (c *Cache) manager() {
 		switch ev.kind {
 		case evAdd:
 			if e := ev.entry; e.state == 0 {
+				e.earned = false
 				if e.Protected {
 					e.state = 2
 					c.active.pushHead(e)
@@ -498,11 +546,17 @@ func (c *Cache) manager() {
 
 // touch applies 2Q promotion: a point read's hit — the second access,
 // after the one that admitted it — moves an inactive entry to the active
-// list; an active entry refreshes to the head.
+// list; an active entry refreshes to the head. A filler's first hit is the
+// access that admits it: it refreshes the filler on probation.
 func (c *Cache) touch(e *Entry) {
 	switch e.state {
 	case 1:
 		c.inactive.remove(e)
+		if e.Filler && !e.earned {
+			e.earned = true
+			c.inactive.pushHead(e)
+			return
+		}
 		e.state = 2
 		c.promotions.Add(1)
 		c.active.pushHead(e)
@@ -539,6 +593,7 @@ func (c *Cache) rebalance() {
 // resident chain is handed to the rewrite hook first (§4.4 steps 5-6).
 func (c *Cache) evict(victim *Entry) {
 	c.evictions.Add(1)
+	c.filled.Store(true)
 	if (victim.chainPrev != nil || victim.chainNext != nil) && c.cfg.OnScanEvict != nil {
 		chain := c.collectChain(victim)
 		if len(chain) > 1 {

@@ -523,3 +523,96 @@ func TestSparesHoldAtMostCapacity(t *testing.T) {
 		t.Fatalf("%d spares hold %d bytes; capacity %d", c.spareN, c.spareBytes, capacity)
 	}
 }
+
+// TestFillerAdmissionStress races filler admissions, point and scan hits,
+// Invalidate and the manager's evictions on a small cache (run under
+// -race: Filler is published like Protected, the hit mark is guarded by
+// mu). Each worker owns its slots, four cache capacities of them: it
+// supersedes a slot's value the way a writer does — CAS the handle away,
+// then Invalidate — admits a new one there, a filler while the cache is
+// filling and a read's admission after, and point-reads every third
+// itself. Readers scan-touch every slot. A filler its owner never
+// point-read is never wanted, whoever scanned it; once Filling has said
+// no, it never says yes again; and the cache ends within its capacity.
+func TestFillerAdmissionStress(t *testing.T) {
+	const (
+		workers, slots, rounds = 4, 64, 3000
+		capacity               = 64 * (32 + 96)
+	)
+	em := epoch.NewManager()
+	c, h := newCacheFrom(t, Config{CapacityBytes: capacity, Epochs: em})
+	val := bytes.Repeat([]byte{'v'}, 32)
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			p := em.Register()
+			for i := uint64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				idx := i % (workers * slots)
+				p.Enter()
+				if hd := h.load(idx); hd != 0 {
+					c.LookupScan(idx, hd)
+				}
+				p.Exit()
+			}
+		}()
+	}
+	var owners sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		owners.Add(1)
+		go func(w int) {
+			defer owners.Done()
+			p := em.Register()
+			type incarnation struct {
+				handle      uint64
+				filler, hit bool
+			}
+			held := make([]incarnation, slots)
+			filled := false
+			for i := 0; i < rounds; i++ {
+				idx, in := uint64(w*slots+i%slots), &held[i%slots]
+				if in.handle != 0 && h.cas(idx, in.handle, 0) && c.Invalidate(idx, in.handle) && in.filler && !in.hit {
+					t.Errorf("slot %d: a filler nobody point-read was wanted", idx)
+				}
+				*in = incarnation{}
+				filler := c.Filling(len(val))
+				if filler && filled {
+					t.Errorf("worker %d: Filling said yes after it had said no", w)
+					return
+				}
+				filled = !filler
+				e := c.Admit(idx, verOf(idx), nil, val)
+				e.Filler = filler
+				if !h.cas(idx, 0, e.Handle()) {
+					c.AbortAdmit(e)
+					continue
+				}
+				c.Published(e)
+				*in = incarnation{handle: e.Handle(), filler: filler}
+				if i%3 == 0 {
+					p.Enter()
+					_, _, in.hit = c.Lookup(idx, e.Handle())
+					p.Exit()
+				}
+				em.Collect()
+			}
+		}(w)
+	}
+	owners.Wait()
+	close(stop)
+	readers.Wait()
+	c.Sync()
+	if c.Filling(0) {
+		t.Fatal("the cache never filled")
+	}
+	if st := c.Stats(); st.Bytes > capacity || st.Evictions == 0 {
+		t.Fatalf("after the race: %d bytes resident in a cache of %d, %d evictions", st.Bytes, int64(capacity), st.Evictions)
+	}
+}

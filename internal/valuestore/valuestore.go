@@ -375,12 +375,12 @@ type Entry struct {
 func (w *Writer) write(at int64) (doneTime int64) {
 	s := w.s
 	s.writeMu.Lock()
-	comps := s.Dev.Submit(at, []ssd.Request{{
+	comp := s.Dev.Write(at, ssd.Request{
 		Op:     ssd.OpWrite,
 		Offset: int64(w.chunk * s.chunkSize),
 		Data:   w.buf[:w.fill],
-	}})
-	s.Dev.Ack(comps[0])
+	})
+	s.Dev.Ack(comp)
 	s.writeMu.Unlock()
 
 	c := &s.chunks[w.chunk]
@@ -390,7 +390,7 @@ func (w *Writer) write(at int64) (doneTime int64) {
 	}
 	s.chunksWritten.Add(1)
 	s.bytesWritten.Add(int64(w.fill))
-	return comps[0].DoneTime
+	return comp.DoneTime
 }
 
 // Commit writes the chunk at virtual time `at` and seals it with every

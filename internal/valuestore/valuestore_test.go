@@ -514,7 +514,7 @@ func TestWriterReleaseReusesBuffers(t *testing.T) {
 			s.Invalidate(e.LocalOff, e.ValueLen)
 		}
 		w.Release()
-	}); allocs > 1 { // the device's completion slice
+	}); allocs != 0 {
 		t.Fatalf("a released-and-reused writer cost %.0f allocations per chunk", allocs)
 	}
 }
